@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke purego
+.PHONY: build test check vet race chaos fuzz fuzz-smoke fmt bench-smoke cover benchdiff benchdiff-soft bench-kernels bench-kernels-soft serve-smoke load-smoke purego bench-module
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ race:
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./...
+
+# heapmark (bench/) is a module of its own that imports the internal
+# packages through a replace directive, so the root's build, vet and test do
+# not descend into it: this lane is what notices when an internal API it
+# uses changes shape. -short runs every workload at toy size in seconds.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
 # frames, join/leave churn, kill-mid-key-upload resume, and hedged dispatch.
@@ -120,13 +128,14 @@ cover:
 
 # The merge gate: everything must build, vet clean, pass under the race
 # detector (the cluster chaos tests plus the concurrent-automorphism and
-# shared-key-switcher tests are the concurrency exercise), survive the
+# shared-key-switcher tests are the concurrency exercise), keep the
+# benchmark module building against the internal APIs, survive the
 # fault-injection suite, run every fuzz seed corpus, keep the hot kernels
 # allocation-free, prove the serving layer coalesces correctly and survives
 # overload with bounded queues, hold the coverage floors, and hold the
 # committed blind-rotate, service, and load-matrix trajectories (soft: warns
 # on regression), including the modular-kernel ablation trajectory.
-check: build vet purego race chaos fuzz-smoke bench-smoke serve-smoke load-smoke cover benchdiff-soft bench-kernels-soft
+check: build vet purego bench-module race chaos fuzz-smoke bench-smoke serve-smoke load-smoke cover benchdiff-soft bench-kernels-soft
 
 # Short fuzz smoke over the wire-facing decoders; the committed corpora in
 # testdata/fuzz/ always run as part of plain `go test`.

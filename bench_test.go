@@ -345,10 +345,12 @@ func BenchmarkAblationGadget(b *testing.B) {
 			ks := rlwe.NewKeySwitcher(params)
 			enc := rlwe.NewEncryptor(params, sk1, 13)
 			ct := enc.EncryptZeroAtLevel(params.MaxLevel())
+			d0, d1 := params.QBasis.NewPoly(), params.QBasis.NewPoly()
+			sc := ks.NewScratch()
 			b.ReportMetric(float64(ksk.SizeBytes()), "key_bytes")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _ = ks.SwitchPoly(ct.C1, ksk)
+				ks.SwitchPolyInto(ct.C1, ksk, d0, d1, sc)
 			}
 		})
 	}

@@ -86,6 +86,12 @@ type Bootstrapper struct {
 	// rec receives pipeline-stage spans and kernel counters; always non-nil
 	// (Nop by default, so the uninstrumented path stays allocation-free).
 	rec obs.Recorder
+
+	// accPool recycles the accumulators of local bootstraps: BootstrapSparse
+	// hands its count ciphertexts back once Finish has consumed them, so
+	// back-to-back bootstraps do not leave ~1 MB per blind rotation to the
+	// collector.
+	accPool sync.Pool
 }
 
 // SetRecorder installs the observability recorder for this bootstrapper and
@@ -286,6 +292,16 @@ func (bt *Bootstrapper) NewAccumulator() *rlwe.Ciphertext {
 	return rlwe.NewCiphertext(bt.Params.Parameters, bt.lut.Level)
 }
 
+// pooledAccumulator is NewAccumulator drawing on the accumulators that
+// finished local bootstraps handed back; a blind rotation overwrites every
+// limb, so a recycled one needs no clearing.
+func (bt *Bootstrapper) pooledAccumulator() *rlwe.Ciphertext {
+	if acc, ok := bt.accPool.Get().(*rlwe.Ciphertext); ok {
+		return acc
+	}
+	return bt.NewAccumulator()
+}
+
 // BlindRotateOneInto is BlindRotateOne writing into a caller-owned
 // accumulator with a per-worker scratch arena; allocation-free in steady
 // state.
@@ -426,7 +442,7 @@ func (bt *Bootstrapper) CompleteMissing(prep *PreparedBootstrap, accs []*rlwe.Ci
 		lwes[k] = prep.LWEs[idx]
 	}
 	out := make([]*rlwe.Ciphertext, len(missing))
-	err := bt.BlindRotateBatch(out, lwes, tfhe.BatchOptions{Workers: bt.Cfg.Workers})
+	err := bt.BlindRotateBatch(out, lwes, tfhe.BatchOptions{Workers: bt.Cfg.Workers, NewAcc: bt.pooledAccumulator})
 	bt.rec.End(obs.StageBlindRotate, obs.LanePipeline, tok)
 	if err != nil {
 		// The prepared LWEs and the key material are the bootstrapper's own;
@@ -581,6 +597,11 @@ func (bt *Bootstrapper) BootstrapSparse(ct *rlwe.Ciphertext, count int) *rlwe.Ci
 		// every accumulator; a failure here means corrupted key material, not
 		// a recoverable input error.
 		panic(err)
+	}
+	// Finish consumed the accumulators as scratch and its output is freshly
+	// allocated, so nothing refers to them any more.
+	for _, acc := range accs {
+		bt.accPool.Put(acc)
 	}
 	return out
 }

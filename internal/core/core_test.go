@@ -178,12 +178,18 @@ func TestWorkerCountsAgree(t *testing.T) {
 	ct := cl.EncryptAtLevel(v, 1)
 	out1 := bt1.Bootstrap(ct.CopyNew())
 	out4 := bt4.Bootstrap(ct.CopyNew())
-	// Same keys (same seeds) and a deterministic pipeline: worker count
-	// must not change the result at all.
+	// A second bootstrap draws its accumulators from the ones the first
+	// handed back, still holding the first's merge-tree leftovers.
+	again := bt1.Bootstrap(ct.CopyNew())
+	// Same keys (same seeds) and a deterministic pipeline: neither the
+	// worker count nor recycled accumulators may change the result at all.
 	for i := range out1.C0.Limbs {
 		for j := range out1.C0.Limbs[i] {
 			if out1.C0.Limbs[i][j] != out4.C0.Limbs[i][j] || out1.C1.Limbs[i][j] != out4.C1.Limbs[i][j] {
 				t.Fatalf("worker count changed the ciphertext at limb %d coeff %d", i, j)
+			}
+			if out1.C0.Limbs[i][j] != again.C0.Limbs[i][j] || out1.C1.Limbs[i][j] != again.C1.Limbs[i][j] {
+				t.Fatalf("recycled accumulators changed the ciphertext at limb %d coeff %d", i, j)
 			}
 		}
 	}

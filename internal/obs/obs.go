@@ -83,9 +83,9 @@ type Counter uint8
 
 const (
 	// CounterNTT counts single-limb forward/inverse NTT transforms issued
-	// by the instrumented kernels (key-switch digit raise, external
-	// product, CMux INTTs, merge/finish domain conversions) — the unit the
-	// paper's Table V cycle accounting is built from.
+	// by the instrumented kernels (key-switch and external-product digit
+	// raise and ModDown, input INTTs, merge/finish domain conversions) — the
+	// unit the paper's Table V cycle accounting is built from.
 	CounterNTT Counter = iota
 	// CounterExternalProduct counts RGSW ⊡ RLWE external products (two per
 	// BlindRotate iteration for ternary keys, one for binary).

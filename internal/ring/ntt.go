@@ -14,12 +14,13 @@ import "math/bits"
 // reduced transform — the lazy interval only changes intermediate
 // representatives, never the residue.
 //
-// When the vector path is active (see simd.go), stages with block half
-// length t ≥ 4 run on the AVX2 stage kernel; t is a power of two, so those
-// stages are whole 4-lane groups with no tails. The t=2 stage and the fused
-// canonical last stage stay scalar. The vector butterflies perform the same
-// operations in the same order on the same lazy intervals, so the transform
-// is bit-identical either way.
+// When the vector path is active (see simd.go) every stage runs on an AVX2
+// kernel: the generic stage kernel for block half length t ≥ 4 (t is a power
+// of two, so those stages are whole 4-lane groups with no tails) and two
+// in-register-interleaving kernels for the t=2 stage and the fused canonical
+// t=1 stage. The vector butterflies perform the same operations in the same
+// order on the same lazy intervals, so the transform is bit-identical either
+// way. Rings below vecMinN coefficients always take the scalar driver.
 //
 // The scalar and vector passes are separate driver functions on purpose:
 // a CALL to an assembly kernel anywhere in a function — even on a branch
@@ -44,11 +45,11 @@ func (r *Ring) NTT(p Poly) {
 // driver: threading a lazy flag through nttWithTables' signature measured a
 // 40% slowdown on the whole canonical transform (the extra incoming
 // argument evicts a hot loop value into a spill slot — see the BenchmarkAB
-// pair), and NTTLazy has no latency-critical callers.
+// pairs), and NTTLazy has no latency-critical callers.
 func (r *Ring) NTTLazy(p Poly) {
 	psi, psiShoup := r.psiTable, r.psiTableShoup
-	if simdActive() {
-		r.nttVecWithTables(p, psi, psiShoup, true)
+	if r.vecNTT() {
+		r.nttVecWithTables(p, psi, psiShoup, 0)
 		return
 	}
 	q := r.Mod.Q
@@ -59,12 +60,12 @@ func (r *Ring) NTTLazy(p Poly) {
 		t >>= 1
 		nttFwdStepScalar(p, psi, psiShoup, q, m, t)
 	}
-	nttFwdLastScalar(p, psi, psiShoup, q, true)
+	nttFwdLastLazyScalar(p, psi, psiShoup, q)
 }
 
 func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
-	if simdActive() {
-		r.nttVecWithTables(p, psi, psiShoup, false)
+	if r.vecNTT() {
+		r.nttVecWithTables(p, psi, psiShoup, r.Mod.Q)
 		return
 	}
 	q := r.Mod.Q
@@ -95,11 +96,74 @@ func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
 			}
 		}
 	}
-	// Last stage (t=1, m=n/2), open-coded: pairs are adjacent, so direct
-	// indexing replaces 4096 one-element subslice loops, and the canonical
-	// sweep is fused into the butterfly instead of running as an extra pass
-	// over the polynomial. Arithmetic and reduction order are exactly those
-	// of the generic stage followed by the old sweep — bit-identical output.
+	nttFwdLastScalar(p, psi, psiShoup, q)
+}
+
+// vecMinN is the smallest ring degree the vector drivers accept: the t=1 and
+// t=2 edge kernels consume two 4-lane registers (eight coefficients) per step.
+const vecMinN = 8
+
+// vecNTT reports whether this ring's Shoup transforms take the vector
+// drivers: the vector kernels are selected and the ring is large enough.
+func (r *Ring) vecNTT() bool { return simdActive() && r.N >= vecMinN }
+
+// nttVecWithTables is the forward pass with every stage on an AVX2 kernel:
+// the generic stage kernel while t ≥ 4, then the t=2 kernel, then the fused
+// last stage. fold is the last stage's final conditional subtraction bound:
+// q for canonical output, 0 to leave the lazy [0, 2q) representatives
+// (NTTLazy). Bit-identical to the scalar drivers. Requires n ≥ vecMinN.
+func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64, fold uint64) {
+	q := r.Mod.Q
+	n := r.N
+	p = p[:n]
+	t := n
+	for m := 1; m <= n>>3; m <<= 1 {
+		t >>= 1
+		nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
+	}
+	nttFwdT2AVX2(p, psi, psiShoup, q)
+	nttFwdLastAVX2(p, psi, psiShoup, q, fold)
+}
+
+// nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
+// length t) with Shoup-twiddle butterflies — the stage loop of the scalar
+// NTTLazy driver, and the lane-for-lane reference the vector property tests
+// and fuzz target compare nttFwdStepAVX2 and nttFwdT2AVX2 against. The
+// pure-scalar transform inlines this same loop (see nttWithTables for why);
+// keep the two in sync.
+func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
+	twoQ := 2 * q
+	for i := 0; i < m; i++ {
+		w := psi[m+i]
+		wS := psiShoup[m+i]
+		j1 := 2 * i * t
+		a := p[j1 : j1+t]
+		b := p[j1+t : j1+2*t]
+		b = b[:len(a)] // bounds-check elimination for b[j]
+		for j := range a {
+			// u ∈ [0, 4q) → [0, 2q); v ← lazy Shoup ∈ [0, 2q).
+			u := a[j]
+			if u >= twoQ {
+				u -= twoQ
+			}
+			v := b[j]
+			hi, _ := bits.Mul64(v, wS)
+			v = v*w - hi*q
+			a[j] = u + v        // < 4q
+			b[j] = u + twoQ - v // < 4q
+		}
+	}
+}
+
+// nttFwdLastScalar is the last stage (t=1, m=n/2) of the scalar driver,
+// open-coded: pairs are adjacent, so direct indexing replaces n/2
+// one-element subslice loops, and the canonical sweep is fused into the
+// butterfly instead of running as an extra pass over the polynomial.
+// Arithmetic and reduction order are exactly those of the generic stage
+// followed by the sweep — bit-identical output.
+func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64) {
+	twoQ := 2 * q
+	n := len(p)
 	if n == 1 {
 		c := p[0]
 		if c >= twoQ {
@@ -141,68 +205,19 @@ func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
 	}
 }
 
-// nttVecWithTables is the forward pass with the AVX2 stage kernels doing
-// every t ≥ 4 stage; the t=2 stage and the fused last stage run through the
-// scalar stage helpers. Bit-identical to the scalar driver.
-func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64, lazy bool) {
-	q := r.Mod.Q
-	n := r.N
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		if t >= 4 {
-			nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
-		} else {
-			nttFwdStepScalar(p, psi, psiShoup, q, m, t)
-		}
-	}
-	nttFwdLastScalar(p, psi, psiShoup, q, lazy)
-}
-
-// nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
-// length t) with Shoup-twiddle butterflies — the t=2 stage of the vector
-// driver, and the lane-for-lane reference the vector property tests and
-// fuzz target compare nttFwdStepAVX2 against. The pure-scalar transform
-// inlines this same loop (see nttWithTables for why); keep the two in sync.
-func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
-	twoQ := 2 * q
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		j1 := 2 * i * t
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)] // bounds-check elimination for b[j]
-		for j := range a {
-			// u ∈ [0, 4q) → [0, 2q); v ← lazy Shoup ∈ [0, 2q).
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			v := b[j]
-			hi, _ := bits.Mul64(v, wS)
-			v = v*w - hi*q
-			a[j] = u + v        // < 4q
-			b[j] = u + twoQ - v // < 4q
-		}
-	}
-}
-
-// nttFwdLastScalar is the fused canonicalizing last stage (t=1, m=n/2) as
-// a helper for the vector driver; the scalar driver inlines the same loop.
-func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
+// nttFwdLastLazyScalar is the last stage (t=1, m=n/2) of the scalar NTTLazy
+// driver: the fused last stage of nttWithTables without the final fold to
+// [0, q). It is a function of its own rather than a flag on a shared helper
+// because a flag tested inside the butterfly (`!lazy && x >= q`) compiles to
+// data-dependent branches where the flag-free loop gets conditional moves —
+// see BenchmarkABLastStage*.
+func nttFwdLastLazyScalar(p Poly, psi, psiShoup []uint64, q uint64) {
 	twoQ := 2 * q
 	n := len(p)
 	if n == 1 {
-		c := p[0]
-		if c >= twoQ {
-			c -= twoQ
+		if p[0] >= twoQ {
+			p[0] -= twoQ
 		}
-		if !lazy && c >= q {
-			c -= q
-		}
-		p[0] = c
 		return
 	}
 	m := n >> 1
@@ -220,15 +235,9 @@ func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
 		if x >= twoQ {
 			x -= twoQ
 		}
-		if !lazy && x >= q {
-			x -= q
-		}
 		y := u + twoQ - v // < 4q
 		if y >= twoQ {
 			y -= twoQ
-		}
-		if !lazy && y >= q {
-			y -= q
 		}
 		p[2*i] = x
 		p[2*i+1] = y
@@ -240,11 +249,11 @@ func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
 // lazy-reduction discipline as NTT, coefficients in [0, 2q) between passes),
 // including the final multiplication by N^{-1} which also performs the
 // canonical reduction. Driver split mirrors NTT: the scalar pass contains no
-// assembly calls, the vector pass sends t ≥ 4 stages to the AVX2 kernel and
-// the open-coded first stage through the scalar helper; the N^{-1} sweep
-// rides the MulScalar Shoup kernel in both.
+// assembly calls, the vector pass runs the t=1 and t=2 stages on their
+// in-register-interleaving kernels and every later stage on the generic
+// stage kernel; the N^{-1} sweep rides the MulScalar Shoup kernel in both.
 func (r *Ring) INTT(p Poly) {
-	if simdActive() {
+	if r.vecNTT() {
 		r.inttVec(p)
 		return
 	}
@@ -305,77 +314,22 @@ func (r *Ring) INTT(p Poly) {
 	r.nInvSweep(p)
 }
 
-// inttVec is the inverse pass with the AVX2 stage kernels (see INTT).
+// inttVec is the inverse pass with every stage on an AVX2 kernel (see
+// INTT). Requires n ≥ vecMinN.
 func (r *Ring) inttVec(p Poly) {
 	q := r.Mod.Q
 	n := r.N
 	psiInv := r.psiInvTable
 	psiInvShoup := r.psiInvTableShoup
 	p = p[:n]
-	t := 1
-	if n >= 2 {
-		nttInvFirstScalar(p, psiInv, psiInvShoup, q)
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		if t >= 4 {
-			nttInvStepAVX2(p, psiInv, psiInvShoup, q, h, t)
-		} else {
-			nttInvStepScalar(p, psiInv, psiInvShoup, q, h, t)
-		}
+	nttInvFirstAVX2(p, psiInv, psiInvShoup, q)
+	nttInvT2AVX2(p, psiInv, psiInvShoup, q)
+	t := 4
+	for h := n >> 3; h >= 1; h >>= 1 {
+		nttInvStepAVX2(p, psiInv, psiInvShoup, q, h, t)
 		t <<= 1
 	}
 	r.nInvSweep(p)
-}
-
-// nttInvFirstScalar is the open-coded first inverse stage (t=1, h=n/2) as a
-// helper for the vector driver; INTT inlines the same loop.
-func nttInvFirstScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64) {
-	twoQ := 2 * q
-	h := len(p) >> 1
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		wS := psiInvShoup[h+i]
-		u := p[2*i]
-		v := p[2*i+1]
-		c := u + v // < 4q
-		if c >= twoQ {
-			c -= twoQ
-		}
-		p[2*i] = c
-		d := u + twoQ - v // < 4q
-		hi, _ := bits.Mul64(d, wS)
-		p[2*i+1] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
-	}
-}
-
-// nttInvStepScalar runs one inverse Gentleman-Sande stage (h blocks of half
-// length t) — the t=2 stage of the vector driver and the reference
-// semantics for nttInvStepAVX2; INTT inlines the same loop (keep in sync).
-func nttInvStepScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
-	twoQ := 2 * q
-	j1 := 0
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		wS := psiInvShoup[h+i]
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)]
-		for j := range a {
-			u := a[j]
-			v := b[j]
-			c := u + v // < 4q
-			if c >= twoQ {
-				c -= twoQ
-			}
-			a[j] = c
-			d := u + twoQ - v // < 4q
-			hi, _ := bits.Mul64(d, wS)
-			b[j] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
-		}
-		j1 += 2 * t
-	}
 }
 
 // nInvSweep multiplies every coefficient by N^{-1} (Shoup fixed-operand)
@@ -528,8 +482,8 @@ func nttFwdStepMontScalar(p Poly, psi []uint64, q, qInv uint64, m, t int) {
 }
 
 // nttFwdLastMontScalar is the open-coded fused last stage of NTTMontgomery,
-// mirroring nttFwdLastScalar so the committed ablation compares the twiddle
-// kernel, not the loop structure.
+// mirroring the last stage of nttWithTables so the committed ablation
+// compares the twiddle kernel, not the loop structure.
 func nttFwdLastMontScalar(p Poly, psi []uint64, q, qInv uint64) {
 	twoQ := 2 * q
 	n := len(p)
@@ -674,7 +628,7 @@ func (r *Ring) inttMontVec(p Poly) {
 }
 
 // nttInvFirstMontScalar is the open-coded first inverse stage in the
-// Montgomery twiddle mode (see nttInvFirstScalar).
+// Montgomery twiddle mode (see the first stage of INTT).
 func nttInvFirstMontScalar(p Poly, psiInv []uint64, q, qInv uint64) {
 	twoQ := 2 * q
 	h := len(p) >> 1
@@ -699,9 +653,9 @@ func nttInvFirstMontScalar(p Poly, psiInv []uint64, q, qInv uint64) {
 	}
 }
 
-// nttInvStepMontScalar is the Montgomery-twiddle counterpart of
-// nttInvStepScalar; reference semantics for nttInvStepMontAVX2, inlined by
-// the scalar INTTMontgomery (keep in sync).
+// nttInvStepMontScalar is one inverse Gentleman-Sande stage in the Montgomery
+// twiddle mode; reference semantics for nttInvStepMontAVX2, inlined by the
+// scalar INTTMontgomery (keep in sync).
 func nttInvStepMontScalar(p Poly, psiInv []uint64, q, qInv uint64, h, t int) {
 	twoQ := 2 * q
 	j1 := 0

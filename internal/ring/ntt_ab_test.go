@@ -2,12 +2,14 @@ package ring
 
 import (
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
-// This file pins down a register-allocation hazard in the scalar NTT driver
-// with an A/B benchmark pair. Two findings, both measured at ~40-50% on the
-// whole transform (N=2^13, single 61-bit modulus):
+// This file pins down three code-generation hazards in the scalar NTT code
+// with A/B benchmark pairs. The first two are register-allocation findings,
+// both measured at ~40-50% on the whole transform (N=2^13, single 36-bit
+// modulus):
 //
 //  1. A CALL to an assembly kernel anywhere in a function — even on a branch
 //     never taken — forces the hot scalar loop state into spill slots. The
@@ -20,11 +22,21 @@ import (
 //     scalar driver therefore takes no lazy flag; NTTLazy is a separate
 //     driver built from the stage helpers.
 //
+//  3. A loop-invariant flag tested inside the butterfly (`!lazy && x >= q`)
+//     turns each conditional subtraction it guards from a conditional move
+//     into a compare-and-jump on the data, mispredicted about half the time
+//     on real (uniform) coefficients: ~2.5× on the stage. Lazy and canonical
+//     last stages are therefore separate loops with no flag. This one hid in
+//     plain sight for two PRs because a multiplicative-hash benchmark input
+//     happens to be predictable; measure it with random input.
+//
 // BenchmarkABOldInlineNTT is the monolithic pre-split transform kept
 // verbatim as the performance reference; BenchmarkABNewScalarNTT is the
 // production scalar path (SIMD forced off). The two should stay within
 // run-to-run noise of each other; a gap reopening here means one of the
-// hazards above crept back into nttWithTables.
+// first two hazards crept back into nttWithTables. BenchmarkABLastStageFlag
+// is the flagged last stage that the vector driver used to call, kept
+// verbatim; BenchmarkABLastStageSplit is the flag-free helper in production.
 
 // nttOldInline is the monolithic forward transform: every stage open-coded
 // in one function, no helpers, no flags, no assembly. Reference only.
@@ -100,16 +112,107 @@ func BenchmarkABOldInlineNTT(b *testing.B) {
 	}
 }
 
-func BenchmarkABNewScalarNTT(b *testing.B) {
+// benchNTT times the production forward transform with the vector kernels
+// forced on or off. The transform runs in place on its own output, so every
+// call sees fresh, effectively uniform coefficients.
+func benchNTT(b *testing.B, vector bool, f func(r *Ring, p Poly)) {
 	r := NewRing(13, 68719230977)
-	prev := SetSIMD(false)
+	prev := simdActive()
 	defer SetSIMD(prev)
+	if SetSIMD(vector) != vector {
+		b.Skip("vector kernels unavailable on this build/host")
+	}
 	p := make(Poly, r.N)
 	for i := range p {
 		p[i] = uint64(i) * 2654435761 % r.Mod.Q
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.NTT(p)
+		f(r, p)
 	}
+}
+
+func BenchmarkABNewScalarNTT(b *testing.B) {
+	benchNTT(b, false, func(r *Ring, p Poly) { r.NTT(p) })
+}
+
+// BenchmarkABVectorNTT and BenchmarkABVectorINTT are the vector drivers
+// beside their scalar counterparts: with every stage on an AVX2 kernel the
+// forward transform must beat BenchmarkABNewScalarNTT (≥ 1.3× when this was
+// written); a ratio below 1 means a scalar stage crept back into the vector
+// driver.
+func BenchmarkABVectorNTT(b *testing.B) {
+	benchNTT(b, true, func(r *Ring, p Poly) { r.NTT(p) })
+}
+
+func BenchmarkABScalarINTT(b *testing.B) {
+	benchNTT(b, false, func(r *Ring, p Poly) { r.INTT(p) })
+}
+
+func BenchmarkABVectorINTT(b *testing.B) {
+	benchNTT(b, true, func(r *Ring, p Poly) { r.INTT(p) })
+}
+
+// nttFwdLastFlag is the fused last forward stage with the lazy/canonical
+// choice as an in-loop flag. Reference only.
+func nttFwdLastFlag(p Poly, psi, psiShoup []uint64, q uint64, lazy bool) {
+	twoQ := 2 * q
+	m := len(p) >> 1
+	for i := 0; i < m; i++ {
+		w := psi[m+i]
+		wS := psiShoup[m+i]
+		u := p[2*i]
+		if u >= twoQ {
+			u -= twoQ
+		}
+		v := p[2*i+1]
+		hi, _ := bits.Mul64(v, wS)
+		v = v*w - hi*q
+		x := u + v
+		if x >= twoQ {
+			x -= twoQ
+		}
+		if !lazy && x >= q {
+			x -= q
+		}
+		y := u + twoQ - v
+		if y >= twoQ {
+			y -= twoQ
+		}
+		if !lazy && y >= q {
+			y -= q
+		}
+		p[2*i] = x
+		p[2*i+1] = y
+	}
+}
+
+// benchLastStage times one last-stage call on uniformly random coefficients
+// in [0, 4q). Each call gets the next of 64 different inputs, copied in
+// first: replaying one input lets the branch predictor learn its 8192
+// outcomes by heart, which hides exactly the hazard this pair guards.
+func benchLastStage(b *testing.B, stage func(r *Ring, p Poly)) {
+	r := NewRing(13, 68719230977)
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([]Poly, 64)
+	for k := range srcs {
+		srcs[k] = make(Poly, r.N)
+		for i := range srcs[k] {
+			srcs[k][i] = rng.Uint64() % (4 * r.Mod.Q)
+		}
+	}
+	p := make(Poly, r.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(p, srcs[i%len(srcs)])
+		stage(r, p)
+	}
+}
+
+func BenchmarkABLastStageFlag(b *testing.B) {
+	benchLastStage(b, func(r *Ring, p Poly) { nttFwdLastFlag(p, r.psiTable, r.psiTableShoup, r.Mod.Q, false) })
+}
+
+func BenchmarkABLastStageSplit(b *testing.B) {
+	benchLastStage(b, func(r *Ring, p Poly) { nttFwdLastScalar(p, r.psiTable, r.psiTableShoup, r.Mod.Q) })
 }

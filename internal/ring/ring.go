@@ -254,6 +254,13 @@ func mulScalarShoupInto(out, a []uint64, q, c, cShoup uint64) {
 	}
 }
 
+// MulShoupVec sets out[i] = a[i]·w mod q for a fixed operand w < q with Shoup
+// companion wShoup — what MACShoupVec leaves on a zeroed out, so a sum of
+// such terms can write its first instead of clearing the accumulator.
+func (m Modulus) MulShoupVec(a, out []uint64, w, wShoup uint64) {
+	mulScalarShoupInto(out, a, m.Q, w, wShoup)
+}
+
 // MACShoupVec sets out[i] = (out[i] + a[i]·w mod q) mod q over the whole
 // slice, for a fixed operand w < q with Shoup companion wShoup — the inner
 // MAC of the RNS basis conversion (rns.ExtendSelectedWith), exposed on

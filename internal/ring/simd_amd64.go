@@ -67,11 +67,12 @@ func cpuSupportsAVX2() bool {
 }
 
 // Assembly kernels (ntt_amd64.s, vec_amd64.s). Every function processes
-// only whole 4-lane groups: the NTT stage kernels are called for stages
-// with block length t ≥ 4 (t is a power of two, so always a multiple of
-// the vector width there), and the sweep kernels are handed a length
-// pre-truncated to a multiple of 4 by their Go wrappers, which run the
-// scalar loop on the tail. All of them tolerate out aliasing an input
+// only whole 4-lane groups: the generic NTT stage kernels are called for
+// stages with block length t ≥ 4 (t is a power of two, so always a multiple
+// of the vector width there), the t=2/t=1 edge kernels take whole
+// polynomials of at least vecMinN coefficients, and the sweep kernels are
+// handed a length pre-truncated to a multiple of 4 by their Go wrappers,
+// which run the scalar loop on the tail. All of them tolerate out aliasing an input
 // (each lane group is fully read before it is written, like the scalar
 // loops). //go:noescape keeps the slice headers off the heap so the PR 2
 // zero-allocation locks keep holding on the vector path.
@@ -81,6 +82,18 @@ func nttFwdStepAVX2(p []uint64, psi, psiShoup []uint64, q uint64, m, t int)
 
 //go:noescape
 func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int)
+
+//go:noescape
+func nttFwdT2AVX2(p []uint64, psi, psiShoup []uint64, q uint64)
+
+//go:noescape
+func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q, fold uint64)
+
+//go:noescape
+func nttInvFirstAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
+
+//go:noescape
+func nttInvT2AVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
 
 //go:noescape
 func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int)

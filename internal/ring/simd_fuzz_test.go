@@ -32,10 +32,13 @@ func fuzzPrimes() []uint64 {
 // path the target degenerates to scalar-vs-scalar and trivially holds, so
 // corpus entries stay portable.
 func FuzzVectorVsScalarKernels(f *testing.F) {
+	// Kernel classes the selector byte reaches: six sweeps, the four generic
+	// stage kernels, and the four t=2/t=1 edge-stage kernels.
+	const fuzzKernels = 14
 	// Seed corpus: each kernel class at the tail-machinery lengths (1,
 	// width-1, width, width+1, two groups) with and without aliasing; the
 	// committed files under testdata/fuzz mirror these.
-	for kernel := uint8(0); kernel < 10; kernel++ {
+	for kernel := uint8(0); kernel < fuzzKernels; kernel++ {
 		f.Add(uint64(1), uint8(0), kernel, uint8(1), false)
 		f.Add(uint64(2), uint8(3), kernel, uint8(3), false)
 		f.Add(uint64(3), uint8(5), kernel, uint8(4), true)
@@ -53,13 +56,17 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 
 		fill := func(p []uint64, bound uint64) {
+			qEdges := [...]uint64{q - 1, q, 2*q - 1, 2 * q}
 			for i := range p {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					// Interval edge: bound-1 .. bound-4.
 					p[i] = (bound - 1 - uint64(rng.Intn(4))) % bound
 				case 1:
 					p[i] = uint64(rng.Intn(3)) % bound
+				case 2:
+					// Interior fold points of the lazy intervals.
+					p[i] = qEdges[rng.Intn(len(qEdges))] % bound
 				default:
 					p[i] = rng.Uint64() % bound
 				}
@@ -100,7 +107,7 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		w := rng.Uint64() % q
 		wShoup := mod.ShoupPrecomp(w)
 
-		switch kernel % 10 {
+		switch kernel % fuzzKernels {
 		case 0:
 			runBoth(func(p, a, b, out Poly) { r.MulCoeffs(a, b, out) }, int(length), q, q)
 		case 1:
@@ -115,8 +122,9 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		case 5:
 			runBoth(func(p, a, b, out Poly) { r.Sub(a, b, out) }, int(length), q, q)
 		default:
-			// NTT stage kernels: degree 8..256, one fuzz-chosen stage with
-			// t >= 4, twiddle-like tables (canonical, consistent companions).
+			// NTT stage kernels: degree 8..256, twiddle-like tables
+			// (canonical, consistent companions); the generic kernels run one
+			// fuzz-chosen stage with t >= 4, the edge kernels their own.
 			logN := 3 + int(length)%6
 			n := 1 << logN
 			psi := make([]uint64, n)
@@ -135,11 +143,8 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 					stages = append(stages, stage{m, st})
 				}
 			}
-			if len(stages) == 0 {
-				return
-			}
 			sel := stages[int(seed>>32)%len(stages)]
-			switch kernel % 10 {
+			switch kernel % fuzzKernels {
 			case 6:
 				runBoth(func(p, a, b, out Poly) {
 					if simdActive() {
@@ -170,6 +175,43 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 						nttInvStepMontAVX2(p, psi, q, mod.MRedQInv, sel.m, sel.t)
 					} else {
 						nttInvStepMontScalar(p, psi, q, mod.MRedQInv, sel.m, sel.t)
+					}
+				}, n, 2*q, q)
+			case 10:
+				runBoth(func(p, a, b, out Poly) {
+					if simdActive() {
+						nttFwdT2AVX2(p, psi, psiShoup, q)
+					} else {
+						nttFwdStepScalar(p, psi, psiShoup, q, n>>2, 2)
+					}
+				}, n, 4*q, q)
+			case 11:
+				// alias doubles as the fold selector: canonical or lazy.
+				fold := q
+				if alias {
+					fold = 0
+				}
+				runBoth(func(p, a, b, out Poly) {
+					if simdActive() {
+						nttFwdLastAVX2(p, psi, psiShoup, q, fold)
+					} else {
+						nttFwdLastRef(p, psi, psiShoup, q, fold)
+					}
+				}, n, 4*q, q)
+			case 12:
+				runBoth(func(p, a, b, out Poly) {
+					if simdActive() {
+						nttInvFirstAVX2(p, psi, psiShoup, q)
+					} else {
+						nttInvStepScalar(p, psi, psiShoup, q, n>>1, 1)
+					}
+				}, n, 2*q, q)
+			case 13:
+				runBoth(func(p, a, b, out Poly) {
+					if simdActive() {
+						nttInvT2AVX2(p, psi, psiShoup, q)
+					} else {
+						nttInvStepScalar(p, psi, psiShoup, q, n>>2, 2)
 					}
 				}, n, 2*q, q)
 			}

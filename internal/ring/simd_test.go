@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,6 +27,51 @@ func withVector(t *testing.T) {
 		t.Skip("vector kernels unavailable on this build/host")
 	}
 	t.Cleanup(func() { SetSIMD(prev) })
+}
+
+// nttInvStepScalar runs one inverse Gentleman-Sande stage (h blocks of half
+// length t) exactly as INTT's inline loops do — the lane-for-lane reference
+// for nttInvStepAVX2 (t ≥ 4), nttInvT2AVX2 (t = 2) and nttInvFirstAVX2
+// (t = 1).
+func nttInvStepScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
+	twoQ := 2 * q
+	j1 := 0
+	for i := 0; i < h; i++ {
+		w := psiInv[h+i]
+		wS := psiInvShoup[h+i]
+		a := p[j1 : j1+t]
+		b := p[j1+t : j1+2*t]
+		for j := range a {
+			u := a[j]
+			v := b[j]
+			c := u + v // < 4q
+			if c >= twoQ {
+				c -= twoQ
+			}
+			a[j] = c
+			d := u + twoQ - v // < 4q
+			hi, _ := bits.Mul64(d, wS)
+			b[j] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
+		}
+		j1 += 2 * t
+	}
+}
+
+// nttFwdLastRef is the reference for nttFwdLastAVX2: the generic t=1 stage,
+// the fold from [0, 4q) to [0, 2q), then the conditional subtraction of
+// fold (q for the canonical transform, 0 for NTTLazy) as separate sweeps —
+// the unfused order the fused last stages are defined to equal.
+func nttFwdLastRef(p Poly, psi, psiShoup []uint64, q, fold uint64) {
+	nttFwdStepScalar(p, psi, psiShoup, q, len(p)>>1, 1)
+	for i, c := range p {
+		if c >= 2*q {
+			c -= 2 * q
+		}
+		if c >= fold {
+			c -= fold
+		}
+		p[i] = c
+	}
 }
 
 // lazyFill writes values in [0, bound) with the interval boundaries planted
@@ -111,81 +157,121 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// edgePark fills p with a mix of random values in [0, bound) and the
+// lazy-interval edges 0, q-1, q, 2q-1, 2q, 4q-1 (those below bound), placed
+// at random so every lane and both butterfly sides meet every edge.
+func edgePark(rng *rand.Rand, p []uint64, q, bound uint64) {
+	edges := []uint64{0, q - 1, q, 2*q - 1, 2 * q, 4*q - 1}
+	for i := range p {
+		if e := edges[rng.Intn(len(edges))]; rng.Intn(2) == 0 && e < bound {
+			p[i] = e
+		} else {
+			p[i] = rng.Uint64() % bound
+		}
+	}
+}
+
 // TestVectorNTTStageKernelsMatchScalar compares each AVX2 butterfly stage
 // kernel directly against its scalar reference, on inputs planted at the
 // extreme edges of the Harvey lazy intervals ([0, 4q) into a forward stage,
 // [0, 2q) into an inverse stage) — the adversarial domain where a reduction
-// that diverges from the scalar order would show.
+// that diverges from the scalar order would show. Every stage of a
+// transform is covered: the generic kernels for t ≥ 4, the t=2 kernels, and
+// the t=1 kernels (forward with both the canonical and the lazy fold).
 func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 	withVector(t)
 	rng := rand.New(rand.NewSource(202))
+	mustEqual := func(q uint64, n int, what string, ps, pv Poly) {
+		t.Helper()
+		for i := range ps {
+			if ps[i] != pv[i] {
+				t.Fatalf("q=%d n=%d %s: vector[%d]=%d scalar=%d", q, n, what, i, pv[i], ps[i])
+			}
+		}
+	}
 	for _, q := range simdPrimes(t) {
 		mod := NewModulus(q)
-		for _, n := range []int{8, 32, 256} {
+		for _, n := range []int{8, 16, 32, 256} {
 			// Random canonical twiddle-like tables: the stage kernels do not
 			// require genuine roots of unity, only w < q with consistent
-			// Shoup/Montgomery companions.
+			// Shoup/Montgomery companions. The extreme twiddles 0 and q-1
+			// are planted where the edge stages read them.
 			psi := make([]uint64, n)
 			psiShoup := make([]uint64, n)
 			psiMont := make([]uint64, n)
 			for i := range psi {
 				psi[i] = rng.Uint64() % q
-				psiShoup[i] = mod.ShoupPrecomp(psi[i])
 				psiMont[i] = rng.Uint64() % q
+			}
+			psi[n/4], psi[n/2], psi[n-1] = 0, q-1, q-1
+			for i := range psi {
+				psiShoup[i] = mod.ShoupPrecomp(psi[i])
+			}
+			lazy := func(bound uint64) Poly {
+				p := make(Poly, n)
+				edgePark(rng, p, q, bound)
+				return p
 			}
 
 			// Forward stages: every (m, t) with t >= 4, Shoup and Montgomery.
 			st := n
-			for m := 1; m < n>>1; m <<= 1 {
+			for m := 1; m <= n>>3; m <<= 1 {
 				st >>= 1
-				if st < 4 {
-					break
-				}
 				p := make(Poly, n)
 				lazyFill(rng, p, 4*q)
 				ps, pv := p.Copy(), p.Copy()
 				nttFwdStepScalar(ps, psi, psiShoup, q, m, st)
 				nttFwdStepAVX2(pv, psi, psiShoup, q, m, st)
-				for i := range ps {
-					if ps[i] != pv[i] {
-						t.Fatalf("q=%d n=%d fwd m=%d t=%d: vector[%d]=%d scalar=%d", q, n, m, st, i, pv[i], ps[i])
-					}
-				}
+				mustEqual(q, n, "fwd step", ps, pv)
 				ps, pv = p.Copy(), p.Copy()
 				nttFwdStepMontScalar(ps, psiMont, q, mod.MRedQInv, m, st)
 				nttFwdStepMontAVX2(pv, psiMont, q, mod.MRedQInv, m, st)
-				for i := range ps {
-					if ps[i] != pv[i] {
-						t.Fatalf("q=%d n=%d fwdMont m=%d t=%d: vector[%d]=%d scalar=%d", q, n, m, st, i, pv[i], ps[i])
-					}
+				mustEqual(q, n, "fwdMont step", ps, pv)
+			}
+			// Forward edge stages, several draws each.
+			for rep := 0; rep < 4; rep++ {
+				p := lazy(4 * q)
+				ps, pv := p.Copy(), p.Copy()
+				nttFwdStepScalar(ps, psi, psiShoup, q, n>>2, 2)
+				nttFwdT2AVX2(pv, psi, psiShoup, q)
+				mustEqual(q, n, "fwd t=2", ps, pv)
+				for _, fold := range []uint64{q, 0} {
+					ps, pv = p.Copy(), p.Copy()
+					nttFwdLastRef(ps, psi, psiShoup, q, fold)
+					nttFwdLastAVX2(pv, psi, psiShoup, q, fold)
+					mustEqual(q, n, "fwd last", ps, pv)
 				}
+				ps, pv = p.Copy(), p.Copy()
+				nttFwdLastRef(ps, psi, psiShoup, q, 0)
+				nttFwdLastLazyScalar(pv, psi, psiShoup, q)
+				mustEqual(q, n, "fwd last lazy scalar helper", ps, pv)
 			}
 
-			// Inverse stages: every (h, t) with t >= 4.
-			it := 2
-			for m := n >> 1; m > 1; m >>= 1 {
-				h := m >> 1
-				if it >= 4 {
-					p := make(Poly, n)
-					lazyFill(rng, p, 2*q)
-					ps, pv := p.Copy(), p.Copy()
-					nttInvStepScalar(ps, psi, psiShoup, q, h, it)
-					nttInvStepAVX2(pv, psi, psiShoup, q, h, it)
-					for i := range ps {
-						if ps[i] != pv[i] {
-							t.Fatalf("q=%d n=%d inv h=%d t=%d: vector[%d]=%d scalar=%d", q, n, h, it, i, pv[i], ps[i])
-						}
-					}
-					ps, pv = p.Copy(), p.Copy()
-					nttInvStepMontScalar(ps, psiMont, q, mod.MRedQInv, h, it)
-					nttInvStepMontAVX2(pv, psiMont, q, mod.MRedQInv, h, it)
-					for i := range ps {
-						if ps[i] != pv[i] {
-							t.Fatalf("q=%d n=%d invMont h=%d t=%d: vector[%d]=%d scalar=%d", q, n, h, it, i, pv[i], ps[i])
-						}
-					}
-				}
+			// Inverse stages: every (h, t) with t >= 4, then the edge stages.
+			it := 4
+			for h := n >> 3; h >= 1; h >>= 1 {
+				p := make(Poly, n)
+				lazyFill(rng, p, 2*q)
+				ps, pv := p.Copy(), p.Copy()
+				nttInvStepScalar(ps, psi, psiShoup, q, h, it)
+				nttInvStepAVX2(pv, psi, psiShoup, q, h, it)
+				mustEqual(q, n, "inv step", ps, pv)
+				ps, pv = p.Copy(), p.Copy()
+				nttInvStepMontScalar(ps, psiMont, q, mod.MRedQInv, h, it)
+				nttInvStepMontAVX2(pv, psiMont, q, mod.MRedQInv, h, it)
+				mustEqual(q, n, "invMont step", ps, pv)
 				it <<= 1
+			}
+			for rep := 0; rep < 4; rep++ {
+				p := lazy(2 * q)
+				ps, pv := p.Copy(), p.Copy()
+				nttInvStepScalar(ps, psi, psiShoup, q, n>>1, 1)
+				nttInvFirstAVX2(pv, psi, psiShoup, q)
+				mustEqual(q, n, "inv t=1", ps, pv)
+				ps, pv = p.Copy(), p.Copy()
+				nttInvStepScalar(ps, psi, psiShoup, q, n>>2, 2)
+				nttInvT2AVX2(pv, psi, psiShoup, q)
+				mustEqual(q, n, "inv t=2", ps, pv)
 			}
 		}
 	}
@@ -193,13 +279,14 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 
 // TestVectorTransformsMatchScalar runs every public transform with the vector
 // path on and off and requires byte-identical results — the whole-transform
-// closure of the per-stage identity above, across ring degrees (including
-// degrees small enough that every stage falls back to scalar) and an extra
-// 61-bit boundary-modulus ring.
+// closure of the per-stage identity above, across ring degrees (a degree
+// below vecMinN, which stays on the scalar driver; vecMinN itself, where the
+// two edge kernels and one generic stage make the whole transform) and an
+// extra 61-bit boundary-modulus ring.
 func TestVectorTransformsMatchScalar(t *testing.T) {
 	withVector(t)
 	rings := testRings(t)
-	rings = append(rings, NewRing(12, GenerateNTTPrimes(61, 12, 1)[0]))
+	rings = append(rings, NewRing(2, 17), NewRing(12, GenerateNTTPrimes(61, 12, 1)[0]))
 	for _, r := range rings {
 		s := NewSampler(303)
 		p := r.NewPoly()
@@ -230,31 +317,39 @@ func TestVectorTransformsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestNTTLazySemantics pins the NTTLazy contract on whichever dispatch path
-// is active: outputs are in [0, 2q), their residues are exactly NTT's, and
-// the inverse transform restores the original polynomial bit for bit.
+// TestNTTLazySemantics pins the NTTLazy contract on both drivers (the vector
+// one where the build and host have it): outputs are in [0, 2q), their
+// residues are exactly NTT's, and the inverse transform restores the
+// original polynomial bit for bit.
 func TestNTTLazySemantics(t *testing.T) {
-	for _, r := range testRings(t) {
-		q := r.Mod.Q
-		s := NewSampler(404)
-		p := r.NewPoly()
-		s.UniformPoly(r, p)
-
-		canon := p.Copy()
-		r.NTT(canon)
-		lazy := p.Copy()
-		r.NTTLazy(lazy)
-		for i := range lazy {
-			if lazy[i] >= 2*q {
-				t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d outside [0, 2q)", r.LogN, q, i, lazy[i])
-			}
-			if lazy[i]%q != canon[i] {
-				t.Fatalf("logN=%d q=%d: NTTLazy[%d]=%d has residue %d, NTT gives %d", r.LogN, q, i, lazy[i], lazy[i]%q, canon[i])
-			}
+	prev := simdActive()
+	defer SetSIMD(prev)
+	for _, vec := range []bool{false, true} {
+		if SetSIMD(vec) != vec {
+			continue // no vector path on this build/host
 		}
-		r.INTT(lazy)
-		if !r.Equal(lazy, p) {
-			t.Errorf("logN=%d q=%d: INTT(NTTLazy(p)) != p", r.LogN, q)
+		for _, r := range testRings(t) {
+			q := r.Mod.Q
+			s := NewSampler(404)
+			p := r.NewPoly()
+			s.UniformPoly(r, p)
+
+			canon := p.Copy()
+			r.NTT(canon)
+			lazy := p.Copy()
+			r.NTTLazy(lazy)
+			for i := range lazy {
+				if lazy[i] >= 2*q {
+					t.Fatalf("vec=%v logN=%d q=%d: NTTLazy[%d]=%d outside [0, 2q)", vec, r.LogN, q, i, lazy[i])
+				}
+				if lazy[i]%q != canon[i] {
+					t.Fatalf("vec=%v logN=%d q=%d: NTTLazy[%d]=%d has residue %d, NTT gives %d", vec, r.LogN, q, i, lazy[i], lazy[i]%q, canon[i])
+				}
+			}
+			r.INTT(lazy)
+			if !r.Equal(lazy, p) {
+				t.Errorf("vec=%v logN=%d q=%d: INTT(NTTLazy(p)) != p", vec, r.LogN, q)
+			}
 		}
 	}
 }

@@ -141,7 +141,8 @@ func (a qpAccumulator) atLevel(level int) qpAccumulator {
 
 // Scratch is a per-worker arena holding every intermediate of the
 // key-switch/external-product kernel: accumulators, the digit buffer, the
-// combined limb table and destination indices of the gadget decomposition,
+// destination limb table and indices of the gadget decomposition's basis
+// extension,
 // INTT copies of the input, and the basis-conversion/ModDown scratch. It is
 // the software analog of the paper's §VI-B plan of keeping all BlindRotate
 // operands resident in on-chip URAM/BRAM: one arena per worker, reused for
@@ -150,7 +151,7 @@ func (a qpAccumulator) atLevel(level int) qpAccumulator {
 type Scratch struct {
 	accB, accA qpAccumulator
 	dig        qpAccumulator
-	combined   []ring.Poly
+	dstLimbs   []ring.Poly
 	dstIdx     []int
 	c0, c1     rns.Poly
 	t0, t1     rns.Poly
@@ -171,7 +172,7 @@ func (ks *KeySwitcher) NewScratch() *Scratch {
 		accB:     newAcc(),
 		accA:     newAcc(),
 		dig:      newAcc(),
-		combined: make([]ring.Poly, L+nP),
+		dstLimbs: make([]ring.Poly, 0, L+nP),
 		dstIdx:   make([]int, 0, L+nP),
 		c0:       p.QBasis.NewPoly(),
 		c1:       p.QBasis.NewPoly(),
@@ -186,9 +187,15 @@ func (ks *KeySwitcher) getScratch() *Scratch   { return ks.scratchPool.Get().(*S
 func (ks *KeySwitcher) putScratch(sc *Scratch) { ks.scratchPool.Put(sc) }
 
 // decomposeDigit extracts gadget digit j of cCoeff (coefficient
-// representation, level limbs) and extends it over the level Q limbs plus
-// all P limbs, writing the result into dig in NTT representation. dig must
-// be a level view; every limb is fully overwritten.
+// representation, level limbs, canonical residues) and extends it over the
+// level Q limbs plus all P limbs, writing the result into dig in NTT
+// representation. dig must be a level view; every limb is fully overwritten.
+//
+// The limbs inside the digit's own window Q[start:end] are not recomputed:
+// the basis extension would form Σ_k y_k·q̂_k mod q_i there, and for a
+// window limb i every q̂_k with k ≠ i is ≡ 0 while y_i·q̂_i ≡ x_i, so the
+// sum is the input residue itself, bit for bit. They are copied, and only
+// the limbs outside the window go through ExtendSelectedWith.
 func (ks *KeySwitcher) decomposeDigit(j, level int, cCoeff rns.Poly, dig qpAccumulator, sc *Scratch) {
 	p := ks.params
 	alpha := p.Alpha()
@@ -201,55 +208,84 @@ func (ks *KeySwitcher) decomposeDigit(j, level int, cCoeff rns.Poly, dig qpAccum
 
 	nP := len(p.P)
 	L := p.MaxLevel()
-	combined := rns.Poly{Limbs: sc.combined[:level+nP]}
-	copy(combined.Limbs, dig.q.Limbs)
-	copy(combined.Limbs[level:], dig.p.Limbs)
+	outside := sc.dstLimbs[:0]
 	dstIdx := sc.dstIdx[:0]
 	for i := 0; i < level; i++ {
+		if i >= start && i < end {
+			copy(dig.q.Limbs[i], cCoeff.Limbs[i])
+			continue
+		}
+		outside = append(outside, dig.q.Limbs[i])
 		dstIdx = append(dstIdx, i)
 	}
 	for i := 0; i < nP; i++ {
+		outside = append(outside, dig.p.Limbs[i])
 		dstIdx = append(dstIdx, L+i)
 	}
-	ks.extenders[start<<16|end].ExtendSelectedWith(src, combined, dstIdx, sc.conv)
-	for i := 0; i < level; i++ {
-		p.QBasis.Rings[i].NTT(combined.Limbs[i])
-	}
-	for i := 0; i < nP; i++ {
-		p.PBasis.Rings[i].NTT(combined.Limbs[level+i])
-	}
+	ks.extenders[start<<16|end].ExtendSelectedWith(src, rns.Poly{Limbs: outside}, dstIdx, sc.conv)
+	p.QBasis.NTT(dig.q)
+	p.PBasis.NTT(dig.p)
 	ks.rec.Add(obs.CounterNTT, uint64(level+nP))
 }
 
 // macRow accumulates acc += dig ⊙ row, where row is a full-QP polynomial and
-// dig/acc are (level Q + P) accumulators.
-func (ks *KeySwitcher) macRow(acc, dig qpAccumulator, row rns.Poly, level int) {
+// dig/acc are (level Q + P) accumulators. With first set it writes
+// acc = dig ⊙ row instead, so the first row of a gadget product needs no
+// zeroed accumulator (the product is canonical either way, so the sum is
+// bit-identical to zero-then-accumulate).
+func (ks *KeySwitcher) macRow(acc, dig qpAccumulator, row rns.Poly, level int, first bool) {
 	p := ks.params
 	L := p.MaxLevel()
+	mac := (*ring.Ring).MulCoeffsAndAdd
+	if first {
+		mac = (*ring.Ring).MulCoeffs
+	}
 	for i := 0; i < level; i++ {
-		p.QBasis.Rings[i].MulCoeffsAndAdd(dig.q.Limbs[i], row.Limbs[i], acc.q.Limbs[i])
+		mac(p.QBasis.Rings[i], dig.q.Limbs[i], row.Limbs[i], acc.q.Limbs[i])
 	}
 	for i := 0; i < len(p.P); i++ {
-		p.PBasis.Rings[i].MulCoeffsAndAdd(dig.p.Limbs[i], row.Limbs[L+i], acc.p.Limbs[i])
+		mac(p.PBasis.Rings[i], dig.p.Limbs[i], row.Limbs[L+i], acc.p.Limbs[i])
 	}
 }
 
-// SwitchPoly applies the gadget ciphertext gct to the polynomial c (NTT,
-// level limbs): it returns (d0, d1) ≈ (c·msg "b side", c·msg "a side")
-// after ModDown — the core of every key switch. For a key-switching key
-// encrypting s_from under s_to, feeding c = c1 yields d0 + d1·s_to ≈ c1·s_from.
-func (ks *KeySwitcher) SwitchPoly(c rns.Poly, gct *GadgetCiphertext) (d0, d1 rns.Poly) {
-	level := c.Level()
-	b := ks.params.QBasis.AtLevel(level)
-	d0, d1 = b.NewPoly(), b.NewPoly()
-	sc := ks.getScratch()
-	ks.SwitchPolyInto(c, gct, d0, d1, sc)
-	ks.putScratch(sc)
-	return d0, d1
+// gadgetProduct is the decompose→NTT→MAC body shared by every key switch
+// and external product: it adds Σ_j digit_j(cCoeff) ⊙ (gct.B[j], gct.A[j])
+// to the scratch accumulators at cCoeff's level — or, with first set, starts
+// them from the first digit's products.
+func (ks *KeySwitcher) gadgetProduct(cCoeff rns.Poly, gct *GadgetCiphertext, first bool, sc *Scratch) {
+	level := cCoeff.Level()
+	accB := sc.accB.atLevel(level)
+	accA := sc.accA.atLevel(level)
+	dig := sc.dig.atLevel(level)
+	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
+		ks.decomposeDigit(j, level, cCoeff, dig, sc)
+		ks.macRow(accB, dig, gct.B[j], level, first && j == 0)
+		ks.macRow(accA, dig, gct.A[j], level, first && j == 0)
+	}
 }
 
-// SwitchPolyInto is SwitchPoly writing into caller-owned d0, d1 (level
-// limbs each) using the scratch arena; steady-state it allocates nothing.
+// modDownInto divides one scratch accumulator (level taken from out) by P
+// into out, in NTT representation or — with coeff set, via the linear
+// ModDown variant that is bit-identical to INTT of the NTT form — directly
+// in coefficient representation. Either form costs |P| inverse transforms
+// for the P part plus one transform per Q limb; rns has no recorder, so they
+// are counted here.
+func (ks *KeySwitcher) modDownInto(acc qpAccumulator, out rns.Poly, coeff bool, sc *Scratch) {
+	acc = acc.atLevel(out.Level())
+	if coeff {
+		ks.modDown.ApplyCoeffWith(acc.q, acc.p, out, sc.md)
+	} else {
+		ks.modDown.ApplyWith(acc.q, acc.p, out, sc.md)
+	}
+	ks.rec.Add(obs.CounterNTT, uint64(len(ks.params.P)+out.Level()))
+}
+
+// SwitchPolyInto applies the gadget ciphertext gct to the polynomial c (NTT,
+// level limbs): it writes (d0, d1) ≈ (c·msg "b side", c·msg "a side") after
+// ModDown — the core of every key switch — into the caller-owned d0, d1
+// (level limbs each) using the scratch arena; steady-state it allocates
+// nothing. For a key-switching key encrypting s_from under s_to, feeding
+// c = c1 yields d0 + d1·s_to ≈ c1·s_from.
 func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
 	level := c.Level()
 	cCoeff := sc.c0.AtLevel(level)
@@ -265,58 +301,35 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 // switchPolyCoeff runs the decompose→MAC→ModDown pipeline on a
 // coefficient-representation input. cCoeff may alias sc.c0.
 func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	level := cCoeff.Level()
-	accB := sc.accB.atLevel(level)
-	accA := sc.accA.atLevel(level)
-	accB.q.Zero()
-	accB.p.Zero()
-	accA.q.Zero()
-	accA.p.Zero()
-	dig := sc.dig.atLevel(level)
-	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
-		ks.decomposeDigit(j, level, cCoeff, dig, sc)
-		ks.macRow(accB, dig, gct.B[j], level)
-		ks.macRow(accA, dig, gct.A[j], level)
-	}
-	ks.modDown.ApplyWith(accB.q, accB.p, d0, sc.md)
-	ks.modDown.ApplyWith(accA.q, accA.p, d1, sc.md)
+	ks.gadgetProduct(cCoeff, gct, true, sc)
+	ks.modDownInto(sc.accB, d0, false, sc)
+	ks.modDownInto(sc.accA, d1, false, sc)
 }
 
 // switchPolyCoeffSplit is switchPolyCoeff with a split output domain: d0 is
 // produced in NTT representation as usual, while d1 is emitted directly in
-// coefficient representation via the linear ModDown variant. This is the
-// trace kernel: the repack trace feeds the next step's decomposition from
-// d1, so keeping it in the coefficient domain hoists the per-step INTT out
-// of the loop. cCoeff may alias d1Coeff — the decomposition consumes the
-// input before the final ModDown writes the output.
+// coefficient representation. This is the trace kernel: the repack trace
+// feeds the next step's decomposition from d1, so keeping it in the
+// coefficient domain hoists the per-step INTT out of the loop. cCoeff may
+// alias d1Coeff — the decomposition consumes the input before the final
+// ModDown writes the output.
 func (ks *KeySwitcher) switchPolyCoeffSplit(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1Coeff rns.Poly, sc *Scratch) {
-	level := cCoeff.Level()
-	accB := sc.accB.atLevel(level)
-	accA := sc.accA.atLevel(level)
-	accB.q.Zero()
-	accB.p.Zero()
-	accA.q.Zero()
-	accA.p.Zero()
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	dig := sc.dig.atLevel(level)
-	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
-		ks.decomposeDigit(j, level, cCoeff, dig, sc)
-		ks.macRow(accB, dig, gct.B[j], level)
-		ks.macRow(accA, dig, gct.A[j], level)
-	}
-	ks.modDown.ApplyWith(accB.q, accB.p, d0, sc.md)
-	ks.modDown.ApplyCoeffWith(accA.q, accA.p, d1Coeff, sc.md)
+	ks.gadgetProduct(cCoeff, gct, true, sc)
+	ks.modDownInto(sc.accB, d0, false, sc)
+	ks.modDownInto(sc.accA, d1Coeff, true, sc)
 }
 
 // Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 using
 // the relinearization key (a gadget encryption of s²).
 func (ks *KeySwitcher) Relinearize(c0, c1, c2 rns.Poly, rlk *GadgetCiphertext) (r0, r1 rns.Poly) {
-	d0, d1 := ks.SwitchPoly(c2, rlk)
-	level := c0.Level()
-	b := ks.params.QBasis.AtLevel(level)
+	b := ks.params.QBasis.AtLevel(c0.Level())
 	r0, r1 = b.NewPoly(), b.NewPoly()
-	b.Add(c0, d0, r0)
-	b.Add(c1, d1, r1)
+	sc := ks.getScratch()
+	ks.SwitchPolyInto(c2, rlk, r0, r1, sc)
+	ks.putScratch(sc)
+	b.Add(c0, r0, r0)
+	b.Add(c1, r1, r1)
 	return r0, r1
 }
 
@@ -420,10 +433,6 @@ func (ks *KeySwitcher) ApplyGaloisHoistedInto(out, ct *Ciphertext, h *Hoisted, g
 	nP := len(p.P)
 	accB := sc.accB.atLevel(level)
 	accA := sc.accA.atLevel(level)
-	accB.q.Zero()
-	accB.p.Zero()
-	accA.q.Zero()
-	accA.p.Zero()
 	ks.rec.Add(obs.CounterKeySwitch, 1)
 	dig := sc.dig.atLevel(level)
 	for j := 0; j < p.DigitsAtLevel(level); j++ {
@@ -433,11 +442,11 @@ func (ks *KeySwitcher) ApplyGaloisHoistedInto(out, ct *Ciphertext, h *Hoisted, g
 		for i := 0; i < nP; i++ {
 			p.PBasis.Rings[i].AutomorphismNTT(h.digs[j].p.Limbs[i], perm, dig.p.Limbs[i])
 		}
-		ks.macRow(accB, dig, gk.B[j], level)
-		ks.macRow(accA, dig, gk.A[j], level)
+		ks.macRow(accB, dig, gk.B[j], level, j == 0)
+		ks.macRow(accA, dig, gk.A[j], level, j == 0)
 	}
-	ks.modDown.ApplyWith(accB.q, accB.p, out.C0, sc.md)
-	ks.modDown.ApplyWith(accA.q, accA.p, out.C1, sc.md)
+	ks.modDownInto(accB, out.C0, false, sc)
+	ks.modDownInto(accA, out.C1, false, sc)
 	t0 := sc.t0.AtLevel(level)
 	b.AutomorphismNTT(ct.C0, perm, t0)
 	b.Add(t0, out.C0, out.C0)
@@ -455,55 +464,47 @@ func (ks *KeySwitcher) ApplyGaloisHoisted(ct *Ciphertext, h *Hoisted, g uint64, 
 	return out
 }
 
-// ExternalProduct computes ct ⊡ rgsw ≈ RLWE(m · phase(ct)): both ciphertext
-// components are gadget-decomposed and MACed against the RGSW rows — the
-// TFHE kernel at the heart of BlindRotate (§IV-E) — then ModDown'd back to Q.
-func (ks *KeySwitcher) ExternalProduct(ct *Ciphertext, rgsw *RGSWCiphertext) *Ciphertext {
-	out := NewCiphertext(ks.params, ct.Level())
-	sc := ks.getScratch()
-	ks.ExternalProductInto(out, ct, rgsw, sc)
-	ks.putScratch(sc)
-	return out
+// ExternalProductInto computes ct ⊡ rgsw ≈ RLWE(m · phase(ct)) into the
+// caller-owned out ciphertext (same level as ct; it may be ct itself, since
+// the decomposition has consumed ct before the ModDown writes out): both
+// ciphertext components are gadget-decomposed and MACed against the RGSW
+// rows — the TFHE kernel at the heart of BlindRotate (§IV-E) — then
+// ModDown'd back to Q. All digit decompositions, NTTs, and MAC accumulators
+// live in the scratch arena sc, mirroring the paper's on-chip operand
+// residency for the rotate→decompose→NTT→MAC schedule, so the call
+// allocates nothing. ct may be in either representation; the output is in
+// NTT representation.
+func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
+	ks.externalProduct(out, ct, rgsw, false, sc)
 }
 
-// ExternalProductInto is ExternalProduct writing into the caller-owned out
-// ciphertext (same level as ct, must not alias it) using the scratch arena.
-// This is the zero-allocation form the blind-rotation hot loop runs: all
-// digit decompositions, NTTs, and MAC accumulators live in sc, mirroring the
-// paper's on-chip operand residency for the rotate→decompose→NTT→MAC
-// schedule. The output is in NTT representation.
-func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
-	level := ct.Level()
-	b := ks.params.QBasis.AtLevel(level)
+// ExternalProductCoeffInto is ExternalProductInto with the output in
+// coefficient representation, bit-identical to INTT(ExternalProductInto):
+// the ModDown emits coefficients directly, which saves the 2·level inverse
+// transforms a caller that wants coefficients — the blind-rotation
+// accumulator update — would otherwise spend undoing the NTT-domain ModDown.
+func (ks *KeySwitcher) ExternalProductCoeffInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
+	ks.externalProduct(out, ct, rgsw, true, sc)
+}
 
-	c0Coeff, c1Coeff := sc.c0.AtLevel(level), sc.c1.AtLevel(level)
-	for i := 0; i < level; i++ {
-		copy(c0Coeff.Limbs[i], ct.C0.Limbs[i])
-		copy(c1Coeff.Limbs[i], ct.C1.Limbs[i])
-	}
+func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext, coeff bool, sc *Scratch) {
+	level := ct.Level()
+	c0Coeff, c1Coeff := ct.C0, ct.C1
 	if ct.IsNTT {
-		b.INTT(c0Coeff)
-		b.INTT(c1Coeff)
+		c0Coeff, c1Coeff = sc.c0.AtLevel(level), sc.c1.AtLevel(level)
+		for i := 0; i < level; i++ {
+			copy(c0Coeff.Limbs[i], ct.C0.Limbs[i])
+			copy(c1Coeff.Limbs[i], ct.C1.Limbs[i])
+		}
+		ks.params.QBasis.INTT(c0Coeff)
+		ks.params.QBasis.INTT(c1Coeff)
 		ks.rec.Add(obs.CounterNTT, uint64(2*level))
 	}
 	ks.rec.Add(obs.CounterExternalProduct, 1)
-	accB := sc.accB.atLevel(level)
-	accA := sc.accA.atLevel(level)
-	accB.q.Zero()
-	accB.p.Zero()
-	accA.q.Zero()
-	accA.p.Zero()
-	dig := sc.dig.atLevel(level)
-	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
-		ks.decomposeDigit(j, level, c0Coeff, dig, sc)
-		ks.macRow(accB, dig, rgsw.C0.B[j], level)
-		ks.macRow(accA, dig, rgsw.C0.A[j], level)
-		ks.decomposeDigit(j, level, c1Coeff, dig, sc)
-		ks.macRow(accB, dig, rgsw.C1.B[j], level)
-		ks.macRow(accA, dig, rgsw.C1.A[j], level)
-	}
-	ks.modDown.ApplyWith(accB.q, accB.p, out.C0, sc.md)
-	ks.modDown.ApplyWith(accA.q, accA.p, out.C1, sc.md)
-	out.IsNTT = true
+	ks.gadgetProduct(c0Coeff, rgsw.C0, true, sc)
+	ks.gadgetProduct(c1Coeff, rgsw.C1, false, sc)
+	ks.modDownInto(sc.accB, out.C0, coeff, sc)
+	ks.modDownInto(sc.accA, out.C1, coeff, sc)
+	out.IsNTT = !coeff
 	out.Scale = ct.Scale
 }

@@ -75,7 +75,8 @@ type Extender struct {
 	qhatModP      [][][]uint64
 	qhatModPShoup [][][]uint64
 	// identIdx is the identity destination-limb selection 0..dst.Level()-1,
-	// shared by every Extend call so the full conversion allocates nothing.
+	// shared by every ExtendWith call so the full conversion allocates
+	// nothing.
 	identIdx []int
 }
 
@@ -143,29 +144,19 @@ func (sc *ExtendScratch) grow(level, n int) []ring.Poly {
 	return sc.ys[:level]
 }
 
-// Extend converts p (coefficient representation, any level of src) into the
-// destination basis, writing one limb per destination prime into out.
-// out must have dst.Level() limbs.
-func (e *Extender) Extend(p Poly, out Poly) {
-	e.ExtendSelected(p, out, e.identIdx[:out.Level()])
-}
-
-// ExtendWith is Extend with caller-owned scratch (see ExtendSelectedWith).
+// ExtendWith converts p (coefficient representation, any level of src) into
+// the destination basis, writing one limb per destination prime into out.
+// out must have dst.Level() limbs. See ExtendSelectedWith.
 func (e *Extender) ExtendWith(p Poly, out Poly, sc *ExtendScratch) {
 	e.ExtendSelectedWith(p, out, e.identIdx[:out.Level()], sc)
 }
 
-// ExtendSelected converts p into a chosen subset of destination limbs:
+// ExtendSelectedWith converts p into a chosen subset of destination limbs:
 // out.Limbs[k] receives the residue modulo dst prime dstIdx[k]. This supports
 // level-aware key switching, where the target basis is a prefix of Q plus all
-// of P.
-func (e *Extender) ExtendSelected(p Poly, out Poly, dstIdx []int) {
-	e.ExtendSelectedWith(p, out, dstIdx, NewExtendScratch(p.Level(), e.src.N))
-}
-
-// ExtendSelectedWith is ExtendSelected with caller-owned scratch; it is
-// allocation-free once sc has reached the source level, which is how the
-// key-switch hot path keeps the ModUp kernel off the garbage collector.
+// of P. It is allocation-free once the caller-owned sc has reached the source
+// level, which is how the key-switch hot path keeps the ModUp kernel off the
+// garbage collector.
 func (e *Extender) ExtendSelectedWith(p Poly, out Poly, dstIdx []int, sc *ExtendScratch) {
 	level := p.Level()
 	inv := e.qhatInvModQ[level-1]
@@ -181,8 +172,10 @@ func (e *Extender) ExtendSelectedWith(p Poly, out Poly, dstIdx []int, sc *Extend
 	for jj, j := range dstIdx {
 		mod := e.dst.Rings[j].Mod
 		oj := out.Limbs[jj][:n]
-		oj.Zero()
-		for i := 0; i < level; i++ {
+		// The first term writes oj (the same canonical product a MAC onto a
+		// zeroed limb would leave), the rest accumulate.
+		mod.MulShoupVec(ys[0][:n], oj, modP[0][j], modPShoup[0][j])
+		for i := 1; i < level; i++ {
 			// Eagerly canonical accumulation, on purpose: both conditional
 			// subtractions inside the MAC lower to branchless conditional
 			// moves (scalar) or VPCMPGTQ masks (vector), whereas the lazy

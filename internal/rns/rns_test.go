@@ -126,6 +126,11 @@ func TestDivRoundByLastModulus(t *testing.T) {
 	}
 }
 
+// Extend is ExtendWith with freshly allocated scratch.
+func (e *Extender) Extend(p Poly, out Poly) {
+	e.ExtendWith(p, out, NewExtendScratch(p.Level(), e.src.N))
+}
+
 // TestExtenderSmallValues: for small values the fast basis conversion must
 // yield x + u·Q with 0 ≤ u < level (the Halevi-Polyakov-Shoup slack).
 func TestExtenderSmallValues(t *testing.T) {

@@ -221,6 +221,16 @@ func TestBlindRotateBatchRecoversPanics(t *testing.T) {
 	}
 }
 
+// CMux is CMuxInto with a freshly allocated output and pooled scratch, for
+// tests that want a one-line selection.
+func (ev *Evaluator) CMux(bit *rlwe.RGSWCiphertext, ct0, ct1 *rlwe.Ciphertext) *rlwe.Ciphertext {
+	out := rlwe.NewCiphertext(ev.Params, ct0.Level())
+	sc := ev.getScratch()
+	ev.CMuxInto(out, bit, ct0, ct1, sc)
+	ev.putScratch(sc)
+	return out
+}
+
 // TestCMuxIntoMatchesCMux locks the scratch-arena CMux against a reference
 // transcription of the retired allocating implementation.
 func TestCMuxIntoMatchesCMux(t *testing.T) {
@@ -245,7 +255,8 @@ func TestCMuxIntoMatchesCMux(t *testing.T) {
 		diff := ct1.CopyNew()
 		b.Sub(diff.C0, ct0.C0, diff.C0)
 		b.Sub(diff.C1, ct0.C1, diff.C1)
-		d := ev.KS.ExternalProduct(diff, bit)
+		d := rlwe.NewCiphertext(p, level)
+		ev.KS.ExternalProductInto(d, diff, bit, ev.KS.NewScratch())
 		out := ct0.CopyNew()
 		if !out.IsNTT {
 			b.NTT(out.C0)

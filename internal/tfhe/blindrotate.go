@@ -31,14 +31,14 @@ func NewEvaluator(params *rlwe.Parameters, ks *rlwe.KeySwitcher) *Evaluator {
 }
 
 // Scratch is the per-worker arena of the blind-rotation datapath: the
-// rotated-difference ciphertext, the external-product output, and the
-// underlying key-switch scratch. One arena per worker makes the whole
+// rotated-difference ciphertext (which the external product then overwrites
+// with its output) and the underlying key-switch scratch. One arena per worker makes the whole
 // rotate→decompose→NTT→MAC schedule (§IV-E) allocation-free in steady
 // state, the software mirror of the paper's on-chip accumulator residency.
 // A Scratch must not be shared between concurrent rotations.
 type Scratch struct {
-	rot, d *rlwe.Ciphertext
-	KS     *rlwe.Scratch
+	rot *rlwe.Ciphertext
+	KS  *rlwe.Scratch
 }
 
 // NewScratch allocates a blind-rotation scratch arena (ciphertext buffers
@@ -50,7 +50,6 @@ func (ev *Evaluator) NewScratch() *Scratch {
 func (sc *Scratch) ensure(params *rlwe.Parameters, level int) {
 	if sc.rot == nil || sc.rot.Level() != level {
 		sc.rot = rlwe.NewCiphertext(params, level)
-		sc.d = rlwe.NewCiphertext(params, level)
 	}
 }
 
@@ -126,10 +125,14 @@ func (ev *Evaluator) BlindRotateInto(acc *rlwe.Ciphertext, lwe *rlwe.LWECipherte
 }
 
 // cmuxStep computes ACC += (X^k·ACC − ACC) ⊡ rgsw in place, with the rotated
-// difference and the external-product output living in the scratch arena.
+// difference — and then the external product that replaces it — living in
+// the scratch arena. The accumulator stays in coefficient representation, so the product is
+// taken in its coefficient-output form: 66 limb transforms at the paper
+// parameters (44 digit NTTs, 8 P-part and 14 Q-part inverse transforms in
+// the two ModDowns), where an NTT-domain product followed by INTTs is 80.
 func (ev *Evaluator) cmuxStep(acc *rlwe.Ciphertext, k int, rgsw *rlwe.RGSWCiphertext, level int, sc *Scratch) {
 	b := ev.Params.QBasis.AtLevel(level)
-	rot, d := sc.rot, sc.d
+	rot := sc.rot
 	rot.IsNTT = false
 	for i := 0; i < level; i++ {
 		r := b.Rings[i]
@@ -138,12 +141,9 @@ func (ev *Evaluator) cmuxStep(acc *rlwe.Ciphertext, k int, rgsw *rlwe.RGSWCipher
 		r.Sub(rot.C0.Limbs[i], acc.C0.Limbs[i], rot.C0.Limbs[i])
 		r.Sub(rot.C1.Limbs[i], acc.C1.Limbs[i], rot.C1.Limbs[i])
 	}
-	ev.KS.ExternalProductInto(d, rot, rgsw, sc.KS) // NTT-form output
-	b.INTT(d.C0)
-	b.INTT(d.C1)
-	ev.KS.Recorder().Add(obs.CounterNTT, uint64(2*level))
-	b.Add(acc.C0, d.C0, acc.C0)
-	b.Add(acc.C1, d.C1, acc.C1)
+	ev.KS.ExternalProductCoeffInto(rot, rot, rgsw, sc.KS)
+	b.Add(acc.C0, rot.C0, acc.C0)
+	b.Add(acc.C1, rot.C1, acc.C1)
 }
 
 // CMuxInto homomorphically selects ct1 (bit=1) or ct0 (bit=0) into the
@@ -167,7 +167,7 @@ func (ev *Evaluator) CMuxInto(out *rlwe.Ciphertext, bit *rlwe.RGSWCiphertext, ct
 	diff.Scale = ct1.Scale
 	b.Sub(ct1.C0, ct0.C0, diff.C0)
 	b.Sub(ct1.C1, ct0.C1, diff.C1)
-	ev.KS.ExternalProductInto(sc.d, diff, bit, sc.KS) // NTT-form output
+	ev.KS.ExternalProductInto(diff, diff, bit, sc.KS) // NTT-form output
 	for i := 0; i < level; i++ {
 		copy(out.C0.Limbs[i], ct0.C0.Limbs[i])
 		copy(out.C1.Limbs[i], ct0.C1.Limbs[i])
@@ -179,18 +179,8 @@ func (ev *Evaluator) CMuxInto(out *rlwe.Ciphertext, bit *rlwe.RGSWCiphertext, ct
 		b.NTT(out.C1)
 		out.IsNTT = true
 	}
-	b.Add(out.C0, sc.d.C0, out.C0)
-	b.Add(out.C1, sc.d.C1, out.C1)
-}
-
-// CMux is the allocating convenience form of CMuxInto, drawing its scratch
-// from the evaluator's pool.
-func (ev *Evaluator) CMux(bit *rlwe.RGSWCiphertext, ct0, ct1 *rlwe.Ciphertext) *rlwe.Ciphertext {
-	out := rlwe.NewCiphertext(ev.Params, ct0.Level())
-	sc := ev.getScratch()
-	ev.CMuxInto(out, bit, ct0, ct1, sc)
-	ev.putScratch(sc)
-	return out
+	b.Add(out.C0, diff.C0, out.C0)
+	b.Add(out.C1, diff.C1, out.C1)
 }
 
 // InternalProductRows realizes the §VII-A InternalProduct between GGSW
@@ -203,12 +193,12 @@ func (ev *Evaluator) CMux(bit *rlwe.RGSWCiphertext, ct0, ct1 *rlwe.Ciphertext) *
 func (ev *Evaluator) InternalProductRows(a *rlwe.RGSWCiphertext, b *rlwe.GadgetCiphertext) []*rlwe.Ciphertext {
 	L := ev.Params.MaxLevel()
 	out := make([]*rlwe.Ciphertext, b.Rows())
+	sc := ev.getScratch()
 	for j := 0; j < b.Rows(); j++ {
-		row := rlwe.NewCiphertext(ev.Params, L)
-		row.C0 = b.B[j].AtLevel(L)
-		row.C1 = b.A[j].AtLevel(L)
-		row.IsNTT = true
-		out[j] = ev.KS.ExternalProduct(row, a)
+		row := &rlwe.Ciphertext{C0: b.B[j].AtLevel(L), C1: b.A[j].AtLevel(L), IsNTT: true, Scale: 1}
+		out[j] = rlwe.NewCiphertext(ev.Params, L)
+		ev.KS.ExternalProductInto(out[j], row, a, sc.KS)
 	}
+	ev.putScratch(sc)
 	return out
 }
