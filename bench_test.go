@@ -265,8 +265,8 @@ func BenchmarkTable8SchemeSwitchSplit(b *testing.B) {
 // times the generic two-word Barrett, the fixed-shift single-word Barrett,
 // Montgomery, and Shoup fixed-operand kernels on a serially dependent chain
 // so neither the compiler nor the CPU pipeline can collapse the measured
-// latency. `heapbench -benchjson BENCH_kernels.json` writes the same
-// measurement as a committed, benchdiff-gated JSON record.
+// latency. Montgomery exists in ring only as these scalar primitives — the
+// counterfactual this benchmark measures; no transform uses it.
 func BenchmarkAblationReduction(b *testing.B) {
 	primes := ring.GenerateNTTPrimes(36, 13, 7)
 	primes = append(primes, ring.GenerateNTTPrimesUp(37, 13, 4)...)

@@ -145,12 +145,8 @@ func main() {
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-tenant admission burst (0 = max(1, rate))")
 	flag.IntVar(&cfg.queue, "queue", 0, "server-wide queued-job cap, reject-on-full (0 = unbounded)")
 	flag.Int64Var(&maxKeyMB, "maxkeymb", 0, "registry key budget in MiB, LRU-evicted (0 = unbounded)")
-	nosimd := flag.Bool("nosimd", false, "disable the vectorized modular kernels and run the pure scalar paths (also: HEAP_NOSIMD=1)")
 	flag.Parse()
 	cfg.maxKeyBytes = maxKeyMB << 20
-	if *nosimd {
-		ring.SetSIMD(false)
-	}
 	obs.SetISA(ring.SIMDLevel())
 
 	d, err := startDaemon(cfg, os.Stdout)

@@ -237,7 +237,14 @@ func (q *workQueue) pop() []int {
 // exchange health probes on an otherwise-quiet connection.
 func (q *workQueue) popTimeout(d time.Duration) ([]int, bool) {
 	deadline := time.Now().Add(d)
-	wake := time.AfterFunc(d, func() { q.cond.Broadcast() })
+	// The callback passes through q.mu so that it cannot broadcast between
+	// the deadline check below and cond.Wait registering the waiter — a
+	// bare Broadcast in that gap is lost and the idle tick never comes.
+	wake := time.AfterFunc(d, func() {
+		q.mu.Lock()
+		q.cond.Broadcast()
+		q.mu.Unlock()
+	})
 	defer wake.Stop()
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -80,7 +80,7 @@ type Config struct {
 	Warmup bool // run one uncounted job per tenant first (pins keys, seeds the EWMA)
 }
 
-// Result is one load point, JSON-shaped for the BENCH_load matrix.
+// Result is one load point.
 type Result struct {
 	Pattern        string  `json:"pattern"`
 	ClosedLoop     bool    `json:"closed_loop"`
@@ -383,8 +383,7 @@ func equalCiphertext(a, b *rlwe.Ciphertext) bool {
 }
 
 // Run builds a harness for cfg, drives one load point, tears down, and
-// returns the point. The one-shot entry heapbench's matrix and most tests
-// use.
+// returns the point. The one-shot entry most tests use.
 func Run(cfg Config) (Result, error) {
 	h, err := NewHarness(cfg)
 	if err != nil {

@@ -108,7 +108,7 @@ var isaLevel atomic.Value
 // SetISA records the active instruction-set level of the compute kernels
 // (e.g. ring.SIMDLevel()) for inclusion in every subsequent Snapshot. The
 // obs package deliberately does not import the kernel packages — binaries
-// report the level at startup or after flipping a -nosimd style switch.
+// report the level at startup (HEAP_NOSIMD=1 is read before main runs).
 func SetISA(level string) { isaLevel.Store(level) }
 
 // ISALevel returns the recorded level, or "" if none was reported.

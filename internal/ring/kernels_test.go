@@ -103,78 +103,6 @@ func TestBarrettReduce128Correction(t *testing.T) {
 	}
 }
 
-// TestMRedLazyBoundsAndEquivalence checks the lazy Montgomery butterfly
-// kernel on every params prime: for a in [0, 4q) — including values just
-// above the 2q and 4q lazy bounds the NTT rides — and a canonical
-// Montgomery-domain twiddle, the result stays in [0, 2q) and reduces to the
-// generic Barrett product.
-func TestMRedLazyBoundsAndEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, q := range paramsPrimes(t) {
-		m := NewModulus(q)
-		check := func(a, w uint64) {
-			t.Helper()
-			wM := m.MForm(w % q)
-			r := m.MRedLazy(a, wM)
-			if r >= 2*q {
-				t.Fatalf("q=%d: MRedLazy(%d, MForm(%d))=%d escapes [0, 2q)", q, a, w, r)
-			}
-			want := m.MulModBarrett(a%q, w%q)
-			if a >= q {
-				want = m.MulModBarrett(m.Reduce(a), w%q)
-			}
-			if got := m.Reduce(r); got != want {
-				t.Fatalf("q=%d: MRedLazy(%d, MForm(%d)) ≡ %d, want %d", q, a, w, got, want)
-			}
-		}
-		lazyEdges := []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, 2*q + 1, 4*q - 1}
-		for _, a := range lazyEdges {
-			for _, w := range adversarialOperands(q) {
-				check(a, w)
-			}
-		}
-		for i := 0; i < 20000; i++ {
-			check(rng.Uint64()%(4*q), rng.Uint64()%q)
-		}
-	}
-}
-
-// TestNTTMontgomeryMatchesShoup locks the two butterfly modes together: the
-// Montgomery-twiddle transform must be bit-identical to the default
-// Shoup-twiddle transform in both directions, including on the all-(q-1)
-// polynomial that maximizes the lazy intervals.
-func TestNTTMontgomeryMatchesShoup(t *testing.T) {
-	for _, q := range []uint64{GenerateNTTPrimes(36, 8, 1)[0], GenerateNTTPrimesUp(37, 8, 1)[0], GenerateNTTPrimes(60, 8, 1)[0]} {
-		r := NewRing(8, q)
-		s := NewSampler(5)
-		for trial := 0; trial < 20; trial++ {
-			p := r.NewPoly()
-			if trial == 0 {
-				for i := range p {
-					p[i] = q - 1
-				}
-			} else {
-				s.UniformPoly(r, p)
-			}
-			ref := p.Copy()
-			mont := p.Copy()
-			r.NTT(ref)
-			r.NTTMontgomery(mont)
-			if !r.Equal(ref, mont) {
-				t.Fatalf("q=%d: NTTMontgomery differs from NTT", q)
-			}
-			r.INTT(ref)
-			r.INTTMontgomery(mont)
-			if !r.Equal(ref, mont) {
-				t.Fatalf("q=%d: INTTMontgomery differs from INTT", q)
-			}
-			if !r.Equal(ref, p) {
-				t.Fatalf("q=%d: Montgomery round trip does not invert", q)
-			}
-		}
-	}
-}
-
 // TestMulCoeffsKernelsMatchScalarReference checks the open-coded fixed-shift
 // loops of MulCoeffs and MulCoeffsAndAdd against the scalar MulModBarrett
 // reference, with adversarial coefficients planted alongside random ones.

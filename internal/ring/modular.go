@@ -206,23 +206,6 @@ func (m Modulus) MRed(a, b uint64) uint64 {
 	return r
 }
 
-// MRedLazy is MRed without the final conditional subtraction: for a < 2q
-// and b < q (q < 2^61) the result lies in [0, 2q) — the same lazy interval
-// the Shoup butterflies ride in, so the two twiddle representations can be
-// swapped under an identical reduction discipline. The NTT's Montgomery
-// mode calls it with a lazy coefficient and a canonical Montgomery-domain
-// twiddle.
-func (m Modulus) MRedLazy(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	u := lo * m.MRedQInv
-	h, _ := bits.Mul64(u, m.Q)
-	r := hi + h
-	if lo != 0 {
-		r++
-	}
-	return r
-}
-
 // MForm maps a < q into the Montgomery domain: a·2^64 mod q.
 func (m Modulus) MForm(a uint64) uint64 { return m.MRed(a, m.RSquare) }
 

@@ -32,40 +32,9 @@ func (r *Ring) NTT(p Poly) {
 	r.nttWithTables(p, r.psiTable, r.psiTableShoup)
 }
 
-// NTTLazy is NTT with the final canonicalization left out: outputs are lazy
-// representatives in [0, 2q) rather than [0, q). The residues are exactly
-// NTT's — only the representative differs — and every consumer of
-// evaluation-domain values that tolerates the lazy interval (INTT's
-// butterflies assume only < 2q; the Shoup scalar sweep accepts any operand
-// < 2^63) produces bit-identical final results. It saves one conditional
-// subtraction per coefficient in the last stage for callers that feed the
-// result straight into such a consumer.
-//
-// The scalar path runs through the stage helpers rather than the inline
-// driver: threading a lazy flag through nttWithTables' signature measured a
-// 40% slowdown on the whole canonical transform (the extra incoming
-// argument evicts a hot loop value into a spill slot — see the BenchmarkAB
-// pairs), and NTTLazy has no latency-critical callers.
-func (r *Ring) NTTLazy(p Poly) {
-	psi, psiShoup := r.psiTable, r.psiTableShoup
-	if r.vecNTT() {
-		r.nttVecWithTables(p, psi, psiShoup, 0)
-		return
-	}
-	q := r.Mod.Q
-	n := r.N
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		nttFwdStepScalar(p, psi, psiShoup, q, m, t)
-	}
-	nttFwdLastLazyScalar(p, psi, psiShoup, q)
-}
-
 func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
 	if r.vecNTT() {
-		r.nttVecWithTables(p, psi, psiShoup, r.Mod.Q)
+		r.nttVecWithTables(p, psi, psiShoup)
 		return
 	}
 	q := r.Mod.Q
@@ -109,10 +78,9 @@ func (r *Ring) vecNTT() bool { return simdActive() && r.N >= vecMinN }
 
 // nttVecWithTables is the forward pass with every stage on an AVX2 kernel:
 // the generic stage kernel while t ≥ 4, then the t=2 kernel, then the fused
-// last stage. fold is the last stage's final conditional subtraction bound:
-// q for canonical output, 0 to leave the lazy [0, 2q) representatives
-// (NTTLazy). Bit-identical to the scalar drivers. Requires n ≥ vecMinN.
-func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64, fold uint64) {
+// canonical last stage. Bit-identical to the scalar driver. Requires
+// n ≥ vecMinN.
+func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64) {
 	q := r.Mod.Q
 	n := r.N
 	p = p[:n]
@@ -122,37 +90,7 @@ func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64, fold uint64) {
 		nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
 	}
 	nttFwdT2AVX2(p, psi, psiShoup, q)
-	nttFwdLastAVX2(p, psi, psiShoup, q, fold)
-}
-
-// nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
-// length t) with Shoup-twiddle butterflies — the stage loop of the scalar
-// NTTLazy driver, and the lane-for-lane reference the vector property tests
-// and fuzz target compare nttFwdStepAVX2 and nttFwdT2AVX2 against. The
-// pure-scalar transform inlines this same loop (see nttWithTables for why);
-// keep the two in sync.
-func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
-	twoQ := 2 * q
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		j1 := 2 * i * t
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)] // bounds-check elimination for b[j]
-		for j := range a {
-			// u ∈ [0, 4q) → [0, 2q); v ← lazy Shoup ∈ [0, 2q).
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			v := b[j]
-			hi, _ := bits.Mul64(v, wS)
-			v = v*w - hi*q
-			a[j] = u + v        // < 4q
-			b[j] = u + twoQ - v // < 4q
-		}
-	}
+	nttFwdLastAVX2(p, psi, psiShoup, q)
 }
 
 // nttFwdLastScalar is the last stage (t=1, m=n/2) of the scalar driver,
@@ -199,45 +137,6 @@ func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64) {
 		}
 		if y >= q {
 			y -= q
-		}
-		p[2*i] = x
-		p[2*i+1] = y
-	}
-}
-
-// nttFwdLastLazyScalar is the last stage (t=1, m=n/2) of the scalar NTTLazy
-// driver: the fused last stage of nttWithTables without the final fold to
-// [0, q). It is a function of its own rather than a flag on a shared helper
-// because a flag tested inside the butterfly (`!lazy && x >= q`) compiles to
-// data-dependent branches where the flag-free loop gets conditional moves —
-// see BenchmarkABLastStage*.
-func nttFwdLastLazyScalar(p Poly, psi, psiShoup []uint64, q uint64) {
-	twoQ := 2 * q
-	n := len(p)
-	if n == 1 {
-		if p[0] >= twoQ {
-			p[0] -= twoQ
-		}
-		return
-	}
-	m := n >> 1
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		u := p[2*i]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		v := p[2*i+1]
-		hi, _ := bits.Mul64(v, wS)
-		v = v*w - hi*q
-		x := u + v // < 4q
-		if x >= twoQ {
-			x -= twoQ
-		}
-		y := u + twoQ - v // < 4q
-		if y >= twoQ {
-			y -= twoQ
 		}
 		p[2*i] = x
 		p[2*i+1] = y
@@ -378,310 +277,4 @@ func (r *Ring) NTTOnTheFlyWith(p Poly, sc *TwiddleScratch) {
 		psiShoup[i] = r.Mod.ShoupPrecomp(psi[i])
 	}
 	r.nttWithTables(p, psi, psiShoup)
-}
-
-// NTTMontgomery is the forward transform with Montgomery-domain twiddle
-// tables: each butterfly multiplies by ψ·2^64 mod q through MRedLazy instead
-// of the Shoup pair. Same Harvey lazy-reduction discipline (coefficients in
-// [0, 4q) between stages, canonical sweep at the end), so the output is
-// bit-identical to NTT — the two modes differ only in which per-prime
-// constant form feeds the butterfly multiplier. Exposed so the §IV-A
-// reduction choice is measurable on the real transform, not just on scalar
-// chains; the default NTT keeps whichever mode the committed kernel
-// ablation shows faster. Driver split mirrors NTT, with the MRed butterfly
-// vectorized in nttFwdStepMontAVX2.
-func (r *Ring) NTTMontgomery(p Poly) {
-	if simdActive() {
-		r.nttMontVec(p)
-		return
-	}
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	twoQ := 2 * q
-	n := r.N
-	psi := r.psiTableMont
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		for i := 0; i < m; i++ {
-			w := psi[m+i]
-			j1 := 2 * i * t
-			a := p[j1 : j1+t]
-			b := p[j1+t : j1+2*t]
-			b = b[:len(a)]
-			for j := range a {
-				u := a[j]
-				if u >= twoQ {
-					u -= twoQ
-				}
-				// v ← MRedLazy(b[j], w) ∈ [0, 2q), inlined.
-				hi, lo := bits.Mul64(b[j], w)
-				uu := lo * qInv
-				h, _ := bits.Mul64(uu, q)
-				v := hi + h
-				if lo != 0 {
-					v++
-				}
-				a[j] = u + v
-				b[j] = u + twoQ - v
-			}
-		}
-	}
-	nttFwdLastMontScalar(p, psi, q, qInv)
-}
-
-// nttMontVec is the Montgomery-twiddle forward pass with the AVX2 stage
-// kernels (see NTTMontgomery).
-func (r *Ring) nttMontVec(p Poly) {
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	n := r.N
-	psi := r.psiTableMont
-	p = p[:n]
-	t := n
-	for m := 1; m < n>>1; m <<= 1 {
-		t >>= 1
-		if t >= 4 {
-			nttFwdStepMontAVX2(p, psi, q, qInv, m, t)
-		} else {
-			nttFwdStepMontScalar(p, psi, q, qInv, m, t)
-		}
-	}
-	nttFwdLastMontScalar(p, psi, q, qInv)
-}
-
-// nttFwdStepMontScalar is the Montgomery-twiddle counterpart of
-// nttFwdStepScalar; reference semantics for nttFwdStepMontAVX2, inlined by
-// the scalar NTTMontgomery (keep in sync).
-func nttFwdStepMontScalar(p Poly, psi []uint64, q, qInv uint64, m, t int) {
-	twoQ := 2 * q
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		j1 := 2 * i * t
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)]
-		for j := range a {
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			// v ← MRedLazy(b[j], w) ∈ [0, 2q), inlined.
-			hi, lo := bits.Mul64(b[j], w)
-			uu := lo * qInv
-			h, _ := bits.Mul64(uu, q)
-			v := hi + h
-			if lo != 0 {
-				v++
-			}
-			a[j] = u + v
-			b[j] = u + twoQ - v
-		}
-	}
-}
-
-// nttFwdLastMontScalar is the open-coded fused last stage of NTTMontgomery,
-// mirroring the last stage of nttWithTables so the committed ablation
-// compares the twiddle kernel, not the loop structure.
-func nttFwdLastMontScalar(p Poly, psi []uint64, q, qInv uint64) {
-	twoQ := 2 * q
-	n := len(p)
-	if n == 1 {
-		c := p[0]
-		if c >= twoQ {
-			c -= twoQ
-		}
-		if c >= q {
-			c -= q
-		}
-		p[0] = c
-		return
-	}
-	m := n >> 1
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		u := p[2*i]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		hi, lo := bits.Mul64(p[2*i+1], w)
-		uu := lo * qInv
-		h, _ := bits.Mul64(uu, q)
-		v := hi + h
-		if lo != 0 {
-			v++
-		}
-		x := u + v
-		if x >= twoQ {
-			x -= twoQ
-		}
-		if x >= q {
-			x -= q
-		}
-		y := u + twoQ - v
-		if y >= twoQ {
-			y -= twoQ
-		}
-		if y >= q {
-			y -= q
-		}
-		p[2*i] = x
-		p[2*i+1] = y
-	}
-}
-
-// INTTMontgomery is the inverse transform in the Montgomery twiddle mode;
-// bit-identical to INTT (see NTTMontgomery).
-func (r *Ring) INTTMontgomery(p Poly) {
-	if simdActive() {
-		r.inttMontVec(p)
-		return
-	}
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	twoQ := 2 * q
-	n := r.N
-	psiInv := r.psiInvTableMont
-	p = p[:n]
-	t := 1
-	if n >= 2 {
-		// First stage (t=1, h=n/2), open-coded (see INTT).
-		h := n >> 1
-		for i := 0; i < h; i++ {
-			w := psiInv[h+i]
-			u := p[2*i]
-			v := p[2*i+1]
-			c := u + v
-			if c >= twoQ {
-				c -= twoQ
-			}
-			p[2*i] = c
-			d := u + twoQ - v
-			hi, lo := bits.Mul64(d, w)
-			uu := lo * qInv
-			hh, _ := bits.Mul64(uu, q)
-			e := hi + hh
-			if lo != 0 {
-				e++
-			}
-			p[2*i+1] = e
-		}
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			w := psiInv[h+i]
-			a := p[j1 : j1+t]
-			b := p[j1+t : j1+2*t]
-			b = b[:len(a)]
-			for j := range a {
-				u := a[j]
-				v := b[j]
-				c := u + v
-				if c >= twoQ {
-					c -= twoQ
-				}
-				a[j] = c
-				d := u + twoQ - v
-				hi, lo := bits.Mul64(d, w)
-				uu := lo * qInv
-				hh, _ := bits.Mul64(uu, q)
-				e := hi + hh
-				if lo != 0 {
-					e++
-				}
-				b[j] = e
-			}
-			j1 += 2 * t
-		}
-		t <<= 1
-	}
-	r.nInvSweep(p)
-}
-
-// inttMontVec is the Montgomery-twiddle inverse pass with the AVX2 stage
-// kernels (see INTTMontgomery).
-func (r *Ring) inttMontVec(p Poly) {
-	q := r.Mod.Q
-	qInv := r.Mod.MRedQInv
-	n := r.N
-	psiInv := r.psiInvTableMont
-	p = p[:n]
-	t := 1
-	if n >= 2 {
-		nttInvFirstMontScalar(p, psiInv, q, qInv)
-		t = 2
-	}
-	for m := n >> 1; m > 1; m >>= 1 {
-		h := m >> 1
-		if t >= 4 {
-			nttInvStepMontAVX2(p, psiInv, q, qInv, h, t)
-		} else {
-			nttInvStepMontScalar(p, psiInv, q, qInv, h, t)
-		}
-		t <<= 1
-	}
-	r.nInvSweep(p)
-}
-
-// nttInvFirstMontScalar is the open-coded first inverse stage in the
-// Montgomery twiddle mode (see the first stage of INTT).
-func nttInvFirstMontScalar(p Poly, psiInv []uint64, q, qInv uint64) {
-	twoQ := 2 * q
-	h := len(p) >> 1
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		u := p[2*i]
-		v := p[2*i+1]
-		c := u + v
-		if c >= twoQ {
-			c -= twoQ
-		}
-		p[2*i] = c
-		d := u + twoQ - v
-		hi, lo := bits.Mul64(d, w)
-		uu := lo * qInv
-		hh, _ := bits.Mul64(uu, q)
-		e := hi + hh
-		if lo != 0 {
-			e++
-		}
-		p[2*i+1] = e
-	}
-}
-
-// nttInvStepMontScalar is one inverse Gentleman-Sande stage in the Montgomery
-// twiddle mode; reference semantics for nttInvStepMontAVX2, inlined by the
-// scalar INTTMontgomery (keep in sync).
-func nttInvStepMontScalar(p Poly, psiInv []uint64, q, qInv uint64, h, t int) {
-	twoQ := 2 * q
-	j1 := 0
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)]
-		for j := range a {
-			u := a[j]
-			v := b[j]
-			c := u + v
-			if c >= twoQ {
-				c -= twoQ
-			}
-			a[j] = c
-			d := u + twoQ - v
-			hi, lo := bits.Mul64(d, w)
-			uu := lo * qInv
-			hh, _ := bits.Mul64(uu, q)
-			e := hi + hh
-			if lo != 0 {
-				e++
-			}
-			b[j] = e
-		}
-		j1 += 2 * t
-	}
 }

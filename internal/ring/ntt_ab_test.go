@@ -19,16 +19,15 @@ import (
 //  2. One extra incoming argument (a `lazy bool` threaded to the last stage)
 //     evicts a hot loop value into a spill slot for the entire function,
 //     even though the flag is only read after the main stage loop. The
-//     scalar driver therefore takes no lazy flag; NTTLazy is a separate
-//     driver built from the stage helpers.
+//     scalar driver therefore takes no flags.
 //
 //  3. A loop-invariant flag tested inside the butterfly (`!lazy && x >= q`)
 //     turns each conditional subtraction it guards from a conditional move
 //     into a compare-and-jump on the data, mispredicted about half the time
-//     on real (uniform) coefficients: ~2.5× on the stage. Lazy and canonical
-//     last stages are therefore separate loops with no flag. This one hid in
-//     plain sight for two PRs because a multiplicative-hash benchmark input
-//     happens to be predictable; measure it with random input.
+//     on real (uniform) coefficients: ~2.5× on the stage. The last stage is
+//     therefore a loop with no flag. This one hid in plain sight for two PRs
+//     because a multiplicative-hash benchmark input happens to be
+//     predictable; measure it with random input.
 //
 // BenchmarkABOldInlineNTT is the monolithic pre-split transform kept
 // verbatim as the performance reference; BenchmarkABNewScalarNTT is the

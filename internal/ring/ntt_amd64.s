@@ -9,8 +9,7 @@
 // t=1 edge stages of the Shoup transforms have kernels of their own
 // (nttFwdT2AVX2, nttFwdLastAVX2, nttInvFirstAVX2, nttInvT2AVX2) that load
 // two registers, regroup the a and b sides in-register, and interleave the
-// results back before the store; the Montgomery ablation mode keeps those
-// two stages scalar (see ntt.go). The arithmetic is exactly the scalar
+// results back before the store. The arithmetic is exactly the scalar
 // butterflies' — same Harvey lazy intervals ([0,4q) into a forward stage,
 // [0,2q) between inverse stages), same reduction order — so the outputs are
 // bit-identical.
@@ -222,21 +221,17 @@ fwdT2Loop:
 	VZEROUPPER
 	RET
 
-// func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q, fold uint64)
+// func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q uint64)
 //
-// Forward last stage t=1 (m = n/2 twiddles at psi[m:]) with the output
-// folds fused in: both outputs are brought from [0, 4q) to [0, 2q) and then
-// conditionally reduced by fold — q for the canonical transform, 0 (a
-// subtraction that never fires) for NTTLazy. n >= 8.
-TEXT ·nttFwdLastAVX2(SB), NOSPLIT, $0-88
+// Forward last stage t=1 (m = n/2 twiddles at psi[m:]) with the canonical
+// output folds fused in: both outputs are brought from [0, 4q) to [0, 2q)
+// and then to [0, q). n >= 8.
+TEXT ·nttFwdLastAVX2(SB), NOSPLIT, $0-80
 	MOVQ p_base+0(FP), DI
 	MOVQ p_len+8(FP), R9
 	MOVQ psi_base+24(FP), SI
 	MOVQ psiShoup_base+48(FP), R8
 	BCAST_Q2Q_MASK(q+72(FP))
-	MOVQ fold+80(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y10    // fold
 	SHRQ $1, R9
 	LEAQ (SI)(R9*8), SI     // &psi[n/2]
 	LEAQ (R8)(R9*8), R8
@@ -246,9 +241,9 @@ fwdLastLoop:
 	LOAD_T1
 	FWD_BFLY
 	CSUB(Y1, Y14, Y3)
-	CSUB(Y1, Y10, Y3)
+	CSUB(Y1, Y15, Y3)
 	CSUB(Y2, Y14, Y3)
-	CSUB(Y2, Y10, Y3)
+	CSUB(Y2, Y15, Y3)
 	STORE_T1(Y1, Y2)
 	DECQ R9
 	JNZ  fwdLastLoop
@@ -298,136 +293,5 @@ invT2Loop:
 	STORE_T2(Y2, Y4)
 	DECQ R9
 	JNZ  invT2Loop
-	VZEROUPPER
-	RET
-
-// func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int)
-//
-// Forward Montgomery-twiddle stage: the butterfly multiplier is MRedLazy
-// (v*w*2^-64 mod q, result < 2q), inlined per lane:
-//   hi:lo = v*w;  u2 = lo*qInv mod 2^64;  r = hi + mulhi(u2, q) + (lo != 0)
-// Extra pinned registers: Y12 w (Montgomery domain), Y11 qInv, Y10 ones.
-TEXT ·nttFwdStepMontAVX2(SB), NOSPLIT, $0-80
-	MOVQ p_base+0(FP), DI
-	MOVQ psiMont_base+24(FP), SI
-	MOVQ m+64(FP), R9
-	MOVQ t+72(FP), R10
-
-	MOVQ q+48(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	ADDQ AX, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y14    // 2q
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
-	MOVQ qInv+56(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // -q^{-1} mod 2^64
-	MOVQ $1, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y10    // ones
-
-	LEAQ (SI)(R9*8), SI     // &psiMont[m]
-	XORQ R11, R11
-
-fwdMontILoop:
-	CMPQ R11, R9
-	JGE  fwdMontDone
-	VPBROADCASTQ (SI)(R11*8), Y12    // w (Montgomery domain, < q)
-	LEAQ (DI)(R10*8), R13
-	MOVQ R10, CX
-
-fwdMontJLoop:
-	VMOVDQU (DI), Y0        // u (< 4q)
-	VMOVDQU (R13), Y1       // v (< 4q)
-	CSUB(Y0, Y14, Y2)       // u in [0, 2q)
-	MULFULL64(Y1, Y12, Y2, Y3, Y4, Y5, Y6, Y7, Y13)  // Y2:Y3 = v*w
-	MULLO64(Y3, Y11, Y4, Y5, Y6)                     // Y4 = lo*qInv mod 2^64
-	MULHI64(Y4, Y15, Y5, Y6, Y7, Y8, Y9, Y13)        // Y5 = mulhi(u2, q)
-	VPADDQ Y5, Y2, Y2       // hi + h
-	VPXOR Y6, Y6, Y6
-	VPCMPEQQ Y6, Y3, Y7     // -1 where lo == 0
-	VPADDQ Y10, Y2, Y2      // +1 ...
-	VPADDQ Y7, Y2, Y2       // ... cancelled where lo == 0 → v' = MRedLazy < 2q
-	VPADDQ Y2, Y0, Y1       // a' = u + v'
-	VMOVDQU Y1, (DI)
-	VPSUBQ Y2, Y14, Y3      // 2q - v'
-	VPADDQ Y3, Y0, Y3       // b' = u + 2q - v'
-	VMOVDQU Y3, (R13)
-	ADDQ $32, DI
-	ADDQ $32, R13
-	SUBQ $4, CX
-	JNZ  fwdMontJLoop
-
-	LEAQ (DI)(R10*8), DI
-	INCQ R11
-	JMP  fwdMontILoop
-
-fwdMontDone:
-	VZEROUPPER
-	RET
-
-// func nttInvStepMontAVX2(p []uint64, psiInvMont []uint64, q, qInv uint64, h, t int)
-TEXT ·nttInvStepMontAVX2(SB), NOSPLIT, $0-80
-	MOVQ p_base+0(FP), DI
-	MOVQ psiInvMont_base+24(FP), SI
-	MOVQ h+64(FP), R9
-	MOVQ t+72(FP), R10
-
-	MOVQ q+48(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	ADDQ AX, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y14    // 2q
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
-	MOVQ qInv+56(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // -q^{-1} mod 2^64
-	MOVQ $1, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y10    // ones
-
-	LEAQ (SI)(R9*8), SI     // &psiInvMont[h]
-	XORQ R11, R11
-
-invMontILoop:
-	CMPQ R11, R9
-	JGE  invMontDone
-	VPBROADCASTQ (SI)(R11*8), Y12    // w (Montgomery domain, < q)
-	LEAQ (DI)(R10*8), R13
-	MOVQ R10, CX
-
-invMontJLoop:
-	VMOVDQU (DI), Y0        // u (< 2q)
-	VMOVDQU (R13), Y1       // v (< 2q)
-	VPADDQ Y1, Y0, Y2       // c = u + v < 4q
-	CSUB(Y2, Y14, Y3)       // c in [0, 2q)
-	VMOVDQU Y2, (DI)
-	VPSUBQ Y1, Y14, Y2      // 2q - v
-	VPADDQ Y2, Y0, Y0       // d = u + 2q - v < 4q
-	MULFULL64(Y0, Y12, Y2, Y3, Y4, Y5, Y6, Y7, Y13)  // Y2:Y3 = d*w
-	MULLO64(Y3, Y11, Y4, Y5, Y6)                     // Y4 = lo*qInv mod 2^64
-	MULHI64(Y4, Y15, Y5, Y6, Y7, Y8, Y9, Y13)        // Y5 = mulhi(u2, q)
-	VPADDQ Y5, Y2, Y2       // hi + h
-	VPXOR Y6, Y6, Y6
-	VPCMPEQQ Y6, Y3, Y7     // -1 where lo == 0
-	VPADDQ Y10, Y2, Y2
-	VPADDQ Y7, Y2, Y2       // MRedLazy(d, w) < 2q
-	VMOVDQU Y2, (R13)
-	ADDQ $32, DI
-	ADDQ $32, R13
-	SUBQ $4, CX
-	JNZ  invMontJLoop
-
-	LEAQ (DI)(R10*8), DI
-	INCQ R11
-	JMP  invMontILoop
-
-invMontDone:
 	VZEROUPPER
 	RET

@@ -35,15 +35,12 @@ type Ring struct {
 
 	// Twiddle tables in the bit-reversed order used by the in-place
 	// Cooley-Tukey / Gentleman-Sande passes: psiTable[i] = psi^{brv(i)},
-	// together with their Shoup companions for the fixed-operand fast path
-	// and their Montgomery-domain images (psi^{brv(i)}·2^64 mod q) for the
-	// MRed butterfly mode — both per-prime forms derived once at ring build.
+	// together with their Shoup companions for the fixed-operand fast path,
+	// derived once at ring build.
 	psiTable         []uint64
 	psiTableShoup    []uint64
-	psiTableMont     []uint64
 	psiInvTable      []uint64
 	psiInvTableShoup []uint64
-	psiInvTableMont  []uint64
 
 	nInv      uint64 // N^{-1} mod q
 	nInvShoup uint64
@@ -59,18 +56,14 @@ func NewRing(logN int, q uint64) *Ring {
 
 	r.psiTable = make([]uint64, n)
 	r.psiTableShoup = make([]uint64, n)
-	r.psiTableMont = make([]uint64, n)
 	r.psiInvTable = make([]uint64, n)
 	r.psiInvTableShoup = make([]uint64, n)
-	r.psiInvTableMont = make([]uint64, n)
 
 	fillTwiddles(r.Mod, r.psi, logN, r.psiTable)
 	fillTwiddles(r.Mod, r.psiInv, logN, r.psiInvTable)
 	for i := 0; i < n; i++ {
 		r.psiTableShoup[i] = r.Mod.ShoupPrecomp(r.psiTable[i])
 		r.psiInvTableShoup[i] = r.Mod.ShoupPrecomp(r.psiInvTable[i])
-		r.psiTableMont[i] = r.Mod.MForm(r.psiTable[i])
-		r.psiInvTableMont[i] = r.Mod.MForm(r.psiInvTable[i])
 	}
 	r.nInv = r.Mod.InvMod(uint64(n))
 	r.nInvShoup = r.Mod.ShoupPrecomp(r.nInv)

@@ -8,9 +8,10 @@ package ring
 // tag, on hosts without AVX2, or by an explicit override) and hand-written
 // AVX2 assembly processing four 64-bit lanes per step. Selection happens
 // once at package init (a CPUID/XGETBV probe plus the HEAP_NOSIMD
-// environment variable) and can be changed at runtime through SetSIMD —
-// the binaries expose it as -nosimd so a production regression can be
-// bisected to the kernel set without rebuilding.
+// environment variable, which works for every binary and for `go test`, so a
+// production regression can be bisected to the kernel set without
+// rebuilding); SetSIMD changes it at runtime, for tests that compare the two
+// paths.
 //
 // The vector paths are required to be bit-identical to the scalar ones —
 // not merely congruent modulo q. The Harvey lazy bounds (operands in

@@ -8,10 +8,10 @@ import (
 )
 
 // simdOn gates every vector dispatch point. It is an atomic so a runtime
-// toggle (the binaries' -nosimd flag, tests flipping the path under -race)
-// is a plain data-race-free load on the hot paths — on amd64 an atomic load
-// is an ordinary MOV, so the guard costs one predictable branch per sweep,
-// never per coefficient.
+// toggle (SetSIMD: tests flipping the path under -race) is a plain
+// data-race-free load on the hot paths — on amd64 an atomic load is an
+// ordinary MOV, so the guard costs one predictable branch per sweep, never
+// per coefficient.
 var simdOn atomic.Bool
 
 func init() {
@@ -87,19 +87,13 @@ func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int
 func nttFwdT2AVX2(p []uint64, psi, psiShoup []uint64, q uint64)
 
 //go:noescape
-func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q, fold uint64)
+func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q uint64)
 
 //go:noescape
 func nttInvFirstAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
 
 //go:noescape
 func nttInvT2AVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
-
-//go:noescape
-func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int)
-
-//go:noescape
-func nttInvStepMontAVX2(p []uint64, psiInvMont []uint64, q, qInv uint64, h, t int)
 
 //go:noescape
 func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)

@@ -28,17 +28,11 @@ func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int
 
 func nttFwdT2AVX2(p []uint64, psi, psiShoup []uint64, q uint64) { unreachableSIMD() }
 
-func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q, fold uint64) { unreachableSIMD() }
+func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q uint64) { unreachableSIMD() }
 
 func nttInvFirstAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64) { unreachableSIMD() }
 
 func nttInvT2AVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64) { unreachableSIMD() }
-
-func nttFwdStepMontAVX2(p []uint64, psiMont []uint64, q, qInv uint64, m, t int) { unreachableSIMD() }
-
-func nttInvStepMontAVX2(p []uint64, psiInvMont []uint64, q, qInv uint64, h, t int) {
-	unreachableSIMD()
-}
 
 func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint) { unreachableSIMD() }
 

@@ -29,6 +29,34 @@ func withVector(t *testing.T) {
 	t.Cleanup(func() { SetSIMD(prev) })
 }
 
+// nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
+// length t) with Shoup-twiddle butterflies exactly as nttWithTables' inline
+// loop does — the lane-for-lane reference for nttFwdStepAVX2 (t ≥ 4),
+// nttFwdT2AVX2 (t = 2) and, through nttFwdLastRef, nttFwdLastAVX2 (t = 1).
+func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
+	twoQ := 2 * q
+	for i := 0; i < m; i++ {
+		w := psi[m+i]
+		wS := psiShoup[m+i]
+		j1 := 2 * i * t
+		a := p[j1 : j1+t]
+		b := p[j1+t : j1+2*t]
+		b = b[:len(a)] // bounds-check elimination for b[j]
+		for j := range a {
+			// u ∈ [0, 4q) → [0, 2q); v ← lazy Shoup ∈ [0, 2q).
+			u := a[j]
+			if u >= twoQ {
+				u -= twoQ
+			}
+			v := b[j]
+			hi, _ := bits.Mul64(v, wS)
+			v = v*w - hi*q
+			a[j] = u + v        // < 4q
+			b[j] = u + twoQ - v // < 4q
+		}
+	}
+}
+
 // nttInvStepScalar runs one inverse Gentleman-Sande stage (h blocks of half
 // length t) exactly as INTT's inline loops do — the lane-for-lane reference
 // for nttInvStepAVX2 (t ≥ 4), nttInvT2AVX2 (t = 2) and nttInvFirstAVX2
@@ -57,18 +85,18 @@ func nttInvStepScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64, h, t int) 
 	}
 }
 
-// nttFwdLastRef is the reference for nttFwdLastAVX2: the generic t=1 stage,
-// the fold from [0, 4q) to [0, 2q), then the conditional subtraction of
-// fold (q for the canonical transform, 0 for NTTLazy) as separate sweeps —
-// the unfused order the fused last stages are defined to equal.
-func nttFwdLastRef(p Poly, psi, psiShoup []uint64, q, fold uint64) {
+// nttFwdLastRef is the reference for nttFwdLastAVX2 and nttFwdLastScalar:
+// the generic t=1 stage, the fold from [0, 4q) to [0, 2q), then the fold to
+// [0, q) as separate sweeps — the unfused order the fused last stages are
+// defined to equal.
+func nttFwdLastRef(p Poly, psi, psiShoup []uint64, q uint64) {
 	nttFwdStepScalar(p, psi, psiShoup, q, len(p)>>1, 1)
 	for i, c := range p {
 		if c >= 2*q {
 			c -= 2 * q
 		}
-		if c >= fold {
-			c -= fold
+		if c >= q {
+			c -= q
 		}
 		p[i] = c
 	}
@@ -177,7 +205,7 @@ func edgePark(rng *rand.Rand, p []uint64, q, bound uint64) {
 // [0, 2q) into an inverse stage) — the adversarial domain where a reduction
 // that diverges from the scalar order would show. Every stage of a
 // transform is covered: the generic kernels for t ≥ 4, the t=2 kernels, and
-// the t=1 kernels (forward with both the canonical and the lazy fold).
+// the t=1 kernels.
 func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 	withVector(t)
 	rng := rand.New(rand.NewSource(202))
@@ -194,14 +222,12 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 		for _, n := range []int{8, 16, 32, 256} {
 			// Random canonical twiddle-like tables: the stage kernels do not
 			// require genuine roots of unity, only w < q with consistent
-			// Shoup/Montgomery companions. The extreme twiddles 0 and q-1
-			// are planted where the edge stages read them.
+			// Shoup companions. The extreme twiddles 0 and q-1 are planted
+			// where the edge stages read them.
 			psi := make([]uint64, n)
 			psiShoup := make([]uint64, n)
-			psiMont := make([]uint64, n)
 			for i := range psi {
 				psi[i] = rng.Uint64() % q
-				psiMont[i] = rng.Uint64() % q
 			}
 			psi[n/4], psi[n/2], psi[n-1] = 0, q-1, q-1
 			for i := range psi {
@@ -213,7 +239,7 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 				return p
 			}
 
-			// Forward stages: every (m, t) with t >= 4, Shoup and Montgomery.
+			// Forward stages: every (m, t) with t >= 4.
 			st := n
 			for m := 1; m <= n>>3; m <<= 1 {
 				st >>= 1
@@ -223,10 +249,6 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 				nttFwdStepScalar(ps, psi, psiShoup, q, m, st)
 				nttFwdStepAVX2(pv, psi, psiShoup, q, m, st)
 				mustEqual(q, n, "fwd step", ps, pv)
-				ps, pv = p.Copy(), p.Copy()
-				nttFwdStepMontScalar(ps, psiMont, q, mod.MRedQInv, m, st)
-				nttFwdStepMontAVX2(pv, psiMont, q, mod.MRedQInv, m, st)
-				mustEqual(q, n, "fwdMont step", ps, pv)
 			}
 			// Forward edge stages, several draws each.
 			for rep := 0; rep < 4; rep++ {
@@ -235,16 +257,13 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 				nttFwdStepScalar(ps, psi, psiShoup, q, n>>2, 2)
 				nttFwdT2AVX2(pv, psi, psiShoup, q)
 				mustEqual(q, n, "fwd t=2", ps, pv)
-				for _, fold := range []uint64{q, 0} {
-					ps, pv = p.Copy(), p.Copy()
-					nttFwdLastRef(ps, psi, psiShoup, q, fold)
-					nttFwdLastAVX2(pv, psi, psiShoup, q, fold)
-					mustEqual(q, n, "fwd last", ps, pv)
-				}
 				ps, pv = p.Copy(), p.Copy()
-				nttFwdLastRef(ps, psi, psiShoup, q, 0)
-				nttFwdLastLazyScalar(pv, psi, psiShoup, q)
-				mustEqual(q, n, "fwd last lazy scalar helper", ps, pv)
+				nttFwdLastRef(ps, psi, psiShoup, q)
+				nttFwdLastAVX2(pv, psi, psiShoup, q)
+				mustEqual(q, n, "fwd last", ps, pv)
+				pv = p.Copy()
+				nttFwdLastScalar(pv, psi, psiShoup, q)
+				mustEqual(q, n, "fwd last scalar helper", ps, pv)
 			}
 
 			// Inverse stages: every (h, t) with t >= 4, then the edge stages.
@@ -256,10 +275,6 @@ func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
 				nttInvStepScalar(ps, psi, psiShoup, q, h, it)
 				nttInvStepAVX2(pv, psi, psiShoup, q, h, it)
 				mustEqual(q, n, "inv step", ps, pv)
-				ps, pv = p.Copy(), p.Copy()
-				nttInvStepMontScalar(ps, psiMont, q, mod.MRedQInv, h, it)
-				nttInvStepMontAVX2(pv, psiMont, q, mod.MRedQInv, h, it)
-				mustEqual(q, n, "invMont step", ps, pv)
 				it <<= 1
 			}
 			for rep := 0; rep < 4; rep++ {
@@ -297,10 +312,7 @@ func TestVectorTransformsMatchScalar(t *testing.T) {
 			f    func(Poly)
 		}{
 			{"NTT", r.NTT},
-			{"NTTLazy", r.NTTLazy},
 			{"INTT", r.INTT},
-			{"NTTMontgomery", r.NTTMontgomery},
-			{"INTTMontgomery", r.INTTMontgomery},
 			{"NTTOnTheFly", func(q Poly) { r.NTTOnTheFlyWith(q, sc) }},
 		}
 		for _, tc := range cases {
@@ -312,43 +324,6 @@ func TestVectorTransformsMatchScalar(t *testing.T) {
 			tc.f(got)
 			if !r.Equal(want, got) {
 				t.Errorf("logN=%d q=%d %s: vector and scalar transforms differ", r.LogN, r.Mod.Q, tc.name)
-			}
-		}
-	}
-}
-
-// TestNTTLazySemantics pins the NTTLazy contract on both drivers (the vector
-// one where the build and host have it): outputs are in [0, 2q), their
-// residues are exactly NTT's, and the inverse transform restores the
-// original polynomial bit for bit.
-func TestNTTLazySemantics(t *testing.T) {
-	prev := simdActive()
-	defer SetSIMD(prev)
-	for _, vec := range []bool{false, true} {
-		if SetSIMD(vec) != vec {
-			continue // no vector path on this build/host
-		}
-		for _, r := range testRings(t) {
-			q := r.Mod.Q
-			s := NewSampler(404)
-			p := r.NewPoly()
-			s.UniformPoly(r, p)
-
-			canon := p.Copy()
-			r.NTT(canon)
-			lazy := p.Copy()
-			r.NTTLazy(lazy)
-			for i := range lazy {
-				if lazy[i] >= 2*q {
-					t.Fatalf("vec=%v logN=%d q=%d: NTTLazy[%d]=%d outside [0, 2q)", vec, r.LogN, q, i, lazy[i])
-				}
-				if lazy[i]%q != canon[i] {
-					t.Fatalf("vec=%v logN=%d q=%d: NTTLazy[%d]=%d has residue %d, NTT gives %d", vec, r.LogN, q, i, lazy[i], lazy[i]%q, canon[i])
-				}
-			}
-			r.INTT(lazy)
-			if !r.Equal(lazy, p) {
-				t.Errorf("vec=%v logN=%d q=%d: INTT(NTTLazy(p)) != p", vec, r.LogN, q)
 			}
 		}
 	}

@@ -78,9 +78,17 @@ func (c *coalescer) next() (jobs []*job, ok bool) {
 				c.order = c.order[1:]
 				return jobs, true
 			}
-			// Not ripe yet: wake ourselves when it is. A late timer after
-			// the pool was already taken just broadcasts into the void.
-			t := time.AfterFunc(ripe.Sub(now), c.cond.Broadcast)
+			// Not ripe yet: wake ourselves when it is. The callback passes
+			// through c.mu, which this goroutine holds until Wait has
+			// registered it — a bare Broadcast from a timer that fires
+			// first is lost, and with one job in flight nothing else would
+			// ever wake the executor. A late timer after the pool was
+			// already taken just broadcasts into the void.
+			t := time.AfterFunc(ripe.Sub(now), func() {
+				c.mu.Lock()
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			})
 			c.cond.Wait()
 			t.Stop()
 			continue
