@@ -11,8 +11,12 @@ test: build
 vet:
 	$(GO) vet ./...
 
+# The second line pins the P count for the two tests whose schedule is the
+# point — the batch engine's worker-filling tiles and heapd's multi-worker
+# write-back — so they race at one, two and four Ps whatever the host has.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble' ./internal/tfhe/ ./internal/serve/
 
 # Pure-Go lane: the build that ships to non-amd64 targets (and amd64 with
 # the vector kernels compiled out) must stay green on its own — the scalar
@@ -61,9 +65,9 @@ bench-smoke:
 	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs' ./internal/rlwe/
 
 # Service-layer smoke: build the daemon, then run the in-process acceptance
-# test under the race detector — two tenants on two connections each, with
-# same-key coalescing asserted via the jobs_coalesced counter and bit-exact
-# results against local rotations.
+# test under the race detector — two tenants on two connections each queued
+# behind a busy executor, with same-key coalescing asserted via the
+# jobs_coalesced counter and bit-exact results against local rotations.
 serve-smoke:
 	$(GO) build ./cmd/heapd
 	$(GO) test -race -count=1 -run 'TestServiceCoalescesAcrossConnections|TestServiceAdmissionIsolatesTenants' ./internal/serve/
@@ -75,14 +79,17 @@ load-smoke:
 	$(GO) test -race -count=1 -run 'TestClosedLoopServesEverything|TestOverloadBoundedQueueWithinBudget|TestOverloadVirtualClockDeterministic' ./internal/load/
 
 # Contention lane: the serving, load and cluster suites repeated at one and
-# two Ps beside three CPU burners. Lost wakeups and other liveness bugs that
-# need a goroutine descheduled at the wrong instruction show up here in
-# seconds (the wakeup regression tests fail by watchdog), and the hard
-# -timeout bounds anything that does hang instead of wedging `go test ./...`.
+# two Ps beside three CPU burners, the batch engine and the serving suite at
+# four as well (their tile fan-out is the part that depends on the P count).
+# Lost wakeups and other liveness bugs that need a goroutine descheduled at the
+# wrong instruction show up here in seconds (the wakeup regression tests fail
+# by watchdog, the fan-out property test by its barrier), and the hard -timeout
+# bounds anything that does hang instead of wedging `go test ./...`.
 stress:
 	@pids=""; for i in 1 2 3; do ( while :; do :; done ) & pids="$$pids $$!"; done; \
 	trap "kill $$pids 2>/dev/null" EXIT; \
-	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/serve/ ./internal/load/ ./internal/cluster/
+	$(GO) test -count=3 -cpu 1,2,4 -timeout 300s ./internal/tfhe/ ./internal/serve/ && \
+	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/load/ ./internal/cluster/
 
 # Per-package statement-coverage gate over the packages that carry the
 # correctness burden. Floors sit ~2 points under measured head (core 90.8%,

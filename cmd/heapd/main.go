@@ -1,9 +1,10 @@
 // Command heapd is the bootstrap-as-a-service daemon: it listens for tenant
 // connections speaking the cluster's v3 frame protocol, resolves each
 // tenant's blind-rotate key from a concurrent-safe LRU registry (keys arrive
-// over the resumable chunked key-stream upload), and coalesces concurrent
-// same-tenant jobs into key-major batches so one BRK pass through cache
-// serves all of them.
+// over the resumable chunked key-stream upload), fans each batch's rotations
+// over every core, and coalesces the same-tenant jobs that queue behind a
+// running batch into one key-major batch so one BRK pass through cache serves
+// all of them.
 //
 //	heapd -addr 127.0.0.1:7901 -metrics 127.0.0.1:7902
 //
@@ -22,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"heap"
 	"heap/internal/ckks"
@@ -40,7 +40,6 @@ type daemonConfig struct {
 	addr        string
 	metricsAddr string // empty = metrics endpoint disabled
 	scale       string
-	window      time.Duration
 	executors   int
 	tile        int
 	workers     int
@@ -72,7 +71,6 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 	srv := serve.NewServer(boot, serve.Config{
 		MaxKeyBytes: cfg.maxKeyBytes,
 		Admission:   serve.AdmissionConfig{QueueLimit: cfg.queue, RatePerSec: cfg.rate, Burst: cfg.burst},
-		Window:      cfg.window,
 		Executors:   cfg.executors,
 		Tile:        cfg.tile,
 		Workers:     cfg.workers,
@@ -96,8 +94,8 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 		fmt.Fprintf(out, "heapd: metrics on http://%s/metrics\n", d.metricsLn.Addr())
 	}
 
-	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (window %v, executors %d)\n",
-		cfg.scale, d.ln.Addr(), cfg.window, cfg.executors)
+	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (executors %d)\n",
+		cfg.scale, d.ln.Addr(), cfg.executors)
 	go func() {
 		defer close(d.served)
 		_ = d.srv.Serve(cluster.ListenerFrom(d.ln))
@@ -137,10 +135,9 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7901", "frame-protocol listen address")
 	flag.StringVar(&cfg.metricsAddr, "metrics", "", "HTTP listen address for the /metrics JSON snapshot (empty = disabled)")
 	flag.StringVar(&cfg.scale, "scale", "test", "parameter scale: test (N=128, seconds) or paper (N=2^13, CPU heavy)")
-	flag.DurationVar(&cfg.window, "window", 10*time.Millisecond, "coalescing window: how long a tenant's first job waits for same-key company")
 	flag.IntVar(&cfg.executors, "executors", 1, "concurrent batch executors")
 	flag.IntVar(&cfg.tile, "tile", 0, "key-major tile size (0 = engine default)")
-	flag.IntVar(&cfg.workers, "workers", 0, "batch workers per executor (0 = bootstrapper default)")
+	flag.IntVar(&cfg.workers, "workers", 0, "tile workers per executor (0 = GOMAXPROCS/executors, at least 1)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-tenant admission rate in jobs/sec (0 = unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-tenant admission burst (0 = max(1, rate))")
 	flag.IntVar(&cfg.queue, "queue", 0, "server-wide queued-job cap, reject-on-full (0 = unbounded)")

@@ -52,9 +52,10 @@ func syntheticLWE(dim int, twoN uint64, seed uint64) *rlwe.LWECiphertext {
 // TestDaemonServeShutdownNoLeak boots a real daemon on ephemeral TCP ports,
 // drives it as a tenant (key upload + rotations, verified bit-exact),
 // checks the /metrics ledger is consistent at quiesce (admitted = served +
-// expired + failed, queue empty), shuts down, and requires the goroutine
-// count to return to the pre-daemon baseline — listener loop, executors,
-// coalescer, per-connection handlers, and the metrics HTTP server all exit.
+// expired + failed = queue_wait_ms observations, queue empty), shuts down,
+// and requires the goroutine count to return to the pre-daemon baseline —
+// listener loop, executors, coalescer, per-connection handlers, and the
+// metrics HTTP server all exit.
 func TestDaemonServeShutdownNoLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon round trips are slow")
@@ -64,7 +65,6 @@ func TestDaemonServeShutdownNoLeak(t *testing.T) {
 		addr:        "127.0.0.1:0",
 		metricsAddr: "127.0.0.1:0",
 		scale:       "test",
-		window:      3 * time.Millisecond,
 		executors:   2,
 	}, io.Discard)
 	if err != nil {
@@ -129,6 +129,15 @@ func TestDaemonServeShutdownNoLeak(t *testing.T) {
 	}
 	if snap.QueueDepth != 0 {
 		t.Fatalf("queue depth %d at quiesce", snap.QueueDepth)
+	}
+	// Every admitted job is dispatched exactly once, whatever becomes of it.
+	// batch_ms is observed after the batch's last frame, so the third batch
+	// may not have landed yet; the first two have.
+	if snap.QueueWaitMs.Count != adm {
+		t.Fatalf("queue_wait_ms holds %d observations for %d admitted jobs", snap.QueueWaitMs.Count, adm)
+	}
+	if snap.BatchMs.Count < 2 || snap.BatchMs.P50Ms <= 0 {
+		t.Fatalf("batch_ms = %+v after three sequential jobs", snap.BatchMs)
 	}
 	if ts, ok := snap.Tenants["leaky"]; !ok || ts.Admitted != ts.Jobs+ts.Expired+ts.Failed {
 		t.Fatalf("tenant ledger inconsistent: %+v", snap.Tenants)
@@ -200,7 +209,6 @@ func TestDaemonAdmissionFlagsReachServer(t *testing.T) {
 	d, err := startDaemon(daemonConfig{
 		addr:      "127.0.0.1:0",
 		scale:     "test",
-		window:    time.Millisecond,
 		executors: 1,
 		rate:      1,
 		burst:     1,

@@ -107,8 +107,9 @@ func (p ParamSet) BRKWireBlobBytes() int64 {
 // blind-rotate a batch of ciphertexts under the two software schedules:
 // ciphertext-major (the full key set streamed once per ciphertext — the
 // pre-batching path) and key-major batched (once per tile of accumulators —
-// the URAM-residency schedule BlindRotateBatched assumes). tile ≤ 0 is
-// treated as 1.
+// the URAM-residency schedule BlindRotateBatched assumes). tile is the tile
+// the engine actually runs — min(Tile, ⌈batch/workers⌉) once a batch is fanned
+// over several workers; tile ≤ 0 is treated as 1.
 func (p ParamSet) KeyTraffic(batch, tile int) (perCtBytes, batchedBytes int64) {
 	if batch <= 0 {
 		return 0, 0

@@ -51,37 +51,48 @@ func TestKeyReuseMatchesSoftwareCounters(t *testing.T) {
 	for _, lwe := range lwes {
 		ev.BlindRotateInto(acc, lwe, lut, brk, sc)
 	}
-	batched := obs.NewMetrics()
-	ev.KS.SetRecorder(batched)
-	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Tile: tile})
-	ev.KS.SetRecorder(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	swPerCt := perCt.Counter(obs.CounterBRKBytesStreamed)
-	swBatched := batched.Counter(obs.CounterBRKBytesStreamed)
-	if swPerCt == 0 || swBatched == 0 {
-		t.Fatal("brk_bytes_streamed counters did not move")
-	}
-	swReuse := float64(swPerCt) / float64(swBatched)
-
-	// The real quotient is batch/⌈batch/tile⌉ in both accountings, so the
-	// correctly-rounded float64 divisions agree bit-exactly even though the
-	// byte magnitudes differ (test ring vs paper ring).
-	modelReuse := PaperParams().KeyReuse(batch, tile)
-	if swReuse != modelReuse {
-		t.Errorf("software key-reuse %.6f != model key-reuse %.6f", swReuse, modelReuse)
-	}
-	if swReuse < 2 {
-		t.Errorf("key-reuse %.2f at tile %d, want >= 2 (the batching must actually help)", swReuse, tile)
-	}
-
-	perCtModel, batchedModel := PaperParams().KeyTraffic(batch, tile)
+	perCtModel, _ := PaperParams().KeyTraffic(batch, tile)
 	if perCtModel != int64(batch)*PaperParams().BRKTotalBytes() {
 		t.Errorf("model per-ct traffic %d, want batch×BRKTotalBytes", perCtModel)
 	}
-	if wantTiles := int64(3); batchedModel != wantTiles*PaperParams().BRKTotalBytes() {
-		t.Errorf("model batched traffic %d, want %d tiles × BRKTotalBytes", batchedModel, wantTiles)
+
+	// One worker runs the configured tile (4, 4, 2). Four workers cut the
+	// batch to fill themselves, ⌈10/4⌉ = 3 per tile (3, 3, 3, 1): the model
+	// is fed the effective tile and must still agree with the counters.
+	for _, row := range []struct{ workers, effTile, tiles int }{
+		{workers: 1, effTile: tile, tiles: 3},
+		{workers: 4, effTile: 3, tiles: 4},
+	} {
+		batched := obs.NewMetrics()
+		ev.KS.SetRecorder(batched)
+		err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Tile: tile, Workers: row.workers})
+		ev.KS.SetRecorder(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := batched.Counter(obs.CounterBlindRotateTile); got != uint64(row.tiles) {
+			t.Errorf("workers=%d: engine ran %d tiles, want %d", row.workers, got, row.tiles)
+		}
+		swBatched := batched.Counter(obs.CounterBRKBytesStreamed)
+		if swPerCt == 0 || swBatched == 0 {
+			t.Fatal("brk_bytes_streamed counters did not move")
+		}
+		swReuse := float64(swPerCt) / float64(swBatched)
+
+		// The real quotient is batch/⌈batch/tile⌉ in both accountings, so the
+		// correctly-rounded float64 divisions agree bit-exactly even though
+		// the byte magnitudes differ (test ring vs paper ring).
+		modelReuse := PaperParams().KeyReuse(batch, row.effTile)
+		if swReuse != modelReuse {
+			t.Errorf("workers=%d: software key-reuse %.6f != model key-reuse %.6f", row.workers, swReuse, modelReuse)
+		}
+		if swReuse < 2 {
+			t.Errorf("workers=%d: key-reuse %.2f at tile %d, want >= 2 (the batching must actually help)", row.workers, swReuse, row.effTile)
+		}
+		_, batchedModel := PaperParams().KeyTraffic(batch, row.effTile)
+		if batchedModel != int64(row.tiles)*PaperParams().BRKTotalBytes() {
+			t.Errorf("workers=%d: model batched traffic %d, want %d tiles × BRKTotalBytes", row.workers, batchedModel, row.tiles)
+		}
 	}
 }

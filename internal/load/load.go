@@ -54,7 +54,6 @@ type Config struct {
 	// --- service shape ---
 	Tenants        int                   // distinct keys (default 2)
 	ConnsPerTenant int                   // concurrent connections per tenant (default 2)
-	Window         time.Duration         // coalescing window (default 5ms)
 	Executors      int                   // concurrent batch executors (default 1)
 	Workers        int                   // batch workers per executor (default 1)
 	Tile           int                   // key-major tile (0 = engine default)
@@ -90,7 +89,6 @@ type Result struct {
 	RotsPerJob     int     `json:"rot_per_job"`
 	Executors      int     `json:"executors"`
 	Workers        int     `json:"workers"`
-	WindowMs       float64 `json:"window_ms"`
 	BudgetMs       float64 `json:"budget_ms,omitempty"`
 	WallMs         float64 `json:"wall_ms"`
 	Issued         int     `json:"issued"`
@@ -144,9 +142,6 @@ func (cfg *Config) defaults() error {
 	}
 	if cfg.ConnsPerTenant <= 0 {
 		cfg.ConnsPerTenant = 2
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 5 * time.Millisecond
 	}
 	if cfg.Executors <= 0 {
 		cfg.Executors = 1
@@ -223,7 +218,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 	srv := serve.NewServer(serverBt, serve.Config{
 		MaxKeyBytes: cfg.MaxKeyBytes,
 		Admission:   cfg.Admission,
-		Window:      cfg.Window,
 		Executors:   cfg.Executors,
 		Tile:        cfg.Tile,
 		Workers:     cfg.Workers,
@@ -500,7 +494,6 @@ func (h *Harness) RunPoint() (Result, error) {
 		RotsPerJob:     cfg.RotsPerJob,
 		Executors:      cfg.Executors,
 		Workers:        cfg.Workers,
-		WindowMs:       float64(cfg.Window.Microseconds()) / 1e3,
 		BudgetMs:       float64(cfg.Budget.Microseconds()) / 1e3,
 		WallMs:         float64(wall.Microseconds()) / 1e3,
 		Issued:         cfg.Jobs,

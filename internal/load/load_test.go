@@ -147,7 +147,6 @@ func TestClosedLoopServesEverything(t *testing.T) {
 		Jobs:           12,
 		RotsPerJob:     2,
 		PayloadPool:    2,
-		Window:         2 * time.Millisecond,
 		Seed:           11,
 		Verify:         true,
 	})
@@ -184,7 +183,6 @@ func TestOpenLoopUniform(t *testing.T) {
 		PayloadPool:    2,
 		OfferedRate:    200,
 		Pattern:        Uniform,
-		Window:         2 * time.Millisecond,
 		Seed:           5,
 		Verify:         true,
 	})
@@ -218,7 +216,6 @@ func TestHarnessReuseAcrossPoints(t *testing.T) {
 		Jobs:           6,
 		RotsPerJob:     2,
 		PayloadPool:    2,
-		Window:         2 * time.Millisecond,
 		Seed:           13,
 	})
 	if err != nil {
@@ -251,7 +248,6 @@ func TestHarnessTCP(t *testing.T) {
 		Jobs:           6,
 		RotsPerJob:     2,
 		PayloadPool:    2,
-		Window:         2 * time.Millisecond,
 		Seed:           17,
 		TCP:            true,
 		Verify:         true,

@@ -42,9 +42,8 @@ func TestOverloadBoundedQueueWithinBudget(t *testing.T) {
 				Jobs:           120,
 				RotsPerJob:     4,
 				PayloadPool:    2,
-				OfferedRate:    2000, // far past capacity: window alone caps ~1/window jobs per tenant-batch
+				OfferedRate:    2000, // far past capacity: one 4-rotation job is ~10 ms of rotation
 				Pattern:        p,
-				Window:         3 * time.Millisecond,
 				BurstLen:       20 * time.Millisecond,
 				GapLen:         60 * time.Millisecond,
 				Admission:      serve.AdmissionConfig{QueueLimit: queueCap},
@@ -132,7 +131,6 @@ func TestOverloadVirtualClockDeterministic(t *testing.T) {
 		Jobs:           6,
 		RotsPerJob:     2,
 		PayloadPool:    2,
-		Window:         time.Millisecond,
 		Admission:      serve.AdmissionConfig{RatePerSec: 1, Burst: 2},
 		Seed:           31,
 		Now:            clock.Now,
@@ -183,7 +181,6 @@ func TestHarnessShutdownNoGoroutineLeak(t *testing.T) {
 		Jobs:           8,
 		RotsPerJob:     2,
 		PayloadPool:    2,
-		Window:         2 * time.Millisecond,
 		Seed:           37,
 	})
 	if err != nil {

@@ -16,9 +16,9 @@ var (
 	// (reject-on-full: admission sheds load instead of buffering it).
 	ErrQueueFull = errors.New("job queue full")
 	// ErrDeadline reports a job whose deadline budget is smaller than the
-	// projected queue wait (coalescing window + estimated batch service
-	// time) — it would expire before its accumulators could be produced, so
-	// it is refused at the door rather than queued to die.
+	// projected queue wait (the estimated batch service time) — it would
+	// expire before its accumulators could be produced, so it is refused at
+	// the door rather than queued to die.
 	ErrDeadline = errors.New("deadline budget below projected queue wait")
 )
 
@@ -64,7 +64,7 @@ func newAdmission(cfg AdmissionConfig, now func() time.Time) *admission {
 }
 
 // admit decides one job. budget ≤ 0 means no deadline; projectedWait is the
-// server's current estimate of queue wait (coalescing window + batch EWMA).
+// server's current estimate of queue wait (the batch EWMA).
 // On success the job occupies one queue slot until release.
 func (a *admission) admit(tenant string, budget, projectedWait time.Duration) error {
 	if budget > 0 && budget < projectedWait {

@@ -98,60 +98,60 @@ func TestAdmissionDeadlineBudget(t *testing.T) {
 	}
 }
 
+// TestCoalescerPoolsPerTenantFIFO: jobs added while no next() is outstanding
+// (every executor busy) come out as one pool per tenant, tenants in order of
+// their first pending job, jobs in arrival order — and a tenant that was
+// drained re-queues behind whoever is already waiting.
 func TestCoalescerPoolsPerTenantFIFO(t *testing.T) {
-	c := newCoalescer(30 * time.Millisecond)
+	c := newCoalescer()
 	c.add(&job{tenant: "a", id: 1})
 	c.add(&job{tenant: "b", id: 2})
 	c.add(&job{tenant: "a", id: 3}) // joins a's pending pool
 
 	jobs, ok := c.next()
 	if !ok || len(jobs) != 2 || jobs[0].tenant != "a" {
-		t.Fatalf("first ripe pool = %v (ok=%v), want tenant a with 2 jobs", jobs, ok)
+		t.Fatalf("first pool = %v (ok=%v), want tenant a with 2 jobs", jobs, ok)
 	}
 	if jobs[0].id != 1 || jobs[1].id != 3 {
 		t.Fatalf("pool order = %d,%d, want arrival order 1,3", jobs[0].id, jobs[1].id)
 	}
+	c.add(&job{tenant: "a", id: 4}) // a's next pool queues behind b
 	jobs, ok = c.next()
 	if !ok || len(jobs) != 1 || jobs[0].tenant != "b" {
-		t.Fatalf("second ripe pool = %v, want tenant b", jobs)
+		t.Fatalf("second pool = %v, want tenant b", jobs)
+	}
+	jobs, ok = c.next()
+	if !ok || len(jobs) != 1 || jobs[0].id != 4 {
+		t.Fatalf("third pool = %v, want tenant a's follow-on job 4", jobs)
 	}
 }
 
-func TestCoalescerWindowHoldsJobs(t *testing.T) {
-	window := 80 * time.Millisecond
-	c := newCoalescer(window)
-	start := time.Now()
-	c.add(&job{tenant: "a", id: 1})
-	jobs, ok := c.next()
-	if !ok || len(jobs) != 1 {
-		t.Fatalf("pool = %v", jobs)
-	}
-	if waited := time.Since(start); waited < window-5*time.Millisecond {
-		t.Fatalf("pool ripened after %v, want >= window %v", waited, window)
-	}
-}
-
+// TestCoalescerCloseDrainsImmediately: close hands out what is pending, then
+// reports done — to a caller that arrives later and to one already blocked.
 func TestCoalescerCloseDrainsImmediately(t *testing.T) {
-	c := newCoalescer(time.Hour) // would never ripen on its own
+	c := newCoalescer()
 	c.add(&job{tenant: "a", id: 1})
-	done := make(chan struct{})
-	var jobs []*job
-	var ok bool
-	go func() {
-		defer close(done)
-		jobs, ok = c.next()
-	}()
-	time.Sleep(10 * time.Millisecond)
 	c.close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("close must ripen pending pools immediately")
-	}
-	if !ok || len(jobs) != 1 {
+	if jobs, ok := c.next(); !ok || len(jobs) != 1 {
 		t.Fatalf("drained pool = %v (ok=%v)", jobs, ok)
 	}
 	if _, ok := c.next(); ok {
 		t.Fatal("a closed, drained coalescer must report done")
+	}
+
+	c = newCoalescer()
+	done := make(chan bool)
+	go func() {
+		_, ok := c.next()
+		done <- ok
+	}()
+	c.close()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("next on a closed, empty coalescer returned a pool")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("close must release an executor blocked in next")
 	}
 }

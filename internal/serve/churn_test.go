@@ -50,7 +50,7 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, _, serverBt := buildBoot(t, 70, true)
-			srv := NewServer(serverBt, Config{Window: 40 * time.Millisecond, Executors: 2, Tile: 8, Workers: 1})
+			srv := NewServer(serverBt, Config{Executors: 2, Tile: 8, Workers: 1})
 			l, stop := startServer(t, srv)
 			defer stop()
 
@@ -119,7 +119,7 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 			}()
 
 			// ...after a seeded jitter, so different seeds exercise different
-			// arrival orders relative to the coalescing windows.
+			// arrival orders relative to the running batches.
 			jitters := make([][]time.Duration, len(fleet))
 			for i := range jitters {
 				jitters[i] = make([]time.Duration, jobsPerConn)
@@ -201,7 +201,7 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 					bytes, totalJobs, perJobBytes, totalJobs*perJobBytes)
 			}
 			if coalesced == 0 {
-				t.Fatalf("no coalescing across %d same-tenant connections inside a %v window", connsPer, 40*time.Millisecond)
+				t.Fatalf("no coalescing with %d connections queueing behind 2 executors", tenants*connsPer)
 			}
 			if batches >= totalJobs {
 				t.Fatalf("%d batches for %d jobs with %d coalesced: coalescing saved nothing", batches, totalJobs, coalesced)

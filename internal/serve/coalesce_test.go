@@ -6,16 +6,55 @@ import (
 	"time"
 )
 
+// TestCoalescerAddWakesBlockedNext: executors parked in next() on an idle
+// coalescer are woken by add itself — there is no timer to wait out. One job
+// wakes two parked executors; exactly one of them takes it, the other goes
+// back to sleep until close.
+func TestCoalescerAddWakesBlockedNext(t *testing.T) {
+	c := newCoalescer()
+	type taken struct {
+		jobs []*job
+		ok   bool
+	}
+	out := make(chan taken)
+	for i := 0; i < 2; i++ {
+		go func() {
+			jobs, ok := c.next()
+			out <- taken{jobs, ok}
+		}()
+	}
+	// Not synchronisation — the test holds in either order — only a nudge so
+	// the executors are usually asleep in cond.Wait when the job arrives.
+	time.Sleep(5 * time.Millisecond)
+	c.add(&job{tenant: "lone", id: 7})
+	select {
+	case got := <-out:
+		if !got.ok || len(got.jobs) != 1 || got.jobs[0].id != 7 {
+			t.Fatalf("woken executor got %v (ok=%v), want the lone job", got.jobs, got.ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("add did not wake an executor blocked in next")
+	}
+	select {
+	case got := <-out:
+		t.Fatalf("second executor returned %v (ok=%v) with nothing pending", got.jobs, got.ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.close()
+	if got := <-out; got.ok {
+		t.Fatalf("second executor got %v after close, want done", got.jobs)
+	}
+}
+
 // TestCoalescerLoneJobAlwaysWakes is the regression test for the lost
-// ripening wakeup: one pending job and a sub-millisecond window, so the
-// ripening timer is the only thing that can ever wake the executor. When the
-// timer's Broadcast ran without c.mu it could land before next() had
-// registered in cond.Wait — arming a nearly-due timer wakes an idle P, which
-// can fire it while this thread is still on its way into Wait — and then the
-// executor slept forever and the client blocked in Rotate. The window sweeps
-// 2–50 µs because the vulnerable case is a window a little longer than the
-// add→next wake-up latency, whatever that is on the host. The watchdog turns a
-// stranded job into a failure instead of a hung test binary.
+// wakeup: one pending job, so add's Broadcast is the only thing that can ever
+// wake the executor. When the coalescer still had a ripening timer, the
+// timer's Broadcast ran without c.mu and could land before next() had
+// registered in cond.Wait; the executor then slept forever and the client
+// blocked in Rotate. The timer is gone, the property stays: add changes the
+// state under c.mu, so whichever side gets there first, the executor sees
+// the job. The watchdog turns a stranded job into a failure instead of a hung
+// test binary.
 func TestCoalescerLoneJobAlwaysWakes(t *testing.T) {
 	const (
 		lanes    = 2
@@ -27,7 +66,7 @@ func TestCoalescerLoneJobAlwaysWakes(t *testing.T) {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			c := newCoalescer(0)
+			c := newCoalescer()
 			defer c.close()             // releases a stranded executor goroutine on failure
 			served := make(chan int, 1) // one job in flight per lane: never blocks the executor
 			go func() {
@@ -40,9 +79,6 @@ func TestCoalescerLoneJobAlwaysWakes(t *testing.T) {
 				}
 			}()
 			for i := 0; i < jobs; i++ {
-				c.mu.Lock()
-				c.window = time.Duration(i%25+1) * 2 * time.Microsecond
-				c.mu.Unlock()
 				c.add(&job{tenant: "lone"})
 				select {
 				case n := <-served:
@@ -51,7 +87,7 @@ func TestCoalescerLoneJobAlwaysWakes(t *testing.T) {
 						return
 					}
 				case <-time.After(watchdog):
-					t.Errorf("lane %d job %d: executor still asleep %v after a %v window ripened (lost timer wakeup)", lane, i, watchdog, c.window)
+					t.Errorf("lane %d job %d: executor still asleep %v after the job was added (lost wakeup)", lane, i, watchdog)
 					return
 				}
 			}

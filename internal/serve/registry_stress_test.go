@@ -260,7 +260,6 @@ func TestServiceKeyChurnUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(serverBt, Config{
-		Window:      3 * time.Millisecond,
 		Executors:   2,
 		Tile:        8,
 		Workers:     1,

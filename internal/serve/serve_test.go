@@ -2,11 +2,14 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/cmplx"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"heap/internal/obs"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/tfhe"
 )
 
 // buildBoot constructs one party at the small ring the cluster tests use.
@@ -99,13 +103,31 @@ func sameCiphertext(a, b *rlwe.Ciphertext) bool {
 	return true
 }
 
+// plug holds a server's only executor at a point the test controls: a job
+// for a tenant with no uploaded key sends the executor into Config.Loader,
+// which parks until release is closed and then refuses the key, so the plug
+// job is rejected without ever counting as a batch.
+type plug struct {
+	entered, release chan struct{}
+}
+
+func newPlug() *plug {
+	return &plug{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *plug) loader(string) (*tfhe.BlindRotateKey, error) {
+	close(p.entered)
+	<-p.release
+	return nil, errors.New("plug pulled")
+}
+
 // TestServiceCoalescesAcrossConnections is the acceptance test: two tenants,
-// each with two concurrent connections submitting same-key jobs inside one
-// coalescing window. The server must execute each tenant's pair as ONE
-// key-major batch (counted by jobs_coalesced and serve_batches), stream
-// strictly less BRK traffic than the same four jobs run sequentially, and
-// return per-job accumulators bit-identical to both the sequential service
-// run and the tenant's own local rotations.
+// each with two concurrent connections submitting same-key jobs while the
+// server's single executor is busy. The server must execute each tenant's
+// pair as ONE key-major batch (counted by jobs_coalesced and serve_batches),
+// stream strictly less BRK traffic than the same four jobs run sequentially,
+// and return per-job accumulators bit-identical to both the sequential
+// service run and the tenant's own local rotations.
 func TestServiceCoalescesAcrossConnections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full service round trips are slow")
@@ -115,7 +137,8 @@ func TestServiceCoalescesAcrossConnections(t *testing.T) {
 	// Tile 8 with 4-rotation jobs: a coalesced pair fills ONE tile (one BRK
 	// pass), while the same two jobs run separately take a tile pass each —
 	// the traffic assertion below measures exactly that.
-	srv := NewServer(serverBt, Config{Window: 300 * time.Millisecond, Executors: 1, Tile: 8, Workers: 1})
+	pl := newPlug()
+	srv := NewServer(serverBt, Config{Executors: 1, Tile: 8, Workers: 1, Loader: pl.loader})
 	l, stop := startServer(t, srv)
 
 	const (
@@ -148,7 +171,16 @@ func TestServiceCoalescesAcrossConnections(t *testing.T) {
 		fixes[ti] = fx
 	}
 
-	// Phase 1: all four jobs concurrently, inside one window per tenant.
+	// Phase 1: all four jobs queue behind the plug — the executor is held
+	// until QueueDepth shows every one of them admitted — and come out as one
+	// pool per tenant.
+	plugCl := dialClient(t, l, fixes[0].bt, "plug")
+	plugged := make(chan error, 1)
+	go func() {
+		_, err := plugCl.Rotate(syntheticJob(cluster.LWEDim(serverBt), uint64(2*serverBt.Params.N()), 1), 0)
+		plugged <- err
+	}()
+	<-pl.entered
 	phase1 := make([][][]*rlwe.Ciphertext, tenants)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -169,6 +201,17 @@ func TestServiceCoalescesAcrossConnections(t *testing.T) {
 			}(ti, c, fx)
 		}
 	}
+	for deadline := time.Now().Add(10 * time.Second); srv.QueueDepth() != tenants*connsPer; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d jobs waiting behind the plug", srv.QueueDepth(), tenants*connsPer)
+		}
+	}
+	close(pl.release)
+	var rej *RejectedError
+	if err := <-plugged; !errors.As(err, &rej) {
+		t.Fatalf("plug job: want a no-key rejection, got %v", err)
+	}
+	_ = plugCl.Close()
 	wg.Wait()
 	if firstErr != nil {
 		t.Fatal(firstErr)
@@ -260,7 +303,7 @@ func TestServiceBootstrapBitExact(t *testing.T) {
 		t.Skip("full bootstrap round trip is slow")
 	}
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Window: time.Millisecond, Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
 	l, stop := startServer(t, srv)
 	defer stop()
 
@@ -310,7 +353,6 @@ func syntheticJob(dim int, twoN uint64, seed uint64) []*rlwe.LWECiphertext {
 func TestServiceAdmissionIsolatesTenants(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
 	srv := NewServer(serverBt, Config{
-		Window:    time.Millisecond,
 		Executors: 1,
 		Workers:   1,
 		Admission: AdmissionConfig{RatePerSec: 0.0001, Burst: 2},
@@ -372,38 +414,183 @@ func TestServiceAdmissionIsolatesTenants(t *testing.T) {
 	}
 }
 
-// TestServiceDeadlineRejectedAtDoor: a budget below the projected wait
-// (window + batch EWMA) is refused before queueing, not left to expire.
+// TestServiceDeadlineRejectedAtDoor: a budget below the projected wait (the
+// batch EWMA, once a served batch has primed it) is refused before queueing,
+// not left to expire.
 func TestServiceDeadlineRejectedAtDoor(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Window: 500 * time.Millisecond, Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
 	l, stop := startServer(t, srv)
 	defer stop()
 
 	_, _, bt := buildBoot(t, 60, false)
 	cl := dialClient(t, l, bt, "deadline-tenant")
 	defer cl.Close()
+	if err := cl.UploadKey(0, time.Minute); err != nil {
+		t.Fatal(err)
+	}
 
 	dim := cluster.LWEDim(serverBt)
 	twoN := uint64(2 * serverBt.Params.N())
+	// One rotation at this ring takes ~2.5 ms, so an 8-rotation primer puts
+	// the EWMA well past the 1 ms budget on any host; the EWMA is updated
+	// before the primer's last frame is sent.
+	var primer []*rlwe.LWECiphertext
+	for k := 0; k < 8; k++ {
+		primer = append(primer, syntheticJob(dim, twoN, uint64(k))...)
+	}
+	if _, err := cl.Rotate(primer, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ewma := srv.Snapshot().EWMABatchMs; ewma <= 1 {
+		t.Fatalf("a %d-rotation primer left the batch EWMA at %.3f ms; the 1 ms budget below would be admitted", len(primer), ewma)
+	}
 	_, err := cl.Rotate(syntheticJob(dim, twoN, 1), time.Millisecond)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
-		t.Fatalf("want RejectedError for a 1ms budget under a 500ms window, got %v", err)
+		t.Fatalf("want RejectedError for a 1ms budget under a primed EWMA, got %v", err)
 	}
-	if rej.IsRateLimited() {
+	if rej.IsRateLimited() || !strings.Contains(rej.Reason, ErrDeadline.Error()) {
 		t.Fatalf("rejection should be the deadline check, got %q", rej.Reason)
 	}
-	// No key was ever needed: the job died at the door.
-	if got := srv.Metrics().Counter(obs.CounterJobsAdmitted); got != 0 {
-		t.Fatalf("jobs_admitted = %d, want 0", got)
+	// The refused job died at the door: only the primer was ever admitted.
+	if got := srv.Metrics().Counter(obs.CounterJobsAdmitted); got != 1 {
+		t.Fatalf("jobs_admitted = %d, want 1", got)
+	}
+}
+
+// rotateRaw is Client.Rotate with the reply stream in view: it returns the
+// accumulators by index and the order the indices arrived in, and fails
+// unless the stream's sequence numbers count up from zero in arrival order —
+// what execBatch owes each connection however its tiles interleave.
+func rotateRaw(cl *Client, id uint32, lwes []*rlwe.LWECiphertext) ([]*rlwe.Ciphertext, []int, error) {
+	idxs := make([]int, len(lwes))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	payload, err := cluster.EncodeBatch(idxs, lwes)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := cluster.WriteFrame(cl.conn, &cluster.Frame{Kind: cluster.FrameBatch, Shard: id, Payload: payload}); err != nil {
+		return nil, nil, err
+	}
+	accs := make([]*rlwe.Ciphertext, len(lwes))
+	var order []int
+	for {
+		f, err := cluster.ReadFrame(cl.conn, cl.maxAcc)
+		if err != nil {
+			return nil, nil, err
+		}
+		if f.Shard != id || f.Seq != uint32(len(order)) {
+			return nil, nil, fmt.Errorf("frame kind %#x for job %d seq %d, want job %d seq %d", f.Kind, f.Shard, f.Seq, id, len(order))
+		}
+		switch f.Kind {
+		case cluster.FrameAcc:
+			idx, acc, err := cluster.DecodeAcc(f.Payload, cl.boot.Params.Parameters, len(lwes))
+			if err != nil {
+				return nil, nil, err
+			}
+			if accs[idx] != nil {
+				return nil, nil, fmt.Errorf("job %d: accumulator %d sent twice", id, idx)
+			}
+			accs[idx] = acc
+			order = append(order, idx)
+		case cluster.FrameBatchEnd:
+			if len(order) != len(lwes) {
+				return nil, nil, fmt.Errorf("job %d ended after %d/%d accumulators", id, len(order), len(lwes))
+			}
+			return accs, order, nil
+		default:
+			return nil, nil, fmt.Errorf("job %d: unexpected frame kind %#x: %s", id, f.Kind, f.Payload)
+		}
+	}
+}
+
+// TestServiceMultiWorkerTilesReassemble covers the path every other serve
+// test pins shut with Workers: 1: one executor fanning single-rotation tiles
+// over four workers, three connections of one tenant in a closed loop, so
+// tiles of one job — and of pooled jobs on different connections — finish
+// and write back concurrently. Each job leads with a dense rotation and
+// follows with near-empty masks that cost almost nothing, so with more than
+// one P the later indices overtake index 0. Whatever order the tiles finish
+// in, every reply stream must number its frames in send order, deliver each
+// index once, and match the tenant's own BlindRotateOne bit for bit. Run
+// under -race at -cpu 1,2,4 by `make race`.
+func TestServiceMultiWorkerTilesReassemble(t *testing.T) {
+	_, _, serverBt := buildBoot(t, 50, true)
+	srv := NewServer(serverBt, Config{Executors: 1, Tile: 1, Workers: 4})
+	l, stop := startServer(t, srv)
+	defer stop()
+
+	const (
+		conns      = 3
+		jobsPer    = 4
+		rotsPerJob = 6
+	)
+	_, _, bt := buildBoot(t, 60, false)
+	dim := cluster.LWEDim(serverBt)
+	twoN := uint64(2 * serverBt.Params.N())
+	clients := make([]*Client, conns)
+	for c := range clients {
+		clients[c] = dialClient(t, l, bt, "fan")
+		defer clients[c].Close()
+	}
+	if err := clients[0].UploadKey(0, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var overtaken atomic.Int64
+	for c, cl := range clients {
+		wg.Add(1)
+		go func(c int, cl *Client) {
+			defer wg.Done()
+			for j := 0; j < jobsPer; j++ {
+				seed := uint64(1000*c + 10*j)
+				lwes := syntheticJob(dim, twoN, seed)
+				for k := 1; k < rotsPerJob; k++ {
+					light := &rlwe.LWECiphertext{A: make([]uint64, dim), B: uint64(k), Q: twoN}
+					light.A[(c+j+k)%dim] = uint64(1 + k)
+					lwes = append(lwes, light)
+				}
+				accs, order, err := rotateRaw(cl, uint32(j+1), lwes)
+				if err != nil {
+					t.Errorf("conn %d job %d: %v", c, j, err)
+					return
+				}
+				for k, lwe := range lwes {
+					if !sameCiphertext(accs[k], bt.BlindRotateOne(lwe)) {
+						t.Errorf("conn %d job %d acc %d differs from local BlindRotateOne (arrival order %v)", c, j, k, order)
+						return
+					}
+				}
+				if !sort.IntsAreSorted(order) {
+					overtaken.Add(1)
+				}
+			}
+		}(c, cl)
+	}
+	wg.Wait()
+	t.Logf("%d of %d jobs had accumulators arrive out of index order (GOMAXPROCS %d)",
+		overtaken.Load(), conns*jobsPer, runtime.GOMAXPROCS(0))
+
+	snap := srv.Snapshot()
+	if ts := snap.Tenants["fan"]; ts.Admitted != conns*jobsPer || ts.Rejected != 0 || ts.Failed != 0 {
+		t.Fatalf("tenant ledger = %+v, want %d admitted and nothing refused", ts, conns*jobsPer)
+	}
+	if got := srv.Metrics().Counter(obs.CounterBlindRotateTile); got != conns*jobsPer*rotsPerJob {
+		t.Fatalf("blind_rotate_tiles = %d, want one per rotation (%d) at Tile 1", got, conns*jobsPer*rotsPerJob)
+	}
+	if snap.QueueWaitMs.Count != conns*jobsPer {
+		t.Fatalf("queue_wait_ms holds %d observations for %d admitted jobs", snap.QueueWaitMs.Count, conns*jobsPer)
 	}
 }
 
 // TestMetricsHandlerServesSnapshot exercises the /metrics endpoint shape.
 func TestMetricsHandlerServesSnapshot(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Window: time.Millisecond})
+	srv := NewServer(serverBt, Config{})
 	rr := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if rr.Code != 200 {
@@ -413,7 +600,7 @@ func TestMetricsHandlerServesSnapshot(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	body := rr.Body.String()
-	for _, want := range []string{`"server"`, `"tenants"`, `"registry"`, `"queue_depth"`, `"ewma_batch_ms"`} {
+	for _, want := range []string{`"server"`, `"tenants"`, `"registry"`, `"queue_depth"`, `"ewma_batch_ms"`, `"queue_wait_ms"`, `"batch_ms"`, `"p99_ms"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics body missing %s:\n%s", want, body)
 		}

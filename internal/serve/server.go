@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -27,33 +28,32 @@ type Config struct {
 	Loader func(tenant string) (*tfhe.BlindRotateKey, error)
 	// Admission is the front-door policy.
 	Admission AdmissionConfig
-	// Window is the coalescing window: how long a tenant's first pending
-	// job waits for same-key company before its batch dispatches
-	// (default 10ms).
-	Window time.Duration
 	// Executors is the number of concurrent batch executors (default 1).
 	Executors int
-	// Tile and Workers tune the key-major batch engine (0 = bootstrapper
-	// defaults).
-	Tile, Workers int
+	// Tile is the key-major tile size (0 = bootstrapper default).
+	Tile int
+	// Workers is the tile fan-out of each executor's batch (≤ 0 = this
+	// executor's share of the cores, max(1, GOMAXPROCS/Executors)).
+	Workers int
 	// Recorder receives events in addition to the server's own Metrics
 	// aggregate (optional).
 	Recorder obs.Recorder
 	// Now is the server's clock (nil = time.Now). It drives the admission
 	// token buckets, deadline stamping, and queue-expiry checks, so a test
 	// or deterministic load harness can replay the same arrival schedule
-	// against the same admission decisions. The coalescing-window timer
-	// stays on the real clock: it is a wait, not a decision.
+	// against the same admission decisions. The queue_wait_ms and batch_ms
+	// histograms stay on the real clock: they are measurements, not
+	// decisions.
 	Now func() time.Time
 }
 
 // Server is the bootstrap service: it speaks the cluster's v3 frame protocol
-// to any number of tenant connections, pools admitted same-tenant jobs in a
-// coalescing window, and executes each pool as one key-major batch under the
-// tenant's registered key — one BRK pass through cache per window instead of
-// one per request. The bootstrapper provides the parameter set, LUT, and
-// scratch pools only (ColdStart — the server needs no key material of its
-// own; blind rotation is deterministic in the request and the tenant's
+// to any number of tenant connections, pools the same-tenant jobs that queue
+// while its executors are busy, and executes each pool as one key-major batch
+// under the tenant's registered key — one BRK pass through cache per pool
+// instead of one per request. The bootstrapper provides the parameter set,
+// LUT, and scratch pools only (ColdStart — the server needs no key material
+// of its own; blind rotation is deterministic in the request and the tenant's
 // public key, so results are bit-identical to tenant-local execution).
 type Server struct {
 	boot *core.Bootstrapper
@@ -79,6 +79,9 @@ type Server struct {
 	startEx sync.Once
 	execWG  sync.WaitGroup
 	connWG  sync.WaitGroup
+
+	queueWait obs.Hist // admit → dispatch, one observation per admitted job
+	batchTime obs.Hist // dispatch → last frame written, one per executed batch
 }
 
 // TenantStats is one tenant's admission/coalescing ledger. Admitted jobs
@@ -101,11 +104,11 @@ type TenantStats struct {
 // NewServer builds a server around boot (typically ColdStart: the server
 // carries no tenant key material; the registry does).
 func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Millisecond
-	}
 	if cfg.Executors <= 0 {
 		cfg.Executors = 1
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Executors)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -122,7 +125,7 @@ func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 		reg:      NewRegistry(p, dim, cfg.MaxKeyBytes, cfg.Loader, rec),
 		adm:      newAdmission(cfg.Admission, cfg.Now),
 		now:      cfg.Now,
-		co:       newCoalescer(cfg.Window),
+		co:       newCoalescer(),
 		cfg:      cfg,
 		met:      met,
 		rec:      rec,
@@ -358,13 +361,13 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) {
 	}
 	budget := time.Duration(f.Seq) * time.Millisecond
 	s.mu.Lock()
-	projected := s.cfg.Window + time.Duration(s.ewmaMs*float64(time.Millisecond))
+	projected := time.Duration(s.ewmaMs * float64(time.Millisecond))
 	s.mu.Unlock()
 	if err := s.adm.admit(tenant, budget, projected); err != nil {
 		s.reject(cw, tenant, f.Shard, err)
 		return
 	}
-	j := &job{tenant: tenant, id: f.Shard, idxs: idxs, lwes: lwes, cw: cw}
+	j := &job{tenant: tenant, id: f.Shard, idxs: idxs, lwes: lwes, cw: cw, admitted: time.Now()}
 	if budget > 0 {
 		j.deadline = s.now().Add(budget)
 	}
@@ -408,16 +411,20 @@ func (s *Server) handleKey(cw *connWriter, tenant string, f *cluster.Frame) erro
 	return fmt.Errorf("serve: unexpected key frame kind %#x", f.Kind)
 }
 
-// execBatch runs one tenant's coalesced pool as a single key-major batch:
-// one registry Acquire, one BlindRotateBatchWithKey over the concatenated
-// LWEs, accumulators streamed back per job as tiles complete.
+// execBatch runs one tenant's pool — whatever queued for that key while the
+// executors were busy, a lone job on an idle server — as a single key-major
+// batch: one registry Acquire, one BlindRotateBatchWithKey over the
+// concatenated LWEs, its tiles fanned over cfg.Workers goroutines, and
+// accumulators streamed back per job as tiles complete.
 func (s *Server) execBatch(jobs []*job) {
 	tenant := jobs[0].tenant
+	dispatched := time.Now()
 	now := s.now()
 	live := jobs[:0]
 	for _, j := range jobs {
 		s.adm.release()
 		s.rec.Gauge(obs.GaugeQueueDepth, -1)
+		s.queueWait.Observe(dispatched.Sub(j.admitted))
 		if !j.deadline.IsZero() && now.After(j.deadline) {
 			s.reject(j.cw, tenant, j.id, fmt.Errorf("%w (expired while queued)", ErrDeadline))
 			s.rec.Add(obs.CounterJobsExpired, 1)
@@ -473,8 +480,15 @@ func (s *Server) execBatch(jobs []*job) {
 		Workers: s.cfg.Workers,
 		OnTile: func(lo, hi int) error {
 			// Stream finished accumulators while later tiles still rotate.
-			// sendMu serializes concurrent worker tiles; per-conn ordering
-			// within a job is the executor's responsibility (seq).
+			// Encoding runs on the tile's own worker; sendMu serializes
+			// concurrent tiles only around the socket writes and the job
+			// state they stamp (seq, failed), so frames of one job leave in
+			// seq order whichever tile finishes first.
+			payloads := make([][]byte, hi-lo)
+			for k := lo; k < hi; k++ {
+				payloads[k-lo], _ = cluster.EncodeAcc(slots[k].local, accs[k]) // nil on error: fails the job below
+				accs[k] = nil
+			}
 			sendMu.Lock()
 			defer sendMu.Unlock()
 			for k := lo; k < hi; k++ {
@@ -482,18 +496,12 @@ func (s *Server) execBatch(jobs []*job) {
 				if sl.j.failed {
 					continue
 				}
-				payload, err := cluster.EncodeAcc(sl.local, accs[k])
-				if err != nil {
-					sl.j.failed = true
-					continue
-				}
-				f := &cluster.Frame{Kind: cluster.FrameAcc, Shard: sl.j.id, Seq: sl.j.seq, Payload: payload}
-				if err := sl.j.cw.write(f); err != nil {
-					sl.j.failed = true // conn is gone; finish the batch for the others
+				f := &cluster.Frame{Kind: cluster.FrameAcc, Shard: sl.j.id, Seq: sl.j.seq, Payload: payloads[k-lo]}
+				if f.Payload == nil || sl.j.cw.write(f) != nil {
+					sl.j.failed = true // bad accumulator or conn gone; finish the batch for the others
 					continue
 				}
 				sl.j.seq++
-				accs[k] = nil
 			}
 			return nil
 		},
@@ -542,6 +550,7 @@ func (s *Server) execBatch(jobs []*job) {
 		ts.Rotations += uint64(len(j.lwes))
 		s.mu.Unlock()
 	}
+	s.batchTime.Observe(time.Since(dispatched))
 }
 
 // jobFailed records one admitted job's terminal failure (conn gone or batch
@@ -561,6 +570,11 @@ type ServiceSnapshot struct {
 	Registry    []TenantKey            `json:"registry"`
 	QueueDepth  int                    `json:"queue_depth"`
 	EWMABatchMs float64                `json:"ewma_batch_ms"`
+	// QueueWaitMs is admit → dispatch, one observation per admitted job
+	// (served, expired or failed alike: count = jobs_admitted at quiesce).
+	// BatchMs is dispatch → last frame written, one per executed batch.
+	QueueWaitMs obs.HistSnapshot `json:"queue_wait_ms"`
+	BatchMs     obs.HistSnapshot `json:"batch_ms"`
 }
 
 // Snapshot collects a point-in-time service snapshot.
@@ -578,6 +592,8 @@ func (s *Server) Snapshot() ServiceSnapshot {
 		Registry:    s.reg.Resident(),
 		QueueDepth:  s.adm.depth(),
 		EWMABatchMs: ewma,
+		QueueWaitMs: s.queueWait.Summary(),
+		BatchMs:     s.batchTime.Summary(),
 	}
 }
 

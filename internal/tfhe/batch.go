@@ -27,7 +27,9 @@ import (
 //
 // BlindRotateBatchInto fans tiles out across a worker pool, each worker
 // owning one BatchScratch arena (the PR 2 zero-alloc discipline: nothing but
-// the retained accumulators is allocated in steady state).
+// the retained accumulators is allocated in steady state). Key reuse is bought
+// on top of that parallelism, never instead of it: a batch too small to give
+// every worker a full tile is cut into smaller ones (effectiveTile).
 
 // DefaultTile is the number of accumulators that advance together through
 // the key-major schedule when the caller does not choose one. At paper
@@ -36,6 +38,14 @@ import (
 // once-per-tile; 8 keeps the tile's accumulators and the scratch arena
 // cache-resident while already capturing an 8× key-traffic reduction.
 const DefaultTile = 8
+
+// effectiveTile is the tile a batch of n rotations actually runs at:
+// min(tile, ⌈n/workers⌉). The rotations are independent, so parallelism comes
+// first — tile is only the upper bound, reached once every worker has a full
+// tile to itself; below that the batch is cut finer so no worker idles while
+// another walks the key for several accumulators. workers = 1 leaves the
+// tiling exactly as configured.
+func effectiveTile(n, tile, workers int) int { return min(tile, (n+workers-1)/workers) }
 
 // BatchScratch is the per-worker arena of the batched engine: the underlying
 // single-rotation scratch plus the transposed mask tile. One arena per
@@ -148,10 +158,11 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 
 // BatchOptions tunes BlindRotateBatchInto.
 type BatchOptions struct {
-	// Tile is the number of accumulators that share one pass over the key
+	// Tile is the most accumulators that share one pass over the key
 	// (≤ 0 selects DefaultTile). The key-traffic reduction is the average
 	// tile fill, so larger tiles stream fewer key bytes, at the cost of a
-	// larger working set of accumulators per worker.
+	// larger working set of accumulators per worker. A batch smaller than
+	// Tile·Workers runs at ⌈n/Workers⌉ instead (effectiveTile).
 	Tile int
 	// Workers is the fan-out width; ≤ 1 runs every tile on the calling
 	// goroutine (the allocation-free path the AllocsPerRun lock covers).
@@ -194,11 +205,12 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 	if tile <= 0 {
 		tile = DefaultTile
 	}
-	numTiles := (n + tile - 1) / tile
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
+	tile = effectiveTile(n, tile, workers)
+	numTiles := (n + tile - 1) / tile
 	if workers > numTiles {
 		workers = numTiles
 	}

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync"
 	"testing"
+	"time"
 
 	"heap/internal/obs"
 	"heap/internal/ring"
@@ -34,37 +35,84 @@ func batchFixture(t *testing.T, secret rlwe.SecretDist) (*rlwe.Parameters, *Eval
 	return p, ev, lut, brk, next
 }
 
-// TestBlindRotateBatchMatchesPerCiphertext is the bit-exactness property
-// test of the key-major engine: for shard counts that are non-multiples of
-// the tile (plus the 0- and 1-shard edges), every tile size, worker count,
+// TestBlindRotateBatchMatchesPerCiphertext is the property test of the
+// key-major engine: for every batch size 0…20, tile 1/4/8, 1/2/3/8 workers
 // and both secret distributions, the batched accumulators must equal the
-// per-ciphertext BlindRotateInto outputs exactly. Run under -race this also
-// exercises the tile cursor and per-worker arenas.
+// per-ciphertext BlindRotateInto outputs exactly, and the schedule must be
+// the worker-filling one: tiles of min(Tile, ⌈n/workers⌉) (recomputed here,
+// not read from effectiveTile) and of exactly Tile on one worker, so no tile
+// exceeds Tile and blind_rotate_tiles is ⌈n/effective tile⌉. The
+// OnTile hook doubles as a barrier — the first min(workers, tiles) tiles wait
+// for one another, and a worker parked in the hook cannot claim a second tile
+// — so the test deadlocks into its timeout unless that many distinct workers
+// each received a tile, on any scheduler and any -cpu. Run under -race this
+// also exercises the tile cursor and per-worker arenas.
 func TestBlindRotateBatchMatchesPerCiphertext(t *testing.T) {
+	const maxCount = 20
 	for _, secret := range []rlwe.SecretDist{rlwe.SecretBinary, rlwe.SecretTernary} {
 		p, ev, lut, brk, next := batchFixture(t, secret)
 		if secret == rlwe.SecretTernary && brk.Binary {
 			t.Skip("sampled ternary secret happened to be binary")
 		}
 		sc := ev.NewScratch()
-		for _, count := range []int{0, 1, 2, 7, 8, 13} {
-			lwes := make([]*rlwe.LWECiphertext, count)
-			want := make([]*rlwe.Ciphertext, count)
-			for j := range lwes {
-				lwes[j] = next()
-				want[j] = rlwe.NewCiphertext(p, lut.Level)
-				ev.BlindRotateInto(want[j], lwes[j], lut, brk, sc)
-			}
-			for _, tile := range []int{1, 3, 8} {
-				for _, workers := range []int{1, 3} {
+		lwes := make([]*rlwe.LWECiphertext, maxCount)
+		want := make([]*rlwe.Ciphertext, maxCount)
+		for j := range lwes {
+			lwes[j] = next()
+			want[j] = rlwe.NewCiphertext(p, lut.Level)
+			ev.BlindRotateInto(want[j], lwes[j], lut, brk, sc)
+		}
+		for count := 0; count <= maxCount; count++ {
+			for _, tile := range []int{1, 4, 8} {
+				for _, workers := range []int{1, 2, 3, 8} {
+					eff := tile // one worker: the configured tiling, exactly
+					if workers > 1 && count > 0 {
+						eff = min(tile, (count+workers-1)/workers)
+					}
+					wantTiles := (count + eff - 1) / eff
+					width := min(workers, wantTiles)
+					var (
+						mu      sync.Mutex
+						arrived int
+						seen    = make([]bool, count)
+						gate    = make(chan struct{})
+					)
+					met := obs.NewMetrics()
+					ev.KS.SetRecorder(met)
 					accs := make([]*rlwe.Ciphertext, count)
-					err := ev.BlindRotateBatchInto(accs, lwes, lut, brk, BatchOptions{Tile: tile, Workers: workers})
+					err := ev.BlindRotateBatchInto(accs, lwes[:count], lut, brk, BatchOptions{
+						Tile: tile, Workers: workers,
+						OnTile: func(lo, hi int) error {
+							mu.Lock()
+							if lo%eff != 0 || hi != min(lo+eff, count) {
+								mu.Unlock()
+								return fmt.Errorf("tile [%d,%d) is not a tile of size %d", lo, hi, eff)
+							}
+							for j := lo; j < hi; j++ {
+								seen[j] = true
+							}
+							if arrived++; arrived == width {
+								close(gate)
+							}
+							mu.Unlock()
+							select {
+							case <-gate:
+								return nil
+							case <-time.After(10 * time.Second):
+								return fmt.Errorf("fewer than %d workers received a tile", width)
+							}
+						},
+					})
+					ev.KS.SetRecorder(nil)
 					if err != nil {
 						t.Fatalf("count=%d tile=%d workers=%d: %v", count, tile, workers, err)
 					}
+					if got := met.Counter(obs.CounterBlindRotateTile); got != uint64(wantTiles) {
+						t.Fatalf("count=%d tile=%d workers=%d: %d tiles, want ⌈%d/%d⌉ = %d", count, tile, workers, got, count, eff, wantTiles)
+					}
 					for j := range accs {
-						if accs[j] == nil {
-							t.Fatalf("count=%d tile=%d workers=%d: accumulator %d not filled", count, tile, workers, j)
+						if !seen[j] || accs[j] == nil {
+							t.Fatalf("count=%d tile=%d workers=%d: accumulator %d not filled or not reported", count, tile, workers, j)
 						}
 						if !p.QBasis.Equal(want[j].C0, accs[j].C0) || !p.QBasis.Equal(want[j].C1, accs[j].C1) ||
 							accs[j].IsNTT != want[j].IsNTT {
