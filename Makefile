@@ -11,12 +11,13 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# The second line pins the P count for the two tests whose schedule is the
-# point — the batch engine's worker-filling tiles and heapd's multi-worker
-# write-back — so they race at one, two and four Ps whatever the host has.
+# The second line pins the P count for the tests whose schedule is the
+# point — the batch engine's worker-filling tiles, heapd's multi-worker
+# write-back, Prepare's LWE key-switch fan-out and the streaming merge
+# collector — so they race at one, two and four Ps whatever the host has.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble' ./internal/tfhe/ ./internal/serve/
+	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish' ./internal/tfhe/ ./internal/serve/ ./internal/core/
 
 # Pure-Go lane: the build that ships to non-amd64 targets (and amd64 with
 # the vector kernels compiled out) must stay green on its own — the scalar
@@ -62,7 +63,7 @@ bench-smoke:
 	$(GO) test -run='TestExternalProductIntoZeroAllocs' ./internal/rlwe/
 	$(GO) test -run='TestBlindRotateIntoZeroAllocs|TestBlindRotateTileZeroAllocs|TestCMuxIntoZeroAllocs' ./internal/tfhe/
 	$(GO) test -run='TestNTTZeroAllocs' ./internal/ring/
-	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs' ./internal/rlwe/
+	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs|TestExtractSwitchAllocatesOnlyItsOutput' ./internal/rlwe/
 
 # Service-layer smoke: build the daemon, then run the in-process acceptance
 # test under the race detector — two tenants on two connections each queued

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -19,6 +20,7 @@ import (
 	"heap/internal/obs"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/rns"
 	"heap/internal/tfhe"
 )
 
@@ -153,7 +155,7 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 		bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, cfg.LWELogBase, sampler, params.Sigma)
 	}
 	bt.packKeys = kg.GenPackingKeys(sk)
-	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys, cfg.Workers)
+	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys)
 
 	// Lookup table: g(u) = q0 · u · N^{-1} mod Q (the N^{-1} pre-cancels the
 	// factor-N scaling of PackRLWEs), valid for |u| < N/2.
@@ -259,14 +261,31 @@ func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedB
 	prep := &PreparedBootstrap{rC0: ms.rC0, rC1: ms.rC1, Scale: ct.Scale, Count: count}
 	gap := n / count
 	prep.LWEs = make([]*rlwe.LWECiphertext, count)
+	// The count extractions are independent: fan them over the workers, each
+	// with its own key-switch accumulators. One span covers the fan-out, so
+	// the stage reads as wall time.
 	tok = bt.rec.Begin(obs.StageExtract, obs.LanePipeline)
-	for i := 0; i < count; i++ {
-		lwe := rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i*gap)
-		if bt.Cfg.NT != 0 {
-			up := rlwe.ScaleUpLWE(lwe, bt.Cfg.ScaleUpBits)
-			lwe = rlwe.ModSwitchLWE(bt.lweKSK.Apply(up), twoN)
-		}
-		prep.LWEs[i] = lwe
+	workers := min(bt.Cfg.Workers, count)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if bt.Cfg.NT == 0 {
+				for i := w; i < count; i += workers {
+					prep.LWEs[i] = rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i*gap)
+				}
+				return
+			}
+			acc := bt.lweKSK.NewScratch()
+			for i := w; i < count; i += workers {
+				prep.LWEs[i] = bt.lweKSK.ExtractSwitch(ms.alphaC0, ms.alphaC1, i*gap, bt.Cfg.ScaleUpBits, acc)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if bt.Cfg.NT != 0 {
+		bt.rec.Add(obs.CounterLWEKeySwitch, uint64(count))
 	}
 	bt.rec.End(obs.StageExtract, obs.LanePipeline, tok)
 	return prep
@@ -457,9 +476,9 @@ func (bt *Bootstrapper) CompleteMissing(prep *PreparedBootstrap, accs []*rlwe.Ci
 // Finish executes steps 4–5 of Algorithm 2 on the collected accumulators:
 // repack, add ct', multiply by round(p/2N) and rescale by p. Accumulators
 // may be in coefficient or NTT representation; they are consumed as scratch.
-// The per-accumulator NTTs and the merge tree are fanned out over
-// Cfg.Workers goroutines through a MergeCollector, so the repack scales with
-// cores; the output is bit-identical for every worker count.
+// The merge tree is fanned out over Cfg.Workers goroutines through a
+// MergeCollector, so the repack scales with cores; the output is
+// bit-identical for every worker count.
 func (bt *Bootstrapper) Finish(prep *PreparedBootstrap, accs []*rlwe.Ciphertext) (*rlwe.Ciphertext, error) {
 	count := prep.Count
 	if count == 0 {
@@ -468,49 +487,40 @@ func (bt *Bootstrapper) Finish(prep *PreparedBootstrap, accs []*rlwe.Ciphertext)
 	if len(accs) != count {
 		return nil, fmt.Errorf("core: %d accumulators for a bootstrap of count %d", len(accs), count)
 	}
+	merged, err := bt.repack(accs)
+	if err != nil {
+		return nil, err
+	}
+	return bt.finishMerged(prep, merged, count)
+}
+
+// repack merges the accumulators under one Repack span, which ends on every
+// return so a failed repack still shows up in the metrics and the trace.
+func (bt *Bootstrapper) repack(accs []*rlwe.Ciphertext) (*rlwe.Ciphertext, error) {
+	count := len(accs)
 	mc, err := bt.NewMergeCollector(count)
 	if err != nil {
 		return nil, err
 	}
 	tok := bt.rec.Begin(obs.StageRepack, obs.LanePipeline)
-	workers := bt.Cfg.Workers
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for i, acc := range accs {
-			if err := mc.Add(i, acc); err != nil {
-				return nil, err
+	defer bt.rec.End(obs.StageRepack, obs.LanePipeline, tok)
+	workers := min(bt.Cfg.Workers, count)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < count && errs[w] == nil; i += workers {
+				errs[w] = mc.Add(i, accs[i])
 			}
-		}
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < count; i += workers {
-					if err := mc.Add(i, accs[i]); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		}(w)
 	}
-	merged, err := mc.Merged()
-	bt.rec.End(obs.StageRepack, obs.LanePipeline, tok)
-	if err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return bt.finishMerged(prep, merged, count)
+	return mc.Merged()
 }
 
 // FinishMerged executes the tail of Finish on an already-merged ciphertext —
@@ -535,20 +545,21 @@ func (bt *Bootstrapper) finishMerged(prep *PreparedBootstrap, ctKq *rlwe.Ciphert
 	bL := p.QBasis.AtLevel(level)
 
 	// ct′, pre-scaled by count·N^{-1} so that after the shared trace
-	// (factor N/count on subring coefficients) both parts carry factor 1.
-	ctPrime := rlwe.NewCiphertext(p.Parameters, level)
-	bL.SetSigned(prep.rC0, ctPrime.C0)
-	bL.SetSigned(prep.rC1, ctPrime.C1)
-	bL.NTT(ctPrime.C0)
-	bL.NTT(ctPrime.C1)
-	for i := 0; i < level; i++ {
-		r := bL.Rings[i]
-		c := r.Mod.MulMod(uint64(count)%r.Mod.Q, bt.invNModQ[i])
-		r.MulScalar(ctPrime.C0.Limbs[i], c, ctPrime.C0.Limbs[i])
-		r.MulScalar(ctPrime.C1.Limbs[i], c, ctPrime.C1.Limbs[i])
+	// (factor N/count on subring coefficients) both parts carry factor 1. It
+	// joins the merged ciphertext in the coefficient domain, where the trace
+	// runs.
+	ctPrime := bL.NewPoly()
+	addPrime := func(r []int64, acc rns.Poly) {
+		bL.SetSigned(r, ctPrime)
+		for i := 0; i < level; i++ {
+			ri := bL.Rings[i]
+			c := ri.Mod.MulMod(uint64(count)%ri.Mod.Q, bt.invNModQ[i])
+			ri.MulScalar(ctPrime.Limbs[i], c, ctPrime.Limbs[i])
+		}
+		bL.Add(acc, ctPrime, acc)
 	}
-	bL.Add(ctKq.C0, ctPrime.C0, ctKq.C0)
-	bL.Add(ctKq.C1, ctPrime.C1, ctKq.C1)
+	addPrime(prep.rC0, ctKq.C0)
+	addPrime(prep.rC1, ctKq.C1)
 
 	// Shared trace: completes the packing of ct_kq and annihilates the
 	// non-subring junk of ct′ in one pass.
@@ -557,6 +568,12 @@ func (bt *Bootstrapper) finishMerged(prep *PreparedBootstrap, ctKq *rlwe.Ciphert
 		return nil, err
 	}
 
+	// The one forward transform of the repack, then round(p/2N) and the
+	// rescale by p.
+	bL.NTT(ctKq.C0)
+	bL.NTT(ctKq.C1)
+	ctKq.IsNTT = true
+	bt.rec.Add(obs.CounterNTT, uint64(2*level))
 	for i := 0; i < level; i++ {
 		r := bL.Rings[i]
 		c := uint64(bt.pScalar) % r.Mod.Q

@@ -15,8 +15,8 @@ import (
 // entire count−1-node tree is already done and repacking overlaps the
 // blind-rotate/network tail instead of running after it.
 //
-// Concurrency model: Add performs the accumulator's NTT and then climbs the
-// tree, executing every merge for which it delivered the second sibling.
+// Concurrency model: Add climbs the tree from the accumulator's leaf,
+// executing every merge for which it delivered the second sibling.
 // Merges on disjoint subtrees therefore run concurrently in whichever
 // goroutines delivered their accumulators; the collector spawns no
 // goroutines and never blocks on missing siblings, only on the short
@@ -75,11 +75,13 @@ func (mc *MergeCollector) Add(idx int, acc *rlwe.Ciphertext) error {
 	mc.delivered++
 	mc.mu.Unlock()
 
-	if !acc.IsNTT {
+	// The tree runs in the coefficient domain, the form blind rotation emits;
+	// an NTT-form accumulator is converted at the door.
+	if acc.IsNTT {
 		bL := mc.bt.Params.QBasis.AtLevel(acc.Level())
-		bL.NTT(acc.C0)
-		bL.NTT(acc.C1)
-		acc.IsNTT = true
+		bL.INTT(acc.C0)
+		bL.INTT(acc.C1)
+		acc.IsNTT = false
 		mc.bt.rec.Add(obs.CounterNTT, uint64(2*acc.Level()))
 	}
 
@@ -127,9 +129,9 @@ func (mc *MergeCollector) Add(idx int, acc *rlwe.Ciphertext) error {
 	}
 }
 
-// Merged returns the fully merged ciphertext (the MergeRLWEs result). It
-// does not block: the caller must have completed — and synchronized with —
-// all count Add calls first.
+// Merged returns the fully merged ciphertext (the MergeRLWEs result, in
+// coefficient representation). It does not block: the caller must have
+// completed — and synchronized with — all count Add calls first.
 func (mc *MergeCollector) Merged() (*rlwe.Ciphertext, error) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()

@@ -12,7 +12,8 @@ import (
 // TestStreamingCollectorMatchesFinish is the streaming bit-exactness lock:
 // accumulators delivered to a MergeCollector in a random order from several
 // concurrent goroutines — the cluster arrival pattern — must finish to the
-// exact ciphertext the batch Finish path produces. Run under -race this also
+// exact ciphertext the batch Finish path produces, in whichever
+// representation each one arrives. Run under -race this also
 // exercises the collector's locking.
 func TestStreamingCollectorMatchesFinish(t *testing.T) {
 	params, cl, _, bt := testSetup(t, 4)
@@ -41,6 +42,16 @@ func TestStreamingCollectorMatchesFinish(t *testing.T) {
 			t.Fatal(err)
 		}
 		streamed := clone()
+		if trial == 2 {
+			// Mixed representations: half the accumulators arrive in NTT
+			// form (a peer that transformed before sending) and are
+			// converted at the door; the merged words must not move.
+			for i := 1; i < count; i += 2 {
+				params.QBasis.NTT(streamed[i].C0)
+				params.QBasis.NTT(streamed[i].C1)
+				streamed[i].IsNTT = true
+			}
+		}
 		order := rand.New(rand.NewSource(int64(trial))).Perm(count)
 		idxCh := make(chan int, count)
 		for _, i := range order {
@@ -63,6 +74,9 @@ func TestStreamingCollectorMatchesFinish(t *testing.T) {
 		merged, err := mc.Merged()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if merged.IsNTT {
+			t.Fatalf("trial %d: Merged returned an NTT-form ciphertext; the repack's domain is the coefficient domain", trial)
 		}
 		out, err := bt.FinishMerged(prep, merged)
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"heap/internal/obs"
+	"heap/internal/ring"
+	"heap/internal/rlwe"
 )
 
 // TestBootstrapTraceAccounting locks the observability contract of a local
@@ -58,6 +60,9 @@ func TestBootstrapTraceAccounting(t *testing.T) {
 	}
 	if met.Counter(obs.CounterBRKBytesStreamed) == 0 {
 		t.Error("brk_bytes_streamed counter did not move")
+	}
+	if got := met.Counter(obs.CounterLWEKeySwitch); got != count {
+		t.Errorf("lwe_key_switches = %d, want %d (one per prepared LWE ciphertext)", got, count)
 	}
 	if got := met.Counter(obs.CounterMerge); got != count-1 {
 		t.Errorf("merges = %d, want %d (one per merge-tree node)", got, count-1)
@@ -122,5 +127,82 @@ func TestRecorderDefaultsToNop(t *testing.T) {
 	bt.SetRecorder(nil)
 	if _, ok := bt.Recorder().(obs.Nop); !ok {
 		t.Fatalf("recorder after SetRecorder(nil) is %T, want obs.Nop", bt.Recorder())
+	}
+}
+
+// TestFailedFinishStillRecordsRepack: a Finish that fails inside the merge
+// fan-out used to return before ending its Repack span, so the time a failed
+// repack burned never reached the metrics or the trace and the phases stopped
+// summing to wall exactly when someone was debugging the failure. One Repack
+// observation must be recorded whether one worker or several run into the
+// nil accumulator, and no Finish stage may follow it.
+func TestFailedFinishStillRecordsRepack(t *testing.T) {
+	params, cl, _, bt := testSetup(t, 1)
+	const count = 8
+	prep := bt.PrepareSparse(cl.EncryptAtLevel(testVector(params.Slots), 1), count)
+	for _, workers := range []int{1, 3} {
+		bt.Cfg.Workers = workers
+		accs := make([]*rlwe.Ciphertext, count)
+		for i := range accs {
+			accs[i] = bt.NewAccumulator()
+			accs[i].IsNTT = false
+		}
+		accs[count/2] = nil
+		met := obs.NewMetrics()
+		bt.SetRecorder(met)
+		_, err := bt.Finish(prep, accs)
+		bt.SetRecorder(nil)
+		if err == nil {
+			t.Fatalf("workers=%d: Finish accepted a nil accumulator mid-slice", workers)
+		}
+		snap := met.Snapshot()
+		if st := snap.Pipeline["Repack"]; st.Count != 1 {
+			t.Errorf("workers=%d: failed Finish recorded %d Repack spans, want 1", workers, st.Count)
+		}
+		if st, ok := snap.Pipeline["Finish"]; ok && st.Count != 0 {
+			t.Errorf("workers=%d: failed repack still ran the Finish stage (%d spans)", workers, st.Count)
+		}
+	}
+}
+
+// TestFinishTransformBudget pins Finish's limb-transform ledger on
+// coefficient-form accumulators: count−1 merges and log2(N/count) trace steps
+// at the merge budget (rlwe's TestMergeTransformBudget), plus the one NTT of
+// the packed pair — and no per-accumulator term, the 2·level·count the
+// NTT-domain repack spent at the door.
+func TestFinishTransformBudget(t *testing.T) {
+	params, cl, _, bt := testSetup(t, 2)
+	const count = 16
+	prep := bt.PrepareSparse(cl.EncryptAtLevel(testVector(params.Slots), 1), count)
+	s := ring.NewSampler(70)
+	accs := make([]*rlwe.Ciphertext, count)
+	for i := range accs {
+		accs[i] = bt.NewAccumulator()
+		for l := range accs[i].C0.Limbs {
+			s.UniformPoly(params.QBasis.Rings[l], accs[i].C0.Limbs[l])
+			s.UniformPoly(params.QBasis.Rings[l], accs[i].C1.Limbs[l])
+		}
+		accs[i].IsNTT = false
+	}
+	met := obs.NewMetrics()
+	bt.SetRecorder(met)
+	_, err := bt.Finish(prep, accs)
+	bt.SetRecorder(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level, nP := params.MaxLevel(), len(params.P)
+	perSwitch := params.DigitsAtLevel(level)*(level+nP) + 2*(nP+level)
+	traceSteps := 0
+	for c := count; c < params.N(); c <<= 1 {
+		traceSteps++
+	}
+	want := uint64((count-1+traceSteps)*perSwitch + 2*level)
+	if got := met.Counter(obs.CounterNTT); got != want {
+		t.Errorf("Finish recorded %d limb transforms, want %d = (%d merges + %d trace steps) × %d + one NTT of 2×%d limbs",
+			got, want, count-1, traceSteps, perSwitch, level)
+	}
+	if got := met.Counter(obs.CounterKeySwitch); got != uint64(count-1+traceSteps) {
+		t.Errorf("key_switches = %d, want %d", got, count-1+traceSteps)
 	}
 }

@@ -97,6 +97,11 @@ const (
 	CounterBlindRotate
 	// CounterMerge counts repacking merge-tree node merges.
 	CounterMerge
+	// CounterLWEKeySwitch counts LWE ciphertexts put through the
+	// dimension-reducing key switch of Prepare: each costs
+	// N × digits × (n_t+1) multiply-accumulates, the unit of the prepare
+	// stage the way a limb transform is the unit of a rotation.
+	CounterLWEKeySwitch
 	// CounterBytesFramed counts wire-protocol bytes framed (sent or
 	// received) by the instrumented endpoint, headers and CRCs included.
 	CounterBytesFramed
@@ -173,7 +178,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"ntt_limb_transforms", "external_products", "key_switches",
-	"blind_rotates", "merges", "bytes_framed", "bytes_retried",
+	"blind_rotates", "merges", "lwe_key_switches", "bytes_framed", "bytes_retried",
 	"brk_bytes_streamed", "blind_rotate_tiles",
 	"health_probes", "probe_misses", "hedged_dispatches", "hedge_wasted",
 	"key_chunks", "key_chunk_bytes", "key_chunk_resent_bytes",

@@ -7,20 +7,18 @@ package ring
 // i_r = i·5^r mod N family of maps).
 func (r *Ring) Automorphism(p Poly, g uint64, out Poly) {
 	n := uint64(r.N)
-	twoN := 2 * n
-	g %= twoN
+	mask := 2*n - 1
+	g &= mask
 	q := r.Mod.Q
-	for i := uint64(0); i < n; i++ {
-		k := (i * g) % twoN
-		v := p[i]
-		if k < n {
-			out[k] = v
-		} else {
-			if v != 0 {
-				v = q - v
-			}
-			out[k-n] = v
-		}
+	// k = i·g mod 2N is carried as a running sum (2N is a power of two), and
+	// the wrap past N selects v or −v without a branch: this runs 2·level
+	// times per repack merge.
+	k := uint64(0)
+	for _, v := range p[:n] {
+		neg := (q - v) & -((v | -v) >> 63) // −v mod q, with −0 = 0
+		wrap := -(k >> uint(r.LogN) & 1)   // all ones iff k ≥ N
+		out[k&(n-1)] = v ^ (v^neg)&wrap
+		k = (k + g) & mask
 	}
 }
 

@@ -75,6 +75,65 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 	}
 }
 
+// refAutomorphism is the formula Automorphism replaced — one i·g mod 2N per
+// coefficient, a branch on the wrap and on zero — kept as the reference for
+// the division-free form.
+func refAutomorphism(r *Ring, p Poly, g uint64, out Poly) {
+	n := uint64(r.N)
+	twoN := 2 * n
+	g %= twoN
+	q := r.Mod.Q
+	for i := uint64(0); i < n; i++ {
+		k := (i * g) % twoN
+		v := p[i]
+		if k < n {
+			out[k] = v
+		} else {
+			if v != 0 {
+				v = q - v
+			}
+			out[k-n] = v
+		}
+	}
+}
+
+// TestAutomorphismMatchesIndexFormula: the running-index, branch-free
+// Automorphism must equal the per-coefficient formula for every odd g at
+// N = 8 and 128 and for sampled g at the paper's N = 2^13 (unreduced g
+// included), on operands with zero coefficients — −0 must stay 0, not q.
+func TestAutomorphismMatchesIndexFormula(t *testing.T) {
+	s := NewSampler(29)
+	for _, logN := range []int{3, 7, 13} {
+		r := NewRing(logN, GenerateNTTPrimes(36, logN, 1)[0])
+		n := uint64(r.N)
+		var gs []uint64
+		if logN < 13 {
+			for g := uint64(1); g < 2*n; g += 2 {
+				gs = append(gs, g)
+			}
+		} else {
+			gs = []uint64{1, 3, 5, n - 1, n + 1, 2*n - 1, 2*n + 3, 1<<40 + 1}
+			for len(gs) < 24 {
+				gs = append(gs, s.UniformMod(2*n)|1)
+			}
+		}
+		p := r.NewPoly()
+		s.UniformPoly(r, p)
+		for i := 0; i < r.N; i += 3 {
+			p[i] = 0
+		}
+		p[1], p[r.N-1] = r.Mod.Q-1, 1
+		got, want := r.NewPoly(), r.NewPoly()
+		for _, g := range gs {
+			r.Automorphism(p, g, got)
+			refAutomorphism(r, p, g, want)
+			if !r.Equal(got, want) {
+				t.Fatalf("N=%d g=%d: Automorphism differs from the index formula", n, g)
+			}
+		}
+	}
+}
+
 func appendOne(r *Ring) Poly {
 	p := r.NewPoly()
 	p[0] = 1

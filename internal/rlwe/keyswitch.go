@@ -25,11 +25,6 @@ type KeySwitcher struct {
 	// rotations with a cold cache would otherwise race on the map.
 	permMu    sync.RWMutex
 	permCache map[uint64][]uint64
-	// monoCache caches, per rotation amount k, the NTT image of X^k over
-	// every Q limb, so the repacking merge tree can rotate accumulators by a
-	// pointwise multiply without leaving the evaluation domain.
-	monoMu    sync.RWMutex
-	monoCache map[int][]ring.Poly
 
 	// rec receives the kernel-granularity cost counters (NTT limb
 	// transforms, external products, key switches). Always non-nil; the
@@ -49,7 +44,6 @@ func NewKeySwitcher(params *Parameters) *KeySwitcher {
 		extenders: make(map[int]*rns.Extender),
 		modDown:   rns.NewModDown(params.QBasis, params.PBasis),
 		permCache: make(map[uint64][]uint64),
-		monoCache: make(map[int][]ring.Poly),
 		rec:       obs.Nop{},
 	}
 	alpha := params.Alpha()
@@ -98,33 +92,6 @@ func (ks *KeySwitcher) EnsurePerm(g uint64) []uint64 {
 	p = ks.params.QBasis.Rings[0].AutomorphismNTTIndex(g)
 	ks.permCache[g] = p
 	return p
-}
-
-// EnsureMonomialNTT precomputes and caches the NTT representation of the
-// monomial X^k for every Q limb at the maximum level (lower levels use a
-// prefix). Safe for concurrent use with the same double-checked RWMutex
-// discipline as EnsurePerm. The merge tree only ever needs log2(N) distinct
-// rotation amounts, so the cache stays tiny.
-func (ks *KeySwitcher) EnsureMonomialNTT(k int) []ring.Poly {
-	ks.monoMu.RLock()
-	m, ok := ks.monoCache[k]
-	ks.monoMu.RUnlock()
-	if ok {
-		return m
-	}
-	ks.monoMu.Lock()
-	defer ks.monoMu.Unlock()
-	if m, ok := ks.monoCache[k]; ok {
-		return m
-	}
-	rings := ks.params.QBasis.Rings
-	m = make([]ring.Poly, len(rings))
-	for i, r := range rings {
-		m[i] = r.NewPoly()
-		r.MonomialNTT(k, m[i])
-	}
-	ks.monoCache[k] = m
-	return m
 }
 
 // qpAccumulator is scratch for a key-switch accumulation at a given level:
@@ -295,29 +262,22 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 	ks.params.QBasis.AtLevel(level).INTT(cCoeff)
 	ks.rec.Add(obs.CounterNTT, uint64(level))
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.switchPolyCoeff(cCoeff, gct, d0, d1, sc)
-}
-
-// switchPolyCoeff runs the decompose→MAC→ModDown pipeline on a
-// coefficient-representation input. cCoeff may alias sc.c0.
-func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
 	ks.gadgetProduct(cCoeff, gct, true, sc)
 	ks.modDownInto(sc.accB, d0, false, sc)
 	ks.modDownInto(sc.accA, d1, false, sc)
 }
 
-// switchPolyCoeffSplit is switchPolyCoeff with a split output domain: d0 is
-// produced in NTT representation as usual, while d1 is emitted directly in
-// coefficient representation. This is the trace kernel: the repack trace
-// feeds the next step's decomposition from d1, so keeping it in the
-// coefficient domain hoists the per-step INTT out of the loop. cCoeff may
-// alias d1Coeff — the decomposition consumes the input before the final
-// ModDown writes the output.
-func (ks *KeySwitcher) switchPolyCoeffSplit(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1Coeff rns.Poly, sc *Scratch) {
+// switchPolyCoeff is SwitchPolyInto with input and both outputs in
+// coefficient representation — the repack's key switch: the decomposition
+// takes cCoeff as it stands (no copy, no INTT) and each linear ModDown emits
+// coefficients, bit-identical to the INTT of SwitchPolyInto's outputs on
+// NTT(cCoeff). cCoeff may alias d1 — the decomposition has consumed the
+// input before the ModDowns write.
+func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
 	ks.rec.Add(obs.CounterKeySwitch, 1)
 	ks.gadgetProduct(cCoeff, gct, true, sc)
-	ks.modDownInto(sc.accB, d0, false, sc)
-	ks.modDownInto(sc.accA, d1Coeff, true, sc)
+	ks.modDownInto(sc.accB, d0, true, sc)
+	ks.modDownInto(sc.accA, d1, true, sc)
 }
 
 // Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 using
@@ -345,10 +305,10 @@ func (ks *KeySwitcher) Automorphism(ct *Ciphertext, g uint64, gk *GadgetCipherte
 
 // AutomorphismInto is Automorphism writing into the caller-owned out
 // ciphertext (same level as ct; must not alias it) using the scratch arena.
-// This is the allocation-free form the repacking merge tree and trace run:
-// the permuted components land in sc.t0/sc.t1 and the key-switch reuses the
-// usual decompose→MAC→ModDown buffers. The output is in NTT representation
-// and bit-identical to Automorphism's.
+// This is the allocation-free form of the rotation kernel: the permuted
+// components land in sc.t0/sc.t1 and the key-switch reuses the usual
+// decompose→MAC→ModDown buffers. The output is in NTT representation and
+// bit-identical to Automorphism's.
 func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	level := ct.Level()
 	b := ks.params.QBasis.AtLevel(level)
@@ -372,8 +332,8 @@ func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *Gadge
 // bit-identical to the non-hoisted key switch (the fast basis extension and
 // the permutation do not commute exactly); the difference is bounded by the
 // usual key-switch noise, which is why the repacking merge tree — whose
-// output is locked bit-identical to the serial reference — uses
-// AutomorphismInto instead.
+// output is locked bit-identical to the serial reference — decomposes every
+// node afresh instead.
 type Hoisted struct {
 	level int
 	digs  []qpAccumulator

@@ -1,6 +1,7 @@
 package rlwe
 
 import (
+	"fmt"
 	"math/bits"
 
 	"heap/internal/ring"
@@ -81,14 +82,17 @@ func ExtractLWEFromPolys(c0, c1 []uint64, q uint64, idx int) *LWECiphertext {
 	return out
 }
 
-// LWEKeySwitchKey switches LWE ciphertexts from an N-dimensional secret to
-// an n_t-dimensional one at modulus Q with an unsigned digit decomposition in
-// base 2^LogBase. ksk[i][j] encrypts sFrom_i · Base^j under sTo.
+// LWEKeySwitchKey switches LWE ciphertexts from an NFrom-dimensional secret
+// to an NTo-dimensional one at modulus Q with an unsigned digit decomposition
+// in base 2^LogBase. Row (i, j) encrypts sFrom_i · Base^j under sTo; all rows
+// live in one slice, row-major [from][digit][NTo+1] with the body b as each
+// row's last word, so a key switch walks the key front to back.
 type LWEKeySwitchKey struct {
-	Rows    [][]LWECiphertext // [fromDim][digits]
+	rows    []uint64
 	Q       uint64
 	LogBase int
 	Digits  int
+	NFrom   int
 	NTo     int
 }
 
@@ -99,26 +103,33 @@ func GenLWEKeySwitchKey(sFrom, sTo []int64, q uint64, logBase int, sampler *ring
 	for b := q - 1; b > 0; b >>= uint(logBase) {
 		digits++
 	}
+	// Apply sums NFrom·digits products digit·word (plus the input body) per
+	// output word before reducing once: the sum must fit 128 bits.
+	if logBase+bits.Len64(q)+bits.Len(uint(len(sFrom)*digits+1)) > 128 {
+		panic("rlwe: LWE key-switch accumulation would overflow 128 bits")
+	}
+	w := len(sTo) + 1
 	k := &LWEKeySwitchKey{
-		Rows:    make([][]LWECiphertext, len(sFrom)),
+		rows:    make([]uint64, len(sFrom)*digits*w),
 		Q:       q,
 		LogBase: logBase,
 		Digits:  digits,
+		NFrom:   len(sFrom),
 		NTo:     len(sTo),
 	}
 	for i := range sFrom {
-		k.Rows[i] = make([]LWECiphertext, digits)
 		pow := uint64(1)
 		for j := 0; j < digits; j++ {
-			ct := LWECiphertext{A: make([]uint64, len(sTo)), Q: q}
-			for t := range ct.A {
-				ct.A[t] = sampler.UniformMod(q)
+			row := k.rows[(i*digits+j)*w:][:w]
+			a := row[:len(sTo)]
+			for t := range a {
+				a[t] = sampler.UniformMod(q)
 			}
 			// b = m + e − ⟨a, sTo⟩
 			msg := mulModU(signedModU(sFrom[i], q), pow%q, q)
 			e := sampler.GaussianSigned(1, sigma)[0]
 			acc := addModU(msg, signedModU(e, q), q)
-			for t, at := range ct.A {
+			for t, at := range a {
 				switch sTo[t] {
 				case 1:
 					acc = subModU(acc, at, q)
@@ -126,35 +137,100 @@ func GenLWEKeySwitchKey(sFrom, sTo []int64, q uint64, logBase int, sampler *ring
 					acc = addModU(acc, at, q)
 				}
 			}
-			ct.B = acc
-			k.Rows[i][j] = ct
+			row[len(sTo)] = acc
 			pow = mulModU(pow, 1<<uint(logBase), q)
 		}
 	}
 	return k
 }
 
-// Apply key-switches ct (dimension len(Rows), modulus Q) to dimension NTo.
+// LWEKeySwitchScratch holds one key switch in flight: the unreduced 128-bit
+// sum of every output word, the body's last.
+type LWEKeySwitchScratch []struct{ lo, hi uint64 }
+
+// NewScratch allocates the sums for a key switch under k.
+func (k *LWEKeySwitchKey) NewScratch() LWEKeySwitchScratch {
+	return make(LWEKeySwitchScratch, k.NTo+1)
+}
+
+// accumulate adds Σ_j digit_j(v) · row(i, j) to acc without reducing. The
+// sums stay below 2^128 (checked at key generation), so the modulus — prime
+// or power of two — is only needed by the one reduction per output word that
+// follows the last source coefficient, and the residue is the one the
+// reduce-every-term form reaches. v must be canonical (< Q).
+func (k *LWEKeySwitchKey) accumulate(acc LWEKeySwitchScratch, i int, v uint64) {
+	w, shift := k.NTo+1, uint(k.LogBase)
+	mask := uint64(1)<<shift - 1
+	rows := k.rows[i*k.Digits*w : (i+1)*k.Digits*w]
+	acc = acc[:w]
+	for ; v != 0 && len(rows) != 0; v, rows = v>>shift, rows[w:] {
+		d := v & mask
+		if d == 0 {
+			continue
+		}
+		for t, r := range rows[:w] {
+			hi, lo := bits.Mul64(d, r)
+			var c uint64
+			acc[t].lo, c = bits.Add64(acc[t].lo, lo, 0)
+			acc[t].hi += hi + c
+		}
+	}
+}
+
+// reduce returns the canonical residues of the sums: the mask into a, the
+// body as the result.
+func (k *LWEKeySwitchKey) reduce(acc LWEKeySwitchScratch, a []uint64) (b uint64) {
+	for t := range a {
+		a[t] = bits.Rem64(acc[t].hi, acc[t].lo, k.Q)
+	}
+	return bits.Rem64(acc[k.NTo].hi, acc[k.NTo].lo, k.Q)
+}
+
+// Apply key-switches ct (dimension NFrom, modulus Q) to dimension NTo.
 func (k *LWEKeySwitchKey) Apply(ct *LWECiphertext) *LWECiphertext {
 	if ct.Q != k.Q {
 		panic("rlwe: LWE key-switch modulus mismatch")
 	}
-	out := &LWECiphertext{A: make([]uint64, k.NTo), B: ct.B % k.Q, Q: k.Q}
-	mask := uint64(1)<<uint(k.LogBase) - 1
+	if len(ct.A) != k.NFrom {
+		panic(fmt.Sprintf("rlwe: LWE key switch of a dimension-%d ciphertext under a key from dimension %d", len(ct.A), k.NFrom))
+	}
+	acc := k.NewScratch()
+	acc[k.NTo].lo = ct.B % k.Q
 	for i, ai := range ct.A {
-		v := ai % k.Q
-		for j := 0; j < k.Digits && v != 0; j++ {
-			d := v & mask
-			v >>= uint(k.LogBase)
-			if d == 0 {
-				continue
-			}
-			row := &k.Rows[i][j]
-			out.B = addModU(out.B, mulModU(d, row.B, k.Q), k.Q)
-			for t, at := range row.A {
-				out.A[t] = addModU(out.A[t], mulModU(d, at, k.Q), k.Q)
-			}
+		k.accumulate(acc, i, ai%k.Q)
+	}
+	out := &LWECiphertext{A: make([]uint64, k.NTo), Q: k.Q}
+	out.B = k.reduce(acc, out.A)
+	return out
+}
+
+// ExtractSwitch is the bootstrap's per-coefficient chain in one pass over c1:
+//
+//	ModSwitchLWE(k.Apply(ScaleUpLWE(ExtractLWEFromPolys(c0, c1, q, idx), t)), q)
+//
+// for q = Q >> t, word for word, without the two N-word ciphertexts the
+// composition allocates on the way. c0 and c1 must hold canonical residues
+// mod q; acc is scratch from NewScratch and is overwritten.
+func (k *LWEKeySwitchKey) ExtractSwitch(c0, c1 []uint64, idx int, t uint, acc LWEKeySwitchScratch) *LWECiphertext {
+	n := len(c1)
+	if n != k.NFrom {
+		panic(fmt.Sprintf("rlwe: LWE key switch of a dimension-%d extraction under a key from dimension %d", n, k.NFrom))
+	}
+	q := k.Q >> t
+	clear(acc)
+	acc[k.NTo].lo = c0[idx] << t
+	for s := 0; s <= idx; s++ {
+		k.accumulate(acc, s, c1[idx-s]<<t)
+	}
+	for s := idx + 1; s < n; s++ {
+		if v := c1[n+idx-s]; v != 0 {
+			k.accumulate(acc, s, (q-v)<<t)
 		}
+	}
+	out := &LWECiphertext{A: make([]uint64, k.NTo), Q: q}
+	out.B = divRound(k.reduce(acc, out.A), k.Q, q)
+	for i, a := range out.A {
+		out.A[i] = divRound(a, k.Q, q)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package rlwe
 
 import (
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 
 	"heap/internal/ring"
@@ -167,7 +170,7 @@ func TestPackRLWEs(t *testing.T) {
 			for j := 1; j < n; j++ {
 				msg[j] = int64(j*i) << 20
 			}
-			cts[i] = enc.EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1)
+			cts[i] = coeffCopy(p, enc.EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1))
 		}
 		packed, err := PackRLWEs(ks, cts, pk)
 		if err != nil {
@@ -190,5 +193,182 @@ func TestPackRLWEs(t *testing.T) {
 					count, j, phase[j], want, diff)
 			}
 		}
+	}
+}
+
+// refApply is the retired key switch, kept verbatim but for reading the flat
+// key: every multiply-add goes through mulModU (two % and a 128-by-64
+// division) and is reduced on the spot. It is the reference the lazy kernel
+// must equal word for word.
+func refApply(k *LWEKeySwitchKey, ct *LWECiphertext) *LWECiphertext {
+	out := &LWECiphertext{A: make([]uint64, k.NTo), B: ct.B % k.Q, Q: k.Q}
+	mask := uint64(1)<<uint(k.LogBase) - 1
+	w := k.NTo + 1
+	for i, ai := range ct.A {
+		v := ai % k.Q
+		for j := 0; j < k.Digits && v != 0; j++ {
+			d := v & mask
+			v >>= uint(k.LogBase)
+			if d == 0 {
+				continue
+			}
+			row := k.rows[(i*k.Digits+j)*w:][:w]
+			out.B = addModU(out.B, mulModU(d, row[k.NTo], k.Q), k.Q)
+			for t, at := range row[:k.NTo] {
+				out.A[t] = addModU(out.A[t], mulModU(d, at, k.Q), k.Q)
+			}
+		}
+	}
+	return out
+}
+
+func lweEqual(a, b *LWECiphertext) bool {
+	return a.Q == b.Q && a.B == b.B && slices.Equal(a.A, b.A)
+}
+
+// TestLWEKeySwitchMatchesStepwiseReference locks the two replacements of the
+// LWE key switch to the retired kernel, word for word: Apply (one reduction
+// per output word over 128-bit sums) and the fused ExtractSwitch (no
+// extracted or lifted temporaries) against refApply and the composition of
+// the unfused helpers — over a prime limb, the bootstrap's power-of-two
+// modulus and a 61-bit prime, digit sizes from 1 to 8 bits, and target
+// dimensions from 1 to the paper's 500, on random inputs, all-(q−1) inputs
+// and inputs whose every digit is maximal.
+func TestLWEKeySwitchMatchesStepwiseReference(t *testing.T) {
+	const nFrom = 32
+	s := ring.NewSampler(0x1e)
+	moduli := []struct {
+		q       uint64
+		scaleUp uint // the fused path runs at q >> scaleUp
+	}{
+		{testParams(t, 5).Q[0], 0},
+		{uint64(2*nFrom) << 20, 20},
+		{ring.GenerateNTTPrimes(61, 5, 1)[0], 0},
+	}
+	for _, m := range moduli {
+		q, small := m.q, m.q>>m.scaleUp
+		allMax := uint64(1)<<uint(bits.Len64(q-1)-1) - 1 // every digit below the top one is all ones
+		if q&(q-1) == 0 {
+			allMax = q - 1
+		}
+		for _, logBase := range []int{1, 4, 7, 8} {
+			for _, nTo := range []int{1, 8, 500} {
+				k := GenLWEKeySwitchKey(s.TernarySigned(nFrom), s.BinarySigned(nTo), q, logBase, s, ring.DefaultSigma)
+				fill := func(f func() uint64) *LWECiphertext {
+					ct := &LWECiphertext{A: make([]uint64, nFrom), B: f(), Q: q}
+					for i := range ct.A {
+						ct.A[i] = f()
+					}
+					return ct
+				}
+				inputs := []*LWECiphertext{
+					fill(func() uint64 { return s.UniformMod(q) }),
+					fill(func() uint64 { return q - 1 }),
+					fill(func() uint64 { return allMax }),
+					fill(func() uint64 { return 0 }),
+				}
+				for n, ct := range inputs {
+					if got, want := k.Apply(ct), refApply(k, ct); !lweEqual(got, want) {
+						t.Fatalf("q=%d logBase=%d nTo=%d input %d: Apply differs from the stepwise reference", q, logBase, nTo, n)
+					}
+				}
+
+				// The fused path takes its input as the polynomial pair the
+				// extraction reads, canonical mod q >> scaleUp.
+				acc := k.NewScratch()
+				polys := [][2][]uint64{{make([]uint64, nFrom), make([]uint64, nFrom)}, {make([]uint64, nFrom), make([]uint64, nFrom)}}
+				for i := 0; i < nFrom; i++ {
+					polys[0][0][i], polys[0][1][i] = s.UniformMod(small), s.UniformMod(small)
+					polys[1][0][i], polys[1][1][i] = small-1, small-1
+				}
+				polys[0][1][3] = 0 // −0 must stay 0 past the wrap
+				for n, c := range polys {
+					for _, idx := range []int{0, 1, nFrom / 2, nFrom - 1} {
+						up := ScaleUpLWE(ExtractLWEFromPolys(c[0], c[1], small, idx), m.scaleUp)
+						want := ModSwitchLWE(refApply(k, up), small)
+						if got := k.ExtractSwitch(c[0], c[1], idx, m.scaleUp, acc); !lweEqual(got, want) {
+							t.Fatalf("q=%d logBase=%d nTo=%d polys %d idx=%d: ExtractSwitch differs from Extract→ScaleUp→Apply→ModSwitch", q, logBase, nTo, n, idx)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLWEKeySwitchCarriesIntoHighWord makes sure the equality above covers
+// the carry path: at a 61-bit modulus with maximal digits the unreduced sums
+// spill far into their high words, and the one final reduction still lands
+// on the stepwise residue.
+func TestLWEKeySwitchCarriesIntoHighWord(t *testing.T) {
+	const nFrom, nTo = 256, 8
+	s := ring.NewSampler(0x1f)
+	q := ring.GenerateNTTPrimes(61, 5, 1)[0]
+	k := GenLWEKeySwitchKey(s.TernarySigned(nFrom), s.BinarySigned(nTo), q, 8, s, ring.DefaultSigma)
+	ct := &LWECiphertext{A: make([]uint64, nFrom), B: q - 1, Q: q}
+	for i := range ct.A {
+		ct.A[i] = q - 1
+	}
+	acc := k.NewScratch()
+	for i, ai := range ct.A {
+		k.accumulate(acc, i, ai)
+	}
+	for w, sum := range acc {
+		// ~nFrom·digits terms of up to 2^69 each: the high word holds
+		// thousands of carries, not one.
+		if sum.hi < 1<<10 {
+			t.Fatalf("output word %d: high word %d — the input does not exercise the carry path", w, sum.hi)
+		}
+	}
+	if !lweEqual(k.Apply(ct), refApply(k, ct)) {
+		t.Fatal("Apply differs from the stepwise reference on sums that overflow 64 bits")
+	}
+}
+
+// TestLWEKeySwitchRejectsWrongDimension: a ciphertext shorter than the key's
+// source dimension used to be switched as a prefix (a wrong ciphertext, no
+// error) and a longer one died indexing the key. Both are caller bugs and
+// both now panic naming the two dimensions, as does the fused path.
+func TestLWEKeySwitchRejectsWrongDimension(t *testing.T) {
+	s := ring.NewSampler(0x20)
+	q := uint64(1) << 30
+	k := GenLWEKeySwitchKey(s.TernarySigned(16), s.BinarySigned(4), q, 7, s, ring.DefaultSigma)
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one naming %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("short ciphertext", "dimension-15 ciphertext under a key from dimension 16", func() {
+		k.Apply(&LWECiphertext{A: make([]uint64, 15), Q: q})
+	})
+	mustPanic("long ciphertext", "dimension-17 ciphertext under a key from dimension 16", func() {
+		k.Apply(&LWECiphertext{A: make([]uint64, 17), Q: q})
+	})
+	mustPanic("short polynomial", "dimension-8 extraction under a key from dimension 16", func() {
+		k.ExtractSwitch(make([]uint64, 8), make([]uint64, 8), 0, 10, k.NewScratch())
+	})
+}
+
+// TestExtractSwitchAllocatesOnlyItsOutput locks the fused Prepare kernel's
+// heap traffic per LWE ciphertext: the output struct and its mask, and none
+// of the N-word temporaries the unfused chain allocates.
+func TestExtractSwitchAllocatesOnlyItsOutput(t *testing.T) {
+	const n = 256
+	s := ring.NewSampler(0x21)
+	k := GenLWEKeySwitchKey(s.TernarySigned(n), s.BinarySigned(8), uint64(2*n)<<20, 7, s, ring.DefaultSigma)
+	c0, c1 := make([]uint64, n), make([]uint64, n)
+	for i := range c0 {
+		c0[i], c1[i] = s.UniformMod(2*n), s.UniformMod(2*n)
+	}
+	acc := k.NewScratch()
+	if avg := testing.AllocsPerRun(20, func() {
+		k.ExtractSwitch(c0, c1, 7, 20, acc)
+	}); avg != 2 {
+		t.Fatalf("ExtractSwitch allocates %.1f objects per LWE ciphertext, want 2 (the output and its mask)", avg)
 	}
 }

@@ -27,40 +27,34 @@ func (kg *KeyGenerator) GenPackingKeys(sk *SecretKey) *PackingKeys {
 	return pk
 }
 
-// Repacker executes the repacking merge tree and trace. It replaces the old
-// recursive, single-threaded packRecursive with an iterative level-order
-// reduction: the count/2^ℓ merges at depth ℓ are independent, so each level
-// is fanned out over Workers goroutines, every worker drawing a private
-// scratch arena (diff/rotation temporaries + key-switch buffers) from an
-// internal pool. The merge kernel itself never leaves the NTT domain: the
-// X^{N/2^ℓ} rotation of the odd branch is a pointwise multiply by a cached
-// monomial table instead of the old INTT→MulByMonomial→NTT round-trip
-// (4 transforms per node per component).
+// Repacker executes the repacking merge tree and trace. The whole repack
+// lives in the coefficient domain, the representation blind rotation emits
+// and the gadget decomposition consumes: the X^{N/2^ℓ} rotation of the odd
+// branch is a signed shift, σ_g a signed permutation, and every key switch
+// decomposes its input as it stands and emits coefficients through the
+// linear ModDown — so a merge or trace step spends transforms only on the
+// digit raise and the ModDown, and the caller NTTs the packed result once.
 //
-// Determinism: the tree shape and each node's arithmetic are fixed by the
-// ciphertext count alone, so the packed output is bit-identical for every
-// worker count — including the streaming core.MergeCollector, which drives
-// MergePair in arrival order.
+// Every map in the chain is exact on canonical residues, so the output is the
+// INTT of what the retired NTT-domain tree produced, bit for bit (the
+// references in pack_test.go). The tree shape and each node's arithmetic are
+// fixed by the ciphertext count alone: Merge walks it serially, and the
+// streaming core.MergeCollector — which drives MergePair in arrival order
+// from many goroutines — reaches the same words.
 type Repacker struct {
 	ks *KeySwitcher
 	pk *PackingKeys
-	// Workers bounds the goroutines one Merge/Pack call fans each tree level
-	// over; values ≤ 1 run serially. It must not be mutated while a call is
-	// in flight.
-	Workers int
 
 	scratch sync.Pool // *mergeScratch
 }
 
 // NewRepacker builds a Repacker over the given key switcher and packing
 // keys. The Repacker is safe for concurrent use by multiple goroutines.
-func NewRepacker(ks *KeySwitcher, pk *PackingKeys, workers int) *Repacker {
-	rp := &Repacker{ks: ks, pk: pk, Workers: workers}
+func NewRepacker(ks *KeySwitcher, pk *PackingKeys) *Repacker {
+	rp := &Repacker{ks: ks, pk: pk}
 	rp.scratch.New = func() any {
 		return &mergeScratch{
-			d:  NewCiphertext(ks.params, ks.params.MaxLevel()),
 			r:  NewCiphertext(ks.params, ks.params.MaxLevel()),
-			tc: ks.params.QBasis.NewPoly(),
 			ta: ks.params.QBasis.NewPoly(),
 			sc: ks.NewScratch(),
 		}
@@ -68,16 +62,15 @@ func NewRepacker(ks *KeySwitcher, pk *PackingKeys, workers int) *Repacker {
 	return rp
 }
 
-// mergeScratch is one worker's arena for a merge-tree node: the diff and
-// rotated temporaries, the hoisted coefficient-domain trace state (tc holds
-// the running C1 across trace steps, ta its automorphed image), and the
-// key-switch scratch. The backing arrays are allocated at the maximum level;
-// ctAtLevel / AtLevel re-slice them in place so a warm arena serves any
-// level without allocating.
+// mergeScratch is one caller's arena for a merge-tree node or trace step: a
+// ciphertext of temporaries, the automorphed C1 the key switch decomposes
+// (and overwrites with its C1 output), and the key-switch scratch. The
+// backing arrays are allocated at the maximum level; ctAtLevel / AtLevel
+// re-slice them in place so a warm arena serves any level without allocating.
 type mergeScratch struct {
-	d, r   *Ciphertext
-	tc, ta rns.Poly
-	sc     *Scratch
+	r  *Ciphertext
+	ta rns.Poly
+	sc *Scratch
 }
 
 // ctAtLevel truncates a max-level scratch ciphertext to level limbs in
@@ -88,50 +81,54 @@ func ctAtLevel(ct *Ciphertext, level int) *Ciphertext {
 	return ct
 }
 
-// validate checks the merge-tree preconditions and returns the common level.
-func (rp *Repacker) validate(cts []*Ciphertext) (level int, err error) {
+// validate checks the merge-tree preconditions.
+func (rp *Repacker) validate(cts []*Ciphertext) error {
 	count := len(cts)
 	if count == 0 || count&(count-1) != 0 {
-		return 0, fmt.Errorf("rlwe: repack needs a power-of-two ciphertext count, got %d", count)
+		return fmt.Errorf("rlwe: repack needs a power-of-two ciphertext count, got %d", count)
 	}
 	if count > rp.ks.params.N() {
-		return 0, fmt.Errorf("rlwe: cannot pack %d ciphertexts into %d coefficients", count, rp.ks.params.N())
+		return fmt.Errorf("rlwe: cannot pack %d ciphertexts into %d coefficients", count, rp.ks.params.N())
 	}
 	for i, ct := range cts {
 		if ct == nil {
-			return 0, fmt.Errorf("rlwe: repack input %d is nil", i)
+			return fmt.Errorf("rlwe: repack input %d is nil", i)
 		}
-		if i == 0 {
-			level = ct.Level()
-			continue
+		if ct.IsNTT {
+			return fmt.Errorf("rlwe: repack input %d is in NTT representation", i)
 		}
-		if ct.Level() != level {
-			return 0, fmt.Errorf("rlwe: repack inputs at mixed levels (%d vs %d)", level, ct.Level())
+		if ct.Level() != cts[0].Level() {
+			return fmt.Errorf("rlwe: repack inputs at mixed levels (%d vs %d)", cts[0].Level(), ct.Level())
 		}
 	}
-	if level < 1 {
-		return 0, fmt.Errorf("rlwe: repack inputs have no limbs")
+	if cts[0].Level() < 1 {
+		return fmt.Errorf("rlwe: repack inputs have no limbs")
 	}
 	for c := 2; c <= count; c <<= 1 {
 		if _, ok := rp.pk.Keys[uint64(c+1)]; !ok {
-			return 0, fmt.Errorf("rlwe: missing packing key for galois element %d", c+1)
+			return fmt.Errorf("rlwe: missing packing key for galois element %d", c+1)
 		}
 	}
-	return level, nil
+	return nil
 }
 
-// Merge runs the merge tree over cts: payloads land at stride N/count scaled
-// by count, but garbage at non-stride positions survives (Pack adds the
-// trace that annihilates it). Inputs must be NTT-form ciphertexts at one
-// common level; they are consumed as scratch, and the result aliases
-// cts[0]'s storage.
+// Merge runs the merge tree over cts, one node after another: payloads land
+// at stride N/count scaled by count, but garbage at non-stride positions
+// survives (Pack adds the trace that annihilates it). Inputs must be
+// coefficient-form ciphertexts at one common level; they are consumed as
+// scratch, and the result aliases cts[0]'s storage. It is the serial
+// reference of the tree; bootstraps merge through core.MergeCollector.
 func (rp *Repacker) Merge(cts []*Ciphertext) (*Ciphertext, error) {
-	if _, err := rp.validate(cts); err != nil {
+	if err := rp.validate(cts); err != nil {
 		return nil, err
 	}
-	count := len(cts)
-	for c := 2; c <= count; c <<= 1 {
-		rp.mergeLevel(cts, count/c, c, rp.pk.Keys[uint64(c+1)])
+	ms := rp.scratch.Get().(*mergeScratch)
+	defer rp.scratch.Put(ms)
+	for c := 2; c <= len(cts); c <<= 1 {
+		half, gk := len(cts)/c, rp.pk.Keys[uint64(c+1)]
+		for i := 0; i < half; i++ {
+			rp.mergePair(cts[i], cts[i+half], c, gk, ms)
+		}
 	}
 	return cts[0], nil
 }
@@ -153,25 +150,18 @@ func (rp *Repacker) Pack(cts []*Ciphertext) (*Ciphertext, error) {
 	return rp.Trace(out, len(cts))
 }
 
-// Trace applies σ_{2^j+1} for 2^j = 2·count … N in place: coefficients at
-// stride N/count are fixed and doubled at every step (total factor N/count);
-// all other coefficients cancel. With count = N it is a no-op.
-//
-// The loop is serial — each step's automorphism consumes the previous step's
-// output — but the decomposition input is hoisted into the coefficient
-// domain across the whole chain: the running C1 is INTT'd once up front,
-// each step permutes it with a coefficient-domain automorphism, decomposes
-// it directly (skipping the per-step INTT inside the key switch), and the
-// key switch emits its C1 update back in the coefficient domain via the
-// linear ModDown variant. C1 re-enters the NTT domain once, after the last
-// step. Every constituent map is exact and emits canonical residues, so the
-// result is bit-identical to the retired step-by-step AutomorphismInto loop
-// (kept as the reference in pack_test.go) — proven by the property tests,
-// not just close.
+// Trace applies σ_{2^j+1} for 2^j = 2·count … N to the coefficient-form
+// ciphertext out in place: coefficients at stride N/count are fixed and
+// doubled at every step (total factor N/count); all other coefficients
+// cancel. With count = N it is a no-op. The loop is serial — each step's
+// automorphism consumes the previous step's output.
 func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 	n := rp.ks.params.N()
 	if count < 1 || count&(count-1) != 0 || count > n {
 		return nil, fmt.Errorf("rlwe: trace needs a power-of-two count in [1, %d], got %d", n, count)
+	}
+	if out.IsNTT {
+		return nil, fmt.Errorf("rlwe: trace input is in NTT representation")
 	}
 	for step := 2 * count; step <= n; step <<= 1 {
 		if _, ok := rp.pk.Keys[uint64(step+1)]; !ok {
@@ -179,44 +169,13 @@ func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 		}
 	}
 	if 2*count > n {
-		return out, nil
+		return out, nil // no step to run: leave the arena pool alone
 	}
-	ks := rp.ks
-	level := out.Level()
-	b := ks.params.QBasis.AtLevel(level)
 	ms := rp.scratch.Get().(*mergeScratch)
 	defer rp.scratch.Put(ms)
-	rot := ctAtLevel(ms.r, level)
-
-	// Hoist the running C1 into the coefficient domain.
-	c1c := ms.tc.AtLevel(level)
-	ta := ms.ta.AtLevel(level)
-	for i := 0; i < level; i++ {
-		copy(c1c.Limbs[i], out.C1.Limbs[i])
-	}
-	b.INTT(c1c)
-	ks.rec.Add(obs.CounterNTT, uint64(level))
-
 	for step := 2 * count; step <= n; step <<= 1 {
-		g := uint64(step + 1)
-		gk := rp.pk.Keys[g]
-		// σ_g of the running value: C1 in the coefficient domain (exact,
-		// the canonical image of the NTT-slot permutation), C0 in the NTT
-		// domain as before.
-		b.Automorphism(c1c, g, ta)
-		// d0 → rot.C0 (NTT), d1 → ta in place (coefficient domain).
-		ks.switchPolyCoeffSplit(ta, gk, rot.C0, ta, ms.sc)
-		b.AutomorphismNTT(out.C0, ks.EnsurePerm(g), rot.C1)
-		b.Add(out.C0, rot.C1, out.C0) // += σ_g(C0)
-		b.Add(out.C0, rot.C0, out.C0) // += d0
-		b.Add(c1c, ta, c1c)           // C1 += d1, still in coefficient domain
+		rp.addRotated(out, out, uint64(step+1), rp.pk.Keys[uint64(step+1)], ms)
 	}
-
-	for i := 0; i < level; i++ {
-		copy(out.C1.Limbs[i], c1c.Limbs[i])
-	}
-	b.NTT(out.C1)
-	ks.rec.Add(obs.CounterNTT, uint64(level))
 	return out, nil
 }
 
@@ -224,15 +183,18 @@ func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 //
 //	out = (E + X^{N/c}·O) + σ_{c+1}(E − X^{N/c}·O)
 //
-// Both inputs are consumed; the result lands in (and aliases) e's storage.
-// This is the unit of work the streaming core.MergeCollector schedules as
-// accumulators arrive.
+// Both inputs (coefficient form) are consumed; the result lands in (and
+// aliases) e's storage. This is the unit of work the streaming
+// core.MergeCollector schedules as accumulators arrive.
 func (rp *Repacker) MergePair(e, o *Ciphertext, c int) (*Ciphertext, error) {
 	if c < 2 || c&(c-1) != 0 || c > rp.ks.params.N() {
 		return nil, fmt.Errorf("rlwe: merge span must be a power of two in [2, %d], got %d", rp.ks.params.N(), c)
 	}
 	if e.Level() != o.Level() {
 		return nil, fmt.Errorf("rlwe: merge siblings at mixed levels (%d vs %d)", e.Level(), o.Level())
+	}
+	if e.IsNTT || o.IsNTT {
+		return nil, fmt.Errorf("rlwe: merge siblings must be in coefficient representation")
 	}
 	gk, ok := rp.pk.Keys[uint64(c+1)]
 	if !ok {
@@ -244,76 +206,52 @@ func (rp *Repacker) MergePair(e, o *Ciphertext, c int) (*Ciphertext, error) {
 	return e, nil
 }
 
-// mergePair is the merge kernel. Entirely in the NTT domain and, with a warm
-// arena, allocation-free: the monomial rotation is a pointwise multiply by
-// the cached NTT image of X^{N/c}, which is bit-identical to the old
-// coefficient-domain MulByMonomial round-trip.
+// mergePair is the merge kernel; allocation-free with a warm arena. o's
+// storage ends up holding the difference branch.
 func (rp *Repacker) mergePair(e, o *Ciphertext, c int, gk *GadgetCiphertext, ms *mergeScratch) {
 	ks := rp.ks
 	ks.rec.Add(obs.CounterMerge, 1)
 	level := e.Level()
 	b := ks.params.QBasis.AtLevel(level)
-	mono := ks.EnsureMonomialNTT(ks.params.N() / c)
+	rot, k := ctAtLevel(ms.r, level), ks.params.N()/c
 	for i := 0; i < level; i++ {
-		r := b.Rings[i]
-		r.MulCoeffs(o.C0.Limbs[i], mono[i], o.C0.Limbs[i])
-		r.MulCoeffs(o.C1.Limbs[i], mono[i], o.C1.Limbs[i])
+		b.Rings[i].MulByMonomialInto(o.C0.Limbs[i], k, rot.C0.Limbs[i])
+		b.Rings[i].MulByMonomialInto(o.C1.Limbs[i], k, rot.C1.Limbs[i])
 	}
-	d := ctAtLevel(ms.d, level)
-	rot := ctAtLevel(ms.r, level)
-	b.Sub(e.C0, o.C0, d.C0) // diff = E − X^{N/c}·O
-	b.Sub(e.C1, o.C1, d.C1)
-	b.Add(e.C0, o.C0, e.C0) // sum = E + X^{N/c}·O
-	b.Add(e.C1, o.C1, e.C1)
-	ks.AutomorphismInto(rot, d, uint64(c+1), gk, ms.sc)
-	b.Add(e.C0, rot.C0, e.C0)
+	b.Sub(e.C0, rot.C0, o.C0) // diff = E − X^{N/c}·O
+	b.Sub(e.C1, rot.C1, o.C1)
+	b.Add(e.C0, rot.C0, e.C0) // sum = E + X^{N/c}·O
 	b.Add(e.C1, rot.C1, e.C1)
+	rp.addRotated(e, o, uint64(c+1), gk, ms)
 }
 
-// mergeLevel runs the `half` independent merges of one tree level over
-// min(Workers, half) goroutines, each holding its own scratch arena for the
-// duration. The serial path (Workers ≤ 1) is allocation-free.
-func (rp *Repacker) mergeLevel(cts []*Ciphertext, half, c int, gk *GadgetCiphertext) {
-	w := rp.Workers
-	if w > half {
-		w = half
-	}
-	if w <= 1 {
-		ms := rp.scratch.Get().(*mergeScratch)
-		for i := 0; i < half; i++ {
-			rp.mergePair(cts[i], cts[i+half], c, gk, ms)
-		}
-		rp.scratch.Put(ms)
-		return
-	}
-	// stride is declared after the serial return: the goroutine closure
-	// captures it by reference, and an earlier declaration would heap-move it
-	// on the (allocation-free) serial path too.
-	stride := w
-	var wg sync.WaitGroup
-	for k := 0; k < stride; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ms := rp.scratch.Get().(*mergeScratch)
-			defer rp.scratch.Put(ms)
-			for i := k; i < half; i += stride {
-				rp.mergePair(cts[i], cts[i+half], c, gk, ms)
-			}
-		}(k)
-	}
-	wg.Wait()
+// addRotated adds the key-switched σ_g(src) to dst, both in coefficient form
+// (dst may be src: every read of src precedes the first write to dst). σ_g
+// permutes coefficients exactly, its C1 image feeds the gadget decomposition
+// as it stands, and both ModDowns emit coefficients.
+func (rp *Repacker) addRotated(dst, src *Ciphertext, g uint64, gk *GadgetCiphertext, ms *mergeScratch) {
+	ks := rp.ks
+	level := src.Level()
+	b := ks.params.QBasis.AtLevel(level)
+	rot := ctAtLevel(ms.r, level)
+	ta := ms.ta.AtLevel(level)
+	b.Automorphism(src.C1, g, ta)
+	b.Automorphism(src.C0, g, rot.C1)
+	ks.switchPolyCoeff(ta, gk, rot.C0, ta, ms.sc) // d0 → rot.C0, d1 → ta in place
+	b.Add(dst.C0, rot.C1, dst.C0)                 // += σ_g(C0)
+	b.Add(dst.C0, rot.C0, dst.C0)                 // += d0
+	b.Add(dst.C1, ta, dst.C1)                     // += d1
 }
 
 // PackRLWEs combines 2^ℓ RLWE ciphertexts into one (see Repacker.Pack). The
 // outputs of the parallel BlindRotate operations are streamed back and
-// merged by the primary node this way. Inputs must be NTT-form ciphertexts
-// at a common level; they are consumed (used as scratch) and the result
+// merged by the primary node this way. Inputs must be coefficient-form
+// ciphertexts at a common level; they are consumed (used as scratch) and the result
 // aliases cts[0]'s storage. Returns an error — not a panic — on a
 // non-power-of-two count, mixed levels, or missing packing keys, so a
 // malformed request cannot take down a bootstrap in flight.
 func PackRLWEs(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk, 1).Pack(cts)
+	return NewRepacker(ks, pk).Pack(cts)
 }
 
 // MergeRLWEs is the merge half of PackRLWEs without the trailing trace
@@ -322,10 +260,10 @@ func PackRLWEs(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) (*Ciphertext
 // finishes the packing and annihilates the non-subring junk of ct′. Inputs
 // are consumed as scratch; the result aliases cts[0]'s storage.
 func MergeRLWEs(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk, 1).Merge(cts)
+	return NewRepacker(ks, pk).Merge(cts)
 }
 
 // TraceToSubring applies the trace in place (see Repacker.Trace).
 func TraceToSubring(ks *KeySwitcher, out *Ciphertext, count int, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk, 1).Trace(out, count)
+	return NewRepacker(ks, pk).Trace(out, count)
 }

@@ -56,7 +56,7 @@ func FuzzRepackerValidation(f *testing.F) {
 				sameLevel = false
 			}
 			ct := NewCiphertext(p, level)
-			ct.IsNTT = true
+			ct.IsNTT = false
 			cts[i] = ct
 		}
 
@@ -100,7 +100,7 @@ func FuzzRepackerValidation(f *testing.F) {
 		// power of two in [1, N].
 		tc := int(traceCount % uint16(2*n+2))
 		tct := NewCiphertext(p, 1)
-		tct.IsNTT = true
+		tct.IsNTT = false
 		_, terr := TraceToSubring(ks, tct, tc, usePK)
 		traceValid := tc >= 1 && tc <= n && tc&(tc-1) == 0
 		if traceValid && !dropped && terr != nil {
@@ -111,9 +111,9 @@ func FuzzRepackerValidation(f *testing.F) {
 		}
 
 		// MergePair validation: mixed levels and bad spans must error.
-		rp := NewRepacker(ks, usePK, 1)
+		rp := NewRepacker(ks, usePK)
 		e, o := NewCiphertext(p, 1), NewCiphertext(p, 2)
-		e.IsNTT, o.IsNTT = true, true
+		e.IsNTT, o.IsNTT = false, false
 		if _, merr := rp.MergePair(e, o, 2); merr == nil {
 			t.Fatal("mixed-level MergePair accepted")
 		}

@@ -3,6 +3,7 @@ package rlwe
 import (
 	"testing"
 
+	"heap/internal/obs"
 	"heap/internal/ring"
 )
 
@@ -35,6 +36,33 @@ func copyCts(cts []*Ciphertext) []*Ciphertext {
 		out[i] = ct.CopyNew()
 	}
 	return out
+}
+
+// coeffCopy returns the coefficient-form copy of an NTT-form ciphertext: what
+// the repacker takes where the NTT-domain references take ct itself.
+func coeffCopy(p *Parameters, ct *Ciphertext) *Ciphertext {
+	out := ct.CopyNew()
+	p.QBasis.INTT(out.C0)
+	p.QBasis.INTT(out.C1)
+	out.IsNTT = false
+	return out
+}
+
+func coeffCopies(p *Parameters, cts []*Ciphertext) []*Ciphertext {
+	out := make([]*Ciphertext, len(cts))
+	for i, ct := range cts {
+		out[i] = coeffCopy(p, ct)
+	}
+	return out
+}
+
+// toNTT transforms a repacker output in place — the one NTT after which it
+// must equal the NTT-domain reference word for word.
+func toNTT(p *Parameters, ct *Ciphertext) *Ciphertext {
+	p.QBasis.NTT(ct.C0)
+	p.QBasis.NTT(ct.C1)
+	ct.IsNTT = true
+	return ct
 }
 
 // refMerge is the retired recursive implementation, kept verbatim as the
@@ -95,14 +123,14 @@ func ctsEqual(p *Parameters, a, b *Ciphertext) bool {
 }
 
 // TestRepackMatchesSerialReference is the bit-exactness property test of the
-// parallel merge tree: over random counts and levels, the serial wrapper and
-// a 4-worker Repacker must reproduce the retired recursive implementation
-// exactly (the cluster chaos tests rely on repacking being deterministic).
-// Run under -race this also exercises the per-worker scratch arenas.
+// coefficient-domain repack: over random counts and levels, Pack on the
+// coefficient form of the inputs, NTT'd once, must reproduce the retired
+// recursive NTT-domain implementation exactly (the cluster chaos tests rely
+// on repacking being deterministic). The references above are unchanged, so
+// this is the proof that the domain change moved no bit.
 func TestRepackMatchesSerialReference(t *testing.T) {
 	p, ks, pk, _, _ := packFixture(t, 5)
 	s := ring.NewSampler(0xfeed)
-	par := NewRepacker(ks, pk, 4)
 	for _, count := range []int{1, 2, 4, 8, p.N()} {
 		for level := 1; level <= p.MaxLevel(); level++ {
 			cts := make([]*Ciphertext, count)
@@ -111,19 +139,15 @@ func TestRepackMatchesSerialReference(t *testing.T) {
 			}
 			want := refTrace(ks, refMerge(ks, copyCts(cts), pk), count, pk)
 
-			serial, err := PackRLWEs(ks, copyCts(cts), pk)
+			got, err := PackRLWEs(ks, coeffCopies(p, cts), pk)
 			if err != nil {
-				t.Fatalf("count=%d level=%d: serial: %v", count, level, err)
+				t.Fatalf("count=%d level=%d: %v", count, level, err)
 			}
-			parallel, err := par.Pack(copyCts(cts))
-			if err != nil {
-				t.Fatalf("count=%d level=%d: parallel: %v", count, level, err)
+			if got.IsNTT {
+				t.Fatalf("count=%d level=%d: packed result claims NTT form", count, level)
 			}
-			if !ctsEqual(p, want, serial) {
-				t.Errorf("count=%d level=%d: serial PackRLWEs differs from reference", count, level)
-			}
-			if !ctsEqual(p, want, parallel) {
-				t.Errorf("count=%d level=%d: parallel Pack differs from reference", count, level)
+			if !ctsEqual(p, want, toNTT(p, got)) {
+				t.Errorf("count=%d level=%d: PackRLWEs differs from reference", count, level)
 			}
 		}
 	}
@@ -137,7 +161,7 @@ func TestMergeConsumesInputs(t *testing.T) {
 	s := ring.NewSampler(7)
 	cts := make([]*Ciphertext, 4)
 	for i := range cts {
-		cts[i] = randCiphertext(p, s, p.MaxLevel())
+		cts[i] = coeffCopy(p, randCiphertext(p, s, p.MaxLevel()))
 	}
 	originals := copyCts(cts)
 
@@ -167,10 +191,11 @@ func TestRepackErrors(t *testing.T) {
 	mk := func(n, level int) []*Ciphertext {
 		cts := make([]*Ciphertext, n)
 		for i := range cts {
-			cts[i] = randCiphertext(p, s, level)
+			cts[i] = coeffCopy(p, randCiphertext(p, s, level))
 		}
 		return cts
 	}
+	one := func(level int) *Ciphertext { return mk(1, level)[0] }
 	L := p.MaxLevel()
 
 	if _, err := PackRLWEs(ks, mk(3, L), pk); err == nil {
@@ -180,7 +205,7 @@ func TestRepackErrors(t *testing.T) {
 		t.Error("expected error for empty input")
 	}
 	mixed := mk(2, L)
-	mixed[1] = randCiphertext(p, s, L-1)
+	mixed[1] = one(L - 1)
 	if _, err := MergeRLWEs(ks, mixed, pk); err == nil {
 		t.Error("expected error for mixed levels")
 	}
@@ -189,8 +214,18 @@ func TestRepackErrors(t *testing.T) {
 	if _, err := MergeRLWEs(ks, withNil, pk); err == nil {
 		t.Error("expected error for nil input")
 	}
-	if _, err := TraceToSubring(ks, randCiphertext(p, s, L), 3, pk); err == nil {
+	if _, err := TraceToSubring(ks, one(L), 3, pk); err == nil {
 		t.Error("expected error for non-power-of-two trace count")
+	}
+	// The repack lives in the coefficient domain: an NTT-form operand is a
+	// caller bug that would otherwise pack garbage silently.
+	withNTT := mk(2, L)
+	withNTT[1] = randCiphertext(p, s, L)
+	if _, err := MergeRLWEs(ks, withNTT, pk); err == nil {
+		t.Error("expected error for an NTT-form merge input")
+	}
+	if _, err := TraceToSubring(ks, randCiphertext(p, s, L), 2, pk); err == nil {
+		t.Error("expected error for an NTT-form trace input")
 	}
 
 	// Missing key: strip the g=5 key needed by any count ≥ 4 merge.
@@ -203,39 +238,49 @@ func TestRepackErrors(t *testing.T) {
 	if _, err := PackRLWEs(ks, mk(4, L), gutted); err == nil {
 		t.Error("expected error for missing packing key")
 	}
-	if _, err := TraceToSubring(ks, randCiphertext(p, s, L), 2, gutted); err == nil {
+	if _, err := TraceToSubring(ks, one(L), 2, gutted); err == nil {
 		t.Error("expected error for missing trace key")
 	}
 
-	rp := NewRepacker(ks, pk, 1)
-	e, o := randCiphertext(p, s, L), randCiphertext(p, s, L-1)
+	rp := NewRepacker(ks, pk)
+	e, o := one(L), one(L-1)
 	if _, err := rp.MergePair(e, o, 2); err == nil {
 		t.Error("expected error for mixed-level merge pair")
 	}
-	if _, err := rp.MergePair(e, randCiphertext(p, s, L), 3); err == nil {
+	if _, err := rp.MergePair(e, one(L), 3); err == nil {
 		t.Error("expected error for non-power-of-two merge span")
+	}
+	if _, err := rp.MergePair(e, randCiphertext(p, s, L), 2); err == nil {
+		t.Error("expected error for an NTT-form merge sibling")
+	}
+	if _, err := NewRepacker(ks, gutted).MergePair(one(L), one(L), 4); err == nil {
+		t.Error("expected error for a merge pair with no packing key")
 	}
 }
 
-// TestMonomialNTTMatchesCoefficientDomain proves the table the merge kernel
-// multiplies by: for every rotation amount, pointwise multiplication by
-// NTT(X^k) is bit-identical to the coefficient-domain monomial shift.
+// TestMonomialNTTMatchesCoefficientDomain proves the two routes to the merge
+// tree's X^{N/c} rotation equal: for every rotation amount, the
+// coefficient-domain monomial shift the merge kernel runs is bit-identical to
+// the pointwise multiplication by ring.MonomialNTT(k) the retired NTT-domain
+// kernel ran.
 func TestMonomialNTTMatchesCoefficientDomain(t *testing.T) {
-	p, ks, _, _, _ := packFixture(t, 4)
+	p, _, _, _, _ := packFixture(t, 4)
 	r := p.QBasis.Rings[0]
 	n := r.N
 	s := ring.NewSampler(9)
 	for _, k := range []int{0, 1, 5, n / 2, n - 1, n, n + 3, 2*n - 1} {
 		a := r.NewPoly()
 		s.UniformPoly(r, a) // NTT-form operand
-		want := a.Copy()
-		r.INTT(want)
-		r.MulByMonomial(want, k, want)
+		coeff := a.Copy()
+		r.INTT(coeff)
+		want := r.NewPoly()
+		r.MulByMonomialInto(coeff, k, want)
 		r.NTT(want)
 
-		mono := ks.EnsureMonomialNTT(k)
+		mono := r.NewPoly()
+		r.MonomialNTT(k, mono)
 		got := r.NewPoly()
-		r.MulCoeffs(a, mono[0], got)
+		r.MulCoeffs(a, mono, got)
 		if !r.Equal(want, got) {
 			t.Errorf("k=%d: NTT-domain monomial multiply differs from coefficient-domain shift", k)
 		}
@@ -326,10 +371,10 @@ func TestMergeLevelZeroAllocs(t *testing.T) {
 	}
 	p, ks, pk, _, _ := packFixture(t, 5)
 	s := ring.NewSampler(10)
-	rp := NewRepacker(ks, pk, 1)
+	rp := NewRepacker(ks, pk)
 	level := p.MaxLevel()
-	pair := []*Ciphertext{randCiphertext(p, s, level), randCiphertext(p, s, level)}
-	if _, err := rp.Merge(pair); err != nil { // warm arenas, perm + monomial caches
+	pair := []*Ciphertext{coeffCopy(p, randCiphertext(p, s, level)), coeffCopy(p, randCiphertext(p, s, level))}
+	if _, err := rp.Merge(pair); err != nil { // warm the arena
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
@@ -341,45 +386,45 @@ func TestMergeLevelZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHoistedTraceMatchesPreHoistingReference pins the hoisted trace — which
-// carries its running C1 in the coefficient domain and skips the per-step
-// INTT inside the key switch — bit-exactly to the pre-hoisting
-// automorphism-and-add loop kept above as refTrace. Hoisting changes the
-// evaluation order, so identity (not closeness) is the contract: every map in
-// the hoisted chain is exact on canonical residues. Run under -race this also
-// exercises the trace state in the pooled per-worker arenas.
+// TestHoistedTraceMatchesPreHoistingReference pins the coefficient-domain
+// trace — both components stay in coefficient form across all steps, no key
+// switch INTTs its input and nothing is NTT'd until the caller does it once —
+// bit-exactly to the pre-hoisting NTT-domain automorphism-and-add loop kept
+// above as refTrace. The domain change alters the evaluation order, so
+// identity (not closeness) is the contract: every map in the chain is exact
+// on canonical residues. Run under -race this also exercises the pooled
+// arenas.
 func TestHoistedTraceMatchesPreHoistingReference(t *testing.T) {
 	p, ks, pk, _, _ := packFixture(t, 5)
 	s := ring.NewSampler(0xbeef)
-	rp := NewRepacker(ks, pk, 1)
+	rp := NewRepacker(ks, pk)
 	for _, count := range []int{1, 2, 8, p.N() / 2, p.N()} {
 		for level := 1; level <= p.MaxLevel(); level++ {
 			ct := randCiphertext(p, s, level)
 			want := refTrace(ks, ct.CopyNew(), count, pk)
-			got, err := rp.Trace(ct.CopyNew(), count)
+			got, err := rp.Trace(coeffCopy(p, ct), count)
 			if err != nil {
 				t.Fatalf("count=%d level=%d: %v", count, level, err)
 			}
-			if !ctsEqual(p, want, got) {
-				t.Errorf("count=%d level=%d: hoisted Trace differs from pre-hoisting reference", count, level)
+			if !ctsEqual(p, want, toNTT(p, got)) {
+				t.Errorf("count=%d level=%d: coefficient-domain Trace differs from pre-hoisting reference", count, level)
 			}
 		}
 	}
 }
 
-// TestTraceZeroAllocs locks the hoisted trace to the heap-free contract the
-// merge tree already holds: with a warm arena (the mergeScratch grew
-// coefficient-domain trace state for the hoisting), tracing a ciphertext
-// down to the subring must not allocate.
+// TestTraceZeroAllocs locks the trace to the heap-free contract the merge
+// tree holds: with a warm arena, tracing a ciphertext down to the subring
+// must not allocate.
 func TestTraceZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; the allocation lock only holds in regular builds")
 	}
 	p, ks, pk, _, _ := packFixture(t, 5)
 	s := ring.NewSampler(11)
-	rp := NewRepacker(ks, pk, 1)
-	ct := randCiphertext(p, s, p.MaxLevel())
-	if _, err := rp.Trace(ct, 1); err != nil { // warm arena + perm cache
+	rp := NewRepacker(ks, pk)
+	ct := coeffCopy(p, randCiphertext(p, s, p.MaxLevel()))
+	if _, err := rp.Trace(ct, 1); err != nil { // warm the arena
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
@@ -387,6 +432,61 @@ func TestTraceZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("hoisted trace allocates %.1f objects/op, want 0", avg)
+		t.Fatalf("trace allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestMergeTransformBudget pins the limb-transform ledger of the repack the
+// way TestExternalProductTransformBudget pins the external product's: one
+// merge — and one trace step, the same kernel — is D digit raises of
+// level+|P| transforms plus two ModDowns of |P| inverse P-part transforms and
+// level Q-limb transforms each, with nothing spent moving operands between
+// domains (the NTT-domain kernel paid `level` more to INTT its key-switch
+// input). 36 at primary_tail's shape (Q6+P3), 44 at the paper's (Q7+P4).
+func TestMergeTransformBudget(t *testing.T) {
+	const logN = 5
+	for _, shape := range []struct{ q, p, dnum, want int }{{6, 3, 2, 36}, {7, 4, 2, 44}} {
+		p := MustParameters(logN, ring.GenerateNTTPrimes(40, logN, shape.q), ring.GenerateNTTPrimesUp(40, logN, shape.p), ring.DefaultSigma, shape.dnum)
+		kg := NewKeyGenerator(p, 51)
+		sk := kg.GenSecretKey(SecretTernary)
+		ks := NewKeySwitcher(p)
+		rp := NewRepacker(ks, kg.GenPackingKeys(sk))
+		s := ring.NewSampler(52)
+		level := p.MaxLevel()
+		if d := p.DigitsAtLevel(level); d*(level+shape.p)+2*(shape.p+level) != shape.want {
+			t.Fatalf("shape %+v: the budget formula gives %d", shape, d*(level+shape.p)+2*(shape.p+level))
+		}
+		met := obs.NewMetrics()
+		ks.SetRecorder(met)
+		step := func(name string, wantTransforms, wantSwitches uint64, f func() error) {
+			t.Helper()
+			ntt, sw := met.Counter(obs.CounterNTT), met.Counter(obs.CounterKeySwitch)
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			if got := met.Counter(obs.CounterNTT) - ntt; got != wantTransforms {
+				t.Errorf("shape %+v: %s recorded %d limb transforms, want %d", shape, name, got, wantTransforms)
+			}
+			if got := met.Counter(obs.CounterKeySwitch) - sw; got != wantSwitches {
+				t.Errorf("shape %+v: %s recorded %d key switches, want %d", shape, name, got, wantSwitches)
+			}
+		}
+		mk := func() *Ciphertext { return coeffCopy(p, randCiphertext(p, s, level)) }
+		want := uint64(shape.want)
+		step("one merge", want, 1, func() error { _, err := rp.MergePair(mk(), mk(), 2); return err })
+		step("one trace step", want, 1, func() error { _, err := rp.Trace(mk(), p.N()/2); return err })
+		// A whole pack of 8 into N = 32: 7 merges and log2(32/8) = 2 trace
+		// steps, and no per-input term.
+		step("pack of 8", 9*want, 9, func() error {
+			cts := make([]*Ciphertext, 8)
+			for i := range cts {
+				cts[i] = mk()
+			}
+			_, err := rp.Pack(cts)
+			return err
+		})
+		if got := met.Counter(obs.CounterMerge); got != 8 {
+			t.Errorf("shape %+v: merges = %d, want 8", shape, got)
+		}
 	}
 }
