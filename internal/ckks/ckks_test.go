@@ -99,6 +99,37 @@ func TestAddSubNeg(t *testing.T) {
 	}
 }
 
+// TestAddPlainLowerLevelPlaintext is the regression test for AddPlain with a
+// plaintext encoded below the ciphertext's level: the sum must come back at
+// the plaintext's level and decrypt to a + b. It used to keep ct's level and
+// add pt over the shared limbs only, leaving upper limbs that encode a alone —
+// an RNS representation of no single value.
+func TestAddPlainLowerLevelPlaintext(t *testing.T) {
+	p, cl, ev := newTestContext(t, 6, 3, 32, nil)
+	a, b := rampVector(p.Slots), rampVector(p.Slots)
+	for i := range b {
+		b[i] = complex(0.25, -0.5) * b[i]
+	}
+	want := make([]complex128, p.Slots)
+	for i := range want {
+		want[i] = a[i] + b[i]
+	}
+	ct := cl.Encrypt(a)
+	for level := p.MaxLevel(); level >= 1; level-- {
+		pt := cl.Encoder.EncodeAtLevel(b, ct.Scale, level)
+		sum := ev.AddPlain(ct, pt)
+		if sum.Level() != level {
+			t.Fatalf("plaintext at level %d: sum at level %d", level, sum.Level())
+		}
+		if err := maxErr(cl.Decrypt(sum), want); err > 1e-6 {
+			t.Errorf("plaintext at level %d: AddPlain error %g", level, err)
+		}
+	}
+	if ct.Level() != p.MaxLevel() {
+		t.Error("AddPlain modified its input")
+	}
+}
+
 func TestMulRescale(t *testing.T) {
 	p, cl, ev := newTestContext(t, 7, 4, 64, nil)
 	a, b := rampVector(p.Slots), rampVector(p.Slots)

@@ -124,10 +124,14 @@ func (ev *Evaluator) Neg(a *rlwe.Ciphertext) *rlwe.Ciphertext {
 }
 
 // AddPlain returns ct + pt where pt is an NTT plaintext at matching scale
-// (PtAdd of §II-A).
+// (PtAdd of §II-A), at the common level of the two like Add and MulPlain: a
+// plaintext encoded at a lower level has no residues for ct's upper limbs, so
+// a result that kept them would name ct there and ct + pt below.
 func (ev *Evaluator) AddPlain(ct *rlwe.Ciphertext, pt rns.Poly) *rlwe.Ciphertext {
-	out := ct.CopyNew()
-	ev.Params.QBasis.AtLevel(commonLevel(ct, &rlwe.Ciphertext{C0: pt, C1: pt})).Add(out.C0, pt, out.C0)
+	level := min(ct.Level(), pt.Level())
+	bas := ev.Params.QBasis.AtLevel(level)
+	out := &rlwe.Ciphertext{C0: bas.NewPoly(), C1: ct.C1.AtLevel(level).Copy(), IsNTT: ct.IsNTT, Scale: ct.Scale}
+	bas.Add(ct.C0, pt, out.C0)
 	return out
 }
 

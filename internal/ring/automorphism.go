@@ -1,5 +1,7 @@
 package ring
 
+import "sync"
+
 // Automorphism applies the Galois automorphism X → X^g (g odd) to a
 // polynomial in coefficient representation: coefficient i moves to position
 // i·g mod 2N with a sign flip when it wraps past N. This is the index-mapping
@@ -30,7 +32,7 @@ func (r *Ring) AutomorphismNTTIndex(g uint64) []uint64 {
 	g %= twoN
 	perm := make([]uint64, n)
 	for j := uint64(0); j < n; j++ {
-		e := (2*bitReverse(j, r.LogN) + 1) * g % twoN
+		e := uint64(r.slotExp[j]) * g % twoN
 		perm[j] = bitReverse((e-1)/2, r.LogN)
 	}
 	return perm
@@ -63,38 +65,67 @@ func (r *Ring) GaloisElementForRotation(k int) uint64 {
 // conjugation on CKKS slots: X → X^{2N-1}.
 func (r *Ring) GaloisElementConjugate() uint64 { return uint64(2*r.N) - 1 }
 
-// MonomialNTT writes the NTT (evaluation) representation of the monomial X^k
-// into out, for any k (reduced mod 2N; X^N = −1). Pointwise multiplication by
-// this table realizes MulByMonomial directly in the evaluation domain —
-// slot j holds ψ^{k·e_j} where e_j is the slot's evaluation exponent — and is
-// bit-identical to the INTT→MulByMonomial→NTT round-trip it replaces, since
-// both compute the same residues and emit canonical representatives.
-func (r *Ring) MonomialNTT(k int, out Poly) {
-	n := r.N
-	k = ((k % (2 * n)) + 2*n) % (2 * n)
-	out.Zero()
-	if k < n {
-		out[k] = 1
-	} else {
-		out[k-n] = r.Mod.Q - 1
+// MonomialsMinusOneNTT writes the NTT (evaluation) representations of the two
+// blind-rotation factors of one mask element, X^k − 1 into plus and X^{−k} − 1
+// into minus, for any k (reduced mod 2N; X^N = −1), without a transform:
+// slot j of NTT(X^k) is ψ^{k·e_j}, where e_j = 2·brv(j)+1 is the slot's
+// evaluation exponent (the one AutomorphismNTTIndex permutes by), so each
+// slot is one lookup in the natural-order ψ^i table — ψ^{i+N} = −ψ^i — and the
+// second factor reads the same table at 2N − i. Both outputs are canonical
+// and word for word what NTT(X^{±k}) − 1 gives.
+func (r *Ring) MonomialsMinusOneNTT(k int, plus, minus Poly) {
+	n := uint64(r.N)
+	mask := 2*n - 1
+	kk := uint64(k) & mask // two's complement: k mod 2N for negative k too
+	q := r.Mod.Q
+	pow := r.psiPow
+	plus = plus[:n]
+	minus = minus[:n]
+	for j, e := range r.slotExp[:n] {
+		idx := kk * uint64(e) & mask
+		plus[j] = signedPow(pow, idx, n, q) - 1
+		minus[j] = signedPow(pow, (2*n-idx)&mask, n, q) - 1
 	}
-	r.NTT(out)
 }
 
-// MulByMonomial multiplies p (coefficient representation) by X^k in the
-// negacyclic ring, for any k in [0, 2N). This is the TFHE rotation unit of
-// §IV-A: coefficients shift by k positions and flip sign when wrapping,
-// since X^N = -1.
-func (r *Ring) MulByMonomial(p Poly, k int, out Poly) {
-	tmp := make(Poly, r.N)
-	r.MulByMonomialInto(p, k, tmp)
-	copy(out, tmp)
+// signedPow returns ψ^idx for idx ∈ [0, 2N) from the natural-order table of
+// the first N powers: ψ^idx for idx < N, q − ψ^{idx−N} past it. Never zero.
+func signedPow(pow []uint64, idx, n, q uint64) uint64 {
+	w := pow[idx&(n-1)]
+	if idx >= n {
+		return q - w
+	}
+	return w
 }
 
-// MulByMonomialInto is MulByMonomial writing directly into out, which must
-// not alias p. Every output position is written exactly once, so no
-// temporary is needed — this is the allocation-free rotation of the
-// BlindRotate hot path.
+// slotExponents returns e_j = 2·brv(j)+1 for j ∈ [0, N): NTT slot j holds the
+// evaluation at ψ^{e_j}. The vector depends on the degree only, so every ring
+// of one degree shares it (read-only once built).
+func slotExponents(logN int) []uint32 {
+	slotExpMu.Lock()
+	defer slotExpMu.Unlock()
+	if e, ok := slotExpByLogN[logN]; ok {
+		return e
+	}
+	e := make([]uint32, 1<<logN)
+	for j := range e {
+		e[j] = uint32(2*bitReverse(uint64(j), logN) + 1)
+	}
+	slotExpByLogN[logN] = e
+	return e
+}
+
+var (
+	slotExpMu     sync.Mutex
+	slotExpByLogN = map[int][]uint32{}
+)
+
+// MulByMonomialInto multiplies p (coefficient representation) by X^k in the
+// negacyclic ring into out, for any k (reduced mod 2N): coefficients shift by
+// k positions and flip sign when wrapping, since X^N = −1 — the TFHE rotation
+// unit of §IV-A. out must not alias p: every output position is written
+// exactly once, straight from p, so no temporary is needed and the
+// BlindRotate hot path allocates nothing here.
 func (r *Ring) MulByMonomialInto(p Poly, k int, out Poly) {
 	n := r.N
 	k = ((k % (2 * n)) + 2*n) % (2 * n)

@@ -42,6 +42,13 @@ type Ring struct {
 	psiInvTable      []uint64
 	psiInvTableShoup []uint64
 
+	// psiPow[i] = psi^i for i ∈ [0, N), natural order, and slotExp[j] =
+	// 2·brv(j)+1, the power of psi NTT slot j evaluates at (shared by every
+	// ring of this degree): together they give the evaluation form of a
+	// monomial by lookup (MonomialsMinusOneNTT).
+	psiPow  []uint64
+	slotExp []uint32
+
 	nInv      uint64 // N^{-1} mod q
 	nInvShoup uint64
 }
@@ -65,6 +72,11 @@ func NewRing(logN int, q uint64) *Ring {
 		r.psiTableShoup[i] = r.Mod.ShoupPrecomp(r.psiTable[i])
 		r.psiInvTableShoup[i] = r.Mod.ShoupPrecomp(r.psiInvTable[i])
 	}
+	r.psiPow = make([]uint64, n)
+	for i := range r.psiPow {
+		r.psiPow[i] = r.psiTable[bitReverse(uint64(i), logN)]
+	}
+	r.slotExp = slotExponents(logN)
 	r.nInv = r.Mod.InvMod(uint64(n))
 	r.nInvShoup = r.Mod.ShoupPrecomp(r.nInv)
 	return r

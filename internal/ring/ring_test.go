@@ -68,7 +68,7 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 		out := r.NewPoly()
 		r.Automorphism(p, g, out)
 		want := r.NewPoly()
-		r.MulByMonomial(appendOne(r), int(g), want) // X^g = 1·X^g
+		r.MulByMonomialInto(appendOne(r), int(g), want) // X^g = 1·X^g
 		if !r.Equal(out, want) {
 			t.Errorf("g=%d: automorphism of X != X^g", g)
 		}
@@ -194,11 +194,11 @@ func TestMulByMonomial(t *testing.T) {
 
 	// Rotating by 2N is the identity; rotating by N negates.
 	out := r.NewPoly()
-	r.MulByMonomial(p, 2*r.N, out)
+	r.MulByMonomialInto(p, 2*r.N, out)
 	if !r.Equal(out, p) {
 		t.Error("X^{2N} rotation is not identity")
 	}
-	r.MulByMonomial(p, r.N, out)
+	r.MulByMonomialInto(p, r.N, out)
 	neg := r.NewPoly()
 	r.Neg(p, neg)
 	if !r.Equal(out, neg) {
@@ -207,11 +207,11 @@ func TestMulByMonomial(t *testing.T) {
 
 	// Composition: rotating by a then b equals rotating by a+b.
 	f := func(a, b uint8) bool {
-		o1, o2 := r.NewPoly(), r.NewPoly()
-		r.MulByMonomial(p, int(a), o1)
-		r.MulByMonomial(o1, int(b), o1)
-		r.MulByMonomial(p, int(a)+int(b), o2)
-		return r.Equal(o1, o2)
+		o1, o2, o3 := r.NewPoly(), r.NewPoly(), r.NewPoly()
+		r.MulByMonomialInto(p, int(a), o1)
+		r.MulByMonomialInto(o1, int(b), o2)
+		r.MulByMonomialInto(p, int(a)+int(b), o3)
+		return r.Equal(o2, o3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -222,9 +222,29 @@ func TestMulByMonomial(t *testing.T) {
 	mono[3] = 1
 	want := r.NewPoly()
 	r.MulPolyNaive(p, mono, want)
-	r.MulByMonomial(p, 3, out)
+	r.MulByMonomialInto(p, 3, out)
 	if !r.Equal(out, want) {
-		t.Error("MulByMonomial(3) != naive p·X^3")
+		t.Error("MulByMonomialInto(3) != naive p·X^3")
+	}
+}
+
+// TestMulByMonomialIntoMustNotAlias keeps the no-alias contract explicit: the
+// rotation writes each output position straight from its input, so running it
+// in place reads coefficients it has already overwritten and is wrong, where
+// the same call into a separate buffer is right. Callers must pass distinct
+// polynomials; nothing wraps the kernel in a temporary for them.
+func TestMulByMonomialIntoMustNotAlias(t *testing.T) {
+	r := NewRing(3, 7681)
+	p := r.NewPoly()
+	for i := range p {
+		p[i] = uint64(i + 1)
+	}
+	want := r.NewPoly()
+	r.MulByMonomialInto(p, 3, want)
+	inPlace := p.Copy()
+	r.MulByMonomialInto(inPlace, 3, inPlace)
+	if r.Equal(inPlace, want) {
+		t.Error("an aliased rotation happened to be right; the contract test needs a harder input")
 	}
 }
 

@@ -1,6 +1,7 @@
 package rlwe
 
 import (
+	"math"
 	"math/big"
 
 	"heap/internal/ring"
@@ -108,4 +109,30 @@ func (d *Decryptor) Phase(ct *Ciphertext) rns.Poly {
 // PhaseCentered returns the phase as centered big integers.
 func (d *Decryptor) PhaseCentered(ct *Ciphertext) []*big.Int {
 	return d.params.QBasis.AtLevel(ct.Level()).CRTReconstructCentered(d.Phase(ct))
+}
+
+// NoiseBits measures how far ct's phase is from the polynomial it should
+// encrypt: log₂ of the largest centred coefficient of phase(ct) − want, with
+// want in coefficient representation over ct's level (0 when they are equal).
+// It is the coefficient-domain referee for a change that is equivalent only
+// up to noise — ckks.Client.NoiseBits is its slot-domain sibling — and, like
+// every Decryptor method, needs the secret key, so it lives in tests and
+// diagnostics, never on a serving path.
+func (d *Decryptor) NoiseBits(ct *Ciphertext, want rns.Poly) float64 {
+	b := d.params.QBasis.AtLevel(ct.Level())
+	diff := d.Phase(ct)
+	b.Sub(diff, want, diff)
+	worst := new(big.Int)
+	for _, c := range b.CRTReconstructCentered(diff) {
+		if c.CmpAbs(worst) > 0 {
+			worst = c
+		}
+	}
+	if worst.Sign() == 0 {
+		return 0
+	}
+	mant := new(big.Float)
+	exp := mant.SetInt(worst).MantExp(mant) // |worst| = |mant|·2^exp, |mant| ∈ [½, 1)
+	m, _ := mant.Float64()
+	return math.Log2(math.Abs(m)) + float64(exp)
 }

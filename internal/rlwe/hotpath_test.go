@@ -292,3 +292,200 @@ func TestExternalProductTransformBudget(t *testing.T) {
 		}
 	}
 }
+
+// coeffForm moves an NTT-form ciphertext to coefficient representation in
+// place and returns it.
+func coeffForm(p *Parameters, ct *Ciphertext) *Ciphertext {
+	b := p.QBasis.AtLevel(ct.Level())
+	b.INTT(ct.C0)
+	b.INTT(ct.C1)
+	ct.IsNTT = false
+	return ct
+}
+
+// TestExternalProductTwoKeyMatchesTwoProducts locks the two-key product to
+// what it fuses — (X^k − 1)·ct through one key plus (X^{−k} − 1)·ct through
+// the other, each rotated and differenced in the coefficient domain and
+// multiplied on its own — at decrypt level, for every gadget shape and level,
+// key constants on either side or both, and rotation amounts on both sides of
+// the sign wrap. The two are not bit-identical (one decomposition of ct
+// against two of its rotated differences); they must agree to within
+// key-switch noise, far below the 2^30-sized message.
+func TestExternalProductTwoKeyMatchesTwoProducts(t *testing.T) {
+	const logN = 5
+	for _, shape := range gadgetShapes {
+		q := ring.GenerateNTTPrimes(40, logN, shape[0])
+		pp := ring.GenerateNTTPrimesUp(41, logN, shape[1])
+		p := MustParameters(logN, q, pp, ring.DefaultSigma, shape[2])
+		n := p.N()
+		kg := NewKeyGenerator(p, 51)
+		sk := kg.GenSecretKey(SecretTernary)
+		enc := NewEncryptor(p, sk, 52)
+		dec := NewDecryptor(p, sk)
+		ks := NewKeySwitcher(p)
+		sc := ks.NewScratch()
+		msg := make([]int64, n)
+		for i := range msg {
+			msg[i] = (int64(i%19) - 9) << 30
+		}
+		for _, consts := range [][2]int64{{1, 0}, {0, 1}, {1, 1}} {
+			plus, minus := kg.GenRGSWConstant(consts[0], sk), kg.GenRGSWConstant(consts[1], sk)
+			for level := 1; level <= p.MaxLevel(); level++ {
+				b := p.QBasis.AtLevel(level)
+				ct := coeffForm(p, enc.EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1))
+				for _, k := range []int{1, n - 1, n, n + 3, 2*n - 1} {
+					want := NewCiphertext(p, level)
+					want.C0.Zero()
+					want.C1.Zero()
+					rot, prod := NewCiphertext(p, level), NewCiphertext(p, level)
+					for _, side := range []struct {
+						k    int
+						rgsw *RGSWCiphertext
+					}{{k, plus}, {-k, minus}} {
+						rot.IsNTT = false
+						for i, r := range b.Rings {
+							r.MulByMonomialInto(ct.C0.Limbs[i], side.k, rot.C0.Limbs[i])
+							r.MulByMonomialInto(ct.C1.Limbs[i], side.k, rot.C1.Limbs[i])
+						}
+						b.Sub(rot.C0, ct.C0, rot.C0)
+						b.Sub(rot.C1, ct.C1, rot.C1)
+						ks.ExternalProductCoeffInto(prod, rot, side.rgsw, sc)
+						b.Add(want.C0, prod.C0, want.C0)
+						b.Add(want.C1, prod.C1, want.C1)
+					}
+					want.IsNTT = false
+
+					got := NewCiphertext(p, level)
+					ks.ExternalProductTwoKeyCoeffInto(got, ct, k, plus, minus, sc)
+					if got.IsNTT || got.Scale != ct.Scale {
+						t.Fatalf("shape %v level %d: two-key product metadata IsNTT=%v Scale=%v", shape, level, got.IsNTT, got.Scale)
+					}
+					if d := dec.NoiseBits(got, dec.Phase(want)); d > 14 {
+						t.Fatalf("shape %v level %d consts %v k=%d: two-key product is %.1f bits from the two separate products", shape, level, consts, k, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExternalProductTwoKeyBudget pins what the ternary blind-rotation
+// iteration costs, at the paper's shape (Q7+P4) and heapd's (Q4+P2): the
+// two-key product is ONE decomposition of each component and one pair of
+// ModDowns — 66 and 36 limb transforms, a single external product's worth,
+// counted as one — it skips the C1 half (22 and 12 digit transforms) on a
+// trivial ciphertext, and with a warm arena it allocates nothing.
+func TestExternalProductTwoKeyBudget(t *testing.T) {
+	const logN = 5
+	for _, c := range []struct {
+		qLimbs, pLimbs int
+		full, trivial  uint64
+	}{{7, 4, 66, 44}, {4, 2, 36, 24}} {
+		p := MustParameters(logN, ring.GenerateNTTPrimes(40, logN, c.qLimbs), ring.GenerateNTTPrimesUp(40, logN, c.pLimbs), ring.DefaultSigma, 2)
+		kg := NewKeyGenerator(p, 43)
+		sk := kg.GenSecretKey(SecretTernary)
+		plus, minus := kg.GenRGSWConstant(0, sk), kg.GenRGSWConstant(1, sk)
+		ct := coeffForm(p, NewEncryptor(p, sk, 44).EncryptZeroAtLevel(p.MaxLevel()))
+		trivial := ct.CopyNew()
+		trivial.C1.Zero()
+		ks := NewKeySwitcher(p)
+		sc := ks.NewScratch()
+		out := NewCiphertext(p, ct.Level())
+		for _, in := range []struct {
+			ct   *Ciphertext
+			want uint64
+		}{{ct, c.full}, {trivial, c.trivial}} {
+			met := obs.NewMetrics()
+			ks.SetRecorder(met)
+			ks.ExternalProductTwoKeyCoeffInto(out, in.ct, 5, plus, minus, sc)
+			if got := met.Counter(obs.CounterNTT); got != in.want {
+				t.Errorf("Q%d+P%d: two-key product recorded %d limb transforms, want %d", c.qLimbs, c.pLimbs, got, in.want)
+			}
+			if got := met.Counter(obs.CounterExternalProduct); got != 1 {
+				t.Errorf("Q%d+P%d: external product counter = %d, want 1", c.qLimbs, c.pLimbs, got)
+			}
+		}
+		ks.SetRecorder(nil)
+		if avg := testing.AllocsPerRun(10, func() {
+			ks.ExternalProductTwoKeyCoeffInto(out, ct, 5, plus, minus, sc)
+		}); avg != 0 {
+			t.Errorf("Q%d+P%d: two-key product allocates %.1f objects/op, want 0", c.qLimbs, c.pLimbs, avg)
+		}
+	}
+}
+
+// TestZeroC1SkipIsBitIdentical locks the trivial-ciphertext shortcut of the
+// external product — an all-zero C1 decomposes into zero digits whose MACs add
+// exact zeros to canonical accumulators, so its gadget half is not computed —
+// to the computation it skips: the same kernels driven by hand over both
+// components, zeros included, give the same words, in both output forms, and
+// the shortcut costs the budget less the skipped half.
+func TestZeroC1SkipIsBitIdentical(t *testing.T) {
+	p, ks, ct, rgsw := hotpathFixture(t)
+	level := ct.Level()
+	b := p.QBasis.AtLevel(level)
+	trivial := coeffForm(p, ct.CopyNew())
+	trivial.C1.Zero()
+	sc := ks.NewScratch()
+	for _, coeff := range []bool{false, true} {
+		ks.gadgetProduct(trivial.C0, rgsw.C0, nil, true, sc)
+		ks.gadgetProduct(trivial.C1, rgsw.C1, nil, false, sc)
+		want := NewCiphertext(p, level)
+		ks.modDownInto(sc.accB, want.C0, coeff, sc)
+		ks.modDownInto(sc.accA, want.C1, coeff, sc)
+
+		met := obs.NewMetrics()
+		ks.SetRecorder(met)
+		got := NewCiphertext(p, level)
+		ks.externalProduct(got, trivial, rgsw, coeff, sc)
+		ks.SetRecorder(nil)
+		if !b.Equal(want.C0, got.C0) || !b.Equal(want.C1, got.C1) {
+			t.Fatalf("coeff=%v: external product of a trivial ciphertext differs from the unskipped computation", coeff)
+		}
+		full := uint64(2*p.DigitsAtLevel(level)*(level+len(p.P)) + 2*(len(p.P)+level))
+		skipped := uint64(p.DigitsAtLevel(level) * (level + len(p.P)))
+		if n := met.Counter(obs.CounterNTT); n != full-skipped {
+			t.Errorf("coeff=%v: trivial-ciphertext product recorded %d limb transforms, want %d − %d", coeff, n, full, skipped)
+		}
+	}
+}
+
+// TestNoiseBits checks the coefficient-domain noise referee on the cases it
+// can be checked exactly: a trivial ciphertext off by a known amount, a fresh
+// encryption (a few bits of Gaussian), equality, and a wrong expectation.
+func TestNoiseBits(t *testing.T) {
+	p := testParams(t, 5)
+	kg := NewKeyGenerator(p, 61)
+	sk := kg.GenSecretKey(SecretTernary)
+	dec := NewDecryptor(p, sk)
+	level := p.MaxLevel()
+	b := p.QBasis.AtLevel(level)
+
+	msg := make([]int64, p.N())
+	for i := range msg {
+		msg[i] = int64(i) << 20
+	}
+	want := b.NewPoly()
+	b.SetSigned(msg, want)
+	off := append([]int64(nil), msg...)
+	off[7] -= 1 << 45 // the largest error, negative: centring must not hide it
+	off[3] += 1000
+	trivial := NewCiphertext(p, level)
+	b.SetSigned(off, trivial.C0)
+	trivial.IsNTT = false
+	if got := dec.NoiseBits(trivial, want); got != 45 {
+		t.Errorf("trivial ciphertext off by 2^45: NoiseBits = %v, want 45", got)
+	}
+	b.SetSigned(msg, trivial.C0)
+	if got := dec.NoiseBits(trivial, want); got != 0 {
+		t.Errorf("exact ciphertext: NoiseBits = %v, want 0", got)
+	}
+
+	fresh := NewEncryptor(p, sk, 62).EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1)
+	if got := dec.NoiseBits(fresh, want); got < 1 || got > 6 {
+		t.Errorf("fresh encryption: NoiseBits = %.2f, want a few bits of σ=%.1f Gaussian", got, p.Sigma)
+	}
+	if got := dec.NoiseBits(fresh, b.NewPoly()); got < 24 {
+		t.Errorf("wrong expectation: NoiseBits = %.2f, want the message's size", got)
+	}
+}

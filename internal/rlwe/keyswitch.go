@@ -124,6 +124,13 @@ type Scratch struct {
 	t0, t1     rns.Poly
 	conv       *rns.ExtendScratch
 	md         *rns.ModDownScratch
+
+	// The second accumulator pair and the two N-word monomial vectors serve
+	// the two-key product of the ternary blind rotation only; ensureTwoKey
+	// sizes them on its first call, so every other user's arena stays as
+	// small as it was.
+	accB2, accA2        qpAccumulator
+	monoPlus, monoMinus ring.Poly
 }
 
 // NewScratch allocates a scratch arena sized for this key switcher's
@@ -148,6 +155,18 @@ func (ks *KeySwitcher) NewScratch() *Scratch {
 		conv:     rns.NewExtendScratch(p.Alpha(), p.N()),
 		md:       ks.modDown.NewScratch(),
 	}
+}
+
+// ensureTwoKey allocates the second accumulator pair and the monomial vectors
+// on the arena's first two-key product.
+func (sc *Scratch) ensureTwoKey(p *Parameters) {
+	if sc.monoPlus != nil {
+		return
+	}
+	sc.accB2 = qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
+	sc.accA2 = qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
+	sc.monoPlus = make(ring.Poly, p.N())
+	sc.monoMinus = make(ring.Poly, p.N())
 }
 
 func (ks *KeySwitcher) getScratch() *Scratch   { return ks.scratchPool.Get().(*Scratch) }
@@ -218,16 +237,24 @@ func (ks *KeySwitcher) macRow(acc, dig qpAccumulator, row rns.Poly, level int, f
 // gadgetProduct is the decompose→NTT→MAC body shared by every key switch
 // and external product: it adds Σ_j digit_j(cCoeff) ⊙ (gct.B[j], gct.A[j])
 // to the scratch accumulators at cCoeff's level — or, with first set, starts
-// them from the first digit's products.
-func (ks *KeySwitcher) gadgetProduct(cCoeff rns.Poly, gct *GadgetCiphertext, first bool, sc *Scratch) {
+// them from the first digit's products. With second non-nil every raised
+// digit is MACed against that gadget ciphertext too, into the arena's second
+// accumulator pair (ensureTwoKey must have run): one decomposition serves
+// both keys.
+func (ks *KeySwitcher) gadgetProduct(cCoeff rns.Poly, gct, second *GadgetCiphertext, first bool, sc *Scratch) {
 	level := cCoeff.Level()
 	accB := sc.accB.atLevel(level)
 	accA := sc.accA.atLevel(level)
 	dig := sc.dig.atLevel(level)
 	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
 		ks.decomposeDigit(j, level, cCoeff, dig, sc)
-		ks.macRow(accB, dig, gct.B[j], level, first && j == 0)
-		ks.macRow(accA, dig, gct.A[j], level, first && j == 0)
+		start := first && j == 0
+		ks.macRow(accB, dig, gct.B[j], level, start)
+		ks.macRow(accA, dig, gct.A[j], level, start)
+		if second != nil {
+			ks.macRow(sc.accB2.atLevel(level), dig, second.B[j], level, start)
+			ks.macRow(sc.accA2.atLevel(level), dig, second.A[j], level, start)
+		}
 	}
 }
 
@@ -262,7 +289,7 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 	ks.params.QBasis.AtLevel(level).INTT(cCoeff)
 	ks.rec.Add(obs.CounterNTT, uint64(level))
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.gadgetProduct(cCoeff, gct, true, sc)
+	ks.gadgetProduct(cCoeff, gct, nil, true, sc)
 	ks.modDownInto(sc.accB, d0, false, sc)
 	ks.modDownInto(sc.accA, d1, false, sc)
 }
@@ -275,7 +302,7 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 // input before the ModDowns write.
 func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.gadgetProduct(cCoeff, gct, true, sc)
+	ks.gadgetProduct(cCoeff, gct, nil, true, sc)
 	ks.modDownInto(sc.accB, d0, true, sc)
 	ks.modDownInto(sc.accA, d1, true, sc)
 }
@@ -433,7 +460,11 @@ func (ks *KeySwitcher) ApplyGaloisHoisted(ct *Ciphertext, h *Hoisted, g uint64, 
 // live in the scratch arena sc, mirroring the paper's on-chip operand
 // residency for the rotate→decompose→NTT→MAC schedule, so the call
 // allocates nothing. ct may be in either representation; the output is in
-// NTT representation.
+// NTT representation. A trivial ciphertext — C1 all zero, which is how every
+// blind-rotation accumulator starts — costs half the decomposition: zero
+// digits MAC exact zeros, so the C1 half is skipped with the same words out
+// (the test is one comparison on anything else: it stops at the first
+// non-zero coefficient).
 func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
 	ks.externalProduct(out, ct, rgsw, false, sc)
 }
@@ -461,10 +492,61 @@ func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext
 		ks.rec.Add(obs.CounterNTT, uint64(2*level))
 	}
 	ks.rec.Add(obs.CounterExternalProduct, 1)
-	ks.gadgetProduct(c0Coeff, rgsw.C0, true, sc)
-	ks.gadgetProduct(c1Coeff, rgsw.C1, false, sc)
+	ks.gadgetProduct(c0Coeff, rgsw.C0, nil, true, sc)
+	if !c1Coeff.IsZero() {
+		ks.gadgetProduct(c1Coeff, rgsw.C1, nil, false, sc)
+	}
 	ks.modDownInto(sc.accB, out.C0, coeff, sc)
 	ks.modDownInto(sc.accA, out.C1, coeff, sc)
 	out.IsNTT = !coeff
+	out.Scale = ct.Scale
+}
+
+// ExternalProductTwoKeyCoeffInto computes
+//
+//	out = ((X^k − 1)·ct) ⊡ plus + ((X^{−k} − 1)·ct) ⊡ minus
+//
+// — the whole non-identity part of one ternary blind-rotation iteration
+// (Algorithm 1) — from ONE gadget decomposition of ct: the monomial factors
+// commute with the decomposition up to key-switch noise, so the raised digits
+// of ct as it stands are MACed against both keys into two accumulator pairs,
+// the factors are applied to the accumulators in the evaluation domain
+// (acc ← m⁺ ⊙ acc⁺ + m⁻ ⊙ acc⁻ per QP limb, the monomial vectors rebuilt per
+// limb into scratch), and the pair is ModDown'd once. That is the transform
+// count of a single external product (and it is counted as one) where two
+// sequential CMux steps spend two. ct must be in coefficient representation
+// and out is written in it. out must NOT alias ct: the iteration is completed
+// by ct + out, so the caller still needs ct when this returns (the in-place
+// form ExternalProductCoeffInto allows has no use here). The result is not
+// bit-identical to the two-step form (whose second product sees the first
+// one's output), only equal to it up to key-switch noise.
+func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
+	if ct.IsNTT {
+		panic("rlwe: two-key external product takes a coefficient-form ciphertext")
+	}
+	p := ks.params
+	level := ct.Level()
+	sc.ensureTwoKey(p)
+	ks.rec.Add(obs.CounterExternalProduct, 1)
+	ks.gadgetProduct(ct.C0, plus.C0, minus.C0, true, sc)
+	if !ct.C1.IsZero() {
+		ks.gadgetProduct(ct.C1, plus.C1, minus.C1, false, sc)
+	}
+	combine := func(r *ring.Ring, b, b2, a, a2 ring.Poly) {
+		r.MonomialsMinusOneNTT(k, sc.monoPlus, sc.monoMinus)
+		r.MulCoeffs(b, sc.monoPlus, b)
+		r.MulCoeffsAndAdd(b2, sc.monoMinus, b)
+		r.MulCoeffs(a, sc.monoPlus, a)
+		r.MulCoeffsAndAdd(a2, sc.monoMinus, a)
+	}
+	for i := 0; i < level; i++ {
+		combine(p.QBasis.Rings[i], sc.accB.q.Limbs[i], sc.accB2.q.Limbs[i], sc.accA.q.Limbs[i], sc.accA2.q.Limbs[i])
+	}
+	for i := range p.P {
+		combine(p.PBasis.Rings[i], sc.accB.p.Limbs[i], sc.accB2.p.Limbs[i], sc.accA.p.Limbs[i], sc.accA2.p.Limbs[i])
+	}
+	ks.modDownInto(sc.accB, out.C0, true, sc)
+	ks.modDownInto(sc.accA, out.C1, true, sc)
+	out.IsNTT = false
 	out.Scale = ct.Scale
 }

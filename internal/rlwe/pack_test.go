@@ -67,7 +67,7 @@ func toNTT(p *Parameters, ct *Ciphertext) *Ciphertext {
 
 // refMerge is the retired recursive implementation, kept verbatim as the
 // serial reference: evens/odds split, coefficient-domain monomial rotation
-// (INTT→MulByMonomial→NTT), allocating Automorphism.
+// (INTT→MulByMonomialInto→NTT), allocating Automorphism.
 func refMerge(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) *Ciphertext {
 	count := len(cts)
 	if count == 1 {
@@ -88,12 +88,11 @@ func refMerge(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) *Ciphertext {
 	rot := ks.params.N() / count
 	for i := 0; i < level; i++ {
 		r := b.Rings[i]
-		r.INTT(o.C0.Limbs[i])
-		r.MulByMonomial(o.C0.Limbs[i], rot, o.C0.Limbs[i])
-		r.NTT(o.C0.Limbs[i])
-		r.INTT(o.C1.Limbs[i])
-		r.MulByMonomial(o.C1.Limbs[i], rot, o.C1.Limbs[i])
-		r.NTT(o.C1.Limbs[i])
+		for _, limb := range []ring.Poly{o.C0.Limbs[i], o.C1.Limbs[i]} {
+			r.INTT(limb)
+			r.MulByMonomialInto(limb.Copy(), rot, limb)
+			r.NTT(limb)
+		}
 	}
 	sum := e.CopyNew()
 	b.Add(sum.C0, o.C0, sum.C0)
@@ -258,31 +257,37 @@ func TestRepackErrors(t *testing.T) {
 	}
 }
 
-// TestMonomialNTTMatchesCoefficientDomain proves the two routes to the merge
-// tree's X^{N/c} rotation equal: for every rotation amount, the
-// coefficient-domain monomial shift the merge kernel runs is bit-identical to
-// the pointwise multiplication by ring.MonomialNTT(k) the retired NTT-domain
-// kernel ran.
+// TestMonomialNTTMatchesCoefficientDomain proves the two routes to a
+// blind-rotation factor equal: for every class of rotation amount, the
+// coefficient-domain rotate-and-difference (X^{±k} − 1)·a the binary CMux step
+// runs is bit-identical to the pointwise multiplication by the evaluation-form
+// vectors ring.MonomialsMinusOneNTT(k) the two-key product applies to its
+// accumulators.
 func TestMonomialNTTMatchesCoefficientDomain(t *testing.T) {
 	p, _, _, _, _ := packFixture(t, 4)
 	r := p.QBasis.Rings[0]
 	n := r.N
 	s := ring.NewSampler(9)
+	plus, minus := r.NewPoly(), r.NewPoly()
 	for _, k := range []int{0, 1, 5, n / 2, n - 1, n, n + 3, 2*n - 1} {
 		a := r.NewPoly()
 		s.UniformPoly(r, a) // NTT-form operand
 		coeff := a.Copy()
 		r.INTT(coeff)
-		want := r.NewPoly()
-		r.MulByMonomialInto(coeff, k, want)
-		r.NTT(want)
-
-		mono := r.NewPoly()
-		r.MonomialNTT(k, mono)
-		got := r.NewPoly()
-		r.MulCoeffs(a, mono, got)
-		if !r.Equal(want, got) {
-			t.Errorf("k=%d: NTT-domain monomial multiply differs from coefficient-domain shift", k)
+		r.MonomialsMinusOneNTT(k, plus, minus)
+		for _, c := range []struct {
+			k    int
+			mono ring.Poly
+		}{{k, plus}, {-k, minus}} {
+			want := r.NewPoly()
+			r.MulByMonomialInto(coeff, c.k, want)
+			r.Sub(want, coeff, want)
+			r.NTT(want)
+			got := r.NewPoly()
+			r.MulCoeffs(a, c.mono, got)
+			if !r.Equal(want, got) {
+				t.Errorf("k=%d: NTT-domain (X^k − 1) multiply differs from coefficient-domain rotate-and-difference", c.k)
+			}
 		}
 	}
 }

@@ -244,7 +244,7 @@ func TestExternalProductByMonomial(t *testing.T) {
 	mp := r0.NewPoly()
 	ring.SignedToPoly(r0, msg, mp)
 	rot := r0.NewPoly()
-	r0.MulByMonomial(mp, k, rot)
+	r0.MulByMonomialInto(mp, k, rot)
 	for i := range want {
 		want[i] = ring.CenteredRep(rot[i], r0.Mod.Q)
 	}

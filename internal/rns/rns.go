@@ -94,6 +94,20 @@ func (p Poly) Zero() {
 	}
 }
 
+// IsZero reports whether every coefficient of every limb is zero. It stops at
+// the first non-zero word, so on anything but the zero polynomial it costs one
+// comparison.
+func (p Poly) IsZero() bool {
+	for _, limb := range p.Limbs {
+		for _, v := range limb {
+			if v != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // lvl returns the smallest level among the operands, so binary operations
 // naturally act at the common level.
 func lvl(ps ...Poly) int {

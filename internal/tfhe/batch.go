@@ -20,10 +20,11 @@ import (
 // walks the BRK index i, the inner loop advances a tile of accumulators, so
 // brk.Plus[i]/brk.Minus[i] and their decomposition constants are pulled
 // through cache once per tile instead of once per ciphertext. Correctness is
-// immediate: each accumulator still sees exactly the per-ciphertext CMux
-// sequence (the rotations of different accumulators are independent), so the
-// batched engine is bit-exact against BlindRotateInto — locked by the
-// property tests in batch_test.go.
+// immediate: each accumulator still sees exactly the per-ciphertext sequence
+// of iteration steps (the rotations of different accumulators are
+// independent, and both loops run the same Evaluator.step), so the batched
+// engine is bit-exact against BlindRotateInto for either key type — locked by
+// the property tests in batch_test.go.
 //
 // BlindRotateBatchInto fans tiles out across a worker pool, each worker
 // owning one BatchScratch arena (the PR 2 zero-alloc discipline: nothing but
@@ -141,10 +142,7 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 				continue
 			}
 			touched = true
-			ev.cmuxStep(accs[j], int(k), brk.Plus[i], level, sc)
-			if !brk.Binary {
-				ev.cmuxStep(accs[j], -int(k), brk.Minus[i], level, sc)
-			}
+			ev.step(accs[j], int(k), brk, i, level, sc)
 		}
 		if touched {
 			streamed += keyBytes

@@ -127,24 +127,31 @@ func TestBlindRotateBatchMatchesPerCiphertext(t *testing.T) {
 }
 
 // TestBlindRotateTileZeroAllocs locks the PR 2 discipline on the batched
-// inner loop: with a warm arena and reused accumulators, a key-major tile
-// performs zero heap allocations.
+// inner loop, for both key types: with a warm arena and reused accumulators,
+// a key-major tile performs zero heap allocations.
 func TestBlindRotateTileZeroAllocs(t *testing.T) {
-	p, ev, lut, brk, next := batchFixture(t, rlwe.SecretBinary)
-	const tile = 4
-	lwes := make([]*rlwe.LWECiphertext, tile)
-	accs := make([]*rlwe.Ciphertext, tile)
-	for j := range lwes {
-		lwes[j] = next()
-		accs[j] = rlwe.NewCiphertext(p, lut.Level)
-	}
-	bsc := ev.NewBatchScratch()
-	ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc) // warm the arena
+	for _, secret := range []rlwe.SecretDist{rlwe.SecretBinary, rlwe.SecretTernary} {
+		t.Run(secretName(secret), func(t *testing.T) {
+			p, ev, lut, brk, next := batchFixture(t, secret)
+			if brk.Binary != (secret == rlwe.SecretBinary) {
+				t.Fatalf("fixture key came out binary=%v", brk.Binary)
+			}
+			const tile = 4
+			lwes := make([]*rlwe.LWECiphertext, tile)
+			accs := make([]*rlwe.Ciphertext, tile)
+			for j := range lwes {
+				lwes[j] = next()
+				accs[j] = rlwe.NewCiphertext(p, lut.Level)
+			}
+			bsc := ev.NewBatchScratch()
+			ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc) // warm the arena
 
-	if avg := testing.AllocsPerRun(5, func() {
-		ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc)
-	}); avg != 0 {
-		t.Fatalf("BlindRotateTileInto allocates %.1f objects/op, want 0", avg)
+			if avg := testing.AllocsPerRun(5, func() {
+				ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc)
+			}); avg != 0 {
+				t.Fatalf("BlindRotateTileInto allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -31,11 +31,12 @@ func NewEvaluator(params *rlwe.Parameters, ks *rlwe.KeySwitcher) *Evaluator {
 }
 
 // Scratch is the per-worker arena of the blind-rotation datapath: the
-// rotated-difference ciphertext (which the external product then overwrites
-// with its output) and the underlying key-switch scratch. One arena per worker makes the whole
-// rotate→decompose→NTT→MAC schedule (§IV-E) allocation-free in steady
-// state, the software mirror of the paper's on-chip accumulator residency.
-// A Scratch must not be shared between concurrent rotations.
+// ciphertext one iteration's product lands in (for a binary key it first holds
+// the rotated difference the product consumes) and the underlying key-switch
+// scratch. One arena per worker makes the whole rotate→decompose→NTT→MAC
+// schedule (§IV-E) allocation-free in steady state, the software mirror of
+// the paper's on-chip accumulator residency. A Scratch must not be shared
+// between concurrent rotations.
 type Scratch struct {
 	rot *rlwe.Ciphertext
 	KS  *rlwe.Scratch
@@ -61,15 +62,18 @@ func (ev *Evaluator) putScratch(sc *Scratch) { ev.scratchPool.Put(sc) }
 //
 //	ACC ← ACC ∗ (RGSW(1) + (X^{a_i}−1)·RGSW(s_i⁺) + (X^{−a_i}−1)·RGSW(s_i⁻))
 //
-// realized as two CMux external products per iteration (one for binary
-// keys). The input LWE ciphertext must be at modulus 2N; the output is an
-// RLWE ciphertext at lut.Level whose constant coefficient encrypts g(phase).
+// realized as written, one product per iteration: a ternary key decomposes
+// ACC once and MACs the digits against both RGSW(s_i⁺) and RGSW(s_i⁻), with
+// the two monomial factors applied in the evaluation domain (ternaryStep); a
+// binary key, whose s_i⁻ all encrypt zero, drops that term and takes the
+// rotate-and-difference CMux (cmuxStep). The input LWE ciphertext must be at
+// modulus 2N; the output is an RLWE ciphertext at lut.Level whose constant
+// coefficient encrypts g(phase).
 //
 // The accumulator is kept in coefficient representation between iterations:
-// the monomial rotations and gadget decompositions of the BlindRotate
-// datapath (§IV-E) operate on coefficients, with NTTs only inside the
-// external product — exactly the rotate→decompose→NTT→MAC schedule the
-// paper describes.
+// the gadget decompositions of the BlindRotate datapath (§IV-E) operate on
+// coefficients, with NTTs only inside the external product — exactly the
+// rotate→decompose→NTT→MAC schedule the paper describes.
 func (ev *Evaluator) BlindRotate(lwe *rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey) *rlwe.Ciphertext {
 	acc := rlwe.NewCiphertext(ev.Params, lut.Level)
 	sc := ev.getScratch()
@@ -114,14 +118,40 @@ func (ev *Evaluator) BlindRotateInto(acc *rlwe.Ciphertext, lwe *rlwe.LWECipherte
 			continue
 		}
 		streamed += keyBytes
-		ev.cmuxStep(acc, int(ai), brk.Plus[i], level, sc)
-		if !brk.Binary {
-			ev.cmuxStep(acc, -int(ai), brk.Minus[i], level, sc)
-		}
+		ev.step(acc, int(ai), brk, i, level, sc)
 	}
 	rec := ev.KS.Recorder()
 	rec.Add(obs.CounterBRKBytesStreamed, streamed)
 	rec.Add(obs.CounterBlindRotate, 1)
+}
+
+// step folds mask element a_i = k ≢ 0 into the accumulator: Algorithm 1's one
+// product for key index i. Which of the two forms runs is read off the key —
+// brk.Binary is set by GenBlindRotateKey and carried in the key header.
+func (ev *Evaluator) step(acc *rlwe.Ciphertext, k int, brk *BlindRotateKey, i, level int, sc *Scratch) {
+	if brk.Binary {
+		ev.cmuxStep(acc, k, brk.Plus[i], level, sc)
+	} else {
+		ev.ternaryStep(acc, k, brk.Plus[i], brk.Minus[i], level, sc)
+	}
+}
+
+// ternaryStep computes
+//
+//	ACC += ((X^k − 1)·ACC) ⊡ plus + ((X^{−k} − 1)·ACC) ⊡ minus
+//
+// in place as one two-key external product of the accumulator as it stands:
+// one decomposition, one pair of ModDowns — 66 limb transforms at the paper
+// parameters, what a single cmuxStep costs, where folding the two keys in one
+// after the other costs 132. The two forms agree up to key-switch noise, not
+// bit for bit; blindRotateSequentialInto in the tests is the two-step
+// reference this one is measured against (TestBlindRotateNoise).
+func (ev *Evaluator) ternaryStep(acc *rlwe.Ciphertext, k int, plus, minus *rlwe.RGSWCiphertext, level int, sc *Scratch) {
+	b := ev.Params.QBasis.AtLevel(level)
+	prod := sc.rot
+	ev.KS.ExternalProductTwoKeyCoeffInto(prod, acc, k, plus, minus, sc.KS)
+	b.Add(acc.C0, prod.C0, acc.C0)
+	b.Add(acc.C1, prod.C1, acc.C1)
 }
 
 // cmuxStep computes ACC += (X^k·ACC − ACC) ⊡ rgsw in place, with the rotated

@@ -46,17 +46,34 @@ func TestBlindRotateIntoMatchesBlindRotate(t *testing.T) {
 }
 
 // TestBlindRotateIntoZeroAllocs is the allocation-regression lock for the
-// full rotate→decompose→NTT→MAC schedule: with a warm arena and a reused
-// accumulator, a steady-state blind rotation performs zero heap allocations.
+// full rotate→decompose→NTT→MAC schedule, for the binary CMux step and the
+// ternary two-key step (whose extra scratch is sized by the warm-up rotation):
+// with a warm arena and a reused accumulator, a steady-state blind rotation
+// performs zero heap allocations.
 func TestBlindRotateIntoZeroAllocs(t *testing.T) {
-	_, ev, lut, brk, lwe := blindRotateFixture(t)
-	sc := ev.NewScratch()
-	acc := rlwe.NewCiphertext(ev.Params, lut.Level)
-	ev.BlindRotateInto(acc, lwe, lut, brk, sc) // warm the arena
+	for _, secret := range []rlwe.SecretDist{rlwe.SecretBinary, rlwe.SecretTernary} {
+		t.Run(secretName(secret), func(t *testing.T) {
+			_, ev, lut, brk, next := batchFixture(t, secret)
+			if brk.Binary != (secret == rlwe.SecretBinary) {
+				t.Fatalf("fixture key came out binary=%v", brk.Binary)
+			}
+			lwe := next()
+			sc := ev.NewScratch()
+			acc := rlwe.NewCiphertext(ev.Params, lut.Level)
+			ev.BlindRotateInto(acc, lwe, lut, brk, sc) // warm the arena
 
-	if avg := testing.AllocsPerRun(5, func() {
-		ev.BlindRotateInto(acc, lwe, lut, brk, sc)
-	}); avg != 0 {
-		t.Fatalf("BlindRotateInto allocates %.1f objects/op, want 0", avg)
+			if avg := testing.AllocsPerRun(5, func() {
+				ev.BlindRotateInto(acc, lwe, lut, brk, sc)
+			}); avg != 0 {
+				t.Fatalf("BlindRotateInto allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
+}
+
+func secretName(d rlwe.SecretDist) string {
+	if d == rlwe.SecretBinary {
+		return "binary"
+	}
+	return "ternary"
 }

@@ -1,6 +1,8 @@
 // Package tfhe implements the TFHE-side operations of the paper: blind-rotate
 // key generation, the BlindRotate operation (Algorithm 1, ternary-secret
-// form), negacyclic lookup-table construction, CMux, and programmable
+// form: one external product per LWE mask element, against RGSW(s_i⁺) and
+// RGSW(s_i⁻) at once; a binary secret has no s_i⁻ term and takes a plain
+// CMux), negacyclic lookup-table construction, CMux, and programmable
 // bootstrapping (PBS, §VII-A). It is built directly on the shared
 // rlwe substrate — in particular the ExternalProduct kernel — so the CKKS
 // KeySwitch and TFHE BlindRotate literally share one datapath, as the HEAP
@@ -17,12 +19,13 @@ import (
 // BlindRotateKey is the brk of the paper: for every coefficient of the LWE
 // secret s⃗, RGSW encryptions of s_i⁺ and s_i⁻ under the RLWE secret
 // (brk = {RGSW(s_i⁺), RGSW(s_i⁻)}, §II-B). For binary LWE secrets every
-// s_i⁻ encrypts zero and the minus branch can be skipped.
+// s_i⁻ encrypts zero and the rotation never reads the Minus half.
 type BlindRotateKey struct {
 	Plus  []*rlwe.RGSWCiphertext
 	Minus []*rlwe.RGSWCiphertext
-	// Binary records that the source secret was binary, enabling the
-	// single-branch CMux fast path.
+	// Binary records that the source secret was binary: an iteration is then
+	// one CMux against Plus[i] (cmuxStep) instead of the two-key product
+	// (ternaryStep).
 	Binary bool
 }
 

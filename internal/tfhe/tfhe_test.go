@@ -47,7 +47,7 @@ func TestLUTMapping(t *testing.T) {
 	// give g(signed(u)) for |signed(u)| < N/2.
 	for _, u := range []int{0, 1, 5, n/2 - 1, 2*n - 1, 2*n - 7, 3*n/2 + 1} {
 		rot := r.NewPoly()
-		r.MulByMonomial(lut.Poly.Limbs[0], u, rot)
+		r.MulByMonomialInto(lut.Poly.Limbs[0], u, rot)
 		signed := u % (2 * n)
 		if signed >= n {
 			signed -= 2 * n
