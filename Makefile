@@ -1,5 +1,10 @@
 GO ?= go
 
+# The tests that hold the limb-level fan-out to "width changes nothing but the
+# clock" (internal/rlwe, internal/ckks, internal/core); the race and stress
+# lanes pin their P counts.
+WIDTH_TESTS = TestWidthChangesNothingButTheClock|TestFanOutThroughPublicPaths|TestFanRunsInlineWhenItCannotPay|TestEvaluatorWidthChangesNothing|TestFinishWidthIndependence
+
 .PHONY: build test check vet race chaos stress fuzz fuzz-smoke fmt bench-smoke cover serve-smoke load-smoke purego bench-module
 
 build:
@@ -13,11 +18,13 @@ vet:
 
 # The second line pins the P count for the tests whose schedule is the
 # point — the batch engine's worker-filling tiles, heapd's multi-worker
-# write-back, Prepare's LWE key-switch fan-out and the streaming merge
-# collector — so they race at one, two and four Ps whatever the host has.
+# write-back, Prepare's LWE key-switch fan-out, the streaming merge
+# collector and the key switch's limb-level fan-out (the width tests: the
+# effective width is capped by the P count, so one P is the inline case) — so
+# they race at one, two and four Ps whatever the host has.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish' ./internal/tfhe/ ./internal/serve/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish|$(WIDTH_TESTS)' ./internal/tfhe/ ./internal/serve/ ./internal/core/ ./internal/rlwe/ ./internal/ckks/
 
 # Pure-Go lane: the build that ships to non-amd64 targets (and amd64 with
 # the vector kernels compiled out) must stay green on its own — the scalar
@@ -25,11 +32,14 @@ race:
 # argument layouts via asmdecl on the default lane. The last line takes the
 # other road to the scalar loops, the runtime override on the default build,
 # through the packages whose tests referee an algebraic path (the ternary
-# iteration's monomial products, noise bound and equivalence checks).
+# iteration's monomial products, noise bound and equivalence checks) and the
+# two whose per-limb steps the key-switch body is made of (the rescale's
+# masked centring against its reference loop, the bit-exactness locks of the
+# limb-major body).
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./...
-	HEAP_NOSIMD=1 $(GO) test -count=1 ./internal/ring/ ./internal/tfhe/
+	HEAP_NOSIMD=1 $(GO) test -count=1 ./internal/ring/ ./internal/rns/ ./internal/rlwe/ ./internal/tfhe/
 
 # heapmark (bench/) is a module of its own that imports the internal
 # packages through a replace directive, so the root's build, vet and test do
@@ -90,7 +100,10 @@ load-smoke:
 # Lost wakeups and other liveness bugs that need a goroutine descheduled at the
 # wrong instruction show up here in seconds (the wakeup regression tests fail
 # by watchdog, the fan-out property test by its barrier), and the hard -timeout
-# bounds anything that does hang instead of wedging `go test ./...`.
+# bounds anything that does hang instead of wedging `go test ./...`. The last
+# line is the key switch's limb-level fan-out under the same contention: a
+# claim loop that could deadlock or starve when its goroutines are descheduled
+# mid-phase would hang there.
 # TestBlindRotateNoise is left out of this lane only: it is single-threaded
 # arithmetic on fixed seeds — nothing a scheduler can change — and nine
 # repetitions of it beside the burners would spend half the timeout.
@@ -98,16 +111,17 @@ stress:
 	@pids=""; for i in 1 2 3; do ( while :; do :; done ) & pids="$$pids $$!"; done; \
 	trap "kill $$pids 2>/dev/null" EXIT; \
 	$(GO) test -count=3 -cpu 1,2,4 -timeout 300s -skip 'TestBlindRotateNoise' ./internal/tfhe/ ./internal/serve/ && \
-	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/load/ ./internal/cluster/
+	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/load/ ./internal/cluster/ && \
+	$(GO) test -count=3 -cpu 1,2,4 -timeout 300s -run '$(WIDTH_TESTS)' ./internal/rlwe/ ./internal/ckks/ ./internal/core/
 
 # Per-package statement-coverage gate over the packages that carry the
-# correctness burden. Floors sit ~2 points under measured head (core 90.8%,
-# cluster 80.9%, rlwe 89.7%, serve 82.4%, load 88.2%, tfhe 82.5%) so the gate
-# trips on real coverage loss — a deleted test, an uncovered new subsystem —
-# not on noise.
+# correctness burden. Floors sit ~2 points under measured head (core 92.7%,
+# cluster 79.1%–80.9% by run, rlwe 91.8%, ckks 90.4%, serve 84.1%, load 88.3%,
+# tfhe 82.5%) so the gate trips on real coverage loss — a deleted test, an
+# uncovered new subsystem — not on noise.
 cover:
 	@set -e; \
-	for spec in internal/core:88 internal/cluster:78 internal/rlwe:87 internal/serve:80 internal/load:86 internal/tfhe:80; do \
+	for spec in internal/core:88 internal/cluster:78 internal/rlwe:87 internal/ckks:88 internal/serve:80 internal/load:86 internal/tfhe:80; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) test -cover ./$$pkg/ | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "FAIL: no coverage output for $$pkg"; exit 1; fi; \

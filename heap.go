@@ -113,6 +113,9 @@ func NewContext(cfg ContextConfig) (*Context, error) {
 	}
 	keys := ckks.GenEvaluationKeySet(params, kg, sk, rotations, true)
 	ev := ckks.NewEvaluator(params, keys, nil)
+	// The context's one answer to "how many cores may I use" covers the
+	// operations between bootstraps too.
+	ev.KS.SetWorkers(cfg.Bootstrap.Workers)
 	return &Context{Params: params, Client: client, Eval: ev, Boot: boot, SK: sk}, nil
 }
 

@@ -8,19 +8,20 @@ import (
 	"heap/internal/rlwe"
 )
 
-// BootstrapTestParams: N=2^9, q0 a 50-bit prime, 21 further 44-bit limbs
-// (Δ pinned to a limb so repeated Rescale keeps the scale stable), dnum=6.
-func bootstrapTestParams(t *testing.T) *Parameters {
+// bootstrapTestParams: N=2^logN, q0 a 50-bit prime, 21 further 44-bit limbs
+// (Δ pinned to a limb so repeated Rescale keeps the scale stable), dnum=6,
+// full packing.
+func bootstrapTestParams(t *testing.T, logN int) *Parameters {
 	t.Helper()
-	q := append(ring.GenerateNTTPrimes(50, 9, 1), ring.GenerateNTTPrimes(44, 9, 21)...)
-	p := ring.GenerateNTTPrimesUp(50, 9, 4)
-	params := MustParameters(9, q, p, ring.DefaultSigma, 6, float64(q[1]), 1<<8)
+	q := append(ring.GenerateNTTPrimes(50, logN, 1), ring.GenerateNTTPrimes(44, logN, 21)...)
+	p := ring.GenerateNTTPrimesUp(50, logN, 4)
+	params := MustParameters(logN, q, p, ring.DefaultSigma, 6, float64(q[1]), 1<<(logN-1))
 	return params
 }
 
-func newBootstrapContext(t *testing.T) (*Parameters, *Client, *Bootstrapper) {
+func newBootstrapContext(t *testing.T, logN int) (*Parameters, *Client, *Bootstrapper) {
 	t.Helper()
-	params := bootstrapTestParams(t)
+	params := bootstrapTestParams(t, logN)
 	kg := rlwe.NewKeyGenerator(params.Parameters, 40)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(params, sk, 41)
@@ -103,7 +104,7 @@ func TestConventionalBootstrap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap test is slow")
 	}
-	params, cl, bt := newBootstrapContext(t)
+	params, cl, bt := newBootstrapContext(t, 9)
 
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -136,5 +137,29 @@ func TestConventionalBootstrap(t *testing.T) {
 		if e := cmplx.Abs(got2[i] - v[i]*v[i]); e > 1e-2 {
 			t.Fatalf("post-bootstrap square error %g at slot %d", e, i)
 		}
+	}
+}
+
+// TestConventionalBootstrapWidthTwo runs the conventional bootstrap — a few
+// hundred rotations, hoisted rotations, multiplications and rescales — on one
+// ciphertext with the evaluator's key switcher at one worker and at two, at
+// N=2^10, the smallest ring whose limb tasks fan out: the refreshed
+// ciphertexts must be the same words, and accurate.
+func TestConventionalBootstrapWidthTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrap test is slow")
+	}
+	params, cl, bt := newBootstrapContext(t, 10)
+	v := make([]complex128, params.Slots)
+	for i := range v {
+		v[i] = complex(0.6*float64(i%7)/7-0.3, 0.4*float64(i%5)/5-0.2)
+	}
+	ct := cl.EncryptAtLevel(v, 1)
+	want := bt.Bootstrap(ct)
+	bt.Ev.KS.SetWorkers(2)
+	got := bt.Bootstrap(ct)
+	sameCiphertext(t, "conventional bootstrap", params, want, got)
+	if err := maxErr(cl.Decrypt(got), v); err > 5e-3 {
+		t.Errorf("bootstrap error %g exceeds tolerance", err)
 	}
 }

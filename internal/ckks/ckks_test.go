@@ -306,3 +306,67 @@ func TestNoiseBitsDiagnostic(t *testing.T) {
 		t.Error("noise against wrong expectation should approach the scale")
 	}
 }
+
+// sameCiphertext requires got to be want word for word, with the same level,
+// representation and scale.
+func sameCiphertext(t *testing.T, what string, p *Parameters, want, got *rlwe.Ciphertext) {
+	t.Helper()
+	if got.Level() != want.Level() || got.IsNTT != want.IsNTT || got.Scale != want.Scale {
+		t.Fatalf("%s: level %d IsNTT %v scale %g, want level %d IsNTT %v scale %g", what,
+			got.Level(), got.IsNTT, got.Scale, want.Level(), want.IsNTT, want.Scale)
+	}
+	if !p.QBasis.Equal(want.C0, got.C0) || !p.QBasis.Equal(want.C1, got.C1) {
+		t.Fatalf("%s: words differ", what)
+	}
+}
+
+// TestEvaluatorWidthChangesNothing runs the operations that go through the
+// key switch or fan their own limb loops — Rotate, Conjugate, Mul, Rescale,
+// MulRelinRescale and a linear transform (hoisted baby steps, plain giant
+// steps) — on evaluators over one key set whose key switchers are configured
+// for 1, 2, 3 and 8 workers, at the smallest ring that fans out, and requires
+// every output to equal the one-worker evaluator's word for word.
+func TestEvaluatorWidthChangesNothing(t *testing.T) {
+	p := TestParams(10, 5, 16)
+	kg := rlwe.NewKeyGenerator(p.Parameters, 60)
+	sk := kg.GenSecretKey(rlwe.SecretTernary)
+	cl := NewClient(p, sk, 61)
+	lt := NewLinearTransform(cl.Encoder, func(r, c int) complex128 {
+		return complex(float64((3*r+c)%7)/7, float64((r+2*c)%5)/5)
+	}, p.Slots, p.MaxLevel(), p.DefaultScale)
+	keys := GenEvaluationKeySet(p, kg, sk, append(lt.Rotations(), 1, -3), true)
+	a, b := cl.Encrypt(rampVector(p.Slots)), cl.Encrypt(rampVector(p.Slots))
+
+	ops := []string{"Rotate", "Conjugate", "Mul", "Rescale", "MulRelinRescale", "EvalLinearTransform"}
+	run := func(workers int) []*rlwe.Ciphertext {
+		ev := NewEvaluator(p, keys, nil)
+		ev.KS.SetWorkers(workers)
+		prod := ev.Mul(a, b)
+		return []*rlwe.Ciphertext{ev.Rotate(a, -3), ev.Conjugate(a), prod, ev.Rescale(prod), ev.MulRelinRescale(a, b), ev.EvalLinearTransform(a, lt)}
+	}
+	want := run(1)
+	for _, workers := range []int{2, 3, 8} {
+		for i, got := range run(workers) {
+			sameCiphertext(t, ops[i], p, want[i], got)
+		}
+	}
+}
+
+// TestRescaleHonoursRepresentation: a coefficient-form ciphertext is rescaled
+// in coefficient form — the INTT of rescaling its NTT form — and says so.
+// Rescale used to treat every input as NTT-form and stamp the output so.
+func TestRescaleHonoursRepresentation(t *testing.T) {
+	p, cl, ev := newTestContext(t, 7, 4, 64, nil)
+	ct := ev.Mul(cl.Encrypt(rampVector(p.Slots)), cl.Encrypt(rampVector(p.Slots)))
+	want := ev.Rescale(ct)
+	bas := p.QBasis.AtLevel(want.Level())
+	bas.INTT(want.C0)
+	bas.INTT(want.C1)
+	want.IsNTT = false
+
+	coeff := ct.CopyNew()
+	p.QBasis.AtLevel(ct.Level()).INTT(coeff.C0)
+	p.QBasis.AtLevel(ct.Level()).INTT(coeff.C1)
+	coeff.IsNTT = false
+	sameCiphertext(t, "Rescale of a coefficient-form ciphertext", p, want, ev.Rescale(coeff))
+}

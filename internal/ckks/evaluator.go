@@ -151,40 +151,39 @@ func (ev *Evaluator) MulPlain(ct *rlwe.Ciphertext, pt rns.Poly, ptScale float64)
 }
 
 // Mul returns the relinearized product a·b (Mult of §II-A): tensor to degree
-// two, then key-switch the s² component with the relinearization key.
+// two, then key-switch the s² component with the relinearization key. The
+// tensor's limbs are independent, so they run at the key switcher's width like
+// the relinearization's own; the degree-0 and degree-1 parts are formed in the
+// output, which the relinearization adds into.
 func (ev *Evaluator) Mul(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
 	level := commonLevel(a, b)
 	bas := ev.Params.QBasis.AtLevel(level)
-	d0 := bas.NewPoly()
-	d1 := bas.NewPoly()
+	out := rlwe.NewCiphertext(ev.Params.Parameters, level)
 	d2 := bas.NewPoly()
-	tmp := bas.NewPoly()
-	bas.MulCoeffs(a.C0, b.C0, d0)
-	bas.MulCoeffs(a.C0, b.C1, d1)
-	bas.MulCoeffs(a.C1, b.C0, tmp)
-	bas.Add(d1, tmp, d1)
-	bas.MulCoeffs(a.C1, b.C1, d2)
-	r0, r1 := ev.KS.Relinearize(d0, d1, d2, ev.Keys.Rlk)
-	return &rlwe.Ciphertext{C0: r0, C1: r1, IsNTT: true, Scale: a.Scale * b.Scale}
+	ev.KS.Fan(level, func(i int) {
+		r := bas.Rings[i]
+		r.MulCoeffs(a.C0.Limbs[i], b.C0.Limbs[i], out.C0.Limbs[i])
+		r.MulCoeffs(a.C0.Limbs[i], b.C1.Limbs[i], out.C1.Limbs[i])
+		r.MulCoeffsAndAdd(a.C1.Limbs[i], b.C0.Limbs[i], out.C1.Limbs[i])
+		r.MulCoeffs(a.C1.Limbs[i], b.C1.Limbs[i], d2.Limbs[i])
+	})
+	ev.KS.Relinearize(out.C0, out.C1, d2, ev.Keys.Rlk)
+	out.Scale = a.Scale * b.Scale
+	return out
 }
 
 // Square returns the relinearized a².
 func (ev *Evaluator) Square(a *rlwe.Ciphertext) *rlwe.Ciphertext { return ev.Mul(a, a) }
 
-// Rescale divides by the last limb modulus and drops it (Rescale of §II-A).
+// Rescale divides by the last limb modulus and drops it (Rescale of §II-A),
+// in whichever representation ct is in.
 func (ev *Evaluator) Rescale(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	level := ct.Level()
 	if level < 2 {
 		panic("ckks: no limb left to rescale")
 	}
-	qLast := ev.Params.Q[level-1]
-	bas := ev.Params.QBasis.AtLevel(level)
-	out := &rlwe.Ciphertext{
-		C0:    bas.DivRoundByLastModulus(ct.C0, true),
-		C1:    bas.DivRoundByLastModulus(ct.C1, true),
-		IsNTT: true,
-		Scale: ct.Scale / float64(qLast),
-	}
+	out := ev.KS.DivRoundByLastModulus(ct)
+	out.Scale = ct.Scale / float64(ev.Params.Q[level-1])
 	return out
 }
 

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"math"
 
 	"heap/internal/rlwe"
 	"heap/internal/rns"
@@ -181,5 +180,3 @@ func (ev *Evaluator) RescaleToScale(ct *rlwe.Ciphertext, targetScale float64) *r
 	out.Scale = targetScale
 	return out
 }
-
-var _ = math.Round

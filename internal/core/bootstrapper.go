@@ -137,6 +137,7 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 
 	bt := &Bootstrapper{Params: params, Cfg: cfg, rec: obs.Nop{}}
 	bt.ks = rlwe.NewKeySwitcher(params.Parameters)
+	bt.ks.SetWorkers(cfg.Workers)
 	bt.tfheEv = tfhe.NewEvaluator(params.Parameters, bt.ks)
 
 	if cfg.NT == 0 {
@@ -569,22 +570,17 @@ func (bt *Bootstrapper) finishMerged(prep *PreparedBootstrap, ctKq *rlwe.Ciphert
 	}
 
 	// The one forward transform of the repack, then round(p/2N) and the
-	// rescale by p.
-	bL.NTT(ctKq.C0)
-	bL.NTT(ctKq.C1)
+	// rescale by p — per-limb work with nothing beside it, so it runs at the
+	// key switcher's width like the trace.
+	comps := [2]rns.Poly{ctKq.C0, ctKq.C1}
+	bt.ks.Fan(2*level, func(t int) {
+		limb, r := comps[t/level].Limbs[t%level], bL.Rings[t%level]
+		r.NTT(limb)
+		r.MulScalar(limb, uint64(bt.pScalar)%r.Mod.Q, limb)
+	})
 	ctKq.IsNTT = true
 	bt.rec.Add(obs.CounterNTT, uint64(2*level))
-	for i := 0; i < level; i++ {
-		r := bL.Rings[i]
-		c := uint64(bt.pScalar) % r.Mod.Q
-		r.MulScalar(ctKq.C0.Limbs[i], c, ctKq.C0.Limbs[i])
-		r.MulScalar(ctKq.C1.Limbs[i], c, ctKq.C1.Limbs[i])
-	}
-	out := &rlwe.Ciphertext{
-		C0:    bL.DivRoundByLastModulus(ctKq.C0, true),
-		C1:    bL.DivRoundByLastModulus(ctKq.C1, true),
-		IsNTT: true,
-	}
+	out := bt.ks.DivRoundByLastModulus(ctKq)
 	// phase_out = m̃ · (2N·round(p/2N)/p); fold the residual factor into the
 	// tracked scale so decoding stays exact.
 	out.Scale = prep.Scale * float64(2*n) * float64(bt.pScalar) / float64(bt.pAux)

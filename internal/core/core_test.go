@@ -14,7 +14,12 @@ import (
 // limbs (q0, one application limb, the auxiliary p), Δ=2^28.
 func testSetup(t *testing.T, workers int) (*ckks.Parameters, *ckks.Client, *ckks.Evaluator, *Bootstrapper) {
 	t.Helper()
-	logN := 8
+	return testSetupAt(t, 8, workers)
+}
+
+// testSetupAt is testSetup at ring degree 2^logN.
+func testSetupAt(t *testing.T, logN, workers int) (*ckks.Parameters, *ckks.Client, *ckks.Evaluator, *Bootstrapper) {
+	t.Helper()
 	q := ring.GenerateNTTPrimes(30, logN, 3)
 	p := ring.GenerateNTTPrimesUp(31, logN, 2)
 	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))

@@ -206,3 +206,54 @@ func TestFinishTransformBudget(t *testing.T) {
 		t.Errorf("key_switches = %d, want %d", got, count-1+traceSteps)
 	}
 }
+
+// TestFinishWidthIndependence runs Finish — the trace, the closing transforms
+// and the rescale are the parts that fan their limb tasks over Cfg.Workers —
+// at N=2^10, the smallest ring that fans out, on bootstrappers with the same
+// keys and 1, 2 and 5 workers: same accumulators in, same words and the same
+// transform and key-switch counts out.
+func TestFinishWidthIndependence(t *testing.T) {
+	const count = 8
+	s := ring.NewSampler(71)
+	var accs []*rlwe.Ciphertext
+	var want *rlwe.Ciphertext
+	var wantNTT, wantKS uint64
+	for _, workers := range []int{1, 2, 5} {
+		params, cl, _, bt := testSetupAt(t, 10, workers)
+		if accs == nil {
+			accs = make([]*rlwe.Ciphertext, count)
+			for i := range accs {
+				accs[i] = bt.NewAccumulator()
+				for l := range accs[i].C0.Limbs {
+					s.UniformPoly(params.QBasis.Rings[l], accs[i].C0.Limbs[l])
+					s.UniformPoly(params.QBasis.Rings[l], accs[i].C1.Limbs[l])
+				}
+				accs[i].IsNTT = false
+			}
+		}
+		prep := bt.PrepareSparse(cl.EncryptAtLevel(testVector(params.Slots), 1), count)
+		in := make([]*rlwe.Ciphertext, count)
+		for i := range in {
+			in[i] = accs[i].CopyNew() // Finish consumes its accumulators
+		}
+		met := obs.NewMetrics()
+		bt.SetRecorder(met)
+		got, err := bt.Finish(prep, in)
+		bt.SetRecorder(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ntt, ks := met.Counter(obs.CounterNTT), met.Counter(obs.CounterKeySwitch)
+		if want == nil {
+			want, wantNTT, wantKS = got, ntt, ks
+			continue
+		}
+		if ntt != wantNTT || ks != wantKS {
+			t.Errorf("%d workers: %d limb transforms and %d key switches, one worker recorded %d and %d", workers, ntt, ks, wantNTT, wantKS)
+		}
+		if got.Level() != want.Level() || got.IsNTT != want.IsNTT || got.Scale != want.Scale ||
+			!params.QBasis.Equal(want.C0, got.C0) || !params.QBasis.Equal(want.C1, got.C1) {
+			t.Fatalf("%d workers: Finish differs from one worker's", workers)
+		}
+	}
+}

@@ -1,0 +1,120 @@
+package rlwe
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"heap/internal/rns"
+)
+
+// minFanDegree is the smallest ring degree whose limb tasks are handed to
+// other goroutines. Below it a limb task is a few microseconds of arithmetic
+// and a hand-off costs as much as it saves: one rotation at the top level,
+// width 1 against width 2 on the two-vCPU reference host, breaks even between
+// N = 2⁹ and N = 2¹⁰ and loses at N = 2⁸ (the table is in DESIGN.md
+// "Limb-level fan-out"). Smaller rings run inline whatever the width, and
+// their digit phase is not cut into limb-sized tasks at all (KeySwitcher.span).
+const minFanDegree = 1 << 10
+
+// fan runs task(0), …, task(n−1), each exactly once, on up to width
+// goroutines and returns when all have finished. The caller is one of them:
+// it starts the other width−1 for this call only, every goroutine claims the
+// next unclaimed index until none is left, and the call waits for the ones it
+// started — so nothing outlives it and there is no pool to size or close.
+// With width ≤ 1 (or a single task) it is a plain loop on the caller's
+// goroutine. Tasks must be independent: nothing orders them but the return.
+func fan(width, n int, task func(i int)) {
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			task(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			task(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+}
+
+// SetWorkers sets how many goroutines one operation of this key switcher may
+// spread its limb tasks over: the width of its pooled arenas — the ones behind
+// Relinearize, Automorphism, Decompose and ApplyGaloisHoisted, whose caller
+// is a single stream with the other cores idle — of Fan, and of the repack
+// trace. Arenas a caller makes with NewScratch stay at width 1 whatever this
+// says: blind-rotation workers, merge-tree nodes and heapd's executors are
+// each already one of several goroutines that fill the cores between them.
+// Set it beside SetRecorder, before the key switcher is shared; the default
+// is 1.
+func (ks *KeySwitcher) SetWorkers(n int) { ks.workers = n }
+
+// width is the number of goroutines a single-stream operation runs on now:
+// the configured workers, capped by the processors the runtime schedules on,
+// and 1 on a ring too small to pay for a hand-off.
+func (ks *KeySwitcher) width() int {
+	if ks.workers <= 1 || !ks.fans {
+		return 1
+	}
+	return min(ks.workers, runtime.GOMAXPROCS(0))
+}
+
+// Fan runs the n independent tasks of a caller's own per-limb loop —
+// the tensor product and the rescale around a relinearization, the transforms
+// that close a bootstrap — at the key switcher's width; see fan.
+func (ks *KeySwitcher) Fan(n int, task func(i int)) { fan(ks.width(), n, task) }
+
+// run executes one phase of the arena's operation: phase(ks, sc, t) for every
+// limb task t < n. An arena of width 1 — every blind rotation, merge node and
+// heapd job — loops over method calls, with no closure, atomic or goroutine
+// between it and the arithmetic; a wider one hands the same calls to fan.
+func (ks *KeySwitcher) run(sc *Scratch, n int, phase func(*KeySwitcher, *Scratch, int)) {
+	if sc.width > 1 {
+		fan(sc.width, n, func(t int) { phase(ks, sc, t) })
+		return
+	}
+	for t := 0; t < n; t++ {
+		phase(ks, sc, t)
+	}
+}
+
+// DivRoundByLastModulus returns ct divided by its last limb modulus and
+// rounded, one level lower and in ct's representation — the CKKS rescale, as
+// rns.DivRoundByLastModulus performs it on one polynomial, over both
+// components with the limb steps at the key switcher's width: the two
+// last-limb inverse transforms side by side, then every remaining limb of
+// both components. It allocates the result, one slab per component, and the
+// two last limbs' coefficient forms (not a pooled arena's: a caller whose pool
+// is cold — a bootstrap's one rescale — would build a whole arena for two
+// N-word buffers). The scale is copied; dividing it is the caller's
+// book-keeping.
+func (ks *KeySwitcher) DivRoundByLastModulus(ct *Ciphertext) *Ciphertext {
+	last := ct.Level() - 1
+	if last < 1 {
+		panic("rlwe: cannot rescale a single-limb ciphertext")
+	}
+	b, n := ks.params.QBasis, ks.params.N()
+	in := [2]rns.Poly{ct.C0, ct.C1}
+	out := [2]rns.Poly{rns.NewPolySlab(last, n), rns.NewPolySlab(last, n)}
+	cL := rns.NewPolySlab(2, n).Limbs
+	ks.Fan(2, func(s int) { b.LastLimbCoeffs(in[s], ct.IsNTT, cL[s]) })
+	ks.Fan(2*last, func(t int) {
+		s, i := t/last, t%last
+		b.DivRoundLimb(i, last, in[s].Limbs[i], cL[s], ct.IsNTT, out[s].Limbs[i])
+	})
+	return &Ciphertext{C0: out[0], C1: out[1], IsNTT: ct.IsNTT, Scale: ct.Scale}
+}

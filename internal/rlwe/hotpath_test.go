@@ -6,7 +6,6 @@ import (
 
 	"heap/internal/obs"
 	"heap/internal/ring"
-	"heap/internal/rns"
 )
 
 // hotpathFixture builds a key switcher plus the ciphertext/RGSW operands of
@@ -212,10 +211,10 @@ func TestExternalProductCoeffMatchesINTT(t *testing.T) {
 	}
 }
 
-// TestDecomposeDigitMatchesFullExtension locks decomposeDigit — which copies
-// the limbs inside the digit's own window and extends only into the others —
-// to the full basis extension over every destination limb, for every
-// (window, level) pair of each shape.
+// TestDecomposeDigitMatchesFullExtension locks raiseLimb — which copies a limb
+// inside the digit's own window and extends only into the others — to the full
+// basis extension over every destination limb, for every (window, level) pair
+// of each shape.
 func TestDecomposeDigitMatchesFullExtension(t *testing.T) {
 	const logN = 5
 	s := ring.NewSampler(31)
@@ -231,30 +230,33 @@ func TestDecomposeDigitMatchesFullExtension(t *testing.T) {
 			for i, r := range p.QBasis.Rings[:level] {
 				s.UniformPoly(r, cCoeff.Limbs[i])
 			}
+			sc.job.level, sc.job.comps = level, 1
+			sc.setInput(0, cCoeff, false, nil, nil)
+			ks.run(sc, level, (*KeySwitcher).inputLimb)
 			for j := 0; j < p.DigitsAtLevel(level); j++ {
 				start, end := j*alpha, (j+1)*alpha
 				if end > level {
 					end = level
 				}
 				// Reference: extend the window into all level+|P| limbs, NTT.
-				want := qpAccumulator{q: p.QBasis.AtLevel(level).NewPoly(), p: p.PBasis.NewPoly()}
-				all := rns.Poly{Limbs: append(append([]ring.Poly{}, want.q.Limbs...), want.p.Limbs...)}
-				dstIdx := make([]int, 0, level+nP)
-				for i := 0; i < level; i++ {
-					dstIdx = append(dstIdx, i)
+				ys := p.QBasis.AtLevel(end - start).NewPoly().Limbs
+				for i := range ys {
+					ks.digitExt[j].ScaleLimb(end-start, i, cCoeff.Limbs[start+i], ys[i])
 				}
-				for i := 0; i < nP; i++ {
-					dstIdx = append(dstIdx, L+i)
-				}
-				src := rns.Poly{Limbs: cCoeff.Limbs[start:end]}
-				ks.extenders[start<<16|end].ExtendSelectedWith(src, all, dstIdx, rns.NewExtendScratch(alpha, p.N()))
-				p.QBasis.NTT(want.q)
-				p.PBasis.NTT(want.p)
+				for tt := 0; tt < level+nP; tt++ {
+					idx := ks.qpLimb(sc, tt)
+					if tt >= level && idx != L+tt-level {
+						t.Fatalf("shape %v level %d: task %d maps to QP limb %d", shape, level, tt, idx)
+					}
+					want := make(ring.Poly, p.N())
+					ks.digitExt[j].ExtendLimb(ys, idx, want)
+					p.QPBasis.Rings[idx].NTT(want)
 
-				got := sc.dig.atLevel(level)
-				ks.decomposeDigit(j, level, cCoeff, got, sc)
-				if !p.QBasis.AtLevel(level).Equal(want.q, got.q) || !p.PBasis.Equal(want.p, got.p) {
-					t.Fatalf("shape %v level %d digit %d: in-window copy differs from full extension", shape, level, j)
+					got := sc.dig.Limbs[idx]
+					ks.raiseLimb(sc, 0, j, idx, got)
+					if !p.QPBasis.Rings[idx].Equal(want, got) {
+						t.Fatalf("shape %v level %d digit %d limb %d: in-window copy differs from full extension", shape, level, j, idx)
+					}
 				}
 			}
 		}
@@ -428,11 +430,12 @@ func TestZeroC1SkipIsBitIdentical(t *testing.T) {
 	trivial.C1.Zero()
 	sc := ks.NewScratch()
 	for _, coeff := range []bool{false, true} {
-		ks.gadgetProduct(trivial.C0, rgsw.C0, nil, true, sc)
-		ks.gadgetProduct(trivial.C1, rgsw.C1, nil, false, sc)
+		sc.job.level, sc.job.comps = level, 2
+		sc.setInput(0, trivial.C0, false, rgsw.C0, nil)
+		sc.setInput(1, trivial.C1, false, rgsw.C1, nil)
+		ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
 		want := NewCiphertext(p, level)
-		ks.modDownInto(sc.accB, want.C0, coeff, sc)
-		ks.modDownInto(sc.accA, want.C1, coeff, sc)
+		ks.modDownPair(want.C0, want.C1, coeff, sc)
 
 		met := obs.NewMetrics()
 		ks.SetRecorder(met)

@@ -14,12 +14,26 @@ import (
 // permutation cache is lock-guarded, and per-call scratch comes from either
 // a caller-owned Scratch arena (the allocation-free hot path) or an internal
 // pool (the convenience API).
+//
+// The kernel is limb-major. Once the inputs are in coefficient form and the
+// shared y_i = x_i·q̂_i⁻¹ of every source limb exist, limb t of the extended
+// basis is an independent task — raise each digit into it, transform, MAC
+// against the key rows — and so is every limb step of the two ModDowns. A key
+// switch is four such phases with a barrier after each (inputLimb, digitLimb,
+// modDownPLimb, modDownQLimb), every task writes its own limb of the arena
+// and runs the same kernels in the same order per limb whoever executes it,
+// so the output does not depend on how many goroutines shared the work: an
+// arena of width 1 loops, a wider one fans the tasks out (fan.go).
 type KeySwitcher struct {
 	params *Parameters
-	// extenders[(start<<16)|end] extends the digit window Q[start:end]
-	// into the full QP basis.
-	extenders map[int]*rns.Extender
-	modDown   *rns.ModDown
+	alpha  int
+	// digitExt[d] extends gadget digit d — the window Q[dα : (d+1)α], or the
+	// prefix of it a lower level leaves — into the full QP basis; digitOf[i]
+	// is the digit Q limb i belongs to. Both are resolved here once, so a limb
+	// task looks nothing up by key and divides nothing.
+	digitExt []*rns.Extender
+	digitOf  []int
+	modDown  *rns.ModDown
 	// permCache caches NTT-domain automorphism permutations per Galois
 	// element. permMu guards it: Automorphism fills it lazily, so concurrent
 	// rotations with a cold cache would otherwise race on the map.
@@ -32,31 +46,34 @@ type KeySwitcher struct {
 	// the zero-allocation hot-path locks hold with the counters compiled in.
 	rec obs.Recorder
 
+	// workers is what SetWorkers configured; see width. fans says whether the
+	// ring is large enough (minFanDegree) for limb tasks ever to be handed to
+	// other goroutines; it also sets the granularity of the digit phase.
+	workers int
+	fans    bool
+
 	scratchPool sync.Pool
 }
 
 // NewKeySwitcher precomputes all basis-conversion tables for the parameter
-// set: one extender per (digit window, window length) pair and the P→Q
-// ModDown tables.
+// set: one extender per gadget digit (its tables cover every window length a
+// lower level can leave) and the P→Q ModDown tables.
 func NewKeySwitcher(params *Parameters) *KeySwitcher {
 	ks := &KeySwitcher{
 		params:    params,
-		extenders: make(map[int]*rns.Extender),
+		alpha:     params.Alpha(),
 		modDown:   rns.NewModDown(params.QBasis, params.PBasis),
 		permCache: make(map[uint64][]uint64),
 		rec:       obs.Nop{},
+		fans:      params.N() >= minFanDegree,
 	}
-	alpha := params.Alpha()
 	L := params.MaxLevel()
-	for start := 0; start < L; start += alpha {
-		maxEnd := start + alpha
-		if maxEnd > L {
-			maxEnd = L
+	for start := 0; start < L; start += ks.alpha {
+		src := &rns.Basis{Rings: params.QBasis.Rings[start:min(start+ks.alpha, L)], LogN: params.LogN, N: params.N()}
+		for range src.Rings {
+			ks.digitOf = append(ks.digitOf, len(ks.digitExt))
 		}
-		for end := start + 1; end <= maxEnd; end++ {
-			src := &rns.Basis{Rings: params.QBasis.Rings[start:end], LogN: params.LogN, N: params.N()}
-			ks.extenders[start<<16|end] = rns.NewExtender(src, params.QPBasis)
-		}
+		ks.digitExt = append(ks.digitExt, rns.NewExtender(src, params.QPBasis))
 	}
 	ks.scratchPool.New = func() any { return ks.NewScratch() }
 	return ks
@@ -94,67 +111,82 @@ func (ks *KeySwitcher) EnsurePerm(g uint64) []uint64 {
 	return p
 }
 
-// qpAccumulator is scratch for a key-switch accumulation at a given level:
-// level Q limbs followed by all P limbs, in NTT representation.
-type qpAccumulator struct {
-	q rns.Poly
-	p rns.Poly
-}
-
-// atLevel returns a view of the accumulator truncated to level Q limbs.
-func (a qpAccumulator) atLevel(level int) qpAccumulator {
-	return qpAccumulator{q: a.q.AtLevel(level), p: a.p}
-}
-
 // Scratch is a per-worker arena holding every intermediate of the
 // key-switch/external-product kernel: accumulators, the digit buffer, the
-// destination limb table and indices of the gadget decomposition's basis
-// extension,
-// INTT copies of the input, and the basis-conversion/ModDown scratch. It is
+// coefficient-form copies and scaled y_i of the inputs, temporaries for the
+// steps around a key switch, and the two ModDowns' scratch. It is
 // the software analog of the paper's §VI-B plan of keeping all BlindRotate
 // operands resident in on-chip URAM/BRAM: one arena per worker, reused for
 // every external product, so the steady-state datapath never allocates.
-// A Scratch must not be shared between concurrent calls.
+// A Scratch must not be shared between concurrent calls. Whether one call may
+// itself use several goroutines is the arena's width: 1 for an arena made by
+// NewScratch, the key switcher's for its pooled ones (SetWorkers).
+//
+// acc, dig and acc2 are polynomials over the QP basis indexed by QP limb — Q
+// limbs first, then P — so a product at level ℓ touches limbs [0, ℓ) and
+// [L, L+|P|) and leaves the Q limbs between alone.
 type Scratch struct {
-	accB, accA qpAccumulator
-	dig        qpAccumulator
-	dstLimbs   []ring.Poly
-	dstIdx     []int
-	c0, c1     rns.Poly
-	t0, t1     rns.Poly
-	conv       *rns.ExtendScratch
-	md         *rns.ModDownScratch
+	acc [2]rns.Poly // b-side and a-side accumulators, NTT
+	dig rns.Poly    // limb t holds the digit task t is raising
+	c   [2]rns.Poly // coefficient-form copies of NTT-form inputs
+	t   [2]rns.Poly // temporaries of the steps around a key switch
+	y   [2]rns.Poly // y_i = x_i·q̂_i⁻¹ per input component and Q limb
+	md  [2]*rns.ModDownScratch
 
 	// The second accumulator pair and the two N-word monomial vectors serve
 	// the two-key product of the ternary blind rotation only; ensureTwoKey
 	// sizes them on its first call, so every other user's arena stays as
 	// small as it was.
-	accB2, accA2        qpAccumulator
+	acc2                [2]rns.Poly
 	monoPlus, monoMinus ring.Poly
+
+	// width is how many goroutines the arena's limb tasks may be spread over
+	// (see run); job is what they read.
+	width int
+	job   limbJob
+}
+
+// limbJob is the operation in flight on an arena — what its limb tasks read.
+// The entry points fill it, run the phases, and leave it behind; the next
+// operation overwrites what it uses.
+type limbJob struct {
+	level int // Q limbs of the operation
+	comps int // components being decomposed: 1, or 2 for an external product
+	// in[c] is component c in coefficient form. Where ntt[c] has limbs the
+	// input arrived in NTT form and inputLimb fills in[c] from it.
+	ntt, in [2]rns.Poly
+	// key[c] holds the rows component c's digits are MACed against into acc,
+	// key2[c] (two-key product only) those MACed into acc2.
+	key, key2 [2]*GadgetCiphertext
+	// out and coeff are the destinations and output form of the two ModDowns.
+	out   [2]rns.Poly
+	coeff bool
+	// hoisted is the decomposition DecomposeInto stores to and
+	// ApplyGaloisHoistedInto permutes from.
+	hoisted *Hoisted
+	// src, dst and the automorphism (perm in the NTT domain, g in the
+	// coefficient domain) are the operands of the per-limb steps before and
+	// after a key switch: the permutation of a rotation, the additions that
+	// fold the switched polynomial back in.
+	src, dst [2]rns.Poly
+	perm     []uint64
+	g        uint64
 }
 
 // NewScratch allocates a scratch arena sized for this key switcher's
 // parameter set (all buffers at the maximum level; lower levels use views).
+// Its width is 1: the caller is taken to be one of several workers.
 func (ks *KeySwitcher) NewScratch() *Scratch {
 	p := ks.params
-	nP := len(p.P)
-	L := p.MaxLevel()
-	newAcc := func() qpAccumulator {
-		return qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
+	sc := &Scratch{dig: p.QPBasis.NewPoly(), width: 1}
+	for s := range sc.acc {
+		sc.acc[s] = p.QPBasis.NewPoly()
+		sc.c[s] = p.QBasis.NewPoly()
+		sc.t[s] = p.QBasis.NewPoly()
+		sc.y[s] = p.QBasis.NewPoly()
+		sc.md[s] = ks.modDown.NewScratch()
 	}
-	return &Scratch{
-		accB:     newAcc(),
-		accA:     newAcc(),
-		dig:      newAcc(),
-		dstLimbs: make([]ring.Poly, 0, L+nP),
-		dstIdx:   make([]int, 0, L+nP),
-		c0:       p.QBasis.NewPoly(),
-		c1:       p.QBasis.NewPoly(),
-		t0:       p.QBasis.NewPoly(),
-		t1:       p.QBasis.NewPoly(),
-		conv:     rns.NewExtendScratch(p.Alpha(), p.N()),
-		md:       ks.modDown.NewScratch(),
-	}
+	return sc
 }
 
 // ensureTwoKey allocates the second accumulator pair and the monomial vectors
@@ -163,115 +195,225 @@ func (sc *Scratch) ensureTwoKey(p *Parameters) {
 	if sc.monoPlus != nil {
 		return
 	}
-	sc.accB2 = qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
-	sc.accA2 = qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
+	sc.acc2 = [2]rns.Poly{p.QPBasis.NewPoly(), p.QPBasis.NewPoly()}
 	sc.monoPlus = make(ring.Poly, p.N())
 	sc.monoMinus = make(ring.Poly, p.N())
 }
 
-func (ks *KeySwitcher) getScratch() *Scratch   { return ks.scratchPool.Get().(*Scratch) }
-func (ks *KeySwitcher) putScratch(sc *Scratch) { ks.scratchPool.Put(sc) }
-
-// decomposeDigit extracts gadget digit j of cCoeff (coefficient
-// representation, level limbs, canonical residues) and extends it over the
-// level Q limbs plus all P limbs, writing the result into dig in NTT
-// representation. dig must be a level view; every limb is fully overwritten.
-//
-// The limbs inside the digit's own window Q[start:end] are not recomputed:
-// the basis extension would form Σ_k y_k·q̂_k mod q_i there, and for a
-// window limb i every q̂_k with k ≠ i is ≡ 0 while y_i·q̂_i ≡ x_i, so the
-// sum is the input residue itself, bit for bit. They are copied, and only
-// the limbs outside the window go through ExtendSelectedWith.
-func (ks *KeySwitcher) decomposeDigit(j, level int, cCoeff rns.Poly, dig qpAccumulator, sc *Scratch) {
-	p := ks.params
-	alpha := p.Alpha()
-	start := j * alpha
-	end := start + alpha
-	if end > level {
-		end = level
-	}
-	src := rns.Poly{Limbs: cCoeff.Limbs[start:end]}
-
-	nP := len(p.P)
-	L := p.MaxLevel()
-	outside := sc.dstLimbs[:0]
-	dstIdx := sc.dstIdx[:0]
-	for i := 0; i < level; i++ {
-		if i >= start && i < end {
-			copy(dig.q.Limbs[i], cCoeff.Limbs[i])
-			continue
-		}
-		outside = append(outside, dig.q.Limbs[i])
-		dstIdx = append(dstIdx, i)
-	}
-	for i := 0; i < nP; i++ {
-		outside = append(outside, dig.p.Limbs[i])
-		dstIdx = append(dstIdx, L+i)
-	}
-	ks.extenders[start<<16|end].ExtendSelectedWith(src, rns.Poly{Limbs: outside}, dstIdx, sc.conv)
-	p.QBasis.NTT(dig.q)
-	p.PBasis.NTT(dig.p)
-	ks.rec.Add(obs.CounterNTT, uint64(level+nP))
+// getScratch takes a pooled arena for one top-level call — by construction a
+// single stream — so the arena runs at the key switcher's width.
+func (ks *KeySwitcher) getScratch() *Scratch {
+	sc := ks.scratchPool.Get().(*Scratch)
+	sc.width = ks.width()
+	return sc
 }
 
-// macRow accumulates acc += dig ⊙ row, where row is a full-QP polynomial and
-// dig/acc are (level Q + P) accumulators. With first set it writes
-// acc = dig ⊙ row instead, so the first row of a gadget product needs no
-// zeroed accumulator (the product is canonical either way, so the sum is
-// bit-identical to zero-then-accumulate).
-func (ks *KeySwitcher) macRow(acc, dig qpAccumulator, row rns.Poly, level int, first bool) {
-	p := ks.params
-	L := p.MaxLevel()
+func (ks *KeySwitcher) putScratch(sc *Scratch) { ks.scratchPool.Put(sc) }
+
+// qpLimb maps task t of a phase over the job's extended basis — its level Q
+// limbs, then every P limb — to the QP limb it owns.
+func (ks *KeySwitcher) qpLimb(sc *Scratch, t int) int {
+	if t < sc.job.level {
+		return t
+	}
+	return t - sc.job.level + ks.params.MaxLevel()
+}
+
+// pairLimb decodes task t of a phase over two operands × the job's level Q
+// limbs — the tasks of operand 0 first — into (operand, limb).
+func (sc *Scratch) pairLimb(t int) (s, i int) {
+	if t < sc.job.level {
+		return 0, t
+	}
+	return 1, t - sc.job.level
+}
+
+// window returns the Q-limb range [start, end) of gadget digit d at the
+// job's level.
+func (ks *KeySwitcher) window(sc *Scratch, d int) (start, end int) {
+	start = d * ks.alpha
+	return start, min(start+ks.alpha, sc.job.level)
+}
+
+// setInput makes x component c of the job: a coefficient-form polynomial is
+// decomposed as it stands, an NTT-form one through the arena's copy.
+func (sc *Scratch) setInput(c int, x rns.Poly, isNTT bool, key, key2 *GadgetCiphertext) {
+	j := &sc.job
+	j.ntt[c], j.in[c] = rns.Poly{}, x
+	if isNTT {
+		j.ntt[c], j.in[c] = x, sc.c[c].AtLevel(x.Level())
+	}
+	j.key[c], j.key2[c] = key, key2
+}
+
+// inputLimb is the first phase, one task per (component, Q limb): bring the
+// limb to coefficient form if it arrived in NTT form (copy + INTT), then
+// scale it into the y_i every destination limb of its digit's extension
+// shares.
+func (ks *KeySwitcher) inputLimb(sc *Scratch, t int) {
+	j := &sc.job
+	c, i := sc.pairLimb(t)
+	x := j.in[c].Limbs[i]
+	if j.ntt[c].Limbs != nil {
+		copy(x, j.ntt[c].Limbs[i])
+		ks.params.QBasis.Rings[i].INTT(x)
+	}
+	d := ks.digitOf[i]
+	start, end := ks.window(sc, d)
+	ks.digitExt[d].ScaleLimb(end-start, i-start, x, sc.y[c].Limbs[i])
+}
+
+// raiseLimb writes QP limb idx of gadget digit d of component c into dst, in
+// NTT representation.
+//
+// A limb inside the digit's own window Q[start:end] is not recomputed: the
+// basis extension would form Σ_k y_k·q̂_k mod q_i there, and for a window limb
+// i every q̂_k with k ≠ i is ≡ 0 while y_i·q̂_i ≡ x_i, so the sum is the input
+// residue itself, bit for bit. It is copied; the limbs outside the window are
+// extended from the window's y_i.
+func (ks *KeySwitcher) raiseLimb(sc *Scratch, c, d, idx int, dst ring.Poly) {
+	start, end := ks.window(sc, d)
+	if idx >= start && idx < end {
+		copy(dst, sc.job.in[c].Limbs[idx])
+	} else {
+		ks.digitExt[d].ExtendLimb(sc.y[c].Limbs[start:end], idx, dst)
+	}
+	ks.params.QPBasis.Rings[idx].NTT(dst)
+}
+
+// macLimbs accumulates acc += dig ⊙ row d of component c's key over the limb
+// tasks [lo, hi), on both sides — and acc2 against the second key when the job
+// has one — one key row after another, each swept over the range in limb
+// order. With first set it writes the product instead, so the first digit of
+// a gadget product needs no zeroed accumulator (the product is canonical
+// either way, so the sum is bit-identical to zero-then-accumulate).
+func (ks *KeySwitcher) macLimbs(sc *Scratch, c, d, lo, hi int, first bool) {
 	mac := (*ring.Ring).MulCoeffsAndAdd
 	if first {
 		mac = (*ring.Ring).MulCoeffs
 	}
-	for i := 0; i < level; i++ {
-		mac(p.QBasis.Rings[i], dig.q.Limbs[i], row.Limbs[i], acc.q.Limbs[i])
+	sweep := func(row, acc rns.Poly) {
+		for t := lo; t < hi; t++ {
+			idx := ks.qpLimb(sc, t)
+			mac(ks.params.QPBasis.Rings[idx], sc.dig.Limbs[idx], row.Limbs[idx], acc.Limbs[idx])
+		}
 	}
-	for i := 0; i < len(p.P); i++ {
-		mac(p.PBasis.Rings[i], dig.p.Limbs[i], row.Limbs[L+i], acc.p.Limbs[i])
+	key := sc.job.key[c]
+	sweep(key.B[d], sc.acc[0])
+	sweep(key.A[d], sc.acc[1])
+	if key = sc.job.key2[c]; key != nil {
+		sweep(key.B[d], sc.acc2[0])
+		sweep(key.A[d], sc.acc2[1])
 	}
 }
 
-// gadgetProduct is the decompose→NTT→MAC body shared by every key switch
-// and external product: it adds Σ_j digit_j(cCoeff) ⊙ (gct.B[j], gct.A[j])
-// to the scratch accumulators at cCoeff's level — or, with first set, starts
-// them from the first digit's products. With second non-nil every raised
-// digit is MACed against that gadget ciphertext too, into the arena's second
-// accumulator pair (ensureTwoKey must have run): one decomposition serves
-// both keys.
-func (ks *KeySwitcher) gadgetProduct(cCoeff rns.Poly, gct, second *GadgetCiphertext, first bool, sc *Scratch) {
-	level := cCoeff.Level()
-	accB := sc.accB.atLevel(level)
-	accA := sc.accA.atLevel(level)
-	dig := sc.dig.atLevel(level)
-	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
-		ks.decomposeDigit(j, level, cCoeff, dig, sc)
-		start := first && j == 0
-		ks.macRow(accB, dig, gct.B[j], level, start)
-		ks.macRow(accA, dig, gct.A[j], level, start)
-		if second != nil {
-			ks.macRow(sc.accB2.atLevel(level), dig, second.B[j], level, start)
-			ks.macRow(sc.accA2.atLevel(level), dig, second.A[j], level, start)
+// digitLimb is the decompose→NTT→MAC body of every key switch and external
+// product, one task per span of limbs of the extended basis: each digit of
+// each component is raised into the span's limbs of dig, transformed, and
+// MACed into the same limbs of the accumulators — components in order, digits
+// in order, the first product starting the accumulators. Nothing outside the
+// span is written, and each limb sees the same kernels in the same order
+// whatever the span.
+//
+// The span is one limb on a ring that can fan out, so that a phase has
+// level+|P| tasks to share. On a smaller ring (see minFanDegree) it is the
+// whole basis — one task, digit-major inside: limb-sized tasks buy nothing
+// where nothing fans, and at 1 KB a limb the key rows, which are the one
+// operand that streams from memory, are read measurably faster a row at a
+// time than a limb of every row at a time (heapd's ring, cold between jobs:
+// EXPERIMENTS.md "Limb-level fan-out").
+func (ks *KeySwitcher) digitLimb(sc *Scratch, t int) {
+	j := &sc.job
+	lo, hi := ks.span(sc, t)
+	for c := 0; c < j.comps; c++ {
+		for d := 0; d*ks.alpha < j.level; d++ {
+			for u := lo; u < hi; u++ {
+				idx := ks.qpLimb(sc, u)
+				ks.raiseLimb(sc, c, d, idx, sc.dig.Limbs[idx])
+			}
+			ks.macLimbs(sc, c, d, lo, hi, c == 0 && d == 0)
 		}
 	}
 }
 
-// modDownInto divides one scratch accumulator (level taken from out) by P
-// into out, in NTT representation or — with coeff set, via the linear
-// ModDown variant that is bit-identical to INTT of the NTT form — directly
-// in coefficient representation. Either form costs |P| inverse transforms
-// for the P part plus one transform per Q limb; rns has no recorder, so they
-// are counted here.
-func (ks *KeySwitcher) modDownInto(acc qpAccumulator, out rns.Poly, coeff bool, sc *Scratch) {
-	acc = acc.atLevel(out.Level())
-	if coeff {
-		ks.modDown.ApplyCoeffWith(acc.q, acc.p, out, sc.md)
-	} else {
-		ks.modDown.ApplyWith(acc.q, acc.p, out, sc.md)
+// digitTasks is the number of tasks the digit phase of the job has, and span
+// the limb tasks [lo, hi) of the extended basis that task t of them covers.
+func (ks *KeySwitcher) digitTasks(sc *Scratch) int {
+	if !ks.fans {
+		return 1
 	}
-	ks.rec.Add(obs.CounterNTT, uint64(len(ks.params.P)+out.Level()))
+	return sc.job.level + len(ks.params.P)
+}
+
+func (ks *KeySwitcher) span(sc *Scratch, t int) (lo, hi int) {
+	if !ks.fans {
+		return 0, sc.job.level + len(ks.params.P)
+	}
+	return t, t + 1
+}
+
+// gadgetProduct runs the input phase and then the digit phase — digitLimb,
+// or decomposeLimb to keep the raised digits instead of accumulating them —
+// over the job's inputs at the job's level:
+// acc = Σ_c Σ_d digit_d(in[c]) ⊙ key[c] row d (and acc2 against key2; one
+// decomposition serves both keys of a two-key product).
+func (ks *KeySwitcher) gadgetProduct(sc *Scratch, digitPhase func(*KeySwitcher, *Scratch, int)) {
+	j := &sc.job
+	ks.run(sc, j.comps*j.level, (*KeySwitcher).inputLimb)
+	ks.run(sc, ks.digitTasks(sc), digitPhase)
+	transforms := j.comps * ks.params.DigitsAtLevel(j.level) * (j.level + len(ks.params.P))
+	if j.ntt[0].Limbs != nil { // the components of a job arrive in one form
+		transforms += j.comps * j.level
+	}
+	ks.rec.Add(obs.CounterNTT, uint64(transforms))
+}
+
+// modDownPLimb is the third phase, one task per (side, P limb): the P part of
+// each accumulator goes to coefficients and is scaled for the P→Q extension.
+func (ks *KeySwitcher) modDownPLimb(sc *Scratch, t int) {
+	side, k := 0, t
+	if nP := len(ks.params.P); t >= nP {
+		side, k = 1, t-nP
+	}
+	ks.modDown.ScaleLimb(k, sc.acc[side].Limbs[ks.params.MaxLevel()+k], sc.md[side])
+}
+
+// modDownQLimb is the fourth phase, one task per (side, Q limb): extend the P
+// part into the limb, subtract, multiply by P⁻¹, into the job's output.
+func (ks *KeySwitcher) modDownQLimb(sc *Scratch, t int) {
+	j := &sc.job
+	side, i := sc.pairLimb(t)
+	ks.modDown.FinishLimb(i, sc.acc[side].Limbs[i], j.out[side].Limbs[i], j.coeff, sc.md[side])
+}
+
+// modDownPair divides both accumulators by P into (outB, outA), at the job's
+// level, in NTT representation or — with coeff set, via the linear ModDown
+// variant that is bit-identical to INTT of the NTT form — directly in
+// coefficient representation. Either form costs |P| inverse transforms for
+// the P part plus one transform per Q limb on each side; rns has no recorder,
+// so they are counted here.
+func (ks *KeySwitcher) modDownPair(outB, outA rns.Poly, coeff bool, sc *Scratch) {
+	j := &sc.job
+	j.out, j.coeff = [2]rns.Poly{outB, outA}, coeff
+	nP := len(ks.params.P)
+	ks.run(sc, 2*nP, (*KeySwitcher).modDownPLimb)
+	ks.run(sc, 2*j.level, (*KeySwitcher).modDownQLimb)
+	ks.rec.Add(obs.CounterNTT, uint64(2*(nP+j.level)))
+}
+
+// permuteLimb and addLimb are the per-limb steps around a key switch, one
+// task per (operand, Q limb) over the job's src/dst pairs: dst = σ(src) as an
+// NTT-slot permutation, and dst += src.
+func (ks *KeySwitcher) permuteLimb(sc *Scratch, t int) {
+	j := &sc.job
+	s, i := sc.pairLimb(t)
+	ks.params.QBasis.Rings[i].AutomorphismNTT(j.src[s].Limbs[i], j.perm, j.dst[s].Limbs[i])
+}
+
+func (ks *KeySwitcher) addLimb(sc *Scratch, t int) {
+	j := &sc.job
+	s, i := sc.pairLimb(t)
+	ks.params.QBasis.Rings[i].Add(j.dst[s].Limbs[i], j.src[s].Limbs[i], j.dst[s].Limbs[i])
 }
 
 // SwitchPolyInto applies the gadget ciphertext gct to the polynomial c (NTT,
@@ -281,17 +423,7 @@ func (ks *KeySwitcher) modDownInto(acc qpAccumulator, out rns.Poly, coeff bool, 
 // nothing. For a key-switching key encrypting s_from under s_to, feeding
 // c = c1 yields d0 + d1·s_to ≈ c1·s_from.
 func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	level := c.Level()
-	cCoeff := sc.c0.AtLevel(level)
-	for i := range cCoeff.Limbs {
-		copy(cCoeff.Limbs[i], c.Limbs[i])
-	}
-	ks.params.QBasis.AtLevel(level).INTT(cCoeff)
-	ks.rec.Add(obs.CounterNTT, uint64(level))
-	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.gadgetProduct(cCoeff, gct, nil, true, sc)
-	ks.modDownInto(sc.accB, d0, false, sc)
-	ks.modDownInto(sc.accA, d1, false, sc)
+	ks.switchPoly(c, true, gct, d0, d1, sc)
 }
 
 // switchPolyCoeff is SwitchPolyInto with input and both outputs in
@@ -301,23 +433,29 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 // NTT(cCoeff). cCoeff may alias d1 — the decomposition has consumed the
 // input before the ModDowns write.
 func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.gadgetProduct(cCoeff, gct, nil, true, sc)
-	ks.modDownInto(sc.accB, d0, true, sc)
-	ks.modDownInto(sc.accA, d1, true, sc)
+	ks.switchPoly(cCoeff, false, gct, d0, d1, sc)
 }
 
-// Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 using
-// the relinearization key (a gadget encryption of s²).
-func (ks *KeySwitcher) Relinearize(c0, c1, c2 rns.Poly, rlk *GadgetCiphertext) (r0, r1 rns.Poly) {
-	b := ks.params.QBasis.AtLevel(c0.Level())
-	r0, r1 = b.NewPoly(), b.NewPoly()
+// switchPoly is the key switch in either domain: input and outputs share it.
+func (ks *KeySwitcher) switchPoly(c rns.Poly, isNTT bool, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
+	sc.job.level, sc.job.comps = c.Level(), 1
+	sc.setInput(0, c, isNTT, gct, nil)
+	ks.rec.Add(obs.CounterKeySwitch, 1)
+	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
+	ks.modDownPair(d0, d1, !isNTT, sc)
+}
+
+// Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 in
+// place, using the relinearization key (a gadget encryption of s²): the
+// key-switched c2 is added into c0 and c1.
+func (ks *KeySwitcher) Relinearize(c0, c1, c2 rns.Poly, rlk *GadgetCiphertext) {
+	level := c2.Level()
 	sc := ks.getScratch()
-	ks.SwitchPolyInto(c2, rlk, r0, r1, sc)
+	d := [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
+	ks.SwitchPolyInto(c2, rlk, d[0], d[1], sc)
+	sc.job.src, sc.job.dst = d, [2]rns.Poly{c0, c1}
+	ks.run(sc, 2*level, (*KeySwitcher).addLimb)
 	ks.putScratch(sc)
-	b.Add(c0, r0, r0)
-	b.Add(c1, r1, r1)
-	return r0, r1
 }
 
 // Automorphism applies X→X^g to ct (NTT form) and key-switches back to the
@@ -333,19 +471,19 @@ func (ks *KeySwitcher) Automorphism(ct *Ciphertext, g uint64, gk *GadgetCipherte
 // AutomorphismInto is Automorphism writing into the caller-owned out
 // ciphertext (same level as ct; must not alias it) using the scratch arena.
 // This is the allocation-free form of the rotation kernel: the permuted
-// components land in sc.t0/sc.t1 and the key-switch reuses the usual
-// decompose→MAC→ModDown buffers. The output is in NTT representation and
-// bit-identical to Automorphism's.
+// components land in the arena's temporaries and the key-switch reuses the
+// usual decompose→MAC→ModDown buffers. The output is in NTT representation
+// and bit-identical to Automorphism's.
 func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	level := ct.Level()
-	b := ks.params.QBasis.AtLevel(level)
-	perm := ks.EnsurePerm(g)
-	t0 := sc.t0.AtLevel(level)
-	t1 := sc.t1.AtLevel(level)
-	b.AutomorphismNTT(ct.C0, perm, t0)
-	b.AutomorphismNTT(ct.C1, perm, t1)
-	ks.SwitchPolyInto(t1, gk, out.C0, out.C1, sc)
-	b.Add(t0, out.C0, out.C0)
+	j := &sc.job
+	t := [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
+	j.level, j.perm = level, ks.EnsurePerm(g)
+	j.src, j.dst = [2]rns.Poly{ct.C0, ct.C1}, t
+	ks.run(sc, 2*level, (*KeySwitcher).permuteLimb)
+	ks.SwitchPolyInto(t[1], gk, out.C0, out.C1, sc)
+	j.src[0], j.dst[0] = t[0], out.C0
+	ks.run(sc, level, (*KeySwitcher).addLimb)
 	out.IsNTT = true
 	out.Scale = ct.Scale
 }
@@ -363,7 +501,7 @@ func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *Gadge
 // node afresh instead.
 type Hoisted struct {
 	level int
-	digs  []qpAccumulator
+	digs  []rns.Poly // one QP-indexed polynomial per digit
 }
 
 // Level reports the level the decomposition was taken at.
@@ -371,29 +509,47 @@ func (h *Hoisted) Level() int { return h.level }
 
 // NewHoisted allocates digit buffers sized for the maximum level.
 func (ks *KeySwitcher) NewHoisted() *Hoisted {
-	p := ks.params
-	L := p.MaxLevel()
-	h := &Hoisted{digs: make([]qpAccumulator, p.DigitsAtLevel(L))}
-	for j := range h.digs {
-		h.digs[j] = qpAccumulator{q: p.QBasis.NewPoly(), p: p.PBasis.NewPoly()}
+	h := &Hoisted{digs: make([]rns.Poly, len(ks.digitExt))}
+	for d := range h.digs {
+		h.digs[d] = ks.params.QPBasis.NewPoly()
 	}
 	return h
+}
+
+// decomposeLimb is digitLimb storing instead of accumulating: every digit of
+// the job's one component is raised into limb t of the hoisted decomposition.
+func (ks *KeySwitcher) decomposeLimb(sc *Scratch, t int) {
+	j := &sc.job
+	lo, hi := ks.span(sc, t)
+	for d := 0; d*ks.alpha < j.level; d++ {
+		for u := lo; u < hi; u++ {
+			idx := ks.qpLimb(sc, u)
+			ks.raiseLimb(sc, 0, d, idx, j.hoisted.digs[d].Limbs[idx])
+		}
+	}
+}
+
+// hoistedLimb is digitLimb reading instead of raising: limb t of every stored
+// digit is permuted into dig and MACed against the key rows.
+func (ks *KeySwitcher) hoistedLimb(sc *Scratch, t int) {
+	j := &sc.job
+	lo, hi := ks.span(sc, t)
+	for d := 0; d*ks.alpha < j.level; d++ {
+		for u := lo; u < hi; u++ {
+			idx := ks.qpLimb(sc, u)
+			ks.params.QPBasis.Rings[idx].AutomorphismNTT(j.hoisted.digs[d].Limbs[idx], j.perm, sc.dig.Limbs[idx])
+		}
+		ks.macLimbs(sc, 0, d, lo, hi, d == 0)
+	}
 }
 
 // DecomposeInto fills h with the gadget decomposition of c (NTT form, level
 // limbs), extended over the full QP basis.
 func (ks *KeySwitcher) DecomposeInto(h *Hoisted, c rns.Poly, sc *Scratch) {
-	level := c.Level()
-	h.level = level
-	cCoeff := sc.c0.AtLevel(level)
-	for i := range cCoeff.Limbs {
-		copy(cCoeff.Limbs[i], c.Limbs[i])
-	}
-	ks.params.QBasis.AtLevel(level).INTT(cCoeff)
-	ks.rec.Add(obs.CounterNTT, uint64(level))
-	for j := 0; j < ks.params.DigitsAtLevel(level); j++ {
-		ks.decomposeDigit(j, level, cCoeff, h.digs[j].atLevel(level), sc)
-	}
+	h.level = c.Level()
+	sc.job.level, sc.job.comps, sc.job.hoisted = h.level, 1, h
+	sc.setInput(0, c, true, nil, nil)
+	ks.gadgetProduct(sc, (*KeySwitcher).decomposeLimb)
 }
 
 // Decompose is DecomposeInto with a freshly allocated Hoisted and pooled
@@ -414,29 +570,17 @@ func (ks *KeySwitcher) Decompose(c rns.Poly) *Hoisted {
 // alias ct.
 func (ks *KeySwitcher) ApplyGaloisHoistedInto(out, ct *Ciphertext, h *Hoisted, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	level := h.level
-	p := ks.params
-	b := p.QBasis.AtLevel(level)
-	perm := ks.EnsurePerm(g)
-	nP := len(p.P)
-	accB := sc.accB.atLevel(level)
-	accA := sc.accA.atLevel(level)
+	j := &sc.job
+	j.level, j.hoisted, j.perm = level, h, ks.EnsurePerm(g)
+	j.key[0], j.key2[0] = gk, nil
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	dig := sc.dig.atLevel(level)
-	for j := 0; j < p.DigitsAtLevel(level); j++ {
-		for i := 0; i < level; i++ {
-			p.QBasis.Rings[i].AutomorphismNTT(h.digs[j].q.Limbs[i], perm, dig.q.Limbs[i])
-		}
-		for i := 0; i < nP; i++ {
-			p.PBasis.Rings[i].AutomorphismNTT(h.digs[j].p.Limbs[i], perm, dig.p.Limbs[i])
-		}
-		ks.macRow(accB, dig, gk.B[j], level, j == 0)
-		ks.macRow(accA, dig, gk.A[j], level, j == 0)
-	}
-	ks.modDownInto(accB, out.C0, false, sc)
-	ks.modDownInto(accA, out.C1, false, sc)
-	t0 := sc.t0.AtLevel(level)
-	b.AutomorphismNTT(ct.C0, perm, t0)
-	b.Add(t0, out.C0, out.C0)
+	ks.run(sc, ks.digitTasks(sc), (*KeySwitcher).hoistedLimb)
+	ks.modDownPair(out.C0, out.C1, false, sc)
+	t0 := sc.t[0].AtLevel(level)
+	j.src[0], j.dst[0] = ct.C0, t0
+	ks.run(sc, level, (*KeySwitcher).permuteLimb)
+	j.src[0], j.dst[0] = t0, out.C0
+	ks.run(sc, level, (*KeySwitcher).addLimb)
 	out.IsNTT = true
 	out.Scale = ct.Scale
 }
@@ -479,27 +623,29 @@ func (ks *KeySwitcher) ExternalProductCoeffInto(out, ct *Ciphertext, rgsw *RGSWC
 }
 
 func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext, coeff bool, sc *Scratch) {
-	level := ct.Level()
-	c0Coeff, c1Coeff := ct.C0, ct.C1
-	if ct.IsNTT {
-		c0Coeff, c1Coeff = sc.c0.AtLevel(level), sc.c1.AtLevel(level)
-		for i := 0; i < level; i++ {
-			copy(c0Coeff.Limbs[i], ct.C0.Limbs[i])
-			copy(c1Coeff.Limbs[i], ct.C1.Limbs[i])
-		}
-		ks.params.QBasis.INTT(c0Coeff)
-		ks.params.QBasis.INTT(c1Coeff)
-		ks.rec.Add(obs.CounterNTT, uint64(2*level))
-	}
-	ks.rec.Add(obs.CounterExternalProduct, 1)
-	ks.gadgetProduct(c0Coeff, rgsw.C0, nil, true, sc)
-	if !c1Coeff.IsZero() {
-		ks.gadgetProduct(c1Coeff, rgsw.C1, nil, false, sc)
-	}
-	ks.modDownInto(sc.accB, out.C0, coeff, sc)
-	ks.modDownInto(sc.accA, out.C1, coeff, sc)
+	ks.decomposeCiphertext(ct, rgsw, nil, sc)
+	ks.modDownPair(out.C0, out.C1, coeff, sc)
 	out.IsNTT = !coeff
 	out.Scale = ct.Scale
+}
+
+// decomposeCiphertext is the gadget product of an external product, counted
+// as one: ct's components are decomposed against rgsw into the accumulators
+// — and, when second is given, against it too, into the arena's second pair.
+// A zero C1 (in either representation) is left out.
+func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCiphertext, sc *Scratch) {
+	sc.job.level, sc.job.comps = ct.Level(), 2
+	if ct.C1.IsZero() {
+		sc.job.comps = 1
+	}
+	var k2 [2]*GadgetCiphertext
+	if second != nil {
+		k2 = [2]*GadgetCiphertext{second.C0, second.C1}
+	}
+	sc.setInput(0, ct.C0, ct.IsNTT, rgsw.C0, k2[0])
+	sc.setInput(1, ct.C1, ct.IsNTT, rgsw.C1, k2[1])
+	ks.rec.Add(obs.CounterExternalProduct, 1)
+	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
 }
 
 // ExternalProductTwoKeyCoeffInto computes
@@ -520,33 +666,28 @@ func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext
 // form ExternalProductCoeffInto allows has no use here). The result is not
 // bit-identical to the two-step form (whose second product sees the first
 // one's output), only equal to it up to key-switch noise.
+//
+// The combine runs inline on the calling goroutine at every width: the arena
+// has one pair of monomial vectors, and the only caller is a blind-rotation
+// worker, whose arena is width 1.
 func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
 	if ct.IsNTT {
 		panic("rlwe: two-key external product takes a coefficient-form ciphertext")
 	}
 	p := ks.params
-	level := ct.Level()
 	sc.ensureTwoKey(p)
-	ks.rec.Add(obs.CounterExternalProduct, 1)
-	ks.gadgetProduct(ct.C0, plus.C0, minus.C0, true, sc)
-	if !ct.C1.IsZero() {
-		ks.gadgetProduct(ct.C1, plus.C1, minus.C1, false, sc)
-	}
-	combine := func(r *ring.Ring, b, b2, a, a2 ring.Poly) {
+	ks.decomposeCiphertext(ct, plus, minus, sc)
+	for t, n := 0, ct.Level()+len(p.P); t < n; t++ {
+		idx := ks.qpLimb(sc, t)
+		r := p.QPBasis.Rings[idx]
 		r.MonomialsMinusOneNTT(k, sc.monoPlus, sc.monoMinus)
-		r.MulCoeffs(b, sc.monoPlus, b)
-		r.MulCoeffsAndAdd(b2, sc.monoMinus, b)
-		r.MulCoeffs(a, sc.monoPlus, a)
-		r.MulCoeffsAndAdd(a2, sc.monoMinus, a)
+		for s := range sc.acc {
+			acc := sc.acc[s].Limbs[idx]
+			r.MulCoeffs(acc, sc.monoPlus, acc)
+			r.MulCoeffsAndAdd(sc.acc2[s].Limbs[idx], sc.monoMinus, acc)
+		}
 	}
-	for i := 0; i < level; i++ {
-		combine(p.QBasis.Rings[i], sc.accB.q.Limbs[i], sc.accB2.q.Limbs[i], sc.accA.q.Limbs[i], sc.accA2.q.Limbs[i])
-	}
-	for i := range p.P {
-		combine(p.PBasis.Rings[i], sc.accB.p.Limbs[i], sc.accB2.p.Limbs[i], sc.accA.p.Limbs[i], sc.accA2.p.Limbs[i])
-	}
-	ks.modDownInto(sc.accB, out.C0, true, sc)
-	ks.modDownInto(sc.accA, out.C1, true, sc)
+	ks.modDownPair(out.C0, out.C1, true, sc)
 	out.IsNTT = false
 	out.Scale = ct.Scale
 }

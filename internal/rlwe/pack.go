@@ -45,40 +45,18 @@ type Repacker struct {
 	ks *KeySwitcher
 	pk *PackingKeys
 
-	scratch sync.Pool // *mergeScratch
+	// scratch pools the key-switch arenas (width 1) merge nodes and traces
+	// run in; every temporary of a step lives in the arena, so a warm one
+	// serves any level without allocating.
+	scratch sync.Pool // *Scratch
 }
 
 // NewRepacker builds a Repacker over the given key switcher and packing
 // keys. The Repacker is safe for concurrent use by multiple goroutines.
 func NewRepacker(ks *KeySwitcher, pk *PackingKeys) *Repacker {
 	rp := &Repacker{ks: ks, pk: pk}
-	rp.scratch.New = func() any {
-		return &mergeScratch{
-			r:  NewCiphertext(ks.params, ks.params.MaxLevel()),
-			ta: ks.params.QBasis.NewPoly(),
-			sc: ks.NewScratch(),
-		}
-	}
+	rp.scratch.New = func() any { return ks.NewScratch() }
 	return rp
-}
-
-// mergeScratch is one caller's arena for a merge-tree node or trace step: a
-// ciphertext of temporaries, the automorphed C1 the key switch decomposes
-// (and overwrites with its C1 output), and the key-switch scratch. The
-// backing arrays are allocated at the maximum level; ctAtLevel / AtLevel
-// re-slice them in place so a warm arena serves any level without allocating.
-type mergeScratch struct {
-	r  *Ciphertext
-	ta rns.Poly
-	sc *Scratch
-}
-
-// ctAtLevel truncates a max-level scratch ciphertext to level limbs in
-// place. The slice capacity is preserved, so a later call can grow it back.
-func ctAtLevel(ct *Ciphertext, level int) *Ciphertext {
-	ct.C0.Limbs = ct.C0.Limbs[:level]
-	ct.C1.Limbs = ct.C1.Limbs[:level]
-	return ct
 }
 
 // validate checks the merge-tree preconditions.
@@ -122,12 +100,12 @@ func (rp *Repacker) Merge(cts []*Ciphertext) (*Ciphertext, error) {
 	if err := rp.validate(cts); err != nil {
 		return nil, err
 	}
-	ms := rp.scratch.Get().(*mergeScratch)
-	defer rp.scratch.Put(ms)
+	sc := rp.scratch.Get().(*Scratch)
+	defer rp.scratch.Put(sc)
 	for c := 2; c <= len(cts); c <<= 1 {
 		half, gk := len(cts)/c, rp.pk.Keys[uint64(c+1)]
 		for i := 0; i < half; i++ {
-			rp.mergePair(cts[i], cts[i+half], c, gk, ms)
+			rp.mergePair(cts[i], cts[i+half], c, gk, sc)
 		}
 	}
 	return cts[0], nil
@@ -154,7 +132,9 @@ func (rp *Repacker) Pack(cts []*Ciphertext) (*Ciphertext, error) {
 // ciphertext out in place: coefficients at stride N/count are fixed and
 // doubled at every step (total factor N/count); all other coefficients
 // cancel. With count = N it is a no-op. The loop is serial — each step's
-// automorphism consumes the previous step's output.
+// automorphism consumes the previous step's output — so it is the one part of
+// a repack with no sibling work to fill the other cores: its arena runs at the
+// key switcher's width for the duration, and each step's limb tasks fan out.
 func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 	n := rp.ks.params.N()
 	if count < 1 || count&(count-1) != 0 || count > n {
@@ -171,11 +151,13 @@ func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 	if 2*count > n {
 		return out, nil // no step to run: leave the arena pool alone
 	}
-	ms := rp.scratch.Get().(*mergeScratch)
-	defer rp.scratch.Put(ms)
+	sc := rp.scratch.Get().(*Scratch)
+	sc.width = rp.ks.width()
 	for step := 2 * count; step <= n; step <<= 1 {
-		rp.addRotated(out, out, uint64(step+1), rp.pk.Keys[uint64(step+1)], ms)
+		rp.addRotated(out, out, uint64(step+1), rp.pk.Keys[uint64(step+1)], sc)
 	}
+	sc.width = 1
+	rp.scratch.Put(sc)
 	return out, nil
 }
 
@@ -200,47 +182,59 @@ func (rp *Repacker) MergePair(e, o *Ciphertext, c int) (*Ciphertext, error) {
 	if !ok {
 		return nil, fmt.Errorf("rlwe: missing packing key for galois element %d", c+1)
 	}
-	ms := rp.scratch.Get().(*mergeScratch)
-	rp.mergePair(e, o, c, gk, ms)
-	rp.scratch.Put(ms)
+	sc := rp.scratch.Get().(*Scratch)
+	rp.mergePair(e, o, c, gk, sc)
+	rp.scratch.Put(sc)
 	return e, nil
 }
 
 // mergePair is the merge kernel; allocation-free with a warm arena. o's
-// storage ends up holding the difference branch.
-func (rp *Repacker) mergePair(e, o *Ciphertext, c int, gk *GadgetCiphertext, ms *mergeScratch) {
+// storage ends up holding the difference branch. A merge node is not fanned
+// out: the tree's nodes are already spread over the collector's callers.
+func (rp *Repacker) mergePair(e, o *Ciphertext, c int, gk *GadgetCiphertext, sc *Scratch) {
 	ks := rp.ks
 	ks.rec.Add(obs.CounterMerge, 1)
 	level := e.Level()
 	b := ks.params.QBasis.AtLevel(level)
-	rot, k := ctAtLevel(ms.r, level), ks.params.N()/c
+	rot0, rot1, k := sc.t[0].AtLevel(level), sc.t[1].AtLevel(level), ks.params.N()/c
 	for i := 0; i < level; i++ {
-		b.Rings[i].MulByMonomialInto(o.C0.Limbs[i], k, rot.C0.Limbs[i])
-		b.Rings[i].MulByMonomialInto(o.C1.Limbs[i], k, rot.C1.Limbs[i])
+		b.Rings[i].MulByMonomialInto(o.C0.Limbs[i], k, rot0.Limbs[i])
+		b.Rings[i].MulByMonomialInto(o.C1.Limbs[i], k, rot1.Limbs[i])
 	}
-	b.Sub(e.C0, rot.C0, o.C0) // diff = E − X^{N/c}·O
-	b.Sub(e.C1, rot.C1, o.C1)
-	b.Add(e.C0, rot.C0, e.C0) // sum = E + X^{N/c}·O
-	b.Add(e.C1, rot.C1, e.C1)
-	rp.addRotated(e, o, uint64(c+1), gk, ms)
+	b.Sub(e.C0, rot0, o.C0) // diff = E − X^{N/c}·O
+	b.Sub(e.C1, rot1, o.C1)
+	b.Add(e.C0, rot0, e.C0) // sum = E + X^{N/c}·O
+	b.Add(e.C1, rot1, e.C1)
+	rp.addRotated(e, o, uint64(c+1), gk, sc)
 }
 
 // addRotated adds the key-switched σ_g(src) to dst, both in coefficient form
 // (dst may be src: every read of src precedes the first write to dst). σ_g
 // permutes coefficients exactly, its C1 image feeds the gadget decomposition
-// as it stands, and both ModDowns emit coefficients.
-func (rp *Repacker) addRotated(dst, src *Ciphertext, g uint64, gk *GadgetCiphertext, ms *mergeScratch) {
+// as it stands, and both ModDowns emit coefficients. The steps on either side
+// of the key switch are per-limb phases of the arena like the switch's own.
+func (rp *Repacker) addRotated(dst, src *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	ks := rp.ks
 	level := src.Level()
-	b := ks.params.QBasis.AtLevel(level)
-	rot := ctAtLevel(ms.r, level)
-	ta := ms.ta.AtLevel(level)
-	b.Automorphism(src.C1, g, ta)
-	b.Automorphism(src.C0, g, rot.C1)
-	ks.switchPolyCoeff(ta, gk, rot.C0, ta, ms.sc) // d0 → rot.C0, d1 → ta in place
-	b.Add(dst.C0, rot.C1, dst.C0)                 // += σ_g(C0)
-	b.Add(dst.C0, rot.C0, dst.C0)                 // += d0
-	b.Add(dst.C1, ta, dst.C1)                     // += d1
+	j := &sc.job
+	rot := [2]rns.Poly{sc.c[1].AtLevel(level), sc.c[0].AtLevel(level)} // σ_g(C0), σ_g(C1)
+	j.level, j.g = level, g
+	j.src, j.dst = [2]rns.Poly{src.C0, src.C1}, rot
+	ks.run(sc, 2*level, (*KeySwitcher).automorphLimb)
+	d0 := sc.t[0].AtLevel(level)
+	ks.switchPolyCoeff(rot[1], gk, d0, rot[1], sc) // d1 lands on its input in place
+	j.src, j.dst = rot, [2]rns.Poly{dst.C0, dst.C1}
+	ks.run(sc, 2*level, (*KeySwitcher).addLimb) // C0 += σ_g(C0), C1 += d1
+	j.src[0] = d0
+	ks.run(sc, level, (*KeySwitcher).addLimb) // C0 += d0
+}
+
+// automorphLimb is permuteLimb in the coefficient domain: dst = σ_g(src), a
+// signed permutation of the coefficients.
+func (ks *KeySwitcher) automorphLimb(sc *Scratch, t int) {
+	j := &sc.job
+	s, i := sc.pairLimb(t)
+	ks.params.QBasis.Rings[i].Automorphism(j.src[s].Limbs[i], j.g, j.dst[s].Limbs[i])
 }
 
 // PackRLWEs combines 2^ℓ RLWE ciphertexts into one (see Repacker.Pack). The

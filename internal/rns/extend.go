@@ -10,51 +10,90 @@ import (
 // modulus and rounds, dropping that limb: this is the CKKS Rescale kernel.
 // If inNTT is true the limbs are in evaluation representation and the
 // conversion of the last limb is handled internally. The result has one
-// fewer limb and is returned in the same representation as the input.
+// fewer limb and is returned in the same representation as the input. It is
+// LastLimbCoeffs followed by DivRoundLimb over the remaining limbs; a caller
+// with cores to spare runs those limb steps side by side.
 func (b *Basis) DivRoundByLastModulus(p Poly, inNTT bool) Poly {
+	last := p.Level() - 1
+	cL := make(ring.Poly, b.N)
+	b.LastLimbCoeffs(p, inNTT, cL)
+	out := NewPolySlab(last, b.N)
+	for i := 0; i < last; i++ {
+		b.DivRoundLimb(i, last, p.Limbs[i], cL, inNTT, out.Limbs[i])
+	}
+	return out
+}
+
+// NewPolySlab allocates a zero polynomial of level limbs of n words each over
+// one backing array — one allocation for the words, where Basis.NewPoly makes
+// one per limb.
+func NewPolySlab(level, n int) Poly {
+	slab := make([]uint64, level*n)
+	limbs := make([]ring.Poly, level)
+	for i := range limbs {
+		limbs[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return Poly{Limbs: limbs}
+}
+
+// LastLimbCoeffs writes the coefficient representation of p's last limb into
+// cL: the shared first step of a rescale, which every DivRoundLimb reads.
+func (b *Basis) LastLimbCoeffs(p Poly, inNTT bool, cL ring.Poly) {
 	level := p.Level()
 	if level < 2 {
 		panic("rns: cannot rescale a single-limb polynomial")
 	}
-	last := level - 1
-	rLast := b.Rings[last]
-	qL := rLast.Mod.Q
-
-	cL := p.Limbs[last].Copy()
+	copy(cL, p.Limbs[level-1])
 	if inNTT {
-		rLast.INTT(cL)
+		b.Rings[level-1].INTT(cL)
 	}
+}
 
-	out := Poly{Limbs: make([]ring.Poly, last)}
+// DivRoundLimb is the rescale of limb i by the modulus of limb last:
+// out = (pi − [cL]_{q_i}) · q_last⁻¹ mod q_i, with cL (LastLimbCoeffs) taken
+// as a centred remainder so the division rounds to nearest instead of
+// flooring. It writes out only (which may not alias pi or cL), so the limbs of
+// one rescale are independent tasks.
+func (b *Basis) DivRoundLimb(i, last int, pi, cL ring.Poly, inNTT bool, out ring.Poly) {
+	ri := b.Rings[i]
+	qi, qL := ri.Mod.Q, b.Rings[last].Mod.Q
 	half := qL >> 1
-	for i := 0; i < last; i++ {
-		ri := b.Rings[i]
-		qi := ri.Mod.Q
-		qLInv := ri.Mod.InvMod(qL % qi)
-		t := ri.NewPoly()
-		// Centered remainder of the last limb, re-encoded mod q_i, so the
-		// division rounds to nearest rather than flooring.
+	out = out[:len(cL)]
+	if qL < 2*qi {
+		// The chain's primes are one size, so v < q_L < 2·q_i: one masked
+		// subtraction reduces v, a second under the v > half mask subtracts
+		// q_L mod q_i (v − q_L is the centred remainder), and a third re-adds
+		// q_i on borrow. Moduli are below 2^63, so the sign bit of a wrapped
+		// difference is the borrow.
+		qLModQi := qL
+		if qL >= qi {
+			qLModQi -= qi
+		}
 		for j, v := range cL {
-			var r uint64
+			r := v - qi
+			r += qi & -(r >> 63)
+			r -= qLModQi & -((half - v) >> 63)
+			r += qi & -(r >> 63)
+			out[j] = r
+		}
+	} else {
+		for j, v := range cL {
 			if v > half {
-				r = qi - (qL-v)%qi
+				r := qi - (qL-v)%qi
 				if r == qi {
 					r = 0
 				}
+				out[j] = r
 			} else {
-				r = v % qi
+				out[j] = v % qi
 			}
-			t[j] = r
 		}
-		if inNTT {
-			ri.NTT(t)
-		}
-		oi := ri.NewPoly()
-		ri.Sub(p.Limbs[i], t, oi)
-		ri.MulScalar(oi, qLInv, oi)
-		out.Limbs[i] = oi
 	}
-	return out
+	if inNTT {
+		ri.NTT(out)
+	}
+	ri.Sub(pi, out, out)
+	ri.MulScalar(out, ri.Mod.InvMod(qL%qi), out)
 }
 
 // Extender implements the fast (approximate) RNS basis conversion of
@@ -74,10 +113,6 @@ type Extender struct {
 	// on chip for the same reason).
 	qhatModP      [][][]uint64
 	qhatModPShoup [][][]uint64
-	// identIdx is the identity destination-limb selection 0..dst.Level()-1,
-	// shared by every ExtendWith call so the full conversion allocates
-	// nothing.
-	identIdx []int
 }
 
 // NewExtender precomputes conversion tables from every level of src into dst.
@@ -111,10 +146,6 @@ func NewExtender(src, dst *Basis) *Extender {
 		e.qhatModP[level-1] = modP
 		e.qhatModPShoup[level-1] = modPShoup
 	}
-	e.identIdx = make([]int, dst.Level())
-	for i := range e.identIdx {
-		e.identIdx[i] = i
-	}
 	return e
 }
 
@@ -145,48 +176,57 @@ func (sc *ExtendScratch) grow(level, n int) []ring.Poly {
 }
 
 // ExtendWith converts p (coefficient representation, any level of src) into
-// the destination basis, writing one limb per destination prime into out.
-// out must have dst.Level() limbs. See ExtendSelectedWith.
+// the destination basis, writing limb j of out modulo destination prime j;
+// out may have fewer limbs than dst. It is the two steps of the conversion in
+// sequence — ScaleLimb over the source limbs, then ExtendLimb over the
+// destination limbs — and allocation-free once the caller-owned sc has
+// reached the source level.
 func (e *Extender) ExtendWith(p Poly, out Poly, sc *ExtendScratch) {
-	e.ExtendSelectedWith(p, out, e.identIdx[:out.Level()], sc)
+	level := p.Level()
+	ys := sc.grow(level, e.src.N)
+	for i := 0; i < level; i++ {
+		e.ScaleLimb(level, i, p.Limbs[i], ys[i])
+	}
+	for j := range out.Limbs {
+		e.ExtendLimb(ys, j, out.Limbs[j])
+	}
 }
 
-// ExtendSelectedWith converts p into a chosen subset of destination limbs:
-// out.Limbs[k] receives the residue modulo dst prime dstIdx[k]. This supports
-// level-aware key switching, where the target basis is a prefix of Q plus all
-// of P. It is allocation-free once the caller-owned sc has reached the source
-// level, which is how the key-switch hot path keeps the ModUp kernel off the
-// garbage collector.
-func (e *Extender) ExtendSelectedWith(p Poly, out Poly, dstIdx []int, sc *ExtendScratch) {
-	level := p.Level()
-	inv := e.qhatInvModQ[level-1]
+// ScaleLimb forms the intermediate every destination limb shares,
+// y_i = [x_i · q̂_i⁻¹]_{q_i} with q̂_i = (∏ of the first level source primes)/q_i,
+// for source limb i. y may be x. The source limbs are independent of each
+// other, so a caller may form them concurrently.
+func (e *Extender) ScaleLimb(level, i int, x, y ring.Poly) {
+	e.src.Rings[i].MulScalar(x, e.qhatInvModQ[level-1][i], y)
+}
+
+// ExtendLimb accumulates destination limb j from the len(ys) scaled source
+// limbs: out = Σ_i y_i · q̂_i mod dst prime j. It reads ys and writes out only,
+// so destination limbs are independent tasks once every y_i exists — which is
+// how the key switch raises its digits limb by limb, skipping the destination
+// limbs it does not need (level-aware switching targets a prefix of Q plus
+// all of P).
+func (e *Extender) ExtendLimb(ys []ring.Poly, j int, out ring.Poly) {
+	level := len(ys)
 	modP := e.qhatModP[level-1]
 	modPShoup := e.qhatModPShoup[level-1]
 	n := e.src.N
-
-	// y_i = [x_i · qhatInv_i]_{q_i}, shared across all destination limbs.
-	ys := sc.grow(level, n)
-	for i := 0; i < level; i++ {
-		e.src.Rings[i].MulScalar(p.Limbs[i], inv[i], ys[i])
-	}
-	for jj, j := range dstIdx {
-		mod := e.dst.Rings[j].Mod
-		oj := out.Limbs[jj][:n]
-		// The first term writes oj (the same canonical product a MAC onto a
-		// zeroed limb would leave), the rest accumulate.
-		mod.MulShoupVec(ys[0][:n], oj, modP[0][j], modPShoup[0][j])
-		for i := 1; i < level; i++ {
-			// Eagerly canonical accumulation, on purpose: both conditional
-			// subtractions inside the MAC lower to branchless conditional
-			// moves (scalar) or VPCMPGTQ masks (vector), whereas the lazy
-			// alternative (carry the accumulator in [0, 2q) with one
-			// subtraction per term plus a canonical sweep per limb) defeats
-			// the scalar lowering and measured ~3× slower per term on the
-			// reference host — see the modular-kernel ablation in
-			// EXPERIMENTS.md. The lazy interval only pays off when it removes
-			// work from a longer dependent chain, as in the NTT butterflies.
-			mod.MACShoupVec(ys[i][:n], oj, modP[i][j], modPShoup[i][j])
-		}
+	mod := e.dst.Rings[j].Mod
+	oj := out[:n]
+	// The first term writes oj (the same canonical product a MAC onto a
+	// zeroed limb would leave), the rest accumulate.
+	mod.MulShoupVec(ys[0][:n], oj, modP[0][j], modPShoup[0][j])
+	for i := 1; i < level; i++ {
+		// Eagerly canonical accumulation, on purpose: both conditional
+		// subtractions inside the MAC lower to branchless conditional
+		// moves (scalar) or VPCMPGTQ masks (vector), whereas the lazy
+		// alternative (carry the accumulator in [0, 2q) with one
+		// subtraction per term plus a canonical sweep per limb) defeats
+		// the scalar lowering and measured ~3× slower per term on the
+		// reference host — see the modular-kernel ablation in
+		// EXPERIMENTS.md. The lazy interval only pays off when it removes
+		// work from a longer dependent chain, as in the NTT butterflies.
+		mod.MACShoupVec(ys[i][:n], oj, modP[i][j], modPShoup[i][j])
 	}
 }
 
@@ -212,28 +252,26 @@ func NewModDown(qBasis, pBasis *Basis) *ModDown {
 	return md
 }
 
-// ModDownScratch holds the per-call intermediates of ModDown.Apply: the
-// coefficient-domain copy of the P part, the P→Q extension, and the inner
-// conversion scratch. One per worker keeps the ModDown kernel allocation-free.
+// ModDownScratch holds the intermediates of one ModDown: the scaled
+// coefficient-form P part every Q limb reads, and one limb per Q limb for the
+// P→Q extension. One per worker keeps the ModDown kernel allocation-free; two
+// ModDowns whose limb steps interleave need one each.
 type ModDownScratch struct {
-	cPc, ext Poly
-	conv     *ExtendScratch
+	ys  []ring.Poly
+	ext Poly
 }
 
 // NewScratch allocates ModDown scratch sized for this converter's bases.
 func (md *ModDown) NewScratch() *ModDownScratch {
-	return &ModDownScratch{
-		cPc:  md.pBasis.NewPoly(),
-		ext:  md.qBasis.NewPoly(),
-		conv: NewExtendScratch(md.pBasis.Level(), md.pBasis.N),
-	}
+	return &ModDownScratch{ys: md.pBasis.NewPoly().Limbs, ext: md.qBasis.NewPoly()}
 }
 
-// Apply computes out ≈ round(c / P) mod Q where c is given as cQ (its
+// ApplyWith computes out ≈ round(c / P) mod Q where c is given as cQ (its
 // residues modulo the first level limbs of Q, NTT representation) and cP
 // (its residues modulo P, NTT representation). out must have level limbs.
-func (md *ModDown) Apply(cQ, cP, out Poly) {
-	md.ApplyWith(cQ, cP, out, md.NewScratch())
+// Allocation-free with caller-owned scratch.
+func (md *ModDown) ApplyWith(cQ, cP, out Poly, sc *ModDownScratch) {
+	md.apply(cQ, cP, out, false, sc)
 }
 
 // ApplyCoeffWith is ApplyWith emitting the result in coefficient
@@ -246,38 +284,48 @@ func (md *ModDown) Apply(cQ, cP, out Poly) {
 // C1 in the coefficient domain across steps (hoisting the per-step INTT out
 // of the key-switch) without perturbing a single bit of the output.
 func (md *ModDown) ApplyCoeffWith(cQ, cP, out Poly, sc *ModDownScratch) {
-	level := lvl(cQ, out)
-	cPc := sc.cPc
-	for i := range cPc.Limbs {
-		copy(cPc.Limbs[i], cP.Limbs[i])
+	md.apply(cQ, cP, out, true, sc)
+}
+
+// apply is the ModDown as its two limb steps in sequence.
+func (md *ModDown) apply(cQ, cP, out Poly, coeff bool, sc *ModDownScratch) {
+	for k := range cP.Limbs {
+		md.ScaleLimb(k, cP.Limbs[k], sc)
 	}
-	md.pBasis.INTT(cPc)
-	extended := sc.ext.AtLevel(level)
-	md.ext.ExtendWith(cPc, extended, sc.conv)
-	for i := 0; i < level; i++ {
-		ri := md.qBasis.Rings[i]
-		copy(out.Limbs[i], cQ.Limbs[i])
-		ri.INTT(out.Limbs[i])
-		ri.Sub(out.Limbs[i], extended.Limbs[i], out.Limbs[i])
-		ri.MulScalar(out.Limbs[i], md.pInvModQ[i], out.Limbs[i])
+	for i, level := 0, lvl(cQ, out); i < level; i++ {
+		md.FinishLimb(i, cQ.Limbs[i], out.Limbs[i], coeff, sc)
 	}
 }
 
-// ApplyWith is Apply with caller-owned scratch; allocation-free.
-func (md *ModDown) ApplyWith(cQ, cP, out Poly, sc *ModDownScratch) {
-	level := lvl(cQ, out)
-	// Move the P-part to coefficient representation and extend it into Q.
-	cPc := sc.cPc
-	for i := range cPc.Limbs {
-		copy(cPc.Limbs[i], cP.Limbs[i])
+// ScaleLimb is the ModDown's step for P limb k: cPk (NTT representation) goes
+// to coefficients and is scaled into the shared y_k of the P→Q extension, in
+// the scratch. The P limbs are independent tasks; every one must be done
+// before the first FinishLimb.
+func (md *ModDown) ScaleLimb(k int, cPk ring.Poly, sc *ModDownScratch) {
+	y := sc.ys[k]
+	copy(y, cPk)
+	md.pBasis.Rings[k].INTT(y)
+	md.ext.ScaleLimb(len(sc.ys), k, y, y)
+}
+
+// FinishLimb is the ModDown's step for Q limb i: extend the P part into limb
+// i, subtract it from cQi (NTT representation) and multiply by P⁻¹ — meeting
+// in the evaluation domain (one forward transform of the extension), or, with
+// coeff set, in the coefficient domain (one inverse transform of cQi), which
+// emits INTT of the other form's output bit for bit. It writes out and limb i
+// of the scratch only, so the Q limbs are independent tasks. out may not
+// alias cQi.
+func (md *ModDown) FinishLimb(i int, cQi, out ring.Poly, coeff bool, sc *ModDownScratch) {
+	ri := md.qBasis.Rings[i]
+	ext := sc.ext.Limbs[i]
+	md.ext.ExtendLimb(sc.ys, i, ext)
+	if coeff {
+		copy(out, cQi)
+		ri.INTT(out)
+		ri.Sub(out, ext, out)
+	} else {
+		ri.NTT(ext)
+		ri.Sub(cQi, ext, out)
 	}
-	md.pBasis.INTT(cPc)
-	extended := sc.ext.AtLevel(level)
-	md.ext.ExtendWith(cPc, extended, sc.conv)
-	for i := 0; i < level; i++ {
-		ri := md.qBasis.Rings[i]
-		ri.NTT(extended.Limbs[i])
-		ri.Sub(cQ.Limbs[i], extended.Limbs[i], out.Limbs[i])
-		ri.MulScalar(out.Limbs[i], md.pInvModQ[i], out.Limbs[i])
-	}
+	ri.MulScalar(out, md.pInvModQ[i], out)
 }

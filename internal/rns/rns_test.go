@@ -131,6 +131,11 @@ func (e *Extender) Extend(p Poly, out Poly) {
 	e.ExtendWith(p, out, NewExtendScratch(p.Level(), e.src.N))
 }
 
+// Apply is ApplyWith with freshly allocated scratch.
+func (md *ModDown) Apply(cQ, cP, out Poly) {
+	md.ApplyWith(cQ, cP, out, md.NewScratch())
+}
+
 // TestExtenderSmallValues: for small values the fast basis conversion must
 // yield x + u·Q with 0 ≤ u < level (the Halevi-Polyakov-Shoup slack).
 func TestExtenderSmallValues(t *testing.T) {
@@ -296,4 +301,101 @@ func TestCRTHomomorphismProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// divRoundByLastModulusRef is the rescale loop as it stood before the limb
+// step was made branch-free and division-free: the reference DivRoundLimb
+// must reproduce word for word.
+func divRoundByLastModulusRef(b *Basis, p Poly, inNTT bool) Poly {
+	last := p.Level() - 1
+	rLast := b.Rings[last]
+	qL := rLast.Mod.Q
+	cL := p.Limbs[last].Copy()
+	if inNTT {
+		rLast.INTT(cL)
+	}
+	out := Poly{Limbs: make([]ring.Poly, last)}
+	half := qL >> 1
+	for i := 0; i < last; i++ {
+		ri := b.Rings[i]
+		qi := ri.Mod.Q
+		qLInv := ri.Mod.InvMod(qL % qi)
+		t := ri.NewPoly()
+		for j, v := range cL {
+			var r uint64
+			if v > half {
+				r = qi - (qL-v)%qi
+				if r == qi {
+					r = 0
+				}
+			} else {
+				r = v % qi
+			}
+			t[j] = r
+		}
+		if inNTT {
+			ri.NTT(t)
+		}
+		oi := ri.NewPoly()
+		ri.Sub(p.Limbs[i], t, oi)
+		ri.MulScalar(oi, qLInv, oi)
+		out.Limbs[i] = oi
+	}
+	return out
+}
+
+// TestDivRoundLimbMatchesReference locks the rescale's limb step to the old
+// loop on both sides of its prime-size test: a chain of one size (q_L < 2·q_i,
+// the masked-subtraction path, with q_L above and below q_i), a 50-bit limb
+// under 44-bit ones (q_L < q_i), and 30-bit limbs under a 36-bit last limb
+// (q_L ≥ 2·q_i, the general remainder). The last limb is seeded with the
+// values the centring turns on — 0, ⌊q_L/2⌋ and its neighbours, q_i and its
+// neighbours, q_L − 1 — beside uniform ones, in both representations.
+func TestDivRoundLimbMatchesReference(t *testing.T) {
+	const logN = 6
+	for _, c := range []struct {
+		name   string
+		primes []uint64
+	}{
+		{"one size", ring.GenerateNTTPrimes(36, logN, 4)},
+		{"one size reversed", reversed(ring.GenerateNTTPrimes(36, logN, 4))},
+		{"wide limb under narrow last", append(ring.GenerateNTTPrimes(50, logN, 1), ring.GenerateNTTPrimes(44, logN, 2)...)},
+		{"narrow limbs under wide last", append(ring.GenerateNTTPrimes(30, logN, 2), ring.GenerateNTTPrimes(36, logN, 1)...)},
+	} {
+		b := NewBasis(logN, c.primes)
+		last := b.Level() - 1
+		qL := b.Rings[last].Mod.Q
+		s := ring.NewSampler(17)
+		for _, inNTT := range []bool{false, true} {
+			p := b.NewPoly()
+			for i, r := range b.Rings {
+				s.UniformPoly(r, p.Limbs[i])
+			}
+			edges := []uint64{0, 1, qL / 2, qL/2 + 1, qL/2 - 1, qL - 1}
+			for _, r := range b.Rings[:last] {
+				for _, v := range []uint64{r.Mod.Q - 1, r.Mod.Q, r.Mod.Q + 1} {
+					if v < qL {
+						edges = append(edges, v)
+					}
+				}
+			}
+			copy(p.Limbs[last], edges)
+			if inNTT {
+				b.Rings[last].NTT(p.Limbs[last])
+			}
+			want := divRoundByLastModulusRef(b, p, inNTT)
+			got := b.DivRoundByLastModulus(p, inNTT)
+			if !b.AtLevel(last).Equal(want, got) {
+				t.Errorf("%s inNTT=%v: DivRoundByLastModulus differs from the reference loop", c.name, inNTT)
+			}
+		}
+	}
+}
+
+func reversed(v []uint64) []uint64 {
+	out := make([]uint64, len(v))
+	for i := range v {
+		out[len(v)-1-i] = v[i]
+	}
+	return out
 }
