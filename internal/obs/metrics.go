@@ -96,7 +96,7 @@ type Snapshot struct {
 	Counters map[string]uint64        `json:"counters"`
 	Gauges   map[string]int64         `json:"gauges"`
 	// ISA is the active instruction-set level of the modular kernels
-	// ("avx2", "none"), as reported by the binary at startup via SetISA —
+	// ("avx2+fma", "none"), as reported by the binary at startup via SetISA —
 	// process-wide, so every snapshot carries it and a metrics consumer can
 	// attribute timing shifts to the dispatch decision.
 	ISA string `json:"isa,omitempty"`

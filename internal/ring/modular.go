@@ -35,6 +35,11 @@ type Modulus struct {
 	// generic two-word Barrett above.
 	BRedMu    uint64
 	BRedShift uint
+
+	// q and 1/q as doubles, the operands of the FMA kernels (simd.go): set
+	// when fmaFits(q, 0), zero otherwise, which routes this modulus's
+	// multiply sweeps to the scalar loops.
+	fmaQ, fmaQInv float64
 }
 
 // NewModulus precomputes the reduction constants for prime q.
@@ -79,6 +84,10 @@ func NewModulus(q uint64) Modulus {
 	mu, _ := bits.Div64(1<<s, 0, q)
 	m.BRedMu = mu
 
+	if fmaFits(q, 0) {
+		m.fmaQ = float64(q)
+		m.fmaQInv = 1 / m.fmaQ
+	}
 	return m
 }
 

@@ -3,24 +3,23 @@ package ring
 import "math/bits"
 
 // NTT transforms p in place from coefficient to evaluation (NTT)
-// representation using the negacyclic Cooley-Tukey decimation-in-time pass
-// with precomputed, bit-reversed twiddle tables and Shoup fixed-operand
-// multiplication — the "read twiddles from memory" mode of the paper's NTT
-// datapath (§IV-D).
+// representation; it is NTTInto(p, p).
+func (r *Ring) NTT(p Poly) { r.NTTInto(p, p) }
+
+// NTTInto writes the NTT of src into dst using the negacyclic Cooley-Tukey
+// decimation-in-time pass with precomputed, bit-reversed twiddle tables —
+// the "read twiddles from memory" mode of the paper's NTT datapath (§IV-D).
+// dst may be src; otherwise the two must not overlap, and src is left as it
+// was. Input and output are canonical.
 //
-// The butterflies use Harvey's lazy reduction: coefficients ride in [0, 4q)
-// through the passes (q < 2^61, so 4q fits a word) and are canonically
-// reduced only in a final sweep. The output is bit-identical to an eagerly
-// reduced transform — the lazy interval only changes intermediate
-// representatives, never the residue.
-//
-// When the vector path is active (see simd.go) every stage runs on an AVX2
-// kernel: the generic stage kernel for block half length t ≥ 4 (t is a power
-// of two, so those stages are whole 4-lane groups with no tails) and two
-// in-register-interleaving kernels for the t=2 stage and the fused canonical
-// t=1 stage. The vector butterflies perform the same operations in the same
-// order on the same lazy intervals, so the transform is bit-identical either
-// way. Rings below vecMinN coefficients always take the scalar driver.
+// When the vector path is active and the ring passes fmaFits (see simd.go),
+// every stage runs on an FMA kernel and the first one reads src while it
+// converts, so an out-of-place transform costs no copy. Otherwise src is
+// copied into dst and the scalar driver transforms it in place with Shoup
+// fixed-operand butterflies and Harvey's lazy reduction: coefficients ride in
+// [0, 4q) through the passes (q < 2^61, so 4q fits a word) and are reduced
+// canonically in the last stage. The two routes emit the same words: both
+// end on the canonical residue of the same transform.
 //
 // The scalar and vector passes are separate driver functions on purpose:
 // a CALL to an assembly kernel anywhere in a function — even on a branch
@@ -28,15 +27,23 @@ import "math/bits"
 // state in spill slots, which measured ~1.5× on the pure-scalar transform.
 // The scalar driver therefore contains no assembly calls at all, and the
 // vector driver pays the (amortized, per-stage) call overhead knowingly.
-func (r *Ring) NTT(p Poly) {
-	r.nttWithTables(p, r.psiTable, r.psiTableShoup)
-}
-
-func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
+func (r *Ring) NTTInto(dst, src Poly) {
 	if r.vecNTT() {
-		r.nttVecWithTables(p, psi, psiShoup)
+		r.nttFMA(dst, src, r.psiTable, r.fma.psiQ, nil)
 		return
 	}
+	copyPoly(dst[:r.N], src[:r.N])
+	r.nttScalar(dst, r.psiTable, r.psiTableShoup)
+}
+
+// copyPoly copies src into dst unless they are the same words.
+func copyPoly(dst, src Poly) {
+	if &dst[0] != &src[0] {
+		copy(dst, src)
+	}
+}
+
+func (r *Ring) nttScalar(p Poly, psi, psiShoup []uint64) {
 	q := r.Mod.Q
 	twoQ := 2 * q
 	n := r.N
@@ -72,25 +79,38 @@ func (r *Ring) nttWithTables(p Poly, psi, psiShoup []uint64) {
 // t=2 edge kernels consume two 4-lane registers (eight coefficients) per step.
 const vecMinN = 8
 
-// vecNTT reports whether this ring's Shoup transforms take the vector
-// drivers: the vector kernels are selected and the ring is large enough.
-func (r *Ring) vecNTT() bool { return simdActive() && r.N >= vecMinN }
+// vecNTT reports whether this ring's transforms take the FMA drivers: the
+// vector kernels are selected and the ring has FMA twiddles (it is at least
+// vecMinN and fmaFits accepts it).
+func (r *Ring) vecNTT() bool { return r.fma != nil && simdActive() }
 
-// nttVecWithTables is the forward pass with every stage on an AVX2 kernel:
-// the generic stage kernel while t ≥ 4, then the t=2 kernel, then the fused
-// canonical last stage. Bit-identical to the scalar driver. Requires
-// n ≥ vecMinN.
-func (r *Ring) nttVecWithTables(p Poly, psi, psiShoup []uint64) {
-	q := r.Mod.Q
+// nttFMA is the forward pass with every stage on an FMA kernel: the first
+// stage reads src's words, the generic stage kernel runs while t ≥ 4, then
+// the t=2 kernel, then the last stage writes dst's canonical words. Between
+// stages dst holds exact integer-valued doubles; visit, when not nil, sees
+// them after each stage but the last (the bound tests' hook).
+func (r *Ring) nttFMA(dst, src Poly, psi []uint64, psiQ []float64, visit func(stage int, p Poly)) {
+	q := r.Mod.fmaQ
 	n := r.N
-	p = p[:n]
-	t := n
-	for m := 1; m <= n>>3; m <<= 1 {
-		t >>= 1
-		nttFwdStepAVX2(p, psi, psiShoup, q, m, t)
+	dst, src = dst[:n], src[:n]
+	fmaFwdFirst(dst, src, float64(psi[1]), psiQ[1], q)
+	stage := 1
+	if visit != nil {
+		visit(stage, dst)
 	}
-	nttFwdT2AVX2(p, psi, psiShoup, q)
-	nttFwdLastAVX2(p, psi, psiShoup, q)
+	t := n >> 1
+	for m := 2; m <= n>>3; m <<= 1 {
+		t >>= 1
+		fmaFwdStep(dst, psi, psiQ, m, t, q)
+		if stage++; visit != nil {
+			visit(stage, dst)
+		}
+	}
+	fmaFwdT2(dst, psi, psiQ, q)
+	if stage++; visit != nil {
+		visit(stage, dst)
+	}
+	fmaFwdLast(dst, psi, psiQ, q, r.Mod.fmaQInv)
 }
 
 // nttFwdLastScalar is the last stage (t=1, m=n/2) of the scalar driver,
@@ -144,18 +164,26 @@ func nttFwdLastScalar(p Poly, psi, psiShoup []uint64, q uint64) {
 }
 
 // INTT transforms p in place from evaluation back to coefficient
-// representation (Gentleman-Sande decimation-in-frequency pass with the same
-// lazy-reduction discipline as NTT, coefficients in [0, 2q) between passes),
-// including the final multiplication by N^{-1} which also performs the
-// canonical reduction. Driver split mirrors NTT: the scalar pass contains no
-// assembly calls, the vector pass runs the t=1 and t=2 stages on their
-// in-register-interleaving kernels and every later stage on the generic
-// stage kernel; the N^{-1} sweep rides the MulScalar Shoup kernel in both.
-func (r *Ring) INTT(p Poly) {
+// representation; it is INTTInto(p, p).
+func (r *Ring) INTT(p Poly) { r.INTTInto(p, p) }
+
+// INTTInto writes the inverse NTT of src into dst (Gentleman-Sande
+// decimation-in-frequency pass), including the multiplication by N^{-1}.
+// dst may be src; otherwise the two must not overlap, and src is left as it
+// was. Driver split mirrors NTTInto: the FMA driver reads src in its first
+// stage and folds N^{-1} into its last; the scalar driver transforms a copy
+// in place with coefficients in [0, 2q) between passes and finishes with an
+// N^{-1} sweep that also reduces canonically.
+func (r *Ring) INTTInto(dst, src Poly) {
 	if r.vecNTT() {
-		r.inttVec(p)
+		r.inttFMA(dst, src, nil)
 		return
 	}
+	copyPoly(dst[:r.N], src[:r.N])
+	r.inttScalar(dst)
+}
+
+func (r *Ring) inttScalar(p Poly) {
 	q := r.Mod.Q
 	twoQ := 2 * q
 	n := r.N
@@ -210,34 +238,36 @@ func (r *Ring) INTT(p Poly) {
 		}
 		t <<= 1
 	}
-	r.nInvSweep(p)
+	mulShoupScalar(p, p, q, r.nInv, r.nInvShoup)
 }
 
-// inttVec is the inverse pass with every stage on an AVX2 kernel (see
-// INTT). Requires n ≥ vecMinN.
-func (r *Ring) inttVec(p Poly) {
-	q := r.Mod.Q
+// inttFMA is the inverse pass with every stage on an FMA kernel (see
+// INTTInto): the t=1 stage reads src's words, the t=2 stage and the generic
+// stages follow, and the t=n/2 stage multiplies by N^{-1} and writes dst's
+// canonical words. visit is nttFMA's hook.
+func (r *Ring) inttFMA(dst, src Poly, visit func(stage int, p Poly)) {
+	f := r.fma
+	q := r.Mod.fmaQ
 	n := r.N
-	psiInv := r.psiInvTable
-	psiInvShoup := r.psiInvTableShoup
-	p = p[:n]
-	nttInvFirstAVX2(p, psiInv, psiInvShoup, q)
-	nttInvT2AVX2(p, psiInv, psiInvShoup, q)
+	dst, src = dst[:n], src[:n]
+	fmaInvFirst(dst, r.psiInvTable, f.psiInvQ, q, src)
+	stage := 1
+	if visit != nil {
+		visit(stage, dst)
+	}
+	fmaInvT2(dst, r.psiInvTable, f.psiInvQ, q)
+	if stage++; visit != nil {
+		visit(stage, dst)
+	}
 	t := 4
-	for h := n >> 3; h >= 1; h >>= 1 {
-		nttInvStepAVX2(p, psiInv, psiInvShoup, q, h, t)
+	for h := n >> 3; h >= 2; h >>= 1 {
+		fmaInvStep(dst, r.psiInvTable, f.psiInvQ, h, t, q, r.Mod.fmaQInv)
+		if stage++; visit != nil {
+			visit(stage, dst)
+		}
 		t <<= 1
 	}
-	r.nInvSweep(p)
-}
-
-// nInvSweep multiplies every coefficient by N^{-1} (Shoup fixed-operand)
-// with canonical output — the final pass of both inverse transforms. It is
-// the same kernel as MulScalar's inner loop (correct for any input < 2^63,
-// which covers the lazy [0, 2q) coefficients arriving here), so it shares
-// the vector dispatch.
-func (r *Ring) nInvSweep(p Poly) {
-	mulScalarShoupInto(p, p, r.Mod.Q, r.nInv, r.nInvShoup)
+	fmaInvLast(dst, f.nInv, f.nInvQ, f.nInvW, f.nInvWQ, q)
 }
 
 // NTTOnTheFly performs the forward NTT while generating the twiddle factors
@@ -253,28 +283,39 @@ func (r *Ring) NTTOnTheFly(p Poly) {
 // TwiddleScratch holds the per-call twiddle buffers of the on-the-fly NTT
 // mode, so a worker that keeps one around pays no allocation per transform —
 // the software analog of the datapath reusing one on-chip twiddle buffer.
+// The words feed both drivers, with their Shoup companions the scalar one
+// and with w/q the FMA one.
 type TwiddleScratch struct {
 	psi, psiShoup []uint64
+	psiQ          []float64
 }
 
 // NewTwiddleScratch allocates twiddle buffers for ring degree n.
 func NewTwiddleScratch(n int) *TwiddleScratch {
-	return &TwiddleScratch{psi: make([]uint64, n), psiShoup: make([]uint64, n)}
+	return &TwiddleScratch{
+		psi: make([]uint64, n), psiShoup: make([]uint64, n), psiQ: make([]float64, n),
+	}
 }
 
 // NTTOnTheFlyWith is NTTOnTheFly with caller-owned twiddle scratch; it is
-// allocation-free when sc is large enough for the ring degree.
+// allocation-free when sc is large enough for the ring degree. It takes the
+// same driver NTT would, generating the companions that driver reads.
 func (r *Ring) NTTOnTheFlyWith(p Poly, sc *TwiddleScratch) {
 	n := r.N
 	if len(sc.psi) < n {
-		sc.psi = make([]uint64, n)
-		sc.psiShoup = make([]uint64, n)
+		*sc = *NewTwiddleScratch(n)
 	}
 	psi := sc.psi[:n]
-	psiShoup := sc.psiShoup[:n]
 	fillTwiddles(r.Mod, r.psi, r.LogN, psi)
+	if r.vecNTT() {
+		psiQ := sc.psiQ[:n]
+		fillFMATwiddles(psi, r.Mod.fmaQ, psiQ)
+		r.nttFMA(p, p, psi, psiQ, nil)
+		return
+	}
+	psiShoup := sc.psiShoup[:n]
 	for i := range psi {
 		psiShoup[i] = r.Mod.ShoupPrecomp(psi[i])
 	}
-	r.nttWithTables(p, psi, psiShoup)
+	r.nttScalar(p, psi, psiShoup)
 }

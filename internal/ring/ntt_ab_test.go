@@ -33,7 +33,7 @@ import (
 // verbatim as the performance reference; BenchmarkABNewScalarNTT is the
 // production scalar path (SIMD forced off). The two should stay within
 // run-to-run noise of each other; a gap reopening here means one of the
-// first two hazards crept back into nttWithTables. BenchmarkABLastStageFlag
+// first two hazards crept back into nttScalar. BenchmarkABLastStageFlag
 // is the flagged last stage that the vector driver used to call, kept
 // verbatim; BenchmarkABLastStageSplit is the flag-free helper in production.
 
@@ -135,11 +135,11 @@ func BenchmarkABNewScalarNTT(b *testing.B) {
 	benchNTT(b, false, func(r *Ring, p Poly) { r.NTT(p) })
 }
 
-// BenchmarkABVectorNTT and BenchmarkABVectorINTT are the vector drivers
-// beside their scalar counterparts: with every stage on an AVX2 kernel the
-// forward transform must beat BenchmarkABNewScalarNTT (≥ 1.3× when this was
-// written); a ratio below 1 means a scalar stage crept back into the vector
-// driver.
+// BenchmarkABVectorNTT, BenchmarkABVectorINTT and the two vector MACs are
+// the FMA kernels beside their scalar counterparts: with every stage on an
+// FMA kernel the transforms must beat the scalar drivers (≈ 4.5× when this
+// was written); a ratio near 1 means a scalar stage or a scalar sweep crept
+// back into the vector path.
 func BenchmarkABVectorNTT(b *testing.B) {
 	benchNTT(b, true, func(r *Ring, p Poly) { r.NTT(p) })
 }
@@ -151,6 +151,31 @@ func BenchmarkABScalarINTT(b *testing.B) {
 func BenchmarkABVectorINTT(b *testing.B) {
 	benchNTT(b, true, func(r *Ring, p Poly) { r.INTT(p) })
 }
+
+// benchMAC times one row MAC (MulCoeffsAndAdd, the Barrett scalar loop or
+// the FMA kernel) or one basis-conversion MAC (MACShoupVec) on uniform
+// canonical operands.
+func benchMAC(b *testing.B, vector, shoup bool) {
+	r := NewRing(13, 68719230977)
+	s := NewSampler(2)
+	x, y, acc := r.NewPoly(), r.NewPoly(), r.NewPoly()
+	s.UniformPoly(r, x)
+	s.UniformPoly(r, y)
+	w := y[0]
+	wShoup := r.Mod.ShoupPrecomp(w)
+	benchNTT(b, vector, func(r *Ring, _ Poly) {
+		if shoup {
+			r.Mod.MACShoupVec(x, acc, w, wShoup)
+		} else {
+			r.MulCoeffsAndAdd(x, y, acc)
+		}
+	})
+}
+
+func BenchmarkABScalarMAC(b *testing.B)      { benchMAC(b, false, false) }
+func BenchmarkABVectorMAC(b *testing.B)      { benchMAC(b, true, false) }
+func BenchmarkABScalarShoupMAC(b *testing.B) { benchMAC(b, false, true) }
+func BenchmarkABVectorShoupMAC(b *testing.B) { benchMAC(b, true, true) }
 
 // nttFwdLastFlag is the fused last forward stage with the lazy/canonical
 // choice as an in-loop flag. Reference only.

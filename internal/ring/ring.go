@@ -51,6 +51,10 @@ type Ring struct {
 
 	nInv      uint64 // N^{-1} mod q
 	nInvShoup uint64
+
+	// fma is the FMA transforms' twiddles; nil (the ring is below vecMinN or
+	// fmaFits rejects it) routes NTT and INTT to the scalar drivers.
+	fma *fmaTwiddles
 }
 
 // NewRing constructs the ring Z_q[X]/(X^N+1). q must be prime with
@@ -79,6 +83,9 @@ func NewRing(logN int, q uint64) *Ring {
 	r.slotExp = slotExponents(logN)
 	r.nInv = r.Mod.InvMod(uint64(n))
 	r.nInvShoup = r.Mod.ShoupPrecomp(r.nInv)
+	if n >= vecMinN && fmaFits(q, logN) {
+		r.fma = newFMATwiddles(r)
+	}
 	return r
 }
 
@@ -156,21 +163,21 @@ func (r *Ring) Neg(a, out Poly) {
 	}
 }
 
-// MulCoeffs sets out = a ⊙ b, the elementwise (Hadamard) product. Both
-// operands must be in NTT representation for this to realize a negacyclic
-// polynomial product.
+// MulCoeffs sets out = a ⊙ b, the elementwise (Hadamard) product of
+// canonical operands. Both must be in NTT representation for this to realize
+// a negacyclic polynomial product.
 func (r *Ring) MulCoeffs(a, b, out Poly) {
-	// Open-coded fixed-shift Barrett (see MulCoeffsAndAdd): the merge tree's
-	// NTT-domain monomial rotation runs through here, so it gets the same
-	// per-prime specialization as the MAC.
+	// The FMA kernel takes whole 4-lane groups when the modulus fits it; the
+	// scalar tail (and every coefficient otherwise) is an open-coded
+	// fixed-shift Barrett, the same per-prime specialization as the MAC.
 	q := r.Mod.Q
 	mu, shift := r.Mod.BRedMu, r.Mod.BRedShift
 	a = a[:len(out)]
 	b = b[:len(out)]
 	i := 0
-	if simdActive() {
+	if r.Mod.vecFMA() {
 		nv := len(out) &^ 3
-		mulCoeffsBarrettAVX2(out[:nv], a[:nv], b[:nv], q, mu, shift)
+		mulCoeffsFMA(out[:nv], a[:nv], b[:nv], r.Mod.fmaQ, r.Mod.fmaQInv)
 		i = nv
 	}
 	for ; i < len(out); i++ {
@@ -188,23 +195,25 @@ func (r *Ring) MulCoeffs(a, b, out Poly) {
 }
 
 // MulCoeffsAndAdd sets out += a ⊙ b, the fused multiply-accumulate that the
-// paper's external-product MAC units implement (§IV-A).
+// paper's external-product MAC units implement (§IV-A), on canonical
+// operands and accumulator.
 func (r *Ring) MulCoeffsAndAdd(a, b, out Poly) {
-	// Open-coded fixed-shift Barrett MAC: this is the inner loop of the
-	// key-switch digit accumulation, so the per-prime constants are hoisted
-	// and the operand slices pinned to len(out) for bounds-check
-	// elimination. The arithmetic is exactly Modulus.MulModBarrettFixed +
-	// AddMod, which on canonical operands is bit-identical to the generic
-	// two-word Barrett this loop used to run — one estimate multiply per
-	// coefficient instead of four.
+	// FMA kernel on whole 4-lane groups when the modulus fits it, as in
+	// MulCoeffs. The scalar loop is an open-coded fixed-shift Barrett MAC:
+	// this is the inner loop of the key-switch digit accumulation, so the
+	// per-prime constants are hoisted and the operand slices pinned to
+	// len(out) for bounds-check elimination. The arithmetic is exactly
+	// Modulus.MulModBarrettFixed + AddMod, which on canonical operands is
+	// bit-identical to the generic two-word Barrett this loop used to run —
+	// one estimate multiply per coefficient instead of four.
 	q := r.Mod.Q
 	mu, shift := r.Mod.BRedMu, r.Mod.BRedShift
 	a = a[:len(out)]
 	b = b[:len(out)]
 	i := 0
-	if simdActive() {
+	if r.Mod.vecFMA() {
 		nv := len(out) &^ 3
-		mulCoeffsAndAddBarrettAVX2(out[:nv], a[:nv], b[:nv], q, mu, shift)
+		mulCoeffsAndAddFMA(out[:nv], a[:nv], b[:nv], r.Mod.fmaQ, r.Mod.fmaQInv)
 		i = nv
 	}
 	for ; i < len(out); i++ {
@@ -225,31 +234,19 @@ func (r *Ring) MulCoeffsAndAdd(a, b, out Poly) {
 	}
 }
 
-// MulScalar sets out = c·a (mod q).
+// MulScalar sets out = c·a (mod q) for canonical a (every a[i] < q), the
+// fixed-operand sweep of rescale and ModDown.
 func (r *Ring) MulScalar(a Poly, c uint64, out Poly) {
-	// Shoup sweep (the scalar is a fixed operand), bit-identical to
-	// MulModShoup per coefficient; shares the dispatched kernel with the
-	// INTT's N^{-1} pass.
 	c = r.Mod.Reduce(c)
-	cShoup := r.Mod.ShoupPrecomp(c)
-	mulScalarShoupInto(out, a[:len(out)], r.Mod.Q, c, cShoup)
+	r.Mod.MulShoupVec(a[:len(out)], out, c, r.Mod.ShoupPrecomp(c))
 }
 
-// mulScalarShoupInto is the dispatched fixed-operand Shoup sweep behind
-// MulScalar and the inverse transforms' N^{-1} pass: out[i] = a[i]·c mod q,
-// canonical output, correct for any a[i] < 2^63 (which covers lazy [0, 2q)
-// inputs). The vector kernel covers whole 4-lane groups; the scalar loop
-// finishes the tail — same arithmetic, bit-identical.
-func mulScalarShoupInto(out, a []uint64, q, c, cShoup uint64) {
+// mulShoupScalar is the scalar fixed-operand Shoup sweep out[i] = a[i]·c mod
+// q, canonical output, correct for any a[i] < 2^64 — which is why the scalar
+// INTT can run its N^{-1} pass through it on lazy [0, 2q) values.
+func mulShoupScalar(out, a []uint64, q, c, cShoup uint64) {
 	a = a[:len(out)]
-	i := 0
-	if simdActive() {
-		nv := len(out) &^ 3
-		mulScalarShoupAVX2(out[:nv], a[:nv], q, c, cShoup)
-		i = nv
-	}
-	for ; i < len(out); i++ {
-		x := a[i]
+	for i, x := range a {
 		hi, _ := bits.Mul64(x, cShoup)
 		v := x*c - hi*q
 		if v >= q {
@@ -261,26 +258,35 @@ func mulScalarShoupInto(out, a []uint64, q, c, cShoup uint64) {
 
 // MulShoupVec sets out[i] = a[i]·w mod q for a fixed operand w < q with Shoup
 // companion wShoup — what MACShoupVec leaves on a zeroed out, so a sum of
-// such terms can write its first instead of clearing the accumulator.
+// such terms can write its first instead of clearing the accumulator. Every
+// a[i] must be below 2^50 (a canonical residue of any modulus this tree
+// builds qualifies). The FMA kernel takes whole 4-lane groups with w/q
+// formed once per call; the scalar loop finishes the tail.
 func (m Modulus) MulShoupVec(a, out []uint64, w, wShoup uint64) {
-	mulScalarShoupInto(out, a, m.Q, w, wShoup)
+	a = a[:len(out)]
+	i := 0
+	if m.vecFMA() {
+		i = len(out) &^ 3
+		wf := float64(w)
+		mulScalarFMA(out[:i], a[:i], wf, wf/m.fmaQ, m.fmaQ)
+	}
+	mulShoupScalar(out[i:], a[i:], m.Q, w, wShoup)
 }
 
 // MACShoupVec sets out[i] = (out[i] + a[i]·w mod q) mod q over the whole
-// slice, for a fixed operand w < q with Shoup companion wShoup — the inner
-// MAC of the RNS basis conversion (rns.ExtendSelectedWith), exposed on
-// Modulus so that loop can ride the vector dispatch without the rns package
-// reaching into kernel internals. The accumulation is eagerly canonical,
-// matching the scalar rationale recorded at that call site (both conditional
-// subtractions lower to CMOVs; the lazy alternative measured ~3× slower).
+// slice, for a fixed operand w < q with Shoup companion wShoup and canonical
+// out — the inner MAC of the RNS basis conversion (rns.Extender.ExtendLimb),
+// exposed on Modulus so that loop can ride the vector dispatch without the
+// rns package reaching into kernel internals. Every a[i] must be below 2^50,
+// as for MulShoupVec.
 func (m Modulus) MACShoupVec(a, out []uint64, w, wShoup uint64) {
 	q := m.Q
 	a = a[:len(out)]
 	i := 0
-	if simdActive() {
-		nv := len(out) &^ 3
-		macShoupAVX2(out[:nv], a[:nv], q, w, wShoup)
-		i = nv
+	if m.vecFMA() {
+		i = len(out) &^ 3
+		wf := float64(w)
+		macShoupFMA(out[:i], a[:i], wf, wf/m.fmaQ, m.fmaQ, m.fmaQInv)
 	}
 	for ; i < len(out); i++ {
 		x := a[i]

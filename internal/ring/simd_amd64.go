@@ -15,7 +15,7 @@ import (
 var simdOn atomic.Bool
 
 func init() {
-	simdOn.Store(cpuSupportsAVX2() && os.Getenv("HEAP_NOSIMD") == "")
+	simdOn.Store(cpuSupportsAVX2FMA() && os.Getenv("HEAP_NOSIMD") == "")
 }
 
 // simdActive reports whether the vector kernels are selected.
@@ -23,11 +23,12 @@ func simdActive() bool { return simdOn.Load() }
 
 // SetSIMD enables or disables the vector kernel set at runtime and reports
 // the resulting state. Enabling is refused (returns false) when the host
-// lacks AVX2 or OS support for saving the YMM state; disabling always takes
-// effect. The scalar fallback is bit-identical, so flipping this mid-run is
-// safe — it only changes which instructions compute the same values.
+// lacks AVX2, FMA or OS support for saving the YMM state; disabling always
+// takes effect. The scalar fallback emits the same words, so flipping this
+// mid-run is safe — it only changes which instructions compute the same
+// values.
 func SetSIMD(enable bool) bool {
-	if enable && !cpuSupportsAVX2() {
+	if enable && !cpuSupportsAVX2FMA() {
 		simdOn.Store(false)
 		return false
 	}
@@ -41,19 +42,21 @@ func SetSIMD(enable bool) bool {
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// cpuSupportsAVX2 performs the full architectural check for safely running
-// VEX-encoded 256-bit integer code: AVX2 in CPUID.(7,0):EBX, AVX+OSXSAVE in
-// CPUID.1:ECX, and the OS actually enabling XMM+YMM state saving in XCR0.
-// Skipping the XCR0 check is the classic way to SIGILL inside a VM.
-func cpuSupportsAVX2() bool {
+// cpuSupportsAVX2FMA performs the full architectural check for safely running
+// VEX-encoded 256-bit integer and fused multiply-add code: FMA, AVX and
+// OSXSAVE in CPUID.1:ECX, AVX2 in CPUID.(7,0):EBX, and the OS actually
+// enabling XMM+YMM state saving in XCR0. Skipping the XCR0 check is the
+// classic way to SIGILL inside a VM.
+func cpuSupportsAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
+	const fmaBit = 1 << 12
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
-	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
+	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return false
 	}
 	xcr0, _ := xgetbv0()
@@ -72,40 +75,46 @@ func cpuSupportsAVX2() bool {
 // of the vector width there), the t=2/t=1 edge kernels take whole
 // polynomials of at least vecMinN coefficients, and the sweep kernels are
 // handed a length pre-truncated to a multiple of 4 by their Go wrappers,
-// which run the scalar loop on the tail. All of them tolerate out aliasing an input
-// (each lane group is fully read before it is written, like the scalar
-// loops). //go:noescape keeps the slice headers off the heap so the PR 2
+// which run the scalar loop on the tail. All of them tolerate out aliasing
+// an input (each lane group is fully read before it is written, like the
+// scalar loops). //go:noescape keeps the slice headers off the heap so the
 // zero-allocation locks keep holding on the vector path.
 
 //go:noescape
-func nttFwdStepAVX2(p []uint64, psi, psiShoup []uint64, q uint64, m, t int)
+func fmaFwdFirst(dst, src []uint64, w, wq, q float64)
 
 //go:noescape
-func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int)
+func fmaFwdStep(p, w []uint64, wq []float64, m, t int, q float64)
 
 //go:noescape
-func nttFwdT2AVX2(p []uint64, psi, psiShoup []uint64, q uint64)
+func fmaFwdT2(p, w []uint64, wq []float64, q float64)
 
 //go:noescape
-func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q uint64)
+func fmaFwdLast(p, w []uint64, wq []float64, q, qinv float64)
 
 //go:noescape
-func nttInvFirstAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
+func fmaInvFirst(p, w []uint64, wq []float64, q float64, src []uint64)
 
 //go:noescape
-func nttInvT2AVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64)
+func fmaInvT2(p, w []uint64, wq []float64, q float64)
 
 //go:noescape
-func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)
+func fmaInvStep(p, w []uint64, wq []float64, h, t int, q, qinv float64)
 
 //go:noescape
-func mulCoeffsAndAddBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)
+func fmaInvLast(p []uint64, n1, n1q, wn, wnq, q float64)
 
 //go:noescape
-func mulScalarShoupAVX2(out, a []uint64, q, c, cShoup uint64)
+func mulCoeffsFMA(out, a, b []uint64, q, qinv float64)
 
 //go:noescape
-func macShoupAVX2(out, a []uint64, q, w, wShoup uint64)
+func mulCoeffsAndAddFMA(out, a, b []uint64, q, qinv float64)
+
+//go:noescape
+func mulScalarFMA(out, a []uint64, w, wq, q float64)
+
+//go:noescape
+func macShoupFMA(out, a []uint64, w, wq, q, qinv float64)
 
 //go:noescape
 func addVecAVX2(out, a, b []uint64, q uint64)

@@ -1,14 +1,15 @@
 package ring
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
 // fuzzPrimes is built once per process: the committed basis widths plus edge
-// and boundary moduli, so the selector byte can reach every shift/width class
-// the kernels specialize on.
+// and boundary moduli, so the selector byte can reach every width class the
+// kernels specialize on — fmaEdgePrimes last, either side of the FMA bound.
 var fuzzPrimesOnce sync.Once
 var fuzzPrimesList []uint64
 
@@ -20,31 +21,29 @@ func fuzzPrimes() []uint64 {
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(55, 12, 1)[0])
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(60, 12, 1)[0])
 		fuzzPrimesList = append(fuzzPrimesList, GenerateNTTPrimes(61, 12, 1)[0])
+		fuzzPrimesList = append(fuzzPrimesList, fmaEdgePrimes()...)
 	})
 	return fuzzPrimesList
 }
 
-// FuzzVectorVsScalarKernels fuzzes the bit-identity contract: every
+// FuzzVectorVsScalarKernels fuzzes the equivalence contract: every
 // dispatched kernel, run on the vector path and the scalar path with
 // identical fuzz-chosen inputs (prime, length — including sub-width lengths
-// and width±1 —, aliasing, values planted at the lazy-interval edges), must
-// produce byte-for-byte equal output. On builds or hosts without the vector
-// path the target degenerates to scalar-vs-scalar and trivially holds, so
-// corpus entries stay portable.
+// and width±1 —, aliasing, values planted at the edges of the operand
+// ranges), must produce byte-for-byte equal output. On builds or hosts
+// without the vector path the target degenerates to scalar-vs-scalar and
+// trivially holds, so corpus entries stay portable.
 func FuzzVectorVsScalarKernels(f *testing.F) {
-	// Kernel classes the selector byte reaches: six sweeps (0-5), the two
-	// generic stage kernels (6 forward, 7 inverse), and the four t=2/t=1
-	// edge-stage kernels (8-11).
+	// Kernel classes the selector byte reaches: seven sweeps (0-5 and 10),
+	// the four transform entry points (6-9) and the on-the-fly transform
+	// (11). Classes 6-11 named the integer stage kernels until those were
+	// replaced by the FMA transforms, whose stages share no representative
+	// with a scalar stage; the committed files under testdata/fuzz keep
+	// their bytes and now reach the whole-transform classes.
 	const fuzzKernels = 12
 	// Seed corpus: each kernel class at the tail-machinery lengths (1,
 	// width-1, width, width+1, two groups minus one, two groups) with and
-	// without aliasing, the last-but-one at the 61-bit boundary modulus. The
-	// committed files under testdata/fuzz carry class bytes in this 12-class
-	// numbering: they were re-numbered when two stage-kernel classes of a
-	// deleted transform family (8 and 9 of a former 14) went, and the three
-	// files that targeted those now give sweeps 1-3 a second tail length.
-	// Every class keeps committed entries — the sweeps at tail lengths, the
-	// edge-stage kernels at the vecMinN degree and at n=256.
+	// without aliasing; then every class on each fmaEdgePrimes modulus.
 	for kernel := uint8(0); kernel < fuzzKernels; kernel++ {
 		f.Add(uint64(1), uint8(0), kernel, uint8(1), false)
 		f.Add(uint64(2), uint8(3), kernel, uint8(3), false)
@@ -52,6 +51,12 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		f.Add(uint64(4), uint8(7), kernel, uint8(5), true)
 		f.Add(uint64(6), uint8(9), kernel, uint8(7), true)
 		f.Add(uint64(5), uint8(8), kernel, uint8(8), false)
+	}
+	edge := len(fuzzPrimes()) - len(fmaEdgePrimes())
+	for i := range fmaEdgePrimes() {
+		for kernel := uint8(0); kernel < fuzzKernels; kernel++ {
+			f.Add(uint64(7+i), uint8(edge+i), kernel, uint8(13+i), i%2 == 0)
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, primeSel, kernel, length uint8, alias bool) {
 		prev := simdActive()
@@ -68,12 +73,12 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 			for i := range p {
 				switch rng.Intn(5) {
 				case 0:
-					// Interval edge: bound-1 .. bound-4.
+					// Range edge: bound-1 .. bound-4.
 					p[i] = (bound - 1 - uint64(rng.Intn(4))) % bound
 				case 1:
 					p[i] = uint64(rng.Intn(3)) % bound
 				case 2:
-					// Interior fold points of the lazy intervals.
+					// Multiples of q near the top of a wide range.
 					p[i] = qEdges[rng.Intn(len(qEdges))] % bound
 				default:
 					p[i] = rng.Uint64() % bound
@@ -121,87 +126,39 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		case 1:
 			runBoth(func(p, a, b, out Poly) { r.MulCoeffsAndAdd(a, b, out) }, int(length), q, q)
 		case 2:
-			// MulScalar accepts lazy [0, 2q) operands (the INTT sweep).
-			runBoth(func(p, a, b, out Poly) { r.MulScalar(a, w, out) }, int(length), q, 2*q)
+			runBoth(func(p, a, b, out Poly) { r.MulScalar(a, w, out) }, int(length), q, q)
 		case 3:
-			runBoth(func(p, a, b, out Poly) { mod.MACShoupVec(a, out, w, wShoup) }, int(length), q, q)
+			// The basis conversion's operands are residues of other primes,
+			// up to the documented 2^50.
+			runBoth(func(p, a, b, out Poly) { mod.MACShoupVec(a, out, w, wShoup) }, int(length), q, 1<<50)
 		case 4:
 			runBoth(func(p, a, b, out Poly) { r.Add(a, b, out) }, int(length), q, q)
 		case 5:
 			runBoth(func(p, a, b, out Poly) { r.Sub(a, b, out) }, int(length), q, q)
+		case 10:
+			runBoth(func(p, a, b, out Poly) { mod.MulShoupVec(a, out, w, wShoup) }, int(length), q, 1<<50)
 		default:
-			// NTT stage kernels: degree 8..256, twiddle-like tables
-			// (canonical, consistent companions); the generic kernels run one
-			// fuzz-chosen stage with t >= 4, the edge kernels their own.
-			logN := 3 + int(length)%6
-			n := 1 << logN
-			psi := make([]uint64, n)
-			psiShoup := make([]uint64, n)
-			for i := range psi {
-				psi[i] = rng.Uint64() % q
-				psiShoup[i] = mod.ShoupPrecomp(psi[i])
-			}
-			// Enumerate vectorizable stages, pick one from the seed.
-			type stage struct{ m, t int }
-			var stages []stage
-			st := n
-			for m := 1; m < n>>1; m <<= 1 {
-				st >>= 1
-				if st >= 4 {
-					stages = append(stages, stage{m, st})
-				}
-			}
-			sel := stages[int(seed>>32)%len(stages)]
+			// Transforms: degree 8..256, capped at the largest the prime is
+			// NTT-friendly for; p holds the canonical input. The out-of-place
+			// forms write a (out's storage when aliased) from p.
+			logN := min(3+int(length)%6, bits.TrailingZeros64(q-1)-1)
+			rr := NewRing(logN, q)
+			n := rr.N
+			sc := NewTwiddleScratch(n)
+			var run func(p, a, b, out Poly)
 			switch kernel % fuzzKernels {
 			case 6:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttFwdStepAVX2(p, psi, psiShoup, q, sel.m, sel.t)
-					} else {
-						nttFwdStepScalar(p, psi, psiShoup, q, sel.m, sel.t)
-					}
-				}, n, 4*q, q)
+				run = func(p, a, b, out Poly) { rr.NTT(p) }
 			case 7:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttInvStepAVX2(p, psi, psiShoup, q, sel.m, sel.t)
-					} else {
-						nttInvStepScalar(p, psi, psiShoup, q, sel.m, sel.t)
-					}
-				}, n, 2*q, q)
+				run = func(p, a, b, out Poly) { rr.INTT(p) }
 			case 8:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttFwdT2AVX2(p, psi, psiShoup, q)
-					} else {
-						nttFwdStepScalar(p, psi, psiShoup, q, n>>2, 2)
-					}
-				}, n, 4*q, q)
+				run = func(p, a, b, out Poly) { rr.NTTInto(a, p) }
 			case 9:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttFwdLastAVX2(p, psi, psiShoup, q)
-					} else {
-						nttFwdLastRef(p, psi, psiShoup, q)
-					}
-				}, n, 4*q, q)
-			case 10:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttInvFirstAVX2(p, psi, psiShoup, q)
-					} else {
-						nttInvStepScalar(p, psi, psiShoup, q, n>>1, 1)
-					}
-				}, n, 2*q, q)
+				run = func(p, a, b, out Poly) { rr.INTTInto(a, p) }
 			case 11:
-				runBoth(func(p, a, b, out Poly) {
-					if simdActive() {
-						nttInvT2AVX2(p, psi, psiShoup, q)
-					} else {
-						nttInvStepScalar(p, psi, psiShoup, q, n>>2, 2)
-					}
-				}, n, 2*q, q)
+				run = func(p, a, b, out Poly) { rr.NTTOnTheFlyWith(p, sc) }
 			}
+			runBoth(run, n, q, q)
 		}
 	})
 }

@@ -20,27 +20,29 @@ func unreachableSIMD() {
 	panic("ring: vector kernel called on a build without SIMD support")
 }
 
-func nttFwdStepAVX2(p []uint64, psi, psiShoup []uint64, q uint64, m, t int) { unreachableSIMD() }
+func fmaFwdFirst(dst, src []uint64, w, wq, q float64) { unreachableSIMD() }
 
-func nttInvStepAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
-	unreachableSIMD()
-}
+func fmaFwdStep(p, w []uint64, wq []float64, m, t int, q float64) { unreachableSIMD() }
 
-func nttFwdT2AVX2(p []uint64, psi, psiShoup []uint64, q uint64) { unreachableSIMD() }
+func fmaFwdT2(p, w []uint64, wq []float64, q float64) { unreachableSIMD() }
 
-func nttFwdLastAVX2(p []uint64, psi, psiShoup []uint64, q uint64) { unreachableSIMD() }
+func fmaFwdLast(p, w []uint64, wq []float64, q, qinv float64) { unreachableSIMD() }
 
-func nttInvFirstAVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64) { unreachableSIMD() }
+func fmaInvFirst(p, w []uint64, wq []float64, q float64, src []uint64) { unreachableSIMD() }
 
-func nttInvT2AVX2(p []uint64, psiInv, psiInvShoup []uint64, q uint64) { unreachableSIMD() }
+func fmaInvT2(p, w []uint64, wq []float64, q float64) { unreachableSIMD() }
 
-func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint) { unreachableSIMD() }
+func fmaInvStep(p, w []uint64, wq []float64, h, t int, q, qinv float64) { unreachableSIMD() }
 
-func mulCoeffsAndAddBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint) { unreachableSIMD() }
+func fmaInvLast(p []uint64, n1, n1q, wn, wnq, q float64) { unreachableSIMD() }
 
-func mulScalarShoupAVX2(out, a []uint64, q, c, cShoup uint64) { unreachableSIMD() }
+func mulCoeffsFMA(out, a, b []uint64, q, qinv float64) { unreachableSIMD() }
 
-func macShoupAVX2(out, a []uint64, q, w, wShoup uint64) { unreachableSIMD() }
+func mulCoeffsAndAddFMA(out, a, b []uint64, q, qinv float64) { unreachableSIMD() }
+
+func mulScalarFMA(out, a []uint64, w, wq, q float64) { unreachableSIMD() }
+
+func macShoupFMA(out, a []uint64, w, wq, q, qinv float64) { unreachableSIMD() }
 
 func addVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
 

@@ -1,19 +1,37 @@
 package ring
 
 import (
-	"math/bits"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// simdPrimes is the kernel-equivalence basis plus a 61-bit boundary modulus:
-// the vector kernels' signed-compare argument (every compared value < 2^63
-// because q < 2^61) is tightest there, so the top of the supported range must
-// be in every bit-identity sweep.
+// simdPrimes is the kernel-equivalence basis plus the edges of both vector
+// arguments: the 61-bit boundary modulus, where the integer add/sub sweeps'
+// signed compares are tightest (every compared value < 2^63 because
+// q < 2^61), and fmaEdgePrimes around the FMA bound.
 func simdPrimes(t testing.TB) []uint64 {
 	t.Helper()
-	return append(paramsPrimes(t), GenerateNTTPrimes(61, 12, 1)[0])
+	return append(append(paramsPrimes(t), GenerateNTTPrimes(61, 12, 1)[0]), fmaEdgePrimes()...)
+}
+
+// fmaEdgePrimes are the moduli at the edges of the FMA kernels' bound, each
+// NTT-friendly up to the degree noted: the largest NTT prime under fmaMaxQ at
+// logN 16 (where a transform comes closest to 2^51), the smallest prime the
+// vector transforms accept (17, at logN 3), the first NTT prime over the bound
+// (logN 16; it must run the scalar loops), and the 30-, 45- and 36/37-bit
+// widths of the committed parameter sets (logN 16).
+func fmaEdgePrimes() []uint64 {
+	return []uint64{
+		GenerateNTTPrimes(47, 16, 1)[0],
+		17,
+		GenerateNTTPrimesUp(47, 16, 1)[0],
+		GenerateNTTPrimes(30, 16, 1)[0],
+		GenerateNTTPrimes(36, 16, 1)[0],
+		GenerateNTTPrimesUp(37, 16, 1)[0],
+		GenerateNTTPrimes(45, 16, 1)[0],
+	}
 }
 
 // withVector enables the vector kernels for the duration of the test,
@@ -27,79 +45,6 @@ func withVector(t *testing.T) {
 		t.Skip("vector kernels unavailable on this build/host")
 	}
 	t.Cleanup(func() { SetSIMD(prev) })
-}
-
-// nttFwdStepScalar runs one forward Cooley-Tukey stage (m blocks of half
-// length t) with Shoup-twiddle butterflies exactly as nttWithTables' inline
-// loop does — the lane-for-lane reference for nttFwdStepAVX2 (t ≥ 4),
-// nttFwdT2AVX2 (t = 2) and, through nttFwdLastRef, nttFwdLastAVX2 (t = 1).
-func nttFwdStepScalar(p Poly, psi, psiShoup []uint64, q uint64, m, t int) {
-	twoQ := 2 * q
-	for i := 0; i < m; i++ {
-		w := psi[m+i]
-		wS := psiShoup[m+i]
-		j1 := 2 * i * t
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		b = b[:len(a)] // bounds-check elimination for b[j]
-		for j := range a {
-			// u ∈ [0, 4q) → [0, 2q); v ← lazy Shoup ∈ [0, 2q).
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			v := b[j]
-			hi, _ := bits.Mul64(v, wS)
-			v = v*w - hi*q
-			a[j] = u + v        // < 4q
-			b[j] = u + twoQ - v // < 4q
-		}
-	}
-}
-
-// nttInvStepScalar runs one inverse Gentleman-Sande stage (h blocks of half
-// length t) exactly as INTT's inline loops do — the lane-for-lane reference
-// for nttInvStepAVX2 (t ≥ 4), nttInvT2AVX2 (t = 2) and nttInvFirstAVX2
-// (t = 1).
-func nttInvStepScalar(p Poly, psiInv, psiInvShoup []uint64, q uint64, h, t int) {
-	twoQ := 2 * q
-	j1 := 0
-	for i := 0; i < h; i++ {
-		w := psiInv[h+i]
-		wS := psiInvShoup[h+i]
-		a := p[j1 : j1+t]
-		b := p[j1+t : j1+2*t]
-		for j := range a {
-			u := a[j]
-			v := b[j]
-			c := u + v // < 4q
-			if c >= twoQ {
-				c -= twoQ
-			}
-			a[j] = c
-			d := u + twoQ - v // < 4q
-			hi, _ := bits.Mul64(d, wS)
-			b[j] = d*w - hi*q // lazy Shoup ∈ [0, 2q)
-		}
-		j1 += 2 * t
-	}
-}
-
-// nttFwdLastRef is the reference for nttFwdLastAVX2 and nttFwdLastScalar:
-// the generic t=1 stage, the fold from [0, 4q) to [0, 2q), then the fold to
-// [0, q) as separate sweeps — the unfused order the fused last stages are
-// defined to equal.
-func nttFwdLastRef(p Poly, psi, psiShoup []uint64, q uint64) {
-	nttFwdStepScalar(p, psi, psiShoup, q, len(p)>>1, 1)
-	for i, c := range p {
-		if c >= 2*q {
-			c -= 2 * q
-		}
-		if c >= q {
-			c -= q
-		}
-		p[i] = c
-	}
 }
 
 // lazyFill writes values in [0, bound) with the interval boundaries planted
@@ -142,10 +87,17 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 			{"Sub", q, func(a, b, out Poly) { r.Sub(a, b, out) }},
 			{"MulCoeffs", q, func(a, b, out Poly) { r.MulCoeffs(a, b, out) }},
 			{"MulCoeffsAndAdd", q, func(a, b, out Poly) { r.MulCoeffsAndAdd(a, b, out) }},
-			// MulScalar's kernel is documented for any operand < 2^63; the
-			// INTT feeds it lazy values, so test the [0, 2q) domain.
-			{"MulScalar", 2 * q, func(a, b, out Poly) { r.MulScalar(a, w, out) }},
+			{"MulScalar", q, func(a, b, out Poly) { r.MulScalar(a, w, out) }},
 			{"MACShoupVec", q, func(a, b, out Poly) { mod.MACShoupVec(a, out, w, wShoup) }},
+			// The basis conversion hands these two residues of other primes:
+			// test up to their documented operand bound. The MAC accumulates
+			// into a canonical copy of b, since out may alias the wide a.
+			{"MulShoupVec wide", 1 << 50, func(a, b, out Poly) { mod.MulShoupVec(a, out, w, wShoup) }},
+			{"MACShoupVec wide", 1 << 50, func(a, b, out Poly) {
+				acc := b.Copy()
+				mod.MACShoupVec(a, acc, w, wShoup)
+				copy(out, acc)
+			}},
 		}
 		for _, tc := range cases {
 			for _, n := range sweepLens {
@@ -185,108 +137,212 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// edgePark fills p with a mix of random values in [0, bound) and the
-// lazy-interval edges 0, q-1, q, 2q-1, 2q, 4q-1 (those below bound), placed
-// at random so every lane and both butterfly sides meet every edge.
-func edgePark(rng *rand.Rand, p []uint64, q, bound uint64) {
-	edges := []uint64{0, q - 1, q, 2*q - 1, 2 * q, 4*q - 1}
+// operandPatterns are the inputs the FMA kernels are held to at the edges of
+// their bound: all 0, all 1, all q−1, alternating 0/q−1, and uniform.
+var operandPatterns = []struct {
+	name string
+	fill func(rng *rand.Rand, p []uint64, q uint64)
+}{
+	{"zero", func(_ *rand.Rand, p []uint64, _ uint64) { fillWith(p, func(int) uint64 { return 0 }) }},
+	{"one", func(_ *rand.Rand, p []uint64, _ uint64) { fillWith(p, func(int) uint64 { return 1 }) }},
+	{"q-1", func(_ *rand.Rand, p []uint64, q uint64) { fillWith(p, func(int) uint64 { return q - 1 }) }},
+	{"alternating", func(_ *rand.Rand, p []uint64, q uint64) {
+		fillWith(p, func(i int) uint64 { return uint64(i&1) * (q - 1) })
+	}},
+	{"uniform", func(rng *rand.Rand, p []uint64, q uint64) {
+		fillWith(p, func(int) uint64 { return rng.Uint64() % q })
+	}},
+}
+
+func fillWith(p []uint64, f func(i int) uint64) {
 	for i := range p {
-		if e := edges[rng.Intn(len(edges))]; rng.Intn(2) == 0 && e < bound {
-			p[i] = e
-		} else {
-			p[i] = rng.Uint64() % bound
+		p[i] = f(i)
+	}
+}
+
+// edgeRings calls f with a ring for every fmaEdgePrimes modulus at every
+// degree of {8, 16, 128, 2^13, 2^16} it is NTT-friendly for.
+func edgeRings(f func(r *Ring)) {
+	for _, q := range fmaEdgePrimes() {
+		for _, logN := range []int{3, 4, 7, 13, 16} {
+			if (q-1)%(uint64(2)<<logN) == 0 {
+				f(NewRing(logN, q))
+			}
 		}
 	}
 }
 
-// TestVectorNTTStageKernelsMatchScalar compares each AVX2 butterfly stage
-// kernel directly against its scalar reference, on inputs planted at the
-// extreme edges of the Harvey lazy intervals ([0, 4q) into a forward stage,
-// [0, 2q) into an inverse stage) — the adversarial domain where a reduction
-// that diverges from the scalar order would show. Every stage of a
-// transform is covered: the generic kernels for t ≥ 4, the t=2 kernels, and
-// the t=1 kernels.
-func TestVectorNTTStageKernelsMatchScalar(t *testing.T) {
+// TestFMATransformsMatchScalar holds the transforms to the scalar drivers
+// word for word at the edges of the FMA bound (edgeRings × operandPatterns),
+// through all four entry points; the out-of-place ones must leave src as it
+// was. With the per-stage bounds below it replaces the per-stage equality of
+// the integer AVX2 kernels, whose lazy representatives the FMA kernels do not
+// share by design.
+func TestFMATransformsMatchScalar(t *testing.T) {
 	withVector(t)
-	rng := rand.New(rand.NewSource(202))
-	mustEqual := func(q uint64, n int, what string, ps, pv Poly) {
-		t.Helper()
-		for i := range ps {
-			if ps[i] != pv[i] {
-				t.Fatalf("q=%d n=%d %s: vector[%d]=%d scalar=%d", q, n, what, i, pv[i], ps[i])
+	rng := rand.New(rand.NewSource(404))
+	edgeRings(func(r *Ring) {
+		for _, pat := range operandPatterns {
+			src := r.NewPoly()
+			pat.fill(rng, src, r.Mod.Q)
+			for _, tc := range []struct {
+				name string
+				f    func(dst, src Poly)
+			}{
+				{"NTT", func(d, s Poly) { copy(d, s); r.NTT(d) }},
+				{"INTT", func(d, s Poly) { copy(d, s); r.INTT(d) }},
+				{"NTTInto", r.NTTInto},
+				{"INTTInto", r.INTTInto},
+			} {
+				SetSIMD(false)
+				want := r.NewPoly()
+				tc.f(want, src.Copy())
+				SetSIMD(true)
+				in, got := src.Copy(), r.NewPoly()
+				tc.f(got, in)
+				if !r.Equal(want, got) {
+					t.Fatalf("logN=%d q=%d %s %s: vector and scalar transforms differ", r.LogN, r.Mod.Q, pat.name, tc.name)
+				}
+				if !r.Equal(in, src) {
+					t.Fatalf("logN=%d q=%d %s %s: the transform wrote its source", r.LogN, r.Mod.Q, pat.name, tc.name)
+				}
 			}
 		}
+	})
+}
+
+// fmaForwardBounds returns B_0..B_logN, the proven bound on |x| for every
+// coefficient after s stages of the FMA forward transform on canonical input
+// (DESIGN.md "Vectorized kernels"): a butterfly adds or subtracts
+// r = v·w − round(v·(w/q))·q, |r| ≤ q/2 + q·|v|·2^-54, to an unreduced u.
+func fmaForwardBounds(q uint64, logN int) []float64 {
+	qf := float64(q)
+	b := []float64{qf - 1}
+	for s := 1; s <= logN; s++ {
+		b = append(b, b[s-1]+qf/2+qf*b[s-1]*0x1p-54)
 	}
+	return b
+}
+
+// fmaInverseBounds is fmaForwardBounds for the inverse transform, whose
+// first two stages grow the u+v side (2(q−1), then twice that) and whose
+// generic stages reduce it, so both sides come out of those at most
+// q/2 + q·2B·2^-54 from inputs bounded by B.
+func fmaInverseBounds(q uint64, logN int) []float64 {
+	qf := float64(q)
+	b := []float64{qf - 1, 2 * (qf - 1), 4 * (qf - 1)}
+	for s := 3; s < logN; s++ {
+		b = append(b, qf/2+qf*2*b[s-1]*0x1p-54)
+	}
+	return b
+}
+
+// TestFMAStageBounds runs the FMA transforms through their per-stage hook at
+// the edges of the bound (edgeRings × operandPatterns) and asserts that after
+// every stage but the last each coefficient is an exact integer within the
+// proven bound, forward and inverse; the bound itself stays under 2^51 at
+// the corner fmaFits admits and passes it one bit of q later.
+func TestFMAStageBounds(t *testing.T) {
+	withVector(t)
+	if b := fmaForwardBounds(fmaMaxQ-1, fmaMaxLogN); b[fmaMaxLogN] >= 0x1p51 {
+		t.Fatalf("forward bound %.3g at q < 2^47, logN %d reaches 2^51", b[fmaMaxLogN], fmaMaxLogN)
+	}
+	if b := fmaForwardBounds(2*fmaMaxQ, fmaMaxLogN); b[fmaMaxLogN] < 0x1p51 {
+		t.Fatalf("forward bound at q = 2^48 is %.3g: fmaMaxQ could be raised", b[fmaMaxLogN])
+	}
+	rng := rand.New(rand.NewSource(505))
+	edgeRings(func(r *Ring) {
+		if r.fma == nil {
+			return
+		}
+		q := r.Mod.Q
+		for _, pat := range operandPatterns {
+			src := r.NewPoly()
+			pat.fill(rng, src, q)
+			check := func(dir string, bounds []float64) func(int, Poly) {
+				return func(s int, p Poly) {
+					for i, w := range p {
+						x := math.Float64frombits(w)
+						if x != math.Trunc(x) || math.Abs(x) > bounds[s] {
+							t.Fatalf("logN=%d q=%d %s %s stage %d: coefficient %d is %v, bound %.4g",
+								r.LogN, q, pat.name, dir, s, i, x, bounds[s])
+						}
+					}
+				}
+			}
+			dst := r.NewPoly()
+			r.nttFMA(dst, src, r.psiTable, r.fma.psiQ, check("forward", fmaForwardBounds(q, r.LogN)))
+			r.inttFMA(dst, src, check("inverse", fmaInverseBounds(q, r.LogN)))
+		}
+	})
+}
+
+// TestFMADispatchFollowsTheBound pins which kernel path is live: with the
+// vector kernels on, a modulus fmaFits accepts runs the FMA sweeps and a
+// ring of at least vecMinN coefficients over it the FMA transforms; a prime
+// at or over the bound, a degree over 2^fmaMaxLogN and a ring under vecMinN
+// run the scalar loops — and are still correct there.
+func TestFMADispatchFollowsTheBound(t *testing.T) {
+	withVector(t)
+	under, over := GenerateNTTPrimes(47, 16, 1)[0], GenerateNTTPrimesUp(47, 16, 1)[0]
+	if !fmaFits(fmaMaxQ-1, fmaMaxLogN) || fmaFits(fmaMaxQ, 0) || fmaFits(under, fmaMaxLogN+1) {
+		t.Fatal("fmaFits does not draw the line at q < 2^47, logN ≤ 16")
+	}
+	for _, c := range []struct {
+		r          *Ring
+		sweep, ntt bool
+	}{
+		{NewRing(10, under), true, true},
+		{NewRing(10, over), false, false},
+		{NewRing(2, 17), true, false},
+	} {
+		if c.r.Mod.vecFMA() != c.sweep || c.r.vecNTT() != c.ntt {
+			t.Fatalf("q=%d logN=%d: FMA sweeps %v transforms %v, want %v %v",
+				c.r.Mod.Q, c.r.LogN, c.r.Mod.vecFMA(), c.r.vecNTT(), c.sweep, c.ntt)
+		}
+	}
+	r := NewRing(6, over)
+	s := NewSampler(606)
+	a, b := r.NewPoly(), r.NewPoly()
+	s.UniformPoly(r, a)
+	s.UniformPoly(r, b)
+	want := r.NewPoly()
+	r.MulPolyNaive(a, b, want)
+	r.NTT(a)
+	r.NTT(b)
+	got := r.NewPoly()
+	r.MulCoeffs(a, b, got)
+	r.INTT(got)
+	if !r.Equal(got, want) {
+		t.Fatalf("q=%d over the bound: NTT product differs from the naive one", over)
+	}
+}
+
+// TestMulScalarTakesCanonicalOperands pins MulScalar's contract — canonical
+// a, any scalar (reduced first) — on both paths against MulMod, at the
+// operand patterns and over every simdPrimes modulus. Lazy operands are
+// outside it: the inverse transforms' N^{-1} pass, which fed it [0, 2q)
+// values, is folded into the FMA INTT and is a scalar loop of its own in the
+// scalar one.
+func TestMulScalarTakesCanonicalOperands(t *testing.T) {
+	withVector(t)
+	rng := rand.New(rand.NewSource(707))
 	for _, q := range simdPrimes(t) {
-		mod := NewModulus(q)
-		for _, n := range []int{8, 16, 32, 256} {
-			// Random canonical twiddle-like tables: the stage kernels do not
-			// require genuine roots of unity, only w < q with consistent
-			// Shoup companions. The extreme twiddles 0 and q-1 are planted
-			// where the edge stages read them.
-			psi := make([]uint64, n)
-			psiShoup := make([]uint64, n)
-			for i := range psi {
-				psi[i] = rng.Uint64() % q
-			}
-			psi[n/4], psi[n/2], psi[n-1] = 0, q-1, q-1
-			for i := range psi {
-				psiShoup[i] = mod.ShoupPrecomp(psi[i])
-			}
-			lazy := func(bound uint64) Poly {
-				p := make(Poly, n)
-				edgePark(rng, p, q, bound)
-				return p
-			}
-
-			// Forward stages: every (m, t) with t >= 4.
-			st := n
-			for m := 1; m <= n>>3; m <<= 1 {
-				st >>= 1
-				p := make(Poly, n)
-				lazyFill(rng, p, 4*q)
-				ps, pv := p.Copy(), p.Copy()
-				nttFwdStepScalar(ps, psi, psiShoup, q, m, st)
-				nttFwdStepAVX2(pv, psi, psiShoup, q, m, st)
-				mustEqual(q, n, "fwd step", ps, pv)
-			}
-			// Forward edge stages, several draws each.
-			for rep := 0; rep < 4; rep++ {
-				p := lazy(4 * q)
-				ps, pv := p.Copy(), p.Copy()
-				nttFwdStepScalar(ps, psi, psiShoup, q, n>>2, 2)
-				nttFwdT2AVX2(pv, psi, psiShoup, q)
-				mustEqual(q, n, "fwd t=2", ps, pv)
-				ps, pv = p.Copy(), p.Copy()
-				nttFwdLastRef(ps, psi, psiShoup, q)
-				nttFwdLastAVX2(pv, psi, psiShoup, q)
-				mustEqual(q, n, "fwd last", ps, pv)
-				pv = p.Copy()
-				nttFwdLastScalar(pv, psi, psiShoup, q)
-				mustEqual(q, n, "fwd last scalar helper", ps, pv)
-			}
-
-			// Inverse stages: every (h, t) with t >= 4, then the edge stages.
-			it := 4
-			for h := n >> 3; h >= 1; h >>= 1 {
-				p := make(Poly, n)
-				lazyFill(rng, p, 2*q)
-				ps, pv := p.Copy(), p.Copy()
-				nttInvStepScalar(ps, psi, psiShoup, q, h, it)
-				nttInvStepAVX2(pv, psi, psiShoup, q, h, it)
-				mustEqual(q, n, "inv step", ps, pv)
-				it <<= 1
-			}
-			for rep := 0; rep < 4; rep++ {
-				p := lazy(2 * q)
-				ps, pv := p.Copy(), p.Copy()
-				nttInvStepScalar(ps, psi, psiShoup, q, n>>1, 1)
-				nttInvFirstAVX2(pv, psi, psiShoup, q)
-				mustEqual(q, n, "inv t=1", ps, pv)
-				ps, pv = p.Copy(), p.Copy()
-				nttInvStepScalar(ps, psi, psiShoup, q, n>>2, 2)
-				nttInvT2AVX2(pv, psi, psiShoup, q)
-				mustEqual(q, n, "inv t=2", ps, pv)
+		r := &Ring{Mod: NewModulus(q)}
+		for _, c := range []uint64{0, 1, q - 1, q, q + 3, rng.Uint64()} {
+			for _, pat := range operandPatterns {
+				a := make(Poly, 37)
+				pat.fill(rng, a, q)
+				for _, vec := range []bool{false, true} {
+					SetSIMD(vec)
+					out := make(Poly, len(a))
+					r.MulScalar(a, c, out)
+					for i := range a {
+						if want := r.Mod.MulMod(a[i], c%q); out[i] != want {
+							t.Fatalf("q=%d c=%d %s vector=%v: MulScalar[%d] = %d, want %d", q, c, pat.name, vec, i, out[i], want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -382,7 +438,7 @@ func TestSetSIMDToggleConcurrent(t *testing.T) {
 // TestSIMDLevelConsistent pins the obs-facing level string to the dispatch
 // state on every build.
 func TestSIMDLevelConsistent(t *testing.T) {
-	if simdActive() && SIMDLevel() != "avx2" {
+	if simdActive() && SIMDLevel() != "avx2+fma" {
 		t.Fatalf("SIMD active but level = %q", SIMDLevel())
 	}
 	if !simdActive() && SIMDLevel() != "none" {

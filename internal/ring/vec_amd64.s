@@ -1,65 +1,53 @@
 //go:build amd64 && !purego
 
-// AVX2 coefficient-sweep kernels: the fixed-shift Barrett Hadamard
-// product/MAC (external product and key-switch digit accumulation), the
-// Shoup fixed-operand scalar multiply (rescale, ModDown, INTT's N^{-1}
-// sweep), the basis-conversion Shoup MAC, and the add/sub sweeps. Each
-// processes len(out)/4 whole 4-lane groups — the Go wrappers truncate to a
-// multiple of the vector width and run the scalar loop on the tail — and
-// every kernel reads a full lane group before writing it, so exact
-// aliasing (out == a or out == b) behaves like the scalar loops.
+// Coefficient-sweep kernels: the FMA Hadamard product/MAC (external product
+// and key-switch digit accumulation), the FMA fixed-operand multiply and MAC
+// (rescale, ModDown, the basis conversion), and the integer add/sub sweeps.
+// Each processes len(out)/4 whole 4-lane groups — the Go wrappers truncate to
+// a multiple of the vector width and run the scalar loop on the tail — and
+// every kernel reads a full lane group before writing it, so exact aliasing
+// (out == a or out == b) behaves like the scalar loops. The FMA kernels take
+// words below 2^50 (canonical residues, for the products) and write canonical
+// words; fma_amd64.h has the arithmetic.
 //
 // Register conventions: DI out, SI a, DX b (when present), CX lane-group
-// countdown; Y15 q, Y13 0xFFFFFFFF lane mask, Y12/Y11/Y10 broadcast
-// constants per kernel.
+// countdown; Y9 zero, Y10 1/q, Y12/Y11 the fixed operand w and w/q, plus the
+// pinned Y13-Y15 of fma_amd64.h.
 
 #include "textflag.h"
-#include "mul64_amd64.h"
+#include "fma_amd64.h"
 
-// func mulCoeffsBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)
+// SWEEP_PROLOGUE(QARG): out/a/b pointers, the group count, the FMA constants
+// and a zero in Y9. Jumps to done when there is no whole group.
+#define SWEEP_PROLOGUE(QARG, done) \
+	MOVQ out_base+0(FP), DI; \
+	MOVQ a_base+24(FP), SI; \
+	MOVQ out_len+8(FP), CX; \
+	SHRQ $2, CX; \
+	JZ   done; \
+	FMA_CONSTS(QARG); \
+	VXORPD Y9, Y9, Y9
+
+// func mulCoeffsFMA(out, a, b []uint64, q, qinv float64)
 //
-// out[i] = a[i]*b[i] mod q via the per-prime fixed-shift Barrett form:
-//   hi:lo = a*b;  xs = hi<<(64-s) | lo>>s;  qest = mulhi(xs, mu)
-//   r = lo - qest*q, then at most two conditional subtractions.
-// The lane-wise quotient estimate inherits the scalar proof: operands are
-// canonical, so x < q^2 and the underestimate is at most 2.
-TEXT ·mulCoeffsBarrettAVX2(SB), NOSPLIT, $0-96
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
+// out[i] = a[i]·b[i] mod q for canonical operands: h = a·b rounds, l is its
+// exact error, k = round(h/q), and h − k·q + l is the product's residue in
+// (−q, q).
+TEXT ·mulCoeffsFMA(SB), NOSPLIT, $0-88
+	SWEEP_PROLOGUE(q+72(FP), mulcDone)
 	MOVQ b_base+48(FP), DX
-	MOVQ out_len+8(FP), CX
-	SHRQ $2, CX
-	JZ   mulcDone
-
-	MOVQ q+72(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	MOVQ mu+80(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y12    // mu
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
-	MOVQ shift+88(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // s
-	MOVQ $64, BX
-	SUBQ AX, BX
-	VMOVQ BX, X0
-	VPBROADCASTQ X0, Y10    // 64 - s
+	VBROADCASTSD qinv+80(FP), Y10
 
 mulcLoop:
 	VMOVDQU (SI), Y0
 	VMOVDQU (DX), Y1
-	MULFULL64(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y13)  // Y2:Y3 = a*b
-	VPSRLVQ Y11, Y3, Y4     // lo >> s
-	VPSLLVQ Y10, Y2, Y5     // hi << (64-s)
-	VPOR    Y5, Y4, Y4      // xs = floor(x / 2^s)
-	MULHI64(Y4, Y12, Y5, Y6, Y7, Y8, Y9, Y13)       // qest
-	MULLO64(Y5, Y15, Y6, Y7, Y8)                    // qest*q mod 2^64
-	VPSUBQ  Y6, Y3, Y3      // r in [0, 3q)
-	CSUB(Y3, Y15, Y6)
-	CSUB(Y3, Y15, Y6)
+	TOF(Y0)
+	TOF(Y1)
+	VMULPD       Y1, Y0, Y3
+	VFMSUB213PD  Y3, Y1, Y0
+	REDUCE(Y3, Y5)
+	VADDPD       Y0, Y3, Y3
+	CANON(Y3, Y4)
 	VMOVDQU Y3, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DX
@@ -71,50 +59,32 @@ mulcDone:
 	VZEROUPPER
 	RET
 
-// func mulCoeffsAndAddBarrettAVX2(out, a, b []uint64, q, mu uint64, shift uint)
+// func mulCoeffsAndAddFMA(out, a, b []uint64, q, qinv float64)
 //
-// out[i] = (out[i] + a[i]*b[i] mod q) mod q — the MAC form of the kernel
-// above, with the accumulate folded by one more conditional subtraction.
-TEXT ·mulCoeffsAndAddBarrettAVX2(SB), NOSPLIT, $0-96
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
+// out[i] = (out[i] + a[i]·b[i]) mod q: the quotient is estimated from h + out,
+// so one correction makes the sum canonical.
+TEXT ·mulCoeffsAndAddFMA(SB), NOSPLIT, $0-88
+	SWEEP_PROLOGUE(q+72(FP), maccDone)
 	MOVQ b_base+48(FP), DX
-	MOVQ out_len+8(FP), CX
-	SHRQ $2, CX
-	JZ   maccDone
-
-	MOVQ q+72(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	MOVQ mu+80(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y12    // mu
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
-	MOVQ shift+88(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // s
-	MOVQ $64, BX
-	SUBQ AX, BX
-	VMOVQ BX, X0
-	VPBROADCASTQ X0, Y10    // 64 - s
+	VBROADCASTSD qinv+80(FP), Y10
 
 maccLoop:
 	VMOVDQU (SI), Y0
 	VMOVDQU (DX), Y1
-	MULFULL64(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y13)  // Y2:Y3 = a*b
-	VPSRLVQ Y11, Y3, Y4
-	VPSLLVQ Y10, Y2, Y5
-	VPOR    Y5, Y4, Y4      // xs
-	MULHI64(Y4, Y12, Y5, Y6, Y7, Y8, Y9, Y13)       // qest
-	MULLO64(Y5, Y15, Y6, Y7, Y8)                    // qest*q
-	VPSUBQ  Y6, Y3, Y3      // p in [0, 3q)
-	CSUB(Y3, Y15, Y6)
-	CSUB(Y3, Y15, Y6)       // p canonical
-	VMOVDQU (DI), Y0        // accumulator
-	VPADDQ  Y3, Y0, Y3      // s = out + p < 2q
-	CSUB(Y3, Y15, Y6)
+	VMOVDQU (DI), Y2
+	TOF(Y0)
+	TOF(Y1)
+	TOF(Y2)
+	VMULPD       Y1, Y0, Y3
+	VFMSUB213PD  Y3, Y1, Y0
+	VADDPD       Y2, Y3, Y4
+	VMOVAPD      Y14, Y5
+	VFMADD231PD  Y10, Y4, Y5
+	VSUBPD       Y14, Y5, Y5
+	VFNMADD231PD Y15, Y5, Y3
+	VADDPD       Y0, Y3, Y3
+	VADDPD       Y2, Y3, Y3
+	CANON(Y3, Y4)
 	VMOVDQU Y3, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DX
@@ -126,39 +96,20 @@ maccDone:
 	VZEROUPPER
 	RET
 
-// func mulScalarShoupAVX2(out, a []uint64, q, c, cShoup uint64)
+// func mulScalarFMA(out, a []uint64, w, wq, q float64)
 //
-// out[i] = a[i]*c mod q via lazy Shoup plus one conditional subtraction.
-// Correct for any a[i] < 2^63 (the INTT final sweep feeds it lazy-domain
-// values in [0, 2q)); canonical output.
-TEXT ·mulScalarShoupAVX2(SB), NOSPLIT, $0-72
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ out_len+8(FP), CX
-	SHRQ $2, CX
-	JZ   mulsDone
-
-	MOVQ q+48(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	MOVQ c+56(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y12    // c
-	MOVQ cShoup+64(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // cShoup
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
+// out[i] = a[i]·w mod q for a fixed operand w < q, wq = w/q.
+TEXT ·mulScalarFMA(SB), NOSPLIT, $0-72
+	SWEEP_PROLOGUE(q+64(FP), mulsDone)
+	VBROADCASTSD w+48(FP), Y12
+	VBROADCASTSD wq+56(FP), Y11
 
 mulsLoop:
 	VMOVDQU (SI), Y0
-	MULHI64(Y0, Y11, Y3, Y4, Y5, Y6, Y7, Y13)  // mulhi(x, cShoup)
-	MULLO64(Y0, Y12, Y4, Y5, Y6)               // x*c mod 2^64
-	MULLO64(Y3, Y15, Y5, Y6, Y7)               // mulhi*q mod 2^64
-	VPSUBQ Y5, Y4, Y4       // lazy Shoup in [0, 2q)
-	CSUB(Y4, Y15, Y6)       // canonical
-	VMOVDQU Y4, (DI)
+	TOF(Y0)
+	MULW(Y0, Y12, Y11, Y3, Y4)
+	CANON(Y3, Y4)
+	VMOVDQU Y3, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
 	DECQ CX
@@ -168,42 +119,33 @@ mulsDone:
 	VZEROUPPER
 	RET
 
-// func macShoupAVX2(out, a []uint64, q, w, wShoup uint64)
+// func macShoupFMA(out, a []uint64, w, wq, q, qinv float64)
 //
-// out[i] = (out[i] + a[i]*w mod q) mod q — the basis-conversion inner MAC
-// (rns.ExtendSelectedWith). Same eagerly-canonical accumulation as the
-// scalar loop: reduce the Shoup product first, then one fold after the add.
-TEXT ·macShoupAVX2(SB), NOSPLIT, $0-72
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ out_len+8(FP), CX
-	SHRQ $2, CX
-	JZ   macsDone
-
-	MOVQ q+48(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
-	MOVQ w+56(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y12    // w
-	MOVQ wShoup+64(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y11    // wShoup
-	MOVQ $0x00000000FFFFFFFF, AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y13    // lane mask
+// out[i] = (out[i] + a[i]·w) mod q for a fixed operand w < q — the inner MAC
+// of the RNS basis conversion. The quotient is round(a·wq + out/q), so one
+// correction makes the sum canonical.
+TEXT ·macShoupFMA(SB), NOSPLIT, $0-80
+	SWEEP_PROLOGUE(q+64(FP), macsDone)
+	VBROADCASTSD w+48(FP), Y12
+	VBROADCASTSD wq+56(FP), Y11
+	VBROADCASTSD qinv+72(FP), Y10
 
 macsLoop:
 	VMOVDQU (SI), Y0
-	MULHI64(Y0, Y11, Y3, Y4, Y5, Y6, Y7, Y13)
-	MULLO64(Y0, Y12, Y4, Y5, Y6)
-	MULLO64(Y3, Y15, Y5, Y6, Y7)
-	VPSUBQ Y5, Y4, Y4       // r lazy in [0, 2q)
-	CSUB(Y4, Y15, Y6)       // r canonical
-	VMOVDQU (DI), Y0
-	VPADDQ Y4, Y0, Y4       // s = out + r < 2q
-	CSUB(Y4, Y15, Y6)
-	VMOVDQU Y4, (DI)
+	VMOVDQU (DI), Y2
+	TOF(Y0)
+	TOF(Y2)
+	VMULPD       Y10, Y2, Y5
+	VFMADD231PD  Y11, Y0, Y5
+	VADDPD       Y14, Y5, Y5
+	VSUBPD       Y14, Y5, Y5
+	VMULPD       Y12, Y0, Y3
+	VFMSUB213PD  Y3, Y12, Y0
+	VFNMADD231PD Y15, Y5, Y3
+	VADDPD       Y0, Y3, Y3
+	VADDPD       Y2, Y3, Y3
+	CANON(Y3, Y4)
+	VMOVDQU Y3, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
 	DECQ CX
@@ -214,6 +156,9 @@ macsDone:
 	RET
 
 // func addVecAVX2(out, a, b []uint64, q uint64)
+//
+// out[i] = a[i] + b[i] mod q, with the fold as a signed compare: every value
+// compared stays below 2^63 because q < 2^61.
 TEXT ·addVecAVX2(SB), NOSPLIT, $0-80
 	MOVQ out_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
@@ -221,16 +166,15 @@ TEXT ·addVecAVX2(SB), NOSPLIT, $0-80
 	MOVQ out_len+8(FP), CX
 	SHRQ $2, CX
 	JZ   addvDone
-
-	MOVQ q+72(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
+	VPBROADCASTQ q+72(FP), Y15
 
 addvLoop:
 	VMOVDQU (SI), Y0
 	VMOVDQU (DX), Y1
-	VPADDQ Y1, Y0, Y0       // c = a + b < 2q
-	CSUB(Y0, Y15, Y2)
+	VPADDQ   Y1, Y0, Y0      // c = a + b < 2q
+	VPCMPGTQ Y0, Y15, Y2     // q > c
+	VPANDN   Y15, Y2, Y2     // q where c >= q
+	VPSUBQ   Y2, Y0, Y0
 	VMOVDQU Y0, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DX
@@ -250,16 +194,15 @@ TEXT ·subVecAVX2(SB), NOSPLIT, $0-80
 	MOVQ out_len+8(FP), CX
 	SHRQ $2, CX
 	JZ   subvDone
-
-	MOVQ q+72(FP), AX
-	VMOVQ AX, X0
-	VPBROADCASTQ X0, Y15    // q
+	VPBROADCASTQ q+72(FP), Y15
 
 subvLoop:
-	VMOVDQU (SI), Y0        // a
-	VMOVDQU (DX), Y1        // b
-	VPSUBQ Y1, Y0, Y2       // c = a - b (wraps when b > a)
-	CADDLT(Y2, Y0, Y1, Y15, Y3)  // c += q where a < b
+	VMOVDQU (SI), Y0         // a
+	VMOVDQU (DX), Y1         // b
+	VPSUBQ   Y1, Y0, Y2      // c = a − b (wraps when b > a)
+	VPCMPGTQ Y0, Y1, Y3      // b > a
+	VPAND    Y15, Y3, Y3
+	VPADDQ   Y3, Y2, Y2      // c += q where a < b
 	VMOVDQU Y2, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DX

@@ -247,16 +247,15 @@ func (sc *Scratch) setInput(c int, x rns.Poly, isNTT bool, key, key2 *GadgetCiph
 }
 
 // inputLimb is the first phase, one task per (component, Q limb): bring the
-// limb to coefficient form if it arrived in NTT form (copy + INTT), then
-// scale it into the y_i every destination limb of its digit's extension
-// shares.
+// limb to coefficient form in the arena if it arrived in NTT form (an
+// out-of-place INTT), then scale it into the y_i every destination limb of
+// its digit's extension shares.
 func (ks *KeySwitcher) inputLimb(sc *Scratch, t int) {
 	j := &sc.job
 	c, i := sc.pairLimb(t)
 	x := j.in[c].Limbs[i]
 	if j.ntt[c].Limbs != nil {
-		copy(x, j.ntt[c].Limbs[i])
-		ks.params.QBasis.Rings[i].INTT(x)
+		ks.params.QBasis.Rings[i].INTTInto(x, j.ntt[c].Limbs[i])
 	}
 	d := ks.digitOf[i]
 	start, end := ks.window(sc, d)
@@ -269,16 +268,18 @@ func (ks *KeySwitcher) inputLimb(sc *Scratch, t int) {
 // A limb inside the digit's own window Q[start:end] is not recomputed: the
 // basis extension would form Σ_k y_k·q̂_k mod q_i there, and for a window limb
 // i every q̂_k with k ≠ i is ≡ 0 while y_i·q̂_i ≡ x_i, so the sum is the input
-// residue itself, bit for bit. It is copied; the limbs outside the window are
-// extended from the window's y_i.
+// residue itself, bit for bit. It is transformed straight out of the input;
+// the limbs outside the window are extended from the window's y_i and
+// transformed in place.
 func (ks *KeySwitcher) raiseLimb(sc *Scratch, c, d, idx int, dst ring.Poly) {
+	r := ks.params.QPBasis.Rings[idx]
 	start, end := ks.window(sc, d)
 	if idx >= start && idx < end {
-		copy(dst, sc.job.in[c].Limbs[idx])
-	} else {
-		ks.digitExt[d].ExtendLimb(sc.y[c].Limbs[start:end], idx, dst)
+		r.NTTInto(dst, sc.job.in[c].Limbs[idx])
+		return
 	}
-	ks.params.QPBasis.Rings[idx].NTT(dst)
+	ks.digitExt[d].ExtendLimb(sc.y[c].Limbs[start:end], idx, dst)
+	r.NTT(dst)
 }
 
 // macLimbs accumulates acc += dig ⊙ row d of component c's key over the limb

@@ -43,9 +43,10 @@ func (b *Basis) LastLimbCoeffs(p Poly, inNTT bool, cL ring.Poly) {
 	if level < 2 {
 		panic("rns: cannot rescale a single-limb polynomial")
 	}
-	copy(cL, p.Limbs[level-1])
 	if inNTT {
-		b.Rings[level-1].INTT(cL)
+		b.Rings[level-1].INTTInto(cL, p.Limbs[level-1])
+	} else {
+		copy(cL, p.Limbs[level-1])
 	}
 }
 
@@ -217,15 +218,9 @@ func (e *Extender) ExtendLimb(ys []ring.Poly, j int, out ring.Poly) {
 	// zeroed limb would leave), the rest accumulate.
 	mod.MulShoupVec(ys[0][:n], oj, modP[0][j], modPShoup[0][j])
 	for i := 1; i < level; i++ {
-		// Eagerly canonical accumulation, on purpose: both conditional
-		// subtractions inside the MAC lower to branchless conditional
-		// moves (scalar) or VPCMPGTQ masks (vector), whereas the lazy
-		// alternative (carry the accumulator in [0, 2q) with one
-		// subtraction per term plus a canonical sweep per limb) defeats
-		// the scalar lowering and measured ~3× slower per term on the
-		// reference host — see the modular-kernel ablation in
-		// EXPERIMENTS.md. The lazy interval only pays off when it removes
-		// work from a longer dependent chain, as in the NTT butterflies.
+		// Each term leaves oj canonical, which is what a MAC takes: its
+		// operand y_i is a residue of another prime (below 2^50, the
+		// kernels' bound), its accumulator a residue of this one.
 		mod.MACShoupVec(ys[i][:n], oj, modP[i][j], modPShoup[i][j])
 	}
 }
@@ -303,8 +298,7 @@ func (md *ModDown) apply(cQ, cP, out Poly, coeff bool, sc *ModDownScratch) {
 // before the first FinishLimb.
 func (md *ModDown) ScaleLimb(k int, cPk ring.Poly, sc *ModDownScratch) {
 	y := sc.ys[k]
-	copy(y, cPk)
-	md.pBasis.Rings[k].INTT(y)
+	md.pBasis.Rings[k].INTTInto(y, cPk)
 	md.ext.ScaleLimb(len(sc.ys), k, y, y)
 }
 
@@ -320,8 +314,7 @@ func (md *ModDown) FinishLimb(i int, cQi, out ring.Poly, coeff bool, sc *ModDown
 	ext := sc.ext.Limbs[i]
 	md.ext.ExtendLimb(sc.ys, i, ext)
 	if coeff {
-		copy(out, cQi)
-		ri.INTT(out)
+		ri.INTTInto(out, cQi)
 		ri.Sub(out, ext, out)
 	} else {
 		ri.NTT(ext)
