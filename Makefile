@@ -60,7 +60,7 @@ chaos:
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing).
 fuzz-smoke:
-	$(GO) test -count=1 -run='^Fuzz' ./internal/cluster/ ./internal/rlwe/ ./internal/ring/
+	$(GO) test -count=1 -run='^Fuzz' ./internal/cluster/ ./internal/rlwe/ ./internal/ring/ ./internal/tfhe/
 
 # Allocation smoke: a short -benchmem pass over the hot kernels. The hard
 # 0 allocs/op locks live in the AllocsPerRun tests (TestExternalProductInto
@@ -151,6 +151,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeKeyOffer -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz=FuzzReadCiphertext -fuzztime=10s ./internal/rlwe/
 	$(GO) test -run=^$$ -fuzz=FuzzReadLWECiphertext -fuzztime=10s ./internal/rlwe/
+	$(GO) test -run=^$$ -fuzz=FuzzReadBlindRotateKey -fuzztime=10s ./internal/tfhe/
 	$(GO) test -run=^$$ -fuzz=FuzzVectorVsScalarKernels -fuzztime=10s ./internal/ring/
 
 fmt:

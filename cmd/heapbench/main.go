@@ -311,7 +311,7 @@ func runChurn() error {
 	cold.Boot.SetRecorder(coldMet)
 	coldSec := &cluster.Secondary{Boot: cold.Boot}
 	const chunkBytes = 64 << 10
-	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, primary.Params.N())
+	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, cluster.LWEDim(primary.Boot), primary.Boot.BinaryKey())
 	conn1, err := l.Dial()
 	if err != nil {
 		return err

@@ -1100,8 +1100,8 @@ func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWri
 		return err
 	}
 	params := p.Boot.Params.Parameters
-	recSize := tfhe.BRKRecordBytes(params)
-	hdrSize := tfhe.BRKBlobBytes(params, 0)
+	recSize := tfhe.BRKRecordBytes(params, p.Boot.BinaryKey())
+	hdrSize := tfhe.BRKBlobBytes(params, 0, p.Boot.BinaryKey())
 	dim := lweDim(p.Boot)
 
 	rs.mu.Lock()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"runtime"
@@ -39,19 +40,21 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// coldNode builds a bootstrapper from the same seeds and parameters as the
-// shared fixture but with ColdStart set: no blind-rotate key material, so it
-// must receive the (public) key over the cluster's streaming channel. The
-// params digest still matches — cold is a key state, not a parameter set.
-func coldNode(t *testing.T) *core.Bootstrapper {
+// fixtureNode builds a bootstrapper from the same seeds and parameters as the
+// shared fixture — so under the same RLWE secret fx.ct is encrypted under —
+// at LWE dimension nt (0: exact mode). With cold set it has no blind-rotate
+// key material and must receive the (public) key over the cluster's
+// streaming channel. The params digest still matches — cold is a key state,
+// not a parameter set.
+func fixtureNode(t *testing.T, nt int, cold bool) *core.Bootstrapper {
 	t.Helper()
 	fixture(t)
 	kg := rlwe.NewKeyGenerator(fx.params.Parameters, 90)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cfg := core.DefaultConfig()
-	cfg.NT = 0
+	cfg.NT = nt
 	cfg.Workers = 1
-	cfg.ColdStart = true
+	cfg.ColdStart = cold
 	bt, err := core.NewBootstrapper(fx.params, kg, sk, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -212,27 +215,55 @@ func TestGracefulLeaveDrains(t *testing.T) {
 // it rejoins under the same name, and the upload resumes from the last
 // acked chunk. The receiver-side unique-chunk counters must account the
 // blob exactly once — no full re-send — and the node must end fully warm.
+// It runs for both key kinds: the exact-mode ternary key (Plus and Minus
+// rows per index) and an n_t-mode binary key, whose blob carries Plus rows
+// only.
 func TestKillMidKeyUploadResumes(t *testing.T) {
 	fixture(t)
+	t.Run("ternary-exact", func(t *testing.T) {
+		killMidKeyUpload(t, fx.bt, fixtureNode(t, 0, true), 64<<10, assertBitExact)
+	})
+	t.Run("binary-nt", func(t *testing.T) {
+		primary := fixtureNode(t, 24, false)
+		if !primary.BinaryKey() || !primary.BlindRotateKey().Binary {
+			t.Fatal("an n_t-mode node must hold a binary key")
+		}
+		local := primary.Bootstrap(fx.ct.CopyNew())
+		killMidKeyUpload(t, primary, fixtureNode(t, 24, true), 16<<10, func(t *testing.T, out *rlwe.Ciphertext) {
+			t.Helper()
+			b := fx.params.QBasis.AtLevel(local.Level())
+			if !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {
+				t.Fatal("result differs from the local n_t-mode bootstrap")
+			}
+		})
+	})
+}
+
+// killMidKeyUpload is TestKillMidKeyUploadResumes for one primary, one
+// key-cold node of the same configuration and one chunk size; check judges
+// each bootstrap the primary returns.
+func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkBytes int, check func(*testing.T, *rlwe.Ciphertext)) {
 	before := runtime.NumGoroutine()
 
-	coldBoot := coldNode(t)
 	coldMet := obs.NewMetrics()
 	coldBoot.SetRecorder(coldMet)
 	cold := &Secondary{Boot: coldBoot}
 
 	priMet := obs.NewMetrics()
-	fx.bt.SetRecorder(priMet)
-	defer fx.bt.SetRecorder(nil)
+	primary.SetRecorder(priMet)
+	defer primary.SetRecorder(nil)
 
 	m := NewMembership()
 	l := NewPipeListener()
-	pr := &Primary{Boot: fx.bt}
+	pr := &Primary{Boot: primary}
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
-	const chunkBytes = 64 << 10
-	blobSize := tfhe.BRKBlobBytes(fx.bt.Params.Parameters, lweDim(fx.bt))
+	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, lweDim(primary), primary.BinaryKey())
+	var blob bytes.Buffer
+	if _, err := primary.BlindRotateKey().WriteTo(&blob); err != nil || blob.Len() != blobSize {
+		t.Fatalf("serialized key is %d bytes (err %v), receivers expect %d", blob.Len(), err, blobSize)
+	}
 	chunkCount := (blobSize + chunkBytes - 1) / chunkBytes
 	if chunkCount < 8 {
 		t.Fatalf("fixture blob of %d bytes gives only %d chunks — too few to kill mid-upload", blobSize, chunkCount)
@@ -291,7 +322,7 @@ func TestKillMidKeyUploadResumes(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	assertBitExact(t, r.out)
+	check(t, r.out)
 	// The rejoin races the tail of the run; if the queue drained before the
 	// join consumer saw it, the node is still waiting in the membership —
 	// a second elastic run picks it up and completes the resumed upload.
@@ -307,7 +338,7 @@ func TestKillMidKeyUploadResumes(t *testing.T) {
 		if r2.err != nil {
 			t.Fatal(r2.err)
 		}
-		assertBitExact(t, r2.out)
+		check(t, r2.out)
 	}
 	if !cold.fullyWarm() {
 		t.Fatal("cold node never became key-warm")

@@ -37,8 +37,10 @@ const (
 	// Version 3 adds elastic membership (join/leave/health-probe frames),
 	// per-batch deadline budgets (carried in the batch frame's seq field,
 	// which v2 required to be zero), a key-warm hello flag, and the chunked
-	// resumable blind-rotate key streaming channel.
-	ProtocolVersion = uint32(3)
+	// resumable blind-rotate key streaming channel. Version 4 streams the
+	// format-4 key blob (tfhe/serial.go), whose binary-key records carry the
+	// Plus row only — a v3 peer would size and parse them as Plus+Minus pairs.
+	ProtocolVersion = uint32(4)
 
 	frameHeaderSize  = 20
 	frameTrailerSize = 4

@@ -97,9 +97,11 @@ func TestHelloRoundTripAndCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := got
-	bad.Version = 1
-	if err := h.check(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch: %v", err)
+	for _, v := range []uint32{1, 3} { // the seed's protocol, and v3's two-row binary key records
+		bad.Version = v
+		if err := h.check(bad); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("v%d peer: %v", v, err)
+		}
 	}
 	bad = got
 	bad.Digest++

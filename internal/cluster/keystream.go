@@ -36,7 +36,6 @@ type keyStash struct {
 
 	headerParsed bool
 	numKeys      int
-	binary       bool
 	key          *tfhe.BlindRotateKey // full-length, records [0, warm) filled
 	warm         int                  // complete key records parsed from buf
 	installed    bool                 // key handed to the bootstrapper after keyDone
@@ -49,7 +48,6 @@ func (st *keyStash) reset(o keyOffer) {
 	st.have = 0
 	st.headerParsed = false
 	st.numKeys = 0
-	st.binary = false
 	st.key = nil
 	st.warm = 0
 	st.installed = false
@@ -65,40 +63,46 @@ func (st *keyStash) contiguousBytes() int {
 }
 
 // advance parses the header and any newly-completed fixed-size key records
-// out of the contiguous prefix. Returns the number of warm records.
+// out of the contiguous prefix. Returns the number of warm records. The key
+// kind, like the blob size, comes from the node's own configuration; the
+// header's flag must agree with it.
 func (st *keyStash) advance(s *Secondary) (int, error) {
 	p := s.Boot.Params.Parameters
+	bin := s.Boot.BinaryKey()
 	avail := st.contiguousBytes()
+	hdr := tfhe.BRKBlobBytes(p, 0, bin)
 	if !st.headerParsed {
-		if avail < tfhe.BRKBlobBytes(p, 0) {
+		if avail < hdr {
 			return 0, nil
 		}
-		n, bin, err := tfhe.ReadBRKHeader(bytes.NewReader(st.buf))
+		n, hdrBin, err := tfhe.ReadBRKHeader(bytes.NewReader(st.buf))
 		if err != nil {
 			return 0, err
 		}
 		if n != lweDim(s.Boot) {
 			return 0, fmt.Errorf("cluster: streamed key covers %d indices, want %d", n, lweDim(s.Boot))
 		}
+		if hdrBin != bin {
+			return 0, fmt.Errorf("cluster: streamed key has binary=%v, this node's configuration wants binary=%v", hdrBin, bin)
+		}
 		st.headerParsed = true
 		st.numKeys = n
-		st.binary = bin
-		st.key = &tfhe.BlindRotateKey{
-			Plus:   make([]*rlwe.RGSWCiphertext, n),
-			Minus:  make([]*rlwe.RGSWCiphertext, n),
-			Binary: bin,
+		st.key = &tfhe.BlindRotateKey{Plus: make([]*rlwe.RGSWCiphertext, n), Binary: bin}
+		if !bin {
+			st.key.Minus = make([]*rlwe.RGSWCiphertext, n)
 		}
 	}
-	recSize := tfhe.BRKRecordBytes(p)
-	hdr := tfhe.BRKBlobBytes(p, 0)
+	recSize := tfhe.BRKRecordBytes(p, bin)
 	for st.warm < st.numKeys && hdr+(st.warm+1)*recSize <= avail {
 		off := hdr + st.warm*recSize
-		plus, minus, err := tfhe.ReadBRKRecord(bytes.NewReader(st.buf[off:off+recSize]), p)
+		plus, minus, err := tfhe.ReadBRKRecord(bytes.NewReader(st.buf[off:off+recSize]), p, bin)
 		if err != nil {
 			return st.warm, fmt.Errorf("cluster: streamed key record %d: %w", st.warm, err)
 		}
 		st.key.Plus[st.warm] = plus
-		st.key.Minus[st.warm] = minus
+		if !bin {
+			st.key.Minus[st.warm] = minus
+		}
 		st.warm++
 	}
 	return st.warm, nil
@@ -141,7 +145,7 @@ func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *frame, rec obs.Recorde
 	}
 	// The receiver sizes its buffer from its own parameters, never from the
 	// wire: a lying offer cannot force an oversized allocation.
-	expect := tfhe.BRKBlobBytes(s.Boot.Params.Parameters, lweDim(s.Boot))
+	expect := tfhe.BRKBlobBytes(s.Boot.Params.Parameters, lweDim(s.Boot), s.Boot.BinaryKey())
 	if o.TotalSize != uint64(expect) {
 		return fmt.Errorf("cluster: key offer of %d bytes, want %d for this parameter set", o.TotalSize, expect)
 	}

@@ -10,7 +10,7 @@ import (
 	"heap/internal/rlwe"
 )
 
-// This file is the exported bridge over the v3 wire protocol for the serving
+// This file is the exported bridge over the v4 wire protocol for the serving
 // layer (internal/serve). The protocol itself — frame layout, payload
 // codecs, bounds — lives unexported in frame.go/keystream.go and is shared
 // byte-for-byte by the cluster scheduler and the bootstrap service; the

@@ -113,7 +113,8 @@ func (bt *Bootstrapper) Recorder() obs.Recorder { return bt.rec }
 func (bt *Bootstrapper) AppMaxLevel() int { return bt.Params.MaxLevel() - 1 }
 
 // NewBootstrapper generates all bootstrapping key material under sk:
-// the blind-rotate keys brk (n_t RGSW pairs), the N→n_t LWE key-switching
+// the blind-rotate keys brk (n_t RGSW ciphertexts for the binary LWE secret,
+// N pairs in exact mode), the N→n_t LWE key-switching
 // key, and the log N packing automorphism keys.
 func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.SecretKey, cfg Config) (*Bootstrapper, error) {
 	if params.MaxLevel() < 2 {
@@ -141,8 +142,8 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 	bt.tfheEv = tfhe.NewEvaluator(params.Parameters, bt.ks)
 
 	if cfg.NT == 0 {
-		// Exact mode: blind-rotate directly under the RLWE secret.
-		bt.lweSK = &rlwe.LWESecretKey{Signed: sk.Signed}
+		// Exact mode: blind-rotate directly under the (ternary) RLWE secret.
+		bt.lweSK = &rlwe.LWESecretKey{Signed: sk.Signed, Dist: rlwe.SecretTernary}
 		if !cfg.ColdStart {
 			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
 		}
@@ -340,12 +341,29 @@ func (bt *Bootstrapper) HasBlindRotateKey() bool { return bt.brk != nil }
 // exposing it leaks no secret.
 func (bt *Bootstrapper) BlindRotateKey() *tfhe.BlindRotateKey { return bt.brk }
 
-// SetBlindRotateKey installs a received blind-rotate key. The key's
-// dimension must match the LWE dimension the bootstrapper extracts to (N in
-// exact mode, n_t otherwise). A partially warm key — full-length slices
-// with nil entries past the warm prefix — is accepted; callers gate
-// rotations on the indices they actually hold.
+// BinaryKey reports the kind of blind-rotate key the configuration implies:
+// binary for the n_t-dimensional binary LWE secret (NT > 0), ternary in exact
+// mode, which rotates under the ternary RLWE secret. Key receivers size and
+// check what they accept from it, never from the wire.
+func (bt *Bootstrapper) BinaryKey() bool { return bt.Cfg.NT > 0 }
+
+// SetBlindRotateKey installs a received blind-rotate key after checkKey. A
+// partially warm key — full-length slices with nil entries past the warm
+// prefix — is accepted; callers gate rotations on the indices they actually
+// hold.
 func (bt *Bootstrapper) SetBlindRotateKey(k *tfhe.BlindRotateKey) error {
+	if err := bt.checkKey(k); err != nil {
+		return err
+	}
+	bt.brk = k
+	return nil
+}
+
+// checkKey validates a key the bootstrapper did not generate: its dimension
+// must match the LWE dimension the bootstrapper extracts to (N in exact mode,
+// n_t otherwise), its kind must be the one the configuration implies
+// (BinaryKey), and its rows must match that kind (tfhe CheckShape).
+func (bt *Bootstrapper) checkKey(k *tfhe.BlindRotateKey) error {
 	dim := bt.Cfg.NT
 	if dim == 0 {
 		dim = bt.Params.N()
@@ -357,8 +375,10 @@ func (bt *Bootstrapper) SetBlindRotateKey(k *tfhe.BlindRotateKey) error {
 		}
 		return fmt.Errorf("core: blind-rotate key covers %d indices, want %d", got, dim)
 	}
-	bt.brk = k
-	return nil
+	if k.Binary != bt.BinaryKey() {
+		return fmt.Errorf("core: blind-rotate key has binary=%v, the configuration (NT=%d) wants binary=%v", k.Binary, bt.Cfg.NT, bt.BinaryKey())
+	}
+	return k.CheckShape()
 }
 
 // TileSize returns the key-major tile size of the batched blind-rotate
@@ -406,16 +426,8 @@ func (bt *Bootstrapper) BlindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 // (lwe, lut, brk), so a ColdStart server computes accumulators bit-identical
 // to the tenant running the same rotation locally.
 func (bt *Bootstrapper) BlindRotateBatchWithKey(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, brk *tfhe.BlindRotateKey, opts tfhe.BatchOptions) error {
-	dim := bt.Cfg.NT
-	if dim == 0 {
-		dim = bt.Params.N()
-	}
-	if brk == nil || brk.NumKeys() != dim {
-		got := 0
-		if brk != nil {
-			got = brk.NumKeys()
-		}
-		return fmt.Errorf("core: blind-rotate key covers %d indices, want %d", got, dim)
+	if err := bt.checkKey(brk); err != nil {
+		return err
 	}
 	if opts.Tile <= 0 {
 		opts.Tile = bt.TileSize()

@@ -104,6 +104,54 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	assertAccEqual(t, 0, srv.BlindRotateOne(prep.LWEs[0]), want[0])
 }
 
+// TestSetBlindRotateKeyChecksKind: the key kind an installed key must have
+// comes from the receiver's configuration (n_t mode: binary), and its rows
+// must match that kind. A partially warm prefix — what the cluster's
+// streaming receiver installs mid-upload — is legal.
+func TestSetBlindRotateKeyChecksKind(t *testing.T) {
+	params, _, _, tenant := testSetup(t, 1)
+	if !tenant.BinaryKey() {
+		t.Fatal("an n_t-mode bootstrapper must want a binary key")
+	}
+	brk := tenant.BlindRotateKey()
+	n := brk.NumKeys()
+	minus := make([]*rlwe.RGSWCiphertext, n)
+	for i := range minus {
+		minus[i] = brk.Plus[i]
+	}
+	partial := &tfhe.BlindRotateKey{Plus: make([]*rlwe.RGSWCiphertext, n), Binary: true}
+	copy(partial.Plus[:n/2], brk.Plus)
+
+	kg := rlwe.NewKeyGenerator(params.Parameters, 90)
+	sk := kg.GenSecretKey(rlwe.SecretTernary)
+	cfg := tenant.Cfg
+	cfg.ColdStart = true
+	srv, err := NewBootstrapper(params, kg, sk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		key  *tfhe.BlindRotateKey
+		ok   bool
+	}{
+		{"binary", brk, true},
+		{"partially-warm", partial, true},
+		{"labelled-ternary", &tfhe.BlindRotateKey{Plus: brk.Plus, Minus: minus}, false},
+		{"binary-with-minus-rows", &tfhe.BlindRotateKey{Plus: brk.Plus, Minus: minus, Binary: true}, false},
+	} {
+		if err := srv.SetBlindRotateKey(c.key); (err == nil) != c.ok {
+			t.Errorf("%s: SetBlindRotateKey = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err := srv.BlindRotateBatchWithKey(nil, nil, c.key, tfhe.BatchOptions{}); c.ok != (err == nil) {
+			t.Errorf("%s: BlindRotateBatchWithKey = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	if got, want := srv.MeasuredBRKBytes(), int64(n/2*brk.PerKeyBytes()); got != want {
+		t.Fatalf("partially warm key measures %d bytes, want the %d of the rows it holds", got, want)
+	}
+}
+
 // TestPrepareCoversFullRing pins the dense Prepare wrapper: one LWE per
 // coefficient, each carrying the n_t-mode key-switched dimension.
 func TestPrepareCoversFullRing(t *testing.T) {

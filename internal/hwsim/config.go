@@ -93,14 +93,19 @@ func (p ParamSet) BRKTotalBytes() int64 { return int64(p.NT) * p.BRKKeyBytes() }
 
 // BRKWireBlobBytes is the size of the serialized blind-rotate key blob the
 // cluster streams to a cold elastic joiner: a 24-byte blob header plus, per
-// LWE key index, one record holding the b=0 and b=1 RGSW ciphertexts. Each
-// record carries twice BRKKeyBytes of coefficient data (the paper's per-key
-// figure counts one (h+1)d × (h+1) matrix; the wire form ships both gadgets
-// of each RGSW) plus four 32-byte gadget headers. The software serializer's
-// tfhe.BRKBlobBytes must agree exactly for a mirrored parameter set —
-// locked by TestBRKWireBlobMatchesSerializer.
-func (p ParamSet) BRKWireBlobBytes() int64 {
-	return 24 + int64(p.NT)*(2*p.BRKKeyBytes()+128)
+// LWE key index, one record. A binary key's record is the RGSW(s_i)
+// ciphertext alone — BRKKeyBytes of coefficient data (the (h+1)d × (h+1)
+// matrix, shipped as two gadget ciphertexts) plus two 32-byte gadget
+// headers — so the paper's binary blob is BRKTotalBytes plus headers. A
+// ternary key's record carries RGSW(s_i⁺) and RGSW(s_i⁻), twice that. The
+// software serializer's tfhe.BRKBlobBytes must agree exactly for a mirrored
+// parameter set — locked by TestBRKWireBlobMatchesSerializer.
+func (p ParamSet) BRKWireBlobBytes(binary bool) int64 {
+	rgsws := int64(2)
+	if binary {
+		rgsws = 1
+	}
+	return 24 + int64(p.NT)*rgsws*(p.BRKKeyBytes()+64)
 }
 
 // KeyTraffic returns the BRK bytes one node pulls from memory to

@@ -28,6 +28,10 @@ type SecretKey struct {
 // LWESecretKey is a plain LWE secret of dimension n over a single modulus.
 type LWESecretKey struct {
 	Signed []int64
+	// Dist is the distribution Signed was drawn from. It, not the sampled
+	// values, decides the kind of blind-rotate key the secret gets: a ternary
+	// secret that happens to draw no −1 is still ternary.
+	Dist SecretDist
 }
 
 // KeyGenerator produces all key material deterministically from a sampler.
@@ -78,9 +82,9 @@ func (kg *KeyGenerator) secretFromSigned(signed []int64) *SecretKey {
 func (kg *KeyGenerator) GenLWESecretKey(n int, dist SecretDist) *LWESecretKey {
 	switch dist {
 	case SecretTernary:
-		return &LWESecretKey{Signed: kg.sampler.TernarySigned(n)}
+		return &LWESecretKey{Signed: kg.sampler.TernarySigned(n), Dist: dist}
 	case SecretBinary:
-		return &LWESecretKey{Signed: kg.sampler.BinarySigned(n)}
+		return &LWESecretKey{Signed: kg.sampler.BinarySigned(n), Dist: dist}
 	}
 	panic("rlwe: unknown secret distribution")
 }

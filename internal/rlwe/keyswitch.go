@@ -666,7 +666,8 @@ func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCip
 // by ct + out, so the caller still needs ct when this returns (the in-place
 // form ExternalProductCoeffInto allows has no use here). The result is not
 // bit-identical to the two-step form (whose second product sees the first
-// one's output), only equal to it up to key-switch noise.
+// one's output), only equal to it up to key-switch noise. Both keys are
+// required: a missing one is refused, not read as RGSW(0).
 //
 // The combine runs inline on the calling goroutine at every width: the arena
 // has one pair of monomial vectors, and the only caller is a blind-rotation
@@ -674,6 +675,9 @@ func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCip
 func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
 	if ct.IsNTT {
 		panic("rlwe: two-key external product takes a coefficient-form ciphertext")
+	}
+	if plus == nil || minus == nil {
+		panic("rlwe: two-key external product needs both keys")
 	}
 	p := ks.params
 	sc.ensureTwoKey(p)

@@ -1,6 +1,6 @@
 // Package serve is the bootstrap-as-a-service layer: a stdlib-only network
 // front end that accepts blind-rotate jobs from many concurrent tenants over
-// the cluster's v3 frame protocol, resolves each tenant's evaluation key
+// the cluster's v4 frame protocol, resolves each tenant's evaluation key
 // from a concurrent-safe registry, and coalesces same-key requests from
 // different connections into key-major batches so one BRK pass through cache
 // serves N users (the amortization HEAP's parallelized bootstrapping is
@@ -45,7 +45,8 @@ var ErrRegistryFull = errors.New("key registry full: byte budget exhausted by pi
 // connection.
 type Registry struct {
 	params   *rlwe.Parameters
-	dim      int // LWE dimension every key must cover
+	dim      int  // LWE dimension every key must cover
+	binary   bool // key kind every key must be (core.Bootstrapper.BinaryKey)
 	maxBytes int64
 	loader   func(tenant string) (*tfhe.BlindRotateKey, error)
 	rec      obs.Recorder
@@ -73,13 +74,14 @@ type keyRecv struct {
 	have  uint32 // contiguous chunks held
 }
 
-// NewRegistry builds a registry for keys of the given LWE dimension.
+// NewRegistry builds a registry for keys of the given LWE dimension and kind.
 // maxBytes ≤ 0 means unbounded; loader may be nil (keys then arrive only via
 // Put or the upload stash). rec may be nil.
-func NewRegistry(params *rlwe.Parameters, dim int, maxBytes int64, loader func(string) (*tfhe.BlindRotateKey, error), rec obs.Recorder) *Registry {
+func NewRegistry(params *rlwe.Parameters, dim int, binary bool, maxBytes int64, loader func(string) (*tfhe.BlindRotateKey, error), rec obs.Recorder) *Registry {
 	return &Registry{
 		params:   params,
 		dim:      dim,
+		binary:   binary,
 		maxBytes: maxBytes,
 		loader:   loader,
 		rec:      obs.OrNop(rec),
@@ -169,6 +171,12 @@ func (r *Registry) insertLocked(tenant string, key *tfhe.BlindRotateKey) (*regEn
 		}
 		return nil, fmt.Errorf("serve: key for %q covers %d indices, want %d", tenant, got, r.dim)
 	}
+	if key.Binary != r.binary {
+		return nil, fmt.Errorf("serve: key for %q has binary=%v, want binary=%v", tenant, key.Binary, r.binary)
+	}
+	if err := key.CheckShape(); err != nil {
+		return nil, fmt.Errorf("serve: key for %q: %w", tenant, err)
+	}
 	size := int64(key.SizeBytes())
 	if old, ok := r.entries[tenant]; ok {
 		r.bytes -= old.bytes
@@ -243,11 +251,11 @@ func (r *Registry) Bytes() int64 {
 // --- chunked upload stash (receiver side of cluster's key-stream protocol) ---
 
 // stashOffer starts (or resumes) tenant's upload. The offered size must be
-// exactly the full-key blob size at the registry's parameters — the receiver
-// sizes its buffer from its own params, never the wire. Returns the resume
-// point (contiguous chunks already held).
+// exactly the full-key blob size at the registry's parameters and key kind —
+// the receiver sizes its buffer from its own params, never the wire. Returns
+// the resume point (contiguous chunks already held).
 func (r *Registry) stashOffer(tenant string, o cluster.KeyOffer) (have uint32, err error) {
-	want := tfhe.BRKBlobBytes(r.params, r.dim)
+	want := tfhe.BRKBlobBytes(r.params, r.dim, r.binary)
 	if o.TotalSize != uint64(want) {
 		return 0, fmt.Errorf("serve: key offer is %d bytes, want %d for dimension %d", o.TotalSize, want, r.dim)
 	}
@@ -318,7 +326,7 @@ func (r *Registry) stashDone(tenant string) error {
 	if crc := crc32.ChecksumIEEE(st.buf); crc != st.offer.BlobCRC {
 		return fmt.Errorf("serve: key blob CRC mismatch for %q (got %#x want %#x)", tenant, crc, st.offer.BlobCRC)
 	}
-	key, err := tfhe.ReadBlindRotateKey(bytes.NewReader(st.buf), r.params)
+	key, err := tfhe.ReadBlindRotateKey(bytes.NewReader(st.buf), r.params, r.binary)
 	if err != nil {
 		return fmt.Errorf("serve: parsing key for %q: %w", tenant, err)
 	}

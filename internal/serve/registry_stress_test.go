@@ -21,9 +21,10 @@ import (
 // stashFixture serializes one real blind-rotate key into the chunked-upload
 // wire shape.
 type stashFixture struct {
-	blob  []byte
-	offer cluster.KeyOffer
-	dim   int
+	blob   []byte
+	offer  cluster.KeyOffer
+	dim    int
+	binary bool
 }
 
 func buildStashFixture(t *testing.T, seed uint64, chunkSize uint32) (*rlwe.Parameters, stashFixture) {
@@ -43,7 +44,8 @@ func buildStashFixture(t *testing.T, seed uint64, chunkSize uint32) (*rlwe.Param
 			ChunkCount: count,
 			BlobCRC:    crc32.ChecksumIEEE(blob),
 		},
-		dim: bt.BlindRotateKey().NumKeys(),
+		dim:    bt.BlindRotateKey().NumKeys(),
+		binary: bt.BinaryKey(),
 	}
 }
 
@@ -67,7 +69,7 @@ func (fx *stashFixture) chunk(idx uint32) []byte {
 // land the key.
 func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 	params, fx := buildStashFixture(t, 90, 4096)
-	reg := NewRegistry(params, fx.dim, 0, nil, nil)
+	reg := NewRegistry(params, fx.dim, fx.binary, 0, nil, nil)
 	const tenant = "raced"
 
 	for round := 0; round < 3; round++ {
@@ -154,7 +156,7 @@ func TestRegistryEvictionNeverEvictsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBytes := 2*int64(key.SizeBytes()) + 1
-	reg := NewRegistry(params, fx.dim, maxBytes, nil, nil)
+	reg := NewRegistry(params, fx.dim, fx.binary, maxBytes, nil, nil)
 	if err := reg.Put("a", key); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestRegistryEvictionNeverEvictsPinned(t *testing.T) {
 }
 
 func readKey(params *rlwe.Parameters, fx stashFixture) (*tfhe.BlindRotateKey, error) {
-	return tfhe.ReadBlindRotateKey(bytes.NewReader(fx.blob), params)
+	return tfhe.ReadBlindRotateKey(bytes.NewReader(fx.blob), params, fx.binary)
 }
 
 // TestServiceKeyChurnUnderLoad runs the whole stack against a registry that

@@ -27,7 +27,7 @@ func regFixture(t *testing.T, maxKeys int64, loader func(string) (*tfhe.BlindRot
 	if maxKeys > 0 {
 		budget = maxKeys * size
 	}
-	return NewRegistry(p, bt.Params.N(), budget, loader, rec), gen, size
+	return NewRegistry(p, bt.Params.N(), bt.BinaryKey(), budget, loader, rec), gen, size
 }
 
 func TestRegistryLRUEviction(t *testing.T) {

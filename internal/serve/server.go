@@ -47,7 +47,7 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Server is the bootstrap service: it speaks the cluster's v3 frame protocol
+// Server is the bootstrap service: it speaks the cluster's v4 frame protocol
 // to any number of tenant connections, pools the same-tenant jobs that queue
 // while its executors are busy, and executes each pool as one key-major batch
 // under the tenant's registered key — one BRK pass through cache per pool
@@ -122,7 +122,7 @@ func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 	p := boot.Params.Parameters
 	s := &Server{
 		boot:     boot,
-		reg:      NewRegistry(p, dim, cfg.MaxKeyBytes, cfg.Loader, rec),
+		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, cfg.Loader, rec),
 		adm:      newAdmission(cfg.Admission, cfg.Now),
 		now:      cfg.Now,
 		co:       newCoalescer(),

@@ -65,7 +65,7 @@ func (ev *Evaluator) putScratch(sc *Scratch) { ev.scratchPool.Put(sc) }
 // realized as written, one product per iteration: a ternary key decomposes
 // ACC once and MACs the digits against both RGSW(s_i⁺) and RGSW(s_i⁻), with
 // the two monomial factors applied in the evaluation domain (ternaryStep); a
-// binary key, whose s_i⁻ all encrypt zero, drops that term and takes the
+// binary key has no s_i⁻ term (and no Minus rows) and takes the
 // rotate-and-difference CMux (cmuxStep). The input LWE ciphertext must be at
 // modulus 2N; the output is an RLWE ciphertext at lut.Level whose constant
 // coefficient encrypts g(phase).

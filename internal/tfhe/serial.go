@@ -10,41 +10,58 @@ import (
 
 // Blind-rotate key serialization — the unit of the cluster's chunked key
 // distribution channel. The layout is strictly fixed-size for a given
-// parameter set: a 24-byte header followed by NumKeys records, each the
-// Plus and Minus RGSW ciphertexts of one LWE secret coefficient. Fixed
-// records let a streaming receiver install complete key indices
-// incrementally (becoming key-warm one prefix at a time) and let a resumed
-// upload compute exactly which byte offset to continue from.
+// parameter set and key kind: a 24-byte header followed by NumKeys records,
+// one per LWE secret coefficient. A binary key's record is its Plus RGSW
+// ciphertext alone; a ternary key's is Plus then Minus. Fixed records let a
+// streaming receiver install complete key indices incrementally (becoming
+// key-warm one prefix at a time) and let a resumed upload compute exactly
+// which byte offset to continue from.
 
-const magicBRK = 0x4845_4252 // "HEBR"
+// The header's first word holds the magic in its low half and the format
+// version in its high half. Format 3 — the blob of cluster protocol v3, which
+// also carried an Enc(0) Minus row for every index of a binary key — left
+// the high half zero; it is refused, never parsed as format 4.
+const (
+	magicBRK         = 0x4845_4252 // "HEBR"
+	brkFormatVersion = 4
+)
 
-// brkHeaderSize is the serialized header: magic, key count, binary flag
-// (all uint64, little-endian).
+// brkHeaderSize is the serialized header: magic|version, key count, binary
+// flag (all uint64, little-endian).
 const brkHeaderSize = 24
 
+// maxBRKKeys bounds the key count a header may announce.
+const maxBRKKeys = 1 << 20
+
 // BRKRecordBytes returns the exact serialized size of one key index's
-// record (Plus + Minus RGSW, four gadget ciphertexts with their headers)
-// for the parameter set.
-func BRKRecordBytes(p *rlwe.Parameters) int {
+// record for the parameter set and key kind: one RGSW ciphertext (two gadget
+// ciphertexts with their headers) for a binary key, two for a ternary key.
+func BRKRecordBytes(p *rlwe.Parameters, binary bool) int {
 	rows := p.DigitsAtLevel(p.MaxLevel())
 	limbs := p.MaxLevel() + len(p.P)
-	gadget := 32 + rows*2*limbs*p.N()*8
-	return 4 * gadget
+	rgsw := 2 * (32 + rows*2*limbs*p.N()*8)
+	if binary {
+		return rgsw
+	}
+	return 2 * rgsw
 }
 
-// BRKBlobBytes returns the full serialized size of a blind-rotate key with
-// n key indices under the parameter set.
-func BRKBlobBytes(p *rlwe.Parameters, n int) int {
-	return brkHeaderSize + n*BRKRecordBytes(p)
+// BRKBlobBytes returns the full serialized size of a blind-rotate key of the
+// given kind with n key indices under the parameter set.
+func BRKBlobBytes(p *rlwe.Parameters, n int, binary bool) int {
+	return brkHeaderSize + n*BRKRecordBytes(p, binary)
 }
 
 // WriteTo serializes the key: header, then one fixed-size record per index.
 func (k *BlindRotateKey) WriteTo(w io.Writer) (int64, error) {
+	if err := k.CheckShape(); err != nil {
+		return 0, err
+	}
 	var bin uint64
 	if k.Binary {
 		bin = 1
 	}
-	hdr := []uint64{magicBRK, uint64(len(k.Plus)), bin}
+	hdr := []uint64{magicBRK | brkFormatVersion<<32, uint64(len(k.Plus)), bin}
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return 0, err
 	}
@@ -54,6 +71,9 @@ func (k *BlindRotateKey) WriteTo(w io.Writer) (int64, error) {
 		n += m
 		if err != nil {
 			return n, err
+		}
+		if k.Binary {
+			continue
 		}
 		m, err = k.Minus[i].WriteTo(w)
 		n += m
@@ -72,10 +92,16 @@ func ReadBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
 	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
 		return 0, false, err
 	}
-	if hdr[0] != magicBRK {
-		return 0, false, fmt.Errorf("tfhe: bad blind-rotate key magic %x", hdr[0])
+	if uint32(hdr[0]) != magicBRK {
+		return 0, false, fmt.Errorf("tfhe: bad blind-rotate key magic %x", uint32(hdr[0]))
 	}
-	if hdr[1] == 0 || hdr[1] > 1<<20 {
+	if v := hdr[0] >> 32; v != brkFormatVersion {
+		if v == 0 {
+			v = 3
+		}
+		return 0, false, fmt.Errorf("tfhe: blind-rotate key format v%d, want v%d", v, brkFormatVersion)
+	}
+	if hdr[1] == 0 || hdr[1] > maxBRKKeys {
 		return 0, false, fmt.Errorf("tfhe: blind-rotate key count %d out of range", hdr[1])
 	}
 	if hdr[2] > 1 {
@@ -84,11 +110,15 @@ func ReadBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
 	return int(hdr[1]), hdr[2] == 1, nil
 }
 
-// ReadBRKRecord deserializes one key index's Plus and Minus RGSW pair.
-func ReadBRKRecord(r io.Reader, p *rlwe.Parameters) (plus, minus *rlwe.RGSWCiphertext, err error) {
+// ReadBRKRecord deserializes one key index's record: the Plus RGSW
+// ciphertext, and for a ternary key the Minus one (nil for a binary key).
+func ReadBRKRecord(r io.Reader, p *rlwe.Parameters, binary bool) (plus, minus *rlwe.RGSWCiphertext, err error) {
 	plus, err = rlwe.ReadRGSWCiphertext(r, p)
 	if err != nil {
 		return nil, nil, err
+	}
+	if binary {
+		return plus, nil, nil
 	}
 	minus, err = rlwe.ReadRGSWCiphertext(r, p)
 	if err != nil {
@@ -97,21 +127,29 @@ func ReadBRKRecord(r io.Reader, p *rlwe.Parameters) (plus, minus *rlwe.RGSWCiphe
 	return plus, minus, nil
 }
 
-// ReadBlindRotateKey deserializes a complete key.
-func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters) (*BlindRotateKey, error) {
+// ReadBlindRotateKey deserializes a complete key of the kind the caller
+// expects (binary or ternary, from its own configuration): a blob whose
+// header flag says otherwise is refused, since its records would parse as
+// the wrong rows. The rows slices grow with the records actually read, so a
+// header announcing more keys than the input holds costs no more memory than
+// the records that follow it.
+func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters, binary bool) (*BlindRotateKey, error) {
 	n, bin, err := ReadBRKHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	k := &BlindRotateKey{
-		Plus:   make([]*rlwe.RGSWCiphertext, n),
-		Minus:  make([]*rlwe.RGSWCiphertext, n),
-		Binary: bin,
+	if bin != binary {
+		return nil, fmt.Errorf("tfhe: blob holds a key with binary=%v, want binary=%v", bin, binary)
 	}
+	k := &BlindRotateKey{Binary: bin}
 	for i := 0; i < n; i++ {
-		k.Plus[i], k.Minus[i], err = ReadBRKRecord(r, p)
+		plus, minus, err := ReadBRKRecord(r, p, bin)
 		if err != nil {
 			return nil, fmt.Errorf("tfhe: blind-rotate key record %d: %w", i, err)
+		}
+		k.Plus = append(k.Plus, plus)
+		if !bin {
+			k.Minus = append(k.Minus, minus)
 		}
 	}
 	return k, nil

@@ -403,11 +403,24 @@ func TestTernaryStepMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// encZeroRows returns n fresh RGSW(0) ciphertexts under the fixture's RLWE
+// secret: the Minus rows a binary key would carry if it carried any.
+func (fx *rotFixture) encZeroRows(n int, seed uint64) []*rlwe.RGSWCiphertext {
+	kg := rlwe.NewKeyGenerator(fx.p, seed)
+	rows := make([]*rlwe.RGSWCiphertext, n)
+	for i := range rows {
+		rows[i] = kg.GenRGSWConstant(0, fx.rsk)
+	}
+	return rows
+}
+
 // TestBinaryKeyThroughTernaryStep is the cross-check that owes nothing to the
-// sequential reference: a binary key's Minus rows encrypt 0, so pushing it
-// through ternaryStep must rotate exactly as the binary CMux does — same
-// table value, phases within the two steps' noise — which it only does if the
-// monomial signs, the −1 terms and the Plus/Minus wiring are all right.
+// sequential reference: a binary secret's s_i⁻ are all 0, so pushing its
+// Plus rows through ternaryStep beside explicit RGSW(0) Minus rows must
+// rotate exactly as the binary CMux does — same table value, phases within
+// the two steps' noise — which it only does if the monomial signs, the −1
+// terms and the Plus/Minus wiring are all right. The binary key itself
+// carries no Minus rows, and the two-key step refuses to run without one.
 func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 	sh := equivShape
 	sh.secret = rlwe.SecretBinary
@@ -418,13 +431,17 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 	level := fx.lut.Level
 	binary := rlwe.NewCiphertext(fx.p, level)
 	viaTernary := rlwe.NewCiphertext(fx.p, level)
+	minus := fx.encZeroRows(sh.n, 134)
 	bound := math.Log2(math.Hypot(
 		math.Exp2(fx.noiseBoundBits(fusedTernary, sh.n)), math.Exp2(fx.noiseBoundBits(binaryCMux, sh.n))))
+	if fx.brk.Minus != nil {
+		t.Fatalf("binary key carries %d Minus rows", len(fx.brk.Minus))
+	}
 	for _, u := range []int64{0, 1, -1, 9, int64(n/2) - 1, -int64(n / 2)} {
 		lwe := encryptLWEPhase(u, twoN, fx.lweSK.Signed, s)
 		fx.ev.BlindRotateInto(binary, lwe, fx.lut, fx.brk, sc)
 		fx.ev.rotateStepwise(viaTernary, lwe, fx.lut, sc, func(k, i int) {
-			fx.ev.ternaryStep(viaTernary, k, fx.brk.Plus[i], fx.brk.Minus[i], level, sc)
+			fx.ev.ternaryStep(viaTernary, k, fx.brk.Plus[i], minus[i], level, sc)
 		})
 		if got, want := fx.decoded(viaTernary), fx.decoded(binary); got != want || got != u {
 			t.Fatalf("u=%d: binary key through ternaryStep decodes to %d, binary step to %d", u, got, want)
@@ -433,6 +450,14 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 			t.Fatalf("u=%d: phases differ by %.2f bits, bound %.2f", u, d, bound)
 		}
 	}
+
+	// A missing Minus key is refused, not read as RGSW(0).
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "both keys") {
+			t.Fatalf("ternaryStep without a Minus key: recovered %v, want a refusal", r)
+		}
+	}()
+	fx.ev.ternaryStep(viaTernary, 1, fx.brk.Plus[0], nil, level, sc)
 }
 
 // TestBlindRotateTransformBudget pins the limb-transform ledger of one whole

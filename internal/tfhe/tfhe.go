@@ -10,6 +10,7 @@
 package tfhe
 
 import (
+	"fmt"
 	"math/big"
 
 	"heap/internal/rlwe"
@@ -18,8 +19,9 @@ import (
 
 // BlindRotateKey is the brk of the paper: for every coefficient of the LWE
 // secret s⃗, RGSW encryptions of s_i⁺ and s_i⁻ under the RLWE secret
-// (brk = {RGSW(s_i⁺), RGSW(s_i⁻)}, §II-B). For binary LWE secrets every
-// s_i⁻ encrypts zero and the rotation never reads the Minus half.
+// (brk = {RGSW(s_i⁺), RGSW(s_i⁻)}, §II-B). A binary secret has no s_i⁻
+// term — every s_i⁻ would encrypt zero — so its key carries Plus only and
+// Minus is nil: the rows are neither generated, held, serialized nor shipped.
 type BlindRotateKey struct {
 	Plus  []*rlwe.RGSWCiphertext
 	Minus []*rlwe.RGSWCiphertext
@@ -30,28 +32,25 @@ type BlindRotateKey struct {
 }
 
 // GenBlindRotateKey encrypts the LWE secret coefficientwise as RGSW
-// ciphertexts under the RLWE secret rsk.
+// ciphertexts under the RLWE secret rsk. The key kind follows the secret's
+// distribution (lweSK.Dist), not its sampled values.
 func GenBlindRotateKey(kg *rlwe.KeyGenerator, lweSK *rlwe.LWESecretKey, rsk *rlwe.SecretKey) *BlindRotateKey {
 	n := len(lweSK.Signed)
 	brk := &BlindRotateKey{
 		Plus:   make([]*rlwe.RGSWCiphertext, n),
-		Minus:  make([]*rlwe.RGSWCiphertext, n),
-		Binary: true,
+		Binary: lweSK.Dist == rlwe.SecretBinary,
+	}
+	if !brk.Binary {
+		brk.Minus = make([]*rlwe.RGSWCiphertext, n)
 	}
 	for i, s := range lweSK.Signed {
-		var plus, minus int64
-		switch s {
-		case 1:
-			plus = 1
-		case -1:
-			minus = 1
-			brk.Binary = false
-		case 0:
-		default:
-			panic("tfhe: blind-rotate keys require a ternary LWE secret")
+		if s < -1 || s > 1 || brk.Binary && s == -1 {
+			panic(fmt.Sprintf("tfhe: LWE secret coefficient %d does not fit its distribution (binary=%v)", s, brk.Binary))
 		}
-		brk.Plus[i] = kg.GenRGSWConstant(plus, rsk)
-		brk.Minus[i] = kg.GenRGSWConstant(minus, rsk)
+		brk.Plus[i] = kg.GenRGSWConstant(max(s, 0), rsk)
+		if !brk.Binary {
+			brk.Minus[i] = kg.GenRGSWConstant(max(-s, 0), rsk)
+		}
 	}
 	return brk
 }
@@ -59,31 +58,63 @@ func GenBlindRotateKey(kg *rlwe.KeyGenerator, lweSK *rlwe.LWESecretKey, rsk *rlw
 // NumKeys returns n_t, the LWE dimension covered by the key.
 func (k *BlindRotateKey) NumKeys() int { return len(k.Plus) }
 
-// SizeBytes returns the total in-memory key size, for the §III-C key-traffic
-// accounting.
+// CheckShape reports whether the key's rows match its kind: a binary key
+// carries no Minus rows, a ternary key one per Plus row. A partially warm
+// key — full-length slices whose entries past a warm prefix are still nil,
+// as a streaming receiver installs it — is well-formed; a hole inside the
+// prefix, or a Plus row without its Minus partner, is not.
+func (k *BlindRotateKey) CheckShape() error {
+	if k.Binary && k.Minus != nil {
+		return fmt.Errorf("tfhe: binary blind-rotate key carries %d Minus rows", len(k.Minus))
+	}
+	if !k.Binary && len(k.Minus) != len(k.Plus) {
+		return fmt.Errorf("tfhe: ternary blind-rotate key has %d Minus rows for %d Plus rows", len(k.Minus), len(k.Plus))
+	}
+	warm := 0
+	for warm < len(k.Plus) && k.Plus[warm] != nil {
+		warm++
+	}
+	for i := range k.Plus {
+		if (k.Plus[i] != nil) != (i < warm) {
+			return fmt.Errorf("tfhe: blind-rotate key index %d breaks the warm prefix [0,%d)", i, warm)
+		}
+		if !k.Binary && (k.Minus[i] != nil) != (i < warm) {
+			return fmt.Errorf("tfhe: ternary blind-rotate key index %d has Plus without Minus or Minus without Plus", i)
+		}
+	}
+	return nil
+}
+
+// SizeBytes returns the in-memory size of the rows the key holds, for the
+// §III-C key-traffic accounting and the serving registry's byte budget.
 func (k *BlindRotateKey) SizeBytes() int {
 	total := 0
-	for i := range k.Plus {
-		total += k.Plus[i].C0.SizeBytes() + k.Plus[i].C1.SizeBytes()
-		total += k.Minus[i].C0.SizeBytes() + k.Minus[i].C1.SizeBytes()
+	for _, rows := range [][]*rlwe.RGSWCiphertext{k.Plus, k.Minus} {
+		for _, g := range rows {
+			if g != nil {
+				total += rgswBytes(g)
+			}
+		}
 	}
 	return total
 }
 
 // PerKeyBytes returns the in-memory size of the RGSW material one key index
 // streams through the blind-rotate datapath: the Plus ciphertext, plus the
-// Minus ciphertext for ternary secrets (the binary fast path never touches
-// the minus branch). This is the unit of the brk_bytes_streamed counter.
+// Minus ciphertext for a ternary key. This is the unit of the
+// brk_bytes_streamed counter.
 func (k *BlindRotateKey) PerKeyBytes() int {
 	if len(k.Plus) == 0 {
 		return 0
 	}
-	b := k.Plus[0].C0.SizeBytes() + k.Plus[0].C1.SizeBytes()
+	b := rgswBytes(k.Plus[0])
 	if !k.Binary {
-		b += k.Minus[0].C0.SizeBytes() + k.Minus[0].C1.SizeBytes()
+		b += rgswBytes(k.Minus[0])
 	}
 	return b
 }
+
+func rgswBytes(g *rlwe.RGSWCiphertext) int { return g.C0.SizeBytes() + g.C1.SizeBytes() }
 
 // LookupTable is a negacyclic test polynomial f over the full Q basis
 // (coefficient representation) together with the level it lives at. The

@@ -96,9 +96,6 @@ func TestBlindRotateTernarySecret(t *testing.T) {
 	rsk := kg.GenSecretKey(rlwe.SecretTernary)
 	lweSK := kg.GenLWESecretKey(12, rlwe.SecretTernary)
 	brk := GenBlindRotateKey(kg, lweSK, rsk)
-	if brk.Binary {
-		t.Skip("sampled ternary secret happened to be binary")
-	}
 	ev := NewEvaluator(p, nil)
 	dec := rlwe.NewDecryptor(p, rsk)
 	s := ring.NewSampler(33)
