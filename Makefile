@@ -5,7 +5,7 @@ GO ?= go
 # lanes pin their P counts.
 WIDTH_TESTS = TestWidthChangesNothingButTheClock|TestFanOutThroughPublicPaths|TestFanRunsInlineWhenItCannotPay|TestEvaluatorWidthChangesNothing|TestFinishWidthIndependence
 
-.PHONY: build test check vet race chaos stress fuzz fuzz-smoke fmt bench-smoke cover serve-smoke load-smoke purego bench-module
+.PHONY: build test check vet race chaos stress fuzz fuzz-smoke fmt bench-smoke cover serve-smoke purego bench-module
 
 build:
 	$(GO) build ./...
@@ -64,8 +64,9 @@ fuzz-smoke:
 
 # Allocation smoke: a short -benchmem pass over the hot kernels. The hard
 # 0 allocs/op locks live in the AllocsPerRun tests (TestExternalProductInto
-# ZeroAllocs, TestBlindRotateIntoZeroAllocs and TestBlindRotateTileZeroAllocs
-# with a binary and a ternary sub-case each, TestNTTZeroAllocs); this tier
+# ZeroAllocs, TestBlindRotateTileZeroAllocs and core's
+# TestBlindRotateOneIntoZeroAllocs with a binary and a ternary sub-case each,
+# TestNTTZeroAllocs); this tier
 # surfaces ns/op and B/op drift on the same kernels so allocation or
 # throughput regressions fail fast in review. The first line runs heapbench's
 # default mode (every paper table, instant) so the binary is executed, not
@@ -76,27 +77,26 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkRepack|BenchmarkFinish|BenchmarkBootstrapEndToEnd' -benchmem -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkBlindRotateBatch' -benchmem -benchtime=1x .
 	$(GO) test -run='TestExternalProductIntoZeroAllocs|TestExternalProductTwoKeyBudget' ./internal/rlwe/
-	$(GO) test -run='TestBlindRotateIntoZeroAllocs|TestBlindRotateTileZeroAllocs|TestCMuxIntoZeroAllocs' ./internal/tfhe/
+	$(GO) test -run='TestBlindRotateTileZeroAllocs|TestCMuxIntoZeroAllocs' ./internal/tfhe/
+	$(GO) test -run='TestBlindRotateOneIntoZeroAllocs' ./internal/core/
 	$(GO) test -run='TestNTTZeroAllocs' ./internal/ring/
 	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs|TestExtractSwitchAllocatesOnlyItsOutput' ./internal/rlwe/
 
-# Service-layer smoke: build the daemon, then run the in-process acceptance
-# test under the race detector — two tenants on two connections each queued
+# Service-layer smoke: build the daemon, then run under the race detector the
+# in-process acceptance test — two tenants on two connections each queued
 # behind a busy executor, with same-key coalescing asserted via the
-# jobs_coalesced counter and bit-exact results against local rotations.
+# jobs_coalesced counter and bit-exact results against local rotations — and
+# the overload suite: open-loop arrivals past capacity (bounded queue,
+# non-fatal rejections, p99 within budget, zero ledger gap), virtual-clock
+# determinism and a closed loop whose ledger balances at quiesce.
 serve-smoke:
 	$(GO) build ./cmd/heapd
-	$(GO) test -race -count=1 -run 'TestServiceCoalescesAcrossConnections|TestServiceAdmissionIsolatesTenants' ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestServiceCoalescesAcrossConnections|TestServiceAdmissionIsolatesTenants|TestOverloadBoundedQueueWithinBudget|TestOverloadVirtualClockDeterministic|TestClosedLoopServesEverything' ./internal/serve/
 
-# Load-harness smoke: the overload suite under the race detector (bounded
-# queue, non-fatal rejections, p99 within budget, zero ledger gap, virtual-
-# clock determinism).
-load-smoke:
-	$(GO) test -race -count=1 -run 'TestClosedLoopServesEverything|TestOverloadBoundedQueueWithinBudget|TestOverloadVirtualClockDeterministic' ./internal/load/
-
-# Contention lane: the serving, load and cluster suites repeated at one and
-# two Ps beside three CPU burners, the batch engine and the serving suite at
-# four as well (their tile fan-out is the part that depends on the P count).
+# Contention lane: the serving and cluster suites repeated at one and two Ps
+# beside three CPU burners, the batch engine and the serving suite (overload,
+# ledger and goroutine-leak tests included) at four as well (their tile
+# fan-out is the part that depends on the P count).
 # Lost wakeups and other liveness bugs that need a goroutine descheduled at the
 # wrong instruction show up here in seconds (the wakeup regression tests fail
 # by watchdog, the fan-out property test by its barrier), and the hard -timeout
@@ -111,17 +111,17 @@ stress:
 	@pids=""; for i in 1 2 3; do ( while :; do :; done ) & pids="$$pids $$!"; done; \
 	trap "kill $$pids 2>/dev/null" EXIT; \
 	$(GO) test -count=3 -cpu 1,2,4 -timeout 300s -skip 'TestBlindRotateNoise' ./internal/tfhe/ ./internal/serve/ && \
-	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/load/ ./internal/cluster/ && \
+	$(GO) test -count=3 -cpu 1,2 -timeout 300s ./internal/cluster/ && \
 	$(GO) test -count=3 -cpu 1,2,4 -timeout 300s -run '$(WIDTH_TESTS)' ./internal/rlwe/ ./internal/ckks/ ./internal/core/
 
 # Per-package statement-coverage gate over the packages that carry the
 # correctness burden. Floors sit ~2 points under measured head (core 92.7%,
-# cluster 79.1%–80.9% by run, rlwe 91.8%, ckks 90.4%, serve 84.1%, load 88.3%,
-# tfhe 82.5%) so the gate trips on real coverage loss — a deleted test, an
-# uncovered new subsystem — not on noise.
+# cluster 79.1%–80.9% by run, rlwe 91.8%, ckks 90.4%, serve 84.1%, tfhe 82.5%)
+# so the gate trips on real coverage loss — a deleted test, an uncovered new
+# subsystem — not on noise.
 cover:
 	@set -e; \
-	for spec in internal/core:88 internal/cluster:78 internal/rlwe:87 internal/ckks:88 internal/serve:80 internal/load:86 internal/tfhe:80; do \
+	for spec in internal/core:88 internal/cluster:78 internal/rlwe:87 internal/ckks:88 internal/serve:80 internal/tfhe:80; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) test -cover ./$$pkg/ | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "FAIL: no coverage output for $$pkg"; exit 1; fi; \
@@ -140,7 +140,7 @@ cover:
 # coalesces correctly and survives overload with bounded queues, and hold the
 # coverage floors. Performance is not gated here: that is heapmark's job
 # (BENCHMARK.json, bench/run.sh), run by the merge pipeline on both commits.
-check: build vet purego bench-module race chaos stress fuzz-smoke bench-smoke serve-smoke load-smoke cover
+check: build vet purego bench-module race chaos stress fuzz-smoke bench-smoke serve-smoke cover
 
 # Short fuzz smoke over the wire-facing decoders; the committed corpora in
 # testdata/fuzz/ always run as part of plain `go test`.

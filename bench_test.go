@@ -584,10 +584,10 @@ func BenchmarkBootstrapEndToEnd(b *testing.B) {
 }
 
 // BenchmarkBlindRotateBatch contrasts the two blind-rotation schedules over a
-// 64-ciphertext batch at the paper ring: ciphertext-major (the full BRK
-// streamed through cache once per ciphertext) versus the key-major batched
-// engine (each key pulled once per tile of accumulators — the §V URAM
-// residency schedule). The outputs are bit-identical (locked by
+// 64-ciphertext batch at the paper ring: ciphertext-major (tiles of one, the
+// full BRK streamed through cache once per ciphertext) versus key-major
+// (each key pulled once per tile of accumulators — the §V URAM residency
+// schedule). The outputs are bit-identical (locked by
 // TestBlindRotateBatchMatchesPerCiphertext); the delta is pure memory-system
 // scheduling, so the win grows with BRK size relative to cache.
 func BenchmarkBlindRotateBatch(b *testing.B) {
@@ -611,12 +611,11 @@ func BenchmarkBlindRotateBatch(b *testing.B) {
 	}
 	ev := kernelCtx.ev
 	b.Run("PerCiphertext", func(b *testing.B) {
-		sc := ev.NewScratch()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j := range lwes {
-				ev.BlindRotateInto(accs[j], lwes[j], kernelCtx.lut, kernelCtx.brk, sc)
+			if err := ev.BlindRotateBatchInto(accs, lwes, kernelCtx.lut, kernelCtx.brk, tfhe.BatchOptions{Tile: 1, Workers: 1}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -637,11 +636,12 @@ func BenchmarkBlindRotateBatch(b *testing.B) {
 func BenchmarkKernelBlindRotate(b *testing.B) {
 	kernelOps(b)
 	sc := kernelCtx.ev.NewScratch()
-	acc := rlwe.NewCiphertext(paperCtx.params.Parameters, kernelCtx.lut.Level)
-	kernelCtx.ev.BlindRotateInto(acc, kernelCtx.lwe, kernelCtx.lut, kernelCtx.brk, sc)
+	accs := []*rlwe.Ciphertext{rlwe.NewCiphertext(paperCtx.params.Parameters, kernelCtx.lut.Level)}
+	lwes := []*rlwe.LWECiphertext{kernelCtx.lwe}
+	kernelCtx.ev.BlindRotateTileInto(accs, lwes, kernelCtx.lut, kernelCtx.brk, sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernelCtx.ev.BlindRotateInto(acc, kernelCtx.lwe, kernelCtx.lut, kernelCtx.brk, sc)
+		kernelCtx.ev.BlindRotateTileInto(accs, lwes, kernelCtx.lut, kernelCtx.brk, sc)
 	}
 }

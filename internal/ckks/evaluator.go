@@ -172,9 +172,6 @@ func (ev *Evaluator) Mul(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
 	return out
 }
 
-// Square returns the relinearized a².
-func (ev *Evaluator) Square(a *rlwe.Ciphertext) *rlwe.Ciphertext { return ev.Mul(a, a) }
-
 // Rescale divides by the last limb modulus and drops it (Rescale of §II-A),
 // in whichever representation ct is in.
 func (ev *Evaluator) Rescale(ct *rlwe.Ciphertext) *rlwe.Ciphertext {

@@ -1154,7 +1154,7 @@ func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWri
 func (p *Primary) runLocal(lane int, rs *runState) error {
 	prep, q, sink := rs.prep, rs.q, rs.sink
 	rec := p.Boot.Recorder()
-	bsc := p.Boot.NewBatchScratch()
+	sc := p.Boot.NewRotateScratch()
 	tile := p.Boot.TileSize()
 	accTile := make([]*rlwe.Ciphertext, tile)
 	lweTile := make([]*rlwe.LWECiphertext, tile)
@@ -1188,7 +1188,7 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 			}
 			idxs := idxTile[:cnt]
 			tok := rec.Begin(obs.StageBlindRotate, lane)
-			err := safeRotateTile(p.Boot, accTile[:cnt], lweTile[:cnt], bsc)
+			err := safeRotateTile(p.Boot, accTile[:cnt], lweTile[:cnt], sc)
 			rec.End(obs.StageBlindRotate, lane, tok)
 			if err != nil {
 				q.abort()
@@ -1421,13 +1421,13 @@ func (p *Primary) finishMerged(prep *core.PreparedBootstrap, merged *rlwe.Cipher
 // safeRotateTile runs BlindRotateTile with panic recovery, so one malformed
 // LWE ciphertext cannot take down a node. The caller owns the accumulators
 // and the arena; on error the accumulators' contents are unspecified.
-func safeRotateTile(bt *core.Bootstrapper, accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, bsc *tfhe.BatchScratch) (err error) {
+func safeRotateTile(bt *core.Bootstrapper, accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, sc *tfhe.Scratch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	bt.BlindRotateTile(accs, lwes, bsc)
+	bt.BlindRotateTile(accs, lwes, sc)
 	return nil
 }
 

@@ -295,14 +295,14 @@ func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedB
 
 // BlindRotateOne rotates one prepared LWE ciphertext into its accumulator
 // RLWE ciphertext (coefficient representation, full level) — the unit of
-// work a secondary node performs.
+// work a secondary node performs, run as a key-major tile of one.
 func (bt *Bootstrapper) BlindRotateOne(lwe *rlwe.LWECiphertext) *rlwe.Ciphertext {
 	return bt.tfheEv.BlindRotate(lwe, bt.lut, bt.brk)
 }
 
-// NewRotateScratch allocates a per-worker blind-rotation scratch arena.
-// A worker loop that holds one and calls BlindRotateOneInto runs the whole
-// rotate→decompose→NTT→MAC kernel without allocating.
+// NewRotateScratch allocates a per-worker blind-rotation scratch arena for
+// BlindRotateOneInto and BlindRotateTile. A worker loop that holds one runs
+// the whole rotate→decompose→NTT→MAC kernel without allocating.
 func (bt *Bootstrapper) NewRotateScratch() *tfhe.Scratch {
 	return bt.tfheEv.NewScratch()
 }
@@ -324,10 +324,10 @@ func (bt *Bootstrapper) pooledAccumulator() *rlwe.Ciphertext {
 }
 
 // BlindRotateOneInto is BlindRotateOne writing into a caller-owned
-// accumulator with a per-worker scratch arena; allocation-free in steady
-// state.
+// accumulator with a per-worker scratch arena (BlindRotateTile over a tile of
+// one); allocation-free in steady state.
 func (bt *Bootstrapper) BlindRotateOneInto(out *rlwe.Ciphertext, lwe *rlwe.LWECiphertext, sc *tfhe.Scratch) {
-	bt.tfheEv.BlindRotateInto(out, lwe, bt.lut, bt.brk, sc)
+	bt.BlindRotateTile([]*rlwe.Ciphertext{out}, []*rlwe.LWECiphertext{lwe}, sc)
 }
 
 // HasBlindRotateKey reports whether the bootstrapper holds a blind-rotate
@@ -390,17 +390,12 @@ func (bt *Bootstrapper) TileSize() int {
 	return tfhe.DefaultTile
 }
 
-// NewBatchScratch allocates a per-worker arena for BlindRotateTile.
-func (bt *Bootstrapper) NewBatchScratch() *tfhe.BatchScratch {
-	return bt.tfheEv.NewBatchScratch()
-}
-
 // BlindRotateTile rotates one key-major tile of prepared LWE ciphertexts
 // into caller-owned accumulators (tfhe.BlindRotateTileInto): the blind-rotate
 // key is pulled through cache once for the whole tile. It is the building
 // block cluster workers drain the shared queue with.
-func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, bsc *tfhe.BatchScratch) {
-	bt.tfheEv.BlindRotateTileInto(accs, lwes, bt.lut, bt.brk, bsc)
+func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, sc *tfhe.Scratch) {
+	bt.tfheEv.BlindRotateTileInto(accs, lwes, bt.lut, bt.brk, sc)
 }
 
 // BlindRotateBatch runs the key-major batched engine over prepared LWE

@@ -83,7 +83,7 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	for i := range tile {
 		tile[i] = tenant.NewAccumulator()
 	}
-	tenant.BlindRotateTile(tile, prep.LWEs[:2], tenant.NewBatchScratch())
+	tenant.BlindRotateTile(tile, prep.LWEs[:2], tenant.NewRotateScratch())
 	for i := range tile {
 		assertAccEqual(t, i, tile[i], want[i])
 	}

@@ -44,12 +44,11 @@ func TestKeyReuseMatchesSoftwareCounters(t *testing.T) {
 		lwes[j] = lwe
 	}
 
+	// The per-ciphertext baseline: every rotation its own tile of one.
 	perCt := obs.NewMetrics()
 	ev.KS.SetRecorder(perCt)
-	sc := ev.NewScratch()
-	acc := rlwe.NewCiphertext(params, lut.Level)
-	for _, lwe := range lwes {
-		ev.BlindRotateInto(acc, lwe, lut, brk, sc)
+	if err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Tile: 1, Workers: 1}); err != nil {
+		t.Fatal(err)
 	}
 	swPerCt := perCt.Counter(obs.CounterBRKBytesStreamed)
 	perCtModel, _ := PaperParams().KeyTraffic(batch, tile)

@@ -38,7 +38,7 @@ type AdmissionConfig struct {
 // queue space its rejected jobs never occupy — keep flowing.
 type admission struct {
 	cfg AdmissionConfig
-	now func() time.Time // injectable clock for tests
+	now func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -51,9 +51,6 @@ type bucket struct {
 }
 
 func newAdmission(cfg AdmissionConfig, now func() time.Time) *admission {
-	if now == nil {
-		now = time.Now
-	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.RatePerSec
 		if cfg.Burst < 1 {

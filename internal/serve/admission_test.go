@@ -2,18 +2,25 @@ package serve
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fakeClock is an injectable admission clock.
-type fakeClock struct{ t time.Time }
+// fakeClock is a virtual clock for admission and the server's newServer
+// seam: it moves only on advance, so token refills and deadline expiry run on
+// test time while the goroutine scheduling underneath stays real. Safe for
+// concurrent use.
+type fakeClock struct {
+	base time.Time
+	ns   atomic.Int64
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.base.Add(time.Duration(c.ns.Load())) }
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 func TestAdmissionTokenBucketRefills(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := &fakeClock{base: time.Unix(1000, 0)}
 	a := newAdmission(AdmissionConfig{RatePerSec: 1, Burst: 2}, clk.now)
 
 	if err := a.admit("t", 0, 0); err != nil {
@@ -45,7 +52,7 @@ func TestAdmissionTokenBucketRefills(t *testing.T) {
 }
 
 func TestAdmissionBucketsArePerTenant(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := &fakeClock{base: time.Unix(1000, 0)}
 	a := newAdmission(AdmissionConfig{RatePerSec: 1, Burst: 1}, clk.now)
 	if err := a.admit("a", 0, 0); err != nil {
 		t.Fatal(err)
@@ -59,7 +66,7 @@ func TestAdmissionBucketsArePerTenant(t *testing.T) {
 }
 
 func TestAdmissionQueueLimit(t *testing.T) {
-	a := newAdmission(AdmissionConfig{QueueLimit: 2}, nil)
+	a := newAdmission(AdmissionConfig{QueueLimit: 2}, time.Now)
 	if err := a.admit("t", 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestAdmissionQueueLimit(t *testing.T) {
 }
 
 func TestAdmissionDeadlineBudget(t *testing.T) {
-	a := newAdmission(AdmissionConfig{}, nil)
+	a := newAdmission(AdmissionConfig{}, time.Now)
 	err := a.admit("t", 5*time.Millisecond, 20*time.Millisecond)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("budget below projected wait must reject, got %v", err)

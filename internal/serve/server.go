@@ -38,13 +38,6 @@ type Config struct {
 	// Recorder receives events in addition to the server's own Metrics
 	// aggregate (optional).
 	Recorder obs.Recorder
-	// Now is the server's clock (nil = time.Now). It drives the admission
-	// token buckets, deadline stamping, and queue-expiry checks, so a test
-	// or deterministic load harness can replay the same arrival schedule
-	// against the same admission decisions. The queue_wait_ms and batch_ms
-	// histograms stay on the real clock: they are measurements, not
-	// decisions.
-	Now func() time.Time
 }
 
 // Server is the bootstrap service: it speaks the cluster's v4 frame protocol
@@ -69,7 +62,11 @@ type Server struct {
 	maxBatch int
 	twoN     uint64
 	maxRead  int // payload bound for the connection read loop
-	now      func() time.Time
+	// now drives the admission token buckets, deadline stamping and
+	// queue-expiry checks (time.Now outside tests). The queue_wait_ms and
+	// batch_ms histograms stay on the real clock: they are measurements, not
+	// decisions.
+	now func() time.Time
 
 	mu      sync.Mutex
 	tenants map[string]*TenantStats
@@ -104,14 +101,17 @@ type TenantStats struct {
 // NewServer builds a server around boot (typically ColdStart: the server
 // carries no tenant key material; the registry does).
 func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
+	return newServer(boot, cfg, time.Now)
+}
+
+// newServer is NewServer on the clock now, the seam through which a test
+// puts admission and deadline expiry on virtual time.
+func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Server {
 	if cfg.Executors <= 0 {
 		cfg.Executors = 1
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Executors)
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	met := obs.NewMetrics()
 	rec := obs.Combine(met, cfg.Recorder)
@@ -123,8 +123,8 @@ func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 	s := &Server{
 		boot:     boot,
 		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, cfg.Loader, rec),
-		adm:      newAdmission(cfg.Admission, cfg.Now),
-		now:      cfg.Now,
+		adm:      newAdmission(cfg.Admission, now),
+		now:      now,
 		co:       newCoalescer(),
 		cfg:      cfg,
 		met:      met,
@@ -152,9 +152,9 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) Metrics() *obs.Metrics { return s.met }
 
 // QueueDepth reports the jobs currently admitted but not yet dispatched —
-// the level the load harness samples to prove admission keeps the queue
-// bounded under overload (Snapshot carries the same figure, but building a
-// full snapshot per sample is too heavy for a sub-millisecond sampler).
+// the level the overload tests sample to prove admission keeps the queue
+// bounded (Snapshot carries the same figure, but building a full snapshot
+// per sample is too heavy for a sub-millisecond sampler).
 func (s *Server) QueueDepth() int { return s.adm.depth() }
 
 // Serve accepts tenant connections until the listener fails (e.g. it was

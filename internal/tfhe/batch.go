@@ -9,26 +9,26 @@ import (
 	"heap/internal/rlwe"
 )
 
-// This file is the key-major batched blind-rotate engine. The per-ciphertext
-// loop in blindrotate.go is ciphertext-major: for each LWE ciphertext it
-// streams the entire blind-rotate key (hundreds of MB at paper parameters)
-// through cache once. But HEAP's premise (§V) is the opposite schedule: the
-// n_br extracted LWE ciphertexts are rotated against ONE shared key, so the
-// FPGA keeps each BRK slab resident in URAM and reuses it across shards.
+// This file is the key-major blind-rotate engine; every rotation runs in it.
+// A ciphertext-major loop would stream the entire blind-rotate key (hundreds
+// of MB at paper parameters) through cache once per LWE ciphertext. HEAP's
+// premise (§V) is the opposite schedule: the n_br extracted LWE ciphertexts
+// are rotated against ONE shared key, so the FPGA keeps each BRK slab
+// resident in URAM and reuses it across shards.
 //
 // BlindRotateTileInto realizes that schedule in software: the outer loop
 // walks the BRK index i, the inner loop advances a tile of accumulators, so
 // brk.Plus[i]/brk.Minus[i] and their decomposition constants are pulled
-// through cache once per tile instead of once per ciphertext. Correctness is
-// immediate: each accumulator still sees exactly the per-ciphertext sequence
-// of iteration steps (the rotations of different accumulators are
-// independent, and both loops run the same Evaluator.step), so the batched
-// engine is bit-exact against BlindRotateInto for either key type — locked by
-// the property tests in batch_test.go.
+// through cache once per tile instead of once per ciphertext. Each
+// accumulator still sees exactly the per-ciphertext sequence of iteration
+// steps (the rotations of different accumulators are independent), so a
+// tile of any size emits the words a tile of one does — BlindRotate is that
+// tile of one, and the property tests in batch_test.go lock the equality
+// against a per-ciphertext reference loop for either key type.
 //
 // BlindRotateBatchInto fans tiles out across a worker pool, each worker
-// owning one BatchScratch arena (the PR 2 zero-alloc discipline: nothing but
-// the retained accumulators is allocated in steady state). Key reuse is bought
+// owning one Scratch arena (the zero-alloc discipline: nothing but the
+// retained accumulators is allocated in steady state). Key reuse is bought
 // on top of that parallelism, never instead of it: a batch too small to give
 // every worker a full tile is cut into smaller ones (effectiveTile).
 
@@ -48,47 +48,14 @@ const DefaultTile = 8
 // tiling exactly as configured.
 func effectiveTile(n, tile, workers int) int { return min(tile, (n+workers-1)/workers) }
 
-// BatchScratch is the per-worker arena of the batched engine: the underlying
-// single-rotation scratch plus the transposed mask tile. One arena per
-// worker keeps the whole key-major schedule allocation-free in steady state.
-// A BatchScratch must not be shared between concurrent tiles.
-type BatchScratch struct {
-	// Scratch holds the rotate/external-product buffers shared with the
-	// per-ciphertext path.
-	Scratch *Scratch
-	// aT is the key-major transpose of the tile's masks: aT[i*T+j] is
-	// a_{j,i} mod 2N for tile slot j — laid out so the inner loop over the
-	// tile reads contiguously. Doing the reduction once at transpose time
-	// hoists the per-aᵢ monomial bookkeeping out of the key loop.
-	aT []uint64
-}
-
-// NewBatchScratch allocates a batched blind-rotation scratch arena. Buffers
-// are sized lazily by the first tile, so one arena serves any tile size.
-func (ev *Evaluator) NewBatchScratch() *BatchScratch {
-	return &BatchScratch{Scratch: ev.NewScratch()}
-}
-
-func (bsc *BatchScratch) ensure(n int) {
-	if cap(bsc.aT) < n {
-		bsc.aT = make([]uint64, n)
-	}
-	bsc.aT = bsc.aT[:n]
-}
-
-func (ev *Evaluator) getBatchScratch() *BatchScratch {
-	return ev.batchScratchPool.Get().(*BatchScratch)
-}
-func (ev *Evaluator) putBatchScratch(bsc *BatchScratch) { ev.batchScratchPool.Put(bsc) }
-
 // BlindRotateTileInto blind-rotates one tile of LWE ciphertexts into the
 // caller-owned accumulators with the key-index-major schedule described
 // above. It is the single-threaded building block of BlindRotateBatchInto;
 // callers that manage their own worker fan-out (the cluster's runLocal) use
-// it directly. len(accs) must equal len(lwes); input validation matches
-// BlindRotateInto and panics on malformed inputs. Allocation-free in steady
-// state.
-func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey, bsc *BatchScratch) {
+// it directly, and a tile of one is the per-ciphertext rotation. len(accs)
+// must equal len(lwes); malformed inputs (wrong LWE modulus or dimension,
+// wrong accumulator level) panic. Allocation-free in steady state.
+func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey, sc *Scratch) {
 	T := len(accs)
 	if T == 0 {
 		return
@@ -100,13 +67,16 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 	twoN := uint64(2 * n)
 	nk := brk.NumKeys()
 	level := lut.Level
-	sc := bsc.Scratch
 	sc.ensure(ev.Params, level)
-	bsc.ensure(nk * T)
+	if cap(sc.aT) < nk*T {
+		sc.aT = make([]uint64, nk*T)
+	}
+	aT := sc.aT[:nk*T]
 	b := ev.Params.QBasis.AtLevel(level)
 
-	// Per-ciphertext setup: ACC_j ← (f·X^{b_j}, 0) exactly as the scalar
-	// path, plus the key-major mask transpose (reduced mod 2N once, here).
+	// Per-ciphertext setup: ACC_j ← (f·X^{b_j}, 0), trivial RLWE in
+	// coefficient representation, plus the key-major mask transpose (reduced
+	// mod 2N once, here).
 	for j, lwe := range lwes {
 		if lwe.Q != twoN {
 			panic("tfhe: BlindRotate requires an LWE ciphertext at modulus 2N")
@@ -125,7 +95,7 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 		}
 		acc.C1.Zero()
 		for i, ai := range lwe.A {
-			bsc.aT[i*T+j] = ai % twoN
+			aT[i*T+j] = ai % twoN
 		}
 	}
 
@@ -135,7 +105,7 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 	keyBytes := uint64(brk.PerKeyBytes())
 	var streamed uint64
 	for i := 0; i < nk; i++ {
-		row := bsc.aT[i*T : i*T+T]
+		row := aT[i*T : i*T+T]
 		touched := false
 		for j, k := range row {
 			if k == 0 {
@@ -185,7 +155,7 @@ type BatchOptions struct {
 // BlindRotateBatchInto blind-rotates lwes[j] into accs[j] for every j,
 // fanning key-major tiles (see BlindRotateTileInto) across a worker pool.
 // Nil entries of accs are filled via opts.NewAcc; non-nil entries must be at
-// the lookup-table level. Each worker owns a pooled BatchScratch, so steady
+// the lookup-table level. Each worker owns a pooled Scratch, so steady
 // state allocates only the accumulators the caller did not supply. Tiles are
 // claimed from an atomic cursor, and each completed tile is reported through
 // opts.OnTile. Panics from malformed inputs (wrong LWE modulus/dimension,
@@ -232,7 +202,7 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 		errMu.Unlock()
 		stop.Store(true)
 	}
-	work := func(lane int, bsc *BatchScratch) {
+	work := func(lane int, sc *Scratch) {
 		for !stop.Load() {
 			t := int(cursor.Add(1)) - 1
 			if t >= numTiles {
@@ -256,7 +226,7 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 						err = fmt.Errorf("tfhe: blind rotation of batch indices [%d,%d): %v", lo, hi, r)
 					}
 				}()
-				ev.BlindRotateTileInto(accs[lo:hi], lwes[lo:hi], lut, brk, bsc)
+				ev.BlindRotateTileInto(accs[lo:hi], lwes[lo:hi], lut, brk, sc)
 				return nil
 			}()
 			if err == nil && opts.OnTile != nil {
@@ -270,18 +240,18 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 	}
 
 	if workers == 1 {
-		bsc := ev.getBatchScratch()
-		work(opts.BaseLane, bsc)
-		ev.putBatchScratch(bsc)
+		sc := ev.getScratch()
+		work(opts.BaseLane, sc)
+		ev.putScratch(sc)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				bsc := ev.getBatchScratch()
-				work(opts.BaseLane+w, bsc)
-				ev.putBatchScratch(bsc)
+				sc := ev.getScratch()
+				work(opts.BaseLane+w, sc)
+				ev.putScratch(sc)
 			}(w)
 		}
 		wg.Wait()

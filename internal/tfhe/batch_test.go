@@ -38,7 +38,7 @@ func batchFixture(t *testing.T, secret rlwe.SecretDist) (*rlwe.Parameters, *Eval
 // TestBlindRotateBatchMatchesPerCiphertext is the property test of the
 // key-major engine: for every batch size 0…20, tile 1/4/8, 1/2/3/8 workers
 // and both secret distributions, the batched accumulators must equal the
-// per-ciphertext BlindRotateInto outputs exactly, and the schedule must be
+// per-ciphertext reference loop's outputs exactly, and the schedule must be
 // the worker-filling one: tiles of min(Tile, ⌈n/workers⌉) (recomputed here,
 // not read from effectiveTile) and of exactly Tile on one worker, so no tile
 // exceeds Tile and blind_rotate_tiles is ⌈n/effective tile⌉. The
@@ -57,7 +57,7 @@ func TestBlindRotateBatchMatchesPerCiphertext(t *testing.T) {
 		for j := range lwes {
 			lwes[j] = next()
 			want[j] = rlwe.NewCiphertext(p, lut.Level)
-			ev.BlindRotateInto(want[j], lwes[j], lut, brk, sc)
+			ev.rotateReference(want[j], lwes[j], lut, brk, sc)
 		}
 		for count := 0; count <= maxCount; count++ {
 			for _, tile := range []int{1, 4, 8} {
@@ -140,11 +140,11 @@ func TestBlindRotateTileZeroAllocs(t *testing.T) {
 				lwes[j] = next()
 				accs[j] = rlwe.NewCiphertext(p, lut.Level)
 			}
-			bsc := ev.NewBatchScratch()
-			ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc) // warm the arena
+			sc := ev.NewScratch()
+			ev.BlindRotateTileInto(accs, lwes, lut, brk, sc) // warm the arena
 
 			if avg := testing.AllocsPerRun(5, func() {
-				ev.BlindRotateTileInto(accs, lwes, lut, brk, bsc)
+				ev.BlindRotateTileInto(accs, lwes, lut, brk, sc)
 			}); avg != 0 {
 				t.Fatalf("BlindRotateTileInto allocates %.1f objects/op, want 0", avg)
 			}
@@ -153,9 +153,9 @@ func TestBlindRotateTileZeroAllocs(t *testing.T) {
 }
 
 // TestBlindRotateBatchKeyReuse locks the counter semantics behind the
-// engine's whole point: with dense masks, the per-ciphertext path streams
-// the key once per rotation while the batched path streams it once per
-// tile, so brk_bytes_streamed must drop by exactly the tile size.
+// engine's whole point: with dense masks, tiles of one stream the key once
+// per rotation while tiles of four stream it once per tile, so
+// brk_bytes_streamed must drop by exactly the tile size.
 func TestBlindRotateBatchKeyReuse(t *testing.T) {
 	p, ev, lut, brk, _ := batchFixture(t, rlwe.SecretBinary)
 	const count, tile = 16, 4
@@ -173,16 +173,14 @@ func TestBlindRotateBatchKeyReuse(t *testing.T) {
 
 	perCt := obs.NewMetrics()
 	ev.KS.SetRecorder(perCt)
-	sc := ev.NewScratch()
-	acc := rlwe.NewCiphertext(p, lut.Level)
-	for _, lwe := range lwes {
-		ev.BlindRotateInto(acc, lwe, lut, brk, sc)
+	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{Tile: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	batched := obs.NewMetrics()
 	ev.KS.SetRecorder(batched)
-	accs := make([]*rlwe.Ciphertext, count)
-	err := ev.BlindRotateBatchInto(accs, lwes, lut, brk, BatchOptions{Tile: tile})
+	err = ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{Tile: tile})
 	ev.KS.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +188,7 @@ func TestBlindRotateBatchKeyReuse(t *testing.T) {
 
 	wantKey := uint64(brk.PerKeyBytes()) * uint64(brk.NumKeys())
 	if got := perCt.Counter(obs.CounterBRKBytesStreamed); got != wantKey*count {
-		t.Errorf("per-ciphertext path streamed %d key bytes, want %d", got, wantKey*count)
+		t.Errorf("tiles of one streamed %d key bytes, want %d", got, wantKey*count)
 	}
 	if got := batched.Counter(obs.CounterBRKBytesStreamed); got != wantKey*count/tile {
 		t.Errorf("batched path streamed %d key bytes, want %d", got, wantKey*count/tile)

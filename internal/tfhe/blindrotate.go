@@ -3,7 +3,6 @@ package tfhe
 import (
 	"sync"
 
-	"heap/internal/obs"
 	"heap/internal/rlwe"
 )
 
@@ -14,8 +13,7 @@ type Evaluator struct {
 	Params *rlwe.Parameters
 	KS     *rlwe.KeySwitcher
 
-	scratchPool      sync.Pool
-	batchScratchPool sync.Pool
+	scratchPool sync.Pool
 }
 
 // NewEvaluator builds an evaluator (reusing an existing key switcher if
@@ -26,24 +24,28 @@ func NewEvaluator(params *rlwe.Parameters, ks *rlwe.KeySwitcher) *Evaluator {
 	}
 	ev := &Evaluator{Params: params, KS: ks}
 	ev.scratchPool.New = func() any { return ev.NewScratch() }
-	ev.batchScratchPool.New = func() any { return ev.NewBatchScratch() }
 	return ev
 }
 
 // Scratch is the per-worker arena of the blind-rotation datapath: the
 // ciphertext one iteration's product lands in (for a binary key it first holds
-// the rotated difference the product consumes) and the underlying key-switch
-// scratch. One arena per worker makes the whole rotate→decompose→NTT→MAC
-// schedule (§IV-E) allocation-free in steady state, the software mirror of
-// the paper's on-chip accumulator residency. A Scratch must not be shared
-// between concurrent rotations.
+// the rotated difference the product consumes), the underlying key-switch
+// scratch, and the key-major transpose of a tile's masks. One arena per worker
+// makes the whole rotate→decompose→NTT→MAC schedule (§IV-E) allocation-free in
+// steady state, the software mirror of the paper's on-chip accumulator
+// residency. A Scratch must not be shared between concurrent rotations.
 type Scratch struct {
 	rot *rlwe.Ciphertext
 	KS  *rlwe.Scratch
+	// aT is the key-major transpose of the tile's masks: aT[i*T+j] is
+	// a_{j,i} mod 2N for tile slot j — laid out so the inner loop over the
+	// tile reads contiguously. Doing the reduction once at transpose time
+	// hoists the per-aᵢ monomial bookkeeping out of the key loop.
+	aT []uint64
 }
 
-// NewScratch allocates a blind-rotation scratch arena (ciphertext buffers
-// are sized lazily to the lookup-table level of the first rotation).
+// NewScratch allocates a blind-rotation scratch arena. Buffers are sized
+// lazily by the first rotation, so one arena serves any level and tile size.
 func (ev *Evaluator) NewScratch() *Scratch {
 	return &Scratch{KS: ev.KS.NewScratch()}
 }
@@ -57,7 +59,8 @@ func (sc *Scratch) ensure(params *rlwe.Parameters, level int) {
 func (ev *Evaluator) getScratch() *Scratch   { return ev.scratchPool.Get().(*Scratch) }
 func (ev *Evaluator) putScratch(sc *Scratch) { ev.scratchPool.Put(sc) }
 
-// BlindRotate implements Algorithm 1 of the paper: starting from the trivial
+// BlindRotate implements Algorithm 1 of the paper for one LWE ciphertext, as
+// a key-major tile of one (BlindRotateTileInto): starting from the trivial
 // accumulator ACC = (f·X^b, 0), it folds in each LWE mask element via
 //
 //	ACC ← ACC ∗ (RGSW(1) + (X^{a_i}−1)·RGSW(s_i⁺) + (X^{−a_i}−1)·RGSW(s_i⁻))
@@ -77,52 +80,9 @@ func (ev *Evaluator) putScratch(sc *Scratch) { ev.scratchPool.Put(sc) }
 func (ev *Evaluator) BlindRotate(lwe *rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey) *rlwe.Ciphertext {
 	acc := rlwe.NewCiphertext(ev.Params, lut.Level)
 	sc := ev.getScratch()
-	ev.BlindRotateInto(acc, lwe, lut, brk, sc)
+	ev.BlindRotateTileInto([]*rlwe.Ciphertext{acc}, []*rlwe.LWECiphertext{lwe}, lut, brk, sc)
 	ev.putScratch(sc)
 	return acc
-}
-
-// BlindRotateInto is BlindRotate writing into the caller-owned accumulator
-// acc (at lut.Level) using the per-worker scratch arena sc. The rotation
-// itself allocates nothing in steady state; a worker loop that also reuses
-// its accumulators runs the full kernel with zero garbage per rotation.
-func (ev *Evaluator) BlindRotateInto(acc *rlwe.Ciphertext, lwe *rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey, sc *Scratch) {
-	n := ev.Params.N()
-	twoN := uint64(2 * n)
-	if lwe.Q != twoN {
-		panic("tfhe: BlindRotate requires an LWE ciphertext at modulus 2N")
-	}
-	if len(lwe.A) != brk.NumKeys() {
-		panic("tfhe: LWE dimension does not match blind-rotate key")
-	}
-	level := lut.Level
-	if acc.Level() != level {
-		panic("tfhe: accumulator level does not match lookup table")
-	}
-	sc.ensure(ev.Params, level)
-	b := ev.Params.QBasis.AtLevel(level)
-
-	// ACC ← (f·X^b, 0), trivial RLWE in coefficient representation.
-	acc.IsNTT = false
-	acc.Scale = 1
-	for i := 0; i < level; i++ {
-		b.Rings[i].MulByMonomialInto(lut.Poly.Limbs[i], int(lwe.B%twoN), acc.C0.Limbs[i])
-	}
-	acc.C1.Zero()
-
-	keyBytes := uint64(brk.PerKeyBytes())
-	var streamed uint64
-	for i, ai := range lwe.A {
-		ai %= twoN
-		if ai == 0 {
-			continue
-		}
-		streamed += keyBytes
-		ev.step(acc, int(ai), brk, i, level, sc)
-	}
-	rec := ev.KS.Recorder()
-	rec.Add(obs.CounterBRKBytesStreamed, streamed)
-	rec.Add(obs.CounterBlindRotate, 1)
 }
 
 // step folds mask element a_i = k ≢ 0 into the accumulator: Algorithm 1's one

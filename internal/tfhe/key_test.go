@@ -42,7 +42,7 @@ func TestBinaryKeyCarriesNoMinusRows(t *testing.T) {
 // TestBinaryRotationIgnoresAppendedZeroRows is the contract of dropping the
 // Minus half: given the same Plus rows, a binary rotation is bit for bit the
 // same whether or not Enc(0) Minus rows ride along — on the per-ciphertext
-// path and on the key-major batch path.
+// reference loop and on the key-major batch path.
 func TestBinaryRotationIgnoresAppendedZeroRows(t *testing.T) {
 	sh := equivShape
 	sh.secret = rlwe.SecretBinary
@@ -64,8 +64,8 @@ func TestBinaryRotationIgnoresAppendedZeroRows(t *testing.T) {
 	sc := fx.ev.NewScratch()
 	lean, fat := rlwe.NewCiphertext(fx.p, level), rlwe.NewCiphertext(fx.p, level)
 	for j, lwe := range lwes {
-		fx.ev.BlindRotateInto(lean, lwe, fx.lut, fx.brk, sc)
-		fx.ev.BlindRotateInto(fat, lwe, fx.lut, withZeros, sc)
+		fx.ev.rotateReference(lean, lwe, fx.lut, fx.brk, sc)
+		fx.ev.rotateReference(fat, lwe, fx.lut, withZeros, sc)
 		if !equal(lean, fat) {
 			t.Fatalf("per-ciphertext rotation %d changes with Enc(0) Minus rows appended", j)
 		}
@@ -102,9 +102,8 @@ func TestTernarySecretWithoutMinusOneGetsTernaryKey(t *testing.T) {
 	fx := &rotFixture{p: p, ev: NewEvaluator(p, nil), dec: rlwe.NewDecryptor(p, rsk), rsk: rsk, lweSK: lweSK, brk: brk}
 	fx.lut = NewLUTFromBig(p, p.MaxLevel(), func(u int) *big.Int { return big.NewInt(int64(u)<<lutShift + 1) })
 	s := ring.NewSampler(65)
-	acc := rlwe.NewCiphertext(p, fx.lut.Level)
 	for _, u := range []int64{0, 5, -7} {
-		fx.ev.BlindRotateInto(acc, encryptLWEPhase(u, uint64(2*p.N()), lweSK.Signed, s), fx.lut, brk, fx.ev.NewScratch())
+		acc := fx.ev.BlindRotate(encryptLWEPhase(u, uint64(2*p.N()), lweSK.Signed, s), fx.lut, brk)
 		if got := fx.decoded(acc); got != u {
 			t.Fatalf("u=%d: decodes to %d", u, got)
 		}

@@ -13,12 +13,13 @@ import (
 	"heap/internal/rns"
 )
 
-// blindRotateSequentialInto is BlindRotateInto as it stood while a ternary
-// key index was folded in as two CMux steps one after the other — the loop
-// moved here verbatim when ternaryStep replaced it. It is the reference the
-// one-product form is measured against: the two agree up to key-switch noise,
-// not bit for bit (the second CMux sees the first one's output), so the tests
-// below compare them at decrypt level and through Decryptor.NoiseBits.
+// blindRotateSequentialInto is the per-ciphertext rotation loop as it stood
+// while a ternary key index was folded in as two CMux steps one after the
+// other — the loop moved here verbatim when ternaryStep replaced it. It is
+// the reference the one-product form is measured against: the two agree up
+// to key-switch noise, not bit for bit (the second CMux sees the first one's
+// output), so the tests below compare them at decrypt level and through
+// Decryptor.NoiseBits.
 func (ev *Evaluator) blindRotateSequentialInto(acc *rlwe.Ciphertext, lwe *rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey, sc *Scratch) {
 	n := ev.Params.N()
 	twoN := uint64(2 * n)
@@ -55,12 +56,12 @@ func (ev *Evaluator) blindRotateSequentialInto(acc *rlwe.Ciphertext, lwe *rlwe.L
 	}
 }
 
-// rotateStepwise is the accumulator set-up of BlindRotateInto followed by one
-// call of step per non-zero mask element — the loop opened up so a test can
-// substitute the step (a binary key through ternaryStep) or look at the
-// accumulator between iterations (the noise ledger). With ev.step it is bit
-// for bit BlindRotateInto, which TestBlindRotateNoise checks before it trusts
-// the trace.
+// rotateStepwise is the ciphertext-major rotation loop: the accumulator
+// set-up followed by one call of step per non-zero mask element — opened up
+// so a test can substitute the step (a binary key through ternaryStep) or
+// look at the accumulator between iterations (the noise ledger). With ev.step
+// (rotateReference) it is bit for bit the shipped rotation, a key-major tile
+// of one, which TestBlindRotateNoise checks before it trusts the trace.
 func (ev *Evaluator) rotateStepwise(acc *rlwe.Ciphertext, lwe *rlwe.LWECiphertext, lut *LookupTable, sc *Scratch, step func(k, i int)) {
 	twoN := uint64(2 * ev.Params.N())
 	level := lut.Level
@@ -77,6 +78,12 @@ func (ev *Evaluator) rotateStepwise(acc *rlwe.Ciphertext, lwe *rlwe.LWECiphertex
 		}
 		step(int(ai), i)
 	}
+}
+
+// rotateReference is rotateStepwise with the shipped step: the per-ciphertext
+// reference every tile of the key-major engine is held to, word for word.
+func (ev *Evaluator) rotateReference(acc *rlwe.Ciphertext, lwe *rlwe.LWECiphertext, lut *LookupTable, brk *BlindRotateKey, sc *Scratch) {
+	ev.rotateStepwise(acc, lwe, lut, sc, func(k, i int) { ev.step(acc, k, brk, i, lut.Level, sc) })
 }
 
 // lweWithMask builds the LWE ciphertext with the given mask and exact phase
@@ -256,7 +263,6 @@ func TestBlindRotateNoise(t *testing.T) {
 			n, twoN := fx.p.N(), uint64(2*fx.p.N())
 			s := ring.NewSampler(600 + uint64(si))
 			sc := fx.ev.NewScratch()
-			shipped := rlwe.NewCiphertext(fx.p, fx.lut.Level)
 			ref := rlwe.NewCiphertext(fx.p, fx.lut.Level)
 			kind, refKind := fusedTernary, sequentialTernary
 			if fx.brk.Binary {
@@ -269,7 +275,7 @@ func TestBlindRotateNoise(t *testing.T) {
 			for _, u := range phases {
 				lwe := encryptLWEPhase(u, twoN, fx.lweSK.Signed, s)
 				want := fx.wantRotated(int(u))
-				fx.ev.BlindRotateInto(shipped, lwe, fx.lut, fx.brk, sc)
+				shipped := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 				got, refGot := fx.dec.NoiseBits(shipped, want), 0.0
 				if fx.brk.Binary { // the reference is the shipped loop, word for word
 					refGot = got
@@ -305,7 +311,7 @@ func TestBlindRotateNoise(t *testing.T) {
 
 			// The ledger row: one rotation opened up, noise after each iteration.
 			lwe := encryptLWEPhase(5, twoN, fx.lweSK.Signed, s)
-			fx.ev.BlindRotateInto(shipped, lwe, fx.lut, fx.brk, sc)
+			shipped := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 			traced := rlwe.NewCiphertext(fx.p, fx.lut.Level)
 			var row strings.Builder
 			phase, steps := int64(lwe.B), 0
@@ -320,7 +326,7 @@ func TestBlindRotateNoise(t *testing.T) {
 				fmt.Fprintf(&row, " %d:%.1f", i, got)
 			})
 			if !fx.p.QBasis.Equal(shipped.C0, traced.C0) || !fx.p.QBasis.Equal(shipped.C1, traced.C1) {
-				t.Fatal("the stepwise loop is not BlindRotateInto: the per-iteration trace describes something else")
+				t.Fatal("the stepwise loop is not BlindRotate: the per-iteration trace describes something else")
 			}
 			t.Logf("noise bits after each iteration (key index:bits):%s", row.String())
 		})
@@ -383,12 +389,11 @@ func TestTernaryStepMatchesSequentialReference(t *testing.T) {
 	bound := math.Log2(math.Hypot(
 		math.Exp2(fx.noiseBoundBits(fusedTernary, nk)), math.Exp2(fx.noiseBoundBits(sequentialTernary, nk))))
 	sc := fx.ev.NewScratch()
-	fused := rlwe.NewCiphertext(fx.p, fx.lut.Level)
 	ref := rlwe.NewCiphertext(fx.p, fx.lut.Level)
 	for mi, a := range masks {
 		for _, u := range []int64{0, 3, -4, int64(n/2) - 1, -int64(n / 2)} {
 			lwe := lweWithMask(u, twoN, fx.lweSK.Signed, a)
-			fx.ev.BlindRotateInto(fused, lwe, fx.lut, fx.brk, sc)
+			fused := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 			fx.ev.blindRotateSequentialInto(ref, lwe, fx.lut, fx.brk, sc)
 			if got, want := fx.decoded(fused), fx.decoded(ref); got != want || got != u {
 				t.Fatalf("mask %d %v u=%d: one-product form decodes to %d, reference to %d", mi, a, u, got, want)
@@ -429,7 +434,6 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 	s := ring.NewSampler(35)
 	sc := fx.ev.NewScratch()
 	level := fx.lut.Level
-	binary := rlwe.NewCiphertext(fx.p, level)
 	viaTernary := rlwe.NewCiphertext(fx.p, level)
 	minus := fx.encZeroRows(sh.n, 134)
 	bound := math.Log2(math.Hypot(
@@ -439,7 +443,7 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 	}
 	for _, u := range []int64{0, 1, -1, 9, int64(n/2) - 1, -int64(n / 2)} {
 		lwe := encryptLWEPhase(u, twoN, fx.lweSK.Signed, s)
-		fx.ev.BlindRotateInto(binary, lwe, fx.lut, fx.brk, sc)
+		binary := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 		fx.ev.rotateStepwise(viaTernary, lwe, fx.lut, sc, func(k, i int) {
 			fx.ev.ternaryStep(viaTernary, k, fx.brk.Plus[i], minus[i], level, sc)
 		})
@@ -480,8 +484,7 @@ func TestBlindRotateTransformBudget(t *testing.T) {
 			lwe := lweWithMask(3, twoN, fx.lweSK.Signed, a)
 			met := obs.NewMetrics()
 			fx.ev.KS.SetRecorder(met)
-			acc := rlwe.NewCiphertext(fx.p, fx.lut.Level)
-			fx.ev.BlindRotateInto(acc, lwe, fx.lut, fx.brk, fx.ev.NewScratch())
+			acc := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 			if got, want := met.Counter(obs.CounterNTT), nonZero*c.perStep-c.zeroC1; got != want {
 				t.Errorf("Q%d+P%d binary=%v: rotation recorded %d limb transforms, want %d·%d − %d = %d",
 					c.qLimbs, c.pLimbs, fx.brk.Binary, got, nonZero, c.perStep, c.zeroC1, want)
