@@ -58,7 +58,8 @@ chaos:
 		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
-# target's f.Add seeds and committed testdata/fuzz corpora without fuzzing).
+# target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),
+# FuzzMACDigitOuter's 4-lane-against-scalar digit MAC among them.
 fuzz-smoke:
 	$(GO) test -count=1 -run='^Fuzz' ./internal/cluster/ ./internal/rlwe/ ./internal/ring/ ./internal/tfhe/
 
@@ -66,9 +67,10 @@ fuzz-smoke:
 # 0 allocs/op locks live in the AllocsPerRun tests (TestExternalProductInto
 # ZeroAllocs, TestBlindRotateTileZeroAllocs and core's
 # TestBlindRotateOneIntoZeroAllocs with a binary and a ternary sub-case each,
-# TestNTTZeroAllocs); this tier
-# surfaces ns/op and B/op drift on the same kernels so allocation or
-# throughput regressions fail fast in review. The first line runs heapbench's
+# TestNTTZeroAllocs), beside core's count-independent bound on a key-switched
+# Prepare (TestPrepareSparseAllocationBound); this tier surfaces ns/op and
+# B/op drift on the same kernels so allocation or throughput regressions fail
+# fast in review. The first line runs heapbench's
 # default mode (every paper table, instant) so the binary is executed, not
 # just built, somewhere in `check`.
 bench-smoke:
@@ -78,9 +80,9 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkBlindRotateBatch' -benchmem -benchtime=1x .
 	$(GO) test -run='TestExternalProductIntoZeroAllocs|TestExternalProductTwoKeyBudget' ./internal/rlwe/
 	$(GO) test -run='TestBlindRotateTileZeroAllocs|TestCMuxIntoZeroAllocs' ./internal/tfhe/
-	$(GO) test -run='TestBlindRotateOneIntoZeroAllocs' ./internal/core/
+	$(GO) test -run='TestBlindRotateOneIntoZeroAllocs|TestPrepareSparseAllocationBound' ./internal/core/
 	$(GO) test -run='TestNTTZeroAllocs' ./internal/ring/
-	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs|TestExtractSwitchAllocatesOnlyItsOutput' ./internal/rlwe/
+	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs' ./internal/rlwe/
 
 # Service-layer smoke: build the daemon, then run under the race detector the
 # in-process acceptance test — two tenants on two connections each queued
@@ -153,6 +155,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadLWECiphertext -fuzztime=10s ./internal/rlwe/
 	$(GO) test -run=^$$ -fuzz=FuzzReadBlindRotateKey -fuzztime=10s ./internal/tfhe/
 	$(GO) test -run=^$$ -fuzz=FuzzVectorVsScalarKernels -fuzztime=10s ./internal/ring/
+	$(GO) test -run=^$$ -fuzz=FuzzMACDigitOuter -fuzztime=10s ./internal/ring/
 
 fmt:
 	gofmt -l .

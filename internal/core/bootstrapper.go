@@ -160,7 +160,7 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys)
 
 	// Lookup table: g(u) = q0 · u · N^{-1} mod Q (the N^{-1} pre-cancels the
-	// factor-N scaling of PackRLWEs), valid for |u| < N/2.
+	// factor-N scaling of the repack), valid for |u| < N/2.
 	level := params.MaxLevel()
 	bigQ := params.QBasis.AtLevel(level).Modulus()
 	invN := new(big.Int).ModInverse(big.NewInt(int64(n)), bigQ)
@@ -263,27 +263,32 @@ func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedB
 	prep := &PreparedBootstrap{rC0: ms.rC0, rC1: ms.rC1, Scale: ct.Scale, Count: count}
 	gap := n / count
 	prep.LWEs = make([]*rlwe.LWECiphertext, count)
-	// The count extractions are independent: fan them over the workers, each
-	// with its own key-switch accumulators. One span covers the fan-out, so
-	// the stage reads as wall time.
+	// The count extractions are independent. In exact mode each is a copy; a
+	// key switch walks the N→n_t key once per chunk of ciphertexts
+	// (ExtractSwitchBatch), so the chunks are contiguous and whole vector
+	// groups of four, one per worker. One span covers the fan-out, so the
+	// stage reads as wall time.
 	tok = bt.rec.Begin(obs.StageExtract, obs.LanePipeline)
-	workers := min(bt.Cfg.Workers, count)
+	idx := make([]int, count)
+	for i := range idx {
+		idx[i] = i * gap
+	}
+	chunk := (count + bt.Cfg.Workers - 1) / bt.Cfg.Workers
+	chunk = (chunk + 3) &^ 3
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for lo := 0; lo < count; lo += chunk {
+		hi := min(lo+chunk, count)
 		wg.Add(1)
-		go func(w int) {
+		go func(idx []int, out []*rlwe.LWECiphertext) {
 			defer wg.Done()
-			if bt.Cfg.NT == 0 {
-				for i := w; i < count; i += workers {
-					prep.LWEs[i] = rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i*gap)
-				}
+			if bt.Cfg.NT != 0 {
+				bt.lweKSK.ExtractSwitchBatch(ms.alphaC0, ms.alphaC1, idx, bt.Cfg.ScaleUpBits, out)
 				return
 			}
-			acc := bt.lweKSK.NewScratch()
-			for i := w; i < count; i += workers {
-				prep.LWEs[i] = bt.lweKSK.ExtractSwitch(ms.alphaC0, ms.alphaC1, i*gap, bt.Cfg.ScaleUpBits, acc)
+			for l, i := range idx {
+				out[l] = rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i)
 			}
-		}(w)
+		}(idx[lo:hi], prep.LWEs[lo:hi])
 	}
 	wg.Wait()
 	if bt.Cfg.NT != 0 {

@@ -129,7 +129,7 @@ func (mc *MergeCollector) Add(idx int, acc *rlwe.Ciphertext) error {
 	}
 }
 
-// Merged returns the fully merged ciphertext (the MergeRLWEs result, in
+// Merged returns the fully merged ciphertext (the Repacker.Merge result, in
 // coefficient representation). It does not block: the caller must have
 // completed — and synchronized with — all count Add calls first.
 func (mc *MergeCollector) Merged() (*rlwe.Ciphertext, error) {

@@ -10,25 +10,38 @@ import (
 	"heap/internal/rlwe"
 )
 
-// TestPrepareSparseWorkerIndependence locks the fanned-out, fused Prepare:
-// for the exact and the key-switched mode, every count shape and worker
-// counts below, at and above the count, every prepared LWE ciphertext and
-// both ct′ components equal the one-worker result and the composition of the
-// unfused helpers (Extract → ScaleUp → Apply → ModSwitch) word for word, and
-// the LWE key-switch counter reads one per switched ciphertext. Run under
-// -race this is the exercise of the fan-out.
-func TestPrepareSparseWorkerIndependence(t *testing.T) {
-	const logN = 6
+// prepareFixture is a ring wide enough for the paper's n_t = 500 (n_t must
+// stay below N/2) and for 256 extractions, with one encrypted input and its
+// exact modulus switch.
+func prepareFixture(t *testing.T) (*ckks.Parameters, *rlwe.KeyGenerator, *rlwe.SecretKey, *rlwe.Ciphertext) {
+	t.Helper()
+	const logN = 10
 	q := ring.GenerateNTTPrimes(30, logN, 3)
 	p := ring.GenerateNTTPrimesUp(31, logN, 2)
 	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
 	kg := rlwe.NewKeyGenerator(params.Parameters, 60)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	ct := ckks.NewClient(params, sk, 61).EncryptAtLevel(testVector(params.Slots), 1)
+	return params, kg, sk, ct
+}
+
+// TestPrepareSparseWorkerIndependence locks the fanned-out, key-major
+// Prepare: for the exact mode and the key-switched mode at n_t = 8, 16 and
+// the paper's 500 (a key and accumulators far wider than L1), for counts
+// whose chunks are a partial vector group (1, 2), one group (4), two (8) and
+// many (256), at one, two and three workers (uneven chunks), every prepared
+// LWE ciphertext equals the composition of the unfused helpers
+// (Extract → ScaleUp → Apply → ModSwitch) word for word, both ct′
+// components equal the modulus switch's, and the LWE key-switch counter
+// reads one per switched ciphertext. Run under -race this is the exercise of
+// the fan-out.
+func TestPrepareSparseWorkerIndependence(t *testing.T) {
+	params, kg, sk, ct := prepareFixture(t)
 	n := params.N()
 	twoN := uint64(2 * n)
+	const maxCount = 256
 
-	for _, nt := range []int{0, 8} {
+	for _, nt := range []int{0, 8, 16, 500} {
 		cfg := DefaultConfig()
 		cfg.NT, cfg.Workers, cfg.ColdStart = nt, 1, true // Prepare needs no blind-rotate key
 		bt, err := NewBootstrapper(params, kg, sk, cfg)
@@ -40,16 +53,18 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 		params.QBasis.Rings[0].INTT(c1)
 		ms := bt.modSwitchExact(c0, c1)
 
-		for _, count := range []int{1, 2, n / 2, n} {
-			unfused := make([]*rlwe.LWECiphertext, count)
-			for i := range unfused {
-				lwe := rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i*(n/count))
-				if nt != 0 {
-					lwe = rlwe.ModSwitchLWE(bt.lweKSK.Apply(rlwe.ScaleUpLWE(lwe, cfg.ScaleUpBits)), twoN)
-				}
-				unfused[i] = lwe
+		// Every count below extracts a subset of the maxCount-stride
+		// coefficients: switch those once through the unfused chain.
+		unfused := make(map[int]*rlwe.LWECiphertext, maxCount)
+		for i := 0; i < n; i += n / maxCount {
+			lwe := rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i)
+			if nt != 0 {
+				lwe = rlwe.ModSwitchLWE(bt.lweKSK.Apply(rlwe.ScaleUpLWE(lwe, cfg.ScaleUpBits)), twoN)
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
+			unfused[i] = lwe
+		}
+		for _, count := range []int{1, 2, 4, 8, maxCount} {
+			for _, workers := range []int{1, 2, 3} {
 				bt.Cfg.Workers = workers
 				met := obs.NewMetrics()
 				bt.SetRecorder(met)
@@ -59,9 +74,9 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 					t.Fatalf("n_t=%d count=%d workers=%d: %d LWEs", nt, count, workers, len(prep.LWEs))
 				}
 				for i, lwe := range prep.LWEs {
-					want := unfused[i]
+					want := unfused[i*(n/count)]
 					if lwe == nil || lwe.Q != want.Q || lwe.B != want.B || !slices.Equal(lwe.A, want.A) {
-						t.Fatalf("n_t=%d count=%d workers=%d: LWE %d differs from the unfused one-worker chain", nt, count, workers, i)
+						t.Fatalf("n_t=%d count=%d workers=%d: LWE %d differs from the unfused chain", nt, count, workers, i)
 					}
 				}
 				if !slices.Equal(prep.rC0, ms.rC0) || !slices.Equal(prep.rC1, ms.rC1) {
@@ -78,6 +93,28 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 					t.Errorf("n_t=%d count=%d workers=%d: %d Extract spans, want one around the fan-out", nt, count, workers, st.Count)
 				}
 			}
+		}
+	}
+}
+
+// TestPrepareSparseAllocationBound locks the heap traffic of a key-switched
+// Prepare to a count-independent budget: the modulus switch's buffers, the
+// index and result slices, and per worker chunk its goroutine, its sums and
+// one backing array each for the output structs and their masks — not two
+// objects per LWE ciphertext, nor the N-word temporaries of the unfused
+// chain.
+func TestPrepareSparseAllocationBound(t *testing.T) {
+	params, kg, sk, ct := prepareFixture(t)
+	cfg := DefaultConfig()
+	cfg.NT, cfg.Workers, cfg.ColdStart = 8, 2, true
+	bt, err := NewBootstrapper(params, kg, sk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []int{8, 256} {
+		const budget = 12 + 6*2 // fixed + per-chunk objects at two workers
+		if avg := testing.AllocsPerRun(5, func() { bt.PrepareSparse(ct, count) }); avg > budget {
+			t.Errorf("count=%d: PrepareSparse allocates %.1f objects, want at most %d", count, avg, budget)
 		}
 	}
 }

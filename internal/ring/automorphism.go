@@ -6,20 +6,48 @@ import "sync"
 // polynomial in coefficient representation: coefficient i moves to position
 // i·g mod 2N with a sign flip when it wraps past N. This is the index-mapping
 // operation the paper's automorph unit performs for CKKS Rotate (§IV-A,
-// i_r = i·5^r mod N family of maps).
+// i_r = i·5^r mod N family of maps). out must not alias p.
 func (r *Ring) Automorphism(p Poly, g uint64, out Poly) {
 	n := uint64(r.N)
 	mask := 2*n - 1
 	g &= mask
 	q := r.Mod.Q
+	p, out = p[:n], out[:n]
 	// k = i·g mod 2N is carried as a running sum (2N is a power of two), and
-	// the wrap past N selects v or −v without a branch: this runs 2·level
-	// times per repack merge.
+	// bit N of it is the wrap: every value the loop needs lives in a
+	// register, and the store index is provably in range.
 	k := uint64(0)
-	for _, v := range p[:n] {
-		neg := (q - v) & -((v | -v) >> 63) // −v mod q, with −0 = 0
-		wrap := -(k >> uint(r.LogN) & 1)   // all ones iff k ≥ N
-		out[k&(n-1)] = v ^ (v^neg)&wrap
+	for _, v := range p {
+		if k&n != 0 && v != 0 {
+			v = q - v
+		}
+		out[k&(n-1)] = v
+		k = (k + g) & mask
+	}
+}
+
+// AutomorphismAdd adds σ_g(p) to out: out[i·g mod 2N] += ±p[i], the sign
+// flipping past N, for canonical p and out — Automorphism followed by Add,
+// word for word, in one pass and without the permuted temporary. A wrapped
+// zero enters the sum as q, which the reduction folds back, so the loop
+// needs no zero test. out must not alias p.
+func (r *Ring) AutomorphismAdd(p Poly, g uint64, out Poly) {
+	n := uint64(r.N)
+	mask := 2*n - 1
+	g &= mask
+	q := r.Mod.Q
+	p, out = p[:n], out[:n]
+	k := uint64(0)
+	for _, v := range p {
+		if k&n != 0 {
+			v = q - v
+		}
+		j := k & (n - 1)
+		s := out[j] + v
+		if s >= q {
+			s -= q
+		}
+		out[j] = s
 		k = (k + g) & mask
 	}
 }

@@ -97,10 +97,11 @@ func refAutomorphism(r *Ring, p Poly, g uint64, out Poly) {
 	}
 }
 
-// TestAutomorphismMatchesIndexFormula: the running-index, branch-free
-// Automorphism must equal the per-coefficient formula for every odd g at
-// N = 8 and 128 and for sampled g at the paper's N = 2^13 (unreduced g
-// included), on operands with zero coefficients — −0 must stay 0, not q.
+// TestAutomorphismMatchesIndexFormula: the running-index Automorphism must
+// equal the per-coefficient formula for every odd g at N = 8 and 128 and for
+// sampled g at the paper's N = 2^13 (unreduced g included), on operands with
+// zero coefficients — −0 must stay 0, not q — and AutomorphismAdd must equal
+// the formula followed by Add on an accumulator holding 0 and q−1.
 func TestAutomorphismMatchesIndexFormula(t *testing.T) {
 	s := NewSampler(29)
 	for _, logN := range []int{3, 7, 13} {
@@ -123,12 +124,23 @@ func TestAutomorphismMatchesIndexFormula(t *testing.T) {
 			p[i] = 0
 		}
 		p[1], p[r.N-1] = r.Mod.Q-1, 1
+		acc := r.NewPoly()
+		s.UniformPoly(r, acc)
+		for i := 0; i < r.N; i += 4 {
+			acc[i], acc[i+1] = 0, r.Mod.Q-1
+		}
 		got, want := r.NewPoly(), r.NewPoly()
 		for _, g := range gs {
 			r.Automorphism(p, g, got)
 			refAutomorphism(r, p, g, want)
 			if !r.Equal(got, want) {
 				t.Fatalf("N=%d g=%d: Automorphism differs from the index formula", n, g)
+			}
+			r.Add(acc, want, want)
+			copy(got, acc)
+			r.AutomorphismAdd(p, g, got)
+			if !r.Equal(got, want) {
+				t.Fatalf("N=%d g=%d: AutomorphismAdd differs from the index formula followed by Add", n, g)
 			}
 		}
 	}

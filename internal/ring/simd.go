@@ -1,13 +1,14 @@
 package ring
 
 // SIMD dispatch. The coefficient sweeps that dominate the CPU profile — the
-// NTT/INTT butterfly stages, the Hadamard MAC, and the fixed-operand scalar
-// sweeps — each exist in two forms that emit the same words: the portable
-// scalar loops (the universal fallback, always compiled, selected on
-// non-amd64 targets, under the `purego` build tag, on hosts without AVX2 and
-// FMA, for moduli fmaFits rejects, or by an explicit override) and
-// hand-written AVX2 assembly that computes on four exact integer-valued
-// doubles per step with fused multiply-adds. Selection happens once at
+// NTT/INTT butterfly stages, the Hadamard MAC, the fixed-operand scalar
+// sweeps and the LWE key switch's digit MAC — each exist in two forms that
+// emit the same words: the portable scalar loops (the universal fallback,
+// always compiled, selected on non-amd64 targets, under the `purego` build
+// tag, on hosts without AVX2 and FMA, for moduli fmaFits rejects, or by an
+// explicit override) and hand-written AVX2 assembly that computes on four
+// exact integer-valued doubles per step with fused multiply-adds (the digit
+// MAC, on four uint64 lanes). Selection happens once at
 // package init (a CPUID/XGETBV probe plus the HEAP_NOSIMD environment
 // variable, which works for every binary and for `go test`, so a production
 // regression can be bisected to the kernel set without rebuilding) and per

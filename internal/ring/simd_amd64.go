@@ -121,3 +121,6 @@ func addVecAVX2(out, a, b []uint64, q uint64)
 
 //go:noescape
 func subVecAVX2(out, a, b []uint64, q uint64)
+
+//go:noescape
+func macDigitOuterAVX2(acc, row, x []uint64, stride int, shift, mask uint64)

@@ -3,6 +3,7 @@ package ring
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -159,6 +160,77 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 				run = func(p, a, b, out Poly) { rr.NTTOnTheFlyWith(p, sc) }
 			}
 			runBoth(run, n, q, q)
+		}
+	})
+}
+
+// FuzzMACDigitOuter fuzzes the key-major LWE key switch's digit MAC: on
+// identical fuzz-chosen inputs the 4-lane kernel and the scalar loop must both
+// write, word for word, the per-term sums acc[t·m + l] += row[t]·digit(x[l]) —
+// for key words and inputs below 2^k at every k ≤ 63 (the power-of-two moduli
+// the kernel serves; the words themselves wrap mod 2^64), digits of 1 to 8
+// bits at every position inside k bits, input lengths of every residue mod 4
+// up to 66 and rows of 1 to 17 words, with all-ones and zero words planted.
+// The committed corpus under testdata/fuzz adds edge shapes: k = 63 at
+// one-bit and seven-bit digits (the top digit included), sub-width and
+// width±1 lengths, and an empty input.
+func FuzzMACDigitOuter(f *testing.F) {
+	for _, length := range []uint8{1, 3, 4, 5, 7, 9, 66} {
+		for _, logQ := range []uint8{1, 33, 35, 62} {
+			f.Add(uint64(length)+uint64(logQ), logQ, uint8(6), length, uint8(8), uint8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, logQ, logBase, length, width, digit uint8) {
+		prev := simdActive()
+		defer SetSIMD(prev)
+		hasVec := SetSIMD(true)
+
+		k := 1 + int(logQ)%63
+		b := 1 + int(logBase)%8
+		m, w := int(length)%67, 1+int(width)%17
+		shift := uint(b * (int(digit) % ((k + b - 1) / b)))
+		mask := uint64(1)<<b - 1
+		below := uint64(1)<<k - 1
+		rng := rand.New(rand.NewSource(int64(seed)))
+		word := func() uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return below
+			case 1:
+				return 0
+			default:
+				return rng.Uint64() & below
+			}
+		}
+		row, x, acc := make([]uint64, w), make([]uint64, m), make([]uint64, w*m)
+		for i := range row {
+			row[i] = word()
+		}
+		for i := range x {
+			x[i] = word()
+		}
+		for i := range acc {
+			acc[i] = rng.Uint64()
+		}
+		want := slices.Clone(acc)
+		for t, r := range row {
+			for l, v := range x {
+				want[t*m+l] += r * (v >> shift & mask)
+			}
+		}
+		SetSIMD(false)
+		scalar := slices.Clone(acc)
+		MACDigitOuter(scalar, row, x, shift, mask)
+		vector := slices.Clone(acc)
+		if hasVec {
+			SetSIMD(true)
+		}
+		MACDigitOuter(vector, row, x, shift, mask)
+		for i := range want {
+			if scalar[i] != want[i] || vector[i] != want[i] {
+				t.Fatalf("k=%d b=%d shift=%d m=%d w=%d word %d: scalar %#x vector %#x want %#x",
+					k, b, shift, m, w, i, scalar[i], vector[i], want[i])
+			}
 		}
 	})
 }

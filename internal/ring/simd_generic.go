@@ -47,3 +47,5 @@ func macShoupFMA(out, a []uint64, w, wq, q, qinv float64) { unreachableSIMD() }
 func addVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
 
 func subVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
+
+func macDigitOuterAVX2(acc, row, x []uint64, stride int, shift, mask uint64) { unreachableSIMD() }

@@ -2,11 +2,12 @@
 
 // Coefficient-sweep kernels: the FMA Hadamard product/MAC (external product
 // and key-switch digit accumulation), the FMA fixed-operand multiply and MAC
-// (rescale, ModDown, the basis conversion), and the integer add/sub sweeps.
-// Each processes len(out)/4 whole 4-lane groups — the Go wrappers truncate to
-// a multiple of the vector width and run the scalar loop on the tail — and
-// every kernel reads a full lane group before writing it, so exact aliasing
-// (out == a or out == b) behaves like the scalar loops. The FMA kernels take
+// (rescale, ModDown, the basis conversion), the integer add/sub sweeps, and
+// the wrap-around digit MAC of the LWE key switch (which keeps its own
+// register map, below). Each processes len(out)/4 whole 4-lane groups — the
+// Go wrappers truncate to a multiple of the vector width and run the scalar
+// loop on the tail — and every kernel reads a full lane group before writing
+// it, so exact aliasing (out == a or out == b) behaves like the scalar loops. The FMA kernels take
 // words below 2^50 (canonical residues, for the products) and write canonical
 // words; fma_amd64.h has the arithmetic.
 //
@@ -211,5 +212,60 @@ subvLoop:
 	JNZ  subvLoop
 
 subvDone:
+	VZEROUPPER
+	RET
+
+// func macDigitOuterAVX2(acc, row, x []uint64, stride int, shift, mask uint64)
+//
+// acc[t·stride + l] += row[t] · (x[l] >> shift & mask) mod 2^64 for every key
+// word t and the len(x)/4 whole lane groups of x: a group's digits are formed
+// once and kept in Y0 while the row's words are broadcast against them. The
+// digit d < 2^32 meets the word's halves in two VPMULUDQ, d·lo + (d·hi << 32),
+// which is d·word mod 2^64. Registers: DI acc column, SI row word, DX x
+// group, R8 row length, R9 stride in bytes, CX group countdown, R10/R11/R12
+// the inner walk; Y15 mask, X14 shift.
+TEXT ·macDigitOuterAVX2(SB), NOSPLIT, $0-96
+	MOVQ acc_base+0(FP), DI
+	MOVQ row_base+24(FP), SI
+	MOVQ row_len+32(FP), R8
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), CX
+	MOVQ stride+72(FP), R9
+	SHLQ $3, R9
+	SHRQ $2, CX
+	JZ   dmacDone
+	TESTQ R8, R8
+	JZ   dmacDone
+	VMOVQ shift+80(FP), X14
+	VPBROADCASTQ mask+88(FP), Y15
+
+dmacGroup:
+	VMOVDQU (DX), Y0
+	VPSRLQ  X14, Y0, Y0
+	VPAND   Y15, Y0, Y0      // the group's digits
+	MOVQ DI, R10
+	MOVQ SI, R11
+	MOVQ R8, R12
+
+dmacWord:
+	VPBROADCASTQ (R11), Y1   // key word
+	VPSRLQ   $32, Y1, Y2     // its high half
+	VPMULUDQ Y0, Y1, Y1      // d·lo
+	VPMULUDQ Y0, Y2, Y2      // d·hi
+	VPSLLQ   $32, Y2, Y2
+	VPADDQ   Y2, Y1, Y1
+	VPADDQ   (R10), Y1, Y1
+	VMOVDQU  Y1, (R10)
+	ADDQ $8, R11
+	ADDQ R9, R10
+	DECQ R12
+	JNZ  dmacWord
+
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  dmacGroup
+
+dmacDone:
 	VZEROUPPER
 	RET

@@ -204,35 +204,68 @@ func (k *LWEKeySwitchKey) Apply(ct *LWECiphertext) *LWECiphertext {
 	return out
 }
 
-// ExtractSwitch is the bootstrap's per-coefficient chain in one pass over c1:
+// ExtractSwitchBatch is the bootstrap's per-coefficient chain for every
+// coefficient idx[l] of the polynomial pair (c0, c1), into out[l]:
 //
-//	ModSwitchLWE(k.Apply(ScaleUpLWE(ExtractLWEFromPolys(c0, c1, q, idx), t)), q)
+//	ModSwitchLWE(k.Apply(ScaleUpLWE(ExtractLWEFromPolys(c0, c1, q, idx[l]), t)), q)
 //
-// for q = Q >> t, word for word, without the two N-word ciphertexts the
-// composition allocates on the way. c0 and c1 must hold canonical residues
-// mod q; acc is scratch from NewScratch and is overwritten.
-func (k *LWEKeySwitchKey) ExtractSwitch(c0, c1 []uint64, idx int, t uint, acc LWEKeySwitchScratch) *LWECiphertext {
+// for q = Q >> t, word for word, in one key-major pass and without the two
+// N-word ciphertexts the composition allocates per coefficient. The outer
+// loop walks source index × digit, so each key row is read once for the
+// whole batch and broadcast against the digits of every extraction
+// (ring.MACDigitOuter) into sums laid out [NTo+1][len(idx)]. Q must be a
+// power of two — the bootstrap's 2N·2^ScaleUpBits — so wrap-around uint64
+// sums are exact mod Q, and the base at most 2^32. The digit rows below
+// t/LogBase multiply the zero low bits of the lifted input and are skipped
+// whole. c0 and c1 must hold canonical residues mod q; the outputs share one
+// backing array per call.
+func (k *LWEKeySwitchKey) ExtractSwitchBatch(c0, c1 []uint64, idx []int, t uint, out []*LWECiphertext) {
 	n := len(c1)
 	if n != k.NFrom {
 		panic(fmt.Sprintf("rlwe: LWE key switch of a dimension-%d extraction under a key from dimension %d", n, k.NFrom))
 	}
-	q := k.Q >> t
-	clear(acc)
-	acc[k.NTo].lo = c0[idx] << t
-	for s := 0; s <= idx; s++ {
-		k.accumulate(acc, s, c1[idx-s]<<t)
+	if k.Q&(k.Q-1) != 0 || k.LogBase > 32 {
+		panic(fmt.Sprintf("rlwe: key-major LWE key switch needs a power-of-two modulus and a base of at most 2^32 (Q=%d, LogBase=%d)", k.Q, k.LogBase))
 	}
-	for s := idx + 1; s < n; s++ {
-		if v := c1[n+idx-s]; v != 0 {
-			k.accumulate(acc, s, (q-v)<<t)
+	m, w := len(idx), k.NTo+1
+	if len(out) != m {
+		panic(fmt.Sprintf("rlwe: %d outputs for %d extractions", len(out), m))
+	}
+	q, shift := k.Q>>t, uint(k.LogBase)
+	mask := uint64(1)<<shift - 1
+	buf := make([]uint64, (w+1)*m)
+	acc, x := buf[:w*m], buf[w*m:]
+	body := acc[k.NTo*m:]
+	for l, i := range idx {
+		body[l] = c0[i] << t
+	}
+	first := int(t) / k.LogBase
+	for s := 0; s < n; s++ {
+		for l, i := range idx {
+			if j := i - s; j >= 0 {
+				x[l] = c1[j] << t
+			} else if v := c1[j+n]; v != 0 {
+				x[l] = (q - v) << t
+			} else {
+				x[l] = 0
+			}
+		}
+		rows := k.rows[(s*k.Digits+first)*w : (s+1)*k.Digits*w]
+		for j := first; j < k.Digits; j, rows = j+1, rows[w:] {
+			ring.MACDigitOuter(acc, rows[:w], x, uint(j)*shift, mask)
 		}
 	}
-	out := &LWECiphertext{A: make([]uint64, k.NTo), Q: q}
-	out.B = divRound(k.reduce(acc, out.A), k.Q, q)
-	for i, a := range out.A {
-		out.A[i] = divRound(a, k.Q, q)
+	words := make([]uint64, m*k.NTo)
+	cts := make([]LWECiphertext, m)
+	for l := range cts {
+		ct := &cts[l]
+		ct.A, ct.Q = words[l*k.NTo:(l+1)*k.NTo:(l+1)*k.NTo], q
+		for i := range ct.A {
+			ct.A[i] = divRound(acc[i*m+l]&(k.Q-1), k.Q, q)
+		}
+		ct.B = divRound(body[l]&(k.Q-1), k.Q, q)
+		out[l] = ct
 	}
-	return out
 }
 
 // ModSwitchLWE rescales every component of ct from modulus ct.Q to newQ with

@@ -172,7 +172,7 @@ func TestPackRLWEs(t *testing.T) {
 			}
 			cts[i] = coeffCopy(p, enc.EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1))
 		}
-		packed, err := PackRLWEs(ks, cts, pk)
+		packed, err := NewRepacker(ks, pk).Pack(cts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,12 +228,13 @@ func lweEqual(a, b *LWECiphertext) bool {
 
 // TestLWEKeySwitchMatchesStepwiseReference locks the two replacements of the
 // LWE key switch to the retired kernel, word for word: Apply (one reduction
-// per output word over 128-bit sums) and the fused ExtractSwitch (no
-// extracted or lifted temporaries) against refApply and the composition of
-// the unfused helpers — over a prime limb, the bootstrap's power-of-two
-// modulus and a 61-bit prime, digit sizes from 1 to 8 bits, and target
-// dimensions from 1 to the paper's 500, on random inputs, all-(q−1) inputs
-// and inputs whose every digit is maximal.
+// per output word over 128-bit sums) against refApply over a prime limb, the
+// bootstrap's power-of-two modulus, 2^61 and a 61-bit prime, and the
+// key-major ExtractSwitchBatch (no extracted or lifted temporaries, a batch
+// of five coefficients out of order) against the composition of the unfused
+// helpers at the two power-of-two moduli — digit sizes from 1 to 8 bits,
+// target dimensions from 1 to the paper's 500, on random inputs, all-(q−1)
+// inputs and inputs whose every digit is maximal.
 func TestLWEKeySwitchMatchesStepwiseReference(t *testing.T) {
 	const nFrom = 32
 	s := ring.NewSampler(0x1e)
@@ -243,6 +244,7 @@ func TestLWEKeySwitchMatchesStepwiseReference(t *testing.T) {
 	}{
 		{testParams(t, 5).Q[0], 0},
 		{uint64(2*nFrom) << 20, 20},
+		{1 << 61, 30},
 		{ring.GenerateNTTPrimes(61, 5, 1)[0], 0},
 	}
 	for _, m := range moduli {
@@ -273,9 +275,13 @@ func TestLWEKeySwitchMatchesStepwiseReference(t *testing.T) {
 					}
 				}
 
-				// The fused path takes its input as the polynomial pair the
-				// extraction reads, canonical mod q >> scaleUp.
-				acc := k.NewScratch()
+				// The key-major batch path runs at the bootstrap's
+				// power-of-two key modulus only; it takes its input as the
+				// polynomial pair the extraction reads, canonical mod
+				// q >> scaleUp.
+				if q&(q-1) != 0 {
+					continue
+				}
 				polys := [][2][]uint64{{make([]uint64, nFrom), make([]uint64, nFrom)}, {make([]uint64, nFrom), make([]uint64, nFrom)}}
 				for i := 0; i < nFrom; i++ {
 					polys[0][0][i], polys[0][1][i] = s.UniformMod(small), s.UniformMod(small)
@@ -283,11 +289,14 @@ func TestLWEKeySwitchMatchesStepwiseReference(t *testing.T) {
 				}
 				polys[0][1][3] = 0 // −0 must stay 0 past the wrap
 				for n, c := range polys {
-					for _, idx := range []int{0, 1, nFrom / 2, nFrom - 1} {
+					idxs := []int{0, 1, nFrom / 2, nFrom - 1, 5}
+					got := make([]*LWECiphertext, len(idxs))
+					k.ExtractSwitchBatch(c[0], c[1], idxs, m.scaleUp, got)
+					for l, idx := range idxs {
 						up := ScaleUpLWE(ExtractLWEFromPolys(c[0], c[1], small, idx), m.scaleUp)
 						want := ModSwitchLWE(refApply(k, up), small)
-						if got := k.ExtractSwitch(c[0], c[1], idx, m.scaleUp, acc); !lweEqual(got, want) {
-							t.Fatalf("q=%d logBase=%d nTo=%d polys %d idx=%d: ExtractSwitch differs from Extract→ScaleUp→Apply→ModSwitch", q, logBase, nTo, n, idx)
+						if !lweEqual(got[l], want) {
+							t.Fatalf("q=%d logBase=%d nTo=%d polys %d idx=%d: ExtractSwitchBatch differs from Extract→ScaleUp→Apply→ModSwitch", q, logBase, nTo, n, idx)
 						}
 					}
 				}
@@ -328,7 +337,8 @@ func TestLWEKeySwitchCarriesIntoHighWord(t *testing.T) {
 // TestLWEKeySwitchRejectsWrongDimension: a ciphertext shorter than the key's
 // source dimension used to be switched as a prefix (a wrong ciphertext, no
 // error) and a longer one died indexing the key. Both are caller bugs and
-// both now panic naming the two dimensions, as does the fused path.
+// both now panic naming the two dimensions, as does the key-major batch
+// path, which also refuses a modulus it cannot switch at (a prime).
 func TestLWEKeySwitchRejectsWrongDimension(t *testing.T) {
 	s := ring.NewSampler(0x20)
 	q := uint64(1) << 30
@@ -350,25 +360,10 @@ func TestLWEKeySwitchRejectsWrongDimension(t *testing.T) {
 		k.Apply(&LWECiphertext{A: make([]uint64, 17), Q: q})
 	})
 	mustPanic("short polynomial", "dimension-8 extraction under a key from dimension 16", func() {
-		k.ExtractSwitch(make([]uint64, 8), make([]uint64, 8), 0, 10, k.NewScratch())
+		k.ExtractSwitchBatch(make([]uint64, 8), make([]uint64, 8), []int{0}, 10, make([]*LWECiphertext, 1))
 	})
-}
-
-// TestExtractSwitchAllocatesOnlyItsOutput locks the fused Prepare kernel's
-// heap traffic per LWE ciphertext: the output struct and its mask, and none
-// of the N-word temporaries the unfused chain allocates.
-func TestExtractSwitchAllocatesOnlyItsOutput(t *testing.T) {
-	const n = 256
-	s := ring.NewSampler(0x21)
-	k := GenLWEKeySwitchKey(s.TernarySigned(n), s.BinarySigned(8), uint64(2*n)<<20, 7, s, ring.DefaultSigma)
-	c0, c1 := make([]uint64, n), make([]uint64, n)
-	for i := range c0 {
-		c0[i], c1[i] = s.UniformMod(2*n), s.UniformMod(2*n)
-	}
-	acc := k.NewScratch()
-	if avg := testing.AllocsPerRun(20, func() {
-		k.ExtractSwitch(c0, c1, 7, 20, acc)
-	}); avg != 2 {
-		t.Fatalf("ExtractSwitch allocates %.1f objects per LWE ciphertext, want 2 (the output and its mask)", avg)
-	}
+	prime := GenLWEKeySwitchKey(s.TernarySigned(16), s.BinarySigned(4), ring.GenerateNTTPrimes(30, 4, 1)[0], 7, s, ring.DefaultSigma)
+	mustPanic("prime modulus", "power-of-two modulus", func() {
+		prime.ExtractSwitchBatch(make([]uint64, 16), make([]uint64, 16), []int{0}, 0, make([]*LWECiphertext, 1))
+	})
 }

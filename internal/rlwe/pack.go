@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"heap/internal/obs"
+	"heap/internal/ring"
 	"heap/internal/rns"
 )
 
@@ -153,8 +154,12 @@ func (rp *Repacker) Trace(out *Ciphertext, count int) (*Ciphertext, error) {
 	}
 	sc := rp.scratch.Get().(*Scratch)
 	sc.width = rp.ks.width()
+	c0 := sc.t[0].AtLevel(out.Level()) // C0 is scattered into itself from a copy
 	for step := 2 * count; step <= n; step <<= 1 {
-		rp.addRotated(out, out, uint64(step+1), rp.pk.Keys[uint64(step+1)], sc)
+		for i, limb := range out.C0.Limbs {
+			copy(c0.Limbs[i], limb)
+		}
+		rp.addRotated(out, [2]rns.Poly{c0, out.C1}, uint64(step+1), rp.pk.Keys[uint64(step+1)], sc)
 	}
 	sc.width = 1
 	rp.scratch.Put(sc)
@@ -188,76 +193,70 @@ func (rp *Repacker) MergePair(e, o *Ciphertext, c int) (*Ciphertext, error) {
 	return e, nil
 }
 
-// mergePair is the merge kernel; allocation-free with a warm arena. o's
-// storage ends up holding the difference branch. A merge node is not fanned
-// out: the tree's nodes are already spread over the collector's callers.
+// mergePair is the merge kernel; allocation-free with a warm arena. The
+// difference branch lands in the arena (the key switch's input) and the sum in
+// e's storage. A merge node is not fanned out: the tree's nodes are already
+// spread over the collector's callers.
 func (rp *Repacker) mergePair(e, o *Ciphertext, c int, gk *GadgetCiphertext, sc *Scratch) {
 	ks := rp.ks
 	ks.rec.Add(obs.CounterMerge, 1)
 	level := e.Level()
-	b := ks.params.QBasis.AtLevel(level)
-	rot0, rot1, k := sc.t[0].AtLevel(level), sc.t[1].AtLevel(level), ks.params.N()/c
+	diff := [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
 	for i := 0; i < level; i++ {
-		b.Rings[i].MulByMonomialInto(o.C0.Limbs[i], k, rot0.Limbs[i])
-		b.Rings[i].MulByMonomialInto(o.C1.Limbs[i], k, rot1.Limbs[i])
+		r := ks.params.QBasis.Rings[i]
+		sumDiff(r, e.C0.Limbs[i], o.C0.Limbs[i], diff[0].Limbs[i], ks.params.N()/c)
+		sumDiff(r, e.C1.Limbs[i], o.C1.Limbs[i], diff[1].Limbs[i], ks.params.N()/c)
 	}
-	b.Sub(e.C0, rot0, o.C0) // diff = E − X^{N/c}·O
-	b.Sub(e.C1, rot1, o.C1)
-	b.Add(e.C0, rot0, e.C0) // sum = E + X^{N/c}·O
-	b.Add(e.C1, rot1, e.C1)
-	rp.addRotated(e, o, uint64(c+1), gk, sc)
+	rp.addRotated(e, diff, uint64(c+1), gk, sc)
 }
 
-// addRotated adds the key-switched σ_g(src) to dst, both in coefficient form
-// (dst may be src: every read of src precedes the first write to dst). σ_g
-// permutes coefficients exactly, its C1 image feeds the gadget decomposition
-// as it stands, and both ModDowns emit coefficients. The steps on either side
-// of the key switch are per-limb phases of the arena like the switch's own.
-func (rp *Repacker) addRotated(dst, src *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
+// sumDiff sets diff = E − X^sh·O and e = E + X^sh·O for one limb (E is e on
+// entry), 0 < sh < N. The negacyclic shift splits O into two contiguous
+// segments — X^sh·O is O[:N−sh] moved up by sh and −O[N−sh:] wrapped to the
+// front — so each output is two vector Add/Sub calls, with no shifted copy
+// of O.
+func sumDiff(r *ring.Ring, e, o, diff ring.Poly, sh int) {
+	top, low := o[len(o)-sh:], o[:len(o)-sh]
+	r.Add(e[:sh], top, diff[:sh])
+	r.Sub(e[sh:], low, diff[sh:])
+	r.Sub(e[:sh], top, e[:sh])
+	r.Add(e[sh:], low, e[sh:])
+}
+
+// addRotated adds the key-switched σ_g(src) to dst, both in coefficient form.
+// src[0] must not share storage with dst.C0; src[1] may be dst.C1 (it is
+// read before dst is written). σ_g permutes coefficients exactly: σ_g(src[1])
+// feeds the gadget decomposition as it stands, both ModDowns emit
+// coefficients, and σ_g(src[0]) is never materialized — the last phase
+// scatters src[0] into dst.C0 with ring.AutomorphismAdd after d0 has been
+// added. The steps on either side of the key switch are per-limb phases of
+// the arena like the switch's own.
+func (rp *Repacker) addRotated(dst *Ciphertext, src [2]rns.Poly, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	ks := rp.ks
-	level := src.Level()
+	level := dst.Level()
 	j := &sc.job
-	rot := [2]rns.Poly{sc.c[1].AtLevel(level), sc.c[0].AtLevel(level)} // σ_g(C0), σ_g(C1)
+	rot, d0 := sc.c[0].AtLevel(level), sc.c[1].AtLevel(level) // σ_g(src[1]) and then d1; d0
 	j.level, j.g = level, g
-	j.src, j.dst = [2]rns.Poly{src.C0, src.C1}, rot
-	ks.run(sc, 2*level, (*KeySwitcher).automorphLimb)
-	d0 := sc.t[0].AtLevel(level)
-	ks.switchPolyCoeff(rot[1], gk, d0, rot[1], sc) // d1 lands on its input in place
-	j.src, j.dst = rot, [2]rns.Poly{dst.C0, dst.C1}
-	ks.run(sc, 2*level, (*KeySwitcher).addLimb) // C0 += σ_g(C0), C1 += d1
-	j.src[0] = d0
-	ks.run(sc, level, (*KeySwitcher).addLimb) // C0 += d0
+	j.src[0], j.dst[0] = src[1], rot
+	ks.run(sc, level, (*KeySwitcher).automorphLimb)
+	ks.switchPolyCoeff(rot, gk, d0, rot, sc) // d1 lands on its input in place
+	j.src, j.dst = [2]rns.Poly{d0, rot}, [2]rns.Poly{dst.C0, dst.C1}
+	ks.run(sc, 2*level, (*KeySwitcher).addLimb) // C0 += d0, C1 += d1
+	j.src[0] = src[0]
+	ks.run(sc, level, (*KeySwitcher).automorphAddLimb) // C0 += σ_g(src[0])
 }
 
-// automorphLimb is permuteLimb in the coefficient domain: dst = σ_g(src), a
-// signed permutation of the coefficients.
+// automorphLimb is permuteLimb in the coefficient domain, and
+// automorphAddLimb its accumulating form: dst = σ_g(src) and dst += σ_g(src),
+// σ_g a signed permutation of the coefficients.
 func (ks *KeySwitcher) automorphLimb(sc *Scratch, t int) {
 	j := &sc.job
 	s, i := sc.pairLimb(t)
 	ks.params.QBasis.Rings[i].Automorphism(j.src[s].Limbs[i], j.g, j.dst[s].Limbs[i])
 }
 
-// PackRLWEs combines 2^ℓ RLWE ciphertexts into one (see Repacker.Pack). The
-// outputs of the parallel BlindRotate operations are streamed back and
-// merged by the primary node this way. Inputs must be coefficient-form
-// ciphertexts at a common level; they are consumed (used as scratch) and the result
-// aliases cts[0]'s storage. Returns an error — not a panic — on a
-// non-power-of-two count, mixed levels, or missing packing keys, so a
-// malformed request cannot take down a bootstrap in flight.
-func PackRLWEs(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk).Pack(cts)
-}
-
-// MergeRLWEs is the merge half of PackRLWEs without the trailing trace
-// (see Repacker.Merge). The HEAP sparse bootstrap merges the accumulators,
-// adds ct′, and runs TraceToSubring once over the sum so the same trace both
-// finishes the packing and annihilates the non-subring junk of ct′. Inputs
-// are consumed as scratch; the result aliases cts[0]'s storage.
-func MergeRLWEs(ks *KeySwitcher, cts []*Ciphertext, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk).Merge(cts)
-}
-
-// TraceToSubring applies the trace in place (see Repacker.Trace).
-func TraceToSubring(ks *KeySwitcher, out *Ciphertext, count int, pk *PackingKeys) (*Ciphertext, error) {
-	return NewRepacker(ks, pk).Trace(out, count)
+func (ks *KeySwitcher) automorphAddLimb(sc *Scratch, t int) {
+	j := &sc.job
+	s, i := sc.pairLimb(t)
+	ks.params.QBasis.Rings[i].AutomorphismAdd(j.src[s].Limbs[i], j.g, j.dst[s].Limbs[i])
 }

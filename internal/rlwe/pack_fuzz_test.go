@@ -7,7 +7,7 @@ import (
 
 // The repacking entry points promise errors, not panics, on malformed input
 // (a malformed request must not take down a bootstrap in flight), and must
-// accept every well-formed input. FuzzRepackerValidation drives PackRLWEs,
+// accept every well-formed input. FuzzRepackerValidation drives Pack,
 // Trace, and MergePair through adversarial shapes — non-power-of-two counts,
 // mixed levels, nil entries, dropped Galois keys — and checks both halves of
 // that contract. The seed corpus under testdata/fuzz covers each rejection
@@ -84,7 +84,7 @@ func FuzzRepackerValidation(f *testing.F) {
 		valid := count >= 1 && count <= n && count&(count-1) == 0 &&
 			allPresent && sameLevel && !dropped
 
-		out, err := PackRLWEs(ks, cts, usePK)
+		out, err := NewRepacker(ks, usePK).Pack(cts)
 		if valid && err != nil {
 			t.Fatalf("well-formed pack (count=%d) rejected: %v", count, err)
 		}
@@ -101,7 +101,7 @@ func FuzzRepackerValidation(f *testing.F) {
 		tc := int(traceCount % uint16(2*n+2))
 		tct := NewCiphertext(p, 1)
 		tct.IsNTT = false
-		_, terr := TraceToSubring(ks, tct, tc, usePK)
+		_, terr := NewRepacker(ks, usePK).Trace(tct, tc)
 		traceValid := tc >= 1 && tc <= n && tc&(tc-1) == 0
 		if traceValid && !dropped && terr != nil {
 			t.Fatalf("well-formed trace (count=%d) rejected: %v", tc, terr)

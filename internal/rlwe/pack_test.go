@@ -138,7 +138,7 @@ func TestRepackMatchesSerialReference(t *testing.T) {
 			}
 			want := refTrace(ks, refMerge(ks, copyCts(cts), pk), count, pk)
 
-			got, err := PackRLWEs(ks, coeffCopies(p, cts), pk)
+			got, err := NewRepacker(ks, pk).Pack(coeffCopies(p, cts))
 			if err != nil {
 				t.Fatalf("count=%d level=%d: %v", count, level, err)
 			}
@@ -146,7 +146,7 @@ func TestRepackMatchesSerialReference(t *testing.T) {
 				t.Fatalf("count=%d level=%d: packed result claims NTT form", count, level)
 			}
 			if !ctsEqual(p, want, toNTT(p, got)) {
-				t.Errorf("count=%d level=%d: PackRLWEs differs from reference", count, level)
+				t.Errorf("count=%d level=%d: Pack differs from reference", count, level)
 			}
 		}
 	}
@@ -164,12 +164,12 @@ func TestMergeConsumesInputs(t *testing.T) {
 	}
 	originals := copyCts(cts)
 
-	out, err := MergeRLWEs(ks, cts, pk)
+	out, err := NewRepacker(ks, pk).Merge(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != cts[0] {
-		t.Error("MergeRLWEs result must alias cts[0]'s storage")
+		t.Error("Merge result must alias cts[0]'s storage")
 	}
 	consumed := 0
 	for i := range cts {
@@ -178,7 +178,7 @@ func TestMergeConsumesInputs(t *testing.T) {
 		}
 	}
 	if consumed == 0 {
-		t.Error("MergeRLWEs left every input untouched; the consume-as-scratch contract changed")
+		t.Error("Merge left every input untouched; the consume-as-scratch contract changed")
 	}
 }
 
@@ -197,33 +197,33 @@ func TestRepackErrors(t *testing.T) {
 	one := func(level int) *Ciphertext { return mk(1, level)[0] }
 	L := p.MaxLevel()
 
-	if _, err := PackRLWEs(ks, mk(3, L), pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Pack(mk(3, L)); err == nil {
 		t.Error("expected error for non-power-of-two count")
 	}
-	if _, err := MergeRLWEs(ks, nil, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Merge(nil); err == nil {
 		t.Error("expected error for empty input")
 	}
 	mixed := mk(2, L)
 	mixed[1] = one(L - 1)
-	if _, err := MergeRLWEs(ks, mixed, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Merge(mixed); err == nil {
 		t.Error("expected error for mixed levels")
 	}
 	withNil := mk(2, L)
 	withNil[1] = nil
-	if _, err := MergeRLWEs(ks, withNil, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Merge(withNil); err == nil {
 		t.Error("expected error for nil input")
 	}
-	if _, err := TraceToSubring(ks, one(L), 3, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Trace(one(L), 3); err == nil {
 		t.Error("expected error for non-power-of-two trace count")
 	}
 	// The repack lives in the coefficient domain: an NTT-form operand is a
 	// caller bug that would otherwise pack garbage silently.
 	withNTT := mk(2, L)
 	withNTT[1] = randCiphertext(p, s, L)
-	if _, err := MergeRLWEs(ks, withNTT, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Merge(withNTT); err == nil {
 		t.Error("expected error for an NTT-form merge input")
 	}
-	if _, err := TraceToSubring(ks, randCiphertext(p, s, L), 2, pk); err == nil {
+	if _, err := NewRepacker(ks, pk).Trace(randCiphertext(p, s, L), 2); err == nil {
 		t.Error("expected error for an NTT-form trace input")
 	}
 
@@ -234,10 +234,10 @@ func TestRepackErrors(t *testing.T) {
 			gutted.Keys[g] = k
 		}
 	}
-	if _, err := PackRLWEs(ks, mk(4, L), gutted); err == nil {
+	if _, err := NewRepacker(ks, gutted).Pack(mk(4, L)); err == nil {
 		t.Error("expected error for missing packing key")
 	}
-	if _, err := TraceToSubring(ks, one(L), 2, gutted); err == nil {
+	if _, err := NewRepacker(ks, gutted).Trace(one(L), 2); err == nil {
 		t.Error("expected error for missing trace key")
 	}
 
@@ -492,6 +492,53 @@ func TestMergeTransformBudget(t *testing.T) {
 		})
 		if got := met.Counter(obs.CounterMerge); got != 8 {
 			t.Errorf("shape %+v: merges = %d, want 8", shape, got)
+		}
+	}
+}
+
+// TestMergeNodeStepsMatchMonomialReference pins the merge node's element-wise
+// steps to the forms they replaced, word for word, for every packing element
+// g = c+1 (c = 2 … N) on every limb: the segment sum and difference
+// (sumDiff) to MulByMonomialInto(O, N/c) followed by Add and Sub, and the
+// scatter of the difference into the sum (AutomorphismAdd) to Automorphism
+// followed by Add — on operands planted with 0 and q−1 at both ends of each
+// segment, where a sign flip or a missed wrap would show.
+func TestMergeNodeStepsMatchMonomialReference(t *testing.T) {
+	p, _, _, _, _ := packFixture(t, 5)
+	s := ring.NewSampler(12)
+	n := p.N()
+	for i, r := range p.QBasis.Rings {
+		q := r.Mod.Q
+		for c := 2; c <= n; c <<= 1 {
+			sh, g := n/c, uint64(c+1)
+			e, o := r.NewPoly(), r.NewPoly()
+			s.UniformPoly(r, e)
+			s.UniformPoly(r, o)
+			for _, j := range []int{0, sh - 1, sh, n - sh - 1, n - sh, n - 1} {
+				e[j], o[j] = q-1, 0
+				e[(j+1)%n], o[(j+2)%n] = 0, q-1
+			}
+
+			rot, wantSum, wantDiff := r.NewPoly(), r.NewPoly(), r.NewPoly()
+			r.MulByMonomialInto(o, sh, rot)
+			r.Add(e, rot, wantSum)
+			r.Sub(e, rot, wantDiff)
+			sum, diff := e.Copy(), r.NewPoly()
+			sumDiff(r, sum, o, diff, sh)
+			if !r.Equal(sum, wantSum) || !r.Equal(diff, wantDiff) {
+				t.Fatalf("limb %d c=%d: segment sum/difference differs from MulByMonomialInto + Add/Sub", i, c)
+			}
+
+			for _, j := range []int{0, 1, sh, n / 2, n - 1} {
+				diff[j], diff[(j+3)%n] = 0, q-1
+			}
+			want := r.NewPoly()
+			r.Automorphism(diff, g, want)
+			r.Add(sum, want, want)
+			r.AutomorphismAdd(diff, g, sum)
+			if !r.Equal(sum, want) {
+				t.Fatalf("limb %d g=%d: AutomorphismAdd differs from Automorphism + Add", i, g)
+			}
 		}
 	}
 }

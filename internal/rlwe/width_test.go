@@ -111,7 +111,7 @@ func TestWidthChangesNothingButTheClock(t *testing.T) {
 				ks.AutomorphismInto(out, ct, g, gk, sc)
 				got.keep(out.C0, out.C1)
 				step := coeff.CopyNew()
-				rp.addRotated(step, step, 3, rp.pk.Keys[3], sc)
+				rp.addRotated(step, [2]rns.Poly{step.C0.Copy(), step.C1}, 3, rp.pk.Keys[3], sc)
 				got.keep(step.C0, step.C1)
 
 				ks.SetRecorder(nil)
