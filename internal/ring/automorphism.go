@@ -177,3 +177,25 @@ func (r *Ring) MulByMonomialInto(p Poly, k int, out Poly) {
 		out[j] = v
 	}
 }
+
+// MulByMonomialMinusOneInto sets out = (X^k − 1)·p for p in coefficient
+// representation, any k (reduced mod 2N) — the rotated difference a CMux
+// decomposes, MulByMonomialInto followed by Sub, word for word, in two
+// segment sweeps and without the rotated temporary. With s = k mod N, X^s·p
+// is p[:N−s] moved up by s and −p[N−s:] wrapped to the front, and k ≥ N
+// negates it; so one segment of out is a difference of p with itself shifted
+// and the other a negated sum. out must not alias p.
+func (r *Ring) MulByMonomialMinusOneInto(p Poly, k int, out Poly) {
+	n := r.N
+	k = (k%(2*n) + 2*n) % (2 * n)
+	s := k % n
+	p, out = p[:n], out[:n]
+	top, low := p[n-s:], p[:n-s]
+	if k < n {
+		r.negAdd(top, p[:s], out[:s])
+		r.Sub(low, p[s:], out[s:])
+		return
+	}
+	r.Sub(top, p[:s], out[:s])
+	r.negAdd(low, p[s:], out[s:])
+}

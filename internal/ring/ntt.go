@@ -181,8 +181,30 @@ func (r *Ring) INTTInto(dst, src Poly) {
 	}
 	copyPoly(dst[:r.N], src[:r.N])
 	r.inttScalar(dst)
+	mulShoupScalar(dst[:r.N], dst, r.Mod.Q, r.nInv, r.nInvShoup)
 }
 
+// INTTScaleInto writes INTT(src)·c mod q into dst for any c (reduced first):
+// INTTInto followed by MulScalar, word for word, with the multiplication by c
+// folded into the one by N⁻¹ that closes every inverse transform, so it costs
+// no pass of its own. dst may be src, as for INTTInto.
+func (r *Ring) INTTScaleInto(dst, src Poly, c uint64) {
+	c = r.Mod.Reduce(c)
+	nInv := r.Mod.MulMod(r.nInv, c)
+	if r.vecNTT() {
+		q := r.Mod.fmaQ
+		nInvW := float64(r.Mod.MulMod(r.psiInvTable[1], nInv)) // w·N⁻¹·c
+		r.inttFMAScaled(dst, src, float64(nInv), float64(nInv)/q, nInvW, nInvW/q, nil)
+		return
+	}
+	copyPoly(dst[:r.N], src[:r.N])
+	r.inttScalar(dst)
+	mulShoupScalar(dst[:r.N], dst, r.Mod.Q, nInv, r.Mod.ShoupPrecomp(nInv))
+}
+
+// inttScalar runs every butterfly stage of the scalar inverse transform in
+// place, leaving coefficients in [0, 2q): the caller's N⁻¹ sweep (times any
+// constant it folds in) finishes the transform and reduces canonically.
 func (r *Ring) inttScalar(p Poly) {
 	q := r.Mod.Q
 	twoQ := 2 * q
@@ -238,7 +260,6 @@ func (r *Ring) inttScalar(p Poly) {
 		}
 		t <<= 1
 	}
-	mulShoupScalar(p, p, q, r.nInv, r.nInvShoup)
 }
 
 // inttFMA is the inverse pass with every stage on an FMA kernel (see
@@ -246,6 +267,13 @@ func (r *Ring) inttScalar(p Poly) {
 // stages follow, and the t=n/2 stage multiplies by N^{-1} and writes dst's
 // canonical words. visit is nttFMA's hook.
 func (r *Ring) inttFMA(dst, src Poly, visit func(stage int, p Poly)) {
+	f := r.fma
+	r.inttFMAScaled(dst, src, f.nInv, f.nInvQ, f.nInvW, f.nInvWQ, visit)
+}
+
+// inttFMAScaled is inttFMA with the last stage's operands given: N⁻¹ and
+// w·N⁻¹, each possibly times a constant, with their /q.
+func (r *Ring) inttFMAScaled(dst, src Poly, n1, n1q, wn, wnq float64, visit func(stage int, p Poly)) {
 	f := r.fma
 	q := r.Mod.fmaQ
 	n := r.N
@@ -267,7 +295,7 @@ func (r *Ring) inttFMA(dst, src Poly, visit func(stage int, p Poly)) {
 		}
 		t <<= 1
 	}
-	fmaInvLast(dst, f.nInv, f.nInvQ, f.nInvW, f.nInvWQ, q)
+	fmaInvLast(dst, n1, n1q, wn, wnq, q)
 }
 
 // NTTOnTheFly performs the forward NTT while generating the twiddle factors

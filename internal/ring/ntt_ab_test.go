@@ -135,8 +135,8 @@ func BenchmarkABNewScalarNTT(b *testing.B) {
 	benchNTT(b, false, func(r *Ring, p Poly) { r.NTT(p) })
 }
 
-// BenchmarkABVectorNTT, BenchmarkABVectorINTT and the two vector MACs are
-// the FMA kernels beside their scalar counterparts: with every stage on an
+// BenchmarkABVectorNTT, BenchmarkABVectorINTT and the vector MAC are the
+// FMA kernels beside their scalar counterparts: with every stage on an
 // FMA kernel the transforms must beat the scalar drivers (≈ 4.5× when this
 // was written); a ratio near 1 means a scalar stage or a scalar sweep crept
 // back into the vector path.
@@ -153,29 +153,50 @@ func BenchmarkABVectorINTT(b *testing.B) {
 }
 
 // benchMAC times one row MAC (MulCoeffsAndAdd, the Barrett scalar loop or
-// the FMA kernel) or one basis-conversion MAC (MACShoupVec) on uniform
-// canonical operands.
-func benchMAC(b *testing.B, vector, shoup bool) {
+// the FMA kernel) on uniform canonical operands.
+func benchMAC(b *testing.B, vector bool) {
 	r := NewRing(13, 68719230977)
 	s := NewSampler(2)
 	x, y, acc := r.NewPoly(), r.NewPoly(), r.NewPoly()
 	s.UniformPoly(r, x)
 	s.UniformPoly(r, y)
-	w := y[0]
-	wShoup := r.Mod.ShoupPrecomp(w)
-	benchNTT(b, vector, func(r *Ring, _ Poly) {
-		if shoup {
-			r.Mod.MACShoupVec(x, acc, w, wShoup)
-		} else {
-			r.MulCoeffsAndAdd(x, y, acc)
+	benchNTT(b, vector, func(r *Ring, _ Poly) { r.MulCoeffsAndAdd(x, y, acc) })
+}
+
+func BenchmarkABScalarMAC(b *testing.B) { benchMAC(b, false) }
+func BenchmarkABVectorMAC(b *testing.B) { benchMAC(b, true) }
+
+// benchDot times the row MAC of one accumulator limb of a binary CMux at the
+// paper's gadget shape — 2 components × 2 digits, four products summed — on
+// the vector path, as the multi-pass sweeps computed it (MulCoeffs, then
+// three MulCoeffsAndAdd, each a pass over the accumulator) or as one
+// dot-product pass (DotCoeffs). The pair is the standing A/B of the fused
+// MAC: the dot must stay below the multi-pass sum.
+func benchDot(b *testing.B, fused bool) {
+	const terms = 4
+	r := NewRing(13, 68719230977)
+	s := NewSampler(3)
+	x, y := make([]Poly, terms), make([]Poly, terms)
+	for t := range x {
+		x[t], y[t] = r.NewPoly(), r.NewPoly()
+		s.UniformPoly(r, x[t])
+		s.UniformPoly(r, y[t])
+	}
+	acc := r.NewPoly()
+	benchNTT(b, true, func(r *Ring, _ Poly) {
+		if fused {
+			r.DotCoeffs(x, y, acc)
+			return
+		}
+		r.MulCoeffs(x[0], y[0], acc)
+		for t := 1; t < terms; t++ {
+			r.MulCoeffsAndAdd(x[t], y[t], acc)
 		}
 	})
 }
 
-func BenchmarkABScalarMAC(b *testing.B)      { benchMAC(b, false, false) }
-func BenchmarkABVectorMAC(b *testing.B)      { benchMAC(b, true, false) }
-func BenchmarkABScalarShoupMAC(b *testing.B) { benchMAC(b, false, true) }
-func BenchmarkABVectorShoupMAC(b *testing.B) { benchMAC(b, true, true) }
+func BenchmarkABMultiPassMAC(b *testing.B) { benchDot(b, false) }
+func BenchmarkABDotMAC(b *testing.B)       { benchDot(b, true) }
 
 // nttFwdLastFlag is the fused last forward stage with the lazy/canonical
 // choice as an in-loop flag. Reference only.

@@ -151,6 +151,30 @@ func (r *Ring) Sub(a, b, out Poly) {
 	}
 }
 
+// negAdd sets out = −(a + b) (mod q) over len(out) words: the wrapped segment
+// of MulByMonomialMinusOneInto.
+func (r *Ring) negAdd(a, b, out Poly) {
+	q := r.Mod.Q
+	a = a[:len(out)]
+	b = b[:len(out)]
+	i := 0
+	if simdActive() {
+		nv := len(out) &^ 3
+		negAddVecAVX2(out[:nv], a[:nv], b[:nv], q)
+		i = nv
+	}
+	for ; i < len(out); i++ {
+		c := a[i] + b[i]
+		if c >= q {
+			c -= q
+		}
+		if c != 0 {
+			c = q - c
+		}
+		out[i] = c
+	}
+}
+
 // Neg sets out = -a (mod q).
 func (r *Ring) Neg(a, out Poly) {
 	q := r.Mod.Q
@@ -257,11 +281,9 @@ func mulShoupScalar(out, a []uint64, q, c, cShoup uint64) {
 }
 
 // MulShoupVec sets out[i] = a[i]·w mod q for a fixed operand w < q with Shoup
-// companion wShoup — what MACShoupVec leaves on a zeroed out, so a sum of
-// such terms can write its first instead of clearing the accumulator. Every
-// a[i] must be below 2^50 (a canonical residue of any modulus this tree
-// builds qualifies). The FMA kernel takes whole 4-lane groups with w/q
-// formed once per call; the scalar loop finishes the tail.
+// companion wShoup. Every a[i] must be below 2^50 (a canonical residue of any
+// modulus this tree builds qualifies). The FMA kernel takes whole 4-lane
+// groups with w/q formed once per call; the scalar loop finishes the tail.
 func (m Modulus) MulShoupVec(a, out []uint64, w, wShoup uint64) {
 	a = a[:len(out)]
 	i := 0
@@ -271,36 +293,6 @@ func (m Modulus) MulShoupVec(a, out []uint64, w, wShoup uint64) {
 		mulScalarFMA(out[:i], a[:i], wf, wf/m.fmaQ, m.fmaQ)
 	}
 	mulShoupScalar(out[i:], a[i:], m.Q, w, wShoup)
-}
-
-// MACShoupVec sets out[i] = (out[i] + a[i]·w mod q) mod q over the whole
-// slice, for a fixed operand w < q with Shoup companion wShoup and canonical
-// out — the inner MAC of the RNS basis conversion (rns.Extender.ExtendLimb),
-// exposed on Modulus so that loop can ride the vector dispatch without the
-// rns package reaching into kernel internals. Every a[i] must be below 2^50,
-// as for MulShoupVec.
-func (m Modulus) MACShoupVec(a, out []uint64, w, wShoup uint64) {
-	q := m.Q
-	a = a[:len(out)]
-	i := 0
-	if m.vecFMA() {
-		i = len(out) &^ 3
-		wf := float64(w)
-		macShoupFMA(out[:i], a[:i], wf, wf/m.fmaQ, m.fmaQ, m.fmaQInv)
-	}
-	for ; i < len(out); i++ {
-		x := a[i]
-		hi, _ := bits.Mul64(x, wShoup)
-		p := x*w - hi*q // lazy Shoup ∈ [0, 2q)
-		if p >= q {
-			p -= q
-		}
-		s := out[i] + p
-		if s >= q {
-			s -= q
-		}
-		out[i] = s
-	}
 }
 
 // AddScalar sets out = a + c (mod q) applied to the constant coefficient

@@ -114,13 +114,22 @@ func mulCoeffsAndAddFMA(out, a, b []uint64, q, qinv float64)
 func mulScalarFMA(out, a []uint64, w, wq, q float64)
 
 //go:noescape
-func macShoupFMA(out, a []uint64, w, wq, q, qinv float64)
+func dotCoeffsFMA(out []uint64, a, b []Poly, add int, q, qinv float64)
+
+//go:noescape
+func dotFixedFMA(out []uint64, a []Poly, w []float64, add int, q, qinv float64)
+
+//go:noescape
+func subMulScalarFMA(out, a, b []uint64, w, wq, q, qinv float64, add int)
 
 //go:noescape
 func addVecAVX2(out, a, b []uint64, q uint64)
 
 //go:noescape
 func subVecAVX2(out, a, b []uint64, q uint64)
+
+//go:noescape
+func negAddVecAVX2(out, a, b []uint64, q uint64)
 
 //go:noescape
 func macDigitOuterAVX2(acc, row, x []uint64, stride int, shift, mask uint64)

@@ -36,12 +36,17 @@ func fuzzPrimes() []uint64 {
 // trivially holds, so corpus entries stay portable.
 func FuzzVectorVsScalarKernels(f *testing.F) {
 	// Kernel classes the selector byte reaches: seven sweeps (0-5 and 10),
-	// the four transform entry points (6-9) and the on-the-fly transform
-	// (11). Classes 6-11 named the integer stage kernels until those were
-	// replaced by the FMA transforms, whose stages share no representative
-	// with a scalar stage; the committed files under testdata/fuzz keep
-	// their bytes and now reach the whole-transform classes.
-	const fuzzKernels = 12
+	// the four transform entry points (6-9), the on-the-fly transform (11),
+	// and the one-pass kernels that replaced multi-pass chains, each held to
+	// that chain run on the scalar path as well: the Hadamard dot product
+	// (12), the fixed-operand dot product (13), the ModDown's difference times
+	// a constant (14) and the CMux's (X^k − 1)·p (15). Classes 6-11 named the
+	// integer stage kernels until those were replaced by the FMA transforms,
+	// whose stages share no representative with a scalar stage; class 3 named
+	// the basis-conversion MAC out + a·w, which is now the two-term fixed dot
+	// product it became. The committed files under testdata/fuzz keep their
+	// bytes and their classes.
+	const fuzzKernels = 16
 	// Seed corpus: each kernel class at the tail-machinery lengths (1,
 	// width-1, width, width+1, two groups minus one, two groups) with and
 	// without aliasing; then every class on each fmaEdgePrimes modulus.
@@ -87,7 +92,10 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 			}
 		}
 
-		runBoth := func(run func(p, a, b, out Poly), n int, pBound, aBound uint64) {
+		// runRef runs ref on the scalar path, then run on the scalar and on the
+		// vector path, on identical inputs, and requires the same words from
+		// all three.
+		runRef := func(ref, run func(p, a, b, out Poly), n int, pBound, aBound uint64) {
 			p := make(Poly, n)
 			a := make(Poly, n)
 			b := make(Poly, n)
@@ -101,21 +109,22 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 				// writing it, exactly like the scalar loops.
 				a = out
 			}
-			pS, aS, outS := p.Copy(), a.Copy(), out.Copy()
+			pR, aR, outR := p.Copy(), a.Copy(), out.Copy()
 			SetSIMD(false)
-			run(pS, aS, b, outS)
-			pV, aV, outV := p.Copy(), a.Copy(), out.Copy()
-			if hasVec {
-				SetSIMD(true)
-			}
-			run(pV, aV, b, outV)
-			for i := 0; i < n; i++ {
-				if pS[i] != pV[i] || aS[i] != aV[i] || outS[i] != outV[i] {
-					t.Fatalf("q=%d kernel=%d n=%d alias=%v idx=%d: scalar (p=%d a=%d out=%d) vector (p=%d a=%d out=%d)",
-						q, kernel, n, alias, i, pS[i], aS[i], outS[i], pV[i], aV[i], outV[i])
+			ref(pR, aR, b, outR)
+			for _, vec := range []bool{false, true} {
+				pV, aV, outV := p.Copy(), a.Copy(), out.Copy()
+				SetSIMD(vec && hasVec)
+				run(pV, aV, b, outV)
+				for i := 0; i < n; i++ {
+					if pR[i] != pV[i] || aR[i] != aV[i] || outR[i] != outV[i] {
+						t.Fatalf("q=%d kernel=%d n=%d alias=%v vector=%v idx=%d: reference (p=%d a=%d out=%d) kernel (p=%d a=%d out=%d)",
+							q, kernel, n, alias, vec, i, pR[i], aR[i], outR[i], pV[i], aV[i], outV[i])
+					}
 				}
 			}
 		}
+		runBoth := func(run func(p, a, b, out Poly), n int, pBound, aBound uint64) { runRef(run, run, n, pBound, aBound) }
 
 		r := &Ring{Mod: mod}
 		w := rng.Uint64() % q
@@ -129,15 +138,52 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 		case 2:
 			runBoth(func(p, a, b, out Poly) { r.MulScalar(a, w, out) }, int(length), q, q)
 		case 3:
-			// The basis conversion's operands are residues of other primes,
+			// The basis-conversion MAC out + a·w as the two-term fixed dot
+			// product (w_0 = 1); its operands are residues of other primes,
 			// up to the documented 2^50.
-			runBoth(func(p, a, b, out Poly) { mod.MACShoupVec(a, out, w, wShoup) }, int(length), q, 1<<50)
+			ops := r.NewFixedOperands([]uint64{1, w})
+			runBoth(func(p, a, b, out Poly) { r.DotFixed([]Poly{out, a}, ops, out) }, int(length), q, 1<<50)
 		case 4:
 			runBoth(func(p, a, b, out Poly) { r.Add(a, b, out) }, int(length), q, q)
 		case 5:
 			runBoth(func(p, a, b, out Poly) { r.Sub(a, b, out) }, int(length), q, q)
 		case 10:
 			runBoth(func(p, a, b, out Poly) { mod.MulShoupVec(a, out, w, wShoup) }, int(length), q, 1<<50)
+		case 12, 13:
+			dotAgainstMultiPass(t, r, kernel%fuzzKernels == 13, int(length), alias, rng, fill, hasVec)
+		case 14:
+			// The ModDown's (x − ext)·c, written or added onto out, against
+			// Sub, MulScalar and Add.
+			add := rng.Intn(2) == 0
+			ref := func(p, a, b, out Poly) {
+				d := make(Poly, len(out))
+				r.Sub(a, b, d)
+				r.MulScalar(d, w, d)
+				if add {
+					r.Add(out, d, out)
+				} else {
+					copy(out, d)
+				}
+			}
+			runRef(ref, func(p, a, b, out Poly) {
+				if add {
+					r.SubMulScalarAndAdd(a, b, w, out)
+				} else {
+					r.SubMulScalar(a, b, w, out)
+				}
+			}, int(length), q, q)
+		case 15:
+			// The CMux's rotated difference (X^k − 1)·p at any k, against
+			// MulByMonomialInto and Sub; the ring's degree is the length.
+			n := max(1, int(length))
+			rr := &Ring{N: n, Mod: mod}
+			k := rng.Intn(4*n+1) - 2*n
+			ref := func(p, a, b, out Poly) {
+				rot := make(Poly, n)
+				rr.MulByMonomialInto(p, k, rot)
+				rr.Sub(rot, p, out)
+			}
+			runRef(ref, func(p, a, b, out Poly) { rr.MulByMonomialMinusOneInto(p, k, out) }, n, q, q)
 		default:
 			// Transforms: degree 8..256, capped at the largest the prime is
 			// NTT-friendly for; p holds the canonical input. The out-of-place
@@ -233,4 +279,86 @@ func FuzzMACDigitOuter(f *testing.F) {
 			}
 		}
 	})
+}
+
+// dotAgainstMultiPass is FuzzVectorVsScalarKernels' dot-product classes: a
+// k-term dot (k = 1…10, so two kernel calls past eight terms) on n words, once
+// in four with every operand at its maximum (q − 1, or 2^50 − 1 for the
+// fixed dot's residues of other primes), with out aliasing a[0] when alias is
+// set, must give on the scalar and on the vector path the words the
+// multi-pass sweeps it replaces give on the scalar path. The Hadamard dot
+// (fixed false) is written or accumulated at random; the reference is
+// MulCoeffs or MulCoeffsAndAdd, then MulCoeffsAndAdd per later term. The
+// fixed dot's reference is MulShoupVec, then MulShoupVec and Add per term.
+func dotAgainstMultiPass(t *testing.T, r *Ring, fixed bool, n int, alias bool, rng *rand.Rand, fill func([]uint64, uint64), hasVec bool) {
+	q := r.Mod.Q
+	k := 1 + rng.Intn(10)
+	top := rng.Intn(4) == 0
+	aBound := q
+	if fixed {
+		aBound = 1 << 50
+	}
+	a, b := make([]Poly, k), make([]Poly, k)
+	w := make([]uint64, k)
+	for i := range a {
+		a[i], b[i] = make(Poly, n), make(Poly, n)
+		fill(a[i], aBound)
+		fill(b[i], q)
+		w[i] = rng.Uint64() % q
+		if top {
+			fillWith(a[i], func(int) uint64 { return aBound - 1 })
+			fillWith(b[i], func(int) uint64 { return q - 1 })
+			w[i] = q - 1
+		}
+	}
+	out := make(Poly, n)
+	fill(out, q)
+	if alias {
+		copy(out, a[0])
+	}
+	add := !fixed && rng.Intn(2) == 0
+	ops := r.NewFixedOperands(w)
+
+	SetSIMD(false)
+	want := out.Copy()
+	switch {
+	case fixed:
+		tmp := make(Poly, n)
+		r.Mod.MulShoupVec(a[0], want, w[0], r.Mod.ShoupPrecomp(w[0]))
+		for i := 1; i < k; i++ {
+			r.Mod.MulShoupVec(a[i], tmp, w[i], r.Mod.ShoupPrecomp(w[i]))
+			r.Add(want, tmp, want)
+		}
+	case add:
+		for i := range a {
+			r.MulCoeffsAndAdd(a[i], b[i], want)
+		}
+	default:
+		r.MulCoeffs(a[0], b[0], want)
+		for i := 1; i < k; i++ {
+			r.MulCoeffsAndAdd(a[i], b[i], want)
+		}
+	}
+	for _, vec := range []bool{false, true} {
+		got := out.Copy()
+		as := append([]Poly(nil), a...)
+		if alias {
+			as[0] = got
+		}
+		SetSIMD(vec && hasVec)
+		switch {
+		case fixed:
+			r.DotFixed(as, ops, got)
+		case add:
+			r.DotCoeffsAndAdd(as, b, got)
+		default:
+			r.DotCoeffs(as, b, got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("q=%d fixed=%v add=%v k=%d n=%d alias=%v top=%v vector=%v idx=%d: dot %d, multi-pass %d",
+					q, fixed, add, k, n, alias, top, vec, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -42,10 +42,16 @@ func mulCoeffsAndAddFMA(out, a, b []uint64, q, qinv float64) { unreachableSIMD()
 
 func mulScalarFMA(out, a []uint64, w, wq, q float64) { unreachableSIMD() }
 
-func macShoupFMA(out, a []uint64, w, wq, q, qinv float64) { unreachableSIMD() }
+func dotCoeffsFMA(out []uint64, a, b []Poly, add int, q, qinv float64) { unreachableSIMD() }
+
+func dotFixedFMA(out []uint64, a []Poly, w []float64, add int, q, qinv float64) { unreachableSIMD() }
+
+func subMulScalarFMA(out, a, b []uint64, w, wq, q, qinv float64, add int) { unreachableSIMD() }
 
 func addVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
 
 func subVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
+
+func negAddVecAVX2(out, a, b []uint64, q uint64) { unreachableSIMD() }
 
 func macDigitOuterAVX2(acc, row, x []uint64, stride int, shift, mask uint64) { unreachableSIMD() }

@@ -77,6 +77,7 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 		mod := r.Mod
 		w := rng.Uint64() % q
 		wShoup := mod.ShoupPrecomp(w)
+		ops := r.NewFixedOperands([]uint64{1, w}) // out + a·w
 		cases := []struct {
 			name string
 			// bound on a/b inputs; out starts canonical where the kernel reads it.
@@ -88,14 +89,18 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 			{"MulCoeffs", q, func(a, b, out Poly) { r.MulCoeffs(a, b, out) }},
 			{"MulCoeffsAndAdd", q, func(a, b, out Poly) { r.MulCoeffsAndAdd(a, b, out) }},
 			{"MulScalar", q, func(a, b, out Poly) { r.MulScalar(a, w, out) }},
-			{"MACShoupVec", q, func(a, b, out Poly) { mod.MACShoupVec(a, out, w, wShoup) }},
+			{"DotCoeffs", q, func(a, b, out Poly) { r.DotCoeffs([]Poly{a, b, out}, []Poly{b, out, a}, out) }},
+			{"DotCoeffsAndAdd", q, func(a, b, out Poly) { r.DotCoeffsAndAdd([]Poly{a, b}, []Poly{b, a}, out) }},
+			{"DotFixed", q, func(a, b, out Poly) { r.DotFixed([]Poly{out, a}, ops, out) }},
+			{"SubMulScalar", q, func(a, b, out Poly) { r.SubMulScalar(a, b, w, out) }},
+			{"SubMulScalarAndAdd", q, func(a, b, out Poly) { r.SubMulScalarAndAdd(a, b, w, out) }},
 			// The basis conversion hands these two residues of other primes:
-			// test up to their documented operand bound. The MAC accumulates
-			// into a canonical copy of b, since out may alias the wide a.
+			// test up to their documented operand bound. The dot accumulates
+			// onto a canonical copy of b, since out may alias the wide a.
 			{"MulShoupVec wide", 1 << 50, func(a, b, out Poly) { mod.MulShoupVec(a, out, w, wShoup) }},
-			{"MACShoupVec wide", 1 << 50, func(a, b, out Poly) {
+			{"DotFixed wide", 1 << 50, func(a, b, out Poly) {
 				acc := b.Copy()
-				mod.MACShoupVec(a, acc, w, wShoup)
+				r.DotFixed([]Poly{acc, a}, ops, acc)
 				copy(out, acc)
 			}},
 		}
@@ -209,6 +214,72 @@ func TestFMATransformsMatchScalar(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestINTTScaleMatchesINTTThenMulScalar holds INTTScaleInto, whose constant
+// rides in the inverse transform's N⁻¹ stage, to INTTInto followed by
+// MulScalar word for word, on both paths, at the edges of the FMA bound
+// (edgeRings × operandPatterns) and for the constants 0, 1, q − 1 and one
+// uniform draw, out of place and in place.
+func TestINTTScaleMatchesINTTThenMulScalar(t *testing.T) {
+	withVector(t)
+	rng := rand.New(rand.NewSource(606))
+	edgeRings(func(r *Ring) {
+		q := r.Mod.Q
+		for _, pat := range operandPatterns {
+			src := r.NewPoly()
+			pat.fill(rng, src, q)
+			for _, c := range []uint64{0, 1, q - 1, rng.Uint64()} {
+				SetSIMD(false)
+				want := r.NewPoly()
+				r.INTTInto(want, src)
+				r.MulScalar(want, c, want)
+				for _, vec := range []bool{false, true} {
+					SetSIMD(vec)
+					got := r.NewPoly()
+					r.INTTScaleInto(got, src, c)
+					inPlace := src.Copy()
+					r.INTTScaleInto(inPlace, inPlace, c)
+					if !r.Equal(want, got) || !r.Equal(want, inPlace) {
+						t.Fatalf("logN=%d q=%d %s c=%d vector=%v: INTTScaleInto differs from INTTInto + MulScalar", r.LogN, q, pat.name, c, vec)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMulByMonomialMinusOneMatchesRotateThenSub holds the CMux's rotated
+// difference (X^k − 1)·p, two segment sweeps, to MulByMonomialInto followed by
+// Sub word for word, on both paths, at the exponents where the segments
+// degenerate or the sign flips (0, ±1, N − 1, N, N + 1, 2N − 1, 2N + 3) and
+// on operandPatterns — all zero among them, where the wrapped segment's
+// negated sum must stay 0, not q.
+func TestMulByMonomialMinusOneMatchesRotateThenSub(t *testing.T) {
+	withVector(t)
+	rng := rand.New(rand.NewSource(707))
+	for _, logN := range []int{3, 4, 7} {
+		r := NewRing(logN, GenerateNTTPrimes(36, logN, 1)[0])
+		n := r.N
+		for _, pat := range operandPatterns {
+			p := r.NewPoly()
+			pat.fill(rng, p, r.Mod.Q)
+			for _, k := range []int{0, 1, -1, n - 1, n, n + 1, 2*n - 1, 2*n + 3, rng.Intn(4 * n)} {
+				SetSIMD(false)
+				want := r.NewPoly()
+				r.MulByMonomialInto(p, k, want)
+				r.Sub(want, p, want)
+				for _, vec := range []bool{false, true} {
+					SetSIMD(vec)
+					got := r.NewPoly()
+					r.MulByMonomialMinusOneInto(p, k, got)
+					if !r.Equal(want, got) {
+						t.Fatalf("N=%d %s k=%d vector=%v: (X^k − 1)·p differs from MulByMonomialInto + Sub", n, pat.name, k, vec)
+					}
+				}
+			}
+		}
+	}
 }
 
 // fmaForwardBounds returns B_0..B_logN, the proven bound on |x| for every

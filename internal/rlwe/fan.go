@@ -17,27 +17,29 @@ import (
 // their digit phase is not cut into limb-sized tasks at all (KeySwitcher.span).
 const minFanDegree = 1 << 10
 
-// fan runs task(0), …, task(n−1), each exactly once, on up to width
-// goroutines and returns when all have finished. The caller is one of them:
-// it starts the other width−1 for this call only, every goroutine claims the
-// next unclaimed index until none is left, and the call waits for the ones it
-// started — so nothing outlives it and there is no pool to size or close.
-// With width ≤ 1 (or a single task) it is a plain loop on the caller's
-// goroutine. Tasks must be independent: nothing orders them but the return.
-func fan(width, n int, task func(i int)) {
+// fan runs task(w, 0), …, task(w, n−1), each index exactly once, on up to
+// width goroutines and returns when all have finished; w < width names the
+// goroutine that runs the task, so a task may use per-goroutine scratch. The
+// caller is goroutine 0: it starts the other width−1 for this call only, every
+// goroutine claims the next unclaimed index until none is left, and the call
+// waits for the ones it started — so nothing outlives it and there is no pool
+// to size or close. With width ≤ 1 (or a single task) it is a plain loop on
+// the caller's goroutine. Tasks must be independent: nothing orders them but
+// the return.
+func fan(width, n int, task func(w, i int)) {
 	if width > n {
 		width = n
 	}
 	if width <= 1 {
 		for i := 0; i < n; i++ {
-			task(i)
+			task(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
-	claim := func() {
+	claim := func(w int) {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			task(i)
+			task(w, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -45,10 +47,10 @@ func fan(width, n int, task func(i int)) {
 	for w := 1; w < width; w++ {
 		go func() {
 			defer wg.Done()
-			claim()
+			claim(w)
 		}()
 	}
-	claim()
+	claim(0)
 	wg.Wait()
 }
 
@@ -76,7 +78,15 @@ func (ks *KeySwitcher) width() int {
 // Fan runs the n independent tasks of a caller's own per-limb loop —
 // the tensor product and the rescale around a relinearization, the transforms
 // that close a bootstrap — at the key switcher's width; see fan.
-func (ks *KeySwitcher) Fan(n int, task func(i int)) { fan(ks.width(), n, task) }
+func (ks *KeySwitcher) Fan(n int, task func(i int)) {
+	if w := ks.width(); w > 1 && n > 1 {
+		fan(w, n, func(_, i int) { task(i) })
+		return
+	}
+	for i := 0; i < n; i++ {
+		task(i)
+	}
+}
 
 // run executes one phase of the arena's operation: phase(ks, sc, t) for every
 // limb task t < n. An arena of width 1 — every blind rotation, merge node and
@@ -84,11 +94,23 @@ func (ks *KeySwitcher) Fan(n int, task func(i int)) { fan(ks.width(), n, task) }
 // between it and the arithmetic; a wider one hands the same calls to fan.
 func (ks *KeySwitcher) run(sc *Scratch, n int, phase func(*KeySwitcher, *Scratch, int)) {
 	if sc.width > 1 {
-		fan(sc.width, n, func(t int) { phase(ks, sc, t) })
+		fan(sc.width, n, func(_, t int) { phase(ks, sc, t) })
 		return
 	}
 	for t := 0; t < n; t++ {
 		phase(ks, sc, t)
+	}
+}
+
+// runLanes is run for a phase whose tasks use per-goroutine scratch:
+// phase(ks, sc, w, t), w the arena lane of the goroutine running task t.
+func (ks *KeySwitcher) runLanes(sc *Scratch, n int, phase func(*KeySwitcher, *Scratch, int, int)) {
+	if sc.width > 1 {
+		fan(sc.width, n, func(w, t int) { phase(ks, sc, w, t) })
+		return
+	}
+	for t := 0; t < n; t++ {
+		phase(ks, sc, 0, t)
 	}
 }
 

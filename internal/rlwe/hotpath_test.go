@@ -252,7 +252,7 @@ func TestDecomposeDigitMatchesFullExtension(t *testing.T) {
 					ks.digitExt[j].ExtendLimb(ys, idx, want)
 					p.QPBasis.Rings[idx].NTT(want)
 
-					got := sc.dig.Limbs[idx]
+					got := make(ring.Poly, p.N())
 					ks.raiseLimb(sc, 0, j, idx, got)
 					if !p.QPBasis.Rings[idx].Equal(want, got) {
 						t.Fatalf("shape %v level %d digit %d limb %d: in-window copy differs from full extension", shape, level, j, idx)
@@ -435,12 +435,12 @@ func TestZeroC1SkipIsBitIdentical(t *testing.T) {
 		sc.setInput(1, trivial.C1, false, rgsw.C1, nil)
 		ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
 		want := NewCiphertext(p, level)
-		ks.modDownPair(want.C0, want.C1, coeff, sc)
+		ks.modDownPair(want.C0, want.C1, coeff, overwrite, sc)
 
 		met := obs.NewMetrics()
 		ks.SetRecorder(met)
 		got := NewCiphertext(p, level)
-		ks.externalProduct(got, trivial, rgsw, coeff, sc)
+		ks.externalProduct(got, trivial, rgsw, coeff, overwrite, sc)
 		ks.SetRecorder(nil)
 		if !b.Equal(want.C0, got.C0) || !b.Equal(want.C1, got.C1) {
 			t.Fatalf("coeff=%v: external product of a trivial ciphertext differs from the unskipped computation", coeff)

@@ -21,9 +21,10 @@ import (
 // against the key rows — and so is every limb step of the two ModDowns. A key
 // switch is four such phases with a barrier after each (inputLimb, digitLimb,
 // modDownPLimb, modDownQLimb), every task writes its own limb of the arena
-// and runs the same kernels in the same order per limb whoever executes it,
-// so the output does not depend on how many goroutines shared the work: an
-// arena of width 1 loops, a wider one fans the tasks out (fan.go).
+// (and its goroutine's lane of digit scratch) and runs the same kernels in the
+// same order per limb whoever executes it, so the output does not depend on
+// how many goroutines shared the work: an arena of width 1 loops, a wider one
+// fans the tasks out (fan.go).
 type KeySwitcher struct {
 	params *Parameters
 	alpha  int
@@ -112,7 +113,7 @@ func (ks *KeySwitcher) EnsurePerm(g uint64) []uint64 {
 }
 
 // Scratch is a per-worker arena holding every intermediate of the
-// key-switch/external-product kernel: accumulators, the digit buffer, the
+// key-switch/external-product kernel: accumulators, the digit lanes, the
 // coefficient-form copies and scaled y_i of the inputs, temporaries for the
 // steps around a key switch, and the two ModDowns' scratch. It is
 // the software analog of the paper's §VI-B plan of keeping all BlindRotate
@@ -122,16 +123,19 @@ func (ks *KeySwitcher) EnsurePerm(g uint64) []uint64 {
 // itself use several goroutines is the arena's width: 1 for an arena made by
 // NewScratch, the key switcher's for its pooled ones (SetWorkers).
 //
-// acc, dig and acc2 are polynomials over the QP basis indexed by QP limb — Q
-// limbs first, then P — so a product at level ℓ touches limbs [0, ℓ) and
-// [L, L+|P|) and leaves the Q limbs between alone.
+// acc and acc2 are polynomials over the QP basis indexed by QP limb — Q limbs
+// first, then P — so a product at level ℓ touches limbs [0, ℓ) and [L, L+|P|)
+// and leaves the Q limbs between alone.
 type Scratch struct {
 	acc [2]rns.Poly // b-side and a-side accumulators, NTT
-	dig rns.Poly    // limb t holds the digit task t is raising
 	c   [2]rns.Poly // coefficient-form copies of NTT-form inputs
 	t   [2]rns.Poly // temporaries of the steps around a key switch
 	y   [2]rns.Poly // y_i = x_i·q̂_i⁻¹ per input component and Q limb
 	md  [2]*rns.ModDownScratch
+	// lanes[w] is the digit-phase scratch of the arena's goroutine w (see
+	// runLanes): one lane for an arena of width 1, grown to the width on a
+	// wider arena's first digit phase.
+	lanes []digitLane
 
 	// The second accumulator pair and the two N-word monomial vectors serve
 	// the two-key product of the ternary blind rotation only; ensureTwoKey
@@ -146,6 +150,15 @@ type Scratch struct {
 	job   limbJob
 }
 
+// digitLane is what one digit-phase task has in flight: the raised digits of
+// one QP limb — comps × digits of them, digit d of component c at c·D + d for
+// D digits — and the key-row limbs the dot product of one accumulator side
+// pairs them with. Only a limb per digit, not a polynomial: the task finishes
+// the limb before it raises the next one.
+type digitLane struct {
+	digs, rows []ring.Poly
+}
+
 // limbJob is the operation in flight on an arena — what its limb tasks read.
 // The entry points fill it, run the phases, and leave it behind; the next
 // operation overwrites what it uses.
@@ -158,9 +171,11 @@ type limbJob struct {
 	// key[c] holds the rows component c's digits are MACed against into acc,
 	// key2[c] (two-key product only) those MACed into acc2.
 	key, key2 [2]*GadgetCiphertext
-	// out and coeff are the destinations and output form of the two ModDowns.
+	// out and coeff are the destinations and output form of the two ModDowns;
+	// add[s] makes ModDown s add its result to out[s] instead of writing it.
 	out   [2]rns.Poly
 	coeff bool
+	add   [2]bool
 	// hoisted is the decomposition DecomposeInto stores to and
 	// ApplyGaloisHoistedInto permutes from.
 	hoisted *Hoisted
@@ -178,7 +193,7 @@ type limbJob struct {
 // Its width is 1: the caller is taken to be one of several workers.
 func (ks *KeySwitcher) NewScratch() *Scratch {
 	p := ks.params
-	sc := &Scratch{dig: p.QPBasis.NewPoly(), width: 1}
+	sc := &Scratch{lanes: []digitLane{ks.newLane()}, width: 1}
 	for s := range sc.acc {
 		sc.acc[s] = p.QPBasis.NewPoly()
 		sc.c[s] = p.QBasis.NewPoly()
@@ -187,6 +202,26 @@ func (ks *KeySwitcher) NewScratch() *Scratch {
 		sc.md[s] = ks.modDown.NewScratch()
 	}
 	return sc
+}
+
+// newLane allocates one digit lane: a limb for each digit of both components
+// at the top level, in one slab.
+func (ks *KeySwitcher) newLane() digitLane {
+	k, n := 2*len(ks.digitExt), ks.params.N()
+	slab := make([]uint64, k*n)
+	l := digitLane{digs: make([]ring.Poly, k), rows: make([]ring.Poly, 0, k)}
+	for i := range l.digs {
+		l.digs[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return l
+}
+
+// ensureLanes gives the arena a digit lane per goroutine of its width. It runs
+// on the calling goroutine before a digit phase fans out.
+func (ks *KeySwitcher) ensureLanes(sc *Scratch) {
+	for len(sc.lanes) < sc.width {
+		sc.lanes = append(sc.lanes, ks.newLane())
+	}
 }
 
 // ensureTwoKey allocates the second accumulator pair and the monomial vectors
@@ -282,58 +317,61 @@ func (ks *KeySwitcher) raiseLimb(sc *Scratch, c, d, idx int, dst ring.Poly) {
 	r.NTT(dst)
 }
 
-// macLimbs accumulates acc += dig ⊙ row d of component c's key over the limb
-// tasks [lo, hi), on both sides — and acc2 against the second key when the job
-// has one — one key row after another, each swept over the range in limb
-// order. With first set it writes the product instead, so the first digit of
-// a gadget product needs no zeroed accumulator (the product is canonical
-// either way, so the sum is bit-identical to zero-then-accumulate).
-func (ks *KeySwitcher) macLimbs(sc *Scratch, c, d, lo, hi int, first bool) {
-	mac := (*ring.Ring).MulCoeffsAndAdd
-	if first {
-		mac = (*ring.Ring).MulCoeffs
-	}
-	sweep := func(row, acc rns.Poly) {
-		for t := lo; t < hi; t++ {
-			idx := ks.qpLimb(sc, t)
-			mac(ks.params.QPBasis.Rings[idx], sc.dig.Limbs[idx], row.Limbs[idx], acc.Limbs[idx])
+// macLimb writes QP limb idx of the accumulators from the lane's raised digits
+// of that limb (nd digits per component): each side is one dot product of the
+// digits with the key rows' limbs, acc[s] = Σ_c Σ_d digit(c, d) ⊙ key[c] row d
+// — and acc2 the same against the second key when the job has one. Canonical
+// residues are unique, so the words are those of summing the terms one MAC
+// sweep at a time, in any order.
+func (ks *KeySwitcher) macLimb(sc *Scratch, lane *digitLane, idx, nd int) {
+	j := &sc.job
+	r := ks.params.QPBasis.Rings[idx]
+	digs := lane.digs[:j.comps*nd]
+	accs := [2]*[2]rns.Poly{&sc.acc, &sc.acc2}
+	for p, keys := range [2][2]*GadgetCiphertext{j.key, j.key2} {
+		if keys[0] == nil {
+			continue
 		}
-	}
-	key := sc.job.key[c]
-	sweep(key.B[d], sc.acc[0])
-	sweep(key.A[d], sc.acc[1])
-	if key = sc.job.key2[c]; key != nil {
-		sweep(key.B[d], sc.acc2[0])
-		sweep(key.A[d], sc.acc2[1])
+		for s := range accs[p] {
+			rows := lane.rows[:0]
+			for _, key := range keys[:j.comps] {
+				side := key.B
+				if s == 1 {
+					side = key.A
+				}
+				for _, row := range side[:nd] {
+					rows = append(rows, row.Limbs[idx])
+				}
+			}
+			r.DotCoeffs(digs, rows, accs[p][s].Limbs[idx])
+		}
 	}
 }
 
 // digitLimb is the decompose→NTT→MAC body of every key switch and external
-// product, one task per span of limbs of the extended basis: each digit of
-// each component is raised into the span's limbs of dig, transformed, and
-// MACed into the same limbs of the accumulators — components in order, digits
-// in order, the first product starting the accumulators. Nothing outside the
-// span is written, and each limb sees the same kernels in the same order
-// whatever the span.
+// product, one task per span of limbs of the extended basis, run on lane w:
+// limb by limb, every digit of every component is raised into the lane and
+// transformed, then each accumulator side's limb is written by one dot
+// product of the digits with the key rows (macLimb). Nothing outside the span
+// is written but the lane, and each limb sees the same kernels in the same
+// order whatever the span.
 //
 // The span is one limb on a ring that can fan out, so that a phase has
 // level+|P| tasks to share. On a smaller ring (see minFanDegree) it is the
-// whole basis — one task, digit-major inside: limb-sized tasks buy nothing
-// where nothing fans, and at 1 KB a limb the key rows, which are the one
-// operand that streams from memory, are read measurably faster a row at a
-// time than a limb of every row at a time (heapd's ring, cold between jobs:
-// EXPERIMENTS.md "Limb-level fan-out").
-func (ks *KeySwitcher) digitLimb(sc *Scratch, t int) {
+// whole basis — one task: limb-sized tasks buy nothing where nothing fans.
+func (ks *KeySwitcher) digitLimb(sc *Scratch, w, t int) {
 	j := &sc.job
+	lane := &sc.lanes[w]
+	nd := ks.params.DigitsAtLevel(j.level)
 	lo, hi := ks.span(sc, t)
-	for c := 0; c < j.comps; c++ {
-		for d := 0; d*ks.alpha < j.level; d++ {
-			for u := lo; u < hi; u++ {
-				idx := ks.qpLimb(sc, u)
-				ks.raiseLimb(sc, c, d, idx, sc.dig.Limbs[idx])
+	for u := lo; u < hi; u++ {
+		idx := ks.qpLimb(sc, u)
+		for c := 0; c < j.comps; c++ {
+			for d := 0; d < nd; d++ {
+				ks.raiseLimb(sc, c, d, idx, lane.digs[c*nd+d])
 			}
-			ks.macLimbs(sc, c, d, lo, hi, c == 0 && d == 0)
 		}
+		ks.macLimb(sc, lane, idx, nd)
 	}
 }
 
@@ -358,10 +396,11 @@ func (ks *KeySwitcher) span(sc *Scratch, t int) (lo, hi int) {
 // over the job's inputs at the job's level:
 // acc = Σ_c Σ_d digit_d(in[c]) ⊙ key[c] row d (and acc2 against key2; one
 // decomposition serves both keys of a two-key product).
-func (ks *KeySwitcher) gadgetProduct(sc *Scratch, digitPhase func(*KeySwitcher, *Scratch, int)) {
+func (ks *KeySwitcher) gadgetProduct(sc *Scratch, digitPhase func(*KeySwitcher, *Scratch, int, int)) {
 	j := &sc.job
 	ks.run(sc, j.comps*j.level, (*KeySwitcher).inputLimb)
-	ks.run(sc, ks.digitTasks(sc), digitPhase)
+	ks.ensureLanes(sc)
+	ks.runLanes(sc, ks.digitTasks(sc), digitPhase)
 	transforms := j.comps * ks.params.DigitsAtLevel(j.level) * (j.level + len(ks.params.P))
 	if j.ntt[0].Limbs != nil { // the components of a job arrive in one form
 		transforms += j.comps * j.level
@@ -380,41 +419,41 @@ func (ks *KeySwitcher) modDownPLimb(sc *Scratch, t int) {
 }
 
 // modDownQLimb is the fourth phase, one task per (side, Q limb): extend the P
-// part into the limb, subtract, multiply by P⁻¹, into the job's output.
+// part into the limb, subtract, multiply by P⁻¹, into the job's output — or
+// onto it.
 func (ks *KeySwitcher) modDownQLimb(sc *Scratch, t int) {
 	j := &sc.job
 	side, i := sc.pairLimb(t)
-	ks.modDown.FinishLimb(i, sc.acc[side].Limbs[i], j.out[side].Limbs[i], j.coeff, sc.md[side])
+	ks.modDown.FinishLimb(i, sc.acc[side].Limbs[i], j.out[side].Limbs[i], j.coeff, j.add[side], sc.md[side])
 }
+
+// overwrite and accumulate are the two uniform ModDown modes of a pair: write
+// the results, or add them to the polynomials they update.
+var overwrite, accumulate = [2]bool{}, [2]bool{true, true}
 
 // modDownPair divides both accumulators by P into (outB, outA), at the job's
 // level, in NTT representation or — with coeff set, via the linear ModDown
 // variant that is bit-identical to INTT of the NTT form — directly in
-// coefficient representation. Either form costs |P| inverse transforms for
-// the P part plus one transform per Q limb on each side; rns has no recorder,
-// so they are counted here.
-func (ks *KeySwitcher) modDownPair(outB, outA rns.Poly, coeff bool, sc *Scratch) {
+// coefficient representation; add[s] adds side s's result to its output (in
+// the output's form) instead, in the same last pass. Either form costs |P|
+// inverse transforms for the P part plus one transform per Q limb on each
+// side; rns has no recorder, so they are counted here.
+func (ks *KeySwitcher) modDownPair(outB, outA rns.Poly, coeff bool, add [2]bool, sc *Scratch) {
 	j := &sc.job
-	j.out, j.coeff = [2]rns.Poly{outB, outA}, coeff
+	j.out, j.coeff, j.add = [2]rns.Poly{outB, outA}, coeff, add
 	nP := len(ks.params.P)
 	ks.run(sc, 2*nP, (*KeySwitcher).modDownPLimb)
 	ks.run(sc, 2*j.level, (*KeySwitcher).modDownQLimb)
 	ks.rec.Add(obs.CounterNTT, uint64(2*(nP+j.level)))
 }
 
-// permuteLimb and addLimb are the per-limb steps around a key switch, one
-// task per (operand, Q limb) over the job's src/dst pairs: dst = σ(src) as an
-// NTT-slot permutation, and dst += src.
+// permuteLimb is the per-limb step before a rotation's key switch, one task
+// per (operand, Q limb) over the job's src/dst pairs: dst = σ(src) as an
+// NTT-slot permutation.
 func (ks *KeySwitcher) permuteLimb(sc *Scratch, t int) {
 	j := &sc.job
 	s, i := sc.pairLimb(t)
 	ks.params.QBasis.Rings[i].AutomorphismNTT(j.src[s].Limbs[i], j.perm, j.dst[s].Limbs[i])
-}
-
-func (ks *KeySwitcher) addLimb(sc *Scratch, t int) {
-	j := &sc.job
-	s, i := sc.pairLimb(t)
-	ks.params.QBasis.Rings[i].Add(j.dst[s].Limbs[i], j.src[s].Limbs[i], j.dst[s].Limbs[i])
 }
 
 // SwitchPolyInto applies the gadget ciphertext gct to the polynomial c (NTT,
@@ -424,7 +463,7 @@ func (ks *KeySwitcher) addLimb(sc *Scratch, t int) {
 // nothing. For a key-switching key encrypting s_from under s_to, feeding
 // c = c1 yields d0 + d1·s_to ≈ c1·s_from.
 func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	ks.switchPoly(c, true, gct, d0, d1, sc)
+	ks.switchPoly(c, true, gct, d0, d1, overwrite, sc)
 }
 
 // switchPolyCoeff is SwitchPolyInto with input and both outputs in
@@ -434,28 +473,25 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 // NTT(cCoeff). cCoeff may alias d1 — the decomposition has consumed the
 // input before the ModDowns write.
 func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	ks.switchPoly(cCoeff, false, gct, d0, d1, sc)
+	ks.switchPoly(cCoeff, false, gct, d0, d1, overwrite, sc)
 }
 
 // switchPoly is the key switch in either domain: input and outputs share it.
-func (ks *KeySwitcher) switchPoly(c rns.Poly, isNTT bool, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
+// add[s] adds d_s onto the polynomial given for it instead of writing it.
+func (ks *KeySwitcher) switchPoly(c rns.Poly, isNTT bool, gct *GadgetCiphertext, d0, d1 rns.Poly, add [2]bool, sc *Scratch) {
 	sc.job.level, sc.job.comps = c.Level(), 1
 	sc.setInput(0, c, isNTT, gct, nil)
 	ks.rec.Add(obs.CounterKeySwitch, 1)
 	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
-	ks.modDownPair(d0, d1, !isNTT, sc)
+	ks.modDownPair(d0, d1, !isNTT, add, sc)
 }
 
 // Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 in
 // place, using the relinearization key (a gadget encryption of s²): the
-// key-switched c2 is added into c0 and c1.
+// key-switched c2 is added into c0 and c1 by the ModDowns themselves.
 func (ks *KeySwitcher) Relinearize(c0, c1, c2 rns.Poly, rlk *GadgetCiphertext) {
-	level := c2.Level()
 	sc := ks.getScratch()
-	d := [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
-	ks.SwitchPolyInto(c2, rlk, d[0], d[1], sc)
-	sc.job.src, sc.job.dst = d, [2]rns.Poly{c0, c1}
-	ks.run(sc, 2*level, (*KeySwitcher).addLimb)
+	ks.switchPoly(c2, true, rlk, c0, c1, accumulate, sc)
 	ks.putScratch(sc)
 }
 
@@ -471,20 +507,18 @@ func (ks *KeySwitcher) Automorphism(ct *Ciphertext, g uint64, gk *GadgetCipherte
 
 // AutomorphismInto is Automorphism writing into the caller-owned out
 // ciphertext (same level as ct; must not alias it) using the scratch arena.
-// This is the allocation-free form of the rotation kernel: the permuted
-// components land in the arena's temporaries and the key-switch reuses the
-// usual decompose→MAC→ModDown buffers. The output is in NTT representation
-// and bit-identical to Automorphism's.
+// This is the allocation-free form of the rotation kernel: σ(C0) lands in
+// out.C0 and σ(C1) in an arena temporary, the key switch reuses the usual
+// decompose→MAC→ModDown buffers, and its b-side ModDown adds onto out.C0. The
+// output is in NTT representation and bit-identical to Automorphism's.
 func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	level := ct.Level()
 	j := &sc.job
-	t := [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
+	t1 := sc.t[1].AtLevel(level)
 	j.level, j.perm = level, ks.EnsurePerm(g)
-	j.src, j.dst = [2]rns.Poly{ct.C0, ct.C1}, t
+	j.src, j.dst = [2]rns.Poly{ct.C0, ct.C1}, [2]rns.Poly{out.C0, t1}
 	ks.run(sc, 2*level, (*KeySwitcher).permuteLimb)
-	ks.SwitchPolyInto(t[1], gk, out.C0, out.C1, sc)
-	j.src[0], j.dst[0] = t[0], out.C0
-	ks.run(sc, level, (*KeySwitcher).addLimb)
+	ks.switchPoly(t1, true, gk, out.C0, out.C1, [2]bool{true, false}, sc)
 	out.IsNTT = true
 	out.Scale = ct.Scale
 }
@@ -519,7 +553,8 @@ func (ks *KeySwitcher) NewHoisted() *Hoisted {
 
 // decomposeLimb is digitLimb storing instead of accumulating: every digit of
 // the job's one component is raised into limb t of the hoisted decomposition.
-func (ks *KeySwitcher) decomposeLimb(sc *Scratch, t int) {
+// It needs no lane.
+func (ks *KeySwitcher) decomposeLimb(sc *Scratch, _, t int) {
 	j := &sc.job
 	lo, hi := ks.span(sc, t)
 	for d := 0; d*ks.alpha < j.level; d++ {
@@ -530,17 +565,21 @@ func (ks *KeySwitcher) decomposeLimb(sc *Scratch, t int) {
 	}
 }
 
-// hoistedLimb is digitLimb reading instead of raising: limb t of every stored
-// digit is permuted into dig and MACed against the key rows.
-func (ks *KeySwitcher) hoistedLimb(sc *Scratch, t int) {
+// hoistedLimb is digitLimb reading instead of raising: limb by limb, every
+// stored digit is permuted into lane w and the accumulators' limb is written
+// by macLimb.
+func (ks *KeySwitcher) hoistedLimb(sc *Scratch, w, t int) {
 	j := &sc.job
+	lane := &sc.lanes[w]
+	nd := ks.params.DigitsAtLevel(j.level)
 	lo, hi := ks.span(sc, t)
-	for d := 0; d*ks.alpha < j.level; d++ {
-		for u := lo; u < hi; u++ {
-			idx := ks.qpLimb(sc, u)
-			ks.params.QPBasis.Rings[idx].AutomorphismNTT(j.hoisted.digs[d].Limbs[idx], j.perm, sc.dig.Limbs[idx])
+	for u := lo; u < hi; u++ {
+		idx := ks.qpLimb(sc, u)
+		r := ks.params.QPBasis.Rings[idx]
+		for d := 0; d < nd; d++ {
+			r.AutomorphismNTT(j.hoisted.digs[d].Limbs[idx], j.perm, lane.digs[d])
 		}
-		ks.macLimbs(sc, 0, d, lo, hi, d == 0)
+		ks.macLimb(sc, lane, idx, nd)
 	}
 }
 
@@ -570,18 +609,15 @@ func (ks *KeySwitcher) Decompose(c rns.Poly) *Hoisted {
 // the ciphertext h was decomposed from, at the same level; out must not
 // alias ct.
 func (ks *KeySwitcher) ApplyGaloisHoistedInto(out, ct *Ciphertext, h *Hoisted, g uint64, gk *GadgetCiphertext, sc *Scratch) {
-	level := h.level
 	j := &sc.job
-	j.level, j.hoisted, j.perm = level, h, ks.EnsurePerm(g)
-	j.key[0], j.key2[0] = gk, nil
+	j.level, j.comps, j.hoisted, j.perm = h.level, 1, h, ks.EnsurePerm(g)
+	j.key, j.key2 = [2]*GadgetCiphertext{gk}, [2]*GadgetCiphertext{}
+	j.src[0], j.dst[0] = ct.C0, out.C0
+	ks.run(sc, h.level, (*KeySwitcher).permuteLimb)
 	ks.rec.Add(obs.CounterKeySwitch, 1)
-	ks.run(sc, ks.digitTasks(sc), (*KeySwitcher).hoistedLimb)
-	ks.modDownPair(out.C0, out.C1, false, sc)
-	t0 := sc.t[0].AtLevel(level)
-	j.src[0], j.dst[0] = ct.C0, t0
-	ks.run(sc, level, (*KeySwitcher).permuteLimb)
-	j.src[0], j.dst[0] = t0, out.C0
-	ks.run(sc, level, (*KeySwitcher).addLimb)
+	ks.ensureLanes(sc)
+	ks.runLanes(sc, ks.digitTasks(sc), (*KeySwitcher).hoistedLimb)
+	ks.modDownPair(out.C0, out.C1, false, [2]bool{true, false}, sc)
 	out.IsNTT = true
 	out.Scale = ct.Scale
 }
@@ -611,7 +647,9 @@ func (ks *KeySwitcher) ApplyGaloisHoisted(ct *Ciphertext, h *Hoisted, g uint64, 
 // (the test is one comparison on anything else: it stops at the first
 // non-zero coefficient).
 func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
-	ks.externalProduct(out, ct, rgsw, false, sc)
+	ks.externalProduct(out, ct, rgsw, false, overwrite, sc)
+	out.IsNTT = true
+	out.Scale = ct.Scale
 }
 
 // ExternalProductCoeffInto is ExternalProductInto with the output in
@@ -620,14 +658,28 @@ func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCipher
 // transforms a caller that wants coefficients — the blind-rotation
 // accumulator update — would otherwise spend undoing the NTT-domain ModDown.
 func (ks *KeySwitcher) ExternalProductCoeffInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
-	ks.externalProduct(out, ct, rgsw, true, sc)
+	ks.externalProduct(out, ct, rgsw, true, overwrite, sc)
+	out.IsNTT = false
+	out.Scale = ct.Scale
 }
 
-func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext, coeff bool, sc *Scratch) {
+// ExternalProductCoeffAddTo adds ct ⊡ rgsw to acc in coefficient
+// representation — the accumulator update ACC += (X^k·ACC − ACC) ⊡ RGSW(s_i)
+// of a binary blind-rotation step — with the addition folded into the last
+// pass of the ModDowns, so acc is read and written once. The words are those
+// of ExternalProductCoeffInto followed by an Add. ct may be in either
+// representation and may be acc itself (the decomposition has consumed it
+// before the ModDowns write); acc keeps its scale.
+func (ks *KeySwitcher) ExternalProductCoeffAddTo(acc, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
+	if acc.IsNTT {
+		panic("rlwe: ExternalProductCoeffAddTo accumulates in coefficient representation")
+	}
+	ks.externalProduct(acc, ct, rgsw, true, accumulate, sc)
+}
+
+func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext, coeff bool, add [2]bool, sc *Scratch) {
 	ks.decomposeCiphertext(ct, rgsw, nil, sc)
-	ks.modDownPair(out.C0, out.C1, coeff, sc)
-	out.IsNTT = !coeff
-	out.Scale = ct.Scale
+	ks.modDownPair(out.C0, out.C1, coeff, add, sc)
 }
 
 // decomposeCiphertext is the gadget product of an external product, counted
@@ -658,21 +710,40 @@ func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCip
 // commute with the decomposition up to key-switch noise, so the raised digits
 // of ct as it stands are MACed against both keys into two accumulator pairs,
 // the factors are applied to the accumulators in the evaluation domain
-// (acc ← m⁺ ⊙ acc⁺ + m⁻ ⊙ acc⁻ per QP limb, the monomial vectors rebuilt per
-// limb into scratch), and the pair is ModDown'd once. That is the transform
-// count of a single external product (and it is counted as one) where two
-// sequential CMux steps spend two. ct must be in coefficient representation
-// and out is written in it. out must NOT alias ct: the iteration is completed
-// by ct + out, so the caller still needs ct when this returns (the in-place
-// form ExternalProductCoeffInto allows has no use here). The result is not
-// bit-identical to the two-step form (whose second product sees the first
-// one's output), only equal to it up to key-switch noise. Both keys are
-// required: a missing one is refused, not read as RGSW(0).
+// (acc ← m⁺ ⊙ acc⁺ + m⁻ ⊙ acc⁻ per QP limb, one two-term dot product, the
+// monomial vectors rebuilt per limb into scratch), and the pair is ModDown'd
+// once. That is the transform count of a single external product (and it is
+// counted as one) where two sequential CMux steps spend two. ct must be in
+// coefficient representation and out is written in it. out must NOT alias ct:
+// the iteration is completed by ct + out, so the caller still needs ct when
+// this returns — ExternalProductTwoKeyCoeffAddTo is the in-place form that
+// completes it. The result is not bit-identical to the two-step form (whose
+// second product sees the first one's output), only equal to it up to
+// key-switch noise. Both keys are required: a missing one is refused, not
+// read as RGSW(0).
 //
 // The combine runs inline on the calling goroutine at every width: the arena
 // has one pair of monomial vectors, and the only caller is a blind-rotation
 // worker, whose arena is width 1.
 func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
+	ks.twoKeyProduct(out, ct, k, plus, minus, overwrite, sc)
+	out.IsNTT = false
+	out.Scale = ct.Scale
+}
+
+// ExternalProductTwoKeyCoeffAddTo is the ternary blind-rotation iteration in
+// place,
+//
+//	acc += ((X^k − 1)·acc) ⊡ plus + ((X^{−k} − 1)·acc) ⊡ minus,
+//
+// ExternalProductTwoKeyCoeffInto with the closing addition folded into the
+// ModDowns' last pass: the same words as that product followed by an Add.
+// acc must be in coefficient representation.
+func (ks *KeySwitcher) ExternalProductTwoKeyCoeffAddTo(acc *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
+	ks.twoKeyProduct(acc, acc, k, plus, minus, accumulate, sc)
+}
+
+func (ks *KeySwitcher) twoKeyProduct(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, add [2]bool, sc *Scratch) {
 	if ct.IsNTT {
 		panic("rlwe: two-key external product takes a coefficient-form ciphertext")
 	}
@@ -682,17 +753,15 @@ func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int
 	p := ks.params
 	sc.ensureTwoKey(p)
 	ks.decomposeCiphertext(ct, plus, minus, sc)
+	mono := []ring.Poly{sc.monoPlus, sc.monoMinus}
 	for t, n := 0, ct.Level()+len(p.P); t < n; t++ {
 		idx := ks.qpLimb(sc, t)
 		r := p.QPBasis.Rings[idx]
 		r.MonomialsMinusOneNTT(k, sc.monoPlus, sc.monoMinus)
 		for s := range sc.acc {
 			acc := sc.acc[s].Limbs[idx]
-			r.MulCoeffs(acc, sc.monoPlus, acc)
-			r.MulCoeffsAndAdd(sc.acc2[s].Limbs[idx], sc.monoMinus, acc)
+			r.DotCoeffs([]ring.Poly{acc, sc.acc2[s].Limbs[idx]}, mono, acc)
 		}
 	}
-	ks.modDownPair(out.C0, out.C1, true, sc)
-	out.IsNTT = false
-	out.Scale = ct.Scale
+	ks.modDownPair(out.C0, out.C1, true, add, sc)
 }

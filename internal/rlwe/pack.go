@@ -227,22 +227,20 @@ func sumDiff(r *ring.Ring, e, o, diff ring.Poly, sh int) {
 // src[0] must not share storage with dst.C0; src[1] may be dst.C1 (it is
 // read before dst is written). σ_g permutes coefficients exactly: σ_g(src[1])
 // feeds the gadget decomposition as it stands, both ModDowns emit
-// coefficients, and σ_g(src[0]) is never materialized — the last phase
-// scatters src[0] into dst.C0 with ring.AutomorphismAdd after d0 has been
-// added. The steps on either side of the key switch are per-limb phases of
-// the arena like the switch's own.
+// coefficients and add them onto dst as they finish, and σ_g(src[0]) is never
+// materialized — the last phase scatters src[0] into dst.C0 with
+// ring.AutomorphismAdd. The steps on either side of the key switch are
+// per-limb phases of the arena like the switch's own.
 func (rp *Repacker) addRotated(dst *Ciphertext, src [2]rns.Poly, g uint64, gk *GadgetCiphertext, sc *Scratch) {
 	ks := rp.ks
 	level := dst.Level()
 	j := &sc.job
-	rot, d0 := sc.c[0].AtLevel(level), sc.c[1].AtLevel(level) // σ_g(src[1]) and then d1; d0
+	rot := sc.c[0].AtLevel(level) // σ_g(src[1])
 	j.level, j.g = level, g
 	j.src[0], j.dst[0] = src[1], rot
 	ks.run(sc, level, (*KeySwitcher).automorphLimb)
-	ks.switchPolyCoeff(rot, gk, d0, rot, sc) // d1 lands on its input in place
-	j.src, j.dst = [2]rns.Poly{d0, rot}, [2]rns.Poly{dst.C0, dst.C1}
-	ks.run(sc, 2*level, (*KeySwitcher).addLimb) // C0 += d0, C1 += d1
-	j.src[0] = src[0]
+	ks.switchPoly(rot, false, gk, dst.C0, dst.C1, accumulate, sc) // C0 += d0, C1 += d1
+	j.src[0], j.dst[0] = src[0], dst.C0
 	ks.run(sc, level, (*KeySwitcher).automorphAddLimb) // C0 += σ_g(src[0])
 }
 

@@ -93,8 +93,7 @@ func (b *Basis) DivRoundLimb(i, last int, pi, cL ring.Poly, inNTT bool, out ring
 	if inNTT {
 		ri.NTT(out)
 	}
-	ri.Sub(pi, out, out)
-	ri.MulScalar(out, ri.Mod.InvMod(qL%qi), out)
+	ri.SubMulScalar(pi, out, ri.Mod.InvMod(qL%qi), out)
 }
 
 // Extender implements the fast (approximate) RNS basis conversion of
@@ -108,12 +107,11 @@ type Extender struct {
 
 	// Indexed [level-1][srcLimb]: ((Q_level/q_i)^{-1}) mod q_i.
 	qhatInvModQ [][]uint64
-	// Indexed [level-1][srcLimb][dstLimb]: (Q_level/q_i) mod p_j, with the
-	// Shoup companions precomputed once so the per-call inner loop is pure
-	// fixed-operand MACs (the §IV-A datapath keeps these constants resident
-	// on chip for the same reason).
-	qhatModP      [][][]uint64
-	qhatModPShoup [][][]uint64
+	// Indexed [level-1][dstLimb]: the level terms (Q_level/q_i) mod p_j of
+	// destination limb j's sum, prepared once for the fixed-operand dot
+	// product, so a per-call limb is one pass (the §IV-A datapath keeps these
+	// constants resident on chip for the same reason).
+	qhatModP [][]*ring.FixedOperands
 }
 
 // NewExtender precomputes conversion tables from every level of src into dst.
@@ -121,31 +119,27 @@ func NewExtender(src, dst *Basis) *Extender {
 	e := &Extender{src: src, dst: dst}
 	maxLevel := src.Level()
 	e.qhatInvModQ = make([][]uint64, maxLevel)
-	e.qhatModP = make([][][]uint64, maxLevel)
-	e.qhatModPShoup = make([][][]uint64, maxLevel)
+	e.qhatModP = make([][]*ring.FixedOperands, maxLevel)
 	for level := 1; level <= maxLevel; level++ {
 		bigQ := src.AtLevel(level).Modulus()
 		inv := make([]uint64, level)
-		modP := make([][]uint64, level)
-		modPShoup := make([][]uint64, level)
+		qhat := make([]*big.Int, level)
 		for i := 0; i < level; i++ {
 			qi := src.Rings[i].Mod.Q
-			qhat := new(big.Int).Div(bigQ, new(big.Int).SetUint64(qi))
-			qhatModQi := new(big.Int).Mod(qhat, new(big.Int).SetUint64(qi)).Uint64()
+			qhat[i] = new(big.Int).Div(bigQ, new(big.Int).SetUint64(qi))
+			qhatModQi := new(big.Int).Mod(qhat[i], new(big.Int).SetUint64(qi)).Uint64()
 			inv[i] = src.Rings[i].Mod.InvMod(qhatModQi)
-			row := make([]uint64, dst.Level())
-			rowShoup := make([]uint64, dst.Level())
-			for j := 0; j < dst.Level(); j++ {
-				pj := dst.Rings[j].Mod.Q
-				row[j] = new(big.Int).Mod(qhat, new(big.Int).SetUint64(pj)).Uint64()
-				rowShoup[j] = dst.Rings[j].Mod.ShoupPrecomp(row[j])
+		}
+		modP := make([]*ring.FixedOperands, dst.Level())
+		for j, rj := range dst.Rings {
+			w := make([]uint64, level)
+			for i := range w {
+				w[i] = new(big.Int).Mod(qhat[i], new(big.Int).SetUint64(rj.Mod.Q)).Uint64()
 			}
-			modP[i] = row
-			modPShoup[i] = rowShoup
+			modP[j] = rj.NewFixedOperands(w)
 		}
 		e.qhatInvModQ[level-1] = inv
 		e.qhatModP[level-1] = modP
-		e.qhatModPShoup[level-1] = modPShoup
 	}
 	return e
 }
@@ -201,28 +195,14 @@ func (e *Extender) ScaleLimb(level, i int, x, y ring.Poly) {
 	e.src.Rings[i].MulScalar(x, e.qhatInvModQ[level-1][i], y)
 }
 
-// ExtendLimb accumulates destination limb j from the len(ys) scaled source
-// limbs: out = Σ_i y_i · q̂_i mod dst prime j. It reads ys and writes out only,
-// so destination limbs are independent tasks once every y_i exists — which is
-// how the key switch raises its digits limb by limb, skipping the destination
-// limbs it does not need (level-aware switching targets a prefix of Q plus
-// all of P).
+// ExtendLimb writes destination limb j from the len(ys) scaled source limbs:
+// out = Σ_i y_i · q̂_i mod dst prime j, one fixed-operand dot product over the
+// source limbs. It reads ys and writes out only, so destination limbs are
+// independent tasks once every y_i exists — which is how the key switch
+// raises its digits limb by limb, skipping the destination limbs it does not
+// need (level-aware switching targets a prefix of Q plus all of P).
 func (e *Extender) ExtendLimb(ys []ring.Poly, j int, out ring.Poly) {
-	level := len(ys)
-	modP := e.qhatModP[level-1]
-	modPShoup := e.qhatModPShoup[level-1]
-	n := e.src.N
-	mod := e.dst.Rings[j].Mod
-	oj := out[:n]
-	// The first term writes oj (the same canonical product a MAC onto a
-	// zeroed limb would leave), the rest accumulate.
-	mod.MulShoupVec(ys[0][:n], oj, modP[0][j], modPShoup[0][j])
-	for i := 1; i < level; i++ {
-		// Each term leaves oj canonical, which is what a MAC takes: its
-		// operand y_i is a residue of another prime (below 2^50, the
-		// kernels' bound), its accumulator a residue of this one.
-		mod.MACShoupVec(ys[i][:n], oj, modP[i][j], modPShoup[i][j])
-	}
+	e.dst.Rings[j].DotFixed(ys, e.qhatModP[len(ys)-1][j], out[:e.src.N])
 }
 
 // ModDown divides a polynomial represented over the concatenated basis Q‖P
@@ -288,37 +268,47 @@ func (md *ModDown) apply(cQ, cP, out Poly, coeff bool, sc *ModDownScratch) {
 		md.ScaleLimb(k, cP.Limbs[k], sc)
 	}
 	for i, level := 0, lvl(cQ, out); i < level; i++ {
-		md.FinishLimb(i, cQ.Limbs[i], out.Limbs[i], coeff, sc)
+		md.FinishLimb(i, cQ.Limbs[i], out.Limbs[i], coeff, false, sc)
 	}
 }
 
 // ScaleLimb is the ModDown's step for P limb k: cPk (NTT representation) goes
 // to coefficients and is scaled into the shared y_k of the P→Q extension, in
-// the scratch. The P limbs are independent tasks; every one must be done
+// the scratch — one pass, the scaling folded into the inverse transform's
+// N⁻¹. The P limbs are independent tasks; every one must be done
 // before the first FinishLimb.
 func (md *ModDown) ScaleLimb(k int, cPk ring.Poly, sc *ModDownScratch) {
-	y := sc.ys[k]
-	md.pBasis.Rings[k].INTTInto(y, cPk)
-	md.ext.ScaleLimb(len(sc.ys), k, y, y)
+	md.pBasis.Rings[k].INTTScaleInto(sc.ys[k], cPk, md.ext.qhatInvModQ[len(sc.ys)-1][k])
 }
 
 // FinishLimb is the ModDown's step for Q limb i: extend the P part into limb
 // i, subtract it from cQi (NTT representation) and multiply by P⁻¹ — meeting
 // in the evaluation domain (one forward transform of the extension), or, with
 // coeff set, in the coefficient domain (one inverse transform of cQi), which
-// emits INTT of the other form's output bit for bit. It writes out and limb i
-// of the scratch only, so the Q limbs are independent tasks. out may not
-// alias cQi.
-func (md *ModDown) FinishLimb(i int, cQi, out ring.Poly, coeff bool, sc *ModDownScratch) {
+// emits INTT of the other form's output bit for bit. The subtraction and the
+// multiplication are one pass (ring.SubMulScalar). With add set the result is
+// added to out instead of written — out ← out + (x − ext)·P⁻¹, a ModDown that
+// finishes into the polynomial it updates — and in the coefficient domain cQi
+// is then consumed: it is transformed in place. It writes out, limb i of the
+// scratch and (coeff and add) cQi only, so the Q limbs are independent tasks.
+// out may not alias cQi.
+func (md *ModDown) FinishLimb(i int, cQi, out ring.Poly, coeff, add bool, sc *ModDownScratch) {
 	ri := md.qBasis.Rings[i]
 	ext := sc.ext.Limbs[i]
 	md.ext.ExtendLimb(sc.ys, i, ext)
-	if coeff {
-		ri.INTTInto(out, cQi)
-		ri.Sub(out, ext, out)
-	} else {
+	x := cQi
+	switch {
+	case !coeff:
 		ri.NTT(ext)
-		ri.Sub(cQi, ext, out)
+	case add:
+		ri.INTT(cQi)
+	default:
+		ri.INTTInto(out, cQi)
+		x = out
 	}
-	ri.MulScalar(out, md.pInvModQ[i], out)
+	if add {
+		ri.SubMulScalarAndAdd(x, ext, md.pInvModQ[i], out)
+	} else {
+		ri.SubMulScalar(x, ext, md.pInvModQ[i], out)
+	}
 }

@@ -92,7 +92,7 @@ func (ev *Evaluator) step(acc *rlwe.Ciphertext, k int, brk *BlindRotateKey, i, l
 	if brk.Binary {
 		ev.cmuxStep(acc, k, brk.Plus[i], level, sc)
 	} else {
-		ev.ternaryStep(acc, k, brk.Plus[i], brk.Minus[i], level, sc)
+		ev.ternaryStep(acc, k, brk.Plus[i], brk.Minus[i], sc)
 	}
 }
 
@@ -101,39 +101,32 @@ func (ev *Evaluator) step(acc *rlwe.Ciphertext, k int, brk *BlindRotateKey, i, l
 //	ACC += ((X^k − 1)·ACC) ⊡ plus + ((X^{−k} − 1)·ACC) ⊡ minus
 //
 // in place as one two-key external product of the accumulator as it stands:
-// one decomposition, one pair of ModDowns — 66 limb transforms at the paper
-// parameters, what a single cmuxStep costs, where folding the two keys in one
-// after the other costs 132. The two forms agree up to key-switch noise, not
-// bit for bit; blindRotateSequentialInto in the tests is the two-step
-// reference this one is measured against (TestBlindRotateNoise).
-func (ev *Evaluator) ternaryStep(acc *rlwe.Ciphertext, k int, plus, minus *rlwe.RGSWCiphertext, level int, sc *Scratch) {
-	b := ev.Params.QBasis.AtLevel(level)
-	prod := sc.rot
-	ev.KS.ExternalProductTwoKeyCoeffInto(prod, acc, k, plus, minus, sc.KS)
-	b.Add(acc.C0, prod.C0, acc.C0)
-	b.Add(acc.C1, prod.C1, acc.C1)
+// one decomposition, one pair of ModDowns that finish onto ACC — 66 limb
+// transforms at the paper parameters, what a single cmuxStep costs, where
+// folding the two keys in one after the other costs 132. The two forms agree
+// up to key-switch noise, not bit for bit; blindRotateSequentialInto in the
+// tests is the two-step reference this one is measured against
+// (TestBlindRotateNoise).
+func (ev *Evaluator) ternaryStep(acc *rlwe.Ciphertext, k int, plus, minus *rlwe.RGSWCiphertext, sc *Scratch) {
+	ev.KS.ExternalProductTwoKeyCoeffAddTo(acc, k, plus, minus, sc.KS)
 }
 
 // cmuxStep computes ACC += (X^k·ACC − ACC) ⊡ rgsw in place, with the rotated
-// difference — and then the external product that replaces it — living in
-// the scratch arena. The accumulator stays in coefficient representation, so the product is
-// taken in its coefficient-output form: 66 limb transforms at the paper
-// parameters (44 digit NTTs, 8 P-part and 14 Q-part inverse transforms in
-// the two ModDowns), where an NTT-domain product followed by INTTs is 80.
+// difference living in the scratch arena: one (X^k − 1) pass per limb and
+// component writes it, and the external product's ModDowns add their result
+// onto ACC as they finish. The accumulator stays in coefficient
+// representation, so the product is taken in its coefficient-output form: 66
+// limb transforms at the paper parameters (44 digit NTTs, 8 P-part and 14
+// Q-part inverse transforms in the two ModDowns), where an NTT-domain product
+// followed by INTTs is 80.
 func (ev *Evaluator) cmuxStep(acc *rlwe.Ciphertext, k int, rgsw *rlwe.RGSWCiphertext, level int, sc *Scratch) {
-	b := ev.Params.QBasis.AtLevel(level)
 	rot := sc.rot
 	rot.IsNTT = false
-	for i := 0; i < level; i++ {
-		r := b.Rings[i]
-		r.MulByMonomialInto(acc.C0.Limbs[i], k, rot.C0.Limbs[i])
-		r.MulByMonomialInto(acc.C1.Limbs[i], k, rot.C1.Limbs[i])
-		r.Sub(rot.C0.Limbs[i], acc.C0.Limbs[i], rot.C0.Limbs[i])
-		r.Sub(rot.C1.Limbs[i], acc.C1.Limbs[i], rot.C1.Limbs[i])
+	for i, r := range ev.Params.QBasis.Rings[:level] {
+		r.MulByMonomialMinusOneInto(acc.C0.Limbs[i], k, rot.C0.Limbs[i])
+		r.MulByMonomialMinusOneInto(acc.C1.Limbs[i], k, rot.C1.Limbs[i])
 	}
-	ev.KS.ExternalProductCoeffInto(rot, rot, rgsw, sc.KS)
-	b.Add(acc.C0, rot.C0, acc.C0)
-	b.Add(acc.C1, rot.C1, acc.C1)
+	ev.KS.ExternalProductCoeffAddTo(acc, rot, rgsw, sc.KS)
 }
 
 // CMuxInto homomorphically selects ct1 (bit=1) or ct0 (bit=0) into the

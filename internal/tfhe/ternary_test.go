@@ -445,7 +445,7 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 		lwe := encryptLWEPhase(u, twoN, fx.lweSK.Signed, s)
 		binary := fx.ev.BlindRotate(lwe, fx.lut, fx.brk)
 		fx.ev.rotateStepwise(viaTernary, lwe, fx.lut, sc, func(k, i int) {
-			fx.ev.ternaryStep(viaTernary, k, fx.brk.Plus[i], minus[i], level, sc)
+			fx.ev.ternaryStep(viaTernary, k, fx.brk.Plus[i], minus[i], sc)
 		})
 		if got, want := fx.decoded(viaTernary), fx.decoded(binary); got != want || got != u {
 			t.Fatalf("u=%d: binary key through ternaryStep decodes to %d, binary step to %d", u, got, want)
@@ -461,7 +461,7 @@ func TestBinaryKeyThroughTernaryStep(t *testing.T) {
 			t.Fatalf("ternaryStep without a Minus key: recovered %v, want a refusal", r)
 		}
 	}()
-	fx.ev.ternaryStep(viaTernary, 1, fx.brk.Plus[0], nil, level, sc)
+	fx.ev.ternaryStep(viaTernary, 1, fx.brk.Plus[0], nil, sc)
 }
 
 // TestBlindRotateTransformBudget pins the limb-transform ledger of one whole
