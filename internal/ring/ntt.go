@@ -13,20 +13,21 @@ func (r *Ring) NTT(p Poly) { r.NTTInto(p, p) }
 // was. Input and output are canonical.
 //
 // When the vector path is active and the ring passes fmaFits (see simd.go),
-// every stage runs on an FMA kernel and the first one reads src while it
-// converts, so an out-of-place transform costs no copy. Otherwise src is
-// copied into dst and the scalar driver transforms it in place with Shoup
-// fixed-operand butterflies and Harvey's lazy reduction: coefficients ride in
-// [0, 4q) through the passes (q < 2^61, so 4q fits a word) and are reduced
-// canonically in the last stage. The two routes emit the same words: both
-// end on the canonical residue of the same transform.
+// every stage runs on an FMA kernel, mostly two per pass (see nttFMA), and
+// the first pass reads src while it converts, so an out-of-place transform
+// costs no copy. Otherwise src is copied into dst and the scalar driver
+// transforms it in place with Shoup fixed-operand butterflies and Harvey's
+// lazy reduction: coefficients ride in [0, 4q) through the passes (q < 2^61,
+// so 4q fits a word) and are reduced canonically in the last stage. The two
+// routes emit the same words: both end on the canonical residue of the same
+// transform.
 //
 // The scalar and vector passes are separate driver functions on purpose:
 // a CALL to an assembly kernel anywhere in a function — even on a branch
 // never taken — forces the Go register allocator to keep the scalar loop
 // state in spill slots, which measured ~1.5× on the pure-scalar transform.
 // The scalar driver therefore contains no assembly calls at all, and the
-// vector driver pays the (amortized, per-stage) call overhead knowingly.
+// vector driver pays the (amortized, per-pass) call overhead knowingly.
 func (r *Ring) NTTInto(dst, src Poly) {
 	if r.vecNTT() {
 		r.nttFMA(dst, src, r.psiTable, r.fma.psiQ, nil)
@@ -84,11 +85,13 @@ const vecMinN = 8
 // vecMinN and fmaFits accepts it).
 func (r *Ring) vecNTT() bool { return r.fma != nil && simdActive() }
 
-// nttFMA is the forward pass with every stage on an FMA kernel: the first
-// stage reads src's words, the generic stage kernel runs while t ≥ 4, then
-// the t=2 kernel, then the last stage writes dst's canonical words. Between
-// stages dst holds exact integer-valued doubles; visit, when not nil, sees
-// them after each stage but the last (the bound tests' hook).
+// nttFMA is the forward transform on the FMA kernels, in passes of two
+// stages where it can: the first pass reads src's words (stage 1), an odd
+// number of generic stages (t ≥ 4) starts with a one-stage pass, the rest run
+// two per pass, and the tail pass runs the t=2 and t=1 stages and writes
+// dst's canonical words. Between passes dst holds exact integer-valued
+// doubles; visit, when not nil, sees them after each pass but the last, with
+// the number of stages run so far (the bound tests' hook).
 func (r *Ring) nttFMA(dst, src Poly, psi []uint64, psiQ []float64, visit func(stage int, p Poly)) {
 	q := r.Mod.fmaQ
 	n := r.N
@@ -98,19 +101,21 @@ func (r *Ring) nttFMA(dst, src Poly, psi []uint64, psiQ []float64, visit func(st
 	if visit != nil {
 		visit(stage, dst)
 	}
-	t := n >> 1
-	for m := 2; m <= n>>3; m <<= 1 {
-		t >>= 1
+	m, t := 2, n>>2
+	if (r.LogN-3)&1 == 1 {
 		fmaFwdStep(dst, psi, psiQ, m, t, q)
+		m, t = m<<1, t>>1
 		if stage++; visit != nil {
 			visit(stage, dst)
 		}
 	}
-	fmaFwdT2(dst, psi, psiQ, q)
-	if stage++; visit != nil {
-		visit(stage, dst)
+	for ; t >= 8; m, t = m<<2, t>>2 {
+		fmaFwdStep2(dst, psi, psiQ, m, t, q)
+		if stage += 2; visit != nil {
+			visit(stage, dst)
+		}
 	}
-	fmaFwdLast(dst, psi, psiQ, q, r.Mod.fmaQInv)
+	fmaFwdTail(dst, psi, psiQ, q, r.Mod.fmaQInv)
 }
 
 // nttFwdLastScalar is the last stage (t=1, m=n/2) of the scalar driver,
@@ -262,10 +267,11 @@ func (r *Ring) inttScalar(p Poly) {
 	}
 }
 
-// inttFMA is the inverse pass with every stage on an FMA kernel (see
-// INTTInto): the t=1 stage reads src's words, the t=2 stage and the generic
-// stages follow, and the t=n/2 stage multiplies by N^{-1} and writes dst's
-// canonical words. visit is nttFMA's hook.
+// inttFMA is the inverse transform on the FMA kernels (see INTTInto), the
+// mirror of nttFMA: the head pass reads src's words and runs the t=1 and t=2
+// stages, the generic stages run two per pass, an odd one out runs last on its
+// own, and the t=n/2 stage multiplies by N^{-1} and writes dst's canonical
+// words. visit is nttFMA's hook.
 func (r *Ring) inttFMA(dst, src Poly, visit func(stage int, p Poly)) {
 	f := r.fma
 	r.inttFMAScaled(dst, src, f.nInv, f.nInvQ, f.nInvW, f.nInvWQ, visit)
@@ -275,25 +281,26 @@ func (r *Ring) inttFMA(dst, src Poly, visit func(stage int, p Poly)) {
 // w·N⁻¹, each possibly times a constant, with their /q.
 func (r *Ring) inttFMAScaled(dst, src Poly, n1, n1q, wn, wnq float64, visit func(stage int, p Poly)) {
 	f := r.fma
-	q := r.Mod.fmaQ
+	q, qInv := r.Mod.fmaQ, r.Mod.fmaQInv
 	n := r.N
 	dst, src = dst[:n], src[:n]
-	fmaInvFirst(dst, r.psiInvTable, f.psiInvQ, q, src)
-	stage := 1
+	fmaInvHead(dst, r.psiInvTable, f.psiInvQ, q, src)
+	stage := 2
 	if visit != nil {
 		visit(stage, dst)
 	}
-	fmaInvT2(dst, r.psiInvTable, f.psiInvQ, q)
-	if stage++; visit != nil {
-		visit(stage, dst)
+	h, t := n>>3, 4
+	for ; h >= 4; h, t = h>>2, t<<2 {
+		fmaInvStep2(dst, r.psiInvTable, f.psiInvQ, h, t, q, qInv)
+		if stage += 2; visit != nil {
+			visit(stage, dst)
+		}
 	}
-	t := 4
-	for h := n >> 3; h >= 2; h >>= 1 {
-		fmaInvStep(dst, r.psiInvTable, f.psiInvQ, h, t, q, r.Mod.fmaQInv)
+	if h == 2 {
+		fmaInvStep(dst, r.psiInvTable, f.psiInvQ, h, t, q, qInv)
 		if stage++; visit != nil {
 			visit(stage, dst)
 		}
-		t <<= 1
 	}
 	fmaInvLast(dst, n1, n1q, wn, wnq, q)
 }

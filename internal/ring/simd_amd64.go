@@ -87,19 +87,19 @@ func fmaFwdFirst(dst, src []uint64, w, wq, q float64)
 func fmaFwdStep(p, w []uint64, wq []float64, m, t int, q float64)
 
 //go:noescape
-func fmaFwdT2(p, w []uint64, wq []float64, q float64)
+func fmaFwdStep2(p, w []uint64, wq []float64, m, t int, q float64)
 
 //go:noescape
-func fmaFwdLast(p, w []uint64, wq []float64, q, qinv float64)
+func fmaFwdTail(p, w []uint64, wq []float64, q, qinv float64)
 
 //go:noescape
-func fmaInvFirst(p, w []uint64, wq []float64, q float64, src []uint64)
-
-//go:noescape
-func fmaInvT2(p, w []uint64, wq []float64, q float64)
+func fmaInvHead(p, w []uint64, wq []float64, q float64, src []uint64)
 
 //go:noescape
 func fmaInvStep(p, w []uint64, wq []float64, h, t int, q, qinv float64)
+
+//go:noescape
+func fmaInvStep2(p, w []uint64, wq []float64, h, t int, q, qinv float64)
 
 //go:noescape
 func fmaInvLast(p []uint64, n1, n1q, wn, wnq, q float64)

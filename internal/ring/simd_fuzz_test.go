@@ -45,7 +45,8 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 	// whose stages share no representative with a scalar stage; class 3 named
 	// the basis-conversion MAC out + a·w, which is now the two-term fixed dot
 	// product it became. The committed files under testdata/fuzz keep their
-	// bytes and their classes.
+	// bytes and their classes; the seed-logn12-* and seed-logn13-* files run
+	// the transform classes at primary_tail's ring and the paper ring.
 	const fuzzKernels = 16
 	// Seed corpus: each kernel class at the tail-machinery lengths (1,
 	// width-1, width, width+1, two groups minus one, two groups) with and
@@ -185,10 +186,13 @@ func FuzzVectorVsScalarKernels(f *testing.F) {
 			}
 			runRef(ref, func(p, a, b, out Poly) { rr.MulByMonomialMinusOneInto(p, k, out) }, n, q, q)
 		default:
-			// Transforms: degree 8..256, capped at the largest the prime is
-			// NTT-friendly for; p holds the canonical input. The out-of-place
-			// forms write a (out's storage when aliased) from p.
-			logN := min(3+int(length)%6, bits.TrailingZeros64(q-1)-1)
+			// Transforms: degree 8..8192, capped at the largest the prime is
+			// NTT-friendly for, so the FMA drivers run every pass plan they
+			// have up to the paper ring: an even or odd number of generic
+			// stages (one two-stage pass short or a one-stage pass first), the
+			// edge passes alone at degree 8. p holds the canonical input; the
+			// out-of-place forms write a (out's storage when aliased) from p.
+			logN := min(3+int(length)%11, bits.TrailingZeros64(q-1)-1)
 			rr := NewRing(logN, q)
 			n := rr.N
 			sc := NewTwiddleScratch(n)

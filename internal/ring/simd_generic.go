@@ -24,15 +24,15 @@ func fmaFwdFirst(dst, src []uint64, w, wq, q float64) { unreachableSIMD() }
 
 func fmaFwdStep(p, w []uint64, wq []float64, m, t int, q float64) { unreachableSIMD() }
 
-func fmaFwdT2(p, w []uint64, wq []float64, q float64) { unreachableSIMD() }
+func fmaFwdStep2(p, w []uint64, wq []float64, m, t int, q float64) { unreachableSIMD() }
 
-func fmaFwdLast(p, w []uint64, wq []float64, q, qinv float64) { unreachableSIMD() }
+func fmaFwdTail(p, w []uint64, wq []float64, q, qinv float64) { unreachableSIMD() }
 
-func fmaInvFirst(p, w []uint64, wq []float64, q float64, src []uint64) { unreachableSIMD() }
-
-func fmaInvT2(p, w []uint64, wq []float64, q float64) { unreachableSIMD() }
+func fmaInvHead(p, w []uint64, wq []float64, q float64, src []uint64) { unreachableSIMD() }
 
 func fmaInvStep(p, w []uint64, wq []float64, h, t int, q, qinv float64) { unreachableSIMD() }
+
+func fmaInvStep2(p, w []uint64, wq []float64, h, t int, q, qinv float64) { unreachableSIMD() }
 
 func fmaInvLast(p []uint64, n1, n1q, wn, wnq, q float64) { unreachableSIMD() }
 

@@ -3,6 +3,7 @@ package ring
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -166,10 +167,11 @@ func fillWith(p []uint64, f func(i int) uint64) {
 }
 
 // edgeRings calls f with a ring for every fmaEdgePrimes modulus at every
-// degree of {8, 16, 128, 2^13, 2^16} it is NTT-friendly for.
+// degree from 8 to 2^16 it is NTT-friendly for: every count of generic stages
+// the FMA drivers pass over, odd (a one-stage pass) and even.
 func edgeRings(f func(r *Ring)) {
 	for _, q := range fmaEdgePrimes() {
-		for _, logN := range []int{3, 4, 7, 13, 16} {
+		for logN := 3; logN <= fmaMaxLogN; logN++ {
 			if (q-1)%(uint64(2)<<logN) == 0 {
 				f(NewRing(logN, q))
 			}
@@ -179,14 +181,15 @@ func edgeRings(f func(r *Ring)) {
 
 // TestFMATransformsMatchScalar holds the transforms to the scalar drivers
 // word for word at the edges of the FMA bound (edgeRings × operandPatterns),
-// through all four entry points; the out-of-place ones must leave src as it
-// was. With the per-stage bounds below it replaces the per-stage equality of
-// the integer AVX2 kernels, whose lazy representatives the FMA kernels do not
-// share by design.
+// through all four entry points and the on-the-fly forward transform; the
+// out-of-place ones must leave src as it was. With the bounds below it
+// replaces the per-stage equality of the integer AVX2 kernels, whose lazy
+// representatives the FMA kernels do not share by design.
 func TestFMATransformsMatchScalar(t *testing.T) {
 	withVector(t)
 	rng := rand.New(rand.NewSource(404))
 	edgeRings(func(r *Ring) {
+		sc := NewTwiddleScratch(r.N)
 		for _, pat := range operandPatterns {
 			src := r.NewPoly()
 			pat.fill(rng, src, r.Mod.Q)
@@ -198,6 +201,7 @@ func TestFMATransformsMatchScalar(t *testing.T) {
 				{"INTT", func(d, s Poly) { copy(d, s); r.INTT(d) }},
 				{"NTTInto", r.NTTInto},
 				{"INTTInto", r.INTTInto},
+				{"NTTOnTheFlyWith", func(d, s Poly) { copy(d, s); r.NTTOnTheFlyWith(d, sc) }},
 			} {
 				SetSIMD(false)
 				want := r.NewPoly()
@@ -308,11 +312,45 @@ func fmaInverseBounds(q uint64, logN int) []float64 {
 	return b
 }
 
-// TestFMAStageBounds runs the FMA transforms through their per-stage hook at
+// fmaPassBoundaries returns the stage counts after every pass of an FMA
+// transform but the last, from the pass plan rather than from the drivers:
+// the forward transform's first pass runs stage 1, an odd number of generic
+// stages (the logN − 3 with t ≥ 4) opens with a one-stage pass, the others
+// run two per pass, and the tail runs t = 2 and t = 1; the inverse is the
+// mirror — the head's two stages, the generic pairs, the one-stage pass, the
+// N⁻¹ stage.
+func fmaPassBoundaries(logN int, inverse bool) []int {
+	generic := logN - 3
+	widths := []int{1}
+	if inverse {
+		widths = []int{2}
+	}
+	if generic%2 == 1 && !inverse {
+		widths = append(widths, 1)
+	}
+	for range generic / 2 {
+		widths = append(widths, 2)
+	}
+	if generic%2 == 1 && inverse {
+		widths = append(widths, 1)
+	}
+	b := make([]int, len(widths))
+	stage := 0
+	for i, w := range widths {
+		stage += w
+		b[i] = stage
+	}
+	return b
+}
+
+// TestFMAStageBounds runs the FMA transforms through their per-pass hook at
 // the edges of the bound (edgeRings × operandPatterns) and asserts that after
-// every stage but the last each coefficient is an exact integer within the
-// proven bound, forward and inverse; the bound itself stays under 2^51 at
-// the corner fmaFits admits and passes it one bit of q later.
+// every pass but the last each coefficient is an exact integer within the
+// proven bound of the stages run so far, forward and inverse; that the hook
+// fires exactly at the pass boundaries of the plan and ends at the stage
+// before the last pass (logN − 2 forward, where the tail runs two; logN − 1
+// inverse); and that the bound itself stays under 2^51 at the corner fmaFits
+// admits and passes it one bit of q later.
 func TestFMAStageBounds(t *testing.T) {
 	withVector(t)
 	if b := fmaForwardBounds(fmaMaxQ-1, fmaMaxLogN); b[fmaMaxLogN] >= 0x1p51 {
@@ -330,8 +368,11 @@ func TestFMAStageBounds(t *testing.T) {
 		for _, pat := range operandPatterns {
 			src := r.NewPoly()
 			pat.fill(rng, src, q)
+			var visited []int
 			check := func(dir string, bounds []float64) func(int, Poly) {
+				visited = visited[:0]
 				return func(s int, p Poly) {
+					visited = append(visited, s)
 					for i, w := range p {
 						x := math.Float64frombits(w)
 						if x != math.Trunc(x) || math.Abs(x) > bounds[s] {
@@ -341,9 +382,17 @@ func TestFMAStageBounds(t *testing.T) {
 					}
 				}
 			}
+			passes := func(dir string, inverse bool, last int) {
+				want := fmaPassBoundaries(r.LogN, inverse)
+				if !slices.Equal(visited, want) || want[len(want)-1] != last {
+					t.Fatalf("logN=%d %s: hook fired after stages %v, want the pass boundaries %v ending at %d", r.LogN, dir, visited, want, last)
+				}
+			}
 			dst := r.NewPoly()
 			r.nttFMA(dst, src, r.psiTable, r.fma.psiQ, check("forward", fmaForwardBounds(q, r.LogN)))
+			passes("forward", false, r.LogN-2)
 			r.inttFMA(dst, src, check("inverse", fmaInverseBounds(q, r.LogN)))
+			passes("inverse", true, r.LogN-1)
 		}
 	})
 }

@@ -161,8 +161,11 @@ var gadgetShapes = [][3]int{{4, 2, 2}, {5, 3, 2}, {3, 1, 3}, {3, 3, 1}, {6, 2, 3
 
 // TestExternalProductCoeffMatchesINTT locks the coefficient-output external
 // product bit for bit to INTT(ExternalProductInto), at every level and digit
-// count, for NTT- and coefficient-form inputs, and with the output written
-// over the input — the form the blind-rotation accumulator update runs.
+// count, for NTT- and coefficient-form inputs, through the accumulating form
+// the blind-rotation accumulator update runs: onto a zeroed accumulator it
+// leaves the product's words and the accumulator's representation and scale,
+// and with the accumulator as its own input (coefficient form) it adds the
+// product of the input as it was.
 func TestExternalProductCoeffMatchesINTT(t *testing.T) {
 	const logN = 5
 	for _, shape := range gadgetShapes {
@@ -193,18 +196,24 @@ func TestExternalProductCoeffMatchesINTT(t *testing.T) {
 				b.INTT(want.C1)
 
 				got := NewCiphertext(p, level)
-				ks.ExternalProductCoeffInto(got, ct, rgsw, sc)
-				if got.IsNTT || got.Scale != ct.Scale {
-					t.Fatalf("shape %v level %d: coefficient-output metadata IsNTT=%v Scale=%v", shape, level, got.IsNTT, got.Scale)
+				got.IsNTT, got.Scale = false, 3
+				ks.ExternalProductCoeffAddTo(got, ct, rgsw, sc)
+				if got.IsNTT || got.Scale != 3 {
+					t.Fatalf("shape %v level %d: accumulator metadata IsNTT=%v Scale=%v", shape, level, got.IsNTT, got.Scale)
 				}
 				if !b.Equal(want.C0, got.C0) || !b.Equal(want.C1, got.C1) {
-					t.Fatalf("shape %v level %d inputNTT=%v: ExternalProductCoeffInto != INTT(ExternalProductInto)", shape, level, ct.IsNTT)
+					t.Fatalf("shape %v level %d inputNTT=%v: ExternalProductCoeffAddTo onto zero != INTT(ExternalProductInto)", shape, level, ct.IsNTT)
 				}
 
+				if ct.IsNTT {
+					continue
+				}
 				inPlace := ct.CopyNew()
-				ks.ExternalProductCoeffInto(inPlace, inPlace, rgsw, sc)
+				ks.ExternalProductCoeffAddTo(inPlace, inPlace, rgsw, sc)
+				b.Sub(inPlace.C0, ct.C0, inPlace.C0)
+				b.Sub(inPlace.C1, ct.C1, inPlace.C1)
 				if inPlace.IsNTT || !b.Equal(want.C0, inPlace.C0) || !b.Equal(want.C1, inPlace.C1) {
-					t.Fatalf("shape %v level %d inputNTT=%v: in-place coefficient-output product differs", shape, level, ct.IsNTT)
+					t.Fatalf("shape %v level %d: in-place accumulating product differs", shape, level)
 				}
 			}
 		}
@@ -282,7 +291,10 @@ func TestExternalProductTransformBudget(t *testing.T) {
 	ks := NewKeySwitcher(p)
 	sc := ks.NewScratch()
 	out := NewCiphertext(p, ct.Level())
-	for _, product := range []func(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch){ks.ExternalProductInto, ks.ExternalProductCoeffInto} {
+	for _, product := range []func(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch){
+		ks.ExternalProductInto,
+		func(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) { productCoeff(ks, out, ct, rgsw, sc) },
+	} {
 		met := obs.NewMetrics()
 		ks.SetRecorder(met)
 		product(out, ct, rgsw, sc)
@@ -293,6 +305,30 @@ func TestExternalProductTransformBudget(t *testing.T) {
 			t.Errorf("external product counter = %d, want 1", got)
 		}
 	}
+}
+
+// productCoeff is the coefficient-output external product as a test reads
+// it: the accumulating form onto a zeroed coefficient-form accumulator, which
+// leaves the product's words.
+func productCoeff(ks *KeySwitcher, out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
+	out.C0.Zero()
+	out.C1.Zero()
+	out.IsNTT = false
+	ks.ExternalProductCoeffAddTo(out, ct, rgsw, sc)
+}
+
+// twoKeyProductCoeff writes the two-key product of a coefficient-form ct to
+// out: the in-place iteration on a copy of ct, less ct.
+func twoKeyProductCoeff(ks *KeySwitcher, out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
+	b := ks.params.QBasis.AtLevel(ct.Level())
+	for i := range ct.C0.Limbs {
+		copy(out.C0.Limbs[i], ct.C0.Limbs[i])
+		copy(out.C1.Limbs[i], ct.C1.Limbs[i])
+	}
+	out.IsNTT, out.Scale = false, ct.Scale
+	ks.ExternalProductTwoKeyCoeffAddTo(out, k, plus, minus, sc)
+	b.Sub(out.C0, ct.C0, out.C0)
+	b.Sub(out.C1, ct.C1, out.C1)
 }
 
 // coeffForm moves an NTT-form ciphertext to coefficient representation in
@@ -351,17 +387,14 @@ func TestExternalProductTwoKeyMatchesTwoProducts(t *testing.T) {
 						}
 						b.Sub(rot.C0, ct.C0, rot.C0)
 						b.Sub(rot.C1, ct.C1, rot.C1)
-						ks.ExternalProductCoeffInto(prod, rot, side.rgsw, sc)
+						productCoeff(ks, prod, rot, side.rgsw, sc)
 						b.Add(want.C0, prod.C0, want.C0)
 						b.Add(want.C1, prod.C1, want.C1)
 					}
 					want.IsNTT = false
 
 					got := NewCiphertext(p, level)
-					ks.ExternalProductTwoKeyCoeffInto(got, ct, k, plus, minus, sc)
-					if got.IsNTT || got.Scale != ct.Scale {
-						t.Fatalf("shape %v level %d: two-key product metadata IsNTT=%v Scale=%v", shape, level, got.IsNTT, got.Scale)
-					}
+					twoKeyProductCoeff(ks, got, ct, k, plus, minus, sc)
 					if d := dec.NoiseBits(got, dec.Phase(want)); d > 14 {
 						t.Fatalf("shape %v level %d consts %v k=%d: two-key product is %.1f bits from the two separate products", shape, level, consts, k, d)
 					}
@@ -392,14 +425,14 @@ func TestExternalProductTwoKeyBudget(t *testing.T) {
 		trivial.C1.Zero()
 		ks := NewKeySwitcher(p)
 		sc := ks.NewScratch()
-		out := NewCiphertext(p, ct.Level())
 		for _, in := range []struct {
 			ct   *Ciphertext
 			want uint64
 		}{{ct, c.full}, {trivial, c.trivial}} {
 			met := obs.NewMetrics()
 			ks.SetRecorder(met)
-			ks.ExternalProductTwoKeyCoeffInto(out, in.ct, 5, plus, minus, sc)
+			out := in.ct.CopyNew()
+			ks.ExternalProductTwoKeyCoeffAddTo(out, 5, plus, minus, sc)
 			if got := met.Counter(obs.CounterNTT); got != in.want {
 				t.Errorf("Q%d+P%d: two-key product recorded %d limb transforms, want %d", c.qLimbs, c.pLimbs, got, in.want)
 			}
@@ -408,8 +441,9 @@ func TestExternalProductTwoKeyBudget(t *testing.T) {
 			}
 		}
 		ks.SetRecorder(nil)
+		acc := ct.CopyNew()
 		if avg := testing.AllocsPerRun(10, func() {
-			ks.ExternalProductTwoKeyCoeffInto(out, ct, 5, plus, minus, sc)
+			ks.ExternalProductTwoKeyCoeffAddTo(acc, 5, plus, minus, sc)
 		}); avg != 0 {
 			t.Errorf("Q%d+P%d: two-key product allocates %.1f objects/op, want 0", c.qLimbs, c.pLimbs, avg)
 		}

@@ -652,24 +652,16 @@ func (ks *KeySwitcher) ExternalProductInto(out, ct *Ciphertext, rgsw *RGSWCipher
 	out.Scale = ct.Scale
 }
 
-// ExternalProductCoeffInto is ExternalProductInto with the output in
-// coefficient representation, bit-identical to INTT(ExternalProductInto):
-// the ModDown emits coefficients directly, which saves the 2·level inverse
-// transforms a caller that wants coefficients — the blind-rotation
-// accumulator update — would otherwise spend undoing the NTT-domain ModDown.
-func (ks *KeySwitcher) ExternalProductCoeffInto(out, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
-	ks.externalProduct(out, ct, rgsw, true, overwrite, sc)
-	out.IsNTT = false
-	out.Scale = ct.Scale
-}
-
 // ExternalProductCoeffAddTo adds ct ⊡ rgsw to acc in coefficient
 // representation — the accumulator update ACC += (X^k·ACC − ACC) ⊡ RGSW(s_i)
 // of a binary blind-rotation step — with the addition folded into the last
-// pass of the ModDowns, so acc is read and written once. The words are those
-// of ExternalProductCoeffInto followed by an Add. ct may be in either
-// representation and may be acc itself (the decomposition has consumed it
-// before the ModDowns write); acc keeps its scale.
+// pass of the ModDowns, so acc is read and written once. The ModDown emits
+// coefficients directly, bit-identical to INTT(ExternalProductInto), which
+// saves the 2·level inverse transforms of undoing an NTT-domain ModDown, and
+// the words are those of that product followed by an Add (onto a zero acc,
+// the product's own). ct may be in either representation and may be acc
+// itself (the decomposition has consumed it before the ModDowns write); acc
+// keeps its scale.
 func (ks *KeySwitcher) ExternalProductCoeffAddTo(acc, ct *Ciphertext, rgsw *RGSWCiphertext, sc *Scratch) {
 	if acc.IsNTT {
 		panic("rlwe: ExternalProductCoeffAddTo accumulates in coefficient representation")
@@ -701,50 +693,30 @@ func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCip
 	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
 }
 
-// ExternalProductTwoKeyCoeffInto computes
+// ExternalProductTwoKeyCoeffAddTo is the ternary blind-rotation iteration in
+// place,
 //
-//	out = ((X^k − 1)·ct) ⊡ plus + ((X^{−k} − 1)·ct) ⊡ minus
+//	acc += ((X^k − 1)·acc) ⊡ plus + ((X^{−k} − 1)·acc) ⊡ minus
 //
-// — the whole non-identity part of one ternary blind-rotation iteration
-// (Algorithm 1) — from ONE gadget decomposition of ct: the monomial factors
-// commute with the decomposition up to key-switch noise, so the raised digits
-// of ct as it stands are MACed against both keys into two accumulator pairs,
-// the factors are applied to the accumulators in the evaluation domain
-// (acc ← m⁺ ⊙ acc⁺ + m⁻ ⊙ acc⁻ per QP limb, one two-term dot product, the
-// monomial vectors rebuilt per limb into scratch), and the pair is ModDown'd
-// once. That is the transform count of a single external product (and it is
-// counted as one) where two sequential CMux steps spend two. ct must be in
-// coefficient representation and out is written in it. out must NOT alias ct:
-// the iteration is completed by ct + out, so the caller still needs ct when
-// this returns — ExternalProductTwoKeyCoeffAddTo is the in-place form that
-// completes it. The result is not bit-identical to the two-step form (whose
-// second product sees the first one's output), only equal to it up to
-// key-switch noise. Both keys are required: a missing one is refused, not
-// read as RGSW(0).
+// — the whole of one iteration of Algorithm 1 — from ONE gadget decomposition
+// of acc: the monomial factors commute with the decomposition up to
+// key-switch noise, so the raised digits of acc as it stands are MACed
+// against both keys into two accumulator pairs, the factors are applied to
+// the accumulators in the evaluation domain (m⁺ ⊙ acc⁺ + m⁻ ⊙ acc⁻ per QP
+// limb, one two-term dot product, the monomial vectors rebuilt per limb into
+// scratch), and the pair is ModDown'd once, with the closing addition folded
+// into the ModDowns' last pass. That is the transform count of a single
+// external product (and it is counted as one) where two sequential CMux steps
+// spend two. acc must be in coefficient representation. The result is not
+// bit-identical to the two-step form (whose second product sees the first
+// one's output), only equal to it up to key-switch noise. Both keys are
+// required: a missing one is refused, not read as RGSW(0).
 //
 // The combine runs inline on the calling goroutine at every width: the arena
 // has one pair of monomial vectors, and the only caller is a blind-rotation
 // worker, whose arena is width 1.
-func (ks *KeySwitcher) ExternalProductTwoKeyCoeffInto(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
-	ks.twoKeyProduct(out, ct, k, plus, minus, overwrite, sc)
-	out.IsNTT = false
-	out.Scale = ct.Scale
-}
-
-// ExternalProductTwoKeyCoeffAddTo is the ternary blind-rotation iteration in
-// place,
-//
-//	acc += ((X^k − 1)·acc) ⊡ plus + ((X^{−k} − 1)·acc) ⊡ minus,
-//
-// ExternalProductTwoKeyCoeffInto with the closing addition folded into the
-// ModDowns' last pass: the same words as that product followed by an Add.
-// acc must be in coefficient representation.
 func (ks *KeySwitcher) ExternalProductTwoKeyCoeffAddTo(acc *Ciphertext, k int, plus, minus *RGSWCiphertext, sc *Scratch) {
-	ks.twoKeyProduct(acc, acc, k, plus, minus, accumulate, sc)
-}
-
-func (ks *KeySwitcher) twoKeyProduct(out, ct *Ciphertext, k int, plus, minus *RGSWCiphertext, add [2]bool, sc *Scratch) {
-	if ct.IsNTT {
+	if acc.IsNTT {
 		panic("rlwe: two-key external product takes a coefficient-form ciphertext")
 	}
 	if plus == nil || minus == nil {
@@ -752,16 +724,16 @@ func (ks *KeySwitcher) twoKeyProduct(out, ct *Ciphertext, k int, plus, minus *RG
 	}
 	p := ks.params
 	sc.ensureTwoKey(p)
-	ks.decomposeCiphertext(ct, plus, minus, sc)
+	ks.decomposeCiphertext(acc, plus, minus, sc)
 	mono := []ring.Poly{sc.monoPlus, sc.monoMinus}
-	for t, n := 0, ct.Level()+len(p.P); t < n; t++ {
+	for t, n := 0, acc.Level()+len(p.P); t < n; t++ {
 		idx := ks.qpLimb(sc, t)
 		r := p.QPBasis.Rings[idx]
 		r.MonomialsMinusOneNTT(k, sc.monoPlus, sc.monoMinus)
 		for s := range sc.acc {
-			acc := sc.acc[s].Limbs[idx]
-			r.DotCoeffs([]ring.Poly{acc, sc.acc2[s].Limbs[idx]}, mono, acc)
+			a := sc.acc[s].Limbs[idx]
+			r.DotCoeffs([]ring.Poly{a, sc.acc2[s].Limbs[idx]}, mono, a)
 		}
 	}
-	ks.modDownPair(out.C0, out.C1, true, add, sc)
+	ks.modDownPair(acc.C0, acc.C1, true, accumulate, sc)
 }

@@ -97,12 +97,13 @@ func TestWidthChangesNothingButTheClock(t *testing.T) {
 				for _, in := range []*Ciphertext{ct, coeff, trivial} {
 					ks.ExternalProductInto(out, in, plus, sc)
 					got.keep(out.C0, out.C1)
-					ks.ExternalProductCoeffInto(out, in, plus, sc)
+					productCoeff(ks, out, in, plus, sc)
 					got.keep(out.C0, out.C1)
 				}
 				for _, in := range []*Ciphertext{coeff, trivial} {
-					ks.ExternalProductTwoKeyCoeffInto(out, in, 5, plus, minus, sc)
-					got.keep(out.C0, out.C1)
+					acc := in.CopyNew()
+					ks.ExternalProductTwoKeyCoeffAddTo(acc, 5, plus, minus, sc)
+					got.keep(acc.C0, acc.C1)
 				}
 				h := ks.NewHoisted()
 				ks.DecomposeInto(h, ct.C1, sc)
