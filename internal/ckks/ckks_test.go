@@ -1,8 +1,12 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"heap/internal/rlwe"
@@ -349,6 +353,43 @@ func TestEvaluatorWidthChangesNothing(t *testing.T) {
 		for i, got := range run(workers) {
 			sameCiphertext(t, ops[i], p, want[i], got)
 		}
+	}
+}
+
+// TestMulRelinRescaleAllocatesOnlyItsOutput: the product and its degree-2
+// component live in the evaluator's pooled buffers, so a MulRelinRescale
+// allocates the rescaled ciphertext and a few small headers, not the three
+// level-sized polynomials a Mul followed by a Rescale allocates. The buffers
+// come back dirty from the previous call, at another level, and the words must
+// still be those of Rescale(Mul(a, b)).
+func TestMulRelinRescaleAllocatesOnlyItsOutput(t *testing.T) {
+	p, cl, ev := newTestContext(t, 10, 5, 64, nil)
+	ev.KS.SetWorkers(2)
+	top := cl.Encrypt(rampVector(p.Slots))
+	low := ev.DropLevels(cl.Encrypt(rampVector(p.Slots)), 2)
+	for _, in := range []*rlwe.Ciphertext{top, low, top} {
+		sameCiphertext(t, fmt.Sprintf("MulRelinRescale at level %d", in.Level()), p, ev.Rescale(ev.Mul(in, in)), ev.MulRelinRescale(in, in))
+	}
+
+	if raceEnabled {
+		return // the byte count needs pools that keep what they are given
+	}
+	// A GC would empty the pools, and a goroutine that resumes on another
+	// processor can miss the one its pooled arena went back to, so the test
+	// takes the median call of several with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perCall := make([]uint64, 9)
+	var before, after runtime.MemStats
+	for i := range perCall {
+		runtime.ReadMemStats(&before)
+		ev.MulRelinRescale(top, top)
+		runtime.ReadMemStats(&after)
+		perCall[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perCall)
+	output := uint64(2 * (top.Level() - 1) * p.N() * 8)
+	if median, slack := perCall[len(perCall)/2], uint64(8<<10); median > output+slack {
+		t.Errorf("MulRelinRescale allocates %d bytes per call; its output is %d", median, output)
 	}
 }
 

@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"heap/internal/ring"
 	"heap/internal/rlwe"
@@ -50,7 +51,18 @@ type Evaluator struct {
 	// evaluation point on a root with ζ^{N/2} = i), enabling cheap complex
 	// scalar multiplication.
 	monoI []ring.Poly
+
+	// tensors holds the intermediates of a multiplication (see tensor), so
+	// that Mul allocates only its product and MulRelinRescale only its
+	// rescaled output.
+	tensors sync.Pool
 }
+
+// tensor is one multiplication's scratch at the top level, of which a call
+// uses views at its own level: the relinearized product (c0, c1) that
+// MulRelinRescale rescales from, and the degree-2 component d2 the
+// relinearization consumes.
+type tensor struct{ c0, c1, d2 rns.Poly }
 
 // NewEvaluator constructs an evaluator; ks may be shared (or nil to build).
 func NewEvaluator(params *Parameters, keys *EvaluationKeySet, ks *rlwe.KeySwitcher) *Evaluator {
@@ -58,6 +70,10 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet, ks *rlwe.KeySwitch
 		ks = rlwe.NewKeySwitcher(params.Parameters)
 	}
 	ev := &Evaluator{Params: params, KS: ks, Keys: keys}
+	ev.tensors.New = func() any {
+		q := params.QBasis
+		return &tensor{c0: q.NewPoly(), c1: q.NewPoly(), d2: q.NewPoly()}
+	}
 	ev.monoI = make([]ring.Poly, params.MaxLevel())
 	for i, r := range params.QBasis.Rings {
 		p := r.NewPoly()
@@ -151,15 +167,25 @@ func (ev *Evaluator) MulPlain(ct *rlwe.Ciphertext, pt rns.Poly, ptScale float64)
 }
 
 // Mul returns the relinearized product a·b (Mult of §II-A): tensor to degree
-// two, then key-switch the s² component with the relinearization key. The
-// tensor's limbs are independent, so they run at the key switcher's width like
-// the relinearization's own; the degree-0 and degree-1 parts are formed in the
-// output, which the relinearization adds into.
+// two, then key-switch the s² component with the relinearization key.
 func (ev *Evaluator) Mul(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
-	level := commonLevel(a, b)
+	out := rlwe.NewCiphertext(ev.Params.Parameters, commonLevel(a, b))
+	t := ev.tensors.Get().(*tensor)
+	ev.mulInto(out, a, b, t.d2)
+	ev.tensors.Put(t)
+	return out
+}
+
+// mulInto writes the relinearized product a·b into out, at out's level, with
+// d2 (at least that level) as the degree-2 component's buffer. The tensor's
+// limbs are independent, so they run at the key switcher's width like the
+// relinearization's own; the degree-0 and degree-1 parts are formed in out,
+// which the relinearization adds into. Every word of out and d2 is written
+// before it is read.
+func (ev *Evaluator) mulInto(out, a, b *rlwe.Ciphertext, d2 rns.Poly) {
+	level := out.Level()
 	bas := ev.Params.QBasis.AtLevel(level)
-	out := rlwe.NewCiphertext(ev.Params.Parameters, level)
-	d2 := bas.NewPoly()
+	d2 = d2.AtLevel(level)
 	ev.KS.Fan(level, func(i int) {
 		r := bas.Rings[i]
 		r.MulCoeffs(a.C0.Limbs[i], b.C0.Limbs[i], out.C0.Limbs[i])
@@ -168,8 +194,8 @@ func (ev *Evaluator) Mul(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
 		r.MulCoeffs(a.C1.Limbs[i], b.C1.Limbs[i], d2.Limbs[i])
 	})
 	ev.KS.Relinearize(out.C0, out.C1, d2, ev.Keys.Rlk)
+	out.IsNTT = true
 	out.Scale = a.Scale * b.Scale
-	return out
 }
 
 // Rescale divides by the last limb modulus and drops it (Rescale of §II-A),
@@ -184,9 +210,16 @@ func (ev *Evaluator) Rescale(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	return out
 }
 
-// MulRelinRescale is the common Mult→Rescale sequence.
+// MulRelinRescale is the common Mult→Rescale sequence, with the product in
+// pooled buffers: the rescaled ciphertext is all it allocates.
 func (ev *Evaluator) MulRelinRescale(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
-	return ev.Rescale(ev.Mul(a, b))
+	level := commonLevel(a, b)
+	t := ev.tensors.Get().(*tensor)
+	prod := &rlwe.Ciphertext{C0: t.c0.AtLevel(level), C1: t.c1.AtLevel(level)}
+	ev.mulInto(prod, a, b, t.d2)
+	out := ev.Rescale(prod)
+	ev.tensors.Put(t)
+	return out
 }
 
 // DropLevels truncates n limbs without rescaling (level alignment).

@@ -20,12 +20,24 @@ const minFanDegree = 1 << 10
 // fan runs task(w, 0), …, task(w, n−1), each index exactly once, on up to
 // width goroutines and returns when all have finished; w < width names the
 // goroutine that runs the task, so a task may use per-goroutine scratch. The
-// caller is goroutine 0: it starts the other width−1 for this call only, every
-// goroutine claims the next unclaimed index until none is left, and the call
-// waits for the ones it started — so nothing outlives it and there is no pool
-// to size or close. With width ≤ 1 (or a single task) it is a plain loop on
-// the caller's goroutine. Tasks must be independent: nothing orders them but
-// the return.
+// caller starts width goroutines for this call only, each claims the next
+// unclaimed index until none is left, and the caller only waits — so nothing
+// outlives the call and there is no pool to size or close. With width ≤ 1 (or
+// a single task) it is a plain loop on the caller's goroutine. Tasks must be
+// independent: nothing orders them but the return.
+//
+// The caller deals and blocks instead of claiming tasks itself because of how
+// the runtime hands a new goroutine to an idle processor: one started by a
+// goroutine that keeps running waits in its processor's runnext slot, which
+// an idle processor may steal only after a 3 µs sleep that Linux's default
+// 50 µs timer slack stretches past 65 µs — longer than two limb transforms
+// at the paper's ring. Each go statement after the first moves the goroutine
+// before it to the ordinary run queue, which an idle processor steals from
+// without that sleep, and the blocked caller's processor runs the last one at
+// once (DESIGN.md "Limb-level fan-out" has the measured start latencies).
+//
+// A task that panics stops the claiming; once every goroutine has finished,
+// the first panic value is raised again on the caller.
 func fan(width, n int, task func(w, i int)) {
 	if width > n {
 		width = n
@@ -36,22 +48,40 @@ func fan(width, n int, task func(w, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	claim := func(w int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			task(w, i)
+	f := &fanout{n: n, task: task}
+	f.wg.Add(width)
+	for w := 0; w < width; w++ {
+		go f.lane(w)
+	}
+	f.wg.Wait()
+	if f.failure != nil {
+		panic(f.failure)
+	}
+}
+
+// fanout is one fan call's shared state, in one allocation.
+type fanout struct {
+	next    atomic.Int64 // the next unclaimed task index
+	wg      sync.WaitGroup
+	once    sync.Once
+	failure any // the first value a task panicked with
+	n       int
+	task    func(w, i int)
+}
+
+// lane is goroutine w of a fan: it claims and runs tasks until none is left,
+// or until a task on any lane has panicked.
+func (f *fanout) lane(w int) {
+	defer f.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			f.next.Store(int64(f.n))
+			f.once.Do(func() { f.failure = r })
 		}
+	}()
+	for i := int(f.next.Add(1)) - 1; i < f.n; i = int(f.next.Add(1)) - 1 {
+		f.task(w, i)
 	}
-	var wg sync.WaitGroup
-	wg.Add(width - 1)
-	for w := 1; w < width; w++ {
-		go func() {
-			defer wg.Done()
-			claim(w)
-		}()
-	}
-	claim(0)
-	wg.Wait()
 }
 
 // SetWorkers sets how many goroutines one operation of this key switcher may
@@ -119,11 +149,11 @@ func (ks *KeySwitcher) runLanes(sc *Scratch, n int, phase func(*KeySwitcher, *Sc
 // rns.DivRoundByLastModulus performs it on one polynomial, over both
 // components with the limb steps at the key switcher's width: the two
 // last-limb inverse transforms side by side, then every remaining limb of
-// both components. It allocates the result, one slab per component, and the
-// two last limbs' coefficient forms (not a pooled arena's: a caller whose pool
-// is cold — a bootstrap's one rescale — would build a whole arena for two
-// N-word buffers). The scale is copied; dividing it is the caller's
-// book-keeping.
+// both components. It allocates the result, one slab per component; the two
+// last limbs' coefficient forms go to a pooled pair of N-word buffers (not a
+// pooled arena's: a caller whose arena pool is cold — a bootstrap's one
+// rescale — would build a whole arena for them). The scale is copied;
+// dividing it is the caller's book-keeping.
 func (ks *KeySwitcher) DivRoundByLastModulus(ct *Ciphertext) *Ciphertext {
 	last := ct.Level() - 1
 	if last < 1 {
@@ -132,11 +162,13 @@ func (ks *KeySwitcher) DivRoundByLastModulus(ct *Ciphertext) *Ciphertext {
 	b, n := ks.params.QBasis, ks.params.N()
 	in := [2]rns.Poly{ct.C0, ct.C1}
 	out := [2]rns.Poly{rns.NewPolySlab(last, n), rns.NewPolySlab(last, n)}
-	cL := rns.NewPolySlab(2, n).Limbs
+	buf := ks.lastLimbs.Get().(*rns.Poly)
+	cL := buf.Limbs
 	ks.Fan(2, func(s int) { b.LastLimbCoeffs(in[s], ct.IsNTT, cL[s]) })
 	ks.Fan(2*last, func(t int) {
 		s, i := t/last, t%last
 		b.DivRoundLimb(i, last, in[s].Limbs[i], cL[s], ct.IsNTT, out[s].Limbs[i])
 	})
+	ks.lastLimbs.Put(buf)
 	return &Ciphertext{C0: out[0], C1: out[1], IsNTT: ct.IsNTT, Scale: ct.Scale}
 }

@@ -54,6 +54,9 @@ type KeySwitcher struct {
 	fans    bool
 
 	scratchPool sync.Pool
+	// lastLimbs pools the rescale's two N-word last-limb buffers
+	// (DivRoundByLastModulus), as a *rns.Poly of two limbs.
+	lastLimbs sync.Pool
 }
 
 // NewKeySwitcher precomputes all basis-conversion tables for the parameter
@@ -77,6 +80,10 @@ func NewKeySwitcher(params *Parameters) *KeySwitcher {
 		ks.digitExt = append(ks.digitExt, rns.NewExtender(src, params.QPBasis))
 	}
 	ks.scratchPool.New = func() any { return ks.NewScratch() }
+	ks.lastLimbs.New = func() any {
+		buf := rns.NewPolySlab(2, params.N())
+		return &buf
+	}
 	return ks
 }
 

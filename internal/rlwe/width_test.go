@@ -330,3 +330,104 @@ func BenchmarkFanBreakEven(b *testing.B) {
 		})
 	}
 }
+
+// TestFanLanesAreExclusive runs fan directly at widths 1, 2, 3 and 8 over
+// fewer, as many and more tasks than goroutines, and requires every index to
+// run exactly once, every lane to be below the width, and no lane to be
+// entered by a second goroutine while one is inside it — the property that
+// lets a task use its lane's scratch without a lock.
+func TestFanLanesAreExclusive(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 2, 7, 64} {
+			runs := make([]atomic.Int32, n)
+			busy := make([]atomic.Bool, width)
+			var badLane, overlap atomic.Int32
+			fan(width, n, func(w, i int) {
+				if w < 0 || w >= width {
+					badLane.Add(1)
+					runs[i].Add(1)
+					return
+				}
+				if !busy[w].CompareAndSwap(false, true) {
+					overlap.Add(1)
+				}
+				runs[i].Add(1)
+				runtime.Gosched()
+				busy[w].Store(false)
+			})
+			if c := badLane.Load(); c > 0 {
+				t.Errorf("width %d, %d tasks: %d task(s) ran on a lane outside [0, %d)", width, n, c, width)
+			}
+			if c := overlap.Load(); c > 0 {
+				t.Errorf("width %d, %d tasks: a lane was entered %d time(s) while busy", width, n, c)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Errorf("width %d, %d tasks: index %d ran %d times", width, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestFanRepanicsOnTheCaller makes the tasks of a width-2 fan's second lane
+// panic, once both lanes have started, and requires the caller's recover to
+// see that value, every goroutine the call started to be gone, and the next
+// fan to run all of its tasks.
+func TestFanRepanicsOnTheCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	before := runtime.NumGoroutine()
+	type boom struct{ lane int }
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		var started [2]atomic.Bool
+		fan(2, 16, func(w, _ int) {
+			started[w].Store(true)
+			for deadline := time.Now().Add(5 * time.Second); !(started[0].Load() && started[1].Load()) && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if w == 1 {
+				panic(boom{w})
+			}
+		})
+		return nil
+	}()
+	if got != (boom{1}) {
+		t.Fatalf("caller recovered %v, want %v", got, boom{1})
+	}
+	waitGoroutines(t, before)
+	var ran atomic.Int32
+	fan(2, 16, func(int, int) { ran.Add(1) })
+	if ran.Load() != 16 {
+		t.Fatalf("the fan after a panic ran %d of 16 tasks", ran.Load())
+	}
+}
+
+// BenchmarkFanHandOff is one phase of n limb transforms at N = 2¹³ — the
+// unit a key switch is made of — on the caller alone (width 1) and handed to
+// two goroutines (width 2): at width 2 the time above half of width 1's is
+// what one hand-off and its barrier cost.
+//
+//	go test -run '^$' -bench FanHandOff -benchtime 2000x ./internal/rlwe/
+func BenchmarkFanHandOff(b *testing.B) {
+	const logN = 13
+	qs := ring.GenerateNTTPrimes(36, logN, 11)
+	for _, n := range []int{2, 7, 11} {
+		rings := make([]*ring.Ring, n)
+		src, dst := make([]ring.Poly, n), make([]ring.Poly, n)
+		for i := range rings {
+			rings[i] = ring.NewRing(logN, qs[i])
+			src[i], dst[i] = rings[i].NewPoly(), rings[i].NewPoly()
+			for j := range src[i] {
+				src[i][j] = uint64(j*7+i) % qs[i]
+			}
+		}
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("limbs=%d/width=%d", n, width), func(b *testing.B) {
+				for k := 0; k < b.N; k++ {
+					fan(width, n, func(_, i int) { rings[i].NTTInto(dst[i], src[i]) })
+				}
+			})
+		}
+	}
+}
