@@ -72,9 +72,9 @@ func TestContextConfig() ContextConfig {
 	}
 }
 
-// PaperContextConfig is the paper's §III-C parameter set (N=2^13, six 36-bit
-// limbs + auxiliary p, n_t=500). Functional execution at this scale is CPU
-// heavy; it is used by the benchmarks.
+// PaperContextConfig is the paper's §III-C ring as this tree runs it: N=2^13,
+// seven 36-bit Q limbs, four 37-bit P limbs, dnum 2 and n_t=500. Functional
+// execution at this scale is CPU heavy; it is used by the benchmarks.
 func PaperContextConfig() ContextConfig {
 	return ContextConfig{
 		LogN: 13, LimbBits: 36, Limbs: 7, PLimbs: 4, Dnum: 2,

@@ -11,8 +11,14 @@ import (
 	"heap/internal/rlwe"
 )
 
+// paperShapeDataset returns the 11 982 × 196 dataset matching the paper's
+// MNIST subset (§VI-F.1).
+func paperShapeDataset(seed uint64) *Dataset {
+	return NewSyntheticDataset(11982, 196, 1.9, 1.0, seed)
+}
+
 func TestSyntheticDatasetShapeAndBalance(t *testing.T) {
-	ds := PaperShapeDataset(1)
+	ds := paperShapeDataset(1)
 	if ds.Len() != 11982 || ds.Features() != 196 {
 		t.Fatalf("dataset shape %d×%d, want 11982×196", ds.Len(), ds.Features())
 	}
@@ -28,7 +34,7 @@ func TestSyntheticDatasetShapeAndBalance(t *testing.T) {
 		t.Errorf("class balance off: %d/%d", ones, ds.Len())
 	}
 	// Determinism.
-	ds2 := PaperShapeDataset(1)
+	ds2 := paperShapeDataset(1)
 	if ds2.X[0][0] != ds.X[0][0] {
 		t.Error("same seed should reproduce the dataset")
 	}
@@ -37,7 +43,7 @@ func TestSyntheticDatasetShapeAndBalance(t *testing.T) {
 // TestPlainLRReachesPaperAccuracy reproduces the §VI-F.3 accuracy regime:
 // 30 iterations, one per paper protocol, on the 11982×196 dataset.
 func TestPlainLRReachesPaperAccuracy(t *testing.T) {
-	ds := PaperShapeDataset(2)
+	ds := paperShapeDataset(2)
 	w := TrainLogisticPlain(ds, 30, 1.0, false)
 	if acc := Accuracy(w, ds); acc < 0.95 {
 		t.Errorf("plaintext LR accuracy %.3f below the ~97%% regime", acc)
@@ -167,53 +173,5 @@ func TestResNetScheduleMatchesTableVII(t *testing.T) {
 	}
 	if len(ResNet20Layers()) != 20 {
 		t.Errorf("ResNet-20 should have 20 stages, got %d", len(ResNet20Layers()))
-	}
-}
-
-// TestEncryptedCNNLayers runs a two-layer encrypted CNN (conv + square
-// activation each) with a scheme-switching bootstrap between the layers and
-// checks against the plaintext reference — the functional counterpart of
-// the Table VII workload.
-func TestEncryptedCNNLayers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bootstrapped CNN is slow")
-	}
-	logN := 7
-	slots := 64
-	q := ring.GenerateNTTPrimes(30, logN, 4)
-	p := ring.GenerateNTTPrimesUp(31, logN, 2)
-	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), slots)
-	kg := rlwe.NewKeyGenerator(params.Parameters, 140)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	cl := ckks.NewClient(params, sk, 141)
-	keys := ckks.GenEvaluationKeySet(params, kg, sk, []int{1, -1}, false)
-	ev := ckks.NewEvaluator(params, keys, nil)
-	cfg := core.DefaultConfig()
-	cfg.NT = 0
-	cfg.Workers = 2
-	bt, err := core.NewBootstrapper(params, kg, sk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	layers := []ConvLayer{
-		{Kernel: map[int]float64{-1: 0.25, 0: 0.5, 1: 0.25}, Activate: true},
-		{Kernel: map[int]float64{-1: -0.5, 0: 1.0, 1: -0.5}, Activate: true},
-	}
-	cnn := &EncryptedCNN{Params: params, Ev: ev, Boot: bt, Layers: layers}
-
-	img := make([]complex128, slots)
-	for i := range img {
-		img[i] = complex(0.4*float64(i%8)/8, 0)
-	}
-	out := cnn.Infer(cl.EncryptAtLevel(img, bt.AppMaxLevel()))
-	got := cl.Decrypt(out)
-	want := ReferenceCNN(img, layers)
-	for i := range want {
-		re := real(got[i]) - real(want[i])
-		im := imag(got[i]) - imag(want[i])
-		if re*re+im*im > 1e-4 {
-			t.Fatalf("slot %d: %v want %v", i, got[i], want[i])
-		}
 	}
 }

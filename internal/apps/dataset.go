@@ -55,12 +55,6 @@ func NewSyntheticDataset(samples, features int, mu, sigma float64, seed uint64) 
 	return ds
 }
 
-// PaperShapeDataset returns the 11 982 × 196 dataset matching the paper's
-// MNIST subset (§VI-F.1).
-func PaperShapeDataset(seed uint64) *Dataset {
-	return NewSyntheticDataset(11982, 196, 1.9, 1.0, seed)
-}
-
 // MiniDataset returns a small dataset for the functional encrypted trainer.
 func MiniDataset(samples, features int, seed uint64) *Dataset {
 	return NewSyntheticDataset(samples, features, 1.5, 0.7, seed)

@@ -26,7 +26,9 @@ func DefaultBootstrapConfig() BootstrapConfig { return BootstrapConfig{K: 32, R:
 // Bootstrapper implements conventional CKKS bootstrapping:
 // ModRaise → CoeffToSlot (homomorphic DFT) → EvalMod (sine evaluation via
 // complex exponential Taylor series + angle doubling) → SlotToCoeff.
-// It consumes ConsumedLevels limbs and requires the full N/2 slots.
+// It consumes 8 + Cfg.R limbs — CoeffToSlot, input scaling, four for the exp
+// Taylor series, R squarings, sine extraction and SlotToCoeff — and requires
+// the full N/2 slots.
 type Bootstrapper struct {
 	Params *Parameters
 	Ev     *Evaluator
@@ -145,13 +147,6 @@ func BootstrapRotations(params *Parameters) []int {
 		out = append(out, k)
 	}
 	return out
-}
-
-// ConsumedLevels reports how many limbs one bootstrap invocation consumes.
-func (bt *Bootstrapper) ConsumedLevels() int {
-	// C2S(1) + input scaling(1) + exp Taylor(4) + R squarings + sine
-	// extraction(1) + S2C(1).
-	return 8 + bt.Cfg.R
 }
 
 // modRaise reinterprets the centered level-1 residues modulo the full
@@ -282,9 +277,9 @@ func (bt *Bootstrapper) evalMod(t *rlwe.Ciphertext) *rlwe.Ciphertext {
 	return out
 }
 
-// Bootstrap refreshes a level-1 ciphertext to level
-// MaxLevel − ConsumedLevels, homomorphically re-encrypting the message per
-// Figure 1(a). The output scale equals the input scale.
+// Bootstrap refreshes a level-1 ciphertext to level MaxLevel − (8 + Cfg.R),
+// homomorphically re-encrypting the message per Figure 1(a). The output scale
+// equals the input scale.
 func (bt *Bootstrapper) Bootstrap(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	ev := bt.Ev
 	delta := bt.Params.DefaultScale

@@ -32,7 +32,7 @@ func newBootstrapContext(t *testing.T, logN int) (*Parameters, *Client, *Bootstr
 }
 
 func TestLinearTransformIdentityAndShift(t *testing.T) {
-	p := TestParams(7, 4, 64)
+	p := testParams(7, 4, 64)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 42)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 43)
@@ -72,7 +72,7 @@ func TestLinearTransformIdentityAndShift(t *testing.T) {
 }
 
 func TestLinearTransformDense(t *testing.T) {
-	p := TestParams(6, 4, 32)
+	p := testParams(6, 4, 32)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 44)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 45)
@@ -114,8 +114,11 @@ func TestConventionalBootstrap(t *testing.T) {
 	ct := cl.EncryptAtLevel(v, 1)
 	out := bt.Bootstrap(ct)
 
-	if out.Level() != params.MaxLevel()-bt.ConsumedLevels() {
-		t.Fatalf("bootstrap output level %d want %d", out.Level(), params.MaxLevel()-bt.ConsumedLevels())
+	// C2S(1) + input scaling(1) + exp Taylor(4) + R squarings + sine
+	// extraction(1) + S2C(1).
+	consumed := 8 + bt.Cfg.R
+	if out.Level() != params.MaxLevel()-consumed {
+		t.Fatalf("bootstrap output level %d want %d", out.Level(), params.MaxLevel()-consumed)
 	}
 	got := cl.Decrypt(out)
 	worst := 0.0

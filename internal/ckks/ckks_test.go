@@ -9,8 +9,24 @@ import (
 	"slices"
 	"testing"
 
+	"heap/internal/ring"
 	"heap/internal/rlwe"
 )
+
+// testParams returns a small parameter set for fast unit tests: N = 2^logN
+// with `limbs` 45-bit limbs and Δ = 2^43 (close to the limb size, as the
+// paper prescribes, so the scale stays stable under repeated Rescale).
+func testParams(logN, limbs, slots int) *Parameters {
+	q := ring.GenerateNTTPrimes(45, logN, limbs)
+	p := ring.GenerateNTTPrimesUp(45, logN, 3)
+	// Keep gadget digits at two limbs so the three special primes always
+	// cover them, whatever the chain length.
+	dnum := (limbs + 1) / 2
+	if dnum < 1 {
+		dnum = 1
+	}
+	return MustParameters(logN, q, p, ring.DefaultSigma, dnum, float64(uint64(1)<<43), slots)
+}
 
 func maxErr(got, want []complex128) float64 {
 	worst := 0.0
@@ -32,7 +48,7 @@ func rampVector(n int) []complex128 {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ logN, slots int }{{6, 32}, {8, 128}, {8, 16}, {10, 512}} {
-		p := TestParams(tc.logN, 3, tc.slots)
+		p := testParams(tc.logN, 3, tc.slots)
 		e := NewEncoder(p)
 		v := rampVector(tc.slots)
 		pt := e.EncodeAtLevel(v, p.DefaultScale, p.MaxLevel())
@@ -46,7 +62,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncryptDecrypt(t *testing.T) {
-	p := TestParams(7, 3, 64)
+	p := testParams(7, 3, 64)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 1)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 2)
@@ -60,7 +76,7 @@ func TestEncryptDecrypt(t *testing.T) {
 
 func newTestContext(t *testing.T, logN, limbs, slots int, rotations []int) (*Parameters, *Client, *Evaluator) {
 	t.Helper()
-	p := TestParams(logN, limbs, slots)
+	p := testParams(logN, limbs, slots)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 10)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 11)
@@ -277,23 +293,8 @@ func TestSparseSlotsReplication(t *testing.T) {
 	}
 }
 
-func TestPaperParams(t *testing.T) {
-	p := HEAPPaperParams()
-	if p.LogN != 13 || p.MaxLevel() != 6 {
-		t.Fatalf("paper params: logN=%d L=%d", p.LogN, p.MaxLevel())
-	}
-	if got := p.LogQTotal(); got < 210 || got > 217 {
-		t.Errorf("paper logQ = %d, want ≈216", got)
-	}
-	for _, q := range p.Q {
-		if q>>35 != 1 {
-			t.Errorf("limb %d is not a 36-bit prime", q)
-		}
-	}
-}
-
 func TestNoiseBitsDiagnostic(t *testing.T) {
-	p := TestParams(6, 3, 32)
+	p := testParams(6, 3, 32)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 130)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 131)
@@ -331,7 +332,7 @@ func sameCiphertext(t *testing.T, what string, p *Parameters, want, got *rlwe.Ci
 // for 1, 2, 3 and 8 workers, at the smallest ring that fans out, and requires
 // every output to equal the one-worker evaluator's word for word.
 func TestEvaluatorWidthChangesNothing(t *testing.T) {
-	p := TestParams(10, 5, 16)
+	p := testParams(10, 5, 16)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 60)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 61)

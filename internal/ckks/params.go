@@ -10,7 +10,6 @@ package ckks
 import (
 	"fmt"
 
-	"heap/internal/ring"
 	"heap/internal/rlwe"
 )
 
@@ -48,32 +47,4 @@ func MustParameters(logN int, q, p []uint64, sigma float64, dnum int, defaultSca
 		panic(err)
 	}
 	return pr
-}
-
-// HEAPPaperParams returns the paper's CKKS parameter set (§III-C):
-// N = 2^13, logQ = 216 split into six 36-bit limbs plus one auxiliary
-// 36-bit prime p, giving L = 6 and five multiplications between bootstraps.
-// The special-modulus chain used by hybrid key switching is sized to match
-// the largest gadget digit. Scale Δ is set one bit below the limb size
-// ("a value close to the limb of a ciphertext", Table I).
-func HEAPPaperParams() *Parameters {
-	logN := 13
-	q := ring.GenerateNTTPrimes(36, logN, 7) // 6 limbs + the auxiliary p
-	p := ring.GenerateNTTPrimesUp(37, logN, 4)
-	return MustParameters(logN, q[:6], p, ring.DefaultSigma, 2, float64(uint64(1)<<35), 1<<12)
-}
-
-// TestParams returns a small parameter set for fast unit tests: N = 2^logN
-// with `limbs` 45-bit limbs and Δ = 2^43 (close to the limb size, as the
-// paper prescribes, so the scale stays stable under repeated Rescale).
-func TestParams(logN, limbs, slots int) *Parameters {
-	q := ring.GenerateNTTPrimes(45, logN, limbs)
-	p := ring.GenerateNTTPrimesUp(45, logN, 3)
-	// Keep gadget digits at two limbs so the three special primes always
-	// cover them, whatever the chain length.
-	dnum := (limbs + 1) / 2
-	if dnum < 1 {
-		dnum = 1
-	}
-	return MustParameters(logN, q, p, ring.DefaultSigma, dnum, float64(uint64(1)<<43), slots)
 }

@@ -22,7 +22,7 @@ func TestChebyshevPlaintextFit(t *testing.T) {
 }
 
 func TestEvalChebyshevHomomorphic(t *testing.T) {
-	p := TestParams(7, 10, 64)
+	p := testParams(7, 10, 64)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 110)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 111)
@@ -55,7 +55,7 @@ func TestEvalChebyshevDegree27ReLU(t *testing.T) {
 	// The Lee et al. ResNet schedule evaluates a degree-27 polynomial ReLU;
 	// check our evaluator survives that depth with adequate accuracy away
 	// from the kink.
-	p := TestParams(7, 14, 64)
+	p := testParams(7, 14, 64)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 112)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 113)
@@ -83,7 +83,7 @@ func TestEvalChebyshevDegree27ReLU(t *testing.T) {
 }
 
 func TestInnerSum(t *testing.T) {
-	p := TestParams(6, 3, 32)
+	p := testParams(6, 3, 32)
 	kg := rlwe.NewKeyGenerator(p.Parameters, 114)
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cl := NewClient(p, sk, 115)

@@ -372,25 +372,25 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
 
-	local := helloFor(fx.bt)
-	if err := writeFrame(cp, &frame{Kind: frameHello, Payload: local.encode()}); err != nil {
+	local := HelloFor(fx.bt)
+	if err := WriteFrame(cp, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := readFrame(cp, helloPayloadSize); err != nil || f.Kind != frameHello {
+	if f, err := ReadFrame(cp, helloPayloadSize); err != nil || f.Kind != frameHello {
 		t.Fatalf("handshake reply: %v %+v", err, f)
 	}
 	// count = 2^32−1 with an otherwise empty payload: must fail on the
 	// bound check, not by attempting a 4-billion-element make.
 	payload := make([]byte, 4)
 	putU32(payload, 0xFFFF_FFFF)
-	if err := writeFrame(cp, &frame{Kind: frameBatch, Payload: payload}); err != nil {
+	if err := WriteFrame(cp, &Frame{Kind: FrameBatch, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(cp, maxErrorPayload)
+	f, err := ReadFrame(cp, MaxErrorPayload)
 	if err != nil {
 		t.Fatalf("expected an error frame, got %v", err)
 	}
-	if f.Kind != frameError || !strings.Contains(string(f.Payload), "batch count") {
+	if f.Kind != FrameError || !strings.Contains(string(f.Payload), "batch count") {
 		t.Fatalf("expected a batch-count rejection, got kind %#x payload %q", f.Kind, f.Payload)
 	}
 	select {

@@ -79,8 +79,8 @@ func (s *Secondary) RequestLeave() { s.leaving.Store(true) }
 
 // localHello is the node's hello with the key-warm flag reflecting the
 // stash state (a node mid-upload holds a partial key but is not warm).
-func (s *Secondary) localHello() hello {
-	h := helloFor(s.Boot)
+func (s *Secondary) localHello() Hello {
+	h := HelloFor(s.Boot)
 	if !s.fullyWarm() {
 		h.Flags &^= helloFlagKeyWarm
 	}
@@ -102,7 +102,7 @@ func (s *Secondary) Serve(conn io.ReadWriter) error {
 
 	// Handshake: hello in, hello out. A bare shutdown of a never-used
 	// connection is also accepted.
-	f, err := readFrame(conn, maxPayload)
+	f, err := ReadFrame(conn, maxPayload)
 	if err != nil {
 		if err == io.EOF {
 			return nil
@@ -110,17 +110,17 @@ func (s *Secondary) Serve(conn io.ReadWriter) error {
 		return err
 	}
 	switch f.Kind {
-	case frameShutdown:
+	case FrameShutdown:
 		return nil
 	case frameHello:
-		peer, err := decodeHello(f.Payload)
+		peer, err := DecodeHello(f.Payload)
 		if err != nil {
 			return s.failConn(conn, err)
 		}
-		if err := local.check(peer); err != nil {
+		if err := CheckHello(local, peer); err != nil {
 			return s.failConn(conn, err)
 		}
-		if err := writeFrame(conn, &frame{Kind: frameHello, Payload: local.encode()}); err != nil {
+		if err := WriteFrame(conn, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
 			return err
 		}
 	default:
@@ -134,18 +134,18 @@ func (s *Secondary) Serve(conn io.ReadWriter) error {
 func (s *Secondary) maxServePayload() int {
 	p := s.Boot.Params.Parameters
 	maxBatch := p.N()
-	dim := lweDim(s.Boot)
-	return maxInt(maxInt(helloPayloadSize, batchPayloadBound(maxBatch, dim)), maxKeyChunkPayload)
+	dim := LWEDim(s.Boot)
+	return maxInt(maxInt(helloPayloadSize, BatchPayloadBound(maxBatch, dim)), MaxKeyChunkPayload)
 }
 
 // failConn sends a best-effort structured error so the primary fails fast
 // instead of waiting out its deadline; the connection is dead either way.
 func (s *Secondary) failConn(conn io.ReadWriter, err error) error {
 	msg := err.Error()
-	if len(msg) > maxErrorPayload {
-		msg = msg[:maxErrorPayload]
+	if len(msg) > MaxErrorPayload {
+		msg = msg[:MaxErrorPayload]
 	}
-	_ = writeFrame(conn, &frame{Kind: frameError, Payload: []byte(msg)})
+	_ = WriteFrame(conn, &Frame{Kind: FrameError, Payload: []byte(msg)})
 	return err
 }
 
@@ -156,16 +156,16 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 	p := s.Boot.Params.Parameters
 	rec := s.Boot.Recorder()
 	maxBatch := p.N()
-	dim := lweDim(s.Boot)
+	dim := LWEDim(s.Boot)
 	maxPayload := s.maxServePayload()
 	twoN := uint64(2 * p.N())
 	fail := func(err error) error { return s.failConn(conn, err) }
 
 	sendLeave := func() error {
-		payload := encodeLeave("leave requested")
-		err := writeFrame(conn, &frame{Kind: frameLeave, Payload: payload})
+		payload := EncodeReason("leave requested")
+		err := WriteFrame(conn, &Frame{Kind: FrameLeave, Payload: payload})
 		if err == nil {
-			rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+			rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 		}
 		return err
 	}
@@ -195,7 +195,7 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 		accMu.Unlock()
 	}
 	for {
-		f, err := readFrame(conn, maxPayload)
+		f, err := ReadFrame(conn, maxPayload)
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -203,36 +203,36 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 			return err
 		}
 		switch f.Kind {
-		case frameShutdown:
+		case FrameShutdown:
 			return nil
-		case frameProbe:
+		case FrameProbe:
 			if s.leaving.Load() {
 				return sendLeave()
 			}
 			if _, err := decodeProbe(f.Payload); err != nil {
 				return fail(err)
 			}
-			if err := writeFrame(conn, &frame{Kind: frameProbeAck, Payload: f.Payload}); err != nil {
+			if err := WriteFrame(conn, &Frame{Kind: FrameProbeAck, Payload: f.Payload}); err != nil {
 				return err
 			}
-			rec.Add(obs.CounterBytesFramed, wireSize(len(f.Payload)))
-		case frameKeyOffer:
+			rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
+		case FrameKeyOffer:
 			if err := s.handleKeyOffer(conn, f, rec); err != nil {
 				return fail(err)
 			}
-		case frameKeyChunk:
+		case FrameKeyChunk:
 			if err := s.handleKeyChunk(conn, f, rec); err != nil {
 				return fail(err)
 			}
-		case frameKeyDone:
+		case FrameKeyDone:
 			if err := s.handleKeyDone(conn, f, rec); err != nil {
 				return fail(err)
 			}
-		case frameBatch:
+		case FrameBatch:
 			if s.leaving.Load() {
 				return sendLeave()
 			}
-			idxs, lwes, err := decodeBatch(f.Payload, maxBatch, dim, twoN)
+			idxs, lwes, err := DecodeBatch(f.Payload, maxBatch, dim, twoN)
 			if err != nil {
 				return fail(err)
 			}
@@ -242,10 +242,10 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 			if need := batchNeedDim(lwes, twoN); need > s.warmRecords() {
 				payload := make([]byte, 4)
 				putU32(payload, uint32(s.warmRecords()))
-				if err := writeFrame(conn, &frame{Kind: frameBatchRefused, Shard: f.Shard, Payload: payload}); err != nil {
+				if err := WriteFrame(conn, &Frame{Kind: frameBatchRefused, Shard: f.Shard, Payload: payload}); err != nil {
 					return err
 				}
-				rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+				rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 				continue
 			}
 			// The batch frame's seq field carries the primary's deadline
@@ -287,16 +287,16 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 						return sendErr
 					}
 					for j := lo; j < hi; j++ {
-						payload, err := encodeAcc(idxs[j], accs[j])
+						payload, err := EncodeAcc(idxs[j], accs[j])
 						if err == nil {
-							err = writeFrame(conn, &frame{Kind: frameAcc, Shard: f.Shard, Seq: seq, Payload: payload})
+							err = WriteFrame(conn, &Frame{Kind: FrameAcc, Shard: f.Shard, Seq: seq, Payload: payload})
 						}
 						if err != nil {
 							sendErr = err
 							return err
 						}
 						seq++
-						rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+						rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 						putAcc(accs[j])
 						accs[j] = nil
 					}
@@ -312,10 +312,10 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 			}
 			endPayload := make([]byte, 4)
 			putU32(endPayload, uint32(len(lwes)))
-			if err := writeFrame(conn, &frame{Kind: frameBatchEnd, Shard: f.Shard, Seq: uint32(len(lwes)), Payload: endPayload}); err != nil {
+			if err := WriteFrame(conn, &Frame{Kind: FrameBatchEnd, Shard: f.Shard, Seq: uint32(len(lwes)), Payload: endPayload}); err != nil {
 				return err
 			}
-			rec.Add(obs.CounterBytesFramed, wireSize(len(endPayload)))
+			rec.Add(obs.CounterBytesFramed, WireSize(len(endPayload)))
 		default:
 			return fail(fmt.Errorf("cluster: unknown message kind %#x", f.Kind))
 		}
@@ -360,13 +360,6 @@ const DefaultWatchdog = 2 * time.Minute
 // local execution.
 type Primary struct {
 	Boot *core.Bootstrapper
-
-	// Watchdog bounds each batch round-trip of the seed-compatible
-	// Bootstrap entry point. 0 selects DefaultWatchdog; a negative value
-	// opts out entirely, restoring the seed's original semantics where a
-	// wedged peer blocks indefinitely. BootstrapCluster callers tune
-	// Options.BatchTimeout instead.
-	Watchdog time.Duration
 }
 
 // Bootstrap distributes the blind rotations across the secondaries (plus
@@ -384,15 +377,9 @@ func (p *Primary) Bootstrap(ct *rlwe.Ciphertext, conns []io.ReadWriter) (*rlwe.C
 	opts := DefaultOptions()
 	// The seed ran this path with no per-batch deadline, so a wedged peer
 	// blocked forever. The watchdog closes that hole with a deadline far
-	// above any healthy round-trip; Watchdog < 0 restores the old behavior.
-	switch {
-	case p.Watchdog < 0:
-		opts.BatchTimeout = 0
-	case p.Watchdog == 0:
-		opts.BatchTimeout = DefaultWatchdog
-	default:
-		opts.BatchTimeout = p.Watchdog
-	}
+	// above any healthy round-trip; BootstrapCluster callers tune
+	// Options.BatchTimeout instead.
+	opts.BatchTimeout = DefaultWatchdog
 	out, stats, err := p.BootstrapCluster(context.Background(), ct, nodes, opts)
 	if err != nil {
 		return nil, err
@@ -1060,18 +1047,18 @@ func (p *Primary) probeNode(conn io.ReadWriter, rng *splitmix, opts Options) err
 	defer disarm()
 	nonce := rng.next()
 	payload := encodeProbe(nonce)
-	if err := writeFrame(conn, &frame{Kind: frameProbe, Payload: payload}); err != nil {
+	if err := WriteFrame(conn, &Frame{Kind: FrameProbe, Payload: payload}); err != nil {
 		return fmt.Errorf("cluster: probe send: %w", err)
 	}
-	rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 	for {
-		f, err := readFrame(conn, maxErrorPayload)
+		f, err := ReadFrame(conn, MaxErrorPayload)
 		if err != nil {
 			return fmt.Errorf("cluster: probe reply: %w", err)
 		}
-		rec.Add(obs.CounterBytesFramed, wireSize(len(f.Payload)))
+		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
 		switch f.Kind {
-		case frameProbeAck:
+		case FrameProbeAck:
 			got, err := decodeProbe(f.Payload)
 			if err != nil {
 				return err
@@ -1080,9 +1067,9 @@ func (p *Primary) probeNode(conn io.ReadWriter, rng *splitmix, opts Options) err
 				return nil
 			}
 			// Stale ack from a timed-out round; keep waiting for ours.
-		case frameLeave:
+		case FrameLeave:
 			return errNodeLeft
-		case frameError:
+		case FrameError:
 			return fmt.Errorf("cluster: probe refused: %s", f.Payload)
 		default:
 			return fmt.Errorf("cluster: unexpected frame kind %#x in probe exchange", f.Kind)
@@ -1102,7 +1089,7 @@ func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWri
 	params := p.Boot.Params.Parameters
 	recSize := tfhe.BRKRecordBytes(params, p.Boot.BinaryKey())
 	hdrSize := tfhe.BRKBlobBytes(params, 0, p.Boot.BinaryKey())
-	dim := lweDim(p.Boot)
+	dim := LWEDim(p.Boot)
 
 	rs.mu.Lock()
 	high := rs.keyHigh[ns.Name]
@@ -1212,26 +1199,26 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 func (p *Primary) handshake(conn io.ReadWriter, opts Options) error {
 	disarm := armTimeout(conn, opts.BatchTimeout)
 	defer disarm()
-	local := helloFor(p.Boot)
-	if err := writeFrame(conn, &frame{Kind: frameHello, Payload: local.encode()}); err != nil {
+	local := HelloFor(p.Boot)
+	if err := WriteFrame(conn, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
 		return fmt.Errorf("cluster: hello send: %w", err)
 	}
-	f, err := readFrame(conn, maxInt(helloPayloadSize, maxErrorPayload))
+	f, err := ReadFrame(conn, maxInt(helloPayloadSize, MaxErrorPayload))
 	if err != nil {
 		return fmt.Errorf("cluster: hello receive: %w", err)
 	}
 	switch f.Kind {
 	case frameHello:
-	case frameError:
+	case FrameError:
 		return fmt.Errorf("cluster: peer rejected handshake: %s", f.Payload)
 	default:
 		return fmt.Errorf("cluster: expected hello reply, got frame kind %#x", f.Kind)
 	}
-	peer, err := decodeHello(f.Payload)
+	peer, err := DecodeHello(f.Payload)
 	if err != nil {
 		return err
 	}
-	return local.check(peer)
+	return CheckHello(local, peer)
 }
 
 // dispatchBatch sends one LWE batch and collects the accumulator stream,
@@ -1274,16 +1261,16 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 	}
 
 	sendTok := rec.Begin(obs.StageNetSend, lane)
-	payload, err := encodeBatch(idxs, prep.LWEs)
+	payload, err := EncodeBatch(idxs, prep.LWEs)
 	if err != nil {
 		rec.End(obs.StageNetSend, lane, sendTok)
 		return err
 	}
-	werr := writeFrame(conn, &frame{Kind: frameBatch, Shard: shard, Seq: budgetMs, Payload: payload})
+	werr := WriteFrame(conn, &Frame{Kind: FrameBatch, Shard: shard, Seq: budgetMs, Payload: payload})
 	rec.End(obs.StageNetSend, lane, sendTok)
-	rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 	if resend {
-		rec.Add(obs.CounterBytesRetried, wireSize(len(payload)))
+		rec.Add(obs.CounterBytesRetried, WireSize(len(payload)))
 	}
 	if werr != nil {
 		return wrap(fmt.Errorf("cluster: batch send: %w", werr))
@@ -1316,7 +1303,7 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 	}()
 
 	params := p.Boot.Params.Parameters
-	maxPayload := maxInt(accPayloadBound(params), maxErrorPayload)
+	maxPayload := maxInt(AccPayloadBound(params), MaxErrorPayload)
 	want := make(map[int]bool, len(idxs))
 	for _, idx := range idxs {
 		want[idx] = true
@@ -1328,30 +1315,30 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 	recvTok := rec.Begin(obs.StageNetRecv, lane)
 	defer func() { rec.End(obs.StageNetRecv, lane, recvTok) }()
 	for seq := 0; ; {
-		f, err := readFrame(conn, maxPayload)
+		f, err := ReadFrame(conn, maxPayload)
 		if err != nil {
 			return wrap(err)
 		}
-		rec.Add(obs.CounterBytesFramed, wireSize(len(f.Payload)))
-		if f.Kind == frameProbeAck {
+		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
+		if f.Kind == FrameProbeAck {
 			// Stale ack from a probe round that timed out; harmless.
 			continue
 		}
-		if f.Kind == frameLeave {
+		if f.Kind == FrameLeave {
 			return errNodeLeft
 		}
 		if f.Shard != shard {
 			return fmt.Errorf("cluster: frame for shard %d while awaiting shard %d", f.Shard, shard)
 		}
 		switch f.Kind {
-		case frameError:
+		case FrameError:
 			return fmt.Errorf("cluster: remote failure: %s", f.Payload)
 		case frameBatchRefused:
 			if seq != 0 {
 				return fmt.Errorf("cluster: batch refused after %d accumulators", seq)
 			}
 			return errBatchRefused
-		case frameAcc:
+		case FrameAcc:
 			if int(f.Seq) != seq {
 				return fmt.Errorf("cluster: partial accumulator stream: seq %d, want %d", f.Seq, seq)
 			}
@@ -1359,7 +1346,7 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 			if len(want) == 0 {
 				return errors.New("cluster: accumulator after batch complete")
 			}
-			idx, acc, err := decodeAcc(f.Payload, params, len(prep.LWEs))
+			idx, acc, err := DecodeAcc(f.Payload, params, len(prep.LWEs))
 			if err != nil {
 				return err
 			}
@@ -1380,7 +1367,7 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 				rs.mu.Unlock()
 				sink.deliver(idx, acc)
 			}
-		case frameBatchEnd:
+		case FrameBatchEnd:
 			if int(f.Seq) != seq {
 				return fmt.Errorf("cluster: partial accumulator stream: end at seq %d, want %d", f.Seq, seq)
 			}
@@ -1445,7 +1432,7 @@ func sleepBackoff(ctx context.Context, q *workQueue, d time.Duration) bool {
 
 // Shutdown tells a secondary to stop serving.
 func Shutdown(conn io.Writer) error {
-	return writeFrame(conn, &frame{Kind: frameShutdown})
+	return WriteFrame(conn, &Frame{Kind: FrameShutdown})
 }
 
 func hashName(name string) uint64 {

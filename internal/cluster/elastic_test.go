@@ -259,7 +259,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
-	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, lweDim(primary), primary.BinaryKey())
+	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, LWEDim(primary), primary.BinaryKey())
 	var blob bytes.Buffer
 	if _, err := primary.BlindRotateKey().WriteTo(&blob); err != nil || blob.Len() != blobSize {
 		t.Fatalf("serialized key is %d bytes (err %v), receivers expect %d", blob.Len(), err, blobSize)
@@ -426,7 +426,7 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	go func() {
 		defer close(muteDone)
 		for {
-			if _, err := readFrame(cs, maxErrorPayload); err != nil {
+			if _, err := ReadFrame(cs, MaxErrorPayload); err != nil {
 				return
 			}
 			swallowed.Add(1)

@@ -28,6 +28,11 @@ import (
 // LWE dimension + batch bound); everything after a digest mismatch would be
 // garbage, so mismatches fail the connection at setup instead of corrupting
 // a bootstrap midway.
+//
+// The cluster scheduler and the bootstrap service (internal/serve) speak this
+// one format byte for byte: what is exported here is the surface a protocol
+// peer outside this package needs, so there is one set of hardened decoders
+// in the tree.
 const (
 	frameMagic = uint32(0x4846_524D) // "HFRM"
 
@@ -45,53 +50,60 @@ const (
 	frameHeaderSize  = 20
 	frameTrailerSize = 4
 
-	// maxErrorPayload bounds remote error strings.
-	maxErrorPayload = 1 << 10
+	// MaxErrorPayload bounds remote error strings.
+	MaxErrorPayload = 1 << 10
 )
 
-// wireSize is the on-the-wire byte count of a frame with the given payload
+// WireSize is the on-the-wire byte count of a frame with the given payload
 // length — header, payload, and CRC trailer. The observability byte counters
 // use it so that framing overhead is accounted exactly.
-func wireSize(payloadLen int) uint64 {
+func WireSize(payloadLen int) uint64 {
 	return uint64(frameHeaderSize + payloadLen + frameTrailerSize)
 }
 
 // Frame kinds.
 const (
 	frameHello    = uint32(0x4845_4C4F) // "HELO"
-	frameBatch    = uint32(0xB007_0001) // primary → secondary: LWE batch (seq = deadline budget, ms)
-	frameAcc      = uint32(0xB007_0002) // secondary → primary: one accumulator
-	frameBatchEnd = uint32(0xB007_0003) // secondary → primary: batch complete
-	frameError    = uint32(0xB007_000E) // secondary → primary: structured failure
-	frameShutdown = uint32(0xB007_00FF)
+	FrameBatch    = uint32(0xB007_0001) // primary → secondary: LWE batch (seq = deadline budget, ms)
+	FrameAcc      = uint32(0xB007_0002) // secondary → primary: one accumulator
+	FrameBatchEnd = uint32(0xB007_0003) // secondary → primary: batch complete
+	FrameError    = uint32(0xB007_000E) // secondary → primary: structured failure
+	FrameShutdown = uint32(0xB007_00FF)
 
 	// Elastic membership (v3).
-	frameProbe        = uint32(0xB007_0010) // either way: liveness probe (8-byte nonce)
-	frameProbeAck     = uint32(0xB007_0011) // echo of a probe's nonce
-	frameJoin         = uint32(0xB007_0012) // secondary → primary: hello + node name
-	frameJoinAck      = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
-	frameLeave        = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
+	FrameProbe        = uint32(0xB007_0010) // either way: liveness probe (8-byte nonce)
+	FrameProbeAck     = uint32(0xB007_0011) // echo of a probe's nonce
+	FrameJoin         = uint32(0xB007_0012) // secondary → primary: hello + node name
+	FrameJoinAck      = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
+	FrameLeave        = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
 	frameBatchRefused = uint32(0xB007_0015) // secondary → primary: not key-warm enough (warm count)
 
 	// Chunked resumable key streaming (v3).
-	frameKeyOffer  = uint32(0xB007_0020) // primary → secondary: blob size/chunking/CRC
-	frameKeyResume = uint32(0xB007_0021) // secondary → primary: contiguous chunks already held
-	frameKeyChunk  = uint32(0xB007_0022) // primary → secondary: one chunk (seq = chunk index)
-	frameKeyAck    = uint32(0xB007_0023) // secondary → primary: contiguous chunks now held
-	frameKeyDone   = uint32(0xB007_0024) // primary → secondary: upload complete (blob CRC)
+	FrameKeyOffer  = uint32(0xB007_0020) // primary → secondary: blob size/chunking/CRC
+	FrameKeyResume = uint32(0xB007_0021) // secondary → primary: contiguous chunks already held
+	FrameKeyChunk  = uint32(0xB007_0022) // primary → secondary: one chunk (seq = chunk index)
+	FrameKeyAck    = uint32(0xB007_0023) // secondary → primary: contiguous chunks now held
+	FrameKeyDone   = uint32(0xB007_0024) // primary → secondary: upload complete (blob CRC)
+
+	// FrameRejected is a non-fatal, per-job admission rejection
+	// (server → client): the connection stays usable, Shard echoes the
+	// rejected job id, and the payload is a bounded reason string
+	// (EncodeReason/DecodeReason). Introduced by the serving layer; the
+	// cluster scheduler never emits it.
+	FrameRejected = uint32(0xB007_0030)
 )
 
-// frame is one protocol message.
-type frame struct {
+// Frame is one protocol message.
+type Frame struct {
 	Kind    uint32
 	Shard   uint32 // batch identifier
 	Seq     uint32 // position within the batch's response stream
 	Payload []byte
 }
 
-// writeFrame serializes f as a single Write so frames are never interleaved
+// WriteFrame serializes f as a single Write so frames are never interleaved
 // on a shared writer.
-func writeFrame(w io.Writer, f *frame) error {
+func WriteFrame(w io.Writer, f *Frame) error {
 	buf := make([]byte, frameHeaderSize+len(f.Payload)+frameTrailerSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], frameMagic)
@@ -106,11 +118,11 @@ func writeFrame(w io.Writer, f *frame) error {
 	return err
 }
 
-// readFrame reads and validates one frame. The payload length is checked
+// ReadFrame reads and validates one frame. The payload length is checked
 // against maxPayload before any allocation, so a lying peer can never force
 // an unbounded make. io.EOF is returned verbatim only for a clean close at
 // a frame boundary; every other failure is wrapped.
-func readFrame(r io.Reader, maxPayload int) (*frame, error) {
+func ReadFrame(r io.Reader, maxPayload int) (*Frame, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -135,7 +147,7 @@ func readFrame(r io.Reader, maxPayload int) (*frame, error) {
 	if got := le.Uint32(body[plen:]); got != crc {
 		return nil, fmt.Errorf("cluster: frame checksum mismatch (got %#x want %#x)", got, crc)
 	}
-	return &frame{
+	return &Frame{
 		Kind:    le.Uint32(hdr[4:]),
 		Shard:   le.Uint32(hdr[8:]),
 		Seq:     le.Uint32(hdr[12:]),
@@ -143,13 +155,13 @@ func readFrame(r io.Reader, maxPayload int) (*frame, error) {
 	}, nil
 }
 
-// hello is the connection-setup handshake: both ends must agree on the
+// Hello is the connection-setup handshake: both ends must agree on the
 // protocol version and on the parameter set (the digest covers every Q and
 // P limb), the LWE dimension the batches will carry, and the batch bound.
 // Flags carries per-node status (key-warm) and is deliberately excluded
 // from the compatibility check: a cold node and a warm node are protocol-
 // compatible, they just differ in what work they can accept.
-type hello struct {
+type Hello struct {
 	Version  uint32
 	LogN     uint32
 	MaxLevel uint32
@@ -164,13 +176,14 @@ const helloFlagKeyWarm = uint32(1)
 
 const helloPayloadSize = 28
 
-func helloFor(bt *core.Bootstrapper) hello {
+// HelloFor builds the handshake payload describing bt's parameter set.
+func HelloFor(bt *core.Bootstrapper) Hello {
 	p := bt.Params.Parameters
-	h := hello{
+	h := Hello{
 		Version:  ProtocolVersion,
 		LogN:     uint32(p.LogN),
 		MaxLevel: uint32(p.MaxLevel()),
-		LWEDim:   uint32(lweDim(bt)),
+		LWEDim:   uint32(LWEDim(bt)),
 		MaxBatch: uint32(p.N()),
 		Digest:   paramsDigest(p),
 	}
@@ -180,9 +193,9 @@ func helloFor(bt *core.Bootstrapper) hello {
 	return h
 }
 
-// lweDim is the dimension of the LWE ciphertexts Prepare emits: N in exact
+// LWEDim is the dimension of the LWE ciphertexts Prepare emits: N in exact
 // mode (NT = 0), n_t after the dimension-reducing key switch otherwise.
-func lweDim(bt *core.Bootstrapper) int {
+func LWEDim(bt *core.Bootstrapper) int {
 	if bt.Cfg.NT == 0 {
 		return bt.Params.N()
 	}
@@ -206,7 +219,8 @@ func paramsDigest(p *rlwe.Parameters) uint32 {
 	return h.Sum32()
 }
 
-func (h hello) encode() []byte {
+// EncodeHello serializes a hello payload.
+func EncodeHello(h Hello) []byte {
 	buf := make([]byte, helloPayloadSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], h.Version)
@@ -219,12 +233,13 @@ func (h hello) encode() []byte {
 	return buf
 }
 
-func decodeHello(payload []byte) (hello, error) {
+// DecodeHello parses a hello payload.
+func DecodeHello(payload []byte) (Hello, error) {
 	if len(payload) != helloPayloadSize {
-		return hello{}, fmt.Errorf("cluster: hello payload is %d bytes, want %d", len(payload), helloPayloadSize)
+		return Hello{}, fmt.Errorf("cluster: hello payload is %d bytes, want %d", len(payload), helloPayloadSize)
 	}
 	le := binary.LittleEndian
-	return hello{
+	return Hello{
 		Version:  le.Uint32(payload[0:]),
 		LogN:     le.Uint32(payload[4:]),
 		MaxLevel: le.Uint32(payload[8:]),
@@ -235,21 +250,21 @@ func decodeHello(payload []byte) (hello, error) {
 	}, nil
 }
 
-// check verifies a peer hello against the local one. Flags are status, not
-// compatibility, and are not compared.
-func (h hello) check(peer hello) error {
-	if peer.Version != h.Version {
-		return fmt.Errorf("cluster: protocol version mismatch: local v%d, peer v%d", h.Version, peer.Version)
+// CheckHello verifies a peer hello against the local one. Flags are status,
+// not compatibility, and are not compared.
+func CheckHello(local, peer Hello) error {
+	if peer.Version != local.Version {
+		return fmt.Errorf("cluster: protocol version mismatch: local v%d, peer v%d", local.Version, peer.Version)
 	}
-	if peer.LogN != h.LogN || peer.MaxLevel != h.MaxLevel || peer.LWEDim != h.LWEDim ||
-		peer.MaxBatch != h.MaxBatch || peer.Digest != h.Digest {
-		return fmt.Errorf("cluster: parameter mismatch: local %+v, peer %+v", h, peer)
+	if peer.LogN != local.LogN || peer.MaxLevel != local.MaxLevel || peer.LWEDim != local.LWEDim ||
+		peer.MaxBatch != local.MaxBatch || peer.Digest != local.Digest {
+		return fmt.Errorf("cluster: parameter mismatch: local %+v, peer %+v", local, peer)
 	}
 	return nil
 }
 
-// encodeBatch serializes count followed by (index, LWE ciphertext) pairs.
-func encodeBatch(idxs []int, lwes []*rlwe.LWECiphertext) ([]byte, error) {
+// EncodeBatch serializes count followed by (index, LWE ciphertext) pairs.
+func EncodeBatch(idxs []int, lwes []*rlwe.LWECiphertext) ([]byte, error) {
 	var buf bytes.Buffer
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(idxs)))
@@ -264,11 +279,11 @@ func encodeBatch(idxs []int, lwes []*rlwe.LWECiphertext) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBatch parses and fully validates a batch payload: the count is
+// DecodeBatch parses and fully validates a batch payload: the count is
 // bounded by maxBatch (n ≤ ring degree) before anything is allocated, every
 // index is bounded, and every LWE ciphertext must have exactly the
 // handshaken dimension and modulus with in-range components.
-func decodeBatch(payload []byte, maxBatch, dim int, q uint64) (idxs []int, lwes []*rlwe.LWECiphertext, err error) {
+func DecodeBatch(payload []byte, maxBatch, dim int, q uint64) (idxs []int, lwes []*rlwe.LWECiphertext, err error) {
 	r := bytes.NewReader(payload)
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
@@ -303,8 +318,8 @@ func decodeBatch(payload []byte, maxBatch, dim int, q uint64) (idxs []int, lwes 
 	return idxs, lwes, nil
 }
 
-// encodeAcc serializes (index, accumulator ciphertext).
-func encodeAcc(idx int, acc *rlwe.Ciphertext) ([]byte, error) {
+// EncodeAcc serializes (index, accumulator ciphertext).
+func EncodeAcc(idx int, acc *rlwe.Ciphertext) ([]byte, error) {
 	var buf bytes.Buffer
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(idx))
@@ -315,9 +330,9 @@ func encodeAcc(idx int, acc *rlwe.Ciphertext) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeAcc parses an accumulator payload, rejecting wrong levels, trailing
+// DecodeAcc parses an accumulator payload, rejecting wrong levels, trailing
 // bytes, and out-of-range residues (via ReadCiphertext).
-func decodeAcc(payload []byte, p *rlwe.Parameters, maxIndex int) (int, *rlwe.Ciphertext, error) {
+func DecodeAcc(payload []byte, p *rlwe.Parameters, maxIndex int) (int, *rlwe.Ciphertext, error) {
 	r := bytes.NewReader(payload)
 	var idx uint32
 	if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
@@ -339,13 +354,13 @@ func decodeAcc(payload []byte, p *rlwe.Parameters, maxIndex int) (int, *rlwe.Cip
 	return int(idx), acc, nil
 }
 
-// batchPayloadBound is the largest batch payload a secondary accepts.
-func batchPayloadBound(maxBatch, dim int) int {
+// BatchPayloadBound is the largest batch payload a secondary accepts.
+func BatchPayloadBound(maxBatch, dim int) int {
 	return 4 + maxBatch*(4+rlwe.LWEWireSize(dim))
 }
 
-// accPayloadBound is the largest accumulator payload a primary accepts.
-func accPayloadBound(p *rlwe.Parameters) int {
+// AccPayloadBound is the largest accumulator payload a primary accepts.
+func AccPayloadBound(p *rlwe.Parameters) int {
 	return 4 + rlwe.CiphertextWireSize(p, p.MaxLevel())
 }
 
@@ -380,47 +395,48 @@ func decodeProbe(payload []byte) (uint64, error) {
 // maxNodeName bounds the node name a join frame may carry.
 const maxNodeName = 256
 
-// joinPayloadBound is the largest join payload: hello + length-prefixed name.
-const joinPayloadBound = helloPayloadSize + 4 + maxNodeName
+// JoinPayloadBound is the largest join payload: hello + length-prefixed name.
+const JoinPayloadBound = helloPayloadSize + 4 + maxNodeName
 
-// encodeJoin serializes a join request: the joiner's hello followed by its
+// EncodeJoin serializes a join request: the joiner's hello followed by its
 // length-prefixed name (the identity key of the membership registry, which
 // is how a node killed mid-key-upload resumes as itself after rejoining).
-func encodeJoin(h hello, name string) []byte {
+func EncodeJoin(h Hello, name string) []byte {
 	if len(name) > maxNodeName {
 		name = name[:maxNodeName]
 	}
 	buf := make([]byte, helloPayloadSize+4+len(name))
-	copy(buf, h.encode())
+	copy(buf, EncodeHello(h))
 	binary.LittleEndian.PutUint32(buf[helloPayloadSize:], uint32(len(name)))
 	copy(buf[helloPayloadSize+4:], name)
 	return buf
 }
 
-// decodeJoin parses and bounds a join payload before anything is allocated
+// DecodeJoin parses and bounds a join payload before anything is allocated
 // from attacker-controlled lengths.
-func decodeJoin(payload []byte) (hello, string, error) {
+func DecodeJoin(payload []byte) (Hello, string, error) {
 	if len(payload) < helloPayloadSize+4 {
-		return hello{}, "", fmt.Errorf("cluster: join payload is %d bytes, want at least %d", len(payload), helloPayloadSize+4)
+		return Hello{}, "", fmt.Errorf("cluster: join payload is %d bytes, want at least %d", len(payload), helloPayloadSize+4)
 	}
-	h, err := decodeHello(payload[:helloPayloadSize])
+	h, err := DecodeHello(payload[:helloPayloadSize])
 	if err != nil {
-		return hello{}, "", err
+		return Hello{}, "", err
 	}
 	nameLen := int(binary.LittleEndian.Uint32(payload[helloPayloadSize:]))
 	if nameLen > maxNodeName {
-		return hello{}, "", fmt.Errorf("cluster: join name length %d exceeds bound %d", nameLen, maxNodeName)
+		return Hello{}, "", fmt.Errorf("cluster: join name length %d exceeds bound %d", nameLen, maxNodeName)
 	}
 	if len(payload) != helloPayloadSize+4+nameLen {
-		return hello{}, "", fmt.Errorf("cluster: join payload %d bytes, want %d", len(payload), helloPayloadSize+4+nameLen)
+		return Hello{}, "", fmt.Errorf("cluster: join payload %d bytes, want %d", len(payload), helloPayloadSize+4+nameLen)
 	}
 	return h, string(payload[helloPayloadSize+4:]), nil
 }
 
-// encodeLeave serializes a graceful-leave reason (bounded like error frames).
-func encodeLeave(reason string) []byte {
-	if len(reason) > maxErrorPayload {
-		reason = reason[:maxErrorPayload]
+// EncodeReason serializes a bounded reason string: a graceful leave's, or a
+// serving-layer rejection's (bounded like error frames).
+func EncodeReason(reason string) []byte {
+	if len(reason) > MaxErrorPayload {
+		reason = reason[:MaxErrorPayload]
 	}
 	buf := make([]byte, 4+len(reason))
 	binary.LittleEndian.PutUint32(buf, uint32(len(reason)))
@@ -428,14 +444,14 @@ func encodeLeave(reason string) []byte {
 	return buf
 }
 
-// decodeLeave parses a bounded leave payload.
-func decodeLeave(payload []byte) (string, error) {
+// DecodeReason parses a bounded reason payload.
+func DecodeReason(payload []byte) (string, error) {
 	if len(payload) < 4 {
 		return "", fmt.Errorf("cluster: leave payload is %d bytes, want at least 4", len(payload))
 	}
 	n := int(binary.LittleEndian.Uint32(payload))
-	if n > maxErrorPayload {
-		return "", fmt.Errorf("cluster: leave reason length %d exceeds bound %d", n, maxErrorPayload)
+	if n > MaxErrorPayload {
+		return "", fmt.Errorf("cluster: leave reason length %d exceeds bound %d", n, MaxErrorPayload)
 	}
 	if len(payload) != 4+n {
 		return "", fmt.Errorf("cluster: leave payload %d bytes, want %d", len(payload), 4+n)
@@ -445,12 +461,12 @@ func decodeLeave(payload []byte) (string, error) {
 
 // --- chunked resumable key streaming payloads (v3) ---
 
-// keyOffer describes a blind-rotate key blob the sender is about to stream:
+// KeyOffer describes a blind-rotate key blob the sender is about to stream:
 // total serialized size, the fixed chunk size (the last chunk may be short),
 // the chunk count, and the CRC32 of the whole blob. A receiver holding a
 // partial stash from a previous connection answers with the number of
 // contiguous chunks it already has — the resume point.
-type keyOffer struct {
+type KeyOffer struct {
 	TotalSize  uint64
 	ChunkSize  uint32
 	ChunkCount uint32
@@ -459,11 +475,11 @@ type keyOffer struct {
 
 const keyOfferPayloadSize = 20
 
-// maxKeyChunkPayload bounds a single key chunk (and therefore the one
+// MaxKeyChunkPayload bounds a single key chunk (and therefore the one
 // allocation a key-chunk frame can force).
-const maxKeyChunkPayload = 4 << 20
+const MaxKeyChunkPayload = 4 << 20
 
-func (o keyOffer) encode() []byte {
+func (o KeyOffer) encode() []byte {
 	buf := make([]byte, keyOfferPayloadSize)
 	le := binary.LittleEndian
 	le.PutUint64(buf[0:], o.TotalSize)
@@ -473,37 +489,37 @@ func (o keyOffer) encode() []byte {
 	return buf
 }
 
-// decodeKeyOffer parses and cross-validates an offer: the chunk geometry
+// DecodeKeyOffer parses and cross-validates an offer: the chunk geometry
 // must exactly tile the total size, and both are bounded before the
 // receiver sizes anything from them.
-func decodeKeyOffer(payload []byte) (keyOffer, error) {
+func DecodeKeyOffer(payload []byte) (KeyOffer, error) {
 	if len(payload) != keyOfferPayloadSize {
-		return keyOffer{}, fmt.Errorf("cluster: key offer payload is %d bytes, want %d", len(payload), keyOfferPayloadSize)
+		return KeyOffer{}, fmt.Errorf("cluster: key offer payload is %d bytes, want %d", len(payload), keyOfferPayloadSize)
 	}
 	le := binary.LittleEndian
-	o := keyOffer{
+	o := KeyOffer{
 		TotalSize:  le.Uint64(payload[0:]),
 		ChunkSize:  le.Uint32(payload[8:]),
 		ChunkCount: le.Uint32(payload[12:]),
 		BlobCRC:    le.Uint32(payload[16:]),
 	}
 	if o.TotalSize == 0 || o.TotalSize > 1<<40 {
-		return keyOffer{}, fmt.Errorf("cluster: key offer size %d out of range", o.TotalSize)
+		return KeyOffer{}, fmt.Errorf("cluster: key offer size %d out of range", o.TotalSize)
 	}
-	if o.ChunkSize == 0 || o.ChunkSize > maxKeyChunkPayload {
-		return keyOffer{}, fmt.Errorf("cluster: key chunk size %d outside (0, %d]", o.ChunkSize, maxKeyChunkPayload)
+	if o.ChunkSize == 0 || o.ChunkSize > MaxKeyChunkPayload {
+		return KeyOffer{}, fmt.Errorf("cluster: key chunk size %d outside (0, %d]", o.ChunkSize, MaxKeyChunkPayload)
 	}
 	want := (o.TotalSize + uint64(o.ChunkSize) - 1) / uint64(o.ChunkSize)
 	if uint64(o.ChunkCount) != want {
-		return keyOffer{}, fmt.Errorf("cluster: key offer chunk count %d, want %d for %d bytes in %d-byte chunks",
+		return KeyOffer{}, fmt.Errorf("cluster: key offer chunk count %d, want %d for %d bytes in %d-byte chunks",
 			o.ChunkCount, want, o.TotalSize, o.ChunkSize)
 	}
 	return o, nil
 }
 
-// encodeKeyResume serializes the receiver's resume point: the number of
+// EncodeKeyResume serializes the receiver's resume point: the number of
 // contiguous chunks it already holds and the blob CRC it holds them for.
-func encodeKeyResume(have uint32, blobCRC uint32) []byte {
+func EncodeKeyResume(have uint32, blobCRC uint32) []byte {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint32(buf[0:], have)
 	binary.LittleEndian.PutUint32(buf[4:], blobCRC)

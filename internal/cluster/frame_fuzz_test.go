@@ -15,24 +15,24 @@ import (
 // bounds, and accepted values must round-trip through their encoder.
 
 func FuzzDecodeJoin(f *testing.F) {
-	h := hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD, Flags: helloFlagKeyWarm}
-	f.Add(encodeJoin(h, "node-a"))
-	f.Add(encodeJoin(h, ""))
+	h := Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD, Flags: helloFlagKeyWarm}
+	f.Add(EncodeJoin(h, "node-a"))
+	f.Add(EncodeJoin(h, ""))
 	// A lying length prefix: nameLen = 2^32−1 with no name bytes behind it.
-	lie := encodeJoin(h, "x")
+	lie := EncodeJoin(h, "x")
 	binary.LittleEndian.PutUint32(lie[helloPayloadSize:], 0xFFFF_FFFF)
 	f.Add(lie)
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, name, err := decodeJoin(data)
+		got, name, err := DecodeJoin(data)
 		if err != nil {
 			return
 		}
 		if len(name) > maxNodeName {
 			t.Fatalf("accepted join name of %d bytes, bound is %d", len(name), maxNodeName)
 		}
-		re, name2, err := decodeJoin(encodeJoin(got, name))
+		re, name2, err := DecodeJoin(EncodeJoin(got, name))
 		if err != nil || re != got || name2 != name {
 			t.Fatalf("join round trip unstable: %v %+v/%q vs %+v/%q", err, re, name2, got, name)
 		}
@@ -40,21 +40,21 @@ func FuzzDecodeJoin(f *testing.F) {
 }
 
 func FuzzDecodeLeave(f *testing.F) {
-	f.Add(encodeLeave("leave requested"))
-	f.Add(encodeLeave(""))
+	f.Add(EncodeReason("leave requested"))
+	f.Add(EncodeReason(""))
 	lie := make([]byte, 4)
 	binary.LittleEndian.PutUint32(lie, 0xFFFF_FFFF)
 	f.Add(lie)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reason, err := decodeLeave(data)
+		reason, err := DecodeReason(data)
 		if err != nil {
 			return
 		}
-		if len(reason) > maxErrorPayload {
-			t.Fatalf("accepted leave reason of %d bytes, bound is %d", len(reason), maxErrorPayload)
+		if len(reason) > MaxErrorPayload {
+			t.Fatalf("accepted leave reason of %d bytes, bound is %d", len(reason), MaxErrorPayload)
 		}
-		if re, err := decodeLeave(encodeLeave(reason)); err != nil || re != reason {
+		if re, err := DecodeReason(EncodeReason(reason)); err != nil || re != reason {
 			t.Fatalf("leave round trip unstable: %v %q vs %q", err, re, reason)
 		}
 	})
@@ -77,34 +77,34 @@ func FuzzDecodeProbe(f *testing.F) {
 }
 
 func FuzzDecodeKeyOffer(f *testing.F) {
-	f.Add(keyOffer{TotalSize: 1 << 20, ChunkSize: 64 << 10, ChunkCount: 16, BlobCRC: 0xABCD}.encode())
-	f.Add(keyOffer{TotalSize: 1, ChunkSize: 1, ChunkCount: 1}.encode())
+	f.Add(KeyOffer{TotalSize: 1 << 20, ChunkSize: 64 << 10, ChunkCount: 16, BlobCRC: 0xABCD}.encode())
+	f.Add(KeyOffer{TotalSize: 1, ChunkSize: 1, ChunkCount: 1}.encode())
 	// Geometry lies: count does not tile the total.
-	bad := keyOffer{TotalSize: 1 << 20, ChunkSize: 64 << 10, ChunkCount: 3}.encode()
+	bad := KeyOffer{TotalSize: 1 << 20, ChunkSize: 64 << 10, ChunkCount: 3}.encode()
 	f.Add(bad)
 	f.Add([]byte{0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := decodeKeyOffer(data)
+		o, err := DecodeKeyOffer(data)
 		if err != nil {
 			return
 		}
-		if o.TotalSize == 0 || o.TotalSize > 1<<40 || o.ChunkSize == 0 || o.ChunkSize > maxKeyChunkPayload {
+		if o.TotalSize == 0 || o.TotalSize > 1<<40 || o.ChunkSize == 0 || o.ChunkSize > MaxKeyChunkPayload {
 			t.Fatalf("accepted out-of-bounds offer %+v", o)
 		}
 		want := (o.TotalSize + uint64(o.ChunkSize) - 1) / uint64(o.ChunkSize)
 		if uint64(o.ChunkCount) != want {
 			t.Fatalf("accepted non-tiling offer %+v (want %d chunks)", o, want)
 		}
-		if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {
+		if re, err := DecodeKeyOffer(o.encode()); err != nil || re != o {
 			t.Fatalf("offer round trip unstable: %v %+v vs %+v", err, re, o)
 		}
 	})
 }
 
 func FuzzDecodeKeyResume(f *testing.F) {
-	f.Add(encodeKeyResume(0, 0))
-	f.Add(encodeKeyResume(41, 0xDEADBEEF))
+	f.Add(EncodeKeyResume(0, 0))
+	f.Add(EncodeKeyResume(41, 0xDEADBEEF))
 	f.Add([]byte{9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,7 +112,7 @@ func FuzzDecodeKeyResume(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h2, c2, err := decodeKeyResume(encodeKeyResume(have, crc))
+		h2, c2, err := decodeKeyResume(EncodeKeyResume(have, crc))
 		if err != nil || h2 != have || c2 != crc {
 			t.Fatalf("resume round trip unstable: %v %d/%#x vs %d/%#x", err, h2, c2, have, crc)
 		}
@@ -135,29 +135,29 @@ func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
 // parameters) before any stash allocation.
 func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	fixture(t)
-	h := hello{Version: ProtocolVersion, LogN: 6}
-	joinLie := encodeJoin(h, "x")
+	h := Hello{Version: ProtocolVersion, LogN: 6}
+	joinLie := EncodeJoin(h, "x")
 	binary.LittleEndian.PutUint32(joinLie[helloPayloadSize:], 0xFFFF_FFF0)
 	joinLie = joinLie[:helloPayloadSize+4]
 	leaveLie := make([]byte, 4)
 	binary.LittleEndian.PutUint32(leaveLie, 0xFFFF_FFF0)
-	giant := keyOffer{TotalSize: 1 << 30, ChunkSize: 1 << 20, ChunkCount: 1 << 10, BlobCRC: 1}
+	giant := KeyOffer{TotalSize: 1 << 30, ChunkSize: 1 << 20, ChunkCount: 1 << 10, BlobCRC: 1}
 	sec := &Secondary{Boot: fx.bt}
 
 	cases := []struct {
 		name string
 		run  func() error
 	}{
-		{"join", func() error { _, _, err := decodeJoin(joinLie); return err }},
-		{"leave", func() error { _, err := decodeLeave(leaveLie); return err }},
+		{"join", func() error { _, _, err := DecodeJoin(joinLie); return err }},
+		{"leave", func() error { _, err := DecodeReason(leaveLie); return err }},
 		{"offer-geometry", func() error {
 			bad := giant
 			bad.ChunkCount--
-			_, err := decodeKeyOffer(bad.encode())
+			_, err := DecodeKeyOffer(bad.encode())
 			return err
 		}},
 		{"offer-oversized-for-params", func() error {
-			return sec.handleKeyOffer(discardRW{}, &frame{Kind: frameKeyOffer, Payload: giant.encode()}, obs.Nop{})
+			return sec.handleKeyOffer(discardRW{}, &Frame{Kind: FrameKeyOffer, Payload: giant.encode()}, obs.Nop{})
 		}},
 	}
 	for _, tc := range cases {
@@ -181,25 +181,25 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 // TestJoinLeaveProbeRoundTrip pins the happy-path codecs (the fuzzers only
 // check stability of whatever the fuzzer happens to accept).
 func TestJoinLeaveProbeRoundTrip(t *testing.T) {
-	h := hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: helloFlagKeyWarm}
-	got, name, err := decodeJoin(encodeJoin(h, "fpga-07"))
+	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: helloFlagKeyWarm}
+	got, name, err := DecodeJoin(EncodeJoin(h, "fpga-07"))
 	if err != nil || got != h || name != "fpga-07" {
 		t.Fatalf("join: %v %+v %q", err, got, name)
 	}
-	if reason, err := decodeLeave(encodeLeave("draining")); err != nil || reason != "draining" {
+	if reason, err := DecodeReason(EncodeReason("draining")); err != nil || reason != "draining" {
 		t.Fatalf("leave: %v %q", err, reason)
 	}
 	if nonce, err := decodeProbe(encodeProbe(42)); err != nil || nonce != 42 {
 		t.Fatalf("probe: %v %d", err, nonce)
 	}
-	o := keyOffer{TotalSize: 2_629_656, ChunkSize: 64 << 10, ChunkCount: 41, BlobCRC: 7}
-	if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {
+	o := KeyOffer{TotalSize: 2_629_656, ChunkSize: 64 << 10, ChunkCount: 41, BlobCRC: 7}
+	if re, err := DecodeKeyOffer(o.encode()); err != nil || re != o {
 		t.Fatalf("offer: %v %+v", err, re)
 	}
 	// A warm and a cold hello differ only in flags and must stay compatible.
 	cold := h
 	cold.Flags = 0
-	if err := h.check(cold); err != nil {
+	if err := CheckHello(h, cold); err != nil {
 		t.Fatalf("key-warm flag must not break the params handshake: %v", err)
 	}
 }

@@ -8,18 +8,18 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, f := range []*frame{
-		{Kind: frameShutdown},
-		{Kind: frameHello, Payload: hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD}.encode()},
-		{Kind: frameBatch, Shard: 7, Seq: 0, Payload: []byte{1, 2, 3, 4, 5}},
-		{Kind: frameAcc, Shard: 1<<32 - 1, Seq: 1<<32 - 1, Payload: make([]byte, 4096)},
-		{Kind: frameError, Payload: []byte("it broke")},
+	for _, f := range []*Frame{
+		{Kind: FrameShutdown},
+		{Kind: frameHello, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD})},
+		{Kind: FrameBatch, Shard: 7, Seq: 0, Payload: []byte{1, 2, 3, 4, 5}},
+		{Kind: FrameAcc, Shard: 1<<32 - 1, Seq: 1<<32 - 1, Payload: make([]byte, 4096)},
+		{Kind: FrameError, Payload: []byte("it broke")},
 	} {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, f); err != nil {
+		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readFrame(&buf, len(f.Payload))
+		got, err := ReadFrame(&buf, len(f.Payload))
 		if err != nil {
 			t.Fatalf("kind %#x: %v", f.Kind, err)
 		}
@@ -37,8 +37,8 @@ func TestFrameRoundTrip(t *testing.T) {
 // bound or checksum) and must never return the corrupted payload as valid.
 func TestFrameRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	orig := &frame{Kind: frameAcc, Shard: 3, Seq: 9, Payload: []byte("accumulator bytes")}
-	if err := writeFrame(&buf, orig); err != nil {
+	orig := &Frame{Kind: FrameAcc, Shard: 3, Seq: 9, Payload: []byte("accumulator bytes")}
+	if err := WriteFrame(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -46,7 +46,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			mut := append([]byte(nil), raw...)
 			mut[i] ^= bit
-			got, err := readFrame(bytes.NewReader(mut), len(raw))
+			got, err := ReadFrame(bytes.NewReader(mut), len(raw))
 			if err == nil {
 				t.Fatalf("flipping bit %#x of byte %d went undetected: %+v", bit, i, got)
 			}
@@ -56,17 +56,17 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 func TestFrameRejectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Kind: frameBatch, Payload: []byte("0123456789")}); err != nil {
+	if err := WriteFrame(&buf, &Frame{Kind: FrameBatch, Payload: []byte("0123456789")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := readFrame(bytes.NewReader(raw[:cut]), 64); err == nil {
+		if _, err := ReadFrame(bytes.NewReader(raw[:cut]), 64); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// A clean close at a frame boundary is EOF, not an error.
-	if _, err := readFrame(bytes.NewReader(nil), 64); err != io.EOF {
+	if _, err := ReadFrame(bytes.NewReader(nil), 64); err != io.EOF {
 		t.Fatalf("empty stream: got %v, want io.EOF", err)
 	}
 }
@@ -75,40 +75,40 @@ func TestFrameRejectsTruncation(t *testing.T) {
 // bound must be rejected before allocation.
 func TestFrameBoundsPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Kind: frameBatch, Payload: make([]byte, 100)}); err != nil {
+	if err := WriteFrame(&buf, &Frame{Kind: FrameBatch, Payload: make([]byte, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := readFrame(&buf, 99)
+	_, err := ReadFrame(&buf, 99)
 	if err == nil || !strings.Contains(err.Error(), "exceeds bound") {
 		t.Fatalf("oversized payload: %v", err)
 	}
 }
 
 func TestHelloRoundTripAndCheck(t *testing.T) {
-	h := hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234}
-	got, err := decodeHello(h.encode())
+	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234}
+	got, err := DecodeHello(EncodeHello(h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != h {
 		t.Fatalf("hello round trip: %+v != %+v", got, h)
 	}
-	if err := h.check(got); err != nil {
+	if err := CheckHello(h, got); err != nil {
 		t.Fatal(err)
 	}
 	bad := got
 	for _, v := range []uint32{1, 3} { // the seed's protocol, and v3's two-row binary key records
 		bad.Version = v
-		if err := h.check(bad); err == nil || !strings.Contains(err.Error(), "version") {
+		if err := CheckHello(h, bad); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("v%d peer: %v", v, err)
 		}
 	}
 	bad = got
 	bad.Digest++
-	if err := h.check(bad); err == nil {
+	if err := CheckHello(h, bad); err == nil {
 		t.Fatal("digest mismatch accepted")
 	}
-	if _, err := decodeHello([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeHello([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short hello accepted")
 	}
 }
@@ -117,13 +117,13 @@ func TestHelloRoundTripAndCheck(t *testing.T) {
 // every frame it does accept must re-encode to a decodable equal frame.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	_ = writeFrame(&buf, &frame{Kind: frameShutdown})
+	_ = WriteFrame(&buf, &Frame{Kind: FrameShutdown})
 	f.Add(buf.Bytes())
 	buf.Reset()
-	_ = writeFrame(&buf, &frame{Kind: frameHello, Payload: hello{Version: ProtocolVersion, LogN: 6}.encode()})
+	_ = WriteFrame(&buf, &Frame{Kind: frameHello, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6})})
 	f.Add(buf.Bytes())
 	buf.Reset()
-	_ = writeFrame(&buf, &frame{Kind: frameAcc, Shard: 2, Seq: 5, Payload: []byte("payload")})
+	_ = WriteFrame(&buf, &Frame{Kind: FrameAcc, Shard: 2, Seq: 5, Payload: []byte("payload")})
 	raw := buf.Bytes()
 	f.Add(raw)
 	mut := append([]byte(nil), raw...)
@@ -132,15 +132,15 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x4D, 0x52, 0x46, 0x48})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bytes.NewReader(data), 1<<16)
+		fr, err := ReadFrame(bytes.NewReader(data), 1<<16)
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := writeFrame(&out, fr); err != nil {
+		if err := WriteFrame(&out, fr); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		fr2, err := readFrame(&out, 1<<16)
+		fr2, err := ReadFrame(&out, 1<<16)
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
@@ -156,7 +156,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idxs, lwes, err := decodeBatch(data, 64, 64, 128)
+		idxs, lwes, err := DecodeBatch(data, 64, 64, 128)
 		if err != nil {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"time"
 
 	"heap/internal/obs"
 	"heap/internal/rlwe"
@@ -30,7 +31,7 @@ import (
 // connection: that persistence is the resume mechanism.
 type keyStash struct {
 	mu    sync.Mutex
-	offer keyOffer
+	offer KeyOffer
 	buf   []byte // the partial blob; nil until an offer arrives
 	have  uint32 // contiguous chunks held
 
@@ -42,7 +43,7 @@ type keyStash struct {
 }
 
 // reset discards any partial state and adopts a new offer.
-func (st *keyStash) reset(o keyOffer) {
+func (st *keyStash) reset(o KeyOffer) {
 	st.offer = o
 	st.buf = make([]byte, o.TotalSize)
 	st.have = 0
@@ -79,8 +80,8 @@ func (st *keyStash) advance(s *Secondary) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if n != lweDim(s.Boot) {
-			return 0, fmt.Errorf("cluster: streamed key covers %d indices, want %d", n, lweDim(s.Boot))
+		if n != LWEDim(s.Boot) {
+			return 0, fmt.Errorf("cluster: streamed key covers %d indices, want %d", n, LWEDim(s.Boot))
 		}
 		if hdrBin != bin {
 			return 0, fmt.Errorf("cluster: streamed key has binary=%v, this node's configuration wants binary=%v", hdrBin, bin)
@@ -118,7 +119,7 @@ func (s *Secondary) warmRecords() int {
 		return s.stash.warm
 	}
 	if s.Boot.HasBlindRotateKey() {
-		return lweDim(s.Boot)
+		return LWEDim(s.Boot)
 	}
 	return 0
 }
@@ -138,14 +139,14 @@ func (s *Secondary) fullyWarm() bool {
 // handleKeyOffer processes a key-streaming offer, answering with the resume
 // point (0 for a fresh upload, the stashed contiguous chunk count after an
 // interrupted one).
-func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *frame, rec obs.Recorder) error {
-	o, err := decodeKeyOffer(f.Payload)
+func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
+	o, err := DecodeKeyOffer(f.Payload)
 	if err != nil {
 		return err
 	}
 	// The receiver sizes its buffer from its own parameters, never from the
 	// wire: a lying offer cannot force an oversized allocation.
-	expect := tfhe.BRKBlobBytes(s.Boot.Params.Parameters, lweDim(s.Boot), s.Boot.BinaryKey())
+	expect := tfhe.BRKBlobBytes(s.Boot.Params.Parameters, LWEDim(s.Boot), s.Boot.BinaryKey())
 	if o.TotalSize != uint64(expect) {
 		return fmt.Errorf("cluster: key offer of %d bytes, want %d for this parameter set", o.TotalSize, expect)
 	}
@@ -155,11 +156,11 @@ func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *frame, rec obs.Recorde
 	}
 	have := s.stash.have
 	s.stash.mu.Unlock()
-	payload := encodeKeyResume(have, o.BlobCRC)
-	if err := writeFrame(conn, &frame{Kind: frameKeyResume, Payload: payload}); err != nil {
+	payload := EncodeKeyResume(have, o.BlobCRC)
+	if err := WriteFrame(conn, &Frame{Kind: FrameKeyResume, Payload: payload}); err != nil {
 		return err
 	}
-	rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 	return nil
 }
 
@@ -167,7 +168,7 @@ func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *frame, rec obs.Recorde
 // the next expected one; an already-held index is re-acked without being
 // stored or counted, so the unique-chunk counters are exact across any
 // number of kill/resume cycles) and acks the new contiguous count.
-func (s *Secondary) handleKeyChunk(conn io.ReadWriter, f *frame, rec obs.Recorder) error {
+func (s *Secondary) handleKeyChunk(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
 	s.stash.mu.Lock()
 	st := &s.stash
 	if st.buf == nil {
@@ -212,17 +213,17 @@ func (s *Secondary) handleKeyChunk(conn io.ReadWriter, f *frame, rec obs.Recorde
 	have := st.have
 	blobCRC := st.offer.BlobCRC
 	s.stash.mu.Unlock()
-	payload := encodeKeyResume(have, blobCRC)
-	if err := writeFrame(conn, &frame{Kind: frameKeyAck, Payload: payload}); err != nil {
+	payload := EncodeKeyResume(have, blobCRC)
+	if err := WriteFrame(conn, &Frame{Kind: FrameKeyAck, Payload: payload}); err != nil {
 		return err
 	}
-	rec.Add(obs.CounterBytesFramed, wireSize(len(payload)))
+	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
 	return nil
 }
 
 // handleKeyDone verifies the complete blob against the offered CRC,
 // installs the key, and echoes the done frame as the sender's confirmation.
-func (s *Secondary) handleKeyDone(conn io.ReadWriter, f *frame, rec obs.Recorder) error {
+func (s *Secondary) handleKeyDone(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
 	if len(f.Payload) != 4 {
 		return fmt.Errorf("cluster: key done payload is %d bytes, want 4", len(f.Payload))
 	}
@@ -258,10 +259,10 @@ func (s *Secondary) handleKeyDone(conn io.ReadWriter, f *frame, rec obs.Recorder
 	if err := s.Boot.SetBlindRotateKey(key); err != nil {
 		return err
 	}
-	if err := writeFrame(conn, &frame{Kind: frameKeyDone, Payload: f.Payload}); err != nil {
+	if err := WriteFrame(conn, &Frame{Kind: FrameKeyDone, Payload: f.Payload}); err != nil {
 		return err
 	}
-	rec.Add(obs.CounterBytesFramed, wireSize(len(f.Payload)))
+	rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
 	return nil
 }
 
@@ -285,6 +286,23 @@ func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 	return rs.keyBlob, rs.keyCRC, rs.keyErr
 }
 
+// StreamKey pushes a serialized blind-rotate key blob over conn with the
+// chunked stop-and-wait protocol above (offer → resume → chunks with
+// per-chunk acks → done), resuming from whatever the receiver already holds.
+// chunkBytes ≤ 0 takes the scheduler default; timeout ≤ 0 disables the
+// per-round-trip watchdog. This is the client-side path a tenant uses to
+// install its key in a serving registry; it is byte-identical to the
+// primary→secondary warm-up stream.
+func StreamKey(conn io.ReadWriter, blob []byte, blobCRC uint32, chunkBytes int, timeout time.Duration, rec obs.Recorder) error {
+	opts := DefaultOptions()
+	if chunkBytes > 0 {
+		opts.KeyChunkBytes = chunkBytes
+	}
+	opts.BatchTimeout = timeout
+	var high uint32
+	return sendKey(conn, blob, blobCRC, opts.withDefaults(), obs.OrNop(rec), &high, nil)
+}
+
 // sendKey streams the key blob to a cold node, resuming from whatever the
 // receiver already holds. high persists the per-node high-water mark of
 // pushed chunks across reconnects, so re-sent overlap (at most the one
@@ -295,26 +313,26 @@ func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32, onAck func(warmRecords int) error) error {
 	chunk := opts.KeyChunkBytes
 	count := (len(blob) + chunk - 1) / chunk
-	offer := keyOffer{
+	offer := KeyOffer{
 		TotalSize:  uint64(len(blob)),
 		ChunkSize:  uint32(chunk),
 		ChunkCount: uint32(count),
 		BlobCRC:    blobCRC,
 	}
 
-	roundTrip := func(send *frame, wantKind uint32) (*frame, error) {
+	roundTrip := func(send *Frame, wantKind uint32) (*Frame, error) {
 		disarm := armTimeout(conn, opts.BatchTimeout)
 		defer disarm()
-		if err := writeFrame(conn, send); err != nil {
+		if err := WriteFrame(conn, send); err != nil {
 			return nil, fmt.Errorf("cluster: key upload send: %w", err)
 		}
-		rec.Add(obs.CounterBytesFramed, wireSize(len(send.Payload)))
-		f, err := readFrame(conn, maxErrorPayload)
+		rec.Add(obs.CounterBytesFramed, WireSize(len(send.Payload)))
+		f, err := ReadFrame(conn, MaxErrorPayload)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: key upload reply: %w", err)
 		}
-		rec.Add(obs.CounterBytesFramed, wireSize(len(f.Payload)))
-		if f.Kind == frameError {
+		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
+		if f.Kind == FrameError {
 			return nil, fmt.Errorf("cluster: key upload refused: %s", f.Payload)
 		}
 		if f.Kind != wantKind {
@@ -323,7 +341,7 @@ func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec 
 		return f, nil
 	}
 
-	f, err := roundTrip(&frame{Kind: frameKeyOffer, Payload: offer.encode()}, frameKeyResume)
+	f, err := roundTrip(&Frame{Kind: FrameKeyOffer, Payload: offer.encode()}, FrameKeyResume)
 	if err != nil {
 		return err
 	}
@@ -345,7 +363,7 @@ func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec 
 		if uint32(i) < *high {
 			rec.Add(obs.CounterKeyChunkResent, uint64(len(payload)))
 		}
-		f, err := roundTrip(&frame{Kind: frameKeyChunk, Seq: uint32(i), Payload: payload}, frameKeyAck)
+		f, err := roundTrip(&Frame{Kind: FrameKeyChunk, Seq: uint32(i), Payload: payload}, FrameKeyAck)
 		if err != nil {
 			return err
 		}
@@ -368,7 +386,7 @@ func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec 
 
 	done := make([]byte, 4)
 	putU32(done, blobCRC)
-	if _, err := roundTrip(&frame{Kind: frameKeyDone, Payload: done}, frameKeyDone); err != nil {
+	if _, err := roundTrip(&Frame{Kind: FrameKeyDone, Payload: done}, FrameKeyDone); err != nil {
 		return err
 	}
 	return nil

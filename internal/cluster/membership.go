@@ -12,9 +12,9 @@ import (
 
 // Elastic membership (§V, ROADMAP items 3 and 5): the secondary set is no
 // longer fixed at startup. Nodes join through a listener by completing the
-// params-digest handshake (frameJoin/frameJoinAck), a running elastic
+// params-digest handshake (FrameJoin/FrameJoinAck), a running elastic
 // bootstrap picks them up mid-run and they start draining the shared work
-// queue, and nodes that leave gracefully (frameLeave) or miss K health
+// queue, and nodes that leave gracefully (FrameLeave) or miss K health
 // probes are drained with their pending LWE indices reassigned through the
 // existing retry machinery.
 
@@ -129,25 +129,21 @@ func (m *Membership) State(name string) (MemberState, bool) {
 	return st, ok
 }
 
-// ActiveCount returns the number of active members.
-func (m *Membership) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, st := range m.state {
-		if st == MemberActive {
-			n++
-		}
-	}
-	return n
-}
-
 // Listener accepts join connections. net.Listener satisfies it through
 // ListenerFrom; PipeListener provides the in-memory form tests and the
 // churn demo use.
 type Listener interface {
 	Accept() (io.ReadWriter, error)
 }
+
+// ListenerFrom adapts a net.Listener to the cluster Listener interface, the
+// accept surface AcceptJoins and the serving layer consume (PipeListener is
+// the in-process equivalent).
+func ListenerFrom(l net.Listener) Listener { return netListener{l} }
+
+type netListener struct{ l net.Listener }
+
+func (n netListener) Accept() (io.ReadWriter, error) { return n.l.Accept() }
 
 // PipeListener is an in-memory listener: every Dial produces a net.Pipe
 // whose far end comes out of Accept.
@@ -212,34 +208,34 @@ func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 
 // acceptJoin validates one join handshake and registers the node.
 func (p *Primary) acceptJoin(m *Membership, conn io.ReadWriter) error {
-	local := helloFor(p.Boot)
+	local := HelloFor(p.Boot)
 	refuse := func(err error) error {
 		msg := err.Error()
-		if len(msg) > maxErrorPayload {
-			msg = msg[:maxErrorPayload]
+		if len(msg) > MaxErrorPayload {
+			msg = msg[:MaxErrorPayload]
 		}
-		_ = writeFrame(conn, &frame{Kind: frameError, Payload: []byte(msg)})
+		_ = WriteFrame(conn, &Frame{Kind: FrameError, Payload: []byte(msg)})
 		return err
 	}
-	f, err := readFrame(conn, joinPayloadBound)
+	f, err := ReadFrame(conn, JoinPayloadBound)
 	if err != nil {
 		return err
 	}
-	if f.Kind != frameJoin {
+	if f.Kind != FrameJoin {
 		return refuse(fmt.Errorf("cluster: expected join, got frame kind %#x", f.Kind))
 	}
-	peer, name, err := decodeJoin(f.Payload)
+	peer, name, err := DecodeJoin(f.Payload)
 	if err != nil {
 		return refuse(err)
 	}
-	if err := local.check(peer); err != nil {
+	if err := CheckHello(local, peer); err != nil {
 		return refuse(err)
 	}
 	node := &Node{Conn: conn, Name: name, joined: true, needsKey: peer.Flags&helloFlagKeyWarm == 0}
 	if err := m.Join(node); err != nil {
 		return refuse(err)
 	}
-	if err := writeFrame(conn, &frame{Kind: frameJoinAck, Payload: local.encode()}); err != nil {
+	if err := WriteFrame(conn, &Frame{Kind: FrameJoinAck, Payload: EncodeHello(local)}); err != nil {
 		m.markDown(name, MemberDead)
 		return err
 	}
@@ -251,25 +247,25 @@ func (p *Primary) acceptJoin(m *Membership, conn io.ReadWriter) error {
 // primary's acknowledgement.
 func (s *Secondary) Join(conn io.ReadWriter, name string) error {
 	local := s.localHello()
-	if err := writeFrame(conn, &frame{Kind: frameJoin, Payload: encodeJoin(local, name)}); err != nil {
+	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(local, name)}); err != nil {
 		return fmt.Errorf("cluster: join send: %w", err)
 	}
-	f, err := readFrame(conn, maxInt(helloPayloadSize, maxErrorPayload))
+	f, err := ReadFrame(conn, maxInt(helloPayloadSize, MaxErrorPayload))
 	if err != nil {
 		return fmt.Errorf("cluster: join reply: %w", err)
 	}
 	switch f.Kind {
-	case frameJoinAck:
-	case frameError:
+	case FrameJoinAck:
+	case FrameError:
 		return fmt.Errorf("cluster: join rejected: %s", f.Payload)
 	default:
 		return fmt.Errorf("cluster: expected join ack, got frame kind %#x", f.Kind)
 	}
-	peer, err := decodeHello(f.Payload)
+	peer, err := DecodeHello(f.Payload)
 	if err != nil {
 		return err
 	}
-	return local.check(peer)
+	return CheckHello(local, peer)
 }
 
 // JoinAndServe joins the cluster through conn and then serves blind-rotation

@@ -33,9 +33,6 @@ const (
 	histBuckets    = histDecades * histSubBuckets
 )
 
-// NewHist returns an empty histogram.
-func NewHist() *Hist { return &Hist{} }
-
 // histIndex maps a duration to its bucket: the first decade is exactly
 // linear in µs; above it, the decade is the position of the value's top bit
 // and the sub-bucket the histSubBits bits below it.

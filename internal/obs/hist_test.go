@@ -50,7 +50,7 @@ func TestHistBucketBoundsConsistent(t *testing.T) {
 // width (≤ ~3.2% relative, plus the 1µs resolution floor).
 func TestHistQuantilesMatchSortedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	h := NewHist()
+	h := &Hist{}
 	lats := make([]time.Duration, 50000)
 	for i := range lats {
 		// Log-uniform over [10µs, 10s]: exercises many decades.
@@ -86,7 +86,7 @@ func TestHistQuantilesMatchSortedReference(t *testing.T) {
 // TestHistEmptyAndEdge: zero observations, zero/negative durations, and the
 // clamp decade all behave.
 func TestHistEmptyAndEdge(t *testing.T) {
-	h := NewHist()
+	h := &Hist{}
 	if h.Quantile(0.99) != 0 || h.Count() != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
@@ -110,7 +110,7 @@ func TestHistEmptyAndEdge(t *testing.T) {
 // TestHistConcurrentObserve: hammer from many goroutines under -race; the
 // total count and sum must be exact.
 func TestHistConcurrentObserve(t *testing.T) {
-	h := NewHist()
+	h := &Hist{}
 	const workers = 8
 	const per = 20000
 	var wg sync.WaitGroup

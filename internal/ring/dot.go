@@ -19,10 +19,6 @@ const maxDotTerms = 8
 // at least len(out) long; out may alias one of the first maxDotTerms.
 func (r *Ring) DotCoeffs(a, b []Poly, out Poly) { r.dotCoeffs(a, b, out, false) }
 
-// DotCoeffsAndAdd sets out += Σ_t a[t] ⊙ b[t] mod q, for a canonical out; as
-// DotCoeffs otherwise.
-func (r *Ring) DotCoeffsAndAdd(a, b []Poly, out Poly) { r.dotCoeffs(a, b, out, true) }
-
 func (r *Ring) dotCoeffs(a, b []Poly, out Poly, add bool) {
 	if len(a) != len(b) {
 		panic("ring: dot product needs as many a as b operands")

@@ -109,14 +109,6 @@ func (m Modulus) SubMod(a, b uint64) uint64 {
 	return c
 }
 
-// NegMod returns -a mod q for a < q.
-func (m Modulus) NegMod(a uint64) uint64 {
-	if a == 0 {
-		return 0
-	}
-	return m.Q - a
-}
-
 // Reduce returns a mod q for arbitrary a.
 func (m Modulus) Reduce(a uint64) uint64 {
 	if a < m.Q {

@@ -300,7 +300,7 @@ func TestTernaryAndGaussianSamplers(t *testing.T) {
 	r := NewRing(10, GenerateNTTPrimes(30, 10, 1)[0])
 	s := NewSampler(30)
 	p := r.NewPoly()
-	s.TernaryPoly(r, p)
+	SignedToPoly(r, s.TernarySigned(r.N), p)
 	counts := map[uint64]int{}
 	for _, v := range p {
 		counts[v]++

@@ -43,26 +43,11 @@ func (s *Sampler) UniformPoly(r *Ring, p Poly) {
 	}
 }
 
-// TernaryPoly fills p with a uniform ternary secret: each coefficient is
-// -1, 0 or 1 with probability 1/3. The paper explicitly avoids sparse secret
-// keys (§II), so this is the CKKS key distribution used here.
-func (s *Sampler) TernaryPoly(r *Ring, p Poly) {
-	q := r.Mod.Q
-	for i := range p {
-		switch s.rng.Uint64N(3) {
-		case 0:
-			p[i] = 0
-		case 1:
-			p[i] = 1
-		default:
-			p[i] = q - 1
-		}
-	}
-}
-
-// TernarySigned returns a length-n ternary secret as signed values in
-// {-1, 0, 1}, used where the same secret must be re-encoded under several
-// moduli (RNS keys, LWE extraction).
+// TernarySigned returns a length-n uniform ternary secret as signed values:
+// each is -1, 0 or 1 with probability 1/3. The paper explicitly avoids
+// sparse secret keys (§II), so this is the CKKS key distribution used here;
+// it is signed because the same secret is re-encoded under several moduli
+// (RNS keys, LWE extraction).
 func (s *Sampler) TernarySigned(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -105,19 +90,6 @@ func (s *Sampler) GaussianSigned(n int, sigma float64) []int64 {
 		}
 	}
 	return out
-}
-
-// GaussianPoly fills p with a rounded Gaussian error mod q.
-func (s *Sampler) GaussianPoly(r *Ring, sigma float64, p Poly) {
-	q := r.Mod.Q
-	for i := range p {
-		v := int64(math.Round(s.rng.NormFloat64() * sigma))
-		if v >= 0 {
-			p[i] = uint64(v) % q
-		} else {
-			p[i] = q - uint64(-v)%q
-		}
-	}
 }
 
 // SignedToPoly encodes a signed integer vector into residues mod q.

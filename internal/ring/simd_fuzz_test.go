@@ -354,7 +354,7 @@ func dotAgainstMultiPass(t *testing.T, r *Ring, fixed bool, n int, alias bool, r
 		case fixed:
 			r.DotFixed(as, ops, got)
 		case add:
-			r.DotCoeffsAndAdd(as, b, got)
+			r.dotCoeffs(as, b, got, true)
 		default:
 			r.DotCoeffs(as, b, got)
 		}

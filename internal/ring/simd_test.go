@@ -91,7 +91,7 @@ func TestVectorSweepKernelsMatchScalar(t *testing.T) {
 			{"MulCoeffsAndAdd", q, func(a, b, out Poly) { r.MulCoeffsAndAdd(a, b, out) }},
 			{"MulScalar", q, func(a, b, out Poly) { r.MulScalar(a, w, out) }},
 			{"DotCoeffs", q, func(a, b, out Poly) { r.DotCoeffs([]Poly{a, b, out}, []Poly{b, out, a}, out) }},
-			{"DotCoeffsAndAdd", q, func(a, b, out Poly) { r.DotCoeffsAndAdd([]Poly{a, b}, []Poly{b, a}, out) }},
+			{"DotCoeffsAndAdd", q, func(a, b, out Poly) { r.dotCoeffs([]Poly{a, b}, []Poly{b, a}, out, true) }},
 			{"DotFixed", q, func(a, b, out Poly) { r.DotFixed([]Poly{out, a}, ops, out) }},
 			{"SubMulScalar", q, func(a, b, out Poly) { r.SubMulScalar(a, b, w, out) }},
 			{"SubMulScalarAndAdd", q, func(a, b, out Poly) { r.SubMulScalarAndAdd(a, b, w, out) }},

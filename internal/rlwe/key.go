@@ -60,16 +60,6 @@ func (kg *KeyGenerator) GenSecretKey(dist SecretDist) *SecretKey {
 	return kg.secretFromSigned(signed)
 }
 
-// SecretFromSigned builds a SecretKey from explicit signed coefficients
-// (used to import an LWE secret into the RLWE domain for blind-rotate key
-// generation).
-func (kg *KeyGenerator) SecretFromSigned(signed []int64) *SecretKey {
-	if len(signed) != kg.params.N() {
-		panic("rlwe: secret length mismatch")
-	}
-	return kg.secretFromSigned(append([]int64(nil), signed...))
-}
-
 func (kg *KeyGenerator) secretFromSigned(signed []int64) *SecretKey {
 	sk := &SecretKey{Signed: signed, params: kg.params}
 	sk.NTTQP = kg.params.QPBasis.NewPoly()

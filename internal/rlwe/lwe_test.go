@@ -172,7 +172,7 @@ func TestPackRLWEs(t *testing.T) {
 			}
 			cts[i] = coeffCopy(p, enc.EncryptPolyAtLevel(encodeSigned(p, msg, level), level, 1))
 		}
-		packed, err := NewRepacker(ks, pk).Pack(cts)
+		packed, err := pack(NewRepacker(ks, pk), cts)
 		if err != nil {
 			t.Fatal(err)
 		}

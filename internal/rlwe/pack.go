@@ -93,7 +93,7 @@ func (rp *Repacker) validate(cts []*Ciphertext) error {
 
 // Merge runs the merge tree over cts, one node after another: payloads land
 // at stride N/count scaled by count, but garbage at non-stride positions
-// survives (Pack adds the trace that annihilates it). Inputs must be
+// survives (Trace annihilates it afterwards). Inputs must be
 // coefficient-form ciphertexts at one common level; they are consumed as
 // scratch, and the result aliases cts[0]'s storage. It is the serial
 // reference of the tree; bootstraps merge through core.MergeCollector.
@@ -110,23 +110,6 @@ func (rp *Repacker) Merge(cts []*Ciphertext) (*Ciphertext, error) {
 		}
 	}
 	return cts[0], nil
-}
-
-// Pack is Merge followed by Trace: it combines 2^ℓ RLWE ciphertexts — each
-// carrying its payload in the constant coefficient, with arbitrary garbage
-// in all other coefficients — into a single RLWE ciphertext encrypting
-//
-//	Σ_i N · m_i · X^{i · N/2^ℓ}
-//
-// (every payload is scaled by N regardless of count: 2^ℓ merge doublings
-// followed by N/2^ℓ trace doublings that annihilate the remaining garbage).
-// Inputs are consumed as scratch; the result aliases cts[0]'s storage.
-func (rp *Repacker) Pack(cts []*Ciphertext) (*Ciphertext, error) {
-	out, err := rp.Merge(cts)
-	if err != nil {
-		return nil, err
-	}
-	return rp.Trace(out, len(cts))
 }
 
 // Trace applies σ_{2^j+1} for 2^j = 2·count … N to the coefficient-form

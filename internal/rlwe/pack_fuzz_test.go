@@ -84,7 +84,7 @@ func FuzzRepackerValidation(f *testing.F) {
 		valid := count >= 1 && count <= n && count&(count-1) == 0 &&
 			allPresent && sameLevel && !dropped
 
-		out, err := NewRepacker(ks, usePK).Pack(cts)
+		out, err := pack(NewRepacker(ks, usePK), cts)
 		if valid && err != nil {
 			t.Fatalf("well-formed pack (count=%d) rejected: %v", count, err)
 		}

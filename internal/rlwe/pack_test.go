@@ -20,6 +20,23 @@ func packFixture(t *testing.T, logN int) (*Parameters, *KeySwitcher, *PackingKey
 
 // randCiphertext fills a ciphertext with uniform limbs — the repack
 // algebra is data-independent, so random operands exercise it fully.
+// pack is Merge followed by Trace: it combines 2^ℓ RLWE ciphertexts — each
+// carrying its payload in the constant coefficient, with arbitrary garbage
+// in all other coefficients — into a single RLWE ciphertext encrypting
+//
+//	Σ_i N · m_i · X^{i · N/2^ℓ}
+//
+// (every payload is scaled by N regardless of count: 2^ℓ merge doublings
+// followed by N/2^ℓ trace doublings that annihilate the remaining garbage).
+// Inputs are consumed as scratch; the result aliases cts[0]'s storage.
+func pack(rp *Repacker, cts []*Ciphertext) (*Ciphertext, error) {
+	out, err := rp.Merge(cts)
+	if err != nil {
+		return nil, err
+	}
+	return rp.Trace(out, len(cts))
+}
+
 func randCiphertext(p *Parameters, s *ring.Sampler, level int) *Ciphertext {
 	ct := NewCiphertext(p, level)
 	for i := 0; i < level; i++ {
@@ -138,7 +155,7 @@ func TestRepackMatchesSerialReference(t *testing.T) {
 			}
 			want := refTrace(ks, refMerge(ks, copyCts(cts), pk), count, pk)
 
-			got, err := NewRepacker(ks, pk).Pack(coeffCopies(p, cts))
+			got, err := pack(NewRepacker(ks, pk), coeffCopies(p, cts))
 			if err != nil {
 				t.Fatalf("count=%d level=%d: %v", count, level, err)
 			}
@@ -197,7 +214,7 @@ func TestRepackErrors(t *testing.T) {
 	one := func(level int) *Ciphertext { return mk(1, level)[0] }
 	L := p.MaxLevel()
 
-	if _, err := NewRepacker(ks, pk).Pack(mk(3, L)); err == nil {
+	if _, err := pack(NewRepacker(ks, pk), mk(3, L)); err == nil {
 		t.Error("expected error for non-power-of-two count")
 	}
 	if _, err := NewRepacker(ks, pk).Merge(nil); err == nil {
@@ -234,7 +251,7 @@ func TestRepackErrors(t *testing.T) {
 			gutted.Keys[g] = k
 		}
 	}
-	if _, err := NewRepacker(ks, gutted).Pack(mk(4, L)); err == nil {
+	if _, err := pack(NewRepacker(ks, gutted), mk(4, L)); err == nil {
 		t.Error("expected error for missing packing key")
 	}
 	if _, err := NewRepacker(ks, gutted).Trace(one(L), 2); err == nil {
@@ -487,7 +504,7 @@ func TestMergeTransformBudget(t *testing.T) {
 			for i := range cts {
 				cts[i] = mk()
 			}
-			_, err := rp.Pack(cts)
+			_, err := pack(rp, cts)
 			return err
 		})
 		if got := met.Counter(obs.CounterMerge); got != 8 {

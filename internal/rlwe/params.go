@@ -118,20 +118,3 @@ func (p *Parameters) BigQ() *big.Int { return p.QBasis.Modulus() }
 
 // BigP returns the special modulus ∏ p_i.
 func (p *Parameters) BigP() *big.Int { return p.PBasis.Modulus() }
-
-// LogQTotal returns the total ciphertext modulus size in bits.
-func (p *Parameters) LogQTotal() int { return p.BigQ().BitLen() }
-
-// QPLevel maps a ciphertext level to the QP-limb index list: limbs
-// [0, level) of Q followed by all P limbs. Used when operating on the
-// extended basis during key switching.
-func (p *Parameters) QPLevel(level int) []int {
-	idx := make([]int, 0, level+len(p.P))
-	for i := 0; i < level; i++ {
-		idx = append(idx, i)
-	}
-	for i := 0; i < len(p.P); i++ {
-		idx = append(idx, len(p.Q)+i)
-	}
-	return idx
-}

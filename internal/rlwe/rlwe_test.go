@@ -294,7 +294,7 @@ func TestSecretFromSignedAndHammingWeight(t *testing.T) {
 	kg := NewKeyGenerator(p, 15)
 	signed := make([]int64, p.N())
 	signed[0], signed[1], signed[5] = 1, -1, 1
-	sk := kg.SecretFromSigned(signed)
+	sk := kg.secretFromSigned(signed)
 	if ring.CenteredRep(sk.NTTQP.Limbs[0][0], p.Q[0]) == 0 {
 		// NTT form of a non-zero poly should generally be non-zero; just
 		// sanity check the struct round-trips the signed values.

@@ -114,14 +114,6 @@ func ReadLWECiphertext(r io.Reader) (*LWECiphertext, error) {
 	return ct, nil
 }
 
-// SerializedSize returns the exact wire size of the ciphertext in bytes.
-func (ct *Ciphertext) SerializedSize() int {
-	return 5*8 + 2*ct.Level()*len(ct.C0.Limbs[0])*8
-}
-
-// SerializedSize returns the exact wire size of the LWE ciphertext.
-func (ct *LWECiphertext) SerializedSize() int { return 4*8 + 8*len(ct.A) }
-
 // CiphertextWireSize is the wire size of an RLWE ciphertext at the given
 // level under p — the framing hook transport layers use to bound payload
 // allocations before decoding.

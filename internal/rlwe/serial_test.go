@@ -22,8 +22,8 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(n) != ct.SerializedSize() || buf.Len() != ct.SerializedSize() {
-			t.Fatalf("level %d: wrote %d bytes, SerializedSize says %d", level, n, ct.SerializedSize())
+		if size := CiphertextWireSize(p, level); int(n) != size || buf.Len() != size {
+			t.Fatalf("level %d: wrote %d bytes, CiphertextWireSize says %d", level, n, size)
 		}
 		got, err := ReadCiphertext(&buf, p)
 		if err != nil {
@@ -53,8 +53,8 @@ func TestLWESerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(n) != ct.SerializedSize() {
-		t.Fatalf("wrote %d bytes, SerializedSize says %d", n, ct.SerializedSize())
+	if size := LWEWireSize(len(ct.A)); int(n) != size {
+		t.Fatalf("wrote %d bytes, LWEWireSize says %d", n, size)
 	}
 	// §III-C: an LWE ciphertext at n_t=500 is ~2.3 KB of payload on the
 	// paper's 36-bit packing; our 64-bit wire format is ~4 KB.

@@ -48,15 +48,6 @@ func (b *Basis) Modulus() *big.Int {
 	return q
 }
 
-// Primes returns the limb moduli.
-func (b *Basis) Primes() []uint64 {
-	ps := make([]uint64, len(b.Rings))
-	for i, r := range b.Rings {
-		ps[i] = r.Mod.Q
-	}
-	return ps
-}
-
 // Poly is an RNS polynomial: one residue polynomial per limb.
 type Poly struct {
 	Limbs []ring.Poly
@@ -166,14 +157,6 @@ func (b *Basis) MulCoeffs(a, c, out Poly) {
 func (b *Basis) MulCoeffsAndAdd(a, c, out Poly) {
 	for i, n := 0, lvl(a, c, out); i < n; i++ {
 		b.Rings[i].MulCoeffsAndAdd(a.Limbs[i], c.Limbs[i], out.Limbs[i])
-	}
-}
-
-// MulScalarBig multiplies every limb by (c mod q_i).
-func (b *Basis) MulScalarBig(a Poly, c *big.Int, out Poly) {
-	for i, n := 0, lvl(a, out); i < n; i++ {
-		ci := new(big.Int).Mod(c, new(big.Int).SetUint64(b.Rings[i].Mod.Q))
-		b.Rings[i].MulScalar(a.Limbs[i], ci.Uint64(), out.Limbs[i])
 	}
 }
 
