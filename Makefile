@@ -50,12 +50,13 @@ bench-module:
 	$(GO) -C bench test -short ./...
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
-# frames, join/leave churn, kill-mid-key-upload resume, and hedged dispatch.
-# Every scenario checks the distributed result bit-exact against a local
-# bootstrap and asserts no goroutine leaks.
+# frames, join/leave churn, kill-mid-key-upload resume, hedged dispatch, the
+# queue's task and batch sizing and the cluster-members gauge. Every scenario
+# checks the distributed result bit-exact against a local bootstrap and
+# asserts no goroutine leaks.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),

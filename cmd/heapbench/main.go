@@ -252,8 +252,8 @@ func runChurn() error {
 	go func() { servWedged <- (&cluster.Secondary{Boot: wedged.Boot}).Serve(stall) }()
 	hopts := cluster.DefaultOptions()
 	hopts.HedgeAfter = 150 * time.Millisecond
-	out, stats, err := pri.BootstrapCluster(context.Background(), ct.CopyNew(),
-		[]*cluster.Node{{Conn: cp, Name: "fpga-wedged"}}, hopts)
+	out, stats, err := pri.Bootstrap(context.Background(), ct.CopyNew(),
+		[]*cluster.Node{{Conn: cp, Name: "fpga-wedged"}}, nil, hopts)
 	if err != nil {
 		return err
 	}
@@ -331,7 +331,7 @@ func runChurn() error {
 	eopts.ProbeInterval = 25 * time.Millisecond
 	eopts.ProbeTimeout = time.Second
 	eopts.KeyChunkBytes = chunkBytes
-	out, stats, err = pri.BootstrapElastic(context.Background(), ct.CopyNew(), m, eopts)
+	out, stats, err = pri.Bootstrap(context.Background(), ct.CopyNew(), nil, m, eopts)
 	if err != nil {
 		return err
 	}
@@ -376,7 +376,7 @@ func runChurn() error {
 	if err := waitState("fpga-leaver", cluster.MemberActive); err != nil {
 		return err
 	}
-	out, stats, err = pri.BootstrapElastic(context.Background(), ct.CopyNew(), m, eopts)
+	out, stats, err = pri.Bootstrap(context.Background(), ct.CopyNew(), nil, m, eopts)
 	if err != nil {
 		return err
 	}
@@ -457,8 +457,8 @@ func runCluster(tracePath string) error {
 		primary.Boot.SetRecorder(obs.Combine(met, tracer))
 	}
 	start := time.Now()
-	out, stats, err := (&cluster.Primary{Boot: primary.Boot}).BootstrapCluster(
-		context.Background(), ct, nodes, cluster.DefaultOptions())
+	out, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(
+		context.Background(), ct, nodes, nil, cluster.DefaultOptions())
 	wall := time.Since(start)
 	if tracePath != "" {
 		primary.Boot.SetRecorder(nil)

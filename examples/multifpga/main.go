@@ -13,7 +13,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -76,7 +75,11 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	}
 	ct2 := primary.Client.EncryptAtLevel(v2, 1)
 	start := time.Now()
-	out2, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(ct2, []io.ReadWriter{c1p, c2p})
+	out2, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(context.Background(), ct2,
+		[]*cluster.Node{{Conn: c1p}, {Conn: c2p}}, nil, cluster.DefaultOptions())
+	if err == nil {
+		err = stats.NodeErrors()
+	}
 	if err != nil {
 		return err
 	}
@@ -107,8 +110,8 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	met := obs.NewMetrics()
 	primary.Boot.SetRecorder(met)
 	start = time.Now()
-	out3, stats, err := (&cluster.Primary{Boot: primary.Boot}).BootstrapCluster(
-		context.Background(), ct3, nodes, cluster.DefaultOptions())
+	out3, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(
+		context.Background(), ct3, nodes, nil, cluster.DefaultOptions())
 	primary.Boot.SetRecorder(nil)
 	if err != nil {
 		return err

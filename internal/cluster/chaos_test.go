@@ -125,7 +125,7 @@ func TestKillSecondaryMidStream(t *testing.T) {
 		{Conn: flaky, Name: "flaky"},
 		{Conn: healthy, Name: "healthy"},
 	}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAllSecondariesDeadFallsBackLocal(t *testing.T) {
 		{Conn: dead(), Name: "dead-0"},
 		{Conn: dead(), Name: "dead-1"},
 	}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDelayedPeerTimeout(t *testing.T) {
 	opts.BatchTimeout = 250 * time.Millisecond
 
 	start := time.Now()
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, opts)
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRetryBackoffReconnect(t *testing.T) {
 	}
 	opts := testOptions()
 	opts.MaxRetries = 3
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), []*Node{node}, opts)
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), []*Node{node}, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReconnectResumesPending(t *testing.T) {
 		Name: "resuming",
 		Dial: func() (io.ReadWriter, error) { return startSecondary(t, nil), nil },
 	}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), []*Node{node}, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), []*Node{node}, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCorruptLinkDetected(t *testing.T) {
 	lying := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: 5, CorruptEvery: 701})
 	t.Cleanup(func() { _ = lying.Close() })
 	nodes := []*Node{{Conn: lying, Name: "lying"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestShortReadsAndDelays(t *testing.T) {
 	slow := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: 9, MaxReadChunk: 7})
 	t.Cleanup(func() { _ = slow.Close() })
 	nodes := []*Node{{Conn: slow, Name: "slow"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestHandshakeRejectsMismatchedParams(t *testing.T) {
 	go func() { _ = (&Secondary{Boot: alien}).Serve(cs) }()
 
 	nodes := []*Node{{Conn: cp, Name: "alien"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestContextCancellation(t *testing.T) {
 	fixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := (&Primary{Boot: fx.bt}).BootstrapCluster(ctx, fx.ct.CopyNew(), nil, testOptions())
+	_, _, err := (&Primary{Boot: fx.bt}).Bootstrap(ctx, fx.ct.CopyNew(), nil, nil, testOptions())
 	if err == nil {
 		t.Fatal("cancelled bootstrap reported success")
 	}
@@ -434,7 +434,7 @@ func TestChaosMatrix(t *testing.T) {
 			{Conn: flaky, Name: "flaky"},
 			{Conn: healthy, Name: "healthy"},
 		}
-		out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
+		out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

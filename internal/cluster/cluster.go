@@ -6,10 +6,16 @@
 // and stream their accumulator ciphertexts back as soon as each completes,
 // and the primary repacks and finishes the bootstrap.
 //
+// Primary.Bootstrap is the one entry point. It puts the n extracted LWE
+// indices on a shared work queue that the secondaries and the primary's own
+// local workers drain alike, whether the node set is a fixed list, an elastic
+// membership, or both; a secondary takes a shrinking share of the queued
+// tasks per dispatch batch (guided self-scheduling).
+//
 // The layer is fault-tolerant and, since protocol v3, elastic and
 // self-healing. Because the n extracted LWE ciphertexts are mutually
 // independent (the property §V exploits for parallelism), a lost node costs
-// only its unfinished shard. The wire protocol is framed and
+// only its unfinished tasks. The wire protocol is framed and
 // CRC32-checksummed with a version/params handshake (frame.go), batches
 // carry per-shard sequence numbers so partial accumulator streams are
 // detected, failed or wedged secondaries are retried with exponential
@@ -47,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -349,69 +356,11 @@ func lweNeedDim(lwe *rlwe.LWECiphertext, twoN uint64) int {
 	return 0
 }
 
-// DefaultWatchdog is the conservative per-batch deadline the seed-compatible
-// Primary.Bootstrap applies so a wedged peer can no longer block a bootstrap
-// forever. It is deliberately far above any sane batch round-trip: it exists
-// to unwedge, not to tune latency.
-const DefaultWatchdog = 2 * time.Minute
-
 // Primary drives a distributed bootstrap over a set of connections to
 // secondaries. With zero connections (or zero healthy ones) it degrades to
 // local execution.
 type Primary struct {
 	Boot *core.Bootstrapper
-}
-
-// Bootstrap distributes the blind rotations across the secondaries (plus
-// the primary itself working its own share locally) and finishes the
-// repacking. It is the strict entry point kept for single-shot callers: the
-// bootstrap itself is fault-tolerant, but if any node failed along the way
-// the (still correct) result is accompanied by a joined error naming each
-// failed shard. Use BootstrapCluster for graceful-degradation semantics
-// with per-shard stats.
-func (p *Primary) Bootstrap(ct *rlwe.Ciphertext, conns []io.ReadWriter) (*rlwe.Ciphertext, error) {
-	nodes := make([]*Node, len(conns))
-	for i, c := range conns {
-		nodes[i] = &Node{Conn: c, Name: fmt.Sprintf("secondary-%d", i)}
-	}
-	opts := DefaultOptions()
-	// The seed ran this path with no per-batch deadline, so a wedged peer
-	// blocked forever. The watchdog closes that hole with a deadline far
-	// above any healthy round-trip; BootstrapCluster callers tune
-	// Options.BatchTimeout instead.
-	opts.BatchTimeout = DefaultWatchdog
-	out, stats, err := p.BootstrapCluster(context.Background(), ct, nodes, opts)
-	if err != nil {
-		return nil, err
-	}
-	if nerr := stats.NodeErrors(); nerr != nil {
-		return out, nerr
-	}
-	return out, nil
-}
-
-// BootstrapCluster is the fault-tolerant distributed bootstrap over a fixed
-// node set. The LWE indices start as contiguous shards, one per node plus
-// one for the primary; any shard a secondary cannot finish — connection
-// error, frame corruption, timeout, death mid-stream — is retried (with
-// exponential backoff and reconnect when the node has a Dial function) and
-// then reassigned to the remaining healthy nodes or the primary's local
-// compute. The returned Stats say where every rotation actually ran. The
-// error is non-nil only when the bootstrap itself could not complete
-// (context cancelled, local compute panicked, bad input); per-node failures
-// are reported via Stats.NodeErrors.
-func (p *Primary) BootstrapCluster(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, opts Options) (*rlwe.Ciphertext, *Stats, error) {
-	return p.bootstrap(ctx, ct, nodes, nil, opts)
-}
-
-// BootstrapElastic is BootstrapCluster over an elastic membership instead
-// of a fixed node set: every node currently queued in m (and every node
-// that joins while the bootstrap runs) is picked up and starts draining the
-// work queue; nodes that leave or miss health probes are drained with their
-// pending indices reassigned. Work is cut into tile-sized tasks so a
-// mid-run joiner always finds queued work to steal.
-func (p *Primary) BootstrapElastic(ctx context.Context, ct *rlwe.Ciphertext, m *Membership, opts Options) (*rlwe.Ciphertext, *Stats, error) {
-	return p.bootstrap(ctx, ct, nil, m, opts)
 }
 
 // runState is the shared state of one distributed bootstrap run.
@@ -424,7 +373,7 @@ type runState struct {
 	sink  *accSink
 	rec   obs.Recorder
 	opts  Options
-	m     *Membership // nil for fixed-set runs
+	m     *Membership // nil when no joiners are admitted
 
 	// claims dedups hedged work: exactly one worker wins each index, and
 	// only the winner stores the accumulator, advances the queue, and feeds
@@ -497,14 +446,33 @@ func (rs *runState) estFor(ns *NodeStats) *latEstimator {
 	return est
 }
 
-// down marks a membership node's terminal state (no-op for fixed-set runs).
+// down marks a membership node's terminal state (no-op without a membership).
 func (rs *runState) down(name string, st MemberState) {
 	if rs.m != nil {
 		rs.m.markDown(name, st)
 	}
 }
 
-func (p *Primary) bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, m *Membership, opts Options) (*rlwe.Ciphertext, *Stats, error) {
+// Bootstrap is the distributed bootstrap (§V, Figure 4): the primary
+// prepares the n independent LWE ciphertexts, fans their blind rotations out
+// over a shared work queue, and repacks the accumulators as they stream back.
+// nodes are connections the caller already holds (hello handshake); m, when
+// non-nil, supplies every node waiting in it at the start and every node that
+// joins while the run is in flight (join handshake). A static node list is
+// thus a membership that never changes, and every run dispatches the same
+// way: the secondaries and the primary's local workers all drain one queue of
+// tasks, so a fast node, a mid-run joiner or the local compute picks up
+// whatever a slow or failed node left. Any task a secondary cannot finish —
+// connection error, frame corruption, timeout, death mid-stream — is retried
+// (with exponential backoff and reconnect when the node has a Dial function)
+// and then put back on the queue; nodes that leave or miss health probes are
+// drained the same way. The result is bit-identical to the local bootstrap.
+//
+// The returned Stats say where every rotation actually ran. The error is
+// non-nil only when the bootstrap itself could not complete (context
+// cancelled, local compute panicked, bad input); per-node failures are
+// reported by Stats.NodeErrors.
+func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, m *Membership, opts Options) (*rlwe.Ciphertext, *Stats, error) {
 	opts = opts.withDefaults()
 	prep, err := p.prepare(ct)
 	if err != nil {
@@ -514,7 +482,9 @@ func (p *Primary) bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 	rec := p.Boot.Recorder()
 	if m != nil {
 		m.SetRecorder(rec)
-		// Pick up every node already waiting in the membership.
+		// Pick up every node already waiting in the membership, without
+		// appending into the caller's backing array.
+		nodes = slices.Clip(nodes)
 		for {
 			select {
 			case node := <-m.joinCh:
@@ -538,7 +508,15 @@ func (p *Primary) bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		}
 	}
 
-	q := newWorkQueue(n)
+	// Tasks hold at most one tile (the key-major engine's unit) and are small
+	// enough that every starting worker — secondary or local — draws one, so
+	// a small bootstrap still fans over all of them and a mid-run joiner
+	// finds work left to steal.
+	lw := opts.LocalWorkers
+	if lw <= 0 {
+		lw = max(p.Boot.Cfg.Workers, 1)
+	}
+	q := newWorkQueue(n, min(p.Boot.TileSize(), (n+len(nodes)+lw-1)/(len(nodes)+lw)))
 	// Streaming repack (§V): every accumulator is fed to the merge collector
 	// the moment it arrives — from the network read loops and the local
 	// workers alike — so the merge tree runs concurrently with the
@@ -575,53 +553,17 @@ func (p *Primary) bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		rs.activeConns = make(map[io.ReadWriter]int)
 	}
 
-	if m == nil {
-		// Contiguous shards as in the paper's Figure 4: node k is pinned to
-		// shard k, the primary's own share goes on the queue. The queue also
-		// receives every reassigned index; all workers (secondaries
-		// included) drain it once their pinned shard is done, so a fast
-		// healthy node picks up a dead node's work.
-		parts := len(nodes) + 1
-		chunk := (n + parts - 1) / parts
-		shard := func(k int) []int {
-			lo, hi := k*chunk, (k+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				return nil
-			}
-			idxs := make([]int, hi-lo)
-			for i := range idxs {
-				idxs[i] = lo + i
-			}
-			return idxs
-		}
-		q.push(shard(len(nodes)))
-		return p.runBootstrap(rs, nodes, shard, mc)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-
-	// Elastic: no pinned shards — the whole index space goes on the queue
-	// in tile-sized tasks, so a node that joins mid-run always finds work
-	// left to steal.
-	tile := p.Boot.TileSize()
-	for lo := 0; lo < n; lo += tile {
-		hi := lo + tile
-		if hi > n {
-			hi = n
-		}
-		task := make([]int, hi-lo)
-		for i := range task {
-			task[i] = lo + i
-		}
-		q.push(task)
-	}
-	return p.runBootstrap(rs, nodes, func(int) []int { return nil }, mc)
+	q.push(all)
+	return p.runBootstrap(rs, nodes, lw)
 }
 
 // runBootstrap runs the fan-out phase over the initial nodes (plus any
 // membership joiners), waits for completion, and finishes the repack.
-func (p *Primary) runBootstrap(rs *runState, nodes []*Node, shard func(int) []int, mc *core.MergeCollector) (*rlwe.Ciphertext, *Stats, error) {
+func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphertext, *Stats, error) {
 	ctx, q, rec, stats, opts := rs.ctx, rs.q, rs.rec, rs.stats, rs.opts
 
 	// Propagate cancellation into the queue.
@@ -668,17 +610,10 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, shard func(int) []in
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			p.runNode(ctx, nodes[k], stats.Nodes[k], k, shard(k), rs)
+			p.runNode(ctx, nodes[k], stats.Nodes[k], k, rs)
 		}(k)
 	}
 
-	lw := opts.LocalWorkers
-	if lw <= 0 {
-		lw = p.Boot.Cfg.Workers
-	}
-	if lw < 1 {
-		lw = 1
-	}
 	localErrs := make([]error, lw)
 	for w := 0; w < lw; w++ {
 		wg.Add(1)
@@ -706,7 +641,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, shard func(int) []in
 					joinWG.Add(1)
 					go func(node *Node, ns *NodeStats, lane int) {
 						defer joinWG.Done()
-						p.runNode(ctx, node, ns, lane, nil, rs)
+						p.runNode(ctx, node, ns, lane, rs)
 					}(node, ns, lane)
 					lane++
 				case <-q.doneCh:
@@ -746,7 +681,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, shard func(int) []in
 	// The streamed merge tree ran inside the BlindRotate phase; what is left
 	// of Repack here is only the final bookkeeping read.
 	rpTok := rec.Begin(obs.StageRepack, obs.LanePipeline)
-	merged, err := mc.Merged()
+	merged, err := sink.mc.Merged()
 	rec.End(obs.StageRepack, obs.LanePipeline, rpTok)
 	if err != nil {
 		return nil, stats, err
@@ -853,7 +788,7 @@ var (
 // membership joiners it first streams the blind-rotate key (resumable,
 // interleaving prefix-bounded work between chunks); on idle connections it
 // exchanges health probes, draining the node after K consecutive misses.
-func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane int, initial []int, rs *runState) {
+func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane int, rs *runState) {
 	q, opts := rs.q, rs.opts
 	conn := node.Conn
 	handshaken := node.joined // join handshake already covered params
@@ -889,9 +824,9 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 		q.push(pending)
 	}
 
-	// pop draws the next task; with probing enabled it wakes up on idle
+	// draw takes the next task; with probing enabled it wakes up on idle
 	// ticks to exchange a health probe first.
-	pop := func() []int {
+	draw := func() []int {
 		if opts.ProbeInterval <= 0 || conn == nil {
 			return q.pop()
 		}
@@ -918,6 +853,23 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 			}
 		}
 	}
+	// pop draws a task and tops it up into one dispatch batch by guided
+	// self-scheduling: the node takes ⌈queued / (nodes + 1)⌉ indices, the
+	// primary's local workers sharing one part. An early batch is thus about
+	// one node's share of n, enough for whole key-major tiles on each of the
+	// secondary's workers and one round trip for many tiles; batches shrink
+	// to a single task as the queue drains, which keeps the tail balanced.
+	// The hello's MaxBatch (N) caps a batch.
+	pop := func() []int {
+		task := draw()
+		if task == nil {
+			return nil
+		}
+		rs.mu.Lock()
+		parts := len(rs.stats.Nodes) + 1
+		rs.mu.Unlock()
+		return q.fill(task, parts, p.Boot.Params.N())
+	}
 
 	// Cold joiners: stream the key before (and interleaved with) work.
 	if node.needsKey && conn != nil {
@@ -932,10 +884,7 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 		node.needsKey = false
 	}
 
-	task := initial
-	if len(task) == 0 {
-		task = pop()
-	}
+	task := pop()
 	for task != nil {
 		// Ensure a live, handshaken connection, dialing if needed.
 		if conn == nil {
@@ -1131,11 +1080,11 @@ func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWri
 	return sendKey(conn, blob, crc, rs.opts, p.Boot.Recorder(), &high, onAck)
 }
 
-// runLocal is the primary's own compute: it drains queue tasks through the
-// key-major tile engine — both its initial shard and anything reassigned
-// after a secondary failure. Each task is cut into Tile-sized tiles so the
-// BRK streams through cache once per tile, not once per index; finished
-// accumulators reach the streaming merge sink tile by tile, preserving the
+// runLocal is the primary's own compute: it drains queue tasks — its share
+// of the initial tasks and anything reassigned after a secondary failure —
+// through the key-major tile engine. A task never exceeds one tile, so the
+// BRK streams through cache once per task, not once per index, and finished
+// accumulators reach the streaming merge sink task by task, preserving the
 // repack overlap. A panic here is recovered, surfaced, and aborts the
 // bootstrap (the primary cannot fall back to anyone else).
 func (p *Primary) runLocal(lane int, rs *runState) error {
@@ -1146,53 +1095,41 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 	accTile := make([]*rlwe.Ciphertext, tile)
 	lweTile := make([]*rlwe.LWECiphertext, tile)
 	idxTile := make([]int, tile)
-	for {
-		task := q.pop()
-		if task == nil {
-			return nil
-		}
-		for lo := 0; lo < len(task); lo += tile {
-			if q.isAborted() {
-				return nil
-			}
-			hi := lo + tile
-			if hi > len(task) {
-				hi = len(task)
-			}
-			// Skip indices a hedge race already resolved.
-			cnt := 0
-			for _, idx := range task[lo:hi] {
-				if rs.claimed(idx) {
-					continue
-				}
-				idxTile[cnt] = idx
-				accTile[cnt] = p.Boot.NewAccumulator()
-				lweTile[cnt] = prep.LWEs[idx]
-				cnt++
-			}
-			if cnt == 0 {
+	for task := q.pop(); task != nil; task = q.pop() {
+		// Skip indices a hedge race already resolved.
+		cnt := 0
+		for _, idx := range task {
+			if rs.claimed(idx) {
 				continue
 			}
-			idxs := idxTile[:cnt]
-			tok := rec.Begin(obs.StageBlindRotate, lane)
-			err := safeRotateTile(p.Boot, accTile[:cnt], lweTile[:cnt], sc)
-			rec.End(obs.StageBlindRotate, lane, tok)
-			if err != nil {
-				q.abort()
-				return fmt.Errorf("cluster: local blind rotation of indices %v: %w", idxs, err)
-			}
-			won := 0
-			for k, idx := range idxs {
-				if rs.complete(idx, accTile[k]) {
-					won++
-					sink.deliver(idx, accTile[k])
-				}
-			}
-			rs.mu.Lock()
-			rs.stats.Local += won
-			rs.mu.Unlock()
+			idxTile[cnt] = idx
+			accTile[cnt] = p.Boot.NewAccumulator()
+			lweTile[cnt] = prep.LWEs[idx]
+			cnt++
 		}
+		if cnt == 0 {
+			continue
+		}
+		idxs := idxTile[:cnt]
+		tok := rec.Begin(obs.StageBlindRotate, lane)
+		err := safeRotateTile(p.Boot, accTile[:cnt], lweTile[:cnt], sc)
+		rec.End(obs.StageBlindRotate, lane, tok)
+		if err != nil {
+			q.abort()
+			return fmt.Errorf("cluster: local blind rotation of indices %v: %w", idxs, err)
+		}
+		won := 0
+		for k, idx := range idxs {
+			if rs.complete(idx, accTile[k]) {
+				won++
+				sink.deliver(idx, accTile[k])
+			}
+		}
+		rs.mu.Lock()
+		rs.stats.Local += won
+		rs.mu.Unlock()
 	}
+	return nil
 }
 
 // handshake performs the hello exchange on a fresh connection.

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"io"
+	"context"
 	"math/cmplx"
 	"net"
 	"testing"
@@ -12,11 +12,10 @@ import (
 	"heap/internal/rlwe"
 )
 
-// buildNode constructs one node's full context from the shared seed —
-// offline key generation, as the paper prescribes.
-func buildNode(t *testing.T) (*ckks.Parameters, *ckks.Client, *core.Bootstrapper) {
+// buildNode constructs one node's full context at ring degree 2^logN from
+// the shared seed — offline key generation, as the paper prescribes.
+func buildNode(t *testing.T, logN int) (*ckks.Parameters, *ckks.Client, *core.Bootstrapper) {
 	t.Helper()
-	logN := 6
 	q := ring.GenerateNTTPrimes(30, logN, 3)
 	p := ring.GenerateNTTPrimesUp(31, logN, 2)
 	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
@@ -40,9 +39,9 @@ func TestDistributedBootstrap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed bootstrap is slow")
 	}
-	params, cl, btPrimary := buildNode(t)
-	_, _, btSec1 := buildNode(t)
-	_, _, btSec2 := buildNode(t)
+	params, cl, btPrimary := buildNode(t, 6)
+	_, _, btSec1 := buildNode(t, 6)
+	_, _, btSec2 := buildNode(t, 6)
 
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -61,7 +60,11 @@ func TestDistributedBootstrap(t *testing.T) {
 	go func() { done <- (&Secondary{Boot: btSec2}).Serve(c2s) }()
 
 	primary := &Primary{Boot: btPrimary}
-	out, err := primary.Bootstrap(ct.CopyNew(), []io.ReadWriter{c1p, c2p})
+	nodes := []*Node{{Conn: c1p}, {Conn: c2p}}
+	out, stats, err := primary.Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
+	if err == nil {
+		err = stats.NodeErrors()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

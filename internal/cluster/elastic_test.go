@@ -88,7 +88,7 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	opts.ProbeTimeout = 2 * time.Second
 	resCh := make(chan runResult, 1)
 	go func() {
-		out, stats, err := pr.BootstrapElastic(context.Background(), fx.ct.CopyNew(), m, opts)
+		out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
 		resCh <- runResult{out, stats, err}
 	}()
 
@@ -171,7 +171,7 @@ func TestGracefulLeaveDrains(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	out, stats, err := pr.BootstrapElastic(context.Background(), fx.ct.CopyNew(), m, testOptions())
+	out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	opts.KeyChunkBytes = chunkBytes
 	resCh := make(chan runResult, 1)
 	go func() {
-		out, stats, err := pr.BootstrapElastic(context.Background(), fx.ct.CopyNew(), m, opts)
+		out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
 		resCh <- runResult{out, stats, err}
 	}()
 
@@ -330,7 +330,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 		r2 := <-func() chan runResult {
 			ch := make(chan runResult, 1)
 			go func() {
-				out, stats, err := pr.BootstrapElastic(context.Background(), fx.ct.CopyNew(), m, opts)
+				out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
 				ch <- runResult{out, stats, err}
 			}()
 			return ch
@@ -384,7 +384,7 @@ func TestStalledNodeTriggersHedge(t *testing.T) {
 	opts := testOptions()
 	opts.HedgeAfter = 100 * time.Millisecond
 	nodes := []*Node{{Conn: cp, Name: "wedged"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).BootstrapCluster(context.Background(), fx.ct.CopyNew(), nodes, opts)
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	opts.ProbeTimeout = 50 * time.Millisecond
 	opts.ProbeMisses = 3
 	opts = opts.withDefaults()
-	q := newWorkQueue(1) // 1 outstanding index, never queued here: permanently idle
+	q := newWorkQueue(1, 1) // 1 outstanding index, never queued here: permanently idle
 	rs := &runState{
 		ctx:       context.Background(),
 		stats:     &Stats{Nodes: []*NodeStats{{Name: "mute", Joined: true}}, Total: 1},
@@ -463,7 +463,7 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	ns := rs.stats.Nodes[0]
 	done := make(chan struct{})
 	go func() {
-		(&Primary{Boot: fx.bt}).runNode(context.Background(), node, ns, 0, nil, rs)
+		(&Primary{Boot: fx.bt}).runNode(context.Background(), node, ns, 0, rs)
 		close(done)
 	}()
 
@@ -488,5 +488,62 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	cp.Close()
 	cs.Close()
 	<-muteDone
+	assertNoGoroutineLeak(t, before)
+}
+
+// TestMembersGaugeZeroAfterJoinerDies: a node joins before the bootstrap
+// installs its recorder on the membership, then dies mid-run. The +1 of its
+// join must move to the run's recorder with it, so the −1 of its death
+// leaves the cluster-members gauge at 0, not −1.
+func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
+	fixture(t)
+	before := runtime.NumGoroutine()
+
+	m := NewMembership()
+	l := NewPipeListener()
+	pr := &Primary{Boot: fx.bt}
+	acceptDone := make(chan struct{})
+	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
+
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The node's link dies partway into its first batch.
+	fc := NewFaultConn(conn, FaultPlan{Seed: 17, CutReadAfter: 1 << 10})
+	sec := &Secondary{Boot: fixtureNode(t, 0, false)}
+	servDone := make(chan error, 1)
+	go func() { servDone <- sec.JoinAndServe(fc, "doomed") }()
+	for {
+		if _, ok := m.State("doomed"); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	met := obs.NewMetrics()
+	fx.bt.SetRecorder(met)
+	out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
+	fx.bt.SetRecorder(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Nodes) != 1 || !stats.Nodes[0].Failed {
+		t.Fatalf("the joiner should have died mid-run:\n%s", stats)
+	}
+	if st, _ := m.State("doomed"); st != MemberDead {
+		t.Fatalf("membership state %v, want dead", st)
+	}
+	if got := met.GaugeValue(obs.GaugeClusterMembers); got != 0 {
+		t.Fatalf("cluster_members gauge = %d after the only member died, want 0", got)
+	}
+	assertBitExact(t, out)
+
+	if err := <-servDone; err == nil {
+		t.Fatal("the injected cut never fired")
+	}
+	_ = fc.Close()
+	_ = l.Close()
+	<-acceptDone
 	assertNoGoroutineLeak(t, before)
 }

@@ -12,7 +12,7 @@ import (
 
 // Elastic membership (§V, ROADMAP items 3 and 5): the secondary set is no
 // longer fixed at startup. Nodes join through a listener by completing the
-// params-digest handshake (FrameJoin/FrameJoinAck), a running elastic
+// params-digest handshake (FrameJoin/FrameJoinAck), a running
 // bootstrap picks them up mid-run and they start draining the shared work
 // queue, and nodes that leave gracefully (FrameLeave) or miss K health
 // probes are drained with their pending LWE indices reassigned through the
@@ -43,9 +43,9 @@ func (s MemberState) String() string {
 	return "unknown"
 }
 
-// Membership is the registry an elastic bootstrap reads each dispatch
-// round. Joins arrive through AcceptJoins (or a direct Join call); the
-// scheduler consumes them from joinCh and spawns a node worker per joiner.
+// Membership is the registry a bootstrap reads joiners from while it runs.
+// Joins arrive through AcceptJoins (or a direct Join call); the scheduler
+// consumes them from joinCh and spawns a node worker per joiner.
 // A name whose previous instance failed or left may rejoin — the rejoining
 // connection inherits nothing from the old one except whatever key-stash
 // its Secondary process kept, which is exactly what makes a kill-mid-upload
@@ -66,23 +66,31 @@ func NewMembership() *Membership {
 	}
 }
 
-// SetRecorder installs the recorder for the cluster-members gauge.
+// SetRecorder installs the recorder for the cluster-members gauge. The
+// members already active move from the old recorder to the new one, so a
+// node that joined before a bootstrap installed its recorder and dies during
+// the run nets to zero on both. Every gauge update picks its recorder under
+// the same lock that changes the member's state, so the sums stay exact
+// however the updates interleave.
 func (m *Membership) SetRecorder(r obs.Recorder) {
+	r = obs.OrNop(r)
 	m.mu.Lock()
-	m.rec = obs.OrNop(r)
+	old := m.rec
+	m.rec = r
+	var active int64
+	for _, st := range m.state {
+		if st == MemberActive {
+			active++
+		}
+	}
 	m.mu.Unlock()
-}
-
-// recorder snapshots the current recorder under the registry lock.
-func (m *Membership) recorder() obs.Recorder {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rec
+	old.Gauge(obs.GaugeClusterMembers, -active)
+	r.Gauge(obs.GaugeClusterMembers, active)
 }
 
 // Join registers a node as active and queues it for the running (or next)
-// elastic bootstrap. A name that is currently active is rejected; a name
-// whose previous instance left or died rejoins.
+// bootstrap. A name that is currently active is rejected; a name whose
+// previous instance left or died rejoins.
 func (m *Membership) Join(node *Node) error {
 	if node.Name == "" {
 		return errors.New("cluster: joining node needs a name")
@@ -92,17 +100,17 @@ func (m *Membership) Join(node *Node) error {
 		m.mu.Unlock()
 		return fmt.Errorf("cluster: node %q is already an active member", node.Name)
 	}
-	m.state[node.Name] = MemberActive
-	m.mu.Unlock()
 	select {
 	case m.joinCh <- node:
 	default:
-		m.mu.Lock()
 		m.state[node.Name] = MemberDead
 		m.mu.Unlock()
 		return fmt.Errorf("cluster: join backlog full, node %q rejected", node.Name)
 	}
-	m.recorder().Gauge(obs.GaugeClusterMembers, 1)
+	m.state[node.Name] = MemberActive
+	rec := m.rec
+	m.mu.Unlock()
+	rec.Gauge(obs.GaugeClusterMembers, 1)
 	return nil
 }
 
@@ -191,7 +199,7 @@ func (l *PipeListener) Close() error {
 // from l, performs the join handshake (params digest included, so an alien
 // parameter set is refused at the door exactly like a v2 hello mismatch),
 // and registers each joiner with m. It returns when the listener closes.
-// Run it in its own goroutine alongside BootstrapElastic.
+// Run it in its own goroutine alongside Primary.Bootstrap.
 func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 	for {
 		conn, err := l.Accept()

@@ -17,8 +17,8 @@ import (
 // shard lanes, byte counters account the framed traffic on both endpoints,
 // and the flight/queue gauges return to zero.
 func TestClusterTraceAccounting(t *testing.T) {
-	params, cl, btPrimary := buildNode(t)
-	_, _, btSec := buildNode(t)
+	params, cl, btPrimary := buildNode(t, 6)
+	_, _, btSec := buildNode(t, 6)
 
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -38,7 +38,7 @@ func TestClusterTraceAccounting(t *testing.T) {
 	primary := &Primary{Boot: btPrimary}
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
 	start := time.Now()
-	out, stats, err := primary.BootstrapCluster(context.Background(), ct, nodes, DefaultOptions())
+	out, stats, err := primary.Bootstrap(context.Background(), ct, nodes, nil, DefaultOptions())
 	wallMs := float64(time.Since(start).Microseconds()) / 1e3
 	btPrimary.SetRecorder(nil)
 	if err != nil {
@@ -160,8 +160,8 @@ func TestClusterTraceAccounting(t *testing.T) {
 // node's stream breaks mid-batch and the node reconnects via Dial, the
 // re-dispatched batch is counted as retried traffic.
 func TestClusterRetryBytesAccounted(t *testing.T) {
-	params, cl, btPrimary := buildNode(t)
-	_, _, btSec := buildNode(t)
+	params, cl, btPrimary := buildNode(t, 6)
+	_, _, btSec := buildNode(t, 6)
 
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -186,7 +186,7 @@ func TestClusterRetryBytesAccounted(t *testing.T) {
 	met := obs.NewMetrics()
 	btPrimary.SetRecorder(met)
 	primary := &Primary{Boot: btPrimary}
-	out, stats, err := primary.BootstrapCluster(context.Background(), ct, nodes, DefaultOptions())
+	out, stats, err := primary.Bootstrap(context.Background(), ct, nodes, nil, DefaultOptions())
 	btPrimary.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +203,152 @@ func TestClusterRetryBytesAccounted(t *testing.T) {
 	if met.Counter(obs.CounterBytesFramed) <= met.Counter(obs.CounterBytesRetried) {
 		t.Errorf("bytes_framed %d must exceed bytes_retried %d",
 			met.Counter(obs.CounterBytesFramed), met.Counter(obs.CounterBytesRetried))
+	}
+}
+
+// blindRotateLanes parses the tracer's timeline and counts the BlindRotate
+// spans on each shard lane (lane k is trace thread k+1).
+func blindRotateLanes(t *testing.T, tracer *obs.Tracer) map[int]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tracer.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make(map[int]int)
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase == "X" && ev.Cat == "shard" && ev.Name == "BlindRotate" {
+			lanes[ev.Tid-1]++
+		}
+	}
+	return lanes
+}
+
+// TestLocalShareFansOverWorkers: the primary's own share is cut into queue
+// tasks like everyone else's, so with no secondaries — and again with every
+// secondary dead on arrival — both local workers rotate (BlindRotate spans
+// on both local shard lanes, which follow the node lanes). The ring is 2^7
+// so that the run outlasts a scheduler time slice even at GOMAXPROCS 1.
+func TestLocalShareFansOverWorkers(t *testing.T) {
+	params, cl, bt := buildNode(t, 7)
+	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
+	local := bt.Bootstrap(ct.CopyNew())
+	dead := func() io.ReadWriter {
+		cp, cs := net.Pipe()
+		cp.Close()
+		cs.Close()
+		return cp
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes []*Node
+	}{
+		{"no-secondaries", nil},
+		{"all-secondaries-dead", []*Node{{Conn: dead(), Name: "dead-0"}, {Conn: dead(), Name: "dead-1"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := obs.NewTracer()
+			bt.SetRecorder(tracer)
+			defer bt.SetRecorder(nil)
+			opts := DefaultOptions()
+			opts.LocalWorkers = 2
+			out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), tc.nodes, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Local != stats.Total {
+				t.Fatalf("expected all %d rotations local\n%s", stats.Total, stats)
+			}
+			lanes := blindRotateLanes(t, tracer)
+			for w := 0; w < opts.LocalWorkers; w++ {
+				if lane := len(tc.nodes) + w; lanes[lane] == 0 {
+					t.Errorf("local worker %d (lane %d) rotated nothing: spans by lane %v", w, lane, lanes)
+				}
+			}
+			if b := params.QBasis.AtLevel(local.Level()); !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {
+				t.Fatal("result differs from the local bootstrap")
+			}
+		})
+	}
+}
+
+// TestQueueTasksReachEveryStartingWorker runs with more starting workers
+// (one secondary, two local workers) than the n / TileSize() tasks whole
+// tiles would make: the queue must size its tasks so that each of them
+// draws one. Every task outlasts a scheduler time slice at this ring, so no
+// worker can finish one and take a second before the others start.
+func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
+	params, cl, bt := buildNode(t, 7)
+	_, _, btSec := buildNode(t, 7)
+	bt.Cfg.Tile = params.N()
+	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
+	local := bt.Bootstrap(ct.CopyNew())
+
+	cp, cs := net.Pipe()
+	t.Cleanup(func() { cp.Close(); cs.Close() })
+	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
+	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
+	opts := DefaultOptions()
+	opts.LocalWorkers = 2
+	if workers, tiles := len(nodes)+opts.LocalWorkers, params.N()/bt.TileSize(); workers <= tiles {
+		t.Fatalf("%d starting workers do not outnumber the %d whole-tile tasks", workers, tiles)
+	}
+
+	tracer := obs.NewTracer()
+	bt.SetRecorder(tracer)
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, opts)
+	bt.SetRecorder(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns := stats.Nodes[0]; ns.Dispatched == 0 || ns.Failed {
+		t.Fatalf("the secondary drew no task:\n%s", stats)
+	}
+	lanes := blindRotateLanes(t, tracer)
+	for w := 0; w < opts.LocalWorkers; w++ {
+		if lane := len(nodes) + w; lanes[lane] == 0 {
+			t.Errorf("local worker %d (lane %d) drew no task: spans by lane %v\n%s", w, lane, lanes, stats)
+		}
+	}
+	if b := params.QBasis.AtLevel(local.Level()); !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {
+		t.Fatal("result differs from the local bootstrap")
+	}
+}
+
+// TestSecondaryBatchesFillWholeTiles: a secondary with four workers gets
+// dispatch batches of many queue tasks, so its key-major engine runs whole
+// tiles. Batches of a single 8-index task would give each of its workers a
+// tile of 2 and lose the engine's key reuse.
+func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
+	params, cl, bt := buildNode(t, 7)
+	_, _, btSec := buildNode(t, 7)
+	btSec.Cfg.Workers = 4
+	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
+	local := bt.Bootstrap(ct.CopyNew())
+
+	cp, cs := net.Pipe()
+	t.Cleanup(func() { cp.Close(); cs.Close() })
+	secMet := obs.NewMetrics()
+	btSec.SetRecorder(secMet)
+	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
+	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
+	opts := DefaultOptions()
+	opts.LocalWorkers = 1
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rots, tiles := secMet.Counter(obs.CounterBlindRotate), secMet.Counter(obs.CounterBlindRotateTile)
+	if rots == 0 || int(rots) != stats.Nodes[0].Completed {
+		t.Fatalf("secondary rotated %d, primary received %d\n%s", rots, stats.Nodes[0].Completed, stats)
+	}
+	if tile := uint64(btSec.TileSize()); 2*rots <= tile*tiles {
+		t.Errorf("secondary ran %d rotations in %d tiles: under half of tile %d on average\n%s", rots, tiles, tile, stats)
+	}
+	if b := params.QBasis.AtLevel(local.Level()); !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {
+		t.Fatal("result differs from the local bootstrap")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,7 @@ type workQueue struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	tasks     [][]int
+	size      int // indices per task, at most one tile: runLocal rotates a task as one
 	remaining int
 	aborted   bool
 	finished  bool          // doneCh closed (remaining hit 0 or abort)
@@ -195,19 +197,24 @@ type workQueue struct {
 	rec       obs.Recorder  // queue-depth gauge; set before workers start
 }
 
-func newWorkQueue(total int) *workQueue {
-	q := &workQueue{remaining: total, rec: obs.Nop{}, doneCh: make(chan struct{})}
+func newWorkQueue(total, size int) *workQueue {
+	q := &workQueue{remaining: total, size: size, rec: obs.Nop{}, doneCh: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues a (possibly reassigned) task.
+// push enqueues indices — the initial set, a reassigned batch or hedged
+// ones — as tasks of at most size indices, so that a large batch a failed
+// node hands back spreads over every worker instead of one.
 func (q *workQueue) push(idxs []int) {
 	if len(idxs) == 0 {
 		return
 	}
 	q.mu.Lock()
-	q.tasks = append(q.tasks, idxs)
+	for lo := 0; lo < len(idxs); lo += q.size {
+		hi := min(lo+q.size, len(idxs))
+		q.tasks = append(q.tasks, idxs[lo:hi:hi])
+	}
 	q.mu.Unlock()
 	q.rec.Gauge(obs.GaugeQueueDepth, int64(len(idxs)))
 	q.cond.Broadcast()
@@ -291,6 +298,37 @@ func (q *workQueue) popBounded(needDim []int, maxDim int) []int {
 		return t
 	}
 	return nil
+}
+
+// fill tops task up with whole queued tasks, without blocking, while the
+// batch holds at most ⌈queued / parts⌉ indices (task counted as queued) and
+// at most limit. An index already in the batch is not added again: a hedged
+// copy and a reassigned copy of one index can both be queued.
+func (q *workQueue) fill(task []int, parts, limit int) []int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	queued := len(task)
+	for _, t := range q.tasks {
+		queued += len(t)
+	}
+	share := min(limit, (queued+parts-1)/parts)
+	batch := slices.Clip(task)
+	seen := make(map[int]bool, len(task))
+	for _, idx := range task {
+		seen[idx] = true
+	}
+	for !q.aborted && len(q.tasks) > 0 && len(batch)+len(q.tasks[0]) <= share {
+		t := q.tasks[0]
+		q.tasks = q.tasks[1:]
+		q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
+		for _, idx := range t {
+			if !seen[idx] {
+				seen[idx] = true
+				batch = append(batch, idx)
+			}
+		}
+	}
+	return batch
 }
 
 // done marks k indices complete.

@@ -244,8 +244,8 @@ func TestPopTimeoutIdleTickAlwaysComes(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			q := newWorkQueue(1) // 1 outstanding index, never queued: permanently idle
-			defer q.abort()      // releases a stranded poller on failure
+			q := newWorkQueue(1, 1) // 1 outstanding index, never queued: permanently idle
+			defer q.abort()         // releases a stranded poller on failure
 			var ticked atomic.Int64
 			done := make(chan struct{})
 			go func() {
@@ -274,4 +274,46 @@ func TestPopTimeoutIdleTickAlwaysComes(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// TestWorkQueueFillTakesAShare pins the dispatch-batch rule: push cuts
+// indices into tasks of the queue's size, and fill tops a drawn task up with
+// whole queued tasks to ⌈queued / parts⌉ indices, never past the limit, and
+// never names one index twice.
+func TestWorkQueueFillTakesAShare(t *testing.T) {
+	q := newWorkQueue(64, 8)
+	all := make([]int, 64)
+	for i := range all {
+		all[i] = i
+	}
+	q.push(all)
+	if got := len(q.tasks); got != 8 {
+		t.Fatalf("push made %d tasks of 64 indices at size 8, want 8", got)
+	}
+	// 64 queued over 3 parts: a share of 22, so one more whole task.
+	if got := q.fill(q.pop(), 3, 64); len(got) != 16 || got[0] != 0 || got[15] != 15 {
+		t.Fatalf("first batch = %v, want indices 0..15", got)
+	}
+	// 48 queued, limit 16: two tasks.
+	if got := q.fill(q.pop(), 2, 16); len(got) != 16 || got[0] != 16 || got[15] != 31 {
+		t.Fatalf("limited batch = %v, want indices 16..31", got)
+	}
+	// 32 queued over 5 parts: a share of 7 is below one task; the drawn task
+	// goes alone.
+	if got := q.fill(q.pop(), 5, 64); len(got) != 8 || got[0] != 32 {
+		t.Fatalf("tail batch = %v, want indices 32..39", got)
+	}
+	// A hedged copy and a reassigned copy of the same indices: one of each.
+	q.push([]int{50, 51})
+	got := q.fill(q.pop(), 1, 64)
+	seen := make(map[int]bool)
+	for _, idx := range got {
+		if seen[idx] {
+			t.Fatalf("batch %v names index %d twice", got, idx)
+		}
+		seen[idx] = true
+	}
+	if len(got) != 24 {
+		t.Fatalf("last batch = %v, want the 24 distinct indices 40..63", got)
+	}
 }
