@@ -216,9 +216,9 @@ func (bt *Bootstrapper) evalMod(t *rlwe.Ciphertext) *rlwe.Ciphertext {
 		}
 		coef[k] = cmplx.Pow(complex(0, 1), complex(float64(k), 0)) / complex(fact, 0)
 	}
-	p2 := ev.Rescale(ev.Mul(theta, theta))
-	p3 := ev.Rescale(ev.Mul(p2, ev.DropLevels(theta, 1)))
-	p4 := ev.Rescale(ev.Mul(p2, p2))
+	p2 := ev.MulRelinRescale(theta, theta)
+	p3 := ev.MulRelinRescale(p2, ev.DropLevels(theta, 1))
+	p4 := ev.MulRelinRescale(p2, p2)
 
 	// All terms land at the common level of p3/p4 minus one, scale Δ.
 	lowLevel := p3.Level() - 1
@@ -254,7 +254,7 @@ func (bt *Bootstrapper) evalMod(t *rlwe.Ciphertext) *rlwe.Ciphertext {
 	high := sumAt([]*rlwe.Ciphertext{theta, p2, p3}, coef[5:8], targetHigh)
 	high = ev.AddConst(high, coef[4])
 
-	e := ev.Rescale(ev.Mul(p4d, high))
+	e := ev.MulRelinRescale(p4d, high)
 	e.Scale = delta
 	if low.Level() > e.Level() {
 		low = ev.DropLevels(low, low.Level()-e.Level())
@@ -264,7 +264,7 @@ func (bt *Bootstrapper) evalMod(t *rlwe.Ciphertext) *rlwe.Ciphertext {
 	// Angle doubling: R squarings take exp(iθ) to exp(2πi(m+q0I)/q0) =
 	// exp(2πi·m/q0); the integer wrap I vanishes.
 	for r := 0; r < bt.Cfg.R; r++ {
-		e = ev.Rescale(ev.Mul(e, e))
+		e = ev.MulRelinRescale(e, e)
 		if ratio := e.Scale / delta; ratio < 0.9 || ratio > 1.1 {
 			panic("ckks: evalMod scale drift — moduli must sit close to Δ")
 		}

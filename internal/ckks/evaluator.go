@@ -52,17 +52,11 @@ type Evaluator struct {
 	// scalar multiplication.
 	monoI []ring.Poly
 
-	// tensors holds the intermediates of a multiplication (see tensor), so
-	// that Mul allocates only its product and MulRelinRescale only its
-	// rescaled output.
-	tensors sync.Pool
+	// degree2 pools the degree-2 component of Mul's tensor (a top-level
+	// *rns.Poly, of which a call uses a view at its own level), so that Mul
+	// allocates only its product.
+	degree2 sync.Pool
 }
-
-// tensor is one multiplication's scratch at the top level, of which a call
-// uses views at its own level: the relinearized product (c0, c1) that
-// MulRelinRescale rescales from, and the degree-2 component d2 the
-// relinearization consumes.
-type tensor struct{ c0, c1, d2 rns.Poly }
 
 // NewEvaluator constructs an evaluator; ks may be shared (or nil to build).
 func NewEvaluator(params *Parameters, keys *EvaluationKeySet, ks *rlwe.KeySwitcher) *Evaluator {
@@ -70,9 +64,9 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet, ks *rlwe.KeySwitch
 		ks = rlwe.NewKeySwitcher(params.Parameters)
 	}
 	ev := &Evaluator{Params: params, KS: ks, Keys: keys}
-	ev.tensors.New = func() any {
-		q := params.QBasis
-		return &tensor{c0: q.NewPoly(), c1: q.NewPoly(), d2: q.NewPoly()}
+	ev.degree2.New = func() any {
+		d2 := params.QBasis.NewPoly()
+		return &d2
 	}
 	ev.monoI = make([]ring.Poly, params.MaxLevel())
 	for i, r := range params.QBasis.Rings {
@@ -170,9 +164,9 @@ func (ev *Evaluator) MulPlain(ct *rlwe.Ciphertext, pt rns.Poly, ptScale float64)
 // two, then key-switch the s² component with the relinearization key.
 func (ev *Evaluator) Mul(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
 	out := rlwe.NewCiphertext(ev.Params.Parameters, commonLevel(a, b))
-	t := ev.tensors.Get().(*tensor)
-	ev.mulInto(out, a, b, t.d2)
-	ev.tensors.Put(t)
+	d2 := ev.degree2.Get().(*rns.Poly)
+	ev.mulInto(out, a, b, *d2)
+	ev.degree2.Put(d2)
 	return out
 }
 
@@ -210,15 +204,13 @@ func (ev *Evaluator) Rescale(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	return out
 }
 
-// MulRelinRescale is the common Mult→Rescale sequence, with the product in
-// pooled buffers: the rescaled ciphertext is all it allocates.
+// MulRelinRescale is the common Mult→Rescale sequence, Rescale(Mul(a, b))
+// word for word, with the rescale done inside the relinearization's ModDown
+// (rlwe.KeySwitcher.MulRelinRescale): the rescaled ciphertext is all it
+// allocates.
 func (ev *Evaluator) MulRelinRescale(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
-	level := commonLevel(a, b)
-	t := ev.tensors.Get().(*tensor)
-	prod := &rlwe.Ciphertext{C0: t.c0.AtLevel(level), C1: t.c1.AtLevel(level)}
-	ev.mulInto(prod, a, b, t.d2)
-	out := ev.Rescale(prod)
-	ev.tensors.Put(t)
+	out := ev.KS.MulRelinRescale(a, b, ev.Keys.Rlk)
+	out.Scale /= float64(ev.Params.Q[out.Level()])
 	return out
 }
 

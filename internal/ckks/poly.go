@@ -84,13 +84,13 @@ func (ev *Evaluator) EvalChebyshev(ct *rlwe.Ciphertext, c *Chebyshev) *rlwe.Ciph
 		if k%2 == 0 {
 			// T_{2h} = 2·T_h² − 1
 			a := ts[half]
-			t = ev.MulConstToScale(ev.Rescale(ev.Mul(a, a)), 2, delta)
+			t = ev.MulConstToScale(ev.MulRelinRescale(a, a), 2, delta)
 			t = ev.AddConst(t, complex(-1, 0))
 		} else {
 			// T_{2h+1} = 2·T_h·T_{h+1} − T_1
 			a, b := ts[half], ts[half+1]
 			a, b = alignLevels(ev, a, b)
-			t = ev.MulConstToScale(ev.Rescale(ev.Mul(a, b)), 2, delta)
+			t = ev.MulConstToScale(ev.MulRelinRescale(a, b), 2, delta)
 			t1 := ts[1]
 			if t1.Level() > t.Level() {
 				t1 = ev.DropLevels(t1, t1.Level()-t.Level())

@@ -581,18 +581,25 @@ func (bt *Bootstrapper) finishMerged(prep *PreparedBootstrap, ctKq *rlwe.Ciphert
 		return nil, err
 	}
 
-	// The one forward transform of the repack, then round(p/2N) and the
-	// rescale by p — per-limb work with nothing beside it, so it runs at the
-	// key switcher's width like the trace.
+	// round(p/2N) and the rescale by p where the trace leaves the
+	// ciphertext, in coefficients, then the repack's one forward transform,
+	// of the limbs the rescale keeps — bit-identical to transforming first,
+	// as every step is linear and exact on canonical residues. Per-limb work
+	// with nothing beside it, so it runs at the key switcher's width like the
+	// trace.
 	comps := [2]rns.Poly{ctKq.C0, ctKq.C1}
 	bt.ks.Fan(2*level, func(t int) {
 		limb, r := comps[t/level].Limbs[t%level], bL.Rings[t%level]
-		r.NTT(limb)
 		r.MulScalar(limb, uint64(bt.pScalar)%r.Mod.Q, limb)
 	})
-	ctKq.IsNTT = true
-	bt.rec.Add(obs.CounterNTT, uint64(2*level))
 	out := bt.ks.DivRoundByLastModulus(ctKq)
+	kept := [2]rns.Poly{out.C0, out.C1}
+	bt.ks.Fan(2*(level-1), func(t int) {
+		i := t % (level - 1)
+		bL.Rings[i].NTT(kept[t/(level-1)].Limbs[i])
+	})
+	out.IsNTT = true
+	bt.rec.Add(obs.CounterNTT, uint64(2*(level-1)))
 	// phase_out = m̃ · (2N·round(p/2N)/p); fold the residual factor into the
 	// tracked scale so decoding stays exact.
 	out.Scale = prep.Scale * float64(2*n) * float64(bt.pScalar) / float64(bt.pAux)

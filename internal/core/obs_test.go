@@ -168,7 +168,8 @@ func TestFailedFinishStillRecordsRepack(t *testing.T) {
 // TestFinishTransformBudget pins Finish's limb-transform ledger on
 // coefficient-form accumulators: count−1 merges and log2(N/count) trace steps
 // at the merge budget (rlwe's TestMergeTransformBudget), plus the one NTT of
-// the packed pair — and no per-accumulator term, the 2·level·count the
+// the packed pair's limbs the rescale by p keeps (it runs in coefficients,
+// before the transform) — and no per-accumulator term, the 2·level·count the
 // NTT-domain repack spent at the door.
 func TestFinishTransformBudget(t *testing.T) {
 	params, cl, _, bt := testSetup(t, 2)
@@ -197,10 +198,10 @@ func TestFinishTransformBudget(t *testing.T) {
 	for c := count; c < params.N(); c <<= 1 {
 		traceSteps++
 	}
-	want := uint64((count-1+traceSteps)*perSwitch + 2*level)
+	want := uint64((count-1+traceSteps)*perSwitch + 2*(level-1))
 	if got := met.Counter(obs.CounterNTT); got != want {
 		t.Errorf("Finish recorded %d limb transforms, want %d = (%d merges + %d trace steps) × %d + one NTT of 2×%d limbs",
-			got, want, count-1, traceSteps, perSwitch, level)
+			got, want, count-1, traceSteps, perSwitch, level-1)
 	}
 	if got := met.Counter(obs.CounterKeySwitch); got != uint64(count-1+traceSteps) {
 		t.Errorf("key_switches = %d, want %d", got, count-1+traceSteps)

@@ -12,8 +12,9 @@
 //
 // Forward: the u side is never reduced, so a coefficient after s stages is
 // below q + s·(q/2 + …) in magnitude; the last stage (t=1) reduces both
-// outputs. Inverse: the u+v side is reduced in every generic stage; the last
-// stage (t=n/2) folds N^{-1} into both outputs. Stages with t ≥ 4 process
+// outputs. Inverse: a two-stage pass reduces one of its four u+v sums, a
+// one-stage pass its u+v side; the last stage (t=n/2) folds N^{-1} into both
+// outputs. Stages with t ≥ 4 process
 // whole 4-lane groups under a broadcast twiddle, one stage per pass
 // (fma{Fwd,Inv}Step) or two (fma{Fwd,Inv}Step2, the quarters A B C D of each
 // block of the wider stage in four registers). The t=2 and t=1 stages run as
@@ -399,8 +400,11 @@ invJLoop:
 // Inverse stages h and h/2, t the first one's block half-length (t ≥ 4):
 // each block of 4t words is the quarters A B C D of t words. Stage h runs
 // (A,B) under w[h+2i] and (C,D) under w[h+2i+1], then stage h/2 runs (A,C)
-// and (B,D) under w[h/2+i], reducing every a side, on the same four
-// registers.
+// and (B,D) under w[h/2+i], on the same four registers. Only A is reduced,
+// once, at the end: the first stage's A and C sums and the second stage's B
+// sum are left to grow, which the pass bound allows (an input below B gives
+// at most 4B inside the pass and q + q·4B·2^-54 out of it; DESIGN.md
+// "Vectorized kernels").
 TEXT ·fmaInvStep2(SB), NOSPLIT, $0-104
 	STEP_PROLOGUE(h+72(FP))
 	VBROADCASTSD qinv+96(FP), Y10
@@ -421,13 +425,10 @@ inv2ILoop:
 inv2JLoop:
 	QUARTERS_LOAD
 	INV_BFLY(Y0, Y1, Y4, Y5, Y11, Y12)
-	REDUCE(Y0, Y12)
 	INV_BFLY(Y2, Y3, Y6, Y7, Y11, Y12)
-	REDUCE(Y2, Y12)
 	INV_BFLY(Y0, Y2, Y8, Y9, Y11, Y12)
 	REDUCE(Y0, Y12)
 	INV_BFLY(Y1, Y3, Y8, Y9, Y11, Y12)
-	REDUCE(Y1, Y12)
 	QUARTERS_STORE
 	SUBQ $32, CX
 	JNZ  inv2JLoop

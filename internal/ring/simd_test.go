@@ -299,15 +299,29 @@ func fmaForwardBounds(q uint64, logN int) []float64 {
 	return b
 }
 
-// fmaInverseBounds is fmaForwardBounds for the inverse transform, whose
-// first two stages grow the u+v side (2(q−1), then twice that) and whose
-// generic stages reduce it, so both sides come out of those at most
-// q/2 + q·2B·2^-54 from inputs bounded by B.
+// fmaInverseBounds is fmaForwardBounds for the inverse transform, stage by
+// stage along its pass plan (fmaPassBoundaries). The head's two stages grow
+// the u+v side unreduced (2(q−1), then twice that). A two-stage pass from
+// inputs bounded by B reduces only its A quarter, once: after its first stage
+// the A and C sums reach 2B, and after its second the B quarter, a sum of two
+// first-stage products, each at most q/2 + q·2B·2^-54, is the largest, at
+// q + q·4B·2^-54 (the unreduced A+C inside the pass reaches 4B, and A leaves
+// at q/2 + 4B·2^-53). A one-stage pass reduces its u+v side, so both sides
+// come out at most q/2 + q·2B·2^-54.
 func fmaInverseBounds(q uint64, logN int) []float64 {
 	qf := float64(q)
+	mul := func(v float64) float64 { return qf/2 + qf*v*0x1p-54 }
 	b := []float64{qf - 1, 2 * (qf - 1), 4 * (qf - 1)}
-	for s := 3; s < logN; s++ {
-		b = append(b, qf/2+qf*2*b[s-1]*0x1p-54)
+	bounds := fmaPassBoundaries(logN, true)
+	for i := 1; i < len(bounds); i++ {
+		in := b[len(b)-1]
+		if bounds[i]-bounds[i-1] == 1 {
+			b = append(b, max(qf/2+2*in*0x1p-53, mul(2*in)))
+			continue
+		}
+		stage1 := max(2*in, mul(2*in))
+		sumB := 2 * mul(2*in)
+		b = append(b, stage1, max(qf/2+4*in*0x1p-53, mul(4*in), sumB, mul(sumB)))
 	}
 	return b
 }

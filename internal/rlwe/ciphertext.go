@@ -17,10 +17,16 @@ type Ciphertext struct {
 	Scale  float64
 }
 
-// NewCiphertext allocates a zero ciphertext at the given level.
+// NewCiphertext allocates a zero ciphertext at the given level, its 2·level
+// limbs over one backing array (rns.NewPolySlab).
 func NewCiphertext(p *Parameters, level int) *Ciphertext {
-	b := p.QBasis.AtLevel(level)
-	return &Ciphertext{C0: b.NewPoly(), C1: b.NewPoly(), IsNTT: true, Scale: 1}
+	limbs := rns.NewPolySlab(2*level, p.N()).Limbs
+	return &Ciphertext{
+		C0:    rns.Poly{Limbs: limbs[:level:level]},
+		C1:    rns.Poly{Limbs: limbs[level:]},
+		IsNTT: true,
+		Scale: 1,
+	}
 }
 
 // Level returns the number of limbs of the ciphertext.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"heap/internal/obs"
 	"heap/internal/rns"
 )
 
@@ -149,19 +150,21 @@ func (ks *KeySwitcher) runLanes(sc *Scratch, n int, phase func(*KeySwitcher, *Sc
 // rns.DivRoundByLastModulus performs it on one polynomial, over both
 // components with the limb steps at the key switcher's width: the two
 // last-limb inverse transforms side by side, then every remaining limb of
-// both components. It allocates the result, one slab per component; the two
-// last limbs' coefficient forms go to a pooled pair of N-word buffers (not a
+// both components. It allocates the result (NewCiphertext); the two last
+// limbs' coefficient forms go to a pooled pair of N-word buffers (not a
 // pooled arena's: a caller whose arena pool is cold — a bootstrap's one
 // rescale — would build a whole arena for them). The scale is copied;
-// dividing it is the caller's book-keeping.
+// dividing it is the caller's book-keeping. In NTT form its limb transforms
+// are counted: two inverse, then one forward per remaining limb and side.
 func (ks *KeySwitcher) DivRoundByLastModulus(ct *Ciphertext) *Ciphertext {
 	last := ct.Level() - 1
 	if last < 1 {
 		panic("rlwe: cannot rescale a single-limb ciphertext")
 	}
-	b, n := ks.params.QBasis, ks.params.N()
+	b := ks.params.QBasis
 	in := [2]rns.Poly{ct.C0, ct.C1}
-	out := [2]rns.Poly{rns.NewPolySlab(last, n), rns.NewPolySlab(last, n)}
+	res := NewCiphertext(ks.params, last)
+	out := [2]rns.Poly{res.C0, res.C1}
 	buf := ks.lastLimbs.Get().(*rns.Poly)
 	cL := buf.Limbs
 	ks.Fan(2, func(s int) { b.LastLimbCoeffs(in[s], ct.IsNTT, cL[s]) })
@@ -170,5 +173,9 @@ func (ks *KeySwitcher) DivRoundByLastModulus(ct *Ciphertext) *Ciphertext {
 		b.DivRoundLimb(i, last, in[s].Limbs[i], cL[s], ct.IsNTT, out[s].Limbs[i])
 	})
 	ks.lastLimbs.Put(buf)
-	return &Ciphertext{C0: out[0], C1: out[1], IsNTT: ct.IsNTT, Scale: ct.Scale}
+	if ct.IsNTT {
+		ks.rec.Add(obs.CounterNTT, uint64(2*(last+1)))
+	}
+	res.IsNTT, res.Scale = ct.IsNTT, ct.Scale
+	return res
 }

@@ -18,13 +18,15 @@ import (
 // The kernel is limb-major. Once the inputs are in coefficient form and the
 // shared y_i = x_i·q̂_i⁻¹ of every source limb exist, limb t of the extended
 // basis is an independent task — raise each digit into it, transform, MAC
-// against the key rows — and so is every limb step of the two ModDowns. A key
-// switch is four such phases with a barrier after each (inputLimb, digitLimb,
-// modDownPLimb, modDownQLimb), every task writes its own limb of the arena
-// (and its goroutine's lane of digit scratch) and runs the same kernels in the
-// same order per limb whoever executes it, so the output does not depend on
-// how many goroutines shared the work: an arena of width 1 loops, a wider one
-// fans the tasks out (fan.go).
+// against the key rows, and, for a P limb, scale both accumulators' limb for
+// the ModDowns — and so is every Q-limb step of the two ModDowns. A key switch
+// is three such phases with a barrier after each (inputLimb, digitLimb,
+// modDownQLimb); the steps around it ride in them (a rotation permutes its C1
+// in the first and its C0 in the last). Every task writes its own limb of the
+// arena (and its goroutine's lane of digit scratch) and runs the same kernels
+// in the same order per limb whoever executes it, so the output does not
+// depend on how many goroutines shared the work: an arena of width 1 loops, a
+// wider one fans the tasks out (fan.go).
 type KeySwitcher struct {
 	params *Parameters
 	alpha  int
@@ -183,16 +185,42 @@ type limbJob struct {
 	out   [2]rns.Poly
 	coeff bool
 	add   [2]bool
+	// foldP makes the digit phase scale each P limb of both accumulators for
+	// the ModDowns as soon as its MAC is done (ModDown.ScaleLimb); without it
+	// the ModDowns run that step as a phase of its own, which the two-key
+	// product needs because it combines the accumulators in between.
+	foldP bool
 	// hoisted is the decomposition DecomposeInto stores to and
 	// ApplyGaloisHoistedInto permutes from.
 	hoisted *Hoisted
-	// src, dst and the automorphism (perm in the NTT domain, g in the
-	// coefficient domain) are the operands of the per-limb steps before and
-	// after a key switch: the permutation of a rotation, the additions that
-	// fold the switched polynomial back in.
+	// perm is a rotation's NTT-slot permutation: the input phase applies it
+	// to the NTT-form input as it brings it to coefficients (or, hoisted, the
+	// digit phase to the stored digits), and where c0 has limbs the b-side
+	// ModDown writes σ(c0) into its output before adding onto it.
+	perm []uint64
+	c0   rns.Poly
+	// fa and fb are the factors of a multiplication (a rescaling one when
+	// rescale is set): the input phase forms their tensor, the degree-0 and
+	// degree-1 parts into prod and the degree-2 part as the input.
+	fa, fb  *Ciphertext
+	prod    [2]rns.Poly
+	rescale bool
+	// src, dst and g are the operands of the repack's coefficient-domain
+	// steps around its key switch (Repacker.addRotated).
 	src, dst [2]rns.Poly
-	perm     []uint64
 	g        uint64
+}
+
+// begin starts an operation of level Q limbs and comps components on the
+// arena: the key-switch fields of the job are reset, with the P-limb scaling
+// folded into the digit phase, and the job is returned for the entry point to
+// fill in.
+func (sc *Scratch) begin(level, comps int) *limbJob {
+	j := &sc.job
+	j.level, j.comps, j.foldP = level, comps, true
+	j.perm, j.c0 = nil, rns.Poly{}
+	j.fa, j.fb, j.prod, j.rescale = nil, nil, [2]rns.Poly{}, false
+	return j
 }
 
 // NewScratch allocates a scratch arena sized for this key switcher's
@@ -290,14 +318,27 @@ func (sc *Scratch) setInput(c int, x rns.Poly, isNTT bool, key, key2 *GadgetCiph
 
 // inputLimb is the first phase, one task per (component, Q limb): bring the
 // limb to coefficient form in the arena if it arrived in NTT form (an
-// out-of-place INTT), then scale it into the y_i every destination limb of
-// its digit's extension shares.
+// out-of-place INTT, after the rotation's permutation where the job has one;
+// a multiplication forms the tensor's limb first), then scale it into the y_i
+// every destination limb of its digit's extension shares.
 func (ks *KeySwitcher) inputLimb(sc *Scratch, t int) {
 	j := &sc.job
 	c, i := sc.pairLimb(t)
 	x := j.in[c].Limbs[i]
-	if j.ntt[c].Limbs != nil {
-		ks.params.QBasis.Rings[i].INTTInto(x, j.ntt[c].Limbs[i])
+	r := ks.params.QBasis.Rings[i]
+	switch {
+	case j.fa != nil:
+		a, b := j.fa, j.fb
+		r.MulCoeffs(a.C0.Limbs[i], b.C0.Limbs[i], j.prod[0].Limbs[i])
+		r.MulCoeffs(a.C0.Limbs[i], b.C1.Limbs[i], j.prod[1].Limbs[i])
+		r.MulCoeffsAndAdd(a.C1.Limbs[i], b.C0.Limbs[i], j.prod[1].Limbs[i])
+		r.MulCoeffs(a.C1.Limbs[i], b.C1.Limbs[i], x)
+		r.INTT(x)
+	case j.perm != nil:
+		r.AutomorphismNTT(j.ntt[c].Limbs[i], j.perm, x)
+		r.INTT(x)
+	case j.ntt[c].Limbs != nil:
+		r.INTTInto(x, j.ntt[c].Limbs[i])
 	}
 	d := ks.digitOf[i]
 	start, end := ks.window(sc, d)
@@ -379,6 +420,26 @@ func (ks *KeySwitcher) digitLimb(sc *Scratch, w, t int) {
 			}
 		}
 		ks.macLimb(sc, lane, idx, nd)
+		ks.limbDone(sc, idx)
+	}
+}
+
+// limbDone is what the digit phase does with QP limb idx of the accumulators
+// once its MAC is done: a P limb of both sides is scaled for the ModDowns,
+// and a rescaling multiplication lifts its last Q limb. Neither waits for
+// another limb.
+func (ks *KeySwitcher) limbDone(sc *Scratch, idx int) {
+	j := &sc.job
+	switch L := ks.params.MaxLevel(); {
+	case !j.foldP:
+	case idx >= L:
+		for s := range sc.acc {
+			ks.modDown.ScaleLimb(idx-L, sc.acc[s].Limbs[idx], sc.md[s])
+		}
+	case j.rescale && idx == j.level-1:
+		for s := range sc.acc {
+			ks.modDown.LiftLastLimb(idx, j.prod[s].Limbs[idx], sc.acc[s].Limbs[idx])
+		}
 	}
 }
 
@@ -409,14 +470,16 @@ func (ks *KeySwitcher) gadgetProduct(sc *Scratch, digitPhase func(*KeySwitcher, 
 	ks.ensureLanes(sc)
 	ks.runLanes(sc, ks.digitTasks(sc), digitPhase)
 	transforms := j.comps * ks.params.DigitsAtLevel(j.level) * (j.level + len(ks.params.P))
-	if j.ntt[0].Limbs != nil { // the components of a job arrive in one form
+	if j.ntt[0].Limbs != nil || j.fa != nil { // the components of a job arrive in one form
 		transforms += j.comps * j.level
 	}
 	ks.rec.Add(obs.CounterNTT, uint64(transforms))
 }
 
-// modDownPLimb is the third phase, one task per (side, P limb): the P part of
-// each accumulator goes to coefficients and is scaled for the P→Q extension.
+// modDownPLimb is the ModDowns' P-limb step as a phase of its own, one task
+// per (side, P limb), for a job whose digit phase did not fold it: the P part
+// of each accumulator goes to coefficients and is scaled for the P→Q
+// extension.
 func (ks *KeySwitcher) modDownPLimb(sc *Scratch, t int) {
 	side, k := 0, t
 	if nP := len(ks.params.P); t >= nP {
@@ -425,12 +488,15 @@ func (ks *KeySwitcher) modDownPLimb(sc *Scratch, t int) {
 	ks.modDown.ScaleLimb(k, sc.acc[side].Limbs[ks.params.MaxLevel()+k], sc.md[side])
 }
 
-// modDownQLimb is the fourth phase, one task per (side, Q limb): extend the P
+// modDownQLimb is the last phase, one task per (side, Q limb): extend the P
 // part into the limb, subtract, multiply by P⁻¹, into the job's output — or
-// onto it.
+// onto it, after writing σ(c0) there for a rotation's b side.
 func (ks *KeySwitcher) modDownQLimb(sc *Scratch, t int) {
 	j := &sc.job
 	side, i := sc.pairLimb(t)
+	if side == 0 && j.c0.Limbs != nil {
+		ks.params.QBasis.Rings[i].AutomorphismNTT(j.c0.Limbs[i], j.perm, j.out[0].Limbs[i])
+	}
 	ks.modDown.FinishLimb(i, sc.acc[side].Limbs[i], j.out[side].Limbs[i], j.coeff, j.add[side], sc.md[side])
 }
 
@@ -442,25 +508,19 @@ var overwrite, accumulate = [2]bool{}, [2]bool{true, true}
 // level, in NTT representation or — with coeff set, via the linear ModDown
 // variant that is bit-identical to INTT of the NTT form — directly in
 // coefficient representation; add[s] adds side s's result to its output (in
-// the output's form) instead, in the same last pass. Either form costs |P|
+// the output's form) instead, in the same last pass. The P limbs are scaled
+// here only if the digit phase did not do it (foldP). Either form costs |P|
 // inverse transforms for the P part plus one transform per Q limb on each
 // side; rns has no recorder, so they are counted here.
 func (ks *KeySwitcher) modDownPair(outB, outA rns.Poly, coeff bool, add [2]bool, sc *Scratch) {
 	j := &sc.job
 	j.out, j.coeff, j.add = [2]rns.Poly{outB, outA}, coeff, add
 	nP := len(ks.params.P)
-	ks.run(sc, 2*nP, (*KeySwitcher).modDownPLimb)
+	if !j.foldP {
+		ks.run(sc, 2*nP, (*KeySwitcher).modDownPLimb)
+	}
 	ks.run(sc, 2*j.level, (*KeySwitcher).modDownQLimb)
 	ks.rec.Add(obs.CounterNTT, uint64(2*(nP+j.level)))
-}
-
-// permuteLimb is the per-limb step before a rotation's key switch, one task
-// per (operand, Q limb) over the job's src/dst pairs: dst = σ(src) as an
-// NTT-slot permutation.
-func (ks *KeySwitcher) permuteLimb(sc *Scratch, t int) {
-	j := &sc.job
-	s, i := sc.pairLimb(t)
-	ks.params.QBasis.Rings[i].AutomorphismNTT(j.src[s].Limbs[i], j.perm, j.dst[s].Limbs[i])
 }
 
 // SwitchPolyInto applies the gadget ciphertext gct to the polynomial c (NTT,
@@ -486,11 +546,17 @@ func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d
 // switchPoly is the key switch in either domain: input and outputs share it.
 // add[s] adds d_s onto the polynomial given for it instead of writing it.
 func (ks *KeySwitcher) switchPoly(c rns.Poly, isNTT bool, gct *GadgetCiphertext, d0, d1 rns.Poly, add [2]bool, sc *Scratch) {
-	sc.job.level, sc.job.comps = c.Level(), 1
+	sc.begin(c.Level(), 1)
 	sc.setInput(0, c, isNTT, gct, nil)
+	ks.keySwitch(d0, d1, !isNTT, add, sc)
+}
+
+// keySwitch runs the job's key switch once its input is set: the gadget
+// product, then both ModDowns.
+func (ks *KeySwitcher) keySwitch(d0, d1 rns.Poly, coeff bool, add [2]bool, sc *Scratch) {
 	ks.rec.Add(obs.CounterKeySwitch, 1)
 	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
-	ks.modDownPair(d0, d1, !isNTT, add, sc)
+	ks.modDownPair(d0, d1, coeff, add, sc)
 }
 
 // Relinearize reduces a degree-2 ciphertext (c0, c1, c2) to degree 1 in
@@ -514,20 +580,67 @@ func (ks *KeySwitcher) Automorphism(ct *Ciphertext, g uint64, gk *GadgetCipherte
 
 // AutomorphismInto is Automorphism writing into the caller-owned out
 // ciphertext (same level as ct; must not alias it) using the scratch arena.
-// This is the allocation-free form of the rotation kernel: σ(C0) lands in
-// out.C0 and σ(C1) in an arena temporary, the key switch reuses the usual
-// decompose→MAC→ModDown buffers, and its b-side ModDown adds onto out.C0. The
-// output is in NTT representation and bit-identical to Automorphism's.
+// This is the allocation-free form of the rotation kernel, in the three
+// phases of a key switch: the input phase permutes each C1 limb into the
+// arena on its way to coefficients, and the b-side ModDown writes σ(C0)'s
+// limb into out.C0 and adds onto it. The words are those of permuting both
+// components first and key-switching σ(C1), and the output is in NTT
+// representation.
 func (ks *KeySwitcher) AutomorphismInto(out, ct *Ciphertext, g uint64, gk *GadgetCiphertext, sc *Scratch) {
-	level := ct.Level()
-	j := &sc.job
-	t1 := sc.t[1].AtLevel(level)
-	j.level, j.perm = level, ks.EnsurePerm(g)
-	j.src, j.dst = [2]rns.Poly{ct.C0, ct.C1}, [2]rns.Poly{out.C0, t1}
-	ks.run(sc, 2*level, (*KeySwitcher).permuteLimb)
-	ks.switchPoly(t1, true, gk, out.C0, out.C1, [2]bool{true, false}, sc)
+	j := sc.begin(ct.Level(), 1)
+	sc.setInput(0, ct.C1, true, gk, nil)
+	j.perm, j.c0 = ks.EnsurePerm(g), ct.C0
+	ks.keySwitch(out.C0, out.C1, false, [2]bool{true, false}, sc)
 	out.IsNTT = true
 	out.Scale = ct.Scale
+}
+
+// MulRelinRescale returns the product of a and b (NTT form) at their common
+// level, relinearized with rlk and rescaled by that level's last modulus: the
+// words of the tensor, then Relinearize, then DivRoundByLastModulus, with the
+// rescale merged into the relinearization's ModDowns (rns.ModDown.RescaleLimb),
+// so that no limb is transformed twice. It runs in four phases: the input
+// phase forms the tensor's limbs beside bringing the degree-2 part to
+// coefficients, the digit phase lifts the last Q limb once its MAC is done,
+// one task per side centres that limb, and one per (side, limb below it)
+// writes the output. The output has the product's scale (the caller divides
+// it) and is the only allocation.
+func (ks *KeySwitcher) MulRelinRescale(a, b *Ciphertext, rlk *GadgetCiphertext) *Ciphertext {
+	level := min(a.Level(), b.Level())
+	if level < 2 {
+		panic("rlwe: cannot rescale a single-limb product")
+	}
+	out := NewCiphertext(ks.params, level-1)
+	sc := ks.getScratch()
+	j := sc.begin(level, 1)
+	sc.setInput(0, sc.c[0].AtLevel(level), false, rlk, nil)
+	j.fa, j.fb, j.rescale = a, b, true
+	j.prod = [2]rns.Poly{sc.t[0].AtLevel(level), sc.t[1].AtLevel(level)}
+	j.out = [2]rns.Poly{out.C0, out.C1}
+	ks.rec.Add(obs.CounterKeySwitch, 1)
+	ks.gadgetProduct(sc, (*KeySwitcher).digitLimb)
+	ks.run(sc, 2, (*KeySwitcher).centreLimb)
+	ks.run(sc, 2*(level-1), (*KeySwitcher).rescaleLimb)
+	ks.rec.Add(obs.CounterNTT, uint64(2*(len(ks.params.P)+level)))
+	ks.putScratch(sc)
+	out.Scale = a.Scale * b.Scale
+	return out
+}
+
+// centreLimb is a rescaling multiplication's third phase, one task per side:
+// the last Q limb of the ModDown's result, centred.
+func (ks *KeySwitcher) centreLimb(sc *Scratch, s int) {
+	last := sc.job.level - 1
+	ks.modDown.CentreLimb(last, sc.acc[s].Limbs[last], sc.md[s])
+}
+
+// rescaleLimb is its last phase, one task per (side, Q limb below the last):
+// the output limb.
+func (ks *KeySwitcher) rescaleLimb(sc *Scratch, t int) {
+	j := &sc.job
+	last := j.level - 1
+	s, i := t/last, t%last
+	ks.modDown.RescaleLimb(i, last, j.prod[s].Limbs[i], sc.acc[s].Limbs[i], j.out[s].Limbs[i], sc.md[s])
 }
 
 // Hoisted holds the gadget decomposition of one ciphertext component,
@@ -587,6 +700,7 @@ func (ks *KeySwitcher) hoistedLimb(sc *Scratch, w, t int) {
 			r.AutomorphismNTT(j.hoisted.digs[d].Limbs[idx], j.perm, lane.digs[d])
 		}
 		ks.macLimb(sc, lane, idx, nd)
+		ks.limbDone(sc, idx)
 	}
 }
 
@@ -594,7 +708,7 @@ func (ks *KeySwitcher) hoistedLimb(sc *Scratch, w, t int) {
 // limbs), extended over the full QP basis.
 func (ks *KeySwitcher) DecomposeInto(h *Hoisted, c rns.Poly, sc *Scratch) {
 	h.level = c.Level()
-	sc.job.level, sc.job.comps, sc.job.hoisted = h.level, 1, h
+	sc.begin(h.level, 1).hoisted = h
 	sc.setInput(0, c, true, nil, nil)
 	ks.gadgetProduct(sc, (*KeySwitcher).decomposeLimb)
 }
@@ -616,11 +730,9 @@ func (ks *KeySwitcher) Decompose(c rns.Poly) *Hoisted {
 // the ciphertext h was decomposed from, at the same level; out must not
 // alias ct.
 func (ks *KeySwitcher) ApplyGaloisHoistedInto(out, ct *Ciphertext, h *Hoisted, g uint64, gk *GadgetCiphertext, sc *Scratch) {
-	j := &sc.job
-	j.level, j.comps, j.hoisted, j.perm = h.level, 1, h, ks.EnsurePerm(g)
+	j := sc.begin(h.level, 1)
+	j.hoisted, j.perm, j.c0 = h, ks.EnsurePerm(g), ct.C0
 	j.key, j.key2 = [2]*GadgetCiphertext{gk}, [2]*GadgetCiphertext{}
-	j.src[0], j.dst[0] = ct.C0, out.C0
-	ks.run(sc, h.level, (*KeySwitcher).permuteLimb)
 	ks.rec.Add(obs.CounterKeySwitch, 1)
 	ks.ensureLanes(sc)
 	ks.runLanes(sc, ks.digitTasks(sc), (*KeySwitcher).hoistedLimb)
@@ -684,15 +796,17 @@ func (ks *KeySwitcher) externalProduct(out, ct *Ciphertext, rgsw *RGSWCiphertext
 // decomposeCiphertext is the gadget product of an external product, counted
 // as one: ct's components are decomposed against rgsw into the accumulators
 // — and, when second is given, against it too, into the arena's second pair.
-// A zero C1 (in either representation) is left out.
+// A zero C1 (in either representation) is left out. A two-key product's P
+// limbs are scaled by its ModDowns, after the combine.
 func (ks *KeySwitcher) decomposeCiphertext(ct *Ciphertext, rgsw, second *RGSWCiphertext, sc *Scratch) {
-	sc.job.level, sc.job.comps = ct.Level(), 2
+	j := sc.begin(ct.Level(), 2)
 	if ct.C1.IsZero() {
-		sc.job.comps = 1
+		j.comps = 1
 	}
 	var k2 [2]*GadgetCiphertext
 	if second != nil {
 		k2 = [2]*GadgetCiphertext{second.C0, second.C1}
+		j.foldP = false // the combine runs between the MACs and the ModDowns
 	}
 	sc.setInput(0, ct.C0, ct.IsNTT, rgsw.C0, k2[0])
 	sc.setInput(1, ct.C1, ct.IsNTT, rgsw.C1, k2[1])

@@ -227,9 +227,9 @@ func (rp *Repacker) addRotated(dst *Ciphertext, src [2]rns.Poly, g uint64, gk *G
 	ks.run(sc, level, (*KeySwitcher).automorphAddLimb) // C0 += σ_g(src[0])
 }
 
-// automorphLimb is permuteLimb in the coefficient domain, and
-// automorphAddLimb its accumulating form: dst = σ_g(src) and dst += σ_g(src),
-// σ_g a signed permutation of the coefficients.
+// automorphLimb and its accumulating form automorphAddLimb are the repack's
+// per-limb steps around its key switch, one task per Q limb: dst = σ_g(src)
+// and dst += σ_g(src), σ_g a signed permutation of the coefficients.
 func (ks *KeySwitcher) automorphLimb(sc *Scratch, t int) {
 	j := &sc.job
 	s, i := sc.pairLimb(t)

@@ -212,17 +212,54 @@ type ModDown struct {
 	qBasis, pBasis *Basis
 	ext            *Extender // P → Q
 	pInvModQ       []uint64  // P^{-1} mod q_i
+	pModQ          []uint64  // P mod q_i
+	// rescale[last][i], i < last, holds the constants of Q limb i in a ModDown
+	// that also divides by q_last (RescaleLimb).
+	rescale [][]rescaleConsts
 }
 
-// NewModDown precomputes ModDown tables for dividing by ∏ pBasis.
+// rescaleConsts are one limb's constants of a rescaling ModDown, all mod q_i:
+// the |P|+2 fixed operands of E (the P→Q extension weights, P, and
+// −P·q_last), and the three of the output (q_last⁻¹, and ±(P·q_last)⁻¹).
+type rescaleConsts struct {
+	e, out *ring.FixedOperands
+}
+
+// NewModDown precomputes ModDown tables for dividing by ∏ pBasis, and for
+// dividing by ∏ pBasis times any one Q limb above the first.
 func NewModDown(qBasis, pBasis *Basis) *ModDown {
 	md := &ModDown{qBasis: qBasis, pBasis: pBasis, ext: NewExtender(pBasis, qBasis)}
 	bigP := pBasis.Modulus()
+	mod := func(x *big.Int, q uint64) uint64 {
+		return new(big.Int).Mod(x, new(big.Int).SetUint64(q)).Uint64()
+	}
 	md.pInvModQ = make([]uint64, qBasis.Level())
-	for i := range md.pInvModQ {
-		qi := qBasis.Rings[i].Mod.Q
-		pModQi := new(big.Int).Mod(bigP, new(big.Int).SetUint64(qi)).Uint64()
-		md.pInvModQ[i] = qBasis.Rings[i].Mod.InvMod(pModQi)
+	md.pModQ = make([]uint64, qBasis.Level())
+	for i, ri := range qBasis.Rings {
+		md.pModQ[i] = mod(bigP, ri.Mod.Q)
+		md.pInvModQ[i] = ri.Mod.InvMod(md.pModQ[i])
+	}
+	// extW[i] are the P→Q extension weights P/p_k mod q_i, to which a
+	// rescaling ModDown appends two of its own.
+	extW := make([][]uint64, qBasis.Level())
+	for i, ri := range qBasis.Rings {
+		for _, pk := range pBasis.Rings {
+			extW[i] = append(extW[i], mod(new(big.Int).Div(bigP, new(big.Int).SetUint64(pk.Mod.Q)), ri.Mod.Q))
+		}
+	}
+	md.rescale = make([][]rescaleConsts, qBasis.Level())
+	for last := 1; last < qBasis.Level(); last++ {
+		qLast := qBasis.Rings[last].Mod.Q
+		md.rescale[last] = make([]rescaleConsts, last)
+		for i, ri := range qBasis.Rings[:last] {
+			m := ri.Mod
+			pq := m.MulMod(md.pModQ[i], qLast%m.Q)
+			pqInv := m.InvMod(pq)
+			md.rescale[last][i] = rescaleConsts{
+				e:   ri.NewFixedOperands(append(extW[i][:len(extW[i]):len(extW[i])], md.pModQ[i], m.SubMod(0, pq))),
+				out: ri.NewFixedOperands([]uint64{m.InvMod(qLast % m.Q), pqInv, m.SubMod(0, pqInv)}),
+			}
+		}
 	}
 	return md
 }
@@ -230,15 +267,22 @@ func NewModDown(qBasis, pBasis *Basis) *ModDown {
 // ModDownScratch holds the intermediates of one ModDown: the scaled
 // coefficient-form P part every Q limb reads, and one limb per Q limb for the
 // P→Q extension. One per worker keeps the ModDown kernel allocation-free; two
-// ModDowns whose limb steps interleave need one each.
+// ModDowns whose limb steps interleave need one each. A rescaling ModDown
+// also keeps its last limb's centred coefficients here, in two more limbs
+// allocated on its first use.
 type ModDownScratch struct {
 	ys  []ring.Poly
 	ext Poly
+	// terms is ys followed by the rescale's z and its centring bit: the
+	// operands of RescaleLimb's one dot product.
+	terms []ring.Poly
 }
 
 // NewScratch allocates ModDown scratch sized for this converter's bases.
 func (md *ModDown) NewScratch() *ModDownScratch {
-	return &ModDownScratch{ys: md.pBasis.NewPoly().Limbs, ext: md.qBasis.NewPoly()}
+	nP := md.pBasis.Level()
+	terms := append(md.pBasis.NewPoly().Limbs, nil, nil)
+	return &ModDownScratch{ys: terms[:nP:nP], ext: md.qBasis.NewPoly(), terms: terms}
 }
 
 // ApplyWith computes out ≈ round(c / P) mod Q where c is given as cQ (its
@@ -311,4 +355,62 @@ func (md *ModDown) FinishLimb(i int, cQi, out ring.Poly, coeff, add bool, sc *Mo
 	} else {
 		ri.SubMulScalar(x, ext, md.pInvModQ[i], out)
 	}
+}
+
+// A rescaling ModDown divides by P·q_last at once: it is the ModDown of a
+// polynomial c + x/P (c over Q, x over Q‖P — a relinearization that adds onto
+// the tensor's c) followed by the rescale by q_last, word for word, with its
+// steps merged so that no limb is transformed twice. With z the coefficients
+// of limb last of the ModDown's result, which the rescale's rounding reads
+// centred, the output limb i < last is
+//
+//	c_i·q_last⁻¹ + (x_i − NTT(E_i))·(P·q_last)⁻¹,  E_i = ext_P(i) + P·[z]_{q_i},
+//
+// every step exact on canonical residues. The steps are LiftLastLimb and
+// ScaleLimb (any order, as their limbs are done), then CentreLimb, then
+// RescaleLimb per limb (DESIGN.md "Rescale inside the ModDown").
+
+// LiftLastLimb is the rescaling ModDown's first step for limb last: x ← INTT(x
+// + c·P), both NTT on entry, which is the limb of the ModDown's result times P
+// before the extension is subtracted. c is consumed: it is scaled in place.
+func (md *ModDown) LiftLastLimb(last int, c, x ring.Poly) {
+	r := md.qBasis.Rings[last]
+	r.MulScalar(c, md.pModQ[last], c)
+	r.Add(x, c, x)
+	r.INTT(x)
+}
+
+// CentreLimb is the rescaling ModDown's step for limb last, once every P limb
+// is scaled: z = (x − ext_P(last))·P⁻¹ from LiftLastLimb's x, and the bit
+// z > q_last/2 that centres it as DivRoundLimb does, both kept in sc for
+// RescaleLimb.
+func (md *ModDown) CentreLimb(last int, x ring.Poly, sc *ModDownScratch) {
+	nP, n := len(sc.ys), len(x)
+	if sc.terms[nP] == nil {
+		sc.terms[nP], sc.terms[nP+1] = make(ring.Poly, n), make(ring.Poly, n)
+	}
+	z, bit := sc.terms[nP], sc.terms[nP+1]
+	r := md.qBasis.Rings[last]
+	ext := sc.ext.Limbs[last]
+	md.ext.ExtendLimb(sc.ys, last, ext)
+	r.SubMulScalar(x, ext, md.pInvModQ[last], z)
+	half := r.Mod.Q >> 1
+	for j, v := range z {
+		bit[j] = (half - v) >> 63
+	}
+}
+
+// RescaleLimb is the rescaling ModDown's step for Q limb i < last, once
+// CentreLimb is done: out = c·q_last⁻¹ + (x − NTT(E))·(P·q_last)⁻¹ with c and x
+// (NTT) the limb's, E = ext_P(i) + P·z − P·q_last·bit. Each side of the
+// transform is one dot product: |P| + 2 terms form E, three form out. It
+// writes out and limb i of the scratch only, so the limbs below last are
+// independent tasks. out may not alias c or x.
+func (md *ModDown) RescaleLimb(i, last int, c, x, out ring.Poly, sc *ModDownScratch) {
+	r := md.qBasis.Rings[i]
+	k := &md.rescale[last][i]
+	e := sc.ext.Limbs[i]
+	r.DotFixed(sc.terms, k.e, e)
+	r.NTT(e)
+	r.DotFixed([]ring.Poly{c, x, e}, k.out, out)
 }
