@@ -53,10 +53,13 @@ bench-module:
 # frames, join/leave churn, kill-mid-key-upload resume, hedged dispatch, the
 # queue's task and batch sizing and the cluster-members gauge. Every scenario
 # checks the distributed result bit-exact against a local bootstrap and
-# asserts no goroutine leaks.
+# asserts no goroutine leaks. The key-cold cases hold both receivers of the
+# key stream to key-done: a cold node gets no batch before it, and heapd
+# refuses a done whose CRC is not the offer's.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),

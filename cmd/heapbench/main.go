@@ -204,7 +204,7 @@ func runTraceLocal(tracePath string) error {
 //     chunks in. The primary's health machinery marks the member dead and
 //     the run completes without it.
 //  3. Resume + graceful drain: the dead node rejoins under the same name —
-//     its key stash survived the connection, so the upload resumes from the
+//     its key receiver survived the connection, so the upload resumes from the
 //     last acked chunk instead of restarting — while another node joins with
 //     a pending leave request and is drained. The receiver-side unique-chunk
 //     counters prove no byte of the key was re-received.

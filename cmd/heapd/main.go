@@ -1,5 +1,5 @@
 // Command heapd is the bootstrap-as-a-service daemon: it listens for tenant
-// connections speaking the cluster's v4 frame protocol, resolves each
+// connections speaking the cluster's v5 frame protocol, resolves each
 // tenant's blind-rotate key from a concurrent-safe LRU registry (keys arrive
 // over the resumable chunked key-stream upload), fans each batch's rotations
 // over every core, and coalesces the same-tenant jobs that queue behind a

@@ -33,9 +33,9 @@
 //     first result wins an atomic per-index claim and the loser's stream is
 //     cancelled at completion.
 //   - Chunked resumable key streaming (keystream.go): a cold joiner
-//     receives the blind-rotate key in CRC-framed acked chunks, resumes
-//     from the last acked chunk after a mid-upload kill, and can serve
-//     prefix-bounded shards while the tail is still in flight.
+//     receives the blind-rotate key in CRC-framed acked chunks and resumes
+//     from the last acked chunk after a mid-upload kill. It gets no work
+//     until its whole key is in.
 //
 // A bootstrap therefore always completes — bit-identical to local execution
 // — as long as the primary itself survives, degrading gracefully to pure
@@ -70,10 +70,10 @@ import (
 type Secondary struct {
 	Boot *core.Bootstrapper
 
-	// stash is the resumable key-upload state; it survives connections, so
-	// a node killed mid-upload resumes from its last acked chunk after
-	// rejoining.
-	stash keyStash
+	// keys receives a streamed key. It survives connections, so a node
+	// killed mid-upload resumes from its last acked chunk after rejoining.
+	keys     *KeyReceiver
+	keysOnce sync.Once
 	// leaving requests a graceful drain: the next frame that would start
 	// work is answered with a leave frame instead.
 	leaving atomic.Bool
@@ -84,14 +84,12 @@ type Secondary struct {
 // whatever was pending, and the serve loop exits.
 func (s *Secondary) RequestLeave() { s.leaving.Store(true) }
 
-// localHello is the node's hello with the key-warm flag reflecting the
-// stash state (a node mid-upload holds a partial key but is not warm).
-func (s *Secondary) localHello() Hello {
-	h := HelloFor(s.Boot)
-	if !s.fullyWarm() {
-		h.Flags &^= helloFlagKeyWarm
-	}
-	return h
+// keyReceiver returns the node's key receiver, made on first use.
+func (s *Secondary) keyReceiver() *KeyReceiver {
+	s.keysOnce.Do(func() {
+		s.keys = NewKeyReceiver(s.Boot.Params.Parameters, LWEDim(s.Boot), s.Boot.BinaryKey())
+	})
+	return s.keys
 }
 
 // Serve processes batches until shutdown or connection close. The first
@@ -104,7 +102,7 @@ func (s *Secondary) localHello() Hello {
 // paper's "a secondary FPGA starts sending the resultant ciphertext ... as
 // soon as the BlindRotate operation is completed".
 func (s *Secondary) Serve(conn io.ReadWriter) error {
-	local := s.localHello()
+	local := HelloFor(s.Boot)
 	maxPayload := s.maxServePayload()
 
 	// Handshake: hello in, hello out. A bare shutdown of a never-used
@@ -223,37 +221,29 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 				return err
 			}
 			rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
-		case FrameKeyOffer:
-			if err := s.handleKeyOffer(conn, f, rec); err != nil {
+		case FrameKeyOffer, FrameKeyChunk, FrameKeyDone:
+			// The key is installed once, at key-done.
+			reply, key, err := s.keyReceiver().Receive(f, rec)
+			if err == nil && key != nil {
+				err = s.Boot.SetBlindRotateKey(key)
+			}
+			if err != nil {
 				return fail(err)
 			}
-		case FrameKeyChunk:
-			if err := s.handleKeyChunk(conn, f, rec); err != nil {
-				return fail(err)
+			if err := WriteFrame(conn, reply); err != nil {
+				return err
 			}
-		case FrameKeyDone:
-			if err := s.handleKeyDone(conn, f, rec); err != nil {
-				return fail(err)
-			}
+			rec.Add(obs.CounterBytesFramed, WireSize(len(reply.Payload)))
 		case FrameBatch:
 			if s.leaving.Load() {
 				return sendLeave()
 			}
+			if !s.Boot.HasBlindRotateKey() {
+				return fail(fmt.Errorf("cluster: batch %d before the blind-rotate key is in", f.Shard))
+			}
 			idxs, lwes, err := DecodeBatch(f.Payload, maxBatch, dim, twoN)
 			if err != nil {
 				return fail(err)
-			}
-			// Warm gating: a batch whose masks reach past the streamed key
-			// prefix is refused (not failed) — the primary requeues it and
-			// keeps prefix-bounded work coming while the upload continues.
-			if need := batchNeedDim(lwes, twoN); need > s.warmRecords() {
-				payload := make([]byte, 4)
-				putU32(payload, uint32(s.warmRecords()))
-				if err := WriteFrame(conn, &Frame{Kind: frameBatchRefused, Shard: f.Shard, Payload: payload}); err != nil {
-					return err
-				}
-				rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-				continue
 			}
 			// The batch frame's seq field carries the primary's deadline
 			// budget in milliseconds (0 = none): work the node cannot finish
@@ -329,33 +319,6 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 	}
 }
 
-// batchNeedDim is the minimal key coverage a batch needs: the largest LWE
-// mask index with a nonzero coefficient, plus one. The blind-rotate kernel
-// skips zero mask coefficients, so a node whose streamed key prefix covers
-// this much can serve the batch while the rest of the key is in flight.
-func batchNeedDim(lwes []*rlwe.LWECiphertext, twoN uint64) int {
-	need := 0
-	for _, lwe := range lwes {
-		for i := len(lwe.A) - 1; i >= need; i-- {
-			if lwe.A[i]%twoN != 0 {
-				need = i + 1
-				break
-			}
-		}
-	}
-	return need
-}
-
-// lweNeedDim is batchNeedDim for a single prepared ciphertext.
-func lweNeedDim(lwe *rlwe.LWECiphertext, twoN uint64) int {
-	for i := len(lwe.A) - 1; i >= 0; i-- {
-		if lwe.A[i]%twoN != 0 {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // Primary drives a distributed bootstrap over a set of connections to
 // secondaries. With zero connections (or zero healthy ones) it degrades to
 // local execution.
@@ -379,9 +342,6 @@ type runState struct {
 	// only the winner stores the accumulator, advances the queue, and feeds
 	// the merge sink. Losers are counted as wasted hedges.
 	claims []atomic.Bool
-	// needDim[i] is the minimal key coverage index i's rotation needs — the
-	// prefix-dispatch bound for partially warm joiners.
-	needDim []int
 
 	mu          sync.Mutex // guards stats, flights, ests, activeConns, keyHigh
 	flights     map[int]*flight
@@ -539,15 +499,10 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		opts:      opts,
 		m:         m,
 		claims:    make([]atomic.Bool, n),
-		needDim:   make([]int, n),
 		flights:   make(map[int]*flight),
 		hedgedIdx: make(map[int]bool),
 		ests:      make(map[*NodeStats]*latEstimator),
 		keyHigh:   make(map[string]uint32),
-	}
-	twoN := uint64(2 * p.Boot.Params.N())
-	for i, lwe := range prep.LWEs {
-		rs.needDim[i] = lweNeedDim(lwe, twoN)
 	}
 	if opts.HedgeAfter > 0 {
 		rs.activeConns = make(map[io.ReadWriter]int)
@@ -694,7 +649,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 }
 
 // hedgeMonitor watches in-flight indices and speculatively requeues any
-// that age past max(HedgeAfter, HedgeMultiplier × the owning node's p99
+// that age past max(HedgeAfter, hedgeMultiplier × the owning node's p99
 // per-index latency). Each index is hedged at most once per run; the claim
 // table arbitrates the race.
 func (rs *runState) hedgeMonitor(stop <-chan struct{}) {
@@ -721,7 +676,7 @@ func (rs *runState) hedgeMonitor(stop <-chan struct{}) {
 			}
 			thr := rs.opts.HedgeAfter
 			if est := rs.ests[fl.ns]; est != nil {
-				if byP99 := time.Duration(rs.opts.HedgeMultiplier) * est.p99(); byP99 > thr {
+				if byP99 := hedgeMultiplier * est.p99(); byP99 > thr {
 					thr = byP99
 				}
 			}
@@ -776,23 +731,20 @@ func (s *accSink) takeErr() error {
 	return s.err
 }
 
-// Dispatch sentinels: conditions runNode handles as drains rather than
-// failures.
-var (
-	errNodeLeft     = errors.New("cluster: node requested leave")
-	errBatchRefused = errors.New("cluster: node refused batch (not key-warm enough)")
-)
+// errNodeLeft is the dispatch sentinel runNode handles as a drain rather
+// than a failure.
+var errNodeLeft = errors.New("cluster: node requested leave")
 
 // runNode feeds one secondary until the queue drains or the node
-// permanently fails, reassigning whatever it could not finish. For cold
-// membership joiners it first streams the blind-rotate key (resumable,
-// interleaving prefix-bounded work between chunks); on idle connections it
-// exchanges health probes, draining the node after K consecutive misses.
+// permanently fails, reassigning whatever it could not finish. A cold
+// membership joiner is first sent the whole blind-rotate key (resumable);
+// on idle connections it exchanges health probes, draining the node after K
+// consecutive misses.
 func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane int, rs *runState) {
 	q, opts := rs.q, rs.opts
 	conn := node.Conn
 	handshaken := node.joined // join handshake already covered params
-	rng := &splitmix{s: opts.JitterSeed ^ hashName(ns.Name)}
+	rng := &splitmix{s: jitterSeed ^ hashName(ns.Name)}
 	var batch uint32
 	attempts := 0
 	probeMisses := 0
@@ -871,14 +823,10 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 		return q.fill(task, parts, p.Boot.Params.N())
 	}
 
-	// Cold joiners: stream the key before (and interleaved with) work.
+	// Cold joiners: the whole key goes over before any work.
 	if node.needsKey && conn != nil {
-		if err := p.uploadKey(node, ns, lane, conn, rs, &batch); err != nil {
-			if errors.Is(err, errNodeLeft) {
-				leave(nil)
-			} else {
-				giveUp(nil, fmt.Errorf("key upload: %w", err))
-			}
+		if err := p.uploadKey(ns, conn, rs); err != nil {
+			giveUp(nil, fmt.Errorf("key upload: %w", err))
 			return
 		}
 		node.needsKey = false
@@ -946,17 +894,6 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 		if errors.Is(err, errNodeLeft) {
 			leave(task)
 			return
-		}
-		if errors.Is(err, errBatchRefused) {
-			// The node is not key-warm enough for this task. Requeue it for
-			// someone else and back off briefly — the connection is fine.
-			q.push(rs.pendingOf(task))
-			if !sleepBackoff(ctx, q, backoff(opts, 1, rng)) {
-				return
-			}
-			resend = false
-			task = pop()
-			continue
 		}
 
 		// The stream is unrecoverable mid-batch: drop the conn, keep the
@@ -1027,19 +964,12 @@ func (p *Primary) probeNode(conn io.ReadWriter, rng *splitmix, opts Options) err
 }
 
 // uploadKey streams the blind-rotate key to a cold joiner, resuming from
-// the receiver's last acked chunk, and dispatches prefix-bounded tasks
-// between chunks so the joiner serves shards for the keys it already holds
-// while the rest of the key is in flight.
-func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWriter, rs *runState, batch *uint32) error {
+// the receiver's last acked chunk.
+func (p *Primary) uploadKey(ns *NodeStats, conn io.ReadWriter, rs *runState) error {
 	blob, crc, err := rs.keyBlobBytes(p)
 	if err != nil {
 		return err
 	}
-	params := p.Boot.Params.Parameters
-	recSize := tfhe.BRKRecordBytes(params, p.Boot.BinaryKey())
-	hdrSize := tfhe.BRKBlobBytes(params, 0, p.Boot.BinaryKey())
-	dim := LWEDim(p.Boot)
-
 	rs.mu.Lock()
 	high := rs.keyHigh[ns.Name]
 	rs.mu.Unlock()
@@ -1048,36 +978,7 @@ func (p *Primary) uploadKey(node *Node, ns *NodeStats, lane int, conn io.ReadWri
 		rs.keyHigh[ns.Name] = high
 		rs.mu.Unlock()
 	}()
-
-	onAck := func(ackedChunks int) error {
-		ackedBytes := ackedChunks * rs.opts.KeyChunkBytes
-		if ackedBytes > len(blob) {
-			ackedBytes = len(blob)
-		}
-		warm := (ackedBytes - hdrSize) / recSize
-		if warm < 0 {
-			warm = 0
-		}
-		if warm > dim {
-			warm = dim
-		}
-		for {
-			task := rs.q.popBounded(rs.needDim, warm)
-			if task == nil {
-				return nil
-			}
-			err := p.dispatchBatch(conn, *batch, lane, false, task, ns, rs)
-			*batch++
-			if err != nil {
-				rs.q.push(rs.pendingOf(task))
-				if errors.Is(err, errBatchRefused) {
-					return nil // keep uploading; the bound was optimistic
-				}
-				return err
-			}
-		}
-	}
-	return sendKey(conn, blob, crc, rs.opts, p.Boot.Recorder(), &high, onAck)
+	return sendKey(conn, blob, crc, rs.opts, p.Boot.Recorder(), &high)
 }
 
 // runLocal is the primary's own compute: it drains queue tasks — its share
@@ -1270,11 +1171,6 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 		switch f.Kind {
 		case FrameError:
 			return fmt.Errorf("cluster: remote failure: %s", f.Payload)
-		case frameBatchRefused:
-			if seq != 0 {
-				return fmt.Errorf("cluster: batch refused after %d accumulators", seq)
-			}
-			return errBatchRefused
 		case FrameAcc:
 			if int(f.Seq) != seq {
 				return fmt.Errorf("cluster: partial accumulator stream: seq %d, want %d", f.Seq, seq)

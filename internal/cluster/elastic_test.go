@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"hash/crc32"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -309,7 +311,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 		t.Fatalf("kill-mid-upload landed outside the upload: %d of %d chunks received", got, chunkCount)
 	}
 
-	// Rejoin under the same name: the stash on the Secondary survived the
+	// Rejoin under the same name: the key receiver on the Secondary survived the
 	// connection, so the resume point is whatever was acked.
 	conn2, err := l.Dial()
 	if err != nil {
@@ -326,7 +328,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	// The rejoin races the tail of the run; if the queue drained before the
 	// join consumer saw it, the node is still waiting in the membership —
 	// a second elastic run picks it up and completes the resumed upload.
-	if !cold.fullyWarm() {
+	if !cold.Boot.HasBlindRotateKey() {
 		r2 := <-func() chan runResult {
 			ch := make(chan runResult, 1)
 			go func() {
@@ -340,7 +342,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 		}
 		check(t, r2.out)
 	}
-	if !cold.fullyWarm() {
+	if !cold.Boot.HasBlindRotateKey() {
 		t.Fatal("cold node never became key-warm")
 	}
 
@@ -543,6 +545,175 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 		t.Fatal("the injected cut never fired")
 	}
 	_ = fc.Close()
+	_ = l.Close()
+	<-acceptDone
+	assertNoGoroutineLeak(t, before)
+}
+
+// TestKeyColdSecondaryFailsEarlyBatch: a key-cold secondary installs its key
+// once, at key-done, so a batch that arrives mid-upload is failed with an
+// error frame and the node stays key-cold. (Protocol v4 answered it with a
+// batch-refused frame and kept the connection.)
+func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
+	fixture(t)
+	cold := &Secondary{Boot: fixtureNode(t, 0, true)}
+	cp, cs := net.Pipe()
+	defer cp.Close()
+	served := make(chan error, 1)
+	go func() { served <- cold.Serve(cs) }()
+	if err := (&Primary{Boot: fx.bt}).handshake(cp, testOptions()); err != nil {
+		t.Fatal(err)
+	}
+	exchange := func(f *Frame) *Frame {
+		t.Helper()
+		if err := WriteFrame(cp, f); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadFrame(cp, MaxErrorPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	// Half an upload: the offer and its first chunk.
+	var blob bytes.Buffer
+	if _, err := fx.bt.BlindRotateKey().WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 16 << 10
+	offer := KeyOffer{
+		TotalSize:  uint64(blob.Len()),
+		ChunkSize:  chunk,
+		ChunkCount: uint32((blob.Len() + chunk - 1) / chunk),
+		BlobCRC:    crc32.ChecksumIEEE(blob.Bytes()),
+	}
+	if r := exchange(&Frame{Kind: FrameKeyOffer, Payload: offer.encode()}); r.Kind != FrameKeyResume {
+		t.Fatalf("offer answered with frame kind %#x: %s", r.Kind, r.Payload)
+	}
+	if r := exchange(&Frame{Kind: FrameKeyChunk, Payload: blob.Bytes()[:chunk]}); r.Kind != FrameKeyAck {
+		t.Fatalf("chunk answered with frame kind %#x: %s", r.Kind, r.Payload)
+	}
+
+	payload, err := EncodeBatch([]int{0}, fx.bt.Prepare(fx.ct.CopyNew()).LWEs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := exchange(&Frame{Kind: FrameBatch, Shard: 7, Payload: payload}); r.Kind != FrameError {
+		t.Fatalf("batch before key-done answered with frame kind %#x, want an error frame", r.Kind)
+	}
+	if err := <-served; err == nil {
+		t.Fatal("the serve loop accepted a batch before key-done")
+	}
+	if cold.Boot.HasBlindRotateKey() {
+		t.Fatal("a half-uploaded key was installed")
+	}
+}
+
+// gateRecorder holds every shard-lane blind rotation on the node it is
+// installed on until release is closed.
+type gateRecorder struct {
+	obs.Nop
+	release chan struct{}
+}
+
+func (g *gateRecorder) Begin(s obs.Stage, lane int) obs.Token {
+	if s == obs.StageBlindRotate && lane != obs.LanePipeline {
+		<-g.release
+	}
+	return 0
+}
+
+// TestKeyColdJoinerGetsKeyDoneFirst scripts a key-cold joiner that acks every
+// chunk, while the primary's local worker is held so that work stays
+// queued: the joiner must see key-done before its first batch. (Before
+// protocol v5 the primary dispatched between chunks, and the last chunk's
+// ack — the whole key held, key-done not yet sent — already drew a batch.)
+func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
+	fixture(t)
+	before := runtime.NumGoroutine()
+	gate := &gateRecorder{release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	fx.bt.SetRecorder(gate)
+	defer fx.bt.SetRecorder(nil)
+
+	m := NewMembership()
+	l := NewPipeListener()
+	pr := &Primary{Boot: fx.bt}
+	acceptDone := make(chan struct{})
+	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
+
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := HelloFor(fx.bt)
+	hello.Flags &^= helloFlagKeyWarm
+	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(hello, "scripted")}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(conn, MaxErrorPayload); err != nil || f.Kind != FrameJoinAck {
+		t.Fatalf("join: %v", err)
+	}
+
+	// The peer answers the key stream and stops at its first batch.
+	type seen struct{ batch, doneBefore bool }
+	peer := make(chan seen, 1)
+	go func() {
+		defer release()
+		defer closeConn(conn)
+		var s seen
+		defer func() { peer <- s }()
+		var crc uint32
+		maxPayload := maxInt(BatchPayloadBound(fx.params.N(), LWEDim(fx.bt)), MaxKeyChunkPayload)
+		for {
+			f, err := ReadFrame(conn, maxPayload)
+			if err != nil {
+				return
+			}
+			reply := &Frame{Kind: f.Kind, Payload: f.Payload}
+			switch f.Kind {
+			case FrameKeyOffer:
+				o, err := decodeKeyOffer(f.Payload)
+				if err != nil {
+					return
+				}
+				crc = o.BlobCRC
+				reply = &Frame{Kind: FrameKeyResume, Payload: encodeKeyResume(0, crc)}
+			case FrameKeyChunk:
+				reply = &Frame{Kind: FrameKeyAck, Payload: encodeKeyResume(f.Seq+1, crc)}
+			case FrameKeyDone:
+				s.doneBefore = true
+			case FrameBatch:
+				s.batch = true
+				return
+			}
+			if err := WriteFrame(conn, reply); err != nil {
+				return
+			}
+		}
+	}()
+	for {
+		if _, ok := m.State("scripted"); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	opts := testOptions()
+	opts.LocalWorkers = 1
+	opts.KeyChunkBytes = 16 << 10
+	out, _, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, out)
+	if s := <-peer; !s.batch || !s.doneBefore {
+		t.Fatalf("cold joiner saw a batch: %v, key-done before it: %v", s.batch, s.doneBefore)
+	}
+
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)

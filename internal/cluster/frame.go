@@ -45,7 +45,9 @@ const (
 	// resumable blind-rotate key streaming channel. Version 4 streams the
 	// format-4 key blob (tfhe/serial.go), whose binary-key records carry the
 	// Plus row only — a v3 peer would size and parse them as Plus+Minus pairs.
-	ProtocolVersion = uint32(4)
+	// Version 5 retires the batch-refused reply: a key-cold node gets no
+	// batch until key-done, and fails one that comes before it.
+	ProtocolVersion = uint32(5)
 
 	frameHeaderSize  = 20
 	frameTrailerSize = 4
@@ -71,12 +73,11 @@ const (
 	FrameShutdown = uint32(0xB007_00FF)
 
 	// Elastic membership (v3).
-	FrameProbe        = uint32(0xB007_0010) // either way: liveness probe (8-byte nonce)
-	FrameProbeAck     = uint32(0xB007_0011) // echo of a probe's nonce
-	FrameJoin         = uint32(0xB007_0012) // secondary → primary: hello + node name
-	FrameJoinAck      = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
-	FrameLeave        = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
-	frameBatchRefused = uint32(0xB007_0015) // secondary → primary: not key-warm enough (warm count)
+	FrameProbe    = uint32(0xB007_0010) // either way: liveness probe (8-byte nonce)
+	FrameProbeAck = uint32(0xB007_0011) // echo of a probe's nonce
+	FrameJoin     = uint32(0xB007_0012) // secondary → primary: hello + node name
+	FrameJoinAck  = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
+	FrameLeave    = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
 
 	// Chunked resumable key streaming (v3).
 	FrameKeyOffer  = uint32(0xB007_0020) // primary → secondary: blob size/chunking/CRC
@@ -160,7 +161,7 @@ func ReadFrame(r io.Reader, maxPayload int) (*Frame, error) {
 // P limb), the LWE dimension the batches will carry, and the batch bound.
 // Flags carries per-node status (key-warm) and is deliberately excluded
 // from the compatibility check: a cold node and a warm node are protocol-
-// compatible, they just differ in what work they can accept.
+// compatible; a cold one is sent the key before any work.
 type Hello struct {
 	Version  uint32
 	LogN     uint32
@@ -464,7 +465,7 @@ func DecodeReason(payload []byte) (string, error) {
 // KeyOffer describes a blind-rotate key blob the sender is about to stream:
 // total serialized size, the fixed chunk size (the last chunk may be short),
 // the chunk count, and the CRC32 of the whole blob. A receiver holding a
-// partial stash from a previous connection answers with the number of
+// partial blob from a previous connection answers with the number of
 // contiguous chunks it already has — the resume point.
 type KeyOffer struct {
 	TotalSize  uint64
@@ -489,10 +490,10 @@ func (o KeyOffer) encode() []byte {
 	return buf
 }
 
-// DecodeKeyOffer parses and cross-validates an offer: the chunk geometry
+// decodeKeyOffer parses and cross-validates an offer: the chunk geometry
 // must exactly tile the total size, and both are bounded before the
 // receiver sizes anything from them.
-func DecodeKeyOffer(payload []byte) (KeyOffer, error) {
+func decodeKeyOffer(payload []byte) (KeyOffer, error) {
 	if len(payload) != keyOfferPayloadSize {
 		return KeyOffer{}, fmt.Errorf("cluster: key offer payload is %d bytes, want %d", len(payload), keyOfferPayloadSize)
 	}
@@ -517,9 +518,9 @@ func DecodeKeyOffer(payload []byte) (KeyOffer, error) {
 	return o, nil
 }
 
-// EncodeKeyResume serializes the receiver's resume point: the number of
+// encodeKeyResume serializes the receiver's resume point: the number of
 // contiguous chunks it already holds and the blob CRC it holds them for.
-func EncodeKeyResume(have uint32, blobCRC uint32) []byte {
+func encodeKeyResume(have uint32, blobCRC uint32) []byte {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint32(buf[0:], have)
 	binary.LittleEndian.PutUint32(buf[4:], blobCRC)

@@ -85,7 +85,7 @@ func FuzzDecodeKeyOffer(f *testing.F) {
 	f.Add([]byte{0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := DecodeKeyOffer(data)
+		o, err := decodeKeyOffer(data)
 		if err != nil {
 			return
 		}
@@ -96,15 +96,15 @@ func FuzzDecodeKeyOffer(f *testing.F) {
 		if uint64(o.ChunkCount) != want {
 			t.Fatalf("accepted non-tiling offer %+v (want %d chunks)", o, want)
 		}
-		if re, err := DecodeKeyOffer(o.encode()); err != nil || re != o {
+		if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {
 			t.Fatalf("offer round trip unstable: %v %+v vs %+v", err, re, o)
 		}
 	})
 }
 
 func FuzzDecodeKeyResume(f *testing.F) {
-	f.Add(EncodeKeyResume(0, 0))
-	f.Add(EncodeKeyResume(41, 0xDEADBEEF))
+	f.Add(encodeKeyResume(0, 0))
+	f.Add(encodeKeyResume(41, 0xDEADBEEF))
 	f.Add([]byte{9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,7 +112,7 @@ func FuzzDecodeKeyResume(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h2, c2, err := decodeKeyResume(EncodeKeyResume(have, crc))
+		h2, c2, err := decodeKeyResume(encodeKeyResume(have, crc))
 		if err != nil || h2 != have || c2 != crc {
 			t.Fatalf("resume round trip unstable: %v %d/%#x vs %d/%#x", err, h2, c2, have, crc)
 		}
@@ -132,7 +132,7 @@ func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
 // buffer sized from attacker-controlled fields. The key-offer case goes one
 // layer deeper: even a well-formed offer claiming a 1 GiB key must be
 // rejected by the receiving Secondary (which sizes buffers from its own
-// parameters) before any stash allocation.
+// parameters) before any buffer allocation.
 func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	fixture(t)
 	h := Hello{Version: ProtocolVersion, LogN: 6}
@@ -153,11 +153,12 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 		{"offer-geometry", func() error {
 			bad := giant
 			bad.ChunkCount--
-			_, err := DecodeKeyOffer(bad.encode())
+			_, err := decodeKeyOffer(bad.encode())
 			return err
 		}},
 		{"offer-oversized-for-params", func() error {
-			return sec.handleKeyOffer(discardRW{}, &Frame{Kind: FrameKeyOffer, Payload: giant.encode()}, obs.Nop{})
+			_, _, err := sec.keyReceiver().Receive(&Frame{Kind: FrameKeyOffer, Payload: giant.encode()}, obs.Nop{})
+			return err
 		}},
 	}
 	for _, tc := range cases {
@@ -193,7 +194,7 @@ func TestJoinLeaveProbeRoundTrip(t *testing.T) {
 		t.Fatalf("probe: %v %d", err, nonce)
 	}
 	o := KeyOffer{TotalSize: 2_629_656, ChunkSize: 64 << 10, ChunkCount: 41, BlobCRC: 7}
-	if re, err := DecodeKeyOffer(o.encode()); err != nil || re != o {
+	if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {
 		t.Fatalf("offer: %v %+v", err, re)
 	}
 	// A warm and a cold hello differ only in flags and must stay compatible.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,256 +15,142 @@ import (
 )
 
 // Chunked resumable blind-rotate key streaming. The BRK is by far the
-// largest object the cluster moves (1.76 GB at paper parameters, §III-C),
-// and ARK/BTS both observe that evaluation-key movement bounds
-// bootstrapping systems — so a cold joiner must not restart a multi-GB
-// transfer because its link blipped at 90%. The upload is cut into
-// CRC-framed chunks with stop-and-wait acks: the receiver's stash survives
-// the connection (it lives on the Secondary, not the conn), a rejoining
-// node reports the contiguous chunks it already holds, and the sender
-// resumes from exactly there. Because the serialized key is a fixed-size
-// header plus fixed-size per-index records (tfhe/serial.go), the receiver
-// parses complete records incrementally and can serve shards whose LWE
-// masks only touch the warm prefix while the tail is still in flight.
+// largest object the cluster moves (≈ 2.9 GB for the binary key of the paper
+// set as run, n_t = 500; §III-C models 1.76 GB), and ARK/BTS both observe
+// that evaluation-key movement bounds bootstrapping systems — so a cold
+// joiner must not restart a multi-GB transfer because its link blipped at
+// 90%. The upload is cut into CRC-framed chunks with stop-and-wait acks. The
+// receiver's state outlives the connection (a KeyReceiver lives on the
+// Secondary, and in heapd's registry per tenant), a reconnecting sender's
+// offer is answered with the contiguous chunks already held, and the upload
+// resumes from exactly there. The key is parsed once, at key-done: a cold
+// joiner gets no work until its whole key is in, as in §V, where every
+// secondary rotates with the complete key.
 
-// keyStash is the receiver-side state of a (possibly interrupted) key
-// upload. It belongs to the Secondary and deliberately outlives any single
-// connection: that persistence is the resume mechanism.
-type keyStash struct {
+// KeyReceiver is the receiving end of the key stream (offer → resume, chunk
+// → ack, done → done), shared by the Secondary and heapd's registry. It
+// sizes its buffer from its own parameters, never from the wire, so a lying
+// offer cannot force an oversized allocation.
+type KeyReceiver struct {
+	params *rlwe.Parameters
+	dim    int  // LWE dimension the key must cover
+	binary bool // key kind the receiver's configuration wants
+
 	mu    sync.Mutex
 	offer KeyOffer
-	buf   []byte // the partial blob; nil until an offer arrives
+	buf   []byte // the partial blob; nil until an offer arrives, and after done
 	have  uint32 // contiguous chunks held
-
-	headerParsed bool
-	numKeys      int
-	key          *tfhe.BlindRotateKey // full-length, records [0, warm) filled
-	warm         int                  // complete key records parsed from buf
-	installed    bool                 // key handed to the bootstrapper after keyDone
 }
 
-// reset discards any partial state and adopts a new offer.
-func (st *keyStash) reset(o KeyOffer) {
-	st.offer = o
-	st.buf = make([]byte, o.TotalSize)
-	st.have = 0
-	st.headerParsed = false
-	st.numKeys = 0
-	st.key = nil
-	st.warm = 0
-	st.installed = false
+// NewKeyReceiver returns a receiver for keys of the given LWE dimension and
+// kind under params.
+func NewKeyReceiver(params *rlwe.Parameters, dim int, binary bool) *KeyReceiver {
+	return &KeyReceiver{params: params, dim: dim, binary: binary}
 }
 
-// contiguousBytes is how many prefix bytes of the blob the stash holds.
-func (st *keyStash) contiguousBytes() int {
-	b := uint64(st.have) * uint64(st.offer.ChunkSize)
-	if b > st.offer.TotalSize {
-		b = st.offer.TotalSize
-	}
-	return int(b)
-}
-
-// advance parses the header and any newly-completed fixed-size key records
-// out of the contiguous prefix. Returns the number of warm records. The key
-// kind, like the blob size, comes from the node's own configuration; the
-// header's flag must agree with it.
-func (st *keyStash) advance(s *Secondary) (int, error) {
-	p := s.Boot.Params.Parameters
-	bin := s.Boot.BinaryKey()
-	avail := st.contiguousBytes()
-	hdr := tfhe.BRKBlobBytes(p, 0, bin)
-	if !st.headerParsed {
-		if avail < hdr {
-			return 0, nil
-		}
-		n, hdrBin, err := tfhe.ReadBRKHeader(bytes.NewReader(st.buf))
+// Receive answers one key-stream frame: an offer with the resume point, a
+// chunk with its ack, and done with its echo and the parsed key. Newly
+// stored chunks are counted on rec.
+func (kr *KeyReceiver) Receive(f *Frame, rec obs.Recorder) (*Frame, *tfhe.BlindRotateKey, error) {
+	switch f.Kind {
+	case FrameKeyOffer:
+		o, err := decodeKeyOffer(f.Payload)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		if n != LWEDim(s.Boot) {
-			return 0, fmt.Errorf("cluster: streamed key covers %d indices, want %d", n, LWEDim(s.Boot))
-		}
-		if hdrBin != bin {
-			return 0, fmt.Errorf("cluster: streamed key has binary=%v, this node's configuration wants binary=%v", hdrBin, bin)
-		}
-		st.headerParsed = true
-		st.numKeys = n
-		st.key = &tfhe.BlindRotateKey{Plus: make([]*rlwe.RGSWCiphertext, n), Binary: bin}
-		if !bin {
-			st.key.Minus = make([]*rlwe.RGSWCiphertext, n)
-		}
-	}
-	recSize := tfhe.BRKRecordBytes(p, bin)
-	for st.warm < st.numKeys && hdr+(st.warm+1)*recSize <= avail {
-		off := hdr + st.warm*recSize
-		plus, minus, err := tfhe.ReadBRKRecord(bytes.NewReader(st.buf[off:off+recSize]), p, bin)
+		have, err := kr.Offer(o)
 		if err != nil {
-			return st.warm, fmt.Errorf("cluster: streamed key record %d: %w", st.warm, err)
+			return nil, nil, err
 		}
-		st.key.Plus[st.warm] = plus
-		if !bin {
-			st.key.Minus[st.warm] = minus
+		return &Frame{Kind: FrameKeyResume, Payload: encodeKeyResume(have, o.BlobCRC)}, nil, nil
+	case FrameKeyChunk:
+		have, crc, err := kr.Chunk(f.Seq, f.Payload, rec)
+		if err != nil {
+			return nil, nil, err
 		}
-		st.warm++
+		return &Frame{Kind: FrameKeyAck, Payload: encodeKeyResume(have, crc)}, nil, nil
+	case FrameKeyDone:
+		if len(f.Payload) != 4 {
+			return nil, nil, fmt.Errorf("cluster: key done payload is %d bytes, want 4", len(f.Payload))
+		}
+		key, err := kr.Done(u32(f.Payload))
+		if err != nil {
+			return nil, nil, err
+		}
+		return &Frame{Kind: FrameKeyDone, Payload: f.Payload}, key, nil
 	}
-	return st.warm, nil
+	return nil, nil, fmt.Errorf("cluster: frame kind %#x is not a key-stream frame", f.Kind)
 }
 
-// warmRecords is the number of key indices the secondary can currently
-// rotate with: the full dimension once a locally-generated or fully
-// installed key is present, else the streamed warm prefix.
-func (s *Secondary) warmRecords() int {
-	s.stash.mu.Lock()
-	defer s.stash.mu.Unlock()
-	if s.stash.buf != nil && !s.stash.installed {
-		return s.stash.warm
+// Offer adopts o, keeping what is held when o is the offer already in
+// progress, and returns the contiguous chunks held: the sender's resume
+// point.
+func (kr *KeyReceiver) Offer(o KeyOffer) (uint32, error) {
+	if want := tfhe.BRKBlobBytes(kr.params, kr.dim, kr.binary); o.TotalSize != uint64(want) {
+		return 0, fmt.Errorf("cluster: key offer of %d bytes, want %d for this parameter set", o.TotalSize, want)
 	}
-	if s.Boot.HasBlindRotateKey() {
-		return LWEDim(s.Boot)
+	kr.mu.Lock()
+	defer kr.mu.Unlock()
+	if kr.buf == nil || kr.offer != o {
+		kr.offer, kr.buf, kr.have = o, make([]byte, o.TotalSize), 0
 	}
-	return 0
+	return kr.have, nil
 }
 
-// fullyWarm reports whether the node holds its complete blind-rotate key
-// (the hello key-warm flag). A node mid-upload is not warm even though a
-// partial key may already be installed for prefix serving.
-func (s *Secondary) fullyWarm() bool {
-	s.stash.mu.Lock()
-	defer s.stash.mu.Unlock()
-	if s.stash.buf != nil && !s.stash.installed {
-		return false
-	}
-	return s.Boot.HasBlindRotateKey()
-}
-
-// handleKeyOffer processes a key-streaming offer, answering with the resume
-// point (0 for a fresh upload, the stashed contiguous chunk count after an
-// interrupted one).
-func (s *Secondary) handleKeyOffer(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
-	o, err := DecodeKeyOffer(f.Payload)
-	if err != nil {
-		return err
-	}
-	// The receiver sizes its buffer from its own parameters, never from the
-	// wire: a lying offer cannot force an oversized allocation.
-	expect := tfhe.BRKBlobBytes(s.Boot.Params.Parameters, LWEDim(s.Boot), s.Boot.BinaryKey())
-	if o.TotalSize != uint64(expect) {
-		return fmt.Errorf("cluster: key offer of %d bytes, want %d for this parameter set", o.TotalSize, expect)
-	}
-	s.stash.mu.Lock()
-	if s.stash.buf == nil || s.stash.offer != o {
-		s.stash.reset(o)
-	}
-	have := s.stash.have
-	s.stash.mu.Unlock()
-	payload := EncodeKeyResume(have, o.BlobCRC)
-	if err := WriteFrame(conn, &Frame{Kind: FrameKeyResume, Payload: payload}); err != nil {
-		return err
-	}
-	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-	return nil
-}
-
-// handleKeyChunk stores one chunk (stop-and-wait: its index must be exactly
-// the next expected one; an already-held index is re-acked without being
-// stored or counted, so the unique-chunk counters are exact across any
-// number of kill/resume cycles) and acks the new contiguous count.
-func (s *Secondary) handleKeyChunk(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
-	s.stash.mu.Lock()
-	st := &s.stash
-	if st.buf == nil {
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: key chunk before offer")
-	}
-	idx := f.Seq
+// Chunk stores chunk idx and returns the new contiguous count and the
+// offer's CRC, the ack's payload. Stop-and-wait: idx must be the next chunk;
+// an already-held one is re-acked without being stored or counted, so the
+// unique-chunk counters stay exact across any number of kill/resume cycles.
+func (kr *KeyReceiver) Chunk(idx uint32, data []byte, rec obs.Recorder) (uint32, uint32, error) {
+	kr.mu.Lock()
+	defer kr.mu.Unlock()
 	switch {
-	case idx < st.have:
-		// Duplicate after a resume race; already stored.
-	case idx > st.have:
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: key chunk %d, want %d", idx, st.have)
-	default:
-		off := uint64(idx) * uint64(st.offer.ChunkSize)
-		want := st.offer.TotalSize - off
-		if want > uint64(st.offer.ChunkSize) {
-			want = uint64(st.offer.ChunkSize)
+	case kr.buf == nil:
+		return 0, 0, errors.New("cluster: key chunk before offer")
+	case idx > kr.have || idx >= kr.offer.ChunkCount:
+		return 0, 0, fmt.Errorf("cluster: key chunk %d, want %d of %d", idx, kr.have, kr.offer.ChunkCount)
+	case idx == kr.have:
+		off := uint64(idx) * uint64(kr.offer.ChunkSize)
+		if want := min(kr.offer.TotalSize-off, uint64(kr.offer.ChunkSize)); uint64(len(data)) != want {
+			return 0, 0, fmt.Errorf("cluster: key chunk %d is %d bytes, want %d", idx, len(data), want)
 		}
-		if uint64(len(f.Payload)) != want {
-			s.stash.mu.Unlock()
-			return fmt.Errorf("cluster: key chunk %d is %d bytes, want %d", idx, len(f.Payload), want)
-		}
-		copy(st.buf[off:], f.Payload)
-		st.have++
+		copy(kr.buf[off:], data)
+		kr.have++
 		rec.Add(obs.CounterKeyChunks, 1)
-		rec.Add(obs.CounterKeyChunkBytes, uint64(len(f.Payload)))
-		if _, err := st.advance(s); err != nil {
-			s.stash.mu.Unlock()
-			return err
-		}
-		// Prefix serving: once the header and at least one record are in,
-		// install the partial key so batches bounded by the warm prefix can
-		// rotate while the tail streams.
-		if st.headerParsed && !st.installed && s.Boot.BlindRotateKey() != st.key {
-			if err := s.Boot.SetBlindRotateKey(st.key); err != nil {
-				s.stash.mu.Unlock()
-				return err
-			}
-		}
+		rec.Add(obs.CounterKeyChunkBytes, uint64(len(data)))
 	}
-	have := st.have
-	blobCRC := st.offer.BlobCRC
-	s.stash.mu.Unlock()
-	payload := EncodeKeyResume(have, blobCRC)
-	if err := WriteFrame(conn, &Frame{Kind: FrameKeyAck, Payload: payload}); err != nil {
-		return err
-	}
-	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-	return nil
+	return kr.have, kr.offer.BlobCRC, nil
 }
 
-// handleKeyDone verifies the complete blob against the offered CRC,
-// installs the key, and echoes the done frame as the sender's confirmation.
-func (s *Secondary) handleKeyDone(conn io.ReadWriter, f *Frame, rec obs.Recorder) error {
-	if len(f.Payload) != 4 {
-		return fmt.Errorf("cluster: key done payload is %d bytes, want 4", len(f.Payload))
+// Done checks the reassembled blob against the offer and blobCRC, parses it
+// and checks its dimension. Whatever the outcome, the blob is detached
+// first: a chunk racing the done cannot touch the bytes being parsed, and
+// the next upload starts from a fresh offer — the only sound resume point
+// once the bytes have been judged.
+func (kr *KeyReceiver) Done(blobCRC uint32) (*tfhe.BlindRotateKey, error) {
+	kr.mu.Lock()
+	buf, o, have := kr.buf, kr.offer, kr.have
+	kr.buf, kr.have = nil, 0
+	kr.mu.Unlock()
+	switch {
+	case buf == nil:
+		return nil, errors.New("cluster: key done before offer")
+	case have != o.ChunkCount:
+		return nil, fmt.Errorf("cluster: key done with %d of %d chunks held", have, o.ChunkCount)
+	case blobCRC != o.BlobCRC:
+		return nil, fmt.Errorf("cluster: key done CRC %#x, offer %#x", blobCRC, o.BlobCRC)
 	}
-	s.stash.mu.Lock()
-	st := &s.stash
-	if st.buf == nil || st.have != st.offer.ChunkCount {
-		have := st.have
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: key done with %d chunks held", have)
+	if sum := crc32.ChecksumIEEE(buf); sum != o.BlobCRC {
+		return nil, fmt.Errorf("cluster: reassembled key CRC %#x does not match offer %#x", sum, o.BlobCRC)
 	}
-	if got := u32(f.Payload); got != st.offer.BlobCRC {
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: key done CRC %#x, want %#x", got, st.offer.BlobCRC)
+	key, err := tfhe.ReadBlindRotateKey(bytes.NewReader(buf), kr.params, kr.binary)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: streamed key: %w", err)
 	}
-	if sum := crc32.ChecksumIEEE(st.buf); sum != st.offer.BlobCRC {
-		st.reset(st.offer)
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: reassembled key CRC %#x does not match offer %#x", sum, st.offer.BlobCRC)
+	if key.NumKeys() != kr.dim {
+		return nil, fmt.Errorf("cluster: streamed key covers %d indices, want %d", key.NumKeys(), kr.dim)
 	}
-	if _, err := st.advance(s); err != nil {
-		s.stash.mu.Unlock()
-		return err
-	}
-	if st.warm != st.numKeys {
-		warm, want := st.warm, st.numKeys
-		s.stash.mu.Unlock()
-		return fmt.Errorf("cluster: key done with %d of %d records parsed", warm, want)
-	}
-	key := st.key
-	st.installed = true
-	st.buf = nil // the parsed key holds the material; drop the raw blob
-	s.stash.mu.Unlock()
-	if err := s.Boot.SetBlindRotateKey(key); err != nil {
-		return err
-	}
-	if err := WriteFrame(conn, &Frame{Kind: FrameKeyDone, Payload: f.Payload}); err != nil {
-		return err
-	}
-	rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
-	return nil
+	return key, nil
 }
 
 // keyBlob lazily serializes the primary's blind-rotate key for streaming.
@@ -300,17 +187,15 @@ func StreamKey(conn io.ReadWriter, blob []byte, blobCRC uint32, chunkBytes int, 
 	}
 	opts.BatchTimeout = timeout
 	var high uint32
-	return sendKey(conn, blob, blobCRC, opts.withDefaults(), obs.OrNop(rec), &high, nil)
+	return sendKey(conn, blob, blobCRC, opts.withDefaults(), obs.OrNop(rec), &high)
 }
 
 // sendKey streams the key blob to a cold node, resuming from whatever the
 // receiver already holds. high persists the per-node high-water mark of
 // pushed chunks across reconnects, so re-sent overlap (at most the one
 // unacked chunk per kill, with stop-and-wait) is counted exactly in
-// CounterKeyChunkResent. onAck, when non-nil, is called after every acked
-// chunk with the receiver's contiguous chunk count — the hook the scheduler
-// uses to dispatch prefix-bounded work mid-upload.
-func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32, onAck func(warmRecords int) error) error {
+// CounterKeyChunkResent.
+func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32) error {
 	chunk := opts.KeyChunkBytes
 	count := (len(blob) + chunk - 1) / chunk
 	offer := KeyOffer{
@@ -370,17 +255,12 @@ func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec 
 		if uint32(i) >= *high {
 			*high = uint32(i) + 1
 		}
-		acked, _, err := decodeKeyResume(f.Payload)
+		acked, acrc, err := decodeKeyResume(f.Payload)
 		if err != nil {
 			return err
 		}
-		if acked != uint32(i)+1 {
-			return fmt.Errorf("cluster: key chunk %d acked at %d", i, acked)
-		}
-		if onAck != nil {
-			if err := onAck(int(acked)); err != nil {
-				return err
-			}
+		if acked != uint32(i)+1 || acrc != blobCRC {
+			return fmt.Errorf("cluster: key chunk %d acked at %d for CRC %#x", i, acked, acrc)
 		}
 	}
 

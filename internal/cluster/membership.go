@@ -47,9 +47,9 @@ func (s MemberState) String() string {
 // Joins arrive through AcceptJoins (or a direct Join call); the scheduler
 // consumes them from joinCh and spawns a node worker per joiner.
 // A name whose previous instance failed or left may rejoin — the rejoining
-// connection inherits nothing from the old one except whatever key-stash
-// its Secondary process kept, which is exactly what makes a kill-mid-upload
-// resume work.
+// connection inherits nothing from the old one except the partial key its
+// Secondary's KeyReceiver kept, which is exactly what makes a
+// kill-mid-upload resume work.
 type Membership struct {
 	mu     sync.Mutex
 	rec    obs.Recorder
@@ -254,7 +254,7 @@ func (p *Primary) acceptJoin(m *Membership, conn io.ReadWriter) error {
 // the node's hello (with its key-warm flag) plus its name and waits for the
 // primary's acknowledgement.
 func (s *Secondary) Join(conn io.ReadWriter, name string) error {
-	local := s.localHello()
+	local := HelloFor(s.Boot)
 	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(local, name)}); err != nil {
 		return fmt.Errorf("cluster: join send: %w", err)
 	}
@@ -279,7 +279,7 @@ func (s *Secondary) Join(conn io.ReadWriter, name string) error {
 // JoinAndServe joins the cluster through conn and then serves blind-rotation
 // work on it — the whole life of an elastic secondary. A cold node receives
 // its blind-rotate key over the same connection (chunked and resumable)
-// before, and interleaved with, batch work.
+// before any batch work.
 func (s *Secondary) JoinAndServe(conn io.ReadWriter, name string) error {
 	if err := s.Join(conn, name); err != nil {
 		return err

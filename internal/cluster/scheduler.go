@@ -31,7 +31,7 @@ type Node struct {
 	joined bool
 	// needsKey marks a joiner that announced itself key-cold; the scheduler
 	// streams the blind-rotate key (chunked, resumable) before handing it
-	// unrestricted work.
+	// any work.
 	needsKey bool
 }
 
@@ -48,8 +48,6 @@ type Options struct {
 	// reconnect attempts; the actual sleep is jittered in [d/2, d].
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// JitterSeed makes the backoff jitter deterministic for tests.
-	JitterSeed uint64
 	// LocalWorkers is the number of primary-side goroutines that drain the
 	// queue alongside the secondaries (fallback compute). 0 selects the
 	// bootstrapper's Cfg.Workers.
@@ -64,32 +62,36 @@ type Options struct {
 	// drained and its pending work reassigned. 0 selects 3.
 	ProbeMisses int
 	// HedgeAfter enables hedged dispatch: an in-flight LWE index older than
-	// max(HedgeAfter, HedgeMultiplier × node p99 latency) is speculatively
+	// max(HedgeAfter, hedgeMultiplier × node p99 latency) is speculatively
 	// re-queued for another worker, and the first bit-exact result wins
 	// (dedup by an atomic per-index claim). 0 disables hedging.
 	HedgeAfter time.Duration
-	// HedgeMultiplier scales the observed per-node p99 per-index latency
-	// into the hedge threshold. 0 selects 4.
-	HedgeMultiplier int
 	// KeyChunkBytes is the chunk size of the resumable blind-rotate key
 	// upload to cold joiners. 0 selects 256 KiB.
 	KeyChunkBytes int
 }
 
+const (
+	// hedgeMultiplier scales the observed per-node p99 per-index latency
+	// into the hedge threshold.
+	hedgeMultiplier = 4
+	// jitterSeed, mixed with the node name, seeds the deterministic backoff
+	// jitter and probe nonces.
+	jitterSeed = 0xC1A05
+)
+
 // DefaultOptions returns production-leaning defaults.
 func DefaultOptions() Options {
 	return Options{
-		BatchTimeout:    30 * time.Second,
-		MaxRetries:      2,
-		BackoffBase:     5 * time.Millisecond,
-		BackoffMax:      250 * time.Millisecond,
-		JitterSeed:      0xC1A05,
-		LocalWorkers:    0,
-		ProbeInterval:   0,
-		ProbeMisses:     3,
-		HedgeAfter:      0,
-		HedgeMultiplier: 4,
-		KeyChunkBytes:   256 << 10,
+		BatchTimeout:  30 * time.Second,
+		MaxRetries:    2,
+		BackoffBase:   5 * time.Millisecond,
+		BackoffMax:    250 * time.Millisecond,
+		LocalWorkers:  0,
+		ProbeInterval: 0,
+		ProbeMisses:   3,
+		HedgeAfter:    0,
+		KeyChunkBytes: 256 << 10,
 	}
 }
 
@@ -106,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeMisses <= 0 {
 		o.ProbeMisses = d.ProbeMisses
-	}
-	if o.HedgeMultiplier <= 0 {
-		o.HedgeMultiplier = d.HedgeMultiplier
 	}
 	if o.KeyChunkBytes <= 0 {
 		o.KeyChunkBytes = d.KeyChunkBytes
@@ -270,34 +269,6 @@ func (q *workQueue) popTimeout(d time.Duration) ([]int, bool) {
 		}
 		q.cond.Wait()
 	}
-}
-
-// popBounded non-blockingly pops the first queued task whose every index
-// needs at most maxDim key records — the prefix-dispatch draw a partially
-// key-warm joiner can serve mid-upload. Returns nil when no such task is
-// queued (or the run is complete/aborted).
-func (q *workQueue) popBounded(needDim []int, maxDim int) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.aborted || q.remaining == 0 {
-		return nil
-	}
-	for ti, t := range q.tasks {
-		ok := true
-		for _, idx := range t {
-			if needDim[idx] > maxDim {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		q.tasks = append(q.tasks[:ti], q.tasks[ti+1:]...)
-		q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
-		return t
-	}
-	return nil
 }
 
 // fill tops task up with whole queued tasks, without blocking, while the

@@ -352,10 +352,8 @@ func (bt *Bootstrapper) BlindRotateKey() *tfhe.BlindRotateKey { return bt.brk }
 // check what they accept from it, never from the wire.
 func (bt *Bootstrapper) BinaryKey() bool { return bt.Cfg.NT > 0 }
 
-// SetBlindRotateKey installs a received blind-rotate key after checkKey. A
-// partially warm key — full-length slices with nil entries past the warm
-// prefix — is accepted; callers gate rotations on the indices they actually
-// hold.
+// SetBlindRotateKey installs a received blind-rotate key after checkKey:
+// only a whole key is accepted.
 func (bt *Bootstrapper) SetBlindRotateKey(k *tfhe.BlindRotateKey) error {
 	if err := bt.checkKey(k); err != nil {
 		return err

@@ -1,6 +1,6 @@
 // Package serve is the bootstrap-as-a-service layer: a stdlib-only network
 // front end that accepts blind-rotate jobs from many concurrent tenants over
-// the cluster's v4 frame protocol, resolves each tenant's evaluation key
+// the cluster's v5 frame protocol, resolves each tenant's evaluation key
 // from a concurrent-safe registry, and coalesces same-key requests from
 // different connections into key-major batches so one BRK pass through cache
 // serves N users (the amortization HEAP's parallelized bootstrapping is
@@ -16,10 +16,8 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"heap/internal/cluster"
@@ -40,9 +38,8 @@ var ErrRegistryFull = errors.New("key registry full: byte budget exhausted by pi
 // EvaluationKeySetInterface plays for its evaluators): ref-counted so a key
 // is never evicted while a batch streams it, LRU-bounded by total key bytes,
 // and optionally backed by a loader for lazily materialized keys. It also
-// owns the per-tenant upload stash of the chunked key-stream protocol, so a
-// tenant killed mid-upload resumes from its last acked chunk on a fresh
-// connection.
+// holds one key-stream receiver per tenant, so a tenant killed mid-upload
+// resumes from its last acked chunk on a fresh connection.
 type Registry struct {
 	params   *rlwe.Parameters
 	dim      int  // LWE dimension every key must cover
@@ -54,7 +51,7 @@ type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*regEntry
 	loading map[string]chan struct{} // single-flight latches for loader calls
-	stash   map[string]*keyRecv
+	uploads map[string]*cluster.KeyReceiver
 	bytes   int64
 	clock   uint64 // LRU tick, bumped on every acquire
 }
@@ -66,17 +63,9 @@ type regEntry struct {
 	used  uint64
 }
 
-// keyRecv is one tenant's in-flight chunked key upload (receiver side of the
-// cluster key-stream protocol, stop-and-wait).
-type keyRecv struct {
-	offer cluster.KeyOffer
-	buf   []byte
-	have  uint32 // contiguous chunks held
-}
-
 // NewRegistry builds a registry for keys of the given LWE dimension and kind.
 // maxBytes ≤ 0 means unbounded; loader may be nil (keys then arrive only via
-// Put or the upload stash). rec may be nil.
+// Put or a key upload). rec may be nil.
 func NewRegistry(params *rlwe.Parameters, dim int, binary bool, maxBytes int64, loader func(string) (*tfhe.BlindRotateKey, error), rec obs.Recorder) *Registry {
 	return &Registry{
 		params:   params,
@@ -87,7 +76,7 @@ func NewRegistry(params *rlwe.Parameters, dim int, binary bool, maxBytes int64, 
 		rec:      obs.OrNop(rec),
 		entries:  make(map[string]*regEntry),
 		loading:  make(map[string]chan struct{}),
-		stash:    make(map[string]*keyRecv),
+		uploads:  make(map[string]*cluster.KeyReceiver),
 	}
 }
 
@@ -248,87 +237,30 @@ func (r *Registry) Bytes() int64 {
 	return r.bytes
 }
 
-// --- chunked upload stash (receiver side of cluster's key-stream protocol) ---
-
-// stashOffer starts (or resumes) tenant's upload. The offered size must be
-// exactly the full-key blob size at the registry's parameters and key kind —
-// the receiver sizes its buffer from its own params, never the wire. Returns
-// the resume point (contiguous chunks already held).
-func (r *Registry) stashOffer(tenant string, o cluster.KeyOffer) (have uint32, err error) {
-	want := tfhe.BRKBlobBytes(r.params, r.dim, r.binary)
-	if o.TotalSize != uint64(want) {
-		return 0, fmt.Errorf("serve: key offer is %d bytes, want %d for dimension %d", o.TotalSize, want, r.dim)
-	}
+// upload returns tenant's key receiver, made at its first key frame.
+// detach removes it from the registry, as a done frame does before the
+// receiver parses the blob: the tenant's next upload, on any connection,
+// starts from a fresh offer.
+func (r *Registry) upload(tenant string, detach bool) *cluster.KeyReceiver {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.stash[tenant]
-	if st == nil || st.offer != o {
-		st = &keyRecv{offer: o, buf: make([]byte, want)}
-		r.stash[tenant] = st
+	kr := r.uploads[tenant]
+	if kr == nil {
+		kr = cluster.NewKeyReceiver(r.params, r.dim, r.binary)
+		r.uploads[tenant] = kr
 	}
-	return st.have, nil
+	if detach {
+		delete(r.uploads, tenant)
+	}
+	return kr
 }
 
-// stashChunk accepts one chunk (stop-and-wait: idx must be the next chunk;
-// duplicates of already-held chunks are re-acked without recounting).
-// Returns the new contiguous count and whether the blob is complete.
-func (r *Registry) stashChunk(tenant string, idx uint32, data []byte) (have uint32, complete bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.stash[tenant]
-	if st == nil {
-		return 0, false, fmt.Errorf("serve: key chunk for %q without an offer", tenant)
+// receiveKey answers one frame of tenant's key upload; a done frame
+// installs the key before it is echoed.
+func (r *Registry) receiveKey(tenant string, f *cluster.Frame) (*cluster.Frame, error) {
+	reply, key, err := r.upload(tenant, f.Kind == cluster.FrameKeyDone).Receive(f, r.rec)
+	if err == nil && key != nil {
+		err = r.Put(tenant, key)
 	}
-	if idx < st.have { // duplicate of an acked chunk: re-ack, don't recount
-		return st.have, false, nil
-	}
-	if idx != st.have {
-		return 0, false, fmt.Errorf("serve: key chunk %d for %q, want %d (stop-and-wait)", idx, tenant, st.have)
-	}
-	off := int(idx) * int(st.offer.ChunkSize)
-	end := off + int(st.offer.ChunkSize)
-	if end > len(st.buf) {
-		end = len(st.buf)
-	}
-	if len(data) != end-off {
-		return 0, false, fmt.Errorf("serve: key chunk %d for %q is %d bytes, want %d", idx, tenant, len(data), end-off)
-	}
-	copy(st.buf[off:end], data)
-	st.have++
-	r.rec.Add(obs.CounterKeyChunks, 1)
-	r.rec.Add(obs.CounterKeyChunkBytes, uint64(len(data)))
-	return st.have, st.have == st.offer.ChunkCount, nil
-}
-
-// stashDone verifies the completed blob against the offered CRC, parses it
-// at the registry's parameters, and installs the key.
-//
-// The stash entry is detached from the map under the lock BEFORE the CRC
-// and the parse touch its buffer: two connections of the same tenant racing
-// an upload (one sending chunks while the other sends done) must not turn
-// into an unlocked read of a buffer a stashChunk is concurrently writing —
-// the registry-stress test drives exactly that interleaving under -race.
-// Detaching also means a failed done (incomplete, CRC mismatch, parse
-// error) drops the stash and the upload restarts from a fresh offer, which
-// is the only sound resume point once the blob bytes are suspect.
-func (r *Registry) stashDone(tenant string) error {
-	r.mu.Lock()
-	st := r.stash[tenant]
-	if st == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("serve: key done for %q without an offer", tenant)
-	}
-	delete(r.stash, tenant)
-	r.mu.Unlock()
-	if st.have != st.offer.ChunkCount {
-		return fmt.Errorf("serve: key done for %q with %d/%d chunks", tenant, st.have, st.offer.ChunkCount)
-	}
-	if crc := crc32.ChecksumIEEE(st.buf); crc != st.offer.BlobCRC {
-		return fmt.Errorf("serve: key blob CRC mismatch for %q (got %#x want %#x)", tenant, crc, st.offer.BlobCRC)
-	}
-	key, err := tfhe.ReadBlindRotateKey(bytes.NewReader(st.buf), r.params, r.binary)
-	if err != nil {
-		return fmt.Errorf("serve: parsing key for %q: %w", tenant, err)
-	}
-	return r.Put(tenant, key)
+	return reply, err
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -58,13 +59,20 @@ func (fx *stashFixture) chunk(idx uint32) []byte {
 	return fx.blob[off:end]
 }
 
+// done sends tenant's key-done frame carrying the offer's CRC.
+func (fx *stashFixture) done(reg *Registry, tenant string) error {
+	crc := binary.LittleEndian.AppendUint32(nil, fx.offer.BlobCRC)
+	_, err := reg.receiveKey(tenant, &cluster.Frame{Kind: cluster.FrameKeyDone, Payload: crc})
+	return err
+}
+
 // TestRegistryStashDoneVsChunkRace drives the interleaving that used to be
 // a data race: two connections of the same tenant, one streaming chunks
-// while the other fires key-done. stashDone must detach the stash under the
+// while the other fires key-done. A done must detach the upload under the
 // lock before it CRCs and parses the buffer, so a concurrent chunk write
 // can never touch bytes the parser is reading (the race detector enforces
 // exactly this under `make race`). A done that fires mid-upload drops the
-// stash — the protocol's restart-from-fresh-offer rule — and the uploader
+// upload — the protocol's restart-from-fresh-offer rule — and the uploader
 // resumes from the offer's resume point; a clean final upload must still
 // land the key.
 func TestRegistryStashDoneVsChunkRace(t *testing.T) {
@@ -85,7 +93,7 @@ func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 					return
 				default:
 				}
-				if err := reg.stashDone(tenant); err == nil {
+				if err := fx.done(reg, tenant); err == nil {
 					doneOK.Store(true)
 				}
 				runtime.Gosched()
@@ -93,17 +101,17 @@ func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 		}()
 
 		idx := uint32(0)
-		have, err := reg.stashOffer(tenant, fx.offer)
+		have, err := reg.upload(tenant, false).Offer(fx.offer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		idx = have
 		for idx < fx.offer.ChunkCount {
-			_, _, err := reg.stashChunk(tenant, idx, fx.chunk(idx))
+			_, _, err := reg.upload(tenant, false).Chunk(idx, fx.chunk(idx), obs.Nop{})
 			if err != nil {
-				// The racing done deleted the stash mid-upload: restart from
+				// The racing done dropped the upload mid-stream: restart from
 				// a fresh offer, as a real uploader would.
-				have, oerr := reg.stashOffer(tenant, fx.offer)
+				have, oerr := reg.upload(tenant, false).Offer(fx.offer)
 				if oerr != nil {
 					t.Fatal(oerr)
 				}
@@ -116,18 +124,18 @@ func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 		wg.Wait()
 		// Settle the round: either the racer landed the completed blob, or we
 		// finish it ourselves (retrying the full upload if the racer's LAST
-		// done consumed the stash without the chunks being complete).
+		// done consumed the upload without the chunks being complete).
 		if !doneOK.Load() {
-			if err := reg.stashDone(tenant); err != nil {
-				if _, err := reg.stashOffer(tenant, fx.offer); err != nil {
+			if err := fx.done(reg, tenant); err != nil {
+				if _, err := reg.upload(tenant, false).Offer(fx.offer); err != nil {
 					t.Fatal(err)
 				}
 				for i := uint32(0); i < fx.offer.ChunkCount; i++ {
-					if _, _, err := reg.stashChunk(tenant, i, fx.chunk(i)); err != nil {
+					if _, _, err := reg.upload(tenant, false).Chunk(i, fx.chunk(i), obs.Nop{}); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := reg.stashDone(tenant); err != nil {
+				if err := fx.done(reg, tenant); err != nil {
 					t.Fatalf("round %d: clean upload after race: %v", round, err)
 				}
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"heap/internal/cluster"
 	"heap/internal/obs"
 	"heap/internal/tfhe"
 )
@@ -163,10 +165,61 @@ func TestRegistryRejectsWrongDimension(t *testing.T) {
 func TestRegistryStashStopAndWait(t *testing.T) {
 	reg, _, _ := regFixture(t, 0, nil, nil)
 	// A chunk without an offer is a protocol error.
-	if _, _, err := reg.stashChunk("t", 0, nil); err == nil {
+	if _, err := reg.receiveKey("t", &cluster.Frame{Kind: cluster.FrameKeyChunk}); err == nil {
 		t.Fatal("chunk without offer must error")
 	}
-	if err := reg.stashDone("t"); err == nil {
+	if _, err := reg.receiveKey("t", &cluster.Frame{Kind: cluster.FrameKeyDone, Payload: make([]byte, 4)}); err == nil {
 		t.Fatal("done without offer must error")
+	}
+}
+
+// TestServiceRefusesKeyDoneCRCMismatch uploads a whole key over the wire and
+// closes it with a key-done whose CRC differs from the offer's: heapd must
+// refuse it and install nothing. Every chunk's ack must carry the offer's
+// CRC.
+func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
+	_, _, serverBt := buildBoot(t, 92, true)
+	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
+	l, stop := startServer(t, srv)
+	defer stop()
+	_, fx := buildStashFixture(t, 93, 64<<10)
+	_, _, bt := buildBoot(t, 93, false)
+	cl := dialClient(t, l, bt, "liar")
+	defer cl.Close()
+	exchange := func(f *cluster.Frame) *cluster.Frame {
+		t.Helper()
+		if err := cluster.WriteFrame(cl.conn, f); err != nil {
+			t.Fatal(err)
+		}
+		r, err := cluster.ReadFrame(cl.conn, cluster.MaxErrorPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	le := binary.LittleEndian
+	offer := le.AppendUint64(nil, fx.offer.TotalSize)
+	offer = le.AppendUint32(offer, fx.offer.ChunkSize)
+	offer = le.AppendUint32(offer, fx.offer.ChunkCount)
+	offer = le.AppendUint32(offer, fx.offer.BlobCRC)
+	if r := exchange(&cluster.Frame{Kind: cluster.FrameKeyOffer, Payload: offer}); r.Kind != cluster.FrameKeyResume {
+		t.Fatalf("offer answered with frame kind %#x: %s", r.Kind, r.Payload)
+	}
+	for i := uint32(0); i < fx.offer.ChunkCount; i++ {
+		r := exchange(&cluster.Frame{Kind: cluster.FrameKeyChunk, Seq: i, Payload: fx.chunk(i)})
+		if r.Kind != cluster.FrameKeyAck || len(r.Payload) != 8 {
+			t.Fatalf("chunk %d answered with frame kind %#x: %s", i, r.Kind, r.Payload)
+		}
+		if crc := le.Uint32(r.Payload[4:]); crc != fx.offer.BlobCRC {
+			t.Fatalf("chunk %d acked for CRC %#x, want the offer's %#x", i, crc, fx.offer.BlobCRC)
+		}
+	}
+	done := le.AppendUint32(nil, fx.offer.BlobCRC^1)
+	if r := exchange(&cluster.Frame{Kind: cluster.FrameKeyDone, Payload: done}); r.Kind != cluster.FrameError {
+		t.Fatalf("key-done with a CRC other than the offer's answered with frame kind %#x", r.Kind)
+	}
+	if _, _, err := srv.reg.Acquire("liar"); !errors.Is(err, ErrNoKey) {
+		t.Fatalf("a key-done with the wrong CRC installed a key: %v", err)
 	}
 }

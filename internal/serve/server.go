@@ -40,7 +40,7 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-// Server is the bootstrap service: it speaks the cluster's v4 frame protocol
+// Server is the bootstrap service: it speaks the cluster's v5 frame protocol
 // to any number of tenant connections, pools the same-tenant jobs that queue
 // while its executors are busy, and executes each pool as one key-major batch
 // under the tenant's registered key — one BRK pass through cache per pool
@@ -298,7 +298,14 @@ func (s *Server) handleConn(conn io.ReadWriter) {
 		case cluster.FrameBatch:
 			s.submit(cw, tenant, f)
 		case cluster.FrameKeyOffer, cluster.FrameKeyChunk, cluster.FrameKeyDone:
-			if err := s.handleKey(cw, tenant, f); err != nil {
+			// The upload is keyed by tenant, not connection, so one killed
+			// mid-stream resumes from the last acked chunk on a fresh
+			// connection.
+			reply, err := s.reg.receiveKey(tenant, f)
+			if err == nil {
+				err = cw.write(reply)
+			}
+			if err != nil {
 				s.failConn(cw, err)
 				// A registry-full refusal is transient — every budget byte is
 				// momentarily pinned by executing batches — and it can only
@@ -378,37 +385,6 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) {
 	ts.Admitted++
 	s.mu.Unlock()
 	s.co.add(j)
-}
-
-// handleKey runs the receiver side of the chunked key upload against the
-// registry's per-tenant stash. The stash is keyed by tenant, not connection,
-// so an upload killed mid-stream resumes from the last acked chunk on a
-// fresh connection.
-func (s *Server) handleKey(cw *connWriter, tenant string, f *cluster.Frame) error {
-	switch f.Kind {
-	case cluster.FrameKeyOffer:
-		offer, err := cluster.DecodeKeyOffer(f.Payload)
-		if err != nil {
-			return err
-		}
-		have, err := s.reg.stashOffer(tenant, offer)
-		if err != nil {
-			return err
-		}
-		return cw.write(&cluster.Frame{Kind: cluster.FrameKeyResume, Payload: cluster.EncodeKeyResume(have, offer.BlobCRC)})
-	case cluster.FrameKeyChunk:
-		have, _, err := s.reg.stashChunk(tenant, f.Seq, f.Payload)
-		if err != nil {
-			return err
-		}
-		return cw.write(&cluster.Frame{Kind: cluster.FrameKeyAck, Payload: cluster.EncodeKeyResume(have, 0)})
-	case cluster.FrameKeyDone:
-		if err := s.reg.stashDone(tenant); err != nil {
-			return err
-		}
-		return cw.write(&cluster.Frame{Kind: cluster.FrameKeyDone, Payload: f.Payload})
-	}
-	return fmt.Errorf("serve: unexpected key frame kind %#x", f.Kind)
 }
 
 // execBatch runs one tenant's pool — whatever queued for that key while the

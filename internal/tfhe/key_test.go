@@ -122,9 +122,8 @@ func TestTernarySecretWithoutMinusOneGetsTernaryKey(t *testing.T) {
 	GenBlindRotateKey(kg, &rlwe.LWESecretKey{Signed: []int64{1, -1}, Dist: rlwe.SecretBinary}, rsk)
 }
 
-// TestCheckShape: a key's rows must match its kind, and a partially warm
-// key — nil entries past a prefix, as the streaming receiver installs it —
-// is legal while a hole inside the prefix is not.
+// TestCheckShape: a key's rows must match its kind, and every row must be
+// there: a warm prefix with nil rows past it is refused like any hole.
 func TestCheckShape(t *testing.T) {
 	p := testParams(t)
 	kg := rlwe.NewKeyGenerator(p, 66)
@@ -145,12 +144,12 @@ func TestCheckShape(t *testing.T) {
 		ok   bool
 	}{
 		{"binary", &BlindRotateKey{Plus: rows(true, true, true), Binary: true}, true},
-		{"binary-warm-prefix", &BlindRotateKey{Plus: rows(true, false, false), Binary: true}, true},
-		{"binary-cold", &BlindRotateKey{Plus: rows(false, false, false), Binary: true}, true},
+		{"binary-warm-prefix", &BlindRotateKey{Plus: rows(true, false, false), Binary: true}, false},
+		{"binary-cold", &BlindRotateKey{Plus: rows(false, false, false), Binary: true}, false},
 		{"binary-with-minus", &BlindRotateKey{Plus: rows(true, true), Minus: rows(true, true), Binary: true}, false},
 		{"binary-hole", &BlindRotateKey{Plus: rows(true, false, true), Binary: true}, false},
 		{"ternary", &BlindRotateKey{Plus: rows(true, true), Minus: rows(true, true)}, true},
-		{"ternary-warm-prefix", &BlindRotateKey{Plus: rows(true, false), Minus: rows(true, false)}, true},
+		{"ternary-warm-prefix", &BlindRotateKey{Plus: rows(true, false), Minus: rows(true, false)}, false},
 		{"ternary-missing-minus", &BlindRotateKey{Plus: rows(true, true)}, false},
 		{"ternary-short-minus", &BlindRotateKey{Plus: rows(true, true), Minus: rows(true)}, false},
 		{"ternary-minus-hole", &BlindRotateKey{Plus: rows(true, true), Minus: rows(true, false)}, false},

@@ -12,10 +12,9 @@ import (
 // distribution channel. The layout is strictly fixed-size for a given
 // parameter set and key kind: a 24-byte header followed by NumKeys records,
 // one per LWE secret coefficient. A binary key's record is its Plus RGSW
-// ciphertext alone; a ternary key's is Plus then Minus. Fixed records let a
-// streaming receiver install complete key indices incrementally (becoming
-// key-warm one prefix at a time) and let a resumed upload compute exactly
-// which byte offset to continue from.
+// ciphertext alone; a ternary key's is Plus then Minus. The fixed size lets
+// a receiver size its buffer from its own parameters and a resumed upload
+// compute exactly which byte offset to continue from.
 
 // The header's first word holds the magic in its low half and the format
 // version in its high half. Format 3 — the blob of cluster protocol v3, which
@@ -84,10 +83,9 @@ func (k *BlindRotateKey) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadBRKHeader reads and validates the blob header, returning the key
-// count and binary flag. It is the entry point of the streaming receiver,
-// which then calls ReadBRKRecord once per index.
-func ReadBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
+// readBRKHeader reads and validates the blob header, returning the key
+// count and binary flag.
+func readBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
 	hdr := make([]uint64, 3)
 	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
 		return 0, false, err
@@ -110,9 +108,9 @@ func ReadBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
 	return int(hdr[1]), hdr[2] == 1, nil
 }
 
-// ReadBRKRecord deserializes one key index's record: the Plus RGSW
+// readBRKRecord deserializes one key index's record: the Plus RGSW
 // ciphertext, and for a ternary key the Minus one (nil for a binary key).
-func ReadBRKRecord(r io.Reader, p *rlwe.Parameters, binary bool) (plus, minus *rlwe.RGSWCiphertext, err error) {
+func readBRKRecord(r io.Reader, p *rlwe.Parameters, binary bool) (plus, minus *rlwe.RGSWCiphertext, err error) {
 	plus, err = rlwe.ReadRGSWCiphertext(r, p)
 	if err != nil {
 		return nil, nil, err
@@ -134,7 +132,7 @@ func ReadBRKRecord(r io.Reader, p *rlwe.Parameters, binary bool) (plus, minus *r
 // header announcing more keys than the input holds costs no more memory than
 // the records that follow it.
 func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters, binary bool) (*BlindRotateKey, error) {
-	n, bin, err := ReadBRKHeader(r)
+	n, bin, err := readBRKHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +141,7 @@ func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters, binary bool) (*BlindRot
 	}
 	k := &BlindRotateKey{Binary: bin}
 	for i := 0; i < n; i++ {
-		plus, minus, err := ReadBRKRecord(r, p, bin)
+		plus, minus, err := readBRKRecord(r, p, bin)
 		if err != nil {
 			return nil, fmt.Errorf("tfhe: blind-rotate key record %d: %w", i, err)
 		}

@@ -59,10 +59,7 @@ func GenBlindRotateKey(kg *rlwe.KeyGenerator, lweSK *rlwe.LWESecretKey, rsk *rlw
 func (k *BlindRotateKey) NumKeys() int { return len(k.Plus) }
 
 // CheckShape reports whether the key's rows match its kind: a binary key
-// carries no Minus rows, a ternary key one per Plus row. A partially warm
-// key — full-length slices whose entries past a warm prefix are still nil,
-// as a streaming receiver installs it — is well-formed; a hole inside the
-// prefix, or a Plus row without its Minus partner, is not.
+// carries no Minus rows, a ternary key one per Plus row, and no row is nil.
 func (k *BlindRotateKey) CheckShape() error {
 	if k.Binary && k.Minus != nil {
 		return fmt.Errorf("tfhe: binary blind-rotate key carries %d Minus rows", len(k.Minus))
@@ -70,30 +67,21 @@ func (k *BlindRotateKey) CheckShape() error {
 	if !k.Binary && len(k.Minus) != len(k.Plus) {
 		return fmt.Errorf("tfhe: ternary blind-rotate key has %d Minus rows for %d Plus rows", len(k.Minus), len(k.Plus))
 	}
-	warm := 0
-	for warm < len(k.Plus) && k.Plus[warm] != nil {
-		warm++
-	}
 	for i := range k.Plus {
-		if (k.Plus[i] != nil) != (i < warm) {
-			return fmt.Errorf("tfhe: blind-rotate key index %d breaks the warm prefix [0,%d)", i, warm)
-		}
-		if !k.Binary && (k.Minus[i] != nil) != (i < warm) {
-			return fmt.Errorf("tfhe: ternary blind-rotate key index %d has Plus without Minus or Minus without Plus", i)
+		if k.Plus[i] == nil || !k.Binary && k.Minus[i] == nil {
+			return fmt.Errorf("tfhe: blind-rotate key index %d is missing a row", i)
 		}
 	}
 	return nil
 }
 
-// SizeBytes returns the in-memory size of the rows the key holds, for the
-// §III-C key-traffic accounting and the serving registry's byte budget.
+// SizeBytes returns the in-memory size of the key's rows, for the §III-C
+// key-traffic accounting and the serving registry's byte budget.
 func (k *BlindRotateKey) SizeBytes() int {
 	total := 0
 	for _, rows := range [][]*rlwe.RGSWCiphertext{k.Plus, k.Minus} {
 		for _, g := range rows {
-			if g != nil {
-				total += rgswBytes(g)
-			}
+			total += rgswBytes(g)
 		}
 	}
 	return total
