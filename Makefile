@@ -58,7 +58,7 @@ bench-module:
 # refuses a done whose CRC is not the offer's.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestRetryBackoff|TestReconnect|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold'
 	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each

@@ -31,7 +31,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -286,12 +285,6 @@ func runChurn() error {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	closeRW := func(conn io.ReadWriter) {
-		if c, ok := conn.(io.Closer); ok {
-			_ = c.Close()
-		}
-	}
-
 	warm, err := mk(false)
 	if err != nil {
 		return err
@@ -401,9 +394,9 @@ func runChurn() error {
 		fmt.Printf("  member %-12s %v\n", name, st)
 	}
 
-	closeRW(lconn)
-	closeRW(conn2)
-	closeRW(warmConn)
+	_ = lconn.Close()
+	_ = conn2.Close()
+	_ = warmConn.Close()
 	<-servCold2
 	<-servLeaver
 	<-servWarm
@@ -414,7 +407,7 @@ func runChurn() error {
 
 // runCluster runs the parallelized bootstrap (§V) across three in-process
 // nodes connected by byte pipes, with one link deliberately cut mid-stream
-// to exercise the retry/reassignment path, and checks the result against a
+// to exercise the reassignment path, and checks the result against a
 // purely local bootstrap of the same ciphertext (they must be bit-identical,
 // since blind rotations are deterministic and node-placement-independent).
 // With a non-empty tracePath the distributed run is recorded by the

@@ -41,11 +41,6 @@ type FaultPlan struct {
 	// bytes have been written (0 = never) — a wedged peer that triggers the
 	// primary's batch deadline.
 	StallWriteAfter int
-
-	// FailFirstWrites makes the first N Write calls fail with ErrInjected
-	// without touching the underlying conn — a transient error the retry
-	// path should absorb.
-	FailFirstWrites int
 }
 
 // FaultConn wraps a connection and injects faults per its plan. It is the
@@ -53,21 +48,20 @@ type FaultPlan struct {
 // short reads, bit corruption, and mid-stream disconnects, all reproducible
 // from a seed.
 type FaultConn struct {
-	inner io.ReadWriter
+	inner Conn
 	plan  FaultPlan
 
 	mu         sync.Mutex
 	rng        uint64
 	readBytes  int
 	writeBytes int
-	writeCalls int
 
 	closeOnce sync.Once
 	closed    chan struct{}
 }
 
 // NewFaultConn wraps conn with the given plan.
-func NewFaultConn(conn io.ReadWriter, plan FaultPlan) *FaultConn {
+func NewFaultConn(conn Conn, plan FaultPlan) *FaultConn {
 	return &FaultConn{inner: conn, plan: plan, rng: plan.Seed | 1, closed: make(chan struct{})}
 }
 
@@ -115,11 +109,6 @@ func (f *FaultConn) Write(p []byte) (int, error) {
 		f.sleep(f.plan.WriteDelay)
 	}
 	f.mu.Lock()
-	f.writeCalls++
-	if f.plan.FailFirstWrites > 0 && f.writeCalls <= f.plan.FailFirstWrites {
-		f.mu.Unlock()
-		return 0, ErrInjected
-	}
 	if f.plan.StallWriteAfter > 0 && f.writeBytes >= f.plan.StallWriteAfter {
 		f.mu.Unlock()
 		<-f.closed // wedged until someone closes the conn
@@ -140,27 +129,19 @@ func (f *FaultConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Close unblocks any stalled operation and closes the underlying conn if it
-// is a Closer.
+// Close unblocks any stalled operation and closes the underlying conn.
 func (f *FaultConn) Close() error {
 	var err error
 	f.closeOnce.Do(func() {
 		close(f.closed)
-		if c, ok := f.inner.(io.Closer); ok {
-			err = c.Close()
-		}
+		err = f.inner.Close()
 	})
 	return err
 }
 
-// SetDeadline forwards to the underlying conn when supported, so deadline-
-// based batch timeouts keep working through the wrapper.
-func (f *FaultConn) SetDeadline(t time.Time) error {
-	if d, ok := f.inner.(interface{ SetDeadline(time.Time) error }); ok {
-		return d.SetDeadline(t)
-	}
-	return nil
-}
+// SetDeadline forwards to the underlying conn, so deadline-bounded round
+// trips keep working through the wrapper.
+func (f *FaultConn) SetDeadline(t time.Time) error { return f.inner.SetDeadline(t) }
 
 // sleep waits for d or until the conn is closed.
 func (f *FaultConn) sleep(d time.Duration) {

@@ -3,9 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
-	"io"
 	"math/cmplx"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -83,10 +83,10 @@ func assertBitExact(t *testing.T, out *rlwe.Ciphertext) {
 // wrapped in a FaultConn on the secondary side, and returns the primary
 // side. All conns are closed at test cleanup, which also unblocks any
 // stalled fault injection.
-func startSecondary(t *testing.T, plan *FaultPlan) io.ReadWriter {
+func startSecondary(t *testing.T, plan *FaultPlan) Conn {
 	t.Helper()
 	cp, cs := net.Pipe()
-	var sconn io.ReadWriter = cs
+	var sconn Conn = cs
 	if plan != nil {
 		fc := NewFaultConn(cs, *plan)
 		t.Cleanup(func() { _ = fc.Close() })
@@ -103,8 +103,6 @@ func testOptions() Options {
 	// secondary's compute, which is slow under -race. Only the dedicated
 	// timeout test tightens it.
 	o.BatchTimeout = 2 * time.Minute
-	o.BackoffBase = time.Millisecond
-	o.BackoffMax = 4 * time.Millisecond
 	return o
 }
 
@@ -151,7 +149,7 @@ func TestKillSecondaryMidStream(t *testing.T) {
 // bootstrap must degrade gracefully to pure local execution.
 func TestAllSecondariesDeadFallsBackLocal(t *testing.T) {
 	fixture(t)
-	dead := func() io.ReadWriter {
+	dead := func() Conn {
 		cp, cs := net.Pipe()
 		cp.Close()
 		cs.Close()
@@ -204,79 +202,8 @@ func TestDelayedPeerTimeout(t *testing.T) {
 	if time.Since(start) > 10*time.Second {
 		t.Fatalf("timeout did not bound the wedged peer (took %v)", time.Since(start))
 	}
-	assertBitExact(t, out)
-}
-
-// TestRetryBackoffReconnect: transient dial failures followed by a healthy
-// connection must be absorbed by the exponential-backoff retry path without
-// losing the shard to reassignment.
-func TestRetryBackoffReconnect(t *testing.T) {
-	fixture(t)
-	var mu sync.Mutex
-	dials := 0
-	node := &Node{
-		Name: "flapping",
-		Dial: func() (io.ReadWriter, error) {
-			mu.Lock()
-			dials++
-			d := dials
-			mu.Unlock()
-			if d <= 2 {
-				return nil, errors.New("connection refused")
-			}
-			return startSecondary(t, nil), nil
-		},
-	}
-	opts := testOptions()
-	opts.MaxRetries = 3
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), []*Node{node}, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := stats.Nodes[0]
-	if ns.Failed {
-		t.Fatalf("node should have recovered: %+v", ns)
-	}
-	if ns.Retries < 2 {
-		t.Fatalf("expected ≥2 retries, got %d", ns.Retries)
-	}
-	if ns.Completed == 0 {
-		t.Fatal("recovered node completed no work")
-	}
-	if stats.Reassigned != 0 {
-		t.Fatalf("retry path should not reassign, got %d", stats.Reassigned)
-	}
-	assertBitExact(t, out)
-}
-
-// TestReconnectResumesPending: a connection cut mid-stream with a Dial
-// function must resume on a fresh connection with only the pending indices
-// (the completed prefix of the shard is not recomputed).
-func TestReconnectResumesPending(t *testing.T) {
-	fixture(t)
-	first := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: 11, CutReadAfter: 6800})
-	t.Cleanup(func() { _ = first.Close() })
-	node := &Node{
-		Conn: first,
-		Name: "resuming",
-		Dial: func() (io.ReadWriter, error) { return startSecondary(t, nil), nil },
-	}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), []*Node{node}, nil, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := stats.Nodes[0]
-	if ns.Failed || ns.Retries == 0 {
-		t.Fatalf("expected a successful retry: %+v", ns)
-	}
-	// Dispatched counts the resend of the pending suffix, so it exceeds the
-	// node's completed total, which in turn covers the whole shard exactly
-	// once: completed + local == total.
-	if ns.Dispatched <= ns.Completed {
-		t.Fatalf("expected a partial first stream then a resend: %+v", ns)
-	}
-	if ns.Completed+stats.Local != stats.Total {
-		t.Fatalf("indices recomputed or lost: %+v local=%d total=%d", ns, stats.Local, stats.Total)
+	if nerr := stats.NodeErrors(); !errors.Is(nerr, os.ErrDeadlineExceeded) || !strings.Contains(nerr.Error(), "timed out after") {
+		t.Fatalf("node error does not report the batch timeout: %v", nerr)
 	}
 	assertBitExact(t, out)
 }

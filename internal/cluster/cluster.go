@@ -18,10 +18,12 @@
 // only its unfinished tasks. The wire protocol is framed and
 // CRC32-checksummed with a version/params handshake (frame.go), batches
 // carry per-shard sequence numbers so partial accumulator streams are
-// detected, failed or wedged secondaries are retried with exponential
-// backoff and their pending LWE indices reassigned to healthy nodes or the
-// primary's own compute (scheduler.go), and the whole failure matrix is
-// exercised deterministically by the FaultConn chaos wrapper (chaos.go).
+// detected, every round trip on a link is bounded by a deadline on its Conn,
+// and a failed or wedged secondary is given up: its link is closed and its
+// pending LWE indices go back on the queue for healthy nodes or the
+// primary's own compute (scheduler.go). A restarted node returns by
+// rejoining through a Membership. The whole failure matrix is exercised
+// deterministically by the FaultConn chaos wrapper (chaos.go).
 //
 // On top of that, v3 adds:
 //   - Membership (membership.go): secondaries join through a listener
@@ -53,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -101,7 +104,7 @@ func (s *Secondary) keyReceiver() *KeyReceiver {
 // with its LWE index and a per-shard sequence number — mirroring the
 // paper's "a secondary FPGA starts sending the resultant ciphertext ... as
 // soon as the BlindRotate operation is completed".
-func (s *Secondary) Serve(conn io.ReadWriter) error {
+func (s *Secondary) Serve(conn Conn) error {
 	local := HelloFor(s.Boot)
 	maxPayload := s.maxServePayload()
 
@@ -145,7 +148,7 @@ func (s *Secondary) maxServePayload() int {
 
 // failConn sends a best-effort structured error so the primary fails fast
 // instead of waiting out its deadline; the connection is dead either way.
-func (s *Secondary) failConn(conn io.ReadWriter, err error) error {
+func (s *Secondary) failConn(conn Conn, err error) error {
 	msg := err.Error()
 	if len(msg) > MaxErrorPayload {
 		msg = msg[:MaxErrorPayload]
@@ -157,7 +160,7 @@ func (s *Secondary) failConn(conn io.ReadWriter, err error) error {
 // serveLoop is the post-handshake serving loop, shared by Serve (classic
 // hello connections) and JoinAndServe (membership joiners). It handles
 // batches, health probes, graceful leave, and the chunked key upload.
-func (s *Secondary) serveLoop(conn io.ReadWriter) error {
+func (s *Secondary) serveLoop(conn Conn) error {
 	p := s.Boot.Params.Parameters
 	rec := s.Boot.Recorder()
 	maxBatch := p.N()
@@ -324,6 +327,13 @@ func (s *Secondary) serveLoop(conn io.ReadWriter) error {
 // local execution.
 type Primary struct {
 	Boot *core.Bootstrapper
+
+	// keyHigh is, per node name, one past the highest key chunk ever sent
+	// to that node. It outlives runs, so the chunk in flight when a link is
+	// cut in one run and sent again on the rejoin in the next is counted as
+	// re-sent.
+	mu      sync.Mutex
+	keyHigh map[string]uint32
 }
 
 // runState is the shared state of one distributed bootstrap run.
@@ -343,12 +353,11 @@ type runState struct {
 	// the merge sink. Losers are counted as wasted hedges.
 	claims []atomic.Bool
 
-	mu          sync.Mutex // guards stats, flights, ests, activeConns, keyHigh
+	mu          sync.Mutex // guards stats, flights, ests, activeConns
 	flights     map[int]*flight
 	hedgedIdx   map[int]bool
 	ests        map[*NodeStats]*latEstimator
-	activeConns map[io.ReadWriter]int // non-nil only when hedging is enabled
-	keyHigh     map[string]uint32     // per-name high-water of pushed key chunks
+	activeConns map[Conn]int // non-nil only when hedging is enabled
 
 	keyOnce sync.Once
 	keyBlob []byte
@@ -359,7 +368,6 @@ type runState struct {
 // flight is one in-flight LWE index: who it was dispatched to and when.
 type flight struct {
 	ns    *NodeStats
-	conn  io.ReadWriter
 	start time.Time
 }
 
@@ -383,7 +391,7 @@ func (rs *runState) complete(idx int, acc *rlwe.Ciphertext) bool {
 func (rs *runState) claimed(idx int) bool { return rs.claims[idx].Load() }
 
 // pendingOf returns the indices of task not yet claimed by any worker —
-// the set a failing node's retry or reassignment must cover.
+// the set a failing or leaving node hands back to the queue.
 func (rs *runState) pendingOf(task []int) []int {
 	pending := make([]int, 0, len(task))
 	for _, idx := range task {
@@ -422,11 +430,12 @@ func (rs *runState) down(name string, st MemberState) {
 // thus a membership that never changes, and every run dispatches the same
 // way: the secondaries and the primary's local workers all drain one queue of
 // tasks, so a fast node, a mid-run joiner or the local compute picks up
-// whatever a slow or failed node left. Any task a secondary cannot finish —
-// connection error, frame corruption, timeout, death mid-stream — is retried
-// (with exponential backoff and reconnect when the node has a Dial function)
-// and then put back on the queue; nodes that leave or miss health probes are
-// drained the same way. The result is bit-identical to the local bootstrap.
+// whatever a slow or failed node left. A secondary whose link fails —
+// connection error, frame corruption, timeout, death mid-stream — is given
+// up: the accumulators that arrived are kept and the rest of its task goes
+// back on the queue. Nodes that leave or miss health probes are drained the
+// same way, and a restarted node comes back by rejoining through m. The
+// result is bit-identical to the local bootstrap.
 //
 // The returned Stats say where every rotation actually ran. The error is
 // non-nil only when the bootstrap itself could not complete (context
@@ -502,10 +511,9 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		flights:   make(map[int]*flight),
 		hedgedIdx: make(map[int]bool),
 		ests:      make(map[*NodeStats]*latEstimator),
-		keyHigh:   make(map[string]uint32),
 	}
 	if opts.HedgeAfter > 0 {
-		rs.activeConns = make(map[io.ReadWriter]int)
+		rs.activeConns = make(map[Conn]int)
 	}
 
 	all := make([]int, n)
@@ -542,7 +550,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 			select {
 			case <-q.doneCh:
 				rs.mu.Lock()
-				conns := make([]io.ReadWriter, 0, len(rs.activeConns))
+				conns := make([]Conn, 0, len(rs.activeConns))
 				for c := range rs.activeConns {
 					conns = append(conns, c)
 				}
@@ -565,7 +573,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			p.runNode(ctx, nodes[k], stats.Nodes[k], k, rs)
+			p.runNode(nodes[k], stats.Nodes[k], k, rs)
 		}(k)
 	}
 
@@ -596,7 +604,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 					joinWG.Add(1)
 					go func(node *Node, ns *NodeStats, lane int) {
 						defer joinWG.Done()
-						p.runNode(ctx, node, ns, lane, rs)
+						p.runNode(node, ns, lane, rs)
 					}(node, ns, lane)
 					lane++
 				case <-q.doneCh:
@@ -735,51 +743,44 @@ func (s *accSink) takeErr() error {
 // than a failure.
 var errNodeLeft = errors.New("cluster: node requested leave")
 
-// runNode feeds one secondary until the queue drains or the node
-// permanently fails, reassigning whatever it could not finish. A cold
-// membership joiner is first sent the whole blind-rotate key (resumable);
-// on idle connections it exchanges health probes, draining the node after K
-// consecutive misses.
-func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane int, rs *runState) {
-	q, opts := rs.q, rs.opts
-	conn := node.Conn
-	handshaken := node.joined // join handshake already covered params
-	rng := &splitmix{s: jitterSeed ^ hashName(ns.Name)}
-	var batch uint32
-	attempts := 0
-	probeMisses := 0
-	resend := false
+// runNode feeds one secondary until the queue drains, the node leaves, or
+// its link fails; a failed link is given up and whatever the node had not
+// finished goes back on the queue. A cold membership joiner is first sent the
+// whole blind-rotate key (resumable); on idle connections it exchanges
+// health probes, draining the node after probeMisses consecutive misses.
+func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
+	q, opts, conn := rs.q, rs.opts, node.Conn
+	var (
+		batch  uint32
+		nonce  uint64
+		misses int
+	)
 
-	giveUp := func(task []int, err error) {
+	// end takes the node out of the run: the link is closed and the
+	// unclaimed part of task goes back on the queue. A nil err is a
+	// graceful leave, anything else a failure.
+	end := func(task []int, err error) {
 		pending := rs.pendingOf(task)
+		st := MemberLeft
 		rs.mu.Lock()
-		ns.Failed = true
-		ns.Err = fmt.Errorf("cluster: shard %q: %w", ns.Name, err)
+		if err != nil {
+			st = MemberDead
+			ns.Failed = true
+			ns.Err = fmt.Errorf("cluster: shard %q: %w", ns.Name, err)
+		} else {
+			ns.Left = true
+		}
 		rs.stats.Reassigned += len(pending)
 		rs.mu.Unlock()
-		rs.down(ns.Name, MemberDead)
-		if conn != nil {
-			closeConn(conn)
-		}
-		q.push(pending)
-	}
-	leave := func(task []int) {
-		pending := rs.pendingOf(task)
-		rs.mu.Lock()
-		ns.Left = true
-		rs.stats.Reassigned += len(pending)
-		rs.mu.Unlock()
-		rs.down(ns.Name, MemberLeft)
-		if conn != nil {
-			closeConn(conn)
-		}
+		rs.down(ns.Name, st)
+		closeConn(conn)
 		q.push(pending)
 	}
 
 	// draw takes the next task; with probing enabled it wakes up on idle
 	// ticks to exchange a health probe first.
 	draw := func() []int {
-		if opts.ProbeInterval <= 0 || conn == nil {
+		if opts.ProbeInterval <= 0 {
 			return q.pop()
 		}
 		for {
@@ -787,19 +788,20 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 			if done || task != nil {
 				return task
 			}
-			err := p.probeNode(conn, rng, opts)
+			nonce++
+			err := p.probeNode(conn, nonce, opts)
 			switch {
 			case err == nil:
-				probeMisses = 0
+				misses = 0
 				rs.rec.Add(obs.CounterProbes, 1)
 			case errors.Is(err, errNodeLeft):
-				leave(nil)
+				end(nil, nil)
 				return nil
 			default:
-				probeMisses++
+				misses++
 				rs.rec.Add(obs.CounterProbeMisses, 1)
-				if probeMisses >= opts.ProbeMisses {
-					giveUp(nil, fmt.Errorf("missed %d health probes: %w", probeMisses, err))
+				if misses >= probeMisses {
+					end(nil, fmt.Errorf("missed %d health probes: %w", misses, err))
 					return nil
 				}
 			}
@@ -824,114 +826,54 @@ func (p *Primary) runNode(ctx context.Context, node *Node, ns *NodeStats, lane i
 	}
 
 	// Cold joiners: the whole key goes over before any work.
-	if node.needsKey && conn != nil {
+	if node.needsKey {
 		if err := p.uploadKey(ns, conn, rs); err != nil {
-			giveUp(nil, fmt.Errorf("key upload: %w", err))
+			end(nil, fmt.Errorf("key upload: %w", err))
 			return
 		}
 		node.needsKey = false
 	}
 
 	task := pop()
+	if task != nil && !node.joined {
+		if err := p.handshake(conn, opts); err != nil {
+			end(task, err)
+			return
+		}
+	}
 	for task != nil {
-		// Ensure a live, handshaken connection, dialing if needed.
-		if conn == nil {
-			if node.Dial == nil {
-				giveUp(task, errors.New("no connection and no dial function"))
-				return
-			}
-			c, err := node.Dial()
-			if err != nil {
-				attempts++
-				rs.mu.Lock()
-				ns.Retries++
-				rs.mu.Unlock()
-				if attempts > opts.MaxRetries {
-					giveUp(task, fmt.Errorf("dial failed after %d attempts: %w", attempts, err))
-					return
-				}
-				if !sleepBackoff(ctx, q, backoff(opts, attempts, rng)) {
-					giveUp(task, ctx.Err())
-					return
-				}
-				continue
-			}
-			conn = c
-			handshaken = false
-		}
-		if !handshaken {
-			if err := p.handshake(conn, opts); err != nil {
-				// Could be a flaky link (retryable via redial) or a genuine
-				// version/params mismatch (the redial will fail identically
-				// and exhaust the retry budget).
-				closeConn(conn)
-				conn = nil
-				attempts++
-				if node.Dial == nil || attempts > opts.MaxRetries {
-					giveUp(task, err)
-					return
-				}
-				rs.mu.Lock()
-				ns.Retries++
-				rs.mu.Unlock()
-				if !sleepBackoff(ctx, q, backoff(opts, attempts, rng)) {
-					giveUp(task, ctx.Err())
-					return
-				}
-				continue
-			}
-			handshaken = true
-		}
-
-		err := p.dispatchBatch(conn, batch, lane, resend, task, ns, rs)
+		err := p.dispatchBatch(conn, batch, lane, task, ns, rs)
 		batch++
 		if err == nil {
-			attempts = 0
-			resend = false
 			task = pop()
 			continue
 		}
 		if errors.Is(err, errNodeLeft) {
-			leave(task)
+			end(task, nil)
 			return
 		}
-
-		// The stream is unrecoverable mid-batch: drop the conn, keep the
-		// indices that did complete, and retry or reassign the rest.
-		closeConn(conn)
-		conn = nil
-		handshaken = false
-		task = rs.pendingOf(task)
-		if len(task) == 0 {
-			// Every accumulator arrived before the stream broke (e.g. a
-			// corrupted batch-end frame) — nothing to retry.
-			resend = false
-			task = pop()
-			continue
+		// The stream broke: the accumulators that arrived are kept and the
+		// link is given up. A batch whose every index had already arrived
+		// (one cut after its last accumulator, or a hedge loser's link closed
+		// as the run completed) leaves the node failed only if the queue
+		// still has work for it, which goes straight back.
+		if len(rs.pendingOf(task)) == 0 {
+			if task = q.pop(); task == nil {
+				closeConn(conn)
+				return
+			}
 		}
-		resend = true
-		attempts++
-		if node.Dial == nil || attempts > opts.MaxRetries {
-			giveUp(task, err)
-			return
-		}
-		rs.mu.Lock()
-		ns.Retries++
-		rs.mu.Unlock()
-		if !sleepBackoff(ctx, q, backoff(opts, attempts, rng)) {
-			giveUp(task, ctx.Err())
-			return
-		}
+		end(task, err)
+		return
 	}
 }
 
 // probeNode sends one health probe and waits for its ack (skipping stale
 // acks from previous rounds).
-func (p *Primary) probeNode(conn io.ReadWriter, rng *splitmix, opts Options) error {
+func (p *Primary) probeNode(conn Conn, nonce uint64, opts Options) error {
 	rec := p.Boot.Recorder()
 	disarm := armTimeout(conn, opts.ProbeTimeout)
 	defer disarm()
-	nonce := rng.next()
 	payload := encodeProbe(nonce)
 	if err := WriteFrame(conn, &Frame{Kind: FrameProbe, Payload: payload}); err != nil {
 		return fmt.Errorf("cluster: probe send: %w", err)
@@ -965,18 +907,21 @@ func (p *Primary) probeNode(conn io.ReadWriter, rng *splitmix, opts Options) err
 
 // uploadKey streams the blind-rotate key to a cold joiner, resuming from
 // the receiver's last acked chunk.
-func (p *Primary) uploadKey(ns *NodeStats, conn io.ReadWriter, rs *runState) error {
+func (p *Primary) uploadKey(ns *NodeStats, conn Conn, rs *runState) error {
 	blob, crc, err := rs.keyBlobBytes(p)
 	if err != nil {
 		return err
 	}
-	rs.mu.Lock()
-	high := rs.keyHigh[ns.Name]
-	rs.mu.Unlock()
+	p.mu.Lock()
+	high := p.keyHigh[ns.Name]
+	p.mu.Unlock()
 	defer func() {
-		rs.mu.Lock()
-		rs.keyHigh[ns.Name] = high
-		rs.mu.Unlock()
+		p.mu.Lock()
+		if p.keyHigh == nil {
+			p.keyHigh = make(map[string]uint32)
+		}
+		p.keyHigh[ns.Name] = high
+		p.mu.Unlock()
 	}()
 	return sendKey(conn, blob, crc, rs.opts, p.Boot.Recorder(), &high)
 }
@@ -1034,7 +979,7 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 }
 
 // handshake performs the hello exchange on a fresh connection.
-func (p *Primary) handshake(conn io.ReadWriter, opts Options) error {
+func (p *Primary) handshake(conn Conn, opts Options) error {
 	disarm := armTimeout(conn, opts.BatchTimeout)
 	defer disarm()
 	local := HelloFor(p.Boot)
@@ -1065,17 +1010,14 @@ func (p *Primary) handshake(conn io.ReadWriter, opts Options) error {
 // frame carries the primary's deadline budget (BatchTimeout and any context
 // deadline, whichever is tighter) so the secondary can abandon work it
 // cannot finish in time.
-func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, resend bool, idxs []int, ns *NodeStats, rs *runState) error {
+func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, ns *NodeStats, rs *runState) error {
 	prep, sink, opts := rs.prep, rs.sink, rs.opts
 	rec := p.Boot.Recorder()
 	est := rs.estFor(ns)
 	disarm := armTimeout(conn, opts.BatchTimeout)
 	defer disarm()
-	// disarm is idempotent, so the error paths can consult it directly; the
-	// old code set a flag from the deferred call, which runs only after the
-	// return value is already built, so the timeout annotation was dead code.
 	wrap := func(err error) error {
-		if disarm() {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return fmt.Errorf("cluster: batch %d timed out after %v: %w", shard, opts.BatchTimeout, err)
 		}
 		return err
@@ -1107,9 +1049,6 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 	werr := WriteFrame(conn, &Frame{Kind: FrameBatch, Shard: shard, Seq: budgetMs, Payload: payload})
 	rec.End(obs.StageNetSend, lane, sendTok)
 	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-	if resend {
-		rec.Add(obs.CounterBytesRetried, WireSize(len(payload)))
-	}
 	if werr != nil {
 		return wrap(fmt.Errorf("cluster: batch send: %w", werr))
 	}
@@ -1117,7 +1056,7 @@ func (p *Primary) dispatchBatch(conn io.ReadWriter, shard uint32, lane int, rese
 	rs.mu.Lock()
 	ns.Dispatched += len(idxs)
 	for _, idx := range idxs {
-		rs.flights[idx] = &flight{ns: ns, conn: conn, start: start}
+		rs.flights[idx] = &flight{ns: ns, start: start}
 	}
 	if rs.activeConns != nil {
 		rs.activeConns[conn]++
@@ -1251,30 +1190,9 @@ func safeRotateTile(bt *core.Bootstrapper, accs []*rlwe.Ciphertext, lwes []*rlwe
 	return nil
 }
 
-// sleepBackoff waits d, returning false if the context aborts first.
-func sleepBackoff(ctx context.Context, q *workQueue, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return !q.isAborted()
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // Shutdown tells a secondary to stop serving.
 func Shutdown(conn io.Writer) error {
 	return WriteFrame(conn, &Frame{Kind: FrameShutdown})
-}
-
-func hashName(name string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func putU32(b []byte, v uint32) {

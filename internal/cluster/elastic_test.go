@@ -354,9 +354,11 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	if got := int(coldMet.Counter(obs.CounterKeyChunkBytes)); got != blobSize {
 		t.Fatalf("receiver counted %d unique chunk bytes, want exactly the %d-byte blob", got, blobSize)
 	}
-	// Stop-and-wait leaves at most the single unacked chunk to overlap.
-	if resent := int(priMet.Counter(obs.CounterKeyChunkResent)); resent > chunkBytes {
-		t.Fatalf("sender re-sent %d bytes, want at most one chunk (%d)", resent, chunkBytes)
+	// Stop-and-wait leaves only the unacked chunk to overlap. The cut lands
+	// inside chunk 3's frame, so exactly that chunk goes out twice: once on
+	// the dead link, once on the rejoin.
+	if resent := int(priMet.Counter(obs.CounterKeyChunkResent)); resent != chunkBytes {
+		t.Fatalf("sender re-sent %d bytes, want exactly the chunk in flight at the cut (%d)", resent, chunkBytes)
 	}
 	if st, _ := m.State("cold"); st != MemberActive {
 		t.Fatalf("rejoined node state %v, want active", st)
@@ -446,7 +448,6 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ProbeInterval = 10 * time.Millisecond
 	opts.ProbeTimeout = 50 * time.Millisecond
-	opts.ProbeMisses = 3
 	opts = opts.withDefaults()
 	q := newWorkQueue(1, 1) // 1 outstanding index, never queued here: permanently idle
 	rs := &runState{
@@ -460,12 +461,11 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 		flights:   make(map[int]*flight),
 		hedgedIdx: make(map[int]bool),
 		ests:      make(map[*NodeStats]*latEstimator),
-		keyHigh:   make(map[string]uint32),
 	}
 	ns := rs.stats.Nodes[0]
 	done := make(chan struct{})
 	go func() {
-		(&Primary{Boot: fx.bt}).runNode(context.Background(), node, ns, 0, rs)
+		(&Primary{Boot: fx.bt}).runNode(node, ns, 0, rs)
 		close(done)
 	}()
 
@@ -480,11 +480,11 @@ func TestProbeMissesDrainIdleNode(t *testing.T) {
 	if st, _ := m.State("mute"); st != MemberDead {
 		t.Fatalf("membership state %v, want dead", st)
 	}
-	if got := int(met.Counter(obs.CounterProbeMisses)); got < opts.ProbeMisses {
-		t.Fatalf("probe_misses = %d, want >= %d", got, opts.ProbeMisses)
+	if got := int(met.Counter(obs.CounterProbeMisses)); got < probeMisses {
+		t.Fatalf("probe_misses = %d, want >= %d", got, probeMisses)
 	}
-	if swallowed.Load() < int32(opts.ProbeMisses) {
-		t.Fatalf("mute peer swallowed %d probes, want >= %d", swallowed.Load(), opts.ProbeMisses)
+	if swallowed.Load() < probeMisses {
+		t.Fatalf("mute peer swallowed %d probes, want >= %d", swallowed.Load(), probeMisses)
 	}
 	q.done(1)
 	cp.Close()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 	"time"
 
@@ -176,11 +175,11 @@ func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 // StreamKey pushes a serialized blind-rotate key blob over conn with the
 // chunked stop-and-wait protocol above (offer → resume → chunks with
 // per-chunk acks → done), resuming from whatever the receiver already holds.
-// chunkBytes ≤ 0 takes the scheduler default; timeout ≤ 0 disables the
-// per-round-trip watchdog. This is the client-side path a tenant uses to
-// install its key in a serving registry; it is byte-identical to the
-// primary→secondary warm-up stream.
-func StreamKey(conn io.ReadWriter, blob []byte, blobCRC uint32, chunkBytes int, timeout time.Duration, rec obs.Recorder) error {
+// chunkBytes ≤ 0 takes the scheduler default; timeout ≤ 0 leaves each round
+// trip unbounded. This is the client-side path a tenant uses to install its
+// key in a serving registry; it is byte-identical to the primary→secondary
+// warm-up stream.
+func StreamKey(conn Conn, blob []byte, blobCRC uint32, chunkBytes int, timeout time.Duration, rec obs.Recorder) error {
 	opts := DefaultOptions()
 	if chunkBytes > 0 {
 		opts.KeyChunkBytes = chunkBytes
@@ -191,11 +190,11 @@ func StreamKey(conn io.ReadWriter, blob []byte, blobCRC uint32, chunkBytes int, 
 }
 
 // sendKey streams the key blob to a cold node, resuming from whatever the
-// receiver already holds. high persists the per-node high-water mark of
-// pushed chunks across reconnects, so re-sent overlap (at most the one
-// unacked chunk per kill, with stop-and-wait) is counted exactly in
-// CounterKeyChunkResent.
-func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32) error {
+// receiver already holds. high is one past the highest chunk ever sent to the
+// node; it advances when a chunk is first sent, so a chunk sent again after a
+// cut (with stop-and-wait, the one in flight when the link died) is counted
+// in CounterKeyChunkResent.
+func sendKey(conn Conn, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32) error {
 	chunk := opts.KeyChunkBytes
 	count := (len(blob) + chunk - 1) / chunk
 	offer := KeyOffer{
@@ -247,13 +246,12 @@ func sendKey(conn io.ReadWriter, blob []byte, blobCRC uint32, opts Options, rec 
 		payload := blob[lo:hi]
 		if uint32(i) < *high {
 			rec.Add(obs.CounterKeyChunkResent, uint64(len(payload)))
+		} else {
+			*high = uint32(i) + 1
 		}
 		f, err := roundTrip(&Frame{Kind: FrameKeyChunk, Seq: uint32(i), Payload: payload}, FrameKeyAck)
 		if err != nil {
 			return err
-		}
-		if uint32(i) >= *high {
-			*high = uint32(i) + 1
 		}
 		acked, acrc, err := decodeKeyResume(f.Payload)
 		if err != nil {

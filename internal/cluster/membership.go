@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -15,8 +14,8 @@ import (
 // params-digest handshake (FrameJoin/FrameJoinAck), a running
 // bootstrap picks them up mid-run and they start draining the shared work
 // queue, and nodes that leave gracefully (FrameLeave) or miss K health
-// probes are drained with their pending LWE indices reassigned through the
-// existing retry machinery.
+// probes are drained with their pending LWE indices put back on the work
+// queue, the same way a failed link is given up.
 
 // MemberState is a node's lifecycle state in the membership registry.
 type MemberState int
@@ -26,8 +25,8 @@ const (
 	MemberActive MemberState = iota
 	// MemberLeft nodes drained gracefully; the name may rejoin.
 	MemberLeft
-	// MemberDead nodes failed (probe misses, exhausted retries); the name
-	// may rejoin — which is how a node killed mid-key-upload resumes.
+	// MemberDead nodes failed (a broken link, probe misses); the name may
+	// rejoin — which is how a node killed mid-key-upload resumes.
 	MemberDead
 )
 
@@ -141,7 +140,7 @@ func (m *Membership) State(name string) (MemberState, bool) {
 // ListenerFrom; PipeListener provides the in-memory form tests and the
 // churn demo use.
 type Listener interface {
-	Accept() (io.ReadWriter, error)
+	Accept() (Conn, error)
 }
 
 // ListenerFrom adapts a net.Listener to the cluster Listener interface, the
@@ -151,23 +150,23 @@ func ListenerFrom(l net.Listener) Listener { return netListener{l} }
 
 type netListener struct{ l net.Listener }
 
-func (n netListener) Accept() (io.ReadWriter, error) { return n.l.Accept() }
+func (n netListener) Accept() (Conn, error) { return n.l.Accept() }
 
 // PipeListener is an in-memory listener: every Dial produces a net.Pipe
 // whose far end comes out of Accept.
 type PipeListener struct {
-	ch     chan io.ReadWriter
+	ch     chan Conn
 	closed chan struct{}
 	once   sync.Once
 }
 
 // NewPipeListener returns an open in-memory listener.
 func NewPipeListener() *PipeListener {
-	return &PipeListener{ch: make(chan io.ReadWriter), closed: make(chan struct{})}
+	return &PipeListener{ch: make(chan Conn), closed: make(chan struct{})}
 }
 
 // Dial connects a new pipe through the listener, returning the client end.
-func (l *PipeListener) Dial() (io.ReadWriter, error) {
+func (l *PipeListener) Dial() (Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.ch <- server:
@@ -180,7 +179,7 @@ func (l *PipeListener) Dial() (io.ReadWriter, error) {
 }
 
 // Accept returns the server end of the next dialed pipe.
-func (l *PipeListener) Accept() (io.ReadWriter, error) {
+func (l *PipeListener) Accept() (Conn, error) {
 	select {
 	case c := <-l.ch:
 		return c, nil
@@ -206,7 +205,7 @@ func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 		if err != nil {
 			return nil
 		}
-		go func(conn io.ReadWriter) {
+		go func(conn Conn) {
 			if err := p.acceptJoin(m, conn); err != nil {
 				closeConn(conn)
 			}
@@ -215,7 +214,7 @@ func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 }
 
 // acceptJoin validates one join handshake and registers the node.
-func (p *Primary) acceptJoin(m *Membership, conn io.ReadWriter) error {
+func (p *Primary) acceptJoin(m *Membership, conn Conn) error {
 	local := HelloFor(p.Boot)
 	refuse := func(err error) error {
 		msg := err.Error()
@@ -253,7 +252,7 @@ func (p *Primary) acceptJoin(m *Membership, conn io.ReadWriter) error {
 // Join performs the secondary side of the join handshake on conn: it sends
 // the node's hello (with its key-warm flag) plus its name and waits for the
 // primary's acknowledgement.
-func (s *Secondary) Join(conn io.ReadWriter, name string) error {
+func (s *Secondary) Join(conn Conn, name string) error {
 	local := HelloFor(s.Boot)
 	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(local, name)}); err != nil {
 		return fmt.Errorf("cluster: join send: %w", err)
@@ -280,7 +279,7 @@ func (s *Secondary) Join(conn io.ReadWriter, name string) error {
 // work on it — the whole life of an elastic secondary. A cold node receives
 // its blind-rotate key over the same connection (chunked and resumable)
 // before any batch work.
-func (s *Secondary) JoinAndServe(conn io.ReadWriter, name string) error {
+func (s *Secondary) JoinAndServe(conn Conn, name string) error {
 	if err := s.Join(conn, name); err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -156,56 +155,6 @@ func TestClusterTraceAccounting(t *testing.T) {
 	}
 }
 
-// TestClusterRetryBytesAccounted locks the bytes_retried counter: when a
-// node's stream breaks mid-batch and the node reconnects via Dial, the
-// re-dispatched batch is counted as retried traffic.
-func TestClusterRetryBytesAccounted(t *testing.T) {
-	params, cl, btPrimary := buildNode(t, 6)
-	_, _, btSec := buildNode(t, 6)
-
-	v := make([]complex128, params.Slots)
-	for i := range v {
-		v[i] = complex(0.25, 0)
-	}
-	ct := cl.EncryptAtLevel(v, 1)
-
-	serve := func() io.ReadWriter {
-		cp, cs := net.Pipe()
-		go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
-		return cp
-	}
-	// First connection dies after a little accumulator traffic; the Dial
-	// function hands out a healthy replacement.
-	first := NewFaultConn(serve(), FaultPlan{Seed: 7, CutReadAfter: 4 << 10})
-	nodes := []*Node{{
-		Conn: first,
-		Dial: func() (io.ReadWriter, error) { return serve(), nil },
-		Name: "flaky-0",
-	}}
-
-	met := obs.NewMetrics()
-	btPrimary.SetRecorder(met)
-	primary := &Primary{Boot: btPrimary}
-	out, stats, err := primary.Bootstrap(context.Background(), ct, nodes, nil, DefaultOptions())
-	btPrimary.SetRecorder(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == nil {
-		t.Fatal("bootstrap returned nil")
-	}
-	if stats.Nodes[0].Retries == 0 {
-		t.Skip("link survived the fault plan; nothing was retried")
-	}
-	if met.Counter(obs.CounterBytesRetried) == 0 {
-		t.Error("node retried but bytes_retried counter did not move")
-	}
-	if met.Counter(obs.CounterBytesFramed) <= met.Counter(obs.CounterBytesRetried) {
-		t.Errorf("bytes_framed %d must exceed bytes_retried %d",
-			met.Counter(obs.CounterBytesFramed), met.Counter(obs.CounterBytesRetried))
-	}
-}
-
 // blindRotateLanes parses the tracer's timeline and counts the BlindRotate
 // spans on each shard lane (lane k is trace thread k+1).
 func blindRotateLanes(t *testing.T, tracer *obs.Tracer) map[int]int {
@@ -236,7 +185,7 @@ func TestLocalShareFansOverWorkers(t *testing.T) {
 	params, cl, bt := buildNode(t, 7)
 	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
 	local := bt.Bootstrap(ct.CopyNew())
-	dead := func() io.ReadWriter {
+	dead := func() Conn {
 		cp, cs := net.Pipe()
 		cp.Close()
 		cs.Close()

@@ -7,20 +7,24 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heap/internal/obs"
 )
 
+// Conn is a cluster link: a closable byte stream whose round trips can be
+// bounded by a deadline. net.Conn (TCP, net.Pipe) and FaultConn satisfy it.
+type Conn interface {
+	io.ReadWriteCloser
+	SetDeadline(time.Time) error
+}
+
 // Node describes one secondary the primary can dispatch to.
 type Node struct {
-	// Conn is the current connection (nil to dial lazily).
-	Conn io.ReadWriter
-	// Dial, when non-nil, reconnects after a transient failure; without it
-	// the first connection error permanently fails the node and its
-	// unfinished work is reassigned.
-	Dial func() (io.ReadWriter, error)
+	// Conn is the link to the node. A link that fails is given up: the
+	// node's unfinished work is reassigned, and a restarted node comes back by
+	// rejoining through a Membership.
+	Conn Conn
 	// Name labels the node in stats and errors; for membership joiners it is
 	// the registry identity a killed node rejoins under.
 	Name string
@@ -37,17 +41,10 @@ type Node struct {
 
 // Options tunes the fault-tolerant dispatch.
 type Options struct {
-	// BatchTimeout bounds one batch round-trip (handshake, send, receive
-	// all accumulators). It is enforced via SetDeadline when the conn
-	// supports it, else via a watchdog that closes the conn. 0 disables.
+	// BatchTimeout bounds one round trip on a node's link (handshake, batch
+	// send and the whole accumulator stream, one key-stream exchange) by a
+	// deadline on the conn. 0 disables.
 	BatchTimeout time.Duration
-	// MaxRetries is how many reconnect attempts a node with a Dial
-	// function gets before its work is reassigned.
-	MaxRetries int
-	// BackoffBase/BackoffMax shape the exponential backoff between
-	// reconnect attempts; the actual sleep is jittered in [d/2, d].
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// LocalWorkers is the number of primary-side goroutines that drain the
 	// queue alongside the secondaries (fallback compute). 0 selects the
 	// bootstrapper's Cfg.Workers.
@@ -58,9 +55,6 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round-trip; 0 selects ProbeInterval.
 	ProbeTimeout time.Duration
-	// ProbeMisses is K: a node that misses this many consecutive probes is
-	// drained and its pending work reassigned. 0 selects 3.
-	ProbeMisses int
 	// HedgeAfter enables hedged dispatch: an in-flight LWE index older than
 	// max(HedgeAfter, hedgeMultiplier × node p99 latency) is speculatively
 	// re-queued for another worker, and the first bit-exact result wins
@@ -75,42 +69,25 @@ const (
 	// hedgeMultiplier scales the observed per-node p99 per-index latency
 	// into the hedge threshold.
 	hedgeMultiplier = 4
-	// jitterSeed, mixed with the node name, seeds the deterministic backoff
-	// jitter and probe nonces.
-	jitterSeed = 0xC1A05
+	// probeMisses is K: a node that misses this many consecutive health
+	// probes is drained and its pending work reassigned.
+	probeMisses = 3
 )
 
 // DefaultOptions returns production-leaning defaults.
 func DefaultOptions() Options {
 	return Options{
 		BatchTimeout:  30 * time.Second,
-		MaxRetries:    2,
-		BackoffBase:   5 * time.Millisecond,
-		BackoffMax:    250 * time.Millisecond,
-		LocalWorkers:  0,
-		ProbeInterval: 0,
-		ProbeMisses:   3,
-		HedgeAfter:    0,
 		KeyChunkBytes: 256 << 10,
 	}
 }
 
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = d.BackoffBase
-	}
-	if o.BackoffMax < o.BackoffBase {
-		o.BackoffMax = o.BackoffBase
-	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = o.ProbeInterval
 	}
-	if o.ProbeMisses <= 0 {
-		o.ProbeMisses = d.ProbeMisses
-	}
 	if o.KeyChunkBytes <= 0 {
-		o.KeyChunkBytes = d.KeyChunkBytes
+		o.KeyChunkBytes = DefaultOptions().KeyChunkBytes
 	}
 	return o
 }
@@ -120,7 +97,6 @@ type NodeStats struct {
 	Name       string
 	Dispatched int   // LWE indices sent to the node
 	Completed  int   // accumulators received back (claim winners)
-	Retries    int   // reconnect attempts
 	Failed     bool  // node permanently failed during this bootstrap
 	Left       bool  // node left gracefully (drained, not failed)
 	Joined     bool  // node joined mid-run through the membership
@@ -174,8 +150,8 @@ func (s *Stats) String() string {
 		if ns.Joined {
 			state += " (joined)"
 		}
-		out += fmt.Sprintf("  %-14s sent=%-5d done=%-5d retries=%-2d %s\n",
-			ns.Name, ns.Dispatched, ns.Completed, ns.Retries, state)
+		out += fmt.Sprintf("  %-14s sent=%-5d done=%-5d %s\n",
+			ns.Name, ns.Dispatched, ns.Completed, state)
 	}
 	return out
 }
@@ -332,12 +308,6 @@ func (q *workQueue) abort() {
 	q.cond.Broadcast()
 }
 
-func (q *workQueue) isAborted() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.aborted
-}
-
 // drain discards any tasks still queued after completion (hedged duplicates
 // whose every index was already claimed elsewhere), balancing the
 // queue-depth gauge.
@@ -350,102 +320,20 @@ func (q *workQueue) drain() {
 	q.tasks = nil
 }
 
-// splitmix is the deterministic jitter PRNG.
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// backoff returns the jittered exponential delay for the given attempt
-// (1-based): base·2^(attempt−1) capped at max, jittered into [d/2, d].
-func backoff(o Options, attempt int, rng *splitmix) time.Duration {
-	d := o.BackoffBase
-	for i := 1; i < attempt && d < o.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > o.BackoffMax {
-		d = o.BackoffMax
-	}
-	half := d / 2
-	if half > 0 {
-		d = half + time.Duration(rng.next()%uint64(half))
-	}
-	return d
-}
-
-// armTimeout bounds one batch round-trip. It prefers SetDeadline (net.Conn,
-// net.Pipe, FaultConn); for plain ReadWriters that can at least be closed it
-// falls back to a watchdog that closes the conn when the timer fires. The
-// returned disarm func is idempotent (safe to call from a defer and again
-// from an error-wrapping path) and reports whether the watchdog closed the
-// conn. Once any disarm call has returned false, the watchdog is guaranteed
-// never to close the conn afterwards: disarm publishes its intent before
-// stopping the timer and, when the timer already expired, waits for the
-// callback to finish so no Close can land after the caller has moved on to
-// reuse the conn.
-func armTimeout(conn io.ReadWriter, d time.Duration) (disarm func() bool) {
+// armTimeout bounds one round trip on conn by a deadline d from now (d ≤ 0
+// leaves it unbounded) and returns the func that clears it. A read or write
+// cut by the deadline fails with an error wrapping os.ErrDeadlineExceeded.
+func armTimeout(conn Conn, d time.Duration) (disarm func()) {
 	if d <= 0 {
-		return func() bool { return false }
+		return func() {}
 	}
-	if dl, ok := conn.(interface{ SetDeadline(time.Time) error }); ok {
-		_ = dl.SetDeadline(time.Now().Add(d))
-		var once sync.Once
-		return func() bool {
-			once.Do(func() { _ = dl.SetDeadline(time.Time{}) })
-			return false
-		}
-	}
-	c, ok := conn.(io.Closer)
-	if !ok {
-		return func() bool { return false }
-	}
-	var (
-		disarmed = make(chan struct{}) // closed by the first disarm call
-		finished = make(chan struct{}) // closed when the watchdog callback returns
-		closed   atomic.Bool           // did the watchdog actually Close the conn?
-		fired    atomic.Bool           // memoized disarm result
-		once     sync.Once
-	)
-	t := time.AfterFunc(d, func() {
-		defer close(finished)
-		select {
-		case <-disarmed:
-			// The round-trip completed first; the conn is live again and
-			// must not be closed out from under its next user.
-			return
-		default:
-		}
-		closed.Store(true)
-		_ = c.Close()
-	})
-	return func() bool {
-		once.Do(func() {
-			stopped := t.Stop()
-			close(disarmed)
-			if !stopped {
-				// The timer expired before Stop: the callback is running or
-				// queued. Wait it out so the caller observes the final state
-				// and no late Close races with conn reuse.
-				<-finished
-				fired.Store(closed.Load())
-			}
-		})
-		return fired.Load()
-	}
+	_ = conn.SetDeadline(time.Now().Add(d))
+	return func() { _ = conn.SetDeadline(time.Time{}) }
 }
 
-// closeConn closes conn when possible (abandoning a broken or timed-out
-// stream, and unblocking a peer wedged on it).
-func closeConn(conn io.ReadWriter) {
-	if c, ok := conn.(io.Closer); ok {
-		_ = c.Close()
-	}
-}
+// closeConn closes conn, abandoning a broken or timed-out stream and
+// unblocking a peer wedged on it.
+func closeConn(conn Conn) { _ = conn.Close() }
 
 // latEstimator tracks one node's per-index completion latencies (dispatch
 // write to accumulator arrival) in a bounded ring and derives the p99

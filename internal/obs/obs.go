@@ -105,9 +105,6 @@ const (
 	// CounterBytesFramed counts wire-protocol bytes framed (sent or
 	// received) by the instrumented endpoint, headers and CRCs included.
 	CounterBytesFramed
-	// CounterBytesRetried counts framed bytes re-sent because a batch had
-	// to be retried or reassigned after a node failure.
-	CounterBytesRetried
 	// CounterBRKBytesStreamed counts blind-rotate key bytes pulled through
 	// the datapath: the per-ciphertext path streams every used RGSW key pair
 	// once per rotation, the key-major batch engine once per tile. The ratio
@@ -178,7 +175,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"ntt_limb_transforms", "external_products", "key_switches",
-	"blind_rotates", "merges", "lwe_key_switches", "bytes_framed", "bytes_retried",
+	"blind_rotates", "merges", "lwe_key_switches", "bytes_framed",
 	"brk_bytes_streamed", "blind_rotate_tiles",
 	"health_probes", "probe_misses", "hedged_dispatches", "hedge_wasted",
 	"key_chunks", "key_chunk_bytes", "key_chunk_resent_bytes",

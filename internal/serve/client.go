@@ -36,7 +36,7 @@ func (e *RejectedError) IsRateLimited() bool {
 // shipped to the service. Rotate is synchronous; run one Client per
 // connection and multiple Clients for concurrency.
 type Client struct {
-	conn   io.ReadWriter
+	conn   cluster.Conn
 	boot   *core.Bootstrapper
 	tenant string
 	rec    obs.Recorder
@@ -48,7 +48,7 @@ type Client struct {
 
 // NewClient joins the server over conn under the given tenant name. The
 // handshake checks protocol version and parameter digest both ways.
-func NewClient(conn io.ReadWriter, boot *core.Bootstrapper, tenant string, rec obs.Recorder) (*Client, error) {
+func NewClient(conn cluster.Conn, boot *core.Bootstrapper, tenant string, rec obs.Recorder) (*Client, error) {
 	rec = obs.OrNop(rec)
 	local := cluster.HelloFor(boot)
 	join := cluster.EncodeJoin(local, tenant)

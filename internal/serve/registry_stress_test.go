@@ -74,20 +74,27 @@ func (fx *stashFixture) done(reg *Registry, tenant string) error {
 // exactly this under `make race`). A done that fires mid-upload drops the
 // upload — the protocol's restart-from-fresh-offer rule — and the uploader
 // resumes from the offer's resume point; a clean final upload must still
-// land the key.
+// land the key. The racer stands down once it has dropped the upload
+// maxDrops times in a round, so every round races done against chunks and
+// still ends: unbounded, a round lasts until an upload outruns a tight done
+// loop, which under the race detector took minutes.
 func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 	params, fx := buildStashFixture(t, 90, 4096)
 	reg := NewRegistry(params, fx.dim, fx.binary, 0, nil, nil)
-	const tenant = "raced"
+	const (
+		tenant   = "raced"
+		maxDrops = 4
+	)
 
 	for round := 0; round < 3; round++ {
 		stop := make(chan struct{})
 		var doneOK atomic.Bool
+		var drops atomic.Int32 // uploads the racer dropped, seen as restarts
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() { // the racing second connection
 			defer wg.Done()
-			for {
+			for drops.Load() < maxDrops {
 				select {
 				case <-stop:
 					return
@@ -111,6 +118,7 @@ func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 			if err != nil {
 				// The racing done dropped the upload mid-stream: restart from
 				// a fresh offer, as a real uploader would.
+				drops.Add(1)
 				have, oerr := reg.upload(tenant, false).Offer(fx.offer)
 				if oerr != nil {
 					t.Fatal(oerr)
@@ -122,6 +130,7 @@ func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
+		t.Logf("round %d: the racing done dropped the upload %d times", round, drops.Load())
 		// Settle the round: either the racer landed the completed blob, or we
 		// finish it ourselves (retrying the full upload if the racer's LAST
 		// done consumed the upload without the chunks being complete).

@@ -70,7 +70,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*TenantStats
-	conns   map[io.ReadWriter]struct{}
+	conns   map[cluster.Conn]struct{}
 	closing bool
 	ewmaMs  float64 // EWMA of batch service time, feeds admission's wait projection
 	startEx sync.Once
@@ -134,7 +134,7 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 		maxBatch: p.N(),
 		twoN:     uint64(2 * p.N()),
 		tenants:  make(map[string]*TenantStats),
-		conns:    make(map[io.ReadWriter]struct{}),
+		conns:    make(map[cluster.Conn]struct{}),
 	}
 	s.maxRead = cluster.BatchPayloadBound(s.maxBatch, dim)
 	for _, b := range []int{cluster.JoinPayloadBound, cluster.MaxKeyChunkPayload, cluster.MaxErrorPayload} {
@@ -184,7 +184,7 @@ func (s *Server) Serve(l cluster.Listener) error {
 		s.mu.Lock()
 		if s.closing {
 			s.mu.Unlock()
-			closeIfCloser(conn)
+			_ = conn.Close()
 			return errors.New("serve: server closing")
 		}
 		s.conns[conn] = struct{}{}
@@ -203,23 +203,17 @@ func (s *Server) Serve(l cluster.Listener) error {
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closing = true
-	conns := make([]io.ReadWriter, 0, len(s.conns))
+	conns := make([]cluster.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		closeIfCloser(c)
+		_ = c.Close()
 	}
 	s.connWG.Wait()
 	s.co.close()
 	s.execWG.Wait()
-}
-
-func closeIfCloser(conn io.ReadWriter) {
-	if c, ok := conn.(io.Closer); ok {
-		_ = c.Close()
-	}
 }
 
 // connWriter serializes frame writes from the read loop (acks, rejections)
@@ -253,9 +247,9 @@ func (s *Server) stats(tenant string) *TenantStats {
 
 // handleConn runs one tenant connection: join handshake, then a read loop
 // over batch submissions, key-upload frames, and probes.
-func (s *Server) handleConn(conn io.ReadWriter) {
+func (s *Server) handleConn(conn cluster.Conn) {
 	defer func() {
-		closeIfCloser(conn)
+		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
