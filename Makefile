@@ -55,11 +55,12 @@ bench-module:
 # checks the distributed result bit-exact against a local bootstrap and
 # asserts no goroutine leaks. The key-cold cases hold both receivers of the
 # key stream to key-done: a cold node gets no batch before it, and heapd
-# refuses a done whose CRC is not the offer's.
+# refuses a done whose CRC is not the offer's. Both receivers also refuse a
+# frame of a retired kind (the v5 health probe) and drop the connection.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestProbeMisses|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),

@@ -200,8 +200,8 @@ func runTraceLocal(tracePath string) error {
 //     the indices (the local workers win every claim).
 //  2. Kill mid-key-upload: a key-cold node joins through the membership
 //     listener, the chunked BRK upload starts, and its link is cut a few
-//     chunks in. The primary's health machinery marks the member dead and
-//     the run completes without it.
+//     chunks in. The failed key upload marks the member dead, and the run
+//     completes without it.
 //  3. Resume + graceful drain: the dead node rejoins under the same name —
 //     its key receiver survived the connection, so the upload resumes from the
 //     last acked chunk instead of restarting — while another node joins with
@@ -213,7 +213,11 @@ func runChurn() error {
 		cfg.Bootstrap.ColdStart = coldStart
 		return heap.NewContext(cfg)
 	}
-	primary, err := mk(false)
+	// One local worker on the primary leaves most of the queue to the
+	// joiners of acts 2 and 3.
+	pcfg := heap.TestContextConfig()
+	pcfg.Bootstrap.Workers = 1
+	primary, err := heap.NewContext(pcfg)
 	if err != nil {
 		return err
 	}
@@ -320,9 +324,6 @@ func runChurn() error {
 	}
 
 	eopts := cluster.DefaultOptions()
-	eopts.LocalWorkers = 1
-	eopts.ProbeInterval = 25 * time.Millisecond
-	eopts.ProbeTimeout = time.Second
 	eopts.KeyChunkBytes = chunkBytes
 	out, stats, err = pri.Bootstrap(context.Background(), ct.CopyNew(), nil, m, eopts)
 	if err != nil {

@@ -22,8 +22,6 @@ type FaultPlan struct {
 	// read (0 = never): the read fails with ErrInjected and the underlying
 	// conn is closed — a mid-stream disconnect.
 	CutReadAfter int
-	// CutWriteAfter is the write-side analog.
-	CutWriteAfter int
 
 	// CorruptEvery flips one bit in every CorruptEvery-th byte read
 	// (0 = never) — a lying link the CRC must catch.
@@ -33,8 +31,8 @@ type FaultPlan struct {
 	// exercising short-read handling in the frame decoder.
 	MaxReadChunk int
 
-	// ReadDelay/WriteDelay sleep before each operation — a slow link.
-	ReadDelay  time.Duration
+	// WriteDelay sleeps before each write — a slow peer. Every frame is one
+	// Write (WriteFrame), so on the secondary's end it delays each frame.
 	WriteDelay time.Duration
 
 	// StallWriteAfter blocks writes forever (until Close) once this many
@@ -66,9 +64,6 @@ func NewFaultConn(conn Conn, plan FaultPlan) *FaultConn {
 }
 
 func (f *FaultConn) Read(p []byte) (int, error) {
-	if f.plan.ReadDelay > 0 {
-		f.sleep(f.plan.ReadDelay)
-	}
 	select {
 	case <-f.closed:
 		return 0, io.ErrClosedPipe
@@ -113,11 +108,6 @@ func (f *FaultConn) Write(p []byte) (int, error) {
 		f.mu.Unlock()
 		<-f.closed // wedged until someone closes the conn
 		return 0, io.ErrClosedPipe
-	}
-	if f.plan.CutWriteAfter > 0 && f.writeBytes >= f.plan.CutWriteAfter {
-		f.mu.Unlock()
-		f.Close()
-		return 0, ErrInjected
 	}
 	f.mu.Unlock()
 

@@ -372,3 +372,35 @@ func TestChaosMatrix(t *testing.T) {
 		_ = flaky.Close()
 	}
 }
+
+// TestRetiredFrameKindRefused sends a frame of kind 0xB0070010 — the health
+// probe that protocol v6 retired — after a valid handshake: the secondary
+// answers with an error frame and stops serving the connection.
+func TestRetiredFrameKindRefused(t *testing.T) {
+	fixture(t)
+	cp, cs := net.Pipe()
+	defer cp.Close()
+	defer cs.Close()
+	served := make(chan error, 1)
+	go func() { served <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
+
+	if err := WriteFrame(cp, &Frame{Kind: frameHello, Payload: EncodeHello(HelloFor(fx.bt))}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(cp, maxInt(helloPayloadSize, MaxErrorPayload)); err != nil || f.Kind != frameHello {
+		t.Fatalf("handshake: %v", err)
+	}
+	if err := WriteFrame(cp, &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFrame(cp, MaxErrorPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != FrameError {
+		t.Fatalf("retired frame kind answered with kind %#x, want an error frame", f.Kind)
+	}
+	if err := <-served; err == nil {
+		t.Fatal("the secondary kept serving after a retired frame kind")
+	}
+}

@@ -28,8 +28,7 @@
 // On top of that, v3 adds:
 //   - Membership (membership.go): secondaries join through a listener
 //     mid-run and immediately start draining the work queue; nodes that
-//     leave gracefully or miss K health probes are drained, their pending
-//     indices reassigned.
+//     leave gracefully are drained, their pending indices reassigned.
 //   - Hedged dispatch: when an in-flight index ages past an obs-derived
 //     per-node p99 latency estimate, it is speculatively re-queued; the
 //     first result wins an atomic per-index claim and the loser's stream is
@@ -82,9 +81,9 @@ type Secondary struct {
 	leaving atomic.Bool
 }
 
-// RequestLeave asks the secondary to drain gracefully: the next batch or
-// probe it receives is answered with a leave frame, the primary requeues
-// whatever was pending, and the serve loop exits.
+// RequestLeave asks the secondary to drain gracefully: the next batch it
+// receives is answered with a leave frame, the primary requeues whatever was
+// pending, and the serve loop exits.
 func (s *Secondary) RequestLeave() { s.leaving.Store(true) }
 
 // keyReceiver returns the node's key receiver, made on first use.
@@ -138,7 +137,7 @@ func (s *Secondary) Serve(conn Conn) error {
 }
 
 // maxServePayload bounds the frames a serving secondary accepts: batches,
-// hellos, probes, and key chunks.
+// hellos, and key chunks.
 func (s *Secondary) maxServePayload() int {
 	p := s.Boot.Params.Parameters
 	maxBatch := p.N()
@@ -159,7 +158,7 @@ func (s *Secondary) failConn(conn Conn, err error) error {
 
 // serveLoop is the post-handshake serving loop, shared by Serve (classic
 // hello connections) and JoinAndServe (membership joiners). It handles
-// batches, health probes, graceful leave, and the chunked key upload.
+// batches, graceful leave, and the chunked key upload.
 func (s *Secondary) serveLoop(conn Conn) error {
 	p := s.Boot.Params.Parameters
 	rec := s.Boot.Recorder()
@@ -213,17 +212,6 @@ func (s *Secondary) serveLoop(conn Conn) error {
 		switch f.Kind {
 		case FrameShutdown:
 			return nil
-		case FrameProbe:
-			if s.leaving.Load() {
-				return sendLeave()
-			}
-			if _, err := decodeProbe(f.Payload); err != nil {
-				return fail(err)
-			}
-			if err := WriteFrame(conn, &Frame{Kind: FrameProbeAck, Payload: f.Payload}); err != nil {
-				return err
-			}
-			rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
 		case FrameKeyOffer, FrameKeyChunk, FrameKeyDone:
 			// The key is installed once, at key-done.
 			reply, key, err := s.keyReceiver().Receive(f, rec)
@@ -433,9 +421,9 @@ func (rs *runState) down(name string, st MemberState) {
 // whatever a slow or failed node left. A secondary whose link fails —
 // connection error, frame corruption, timeout, death mid-stream — is given
 // up: the accumulators that arrived are kept and the rest of its task goes
-// back on the queue. Nodes that leave or miss health probes are drained the
-// same way, and a restarted node comes back by rejoining through m. The
-// result is bit-identical to the local bootstrap.
+// back on the queue. A node that leaves is drained the same way, and a
+// restarted node comes back by rejoining through m. The result is
+// bit-identical to the local bootstrap.
 //
 // The returned Stats say where every rotation actually ran. The error is
 // non-nil only when the bootstrap itself could not complete (context
@@ -481,10 +469,7 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 	// enough that every starting worker — secondary or local — draws one, so
 	// a small bootstrap still fans over all of them and a mid-run joiner
 	// finds work left to steal.
-	lw := opts.LocalWorkers
-	if lw <= 0 {
-		lw = max(p.Boot.Cfg.Workers, 1)
-	}
+	lw := max(p.Boot.Cfg.Workers, 1)
 	q := newWorkQueue(n, min(p.Boot.TileSize(), (n+len(nodes)+lw-1)/(len(nodes)+lw)))
 	// Streaming repack (§V): every accumulator is fed to the merge collector
 	// the moment it arrives — from the network read loops and the local
@@ -746,15 +731,10 @@ var errNodeLeft = errors.New("cluster: node requested leave")
 // runNode feeds one secondary until the queue drains, the node leaves, or
 // its link fails; a failed link is given up and whatever the node had not
 // finished goes back on the queue. A cold membership joiner is first sent the
-// whole blind-rotate key (resumable); on idle connections it exchanges
-// health probes, draining the node after probeMisses consecutive misses.
+// whole blind-rotate key (resumable).
 func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 	q, opts, conn := rs.q, rs.opts, node.Conn
-	var (
-		batch  uint32
-		nonce  uint64
-		misses int
-	)
+	var batch uint32
 
 	// end takes the node out of the run: the link is closed and the
 	// unclaimed part of task goes back on the queue. A nil err is a
@@ -777,36 +757,6 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 		q.push(pending)
 	}
 
-	// draw takes the next task; with probing enabled it wakes up on idle
-	// ticks to exchange a health probe first.
-	draw := func() []int {
-		if opts.ProbeInterval <= 0 {
-			return q.pop()
-		}
-		for {
-			task, done := q.popTimeout(opts.ProbeInterval)
-			if done || task != nil {
-				return task
-			}
-			nonce++
-			err := p.probeNode(conn, nonce, opts)
-			switch {
-			case err == nil:
-				misses = 0
-				rs.rec.Add(obs.CounterProbes, 1)
-			case errors.Is(err, errNodeLeft):
-				end(nil, nil)
-				return nil
-			default:
-				misses++
-				rs.rec.Add(obs.CounterProbeMisses, 1)
-				if misses >= probeMisses {
-					end(nil, fmt.Errorf("missed %d health probes: %w", misses, err))
-					return nil
-				}
-			}
-		}
-	}
 	// pop draws a task and tops it up into one dispatch batch by guided
 	// self-scheduling: the node takes ⌈queued / (nodes + 1)⌉ indices, the
 	// primary's local workers sharing one part. An early batch is thus about
@@ -815,7 +765,7 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 	// to a single task as the queue drains, which keeps the tail balanced.
 	// The hello's MaxBatch (N) caps a batch.
 	pop := func() []int {
-		task := draw()
+		task := q.pop()
 		if task == nil {
 			return nil
 		}
@@ -865,43 +815,6 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 		}
 		end(task, err)
 		return
-	}
-}
-
-// probeNode sends one health probe and waits for its ack (skipping stale
-// acks from previous rounds).
-func (p *Primary) probeNode(conn Conn, nonce uint64, opts Options) error {
-	rec := p.Boot.Recorder()
-	disarm := armTimeout(conn, opts.ProbeTimeout)
-	defer disarm()
-	payload := encodeProbe(nonce)
-	if err := WriteFrame(conn, &Frame{Kind: FrameProbe, Payload: payload}); err != nil {
-		return fmt.Errorf("cluster: probe send: %w", err)
-	}
-	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-	for {
-		f, err := ReadFrame(conn, MaxErrorPayload)
-		if err != nil {
-			return fmt.Errorf("cluster: probe reply: %w", err)
-		}
-		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
-		switch f.Kind {
-		case FrameProbeAck:
-			got, err := decodeProbe(f.Payload)
-			if err != nil {
-				return err
-			}
-			if got == nonce {
-				return nil
-			}
-			// Stale ack from a timed-out round; keep waiting for ours.
-		case FrameLeave:
-			return errNodeLeft
-		case FrameError:
-			return fmt.Errorf("cluster: probe refused: %s", f.Payload)
-		default:
-			return fmt.Errorf("cluster: unexpected frame kind %#x in probe exchange", f.Kind)
-		}
 	}
 }
 
@@ -1097,10 +1010,6 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 			return wrap(err)
 		}
 		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
-		if f.Kind == FrameProbeAck {
-			// Stale ack from a probe round that timed out; harmless.
-			continue
-		}
 		if f.Kind == FrameLeave {
 			return errNodeLeft
 		}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 )
 
 // The elastic chaos suite: joins mid-run, graceful leaves, kills mid-key-
-// upload, probe-missed drains, and hedged dispatch under injected stalls.
+// upload, and hedged dispatch under injected stalls.
 // Every scenario must end bit-exact against the local reference bootstrap
 // and leak no goroutines.
 
@@ -73,21 +72,19 @@ type runResult struct {
 // TestElasticJoinMidRunStealsWork starts an elastic bootstrap with zero
 // secondaries, joins a key-warm node through the listener while the run is
 // in flight, and requires that the joiner demonstrably stole work from the
-// shared queue — with health probing live on its idle gaps.
+// shared queue.
 func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	fixture(t)
 	before := runtime.NumGoroutine()
 
 	m := NewMembership()
 	l := NewPipeListener()
-	pr := &Primary{Boot: fx.bt}
+	// One local worker leaves plenty of queue for the joiner to steal.
+	pr := &Primary{Boot: fixtureNode(t, 0, false)}
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
 	opts := testOptions()
-	opts.LocalWorkers = 1 // leave plenty of queue for the joiner to steal
-	opts.ProbeInterval = 20 * time.Millisecond
-	opts.ProbeTimeout = 2 * time.Second
 	resCh := make(chan runResult, 1)
 	go func() {
 		out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
@@ -223,7 +220,7 @@ func TestGracefulLeaveDrains(t *testing.T) {
 func TestKillMidKeyUploadResumes(t *testing.T) {
 	fixture(t)
 	t.Run("ternary-exact", func(t *testing.T) {
-		killMidKeyUpload(t, fx.bt, fixtureNode(t, 0, true), 64<<10, assertBitExact)
+		killMidKeyUpload(t, fixtureNode(t, 0, false), fixtureNode(t, 0, true), 64<<10, assertBitExact)
 	})
 	t.Run("binary-nt", func(t *testing.T) {
 		primary := fixtureNode(t, 24, false)
@@ -287,7 +284,6 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	}
 
 	opts := testOptions()
-	opts.LocalWorkers = 1
 	opts.KeyChunkBytes = chunkBytes
 	resCh := make(chan runResult, 1)
 	go func() {
@@ -411,85 +407,6 @@ func TestStalledNodeTriggersHedge(t *testing.T) {
 	cp.Close()
 	cs.Close()
 	<-servDone
-	assertNoGoroutineLeak(t, before)
-}
-
-// TestProbeMissesDrainIdleNode drives runNode directly against a mute peer:
-// the queue is idle (work in flight elsewhere), so the worker falls into
-// probe ticks; the peer swallows every probe, and after K consecutive
-// misses the node must be drained — failed, membership-dead, connection
-// closed — without touching the rest of the run.
-func TestProbeMissesDrainIdleNode(t *testing.T) {
-	fixture(t)
-	before := runtime.NumGoroutine()
-
-	cp, cs := net.Pipe()
-	// Mute peer: consumes frames so probe writes complete, never answers.
-	var swallowed atomic.Int32
-	muteDone := make(chan struct{})
-	go func() {
-		defer close(muteDone)
-		for {
-			if _, err := ReadFrame(cs, MaxErrorPayload); err != nil {
-				return
-			}
-			swallowed.Add(1)
-		}
-	}()
-
-	m := NewMembership()
-	node := &Node{Conn: cp, Name: "mute", joined: true}
-	if err := m.Join(node); err != nil {
-		t.Fatal(err)
-	}
-	<-m.joinCh // consumed by the test, standing in for the scheduler
-
-	met := obs.NewMetrics()
-	opts := DefaultOptions()
-	opts.ProbeInterval = 10 * time.Millisecond
-	opts.ProbeTimeout = 50 * time.Millisecond
-	opts = opts.withDefaults()
-	q := newWorkQueue(1, 1) // 1 outstanding index, never queued here: permanently idle
-	rs := &runState{
-		ctx:       context.Background(),
-		stats:     &Stats{Nodes: []*NodeStats{{Name: "mute", Joined: true}}, Total: 1},
-		q:         q,
-		rec:       met,
-		opts:      opts,
-		m:         m,
-		claims:    make([]atomic.Bool, 1),
-		flights:   make(map[int]*flight),
-		hedgedIdx: make(map[int]bool),
-		ests:      make(map[*NodeStats]*latEstimator),
-	}
-	ns := rs.stats.Nodes[0]
-	done := make(chan struct{})
-	go func() {
-		(&Primary{Boot: fx.bt}).runNode(node, ns, 0, rs)
-		close(done)
-	}()
-
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("probe misses never drained the mute node")
-	}
-	if !ns.Failed || ns.Err == nil {
-		t.Fatalf("mute node not failed: %+v", ns)
-	}
-	if st, _ := m.State("mute"); st != MemberDead {
-		t.Fatalf("membership state %v, want dead", st)
-	}
-	if got := int(met.Counter(obs.CounterProbeMisses)); got < probeMisses {
-		t.Fatalf("probe_misses = %d, want >= %d", got, probeMisses)
-	}
-	if swallowed.Load() < probeMisses {
-		t.Fatalf("mute peer swallowed %d probes, want >= %d", swallowed.Load(), probeMisses)
-	}
-	q.done(1)
-	cp.Close()
-	cs.Close()
-	<-muteDone
 	assertNoGoroutineLeak(t, before)
 }
 
@@ -630,18 +547,17 @@ func (g *gateRecorder) Begin(s obs.Stage, lane int) obs.Token {
 // protocol v5 the primary dispatched between chunks, and the last chunk's
 // ack — the whole key held, key-done not yet sent — already drew a batch.)
 func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
-	fixture(t)
+	primary := fixtureNode(t, 0, false)
 	before := runtime.NumGoroutine()
 	gate := &gateRecorder{release: make(chan struct{})}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
 	defer release()
-	fx.bt.SetRecorder(gate)
-	defer fx.bt.SetRecorder(nil)
+	primary.SetRecorder(gate)
 
 	m := NewMembership()
 	l := NewPipeListener()
-	pr := &Primary{Boot: fx.bt}
+	pr := &Primary{Boot: primary}
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
@@ -703,7 +619,6 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 	}
 
 	opts := testOptions()
-	opts.LocalWorkers = 1
 	opts.KeyChunkBytes = 16 << 10
 	out, _, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
 	if err != nil {

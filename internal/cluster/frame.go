@@ -46,8 +46,10 @@ const (
 	// format-4 key blob (tfhe/serial.go), whose binary-key records carry the
 	// Plus row only — a v3 peer would size and parse them as Plus+Minus pairs.
 	// Version 5 retires the batch-refused reply: a key-cold node gets no
-	// batch until key-done, and fails one that comes before it.
-	ProtocolVersion = uint32(5)
+	// batch until key-done, and fails one that comes before it. Version 6
+	// retires the health-probe frames (kinds 0xB0070010 and 0xB0070011): a
+	// peer answers either with an error frame and drops the connection.
+	ProtocolVersion = uint32(6)
 
 	frameHeaderSize  = 20
 	frameTrailerSize = 4
@@ -73,11 +75,9 @@ const (
 	FrameShutdown = uint32(0xB007_00FF)
 
 	// Elastic membership (v3).
-	FrameProbe    = uint32(0xB007_0010) // either way: liveness probe (8-byte nonce)
-	FrameProbeAck = uint32(0xB007_0011) // echo of a probe's nonce
-	FrameJoin     = uint32(0xB007_0012) // secondary → primary: hello + node name
-	FrameJoinAck  = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
-	FrameLeave    = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
+	FrameJoin    = uint32(0xB007_0012) // secondary → primary: hello + node name
+	FrameJoinAck = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
+	FrameLeave   = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
 
 	// Chunked resumable key streaming (v3).
 	FrameKeyOffer  = uint32(0xB007_0020) // primary → secondary: blob size/chunking/CRC
@@ -373,25 +373,6 @@ func maxInt(a, b int) int {
 }
 
 // --- elastic membership payloads (v3) ---
-
-// probePayloadSize is the fixed probe/probe-ack payload: an 8-byte nonce
-// the ack must echo, so a stale ack from a previous probe round is never
-// mistaken for a live answer.
-const probePayloadSize = 8
-
-func encodeProbe(nonce uint64) []byte {
-	buf := make([]byte, probePayloadSize)
-	binary.LittleEndian.PutUint64(buf, nonce)
-	return buf
-}
-
-// decodeProbe validates a probe or probe-ack payload and returns its nonce.
-func decodeProbe(payload []byte) (uint64, error) {
-	if len(payload) != probePayloadSize {
-		return 0, fmt.Errorf("cluster: probe payload is %d bytes, want %d", len(payload), probePayloadSize)
-	}
-	return binary.LittleEndian.Uint64(payload), nil
-}
 
 // maxNodeName bounds the node name a join frame may carry.
 const maxNodeName = 256

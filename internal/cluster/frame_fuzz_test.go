@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"encoding/binary"
-	"io"
 	"runtime"
 	"testing"
 
 	"heap/internal/obs"
 )
 
-// Fuzz targets for the v3 membership/health/key-streaming payload decoders,
+// Fuzz targets for the v3 membership/key-streaming payload decoders,
 // mirroring FuzzReadFrame/FuzzDecodeBatch: arbitrary bytes must never panic
 // a decoder, every accepted value must satisfy the decoder's documented
 // bounds, and accepted values must round-trip through their encoder.
@@ -60,22 +59,6 @@ func FuzzDecodeLeave(f *testing.F) {
 	})
 }
 
-func FuzzDecodeProbe(f *testing.F) {
-	f.Add(encodeProbe(0))
-	f.Add(encodeProbe(0xDEADBEEF_00C0FFEE))
-	f.Add([]byte{1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		nonce, err := decodeProbe(data)
-		if err != nil {
-			return
-		}
-		if re, err := decodeProbe(encodeProbe(nonce)); err != nil || re != nonce {
-			t.Fatalf("probe round trip unstable: %v %d vs %d", err, re, nonce)
-		}
-	})
-}
-
 func FuzzDecodeKeyOffer(f *testing.F) {
 	f.Add(KeyOffer{TotalSize: 1 << 20, ChunkSize: 64 << 10, ChunkCount: 16, BlobCRC: 0xABCD}.encode())
 	f.Add(KeyOffer{TotalSize: 1, ChunkSize: 1, ChunkCount: 1}.encode())
@@ -118,13 +101,6 @@ func FuzzDecodeKeyResume(f *testing.F) {
 		}
 	})
 }
-
-// discardRW is a connection stub for handler paths that must fail before
-// ever writing (or allocating from) anything.
-type discardRW struct{}
-
-func (discardRW) Read(p []byte) (int, error)  { return 0, io.EOF }
-func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestDecodersBoundAllocationOnLies feeds each new decoder a payload whose
 // embedded length fields claim enormous sizes and measures actual heap
@@ -179,9 +155,9 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	}
 }
 
-// TestJoinLeaveProbeRoundTrip pins the happy-path codecs (the fuzzers only
+// TestJoinLeaveRoundTrip pins the happy-path codecs (the fuzzers only
 // check stability of whatever the fuzzer happens to accept).
-func TestJoinLeaveProbeRoundTrip(t *testing.T) {
+func TestJoinLeaveRoundTrip(t *testing.T) {
 	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: helloFlagKeyWarm}
 	got, name, err := DecodeJoin(EncodeJoin(h, "fpga-07"))
 	if err != nil || got != h || name != "fpga-07" {
@@ -189,9 +165,6 @@ func TestJoinLeaveProbeRoundTrip(t *testing.T) {
 	}
 	if reason, err := DecodeReason(EncodeReason("draining")); err != nil || reason != "draining" {
 		t.Fatalf("leave: %v %q", err, reason)
-	}
-	if nonce, err := decodeProbe(encodeProbe(42)); err != nil || nonce != 42 {
-		t.Fatalf("probe: %v %d", err, nonce)
 	}
 	o := KeyOffer{TotalSize: 2_629_656, ChunkSize: 64 << 10, ChunkCount: 41, BlobCRC: 7}
 	if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {

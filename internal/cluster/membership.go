@@ -13,9 +13,9 @@ import (
 // longer fixed at startup. Nodes join through a listener by completing the
 // params-digest handshake (FrameJoin/FrameJoinAck), a running
 // bootstrap picks them up mid-run and they start draining the shared work
-// queue, and nodes that leave gracefully (FrameLeave) or miss K health
-// probes are drained with their pending LWE indices put back on the work
-// queue, the same way a failed link is given up.
+// queue, and nodes that leave gracefully (FrameLeave) are drained with their
+// pending LWE indices put back on the work queue, the same way a failed link
+// is given up.
 
 // MemberState is a node's lifecycle state in the membership registry.
 type MemberState int
@@ -25,8 +25,9 @@ const (
 	MemberActive MemberState = iota
 	// MemberLeft nodes drained gracefully; the name may rejoin.
 	MemberLeft
-	// MemberDead nodes failed (a broken link, probe misses); the name may
-	// rejoin — which is how a node killed mid-key-upload resumes.
+	// MemberDead nodes failed (a broken link, a failed key upload, a batch
+	// past its deadline); the name may rejoin — which is how a node killed
+	// mid-key-upload resumes.
 	MemberDead
 )
 

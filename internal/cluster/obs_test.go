@@ -183,6 +183,7 @@ func blindRotateLanes(t *testing.T, tracer *obs.Tracer) map[int]int {
 // so that the run outlasts a scheduler time slice even at GOMAXPROCS 1.
 func TestLocalShareFansOverWorkers(t *testing.T) {
 	params, cl, bt := buildNode(t, 7)
+	bt.Cfg.Workers = 2
 	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
 	local := bt.Bootstrap(ct.CopyNew())
 	dead := func() Conn {
@@ -202,9 +203,7 @@ func TestLocalShareFansOverWorkers(t *testing.T) {
 			tracer := obs.NewTracer()
 			bt.SetRecorder(tracer)
 			defer bt.SetRecorder(nil)
-			opts := DefaultOptions()
-			opts.LocalWorkers = 2
-			out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), tc.nodes, nil, opts)
+			out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), tc.nodes, nil, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +211,7 @@ func TestLocalShareFansOverWorkers(t *testing.T) {
 				t.Fatalf("expected all %d rotations local\n%s", stats.Total, stats)
 			}
 			lanes := blindRotateLanes(t, tracer)
-			for w := 0; w < opts.LocalWorkers; w++ {
+			for w := 0; w < bt.Cfg.Workers; w++ {
 				if lane := len(tc.nodes) + w; lanes[lane] == 0 {
 					t.Errorf("local worker %d (lane %d) rotated nothing: spans by lane %v", w, lane, lanes)
 				}
@@ -233,6 +232,7 @@ func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 	params, cl, bt := buildNode(t, 7)
 	_, _, btSec := buildNode(t, 7)
 	bt.Cfg.Tile = params.N()
+	bt.Cfg.Workers = 2
 	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
 	local := bt.Bootstrap(ct.CopyNew())
 
@@ -240,15 +240,13 @@ func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
-	opts := DefaultOptions()
-	opts.LocalWorkers = 2
-	if workers, tiles := len(nodes)+opts.LocalWorkers, params.N()/bt.TileSize(); workers <= tiles {
+	if workers, tiles := len(nodes)+bt.Cfg.Workers, params.N()/bt.TileSize(); workers <= tiles {
 		t.Fatalf("%d starting workers do not outnumber the %d whole-tile tasks", workers, tiles)
 	}
 
 	tracer := obs.NewTracer()
 	bt.SetRecorder(tracer)
-	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, opts)
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
 	bt.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +255,7 @@ func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 		t.Fatalf("the secondary drew no task:\n%s", stats)
 	}
 	lanes := blindRotateLanes(t, tracer)
-	for w := 0; w < opts.LocalWorkers; w++ {
+	for w := 0; w < bt.Cfg.Workers; w++ {
 		if lane := len(nodes) + w; lanes[lane] == 0 {
 			t.Errorf("local worker %d (lane %d) drew no task: spans by lane %v\n%s", w, lane, lanes, stats)
 		}
@@ -284,9 +282,7 @@ func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
 	btSec.SetRecorder(secMet)
 	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
-	opts := DefaultOptions()
-	opts.LocalWorkers = 1
-	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, opts)
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,16 +45,6 @@ type Options struct {
 	// send and the whole accumulator stream, one key-stream exchange) by a
 	// deadline on the conn. 0 disables.
 	BatchTimeout time.Duration
-	// LocalWorkers is the number of primary-side goroutines that drain the
-	// queue alongside the secondaries (fallback compute). 0 selects the
-	// bootstrapper's Cfg.Workers.
-	LocalWorkers int
-	// ProbeInterval is how long a node connection may sit idle (no batch to
-	// dispatch) before the primary sends a health probe on it. 0 disables
-	// probing.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip; 0 selects ProbeInterval.
-	ProbeTimeout time.Duration
 	// HedgeAfter enables hedged dispatch: an in-flight LWE index older than
 	// max(HedgeAfter, hedgeMultiplier × node p99 latency) is speculatively
 	// re-queued for another worker, and the first bit-exact result wins
@@ -65,14 +55,9 @@ type Options struct {
 	KeyChunkBytes int
 }
 
-const (
-	// hedgeMultiplier scales the observed per-node p99 per-index latency
-	// into the hedge threshold.
-	hedgeMultiplier = 4
-	// probeMisses is K: a node that misses this many consecutive health
-	// probes is drained and its pending work reassigned.
-	probeMisses = 3
-)
+// hedgeMultiplier scales the observed per-node p99 per-index latency into
+// the hedge threshold.
+const hedgeMultiplier = 4
 
 // DefaultOptions returns production-leaning defaults.
 func DefaultOptions() Options {
@@ -83,9 +68,6 @@ func DefaultOptions() Options {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval
-	}
 	if o.KeyChunkBytes <= 0 {
 		o.KeyChunkBytes = DefaultOptions().KeyChunkBytes
 	}
@@ -208,40 +190,6 @@ func (q *workQueue) pop() []int {
 			q.tasks = q.tasks[1:]
 			q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
 			return t
-		}
-		q.cond.Wait()
-	}
-}
-
-// popTimeout is pop with an idle bound: it returns (task, false) when work
-// arrives, (nil, true) once everything is complete or aborted, and
-// (nil, false) when d elapses first — the idle tick a node worker uses to
-// exchange health probes on an otherwise-quiet connection.
-func (q *workQueue) popTimeout(d time.Duration) ([]int, bool) {
-	deadline := time.Now().Add(d)
-	// The callback passes through q.mu so that it cannot broadcast between
-	// the deadline check below and cond.Wait registering the waiter — a
-	// bare Broadcast in that gap is lost and the idle tick never comes.
-	wake := time.AfterFunc(d, func() {
-		q.mu.Lock()
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	})
-	defer wake.Stop()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.aborted || q.remaining == 0 {
-			return nil, true
-		}
-		if len(q.tasks) > 0 {
-			t := q.tasks[0]
-			q.tasks = q.tasks[1:]
-			q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
-			return t, false
-		}
-		if !time.Now().Before(deadline) {
-			return nil, false
 		}
 		q.cond.Wait()
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"io"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -90,60 +89,6 @@ func TestArmTimeoutZeroIsUnbounded(t *testing.T) {
 	if len(conn.calls) != 0 {
 		t.Fatalf("zero timeout set %d deadline(s), want none", len(conn.calls))
 	}
-}
-
-// TestPopTimeoutIdleTickAlwaysComes is the regression test for the lost idle
-// tick: on a queue with outstanding but never-queued work, popTimeout's only
-// way out is its own timer. When that timer's Broadcast ran without q.mu it
-// could land between the deadline check and cond.Wait registering the
-// waiter, and the node worker then slept through every health probe. The gap
-// is a few instructions wide, so reaching it takes volume: enough pollers to
-// keep every P busy (timers then fire on time instead of at the idle
-// netpoller's millisecond grain, and the OS preempts the process at arbitrary
-// points, more so beside the CPU burners of `make stress`) and microsecond
-// timeouts. The watchdog turns a lost tick into a failure instead of a hung
-// test binary.
-func TestPopTimeoutIdleTickAlwaysComes(t *testing.T) {
-	const (
-		pollers  = 64
-		ticks    = 20000
-		watchdog = 5 * time.Second // without a single tick
-	)
-	var wg sync.WaitGroup
-	for p := 0; p < pollers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			q := newWorkQueue(1, 1) // 1 outstanding index, never queued: permanently idle
-			defer q.abort()         // releases a stranded poller on failure
-			var ticked atomic.Int64
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 0; i < ticks; i++ {
-					idle := time.Duration(i%50+1) * time.Microsecond / 2
-					if _, finished := q.popTimeout(idle); finished {
-						return
-					}
-					ticked.Add(1)
-				}
-			}()
-			for last := int64(-1); ; {
-				select {
-				case <-done:
-					return
-				case <-time.After(watchdog):
-				}
-				now := ticked.Load()
-				if now == last {
-					t.Errorf("poller %d: popTimeout asleep at tick %d of %d for %v (lost timer wakeup)", p, now, ticks, watchdog)
-					return
-				}
-				last = now
-			}
-		}(p)
-	}
-	wg.Wait()
 }
 
 // TestWorkQueueFillTakesAShare pins the dispatch-batch rule: push cuts

@@ -115,11 +115,6 @@ const (
 	// the batched blind-rotate engine (the unit shard-lane BlindRotate spans
 	// are recorded at).
 	CounterBlindRotateTile
-	// CounterProbes counts health probes answered by the peer in time.
-	CounterProbes
-	// CounterProbeMisses counts health probes that timed out or failed; K
-	// consecutive misses drain the node from the membership.
-	CounterProbeMisses
 	// CounterHedges counts speculative re-dispatches issued because a shard's
 	// latency exceeded the per-node p99 estimate.
 	CounterHedges
@@ -177,7 +172,7 @@ var counterNames = [NumCounters]string{
 	"ntt_limb_transforms", "external_products", "key_switches",
 	"blind_rotates", "merges", "lwe_key_switches", "bytes_framed",
 	"brk_bytes_streamed", "blind_rotate_tiles",
-	"health_probes", "probe_misses", "hedged_dispatches", "hedge_wasted",
+	"hedged_dispatches", "hedge_wasted",
 	"key_chunks", "key_chunk_bytes", "key_chunk_resent_bytes",
 	"jobs_admitted", "jobs_rejected", "jobs_coalesced",
 	"serve_batches", "keys_evicted",

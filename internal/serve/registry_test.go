@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -221,5 +222,31 @@ func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
 	}
 	if _, _, err := srv.reg.Acquire("liar"); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("a key-done with the wrong CRC installed a key: %v", err)
+	}
+}
+
+// TestServiceRefusesRetiredFrameKind: after a valid join, a frame of kind
+// 0xB0070010 — the health probe that protocol v6 retired — gets an error
+// frame, and heapd closes the connection.
+func TestServiceRefusesRetiredFrameKind(t *testing.T) {
+	_, _, bt := buildBoot(t, 92, false)
+	srv := NewServer(bt, Config{Executors: 1, Workers: 1})
+	l, stop := startServer(t, srv)
+	defer stop()
+	cl := dialClient(t, l, bt, "prober")
+	defer cl.Close()
+
+	if err := cluster.WriteFrame(cl.conn, &cluster.Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cluster.ReadFrame(cl.conn, cluster.MaxErrorPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != cluster.FrameError {
+		t.Fatalf("retired frame kind answered with kind %#x, want an error frame", f.Kind)
+	}
+	if _, err := cluster.ReadFrame(cl.conn, cluster.MaxErrorPayload); err != io.EOF {
+		t.Fatalf("connection still open after the error frame: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -220,7 +219,7 @@ func (s *Server) Close() {
 // and the executors (accumulator streams) onto one connection.
 type connWriter struct {
 	mu   sync.Mutex
-	conn io.ReadWriter
+	conn cluster.Conn
 	rec  obs.Recorder
 }
 
@@ -246,7 +245,7 @@ func (s *Server) stats(tenant string) *TenantStats {
 }
 
 // handleConn runs one tenant connection: join handshake, then a read loop
-// over batch submissions, key-upload frames, and probes.
+// over batch submissions and key-upload frames.
 func (s *Server) handleConn(conn cluster.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -310,10 +309,6 @@ func (s *Server) handleConn(conn cluster.Conn) {
 				if errors.Is(err, ErrRegistryFull) {
 					continue
 				}
-				return
-			}
-		case cluster.FrameProbe:
-			if err := cw.write(&cluster.Frame{Kind: cluster.FrameProbeAck, Payload: f.Payload}); err != nil {
 				return
 			}
 		case cluster.FrameShutdown, cluster.FrameLeave:
