@@ -56,11 +56,13 @@ bench-module:
 # asserts no goroutine leaks. The key-cold cases hold both receivers of the
 # key stream to key-done: a cold node gets no batch before it, and heapd
 # refuses a done whose CRC is not the offer's. Both receivers also refuse a
-# frame of a retired kind (the v5 health probe) and drop the connection.
+# frame of a retired kind (the v6 hello, the v5 health probe) and drop the
+# connection, and heapd's client fails a reply stream whose seq numbers or
+# batch-end count do not add up.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
 		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame|TestClientChecksReplyStream'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),

@@ -1,5 +1,5 @@
 // Command heapd is the bootstrap-as-a-service daemon: it listens for tenant
-// connections speaking the cluster's v5 frame protocol, resolves each
+// connections speaking the cluster's frame protocol, resolves each
 // tenant's blind-rotate key from a concurrent-safe LRU registry (keys arrive
 // over the resumable chunked key-stream upload), fans each batch's rotations
 // over every core, and coalesces the same-tenant jobs that queue behind a
@@ -41,7 +41,6 @@ type daemonConfig struct {
 	metricsAddr string // empty = metrics endpoint disabled
 	scale       string
 	executors   int
-	tile        int
 	workers     int
 	rate        float64
 	burst       float64
@@ -72,7 +71,6 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 		MaxKeyBytes: cfg.maxKeyBytes,
 		Admission:   serve.AdmissionConfig{QueueLimit: cfg.queue, RatePerSec: cfg.rate, Burst: cfg.burst},
 		Executors:   cfg.executors,
-		Tile:        cfg.tile,
 		Workers:     cfg.workers,
 	})
 	d := &daemon{srv: srv, served: make(chan struct{})}
@@ -136,7 +134,6 @@ func main() {
 	flag.StringVar(&cfg.metricsAddr, "metrics", "", "HTTP listen address for the /metrics JSON snapshot (empty = disabled)")
 	flag.StringVar(&cfg.scale, "scale", "test", "parameter scale: test (N=128, seconds) or paper (N=2^13, CPU heavy)")
 	flag.IntVar(&cfg.executors, "executors", 1, "concurrent batch executors")
-	flag.IntVar(&cfg.tile, "tile", 0, "key-major tile size (0 = engine default)")
 	flag.IntVar(&cfg.workers, "workers", 0, "tile workers per executor (0 = GOMAXPROCS/executors, at least 1)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-tenant admission rate in jobs/sec (0 = unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-tenant admission burst (0 = max(1, rate))")

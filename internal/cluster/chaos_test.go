@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/cmplx"
 	"net"
@@ -299,17 +300,15 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
 
-	local := HelloFor(fx.bt)
-	if err := WriteFrame(cp, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
+	if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), "primary")}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := ReadFrame(cp, helloPayloadSize); err != nil || f.Kind != frameHello {
+	if f, err := ReadFrame(cp, helloPayloadSize); err != nil || f.Kind != FrameJoinAck {
 		t.Fatalf("handshake reply: %v %+v", err, f)
 	}
 	// count = 2^32−1 with an otherwise empty payload: must fail on the
 	// bound check, not by attempting a 4-billion-element make.
-	payload := make([]byte, 4)
-	putU32(payload, 0xFFFF_FFFF)
+	payload := binary.LittleEndian.AppendUint32(nil, 0xFFFF_FFFF)
 	if err := WriteFrame(cp, &Frame{Kind: FrameBatch, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -373,34 +372,42 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestRetiredFrameKindRefused sends a frame of kind 0xB0070010 — the health
-// probe that protocol v6 retired — after a valid handshake: the secondary
-// answers with an error frame and stops serving the connection.
+// TestRetiredFrameKindRefused sends the secondary frames of retired kinds: the
+// hello (0x48454C4F, retired by protocol v7) on a fresh connection, and the
+// health probe (0xB0070010, retired by v6) after a valid join. Each is
+// answered with an error frame, and the secondary stops serving the
+// connection.
 func TestRetiredFrameKindRefused(t *testing.T) {
 	fixture(t)
-	cp, cs := net.Pipe()
-	defer cp.Close()
-	defer cs.Close()
-	served := make(chan error, 1)
-	go func() { served <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
+	for _, joined := range []bool{false, true} {
+		cp, cs := net.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
 
-	if err := WriteFrame(cp, &Frame{Kind: frameHello, Payload: EncodeHello(HelloFor(fx.bt))}); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := ReadFrame(cp, maxInt(helloPayloadSize, MaxErrorPayload)); err != nil || f.Kind != frameHello {
-		t.Fatalf("handshake: %v", err)
-	}
-	if err := WriteFrame(cp, &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFrame(cp, MaxErrorPayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Kind != FrameError {
-		t.Fatalf("retired frame kind answered with kind %#x, want an error frame", f.Kind)
-	}
-	if err := <-served; err == nil {
-		t.Fatal("the secondary kept serving after a retired frame kind")
+		retired := &Frame{Kind: 0x4845_4C4F, Payload: EncodeHello(HelloFor(fx.bt))}
+		if joined {
+			if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), "primary")}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := ReadFrame(cp, MaxErrorPayload); err != nil || f.Kind != FrameJoinAck {
+				t.Fatalf("handshake: %v", err)
+			}
+			retired = &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
+		}
+		if err := WriteFrame(cp, retired); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFrame(cp, MaxErrorPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != FrameError {
+			t.Fatalf("retired frame kind %#x answered with kind %#x, want an error frame", retired.Kind, f.Kind)
+		}
+		if err := <-served; err == nil {
+			t.Fatalf("the secondary kept serving after retired frame kind %#x", retired.Kind)
+		}
+		cp.Close()
+		cs.Close()
 	}
 }

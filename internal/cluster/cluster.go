@@ -16,13 +16,13 @@
 // self-healing. Because the n extracted LWE ciphertexts are mutually
 // independent (the property §V exploits for parallelism), a lost node costs
 // only its unfinished tasks. The wire protocol is framed and
-// CRC32-checksummed with a version/params handshake (frame.go), batches
-// carry per-shard sequence numbers so partial accumulator streams are
-// detected, every round trip on a link is bounded by a deadline on its Conn,
-// and a failed or wedged secondary is given up: its link is closed and its
-// pending LWE indices go back on the queue for healthy nodes or the
-// primary's own compute (scheduler.go). A restarted node returns by
-// rejoining through a Membership. The whole failure matrix is exercised
+// CRC32-checksummed (frame.go) with one version/params handshake for every
+// link (conversation.go), batches carry per-shard sequence numbers so partial
+// accumulator streams are detected, every round trip on a link is bounded by
+// a deadline on its Conn, and a failed or wedged secondary is given up: its
+// link is closed and its pending LWE indices go back on the queue for healthy
+// nodes or the primary's own compute (scheduler.go). A restarted node returns
+// by rejoining through a Membership. The whole failure matrix is exercised
 // deterministically by the FaultConn chaos wrapper (chaos.go).
 //
 // On top of that, v3 adds:
@@ -94,113 +94,39 @@ func (s *Secondary) keyReceiver() *KeyReceiver {
 	return s.keys
 }
 
-// Serve processes batches until shutdown or connection close. The first
-// frame must be the hello handshake (version + parameter digest); batch
-// counts, LWE indices, dimensions, and moduli are all validated against the
-// secondary's own parameters before any allocation, so a lying primary can
-// neither crash the node nor make it allocate unboundedly. Every
-// accumulator is streamed back immediately after its rotation completes —
-// with its LWE index and a per-shard sequence number — mirroring the
-// paper's "a secondary FPGA starts sending the resultant ciphertext ... as
-// soon as the BlindRotate operation is completed".
+// Serve accepts the join of the primary that dialed conn (AcceptJoin: version
+// and parameter digest; the primary's name is ignored), then serves
+// blind-rotation work until shutdown or connection close. Batch counts, LWE
+// indices, dimensions, and moduli are all validated against the secondary's
+// own parameters before any allocation, so a lying primary can neither crash
+// the node nor make it allocate unboundedly. Every accumulator is streamed
+// back immediately after its rotation completes — with its LWE index and a
+// per-shard sequence number — mirroring the paper's "a secondary FPGA starts
+// sending the resultant ciphertext ... as soon as the BlindRotate operation is
+// completed".
 func (s *Secondary) Serve(conn Conn) error {
-	local := HelloFor(s.Boot)
-	maxPayload := s.maxServePayload()
-
-	// Handshake: hello in, hello out. A bare shutdown of a never-used
-	// connection is also accepted.
-	f, err := ReadFrame(conn, maxPayload)
-	if err != nil {
+	if _, err := AcceptJoin(conn, HelloFor(s.Boot), s.Boot.Recorder(), nil); err != nil {
 		if err == io.EOF {
 			return nil
 		}
 		return err
 	}
-	switch f.Kind {
-	case FrameShutdown:
-		return nil
-	case frameHello:
-		peer, err := DecodeHello(f.Payload)
-		if err != nil {
-			return s.failConn(conn, err)
-		}
-		if err := CheckHello(local, peer); err != nil {
-			return s.failConn(conn, err)
-		}
-		if err := WriteFrame(conn, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
-			return err
-		}
-	default:
-		return s.failConn(conn, fmt.Errorf("cluster: expected hello, got frame kind %#x", f.Kind))
-	}
 	return s.serveLoop(conn)
 }
 
-// maxServePayload bounds the frames a serving secondary accepts: batches,
-// hellos, and key chunks.
-func (s *Secondary) maxServePayload() int {
-	p := s.Boot.Params.Parameters
-	maxBatch := p.N()
-	dim := LWEDim(s.Boot)
-	return maxInt(maxInt(helloPayloadSize, BatchPayloadBound(maxBatch, dim)), MaxKeyChunkPayload)
-}
-
-// failConn sends a best-effort structured error so the primary fails fast
-// instead of waiting out its deadline; the connection is dead either way.
-func (s *Secondary) failConn(conn Conn, err error) error {
-	msg := err.Error()
-	if len(msg) > MaxErrorPayload {
-		msg = msg[:MaxErrorPayload]
-	}
-	_ = WriteFrame(conn, &Frame{Kind: FrameError, Payload: []byte(msg)})
-	return err
-}
-
-// serveLoop is the post-handshake serving loop, shared by Serve (classic
-// hello connections) and JoinAndServe (membership joiners). It handles
-// batches, graceful leave, and the chunked key upload.
+// serveLoop is the post-handshake serving loop, shared by Serve (the primary
+// dialed) and JoinAndServe (the secondary dialed). It handles batches,
+// graceful leave, and the chunked key upload, counting the frames it sends.
 func (s *Secondary) serveLoop(conn Conn) error {
 	p := s.Boot.Params.Parameters
 	rec := s.Boot.Recorder()
+	w := countWriter{conn, rec}
 	maxBatch := p.N()
 	dim := LWEDim(s.Boot)
-	maxPayload := s.maxServePayload()
+	maxPayload := max(BatchPayloadBound(maxBatch, dim), MaxKeyChunkPayload)
 	twoN := uint64(2 * p.N())
-	fail := func(err error) error { return s.failConn(conn, err) }
+	fail := func(err error) error { return SendError(w, err) }
 
-	sendLeave := func() error {
-		payload := EncodeReason("leave requested")
-		err := WriteFrame(conn, &Frame{Kind: FrameLeave, Payload: payload})
-		if err == nil {
-			rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-		}
-		return err
-	}
-
-	// Recycled accumulators, reused across batches for the connection's
-	// life: tiles in flight hold at most workers×tile accumulators live, and
-	// each is returned to the free list as soon as it is framed, so a large
-	// batch never materializes all of its accumulators at once.
-	var (
-		accMu   sync.Mutex
-		freeAcc []*rlwe.Ciphertext
-	)
-	getAcc := func() *rlwe.Ciphertext {
-		accMu.Lock()
-		if n := len(freeAcc); n > 0 {
-			a := freeAcc[n-1]
-			freeAcc = freeAcc[:n-1]
-			accMu.Unlock()
-			return a
-		}
-		accMu.Unlock()
-		return s.Boot.NewAccumulator()
-	}
-	putAcc := func(a *rlwe.Ciphertext) {
-		accMu.Lock()
-		freeAcc = append(freeAcc, a)
-		accMu.Unlock()
-	}
 	for {
 		f, err := ReadFrame(conn, maxPayload)
 		if err != nil {
@@ -221,13 +147,12 @@ func (s *Secondary) serveLoop(conn Conn) error {
 			if err != nil {
 				return fail(err)
 			}
-			if err := WriteFrame(conn, reply); err != nil {
+			if err := WriteFrame(w, reply); err != nil {
 				return err
 			}
-			rec.Add(obs.CounterBytesFramed, WireSize(len(reply.Payload)))
 		case FrameBatch:
 			if s.leaving.Load() {
-				return sendLeave()
+				return WriteFrame(w, &Frame{Kind: FrameLeave, Payload: EncodeReason("leave requested")})
 			}
 			if !s.Boot.HasBlindRotateKey() {
 				return fail(fmt.Errorf("cluster: batch %d before the blind-rotate key is in", f.Shard))
@@ -250,7 +175,9 @@ func (s *Secondary) serveLoop(conn Conn) error {
 			// framed and sent the moment it completes — the "send as soon as
 			// BlindRotate completes" overlap — with sequence numbers stamped
 			// in completion order (the primary resolves accumulators by
-			// index, not order). One BlindRotate span covers the batch
+			// index, not order), and each framed accumulator goes back to the
+			// bootstrapper's pool, so a large batch never holds all of its
+			// accumulators at once. One BlindRotate span covers the batch
 			// (lane 0); the engine's per-tile spans land on lanes ≥ 1, so
 			// traces stay bounded at large shard counts.
 			accs := make([]*rlwe.Ciphertext, len(lwes))
@@ -263,7 +190,6 @@ func (s *Secondary) serveLoop(conn Conn) error {
 			err = s.Boot.BlindRotateBatch(accs, lwes, tfhe.BatchOptions{
 				Workers:  s.Boot.Cfg.Workers,
 				BaseLane: 1,
-				NewAcc:   getAcc,
 				OnTile: func(lo, hi int) error {
 					sendMu.Lock()
 					defer sendMu.Unlock()
@@ -277,15 +203,14 @@ func (s *Secondary) serveLoop(conn Conn) error {
 					for j := lo; j < hi; j++ {
 						payload, err := EncodeAcc(idxs[j], accs[j])
 						if err == nil {
-							err = WriteFrame(conn, &Frame{Kind: FrameAcc, Shard: f.Shard, Seq: seq, Payload: payload})
+							err = WriteFrame(w, &Frame{Kind: FrameAcc, Shard: f.Shard, Seq: seq, Payload: payload})
 						}
 						if err != nil {
 							sendErr = err
 							return err
 						}
 						seq++
-						rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-						putAcc(accs[j])
+						s.Boot.RecycleAccumulator(accs[j])
 						accs[j] = nil
 					}
 					return nil
@@ -298,12 +223,9 @@ func (s *Secondary) serveLoop(conn Conn) error {
 				}
 				return fail(fmt.Errorf("cluster: batch %d: %w", f.Shard, err))
 			}
-			endPayload := make([]byte, 4)
-			putU32(endPayload, uint32(len(lwes)))
-			if err := WriteFrame(conn, &Frame{Kind: FrameBatchEnd, Shard: f.Shard, Seq: uint32(len(lwes)), Payload: endPayload}); err != nil {
+			if err := WriteBatchEnd(w, f.Shard, len(lwes)); err != nil {
 				return err
 			}
-			rec.Add(obs.CounterBytesFramed, WireSize(len(endPayload)))
 		default:
 			return fail(fmt.Errorf("cluster: unknown message kind %#x", f.Kind))
 		}
@@ -412,9 +334,11 @@ func (rs *runState) down(name string, st MemberState) {
 // Bootstrap is the distributed bootstrap (§V, Figure 4): the primary
 // prepares the n independent LWE ciphertexts, fans their blind rotations out
 // over a shared work queue, and repacks the accumulators as they stream back.
-// nodes are connections the caller already holds (hello handshake); m, when
-// non-nil, supplies every node waiting in it at the start and every node that
-// joins while the run is in flight (join handshake). A static node list is
+// nodes are connections the caller dialed, which the primary joins before
+// their first batch; m, when non-nil, supplies every node waiting in it at the
+// start and every node that joins while the run is in flight, each of which
+// dialed the primary. Both ends of either link speak the one join handshake
+// (conversation.go), whichever end dialed. A static node list is
 // thus a membership that never changes, and every run dispatches the same
 // way: the secondaries and the primary's local workers all drain one queue of
 // tasks, so a fast node, a mid-run joiner or the local compute picks up
@@ -784,9 +708,14 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 		node.needsKey = false
 	}
 
+	// A node the primary dialed is joined first, under a name the node
+	// ignores.
 	task := pop()
 	if task != nil && !node.joined {
-		if err := p.handshake(conn, opts); err != nil {
+		disarm := armTimeout(conn, opts.BatchTimeout)
+		err := Join(conn, HelloFor(p.Boot), "primary", p.Boot.Recorder())
+		disarm()
+		if err != nil {
 			end(task, err)
 			return
 		}
@@ -891,32 +820,6 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 	return nil
 }
 
-// handshake performs the hello exchange on a fresh connection.
-func (p *Primary) handshake(conn Conn, opts Options) error {
-	disarm := armTimeout(conn, opts.BatchTimeout)
-	defer disarm()
-	local := HelloFor(p.Boot)
-	if err := WriteFrame(conn, &Frame{Kind: frameHello, Payload: EncodeHello(local)}); err != nil {
-		return fmt.Errorf("cluster: hello send: %w", err)
-	}
-	f, err := ReadFrame(conn, maxInt(helloPayloadSize, MaxErrorPayload))
-	if err != nil {
-		return fmt.Errorf("cluster: hello receive: %w", err)
-	}
-	switch f.Kind {
-	case frameHello:
-	case FrameError:
-		return fmt.Errorf("cluster: peer rejected handshake: %s", f.Payload)
-	default:
-		return fmt.Errorf("cluster: expected hello reply, got frame kind %#x", f.Kind)
-	}
-	peer, err := DecodeHello(f.Payload)
-	if err != nil {
-		return err
-	}
-	return CheckHello(local, peer)
-}
-
 // dispatchBatch sends one LWE batch and collects the accumulator stream,
 // marking every index complete as its accumulator arrives, so that a
 // failure mid-stream loses only the not-yet-received indices. The batch
@@ -936,34 +839,17 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 		return err
 	}
 
-	// Deadline budget threaded to the secondary via the batch frame's seq
-	// field (milliseconds; 0 = unbounded).
 	budget := opts.BatchTimeout
 	if dl, ok := rs.ctx.Deadline(); ok {
 		if rem := time.Until(dl); budget <= 0 || rem < budget {
 			budget = rem
 		}
 	}
-	var budgetMs uint32
-	if budget > 0 {
-		if ms := budget / time.Millisecond; ms > 0 {
-			budgetMs = uint32(ms)
-		} else {
-			budgetMs = 1
-		}
-	}
-
 	sendTok := rec.Begin(obs.StageNetSend, lane)
-	payload, err := EncodeBatch(idxs, prep.LWEs)
-	if err != nil {
-		rec.End(obs.StageNetSend, lane, sendTok)
-		return err
-	}
-	werr := WriteFrame(conn, &Frame{Kind: FrameBatch, Shard: shard, Seq: budgetMs, Payload: payload})
+	err := SendBatch(conn, shard, idxs, prep.LWEs, budget, rec)
 	rec.End(obs.StageNetSend, lane, sendTok)
-	rec.Add(obs.CounterBytesFramed, WireSize(len(payload)))
-	if werr != nil {
-		return wrap(fmt.Errorf("cluster: batch send: %w", werr))
+	if err != nil {
+		return wrap(fmt.Errorf("cluster: batch send: %w", err))
 	}
 	start := time.Now()
 	rs.mu.Lock()
@@ -992,77 +878,37 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 		rs.mu.Unlock()
 	}()
 
-	params := p.Boot.Params.Parameters
-	maxPayload := maxInt(AccPayloadBound(params), MaxErrorPayload)
-	want := make(map[int]bool, len(idxs))
-	for _, idx := range idxs {
-		want[idx] = true
-	}
-	rec.Gauge(obs.GaugeInFlightShards, int64(len(want)))
 	// Whatever is still outstanding when the stream ends — cleanly or not —
 	// leaves flight here.
-	defer func() { rec.Gauge(obs.GaugeInFlightShards, -int64(len(want))) }()
+	outstanding := len(idxs)
+	rec.Gauge(obs.GaugeInFlightShards, int64(outstanding))
+	defer func() { rec.Gauge(obs.GaugeInFlightShards, -int64(outstanding)) }()
 	recvTok := rec.Begin(obs.StageNetRecv, lane)
-	defer func() { rec.End(obs.StageNetRecv, lane, recvTok) }()
-	for seq := 0; ; {
-		f, err := ReadFrame(conn, maxPayload)
-		if err != nil {
-			return wrap(err)
+	defer rec.End(obs.StageNetRecv, lane, recvTok)
+	err = ReadAccs(conn, shard, idxs, p.Boot.Params.Parameters, rec, func(idx int, acc *rlwe.Ciphertext) {
+		outstanding--
+		rec.Gauge(obs.GaugeInFlightShards, -1)
+		est.add(time.Since(start))
+		rs.mu.Lock()
+		if fl := rs.flights[idx]; fl != nil && fl.ns == ns {
+			delete(rs.flights, idx)
 		}
-		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
-		if f.Kind == FrameLeave {
-			return errNodeLeft
-		}
-		if f.Shard != shard {
-			return fmt.Errorf("cluster: frame for shard %d while awaiting shard %d", f.Shard, shard)
-		}
-		switch f.Kind {
-		case FrameError:
-			return fmt.Errorf("cluster: remote failure: %s", f.Payload)
-		case FrameAcc:
-			if int(f.Seq) != seq {
-				return fmt.Errorf("cluster: partial accumulator stream: seq %d, want %d", f.Seq, seq)
-			}
-			seq++
-			if len(want) == 0 {
-				return errors.New("cluster: accumulator after batch complete")
-			}
-			idx, acc, err := DecodeAcc(f.Payload, params, len(prep.LWEs))
-			if err != nil {
-				return err
-			}
-			if !want[idx] {
-				return fmt.Errorf("cluster: accumulator for unrequested index %d", idx)
-			}
-			delete(want, idx)
-			rec.Gauge(obs.GaugeInFlightShards, -1)
-			est.add(time.Since(start))
+		rs.mu.Unlock()
+		if rs.complete(idx, acc) {
 			rs.mu.Lock()
-			if fl := rs.flights[idx]; fl != nil && fl.ns == ns {
-				delete(rs.flights, idx)
-			}
+			ns.Completed++
 			rs.mu.Unlock()
-			if rs.complete(idx, acc) {
-				rs.mu.Lock()
-				ns.Completed++
-				rs.mu.Unlock()
-				sink.deliver(idx, acc)
-			}
-		case FrameBatchEnd:
-			if int(f.Seq) != seq {
-				return fmt.Errorf("cluster: partial accumulator stream: end at seq %d, want %d", f.Seq, seq)
-			}
-			if len(f.Payload) != 4 || int(u32(f.Payload)) != len(idxs) {
-				return fmt.Errorf("cluster: batch-end count mismatch")
-			}
-			if len(want) != 0 {
-				return fmt.Errorf("cluster: batch ended with %d accumulators missing", len(want))
-			}
-			return nil
-		default:
-			return fmt.Errorf("cluster: unexpected frame kind %#x in accumulator stream", f.Kind)
+			sink.deliver(idx, acc)
 		}
+	})
+	var end *EndError
+	switch {
+	case errors.As(err, &end) && end.Kind == FrameLeave:
+		return errNodeLeft
+	case errors.As(err, &end):
+		return fmt.Errorf("cluster: remote failure: %s", end.Reason)
 	}
+	return wrap(err)
 }
 
 // prepare wraps core.Prepare, converting its input-validation panics into
@@ -1102,12 +948,4 @@ func safeRotateTile(bt *core.Bootstrapper, accs []*rlwe.Ciphertext, lwes []*rlwe
 // Shutdown tells a secondary to stop serving.
 func Shutdown(conn io.Writer) error {
 	return WriteFrame(conn, &Frame{Kind: FrameShutdown})
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

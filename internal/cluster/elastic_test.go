@@ -478,7 +478,7 @@ func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	defer cp.Close()
 	served := make(chan error, 1)
 	go func() { served <- cold.Serve(cs) }()
-	if err := (&Primary{Boot: fx.bt}).handshake(cp, testOptions()); err != nil {
+	if err := Join(cp, HelloFor(fx.bt), "primary", obs.Nop{}); err != nil {
 		t.Fatal(err)
 	}
 	exchange := func(f *Frame) *Frame {
@@ -583,7 +583,7 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 		var s seen
 		defer func() { peer <- s }()
 		var crc uint32
-		maxPayload := maxInt(BatchPayloadBound(fx.params.N(), LWEDim(fx.bt)), MaxKeyChunkPayload)
+		maxPayload := max(BatchPayloadBound(fx.params.N(), LWEDim(fx.bt)), MaxKeyChunkPayload)
 		for {
 			f, err := ReadFrame(conn, maxPayload)
 			if err != nil {

@@ -24,10 +24,11 @@ import (
 // CMAC link) is detectable by the primary: it knows exactly which LWE
 // indices completed and which must be reassigned.
 //
-// A connection starts with a hello exchange (version + parameter digest +
-// LWE dimension + batch bound); everything after a digest mismatch would be
-// garbage, so mismatches fail the connection at setup instead of corrupting
-// a bootstrap midway.
+// A connection starts with the join handshake (conversation.go): whichever
+// end dials sends a join (a hello — version, parameter digest, LWE dimension,
+// batch bound — plus a name) and the other end acks with its own hello.
+// Everything after a digest mismatch would be garbage, so mismatches fail the
+// connection at setup instead of corrupting a bootstrap midway.
 //
 // The cluster scheduler and the bootstrap service (internal/serve) speak this
 // one format byte for byte: what is exported here is the surface a protocol
@@ -37,7 +38,7 @@ const (
 	frameMagic = uint32(0x4846_524D) // "HFRM"
 
 	// ProtocolVersion is the cluster wire-protocol version exchanged in the
-	// hello handshake. Version 2 is the framed, checksummed protocol; the
+	// join handshake. Version 2 is the framed, checksummed protocol; the
 	// seed's unframed protocol is retroactively version 1 and is rejected.
 	// Version 3 adds elastic membership (join/leave/health-probe frames),
 	// per-batch deadline budgets (carried in the batch frame's seq field,
@@ -49,7 +50,10 @@ const (
 	// batch until key-done, and fails one that comes before it. Version 6
 	// retires the health-probe frames (kinds 0xB0070010 and 0xB0070011): a
 	// peer answers either with an error frame and drops the connection.
-	ProtocolVersion = uint32(6)
+	// Version 7 has one handshake for every link: whichever end dials sends
+	// FrameJoin and the other answers FrameJoinAck. The hello frame kind
+	// (0x48454C4F) is retired, and a peer answers it with an error frame.
+	ProtocolVersion = uint32(7)
 
 	frameHeaderSize  = 20
 	frameTrailerSize = 4
@@ -67,16 +71,15 @@ func WireSize(payloadLen int) uint64 {
 
 // Frame kinds.
 const (
-	frameHello    = uint32(0x4845_4C4F) // "HELO"
 	FrameBatch    = uint32(0xB007_0001) // primary → secondary: LWE batch (seq = deadline budget, ms)
 	FrameAcc      = uint32(0xB007_0002) // secondary → primary: one accumulator
 	FrameBatchEnd = uint32(0xB007_0003) // secondary → primary: batch complete
-	FrameError    = uint32(0xB007_000E) // secondary → primary: structured failure
+	FrameError    = uint32(0xB007_000E) // either way: structured failure
 	FrameShutdown = uint32(0xB007_00FF)
 
-	// Elastic membership (v3).
-	FrameJoin    = uint32(0xB007_0012) // secondary → primary: hello + node name
-	FrameJoinAck = uint32(0xB007_0013) // primary → secondary: hello reply, join accepted
+	// The handshake (v3; every link's since v7).
+	FrameJoin    = uint32(0xB007_0012) // dialer → acceptor: hello + name
+	FrameJoinAck = uint32(0xB007_0013) // acceptor → dialer: hello reply, join accepted
 	FrameLeave   = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
 
 	// Chunked resumable key streaming (v3).
@@ -363,13 +366,6 @@ func BatchPayloadBound(maxBatch, dim int) int {
 // AccPayloadBound is the largest accumulator payload a primary accepts.
 func AccPayloadBound(p *rlwe.Parameters) int {
 	return 4 + rlwe.CiphertextWireSize(p, p.MaxLevel())
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- elastic membership payloads (v3) ---

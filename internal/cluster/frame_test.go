@@ -10,7 +10,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range []*Frame{
 		{Kind: FrameShutdown},
-		{Kind: frameHello, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD})},
+		{Kind: FrameJoinAck, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD})},
 		{Kind: FrameBatch, Shard: 7, Seq: 0, Payload: []byte{1, 2, 3, 4, 5}},
 		{Kind: FrameAcc, Shard: 1<<32 - 1, Seq: 1<<32 - 1, Payload: make([]byte, 4096)},
 		{Kind: FrameError, Payload: []byte("it broke")},
@@ -97,9 +97,10 @@ func TestHelloRoundTripAndCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := got
-	// The seed's protocol, v3's two-row binary key records, and v4's
-	// batch-refused reply to a batch sent before key-done.
-	for _, v := range []uint32{1, 3, 4} {
+	// The seed's protocol, v3's two-row binary key records, v4's
+	// batch-refused reply to a batch sent before key-done, and v6's hello
+	// frame kind.
+	for _, v := range []uint32{1, 3, 4, 6} {
 		bad.Version = v
 		if err := CheckHello(h, bad); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("v%d peer: %v", v, err)
@@ -122,7 +123,7 @@ func FuzzReadFrame(f *testing.F) {
 	_ = WriteFrame(&buf, &Frame{Kind: FrameShutdown})
 	f.Add(buf.Bytes())
 	buf.Reset()
-	_ = WriteFrame(&buf, &Frame{Kind: frameHello, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6})})
+	_ = WriteFrame(&buf, &Frame{Kind: FrameJoinAck, Payload: EncodeHello(Hello{Version: ProtocolVersion, LogN: 6})})
 	f.Add(buf.Bytes())
 	buf.Reset()
 	_ = WriteFrame(&buf, &Frame{Kind: FrameAcc, Shard: 2, Seq: 5, Payload: []byte("payload")})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,7 +73,7 @@ func (kr *KeyReceiver) Receive(f *Frame, rec obs.Recorder) (*Frame, *tfhe.BlindR
 		if len(f.Payload) != 4 {
 			return nil, nil, fmt.Errorf("cluster: key done payload is %d bytes, want 4", len(f.Payload))
 		}
-		key, err := kr.Done(u32(f.Payload))
+		key, err := kr.Done(binary.LittleEndian.Uint32(f.Payload))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -207,15 +208,13 @@ func sendKey(conn Conn, blob []byte, blobCRC uint32, opts Options, rec obs.Recor
 	roundTrip := func(send *Frame, wantKind uint32) (*Frame, error) {
 		disarm := armTimeout(conn, opts.BatchTimeout)
 		defer disarm()
-		if err := WriteFrame(conn, send); err != nil {
+		if err := WriteFrame(countWriter{conn, rec}, send); err != nil {
 			return nil, fmt.Errorf("cluster: key upload send: %w", err)
 		}
-		rec.Add(obs.CounterBytesFramed, WireSize(len(send.Payload)))
-		f, err := ReadFrame(conn, MaxErrorPayload)
+		f, err := readFrame(conn, MaxErrorPayload, rec)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: key upload reply: %w", err)
 		}
-		rec.Add(obs.CounterBytesFramed, WireSize(len(f.Payload)))
 		if f.Kind == FrameError {
 			return nil, fmt.Errorf("cluster: key upload refused: %s", f.Payload)
 		}
@@ -262,8 +261,7 @@ func sendKey(conn Conn, blob []byte, blobCRC uint32, opts Options, rec obs.Recor
 		}
 	}
 
-	done := make([]byte, 4)
-	putU32(done, blobCRC)
+	done := binary.LittleEndian.AppendUint32(nil, blobCRC)
 	if _, err := roundTrip(&Frame{Kind: FrameKeyDone, Payload: done}, FrameKeyDone); err != nil {
 		return err
 	}

@@ -196,92 +196,39 @@ func (l *PipeListener) Close() error {
 }
 
 // AcceptJoins runs the join side of the membership: it accepts connections
-// from l, performs the join handshake (params digest included, so an alien
-// parameter set is refused at the door exactly like a v2 hello mismatch),
-// and registers each joiner with m. It returns when the listener closes.
-// Run it in its own goroutine alongside Primary.Bootstrap.
+// from l, accepts each one's join (AcceptJoin: params digest included, so an
+// alien parameter set is refused at the door) and registers the joiner with
+// m before the ack goes out. It returns when the listener closes. Run it in
+// its own goroutine alongside Primary.Bootstrap.
 func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return nil
 		}
-		go func(conn Conn) {
-			if err := p.acceptJoin(m, conn); err != nil {
+		go func() {
+			registered := "" // set once m holds the node; markDown ignores ""
+			_, err := AcceptJoin(conn, HelloFor(p.Boot), p.Boot.Recorder(), func(peer Hello, name string) error {
+				err := m.Join(&Node{Conn: conn, Name: name, joined: true, needsKey: peer.Flags&helloFlagKeyWarm == 0})
+				if err == nil {
+					registered = name
+				}
+				return err
+			})
+			if err != nil {
+				m.markDown(registered, MemberDead)
 				closeConn(conn)
 			}
-		}(conn)
+		}()
 	}
 }
 
-// acceptJoin validates one join handshake and registers the node.
-func (p *Primary) acceptJoin(m *Membership, conn Conn) error {
-	local := HelloFor(p.Boot)
-	refuse := func(err error) error {
-		msg := err.Error()
-		if len(msg) > MaxErrorPayload {
-			msg = msg[:MaxErrorPayload]
-		}
-		_ = WriteFrame(conn, &Frame{Kind: FrameError, Payload: []byte(msg)})
-		return err
-	}
-	f, err := ReadFrame(conn, JoinPayloadBound)
-	if err != nil {
-		return err
-	}
-	if f.Kind != FrameJoin {
-		return refuse(fmt.Errorf("cluster: expected join, got frame kind %#x", f.Kind))
-	}
-	peer, name, err := DecodeJoin(f.Payload)
-	if err != nil {
-		return refuse(err)
-	}
-	if err := CheckHello(local, peer); err != nil {
-		return refuse(err)
-	}
-	node := &Node{Conn: conn, Name: name, joined: true, needsKey: peer.Flags&helloFlagKeyWarm == 0}
-	if err := m.Join(node); err != nil {
-		return refuse(err)
-	}
-	if err := WriteFrame(conn, &Frame{Kind: FrameJoinAck, Payload: EncodeHello(local)}); err != nil {
-		m.markDown(name, MemberDead)
-		return err
-	}
-	return nil
-}
-
-// Join performs the secondary side of the join handshake on conn: it sends
-// the node's hello (with its key-warm flag) plus its name and waits for the
-// primary's acknowledgement.
-func (s *Secondary) Join(conn Conn, name string) error {
-	local := HelloFor(s.Boot)
-	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(local, name)}); err != nil {
-		return fmt.Errorf("cluster: join send: %w", err)
-	}
-	f, err := ReadFrame(conn, maxInt(helloPayloadSize, MaxErrorPayload))
-	if err != nil {
-		return fmt.Errorf("cluster: join reply: %w", err)
-	}
-	switch f.Kind {
-	case FrameJoinAck:
-	case FrameError:
-		return fmt.Errorf("cluster: join rejected: %s", f.Payload)
-	default:
-		return fmt.Errorf("cluster: expected join ack, got frame kind %#x", f.Kind)
-	}
-	peer, err := DecodeHello(f.Payload)
-	if err != nil {
-		return err
-	}
-	return CheckHello(local, peer)
-}
-
-// JoinAndServe joins the cluster through conn and then serves blind-rotation
-// work on it — the whole life of an elastic secondary. A cold node receives
-// its blind-rotate key over the same connection (chunked and resumable)
-// before any batch work.
+// JoinAndServe joins the cluster through conn (Join, under name and with the
+// node's key-warm flag) and then serves blind-rotation work on it — the whole
+// life of an elastic secondary. A cold node receives its blind-rotate key
+// over the same connection (chunked and resumable) before any batch work.
 func (s *Secondary) JoinAndServe(conn Conn, name string) error {
-	if err := s.Join(conn, name); err != nil {
+	if err := Join(conn, HelloFor(s.Boot), name, s.Boot.Recorder()); err != nil {
 		return err
 	}
 	return s.serveLoop(conn)

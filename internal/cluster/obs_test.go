@@ -79,9 +79,9 @@ func TestClusterTraceAccounting(t *testing.T) {
 	tile := btPrimary.TileSize()
 	minTiles := (stats.Local + tile - 1) / tile
 	tileSpans := int(snap.Shards["BlindRotate"].Count)
-	if tileSpans < minTiles || tileSpans > maxInt(stats.Local, minTiles) {
+	if tileSpans < minTiles || tileSpans > max(stats.Local, minTiles) {
 		t.Errorf("local shard-lane tile spans = %d, want in [%d, %d] for %d local rotations (tile %d)",
-			tileSpans, minTiles, maxInt(stats.Local, minTiles), stats.Local, tile)
+			tileSpans, minTiles, max(stats.Local, minTiles), stats.Local, tile)
 	}
 	if got := int(met.Counter(obs.CounterBlindRotate)); got != stats.Local {
 		t.Errorf("primary blind_rotates = %d, want stats.Local = %d", got, stats.Local)

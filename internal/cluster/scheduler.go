@@ -29,9 +29,9 @@ type Node struct {
 	// the registry identity a killed node rejoins under.
 	Name string
 
-	// joined marks a node that arrived through the elastic membership: its
-	// connection already completed the join handshake, so the hello exchange
-	// is skipped.
+	// joined marks a node that arrived through the elastic membership: it
+	// dialed the primary and its join was accepted, so the primary does not
+	// join it again.
 	joined bool
 	// needsKey marks a joiner that announced itself key-cold; the scheduler
 	// streams the blind-rotate key (chunked, resumable) before handing it

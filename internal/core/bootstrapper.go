@@ -89,10 +89,10 @@ type Bootstrapper struct {
 	// (Nop by default, so the uninstrumented path stays allocation-free).
 	rec obs.Recorder
 
-	// accPool recycles the accumulators of local bootstraps: BootstrapSparse
-	// hands its count ciphertexts back once Finish has consumed them, so
-	// back-to-back bootstraps do not leave ~1 MB per blind rotation to the
-	// collector.
+	// accPool recycles accumulators: BlindRotateBatch draws from it, and
+	// RecycleAccumulator hands one back (BootstrapSparse once Finish has
+	// consumed them, a serving node once one is framed), so back-to-back
+	// batches do not leave ~1 MB per blind rotation to the collector.
 	accPool sync.Pool
 }
 
@@ -318,15 +318,19 @@ func (bt *Bootstrapper) NewAccumulator() *rlwe.Ciphertext {
 	return rlwe.NewCiphertext(bt.Params.Parameters, bt.lut.Level)
 }
 
-// pooledAccumulator is NewAccumulator drawing on the accumulators that
-// finished local bootstraps handed back; a blind rotation overwrites every
-// limb, so a recycled one needs no clearing.
+// pooledAccumulator is NewAccumulator drawing on the accumulators handed
+// back through RecycleAccumulator; a blind rotation overwrites every limb, so
+// a recycled one needs no clearing.
 func (bt *Bootstrapper) pooledAccumulator() *rlwe.Ciphertext {
 	if acc, ok := bt.accPool.Get().(*rlwe.Ciphertext); ok {
 		return acc
 	}
 	return bt.NewAccumulator()
 }
+
+// RecycleAccumulator hands an accumulator nothing refers to any more back to
+// the pool BlindRotateBatch draws from.
+func (bt *Bootstrapper) RecycleAccumulator(acc *rlwe.Ciphertext) { bt.accPool.Put(acc) }
 
 // BlindRotateOneInto is BlindRotateOne writing into a caller-owned
 // accumulator with a per-worker scratch arena (BlindRotateTile over a tile of
@@ -403,14 +407,15 @@ func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LW
 
 // BlindRotateBatch runs the key-major batched engine over prepared LWE
 // ciphertexts, filling nil entries of accs. Zero-value options inherit the
-// bootstrapper's tile size and accumulator allocator; see tfhe.BatchOptions
-// for the worker fan-out and the streaming per-tile hook.
+// bootstrapper's tile size and draw accumulators from its pool
+// (RecycleAccumulator); see tfhe.BatchOptions for the worker fan-out and the
+// streaming per-tile hook.
 func (bt *Bootstrapper) BlindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, opts tfhe.BatchOptions) error {
 	if opts.Tile <= 0 {
 		opts.Tile = bt.TileSize()
 	}
 	if opts.NewAcc == nil {
-		opts.NewAcc = bt.NewAccumulator
+		opts.NewAcc = bt.pooledAccumulator
 	}
 	return bt.tfheEv.BlindRotateBatchInto(accs, lwes, bt.lut, bt.brk, opts)
 }
@@ -431,7 +436,7 @@ func (bt *Bootstrapper) BlindRotateBatchWithKey(accs []*rlwe.Ciphertext, lwes []
 		opts.Tile = bt.TileSize()
 	}
 	if opts.NewAcc == nil {
-		opts.NewAcc = bt.NewAccumulator
+		opts.NewAcc = bt.pooledAccumulator
 	}
 	return bt.tfheEv.BlindRotateBatchInto(accs, lwes, bt.lut, brk, opts)
 }
@@ -472,7 +477,7 @@ func (bt *Bootstrapper) CompleteMissing(prep *PreparedBootstrap, accs []*rlwe.Ci
 		lwes[k] = prep.LWEs[idx]
 	}
 	out := make([]*rlwe.Ciphertext, len(missing))
-	err := bt.BlindRotateBatch(out, lwes, tfhe.BatchOptions{Workers: bt.Cfg.Workers, NewAcc: bt.pooledAccumulator})
+	err := bt.BlindRotateBatch(out, lwes, tfhe.BatchOptions{Workers: bt.Cfg.Workers})
 	bt.rec.End(obs.StageBlindRotate, obs.LanePipeline, tok)
 	if err != nil {
 		// The prepared LWEs and the key material are the bootstrapper's own;
@@ -631,7 +636,7 @@ func (bt *Bootstrapper) BootstrapSparse(ct *rlwe.Ciphertext, count int) *rlwe.Ci
 	// Finish consumed the accumulators as scratch and its output is freshly
 	// allocated, so nothing refers to them any more.
 	for _, acc := range accs {
-		bt.accPool.Put(acc)
+		bt.RecycleAccumulator(acc)
 	}
 	return out
 }

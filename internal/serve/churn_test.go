@@ -50,7 +50,8 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, _, serverBt := buildBoot(t, 70, true)
-			srv := NewServer(serverBt, Config{Executors: 2, Tile: 8, Workers: 1})
+			serverBt.Cfg.Tile = 8
+			srv := NewServer(serverBt, Config{Executors: 2, Workers: 1})
 			l, stop := startServer(t, srv)
 			defer stop()
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -36,52 +35,23 @@ func (e *RejectedError) IsRateLimited() bool {
 // shipped to the service. Rotate is synchronous; run one Client per
 // connection and multiple Clients for concurrency.
 type Client struct {
-	conn   cluster.Conn
-	boot   *core.Bootstrapper
-	tenant string
-	rec    obs.Recorder
+	conn cluster.Conn
+	boot *core.Bootstrapper
+	rec  obs.Recorder
 
 	mu     sync.Mutex // serializes Rotate/UploadKey on this connection
 	nextID uint32
-	maxAcc int
 }
 
-// NewClient joins the server over conn under the given tenant name. The
-// handshake checks protocol version and parameter digest both ways.
+// NewClient joins the server over conn under the given tenant name
+// (cluster.Join: protocol version and parameter digest are checked both
+// ways).
 func NewClient(conn cluster.Conn, boot *core.Bootstrapper, tenant string, rec obs.Recorder) (*Client, error) {
 	rec = obs.OrNop(rec)
-	local := cluster.HelloFor(boot)
-	join := cluster.EncodeJoin(local, tenant)
-	if err := cluster.WriteFrame(conn, &cluster.Frame{Kind: cluster.FrameJoin, Payload: join}); err != nil {
-		return nil, fmt.Errorf("serve: join send: %w", err)
-	}
-	rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(join)))
-	f, err := cluster.ReadFrame(conn, cluster.MaxErrorPayload)
-	if err != nil {
-		return nil, fmt.Errorf("serve: join reply: %w", err)
-	}
-	rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
-	switch f.Kind {
-	case cluster.FrameJoinAck:
-	case cluster.FrameError:
-		return nil, fmt.Errorf("serve: server rejected join: %s", f.Payload)
-	default:
-		return nil, fmt.Errorf("serve: expected join ack, got frame kind %#x", f.Kind)
-	}
-	peer, err := cluster.DecodeHello(f.Payload)
-	if err != nil {
+	if err := cluster.Join(conn, cluster.HelloFor(boot), tenant, rec); err != nil {
 		return nil, err
 	}
-	if err := cluster.CheckHello(local, peer); err != nil {
-		return nil, err
-	}
-	return &Client{
-		conn:   conn,
-		boot:   boot,
-		tenant: tenant,
-		rec:    rec,
-		maxAcc: cluster.AccPayloadBound(boot.Params.Parameters),
-	}, nil
+	return &Client{conn: conn, boot: boot, rec: rec}, nil
 }
 
 // UploadKey streams the tenant's blind-rotate key into the server registry
@@ -118,62 +88,23 @@ func (c *Client) Rotate(lwes []*rlwe.LWECiphertext, budget time.Duration) ([]*rl
 	for i := range idxs {
 		idxs[i] = i
 	}
-	payload, err := cluster.EncodeBatch(idxs, lwes)
-	if err != nil {
-		return nil, err
-	}
-	var budgetMs uint32
-	if budget > 0 {
-		ms := (budget + time.Millisecond - 1) / time.Millisecond
-		budgetMs = uint32(ms)
-		if budgetMs == 0 {
-			budgetMs = 1
-		}
-	}
-	if err := cluster.WriteFrame(c.conn, &cluster.Frame{Kind: cluster.FrameBatch, Shard: id, Seq: budgetMs, Payload: payload}); err != nil {
+	if err := cluster.SendBatch(c.conn, id, idxs, lwes, budget, c.rec); err != nil {
 		return nil, fmt.Errorf("serve: job send: %w", err)
 	}
-	c.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(payload)))
-
 	accs := make([]*rlwe.Ciphertext, len(lwes))
-	got := 0
-	for {
-		f, err := cluster.ReadFrame(c.conn, c.maxAcc)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job %d reply: %w", id, err)
-		}
-		c.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
-		if f.Shard != id {
-			return nil, fmt.Errorf("serve: reply for job %d while waiting on %d", f.Shard, id)
-		}
-		switch f.Kind {
-		case cluster.FrameAcc:
-			idx, acc, err := cluster.DecodeAcc(f.Payload, c.boot.Params.Parameters, len(lwes))
-			if err != nil {
-				return nil, err
-			}
-			if accs[idx] != nil {
-				return nil, fmt.Errorf("serve: duplicate accumulator %d for job %d", idx, id)
-			}
-			accs[idx] = acc
-			got++
-		case cluster.FrameBatchEnd:
-			if got != len(lwes) {
-				return nil, fmt.Errorf("serve: job %d ended with %d/%d accumulators", id, got, len(lwes))
-			}
-			return accs, nil
-		case cluster.FrameRejected:
-			reason, err := cluster.DecodeReason(f.Payload)
-			if err != nil {
-				reason = string(f.Payload)
-			}
-			return nil, &RejectedError{Reason: reason}
-		case cluster.FrameError:
-			return nil, fmt.Errorf("serve: job %d failed: %s", id, f.Payload)
-		default:
-			return nil, fmt.Errorf("serve: unexpected frame kind %#x for job %d", f.Kind, id)
-		}
+	err := cluster.ReadAccs(c.conn, id, idxs, c.boot.Params.Parameters, c.rec, func(idx int, acc *rlwe.Ciphertext) {
+		accs[idx] = acc
+	})
+	var end *cluster.EndError
+	switch {
+	case err == nil:
+		return accs, nil
+	case errors.As(err, &end) && end.Kind == cluster.FrameRejected:
+		return nil, &RejectedError{Reason: end.Reason}
+	case errors.As(err, &end):
+		return nil, fmt.Errorf("serve: job %d failed: %s", id, end.Reason)
 	}
+	return nil, fmt.Errorf("serve: job %d reply: %w", id, err)
 }
 
 // Bootstrap refreshes ct through the service: Prepare locally, ship the
@@ -188,13 +119,10 @@ func (c *Client) Bootstrap(ct *rlwe.Ciphertext, budget time.Duration) (*rlwe.Cip
 	return c.boot.Finish(prep, accs)
 }
 
-// Close sends a clean shutdown and closes the connection when it can.
+// Close sends a clean shutdown and closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_ = cluster.WriteFrame(c.conn, &cluster.Frame{Kind: cluster.FrameShutdown})
-	if cl, ok := c.conn.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
+	_ = cluster.Shutdown(c.conn)
+	return c.conn.Close()
 }

@@ -1,6 +1,6 @@
 // Package serve is the bootstrap-as-a-service layer: a stdlib-only network
 // front end that accepts blind-rotate jobs from many concurrent tenants over
-// the cluster's v5 frame protocol, resolves each tenant's evaluation key
+// the cluster's frame protocol, resolves each tenant's evaluation key
 // from a concurrent-safe registry, and coalesces same-key requests from
 // different connections into key-major batches so one BRK pass through cache
 // serves N users (the amortization HEAP's parallelized bootstrapping is

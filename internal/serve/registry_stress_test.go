@@ -269,6 +269,7 @@ func TestServiceKeyChurnUnderLoad(t *testing.T) {
 		t.Skip("full service churn is slow")
 	}
 	_, _, serverBt := buildBoot(t, 92, true)
+	serverBt.Cfg.Tile = 8
 	const tenants = 3
 
 	// Size the budget off a real key: all tenants share the parameter set,
@@ -280,7 +281,6 @@ func TestServiceKeyChurnUnderLoad(t *testing.T) {
 	}
 	srv := NewServer(serverBt, Config{
 		Executors:   2,
-		Tile:        8,
 		Workers:     1,
 		MaxKeyBytes: 2*int64(key.SizeBytes()) + 1,
 	})

@@ -138,7 +138,8 @@ func TestServiceCoalescesAcrossConnections(t *testing.T) {
 	// pass), while the same two jobs run separately take a tile pass each —
 	// the traffic assertion below measures exactly that.
 	pl := newPlug()
-	srv := NewServer(serverBt, Config{Executors: 1, Tile: 8, Workers: 1, Loader: pl.loader})
+	serverBt.Cfg.Tile = 8
+	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1, Loader: pl.loader})
 	l, stop := startServer(t, srv)
 
 	const (
@@ -478,7 +479,7 @@ func rotateRaw(cl *Client, id uint32, lwes []*rlwe.LWECiphertext) ([]*rlwe.Ciphe
 	accs := make([]*rlwe.Ciphertext, len(lwes))
 	var order []int
 	for {
-		f, err := cluster.ReadFrame(cl.conn, cl.maxAcc)
+		f, err := cluster.ReadFrame(cl.conn, cluster.AccPayloadBound(cl.boot.Params.Parameters))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -519,7 +520,8 @@ func rotateRaw(cl *Client, id uint32, lwes []*rlwe.LWECiphertext) ([]*rlwe.Ciphe
 // under -race at -cpu 1,2,4 by `make race`.
 func TestServiceMultiWorkerTilesReassemble(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Executors: 1, Tile: 1, Workers: 4})
+	serverBt.Cfg.Tile = 1
+	srv := NewServer(serverBt, Config{Executors: 1, Workers: 4})
 	l, stop := startServer(t, srv)
 	defer stop()
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,9 +27,8 @@ type Config struct {
 	// Admission is the front-door policy.
 	Admission AdmissionConfig
 	// Executors is the number of concurrent batch executors (default 1).
+	// Each batch runs at the bootstrapper's tile size (core.Config.Tile).
 	Executors int
-	// Tile is the key-major tile size (0 = bootstrapper default).
-	Tile int
 	// Workers is the tile fan-out of each executor's batch (≤ 0 = this
 	// executor's share of the cores, max(1, GOMAXPROCS/Executors)).
 	Workers int
@@ -39,7 +37,7 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-// Server is the bootstrap service: it speaks the cluster's v5 frame protocol
+// Server is the bootstrap service: it speaks the cluster's frame protocol
 // to any number of tenant connections, pools the same-tenant jobs that queue
 // while its executors are busy, and executes each pool as one key-major batch
 // under the tenant's registered key — one BRK pass through cache per pool
@@ -119,7 +117,7 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 	boot.SetRecorder(rec)
 	dim := cluster.LWEDim(boot)
 	p := boot.Params.Parameters
-	s := &Server{
+	return &Server{
 		boot:     boot,
 		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, cfg.Loader, rec),
 		adm:      newAdmission(cfg.Admission, now),
@@ -132,16 +130,10 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 		dim:      dim,
 		maxBatch: p.N(),
 		twoN:     uint64(2 * p.N()),
+		maxRead:  max(cluster.BatchPayloadBound(p.N(), dim), cluster.MaxKeyChunkPayload),
 		tenants:  make(map[string]*TenantStats),
 		conns:    make(map[cluster.Conn]struct{}),
 	}
-	s.maxRead = cluster.BatchPayloadBound(s.maxBatch, dim)
-	for _, b := range []int{cluster.JoinPayloadBound, cluster.MaxKeyChunkPayload, cluster.MaxErrorPayload} {
-		if b > s.maxRead {
-			s.maxRead = b
-		}
-	}
-	return s
 }
 
 // Registry exposes the key registry (seeding keys without an upload).
@@ -215,22 +207,23 @@ func (s *Server) Close() {
 	s.execWG.Wait()
 }
 
-// connWriter serializes frame writes from the read loop (acks, rejections)
-// and the executors (accumulator streams) onto one connection.
+// connWriter serializes the frames of the read loop (key-stream replies,
+// rejections) and the executors (accumulator streams) onto one connection,
+// and counts them. cluster.WriteFrame writes a frame in one Write.
 type connWriter struct {
 	mu   sync.Mutex
 	conn cluster.Conn
 	rec  obs.Recorder
 }
 
-func (cw *connWriter) write(f *cluster.Frame) error {
+func (cw *connWriter) Write(p []byte) (int, error) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if err := cluster.WriteFrame(cw.conn, f); err != nil {
-		return err
+	n, err := cw.conn.Write(p)
+	if err == nil {
+		cw.rec.Add(obs.CounterBytesFramed, uint64(n))
 	}
-	cw.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
-	return nil
+	return n, err
 }
 
 func (s *Server) stats(tenant string) *TenantStats {
@@ -244,8 +237,9 @@ func (s *Server) stats(tenant string) *TenantStats {
 	return ts
 }
 
-// handleConn runs one tenant connection: join handshake, then a read loop
-// over batch submissions and key-upload frames.
+// handleConn runs one tenant connection: the join (cluster.AcceptJoin; an
+// empty tenant name is refused), then a read loop over batch submissions and
+// key-upload frames.
 func (s *Server) handleConn(conn cluster.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -253,33 +247,16 @@ func (s *Server) handleConn(conn cluster.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	tenant, err := cluster.AcceptJoin(conn, s.hello, s.rec, func(_ cluster.Hello, name string) error {
+		if name == "" {
+			return errors.New("serve: empty tenant name")
+		}
+		return nil
+	})
+	if err != nil {
+		return
+	}
 	cw := &connWriter{conn: conn, rec: s.rec}
-
-	f, err := cluster.ReadFrame(conn, cluster.JoinPayloadBound)
-	if err != nil {
-		return
-	}
-	s.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
-	if f.Kind != cluster.FrameJoin {
-		s.failConn(cw, fmt.Errorf("serve: expected join, got frame kind %#x", f.Kind))
-		return
-	}
-	peer, tenant, err := cluster.DecodeJoin(f.Payload)
-	if err != nil {
-		s.failConn(cw, err)
-		return
-	}
-	if tenant == "" {
-		s.failConn(cw, errors.New("serve: empty tenant name"))
-		return
-	}
-	if err := cluster.CheckHello(s.hello, peer); err != nil {
-		s.failConn(cw, err)
-		return
-	}
-	if err := cw.write(&cluster.Frame{Kind: cluster.FrameJoinAck, Payload: cluster.EncodeHello(s.hello)}); err != nil {
-		return
-	}
 
 	for {
 		f, err := cluster.ReadFrame(conn, s.maxRead)
@@ -296,10 +273,10 @@ func (s *Server) handleConn(conn cluster.Conn) {
 			// connection.
 			reply, err := s.reg.receiveKey(tenant, f)
 			if err == nil {
-				err = cw.write(reply)
+				err = cluster.WriteFrame(cw, reply)
 			}
 			if err != nil {
-				s.failConn(cw, err)
+				cluster.SendError(cw, err)
 				// A registry-full refusal is transient — every budget byte is
 				// momentarily pinned by executing batches — and it can only
 				// surface at the final install, with the wire protocol at a
@@ -314,20 +291,10 @@ func (s *Server) handleConn(conn cluster.Conn) {
 		case cluster.FrameShutdown, cluster.FrameLeave:
 			return
 		default:
-			s.failConn(cw, fmt.Errorf("serve: unknown frame kind %#x", f.Kind))
+			cluster.SendError(cw, fmt.Errorf("serve: unknown frame kind %#x", f.Kind))
 			return
 		}
 	}
-}
-
-// failConn reports a per-connection error (bounded, best effort); the
-// caller decides whether the connection survives it.
-func (s *Server) failConn(cw *connWriter, err error) {
-	msg := err.Error()
-	if len(msg) > cluster.MaxErrorPayload {
-		msg = msg[:cluster.MaxErrorPayload]
-	}
-	_ = cw.write(&cluster.Frame{Kind: cluster.FrameError, Payload: []byte(msg)})
 }
 
 // reject refuses one job non-fatally: the connection stays usable and the
@@ -338,7 +305,7 @@ func (s *Server) reject(cw *connWriter, tenant string, jobID uint32, reason erro
 	s.mu.Lock()
 	ts.Rejected++
 	s.mu.Unlock()
-	_ = cw.write(&cluster.Frame{
+	_ = cluster.WriteFrame(cw, &cluster.Frame{
 		Kind:    cluster.FrameRejected,
 		Shard:   jobID,
 		Payload: cluster.EncodeReason(reason.Error()),
@@ -441,17 +408,18 @@ func (s *Server) execBatch(jobs []*job) {
 	start := time.Now()
 	var sendMu sync.Mutex
 	opts := tfhe.BatchOptions{
-		Tile:    s.cfg.Tile,
 		Workers: s.cfg.Workers,
 		OnTile: func(lo, hi int) error {
 			// Stream finished accumulators while later tiles still rotate.
-			// Encoding runs on the tile's own worker; sendMu serializes
-			// concurrent tiles only around the socket writes and the job
-			// state they stamp (seq, failed), so frames of one job leave in
-			// seq order whichever tile finishes first.
+			// Encoding runs on the tile's own worker, and each encoded
+			// accumulator goes back to the bootstrapper's pool; sendMu
+			// serializes concurrent tiles only around the socket writes and
+			// the job state they stamp (seq, failed), so frames of one job
+			// leave in seq order whichever tile finishes first.
 			payloads := make([][]byte, hi-lo)
 			for k := lo; k < hi; k++ {
 				payloads[k-lo], _ = cluster.EncodeAcc(slots[k].local, accs[k]) // nil on error: fails the job below
+				s.boot.RecycleAccumulator(accs[k])
 				accs[k] = nil
 			}
 			sendMu.Lock()
@@ -462,7 +430,7 @@ func (s *Server) execBatch(jobs []*job) {
 					continue
 				}
 				f := &cluster.Frame{Kind: cluster.FrameAcc, Shard: sl.j.id, Seq: sl.j.seq, Payload: payloads[k-lo]}
-				if f.Payload == nil || sl.j.cw.write(f) != nil {
+				if f.Payload == nil || cluster.WriteFrame(sl.j.cw, f) != nil {
 					sl.j.failed = true // bad accumulator or conn gone; finish the batch for the others
 					continue
 				}
@@ -494,7 +462,7 @@ func (s *Server) execBatch(jobs []*job) {
 	for _, j := range live {
 		if rotErr != nil {
 			if !j.failed {
-				s.failConn(j.cw, rotErr)
+				cluster.SendError(j.cw, rotErr)
 			}
 			s.jobFailed(ts)
 			continue
@@ -503,9 +471,7 @@ func (s *Server) execBatch(jobs []*job) {
 			s.jobFailed(ts)
 			continue
 		}
-		end := make([]byte, 4)
-		binary.LittleEndian.PutUint32(end, uint32(len(j.lwes)))
-		if err := j.cw.write(&cluster.Frame{Kind: cluster.FrameBatchEnd, Shard: j.id, Seq: uint32(len(j.lwes)), Payload: end}); err != nil {
+		if err := cluster.WriteBatchEnd(j.cw, j.id, len(j.lwes)); err != nil {
 			s.jobFailed(ts)
 			continue
 		}

@@ -139,9 +139,9 @@ type BatchOptions struct {
 	// recorded on: worker w records on lane BaseLane+w.
 	BaseLane int
 	// NewAcc supplies an accumulator for each nil entry of accs; nil
-	// defaults to a fresh ciphertext at the lookup-table level. Callers with
-	// recycling pools (the cluster secondary) inject theirs here. Must be
-	// safe for concurrent use when Workers > 1.
+	// defaults to a fresh ciphertext at the lookup-table level.
+	// core.Bootstrapper injects its recycling pool here. Must be safe for
+	// concurrent use when Workers > 1.
 	NewAcc func() *rlwe.Ciphertext
 	// OnTile, when non-nil, is called from the worker goroutine after the
 	// tile covering batch indices [lo, hi) completes — the hook the cluster
