@@ -50,19 +50,22 @@ bench-module:
 	$(GO) -C bench test -short ./...
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
-# frames, join/leave churn, kill-mid-key-upload resume, hedged dispatch, the
-# queue's task and batch sizing and the cluster-members gauge. Every scenario
-# checks the distributed result bit-exact against a local bootstrap and
-# asserts no goroutine leaks. The key-cold cases hold both receivers of the
-# key stream to key-done: a cold node gets no batch before it, and heapd
-# refuses a done whose CRC is not the offer's. Both receivers also refuse a
-# frame of a retired kind (the v6 hello, the v5 health probe) and drop the
-# connection, and heapd's client fails a reply stream whose seq numbers or
-# batch-end count do not add up.
+# frames, join/leave churn (a joiner's ack reaches it before the run's first
+# batch, however late the ack is written), kill-mid-key-upload resume, hedged
+# dispatch, the queue's task and batch sizing and the cluster-members gauge.
+# Every scenario checks the distributed result bit-exact against a local
+# bootstrap and asserts no goroutine leaks. Every node is a serve.Server, so
+# the key-cold cases hold the one key-stream receiver to key-done: a cold node
+# gets no batch before it, and refuses a done whose CRC is not the offer's.
+# The server refuses a frame of a retired kind (the v6 hello before a join,
+# the v5 health probe after one) and drops the connection, and its deadline
+# rule fails one job of a batch, at its first tile past its budget or its
+# first failed write, while the rest of the batch is served; heapd's client
+# fails a reply stream whose seq numbers or batch-end count do not add up.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
 		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
-	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame|TestClientChecksReplyStream'
+	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame|TestClientChecksReplyStream|TestServiceCoalescedJobFailsAlone|TestServiceLoneJobGoneStopsBatch'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each
 # target's f.Add seeds and committed testdata/fuzz corpora without fuzzing),

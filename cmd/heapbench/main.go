@@ -44,6 +44,7 @@ import (
 	"heap/internal/obs"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/serve"
 	"heap/internal/tfhe"
 )
 
@@ -252,7 +253,7 @@ func runChurn() error {
 	cp, cs := net.Pipe()
 	stall := cluster.NewFaultConn(cs, cluster.FaultPlan{Seed: 3, StallWriteAfter: 48})
 	servWedged := make(chan error, 1)
-	go func() { servWedged <- (&cluster.Secondary{Boot: wedged.Boot}).Serve(stall) }()
+	go func() { servWedged <- serve.NewServer(wedged.Boot, serve.Config{}).ServeConn(stall) }()
 	hopts := cluster.DefaultOptions()
 	hopts.HedgeAfter = 150 * time.Millisecond
 	out, stats, err := pri.Bootstrap(context.Background(), ct.CopyNew(),
@@ -298,15 +299,14 @@ func runChurn() error {
 		return err
 	}
 	servWarm := make(chan error, 1)
-	go func() { servWarm <- (&cluster.Secondary{Boot: warm.Boot}).JoinAndServe(warmConn, "fpga-warm") }()
+	go func() { servWarm <- serve.NewServer(warm.Boot, serve.Config{}).JoinAndServe(warmConn, "fpga-warm") }()
 
 	cold, err := mk(true)
 	if err != nil {
 		return err
 	}
 	coldMet := obs.NewMetrics()
-	cold.Boot.SetRecorder(coldMet)
-	coldSec := &cluster.Secondary{Boot: cold.Boot}
+	coldNode := serve.NewServer(cold.Boot, serve.Config{Recorder: coldMet})
 	const chunkBytes = 64 << 10
 	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, cluster.LWEDim(primary.Boot), primary.Boot.BinaryKey())
 	conn1, err := l.Dial()
@@ -315,7 +315,7 @@ func runChurn() error {
 	}
 	cut := cluster.NewFaultConn(conn1, cluster.FaultPlan{Seed: 13, CutReadAfter: 3*chunkBytes + 4096})
 	servCold1 := make(chan error, 1)
-	go func() { servCold1 <- coldSec.JoinAndServe(cut, "fpga-cold") }()
+	go func() { servCold1 <- coldNode.JoinAndServe(cut, "fpga-cold") }()
 	if err := waitState("fpga-warm", cluster.MemberActive); err != nil {
 		return err
 	}
@@ -351,12 +351,12 @@ func runChurn() error {
 		return err
 	}
 	servCold2 := make(chan error, 1)
-	go func() { servCold2 <- coldSec.JoinAndServe(conn2, "fpga-cold") }()
+	go func() { servCold2 <- coldNode.JoinAndServe(conn2, "fpga-cold") }()
 	leaverCtx, err := mk(false)
 	if err != nil {
 		return err
 	}
-	leaver := &cluster.Secondary{Boot: leaverCtx.Boot}
+	leaver := serve.NewServer(leaverCtx.Boot, serve.Config{})
 	leaver.RequestLeave()
 	lconn, err := l.Dial()
 	if err != nil {
@@ -435,7 +435,7 @@ func runCluster(tracePath string) error {
 			return err
 		}
 		local, remote := net.Pipe()
-		go func() { _ = (&cluster.Secondary{Boot: sec.Boot}).Serve(remote) }()
+		go func() { _ = serve.NewServer(sec.Boot, serve.Config{}).ServeConn(remote) }()
 		nodes[i] = &cluster.Node{Conn: local, Name: fmt.Sprintf("fpga-%d", i)}
 	}
 	// Cut node 0's link after 8 KiB of accumulator traffic: its remaining

@@ -20,6 +20,7 @@ import (
 	"heap/internal/cluster"
 	"heap/internal/hwsim"
 	"heap/internal/obs"
+	"heap/internal/serve"
 )
 
 func main() {
@@ -65,10 +66,12 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	if err != nil {
 		return err
 	}
+	node1 := serve.NewServer(sec1.Boot, serve.Config{})
+	node2 := serve.NewServer(sec2.Boot, serve.Config{})
 	c1p, c1s := net.Pipe()
 	c2p, c2s := net.Pipe()
-	go func() { _ = (&cluster.Secondary{Boot: sec1.Boot}).Serve(c1s) }()
-	go func() { _ = (&cluster.Secondary{Boot: sec2.Boot}).Serve(c2s) }()
+	go func() { _ = node1.ServeConn(c1s) }()
+	go func() { _ = node2.ServeConn(c2s) }()
 	v2 := make([]complex128, primary.Params.Slots)
 	for i := range v2 {
 		v2[i] = complex(0.4, 0)
@@ -99,8 +102,8 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	// software rendering of the paper's Fig. 4 schedule).
 	d1p, d1s := net.Pipe()
 	d2p, d2s := net.Pipe()
-	go func() { _ = (&cluster.Secondary{Boot: sec1.Boot}).Serve(d1s) }()
-	go func() { _ = (&cluster.Secondary{Boot: sec2.Boot}).Serve(d2s) }()
+	go func() { _ = node1.ServeConn(d1s) }()
+	go func() { _ = node2.ServeConn(d2s) }()
 	flaky := cluster.NewFaultConn(d1p, cluster.FaultPlan{Seed: 1, CutReadAfter: 8 << 10})
 	nodes := []*cluster.Node{
 		{Conn: flaky, Name: "flaky-fpga"},

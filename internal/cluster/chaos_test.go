@@ -1,89 +1,28 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"math/cmplx"
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"heap/internal/ckks"
+	. "heap/internal/cluster"
 	"heap/internal/core"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/serve"
 )
 
-// The chaos tests all run against one shared miniature node (N=64): every
-// node in a real deployment generates identical key material offline from
-// the shared seed, so a single bootstrapper can play primary and every
-// secondary (BlindRotateOne is concurrency-safe), and bit-exactness against
-// the local reference bootstrap stays meaningful.
-var fx struct {
-	once   sync.Once
-	params *ckks.Parameters
-	cl     *ckks.Client
-	bt     *core.Bootstrapper
-	ct     *rlwe.Ciphertext // level-1 input
-	want   []complex128     // plaintext
-	local  *rlwe.Ciphertext // reference: purely local bootstrap
-}
-
-func fixture(t *testing.T) {
-	t.Helper()
-	fx.once.Do(func() {
-		logN := 6
-		q := ring.GenerateNTTPrimes(30, logN, 3)
-		p := ring.GenerateNTTPrimesUp(31, logN, 2)
-		params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
-		kg := rlwe.NewKeyGenerator(params.Parameters, 90)
-		sk := kg.GenSecretKey(rlwe.SecretTernary)
-		cl := ckks.NewClient(params, sk, 91)
-		cfg := core.DefaultConfig()
-		cfg.NT = 0
-		cfg.Workers = 2
-		bt, err := core.NewBootstrapper(params, kg, sk, cfg)
-		if err != nil {
-			panic(err)
-		}
-		v := make([]complex128, params.Slots)
-		for i := range v {
-			v[i] = complex(0.35*float64(i%5)/5, -0.2*float64(i%3)/3)
-		}
-		ct := cl.EncryptAtLevel(v, 1)
-		fx.params, fx.cl, fx.bt = params, cl, bt
-		fx.ct, fx.want = ct, v
-		fx.local = bt.Bootstrap(ct.CopyNew())
-	})
-}
-
-// assertBitExact checks the distributed result against the local reference
-// bit for bit and confirms it still decrypts to the plaintext.
-func assertBitExact(t *testing.T, out *rlwe.Ciphertext) {
-	t.Helper()
-	for i := range fx.local.C0.Limbs {
-		for j := range fx.local.C0.Limbs[i] {
-			if fx.local.C0.Limbs[i][j] != out.C0.Limbs[i][j] || fx.local.C1.Limbs[i][j] != out.C1.Limbs[i][j] {
-				t.Fatalf("result differs from local bootstrap at limb %d coeff %d", i, j)
-			}
-		}
-	}
-	got := fx.cl.Decrypt(out)
-	for i := range fx.want {
-		if e := cmplx.Abs(got[i] - fx.want[i]); e > 1e-2 {
-			t.Fatalf("slot %d: got %v want %v", i, got[i], fx.want[i])
-		}
-	}
-}
-
-// startSecondary serves a Secondary over one side of a pipe, optionally
-// wrapped in a FaultConn on the secondary side, and returns the primary
-// side. All conns are closed at test cleanup, which also unblocks any
-// stalled fault injection.
+// startSecondary serves a node, with a bootstrapper of its own built from
+// the shared seed, over one side of a pipe, optionally wrapped in a
+// FaultConn on the secondary side, and returns the primary side. All conns
+// are closed at test cleanup, which also unblocks any stalled fault
+// injection.
 func startSecondary(t *testing.T, plan *FaultPlan) Conn {
 	t.Helper()
 	cp, cs := net.Pipe()
@@ -93,18 +32,10 @@ func startSecondary(t *testing.T, plan *FaultPlan) Conn {
 		t.Cleanup(func() { _ = fc.Close() })
 		sconn = fc
 	}
-	go func() { _ = (&Secondary{Boot: fx.bt}).Serve(sconn) }()
+	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	go func() { _ = node.ServeConn(sconn) }()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	return cp
-}
-
-func testOptions() Options {
-	o := DefaultOptions()
-	// Generous: the deadline covers a full batch round-trip including the
-	// secondary's compute, which is slow under -race. Only the dedicated
-	// timeout test tightens it.
-	o.BatchTimeout = 2 * time.Minute
-	return o
 }
 
 // TestKillSecondaryMidStream cuts one secondary's link partway through its
@@ -209,6 +140,37 @@ func TestDelayedPeerTimeout(t *testing.T) {
 	assertBitExact(t, out)
 }
 
+// noDeadlineConn is the primary's end of a link whose deadlines never fire,
+// so only the node's own budget check can end a slow batch.
+type noDeadlineConn struct{ Conn }
+
+func (noDeadlineConn) SetDeadline(time.Time) error { return nil }
+
+// TestDelayedPeerBudgetPassesMidBatch: a node that takes 100 ms to write each
+// frame passes its batch's 300 ms budget mid-batch. It refuses the batch at
+// the first tile past the budget, the primary requeues the unfinished
+// indices, and the result is still bit-exact.
+func TestDelayedPeerBudgetPassesMidBatch(t *testing.T) {
+	fixture(t)
+	slow := startSecondary(t, &FaultPlan{Seed: 3, WriteDelay: 100 * time.Millisecond})
+	opts := testOptions()
+	opts.BatchTimeout = 300 * time.Millisecond
+	nodes := []*Node{{Conn: noDeadlineConn{slow}, Name: "slow"}}
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := stats.Nodes[0]
+	if !ns.Failed || ns.Err == nil || !strings.Contains(ns.Err.Error(), "deadline") {
+		t.Fatalf("the slow node's batch was not refused for its budget: %+v", ns)
+	}
+	t.Logf("slow node: %v", ns.Err)
+	if stats.Reassigned == 0 || ns.Completed >= ns.Dispatched {
+		t.Fatalf("the refused batch was not requeued:\n%s", stats)
+	}
+	assertBitExact(t, out)
+}
+
 // TestCorruptLinkDetected: flipped bits on the wire must be caught by the
 // frame CRC (never a panic, never silent corruption) and the shard must be
 // recomputed elsewhere, keeping the result bit-exact.
@@ -270,7 +232,8 @@ func TestHandshakeRejectsMismatchedParams(t *testing.T) {
 	}
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
-	go func() { _ = (&Secondary{Boot: alien}).Serve(cs) }()
+	node := newNode(t, alien, serve.Config{})
+	go func() { _ = node.ServeConn(cs) }()
 
 	nodes := []*Node{{Conn: cp, Name: "alien"}}
 	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
@@ -290,7 +253,7 @@ func TestHandshakeRejectsMismatchedParams(t *testing.T) {
 	assertBitExact(t, out)
 }
 
-// TestSecondaryRejectsOversizedBatch drives Serve directly with crafted
+// TestSecondaryRejectsOversizedBatch drives a node directly with crafted
 // frames: a batch count above the parameter-derived maximum (n ≤ ring
 // degree) must be rejected before any allocation.
 func TestSecondaryRejectsOversizedBatch(t *testing.T) {
@@ -298,7 +261,8 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	done := make(chan error, 1)
-	go func() { done <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
+	node := newNode(t, fx.bt, serve.Config{})
+	go func() { done <- node.ServeConn(cs) }()
 
 	if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), "primary")}); err != nil {
 		t.Fatal(err)
@@ -322,10 +286,56 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), "batch count") {
-			t.Fatalf("Serve returned %v", err)
+			t.Fatalf("ServeConn returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not terminate")
+		t.Fatal("ServeConn did not terminate")
+	}
+}
+
+// TestRetiredFrameKindRefused sends a node frames of retired kinds over the
+// primary's link: the hello (0x48454C4F, retired by protocol v7) on a fresh
+// connection, and the health probe (0xB0070010, retired by v6) after a valid
+// join under PrimaryTenant. Each is answered with an error frame, and the node
+// stops serving the connection with an error.
+func TestRetiredFrameKindRefused(t *testing.T) {
+	fixture(t)
+	node := newNode(t, fx.bt, serve.Config{})
+	for _, joined := range []bool{false, true} {
+		cp, cs := net.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- node.ServeConn(cs) }()
+
+		retired := &Frame{Kind: 0x4845_4C4F, Payload: EncodeHello(HelloFor(fx.bt))}
+		if joined {
+			if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), PrimaryTenant)}); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := ReadFrame(cp, MaxErrorPayload); err != nil || f.Kind != FrameJoinAck {
+				t.Fatalf("handshake: %v %+v", err, f)
+			}
+			retired = &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
+		}
+		if err := WriteFrame(cp, retired); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFrame(cp, MaxErrorPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != FrameError {
+			t.Fatalf("retired frame kind %#x answered with kind %#x, want an error frame", retired.Kind, f.Kind)
+		}
+		select {
+		case err := <-served:
+			if err == nil {
+				t.Fatalf("the node kept serving after retired frame kind %#x", retired.Kind)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ServeConn did not end after retired frame kind %#x", retired.Kind)
+		}
+		cp.Close()
+		cs.Close()
 	}
 }
 
@@ -369,45 +379,5 @@ func TestChaosMatrix(t *testing.T) {
 		}
 		assertBitExact(t, out)
 		_ = flaky.Close()
-	}
-}
-
-// TestRetiredFrameKindRefused sends the secondary frames of retired kinds: the
-// hello (0x48454C4F, retired by protocol v7) on a fresh connection, and the
-// health probe (0xB0070010, retired by v6) after a valid join. Each is
-// answered with an error frame, and the secondary stops serving the
-// connection.
-func TestRetiredFrameKindRefused(t *testing.T) {
-	fixture(t)
-	for _, joined := range []bool{false, true} {
-		cp, cs := net.Pipe()
-		served := make(chan error, 1)
-		go func() { served <- (&Secondary{Boot: fx.bt}).Serve(cs) }()
-
-		retired := &Frame{Kind: 0x4845_4C4F, Payload: EncodeHello(HelloFor(fx.bt))}
-		if joined {
-			if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), "primary")}); err != nil {
-				t.Fatal(err)
-			}
-			if f, err := ReadFrame(cp, MaxErrorPayload); err != nil || f.Kind != FrameJoinAck {
-				t.Fatalf("handshake: %v", err)
-			}
-			retired = &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
-		}
-		if err := WriteFrame(cp, retired); err != nil {
-			t.Fatal(err)
-		}
-		f, err := ReadFrame(cp, MaxErrorPayload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Kind != FrameError {
-			t.Fatalf("retired frame kind %#x answered with kind %#x, want an error frame", retired.Kind, f.Kind)
-		}
-		if err := <-served; err == nil {
-			t.Fatalf("the secondary kept serving after retired frame kind %#x", retired.Kind)
-		}
-		cp.Close()
-		cs.Close()
 	}
 }

@@ -4,7 +4,9 @@
 // connections (the software analog of the 100G CMAC links — net.Pipe in
 // tests, net.Conn for actual TCP deployments), the secondaries blind-rotate
 // and stream their accumulator ciphertexts back as soon as each completes,
-// and the primary repacks and finishes the bootstrap.
+// and the primary repacks and finishes the bootstrap. A secondary is
+// internal/serve's Server, heapd's blind-rotation server, with one tenant:
+// its primary (PrimaryTenant).
 //
 // Primary.Bootstrap is the one entry point. It puts the n extracted LWE
 // indices on a shared work queue that the secondaries and the primary's own
@@ -65,172 +67,6 @@ import (
 	"heap/internal/rlwe"
 	"heap/internal/tfhe"
 )
-
-// Secondary serves blind-rotation work over a connection. It owns a full
-// bootstrapper (keys generated offline from the shared seed, or streamed in
-// over the cluster's key channel for ColdStart nodes).
-type Secondary struct {
-	Boot *core.Bootstrapper
-
-	// keys receives a streamed key. It survives connections, so a node
-	// killed mid-upload resumes from its last acked chunk after rejoining.
-	keys     *KeyReceiver
-	keysOnce sync.Once
-	// leaving requests a graceful drain: the next frame that would start
-	// work is answered with a leave frame instead.
-	leaving atomic.Bool
-}
-
-// RequestLeave asks the secondary to drain gracefully: the next batch it
-// receives is answered with a leave frame, the primary requeues whatever was
-// pending, and the serve loop exits.
-func (s *Secondary) RequestLeave() { s.leaving.Store(true) }
-
-// keyReceiver returns the node's key receiver, made on first use.
-func (s *Secondary) keyReceiver() *KeyReceiver {
-	s.keysOnce.Do(func() {
-		s.keys = NewKeyReceiver(s.Boot.Params.Parameters, LWEDim(s.Boot), s.Boot.BinaryKey())
-	})
-	return s.keys
-}
-
-// Serve accepts the join of the primary that dialed conn (AcceptJoin: version
-// and parameter digest; the primary's name is ignored), then serves
-// blind-rotation work until shutdown or connection close. Batch counts, LWE
-// indices, dimensions, and moduli are all validated against the secondary's
-// own parameters before any allocation, so a lying primary can neither crash
-// the node nor make it allocate unboundedly. Every accumulator is streamed
-// back immediately after its rotation completes — with its LWE index and a
-// per-shard sequence number — mirroring the paper's "a secondary FPGA starts
-// sending the resultant ciphertext ... as soon as the BlindRotate operation is
-// completed".
-func (s *Secondary) Serve(conn Conn) error {
-	if _, err := AcceptJoin(conn, HelloFor(s.Boot), s.Boot.Recorder(), nil); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return err
-	}
-	return s.serveLoop(conn)
-}
-
-// serveLoop is the post-handshake serving loop, shared by Serve (the primary
-// dialed) and JoinAndServe (the secondary dialed). It handles batches,
-// graceful leave, and the chunked key upload, counting the frames it sends.
-func (s *Secondary) serveLoop(conn Conn) error {
-	p := s.Boot.Params.Parameters
-	rec := s.Boot.Recorder()
-	w := countWriter{conn, rec}
-	maxBatch := p.N()
-	dim := LWEDim(s.Boot)
-	maxPayload := max(BatchPayloadBound(maxBatch, dim), MaxKeyChunkPayload)
-	twoN := uint64(2 * p.N())
-	fail := func(err error) error { return SendError(w, err) }
-
-	for {
-		f, err := ReadFrame(conn, maxPayload)
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		switch f.Kind {
-		case FrameShutdown:
-			return nil
-		case FrameKeyOffer, FrameKeyChunk, FrameKeyDone:
-			// The key is installed once, at key-done.
-			reply, key, err := s.keyReceiver().Receive(f, rec)
-			if err == nil && key != nil {
-				err = s.Boot.SetBlindRotateKey(key)
-			}
-			if err != nil {
-				return fail(err)
-			}
-			if err := WriteFrame(w, reply); err != nil {
-				return err
-			}
-		case FrameBatch:
-			if s.leaving.Load() {
-				return WriteFrame(w, &Frame{Kind: FrameLeave, Payload: EncodeReason("leave requested")})
-			}
-			if !s.Boot.HasBlindRotateKey() {
-				return fail(fmt.Errorf("cluster: batch %d before the blind-rotate key is in", f.Shard))
-			}
-			idxs, lwes, err := DecodeBatch(f.Payload, maxBatch, dim, twoN)
-			if err != nil {
-				return fail(err)
-			}
-			// The batch frame's seq field carries the primary's deadline
-			// budget in milliseconds (0 = none): work the node cannot finish
-			// in time is abandoned here instead of wasting compute on a
-			// result the primary will have re-dispatched anyway.
-			var deadline time.Time
-			if f.Seq != 0 {
-				deadline = time.Now().Add(time.Duration(f.Seq) * time.Millisecond)
-			}
-			// The whole dispatch batch runs through the key-major engine as
-			// one batch (§V: one shared key, many shards), so the BRK streams
-			// once per tile instead of once per LWE. Each finished tile is
-			// framed and sent the moment it completes — the "send as soon as
-			// BlindRotate completes" overlap — with sequence numbers stamped
-			// in completion order (the primary resolves accumulators by
-			// index, not order), and each framed accumulator goes back to the
-			// bootstrapper's pool, so a large batch never holds all of its
-			// accumulators at once. One BlindRotate span covers the batch
-			// (lane 0); the engine's per-tile spans land on lanes ≥ 1, so
-			// traces stay bounded at large shard counts.
-			accs := make([]*rlwe.Ciphertext, len(lwes))
-			var (
-				sendMu  sync.Mutex
-				seq     uint32
-				sendErr error
-			)
-			tok := rec.Begin(obs.StageBlindRotate, 0)
-			err = s.Boot.BlindRotateBatch(accs, lwes, tfhe.BatchOptions{
-				Workers:  s.Boot.Cfg.Workers,
-				BaseLane: 1,
-				OnTile: func(lo, hi int) error {
-					sendMu.Lock()
-					defer sendMu.Unlock()
-					if sendErr != nil {
-						return sendErr
-					}
-					if !deadline.IsZero() && time.Now().After(deadline) {
-						sendErr = fmt.Errorf("cluster: batch %d deadline budget of %dms exceeded", f.Shard, f.Seq)
-						return sendErr
-					}
-					for j := lo; j < hi; j++ {
-						payload, err := EncodeAcc(idxs[j], accs[j])
-						if err == nil {
-							err = WriteFrame(w, &Frame{Kind: FrameAcc, Shard: f.Shard, Seq: seq, Payload: payload})
-						}
-						if err != nil {
-							sendErr = err
-							return err
-						}
-						seq++
-						s.Boot.RecycleAccumulator(accs[j])
-						accs[j] = nil
-					}
-					return nil
-				},
-			})
-			rec.End(obs.StageBlindRotate, 0, tok)
-			if err != nil {
-				if sendErr != nil && !errors.Is(err, sendErr) {
-					return sendErr // the link itself is dead; no error frame can reach the primary
-				}
-				return fail(fmt.Errorf("cluster: batch %d: %w", f.Shard, err))
-			}
-			if err := WriteBatchEnd(w, f.Shard, len(lwes)); err != nil {
-				return err
-			}
-		default:
-			return fail(fmt.Errorf("cluster: unknown message kind %#x", f.Kind))
-		}
-	}
-}
 
 // Primary drives a distributed bootstrap over a set of connections to
 // secondaries. With zero connections (or zero healthy ones) it degrades to
@@ -708,12 +544,12 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 		node.needsKey = false
 	}
 
-	// A node the primary dialed is joined first, under a name the node
-	// ignores.
+	// A node the primary dialed is joined first, under the name of the one
+	// tenant the node serves.
 	task := pop()
 	if task != nil && !node.joined {
 		disarm := armTimeout(conn, opts.BatchTimeout)
-		err := Join(conn, HelloFor(p.Boot), "primary", p.Boot.Recorder())
+		err := Join(conn, HelloFor(p.Boot), PrimaryTenant, p.Boot.Recorder())
 		disarm()
 		if err != nil {
 			end(task, err)

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -6,31 +6,9 @@ import (
 	"net"
 	"testing"
 
-	"heap/internal/ckks"
-	"heap/internal/core"
-	"heap/internal/ring"
-	"heap/internal/rlwe"
+	. "heap/internal/cluster"
+	"heap/internal/serve"
 )
-
-// buildNode constructs one node's full context at ring degree 2^logN from
-// the shared seed — offline key generation, as the paper prescribes.
-func buildNode(t *testing.T, logN int) (*ckks.Parameters, *ckks.Client, *core.Bootstrapper) {
-	t.Helper()
-	q := ring.GenerateNTTPrimes(30, logN, 3)
-	p := ring.GenerateNTTPrimesUp(31, logN, 2)
-	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
-	kg := rlwe.NewKeyGenerator(params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	cl := ckks.NewClient(params, sk, 91)
-	cfg := core.DefaultConfig()
-	cfg.NT = 0
-	cfg.Workers = 1
-	bt, err := core.NewBootstrapper(params, kg, sk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return params, cl, bt
-}
 
 // TestDistributedBootstrap runs a primary plus two secondaries over
 // net.Pipe connections — the full Figure 4 flow with real byte streams —
@@ -56,8 +34,10 @@ func TestDistributedBootstrap(t *testing.T) {
 	c1p, c1s := net.Pipe()
 	c2p, c2s := net.Pipe()
 	done := make(chan error, 2)
-	go func() { done <- (&Secondary{Boot: btSec1}).Serve(c1s) }()
-	go func() { done <- (&Secondary{Boot: btSec2}).Serve(c2s) }()
+	node1 := newNode(t, btSec1, serve.Config{})
+	node2 := newNode(t, btSec2, serve.Config{})
+	go func() { done <- node1.ServeConn(c1s) }()
+	go func() { done <- node2.ServeConn(c2s) }()
 
 	primary := &Primary{Boot: btPrimary}
 	nodes := []*Node{{Conn: c1p}, {Conn: c2p}}

@@ -16,8 +16,12 @@ import (
 // (AcceptJoin). The dispatching end then sends batches of LWE ciphertexts
 // (SendBatch) and reads each batch's accumulators back (ReadAccs); the
 // serving end answers one FrameAcc per index and a batch end (WriteBatchEnd),
-// or an error frame (SendError). The primary, the Secondary, heapd and its
-// client all speak through these functions.
+// or an error frame (SendError). The primary, internal/serve's Server (heapd
+// and every cluster node) and its client all speak through these functions.
+
+// PrimaryTenant is the name a primary joins a node under: the one tenant of
+// a cluster node, whose key the node serves.
+const PrimaryTenant = "primary"
 
 // Join is the dialing end of the handshake: it sends local's hello and name
 // in a FrameJoin and checks the hello of the acceptor's FrameJoinAck against
@@ -45,10 +49,11 @@ func Join(conn io.ReadWriter, local Hello, name string, rec obs.Recorder) error 
 }
 
 // AcceptJoin is the accepting end of the handshake: it reads a FrameJoin,
-// checks its hello against local, runs admit (when non-nil) and acks with
-// local's hello. It returns the joiner's name. A refusal is answered with an
-// error frame and returned; a connection closed or shut down before its join
-// returns io.EOF. Every frame is counted on rec.
+// checks its hello against local and its name for being non-empty, runs
+// admit (when non-nil) and acks with local's hello. It returns the joiner's
+// name. A refusal is answered with an error frame and returned; a connection
+// closed or shut down before its join returns io.EOF. Every frame is counted
+// on rec.
 func AcceptJoin(conn io.ReadWriter, local Hello, rec obs.Recorder, admit func(peer Hello, name string) error) (string, error) {
 	w := countWriter{conn, rec}
 	f, err := readFrame(conn, JoinPayloadBound, rec)
@@ -65,6 +70,9 @@ func AcceptJoin(conn io.ReadWriter, local Hello, rec obs.Recorder, admit func(pe
 	peer, name, err := DecodeJoin(f.Payload)
 	if err == nil {
 		err = CheckHello(local, peer)
+	}
+	if err == nil && name == "" {
+		err = errors.New("cluster: join without a name")
 	}
 	if err == nil && admit != nil {
 		err = admit(peer, name)

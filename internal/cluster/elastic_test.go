@@ -1,18 +1,22 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"hash/crc32"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	. "heap/internal/cluster"
 	"heap/internal/core"
 	"heap/internal/obs"
 	"heap/internal/rlwe"
+	"heap/internal/serve"
 	"heap/internal/tfhe"
 )
 
@@ -20,48 +24,6 @@ import (
 // upload, and hedged dispatch under injected stalls.
 // Every scenario must end bit-exact against the local reference bootstrap
 // and leak no goroutines.
-
-// assertNoGoroutineLeak polls (GC between samples, to let conn finalizers
-// and timer goroutines retire) until the goroutine count is back to the
-// baseline, failing with a full stack dump if it never gets there.
-func assertNoGoroutineLeak(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// fixtureNode builds a bootstrapper from the same seeds and parameters as the
-// shared fixture — so under the same RLWE secret fx.ct is encrypted under —
-// at LWE dimension nt (0: exact mode). With cold set it has no blind-rotate
-// key material and must receive the (public) key over the cluster's
-// streaming channel. The params digest still matches — cold is a key state,
-// not a parameter set.
-func fixtureNode(t *testing.T, nt int, cold bool) *core.Bootstrapper {
-	t.Helper()
-	fixture(t)
-	kg := rlwe.NewKeyGenerator(fx.params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	cfg := core.DefaultConfig()
-	cfg.NT = nt
-	cfg.Workers = 1
-	cfg.ColdStart = cold
-	bt, err := core.NewBootstrapper(fx.params, kg, sk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bt
-}
 
 type runResult struct {
 	out   *rlwe.Ciphertext
@@ -98,8 +60,9 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	node := newNode(t, fx.bt, serve.Config{})
 	servDone := make(chan error, 1)
-	go func() { servDone <- (&Secondary{Boot: fx.bt}).JoinAndServe(conn, "joiner") }()
+	go func() { servDone <- node.JoinAndServe(conn, "joiner") }()
 
 	r := <-resCh
 	if r.err != nil {
@@ -133,6 +96,7 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 
 	closeConn(conn)
 	<-servDone // pipe closed; the serve loop is done either way
+	node.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)
@@ -152,7 +116,7 @@ func TestGracefulLeaveDrains(t *testing.T) {
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
-	sec := &Secondary{Boot: fx.bt}
+	sec := newNode(t, fx.bt, serve.Config{})
 	conn, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +168,7 @@ func TestGracefulLeaveDrains(t *testing.T) {
 		t.Fatalf("leaving secondary: %v", err)
 	}
 	closeConn(conn)
+	sec.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)
@@ -245,8 +210,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	before := runtime.NumGoroutine()
 
 	coldMet := obs.NewMetrics()
-	coldBoot.SetRecorder(coldMet)
-	cold := &Secondary{Boot: coldBoot}
+	cold := newNode(t, coldBoot, serve.Config{Recorder: coldMet})
 
 	priMet := obs.NewMetrics()
 	primary.SetRecorder(priMet)
@@ -307,8 +271,8 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 		t.Fatalf("kill-mid-upload landed outside the upload: %d of %d chunks received", got, chunkCount)
 	}
 
-	// Rejoin under the same name: the key receiver on the Secondary survived the
-	// connection, so the resume point is whatever was acked.
+	// Rejoin under the same name: the node's key receiver for its primary
+	// survived the connection, so the resume point is whatever was acked.
 	conn2, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +288,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	// The rejoin races the tail of the run; if the queue drained before the
 	// join consumer saw it, the node is still waiting in the membership —
 	// a second elastic run picks it up and completes the resumed upload.
-	if !cold.Boot.HasBlindRotateKey() {
+	if !warm(cold) {
 		r2 := <-func() chan runResult {
 			ch := make(chan runResult, 1)
 			go func() {
@@ -338,7 +302,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 		}
 		check(t, r2.out)
 	}
-	if !cold.Boot.HasBlindRotateKey() {
+	if !warm(cold) {
 		t.Fatal("cold node never became key-warm")
 	}
 
@@ -362,6 +326,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 
 	closeConn(conn2)
 	<-serv2
+	cold.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)
@@ -378,8 +343,9 @@ func TestStalledNodeTriggersHedge(t *testing.T) {
 
 	cp, cs := net.Pipe()
 	fc := NewFaultConn(cs, FaultPlan{Seed: 3, StallWriteAfter: 48}) // wedge after the hello reply
+	node := newNode(t, fx.bt, serve.Config{})
 	servDone := make(chan error, 1)
-	go func() { servDone <- (&Secondary{Boot: fx.bt}).Serve(fc) }()
+	go func() { servDone <- node.ServeConn(fc) }()
 
 	opts := testOptions()
 	opts.HedgeAfter = 100 * time.Millisecond
@@ -407,6 +373,7 @@ func TestStalledNodeTriggersHedge(t *testing.T) {
 	cp.Close()
 	cs.Close()
 	<-servDone
+	node.Close()
 	assertNoGoroutineLeak(t, before)
 }
 
@@ -430,7 +397,7 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 	}
 	// The node's link dies partway into its first batch.
 	fc := NewFaultConn(conn, FaultPlan{Seed: 17, CutReadAfter: 1 << 10})
-	sec := &Secondary{Boot: fixtureNode(t, 0, false)}
+	sec := newNode(t, fixtureNode(t, 0, false), serve.Config{})
 	servDone := make(chan error, 1)
 	go func() { servDone <- sec.JoinAndServe(fc, "doomed") }()
 	for {
@@ -462,22 +429,23 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 		t.Fatal("the injected cut never fired")
 	}
 	_ = fc.Close()
+	sec.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)
 }
 
 // TestKeyColdSecondaryFailsEarlyBatch: a key-cold secondary installs its key
-// once, at key-done, so a batch that arrives mid-upload is failed with an
-// error frame and the node stays key-cold. (Protocol v4 answered it with a
-// batch-refused frame and kept the connection.)
+// once, at key-done, so a batch that arrives mid-upload is rejected — its
+// tenant, the primary, has no key registered yet, which is heapd's rule for
+// any tenant — nothing is rotated, and the node stays key-cold.
 func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	fixture(t)
-	cold := &Secondary{Boot: fixtureNode(t, 0, true)}
+	cold := newNode(t, fixtureNode(t, 0, true), serve.Config{})
 	cp, cs := net.Pipe()
 	defer cp.Close()
 	served := make(chan error, 1)
-	go func() { served <- cold.Serve(cs) }()
+	go func() { served <- cold.ServeConn(cs) }()
 	if err := Join(cp, HelloFor(fx.bt), "primary", obs.Nop{}); err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +473,7 @@ func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 		ChunkCount: uint32((blob.Len() + chunk - 1) / chunk),
 		BlobCRC:    crc32.ChecksumIEEE(blob.Bytes()),
 	}
-	if r := exchange(&Frame{Kind: FrameKeyOffer, Payload: offer.encode()}); r.Kind != FrameKeyResume {
+	if r := exchange(&Frame{Kind: FrameKeyOffer, Payload: offer.Encode()}); r.Kind != FrameKeyResume {
 		t.Fatalf("offer answered with frame kind %#x: %s", r.Kind, r.Payload)
 	}
 	if r := exchange(&Frame{Kind: FrameKeyChunk, Payload: blob.Bytes()[:chunk]}); r.Kind != FrameKeyAck {
@@ -516,13 +484,13 @@ func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := exchange(&Frame{Kind: FrameBatch, Shard: 7, Payload: payload}); r.Kind != FrameError {
-		t.Fatalf("batch before key-done answered with frame kind %#x, want an error frame", r.Kind)
+	if r := exchange(&Frame{Kind: FrameBatch, Shard: 7, Payload: payload}); r.Kind != FrameRejected || !strings.Contains(string(r.Payload), serve.ErrNoKey.Error()) {
+		t.Fatalf("batch before key-done answered with frame kind %#x (%q), want a no-key rejection", r.Kind, r.Payload)
 	}
-	if err := <-served; err == nil {
-		t.Fatal("the serve loop accepted a batch before key-done")
+	if n := cold.Metrics().Counter(obs.CounterBlindRotate); n != 0 {
+		t.Fatalf("the node rotated %d LWEs of a batch before key-done", n)
 	}
-	if cold.Boot.HasBlindRotateKey() {
+	if warm(cold) {
 		t.Fatal("a half-uploaded key was installed")
 	}
 }
@@ -566,7 +534,7 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := HelloFor(fx.bt)
-	hello.Flags &^= helloFlagKeyWarm
+	hello.Flags &^= HelloFlagKeyWarm
 	if err := WriteFrame(conn, &Frame{Kind: FrameJoin, Payload: EncodeJoin(hello, "scripted")}); err != nil {
 		t.Fatal(err)
 	}
@@ -629,6 +597,106 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 		t.Fatalf("cold joiner saw a batch: %v, key-done before it: %v", s.batch, s.doneBefore)
 	}
 
+	_ = l.Close()
+	<-acceptDone
+	assertNoGoroutineLeak(t, before)
+}
+
+// slowAckListener hands out links whose join ack is written 50 ms late.
+type slowAckListener struct{ Listener }
+
+func (l slowAckListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return slowAckConn{c}, nil
+}
+
+type slowAckConn struct{ Conn }
+
+func (c slowAckConn) Write(p []byte) (int, error) {
+	// WriteFrame writes a frame in one call; its kind is the second word.
+	if len(p) >= frameHeaderSize && binary.LittleEndian.Uint32(p[4:]) == FrameJoinAck {
+		time.Sleep(50 * time.Millisecond)
+	}
+	return c.Conn.Write(p)
+}
+
+// entryGate is a gateRecorder that also reports when it first holds a
+// rotation.
+type entryGate struct {
+	gateRecorder
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (g *entryGate) Begin(s obs.Stage, lane int) obs.Token {
+	if s == obs.StageBlindRotate && lane != obs.LanePipeline {
+		g.once.Do(func() { close(g.entered) })
+	}
+	return g.gateRecorder.Begin(s, lane)
+}
+
+// TestElasticJoinAckPrecedesFirstBatch joins a node while a bootstrap runs,
+// its local worker held so that work stays queued, over a link that writes
+// the join ack 50 ms late. The ack must still reach the joiner before the
+// run's first batch: the node serves work, and no index is reassigned.
+// (Before the ack was ordered first, the joiner read the batch as its join
+// reply, failed, and its indices were reassigned.)
+func TestElasticJoinAckPrecedesFirstBatch(t *testing.T) {
+	primary := fixtureNode(t, 0, false)
+	before := runtime.NumGoroutine()
+	gate := &entryGate{gateRecorder: gateRecorder{release: make(chan struct{})}, entered: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	primary.SetRecorder(gate)
+
+	m := NewMembership()
+	l := NewPipeListener()
+	pr := &Primary{Boot: primary}
+	acceptDone := make(chan struct{})
+	go func() { _ = pr.AcceptJoins(m, slowAckListener{l}); close(acceptDone) }()
+	resCh := make(chan runResult, 1)
+	go func() {
+		out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
+		resCh <- runResult{out, stats, err}
+	}()
+	<-gate.entered
+
+	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	servDone := make(chan error, 1)
+	go func() { servDone <- node.JoinAndServe(conn, "late") }()
+	for node.Metrics().Counter(obs.CounterJobsServed) == 0 {
+		select {
+		case err := <-servDone:
+			release()
+			<-resCh
+			t.Fatalf("the joiner stopped before serving a batch: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	release()
+	r := <-resCh
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.stats.Nodes) != 1 || r.stats.Nodes[0].Failed || r.stats.Nodes[0].Completed == 0 {
+		t.Fatalf("the late-acked joiner should have served work:\n%s", r.stats)
+	}
+	if r.stats.Reassigned != 0 {
+		t.Fatalf("%d indices reassigned, want 0:\n%s", r.stats.Reassigned, r.stats)
+	}
+	assertBitExact(t, r.out)
+
+	closeConn(conn)
+	<-servDone
+	node.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)

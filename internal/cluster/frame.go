@@ -175,15 +175,16 @@ type Hello struct {
 	Flags    uint32
 }
 
-// helloFlagKeyWarm marks a node that holds its full blind-rotate key.
-const helloFlagKeyWarm = uint32(1)
+// HelloFlagKeyWarm marks a joining node that holds its full blind-rotate
+// key; a joiner without it is sent the key before any work.
+const HelloFlagKeyWarm = uint32(1)
 
 const helloPayloadSize = 28
 
-// HelloFor builds the handshake payload describing bt's parameter set.
+// HelloFor builds the flag-free handshake payload describing bt's parameters.
 func HelloFor(bt *core.Bootstrapper) Hello {
 	p := bt.Params.Parameters
-	h := Hello{
+	return Hello{
 		Version:  ProtocolVersion,
 		LogN:     uint32(p.LogN),
 		MaxLevel: uint32(p.MaxLevel()),
@@ -191,10 +192,6 @@ func HelloFor(bt *core.Bootstrapper) Hello {
 		MaxBatch: uint32(p.N()),
 		Digest:   paramsDigest(p),
 	}
-	if bt.HasBlindRotateKey() {
-		h.Flags |= helloFlagKeyWarm
-	}
-	return h
 }
 
 // LWEDim is the dimension of the LWE ciphertexts Prepare emits: N in exact

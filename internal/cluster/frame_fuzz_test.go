@@ -14,7 +14,7 @@ import (
 // bounds, and accepted values must round-trip through their encoder.
 
 func FuzzDecodeJoin(f *testing.F) {
-	h := Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD, Flags: helloFlagKeyWarm}
+	h := Hello{Version: ProtocolVersion, LogN: 6, MaxLevel: 3, LWEDim: 64, MaxBatch: 64, Digest: 0xDEAD, Flags: HelloFlagKeyWarm}
 	f.Add(EncodeJoin(h, "node-a"))
 	f.Add(EncodeJoin(h, ""))
 	// A lying length prefix: nameLen = 2^32−1 with no name bytes behind it.
@@ -107,7 +107,7 @@ func FuzzDecodeKeyResume(f *testing.F) {
 // allocation: a malformed input must cost error-formatting bytes, never a
 // buffer sized from attacker-controlled fields. The key-offer case goes one
 // layer deeper: even a well-formed offer claiming a 1 GiB key must be
-// rejected by the receiving Secondary (which sizes buffers from its own
+// rejected by the receiving KeyReceiver (which sizes buffers from its own
 // parameters) before any buffer allocation.
 func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	fixture(t)
@@ -118,7 +118,7 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	leaveLie := make([]byte, 4)
 	binary.LittleEndian.PutUint32(leaveLie, 0xFFFF_FFF0)
 	giant := KeyOffer{TotalSize: 1 << 30, ChunkSize: 1 << 20, ChunkCount: 1 << 10, BlobCRC: 1}
-	sec := &Secondary{Boot: fx.bt}
+	kr := NewKeyReceiver(fx.bt.Params.Parameters, LWEDim(fx.bt), fx.bt.BinaryKey())
 
 	cases := []struct {
 		name string
@@ -133,7 +133,7 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 			return err
 		}},
 		{"offer-oversized-for-params", func() error {
-			_, _, err := sec.keyReceiver().Receive(&Frame{Kind: FrameKeyOffer, Payload: giant.encode()}, obs.Nop{})
+			_, _, err := kr.Receive(&Frame{Kind: FrameKeyOffer, Payload: giant.encode()}, obs.Nop{})
 			return err
 		}},
 	}
@@ -158,7 +158,7 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 // TestJoinLeaveRoundTrip pins the happy-path codecs (the fuzzers only
 // check stability of whatever the fuzzer happens to accept).
 func TestJoinLeaveRoundTrip(t *testing.T) {
-	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: helloFlagKeyWarm}
+	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: HelloFlagKeyWarm}
 	got, name, err := DecodeJoin(EncodeJoin(h, "fpga-07"))
 	if err != nil || got != h || name != "fpga-07" {
 		t.Fatalf("join: %v %+v %q", err, got, name)

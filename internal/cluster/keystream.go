@@ -20,15 +20,15 @@ import (
 // that evaluation-key movement bounds bootstrapping systems — so a cold
 // joiner must not restart a multi-GB transfer because its link blipped at
 // 90%. The upload is cut into CRC-framed chunks with stop-and-wait acks. The
-// receiver's state outlives the connection (a KeyReceiver lives on the
-// Secondary, and in heapd's registry per tenant), a reconnecting sender's
-// offer is answered with the contiguous chunks already held, and the upload
-// resumes from exactly there. The key is parsed once, at key-done: a cold
+// receiver's state outlives the connection (a KeyReceiver lives in the
+// serving registry, one per tenant: a cluster node's is its primary's), a
+// reconnecting sender's offer is answered with the contiguous chunks already
+// held, and the upload resumes from exactly there. The key is parsed once, at key-done: a cold
 // joiner gets no work until its whole key is in, as in §V, where every
 // secondary rotates with the complete key.
 
 // KeyReceiver is the receiving end of the key stream (offer → resume, chunk
-// → ack, done → done), shared by the Secondary and heapd's registry. It
+// → ack, done → done), held per tenant by internal/serve's registry. It
 // sizes its buffer from its own parameters, never from the wire, so a lying
 // offer cannot force an oversized allocation.
 type KeyReceiver struct {

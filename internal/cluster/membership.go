@@ -44,17 +44,18 @@ func (s MemberState) String() string {
 }
 
 // Membership is the registry a bootstrap reads joiners from while it runs.
-// Joins arrive through AcceptJoins (or a direct Join call); the scheduler
-// consumes them from joinCh and spawns a node worker per joiner.
-// A name whose previous instance failed or left may rejoin — the rejoining
-// connection inherits nothing from the old one except the partial key its
-// Secondary's KeyReceiver kept, which is exactly what makes a
+// Joins arrive through AcceptJoins; the scheduler consumes them from joinCh
+// and spawns a node worker per joiner. A name whose previous instance failed
+// or left may rejoin — the rejoining connection inherits nothing from the
+// old one except the partial key the node's registry kept for its primary
+// (one KeyReceiver per tenant), which is exactly what makes a
 // kill-mid-upload resume work.
 type Membership struct {
 	mu     sync.Mutex
 	rec    obs.Recorder
 	state  map[string]MemberState
 	joinCh chan *Node
+	held   int // backlog slots admitted joiners hold until delivered
 }
 
 // NewMembership returns an empty registry.
@@ -88,37 +89,40 @@ func (m *Membership) SetRecorder(r obs.Recorder) {
 	r.Gauge(obs.GaugeClusterMembers, active)
 }
 
-// Join registers a node as active and queues it for the running (or next)
-// bootstrap. A name that is currently active is rejected; a name whose
-// previous instance left or died rejoins.
-func (m *Membership) Join(node *Node) error {
-	if node.Name == "" {
-		return errors.New("cluster: joining node needs a name")
-	}
+// admit registers name as active and holds a place in the join backlog for
+// it. A name that is currently active is refused, and so is any name when the
+// backlog is full; a name whose previous instance left or died rejoins. The
+// node reaches a bootstrap only through deliver, so its ack can go out first.
+func (m *Membership) admit(name string) error {
 	m.mu.Lock()
-	if st, ok := m.state[node.Name]; ok && st == MemberActive {
+	if st, ok := m.state[name]; ok && st == MemberActive {
 		m.mu.Unlock()
-		return fmt.Errorf("cluster: node %q is already an active member", node.Name)
+		return fmt.Errorf("cluster: node %q is already an active member", name)
 	}
-	select {
-	case m.joinCh <- node:
-	default:
-		m.state[node.Name] = MemberDead
+	if len(m.joinCh)+m.held >= cap(m.joinCh) {
+		m.state[name] = MemberDead
 		m.mu.Unlock()
-		return fmt.Errorf("cluster: join backlog full, node %q rejected", node.Name)
+		return fmt.Errorf("cluster: join backlog full, node %q rejected", name)
 	}
-	m.state[node.Name] = MemberActive
+	m.held++
+	m.state[name] = MemberActive
 	rec := m.rec
 	m.mu.Unlock()
 	rec.Gauge(obs.GaugeClusterMembers, 1)
 	return nil
 }
 
+// deliver queues an admitted node for the running (or next) bootstrap. The
+// send cannot block: the node holds a backlog slot.
+func (m *Membership) deliver(node *Node) {
+	m.joinCh <- node
+	m.mu.Lock()
+	m.held--
+	m.mu.Unlock()
+}
+
 // markDown transitions an active member to Left or Dead.
 func (m *Membership) markDown(name string, st MemberState) {
-	if name == "" {
-		return
-	}
 	m.mu.Lock()
 	cur, ok := m.state[name]
 	m.state[name] = st
@@ -196,10 +200,10 @@ func (l *PipeListener) Close() error {
 }
 
 // AcceptJoins runs the join side of the membership: it accepts connections
-// from l, accepts each one's join (AcceptJoin: params digest included, so an
-// alien parameter set is refused at the door) and registers the joiner with
-// m before the ack goes out. It returns when the listener closes. Run it in
-// its own goroutine alongside Primary.Bootstrap.
+// from l and each one's join (AcceptJoin, which refuses an alien parameter
+// set; m refuses an active name or a full backlog), and hands the joiner to m
+// once its ack is written, so a running bootstrap's first frame follows it.
+// It returns when the listener closes. Run it beside Primary.Bootstrap.
 func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -207,29 +211,18 @@ func (p *Primary) AcceptJoins(m *Membership, l Listener) error {
 			return nil
 		}
 		go func() {
-			registered := "" // set once m holds the node; markDown ignores ""
-			_, err := AcceptJoin(conn, HelloFor(p.Boot), p.Boot.Recorder(), func(peer Hello, name string) error {
-				err := m.Join(&Node{Conn: conn, Name: name, joined: true, needsKey: peer.Flags&helloFlagKeyWarm == 0})
-				if err == nil {
-					registered = name
-				}
-				return err
+			var needsKey bool
+			name, _ := AcceptJoin(conn, HelloFor(p.Boot), p.Boot.Recorder(), func(peer Hello, name string) error {
+				needsKey = peer.Flags&HelloFlagKeyWarm == 0
+				return m.admit(name)
 			})
-			if err != nil {
-				m.markDown(registered, MemberDead)
+			// A name means admitted. One whose ack write failed is handed over
+			// too: its link fails at the first batch, as any dead link does.
+			if name == "" {
 				closeConn(conn)
+				return
 			}
+			m.deliver(&Node{Conn: conn, Name: name, joined: true, needsKey: needsKey})
 		}()
 	}
-}
-
-// JoinAndServe joins the cluster through conn (Join, under name and with the
-// node's key-warm flag) and then serves blind-rotation work on it — the whole
-// life of an elastic secondary. A cold node receives its blind-rotate key
-// over the same connection (chunked and resumable) before any batch work.
-func (s *Secondary) JoinAndServe(conn Conn, name string) error {
-	if err := Join(conn, HelloFor(s.Boot), name, s.Boot.Recorder()); err != nil {
-		return err
-	}
-	return s.serveLoop(conn)
 }

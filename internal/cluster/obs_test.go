@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	. "heap/internal/cluster"
 	"heap/internal/obs"
+	"heap/internal/serve"
 )
 
 // TestClusterTraceAccounting locks the observability contract of a
@@ -27,9 +29,9 @@ func TestClusterTraceAccounting(t *testing.T) {
 
 	cp, cs := net.Pipe()
 	secMet := obs.NewMetrics()
-	btSec.SetRecorder(secMet)
+	node := newNode(t, btSec, serve.Config{Recorder: secMet})
 	done := make(chan error, 1)
-	go func() { done <- (&Secondary{Boot: btSec}).Serve(cs) }()
+	go func() { done <- node.ServeConn(cs) }()
 
 	met := obs.NewMetrics()
 	tracer := obs.NewTracer()
@@ -110,18 +112,17 @@ func TestClusterTraceAccounting(t *testing.T) {
 		}
 	}
 
-	// The primary frames one batch per dispatch and receives one frame per
-	// accumulator plus one batch-end; the secondary frames the accumulator
-	// stream. Exact byte counts depend on scheduling, but both endpoints
-	// must have counted traffic, and the primary must have seen at least the
-	// secondary's accumulator payloads.
+	// Both ends count every frame they send or receive: the join and its
+	// ack, each batch, its accumulators and its batch end. The secondary
+	// also read the shutdown frame this test wrote outside the primary's
+	// recorder, so it counts exactly that frame more.
 	pBytes := met.Counter(obs.CounterBytesFramed)
 	sBytes := secMet.Counter(obs.CounterBytesFramed)
 	if pBytes == 0 || sBytes == 0 {
 		t.Errorf("bytes_framed: primary %d, secondary %d — both must be nonzero", pBytes, sBytes)
 	}
-	if pBytes < sBytes {
-		t.Errorf("primary framed %d bytes < secondary's %d (must include the received accumulator stream)", pBytes, sBytes)
+	if want := pBytes + WireSize(0); sBytes != want {
+		t.Errorf("secondary framed %d bytes, want the primary's %d plus the %d-byte shutdown frame", sBytes, pBytes, WireSize(0))
 	}
 	for g := obs.Gauge(0); int(g) < obs.NumGauges; g++ {
 		if v := met.GaugeValue(g); v != 0 {
@@ -238,7 +239,8 @@ func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
-	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
+	node := newNode(t, btSec, serve.Config{})
+	go func() { _ = node.ServeConn(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
 	if workers, tiles := len(nodes)+bt.Cfg.Workers, params.N()/bt.TileSize(); workers <= tiles {
 		t.Fatalf("%d starting workers do not outnumber the %d whole-tile tasks", workers, tiles)
@@ -279,8 +281,8 @@ func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	secMet := obs.NewMetrics()
-	btSec.SetRecorder(secMet)
-	go func() { _ = (&Secondary{Boot: btSec}).Serve(cs) }()
+	node := newNode(t, btSec, serve.Config{Workers: btSec.Cfg.Workers, Recorder: secMet})
+	go func() { _ = node.ServeConn(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
 	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
 	if err != nil {

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"heap/internal/ckks"
+	. "heap/internal/cluster"
 	"heap/internal/core"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/serve"
 )
 
 // BenchmarkStragglerMatrix times one distributed bootstrap — logN 10, four
@@ -78,11 +80,13 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 					b.StopTimer()
 					var ends []Conn
 					nodes := make([]*Node, 2)
+					servers := make([]*serve.Server, len(nodes))
 					served := make(chan error, len(nodes))
 					for k := range nodes {
 						pri, sec := stragglerLink(row, k, accWire)
 						ends = append(ends, pri, sec)
-						go func() { served <- (&Secondary{Boot: bt}).Serve(sec) }()
+						servers[k] = serve.NewServer(bt, serve.Config{Workers: bt.Cfg.Workers})
+						go func() { served <- servers[k].ServeConn(sec) }()
 						nodes[k] = &Node{Conn: pri, Name: fmt.Sprintf("sec-%d", k)}
 					}
 					in := ct.CopyNew()
@@ -102,6 +106,9 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 					}
 					for range nodes {
 						<-served
+					}
+					for _, srv := range servers {
+						srv.Close()
 					}
 				}
 				b.ReportMetric(float64(hedged)/float64(b.N), "hedged/op")

@@ -51,10 +51,11 @@ type Config struct {
 	Tile int
 	// Seed drives deterministic key generation.
 	Seed uint64
-	// ColdStart skips blind-rotate key generation: the node starts key-cold
-	// and receives its brk over the cluster's chunked key-streaming channel
-	// (SetBlindRotateKey). Everything else — secret keys, key-switching and
-	// packing keys, parameter digest — is generated as usual, so a cold node
+	// ColdStart skips blind-rotate key generation: the bootstrapper rotates
+	// only under keys it is handed (BlindRotateBatchWithKey), which a serving
+	// node receives over the cluster's chunked key-streaming channel into its
+	// registry. Everything else — secret keys, key-switching and packing
+	// keys, parameter digest — is generated as usual, so a cold node
 	// handshakes identically to a warm one.
 	ColdStart bool
 }
@@ -339,11 +340,6 @@ func (bt *Bootstrapper) BlindRotateOneInto(out *rlwe.Ciphertext, lwe *rlwe.LWECi
 	bt.BlindRotateTile([]*rlwe.Ciphertext{out}, []*rlwe.LWECiphertext{lwe}, sc)
 }
 
-// HasBlindRotateKey reports whether the bootstrapper holds a blind-rotate
-// key (generated locally or installed via SetBlindRotateKey). A ColdStart
-// node serves no rotations until one is installed.
-func (bt *Bootstrapper) HasBlindRotateKey() bool { return bt.brk != nil }
-
 // BlindRotateKey returns the node's blind-rotate key (nil on a cold node).
 // The cluster's key-streaming sender serializes it for distribution; the key
 // is public material ("brk public keys can be computed offline", §II-B), so
@@ -355,16 +351,6 @@ func (bt *Bootstrapper) BlindRotateKey() *tfhe.BlindRotateKey { return bt.brk }
 // mode, which rotates under the ternary RLWE secret. Key receivers size and
 // check what they accept from it, never from the wire.
 func (bt *Bootstrapper) BinaryKey() bool { return bt.Cfg.NT > 0 }
-
-// SetBlindRotateKey installs a received blind-rotate key after checkKey:
-// only a whole key is accepted.
-func (bt *Bootstrapper) SetBlindRotateKey(k *tfhe.BlindRotateKey) error {
-	if err := bt.checkKey(k); err != nil {
-		return err
-	}
-	bt.brk = k
-	return nil
-}
 
 // checkKey validates a key the bootstrapper did not generate: its dimension
 // must match the LWE dimension the bootstrapper extracts to (N in exact mode,
@@ -411,13 +397,7 @@ func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LW
 // (RecycleAccumulator); see tfhe.BatchOptions for the worker fan-out and the
 // streaming per-tile hook.
 func (bt *Bootstrapper) BlindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, opts tfhe.BatchOptions) error {
-	if opts.Tile <= 0 {
-		opts.Tile = bt.TileSize()
-	}
-	if opts.NewAcc == nil {
-		opts.NewAcc = bt.pooledAccumulator
-	}
-	return bt.tfheEv.BlindRotateBatchInto(accs, lwes, bt.lut, bt.brk, opts)
+	return bt.blindRotateBatch(accs, lwes, bt.brk, opts)
 }
 
 // BlindRotateBatchWithKey is BlindRotateBatch under an explicit blind-rotate
@@ -432,6 +412,10 @@ func (bt *Bootstrapper) BlindRotateBatchWithKey(accs []*rlwe.Ciphertext, lwes []
 	if err := bt.checkKey(brk); err != nil {
 		return err
 	}
+	return bt.blindRotateBatch(accs, lwes, brk, opts)
+}
+
+func (bt *Bootstrapper) blindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, brk *tfhe.BlindRotateKey, opts tfhe.BatchOptions) error {
 	if opts.Tile <= 0 {
 		opts.Tile = bt.TileSize()
 	}

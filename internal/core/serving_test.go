@@ -55,7 +55,7 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.HasBlindRotateKey() {
+	if srv.BlindRotateKey() != nil {
 		t.Fatal("ColdStart server must boot key-cold")
 	}
 	if srv.TileSize() != 4 {
@@ -87,28 +87,13 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	for i := range tile {
 		assertAccEqual(t, i, tile[i], want[i])
 	}
-
-	// Installing the tenant key warms the server for the installed-key APIs.
-	if err := srv.SetBlindRotateKey(nil); err == nil {
-		t.Fatal("nil key must be rejected by SetBlindRotateKey")
-	}
-	if err := srv.SetBlindRotateKey(brk); err != nil {
-		t.Fatal(err)
-	}
-	if !srv.HasBlindRotateKey() {
-		t.Fatal("server should hold a key after SetBlindRotateKey")
-	}
-	if got, wantB := srv.MeasuredBRKBytes(), tenant.MeasuredBRKBytes(); got != wantB {
-		t.Fatalf("MeasuredBRKBytes = %d after transplant, tenant holds %d", got, wantB)
-	}
-	assertAccEqual(t, 0, srv.BlindRotateOne(prep.LWEs[0]), want[0])
 }
 
-// TestSetBlindRotateKeyChecksKind: the key kind an installed key must have
+// TestBlindRotateBatchWithKeyChecksKind: the key kind a handed key must have
 // comes from the receiver's configuration (n_t mode: binary), and its rows
 // must match that kind. A partially warm prefix is refused: only a whole key
-// is installed.
-func TestSetBlindRotateKeyChecksKind(t *testing.T) {
+// rotates.
+func TestBlindRotateBatchWithKeyChecksKind(t *testing.T) {
 	params, _, _, tenant := testSetup(t, 1)
 	if !tenant.BinaryKey() {
 		t.Fatal("an n_t-mode bootstrapper must want a binary key")
@@ -140,9 +125,6 @@ func TestSetBlindRotateKeyChecksKind(t *testing.T) {
 		{"labelled-ternary", &tfhe.BlindRotateKey{Plus: brk.Plus, Minus: minus}, false},
 		{"binary-with-minus-rows", &tfhe.BlindRotateKey{Plus: brk.Plus, Minus: minus, Binary: true}, false},
 	} {
-		if err := srv.SetBlindRotateKey(c.key); (err == nil) != c.ok {
-			t.Errorf("%s: SetBlindRotateKey = %v, want ok=%v", c.name, err, c.ok)
-		}
 		if err := srv.BlindRotateBatchWithKey(nil, nil, c.key, tfhe.BatchOptions{}); c.ok != (err == nil) {
 			t.Errorf("%s: BlindRotateBatchWithKey = %v, want ok=%v", c.name, err, c.ok)
 		}

@@ -264,3 +264,10 @@ func (r *Registry) receiveKey(tenant string, f *cluster.Frame) (*cluster.Frame, 
 	}
 	return reply, err
 }
+
+// holds reports whether tenant's key is resident.
+func (r *Registry) holds(tenant string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.entries[tenant] != nil
+}

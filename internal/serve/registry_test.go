@@ -225,28 +225,40 @@ func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
 	}
 }
 
-// TestServiceRefusesRetiredFrameKind: after a valid join, a frame of kind
-// 0xB0070010 — the health probe that protocol v6 retired — gets an error
-// frame, and heapd closes the connection.
+// TestServiceRefusesRetiredFrameKind: a frame of a retired kind gets an error
+// frame, and the server closes the connection. The inputs are the hello
+// (0x48454C4F, retired by protocol v7) sent before any join, and the health
+// probe (0xB0070010, retired by v6) sent after a valid one.
 func TestServiceRefusesRetiredFrameKind(t *testing.T) {
 	_, _, bt := buildBoot(t, 92, false)
 	srv := NewServer(bt, Config{Executors: 1, Workers: 1})
 	l, stop := startServer(t, srv)
 	defer stop()
-	cl := dialClient(t, l, bt, "prober")
-	defer cl.Close()
-
-	if err := cluster.WriteFrame(cl.conn, &cluster.Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := cluster.ReadFrame(cl.conn, cluster.MaxErrorPayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Kind != cluster.FrameError {
-		t.Fatalf("retired frame kind answered with kind %#x, want an error frame", f.Kind)
-	}
-	if _, err := cluster.ReadFrame(cl.conn, cluster.MaxErrorPayload); err != io.EOF {
-		t.Fatalf("connection still open after the error frame: %v", err)
+	for _, joined := range []bool{false, true} {
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired := &cluster.Frame{Kind: 0x4845_4C4F, Payload: cluster.EncodeHello(cluster.HelloFor(bt))}
+		if joined {
+			if _, err := NewClient(conn, bt, "prober", nil); err != nil {
+				t.Fatal(err)
+			}
+			retired = &cluster.Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
+		}
+		if err := cluster.WriteFrame(conn, retired); err != nil {
+			t.Fatal(err)
+		}
+		f, err := cluster.ReadFrame(conn, cluster.MaxErrorPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != cluster.FrameError {
+			t.Fatalf("retired frame kind %#x answered with kind %#x, want an error frame", retired.Kind, f.Kind)
+		}
+		if _, err := cluster.ReadFrame(conn, cluster.MaxErrorPayload); err != io.EOF {
+			t.Fatalf("connection still open after the error frame for kind %#x: %v", retired.Kind, err)
+		}
+		_ = conn.Close()
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"heap/internal/cluster"
@@ -37,14 +39,15 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-// Server is the bootstrap service: it speaks the cluster's frame protocol
+// Server is the blind-rotation server: it speaks the cluster's frame protocol
 // to any number of tenant connections, pools the same-tenant jobs that queue
 // while its executors are busy, and executes each pool as one key-major batch
 // under the tenant's registered key — one BRK pass through cache per pool
 // instead of one per request. The bootstrapper provides the parameter set,
-// LUT, and scratch pools only (ColdStart — the server needs no key material
-// of its own; blind rotation is deterministic in the request and the tenant's
-// public key, so results are bit-identical to tenant-local execution).
+// LUT, and scratch pools (heapd's is ColdStart; blind rotation is
+// deterministic in the request and the tenant's public key, so results are
+// bit-identical to tenant-local execution). A cluster secondary (§V) is a
+// Server whose one tenant is its primary (cluster.PrimaryTenant).
 type Server struct {
 	boot *core.Bootstrapper
 	reg  *Registry
@@ -65,6 +68,7 @@ type Server struct {
 	// decisions.
 	now func() time.Time
 
+	leaving atomic.Bool // RequestLeave: answer the next batch with a leave frame
 	mu      sync.Mutex
 	tenants map[string]*TenantStats
 	conns   map[cluster.Conn]struct{}
@@ -95,8 +99,8 @@ type TenantStats struct {
 	Failed    uint64 `json:"failed"`
 }
 
-// NewServer builds a server around boot (typically ColdStart: the server
-// carries no tenant key material; the registry does).
+// NewServer builds a server around boot. A boot that holds a blind-rotate key
+// is a warm cluster node, and its key is registered for cluster.PrimaryTenant.
 func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 	return newServer(boot, cfg, time.Now)
 }
@@ -117,7 +121,7 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 	boot.SetRecorder(rec)
 	dim := cluster.LWEDim(boot)
 	p := boot.Params.Parameters
-	return &Server{
+	s := &Server{
 		boot:     boot,
 		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, cfg.Loader, rec),
 		adm:      newAdmission(cfg.Admission, now),
@@ -134,10 +138,11 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 		tenants:  make(map[string]*TenantStats),
 		conns:    make(map[cluster.Conn]struct{}),
 	}
+	if key := boot.BlindRotateKey(); key != nil {
+		_ = s.reg.Put(cluster.PrimaryTenant, key) // fails only over MaxKeyBytes: the node joins key-cold
+	}
+	return s
 }
-
-// Registry exposes the key registry (seeding keys without an upload).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Metrics exposes the server's aggregate recorder.
 func (s *Server) Metrics() *obs.Metrics { return s.met }
@@ -149,48 +154,46 @@ func (s *Server) Metrics() *obs.Metrics { return s.met }
 func (s *Server) QueueDepth() int { return s.adm.depth() }
 
 // Serve accepts tenant connections until the listener fails (e.g. it was
-// closed). Safe to run from multiple goroutines over multiple listeners;
-// executors start once.
+// closed), serving each one with ServeConn. Safe to run from multiple
+// goroutines over multiple listeners.
 func (s *Server) Serve(l cluster.Listener) error {
-	s.startEx.Do(func() {
-		for i := 0; i < s.cfg.Executors; i++ {
-			s.execWG.Add(1)
-			go func() {
-				defer s.execWG.Done()
-				for {
-					jobs, ok := s.co.next()
-					if !ok {
-						return
-					}
-					s.execBatch(jobs)
-				}
-			}()
-		}
-	})
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return errors.New("serve: server closing")
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handleConn(conn)
-		}()
+		go func() { _ = s.ServeConn(conn) }()
 	}
 }
 
-// Close drains the server: open connections are closed, admitted jobs run to
-// completion (their reply writes fail harmlessly if the conn died), and the
-// executors exit.
+// ServeConn serves one connection whose peer dialed it (a tenant, or a
+// node's primary): it accepts the join, whose name is the tenant, then serves
+// batches and key-stream frames. It returns nil on shutdown or EOF and the
+// error on a broken link or a protocol violation.
+func (s *Server) ServeConn(conn cluster.Conn) error {
+	return s.serve(conn, func() (string, error) { return cluster.AcceptJoin(conn, s.hello, s.rec, nil) })
+}
+
+// JoinAndServe joins a cluster node's primary through conn under name (key-warm
+// when the registry holds the primary's key) and serves it as ServeConn does;
+// a cold node's key upload resumes across rejoins in the registry's receiver.
+func (s *Server) JoinAndServe(conn cluster.Conn, name string) error {
+	return s.serve(conn, func() (string, error) {
+		hello := s.hello
+		if s.reg.holds(cluster.PrimaryTenant) {
+			hello.Flags |= cluster.HelloFlagKeyWarm
+		}
+		return cluster.PrimaryTenant, cluster.Join(conn, hello, name, s.rec)
+	})
+}
+
+// RequestLeave drains the server: the next batch on a connection is answered
+// with a leave frame and ends it, so a primary requeues what it had pending.
+func (s *Server) RequestLeave() { s.leaving.Store(true) }
+
+// Close drains the server: open connections are closed, every admitted job
+// reaches its outcome (one whose connection is gone fails at its first
+// write), and the executors exit.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closing = true
@@ -214,6 +217,7 @@ type connWriter struct {
 	mu   sync.Mutex
 	conn cluster.Conn
 	rec  obs.Recorder
+	jobs sync.WaitGroup // admitted jobs without an outcome yet
 }
 
 func (cw *connWriter) Write(p []byte) (int, error) {
@@ -237,36 +241,61 @@ func (s *Server) stats(tenant string) *TenantStats {
 	return ts
 }
 
-// handleConn runs one tenant connection: the join (cluster.AcceptJoin; an
-// empty tenant name is refused), then a read loop over batch submissions and
-// key-upload frames.
-func (s *Server) handleConn(conn cluster.Conn) {
+// serve runs one connection: join names its tenant, then a read loop over
+// batch submissions and key-upload frames. It closes the connection and
+// returns once the connection's admitted jobs are done.
+func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err error) {
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return errors.New("serve: server closing")
+	}
+	s.conns[conn] = struct{}{}
+	s.connWG.Add(1)
+	s.mu.Unlock()
+	s.startEx.Do(func() {
+		for i := 0; i < s.cfg.Executors; i++ {
+			s.execWG.Add(1)
+			go func() {
+				defer s.execWG.Done()
+				for jobs, ok := s.co.next(); ok; jobs, ok = s.co.next() {
+					s.execBatch(jobs)
+				}
+			}()
+		}
+	})
+	cw := &connWriter{conn: conn, rec: s.rec}
 	defer func() {
 		_ = conn.Close()
+		cw.jobs.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-	}()
-	tenant, err := cluster.AcceptJoin(conn, s.hello, s.rec, func(_ cluster.Hello, name string) error {
-		if name == "" {
-			return errors.New("serve: empty tenant name")
+		s.connWG.Done()
+		if err == io.EOF {
+			err = nil
 		}
-		return nil
-	})
-	if err != nil {
-		return
-	}
-	cw := &connWriter{conn: conn, rec: s.rec}
+	}()
 
+	tenant, err := join()
+	if err != nil {
+		return err
+	}
 	for {
 		f, err := cluster.ReadFrame(conn, s.maxRead)
 		if err != nil {
-			return // EOF, closed conn, or garbage: the tenant is gone
+			return err
 		}
 		s.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
 		switch f.Kind {
 		case cluster.FrameBatch:
-			s.submit(cw, tenant, f)
+			if s.leaving.Load() {
+				return cluster.WriteFrame(cw, &cluster.Frame{Kind: cluster.FrameLeave, Payload: cluster.EncodeReason("leave requested")})
+			}
+			if err := s.submit(cw, tenant, f); err != nil {
+				return cluster.SendError(cw, err)
+			}
 		case cluster.FrameKeyOffer, cluster.FrameKeyChunk, cluster.FrameKeyDone:
 			// The upload is keyed by tenant, not connection, so one killed
 			// mid-stream resumes from the last acked chunk on a fresh
@@ -286,13 +315,12 @@ func (s *Server) handleConn(conn cluster.Conn) {
 				if errors.Is(err, ErrRegistryFull) {
 					continue
 				}
-				return
+				return err
 			}
 		case cluster.FrameShutdown, cluster.FrameLeave:
-			return
+			return nil
 		default:
-			cluster.SendError(cw, fmt.Errorf("serve: unknown frame kind %#x", f.Kind))
-			return
+			return cluster.SendError(cw, fmt.Errorf("serve: unknown frame kind %#x", f.Kind))
 		}
 	}
 }
@@ -315,12 +343,12 @@ func (s *Server) reject(cw *connWriter, tenant string, jobID uint32, reason erro
 // submit decodes one batch request and runs it through admission into the
 // coalescer. The batch frame's seq field carries the client's deadline
 // budget in milliseconds (0 = unbounded), exactly as in the cluster
-// protocol.
-func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) {
+// protocol. A batch that does not decode is a protocol violation, returned
+// to end the connection; an admission refusal is a non-fatal rejection.
+func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) error {
 	idxs, lwes, err := cluster.DecodeBatch(f.Payload, s.maxBatch, s.dim, s.twoN)
 	if err != nil {
-		s.reject(cw, tenant, f.Shard, err)
-		return
+		return err
 	}
 	budget := time.Duration(f.Seq) * time.Millisecond
 	s.mu.Lock()
@@ -328,7 +356,7 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) {
 	s.mu.Unlock()
 	if err := s.adm.admit(tenant, budget, projected); err != nil {
 		s.reject(cw, tenant, f.Shard, err)
-		return
+		return nil
 	}
 	j := &job{tenant: tenant, id: f.Shard, idxs: idxs, lwes: lwes, cw: cw, admitted: time.Now()}
 	if budget > 0 {
@@ -340,16 +368,23 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) {
 	s.mu.Lock()
 	ts.Admitted++
 	s.mu.Unlock()
+	cw.jobs.Add(1)
 	s.co.add(j)
+	return nil
 }
+
+var errNoLiveJob = errors.New("serve: every job of the batch failed")
 
 // execBatch runs one tenant's pool — whatever queued for that key while the
 // executors were busy, a lone job on an idle server — as a single key-major
 // batch: one registry Acquire, one BlindRotateBatchWithKey over the
 // concatenated LWEs, its tiles fanned over cfg.Workers goroutines, and
-// accumulators streamed back per job as tiles complete.
+// accumulators streamed back per job as tiles complete. A job expired in the
+// queue is rejected at dispatch; one past its deadline (s.now) at a tile or
+// with a failed write is failed there, and the batch stops once all are.
 func (s *Server) execBatch(jobs []*job) {
 	tenant := jobs[0].tenant
+	ts := s.stats(tenant)
 	dispatched := time.Now()
 	now := s.now()
 	live := jobs[:0]
@@ -360,14 +395,19 @@ func (s *Server) execBatch(jobs []*job) {
 		if !j.deadline.IsZero() && now.After(j.deadline) {
 			s.reject(j.cw, tenant, j.id, fmt.Errorf("%w (expired while queued)", ErrDeadline))
 			s.rec.Add(obs.CounterJobsExpired, 1)
-			ts := s.stats(tenant)
 			s.mu.Lock()
 			ts.Expired++
 			s.mu.Unlock()
+			j.cw.jobs.Done()
 			continue
 		}
 		live = append(live, j)
 	}
+	defer func() {
+		for _, j := range live {
+			j.cw.jobs.Done()
+		}
+	}()
 	if len(live) == 0 {
 		return
 	}
@@ -375,7 +415,6 @@ func (s *Server) execBatch(jobs []*job) {
 	brk, release, err := s.reg.Acquire(tenant)
 	if err != nil {
 		s.rec.Add(obs.CounterJobsFailed, uint64(len(live)))
-		ts := s.stats(tenant)
 		s.mu.Lock()
 		ts.Failed += uint64(len(live))
 		s.mu.Unlock()
@@ -407,6 +446,7 @@ func (s *Server) execBatch(jobs []*job) {
 	s.rec.Gauge(obs.GaugeInFlightShards, int64(len(live)))
 	start := time.Now()
 	var sendMu sync.Mutex
+	open := len(live) // jobs not failed yet, under sendMu
 	opts := tfhe.BatchOptions{
 		Workers: s.cfg.Workers,
 		OnTile: func(lo, hi int) error {
@@ -424,22 +464,31 @@ func (s *Server) execBatch(jobs []*job) {
 			}
 			sendMu.Lock()
 			defer sendMu.Unlock()
+			now := s.now()
 			for k := lo; k < hi; k++ {
-				sl := slots[k]
-				if sl.j.failed {
+				j := slots[k].j
+				if j.failed {
 					continue
 				}
-				f := &cluster.Frame{Kind: cluster.FrameAcc, Shard: sl.j.id, Seq: sl.j.seq, Payload: payloads[k-lo]}
-				if f.Payload == nil || cluster.WriteFrame(sl.j.cw, f) != nil {
-					sl.j.failed = true // bad accumulator or conn gone; finish the batch for the others
+				late := !j.deadline.IsZero() && now.After(j.deadline)
+				if late {
+					cluster.SendError(j.cw, fmt.Errorf("serve: job %d passed its deadline mid-batch", j.id))
+				}
+				f := &cluster.Frame{Kind: cluster.FrameAcc, Shard: j.id, Seq: j.seq, Payload: payloads[k-lo]}
+				if late || f.Payload == nil || cluster.WriteFrame(j.cw, f) != nil {
+					j.failed = true // late, bad accumulator or conn gone
+					open--
 					continue
 				}
-				sl.j.seq++
+				j.seq++
+			}
+			if open == 0 {
+				return errNoLiveJob
 			}
 			return nil
 		},
 	}
-	rotErr := s.boot.BlindRotateBatchWithKey(accs, lwes, brk, opts)
+	rotErr := s.boot.BlindRotateBatchWithKey(accs, lwes, brk, opts) // errNoLiveJob once every job failed
 	elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
 	s.rec.Gauge(obs.GaugeInFlightShards, -int64(len(live)))
 
@@ -447,7 +496,6 @@ func (s *Server) execBatch(jobs []*job) {
 	if len(live) > 1 {
 		s.rec.Add(obs.CounterJobsCoalesced, uint64(len(live)))
 	}
-	ts := s.stats(tenant)
 	s.mu.Lock()
 	if len(live) > 1 {
 		ts.Coalesced += uint64(len(live))

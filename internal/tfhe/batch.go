@@ -144,9 +144,9 @@ type BatchOptions struct {
 	// concurrent use when Workers > 1.
 	NewAcc func() *rlwe.Ciphertext
 	// OnTile, when non-nil, is called from the worker goroutine after the
-	// tile covering batch indices [lo, hi) completes — the hook the cluster
-	// secondary streams finished accumulators back through, preserving the
-	// rotate/network overlap. A non-nil error stops the batch: no new tiles
+	// tile covering batch indices [lo, hi) completes — the hook the serving
+	// layer (heapd and every cluster secondary) streams finished accumulators
+	// back through, preserving the rotate/network overlap. A non-nil error stops the batch: no new tiles
 	// start, in-flight tiles finish, and the error is returned. Must be safe
 	// for concurrent use when Workers > 1.
 	OnTile func(lo, hi int) error
