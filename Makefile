@@ -1,9 +1,9 @@
 GO ?= go
 
-# The tests that hold the limb-level fan-out to "width changes nothing but the
-# clock" (internal/rlwe, internal/ckks, internal/core); the race and stress
-# lanes pin their P counts.
-WIDTH_TESTS = TestWidthChangesNothingButTheClock|TestFanOutThroughPublicPaths|TestFanRunsInlineWhenItCannotPay|TestEvaluatorWidthChangesNothing|TestFinishWidthIndependence|TestFanLanesAreExclusive|TestFanRepanicsOnTheCaller|TestMulRelinRescaleMatchesUnfused|TestRotateMatchesPermuteThenSwitch
+# The tests that hold the limb-level fan-out — the key switch's and key
+# generation's — to "width changes nothing but the clock" (internal/rlwe,
+# internal/ckks, internal/core); the race and stress lanes pin their P counts.
+WIDTH_TESTS = TestWidthChangesNothingButTheClock|TestKeyGenWidthChangesNothing|TestFanOutThroughPublicPaths|TestFanRunsInlineWhenItCannotPay|TestEvaluatorWidthChangesNothing|TestFinishWidthIndependence|TestFanLanesAreExclusive|TestFanRepanicsOnTheCaller|TestMulRelinRescaleMatchesUnfused|TestRotateMatchesPermuteThenSwitch
 
 .PHONY: build test check vet race chaos stress fuzz fuzz-smoke fmt bench-smoke cover serve-smoke purego bench-module
 

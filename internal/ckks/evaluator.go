@@ -26,15 +26,19 @@ func GenEvaluationKeySet(params *Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Sec
 		GaloisKeys: make(map[uint64]*rlwe.GadgetCiphertext),
 	}
 	r0 := params.QBasis.Rings[0]
+	var gs []uint64
+	seen := map[uint64]bool{}
 	for _, k := range rotations {
-		g := r0.GaloisElementForRotation(k)
-		if _, ok := ks.GaloisKeys[g]; !ok {
-			ks.GaloisKeys[g] = kg.GenGaloisKey(g, sk)
+		if g := r0.GaloisElementForRotation(k); !seen[g] {
+			seen[g] = true
+			gs = append(gs, g)
 		}
 	}
 	if conj {
-		g := r0.GaloisElementConjugate()
-		ks.GaloisKeys[g] = kg.GenGaloisKey(g, sk)
+		gs = append(gs, r0.GaloisElementConjugate())
+	}
+	for k, key := range kg.GenGaloisKeys(gs, sk) {
+		ks.GaloisKeys[gs[k]] = key
 	}
 	return ks
 }

@@ -1,10 +1,8 @@
 package cluster_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 	"net"
 	"runtime"
 	"strings"
@@ -223,9 +221,8 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
 	blobSize := tfhe.BRKBlobBytes(primary.Params.Parameters, LWEDim(primary), primary.BinaryKey())
-	var blob bytes.Buffer
-	if _, err := primary.BlindRotateKey().WriteTo(&blob); err != nil || blob.Len() != blobSize {
-		t.Fatalf("serialized key is %d bytes (err %v), receivers expect %d", blob.Len(), err, blobSize)
+	if blob, _, err := KeyBlob(primary.Params.Parameters, primary.BlindRotateKey()); err != nil || len(blob) != blobSize {
+		t.Fatalf("serialized key is %d bytes (err %v), receivers expect %d", len(blob), err, blobSize)
 	}
 	chunkCount := (blobSize + chunkBytes - 1) / chunkBytes
 	if chunkCount < 8 {
@@ -462,21 +459,21 @@ func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	}
 
 	// Half an upload: the offer and its first chunk.
-	var blob bytes.Buffer
-	if _, err := fx.bt.BlindRotateKey().WriteTo(&blob); err != nil {
+	blob, crc, err := KeyBlob(fx.bt.Params.Parameters, fx.bt.BlindRotateKey())
+	if err != nil {
 		t.Fatal(err)
 	}
 	const chunk = 16 << 10
 	offer := KeyOffer{
-		TotalSize:  uint64(blob.Len()),
+		TotalSize:  uint64(len(blob)),
 		ChunkSize:  chunk,
-		ChunkCount: uint32((blob.Len() + chunk - 1) / chunk),
-		BlobCRC:    crc32.ChecksumIEEE(blob.Bytes()),
+		ChunkCount: uint32((len(blob) + chunk - 1) / chunk),
+		BlobCRC:    crc,
 	}
 	if r := exchange(&Frame{Kind: FrameKeyOffer, Payload: offer.Encode()}); r.Kind != FrameKeyResume {
 		t.Fatalf("offer answered with frame kind %#x: %s", r.Kind, r.Payload)
 	}
-	if r := exchange(&Frame{Kind: FrameKeyChunk, Payload: blob.Bytes()[:chunk]}); r.Kind != FrameKeyAck {
+	if r := exchange(&Frame{Kind: FrameKeyChunk, Payload: blob[:chunk]}); r.Kind != FrameKeyAck {
 		t.Fatalf("chunk answered with frame kind %#x: %s", r.Kind, r.Payload)
 	}
 
@@ -492,6 +489,14 @@ func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	}
 	if warm(cold) {
 		t.Fatal("a half-uploaded key was installed")
+	}
+	// The job was admitted and then failed for want of a key: it is Failed
+	// only, not a door rejection as well.
+	if got, want := cold.Snapshot().Tenants[PrimaryTenant], (serve.TenantStats{Admitted: 1, Failed: 1}); got != want {
+		t.Fatalf("node ledger %+v, want %+v", got, want)
+	}
+	if n := cold.Metrics().Counter(obs.CounterJobsRejected); n != 0 {
+		t.Fatalf("jobs_rejected = %d for a job that failed after admission", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -124,9 +123,10 @@ func (kr *KeyReceiver) Chunk(idx uint32, data []byte, rec obs.Recorder) (uint32,
 
 // Done checks the reassembled blob against the offer and blobCRC, parses it
 // and checks its dimension. Whatever the outcome, the blob is detached
-// first: a chunk racing the done cannot touch the bytes being parsed, and
-// the next upload starts from a fresh offer — the only sound resume point
-// once the bytes have been judged.
+// first: a chunk racing the done cannot touch the bytes being parsed — nor,
+// afterwards, the key, which is decoded in place and lives in the blob's
+// memory — and the next upload starts from a fresh offer, the only sound
+// resume point once the bytes have been judged.
 func (kr *KeyReceiver) Done(blobCRC uint32) (*tfhe.BlindRotateKey, error) {
 	kr.mu.Lock()
 	buf, o, have := kr.buf, kr.offer, kr.have
@@ -143,7 +143,7 @@ func (kr *KeyReceiver) Done(blobCRC uint32) (*tfhe.BlindRotateKey, error) {
 	if sum := crc32.ChecksumIEEE(buf); sum != o.BlobCRC {
 		return nil, fmt.Errorf("cluster: reassembled key CRC %#x does not match offer %#x", sum, o.BlobCRC)
 	}
-	key, err := tfhe.ReadBlindRotateKey(bytes.NewReader(buf), kr.params, kr.binary)
+	key, err := tfhe.DecodeBlindRotateKey(buf, kr.params, kr.binary)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: streamed key: %w", err)
 	}
@@ -153,8 +153,8 @@ func (kr *KeyReceiver) Done(blobCRC uint32) (*tfhe.BlindRotateKey, error) {
 	return key, nil
 }
 
-// keyBlob lazily serializes the primary's blind-rotate key for streaming.
-// Built once per run and shared by every cold joiner.
+// keyBlobBytes lazily serializes the primary's blind-rotate key for
+// streaming. Built once per run and shared by every cold joiner.
 func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 	rs.keyOnce.Do(func() {
 		brk := p.Boot.BlindRotateKey()
@@ -162,15 +162,19 @@ func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 			rs.keyErr = fmt.Errorf("cluster: primary holds no blind-rotate key to stream")
 			return
 		}
-		var buf bytes.Buffer
-		if _, err := brk.WriteTo(&buf); err != nil {
-			rs.keyErr = err
-			return
-		}
-		rs.keyBlob = buf.Bytes()
-		rs.keyCRC = crc32.ChecksumIEEE(rs.keyBlob)
+		rs.keyBlob, rs.keyCRC, rs.keyErr = KeyBlob(p.Boot.Params.Parameters, brk)
 	})
 	return rs.keyBlob, rs.keyCRC, rs.keyErr
+}
+
+// KeyBlob serializes key into one buffer, sized once from
+// tfhe.BRKBlobBytes, and returns it with its CRC: the blob StreamKey sends.
+func KeyBlob(p *rlwe.Parameters, key *tfhe.BlindRotateKey) ([]byte, uint32, error) {
+	blob, err := key.AppendBinary(make([]byte, 0, tfhe.BRKBlobBytes(p, key.NumKeys(), key.Binary)))
+	if err != nil {
+		return nil, 0, err
+	}
+	return blob, crc32.ChecksumIEEE(blob), nil
 }
 
 // StreamKey pushes a serialized blind-rotate key blob over conn with the

@@ -1,7 +1,6 @@
 package hwsim
 
 import (
-	"bytes"
 	"testing"
 
 	"heap/internal/ring"
@@ -51,11 +50,11 @@ func TestBRKWireBlobMatchesSerializer(t *testing.T) {
 
 		// And against a real key, not just the arithmetic.
 		brk := tfhe.GenBlindRotateKey(kg, kg.GenLWESecretKey(lweDim, c.secret), rsk)
-		var buf bytes.Buffer
-		if _, err := brk.WriteTo(&buf); err != nil {
+		blob, err := brk.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := buf.Len(), int(ps.BRKWireBlobBytes(c.binary)); got != want {
+		if got, want := len(blob), int(ps.BRKWireBlobBytes(c.binary)); got != want {
 			t.Fatalf("binary=%v: serialized BRK is %d bytes, model predicts %d", c.binary, got, want)
 		}
 	}

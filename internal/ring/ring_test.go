@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -364,5 +366,69 @@ func TestSignedToPolyRoundTrip(t *testing.T) {
 		if got := CenteredRep(p[i], r.Mod.Q); got != want {
 			t.Errorf("coefficient %d: got %d want %d", i, got, want)
 		}
+	}
+}
+
+// TestSignedToPolyMatchesBigInt holds SignedToPoly to big.Int's Euclidean
+// remainder on the values at the edges of its fast path — 0, ±1, ±(q−1), ±q,
+// ±2q — and at math.MinInt64 and math.MaxInt64, for a small and a 61-bit
+// modulus. A negative multiple of q must encode as 0, not q.
+func TestSignedToPolyMatchesBigInt(t *testing.T) {
+	for _, q := range []uint64{7681, GenerateNTTPrimes(61, 4, 1)[0]} {
+		r := NewRing(4, q)
+		qi := int64(q)
+		vals := []int64{0, 1, -1, qi - 1, -(qi - 1), qi, -qi, 2 * qi, -2 * qi, qi + 1, -(qi + 1), math.MinInt64, math.MaxInt64}
+		p := make(Poly, len(vals))
+		SignedToPoly(r, vals, p)
+		bq := new(big.Int).SetUint64(q)
+		for i, x := range vals {
+			want := new(big.Int).Mod(big.NewInt(x), bq).Uint64()
+			if p[i] != want {
+				t.Errorf("q=%d: SignedToPoly(%d) = %d, want %d", q, x, p[i], want)
+			}
+		}
+	}
+}
+
+// TestUniformDrawsMatchUint64N holds the open-coded uniform draws to
+// rand.Rand.Uint64N on a twin stream: the same residues and the same stream
+// position after them, for moduli whose rejection threshold is large enough
+// to be hit (just over 2⁶³ and a power of two plus one), an NTT prime and a
+// power of two.
+func TestUniformDrawsMatchUint64N(t *testing.T) {
+	for _, q := range []uint64{1<<63 + 1, 3 << 62, 1<<32 + 1, GenerateNTTPrimes(36, 4, 1)[0], 1 << 20} {
+		s, ref := NewSampler(5), NewSampler(5)
+		r := &Ring{Mod: Modulus{Q: q}}
+		p := make(Poly, 256)
+		s.UniformPoly(r, p)
+		for i, got := range p {
+			if want := ref.rng.Uint64N(q); got != want {
+				t.Fatalf("q=%d: UniformPoly word %d = %d, Uint64N gives %d", q, i, got, want)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if got, want := s.UniformMod(q), ref.rng.Uint64N(q); got != want {
+				t.Fatalf("q=%d: UniformMod draw %d = %d, Uint64N gives %d", q, i, got, want)
+			}
+		}
+		if s.Uint64() != ref.Uint64() {
+			t.Fatalf("q=%d: the streams part after the draws", q)
+		}
+	}
+}
+
+// TestGaussianIntoMatchesGaussianSigned requires the in-place draw to give
+// GaussianSigned's values from the same stream position.
+func TestGaussianIntoMatchesGaussianSigned(t *testing.T) {
+	s, ref := NewSampler(6), NewSampler(6)
+	got := make([]int64, 500)
+	s.GaussianInto(got, DefaultSigma)
+	for i, want := range ref.GaussianSigned(len(got), DefaultSigma) {
+		if got[i] != want {
+			t.Fatalf("sample %d: %d, want %d", i, got[i], want)
+		}
+	}
+	if s.Uint64() != ref.Uint64() {
+		t.Fatal("the streams part after the draws")
 	}
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -15,6 +16,10 @@ const DefaultSigma = 3.2
 // fully deterministic given its seed.
 type Sampler struct {
 	rng *rand.Rand
+	// src is the stream behind rng. The uniform draws call it directly — a
+	// concrete call instead of rng's interface dispatch — and take the same
+	// words in the same order, so both views advance one stream.
+	src *rand.ChaCha8
 }
 
 // NewSampler creates a deterministic sampler from a 64-bit seed.
@@ -26,21 +31,61 @@ func NewSampler(seed uint64) *Sampler {
 		key[i+16] = byte(seed>>(8*i)) ^ 0xa5
 		key[i+24] = byte(seed>>(8*i)) ^ 0xc3
 	}
-	return &Sampler{rng: rand.New(rand.NewChaCha8(key))}
+	src := rand.NewChaCha8(key)
+	return &Sampler{rng: rand.New(src), src: src}
 }
 
 // Uint64 returns a uniform 64-bit value.
 func (s *Sampler) Uint64() uint64 { return s.rng.Uint64() }
 
-// UniformMod returns a uniform value in [0, q).
-func (s *Sampler) UniformMod(q uint64) uint64 { return s.rng.Uint64N(q) }
+// UniformMod returns a uniform value in [0, q), q > 0.
+func (s *Sampler) UniformMod(q uint64) uint64 {
+	if q == 0 {
+		panic("ring: uniform draw modulo 0")
+	}
+	if q&(q-1) == 0 {
+		return s.src.Uint64() & (q - 1)
+	}
+	return s.lemireRetry(q, s.src.Uint64())
+}
 
-// UniformPoly fills p with uniform residues mod q.
+// UniformPoly fills p with uniform residues mod q. It is UniformMod per
+// coefficient with the common case open-coded (a call per word costs ≈ 16 %
+// of the draw, which bounds key generation): a modulus that is not a power
+// of two takes the high word of x·q for a fresh x, redrawing only when the
+// low word falls under 2⁶⁴ mod q — exactly rand.Rand.Uint64N (Lemire's
+// method), word for word, so the stream and the residues are the ones
+// Uint64N would give.
 func (s *Sampler) UniformPoly(r *Ring, p Poly) {
 	q := r.Mod.Q
-	for i := range p {
-		p[i] = s.rng.Uint64N(q)
+	if q&(q-1) == 0 {
+		for i := range p {
+			p[i] = s.src.Uint64() & (q - 1)
+		}
+		return
 	}
+	for i := range p {
+		x := s.src.Uint64()
+		hi, lo := bits.Mul64(x, q)
+		if lo < q {
+			hi = s.lemireRetry(q, x)
+		}
+		p[i] = hi
+	}
+}
+
+// lemireRetry finishes rand.Rand.Uint64N(q) for a modulus that is not a power
+// of two, from its first draw x: the high word of x·q, unless the low word
+// lies under the rejection threshold 2⁶⁴ mod q, in which case it draws again.
+func (s *Sampler) lemireRetry(q, x uint64) uint64 {
+	hi, lo := bits.Mul64(x, q)
+	if lo < q {
+		thresh := -q % q
+		for lo < thresh {
+			hi, lo = bits.Mul64(s.src.Uint64(), q)
+		}
+	}
+	return hi
 }
 
 // TernarySigned returns a length-n uniform ternary secret as signed values:
@@ -79,6 +124,13 @@ func (s *Sampler) BinarySigned(n int) []int64 {
 // deviation sigma, truncated at 6 sigma.
 func (s *Sampler) GaussianSigned(n int, sigma float64) []int64 {
 	out := make([]int64, n)
+	s.GaussianInto(out, sigma)
+	return out
+}
+
+// GaussianInto fills out with the samples GaussianSigned(len(out), sigma)
+// would return, drawing the same words.
+func (s *Sampler) GaussianInto(out []int64, sigma float64) {
 	bound := int64(math.Ceil(6 * sigma))
 	for i := range out {
 		for {
@@ -89,20 +141,34 @@ func (s *Sampler) GaussianSigned(n int, sigma float64) []int64 {
 			}
 		}
 	}
-	return out
 }
 
-// SignedToPoly encodes a signed integer vector into residues mod q.
+// SignedToPoly encodes a signed integer vector into residues mod q. A value
+// with |x| < q — every error, secret and message coefficient this tree
+// encodes — converts without a division or a branch on its sign: x, plus q
+// when x is negative. Only a value outside (−q, q) takes the remainder.
 func SignedToPoly(r *Ring, v []int64, p Poly) {
 	q := r.Mod.Q
-	for i := range p {
-		x := v[i]
-		if x >= 0 {
-			p[i] = uint64(x) % q
-		} else {
-			p[i] = q - uint64(-x)%q
+	v = v[:len(p)]
+	for i, x := range v {
+		u := uint64(x) + q&uint64(x>>63)
+		if u >= q {
+			u = signedMod(x, q)
 		}
+		p[i] = u
 	}
+}
+
+// signedMod returns x mod q in [0, q) for any x, math.MinInt64 included
+// (whose negation wraps to itself, 2⁶³ as an unsigned magnitude).
+func signedMod(x int64, q uint64) uint64 {
+	if x >= 0 {
+		return uint64(x) % q
+	}
+	if m := uint64(-x) % q; m != 0 {
+		return q - m
+	}
+	return 0
 }
 
 // CenteredRep returns the signed representative of x mod q in (-q/2, q/2].

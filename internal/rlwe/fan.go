@@ -39,7 +39,17 @@ const minFanDegree = 1 << 10
 //
 // A task that panics stops the claiming; once every goroutine has finished,
 // the first panic value is raised again on the caller.
-func fan(width, n int, task func(w, i int)) {
+func fan(width, n int, task func(w, i int)) { startFan(width, n, task).wait() }
+
+// startFan is fan without the wait: it deals the tasks and returns at once,
+// so the caller can do other work — key generation draws the next row's
+// randomness — before it blocks in wait. The caller keeps its processor
+// meanwhile, so the last lane it started waits in that processor's runnext
+// slot until another processor steals it or the caller blocks; the lanes
+// claim tasks, so the ones already running take the work. With width ≤ 1 (or
+// a single task) the tasks run on the caller before it returns, and the
+// handle is nil.
+func startFan(width, n int, task func(w, i int)) *fanout {
 	if width > n {
 		width = n
 	}
@@ -47,12 +57,21 @@ func fan(width, n int, task func(w, i int)) {
 		for i := 0; i < n; i++ {
 			task(0, i)
 		}
-		return
+		return nil
 	}
 	f := &fanout{n: n, task: task}
 	f.wg.Add(width)
 	for w := 0; w < width; w++ {
 		go f.lane(w)
+	}
+	return f
+}
+
+// wait blocks until every lane of the fan has finished and raises the first
+// task panic again; on a nil fan (one that ran inline) it returns at once.
+func (f *fanout) wait() {
+	if f == nil {
+		return
 	}
 	f.wg.Wait()
 	if f.failure != nil {

@@ -1,6 +1,8 @@
 package rlwe
 
 import (
+	"math/big"
+
 	"heap/internal/ring"
 	"heap/internal/rns"
 )
@@ -38,11 +40,22 @@ type LWESecretKey struct {
 type KeyGenerator struct {
 	params  *Parameters
 	sampler *ring.Sampler
+	// factors[j][i] is gadget digit j's factor (GadgetFactors) modulo QP
+	// limb i.
+	factors [][]uint64
 }
 
 // NewKeyGenerator returns a key generator bound to the parameters and seed.
 func NewKeyGenerator(params *Parameters, seed uint64) *KeyGenerator {
-	return &KeyGenerator{params: params, sampler: ring.NewSampler(seed)}
+	kg := &KeyGenerator{params: params, sampler: ring.NewSampler(seed)}
+	for _, f := range params.GadgetFactors() {
+		row := make([]uint64, params.QPBasis.Level())
+		for i, r := range params.QPBasis.Rings {
+			row[i] = new(big.Int).Mod(f, new(big.Int).SetUint64(r.Mod.Q)).Uint64()
+		}
+		kg.factors = append(kg.factors, row)
+	}
+	return kg
 }
 
 // GenSecretKey samples a fresh RLWE secret with the given distribution.

@@ -117,6 +117,7 @@ func GenLWEKeySwitchKey(sFrom, sTo []int64, q uint64, logBase int, sampler *ring
 		NFrom:   len(sFrom),
 		NTo:     len(sTo),
 	}
+	var e [1]int64
 	for i := range sFrom {
 		pow := uint64(1)
 		for j := 0; j < digits; j++ {
@@ -127,8 +128,8 @@ func GenLWEKeySwitchKey(sFrom, sTo []int64, q uint64, logBase int, sampler *ring
 			}
 			// b = m + e − ⟨a, sTo⟩
 			msg := mulModU(signedModU(sFrom[i], q), pow%q, q)
-			e := sampler.GaussianSigned(1, sigma)[0]
-			acc := addModU(msg, signedModU(e, q), q)
+			sampler.GaussianInto(e[:], sigma)
+			acc := addModU(msg, signedModU(e[0], q), q)
 			for t, at := range a {
 				switch sTo[t] {
 				case 1:

@@ -20,10 +20,13 @@ type PackingKeys struct {
 // pack any power-of-two count of ciphertexts: log₂(count) merge steps plus
 // log₂(N/count) trailing trace steps.
 func (kg *KeyGenerator) GenPackingKeys(sk *SecretKey) *PackingKeys {
-	pk := &PackingKeys{Keys: make(map[uint64]*GadgetCiphertext)}
+	var gs []uint64
 	for step := 2; step <= kg.params.N(); step <<= 1 {
-		g := uint64(step + 1) // automorphism X → X^{2^ℓ+1}
-		pk.Keys[g] = kg.GenGaloisKey(g, sk)
+		gs = append(gs, uint64(step+1)) // automorphism X → X^{2^ℓ+1}
+	}
+	pk := &PackingKeys{Keys: make(map[uint64]*GadgetCiphertext, len(gs))}
+	for k, key := range kg.GenGaloisKeys(gs, sk) {
+		pk.Keys[gs[k]] = key
 	}
 	return pk
 }

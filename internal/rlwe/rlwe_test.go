@@ -236,7 +236,9 @@ func TestExternalProductByMonomial(t *testing.T) {
 	mv[k] = 1
 	qp.SetSigned(mv, mono)
 	qp.NTT(mono)
-	rgsw := kg.GenRGSW(mono, sk)
+	monoS := qp.NewPoly()
+	qp.MulCoeffs(mono, sk.NTTQP, monoS)
+	rgsw := &RGSWCiphertext{C0: kg.GenGadgetCiphertext(mono, sk), C1: kg.GenGadgetCiphertext(monoS, sk)}
 	out := ks.ExternalProduct(ct, rgsw)
 
 	want := make([]int64, p.N())

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 	"sync"
 	"time"
@@ -62,14 +60,13 @@ func (c *Client) UploadKey(chunkBytes int, timeout time.Duration) error {
 	if brk == nil {
 		return errors.New("serve: client bootstrapper holds no blind-rotate key")
 	}
-	var buf bytes.Buffer
-	if _, err := brk.WriteTo(&buf); err != nil {
+	blob, crc, err := cluster.KeyBlob(c.boot.Params.Parameters, brk)
+	if err != nil {
 		return err
 	}
-	blob := buf.Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return cluster.StreamKey(c.conn, blob, crc32.ChecksumIEEE(blob), chunkBytes, timeout, c.rec)
+	return cluster.StreamKey(c.conn, blob, crc, chunkBytes, timeout, c.rec)
 }
 
 // Rotate submits one job of prepared LWE ciphertexts and blocks until every

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,11 +30,10 @@ type stashFixture struct {
 func buildStashFixture(t *testing.T, seed uint64, chunkSize uint32) (*rlwe.Parameters, stashFixture) {
 	t.Helper()
 	_, _, bt := buildBoot(t, seed, false)
-	var buf bytes.Buffer
-	if _, err := bt.BlindRotateKey().WriteTo(&buf); err != nil {
+	blob, err := bt.BlindRotateKey().AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
 	count := (uint32(len(blob)) + chunkSize - 1) / chunkSize
 	return bt.Params.Parameters, stashFixture{
 		blob: blob,
@@ -255,7 +253,7 @@ func TestRegistryEvictionNeverEvictsPinned(t *testing.T) {
 }
 
 func readKey(params *rlwe.Parameters, fx stashFixture) (*tfhe.BlindRotateKey, error) {
-	return tfhe.ReadBlindRotateKey(bytes.NewReader(fx.blob), params, fx.binary)
+	return tfhe.DecodeBlindRotateKey(fx.blob, params, fx.binary)
 }
 
 // TestServiceKeyChurnUnderLoad runs the whole stack against a registry that

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/cmplx"
@@ -589,9 +590,11 @@ func TestServiceMultiWorkerTilesReassemble(t *testing.T) {
 	}
 }
 
-// TestMetricsHandlerServesSnapshot exercises the /metrics endpoint shape.
+// TestMetricsHandlerServesSnapshot exercises the /metrics endpoint shape, and
+// that key_bytes is the registry's resident bytes — the warm key NewServer
+// registered, the sum of the per-tenant entries.
 func TestMetricsHandlerServesSnapshot(t *testing.T) {
-	_, _, serverBt := buildBoot(t, 50, true)
+	_, _, serverBt := buildBoot(t, 50, false)
 	srv := NewServer(serverBt, Config{})
 	rr := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -602,9 +605,20 @@ func TestMetricsHandlerServesSnapshot(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	body := rr.Body.String()
-	for _, want := range []string{`"server"`, `"tenants"`, `"registry"`, `"queue_depth"`, `"ewma_batch_ms"`, `"queue_wait_ms"`, `"batch_ms"`, `"p99_ms"`} {
+	for _, want := range []string{`"server"`, `"tenants"`, `"registry"`, `"key_bytes"`, `"queue_depth"`, `"ewma_batch_ms"`, `"queue_wait_ms"`, `"batch_ms"`, `"p99_ms"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics body missing %s:\n%s", want, body)
 		}
+	}
+	var snap ServiceSnapshot
+	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, e := range snap.Registry {
+		sum += e.Bytes
+	}
+	if want := int64(serverBt.BlindRotateKey().SizeBytes()); snap.KeyBytes != want || sum != want {
+		t.Fatalf("key_bytes %d, registry entries sum to %d, want the warm key's %d", snap.KeyBytes, sum, want)
 	}
 }

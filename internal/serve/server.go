@@ -325,14 +325,20 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 	}
 }
 
-// reject refuses one job non-fatally: the connection stays usable and the
-// client sees the reason.
+// reject refuses one job non-fatally and counts it as Rejected: the
+// connection stays usable and the client sees the reason.
 func (s *Server) reject(cw *connWriter, tenant string, jobID uint32, reason error) {
 	s.rec.Add(obs.CounterJobsRejected, 1)
 	ts := s.stats(tenant)
 	s.mu.Lock()
 	ts.Rejected++
 	s.mu.Unlock()
+	sendRejection(cw, jobID, reason)
+}
+
+// sendRejection writes a job's rejection frame, with no count: the caller has
+// already put the job in the ledger.
+func sendRejection(cw *connWriter, jobID uint32, reason error) {
 	_ = cluster.WriteFrame(cw, &cluster.Frame{
 		Kind:    cluster.FrameRejected,
 		Shard:   jobID,
@@ -418,8 +424,10 @@ func (s *Server) execBatch(jobs []*job) {
 		s.mu.Lock()
 		ts.Failed += uint64(len(live))
 		s.mu.Unlock()
+		// An admitted job the key cannot serve failed; it was not refused
+		// at the door, so it is not Rejected too.
 		for _, j := range live {
-			s.reject(j.cw, tenant, j.id, err)
+			sendRejection(j.cw, j.id, err)
 		}
 		return
 	}
@@ -544,11 +552,14 @@ func (s *Server) jobFailed(ts *TenantStats) {
 // ServiceSnapshot is the /metrics JSON document: the obs aggregate plus the
 // per-tenant ledgers and the resident registry.
 type ServiceSnapshot struct {
-	Server      obs.Snapshot           `json:"server"`
-	Tenants     map[string]TenantStats `json:"tenants"`
-	Registry    []TenantKey            `json:"registry"`
-	QueueDepth  int                    `json:"queue_depth"`
-	EWMABatchMs float64                `json:"ewma_batch_ms"`
+	Server   obs.Snapshot           `json:"server"`
+	Tenants  map[string]TenantStats `json:"tenants"`
+	Registry []TenantKey            `json:"registry"`
+	// KeyBytes is the registry's resident key bytes (Registry.Bytes): the
+	// sum of Registry's entries, the figure its byte budget is held to.
+	KeyBytes    int64   `json:"key_bytes"`
+	QueueDepth  int     `json:"queue_depth"`
+	EWMABatchMs float64 `json:"ewma_batch_ms"`
 	// QueueWaitMs is admit → dispatch, one observation per admitted job
 	// (served, expired or failed alike: count = jobs_admitted at quiesce).
 	// BatchMs is dispatch → last frame written, one per executed batch.
@@ -569,6 +580,7 @@ func (s *Server) Snapshot() ServiceSnapshot {
 		Server:      s.met.Snapshot(),
 		Tenants:     tenants,
 		Registry:    s.reg.Resident(),
+		KeyBytes:    s.reg.Bytes(),
 		QueueDepth:  s.adm.depth(),
 		EWMABatchMs: ewma,
 		QueueWaitMs: s.queueWait.Summary(),

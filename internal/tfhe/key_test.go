@@ -1,6 +1,7 @@
 package tfhe
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -158,5 +159,31 @@ func TestCheckShape(t *testing.T) {
 		if err := c.key.CheckShape(); (err == nil) != c.ok {
 			t.Errorf("%s: CheckShape = %v, want ok=%v", c.name, err, c.ok)
 		}
+	}
+}
+
+// TestGenBlindRotateKeyMatchesPerIndexRows: the key, generated as one
+// pipeline of rows, is the one index-by-index GenRGSWConstant calls (Plus,
+// then Minus for a ternary key) draw from the same seed, byte for byte, at a
+// ring whose key generation fans out.
+func TestGenBlindRotateKeyMatchesPerIndexRows(t *testing.T) {
+	p := rlwe.MustParameters(10, ring.GenerateNTTPrimes(36, 10, 2), ring.GenerateNTTPrimesUp(37, 10, 1), ring.DefaultSigma, 2)
+	for _, secret := range []rlwe.SecretDist{rlwe.SecretBinary, rlwe.SecretTernary} {
+		t.Run(secretName(secret), func(t *testing.T) {
+			kg, ref := rlwe.NewKeyGenerator(p, 62), rlwe.NewKeyGenerator(p, 62)
+			rsk, refSK := kg.GenSecretKey(rlwe.SecretTernary), ref.GenSecretKey(rlwe.SecretTernary)
+			lwe := kg.GenLWESecretKey(4, secret)
+			ref.GenLWESecretKey(4, secret)
+			want := &BlindRotateKey{Binary: secret == rlwe.SecretBinary}
+			for _, s := range lwe.Signed {
+				want.Plus = append(want.Plus, ref.GenRGSWConstant(max(s, 0), refSK))
+				if !want.Binary {
+					want.Minus = append(want.Minus, ref.GenRGSWConstant(max(-s, 0), refSK))
+				}
+			}
+			if !bytes.Equal(blob(t, GenBlindRotateKey(kg, lwe, rsk)), blob(t, want)) {
+				t.Fatal("the pipelined key differs from the per-index rows")
+			}
+		})
 	}
 }

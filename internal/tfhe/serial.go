@@ -51,44 +51,39 @@ func BRKBlobBytes(p *rlwe.Parameters, n int, binary bool) int {
 	return brkHeaderSize + n*BRKRecordBytes(p, binary)
 }
 
-// WriteTo serializes the key: header, then one fixed-size record per index.
-func (k *BlindRotateKey) WriteTo(w io.Writer) (int64, error) {
+// AppendBinary appends the key's blob to b in one pass: the header, then one
+// fixed-size record per index. A key stream encodes it straight into a
+// buffer sized once from BRKBlobBytes (cluster.KeyBlob).
+func (k *BlindRotateKey) AppendBinary(b []byte) ([]byte, error) {
 	if err := k.CheckShape(); err != nil {
-		return 0, err
+		return b, err
 	}
 	var bin uint64
 	if k.Binary {
 		bin = 1
 	}
-	hdr := []uint64{magicBRK | brkFormatVersion<<32, uint64(len(k.Plus)), bin}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return 0, err
+	for _, v := range []uint64{magicBRK | brkFormatVersion<<32, uint64(len(k.Plus)), bin} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	n := int64(brkHeaderSize)
-	for i := range k.Plus {
-		m, err := k.Plus[i].WriteTo(w)
-		n += m
-		if err != nil {
-			return n, err
-		}
-		if k.Binary {
-			continue
-		}
-		m, err = k.Minus[i].WriteTo(w)
-		n += m
-		if err != nil {
-			return n, err
+	var err error
+	for i := 0; err == nil && i < len(k.Plus); i++ {
+		b, err = k.Plus[i].AppendBinary(b)
+		if err == nil && !k.Binary {
+			b, err = k.Minus[i].AppendBinary(b)
 		}
 	}
-	return n, nil
+	return b, err
 }
 
-// readBRKHeader reads and validates the blob header, returning the key
-// count and binary flag.
-func readBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
-	hdr := make([]uint64, 3)
-	if err := binary.Read(r, binary.LittleEndian, hdr); err != nil {
-		return 0, false, err
+// decodeBRKHeader validates the blob header, returning the key count and
+// binary flag.
+func decodeBRKHeader(blob []byte) (numKeys int, isBinary bool, err error) {
+	if len(blob) < brkHeaderSize {
+		return 0, false, io.ErrUnexpectedEOF
+	}
+	var hdr [3]uint64
+	for i := range hdr {
+		hdr[i] = binary.LittleEndian.Uint64(blob[8*i:])
 	}
 	if uint32(hdr[0]) != magicBRK {
 		return 0, false, fmt.Errorf("tfhe: bad blind-rotate key magic %x", uint32(hdr[0]))
@@ -108,31 +103,17 @@ func readBRKHeader(r io.Reader) (numKeys int, isBinary bool, err error) {
 	return int(hdr[1]), hdr[2] == 1, nil
 }
 
-// readBRKRecord deserializes one key index's record: the Plus RGSW
-// ciphertext, and for a ternary key the Minus one (nil for a binary key).
-func readBRKRecord(r io.Reader, p *rlwe.Parameters, binary bool) (plus, minus *rlwe.RGSWCiphertext, err error) {
-	plus, err = rlwe.ReadRGSWCiphertext(r, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if binary {
-		return plus, nil, nil
-	}
-	minus, err = rlwe.ReadRGSWCiphertext(r, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plus, minus, nil
-}
-
-// ReadBlindRotateKey deserializes a complete key of the kind the caller
-// expects (binary or ternary, from its own configuration): a blob whose
-// header flag says otherwise is refused, since its records would parse as
-// the wrong rows. The rows slices grow with the records actually read, so a
-// header announcing more keys than the input holds costs no more memory than
-// the records that follow it.
-func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters, binary bool) (*BlindRotateKey, error) {
-	n, bin, err := readBRKHeader(r)
+// DecodeBlindRotateKey decodes a complete key of the kind the caller expects
+// (binary or ternary, from its own configuration) from the front of blob: a
+// blob whose header flag says otherwise is refused, since its records would
+// parse as the wrong rows. The rows are blob's own bytes where the host
+// allows (rlwe.DecodeGadgetCiphertext), so a received key lives in the
+// memory it arrived in, and blob must not change while the key is in use.
+// The rows slices grow with the records actually decoded, so a header
+// announcing more keys than the input holds costs no more memory than the
+// records that follow it.
+func DecodeBlindRotateKey(blob []byte, p *rlwe.Parameters, binary bool) (*BlindRotateKey, error) {
+	n, bin, err := decodeBRKHeader(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +121,13 @@ func ReadBlindRotateKey(r io.Reader, p *rlwe.Parameters, binary bool) (*BlindRot
 		return nil, fmt.Errorf("tfhe: blob holds a key with binary=%v, want binary=%v", bin, binary)
 	}
 	k := &BlindRotateKey{Binary: bin}
+	rest := blob[brkHeaderSize:]
 	for i := 0; i < n; i++ {
-		plus, minus, err := readBRKRecord(r, p, bin)
+		var plus, minus *rlwe.RGSWCiphertext
+		plus, rest, err = rlwe.DecodeRGSWCiphertext(rest, p)
+		if err == nil && !bin {
+			minus, rest, err = rlwe.DecodeRGSWCiphertext(rest, p)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tfhe: blind-rotate key record %d: %w", i, err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/rns"
 )
 
 // The blind-rotate key blob is what the cluster streams to cold nodes and
@@ -44,11 +45,11 @@ func brkSerial(t testing.TB) (*rlwe.Parameters, *BlindRotateKey, *BlindRotateKey
 
 func blob(t testing.TB, k *BlindRotateKey) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := k.WriteTo(&buf); err != nil {
+	b, err := k.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // brkSeeds are the committed seeds of FuzzReadBlindRotateKey, by corpus file
@@ -93,7 +94,7 @@ func TestBRKBlobRoundTripsPerKind(t *testing.T) {
 		if len(b) != BRKBlobBytes(p, k.NumKeys(), k.Binary) {
 			t.Fatalf("binary=%v: blob is %d bytes, BRKBlobBytes says %d", k.Binary, len(b), BRKBlobBytes(p, k.NumKeys(), k.Binary))
 		}
-		got, err := ReadBlindRotateKey(bytes.NewReader(b), p, k.Binary)
+		got, err := DecodeBlindRotateKey(b, p, k.Binary)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +104,65 @@ func TestBRKBlobRoundTripsPerKind(t *testing.T) {
 		if !bytes.Equal(blob(t, got), b) {
 			t.Fatalf("binary=%v: round trip changed the blob", k.Binary)
 		}
-		if _, err := ReadBlindRotateKey(bytes.NewReader(b), p, !k.Binary); err == nil || !strings.Contains(err.Error(), "want binary") {
+		if _, err := DecodeBlindRotateKey(b, p, !k.Binary); err == nil || !strings.Contains(err.Error(), "want binary") {
 			t.Fatalf("binary=%v blob read as the other kind: %v", k.Binary, err)
 		}
 	}
-	if _, err := (&BlindRotateKey{Plus: bin.Plus, Minus: ter.Minus, Binary: true}).WriteTo(&bytes.Buffer{}); err == nil {
+	if _, err := (&BlindRotateKey{Plus: bin.Plus, Minus: ter.Minus, Binary: true}).AppendBinary(nil); err == nil {
 		t.Fatal("a binary key with Minus rows was serialized")
+	}
+}
+
+// retiredBRKBlob is the blob as the binary.Write encoders wrote it before the
+// one-pass serializers: the header, then each record's gadget ciphertexts,
+// header and limbs one binary.Write at a time.
+func retiredBRKBlob(k *BlindRotateKey) []byte {
+	var w bytes.Buffer
+	bin := uint64(0)
+	if k.Binary {
+		bin = 1
+	}
+	_ = binary.Write(&w, binary.LittleEndian, []uint64{magicBRK | brkFormatVersion<<32, uint64(k.NumKeys()), bin})
+	gadget := func(g *rlwe.GadgetCiphertext) {
+		limbs := g.B[0].Level()
+		_ = binary.Write(&w, binary.LittleEndian, []uint64{0x48454147, uint64(len(g.B)), uint64(limbs), uint64(len(g.B[0].Limbs[0]))})
+		for j := range g.B {
+			for _, poly := range []rns.Poly{g.B[j], g.A[j]} {
+				for i := 0; i < limbs; i++ {
+					_ = binary.Write(&w, binary.LittleEndian, []uint64(poly.Limbs[i]))
+				}
+			}
+		}
+	}
+	for i := range k.Plus {
+		gadget(k.Plus[i].C0)
+		gadget(k.Plus[i].C1)
+		if !k.Binary {
+			gadget(k.Minus[i].C0)
+			gadget(k.Minus[i].C1)
+		}
+	}
+	return w.Bytes()
+}
+
+// TestBRKBlobMatchesRetiredEncoder: AppendBinary appends the retired
+// encoder's bytes for a binary and a ternary key, at the fuzz
+// fixture's one-digit ring and at a two-digit, four-limb one.
+func TestBRKBlobMatchesRetiredEncoder(t *testing.T) {
+	_, bin, ter := brkSerial(t)
+	p := testParams(t)
+	kg := rlwe.NewKeyGenerator(p, 61)
+	rsk := kg.GenSecretKey(rlwe.SecretTernary)
+	keys := []*BlindRotateKey{bin, ter,
+		GenBlindRotateKey(kg, kg.GenLWESecretKey(3, rlwe.SecretBinary), rsk),
+		GenBlindRotateKey(kg, kg.GenLWESecretKey(3, rlwe.SecretTernary), rsk)}
+	for i, k := range keys {
+		want := retiredBRKBlob(k)
+		prefix := []byte("prefix")
+		got, err := k.AppendBinary(prefix)
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("key %d (binary=%v): AppendBinary appended %d bytes unlike the retired encoder's %d (%v)", i, k.Binary, len(got)-len(prefix), len(want), err)
+		}
 	}
 }
 
@@ -118,8 +172,8 @@ func TestBRKBlobRoundTripsPerKind(t *testing.T) {
 func TestBRKSeedsAreRefused(t *testing.T) {
 	p, _, _ := brkSerial(t)
 	for name, seed := range brkSeeds(t) {
-		_, errBin := ReadBlindRotateKey(bytes.NewReader(seed.data), p, true)
-		_, errTer := ReadBlindRotateKey(bytes.NewReader(seed.data), p, false)
+		_, errBin := DecodeBlindRotateKey(seed.data, p, true)
+		_, errTer := DecodeBlindRotateKey(seed.data, p, false)
 		switch {
 		case seed.refusal == "":
 			if (errBin == nil) == (errTer == nil) {
@@ -151,7 +205,7 @@ func TestReadBlindRotateKeyAllocatesWhatArrives(t *testing.T) {
 	b = b[:brkHeaderSize+BRKRecordBytes(p, true)]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadBlindRotateKey(bytes.NewReader(b), p, true)
+	_, err := DecodeBlindRotateKey(b, p, true)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "record 1") {
 		t.Fatalf("truncated blob: %v", err)
@@ -168,7 +222,7 @@ func FuzzReadBlindRotateKey(f *testing.F) {
 	p, _, _ := brkSerial(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []bool{true, false} {
-			k, err := ReadBlindRotateKey(bytes.NewReader(data), p, kind)
+			k, err := DecodeBlindRotateKey(data, p, kind)
 			if err != nil {
 				continue
 			}

@@ -43,14 +43,25 @@ func GenBlindRotateKey(kg *rlwe.KeyGenerator, lweSK *rlwe.LWESecretKey, rsk *rlw
 	if !brk.Binary {
 		brk.Minus = make([]*rlwe.RGSWCiphertext, n)
 	}
-	for i, s := range lweSK.Signed {
+	// One list of constants in draw order — index by index, Plus then Minus
+	// — so the whole key is one pipeline of rows.
+	ms := make([]int64, 0, 2*n)
+	for _, s := range lweSK.Signed {
 		if s < -1 || s > 1 || brk.Binary && s == -1 {
 			panic(fmt.Sprintf("tfhe: LWE secret coefficient %d does not fit its distribution (binary=%v)", s, brk.Binary))
 		}
-		brk.Plus[i] = kg.GenRGSWConstant(max(s, 0), rsk)
+		ms = append(ms, max(s, 0))
 		if !brk.Binary {
-			brk.Minus[i] = kg.GenRGSWConstant(max(-s, 0), rsk)
+			ms = append(ms, max(-s, 0))
 		}
+	}
+	rows := kg.GenRGSWConstants(ms, rsk)
+	if brk.Binary {
+		copy(brk.Plus, rows)
+		return brk
+	}
+	for i := range brk.Plus {
+		brk.Plus[i], brk.Minus[i] = rows[2*i], rows[2*i+1]
 	}
 	return brk
 }
@@ -124,19 +135,21 @@ func NewLUTFromBig(p *rlwe.Parameters, level int, g func(u int) *big.Int) *Looku
 	f := b.NewPoly()
 	// Mapping derived from (f·X^u)_0 in Z[X]/(X^N+1):
 	//   f_0 = g(0);  f_j = g(−j) for 1 ≤ j ≤ N/2;  f_j = −g(N−j) for j > N/2.
-	for i := 0; i < level; i++ {
-		q := new(big.Int).SetUint64(b.Rings[i].Mod.Q)
-		set := func(j int, v *big.Int) {
-			r := new(big.Int).Mod(v, q)
-			f.Limbs[i][j] = r.Uint64()
+	// g is called once per coefficient and its value reduced into every limb.
+	qs := make([]*big.Int, level)
+	for i := range qs {
+		qs[i] = new(big.Int).SetUint64(b.Rings[i].Mod.Q)
+	}
+	r := new(big.Int)
+	for j := 0; j < n; j++ {
+		var v *big.Int
+		if j <= n/2 {
+			v = g(-j)
+		} else {
+			v = new(big.Int).Neg(g(n - j))
 		}
-		set(0, g(0))
-		for j := 1; j <= n/2; j++ {
-			set(j, g(-j))
-		}
-		neg := new(big.Int)
-		for j := n/2 + 1; j < n; j++ {
-			set(j, neg.Neg(g(n-j)))
+		for i, q := range qs {
+			f.Limbs[i][j] = r.Mod(v, q).Uint64()
 		}
 	}
 	return &LookupTable{Poly: f, Level: level}
