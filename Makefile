@@ -51,8 +51,10 @@ bench-module:
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
 # frames, join/leave churn (a joiner's ack reaches it before the run's first
-# batch, however late the ack is written), kill-mid-key-upload resume, hedged
-# dispatch, the queue's task and batch sizing and the cluster-members gauge.
+# batch, however late the ack is written), kill-mid-key-upload resume, the
+# progress deadline that cuts a wedged or slow node (TestStalledNodeIsCut,
+# TestSlowNodeIsCut), the queue's task and batch sizing and the
+# cluster-members gauge.
 # Every scenario checks the distributed result bit-exact against a local
 # bootstrap and asserts no goroutine leaks. Every node is a serve.Server, so
 # the key-cold cases hold the one key-stream receiver to key-done: a cold node
@@ -64,7 +66,7 @@ bench-module:
 # fails a reply stream whose seq numbers or batch-end count do not add up.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestSlowNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
 	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame|TestClientChecksReplyStream|TestServiceCoalescedJobFailsAlone|TestServiceLoneJobGoneStopsBatch'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each

@@ -3,8 +3,11 @@ package heap
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -46,6 +49,16 @@ var apiAllowlist = map[string]string{
 	"rlwe.KeySwitcher.SwitchPolyInto":      "counterfactual: the plain key switch BenchmarkAblationGadget measures",
 	"ckks.BootstrapRotations":              "counterfactual: the conventional bootstrap BenchmarkTable8SchemeSwitchSplit measures",
 	"ckks.DefaultBootstrapConfig":          "counterfactual: the conventional bootstrap BenchmarkTable8SchemeSwitchSplit measures",
+	"ckks.NewBootstrapper":                 "counterfactual: the conventional bootstrap BenchmarkTable8SchemeSwitchSplit measures",
+	"ckks.Bootstrapper.Bootstrap":          "counterfactual: the conventional bootstrap BenchmarkTable8SchemeSwitchSplit measures",
+	"ckks.Evaluator.Mul":                   "ckks-op: the unrelinearized product, one of the scheme's primitive operations",
+	"ckks.Evaluator.Neg":                   "ckks-op: negation, one of the scheme's primitive operations",
+	"ckks.Client.Encrypt":                  "test-helper: the ckks tests and the root benchmarks encrypt at the top level with it",
+	"obs.Trace.PipelineTotalMs":            "test-helper: the obs, core and cluster trace tests sum the pipeline spans with it",
+	"ring.Sampler.Uint64":                  "test-helper: the ring and rns tests draw raw words with it",
+	"rlwe.MustParameters":                  "test-helper: the rlwe tests and the root benchmarks build parameter sets with it",
+	"rns.Basis.Equal":                      "test-helper: the rlwe and cluster tests compare polynomials with it",
+	"serve.Server.Metrics":                 "test-helper: the serve and cluster tests read a node's counters with it",
 	"obs.ParseTrace":                       "test-helper: the cluster and core trace tests decode traces with it",
 	"obs.Metrics.GaugeValue":               "test-helper: the serve, cluster and core tests read gauges with it",
 	"rlwe.LWESecretKey.HammingWeight":      "test-helper: the rlwe and tfhe tests measure secret density with it",
@@ -73,59 +86,114 @@ var apiAllowKinds = []string{
 
 // apiExport is one exported top-level declaration of internal/.
 type apiExport struct {
-	key  string // pkg.Name or pkg.Type.Method
-	name string // the identifier a caller spells
-	pos  string // file:line of the declaration
+	key string       // pkg.Name or pkg.Type.Method
+	obj types.Object // the declared object
+	pos string       // file:line of the declaration
 }
 
 // apiScan is the result of one pass over a tree: the exports of internal/,
-// the packages they were collected from, and every identifier name that a
-// production file spells outside a declaration of its own.
+// the packages they were collected from, and every object that a production
+// file uses.
 type apiScan struct {
 	exports  []apiExport
 	packages map[string]bool // directories under internal/ holding non-test Go
-	refs     map[string]bool
+	used     map[types.Object]bool
 }
 
-// scanAPI parses every non-test .go file under root's internal/, cmd/,
-// examples/ and bench/ directories and root/heap.go, skipping testdata/ and
-// dot-directories. Build tags are ignored: a file for another platform
-// still calls what it names.
-func scanAPI(root string) (*apiScan, error) {
-	s := &apiScan{packages: map[string]bool{}, refs: map[string]bool{}}
-	fset := token.NewFileSet()
+// apiImporter type-checks the packages of one module tree from source — the
+// non-test files that build on this platform — and takes the standard
+// library from the toolchain's export data. A package of module path mod
+// lives at root/<rest of its import path>; heapmark's bench/ module is thus
+// found under the root too.
+type apiImporter struct {
+	fset *token.FileSet
+	root string
+	mod  string
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*types.Package
+}
+
+func (im *apiImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := im.pkgs[path]; ok {
+		return pkg, nil
+	}
+	rel, ok := strings.CutPrefix(path, im.mod)
+	if !ok || rel != "" && rel[0] != '/' {
+		return im.std.Import(path)
+	}
+	dir := filepath.Join(im.root, filepath.FromSlash(strings.TrimPrefix(rel, "/")))
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
 	var files []*ast.File
-	var inInternal []bool
-	parse := func(path string) error {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		files = append(files, f)
-		rel, _ := filepath.Rel(root, path)
-		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
-		inInternal = append(inInternal, internal)
-		if internal {
-			s.packages[filepath.ToSlash(filepath.Dir(rel))] = true
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// scanAPI type-checks every package with non-test Go files under root's
+// internal/, cmd/, examples/ and bench/ directories, and the root package,
+// skipping testdata/ and dot-directories. The module path is read from
+// root/go.mod.
+func scanAPI(root string) (*apiScan, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	mod := modfile(gomod)
+	fset := token.NewFileSet()
+	im := &apiImporter{
+		fset: fset, root: root, mod: mod, std: importer.ForCompiler(fset, "gc", nil),
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+		pkgs: map[string]*types.Package{},
+	}
+	s := &apiScan{packages: map[string]bool{}, used: map[types.Object]bool{}}
+	var internal []string // import paths of the packages under internal/
+	check := func(dir string) error {
+		rel, _ := filepath.Rel(root, dir)
+		rel = filepath.ToSlash(rel)
+		path := mod
+		if rel != "." {
+			path += "/" + rel
+		}
+		if _, err := im.Import(path); err != nil {
+			return err
+		}
+		if strings.HasPrefix(rel, "internal/") {
+			s.packages[rel] = true
+			internal = append(internal, path)
 		}
 		return nil
 	}
-	for _, dir := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+	for _, top := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
-				if os.IsNotExist(err) && path == filepath.Join(root, dir) {
+				if os.IsNotExist(err) && path == filepath.Join(root, top) {
 					return filepath.SkipDir
 				}
 				return err
 			}
-			if d.IsDir() {
-				if path != filepath.Join(root, dir) && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-					return filepath.SkipDir
-				}
+			if !d.IsDir() {
 				return nil
 			}
-			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				return parse(path)
+			if path != filepath.Join(root, top) && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); slices.ContainsFunc(goFiles, isProductionGo) {
+				return check(path)
 			}
 			return nil
 		})
@@ -133,79 +201,105 @@ func scanAPI(root string) (*apiScan, error) {
 			return nil, err
 		}
 	}
-	if _, err := os.Stat(filepath.Join(root, "heap.go")); err == nil {
-		if err := parse(filepath.Join(root, "heap.go")); err != nil {
+	if goFiles, _ := filepath.Glob(filepath.Join(root, "*.go")); slices.ContainsFunc(goFiles, isProductionGo) {
+		if err := check(root); err != nil {
 			return nil, err
 		}
 	}
 
-	// Declaration names and receiver types are not references.
-	skip := map[*ast.Ident]bool{}
-	for i, f := range files {
-		pkg := f.Name.Name
-		add := func(id *ast.Ident, key string) {
-			skip[id] = true
-			if inInternal[i] && id.IsExported() {
-				p := fset.Position(id.Pos())
-				rel, _ := filepath.Rel(root, p.Filename)
-				s.exports = append(s.exports, apiExport{key: key, name: id.Name, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)})
-			}
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name, pkg+"."+d.Name.Name)
-					continue
-				}
-				recv := receiverIdent(d.Recv.List[0].Type)
-				if recv == nil {
-					continue
-				}
-				skip[recv] = true
-				add(d.Name, pkg+"."+recv.Name+"."+d.Name.Name)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch sp := spec.(type) {
-					case *ast.TypeSpec:
-						add(sp.Name, pkg+"."+sp.Name.Name)
-					case *ast.ValueSpec:
-						for _, id := range sp.Names {
-							add(id, pkg+"."+id.Name)
-						}
-					}
-				}
-			}
+	// A use is a use of the generic origin; a method called through an
+	// interface is a use of every method that implements it. fmt calls
+	// String and Error through fmt.Stringer and error on what it prints.
+	viaIface := []*types.Func{types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)}
+	if fmtPkg, err := im.Import("fmt"); err == nil {
+		viaIface = append(viaIface, fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface).Method(0))
+	}
+	for _, obj := range im.info.Uses {
+		s.used[origin(obj)] = true
+	}
+	for _, sel := range im.info.Selections {
+		s.used[origin(sel.Obj())] = true
+		if fn, ok := sel.Obj().(*types.Func); ok && types.IsInterface(sel.Recv()) {
+			viaIface = append(viaIface, fn)
 		}
 	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !skip[id] {
-				s.refs[id.Name] = true
+	for _, path := range internal {
+		pkg := im.pkgs[path]
+		scope := pkg.Scope()
+		add := func(key string, obj types.Object) {
+			p := fset.Position(obj.Pos())
+			rel, _ := filepath.Rel(root, p.Filename)
+			s.exports = append(s.exports, apiExport{key: key, obj: obj, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)})
+		}
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				add(pkg.Name()+"."+name, obj)
 			}
-			return true
-		})
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := range named.NumMethods() {
+				m := named.Method(i)
+				if !m.Exported() {
+					continue
+				}
+				add(pkg.Name()+"."+name+"."+m.Name(), m)
+				if implementsUsed(named, m, viaIface) {
+					s.used[m] = true
+				}
+			}
+		}
 	}
 	sort.Slice(s.exports, func(i, j int) bool { return s.exports[i].key < s.exports[j].key })
 	return s, nil
 }
 
-// receiverIdent is the type name of a method receiver: T, *T, T[P] or *T[P].
-func receiverIdent(x ast.Expr) *ast.Ident {
-	for {
-		switch t := x.(type) {
-		case *ast.StarExpr:
-			x = t.X
-		case *ast.IndexExpr:
-			x = t.X
-		case *ast.IndexListExpr:
-			x = t.X
-		case *ast.Ident:
-			return t
-		default:
-			return nil
+// implementsUsed reports whether method m of named implements a method in
+// called, the interface methods the scanned code calls: a call through the
+// interface may reach m.
+func implementsUsed(named *types.Named, m *types.Func, called []*types.Func) bool {
+	for _, fn := range called {
+		if fn.Name() != m.Name() {
+			continue
+		}
+		iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+			return true
 		}
 	}
+	return false
+}
+
+// origin maps an instantiated generic function or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// isProductionGo reports whether path is a non-test Go file.
+func isProductionGo(path string) bool {
+	return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+}
+
+// modfile returns the module path a go.mod declares.
+func modfile(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(mod)
+		}
+	}
+	return ""
 }
 
 // check returns the exports with no production caller that allow does not
@@ -214,7 +308,7 @@ func (s *apiScan) check(allow map[string]string) (uncalled, stale []string) {
 	declared := map[string]bool{}
 	for _, e := range s.exports {
 		declared[e.key] = true
-		if s.refs[e.name] {
+		if s.used[e.obj] {
 			if _, ok := allow[e.key]; ok {
 				stale = append(stale, e.key+" (has a production caller)")
 			}
@@ -234,10 +328,12 @@ func (s *apiScan) check(allow map[string]string) (uncalled, stale []string) {
 }
 
 // TestExportedIdentifiersHaveCallers is the API ratchet: every exported
-// identifier of internal/ is referenced from a production file (internal/,
-// cmd/, examples/, heap.go or heapmark's bench/), or apiAllowlist says why it
-// stays exported. Tests do not count as callers: a name only a test calls is
-// either moved into the test's package unexported or deleted.
+// identifier of internal/ is used by a production file (internal/, cmd/,
+// examples/, heap.go or heapmark's bench/), or apiAllowlist says why it stays
+// exported. A use is resolved by the type checker, so another object of the
+// same name is not a caller, and a method counts as used when a call through
+// an interface can reach it. Tests do not count as callers: a name only a
+// test calls is either moved into the test's package or deleted.
 func TestExportedIdentifiersHaveCallers(t *testing.T) {
 	s, err := scanAPI(".")
 	if err != nil {
@@ -287,7 +383,10 @@ func TestExportedIdentifiersHaveCallers(t *testing.T) {
 }
 
 // TestAPIScannerReportsWhatItShould runs the ratchet's scanner over a fixture
-// tree of two packages, so the real tree's pass cannot be vacuous.
+// module of two packages, so the real tree's pass cannot be vacuous. A
+// caller is a use of the object: a.Spelled, whose name package b spells as
+// a field, a string and a local, is still uncalled, while a.U.Via is called
+// through an interface b declares.
 func TestAPIScannerReportsWhatItShould(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -299,21 +398,27 @@ func TestAPIScannerReportsWhatItShould(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	write("go.mod", "module x\n\ngo 1.22\n")
 	write("internal/a/a.go", `package a
 
 type T struct{}
 
-func Orphan() {}
-func TestOnly() {}
-func Used() {}
-func Listed() {}
-func (T) Method() {}
+type U struct{}
+
+func Orphan()        {}
+func TestOnly()      {}
+func Used()          {}
+func Listed()        {}
+func Spelled()       {}
+func (T) Method()    {}
+func (U) Via()       {}
+func (U) Unreached() {}
 `)
 	write("internal/a/a_test.go", `package a
 
 import "testing"
 
-func TestA(t *testing.T) { TestOnly(); T{}.Method() }
+func TestA(t *testing.T) { TestOnly(); T{}.Method(); Spelled() }
 `)
 	write("internal/b/b.go", `package b
 
@@ -321,7 +426,19 @@ import "x/internal/a"
 
 var _ a.T
 
-func F() { a.Used(); a.Listed() }
+type S struct{ Spelled int }
+
+type viaer interface{ Via() }
+
+func call(v viaer) { v.Via() }
+
+func F() {
+	Spelled := S{}.Spelled + len("Spelled")
+	_ = Spelled
+	a.Used()
+	a.Listed()
+	call(a.U{})
+}
 `)
 	write("internal/b/testdata/c.go", `package c
 
@@ -336,7 +453,7 @@ func G() { a.Orphan() }
 	for _, u := range uncalled {
 		got = append(got, strings.Fields(u)[0])
 	}
-	want := []string{"a.Orphan", "a.T.Method", "a.TestOnly", "b.F"}
+	want := []string{"a.Orphan", "a.Spelled", "a.T.Method", "a.TestOnly", "a.U.Unreached", "b.F"}
 	if !slices.Equal(got, want) {
 		t.Errorf("uncalled = %v, want %v", got, want)
 	}

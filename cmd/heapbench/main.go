@@ -8,9 +8,9 @@
 //	heapbench -sweep     # FPGA-count scaling sweep for the bootstrap
 //	heapbench -cluster   # fault-tolerant distributed bootstrap demo
 //	heapbench -cluster -churn
-//	                     # self-healing elastic cluster demo: hedged dispatch
-//	                     # around a stalled node, a cold node joining mid-run,
-//	                     # a kill mid-key-upload with a chunk-exact resume
+//	                     # self-healing elastic cluster demo: a stalled node
+//	                     # cut by the progress deadline, a cold node joining
+//	                     # mid-run, a kill mid-key-upload with a chunk-exact resume
 //	                     # after rejoin, and a graceful drain — each run
 //	                     # checked bit-exact against a local bootstrap
 //	heapbench -trace out.json
@@ -54,7 +54,7 @@ func main() {
 	area := flag.Bool("area", false, "print the §VI-B area/power comparison")
 	sweep := flag.Bool("sweep", false, "sweep bootstrap latency over FPGA counts")
 	chaos := flag.Bool("cluster", false, "run an in-process distributed bootstrap with fault injection")
-	churn := flag.Bool("churn", false, "with -cluster: elastic membership churn demo (join/leave/kill mid-key-upload/hedge)")
+	churn := flag.Bool("churn", false, "with -cluster: elastic membership churn demo (wedged node cut/join/leave/kill mid-key-upload)")
 	trace := flag.String("trace", "", "write a Chrome trace_event timeline of the bootstrap to this file (combine with -cluster for the distributed demo)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the selected mode to this file")
@@ -196,9 +196,9 @@ func runTraceLocal(tracePath string) error {
 // runChurn demonstrates the self-healing elastic cluster in three acts, each
 // checked bit-exact against a purely local bootstrap of the same ciphertext:
 //
-//  1. Hedged dispatch: a node wedges right after its handshake, its shard
-//     ages past HedgeAfter, and the hedge monitor speculatively re-dispatches
-//     the indices (the local workers win every claim).
+//  1. Progress deadline: a node wedges right after its handshake, delivers no
+//     tile of accumulators within twice the slowest local tile, and is cut;
+//     its indices are reassigned to the local workers.
 //  2. Kill mid-key-upload: a key-cold node joins through the membership
 //     listener, the chunked BRK upload starts, and its link is cut a few
 //     chunks in. The failed key upload marks the member dead, and the run
@@ -244,8 +244,8 @@ func runChurn() error {
 	defer primary.Boot.SetRecorder(nil)
 	pri := &cluster.Primary{Boot: primary.Boot}
 
-	// Act 1: a wedged node and hedged dispatch.
-	fmt.Println("--- act 1: hedged dispatch around a stalled node ---")
+	// Act 1: a wedged node cut by the progress deadline.
+	fmt.Println("--- act 1: a wedged node is cut by the progress deadline ---")
 	wedged, err := mk(false)
 	if err != nil {
 		return err
@@ -254,16 +254,20 @@ func runChurn() error {
 	stall := cluster.NewFaultConn(cs, cluster.FaultPlan{Seed: 3, StallWriteAfter: 48})
 	servWedged := make(chan error, 1)
 	go func() { servWedged <- serve.NewServer(wedged.Boot, serve.Config{}).ServeConn(stall) }()
-	hopts := cluster.DefaultOptions()
-	hopts.HedgeAfter = 150 * time.Millisecond
+	opts := cluster.DefaultOptions()
+	start := time.Now()
 	out, stats, err := pri.Bootstrap(context.Background(), ct.CopyNew(),
-		[]*cluster.Node{{Conn: cp, Name: "fpga-wedged"}}, nil, hopts)
+		[]*cluster.Node{{Conn: cp, Name: "fpga-wedged"}}, nil, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d of %d indices hedged away from the stalled node (%d hedge-race losers)\n%s",
-		stats.Hedged, stats.Total, stats.HedgeWasted, stats)
-	if err := check("hedged run", out); err != nil {
+	fmt.Printf("%d of %d indices reassigned away from the stalled node in %v (batch timeout %v)\nfailed node: %v\n%s",
+		stats.Reassigned, stats.Total, time.Since(start).Round(time.Millisecond), opts.BatchTimeout,
+		stats.NodeErrors(), stats)
+	if !stats.Nodes[0].Failed {
+		return fmt.Errorf("the wedged node was not cut")
+	}
+	if err := check("wedged-node run", out); err != nil {
 		return err
 	}
 	_ = stall.Close()

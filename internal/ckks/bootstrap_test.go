@@ -166,3 +166,20 @@ func TestConventionalBootstrapWidthTwo(t *testing.T) {
 		t.Errorf("bootstrap error %g exceeds tolerance", err)
 	}
 }
+
+// Rotations returns every rotation index the evaluation needs, for Galois
+// key generation.
+func (lt *LinearTransform) Rotations() []int {
+	seen := map[int]bool{}
+	for k := range lt.diags {
+		seen[k%lt.G] = true
+		seen[lt.G*(k/lt.G)] = true
+	}
+	out := make([]int, 0, len(seen))
+	for k := range seen {
+		if k != 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}

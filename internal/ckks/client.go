@@ -41,10 +41,6 @@ func (c *Client) Decrypt(ct *rlwe.Ciphertext) []complex128 {
 	return c.Encoder.Decode(c.dec.PhaseCentered(ct), ct.Scale)
 }
 
-// Decryptor exposes the raw phase decryptor (used by tests and the
-// bootstrappers' diagnostics).
-func (c *Client) Decryptor() *rlwe.Decryptor { return c.dec }
-
 // NoiseBits measures the ciphertext's effective noise: it decrypts, compares
 // against the expected slot values, and returns log2 of the largest absolute
 // error times the scale — i.e. the noise magnitude in bits. A healthy

@@ -61,23 +61,6 @@ func bitsLen(n int) int {
 	return b
 }
 
-// Rotations returns every rotation index the evaluation needs, for Galois
-// key generation.
-func (lt *LinearTransform) Rotations() []int {
-	seen := map[int]bool{}
-	for k := range lt.diags {
-		seen[k%lt.G] = true
-		seen[lt.G*(k/lt.G)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for k := range seen {
-		if k != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // EvalLinearTransform applies lt to ct. The result has scale
 // ct.Scale·lt.Scale; the caller rescales.
 func (ev *Evaluator) EvalLinearTransform(ct *rlwe.Ciphertext, lt *LinearTransform) *rlwe.Ciphertext {

@@ -107,3 +107,15 @@ func TestInnerSum(t *testing.T) {
 		}
 	}
 }
+
+// Eval evaluates the series at a plaintext point (the plaintext reference of the tests),
+// mapping x from [a,b] handled by the caller: the argument here is the
+// normalized u ∈ [-1, 1].
+func (c *Chebyshev) Eval(u float64) complex128 {
+	// Clenshaw recurrence.
+	var b1, b2 complex128
+	for k := len(c.Coeffs) - 1; k >= 1; k-- {
+		b1, b2 = c.Coeffs[k]+complex(2*u, 0)*b1-b2, b1
+	}
+	return c.Coeffs[0] + complex(u, 0)*b1 - b2
+}

@@ -21,9 +21,13 @@
 // CRC32-checksummed (frame.go) with one version/params handshake for every
 // link (conversation.go), batches carry per-shard sequence numbers so partial
 // accumulator streams are detected, every round trip on a link is bounded by
-// a deadline on its Conn, and a failed or wedged secondary is given up: its
-// link is closed and its pending LWE indices go back on the queue for healthy
-// nodes or the primary's own compute (scheduler.go). A restarted node returns
+// a deadline on its Conn, and a failed, wedged or straggling secondary is
+// given up: its link is closed and its pending LWE indices go back on the
+// queue for healthy nodes or the primary's own compute (scheduler.go). A link
+// that awaits accumulators must deliver one tile's worth within twice the
+// slowest tile the primary's own workers have rotated in the run (the
+// progress deadline, tileClock), so a straggler takes the same one recovery
+// path as a cut link. A restarted node returns
 // by rejoining through a Membership. The whole failure matrix is exercised
 // deterministically by the FaultConn chaos wrapper (chaos.go).
 //
@@ -31,10 +35,6 @@
 //   - Membership (membership.go): secondaries join through a listener
 //     mid-run and immediately start draining the work queue; nodes that
 //     leave gracefully are drained, their pending indices reassigned.
-//   - Hedged dispatch: when an in-flight index ages past an obs-derived
-//     per-node p99 latency estimate, it is speculatively re-queued; the
-//     first result wins an atomic per-index claim and the loser's stream is
-//     cancelled at completion.
 //   - Chunked resumable key streaming (keystream.go): a cold joiner
 //     receives the blind-rotate key in CRC-framed acked chunks and resumes
 //     from the last acked chunk after a mid-upload kill. It gets no work
@@ -59,7 +59,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heap/internal/core"
@@ -90,20 +89,12 @@ type runState struct {
 	stats *Stats
 	q     *workQueue
 	sink  *accSink
+	clock *tileClock
 	rec   obs.Recorder
 	opts  Options
 	m     *Membership // nil when no joiners are admitted
 
-	// claims dedups hedged work: exactly one worker wins each index, and
-	// only the winner stores the accumulator, advances the queue, and feeds
-	// the merge sink. Losers are counted as wasted hedges.
-	claims []atomic.Bool
-
-	mu          sync.Mutex // guards stats, flights, ests, activeConns
-	flights     map[int]*flight
-	hedgedIdx   map[int]bool
-	ests        map[*NodeStats]*latEstimator
-	activeConns map[Conn]int // non-nil only when hedging is enabled
+	mu sync.Mutex // guards stats
 
 	keyOnce sync.Once
 	keyBlob []byte
@@ -111,53 +102,26 @@ type runState struct {
 	keyErr  error
 }
 
-// flight is one in-flight LWE index: who it was dispatched to and when.
-type flight struct {
-	ns    *NodeStats
-	start time.Time
-}
-
-// complete claims idx and records its accumulator. It returns false when
-// another worker already claimed the index — the hedge-race loser, whose
-// result is discarded.
-func (rs *runState) complete(idx int, acc *rlwe.Ciphertext) bool {
-	if !rs.claims[idx].CompareAndSwap(false, true) {
-		rs.mu.Lock()
-		rs.stats.HedgeWasted++
-		rs.mu.Unlock()
-		rs.rec.Add(obs.CounterHedgeWasted, 1)
-		return false
-	}
+// complete records idx's accumulator and feeds it to the merge sink. An
+// index is in one task at a time, so only the worker holding it writes its
+// slot.
+func (rs *runState) complete(idx int, acc *rlwe.Ciphertext) {
 	rs.accs[idx] = acc
 	rs.q.done(1)
-	return true
+	rs.sink.deliver(idx, acc)
 }
 
-// claimed reports whether idx has a winning result already.
-func (rs *runState) claimed(idx int) bool { return rs.claims[idx].Load() }
-
-// pendingOf returns the indices of task not yet claimed by any worker —
-// the set a failing or leaving node hands back to the queue.
+// pendingOf returns the indices of task whose accumulators have not arrived
+// — the set a failing or leaving node hands back to the queue. Only the
+// worker holding task calls it.
 func (rs *runState) pendingOf(task []int) []int {
 	pending := make([]int, 0, len(task))
 	for _, idx := range task {
-		if !rs.claimed(idx) {
+		if rs.accs[idx] == nil {
 			pending = append(pending, idx)
 		}
 	}
 	return pending
-}
-
-// estFor returns (lazily creating) the latency estimator for a node.
-func (rs *runState) estFor(ns *NodeStats) *latEstimator {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	est := rs.ests[ns]
-	if est == nil {
-		est = &latEstimator{}
-		rs.ests[ns] = est
-	}
-	return est
 }
 
 // down marks a membership node's terminal state (no-op without a membership).
@@ -181,9 +145,10 @@ func (rs *runState) down(name string, st MemberState) {
 // whatever a slow or failed node left. A secondary whose link fails —
 // connection error, frame corruption, timeout, death mid-stream — is given
 // up: the accumulators that arrived are kept and the rest of its task goes
-// back on the queue. A node that leaves is drained the same way, and a
-// restarted node comes back by rejoining through m. The result is
-// bit-identical to the local bootstrap.
+// back on the queue. A link that delivers no tile's worth of accumulators
+// within twice the slowest local tile fails the same way (tileClock). A node
+// that leaves is drained likewise, and a restarted node comes back by
+// rejoining through m. The result is bit-identical to the local bootstrap.
 //
 // The returned Stats say where every rotation actually ran. The error is
 // non-nil only when the bootstrap itself could not complete (context
@@ -243,22 +208,16 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 	sink := &accSink{mc: mc, q: q}
 
 	rs := &runState{
-		ctx:       ctx,
-		prep:      prep,
-		accs:      make([]*rlwe.Ciphertext, n),
-		stats:     stats,
-		q:         q,
-		sink:      sink,
-		rec:       rec,
-		opts:      opts,
-		m:         m,
-		claims:    make([]atomic.Bool, n),
-		flights:   make(map[int]*flight),
-		hedgedIdx: make(map[int]bool),
-		ests:      make(map[*NodeStats]*latEstimator),
-	}
-	if opts.HedgeAfter > 0 {
-		rs.activeConns = make(map[Conn]int)
+		ctx:   ctx,
+		prep:  prep,
+		accs:  make([]*rlwe.Ciphertext, n),
+		stats: stats,
+		q:     q,
+		sink:  sink,
+		clock: newTileClock(lw),
+		rec:   rec,
+		opts:  opts,
+		m:     m,
 	}
 
 	all := make([]int, n)
@@ -272,7 +231,7 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 // runBootstrap runs the fan-out phase over the initial nodes (plus any
 // membership joiners), waits for completion, and finishes the repack.
 func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphertext, *Stats, error) {
-	ctx, q, rec, stats, opts := rs.ctx, rs.q, rs.rec, rs.stats, rs.opts
+	ctx, q, rec, stats := rs.ctx, rs.q, rs.rec, rs.stats
 
 	// Propagate cancellation into the queue.
 	stop := make(chan struct{})
@@ -282,27 +241,6 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 			select {
 			case <-ctx.Done():
 				q.abort()
-			case <-stop:
-			}
-		}()
-	}
-	// Hedge monitor and loser cancellation (only when hedging is on: in a
-	// hedge-free run no connection can be mid-stream once the queue drains,
-	// so there is nothing to cancel).
-	if opts.HedgeAfter > 0 {
-		go rs.hedgeMonitor(stop)
-		go func() {
-			select {
-			case <-q.doneCh:
-				rs.mu.Lock()
-				conns := make([]Conn, 0, len(rs.activeConns))
-				for c := range rs.activeConns {
-					conns = append(conns, c)
-				}
-				rs.mu.Unlock()
-				for _, c := range conns {
-					closeConn(c)
-				}
 			case <-stop:
 			}
 		}()
@@ -327,7 +265,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			localErrs[w] = p.runLocal(len(nodes)+w, rs)
+			localErrs[w] = p.runLocal(w, len(nodes)+w, rs)
 		}(w)
 	}
 
@@ -363,9 +301,6 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 
 	wg.Wait()
 	joinWG.Wait()
-	// Discard hedged duplicates still queued (their indices all completed
-	// elsewhere), balancing the queue-depth gauge.
-	q.drain()
 	rec.End(obs.StageBlindRotate, obs.LanePipeline, brTok)
 
 	prep, accs, sink, n := rs.prep, rs.accs, rs.sink, rs.stats.Total
@@ -399,52 +334,6 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 		return nil, stats, err
 	}
 	return out, stats, nil
-}
-
-// hedgeMonitor watches in-flight indices and speculatively requeues any
-// that age past max(HedgeAfter, hedgeMultiplier × the owning node's p99
-// per-index latency). Each index is hedged at most once per run; the claim
-// table arbitrates the race.
-func (rs *runState) hedgeMonitor(stop <-chan struct{}) {
-	tick := rs.opts.HedgeAfter / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rs.q.doneCh:
-			return
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		var hedged []int
-		rs.mu.Lock()
-		for idx, fl := range rs.flights {
-			if rs.hedgedIdx[idx] || rs.claimed(idx) {
-				continue
-			}
-			thr := rs.opts.HedgeAfter
-			if est := rs.ests[fl.ns]; est != nil {
-				if byP99 := hedgeMultiplier * est.p99(); byP99 > thr {
-					thr = byP99
-				}
-			}
-			if now.Sub(fl.start) > thr {
-				rs.hedgedIdx[idx] = true
-				hedged = append(hedged, idx)
-			}
-		}
-		rs.stats.Hedged += len(hedged)
-		rs.mu.Unlock()
-		if len(hedged) > 0 {
-			rs.rec.Add(obs.CounterHedges, uint64(len(hedged)))
-			rs.q.push(hedged)
-		}
-	}
 }
 
 // accSink feeds arriving accumulators into the merge collector from the
@@ -567,11 +456,11 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 			end(task, nil)
 			return
 		}
-		// The stream broke: the accumulators that arrived are kept and the
-		// link is given up. A batch whose every index had already arrived
-		// (one cut after its last accumulator, or a hedge loser's link closed
-		// as the run completed) leaves the node failed only if the queue
-		// still has work for it, which goes straight back.
+		// The stream broke or missed its progress deadline: the accumulators
+		// that arrived are kept and the link is given up. A batch whose every
+		// index had already arrived (one cut after its last accumulator)
+		// leaves the node failed only if the queue still has work for it,
+		// which goes straight back.
 		if len(rs.pendingOf(task)) == 0 {
 			if task = q.pop(); task == nil {
 				closeConn(conn)
@@ -609,48 +498,35 @@ func (p *Primary) uploadKey(ns *NodeStats, conn Conn, rs *runState) error {
 // through the key-major tile engine. A task never exceeds one tile, so the
 // BRK streams through cache once per task, not once per index, and finished
 // accumulators reach the streaming merge sink task by task, preserving the
-// repack overlap. A panic here is recovered, surfaced, and aborts the
-// bootstrap (the primary cannot fall back to anyone else).
-func (p *Primary) runLocal(lane int, rs *runState) error {
-	prep, q, sink := rs.prep, rs.q, rs.sink
+// repack overlap. Each tile feeds the run's progress deadline. A panic here
+// is recovered, surfaced, and aborts the bootstrap (the primary cannot fall
+// back to anyone else).
+func (p *Primary) runLocal(w, lane int, rs *runState) error {
+	prep, q := rs.prep, rs.q
 	rec := p.Boot.Recorder()
 	sc := p.Boot.NewRotateScratch()
 	tile := p.Boot.TileSize()
 	accTile := make([]*rlwe.Ciphertext, tile)
 	lweTile := make([]*rlwe.LWECiphertext, tile)
-	idxTile := make([]int, tile)
 	for task := q.pop(); task != nil; task = q.pop() {
-		// Skip indices a hedge race already resolved.
-		cnt := 0
-		for _, idx := range task {
-			if rs.claimed(idx) {
-				continue
-			}
-			idxTile[cnt] = idx
-			accTile[cnt] = p.Boot.NewAccumulator()
-			lweTile[cnt] = prep.LWEs[idx]
-			cnt++
+		for k, idx := range task {
+			accTile[k] = p.Boot.NewAccumulator()
+			lweTile[k] = prep.LWEs[idx]
 		}
-		if cnt == 0 {
-			continue
-		}
-		idxs := idxTile[:cnt]
 		tok := rec.Begin(obs.StageBlindRotate, lane)
-		err := safeRotateTile(p.Boot, accTile[:cnt], lweTile[:cnt], sc)
+		rs.clock.begin(w)
+		err := safeRotateTile(p.Boot, accTile[:len(task)], lweTile[:len(task)], sc)
+		rs.clock.end(w)
 		rec.End(obs.StageBlindRotate, lane, tok)
 		if err != nil {
 			q.abort()
-			return fmt.Errorf("cluster: local blind rotation of indices %v: %w", idxs, err)
+			return fmt.Errorf("cluster: local blind rotation of indices %v: %w", task, err)
 		}
-		won := 0
-		for k, idx := range idxs {
-			if rs.complete(idx, accTile[k]) {
-				won++
-				sink.deliver(idx, accTile[k])
-			}
+		for k, idx := range task {
+			rs.complete(idx, accTile[k])
 		}
 		rs.mu.Lock()
-		rs.stats.Local += won
+		rs.stats.Local += len(task)
 		rs.mu.Unlock()
 	}
 	return nil
@@ -658,19 +534,19 @@ func (p *Primary) runLocal(lane int, rs *runState) error {
 
 // dispatchBatch sends one LWE batch and collects the accumulator stream,
 // marking every index complete as its accumulator arrives, so that a
-// failure mid-stream loses only the not-yet-received indices. The batch
-// frame carries the primary's deadline budget (BatchTimeout and any context
-// deadline, whichever is tighter) so the secondary can abandon work it
-// cannot finish in time.
+// failure mid-stream loses only the not-yet-received indices. The link runs
+// on the progress deadline (tileClock): each tile's worth of accumulators
+// that arrives re-arms it. The batch frame carries the primary's deadline
+// budget (BatchTimeout and any context deadline, whichever is tighter) so
+// the secondary can abandon work it cannot finish in time.
 func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, ns *NodeStats, rs *runState) error {
-	prep, sink, opts := rs.prep, rs.sink, rs.opts
+	prep, opts := rs.prep, rs.opts
 	rec := p.Boot.Recorder()
-	est := rs.estFor(ns)
-	disarm := armTimeout(conn, opts.BatchTimeout)
-	defer disarm()
+	wait := rs.clock.arm(conn, opts.BatchTimeout)
+	defer rs.clock.disarm(wait)
 	wrap := func(err error) error {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return fmt.Errorf("cluster: batch %d timed out after %v: %w", shard, opts.BatchTimeout, err)
+			return fmt.Errorf("cluster: batch %d %s: %w", shard, rs.clock.timeout(wait, opts.BatchTimeout), err)
 		}
 		return err
 	}
@@ -687,36 +563,15 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 	if err != nil {
 		return wrap(fmt.Errorf("cluster: batch send: %w", err))
 	}
-	start := time.Now()
 	rs.mu.Lock()
 	ns.Dispatched += len(idxs)
-	for _, idx := range idxs {
-		rs.flights[idx] = &flight{ns: ns, start: start}
-	}
-	if rs.activeConns != nil {
-		rs.activeConns[conn]++
-	}
 	rs.mu.Unlock()
-	defer func() {
-		rs.mu.Lock()
-		for _, idx := range idxs {
-			if fl := rs.flights[idx]; fl != nil && fl.ns == ns {
-				delete(rs.flights, idx)
-			}
-		}
-		if rs.activeConns != nil {
-			if rs.activeConns[conn] <= 1 {
-				delete(rs.activeConns, conn)
-			} else {
-				rs.activeConns[conn]--
-			}
-		}
-		rs.mu.Unlock()
-	}()
 
 	// Whatever is still outstanding when the stream ends — cleanly or not —
-	// leaves flight here.
+	// leaves flight here. Progress is counted per tile's worth, not per
+	// frame: a node that trickles frames slower than tiles is still cut.
 	outstanding := len(idxs)
+	tileWorth := min(p.Boot.TileSize(), outstanding)
 	rec.Gauge(obs.GaugeInFlightShards, int64(outstanding))
 	defer func() { rec.Gauge(obs.GaugeInFlightShards, -int64(outstanding)) }()
 	recvTok := rec.Begin(obs.StageNetRecv, lane)
@@ -724,18 +579,14 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 	err = ReadAccs(conn, shard, idxs, p.Boot.Params.Parameters, rec, func(idx int, acc *rlwe.Ciphertext) {
 		outstanding--
 		rec.Gauge(obs.GaugeInFlightShards, -1)
-		est.add(time.Since(start))
+		if tileWorth--; tileWorth == 0 {
+			rs.clock.progress(wait)
+			tileWorth = min(p.Boot.TileSize(), outstanding)
+		}
 		rs.mu.Lock()
-		if fl := rs.flights[idx]; fl != nil && fl.ns == ns {
-			delete(rs.flights, idx)
-		}
+		ns.Completed++
 		rs.mu.Unlock()
-		if rs.complete(idx, acc) {
-			rs.mu.Lock()
-			ns.Completed++
-			rs.mu.Unlock()
-			sink.deliver(idx, acc)
-		}
+		rs.complete(idx, acc)
 	})
 	var end *EndError
 	switch {

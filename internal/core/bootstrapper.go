@@ -149,13 +149,19 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
 		}
 	} else {
-		sampler := ring.NewSampler(cfg.Seed)
 		bt.lweSK = kg.GenLWESecretKey(cfg.NT, rlwe.SecretBinary)
+		// The LWE key-switching key draws only from its own sampler, so it
+		// is generated beside the blind-rotate key, byte for byte the same.
+		kskDone := make(chan struct{})
+		go func() {
+			defer close(kskDone)
+			kskMod := twoN << cfg.ScaleUpBits
+			bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, cfg.LWELogBase, ring.NewSampler(cfg.Seed), params.Sigma)
+		}()
 		if !cfg.ColdStart {
 			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
 		}
-		kskMod := twoN << cfg.ScaleUpBits
-		bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, cfg.LWELogBase, sampler, params.Sigma)
+		<-kskDone
 	}
 	bt.packKeys = kg.GenPackingKeys(sk)
 	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys)

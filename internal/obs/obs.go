@@ -73,11 +73,6 @@ func (s Stage) String() string {
 	return "Stage(?)"
 }
 
-// pipelineStage reports whether s is one of the five non-overlapping
-// bootstrap phases (the lanes that tile the end-to-end wall time when
-// recorded on LanePipeline).
-func pipelineStage(s Stage) bool { return s <= StageFinish }
-
 // Counter identifies a monotonic event count.
 type Counter uint8
 
@@ -115,13 +110,6 @@ const (
 	// the batched blind-rotate engine (the unit shard-lane BlindRotate spans
 	// are recorded at).
 	CounterBlindRotateTile
-	// CounterHedges counts speculative re-dispatches issued because a shard's
-	// latency exceeded the per-node p99 estimate.
-	CounterHedges
-	// CounterHedgeWasted counts accumulators that lost the hedge race: work
-	// completed by a node whose result arrived after another copy had already
-	// been claimed.
-	CounterHedgeWasted
 	// CounterKeyChunks counts unique blind-rotate key chunks accepted and
 	// stored by a receiving node. A resumed upload re-counts nothing: the
 	// counter equals ceil(blob/chunk) after any number of kill/resume cycles.
@@ -172,7 +160,6 @@ var counterNames = [NumCounters]string{
 	"ntt_limb_transforms", "external_products", "key_switches",
 	"blind_rotates", "merges", "lwe_key_switches", "bytes_framed",
 	"brk_bytes_streamed", "blind_rotate_tiles",
-	"hedged_dispatches", "hedge_wasted",
 	"key_chunks", "key_chunk_bytes", "key_chunk_resent_bytes",
 	"jobs_admitted", "jobs_rejected", "jobs_coalesced",
 	"serve_batches", "keys_evicted",

@@ -533,16 +533,6 @@ func (ks *KeySwitcher) SwitchPolyInto(c rns.Poly, gct *GadgetCiphertext, d0, d1 
 	ks.switchPoly(c, true, gct, d0, d1, overwrite, sc)
 }
 
-// switchPolyCoeff is SwitchPolyInto with input and both outputs in
-// coefficient representation — the repack's key switch: the decomposition
-// takes cCoeff as it stands (no copy, no INTT) and each linear ModDown emits
-// coefficients, bit-identical to the INTT of SwitchPolyInto's outputs on
-// NTT(cCoeff). cCoeff may alias d1 — the decomposition has consumed the
-// input before the ModDowns write.
-func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
-	ks.switchPoly(cCoeff, false, gct, d0, d1, overwrite, sc)
-}
-
 // switchPoly is the key switch in either domain: input and outputs share it.
 // add[s] adds d_s onto the polynomial given for it instead of writing it.
 func (ks *KeySwitcher) switchPoly(c rns.Poly, isNTT bool, gct *GadgetCiphertext, d0, d1 rns.Poly, add [2]bool, sc *Scratch) {
@@ -658,9 +648,6 @@ type Hoisted struct {
 	level int
 	digs  []rns.Poly // one QP-indexed polynomial per digit
 }
-
-// Level reports the level the decomposition was taken at.
-func (h *Hoisted) Level() int { return h.level }
 
 // NewHoisted allocates digit buffers sized for the maximum level.
 func (ks *KeySwitcher) NewHoisted() *Hoisted {

@@ -559,3 +559,6 @@ func TestMergeNodeStepsMatchMonomialReference(t *testing.T) {
 		}
 	}
 }
+
+// Level reports the level the decomposition was taken at.
+func (h *Hoisted) Level() int { return h.level }

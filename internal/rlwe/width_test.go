@@ -431,3 +431,11 @@ func BenchmarkFanHandOff(b *testing.B) {
 		}
 	}
 }
+
+// switchPolyCoeff is SwitchPolyInto with input and both outputs in
+// coefficient representation: the decomposition takes cCoeff as it stands
+// (no copy, no INTT) and each linear ModDown emits coefficients,
+// bit-identical to the INTT of SwitchPolyInto's outputs on NTT(cCoeff).
+func (ks *KeySwitcher) switchPolyCoeff(cCoeff rns.Poly, gct *GadgetCiphertext, d0, d1 rns.Poly, sc *Scratch) {
+	ks.switchPoly(cCoeff, false, gct, d0, d1, overwrite, sc)
+}

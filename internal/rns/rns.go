@@ -153,27 +153,6 @@ func (b *Basis) MulCoeffs(a, c, out Poly) {
 	}
 }
 
-// MulCoeffsAndAdd sets out += a ⊙ c limbwise.
-func (b *Basis) MulCoeffsAndAdd(a, c, out Poly) {
-	for i, n := 0, lvl(a, c, out); i < n; i++ {
-		b.Rings[i].MulCoeffsAndAdd(a.Limbs[i], c.Limbs[i], out.Limbs[i])
-	}
-}
-
-// MulScalar multiplies every limb by c.
-func (b *Basis) MulScalar(a Poly, c uint64, out Poly) {
-	for i, n := 0, lvl(a, out); i < n; i++ {
-		b.Rings[i].MulScalar(a.Limbs[i], c, out.Limbs[i])
-	}
-}
-
-// Automorphism applies X→X^g limbwise in coefficient representation.
-func (b *Basis) Automorphism(a Poly, g uint64, out Poly) {
-	for i, n := 0, lvl(a, out); i < n; i++ {
-		b.Rings[i].Automorphism(a.Limbs[i], g, out.Limbs[i])
-	}
-}
-
 // AutomorphismNTT applies X→X^g limbwise in NTT representation using the
 // per-limb-independent slot permutation.
 func (b *Basis) AutomorphismNTT(a Poly, perm []uint64, out Poly) {

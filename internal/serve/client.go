@@ -104,18 +104,6 @@ func (c *Client) Rotate(lwes []*rlwe.LWECiphertext, budget time.Duration) ([]*rl
 	return nil, fmt.Errorf("serve: job %d reply: %w", id, err)
 }
 
-// Bootstrap refreshes ct through the service: Prepare locally, ship the
-// blind rotations, Finish locally. Bit-identical to boot.Bootstrap(ct) —
-// the server computes the same deterministic rotations under the same key.
-func (c *Client) Bootstrap(ct *rlwe.Ciphertext, budget time.Duration) (*rlwe.Ciphertext, error) {
-	prep := c.boot.Prepare(ct)
-	accs, err := c.Rotate(prep.LWEs, budget)
-	if err != nil {
-		return nil, err
-	}
-	return c.boot.Finish(prep, accs)
-}
-
 // Close sends a clean shutdown and closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()

@@ -622,3 +622,21 @@ func TestMetricsHandlerServesSnapshot(t *testing.T) {
 		t.Fatalf("key_bytes %d, registry entries sum to %d, want the warm key's %d", snap.KeyBytes, sum, want)
 	}
 }
+
+// Bootstrap refreshes ct through the service: Prepare locally, ship the
+// blind rotations, Finish locally. Bit-identical to boot.Bootstrap(ct) —
+// the server computes the same deterministic rotations under the same key.
+func (c *Client) Bootstrap(ct *rlwe.Ciphertext, budget time.Duration) (*rlwe.Ciphertext, error) {
+	prep := c.boot.Prepare(ct)
+	accs, err := c.Rotate(prep.LWEs, budget)
+	if err != nil {
+		return nil, err
+	}
+	return c.boot.Finish(prep, accs)
+}
+
+// QueueDepth reports the jobs currently admitted but not yet dispatched —
+// the level the overload tests sample to prove admission keeps the queue
+// bounded (Snapshot carries the same figure, but building a full snapshot
+// per sample is too heavy for a sub-millisecond sampler).
+func (s *Server) QueueDepth() int { return s.adm.depth() }

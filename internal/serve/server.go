@@ -101,6 +101,9 @@ type TenantStats struct {
 
 // NewServer builds a server around boot. A boot that holds a blind-rotate key
 // is a warm cluster node, and its key is registered for cluster.PrimaryTenant.
+// The server takes over boot's recorder (boot.SetRecorder), so boot's kernel
+// counters land in the server's metrics: a bootstrapper serves one server,
+// and a primary and its nodes each need their own.
 func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 	return newServer(boot, cfg, time.Now)
 }
@@ -146,12 +149,6 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 
 // Metrics exposes the server's aggregate recorder.
 func (s *Server) Metrics() *obs.Metrics { return s.met }
-
-// QueueDepth reports the jobs currently admitted but not yet dispatched —
-// the level the overload tests sample to prove admission keeps the queue
-// bounded (Snapshot carries the same figure, but building a full snapshot
-// per sample is too heavy for a sub-millisecond sampler).
-func (s *Server) QueueDepth() int { return s.adm.depth() }
 
 // Serve accepts tenant connections until the listener fails (e.g. it was
 // closed), serving each one with ServeConn. Safe to run from multiple
