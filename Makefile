@@ -17,14 +17,14 @@ vet:
 	$(GO) vet ./...
 
 # The second line pins the P count for the tests whose schedule is the
-# point — the batch engine's worker-filling tiles, heapd's multi-worker
-# write-back, Prepare's LWE key-switch fan-out, the streaming merge
+# point — the batch engine's worker-filling tiles, the server's multi-worker
+# write-back and its bootstrapper's width, Prepare's LWE key-switch fan-out, the streaming merge
 # collector and the key switch's limb-level fan-out (the width tests: the
 # effective width is capped by the P count, so one P is the inline case) — so
 # they race at one, two and four Ps whatever the host has.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish|$(WIDTH_TESTS)' ./internal/tfhe/ ./internal/serve/ ./internal/core/ ./internal/rlwe/ ./internal/ckks/
+	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestServerWidthIsTheBootstrappers|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish|$(WIDTH_TESTS)' ./internal/tfhe/ ./internal/serve/ ./internal/core/ ./internal/rlwe/ ./internal/ckks/
 
 # Pure-Go lane: the build that ships to non-amd64 targets (and amd64 with
 # the vector kernels compiled out) must stay green on its own — the scalar
@@ -88,8 +88,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) run ./cmd/heapbench >/dev/null
 	$(GO) test -run='^$$' -bench='BenchmarkKernel' -benchmem -benchtime=1x .
-	$(GO) test -run='^$$' -bench='BenchmarkRepack|BenchmarkFinish|BenchmarkBootstrapEndToEnd' -benchmem -benchtime=1x .
-	$(GO) test -run='^$$' -bench='BenchmarkBlindRotateBatch' -benchmem -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkFinish' -benchmem -benchtime=1x .
 	$(GO) test -run='TestExternalProductIntoZeroAllocs|TestExternalProductTwoKeyBudget' ./internal/rlwe/
 	$(GO) test -run='TestBlindRotateTileZeroAllocs|TestCMuxIntoZeroAllocs' ./internal/tfhe/
 	$(GO) test -run='TestBlindRotateOneIntoZeroAllocs|TestPrepareSparseAllocationBound' ./internal/core/

@@ -61,13 +61,13 @@ var apiAllowlist = map[string]string{
 	"serve.Server.Metrics":                 "test-helper: the serve and cluster tests read a node's counters with it",
 	"obs.ParseTrace":                       "test-helper: the cluster and core trace tests decode traces with it",
 	"obs.Metrics.GaugeValue":               "test-helper: the serve, cluster and core tests read gauges with it",
+	"obs.Metrics.Counter":                  "test-helper: the serve, cluster, core, rlwe, tfhe and hwsim tests read counters with it",
 	"rlwe.LWESecretKey.HammingWeight":      "test-helper: the rlwe and tfhe tests measure secret density with it",
 	"ring.Ring.MulPolyNaive":               "oracle: the schoolbook product the NTT is tested against",
 	"ring.SetSIMD":                         "oracle: selects the scalar loops the vector kernels are locked to word for word",
 	"rns.Basis.SetBigCoeffs":               "oracle: the big-integer CRT input the RNS conversions are tested against",
 	"rlwe.ScaleUpLWE":                      "oracle: the exact lift in the unfused chain the batch LWE key switch is tested against",
 	"rlwe.Decryptor.NoiseBits":             "oracle: the coefficient-domain noise referee",
-	"rlwe.Repacker.Merge":                  "oracle: the serial merge tree the collector and BenchmarkRepack are held to",
 	"ckks.Client.NoiseBits":                "oracle: the slot-domain noise referee",
 	"experiments.CurrentGolden":            "oracle: renders the tables the golden-file conformance lock compares",
 	"hwsim.ParamSet.BRKWireBlobBytes":      "oracle: the model's key blob size, locked to the tfhe serializer",

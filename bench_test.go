@@ -438,21 +438,20 @@ func BenchmarkKernelExternalProduct(b *testing.B) {
 	}
 }
 
-// --- repacking benchmarks (the §V primary-node merge tree) ---
+// --- the §V primary-node tail ---
 //
-// BenchmarkRepack isolates the rlwe merge tree (the serial reference walk),
 // BenchmarkFinish measures the full Algorithm-2 tail (merge tree → shared
-// trace → one NTT → rescale) through the MergeCollector, and
-// BenchmarkBootstrapEndToEnd runs the whole bootstrap. The last two are
-// parameterized by worker count; the outputs are bit-identical across worker
-// counts (locked by the repack equivalence tests), so the sub-benchmarks
-// measure the same computation.
+// trace → one NTT → rescale) through the MergeCollector, parameterized by
+// worker count; the outputs are bit-identical across worker counts (locked
+// by the repack equivalence tests), so the sub-benchmarks measure the same
+// computation. heapmark's primary_tail and boot_paper_ring workloads own the
+// merge tree alone and the whole bootstrap.
 
 const repackCount = 256
 
-// repackWorkerCounts returns the worker counts the repack benchmarks sweep:
-// the serial reference, the ISSUE's ≥4-core target, and the full machine
-// when it is bigger than that. On a single-core host the w4 runs time-share
+// repackWorkerCounts returns the worker counts BenchmarkFinish sweeps: the
+// serial reference, four cores, and the full machine when it is bigger than
+// that. On a single-core host the w4 runs time-share
 // one CPU and land at ≈ w1 — the speedup needs real cores.
 func repackWorkerCounts() []int {
 	counts := []int{1, 4}
@@ -465,8 +464,6 @@ func repackWorkerCounts() []int {
 var repackOnce sync.Once
 var repackCtx struct {
 	bt   *core.Bootstrapper
-	ks   *rlwe.KeySwitcher
-	pk   *rlwe.PackingKeys
 	prep *core.PreparedBootstrap
 	accs []*rlwe.Ciphertext
 }
@@ -491,8 +488,6 @@ func repackOps(b *testing.B) {
 			panic(err)
 		}
 		repackCtx.bt = bt
-		repackCtx.ks = rlwe.NewKeySwitcher(params.Parameters)
-		repackCtx.pk = kg.GenPackingKeys(sk)
 		v := make([]complex128, params.Slots)
 		repackCtx.prep = bt.PrepareSparse(cl.EncryptAtLevel(v, 1), repackCount)
 		s := ring.NewSampler(43)
@@ -509,32 +504,9 @@ func repackOps(b *testing.B) {
 	_ = b
 }
 
-// BenchmarkRepack times the 256→1 merge tree alone (no trace) at the paper
-// ring, one node after another — the parallel path is BenchmarkFinish.
-// Merging preserves the level and the tree consumes its inputs in place, so
-// the same slice is re-merged every iteration — steady-state cost, no
-// per-iteration setup.
-func BenchmarkRepack(b *testing.B) {
-	repackOps(b)
-	cts := make([]*rlwe.Ciphertext, repackCount)
-	for i, acc := range repackCtx.accs {
-		cts[i] = acc.CopyNew()
-		cts[i].IsNTT = false
-	}
-	rp := rlwe.NewRepacker(repackCtx.ks, repackCtx.pk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rp.Merge(cts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFinish times steps 4–5 of Algorithm 2 (merge tree, add ct′,
-// shared trace, one NTT, rescale) through the MergeCollector.
-// This is the ISSUE's ≥2× target: w1 is the serial reference, wN the
-// parallel path, bit-identical outputs.
+// shared trace, one NTT, rescale) through the MergeCollector: w1 is the
+// serial reference, wN the parallel path, bit-identical outputs.
 func BenchmarkFinish(b *testing.B) {
 	repackOps(b)
 	bt := repackCtx.bt
@@ -558,78 +530,6 @@ func BenchmarkFinish(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBootstrapEndToEnd runs the whole scheme-switching bootstrap
-// (reduced ring for CPU tractability) at one vs four workers — the
-// end-to-end effect of parallelizing both the blind-rotate fan-out and the
-// repack that follows it.
-func BenchmarkBootstrapEndToEnd(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			cfg := TestContextConfig()
-			cfg.Bootstrap.NT = 24
-			cfg.Bootstrap.Workers = workers
-			cfg.Limbs = 3
-			ctx, err := NewContext(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v := make([]complex128, ctx.Params.Slots)
-			ct := ctx.Client.EncryptAtLevel(v, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = ctx.Boot.Bootstrap(ct)
-			}
-		})
-	}
-}
-
-// BenchmarkBlindRotateBatch contrasts the two blind-rotation schedules over a
-// 64-ciphertext batch at the paper ring: ciphertext-major (tiles of one, the
-// full BRK streamed through cache once per ciphertext) versus key-major
-// (each key pulled once per tile of accumulators — the §V URAM residency
-// schedule). The outputs are bit-identical (locked by
-// TestBlindRotateBatchMatchesPerCiphertext); the delta is pure memory-system
-// scheduling, so the win grows with BRK size relative to cache.
-func BenchmarkBlindRotateBatch(b *testing.B) {
-	kernelOps(b)
-	const batch = 64
-	params := paperCtx.params
-	twoN := uint64(2 * params.N())
-	s := ring.NewSampler(17)
-	lwes := make([]*rlwe.LWECiphertext, batch)
-	for j := range lwes {
-		lwe := &rlwe.LWECiphertext{A: make([]uint64, 8), Q: twoN}
-		for i := range lwe.A {
-			lwe.A[i] = 1 + s.UniformMod(twoN-1) // dense masks: every key touched
-		}
-		lwe.B = s.UniformMod(twoN)
-		lwes[j] = lwe
-	}
-	accs := make([]*rlwe.Ciphertext, batch)
-	for i := range accs {
-		accs[i] = rlwe.NewCiphertext(params.Parameters, kernelCtx.lut.Level)
-	}
-	ev := kernelCtx.ev
-	b.Run("PerCiphertext", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ev.BlindRotateBatchInto(accs, lwes, kernelCtx.lut, kernelCtx.brk, tfhe.BatchOptions{Tile: 1, Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("KeyMajorBatch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ev.BlindRotateBatchInto(accs, lwes, kernelCtx.lut, kernelCtx.brk, tfhe.BatchOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkKernelBlindRotate times one steady-state blind rotation (n_t=8

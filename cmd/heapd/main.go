@@ -1,10 +1,10 @@
 // Command heapd is the bootstrap-as-a-service daemon: it listens for tenant
 // connections speaking the cluster's frame protocol, resolves each
 // tenant's blind-rotate key from a concurrent-safe LRU registry (keys arrive
-// over the resumable chunked key-stream upload), fans each batch's rotations
-// over every core, and coalesces the same-tenant jobs that queue behind a
-// running batch into one key-major batch so one BRK pass through cache serves
-// all of them.
+// over the resumable chunked key-stream upload), runs one batch at a time
+// with its rotations fanned over every core (GOMAXPROCS), and coalesces the
+// same-tenant jobs that queue behind a running batch into one key-major
+// batch so one BRK pass through cache serves all of them.
 //
 //	heapd -addr 127.0.0.1:7901 -metrics 127.0.0.1:7902
 //
@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"heap"
@@ -40,8 +41,6 @@ type daemonConfig struct {
 	addr        string
 	metricsAddr string // empty = metrics endpoint disabled
 	scale       string
-	executors   int
-	workers     int
 	rate        float64
 	burst       float64
 	queue       int
@@ -70,8 +69,6 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 	srv := serve.NewServer(boot, serve.Config{
 		MaxKeyBytes: cfg.maxKeyBytes,
 		Admission:   serve.AdmissionConfig{QueueLimit: cfg.queue, RatePerSec: cfg.rate, Burst: cfg.burst},
-		Executors:   cfg.executors,
-		Workers:     cfg.workers,
 	})
 	d := &daemon{srv: srv, served: make(chan struct{})}
 
@@ -92,8 +89,8 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 		fmt.Fprintf(out, "heapd: metrics on http://%s/metrics\n", d.metricsLn.Addr())
 	}
 
-	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (executors %d)\n",
-		cfg.scale, d.ln.Addr(), cfg.executors)
+	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (%d workers)\n",
+		cfg.scale, d.ln.Addr(), boot.Cfg.Workers)
 	go func() {
 		defer close(d.served)
 		_ = d.srv.Serve(cluster.ListenerFrom(d.ln))
@@ -116,7 +113,7 @@ func (d *daemon) MetricsAddr() string {
 func (d *daemon) Wait() { <-d.served }
 
 // Shutdown drains the daemon: stop accepting, wait for in-flight
-// connections, release the executors, and stop the metrics endpoint.
+// connections, release the executor, and stop the metrics endpoint.
 // Idempotent enough for main's signal path and a test's defer to share.
 func (d *daemon) Shutdown() {
 	_ = d.ln.Close()
@@ -133,8 +130,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7901", "frame-protocol listen address")
 	flag.StringVar(&cfg.metricsAddr, "metrics", "", "HTTP listen address for the /metrics JSON snapshot (empty = disabled)")
 	flag.StringVar(&cfg.scale, "scale", "test", "parameter scale: test (N=128, seconds) or paper (N=2^13, CPU heavy)")
-	flag.IntVar(&cfg.executors, "executors", 1, "concurrent batch executors")
-	flag.IntVar(&cfg.workers, "workers", 0, "tile workers per executor (0 = GOMAXPROCS/executors, at least 1)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-tenant admission rate in jobs/sec (0 = unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-tenant admission burst (0 = max(1, rate))")
 	flag.IntVar(&cfg.queue, "queue", 0, "server-wide queued-job cap, reject-on-full (0 = unbounded)")
@@ -162,7 +157,7 @@ func main() {
 
 // buildBootstrapper constructs the server-side engine: full parameter set,
 // params-only LUT and scratch pools, no blind-rotate key (ColdStart — tenant
-// keys live in the registry).
+// keys live in the registry), and a batch width of every core.
 func buildBootstrapper(scale string) (*core.Bootstrapper, error) {
 	var cfg heap.ContextConfig
 	switch scale {
@@ -174,6 +169,7 @@ func buildBootstrapper(scale string) (*core.Bootstrapper, error) {
 		return nil, fmt.Errorf("heapd: unknown -scale %q (test|paper)", scale)
 	}
 	cfg.Bootstrap.ColdStart = true
+	cfg.Bootstrap.Workers = runtime.GOMAXPROCS(0)
 	q := ring.GenerateNTTPrimes(cfg.LimbBits, cfg.LogN, cfg.Limbs)
 	p := ring.GenerateNTTPrimesUp(cfg.LimbBits+1, cfg.LogN, cfg.PLimbs)
 	params, err := ckks.NewParameters(cfg.LogN, q, p, ring.DefaultSigma, cfg.Dnum,

@@ -54,7 +54,7 @@ func syntheticLWE(dim int, twoN uint64, seed uint64) *rlwe.LWECiphertext {
 // checks the /metrics ledger is consistent at quiesce (admitted = served +
 // expired + failed = queue_wait_ms observations, queue empty), shuts down,
 // and requires the goroutine count to return to the pre-daemon baseline —
-// listener loop, executors, coalescer, per-connection handlers, and the
+// listener loop, executor, coalescer, per-connection handlers, and the
 // metrics HTTP server all exit.
 func TestDaemonServeShutdownNoLeak(t *testing.T) {
 	if testing.Short() {
@@ -65,7 +65,6 @@ func TestDaemonServeShutdownNoLeak(t *testing.T) {
 		addr:        "127.0.0.1:0",
 		metricsAddr: "127.0.0.1:0",
 		scale:       "test",
-		executors:   2,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +189,23 @@ func fetchLedger(addr string) (serve.ServiceSnapshot, error) {
 	}
 }
 
+// TestDaemonWidthIsEveryCore: the daemon's one executor fans each batch over
+// its bootstrapper's Cfg.Workers, which heapd sets to GOMAXPROCS at start —
+// whatever the scale's context config says.
+func TestDaemonWidthIsEveryCore(t *testing.T) {
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		boot, err := buildBootstrapper("test")
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot.Cfg.Workers != procs {
+			t.Fatalf("GOMAXPROCS %d: the daemon's bootstrapper has Workers = %d", procs, boot.Cfg.Workers)
+		}
+	}
+}
+
 // TestDaemonRejectsUnknownScale: configuration errors surface before any
 // listener binds.
 func TestDaemonRejectsUnknownScale(t *testing.T) {
@@ -207,11 +223,10 @@ func TestDaemonAdmissionFlagsReachServer(t *testing.T) {
 		t.Skip("daemon round trips are slow")
 	}
 	d, err := startDaemon(daemonConfig{
-		addr:      "127.0.0.1:0",
-		scale:     "test",
-		executors: 1,
-		rate:      1,
-		burst:     1,
+		addr:  "127.0.0.1:0",
+		scale: "test",
+		rate:  1,
+		burst: 1,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

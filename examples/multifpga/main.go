@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"time"
 
 	"heap"
@@ -53,42 +54,66 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 
 	// The same fan-out over real byte streams: a primary and two secondary
 	// nodes exchanging serialized ciphertexts (internal/cluster, Figure 4).
-	mk := func() (*heap.Context, error) { return heap.NewContext(cfg) }
-	primary, err := mk()
+	primary, err := heap.NewContext(cfg)
 	if err != nil {
 		return err
 	}
-	sec1, err := mk()
+	// A secondary fans each batch over its bootstrapper's Workers, which a
+	// serving node sets to its cores, as heapd does.
+	secCfg := cfg
+	secCfg.Bootstrap.Workers = runtime.GOMAXPROCS(0)
+	sec1, err := heap.NewContext(secCfg)
 	if err != nil {
 		return err
 	}
-	sec2, err := mk()
+	sec2, err := heap.NewContext(secCfg)
 	if err != nil {
 		return err
 	}
 	node1 := serve.NewServer(sec1.Boot, serve.Config{})
 	node2 := serve.NewServer(sec2.Boot, serve.Config{})
-	c1p, c1s := net.Pipe()
-	c2p, c2s := net.Pipe()
-	go func() { _ = node1.ServeConn(c1s) }()
-	go func() { _ = node2.ServeConn(c2s) }()
+	// Each secondary dials the primary and joins its membership, as the
+	// nodes of the paper's system announce themselves to the primary; the
+	// bootstrap then draws on every member waiting.
+	pr := &cluster.Primary{Boot: primary.Boot}
+	m := cluster.NewMembership()
+	l := cluster.NewPipeListener()
+	go func() { _ = pr.AcceptJoins(m, l) }()
+	defer l.Close()
+	for i, node := range []*serve.Server{node1, node2} {
+		conn, err := l.Dial()
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		name := fmt.Sprintf("fpga-%d", i+1)
+		joinErr := make(chan error, 1)
+		go func() { joinErr <- node.JoinAndServe(conn, name) }()
+		deadline := time.After(30 * time.Second)
+		for st, ok := m.State(name); !ok || st != cluster.MemberActive; st, ok = m.State(name) {
+			select {
+			case err := <-joinErr:
+				return fmt.Errorf("%s: join: %w", name, err)
+			case <-deadline:
+				return fmt.Errorf("%s: not a member after 30s", name)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
 	v2 := make([]complex128, primary.Params.Slots)
 	for i := range v2 {
 		v2[i] = complex(0.4, 0)
 	}
 	ct2 := primary.Client.EncryptAtLevel(v2, 1)
 	start := time.Now()
-	out2, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(context.Background(), ct2,
-		[]*cluster.Node{{Conn: c1p}, {Conn: c2p}}, nil, cluster.DefaultOptions())
+	out2, stats, err := pr.Bootstrap(context.Background(), ct2, nil, m, cluster.DefaultOptions())
 	if err == nil {
 		err = stats.NodeErrors()
 	}
 	if err != nil {
 		return err
 	}
-	_ = cluster.Shutdown(c1p)
-	_ = cluster.Shutdown(c2p)
-	fmt.Printf("\ndistributed (1 primary + 2 secondaries over byte streams): %v, slot0 = %.3f\n",
+	fmt.Printf("\ndistributed (1 primary + 2 joined secondaries over byte streams): %v, slot0 = %.3f\n",
 		time.Since(start).Round(time.Millisecond), real(primary.Decrypt(out2)[0]))
 
 	// Fault tolerance: the same bootstrap with one secondary's link cut

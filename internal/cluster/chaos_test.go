@@ -7,15 +7,16 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"heap/internal/ckks"
 	. "heap/internal/cluster"
 	"heap/internal/core"
+	"heap/internal/obs"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
-	"heap/internal/serve"
 )
 
 // startSecondary serves a node, with a bootstrapper of its own built from
@@ -32,10 +33,89 @@ func startSecondary(t *testing.T, plan *FaultPlan) Conn {
 		t.Cleanup(func() { _ = fc.Close() })
 		sconn = fc
 	}
-	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	go func() { _ = node.ServeConn(sconn) }()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	return cp
+}
+
+// drawGate holds the primary's local rotations, as gateRecorder does, until
+// every starting worker holds a task: each node link it wraps has carried
+// the primary's first write (the join it sends right after that node draws
+// its first task) and, with locals > 0, that many local shard lanes have
+// each begun a rotation. Without it the local workers can drain the queue
+// before a node draws anything, and the node never reaches its fault. A
+// deadline opens the gate regardless, so a worker that never draws fails the
+// test on its assertions instead of hanging it.
+type drawGate struct {
+	gateRecorder
+	locals  int // local lanes that must begin a rotation
+	mu      sync.Mutex
+	waiting int // wrapped links not yet written, plus local lanes not yet begun
+	lanes   map[int]bool
+	open    func()
+}
+
+// holdLocalUntilDrawn installs a drawGate on primary for the test's
+// duration and returns the links wrapped so that their first write counts.
+func holdLocalUntilDrawn(t *testing.T, primary *core.Bootstrapper, locals int, links ...Conn) (*drawGate, []Conn) {
+	t.Helper()
+	g := &drawGate{gateRecorder: gateRecorder{release: make(chan struct{})}, locals: locals, waiting: len(links) + locals, lanes: make(map[int]bool)}
+	var once sync.Once
+	g.open = func() { once.Do(func() { close(g.release) }) }
+	timer := time.AfterFunc(10*time.Second, g.open)
+	primary.SetRecorder(g)
+	t.Cleanup(func() {
+		timer.Stop()
+		g.open()
+		primary.SetRecorder(nil)
+	})
+	wrapped := make([]Conn, len(links))
+	for i, c := range links {
+		wrapped[i] = &drawnConn{Conn: c, drawn: g.arrive}
+	}
+	return g, wrapped
+}
+
+func (g *drawGate) arrive() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.waiting--; g.waiting == 0 {
+		g.open()
+	}
+}
+
+func (g *drawGate) Begin(s obs.Stage, lane int) obs.Token {
+	if s == obs.StageBlindRotate && lane != obs.LanePipeline {
+		g.mu.Lock()
+		counts := !g.lanes[lane] && len(g.lanes) < g.locals
+		g.lanes[lane] = true
+		g.mu.Unlock()
+		if counts {
+			g.arrive()
+		}
+	}
+	return g.gateRecorder.Begin(s, lane)
+}
+
+// began reports whether a rotation began on shard lane.
+func (g *drawGate) began(lane int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.lanes[lane]
+}
+
+// drawnConn is the primary's end of a node link that calls drawn at the
+// primary's first write on it.
+type drawnConn struct {
+	Conn
+	once  sync.Once
+	drawn func()
+}
+
+func (c *drawnConn) Write(p []byte) (int, error) {
+	c.once.Do(c.drawn)
+	return c.Conn.Write(p)
 }
 
 // TestKillSecondaryMidStream cuts one secondary's link partway through its
@@ -87,9 +167,10 @@ func TestAllSecondariesDeadFallsBackLocal(t *testing.T) {
 		cs.Close()
 		return cp
 	}
+	_, links := holdLocalUntilDrawn(t, fx.bt, 0, dead(), dead())
 	nodes := []*Node{
-		{Conn: dead(), Name: "dead-0"},
-		{Conn: dead(), Name: "dead-1"},
+		{Conn: links[0], Name: "dead-0"},
+		{Conn: links[1], Name: "dead-1"},
 	}
 	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
 	if err != nil {
@@ -155,7 +236,8 @@ func TestDelayedPeerBudgetPassesMidBatch(t *testing.T) {
 	slow := startSecondary(t, &FaultPlan{Seed: 3, WriteDelay: 100 * time.Millisecond})
 	opts := testOptions()
 	opts.BatchTimeout = 300 * time.Millisecond
-	nodes := []*Node{{Conn: noDeadlineConn{slow}, Name: "slow"}}
+	_, links := holdLocalUntilDrawn(t, fx.bt, 0, noDeadlineConn{slow})
+	nodes := []*Node{{Conn: links[0], Name: "slow"}}
 	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +314,7 @@ func TestHandshakeRejectsMismatchedParams(t *testing.T) {
 	}
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
-	node := newNode(t, alien, serve.Config{})
+	node := newNode(t, alien)
 	go func() { _ = node.ServeConn(cs) }()
 
 	nodes := []*Node{{Conn: cp, Name: "alien"}}
@@ -261,7 +343,7 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
 	done := make(chan error, 1)
-	node := newNode(t, fx.bt, serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	go func() { done <- node.ServeConn(cs) }()
 
 	if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), "primary")}); err != nil {
@@ -300,7 +382,7 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 // stops serving the connection with an error.
 func TestRetiredFrameKindRefused(t *testing.T) {
 	fixture(t)
-	node := newNode(t, fx.bt, serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	for _, joined := range []bool{false, true} {
 		cp, cs := net.Pipe()
 		served := make(chan error, 1)
@@ -366,11 +448,13 @@ func TestChaosMatrix(t *testing.T) {
 		cut := 4000 + int(seed)*2500
 		flaky := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: seed, CutReadAfter: cut})
 		healthy := startSecondary(t, nil)
+		_, links := holdLocalUntilDrawn(t, fx.bt, 0, flaky)
 		nodes := []*Node{
-			{Conn: flaky, Name: "flaky"},
+			{Conn: links[0], Name: "flaky"},
 			{Conn: healthy, Name: "healthy"},
 		}
 		out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+		fx.bt.SetRecorder(nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -73,6 +73,10 @@ import (
 type Primary struct {
 	Boot *core.Bootstrapper
 
+	// keyChunk is the key upload's chunk size: keyChunkBytes when 0, which
+	// it is outside the tests that cut a small key into many chunks.
+	keyChunk int
+
 	// keyHigh is, per node name, one past the highest key chunk ever sent
 	// to that node. It outlives runs, so the chunk in flight when a link is
 	// cut in one run and sent again on the rejoin in the next is counted as
@@ -155,7 +159,6 @@ func (rs *runState) down(name string, st MemberState) {
 // cancelled, local compute panicked, bad input); per-node failures are
 // reported by Stats.NodeErrors.
 func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, m *Membership, opts Options) (*rlwe.Ciphertext, *Stats, error) {
-	opts = opts.withDefaults()
 	prep, err := p.prepare(ct)
 	if err != nil {
 		return nil, nil, err
@@ -190,12 +193,15 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		}
 	}
 
-	// Tasks hold at most one tile (the key-major engine's unit) and are small
-	// enough that every starting worker — secondary or local — draws one, so
-	// a small bootstrap still fans over all of them and a mid-run joiner
-	// finds work left to steal.
+	// Tasks hold at most one tile (the key-major engine's unit) and at most
+	// ⌊n / starting workers⌋ indices, so there are at least as many tasks as
+	// starting workers; with fill leaving each worker yet to draw a task,
+	// every starting worker — secondary or local — draws one, a small
+	// bootstrap still fans over all of them and a mid-run joiner finds work
+	// left to steal.
 	lw := max(p.Boot.Cfg.Workers, 1)
-	q := newWorkQueue(n, min(p.Boot.TileSize(), (n+len(nodes)+lw-1)/(len(nodes)+lw)))
+	workers := len(nodes) + lw
+	q := newWorkQueue(n, max(min(tfhe.Tile, n/workers), 1), workers)
 	// Streaming repack (§V): every accumulator is fed to the merge collector
 	// the moment it arrives — from the network read loops and the local
 	// workers alike — so the merge tree runs concurrently with the
@@ -490,7 +496,11 @@ func (p *Primary) uploadKey(ns *NodeStats, conn Conn, rs *runState) error {
 		p.keyHigh[ns.Name] = high
 		p.mu.Unlock()
 	}()
-	return sendKey(conn, blob, crc, rs.opts, p.Boot.Recorder(), &high)
+	chunk := p.keyChunk
+	if chunk <= 0 {
+		chunk = keyChunkBytes
+	}
+	return sendKey(conn, blob, crc, chunk, rs.opts.BatchTimeout, p.Boot.Recorder(), &high)
 }
 
 // runLocal is the primary's own compute: it drains queue tasks — its share
@@ -505,9 +515,8 @@ func (p *Primary) runLocal(w, lane int, rs *runState) error {
 	prep, q := rs.prep, rs.q
 	rec := p.Boot.Recorder()
 	sc := p.Boot.NewRotateScratch()
-	tile := p.Boot.TileSize()
-	accTile := make([]*rlwe.Ciphertext, tile)
-	lweTile := make([]*rlwe.LWECiphertext, tile)
+	accTile := make([]*rlwe.Ciphertext, tfhe.Tile)
+	lweTile := make([]*rlwe.LWECiphertext, tfhe.Tile)
 	for task := q.pop(); task != nil; task = q.pop() {
 		for k, idx := range task {
 			accTile[k] = p.Boot.NewAccumulator()
@@ -571,7 +580,7 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 	// leaves flight here. Progress is counted per tile's worth, not per
 	// frame: a node that trickles frames slower than tiles is still cut.
 	outstanding := len(idxs)
-	tileWorth := min(p.Boot.TileSize(), outstanding)
+	tileWorth := min(tfhe.Tile, outstanding)
 	rec.Gauge(obs.GaugeInFlightShards, int64(outstanding))
 	defer func() { rec.Gauge(obs.GaugeInFlightShards, -int64(outstanding)) }()
 	recvTok := rec.Begin(obs.StageNetRecv, lane)
@@ -581,7 +590,7 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 		rec.Gauge(obs.GaugeInFlightShards, -1)
 		if tileWorth--; tileWorth == 0 {
 			rs.clock.progress(wait)
-			tileWorth = min(p.Boot.TileSize(), outstanding)
+			tileWorth = min(tfhe.Tile, outstanding)
 		}
 		rs.mu.Lock()
 		ns.Completed++

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	. "heap/internal/cluster"
-	"heap/internal/serve"
 )
 
 // TestDistributedBootstrap runs a primary plus two secondaries over
@@ -34,8 +33,8 @@ func TestDistributedBootstrap(t *testing.T) {
 	c1p, c1s := net.Pipe()
 	c2p, c2s := net.Pipe()
 	done := make(chan error, 2)
-	node1 := newNode(t, btSec1, serve.Config{})
-	node2 := newNode(t, btSec2, serve.Config{})
+	node1 := newNode(t, btSec1)
+	node2 := newNode(t, btSec2)
 	go func() { done <- node1.ServeConn(c1s) }()
 	go func() { done <- node2.ServeConn(c2s) }()
 

@@ -60,7 +60,7 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	servDone := make(chan error, 1)
 	go func() { servDone <- node.JoinAndServe(conn, "joiner") }()
 
@@ -102,10 +102,12 @@ func TestElasticJoinMidRunStealsWork(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestGracefulLeaveDrains joins a node, asks it to leave before the run
-// starts, and requires the primary to drain it — leave frame honored, no
-// failure recorded, pending work reassigned, membership transitioned —
-// while the bootstrap still completes bit-exact.
+// TestGracefulLeaveDrains joins a node that answers its first batch with a
+// leave frame, and requires the primary to drain it — leave frame honored,
+// no failure recorded, pending work reassigned, membership transitioned —
+// while the bootstrap still completes bit-exact. The leaver is scripted on
+// the wire (leaveAtFirstBatch): leaving is the node's word, and only the
+// primary's handling of it is under test.
 func TestGracefulLeaveDrains(t *testing.T) {
 	fixture(t)
 	before := runtime.NumGoroutine()
@@ -116,16 +118,12 @@ func TestGracefulLeaveDrains(t *testing.T) {
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
-	sec := newNode(t, fixtureNode(t, 0, false), serve.Config{})
 	conn, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	servDone := make(chan error, 1)
-	go func() { servDone <- sec.JoinAndServe(conn, "leaver") }()
-	// The very first frame the node receives after joining is answered with
-	// a leave — deterministic: the request lands before any work can.
-	sec.RequestLeave()
+	go func() { servDone <- leaveAtFirstBatch(conn, "leaver") }()
 	// Wait for the registry to hold the joiner before starting the run.
 	for {
 		if _, ok := m.State("leaver"); ok {
@@ -134,7 +132,9 @@ func TestGracefulLeaveDrains(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	fx.bt.SetRecorder(newSendGate(t, obs.Nop{}))
 	out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
+	fx.bt.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,29 @@ func TestGracefulLeaveDrains(t *testing.T) {
 		t.Fatalf("leaving secondary: %v", err)
 	}
 	closeConn(conn)
-	sec.Close()
 	_ = l.Close()
 	<-acceptDone
 	assertNoGoroutineLeak(t, before)
+}
+
+// leaveAtFirstBatch joins the primary at the far end of conn under name,
+// key-warm, and answers the first batch it is sent with a leave frame.
+func leaveAtFirstBatch(conn Conn, name string) error {
+	hello := HelloFor(fx.bt)
+	hello.Flags |= HelloFlagKeyWarm
+	if err := Join(conn, hello, name, obs.Nop{}); err != nil {
+		return err
+	}
+	maxPayload := max(BatchPayloadBound(fx.params.N(), LWEDim(fx.bt)), MaxKeyChunkPayload)
+	for {
+		f, err := ReadFrame(conn, maxPayload)
+		if err != nil {
+			return err
+		}
+		if f.Kind == FrameBatch {
+			return WriteFrame(conn, &Frame{Kind: FrameLeave, Payload: EncodeReason("leave requested")})
+		}
+	}
 }
 
 // TestKillMidKeyUploadResumes is the headline key-streaming scenario: a
@@ -209,8 +228,8 @@ func TestKillMidKeyUploadResumes(t *testing.T) {
 func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkBytes int, check func(*testing.T, *rlwe.Ciphertext)) {
 	before := runtime.NumGoroutine()
 
-	coldMet := obs.NewMetrics()
-	cold := newNode(t, coldBoot, serve.Config{Recorder: coldMet})
+	cold := newNode(t, coldBoot)
+	coldMet := cold.Metrics()
 
 	priMet := obs.NewMetrics()
 	primary.SetRecorder(priMet)
@@ -219,6 +238,7 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	m := NewMembership()
 	l := NewPipeListener()
 	pr := &Primary{Boot: primary}
+	SetKeyChunk(pr, chunkBytes)
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
@@ -247,7 +267,6 @@ func killMidKeyUpload(t *testing.T, primary, coldBoot *core.Bootstrapper, chunkB
 	}
 
 	opts := testOptions()
-	opts.KeyChunkBytes = chunkBytes
 	resCh := make(chan runResult, 1)
 	go func() {
 		out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
@@ -343,7 +362,7 @@ func TestStalledNodeIsCut(t *testing.T) {
 
 	cp, cs := net.Pipe()
 	fc := NewFaultConn(cs, FaultPlan{Seed: 3, StallWriteAfter: 48}) // wedge after the join ack
-	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	servDone := make(chan error, 1)
 	go func() { servDone <- node.ServeConn(fc) }()
 
@@ -428,7 +447,7 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 	}
 	// The node's link dies partway into its first batch.
 	fc := NewFaultConn(conn, FaultPlan{Seed: 17, CutReadAfter: 1 << 10})
-	sec := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	sec := newNode(t, fixtureNode(t, 0, false))
 	servDone := make(chan error, 1)
 	go func() { servDone <- sec.JoinAndServe(fc, "doomed") }()
 	for {
@@ -439,7 +458,7 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 	}
 
 	met := obs.NewMetrics()
-	fx.bt.SetRecorder(met)
+	fx.bt.SetRecorder(newSendGate(t, met))
 	out, stats, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
 	fx.bt.SetRecorder(nil)
 	if err != nil {
@@ -472,7 +491,7 @@ func TestMembersGaugeZeroAfterJoinerDies(t *testing.T) {
 // any tenant — nothing is rotated, and the node stays key-cold.
 func TestKeyColdSecondaryFailsEarlyBatch(t *testing.T) {
 	fixture(t)
-	cold := newNode(t, fixtureNode(t, 0, true), serve.Config{})
+	cold := newNode(t, fixtureNode(t, 0, true))
 	cp, cs := net.Pipe()
 	defer cp.Close()
 	served := make(chan error, 1)
@@ -548,6 +567,35 @@ func (g *gateRecorder) Begin(s obs.Stage, lane int) obs.Token {
 	return 0
 }
 
+// sendGate records to rec and holds the primary's local rotations until a
+// batch send to some node begins, so that a joiner, which the primary's
+// recorder sees only through its link's spans, draws before the local
+// workers can drain the queue. A deadline opens it regardless.
+type sendGate struct {
+	obs.Recorder
+	sent chan struct{}
+	open func()
+}
+
+func newSendGate(t *testing.T, rec obs.Recorder) *sendGate {
+	g := &sendGate{Recorder: rec, sent: make(chan struct{})}
+	var once sync.Once
+	g.open = func() { once.Do(func() { close(g.sent) }) }
+	timer := time.AfterFunc(10*time.Second, g.open)
+	t.Cleanup(func() { timer.Stop(); g.open() })
+	return g
+}
+
+func (g *sendGate) Begin(s obs.Stage, lane int) obs.Token {
+	switch {
+	case s == obs.StageNetSend:
+		g.open()
+	case s == obs.StageBlindRotate && lane != obs.LanePipeline:
+		<-g.sent
+	}
+	return g.Recorder.Begin(s, lane)
+}
+
 // TestKeyColdJoinerGetsKeyDoneFirst scripts a key-cold joiner that acks every
 // chunk, while the primary's local worker is held so that work stays
 // queued: the joiner must see key-done before its first batch. (Before
@@ -565,6 +613,7 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 	m := NewMembership()
 	l := NewPipeListener()
 	pr := &Primary{Boot: primary}
+	SetKeyChunk(pr, 16<<10)
 	acceptDone := make(chan struct{})
 	go func() { _ = pr.AcceptJoins(m, l); close(acceptDone) }()
 
@@ -625,9 +674,7 @@ func TestKeyColdJoinerGetsKeyDoneFirst(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	opts := testOptions()
-	opts.KeyChunkBytes = 16 << 10
-	out, _, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, opts)
+	out, _, err := pr.Bootstrap(context.Background(), fx.ct.CopyNew(), nil, m, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +751,7 @@ func TestElasticJoinAckPrecedesFirstBatch(t *testing.T) {
 	}()
 	<-gate.entered
 
-	node := newNode(t, fixtureNode(t, 0, false), serve.Config{})
+	node := newNode(t, fixtureNode(t, 0, false))
 	conn, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)

@@ -35,3 +35,7 @@ func Fixture(t *testing.T) (*ckks.Parameters, *ckks.Client, *core.Bootstrapper, 
 	fixture(t)
 	return fx.params, fx.cl, fx.bt, fx.ct
 }
+
+// SetKeyChunk cuts p's key uploads into chunks of n bytes, so the test
+// fixtures' small keys span many chunks.
+func SetKeyChunk(p *Primary, n int) { p.keyChunk = n }

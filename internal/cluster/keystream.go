@@ -180,27 +180,25 @@ func KeyBlob(p *rlwe.Parameters, key *tfhe.BlindRotateKey) ([]byte, uint32, erro
 // StreamKey pushes a serialized blind-rotate key blob over conn with the
 // chunked stop-and-wait protocol above (offer → resume → chunks with
 // per-chunk acks → done), resuming from whatever the receiver already holds.
-// chunkBytes ≤ 0 takes the scheduler default; timeout ≤ 0 leaves each round
-// trip unbounded. This is the client-side path a tenant uses to install its
-// key in a serving registry; it is byte-identical to the primary→secondary
-// warm-up stream.
+// chunkBytes ≤ 0 takes the primary's 256 KiB chunks; timeout ≤ 0 leaves each
+// round trip unbounded. This is the client-side path a tenant uses to install
+// its key in a serving registry; it is byte-identical to the
+// primary→secondary warm-up stream.
 func StreamKey(conn Conn, blob []byte, blobCRC uint32, chunkBytes int, timeout time.Duration, rec obs.Recorder) error {
-	opts := DefaultOptions()
-	if chunkBytes > 0 {
-		opts.KeyChunkBytes = chunkBytes
+	if chunkBytes <= 0 {
+		chunkBytes = keyChunkBytes
 	}
-	opts.BatchTimeout = timeout
 	var high uint32
-	return sendKey(conn, blob, blobCRC, opts.withDefaults(), obs.OrNop(rec), &high)
+	return sendKey(conn, blob, blobCRC, chunkBytes, timeout, obs.OrNop(rec), &high)
 }
 
 // sendKey streams the key blob to a cold node, resuming from whatever the
 // receiver already holds. high is one past the highest chunk ever sent to the
 // node; it advances when a chunk is first sent, so a chunk sent again after a
 // cut (with stop-and-wait, the one in flight when the link died) is counted
-// in CounterKeyChunkResent.
-func sendKey(conn Conn, blob []byte, blobCRC uint32, opts Options, rec obs.Recorder, high *uint32) error {
-	chunk := opts.KeyChunkBytes
+// in CounterKeyChunkResent. Each round trip is bounded by timeout (≤ 0:
+// unbounded).
+func sendKey(conn Conn, blob []byte, blobCRC uint32, chunk int, timeout time.Duration, rec obs.Recorder, high *uint32) error {
 	count := (len(blob) + chunk - 1) / chunk
 	offer := KeyOffer{
 		TotalSize:  uint64(len(blob)),
@@ -210,7 +208,7 @@ func sendKey(conn Conn, blob []byte, blobCRC uint32, opts Options, rec obs.Recor
 	}
 
 	roundTrip := func(send *Frame, wantKind uint32) (*Frame, error) {
-		disarm := armTimeout(conn, opts.BatchTimeout)
+		disarm := armTimeout(conn, timeout)
 		defer disarm()
 		if err := WriteFrame(countWriter{conn, rec}, send); err != nil {
 			return nil, fmt.Errorf("cluster: key upload send: %w", err)

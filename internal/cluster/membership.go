@@ -142,8 +142,8 @@ func (m *Membership) State(name string) (MemberState, bool) {
 }
 
 // Listener accepts join connections. net.Listener satisfies it through
-// ListenerFrom; PipeListener provides the in-memory form tests and the
-// churn demo use.
+// ListenerFrom; PipeListener provides the in-memory form the tests and
+// examples/multifpga use.
 type Listener interface {
 	Accept() (Conn, error)
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,9 +54,11 @@ func fixtureNode(t *testing.T, nt int, cold bool) *core.Bootstrapper {
 }
 
 // newNode is a cluster secondary: a blind-rotation server over bt, closed at
-// test cleanup.
-func newNode(tb testing.TB, bt *core.Bootstrapper, cfg serve.Config) *serve.Server {
-	srv := serve.NewServer(bt, cfg)
+// test cleanup. Like heapd, it fans each batch over every core: bt's Workers
+// becomes GOMAXPROCS, so bt must be the node's own bootstrapper.
+func newNode(tb testing.TB, bt *core.Bootstrapper) *serve.Server {
+	bt.Cfg.Workers = runtime.GOMAXPROCS(0)
+	srv := serve.NewServer(bt, serve.Config{})
 	tb.Cleanup(srv.Close)
 	return srv
 }

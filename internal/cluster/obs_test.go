@@ -10,6 +10,7 @@ import (
 	. "heap/internal/cluster"
 	"heap/internal/obs"
 	"heap/internal/serve"
+	"heap/internal/tfhe"
 )
 
 // TestClusterTraceAccounting locks the observability contract of a
@@ -28,8 +29,8 @@ func TestClusterTraceAccounting(t *testing.T) {
 	ct := cl.EncryptAtLevel(v, 1)
 
 	cp, cs := net.Pipe()
-	secMet := obs.NewMetrics()
-	node := newNode(t, btSec, serve.Config{Recorder: secMet})
+	node := newNode(t, btSec)
+	secMet := node.Metrics()
 	done := make(chan error, 1)
 	go func() { done <- node.ServeConn(cs) }()
 
@@ -78,12 +79,11 @@ func TestClusterTraceAccounting(t *testing.T) {
 	for i := range stats.Nodes {
 		remote += stats.Nodes[i].Completed
 	}
-	tile := btPrimary.TileSize()
-	minTiles := (stats.Local + tile - 1) / tile
+	minTiles := (stats.Local + tfhe.Tile - 1) / tfhe.Tile
 	tileSpans := int(snap.Shards["BlindRotate"].Count)
 	if tileSpans < minTiles || tileSpans > max(stats.Local, minTiles) {
 		t.Errorf("local shard-lane tile spans = %d, want in [%d, %d] for %d local rotations (tile %d)",
-			tileSpans, minTiles, max(stats.Local, minTiles), stats.Local, tile)
+			tileSpans, minTiles, max(stats.Local, minTiles), stats.Local, tfhe.Tile)
 	}
 	if got := int(met.Counter(obs.CounterBlindRotate)); got != stats.Local {
 		t.Errorf("primary blind_rotates = %d, want stats.Local = %d", got, stats.Local)
@@ -225,41 +225,42 @@ func TestLocalShareFansOverWorkers(t *testing.T) {
 }
 
 // TestQueueTasksReachEveryStartingWorker runs with more starting workers
-// (one secondary, two local workers) than the n / TileSize() tasks whole
-// tiles would make: the queue must size its tasks so that each of them
-// draws one. Every task outlasts a scheduler time slice at this ring, so no
-// worker can finish one and take a second before the others start.
+// than the n/Tile tasks whole tiles would make — one secondary and 16 local
+// workers for the 128 rotations at this ring, against 16 whole tiles — so
+// the queue must cut its tasks smaller (⌊128/17⌋ = 7) for each worker to
+// draw one, and the secondary's first dispatch batch must leave a task for
+// every worker yet to draw. A drawGate holds every local rotation until the
+// secondary has drawn and each local lane has begun one, so no worker can
+// finish a task and take a second before the others start; a queue that
+// made too few tasks leaves the gate shut until its deadline and a lane
+// empty.
 func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 	params, cl, bt := buildNode(t, 7)
 	_, _, btSec := buildNode(t, 7)
-	bt.Cfg.Tile = params.N()
-	bt.Cfg.Workers = 2
+	bt.Cfg.Workers = 16
 	ct := cl.EncryptAtLevel(make([]complex128, params.Slots), 1)
 	local := bt.Bootstrap(ct.CopyNew())
 
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
-	node := newNode(t, btSec, serve.Config{})
+	node := newNode(t, btSec)
 	go func() { _ = node.ServeConn(cs) }()
-	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
-	if workers, tiles := len(nodes)+bt.Cfg.Workers, params.N()/bt.TileSize(); workers <= tiles {
+	gate, links := holdLocalUntilDrawn(t, bt, bt.Cfg.Workers, cp)
+	nodes := []*Node{{Conn: links[0], Name: "sec-0"}}
+	if workers, tiles := len(nodes)+bt.Cfg.Workers, params.N()/tfhe.Tile; workers <= tiles {
 		t.Fatalf("%d starting workers do not outnumber the %d whole-tile tasks", workers, tiles)
 	}
 
-	tracer := obs.NewTracer()
-	bt.SetRecorder(tracer)
 	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
-	bt.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ns := stats.Nodes[0]; ns.Dispatched == 0 || ns.Failed {
 		t.Fatalf("the secondary drew no task:\n%s", stats)
 	}
-	lanes := blindRotateLanes(t, tracer)
 	for w := 0; w < bt.Cfg.Workers; w++ {
-		if lane := len(nodes) + w; lanes[lane] == 0 {
-			t.Errorf("local worker %d (lane %d) drew no task: spans by lane %v\n%s", w, lane, lanes, stats)
+		if lane := len(nodes) + w; !gate.began(lane) {
+			t.Errorf("local worker %d (lane %d) drew no task\n%s", w, lane, stats)
 		}
 	}
 	if b := params.QBasis.AtLevel(local.Level()); !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {
@@ -280,8 +281,9 @@ func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
 
 	cp, cs := net.Pipe()
 	t.Cleanup(func() { cp.Close(); cs.Close() })
-	secMet := obs.NewMetrics()
-	node := newNode(t, btSec, serve.Config{Workers: btSec.Cfg.Workers, Recorder: secMet})
+	node := serve.NewServer(btSec, serve.Config{}) // four wide, not newNode's every core
+	t.Cleanup(node.Close)
+	secMet := node.Metrics()
 	go func() { _ = node.ServeConn(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
 	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
@@ -292,7 +294,7 @@ func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
 	if rots == 0 || int(rots) != stats.Nodes[0].Completed {
 		t.Fatalf("secondary rotated %d, primary received %d\n%s", rots, stats.Nodes[0].Completed, stats)
 	}
-	if tile := uint64(btSec.TileSize()); 2*rots <= tile*tiles {
+	if tile := uint64(tfhe.Tile); 2*rots <= tile*tiles {
 		t.Errorf("secondary ran %d rotations in %d tiles: under half of tile %d on average\n%s", rots, tiles, tile, stats)
 	}
 	if b := params.QBasis.AtLevel(local.Level()); !b.Equal(local.C0, out.C0) || !b.Equal(local.C1, out.C1) {

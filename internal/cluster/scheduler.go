@@ -44,25 +44,16 @@ type Options struct {
 	// send and the whole accumulator stream, one key-stream exchange) by a
 	// deadline on the conn. 0 disables.
 	BatchTimeout time.Duration
-	// KeyChunkBytes is the chunk size of the resumable blind-rotate key
-	// upload to cold joiners. 0 selects 256 KiB.
-	KeyChunkBytes int
 }
 
 // DefaultOptions returns production-leaning defaults.
 func DefaultOptions() Options {
-	return Options{
-		BatchTimeout:  30 * time.Second,
-		KeyChunkBytes: 256 << 10,
-	}
+	return Options{BatchTimeout: 30 * time.Second}
 }
 
-func (o Options) withDefaults() Options {
-	if o.KeyChunkBytes <= 0 {
-		o.KeyChunkBytes = DefaultOptions().KeyChunkBytes
-	}
-	return o
-}
+// keyChunkBytes is the chunk size of the resumable blind-rotate key upload,
+// to a cold joiner and from a tenant alike.
+const keyChunkBytes = 256 << 10
 
 // NodeStats records one node's share of a bootstrap.
 type NodeStats struct {
@@ -132,6 +123,7 @@ type workQueue struct {
 	cond      *sync.Cond
 	tasks     [][]int
 	size      int // indices per task, at most one tile: runLocal rotates a task as one
+	undrawn   int // starting workers yet to draw, counted as the run's first pops; fill leaves them a task each
 	remaining int
 	aborted   bool
 	finished  bool          // doneCh closed (remaining hit 0 or abort)
@@ -139,8 +131,8 @@ type workQueue struct {
 	rec       obs.Recorder  // queue-depth gauge; set before workers start
 }
 
-func newWorkQueue(total, size int) *workQueue {
-	q := &workQueue{remaining: total, size: size, rec: obs.Nop{}, doneCh: make(chan struct{})}
+func newWorkQueue(total, size, workers int) *workQueue {
+	q := &workQueue{remaining: total, size: size, undrawn: workers, rec: obs.Nop{}, doneCh: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -172,6 +164,7 @@ func (q *workQueue) pop() []int {
 		if len(q.tasks) > 0 {
 			t := q.tasks[0]
 			q.tasks = q.tasks[1:]
+			q.undrawn = max(q.undrawn-1, 0)
 			q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
 			return t
 		}
@@ -181,7 +174,8 @@ func (q *workQueue) pop() []int {
 
 // fill tops task up with whole queued tasks, without blocking, while the
 // batch holds at most ⌈queued / parts⌉ indices (task counted as queued) and
-// at most limit.
+// at most limit, and a task stays queued for each starting worker yet to
+// draw one.
 func (q *workQueue) fill(task []int, parts, limit int) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -191,7 +185,7 @@ func (q *workQueue) fill(task []int, parts, limit int) []int {
 	}
 	share := min(limit, (queued+parts-1)/parts)
 	batch := slices.Clip(task)
-	for !q.aborted && len(q.tasks) > 0 && len(batch)+len(q.tasks[0]) <= share {
+	for !q.aborted && len(q.tasks) > q.undrawn && len(batch)+len(q.tasks[0]) <= share {
 		t := q.tasks[0]
 		q.tasks = q.tasks[1:]
 		q.rec.Gauge(obs.GaugeQueueDepth, -int64(len(t)))
@@ -246,7 +240,7 @@ func armTimeout(conn Conn, d time.Duration) (disarm func()) {
 func closeConn(conn Conn) { _ = conn.Close() }
 
 // tileClock is one run's progress deadline: a node link must deliver one
-// tile's worth of accumulators — min(TileSize, accumulators still due in the
+// tile's worth of accumulators — min(tfhe.Tile, accumulators still due in the
 // batch) — within 2 × T, where T is the slowest tile the primary's own local
 // workers have rotated in the run. Until the first local tile completes there
 // is no T, and a batch is bounded by BatchTimeout alone. A link that misses

@@ -53,7 +53,7 @@ func TestArmTimeoutZeroIsUnbounded(t *testing.T) {
 // indices into tasks of the queue's size, and fill tops a drawn task up with
 // whole queued tasks to ⌈queued / parts⌉ indices, never past the limit.
 func TestWorkQueueFillTakesAShare(t *testing.T) {
-	q := newWorkQueue(64, 8)
+	q := newWorkQueue(64, 8, 0)
 	all := make([]int, 64)
 	for i := range all {
 		all[i] = i
@@ -78,5 +78,32 @@ func TestWorkQueueFillTakesAShare(t *testing.T) {
 	// 24 queued, one part: the rest in one batch.
 	if got := q.fill(q.pop(), 1, 64); len(got) != 24 || got[0] != 40 || got[23] != 63 {
 		t.Fatalf("last batch = %v, want indices 40..63", got)
+	}
+}
+
+// TestWorkQueueFillLeavesUndrawnWorkersATask: while starting workers have
+// yet to draw (the queue's first pops), fill tops a batch up only with the
+// tasks beyond one for each of them.
+func TestWorkQueueFillLeavesUndrawnWorkersATask(t *testing.T) {
+	q := newWorkQueue(64, 8, 4)
+	all := make([]int, 64)
+	for i := range all {
+		all[i] = i
+	}
+	q.push(all)
+	// One part would take all 64, but after this draw three workers have
+	// yet to draw: of the 7 tasks left, 4 join the batch.
+	if got := q.fill(q.pop(), 1, 64); len(got) != 40 || got[0] != 0 || got[39] != 39 {
+		t.Fatalf("first batch = %v, want indices 0..39", got)
+	}
+	for range 3 {
+		if task := q.pop(); len(task) != 8 {
+			t.Fatalf("an undrawn worker drew %v, want a whole task", task)
+		}
+	}
+	// Every worker has drawn: a reassigned batch goes out whole again.
+	q.push(all[:24])
+	if got := q.fill(q.pop(), 1, 64); len(got) != 24 {
+		t.Fatalf("batch after every draw = %v, want 24 indices", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +64,7 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 	nodeBoots := make([]*core.Bootstrapper, 2)
 	for k := range nodeBoots {
 		nodeBoots[k], _ = boot()
+		nodeBoots[k].Cfg.Workers = runtime.GOMAXPROCS(0) // a node fans over every core, as heapd's does
 	}
 	v := make([]complex128, params.Slots)
 	for i := range v {
@@ -84,7 +86,7 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 				for k := range nodes {
 					pri, sec := stragglerLink(row, k, accWire)
 					ends = append(ends, pri, sec)
-					servers[k] = serve.NewServer(nodeBoots[k], serve.Config{Workers: bt.Cfg.Workers})
+					servers[k] = serve.NewServer(nodeBoots[k], serve.Config{})
 					go func() { served <- servers[k].ServeConn(sec) }()
 					nodes[k] = &Node{Conn: pri, Name: fmt.Sprintf("sec-%d", k)}
 				}

@@ -43,12 +43,6 @@ type Config struct {
 	// Workers is the number of parallel compute nodes the BlindRotate fan-out
 	// uses (the software analog of the paper's eight FPGAs).
 	Workers int
-	// Tile is the key-major batch tile: the number of accumulators that
-	// advance together through one pass over the blind-rotate key, so each
-	// RGSW key pair is pulled through cache once per tile instead of once
-	// per ciphertext — the software analog of the paper's URAM-resident key
-	// slabs (§V). 0 selects the tfhe default.
-	Tile int
 	// Seed drives deterministic key generation.
 	Seed uint64
 	// ColdStart skips blind-rotate key generation: the bootstrapper rotates
@@ -62,7 +56,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's parameter choices.
 func DefaultConfig() Config {
-	return Config{NT: 500, LWELogBase: 7, ScaleUpBits: 20, Workers: 8, Tile: tfhe.DefaultTile, Seed: 0xb007}
+	return Config{NT: 500, LWELogBase: 7, ScaleUpBits: 20, Workers: 8, Seed: 0xb007}
 }
 
 // Bootstrapper holds the key material and evaluators for scheme-switching
@@ -121,7 +115,7 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 	if params.MaxLevel() < 2 {
 		return nil, fmt.Errorf("core: need at least two limbs (one application limb plus the auxiliary prime)")
 	}
-	if cfg.NT < 0 || cfg.Workers < 1 || cfg.Tile < 0 {
+	if cfg.NT < 0 || cfg.Workers < 1 {
 		return nil, fmt.Errorf("core: invalid config %+v", cfg)
 	}
 	n := params.N()
@@ -380,15 +374,6 @@ func (bt *Bootstrapper) checkKey(k *tfhe.BlindRotateKey) error {
 	return k.CheckShape()
 }
 
-// TileSize returns the key-major tile size of the batched blind-rotate
-// engine (Cfg.Tile, or the tfhe default when unset).
-func (bt *Bootstrapper) TileSize() int {
-	if bt.Cfg.Tile > 0 {
-		return bt.Cfg.Tile
-	}
-	return tfhe.DefaultTile
-}
-
 // BlindRotateTile rotates one key-major tile of prepared LWE ciphertexts
 // into caller-owned accumulators (tfhe.BlindRotateTileInto): the blind-rotate
 // key is pulled through cache once for the whole tile. It is the building
@@ -398,10 +383,9 @@ func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LW
 }
 
 // BlindRotateBatch runs the key-major batched engine over prepared LWE
-// ciphertexts, filling nil entries of accs. Zero-value options inherit the
-// bootstrapper's tile size and draw accumulators from its pool
-// (RecycleAccumulator); see tfhe.BatchOptions for the worker fan-out and the
-// streaming per-tile hook.
+// ciphertexts, filling nil entries of accs. Without an opts.NewAcc it draws
+// accumulators from the bootstrapper's pool (RecycleAccumulator); see
+// tfhe.BatchOptions for the worker fan-out and the streaming per-tile hook.
 func (bt *Bootstrapper) BlindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, opts tfhe.BatchOptions) error {
 	return bt.blindRotateBatch(accs, lwes, bt.brk, opts)
 }
@@ -422,9 +406,6 @@ func (bt *Bootstrapper) BlindRotateBatchWithKey(accs []*rlwe.Ciphertext, lwes []
 }
 
 func (bt *Bootstrapper) blindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, brk *tfhe.BlindRotateKey, opts tfhe.BatchOptions) error {
-	if opts.Tile <= 0 {
-		opts.Tile = bt.TileSize()
-	}
 	if opts.NewAcc == nil {
 		opts.NewAcc = bt.pooledAccumulator
 	}

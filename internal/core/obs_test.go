@@ -8,6 +8,7 @@ import (
 	"heap/internal/obs"
 	"heap/internal/ring"
 	"heap/internal/rlwe"
+	"heap/internal/tfhe"
 )
 
 // TestBootstrapTraceAccounting locks the observability contract of a local
@@ -47,7 +48,7 @@ func TestBootstrapTraceAccounting(t *testing.T) {
 	// Shard-lane BlindRotate spans are per key-major tile, not per rotation
 	// (the engine streams the BRK once per tile); the exact rotation count
 	// lives in the blind_rotates counter.
-	tiles := uint64((count + bt.TileSize() - 1) / bt.TileSize())
+	tiles := uint64((count + tfhe.Tile - 1) / tfhe.Tile)
 	if sh := snap.Shards["BlindRotate"]; uint64(sh.Count) != tiles {
 		t.Errorf("shard-lane blind-rotate tile spans: got %d, want %d", sh.Count, tiles)
 	}

@@ -48,8 +48,7 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cfg := DefaultConfig()
 	cfg.NT = tenant.Cfg.NT
-	cfg.Workers = 1
-	cfg.Tile = 4
+	cfg.Workers = 2 // eight rotations over two workers: two tiles of four
 	cfg.ColdStart = true
 	srv, err := NewBootstrapper(params, kg, sk, cfg)
 	if err != nil {
@@ -57,9 +56,6 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	}
 	if srv.BlindRotateKey() != nil {
 		t.Fatal("ColdStart server must boot key-cold")
-	}
-	if srv.TileSize() != 4 {
-		t.Fatalf("TileSize = %d, want the configured 4", srv.TileSize())
 	}
 
 	brk := tenant.BlindRotateKey()
@@ -71,7 +67,7 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	}
 
 	accs := make([]*rlwe.Ciphertext, len(prep.LWEs))
-	if err := srv.BlindRotateBatchWithKey(accs, prep.LWEs, brk, tfhe.BatchOptions{}); err != nil {
+	if err := srv.BlindRotateBatchWithKey(accs, prep.LWEs, brk, tfhe.BatchOptions{Workers: srv.Cfg.Workers}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range accs {

@@ -16,8 +16,8 @@ import (
 // ciphertext, and the software engine's brk_bytes_streamed counters must
 // reproduce exactly the KeyTraffic ratio the model predicts. Dense masks
 // (every key index used by every ciphertext) make the comparison exact; the
-// batch size is deliberately a non-multiple of the tile so the partial-tile
-// rounding in both accountings is exercised too.
+// batch size is deliberately a non-multiple of every tile it runs at, so the
+// partial-tile rounding in both accountings is exercised too.
 func TestKeyReuseMatchesSoftwareCounters(t *testing.T) {
 	q := ring.GenerateNTTPrimes(40, 6, 2)
 	up := ring.GenerateNTTPrimesUp(40, 6, 2)
@@ -31,7 +31,7 @@ func TestKeyReuseMatchesSoftwareCounters(t *testing.T) {
 		return big.NewInt(int64(u))
 	})
 
-	const batch, tile = 10, 4
+	const batch = 10
 	twoN := uint64(2 * params.N())
 	s := ring.NewSampler(5)
 	lwes := make([]*rlwe.LWECiphertext, batch)
@@ -47,25 +47,28 @@ func TestKeyReuseMatchesSoftwareCounters(t *testing.T) {
 	// The per-ciphertext baseline: every rotation its own tile of one.
 	perCt := obs.NewMetrics()
 	ev.KS.SetRecorder(perCt)
-	if err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Tile: 1, Workers: 1}); err != nil {
-		t.Fatal(err)
+	sc := ev.NewScratch()
+	for _, lwe := range lwes {
+		ev.BlindRotateTileInto([]*rlwe.Ciphertext{rlwe.NewCiphertext(params, lut.Level)}, []*rlwe.LWECiphertext{lwe}, lut, brk, sc)
 	}
 	swPerCt := perCt.Counter(obs.CounterBRKBytesStreamed)
-	perCtModel, _ := PaperParams().KeyTraffic(batch, tile)
+	perCtModel, _ := PaperParams().KeyTraffic(batch, tfhe.Tile)
 	if perCtModel != int64(batch)*PaperParams().BRKTotalBytes() {
 		t.Errorf("model per-ct traffic %d, want batch×BRKTotalBytes", perCtModel)
 	}
 
-	// One worker runs the configured tile (4, 4, 2). Four workers cut the
-	// batch to fill themselves, ⌈10/4⌉ = 3 per tile (3, 3, 3, 1): the model
-	// is fed the effective tile and must still agree with the counters.
+	// One worker runs the full tile (8, 2). More workers cut the batch to
+	// fill themselves: ⌈10/3⌉ = 4 per tile on three (4, 4, 2), ⌈10/4⌉ = 3 on
+	// four (3, 3, 3, 1). The model is fed the effective tile and must still
+	// agree with the counters.
 	for _, row := range []struct{ workers, effTile, tiles int }{
-		{workers: 1, effTile: tile, tiles: 3},
+		{workers: 1, effTile: tfhe.Tile, tiles: 2},
+		{workers: 3, effTile: 4, tiles: 3},
 		{workers: 4, effTile: 3, tiles: 4},
 	} {
 		batched := obs.NewMetrics()
 		ev.KS.SetRecorder(batched)
-		err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Tile: tile, Workers: row.workers})
+		err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, batch), lwes, lut, brk, tfhe.BatchOptions{Workers: row.workers})
 		ev.KS.SetRecorder(nil)
 		if err != nil {
 			t.Fatal(err)

@@ -109,8 +109,9 @@ func (f *fanout) lane(w int) {
 // Relinearize, Automorphism, Decompose and ApplyGaloisHoisted, whose caller
 // is a single stream with the other cores idle — of Fan, and of the repack
 // trace. Arenas a caller makes with NewScratch stay at width 1 whatever this
-// says: blind-rotation workers, merge-tree nodes and heapd's executors are
-// each already one of several goroutines that fill the cores between them.
+// says: blind-rotation workers (heapd's batch workers among them) and
+// merge-tree nodes are each already one of several goroutines that fill the
+// cores between them.
 // Set it beside SetRecorder, before the key switcher is shared; the default
 // is 1.
 func (ks *KeySwitcher) SetWorkers(n int) { ks.workers = n }

@@ -42,8 +42,8 @@ func (kg *KeyGenerator) GenPackingKeys(sk *SecretKey) *PackingKeys {
 // Every map in the chain is exact on canonical residues, so the output is the
 // INTT of what the retired NTT-domain tree produced, bit for bit (the
 // references in pack_test.go). The tree shape and each node's arithmetic are
-// fixed by the ciphertext count alone: Merge walks it serially, and the
-// streaming core.MergeCollector — which drives MergePair in arrival order
+// fixed by the ciphertext count alone: the serial reference in pack_test.go
+// walks it node after node, and the streaming core.MergeCollector — which drives MergePair in arrival order
 // from many goroutines — reaches the same words.
 type Repacker struct {
 	ks *KeySwitcher
@@ -61,58 +61,6 @@ func NewRepacker(ks *KeySwitcher, pk *PackingKeys) *Repacker {
 	rp := &Repacker{ks: ks, pk: pk}
 	rp.scratch.New = func() any { return ks.NewScratch() }
 	return rp
-}
-
-// validate checks the merge-tree preconditions.
-func (rp *Repacker) validate(cts []*Ciphertext) error {
-	count := len(cts)
-	if count == 0 || count&(count-1) != 0 {
-		return fmt.Errorf("rlwe: repack needs a power-of-two ciphertext count, got %d", count)
-	}
-	if count > rp.ks.params.N() {
-		return fmt.Errorf("rlwe: cannot pack %d ciphertexts into %d coefficients", count, rp.ks.params.N())
-	}
-	for i, ct := range cts {
-		if ct == nil {
-			return fmt.Errorf("rlwe: repack input %d is nil", i)
-		}
-		if ct.IsNTT {
-			return fmt.Errorf("rlwe: repack input %d is in NTT representation", i)
-		}
-		if ct.Level() != cts[0].Level() {
-			return fmt.Errorf("rlwe: repack inputs at mixed levels (%d vs %d)", cts[0].Level(), ct.Level())
-		}
-	}
-	if cts[0].Level() < 1 {
-		return fmt.Errorf("rlwe: repack inputs have no limbs")
-	}
-	for c := 2; c <= count; c <<= 1 {
-		if _, ok := rp.pk.Keys[uint64(c+1)]; !ok {
-			return fmt.Errorf("rlwe: missing packing key for galois element %d", c+1)
-		}
-	}
-	return nil
-}
-
-// Merge runs the merge tree over cts, one node after another: payloads land
-// at stride N/count scaled by count, but garbage at non-stride positions
-// survives (Trace annihilates it afterwards). Inputs must be
-// coefficient-form ciphertexts at one common level; they are consumed as
-// scratch, and the result aliases cts[0]'s storage. It is the serial
-// reference of the tree; bootstraps merge through core.MergeCollector.
-func (rp *Repacker) Merge(cts []*Ciphertext) (*Ciphertext, error) {
-	if err := rp.validate(cts); err != nil {
-		return nil, err
-	}
-	sc := rp.scratch.Get().(*Scratch)
-	defer rp.scratch.Put(sc)
-	for c := 2; c <= len(cts); c <<= 1 {
-		half, gk := len(cts)/c, rp.pk.Keys[uint64(c+1)]
-		for i := 0; i < half; i++ {
-			rp.mergePair(cts[i], cts[i+half], c, gk, sc)
-		}
-	}
-	return cts[0], nil
 }
 
 // Trace applies σ_{2^j+1} for 2^j = 2·count … N to the coefficient-form

@@ -50,8 +50,7 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, _, serverBt := buildBoot(t, 70, true)
-			serverBt.Cfg.Tile = 8
-			srv := NewServer(serverBt, Config{Executors: 2, Workers: 1})
+			srv := NewServer(serverBt, Config{})
 			l, stop := startServer(t, srv)
 			defer stop()
 
@@ -202,7 +201,7 @@ func TestCoalescerChurnPropertyBitExact(t *testing.T) {
 					bytes, totalJobs, perJobBytes, totalJobs*perJobBytes)
 			}
 			if coalesced == 0 {
-				t.Fatalf("no coalescing with %d connections queueing behind 2 executors", tenants*connsPer)
+				t.Fatalf("no coalescing with %d connections queueing behind the executor", tenants*connsPer)
 			}
 			if batches >= totalJobs {
 				t.Fatalf("%d batches for %d jobs with %d coalesced: coalescing saved nothing", batches, totalJobs, coalesced)

@@ -22,14 +22,15 @@ type job struct {
 }
 
 // coalescer is the work-conserving cross-request batcher. Admitted jobs pool
-// per tenant; next is only ever called by an idle executor, so it hands over
-// the head tenant's whole pool the moment one exists — a lone job on an idle
-// server is never held back for company. Jobs that arrive while every
-// executor is busy keep pooling, and that is where coalescing pays: all the
-// same-key requests that queued behind a running batch become one key-major
-// batch, so the tenant's BRK streams through cache once for all of them.
-// Tenants are served in FIFO order of their first pending job, so a hot
-// tenant cannot starve the others: its follow-on jobs pool behind theirs.
+// per tenant; next is only ever called by the server's one executor when it
+// is idle, so it hands over the head tenant's whole pool the moment one
+// exists — a lone job on an idle server is never held back for company. Jobs
+// that arrive while the executor is busy keep pooling, and that is where
+// coalescing pays: all the same-key requests that queued behind a running
+// batch become one key-major batch, so the tenant's BRK streams through
+// cache once for all of them. Tenants are served in FIFO order of their
+// first pending job, so a hot tenant cannot starve the others: its
+// follow-on jobs pool behind theirs.
 type coalescer struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -44,7 +45,8 @@ func newCoalescer() *coalescer {
 	return c
 }
 
-// add pools one admitted job and wakes an idle executor, if there is one.
+// add pools one admitted job and wakes the executor if it is idle; it is
+// the one waiter, so a Signal reaches it.
 func (c *coalescer) add(j *job) {
 	c.mu.Lock()
 	if _, ok := c.pending[j.tenant]; !ok {
@@ -52,7 +54,7 @@ func (c *coalescer) add(j *job) {
 	}
 	c.pending[j.tenant] = append(c.pending[j.tenant], j)
 	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.cond.Signal()
 }
 
 // next blocks until some tenant has pending jobs and returns that tenant's
@@ -80,5 +82,5 @@ func (c *coalescer) close() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.cond.Signal()
 }

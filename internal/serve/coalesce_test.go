@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// TestCoalescerAddWakesBlockedNext: executors parked in next() on an idle
-// coalescer are woken by add itself — there is no timer to wait out. One job
-// wakes two parked executors; exactly one of them takes it, the other goes
-// back to sleep until close.
+// TestCoalescerAddWakesBlockedNext: the executor parked in next() on an
+// idle coalescer is woken by add itself — there is no timer to wait out —
+// and, parked again with nothing pending, by close.
 func TestCoalescerAddWakesBlockedNext(t *testing.T) {
 	c := newCoalescer()
 	type taken struct {
@@ -17,15 +16,17 @@ func TestCoalescerAddWakesBlockedNext(t *testing.T) {
 		ok   bool
 	}
 	out := make(chan taken)
-	for i := 0; i < 2; i++ {
+	park := func() {
 		go func() {
 			jobs, ok := c.next()
 			out <- taken{jobs, ok}
 		}()
+		// Not synchronisation — the test holds in either order — only a
+		// nudge so the executor is usually asleep in cond.Wait when the
+		// event arrives.
+		time.Sleep(5 * time.Millisecond)
 	}
-	// Not synchronisation — the test holds in either order — only a nudge so
-	// the executors are usually asleep in cond.Wait when the job arrives.
-	time.Sleep(5 * time.Millisecond)
+	park()
 	c.add(&job{tenant: "lone", id: 7})
 	select {
 	case got := <-out:
@@ -33,21 +34,27 @@ func TestCoalescerAddWakesBlockedNext(t *testing.T) {
 			t.Fatalf("woken executor got %v (ok=%v), want the lone job", got.jobs, got.ok)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("add did not wake an executor blocked in next")
+		t.Fatal("add did not wake the executor blocked in next")
 	}
+	park()
 	select {
 	case got := <-out:
-		t.Fatalf("second executor returned %v (ok=%v) with nothing pending", got.jobs, got.ok)
+		t.Fatalf("executor returned %v (ok=%v) with nothing pending", got.jobs, got.ok)
 	case <-time.After(20 * time.Millisecond):
 	}
 	c.close()
-	if got := <-out; got.ok {
-		t.Fatalf("second executor got %v after close, want done", got.jobs)
+	select {
+	case got := <-out:
+		if got.ok {
+			t.Fatalf("executor got %v after close, want done", got.jobs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("close did not wake the executor blocked in next")
 	}
 }
 
 // TestCoalescerLoneJobAlwaysWakes is the regression test for the lost
-// wakeup: one pending job, so add's Broadcast is the only thing that can ever
+// wakeup: one pending job, so add's Signal is the only thing that can ever
 // wake the executor. When the coalescer still had a ripening timer, the
 // timer's Broadcast ran without c.mu and could land before next() had
 // registered in cond.Wait; the executor then slept forever and the client

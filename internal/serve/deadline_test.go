@@ -10,6 +10,7 @@ import (
 	"heap/internal/cluster"
 	"heap/internal/obs"
 	"heap/internal/rlwe"
+	"heap/internal/tfhe"
 )
 
 // The deadline rule of execBatch: a job fails at the first tile past its
@@ -40,9 +41,8 @@ func TestServiceCoalescedJobFailsAlone(t *testing.T) {
 			var skew atomic.Int64 // the server clock's lead on the wall clock
 			now := func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 			_, _, serverBt := buildBoot(t, 50, true)
-			serverBt.Cfg.Tile = 8
-			pl := newPlug()
-			srv := newServer(serverBt, Config{Executors: 1, Workers: 1, Loader: pl.loader}, now)
+			srv := newServer(serverBt, Config{}, now)
+			pl := newPlug(srv)
 			l, stop := startServer(t, srv)
 			defer stop()
 
@@ -124,8 +124,7 @@ func TestServiceCoalescedJobFailsAlone(t *testing.T) {
 // that is gone.
 func TestServiceLoneJobGoneStopsBatch(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	serverBt.Cfg.Tile = 8
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
 
@@ -136,7 +135,7 @@ func TestServiceLoneJobGoneStopsBatch(t *testing.T) {
 	}
 	dim, twoN := cluster.LWEDim(serverBt), uint64(2*serverBt.Params.N())
 	job := jobOf(dim, twoN, 300, 64)
-	tiles := uint64(len(job) / serverBt.TileSize())
+	tiles := uint64(len(job) / tfhe.Tile)
 	idxs := make([]int, len(job))
 	for i := range idxs {
 		idxs[i] = i

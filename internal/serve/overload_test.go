@@ -233,7 +233,7 @@ func TestOverloadBoundedQueueWithinBudget(t *testing.T) {
 		burst, gap time.Duration
 	}{{"uniform", 0, 0}, {"bursty", 20 * time.Millisecond, 60 * time.Millisecond}} {
 		t.Run(shape.name, func(t *testing.T) {
-			f := newFleet(t, Config{Admission: AdmissionConfig{QueueLimit: queueCap}, Executors: 1, Workers: 1}, time.Now, 2, 6, 4, 2, 23)
+			f := newFleet(t, Config{Admission: AdmissionConfig{QueueLimit: queueCap}}, time.Now, 2, 6, 4, 2, 23)
 			defer f.close()
 			// One job per tenant pins its key and seeds the batch EWMA; then the
 			// slowest of three idle round trips is this host's unit of service
@@ -299,7 +299,7 @@ func TestOverloadBoundedQueueWithinBudget(t *testing.T) {
 // really runs on the virtual clock, not on wall time.
 func TestOverloadVirtualClockDeterministic(t *testing.T) {
 	clk := &fakeClock{base: time.Unix(1000, 0)}
-	f := newFleet(t, Config{Admission: AdmissionConfig{RatePerSec: 1, Burst: 2}, Executors: 1, Workers: 1}, clk.now, 1, 1, 2, 2, 31)
+	f := newFleet(t, Config{Admission: AdmissionConfig{RatePerSec: 1, Burst: 2}}, clk.now, 1, 1, 2, 2, 31)
 	defer f.close()
 
 	res := f.run(f.poisson(31, 6, math.Inf(1), 0, 0), 0)
@@ -326,7 +326,7 @@ func TestOverloadVirtualClockDeterministic(t *testing.T) {
 // own rotations, and the server's ledger balances at quiesce — every admitted
 // job reached exactly one terminal state.
 func TestClosedLoopServesEverything(t *testing.T) {
-	f := newFleet(t, Config{Executors: 1, Workers: 1}, time.Now, 2, 2, 2, 2, 11)
+	f := newFleet(t, Config{}, time.Now, 2, 2, 2, 2, 11)
 	defer f.close()
 	res := f.run(f.poisson(11, 12, math.Inf(1), 0, 0), 0)
 	if res.served != 12 || res.rejected != 0 || res.failed != 0 {
@@ -342,11 +342,12 @@ func TestClosedLoopServesEverything(t *testing.T) {
 
 // TestFleetShutdownNoGoroutineLeak: a full build → drive → close cycle
 // returns the process to its goroutine count before the build — the server
-// drain, executors, coalescer and the per-connection goroutines of both ends
-// all exit.
+// drain, the executor and its batch workers, the coalescer and the
+// per-connection goroutines of both ends all exit.
 func TestFleetShutdownNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	f := newFleet(t, Config{Executors: 2, Workers: 2}, time.Now, 2, 2, 2, 2, 37)
+	f := newFleet(t, Config{}, time.Now, 2, 2, 2, 2, 37)
+	f.srv.boot.Cfg.Workers = 2 // the server's width is its bootstrapper's
 	res := f.run(f.poisson(37, 8, math.Inf(1), 0, 0), 0)
 	f.close()
 	if res.served != 8 || res.failed != 0 {

@@ -26,8 +26,8 @@ import (
 	"heap/internal/tfhe"
 )
 
-// ErrNoKey reports a job for a tenant whose blind-rotate key is neither
-// resident nor loadable; the client should upload the key and retry.
+// ErrNoKey reports a job for a tenant whose blind-rotate key is not
+// resident; the client should upload the key and retry.
 var ErrNoKey = errors.New("no blind-rotate key registered for tenant")
 
 // ErrRegistryFull reports that the registry byte budget is exhausted by
@@ -36,21 +36,19 @@ var ErrRegistryFull = errors.New("key registry full: byte budget exhausted by pi
 
 // Registry is the multi-tenant evaluation-key store (the role lattigo's
 // EvaluationKeySetInterface plays for its evaluators): ref-counted so a key
-// is never evicted while a batch streams it, LRU-bounded by total key bytes,
-// and optionally backed by a loader for lazily materialized keys. It also
-// holds one key-stream receiver per tenant, so a tenant killed mid-upload
-// resumes from its last acked chunk on a fresh connection.
+// is never evicted while a batch streams it, and LRU-bounded by total key
+// bytes. Keys arrive by upload (or Put); the registry also holds one
+// key-stream receiver per tenant, so a tenant killed mid-upload resumes from
+// its last acked chunk on a fresh connection.
 type Registry struct {
 	params   *rlwe.Parameters
 	dim      int  // LWE dimension every key must cover
 	binary   bool // key kind every key must be (core.Bootstrapper.BinaryKey)
 	maxBytes int64
-	loader   func(tenant string) (*tfhe.BlindRotateKey, error)
 	rec      obs.Recorder
 
 	mu      sync.Mutex
 	entries map[string]*regEntry
-	loading map[string]chan struct{} // single-flight latches for loader calls
 	uploads map[string]*cluster.KeyReceiver
 	bytes   int64
 	clock   uint64 // LRU tick, bumped on every acquire
@@ -64,67 +62,30 @@ type regEntry struct {
 }
 
 // NewRegistry builds a registry for keys of the given LWE dimension and kind.
-// maxBytes ≤ 0 means unbounded; loader may be nil (keys then arrive only via
-// Put or a key upload). rec may be nil.
-func NewRegistry(params *rlwe.Parameters, dim int, binary bool, maxBytes int64, loader func(string) (*tfhe.BlindRotateKey, error), rec obs.Recorder) *Registry {
+// maxBytes ≤ 0 means unbounded. rec may be nil.
+func NewRegistry(params *rlwe.Parameters, dim int, binary bool, maxBytes int64, rec obs.Recorder) *Registry {
 	return &Registry{
 		params:   params,
 		dim:      dim,
 		binary:   binary,
 		maxBytes: maxBytes,
-		loader:   loader,
 		rec:      obs.OrNop(rec),
 		entries:  make(map[string]*regEntry),
-		loading:  make(map[string]chan struct{}),
 		uploads:  make(map[string]*cluster.KeyReceiver),
 	}
 }
 
 // Acquire resolves and pins tenant's key. The returned release func is
 // idempotent and must be called when the batch is done streaming the key;
-// until then the key cannot be evicted. Concurrent acquires of a
-// loader-backed tenant load once (single flight).
+// until then the key cannot be evicted.
 func (r *Registry) Acquire(tenant string) (*tfhe.BlindRotateKey, func(), error) {
 	r.mu.Lock()
-	for {
-		if e, ok := r.entries[tenant]; ok {
-			rel := r.pinLocked(e)
-			r.mu.Unlock()
-			return e.key, rel, nil
-		}
-		ch, inFlight := r.loading[tenant]
-		if !inFlight {
-			break
-		}
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
-	}
-	if r.loader == nil {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[tenant]
+	if !ok {
 		return nil, nil, fmt.Errorf("serve: %w: %q", ErrNoKey, tenant)
 	}
-	ch := make(chan struct{})
-	r.loading[tenant] = ch
-	r.mu.Unlock()
-
-	key, err := r.loader(tenant)
-
-	r.mu.Lock()
-	delete(r.loading, tenant)
-	close(ch)
-	if err != nil {
-		r.mu.Unlock()
-		return nil, nil, fmt.Errorf("serve: loading key for %q: %w", tenant, err)
-	}
-	e, err := r.insertLocked(tenant, key)
-	if err != nil {
-		r.mu.Unlock()
-		return nil, nil, err
-	}
-	rel := r.pinLocked(e)
-	r.mu.Unlock()
-	return e.key, rel, nil
+	return e.key, r.pinLocked(e), nil
 }
 
 // pinLocked bumps the ref count and LRU tick of e (r.mu held) and returns
@@ -148,23 +109,18 @@ func (r *Registry) pinLocked(e *regEntry) func() {
 func (r *Registry) Put(tenant string, key *tfhe.BlindRotateKey) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, err := r.insertLocked(tenant, key)
-	return err
-}
-
-func (r *Registry) insertLocked(tenant string, key *tfhe.BlindRotateKey) (*regEntry, error) {
 	if key == nil || key.NumKeys() != r.dim {
 		got := 0
 		if key != nil {
 			got = key.NumKeys()
 		}
-		return nil, fmt.Errorf("serve: key for %q covers %d indices, want %d", tenant, got, r.dim)
+		return fmt.Errorf("serve: key for %q covers %d indices, want %d", tenant, got, r.dim)
 	}
 	if key.Binary != r.binary {
-		return nil, fmt.Errorf("serve: key for %q has binary=%v, want binary=%v", tenant, key.Binary, r.binary)
+		return fmt.Errorf("serve: key for %q has binary=%v, want binary=%v", tenant, key.Binary, r.binary)
 	}
 	if err := key.CheckShape(); err != nil {
-		return nil, fmt.Errorf("serve: key for %q: %w", tenant, err)
+		return fmt.Errorf("serve: key for %q: %w", tenant, err)
 	}
 	size := int64(key.SizeBytes())
 	if old, ok := r.entries[tenant]; ok {
@@ -173,20 +129,18 @@ func (r *Registry) insertLocked(tenant string, key *tfhe.BlindRotateKey) (*regEn
 		r.rec.Gauge(obs.GaugeResidentTenants, -1)
 	}
 	if r.maxBytes > 0 && size > r.maxBytes {
-		return nil, fmt.Errorf("serve: key for %q is %d bytes, registry budget is %d", tenant, size, r.maxBytes)
+		return fmt.Errorf("serve: key for %q is %d bytes, registry budget is %d", tenant, size, r.maxBytes)
 	}
 	for r.maxBytes > 0 && r.bytes+size > r.maxBytes {
 		if !r.evictLRULocked() {
-			return nil, fmt.Errorf("serve: cannot admit %d-byte key for %q: %w", size, tenant, ErrRegistryFull)
+			return fmt.Errorf("serve: cannot admit %d-byte key for %q: %w", size, tenant, ErrRegistryFull)
 		}
 	}
-	e := &regEntry{key: key, bytes: size}
 	r.clock++
-	e.used = r.clock
-	r.entries[tenant] = e
+	r.entries[tenant] = &regEntry{key: key, bytes: size, used: r.clock}
 	r.bytes += size
 	r.rec.Gauge(obs.GaugeResidentTenants, +1)
-	return e, nil
+	return nil
 }
 
 // evictLRULocked removes the least-recently-used unpinned entry; false when

@@ -78,7 +78,7 @@ func (fx *stashFixture) done(reg *Registry, tenant string) error {
 // loop, which under the race detector took minutes.
 func TestRegistryStashDoneVsChunkRace(t *testing.T) {
 	params, fx := buildStashFixture(t, 90, 4096)
-	reg := NewRegistry(params, fx.dim, fx.binary, 0, nil, nil)
+	reg := NewRegistry(params, fx.dim, fx.binary, 0, nil)
 	const (
 		tenant   = "raced"
 		maxDrops = 4
@@ -171,7 +171,7 @@ func TestRegistryEvictionNeverEvictsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBytes := 2*int64(key.SizeBytes()) + 1
-	reg := NewRegistry(params, fx.dim, fx.binary, maxBytes, nil, nil)
+	reg := NewRegistry(params, fx.dim, fx.binary, maxBytes, nil)
 	if err := reg.Put("a", key); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,6 @@ func TestServiceKeyChurnUnderLoad(t *testing.T) {
 		t.Skip("full service churn is slow")
 	}
 	_, _, serverBt := buildBoot(t, 92, true)
-	serverBt.Cfg.Tile = 8
 	const tenants = 3
 
 	// Size the budget off a real key: all tenants share the parameter set,
@@ -277,11 +276,7 @@ func TestServiceKeyChurnUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(serverBt, Config{
-		Executors:   2,
-		Workers:     1,
-		MaxKeyBytes: 2*int64(key.SizeBytes()) + 1,
-	})
+	srv := NewServer(serverBt, Config{MaxKeyBytes: 2*int64(key.SizeBytes()) + 1})
 	l, stop := startServer(t, srv)
 	defer stop()
 

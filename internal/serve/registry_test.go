@@ -5,10 +5,7 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"heap/internal/cluster"
 	"heap/internal/obs"
@@ -17,7 +14,7 @@ import (
 
 // regFixture builds a registry plus freshly generated keys of the right
 // dimension (every key the same size, so byte budgets count in keys).
-func regFixture(t *testing.T, maxKeys int64, loader func(string) (*tfhe.BlindRotateKey, error), rec obs.Recorder) (*Registry, func(seed uint64) *tfhe.BlindRotateKey, int64) {
+func regFixture(t *testing.T, maxKeys int64, rec obs.Recorder) (*Registry, func(seed uint64) *tfhe.BlindRotateKey, int64) {
 	t.Helper()
 	_, _, bt := buildBoot(t, 40, false)
 	size := int64(bt.BlindRotateKey().SizeBytes())
@@ -30,12 +27,12 @@ func regFixture(t *testing.T, maxKeys int64, loader func(string) (*tfhe.BlindRot
 	if maxKeys > 0 {
 		budget = maxKeys * size
 	}
-	return NewRegistry(p, bt.Params.N(), bt.BinaryKey(), budget, loader, rec), gen, size
+	return NewRegistry(p, bt.Params.N(), bt.BinaryKey(), budget, rec), gen, size
 }
 
 func TestRegistryLRUEviction(t *testing.T) {
 	met := obs.NewMetrics()
-	reg, gen, size := regFixture(t, 2, nil, met)
+	reg, gen, size := regFixture(t, 2, met)
 
 	if err := reg.Put("a", gen(41)); err != nil {
 		t.Fatal(err)
@@ -72,7 +69,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 }
 
 func TestRegistryPinBlocksEviction(t *testing.T) {
-	reg, gen, _ := regFixture(t, 1, nil, nil)
+	reg, gen, _ := regFixture(t, 1, nil)
 	if err := reg.Put("a", gen(41)); err != nil {
 		t.Fatal(err)
 	}
@@ -96,75 +93,22 @@ func TestRegistryPinBlocksEviction(t *testing.T) {
 	}
 }
 
-func TestRegistryLoaderSingleFlight(t *testing.T) {
-	var calls atomic.Int32
-	var key *tfhe.BlindRotateKey
-	loader := func(tenant string) (*tfhe.BlindRotateKey, error) {
-		calls.Add(1)
-		time.Sleep(50 * time.Millisecond) // widen the single-flight race window
-		return key, nil
-	}
-	reg, gen, _ := regFixture(t, 0, loader, nil)
-	key = gen(41)
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			k, rel, err := reg.Acquire("lazy")
-			if err == nil {
-				if k != key {
-					errs[i] = errors.New("acquired a different key instance")
-				}
-				rel()
-			} else {
-				errs[i] = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("waiter %d: %v", i, err)
-		}
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("loader ran %d times for concurrent acquires, want 1 (single flight)", got)
-	}
-}
-
 func TestRegistryNoKeyNoLoader(t *testing.T) {
-	reg, _, _ := regFixture(t, 0, nil, nil)
+	reg, _, _ := regFixture(t, 0, nil)
 	if _, _, err := reg.Acquire("stranger"); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("want ErrNoKey, got %v", err)
 	}
 }
 
-func TestRegistryLoaderErrorPropagates(t *testing.T) {
-	boom := errors.New("cold storage down")
-	loader := func(string) (*tfhe.BlindRotateKey, error) { return nil, boom }
-	reg, _, _ := regFixture(t, 0, loader, nil)
-	if _, _, err := reg.Acquire("x"); !errors.Is(err, boom) {
-		t.Fatalf("want the loader error, got %v", err)
-	}
-	// The single-flight latch must be gone: a second acquire retries.
-	if _, _, err := reg.Acquire("x"); !errors.Is(err, boom) {
-		t.Fatalf("second acquire after loader failure: %v", err)
-	}
-}
-
 func TestRegistryRejectsWrongDimension(t *testing.T) {
-	reg, _, _ := regFixture(t, 0, nil, nil)
+	reg, _, _ := regFixture(t, 0, nil)
 	if err := reg.Put("a", nil); err == nil || !strings.Contains(err.Error(), "covers 0 indices") {
 		t.Fatalf("nil key must be rejected with the dimension message, got %v", err)
 	}
 }
 
 func TestRegistryStashStopAndWait(t *testing.T) {
-	reg, _, _ := regFixture(t, 0, nil, nil)
+	reg, _, _ := regFixture(t, 0, nil)
 	// A chunk without an offer is a protocol error.
 	if _, err := reg.receiveKey("t", &cluster.Frame{Kind: cluster.FrameKeyChunk}); err == nil {
 		t.Fatal("chunk without offer must error")
@@ -180,7 +124,7 @@ func TestRegistryStashStopAndWait(t *testing.T) {
 // CRC.
 func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 92, true)
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
 	_, fx := buildStashFixture(t, 93, 64<<10)
@@ -231,7 +175,7 @@ func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
 // probe (0xB0070010, retired by v6) sent after a valid one.
 func TestServiceRefusesRetiredFrameKind(t *testing.T) {
 	_, _, bt := buildBoot(t, 92, false)
-	srv := NewServer(bt, Config{Executors: 1, Workers: 1})
+	srv := NewServer(bt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
 	for _, joined := range []bool{false, true} {

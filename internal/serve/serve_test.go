@@ -104,22 +104,27 @@ func sameCiphertext(a, b *rlwe.Ciphertext) bool {
 	return true
 }
 
-// plug holds a server's only executor at a point the test controls: a job
-// for a tenant with no uploaded key sends the executor into Config.Loader,
-// which parks until release is closed and then refuses the key, so the plug
-// job is rejected without ever counting as a batch.
+// plug holds a server's executor at a point the test controls: a job for
+// the tenant "plug", which has no uploaded key, parks the executor in its key
+// lookup until release is closed; the lookup then refuses the key, so the
+// plug job is rejected without ever counting as a batch.
 type plug struct {
 	entered, release chan struct{}
 }
 
-func newPlug() *plug {
-	return &plug{entered: make(chan struct{}), release: make(chan struct{})}
-}
-
-func (p *plug) loader(string) (*tfhe.BlindRotateKey, error) {
-	close(p.entered)
-	<-p.release
-	return nil, errors.New("plug pulled")
+// newPlug installs a plug on srv, which must not have served a connection
+// yet.
+func newPlug(srv *Server) *plug {
+	p := &plug{entered: make(chan struct{}), release: make(chan struct{})}
+	acquire := srv.acquire
+	srv.acquire = func(tenant string) (*tfhe.BlindRotateKey, func(), error) {
+		if tenant == "plug" {
+			close(p.entered)
+			<-p.release
+		}
+		return acquire(tenant)
+	}
+	return p
 }
 
 // TestServiceCoalescesAcrossConnections is the acceptance test: two tenants,
@@ -135,12 +140,11 @@ func TestServiceCoalescesAcrossConnections(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	_, _, serverBt := buildBoot(t, 50, true)
-	// Tile 8 with 4-rotation jobs: a coalesced pair fills ONE tile (one BRK
+	// Tile 8 with 4-rotation jobs on one worker: a coalesced pair fills ONE tile (one BRK
 	// pass), while the same two jobs run separately take a tile pass each —
 	// the traffic assertion below measures exactly that.
-	pl := newPlug()
-	serverBt.Cfg.Tile = 8
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1, Loader: pl.loader})
+	srv := NewServer(serverBt, Config{})
+	pl := newPlug(srv)
 	l, stop := startServer(t, srv)
 
 	const (
@@ -305,7 +309,7 @@ func TestServiceBootstrapBitExact(t *testing.T) {
 		t.Skip("full bootstrap round trip is slow")
 	}
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
 
@@ -354,11 +358,7 @@ func syntheticJob(dim int, twoN uint64, seed uint64) []*rlwe.LWECiphertext {
 // keeps being served — per-tenant buckets, shared nothing.
 func TestServiceAdmissionIsolatesTenants(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{
-		Executors: 1,
-		Workers:   1,
-		Admission: AdmissionConfig{RatePerSec: 0.0001, Burst: 2},
-	})
+	srv := NewServer(serverBt, Config{Admission: AdmissionConfig{RatePerSec: 0.0001, Burst: 2}})
 	l, stop := startServer(t, srv)
 	defer stop()
 
@@ -421,7 +421,7 @@ func TestServiceAdmissionIsolatesTenants(t *testing.T) {
 // not left to expire.
 func TestServiceDeadlineRejectedAtDoor(t *testing.T) {
 	_, _, serverBt := buildBoot(t, 50, true)
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 1})
+	srv := NewServer(serverBt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
 
@@ -510,8 +510,10 @@ func rotateRaw(cl *Client, id uint32, lwes []*rlwe.LWECiphertext) ([]*rlwe.Ciphe
 }
 
 // TestServiceMultiWorkerTilesReassemble covers the path every other serve
-// test pins shut with Workers: 1: one executor fanning single-rotation tiles
-// over four workers, three connections of one tenant in a closed loop, so
+// test pins shut with a one-worker bootstrapper: the executor fanning
+// single-rotation tiles over many workers — as many as the largest batch the
+// closed loop can pool has rotations, so every tile is one rotation
+// (effective tile ⌈n/workers⌉ = 1) — three connections of one tenant, so
 // tiles of one job — and of pooled jobs on different connections — finish
 // and write back concurrently. Each job leads with a dense rotation and
 // follows with near-empty masks that cost almost nothing, so with more than
@@ -520,17 +522,17 @@ func rotateRaw(cl *Client, id uint32, lwes []*rlwe.LWECiphertext) ([]*rlwe.Ciphe
 // index once, and match the tenant's own BlindRotateOne bit for bit. Run
 // under -race at -cpu 1,2,4 by `make race`.
 func TestServiceMultiWorkerTilesReassemble(t *testing.T) {
-	_, _, serverBt := buildBoot(t, 50, true)
-	serverBt.Cfg.Tile = 1
-	srv := NewServer(serverBt, Config{Executors: 1, Workers: 4})
-	l, stop := startServer(t, srv)
-	defer stop()
-
 	const (
 		conns      = 3
 		jobsPer    = 4
 		rotsPerJob = 6
 	)
+	_, _, serverBt := buildBoot(t, 50, true)
+	serverBt.Cfg.Workers = conns * rotsPerJob
+	srv := NewServer(serverBt, Config{})
+	l, stop := startServer(t, srv)
+	defer stop()
+
 	_, _, bt := buildBoot(t, 60, false)
 	dim := cluster.LWEDim(serverBt)
 	twoN := uint64(2 * serverBt.Params.N())
@@ -583,10 +585,93 @@ func TestServiceMultiWorkerTilesReassemble(t *testing.T) {
 		t.Fatalf("tenant ledger = %+v, want %d admitted and nothing refused", ts, conns*jobsPer)
 	}
 	if got := srv.Metrics().Counter(obs.CounterBlindRotateTile); got != conns*jobsPer*rotsPerJob {
-		t.Fatalf("blind_rotate_tiles = %d, want one per rotation (%d) at Tile 1", got, conns*jobsPer*rotsPerJob)
+		t.Fatalf("blind_rotate_tiles = %d, want one per rotation (%d)", got, conns*jobsPer*rotsPerJob)
 	}
 	if snap.QueueWaitMs.Count != conns*jobsPer {
 		t.Fatalf("queue_wait_ms holds %d observations for %d admitted jobs", snap.QueueWaitMs.Count, conns*jobsPer)
+	}
+}
+
+// laneBarrier records the shard lanes BlindRotate spans begin on, and
+// holds each one until want distinct lanes have begun — or a deadline has
+// passed — so a batch's lane count does not depend on the scheduler: a
+// worker cannot take a second tile before every worker has its first.
+type laneBarrier struct {
+	obs.Nop
+	want  int
+	mu    sync.Mutex
+	lanes map[int]bool
+	all   chan struct{}
+}
+
+func newLaneBarrier(want int) *laneBarrier {
+	return &laneBarrier{want: want, lanes: make(map[int]bool), all: make(chan struct{})}
+}
+
+func (b *laneBarrier) Begin(s obs.Stage, lane int) obs.Token {
+	if s != obs.StageBlindRotate || lane == obs.LanePipeline {
+		return 0
+	}
+	b.mu.Lock()
+	if !b.lanes[lane] {
+		b.lanes[lane] = true
+		if len(b.lanes) == b.want {
+			close(b.all)
+		}
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+	case <-time.After(10 * time.Second):
+	}
+	return 0
+}
+
+func (b *laneBarrier) count() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.lanes)
+}
+
+// TestServerWidthIsTheBootstrappers: a server has no width of its own — it
+// fans each batch over its bootstrapper's Cfg.Workers. A batch of 12
+// rotations at width w runs in tiles of min(Tile, ⌈12/w⌉) and records its
+// BlindRotate spans on min(w, tiles) shard lanes: fewer workers would leave
+// the barrier shut until its deadline and a lane short, more would add lanes
+// past it.
+func TestServerWidthIsTheBootstrappers(t *testing.T) {
+	const rots = 12
+	_, _, bt := buildBoot(t, 60, false)
+	for _, w := range []int{1, 2, 16} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			_, _, serverBt := buildBoot(t, 50, true)
+			serverBt.Cfg.Workers = w
+			srv := NewServer(serverBt, Config{})
+			tile := min(tfhe.Tile, (rots+w-1)/w)
+			want := min(w, (rots+tile-1)/tile)
+			lanes := newLaneBarrier(want)
+			serverBt.SetRecorder(obs.Combine(srv.met, lanes))
+			l, stop := startServer(t, srv)
+			defer stop()
+			cl := dialClient(t, l, bt, "wide")
+			defer cl.Close()
+			if err := cl.UploadKey(0, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			job := jobOf(cluster.LWEDim(serverBt), uint64(2*serverBt.Params.N()), 500, rots)
+			accs, err := cl.Rotate(job, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, lwe := range job {
+				if !sameCiphertext(accs[k], bt.BlindRotateOne(lwe)) {
+					t.Fatalf("acc %d differs from the tenant's own rotation", k)
+				}
+			}
+			if got := lanes.count(); got != want {
+				t.Fatalf("the batch ran on %d lanes, want min(%d workers, %d tiles) = %d", got, w, (rots+tile-1)/tile, want)
+			}
+		})
 	}
 }
 

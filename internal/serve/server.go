@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heap/internal/cluster"
@@ -23,39 +21,30 @@ import (
 type Config struct {
 	// MaxKeyBytes bounds the registry's resident key bytes (0 = unbounded).
 	MaxKeyBytes int64
-	// Loader lazily materializes a tenant's key on first use (nil = keys
-	// arrive only via client upload).
-	Loader func(tenant string) (*tfhe.BlindRotateKey, error)
 	// Admission is the front-door policy.
 	Admission AdmissionConfig
-	// Executors is the number of concurrent batch executors (default 1).
-	// Each batch runs at the bootstrapper's tile size (core.Config.Tile).
-	Executors int
-	// Workers is the tile fan-out of each executor's batch (≤ 0 = this
-	// executor's share of the cores, max(1, GOMAXPROCS/Executors)).
-	Workers int
-	// Recorder receives events in addition to the server's own Metrics
-	// aggregate (optional).
-	Recorder obs.Recorder
 }
 
 // Server is the blind-rotation server: it speaks the cluster's frame protocol
 // to any number of tenant connections, pools the same-tenant jobs that queue
-// while its executors are busy, and executes each pool as one key-major batch
+// while its executor is busy, and executes each pool as one key-major batch
 // under the tenant's registered key — one BRK pass through cache per pool
-// instead of one per request. The bootstrapper provides the parameter set,
-// LUT, and scratch pools (heapd's is ColdStart; blind rotation is
-// deterministic in the request and the tenant's public key, so results are
-// bit-identical to tenant-local execution). A cluster secondary (§V) is a
-// Server whose one tenant is its primary (cluster.PrimaryTenant).
+// instead of one per request. One executor runs the batches, one at a time,
+// each fanned over the bootstrapper's Cfg.Workers goroutines at its tile
+// size (tfhe.Tile). The bootstrapper provides the parameter set, LUT, and
+// scratch pools (heapd's is ColdStart; blind rotation is deterministic in
+// the request and the tenant's public key, so results are bit-identical to
+// tenant-local execution). A cluster secondary (§V) is a Server whose one
+// tenant is its primary (cluster.PrimaryTenant).
 type Server struct {
 	boot *core.Bootstrapper
 	reg  *Registry
 	adm  *admission
 	co   *coalescer
-	cfg  Config
-	met  *obs.Metrics
-	rec  obs.Recorder
+	met  *obs.Metrics // every service and kernel event of the server
+	// acquire resolves and pins a batch's key: the registry's Acquire,
+	// which a test wraps to hold the executor at a point it controls.
+	acquire func(tenant string) (*tfhe.BlindRotateKey, func(), error)
 
 	hello    cluster.Hello
 	dim      int
@@ -68,7 +57,6 @@ type Server struct {
 	// decisions.
 	now func() time.Time
 
-	leaving atomic.Bool // RequestLeave: answer the next batch with a leave frame
 	mu      sync.Mutex
 	tenants map[string]*TenantStats
 	conns   map[cluster.Conn]struct{}
@@ -111,28 +99,19 @@ func NewServer(boot *core.Bootstrapper, cfg Config) *Server {
 // newServer is NewServer on the clock now, the seam through which a test
 // puts admission and deadline expiry on virtual time.
 func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Server {
-	if cfg.Executors <= 0 {
-		cfg.Executors = 1
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Executors)
-	}
 	met := obs.NewMetrics()
-	rec := obs.Combine(met, cfg.Recorder)
 	// Kernel counters (brk_bytes_streamed, blind_rotate_tiles, …) from the
 	// batch engine land in the same aggregate as the service counters.
-	boot.SetRecorder(rec)
+	boot.SetRecorder(met)
 	dim := cluster.LWEDim(boot)
 	p := boot.Params.Parameters
 	s := &Server{
 		boot:     boot,
-		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, cfg.Loader, rec),
+		reg:      NewRegistry(p, dim, boot.BinaryKey(), cfg.MaxKeyBytes, met),
 		adm:      newAdmission(cfg.Admission, now),
 		now:      now,
 		co:       newCoalescer(),
-		cfg:      cfg,
 		met:      met,
-		rec:      rec,
 		hello:    cluster.HelloFor(boot),
 		dim:      dim,
 		maxBatch: p.N(),
@@ -141,6 +120,7 @@ func newServer(boot *core.Bootstrapper, cfg Config, now func() time.Time) *Serve
 		tenants:  make(map[string]*TenantStats),
 		conns:    make(map[cluster.Conn]struct{}),
 	}
+	s.acquire = s.reg.Acquire
 	if key := boot.BlindRotateKey(); key != nil {
 		_ = s.reg.Put(cluster.PrimaryTenant, key) // fails only over MaxKeyBytes: the node joins key-cold
 	}
@@ -168,7 +148,7 @@ func (s *Server) Serve(l cluster.Listener) error {
 // batches and key-stream frames. It returns nil on shutdown or EOF and the
 // error on a broken link or a protocol violation.
 func (s *Server) ServeConn(conn cluster.Conn) error {
-	return s.serve(conn, func() (string, error) { return cluster.AcceptJoin(conn, s.hello, s.rec, nil) })
+	return s.serve(conn, func() (string, error) { return cluster.AcceptJoin(conn, s.hello, s.met, nil) })
 }
 
 // JoinAndServe joins a cluster node's primary through conn under name (key-warm
@@ -180,17 +160,13 @@ func (s *Server) JoinAndServe(conn cluster.Conn, name string) error {
 		if s.reg.holds(cluster.PrimaryTenant) {
 			hello.Flags |= cluster.HelloFlagKeyWarm
 		}
-		return cluster.PrimaryTenant, cluster.Join(conn, hello, name, s.rec)
+		return cluster.PrimaryTenant, cluster.Join(conn, hello, name, s.met)
 	})
 }
 
-// RequestLeave drains the server: the next batch on a connection is answered
-// with a leave frame and ends it, so a primary requeues what it had pending.
-func (s *Server) RequestLeave() { s.leaving.Store(true) }
-
 // Close drains the server: open connections are closed, every admitted job
 // reaches its outcome (one whose connection is gone fails at its first
-// write), and the executors exit.
+// write), and the executor exits.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closing = true
@@ -208,7 +184,7 @@ func (s *Server) Close() {
 }
 
 // connWriter serializes the frames of the read loop (key-stream replies,
-// rejections) and the executors (accumulator streams) onto one connection,
+// rejections) and the executor (accumulator streams) onto one connection,
 // and counts them. cluster.WriteFrame writes a frame in one Write.
 type connWriter struct {
 	mu   sync.Mutex
@@ -252,17 +228,15 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 	s.connWG.Add(1)
 	s.mu.Unlock()
 	s.startEx.Do(func() {
-		for i := 0; i < s.cfg.Executors; i++ {
-			s.execWG.Add(1)
-			go func() {
-				defer s.execWG.Done()
-				for jobs, ok := s.co.next(); ok; jobs, ok = s.co.next() {
-					s.execBatch(jobs)
-				}
-			}()
-		}
+		s.execWG.Add(1)
+		go func() {
+			defer s.execWG.Done()
+			for jobs, ok := s.co.next(); ok; jobs, ok = s.co.next() {
+				s.execBatch(jobs)
+			}
+		}()
 	})
-	cw := &connWriter{conn: conn, rec: s.rec}
+	cw := &connWriter{conn: conn, rec: s.met}
 	defer func() {
 		_ = conn.Close()
 		cw.jobs.Wait()
@@ -284,12 +258,9 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 		if err != nil {
 			return err
 		}
-		s.rec.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
+		s.met.Add(obs.CounterBytesFramed, cluster.WireSize(len(f.Payload)))
 		switch f.Kind {
 		case cluster.FrameBatch:
-			if s.leaving.Load() {
-				return cluster.WriteFrame(cw, &cluster.Frame{Kind: cluster.FrameLeave, Payload: cluster.EncodeReason("leave requested")})
-			}
 			if err := s.submit(cw, tenant, f); err != nil {
 				return cluster.SendError(cw, err)
 			}
@@ -325,7 +296,7 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 // reject refuses one job non-fatally and counts it as Rejected: the
 // connection stays usable and the client sees the reason.
 func (s *Server) reject(cw *connWriter, tenant string, jobID uint32, reason error) {
-	s.rec.Add(obs.CounterJobsRejected, 1)
+	s.met.Add(obs.CounterJobsRejected, 1)
 	ts := s.stats(tenant)
 	s.mu.Lock()
 	ts.Rejected++
@@ -365,8 +336,8 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) error {
 	if budget > 0 {
 		j.deadline = s.now().Add(budget)
 	}
-	s.rec.Add(obs.CounterJobsAdmitted, 1)
-	s.rec.Gauge(obs.GaugeQueueDepth, 1)
+	s.met.Add(obs.CounterJobsAdmitted, 1)
+	s.met.Gauge(obs.GaugeQueueDepth, 1)
 	ts := s.stats(tenant)
 	s.mu.Lock()
 	ts.Admitted++
@@ -379,9 +350,10 @@ func (s *Server) submit(cw *connWriter, tenant string, f *cluster.Frame) error {
 var errNoLiveJob = errors.New("serve: every job of the batch failed")
 
 // execBatch runs one tenant's pool — whatever queued for that key while the
-// executors were busy, a lone job on an idle server — as a single key-major
+// executor was busy, a lone job on an idle server — as a single key-major
 // batch: one registry Acquire, one BlindRotateBatchWithKey over the
-// concatenated LWEs, its tiles fanned over cfg.Workers goroutines, and
+// concatenated LWEs, its tiles fanned over the bootstrapper's Cfg.Workers
+// goroutines, and
 // accumulators streamed back per job as tiles complete. A job expired in the
 // queue is rejected at dispatch; one past its deadline (s.now) at a tile or
 // with a failed write is failed there, and the batch stops once all are.
@@ -393,11 +365,11 @@ func (s *Server) execBatch(jobs []*job) {
 	live := jobs[:0]
 	for _, j := range jobs {
 		s.adm.release()
-		s.rec.Gauge(obs.GaugeQueueDepth, -1)
+		s.met.Gauge(obs.GaugeQueueDepth, -1)
 		s.queueWait.Observe(dispatched.Sub(j.admitted))
 		if !j.deadline.IsZero() && now.After(j.deadline) {
 			s.reject(j.cw, tenant, j.id, fmt.Errorf("%w (expired while queued)", ErrDeadline))
-			s.rec.Add(obs.CounterJobsExpired, 1)
+			s.met.Add(obs.CounterJobsExpired, 1)
 			s.mu.Lock()
 			ts.Expired++
 			s.mu.Unlock()
@@ -415,9 +387,9 @@ func (s *Server) execBatch(jobs []*job) {
 		return
 	}
 
-	brk, release, err := s.reg.Acquire(tenant)
+	brk, release, err := s.acquire(tenant)
 	if err != nil {
-		s.rec.Add(obs.CounterJobsFailed, uint64(len(live)))
+		s.met.Add(obs.CounterJobsFailed, uint64(len(live)))
 		s.mu.Lock()
 		ts.Failed += uint64(len(live))
 		s.mu.Unlock()
@@ -448,12 +420,12 @@ func (s *Server) execBatch(jobs []*job) {
 	}
 	accs := make([]*rlwe.Ciphertext, total)
 
-	s.rec.Gauge(obs.GaugeInFlightShards, int64(len(live)))
+	s.met.Gauge(obs.GaugeInFlightShards, int64(len(live)))
 	start := time.Now()
 	var sendMu sync.Mutex
 	open := len(live) // jobs not failed yet, under sendMu
 	opts := tfhe.BatchOptions{
-		Workers: s.cfg.Workers,
+		Workers: s.boot.Cfg.Workers,
 		OnTile: func(lo, hi int) error {
 			// Stream finished accumulators while later tiles still rotate.
 			// Encoding runs on the tile's own worker, and each encoded
@@ -495,11 +467,11 @@ func (s *Server) execBatch(jobs []*job) {
 	}
 	rotErr := s.boot.BlindRotateBatchWithKey(accs, lwes, brk, opts) // errNoLiveJob once every job failed
 	elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
-	s.rec.Gauge(obs.GaugeInFlightShards, -int64(len(live)))
+	s.met.Gauge(obs.GaugeInFlightShards, -int64(len(live)))
 
-	s.rec.Add(obs.CounterServeBatches, 1)
+	s.met.Add(obs.CounterServeBatches, 1)
 	if len(live) > 1 {
-		s.rec.Add(obs.CounterJobsCoalesced, uint64(len(live)))
+		s.met.Add(obs.CounterJobsCoalesced, uint64(len(live)))
 	}
 	s.mu.Lock()
 	if len(live) > 1 {
@@ -528,7 +500,7 @@ func (s *Server) execBatch(jobs []*job) {
 			s.jobFailed(ts)
 			continue
 		}
-		s.rec.Add(obs.CounterJobsServed, 1)
+		s.met.Add(obs.CounterJobsServed, 1)
 		s.mu.Lock()
 		ts.Jobs++
 		ts.Rotations += uint64(len(j.lwes))
@@ -540,7 +512,7 @@ func (s *Server) execBatch(jobs []*job) {
 // jobFailed records one admitted job's terminal failure (conn gone or batch
 // error) in both the counter ledger and the tenant ledger.
 func (s *Server) jobFailed(ts *TenantStats) {
-	s.rec.Add(obs.CounterJobsFailed, 1)
+	s.met.Add(obs.CounterJobsFailed, 1)
 	s.mu.Lock()
 	ts.Failed++
 	s.mu.Unlock()

@@ -32,21 +32,19 @@ import (
 // on top of that parallelism, never instead of it: a batch too small to give
 // every worker a full tile is cut into smaller ones (effectiveTile).
 
-// DefaultTile is the number of accumulators that advance together through
-// the key-major schedule when the caller does not choose one. At paper
-// parameters one RGSW key pair is a few MB — far larger than L2 — so even a
+// Tile is the most accumulators that advance together through the key-major
+// schedule. At paper parameters one RGSW key pair is a few MB — far larger than L2 — so even a
 // small tile converts the key stream from once-per-ciphertext to
 // once-per-tile; 8 keeps the tile's accumulators and the scratch arena
 // cache-resident while already capturing an 8× key-traffic reduction.
-const DefaultTile = 8
+const Tile = 8
 
 // effectiveTile is the tile a batch of n rotations actually runs at:
-// min(tile, ⌈n/workers⌉). The rotations are independent, so parallelism comes
-// first — tile is only the upper bound, reached once every worker has a full
+// min(Tile, ⌈n/workers⌉). The rotations are independent, so parallelism comes
+// first — Tile is only the upper bound, reached once every worker has a full
 // tile to itself; below that the batch is cut finer so no worker idles while
-// another walks the key for several accumulators. workers = 1 leaves the
-// tiling exactly as configured.
-func effectiveTile(n, tile, workers int) int { return min(tile, (n+workers-1)/workers) }
+// another walks the key for several accumulators.
+func effectiveTile(n, workers int) int { return min(Tile, (n+workers-1)/workers) }
 
 // BlindRotateTileInto blind-rotates one tile of LWE ciphertexts into the
 // caller-owned accumulators with the key-index-major schedule described
@@ -126,18 +124,12 @@ func (ev *Evaluator) BlindRotateTileInto(accs []*rlwe.Ciphertext, lwes []*rlwe.L
 
 // BatchOptions tunes BlindRotateBatchInto.
 type BatchOptions struct {
-	// Tile is the most accumulators that share one pass over the key
-	// (≤ 0 selects DefaultTile). The key-traffic reduction is the average
-	// tile fill, so larger tiles stream fewer key bytes, at the cost of a
-	// larger working set of accumulators per worker. A batch smaller than
-	// Tile·Workers runs at ⌈n/Workers⌉ instead (effectiveTile).
-	Tile int
 	// Workers is the fan-out width; ≤ 1 runs every tile on the calling
 	// goroutine (the allocation-free path the AllocsPerRun lock covers).
+	// Worker w records its per-tile BlindRotate spans on shard lane w. A
+	// batch smaller than Tile·Workers runs at tiles of ⌈n/Workers⌉
+	// (effectiveTile).
 	Workers int
-	// BaseLane offsets the shard lanes per-tile BlindRotate spans are
-	// recorded on: worker w records on lane BaseLane+w.
-	BaseLane int
 	// NewAcc supplies an accumulator for each nil entry of accs; nil
 	// defaults to a fresh ciphertext at the lookup-table level.
 	// core.Bootstrapper injects its recycling pool here. Must be safe for
@@ -169,15 +161,8 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 	if n == 0 {
 		return nil
 	}
-	tile := opts.Tile
-	if tile <= 0 {
-		tile = DefaultTile
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	tile = effectiveTile(n, tile, workers)
+	workers := max(opts.Workers, 1)
+	tile := effectiveTile(n, workers)
 	numTiles := (n + tile - 1) / tile
 	if workers > numTiles {
 		workers = numTiles
@@ -241,7 +226,7 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 
 	if workers == 1 {
 		sc := ev.getScratch()
-		work(opts.BaseLane, sc)
+		work(0, sc)
 		ev.putScratch(sc)
 	} else {
 		var wg sync.WaitGroup
@@ -250,7 +235,7 @@ func (ev *Evaluator) BlindRotateBatchInto(accs []*rlwe.Ciphertext, lwes []*rlwe.
 			go func(w int) {
 				defer wg.Done()
 				sc := ev.getScratch()
-				work(opts.BaseLane+w, sc)
+				work(w, sc)
 				ev.putScratch(sc)
 			}(w)
 		}

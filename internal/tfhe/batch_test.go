@@ -36,12 +36,13 @@ func batchFixture(t *testing.T, secret rlwe.SecretDist) (*rlwe.Parameters, *Eval
 }
 
 // TestBlindRotateBatchMatchesPerCiphertext is the property test of the
-// key-major engine: for every batch size 0…20, tile 1/4/8, 1/2/3/8 workers
-// and both secret distributions, the batched accumulators must equal the
+// key-major engine: for every batch size 0…20, 1/2/3/8 workers and both
+// secret distributions, the batched accumulators must equal the
 // per-ciphertext reference loop's outputs exactly, and the schedule must be
 // the worker-filling one: tiles of min(Tile, ⌈n/workers⌉) (recomputed here,
-// not read from effectiveTile) and of exactly Tile on one worker, so no tile
-// exceeds Tile and blind_rotate_tiles is ⌈n/effective tile⌉. The
+// not read from effectiveTile), so no tile exceeds Tile and
+// blind_rotate_tiles is ⌈n/effective tile⌉. Batch size and width between
+// them cut every tile size from 1 to Tile. The
 // OnTile hook doubles as a barrier — the first min(workers, tiles) tiles wait
 // for one another, and a worker parked in the hook cannot claim a second tile
 // — so the test deadlocks into its timeout unless that many distinct workers
@@ -60,62 +61,60 @@ func TestBlindRotateBatchMatchesPerCiphertext(t *testing.T) {
 			ev.rotateReference(want[j], lwes[j], lut, brk, sc)
 		}
 		for count := 0; count <= maxCount; count++ {
-			for _, tile := range []int{1, 4, 8} {
-				for _, workers := range []int{1, 2, 3, 8} {
-					eff := tile // one worker: the configured tiling, exactly
-					if workers > 1 && count > 0 {
-						eff = min(tile, (count+workers-1)/workers)
-					}
-					wantTiles := (count + eff - 1) / eff
-					width := min(workers, wantTiles)
-					var (
-						mu      sync.Mutex
-						arrived int
-						seen    = make([]bool, count)
-						gate    = make(chan struct{})
-					)
-					met := obs.NewMetrics()
-					ev.KS.SetRecorder(met)
-					accs := make([]*rlwe.Ciphertext, count)
-					err := ev.BlindRotateBatchInto(accs, lwes[:count], lut, brk, BatchOptions{
-						Tile: tile, Workers: workers,
-						OnTile: func(lo, hi int) error {
-							mu.Lock()
-							if lo%eff != 0 || hi != min(lo+eff, count) {
-								mu.Unlock()
-								return fmt.Errorf("tile [%d,%d) is not a tile of size %d", lo, hi, eff)
-							}
-							for j := lo; j < hi; j++ {
-								seen[j] = true
-							}
-							if arrived++; arrived == width {
-								close(gate)
-							}
+			for _, workers := range []int{1, 2, 3, 8} {
+				eff := Tile
+				if count > 0 {
+					eff = min(Tile, (count+workers-1)/workers)
+				}
+				wantTiles := (count + eff - 1) / eff
+				width := min(workers, wantTiles)
+				var (
+					mu      sync.Mutex
+					arrived int
+					seen    = make([]bool, count)
+					gate    = make(chan struct{})
+				)
+				met := obs.NewMetrics()
+				ev.KS.SetRecorder(met)
+				accs := make([]*rlwe.Ciphertext, count)
+				err := ev.BlindRotateBatchInto(accs, lwes[:count], lut, brk, BatchOptions{
+					Workers: workers,
+					OnTile: func(lo, hi int) error {
+						mu.Lock()
+						if lo%eff != 0 || hi != min(lo+eff, count) {
 							mu.Unlock()
-							select {
-							case <-gate:
-								return nil
-							case <-time.After(10 * time.Second):
-								return fmt.Errorf("fewer than %d workers received a tile", width)
-							}
-						},
-					})
-					ev.KS.SetRecorder(nil)
-					if err != nil {
-						t.Fatalf("count=%d tile=%d workers=%d: %v", count, tile, workers, err)
-					}
-					if got := met.Counter(obs.CounterBlindRotateTile); got != uint64(wantTiles) {
-						t.Fatalf("count=%d tile=%d workers=%d: %d tiles, want ⌈%d/%d⌉ = %d", count, tile, workers, got, count, eff, wantTiles)
-					}
-					for j := range accs {
-						if !seen[j] || accs[j] == nil {
-							t.Fatalf("count=%d tile=%d workers=%d: accumulator %d not filled or not reported", count, tile, workers, j)
+							return fmt.Errorf("tile [%d,%d) is not a tile of size %d", lo, hi, eff)
 						}
-						if !p.QBasis.Equal(want[j].C0, accs[j].C0) || !p.QBasis.Equal(want[j].C1, accs[j].C1) ||
-							accs[j].IsNTT != want[j].IsNTT {
-							t.Fatalf("count=%d tile=%d workers=%d: accumulator %d differs from per-ciphertext path",
-								count, tile, workers, j)
+						for j := lo; j < hi; j++ {
+							seen[j] = true
 						}
+						if arrived++; arrived == width {
+							close(gate)
+						}
+						mu.Unlock()
+						select {
+						case <-gate:
+							return nil
+						case <-time.After(10 * time.Second):
+							return fmt.Errorf("fewer than %d workers received a tile", width)
+						}
+					},
+				})
+				ev.KS.SetRecorder(nil)
+				if err != nil {
+					t.Fatalf("count=%d workers=%d: %v", count, workers, err)
+				}
+				if got := met.Counter(obs.CounterBlindRotateTile); got != uint64(wantTiles) {
+					t.Fatalf("count=%d workers=%d: %d tiles, want ⌈%d/%d⌉ = %d", count, workers, got, count, eff, wantTiles)
+				}
+				for j := range accs {
+					if !seen[j] || accs[j] == nil {
+						t.Fatalf("count=%d workers=%d: accumulator %d not filled or not reported", count, workers, j)
+					}
+					if !p.QBasis.Equal(want[j].C0, accs[j].C0) || !p.QBasis.Equal(want[j].C1, accs[j].C1) ||
+						accs[j].IsNTT != want[j].IsNTT {
+						t.Fatalf("count=%d workers=%d: accumulator %d differs from per-ciphertext path",
+							count, workers, j)
 					}
 				}
 			}
@@ -154,11 +153,12 @@ func TestBlindRotateTileZeroAllocs(t *testing.T) {
 
 // TestBlindRotateBatchKeyReuse locks the counter semantics behind the
 // engine's whole point: with dense masks, tiles of one stream the key once
-// per rotation while tiles of four stream it once per tile, so
-// brk_bytes_streamed must drop by exactly the tile size.
+// per rotation while tiles of four (16 rotations over four workers) stream
+// it once per tile, so brk_bytes_streamed must drop by exactly the tile size.
 func TestBlindRotateBatchKeyReuse(t *testing.T) {
 	p, ev, lut, brk, _ := batchFixture(t, rlwe.SecretBinary)
-	const count, tile = 16, 4
+	const count, workers = 16, 4
+	const tile = count / workers
 	twoN := uint64(2 * p.N())
 	s := ring.NewSampler(11)
 	lwes := make([]*rlwe.LWECiphertext, count)
@@ -173,14 +173,14 @@ func TestBlindRotateBatchKeyReuse(t *testing.T) {
 
 	perCt := obs.NewMetrics()
 	ev.KS.SetRecorder(perCt)
-	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{Tile: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	sc := ev.NewScratch()
+	for _, lwe := range lwes {
+		ev.BlindRotateTileInto([]*rlwe.Ciphertext{rlwe.NewCiphertext(p, lut.Level)}, []*rlwe.LWECiphertext{lwe}, lut, brk, sc)
 	}
 
 	batched := obs.NewMetrics()
 	ev.KS.SetRecorder(batched)
-	err = ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{Tile: tile})
+	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{Workers: workers})
 	ev.KS.SetRecorder(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +207,11 @@ func TestBlindRotateBatchKeyReuse(t *testing.T) {
 }
 
 // TestBlindRotateBatchOnTile locks the streaming hook: every batch index is
-// reported exactly once in tile-sized ranges, and an OnTile error stops the
-// batch and surfaces.
+// reported exactly once in ranges of at most Tile, and an OnTile error stops
+// the batch and surfaces.
 func TestBlindRotateBatchOnTile(t *testing.T) {
 	_, ev, lut, brk, next := batchFixture(t, rlwe.SecretBinary)
-	const count, tile = 11, 4
+	const count = 11
 	lwes := make([]*rlwe.LWECiphertext, count)
 	for j := range lwes {
 		lwes[j] = next()
@@ -221,11 +221,11 @@ func TestBlindRotateBatchOnTile(t *testing.T) {
 	seen := make([]bool, count)
 	accs := make([]*rlwe.Ciphertext, count)
 	err := ev.BlindRotateBatchInto(accs, lwes, lut, brk, BatchOptions{
-		Tile: tile, Workers: 2,
+		Workers: 2,
 		OnTile: func(lo, hi int) error {
 			mu.Lock()
 			defer mu.Unlock()
-			if hi-lo > tile || lo < 0 || hi > count {
+			if hi-lo > Tile || lo < 0 || hi > count {
 				return fmt.Errorf("bad tile range [%d,%d)", lo, hi)
 			}
 			for j := lo; j < hi; j++ {
@@ -248,7 +248,7 @@ func TestBlindRotateBatchOnTile(t *testing.T) {
 
 	boom := errors.New("sink failed")
 	err = ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, count), lwes, lut, brk, BatchOptions{
-		Tile: tile, OnTile: func(lo, hi int) error { return boom },
+		OnTile: func(lo, hi int) error { return boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("OnTile error not surfaced: %v", err)
@@ -262,7 +262,7 @@ func TestBlindRotateBatchRecoversPanics(t *testing.T) {
 	_, ev, lut, brk, next := batchFixture(t, rlwe.SecretBinary)
 	lwes := []*rlwe.LWECiphertext{next(), next(), next()}
 	lwes[1] = &rlwe.LWECiphertext{A: make([]uint64, 3), Q: lwes[0].Q} // wrong dimension
-	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, 3), lwes, lut, brk, BatchOptions{Tile: 2})
+	err := ev.BlindRotateBatchInto(make([]*rlwe.Ciphertext, 3), lwes, lut, brk, BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("malformed LWE in batch did not error")
 	}

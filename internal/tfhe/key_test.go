@@ -73,7 +73,7 @@ func TestBinaryRotationIgnoresAppendedZeroRows(t *testing.T) {
 	}
 
 	leanAccs, fatAccs := make([]*rlwe.Ciphertext, count), make([]*rlwe.Ciphertext, count)
-	opts := BatchOptions{Tile: 4, Workers: 2}
+	opts := BatchOptions{Workers: 2}
 	if err := fx.ev.BlindRotateBatchInto(leanAccs, lwes, fx.lut, fx.brk, opts); err != nil {
 		t.Fatal(err)
 	}
