@@ -50,23 +50,23 @@ bench-module:
 	$(GO) -C bench test -short ./...
 
 # Fault-injection suite under the race detector: link cuts, stalls, corrupt
-# frames, join/leave churn (a joiner's ack reaches it before the run's first
-# batch, however late the ack is written), kill-mid-key-upload resume, the
+# frames, a key-cold node the primary dials (streamed the whole key before
+# its first batch), kill-mid-key-upload resume on the next run's link, the
 # progress deadline that cuts a wedged or slow node (TestStalledNodeIsCut,
-# TestSlowNodeIsCut), the queue's task and batch sizing and the
-# cluster-members gauge.
+# TestSlowNodeIsCut), and the queue's task and batch sizing.
 # Every scenario checks the distributed result bit-exact against a local
 # bootstrap and asserts no goroutine leaks. Every node is a serve.Server, so
 # the key-cold cases hold the one key-stream receiver to key-done: a cold node
 # gets no batch before it, and refuses a done whose CRC is not the offer's.
 # The server refuses a frame of a retired kind (the v6 hello before a join,
-# the v5 health probe after one) and drops the connection, and its deadline
+# the v5 health probe and the v7 graceful leave after one) and drops the
+# connection, and its deadline
 # rule fails one job of a batch, at its first tile past its budget or its
 # first failed write, while the rest of the batch is served; heapd's client
 # fails a reply stream whose seq numbers or batch-end count do not add up.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/ -run \
-		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestElastic|TestGracefulLeave|TestStalledNode|TestSlowNode|TestMembersGauge|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
+		'TestKill|TestAllSecondariesDead|TestDelayedPeer|TestCorruptLink|TestShortReads|TestContextCancellation|TestChaosMatrix|TestStalledNode|TestSlowNode|TestQueueTasks|TestLocalShare|TestSecondaryBatches|TestWorkQueueFill|TestKeyCold|TestRetiredFrame'
 	$(GO) test -race -count=1 ./internal/serve/ -run 'TestServiceRefusesKeyDone|TestServiceRefusesRetiredFrame|TestClientChecksReplyStream|TestServiceCoalescedJobFailsAlone|TestServiceLoneJobGoneStopsBatch'
 
 # Seed-corpus smoke over every fuzz target (plain `go test` runs each

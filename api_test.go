@@ -57,11 +57,8 @@ var apiAllowlist = map[string]string{
 	"obs.Trace.PipelineTotalMs":            "test-helper: the obs, core and cluster trace tests sum the pipeline spans with it",
 	"ring.Sampler.Uint64":                  "test-helper: the ring and rns tests draw raw words with it",
 	"rlwe.MustParameters":                  "test-helper: the rlwe tests and the root benchmarks build parameter sets with it",
-	"rns.Basis.Equal":                      "test-helper: the rlwe and cluster tests compare polynomials with it",
-	"serve.Server.Metrics":                 "test-helper: the serve and cluster tests read a node's counters with it",
 	"obs.ParseTrace":                       "test-helper: the cluster and core trace tests decode traces with it",
 	"obs.Metrics.GaugeValue":               "test-helper: the serve, cluster and core tests read gauges with it",
-	"obs.Metrics.Counter":                  "test-helper: the serve, cluster, core, rlwe, tfhe and hwsim tests read counters with it",
 	"rlwe.LWESecretKey.HammingWeight":      "test-helper: the rlwe and tfhe tests measure secret density with it",
 	"ring.Ring.MulPolyNaive":               "oracle: the schoolbook product the NTT is tested against",
 	"ring.SetSIMD":                         "oracle: selects the scalar loops the vector kernels are locked to word for word",

@@ -181,9 +181,11 @@ func runTraceLocal(tracePath string) error {
 
 // runCluster runs the parallelized bootstrap (§V) across three in-process
 // nodes connected by byte pipes, with one link deliberately cut mid-stream
-// to exercise the reassignment path, and checks the result against a
-// purely local bootstrap of the same ciphertext (they must be bit-identical,
-// since blind rotations are deterministic and node-placement-independent).
+// to exercise the reassignment path and the other node key-cold, so the
+// primary streams it the blind-rotate key before its first batch, and checks
+// the result against a purely local bootstrap of the same ciphertext (they
+// must be bit-identical, since blind rotations are deterministic and
+// node-placement-independent).
 // With a non-empty tracePath the distributed run is recorded by the
 // observability layer: one timeline lane per node and local worker.
 func runCluster(tracePath string) error {
@@ -202,16 +204,21 @@ func runCluster(tracePath string) error {
 
 	// A secondary fans each batch over its bootstrapper's Workers, which a
 	// serving node sets to its cores, as heapd does.
-	secCfg := heap.TestContextConfig()
-	secCfg.Bootstrap.Workers = runtime.GOMAXPROCS(0)
+	// Node 1 is key-cold, as a stock heapd is.
 	nodes := make([]*cluster.Node, 2)
+	servers := make([]*serve.Server, 2)
 	for i := range nodes {
+		secCfg := heap.TestContextConfig()
+		secCfg.Bootstrap.Workers = runtime.GOMAXPROCS(0)
+		secCfg.Bootstrap.ColdStart = i == 1
 		sec, err := heap.NewContext(secCfg)
 		if err != nil {
 			return err
 		}
+		servers[i] = serve.NewServer(sec.Boot, serve.Config{})
+		defer servers[i].Close()
 		local, remote := net.Pipe()
-		go func() { _ = serve.NewServer(sec.Boot, serve.Config{}).ServeConn(remote) }()
+		go func() { _ = servers[i].ServeConn(remote) }()
 		nodes[i] = &cluster.Node{Conn: local, Name: fmt.Sprintf("fpga-%d", i)}
 	}
 	// Cut node 0's link after 8 KiB of accumulator traffic: its remaining
@@ -228,7 +235,7 @@ func runCluster(tracePath string) error {
 	}
 	start := time.Now()
 	out, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(
-		context.Background(), ct, nodes, nil, cluster.DefaultOptions())
+		context.Background(), ct, nodes, cluster.DefaultOptions())
 	wall := time.Since(start)
 	if tracePath != "" {
 		primary.Boot.SetRecorder(nil)
@@ -236,20 +243,20 @@ func runCluster(tracePath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("distributed bootstrap with one link cut mid-stream: %v\n%s",
-		wall.Round(time.Millisecond), stats)
+	keyMet := servers[1].Metrics()
+	fmt.Printf("distributed bootstrap with one link cut mid-stream: %v\n%s"+
+		"key-cold fpga-1 was streamed the key: %d chunks, %d bytes\n",
+		wall.Round(time.Millisecond), stats,
+		keyMet.Counter(obs.CounterKeyChunks), keyMet.Counter(obs.CounterKeyChunkBytes))
 	if tracePath != "" {
 		if err := writeTraceAndSnapshot(tracePath, tracer, met, wall); err != nil {
 			return err
 		}
 	}
 
-	for i := 0; i < out.Level(); i++ {
-		for j, c := range out.C0.Limbs[i] {
-			if c != reference.C0.Limbs[i][j] || out.C1.Limbs[i][j] != reference.C1.Limbs[i][j] {
-				return fmt.Errorf("limb %d coeff %d differs from local bootstrap", i, j)
-			}
-		}
+	b := primary.Params.QBasis.AtLevel(reference.Level())
+	if !b.Equal(reference.C0, out.C0) || !b.Equal(reference.C1, out.C1) {
+		return fmt.Errorf("distributed result differs from the local bootstrap")
 	}
 	fmt.Printf("result bit-identical to local bootstrap; slot0 = %.3f (want 0.400)\n",
 		real(primary.Decrypt(out)[0]))

@@ -27,7 +27,6 @@ import (
 
 	"heap"
 	"heap/internal/ckks"
-	"heap/internal/cluster"
 	"heap/internal/core"
 	"heap/internal/obs"
 	"heap/internal/ring"
@@ -93,7 +92,7 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 		cfg.scale, d.ln.Addr(), boot.Cfg.Workers)
 	go func() {
 		defer close(d.served)
-		_ = d.srv.Serve(cluster.ListenerFrom(d.ln))
+		_ = d.srv.Serve(d.ln)
 	}()
 	return d, nil
 }

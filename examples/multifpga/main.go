@@ -21,6 +21,7 @@ import (
 	"heap/internal/cluster"
 	"heap/internal/hwsim"
 	"heap/internal/obs"
+	"heap/internal/rlwe"
 	"heap/internal/serve"
 )
 
@@ -72,48 +73,47 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	}
 	node1 := serve.NewServer(sec1.Boot, serve.Config{})
 	node2 := serve.NewServer(sec2.Boot, serve.Config{})
-	// Each secondary dials the primary and joins its membership, as the
-	// nodes of the paper's system announce themselves to the primary; the
-	// bootstrap then draws on every member waiting.
-	pr := &cluster.Primary{Boot: primary.Boot}
-	m := cluster.NewMembership()
-	l := cluster.NewPipeListener()
-	go func() { _ = pr.AcceptJoins(m, l) }()
-	defer l.Close()
-	for i, node := range []*serve.Server{node1, node2} {
-		conn, err := l.Dial()
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		name := fmt.Sprintf("fpga-%d", i+1)
-		joinErr := make(chan error, 1)
-		go func() { joinErr <- node.JoinAndServe(conn, name) }()
-		deadline := time.After(30 * time.Second)
-		for st, ok := m.State(name); !ok || st != cluster.MemberActive; st, ok = m.State(name) {
-			select {
-			case err := <-joinErr:
-				return fmt.Errorf("%s: join: %w", name, err)
-			case <-deadline:
-				return fmt.Errorf("%s: not a member after 30s", name)
-			case <-time.After(time.Millisecond):
-			}
-		}
+	defer node1.Close()
+	defer node2.Close()
+	// The primary dials each secondary, as the primary of the paper's system
+	// drives its fixed set of FPGAs.
+	dial := func(node *serve.Server) cluster.Conn {
+		local, remote := net.Pipe()
+		go func() { _ = node.ServeConn(remote) }()
+		return local
 	}
 	v2 := make([]complex128, primary.Params.Slots)
 	for i := range v2 {
 		v2[i] = complex(0.4, 0)
 	}
 	ct2 := primary.Client.EncryptAtLevel(v2, 1)
+	// Blind rotation is deterministic and node-placement-independent, so
+	// every distributed run must equal the local bootstrap bit for bit.
+	reference := primary.Boot.Bootstrap(ct2)
+	bitIdentical := func(out *rlwe.Ciphertext) error {
+		b := primary.Params.QBasis.AtLevel(reference.Level())
+		if !b.Equal(reference.C0, out.C0) || !b.Equal(reference.C1, out.C1) {
+			return fmt.Errorf("distributed result differs from the local bootstrap")
+		}
+		return nil
+	}
 	start := time.Now()
-	out2, stats, err := pr.Bootstrap(context.Background(), ct2, nil, m, cluster.DefaultOptions())
+	pr := &cluster.Primary{Boot: primary.Boot}
+	nodes := []*cluster.Node{{Conn: dial(node1), Name: "fpga-1"}, {Conn: dial(node2), Name: "fpga-2"}}
+	out2, stats, err := pr.Bootstrap(context.Background(), ct2, nodes, cluster.DefaultOptions())
 	if err == nil {
 		err = stats.NodeErrors()
+	}
+	if err == nil {
+		err = bitIdentical(out2)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ndistributed (1 primary + 2 joined secondaries over byte streams): %v, slot0 = %.3f\n",
+	for _, n := range nodes {
+		_ = cluster.Shutdown(n.Conn)
+	}
+	fmt.Printf("\ndistributed (1 primary + 2 secondaries over byte streams): %v, slot0 = %.3f, bit-identical to local\n",
 		time.Since(start).Round(time.Millisecond), real(primary.Decrypt(out2)[0]))
 
 	// Fault tolerance: the same bootstrap with one secondary's link cut
@@ -125,27 +125,24 @@ func run(cfg heap.ContextConfig, workerCounts []int) error {
 	// layer watches this run: the pipeline stages account the wall time, the
 	// shard lanes show where the rotations and network waits went (the
 	// software rendering of the paper's Fig. 4 schedule).
-	d1p, d1s := net.Pipe()
-	d2p, d2s := net.Pipe()
-	go func() { _ = node1.ServeConn(d1s) }()
-	go func() { _ = node2.ServeConn(d2s) }()
-	flaky := cluster.NewFaultConn(d1p, cluster.FaultPlan{Seed: 1, CutReadAfter: 8 << 10})
-	nodes := []*cluster.Node{
-		{Conn: flaky, Name: "flaky-fpga"},
-		{Conn: d2p, Name: "healthy-fpga"},
+	healthy := dial(node2)
+	nodes = []*cluster.Node{
+		{Conn: cluster.NewFaultConn(dial(node1), cluster.FaultPlan{Seed: 1, CutReadAfter: 8 << 10}), Name: "flaky-fpga"},
+		{Conn: healthy, Name: "healthy-fpga"},
 	}
-	ct3 := primary.Client.EncryptAtLevel(v2, 1)
 	met := obs.NewMetrics()
 	primary.Boot.SetRecorder(met)
 	start = time.Now()
-	out3, stats, err := (&cluster.Primary{Boot: primary.Boot}).Bootstrap(
-		context.Background(), ct3, nodes, nil, cluster.DefaultOptions())
+	out3, stats, err := pr.Bootstrap(context.Background(), ct2, nodes, cluster.DefaultOptions())
 	primary.Boot.SetRecorder(nil)
+	if err == nil {
+		err = bitIdentical(out3)
+	}
 	if err != nil {
 		return err
 	}
-	_ = cluster.Shutdown(d2p)
-	fmt.Printf("\nchaos run (one link cut mid-stream): %v, slot0 = %.3f\n%s",
+	_ = cluster.Shutdown(healthy)
+	fmt.Printf("\nchaos run (one link cut mid-stream): %v, slot0 = %.3f, bit-identical to local\n%s",
 		time.Since(start).Round(time.Millisecond), real(primary.Decrypt(out3)[0]), stats)
 	fmt.Printf("\nobservability snapshot of the chaos run (expvar-style):\n%s", met.JSON())
 	fmt.Printf("pipeline stages account for %.1f ms of wall time\n", met.PipelineTotalMs())

@@ -56,11 +56,13 @@ type drawGate struct {
 	open    func()
 }
 
-// holdLocalUntilDrawn installs a drawGate on primary for the test's
-// duration and returns the links wrapped so that their first write counts.
+// holdLocalUntilDrawn installs a drawGate, recording to primary's recorder,
+// on primary for the test's duration and returns the links wrapped so that
+// their first write counts.
 func holdLocalUntilDrawn(t *testing.T, primary *core.Bootstrapper, locals int, links ...Conn) (*drawGate, []Conn) {
 	t.Helper()
-	g := &drawGate{gateRecorder: gateRecorder{release: make(chan struct{})}, locals: locals, waiting: len(links) + locals, lanes: make(map[int]bool)}
+	prev := primary.Recorder()
+	g := &drawGate{gateRecorder: gateRecorder{Recorder: prev, release: make(chan struct{})}, locals: locals, waiting: len(links) + locals, lanes: make(map[int]bool)}
 	var once sync.Once
 	g.open = func() { once.Do(func() { close(g.release) }) }
 	timer := time.AfterFunc(10*time.Second, g.open)
@@ -68,7 +70,7 @@ func holdLocalUntilDrawn(t *testing.T, primary *core.Bootstrapper, locals int, l
 	t.Cleanup(func() {
 		timer.Stop()
 		g.open()
-		primary.SetRecorder(nil)
+		primary.SetRecorder(prev)
 	})
 	wrapped := make([]Conn, len(links))
 	for i, c := range links {
@@ -135,7 +137,7 @@ func TestKillSecondaryMidStream(t *testing.T) {
 		{Conn: flaky, Name: "flaky"},
 		{Conn: healthy, Name: "healthy"},
 	}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestAllSecondariesDeadFallsBackLocal(t *testing.T) {
 		{Conn: links[0], Name: "dead-0"},
 		{Conn: links[1], Name: "dead-1"},
 	}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestDelayedPeerTimeout(t *testing.T) {
 	opts.BatchTimeout = 250 * time.Millisecond
 
 	start := time.Now()
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestDelayedPeerBudgetPassesMidBatch(t *testing.T) {
 	opts.BatchTimeout = 300 * time.Millisecond
 	_, links := holdLocalUntilDrawn(t, fx.bt, 0, noDeadlineConn{slow})
 	nodes := []*Node{{Conn: links[0], Name: "slow"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, opts)
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestCorruptLinkDetected(t *testing.T) {
 	lying := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: 5, CorruptEvery: 701})
 	t.Cleanup(func() { _ = lying.Close() })
 	nodes := []*Node{{Conn: lying, Name: "lying"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestShortReadsAndDelays(t *testing.T) {
 	slow := NewFaultConn(startSecondary(t, nil), FaultPlan{Seed: 9, MaxReadChunk: 7})
 	t.Cleanup(func() { _ = slow.Close() })
 	nodes := []*Node{{Conn: slow, Name: "slow"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +320,7 @@ func TestHandshakeRejectsMismatchedParams(t *testing.T) {
 	go func() { _ = node.ServeConn(cs) }()
 
 	nodes := []*Node{{Conn: cp, Name: "alien"}}
-	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+	out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,26 +379,26 @@ func TestSecondaryRejectsOversizedBatch(t *testing.T) {
 
 // TestRetiredFrameKindRefused sends a node frames of retired kinds over the
 // primary's link: the hello (0x48454C4F, retired by protocol v7) on a fresh
-// connection, and the health probe (0xB0070010, retired by v6) after a valid
-// join under PrimaryTenant. Each is answered with an error frame, and the node
-// stops serving the connection with an error.
+// connection, and the health probe (0xB0070010, retired by v6) and the
+// graceful leave (0xB0070014, retired by v8) after a valid join under
+// PrimaryTenant. Each is answered with an error frame, and the node stops
+// serving the connection with an error.
 func TestRetiredFrameKindRefused(t *testing.T) {
 	fixture(t)
 	node := newNode(t, fixtureNode(t, 0, false))
-	for _, joined := range []bool{false, true} {
+	for _, retired := range []*Frame{
+		{Kind: 0x4845_4C4F, Payload: EncodeHello(HelloFor(fx.bt))},
+		{Kind: 0xB007_0010, Payload: make([]byte, 8)},
+		{Kind: 0xB007_0014, Payload: EncodeReason("leave requested")},
+	} {
 		cp, cs := net.Pipe()
 		served := make(chan error, 1)
 		go func() { served <- node.ServeConn(cs) }()
 
-		retired := &Frame{Kind: 0x4845_4C4F, Payload: EncodeHello(HelloFor(fx.bt))}
-		if joined {
-			if err := WriteFrame(cp, &Frame{Kind: FrameJoin, Payload: EncodeJoin(HelloFor(fx.bt), PrimaryTenant)}); err != nil {
-				t.Fatal(err)
+		if retired.Kind != 0x4845_4C4F {
+			if _, err := Join(cp, HelloFor(fx.bt), PrimaryTenant, obs.Nop{}); err != nil {
+				t.Fatalf("handshake: %v", err)
 			}
-			if f, err := ReadFrame(cp, MaxErrorPayload); err != nil || f.Kind != FrameJoinAck {
-				t.Fatalf("handshake: %v %+v", err, f)
-			}
-			retired = &Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
 		}
 		if err := WriteFrame(cp, retired); err != nil {
 			t.Fatal(err)
@@ -427,7 +429,7 @@ func TestContextCancellation(t *testing.T) {
 	fixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := (&Primary{Boot: fx.bt}).Bootstrap(ctx, fx.ct.CopyNew(), nil, nil, testOptions())
+	_, _, err := (&Primary{Boot: fx.bt}).Bootstrap(ctx, fx.ct.CopyNew(), nil, testOptions())
 	if err == nil {
 		t.Fatal("cancelled bootstrap reported success")
 	}
@@ -453,7 +455,7 @@ func TestChaosMatrix(t *testing.T) {
 			{Conn: links[0], Name: "flaky"},
 			{Conn: healthy, Name: "healthy"},
 		}
-		out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, nil, testOptions())
+		out, stats, err := (&Primary{Boot: fx.bt}).Bootstrap(context.Background(), fx.ct.CopyNew(), nodes, testOptions())
 		fx.bt.SetRecorder(nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

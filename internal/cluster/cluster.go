@@ -8,16 +8,15 @@
 // internal/serve's Server, heapd's blind-rotation server, with one tenant:
 // its primary (PrimaryTenant).
 //
-// Primary.Bootstrap is the one entry point. It puts the n extracted LWE
-// indices on a shared work queue that the secondaries and the primary's own
-// local workers drain alike, whether the node set is a fixed list, an elastic
-// membership, or both; a secondary takes a shrinking share of the queued
-// tasks per dispatch batch (guided self-scheduling).
+// Primary.Bootstrap is the one entry point. The primary dials every node
+// (the paper's fixed set of FPGAs, provisioned ahead of time) and puts the n
+// extracted LWE indices on a shared work queue that the secondaries and the
+// primary's own local workers drain alike; a secondary takes a shrinking
+// share of the queued tasks per dispatch batch (guided self-scheduling).
 //
-// The layer is fault-tolerant and, since protocol v3, elastic and
-// self-healing. Because the n extracted LWE ciphertexts are mutually
-// independent (the property §V exploits for parallelism), a lost node costs
-// only its unfinished tasks. The wire protocol is framed and
+// The layer is fault-tolerant. Because the n extracted LWE ciphertexts are
+// mutually independent (the property §V exploits for parallelism), a lost
+// node costs only its unfinished tasks. The wire protocol is framed and
 // CRC32-checksummed (frame.go) with one version/params handshake for every
 // link (conversation.go), batches carry per-shard sequence numbers so partial
 // accumulator streams are detected, every round trip on a link is bounded by
@@ -27,18 +26,15 @@
 // that awaits accumulators must deliver one tile's worth within twice the
 // slowest tile the primary's own workers have rotated in the run (the
 // progress deadline, tileClock), so a straggler takes the same one recovery
-// path as a cut link. A restarted node returns
-// by rejoining through a Membership. The whole failure matrix is exercised
-// deterministically by the FaultConn chaos wrapper (chaos.go).
+// path as a cut link. A restarted node returns when the next run dials it.
+// The whole failure matrix is exercised deterministically by the FaultConn
+// chaos wrapper (chaos.go).
 //
-// On top of that, v3 adds:
-//   - Membership (membership.go): secondaries join through a listener
-//     mid-run and immediately start draining the work queue; nodes that
-//     leave gracefully are drained, their pending indices reassigned.
-//   - Chunked resumable key streaming (keystream.go): a cold joiner
-//     receives the blind-rotate key in CRC-framed acked chunks and resumes
-//     from the last acked chunk after a mid-upload kill. It gets no work
-//     until its whole key is in.
+// A node whose join ack says key-cold (a stock heapd) is sent the
+// blind-rotate key in CRC-framed acked chunks before any work
+// (keystream.go). The node's registry keeps the partial key across
+// connections, so an upload cut mid-stream resumes from the last acked chunk
+// on the next run's link.
 //
 // A bootstrap therefore always completes — bit-identical to local execution
 // — as long as the primary itself survives, degrading gracefully to pure
@@ -46,8 +42,8 @@
 //
 // Key material is generated offline on every node from the shared seed,
 // matching the paper's "brk public keys can be computed offline and must be
-// generated in advance" — except for cold elastic joiners, which receive
-// the (public) brk over the key-streaming channel; no secret ever crosses a
+// generated in advance" — except on a key-cold node, which receives the
+// (public) brk over the key-streaming channel; no secret ever crosses a
 // connection.
 package cluster
 
@@ -57,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -79,7 +74,7 @@ type Primary struct {
 
 	// keyHigh is, per node name, one past the highest key chunk ever sent
 	// to that node. It outlives runs, so the chunk in flight when a link is
-	// cut in one run and sent again on the rejoin in the next is counted as
+	// cut in one run and sent again on the next run's link is counted as
 	// re-sent.
 	mu      sync.Mutex
 	keyHigh map[string]uint32
@@ -96,7 +91,6 @@ type runState struct {
 	clock *tileClock
 	rec   obs.Recorder
 	opts  Options
-	m     *Membership // nil when no joiners are admitted
 
 	mu sync.Mutex // guards stats
 
@@ -116,8 +110,8 @@ func (rs *runState) complete(idx int, acc *rlwe.Ciphertext) {
 }
 
 // pendingOf returns the indices of task whose accumulators have not arrived
-// — the set a failing or leaving node hands back to the queue. Only the
-// worker holding task calls it.
+// — the set a failing node hands back to the queue. Only the worker holding
+// task calls it.
 func (rs *runState) pendingOf(task []int) []int {
 	pending := make([]int, 0, len(task))
 	for _, idx := range task {
@@ -128,77 +122,47 @@ func (rs *runState) pendingOf(task []int) []int {
 	return pending
 }
 
-// down marks a membership node's terminal state (no-op without a membership).
-func (rs *runState) down(name string, st MemberState) {
-	if rs.m != nil {
-		rs.m.markDown(name, st)
-	}
-}
-
 // Bootstrap is the distributed bootstrap (§V, Figure 4): the primary
 // prepares the n independent LWE ciphertexts, fans their blind rotations out
 // over a shared work queue, and repacks the accumulators as they stream back.
 // nodes are connections the caller dialed, which the primary joins before
-// their first batch; m, when non-nil, supplies every node waiting in it at the
-// start and every node that joins while the run is in flight, each of which
-// dialed the primary. Both ends of either link speak the one join handshake
-// (conversation.go), whichever end dialed. A static node list is
-// thus a membership that never changes, and every run dispatches the same
-// way: the secondaries and the primary's local workers all drain one queue of
-// tasks, so a fast node, a mid-run joiner or the local compute picks up
+// their first batch (conversation.go); a node whose ack says key-cold is sent
+// the whole key first. The secondaries and the primary's local workers all
+// drain one queue of tasks, so a fast node or the local compute picks up
 // whatever a slow or failed node left. A secondary whose link fails —
 // connection error, frame corruption, timeout, death mid-stream — is given
 // up: the accumulators that arrived are kept and the rest of its task goes
 // back on the queue. A link that delivers no tile's worth of accumulators
-// within twice the slowest local tile fails the same way (tileClock). A node
-// that leaves is drained likewise, and a restarted node comes back by
-// rejoining through m. The result is bit-identical to the local bootstrap.
+// within twice the slowest local tile fails the same way (tileClock). A
+// restarted node comes back when the next run dials it. The result is
+// bit-identical to the local bootstrap.
 //
 // The returned Stats say where every rotation actually ran. The error is
 // non-nil only when the bootstrap itself could not complete (context
 // cancelled, local compute panicked, bad input); per-node failures are
 // reported by Stats.NodeErrors.
-func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, m *Membership, opts Options) (*rlwe.Ciphertext, *Stats, error) {
+func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*Node, opts Options) (*rlwe.Ciphertext, *Stats, error) {
 	prep, err := p.prepare(ct)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := len(prep.LWEs)
 	rec := p.Boot.Recorder()
-	if m != nil {
-		m.SetRecorder(rec)
-		// Pick up every node already waiting in the membership, without
-		// appending into the caller's backing array.
-		nodes = slices.Clip(nodes)
-		for {
-			select {
-			case node := <-m.joinCh:
-				nodes = append(nodes, node)
-				continue
-			default:
-			}
-			break
-		}
-	}
 
-	stats := &Stats{Nodes: make([]*NodeStats, len(nodes)), Total: n}
+	stats := &Stats{Nodes: make([]NodeStats, len(nodes)), Total: n}
 	for k := range nodes {
 		name := nodes[k].Name
 		if name == "" {
 			name = fmt.Sprintf("secondary-%d", k)
 		}
-		stats.Nodes[k] = &NodeStats{Name: name, Joined: nodes[k].joined}
-		if nodes[k].joined {
-			stats.Joined++
-		}
+		stats.Nodes[k].Name = name
 	}
 
 	// Tasks hold at most one tile (the key-major engine's unit) and at most
 	// ⌊n / starting workers⌋ indices, so there are at least as many tasks as
 	// starting workers; with fill leaving each worker yet to draw a task,
-	// every starting worker — secondary or local — draws one, a small
-	// bootstrap still fans over all of them and a mid-run joiner finds work
-	// left to steal.
+	// every starting worker — secondary or local — draws one and a small
+	// bootstrap still fans over all of them.
 	lw := max(p.Boot.Cfg.Workers, 1)
 	workers := len(nodes) + lw
 	q := newWorkQueue(n, max(min(tfhe.Tile, n/workers), 1), workers)
@@ -223,7 +187,6 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 		clock: newTileClock(lw),
 		rec:   rec,
 		opts:  opts,
-		m:     m,
 	}
 
 	all := make([]int, n)
@@ -234,8 +197,8 @@ func (p *Primary) Bootstrap(ctx context.Context, ct *rlwe.Ciphertext, nodes []*N
 	return p.runBootstrap(rs, nodes, lw)
 }
 
-// runBootstrap runs the fan-out phase over the initial nodes (plus any
-// membership joiners), waits for completion, and finishes the repack.
+// runBootstrap runs the fan-out phase over the nodes and the local workers,
+// waits for completion, and finishes the repack.
 func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphertext, *Stats, error) {
 	ctx, q, rec, stats := rs.ctx, rs.q, rs.rec, rs.stats
 
@@ -262,7 +225,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			p.runNode(nodes[k], stats.Nodes[k], k, rs)
+			p.runNode(nodes[k], &stats.Nodes[k], k, rs)
 		}(k)
 	}
 
@@ -275,38 +238,7 @@ func (p *Primary) runBootstrap(rs *runState, nodes []*Node, lw int) (*rlwe.Ciphe
 		}(w)
 	}
 
-	// Membership joiners: consumed for as long as the run has work left.
-	var joinWG sync.WaitGroup
-	if rs.m != nil {
-		joinWG.Add(1)
-		go func() {
-			defer joinWG.Done()
-			lane := len(nodes) + lw
-			for {
-				select {
-				case node := <-rs.m.joinCh:
-					ns := &NodeStats{Name: node.Name, Joined: true}
-					rs.mu.Lock()
-					stats.Nodes = append(stats.Nodes, ns)
-					stats.Joined++
-					rs.mu.Unlock()
-					joinWG.Add(1)
-					go func(node *Node, ns *NodeStats, lane int) {
-						defer joinWG.Done()
-						p.runNode(node, ns, lane, rs)
-					}(node, ns, lane)
-					lane++
-				case <-q.doneCh:
-					return
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-
 	wg.Wait()
-	joinWG.Wait()
 	rec.End(obs.StageBlindRotate, obs.LanePipeline, brTok)
 
 	prep, accs, sink, n := rs.prep, rs.accs, rs.sink, rs.stats.Total
@@ -379,35 +311,23 @@ func (s *accSink) takeErr() error {
 	return s.err
 }
 
-// errNodeLeft is the dispatch sentinel runNode handles as a drain rather
-// than a failure.
-var errNodeLeft = errors.New("cluster: node requested leave")
-
-// runNode feeds one secondary until the queue drains, the node leaves, or
-// its link fails; a failed link is given up and whatever the node had not
-// finished goes back on the queue. A cold membership joiner is first sent the
-// whole blind-rotate key (resumable).
+// runNode feeds one secondary until the queue drains or its link fails; a
+// failed link is given up and whatever the node had not finished goes back
+// on the queue. The node is joined when it draws its first task, and a node
+// whose ack says key-cold hands that task back and is sent the whole
+// blind-rotate key (resumable) before it draws again.
 func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 	q, opts, conn := rs.q, rs.opts, node.Conn
-	var batch uint32
 
-	// end takes the node out of the run: the link is closed and the
-	// unclaimed part of task goes back on the queue. A nil err is a
-	// graceful leave, anything else a failure.
-	end := func(task []int, err error) {
+	// fail takes the node out of the run: the link is closed and the
+	// unclaimed part of task goes back on the queue.
+	fail := func(task []int, err error) {
 		pending := rs.pendingOf(task)
-		st := MemberLeft
 		rs.mu.Lock()
-		if err != nil {
-			st = MemberDead
-			ns.Failed = true
-			ns.Err = fmt.Errorf("cluster: shard %q: %w", ns.Name, err)
-		} else {
-			ns.Left = true
-		}
+		ns.Failed = true
+		ns.Err = fmt.Errorf("cluster: shard %q: %w", ns.Name, err)
 		rs.stats.Reassigned += len(pending)
 		rs.mu.Unlock()
-		rs.down(ns.Name, st)
 		closeConn(conn)
 		q.push(pending)
 	}
@@ -419,48 +339,42 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 	// secondary's workers and one round trip for many tiles; batches shrink
 	// to a single task as the queue drains, which keeps the tail balanced.
 	// The hello's MaxBatch (N) caps a batch.
+	parts := len(rs.stats.Nodes) + 1
 	pop := func() []int {
-		task := q.pop()
-		if task == nil {
-			return nil
+		if task := q.pop(); task != nil {
+			return q.fill(task, parts, p.Boot.Params.N())
 		}
-		rs.mu.Lock()
-		parts := len(rs.stats.Nodes) + 1
-		rs.mu.Unlock()
-		return q.fill(task, parts, p.Boot.Params.N())
+		return nil
 	}
 
-	// Cold joiners: the whole key goes over before any work.
-	if node.needsKey {
-		if err := p.uploadKey(ns, conn, rs); err != nil {
-			end(nil, fmt.Errorf("key upload: %w", err))
-			return
-		}
-		node.needsKey = false
-	}
-
-	// A node the primary dialed is joined first, under the name of the one
-	// tenant the node serves.
+	// The node is joined under the name of the one tenant it serves.
 	task := pop()
-	if task != nil && !node.joined {
-		disarm := armTimeout(conn, opts.BatchTimeout)
-		err := Join(conn, HelloFor(p.Boot), PrimaryTenant, p.Boot.Recorder())
-		disarm()
-		if err != nil {
-			end(task, err)
+	if task == nil {
+		return
+	}
+	disarm := armTimeout(conn, opts.BatchTimeout)
+	peer, err := Join(conn, HelloFor(p.Boot), PrimaryTenant, p.Boot.Recorder())
+	disarm()
+	if err != nil {
+		fail(task, err)
+		return
+	}
+	// A key-cold node gets no work until its whole key is in: the task goes
+	// back on the queue while the key streams.
+	if peer.Flags&HelloFlagKeyWarm == 0 {
+		q.push(task)
+		if err := p.uploadKey(ns, conn, rs); err != nil {
+			fail(nil, fmt.Errorf("key upload: %w", err))
 			return
 		}
+		task = pop()
 	}
-	for task != nil {
+
+	for batch := uint32(0); task != nil; batch++ {
 		err := p.dispatchBatch(conn, batch, lane, task, ns, rs)
-		batch++
 		if err == nil {
 			task = pop()
 			continue
-		}
-		if errors.Is(err, errNodeLeft) {
-			end(task, nil)
-			return
 		}
 		// The stream broke or missed its progress deadline: the accumulators
 		// that arrived are kept and the link is given up. A batch whose every
@@ -473,12 +387,12 @@ func (p *Primary) runNode(node *Node, ns *NodeStats, lane int, rs *runState) {
 				return
 			}
 		}
-		end(task, err)
+		fail(task, err)
 		return
 	}
 }
 
-// uploadKey streams the blind-rotate key to a cold joiner, resuming from
+// uploadKey streams the blind-rotate key to a key-cold node, resuming from
 // the receiver's last acked chunk.
 func (p *Primary) uploadKey(ns *NodeStats, conn Conn, rs *runState) error {
 	blob, crc, err := rs.keyBlobBytes(p)
@@ -598,10 +512,7 @@ func (p *Primary) dispatchBatch(conn Conn, shard uint32, lane int, idxs []int, n
 		rs.complete(idx, acc)
 	})
 	var end *EndError
-	switch {
-	case errors.As(err, &end) && end.Kind == FrameLeave:
-		return errNodeLeft
-	case errors.As(err, &end):
+	if errors.As(err, &end) {
 		return fmt.Errorf("cluster: remote failure: %s", end.Reason)
 	}
 	return wrap(err)

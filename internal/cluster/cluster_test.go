@@ -40,7 +40,7 @@ func TestDistributedBootstrap(t *testing.T) {
 
 	primary := &Primary{Boot: btPrimary}
 	nodes := []*Node{{Conn: c1p}, {Conn: c2p}}
-	out, stats, err := primary.Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
+	out, stats, err := primary.Bootstrap(context.Background(), ct.CopyNew(), nodes, DefaultOptions())
 	if err == nil {
 		err = stats.NodeErrors()
 	}

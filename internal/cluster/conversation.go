@@ -24,37 +24,38 @@ import (
 const PrimaryTenant = "primary"
 
 // Join is the dialing end of the handshake: it sends local's hello and name
-// in a FrameJoin and checks the hello of the acceptor's FrameJoinAck against
-// local. Both frames are counted on rec.
-func Join(conn io.ReadWriter, local Hello, name string, rec obs.Recorder) error {
+// in a FrameJoin, checks the hello of the acceptor's FrameJoinAck against
+// local and returns it; its flags say whether the acceptor holds the key of
+// tenant name (HelloFlagKeyWarm). Both frames are counted on rec.
+func Join(conn io.ReadWriter, local Hello, name string, rec obs.Recorder) (Hello, error) {
 	if err := WriteFrame(countWriter{conn, rec}, &Frame{Kind: FrameJoin, Payload: EncodeJoin(local, name)}); err != nil {
-		return fmt.Errorf("cluster: join send: %w", err)
+		return Hello{}, fmt.Errorf("cluster: join send: %w", err)
 	}
 	f, err := readFrame(conn, MaxErrorPayload, rec)
 	if err != nil {
-		return fmt.Errorf("cluster: join reply: %w", err)
+		return Hello{}, fmt.Errorf("cluster: join reply: %w", err)
 	}
 	switch f.Kind {
 	case FrameJoinAck:
 	case FrameError:
-		return fmt.Errorf("cluster: join refused: %s", f.Payload)
+		return Hello{}, fmt.Errorf("cluster: join refused: %s", f.Payload)
 	default:
-		return fmt.Errorf("cluster: expected join ack, got frame kind %#x", f.Kind)
+		return Hello{}, fmt.Errorf("cluster: expected join ack, got frame kind %#x", f.Kind)
 	}
 	peer, err := DecodeHello(f.Payload)
 	if err != nil {
-		return err
+		return Hello{}, err
 	}
-	return CheckHello(local, peer)
+	return peer, CheckHello(local, peer)
 }
 
 // AcceptJoin is the accepting end of the handshake: it reads a FrameJoin,
-// checks its hello against local and its name for being non-empty, runs
-// admit (when non-nil) and acks with local's hello. It returns the joiner's
-// name. A refusal is answered with an error frame and returned; a connection
-// closed or shut down before its join returns io.EOF. Every frame is counted
-// on rec.
-func AcceptJoin(conn io.ReadWriter, local Hello, rec obs.Recorder, admit func(peer Hello, name string) error) (string, error) {
+// checks its hello against local and its name for being non-empty, and acks
+// with local's hello, flagged HelloFlagKeyWarm when warm reports that the
+// acceptor holds the joiner's key. It returns the joiner's name. A refusal is
+// answered with an error frame and returned; a connection closed or shut down
+// before its join returns io.EOF. Every frame is counted on rec.
+func AcceptJoin(conn io.ReadWriter, local Hello, rec obs.Recorder, warm func(name string) bool) (string, error) {
 	w := countWriter{conn, rec}
 	f, err := readFrame(conn, JoinPayloadBound, rec)
 	if err != nil {
@@ -74,11 +75,11 @@ func AcceptJoin(conn io.ReadWriter, local Hello, rec obs.Recorder, admit func(pe
 	if err == nil && name == "" {
 		err = errors.New("cluster: join without a name")
 	}
-	if err == nil && admit != nil {
-		err = admit(peer, name)
-	}
 	if err != nil {
 		return "", SendError(w, err)
+	}
+	if warm(name) {
+		local.Flags |= HelloFlagKeyWarm
 	}
 	return name, WriteFrame(w, &Frame{Kind: FrameJoinAck, Payload: EncodeHello(local)})
 }
@@ -110,8 +111,8 @@ func SendBatch(w io.Writer, shard uint32, idxs []int, lwes []*rlwe.LWECiphertext
 }
 
 // EndError is a peer ending an accumulator stream before its batch end: with
-// a graceful leave (FrameLeave), a non-fatal job rejection (FrameRejected) or
-// a failure (FrameError). Reason is the peer's text.
+// a non-fatal job rejection (FrameRejected) or a failure (FrameError). Reason
+// is the peer's text.
 type EndError struct {
 	Kind   uint32
 	Reason string
@@ -125,7 +126,7 @@ func (e *EndError) Error() string {
 // one FrameAcc per index, numbered by seq from 0 in arrival order, then a
 // FrameBatchEnd that counts them. Every accumulator must decode under params
 // and answer an index of idxs not answered yet; got is called once for each,
-// as it arrives. A leave, rejection or error frame ends the stream with an
+// as it arrives. A rejection or error frame ends the stream with an
 // *EndError. Every frame is counted on rec.
 func ReadAccs(r io.Reader, shard uint32, idxs []int, params *rlwe.Parameters, rec obs.Recorder, got func(idx int, acc *rlwe.Ciphertext)) error {
 	maxPayload := max(AccPayloadBound(params), MaxErrorPayload)
@@ -138,12 +139,12 @@ func ReadAccs(r io.Reader, shard uint32, idxs []int, params *rlwe.Parameters, re
 		if err != nil {
 			return err
 		}
-		// A leave and an error frame speak for the connection, not a batch.
-		if f.Kind != FrameLeave && f.Kind != FrameError && f.Shard != shard {
+		// An error frame speaks for the connection, not a batch.
+		if f.Kind != FrameError && f.Shard != shard {
 			return fmt.Errorf("cluster: frame for shard %d while awaiting shard %d", f.Shard, shard)
 		}
 		switch f.Kind {
-		case FrameLeave, FrameRejected:
+		case FrameRejected:
 			reason, err := DecodeReason(f.Payload)
 			if err != nil {
 				reason = string(f.Payload)

@@ -53,7 +53,12 @@ const (
 	// Version 7 has one handshake for every link: whichever end dials sends
 	// FrameJoin and the other answers FrameJoinAck. The hello frame kind
 	// (0x48454C4F) is retired, and a peer answers it with an error frame.
-	ProtocolVersion = uint32(7)
+	// Version 8 has one way into a run, the primary dialing the node: the
+	// graceful-leave frame kind (0xB0070014) is retired, answered with an
+	// error frame, and the acceptor's FrameJoinAck carries HelloFlagKeyWarm
+	// when it holds the joiner's key, so the primary streams the key to a
+	// key-cold node it dialed before any batch.
+	ProtocolVersion = uint32(8)
 
 	frameHeaderSize  = 20
 	frameTrailerSize = 4
@@ -79,8 +84,7 @@ const (
 
 	// The handshake (v3; every link's since v7).
 	FrameJoin    = uint32(0xB007_0012) // dialer → acceptor: hello + name
-	FrameJoinAck = uint32(0xB007_0013) // acceptor → dialer: hello reply, join accepted
-	FrameLeave   = uint32(0xB007_0014) // secondary → primary: graceful leave (reason string)
+	FrameJoinAck = uint32(0xB007_0013) // acceptor → dialer: hello reply (key-warm flag), join accepted
 
 	// Chunked resumable key streaming (v3).
 	FrameKeyOffer  = uint32(0xB007_0020) // primary → secondary: blob size/chunking/CRC
@@ -162,9 +166,9 @@ func ReadFrame(r io.Reader, maxPayload int) (*Frame, error) {
 // Hello is the connection-setup handshake: both ends must agree on the
 // protocol version and on the parameter set (the digest covers every Q and
 // P limb), the LWE dimension the batches will carry, and the batch bound.
-// Flags carries per-node status (key-warm) and is deliberately excluded
-// from the compatibility check: a cold node and a warm node are protocol-
-// compatible; a cold one is sent the key before any work.
+// Flags carries the acceptor's key status (key-warm) and is deliberately
+// excluded from the compatibility check: a cold node and a warm node are
+// protocol-compatible; a cold one is sent the key before any work.
 type Hello struct {
 	Version  uint32
 	LogN     uint32
@@ -175,8 +179,9 @@ type Hello struct {
 	Flags    uint32
 }
 
-// HelloFlagKeyWarm marks a joining node that holds its full blind-rotate
-// key; a joiner without it is sent the key before any work.
+// HelloFlagKeyWarm marks a join ack from an acceptor that holds the
+// joiner's blind-rotate key; a node whose ack lacks it is sent the key
+// before any work.
 const HelloFlagKeyWarm = uint32(1)
 
 const helloPayloadSize = 28
@@ -365,7 +370,7 @@ func AccPayloadBound(p *rlwe.Parameters) int {
 	return 4 + rlwe.CiphertextWireSize(p, p.MaxLevel())
 }
 
-// --- elastic membership payloads (v3) ---
+// --- join and reason payloads ---
 
 // maxNodeName bounds the node name a join frame may carry.
 const maxNodeName = 256
@@ -374,8 +379,7 @@ const maxNodeName = 256
 const JoinPayloadBound = helloPayloadSize + 4 + maxNodeName
 
 // EncodeJoin serializes a join request: the joiner's hello followed by its
-// length-prefixed name (the identity key of the membership registry, which
-// is how a node killed mid-key-upload resumes as itself after rejoining).
+// length-prefixed name (the tenant whose key the acceptor serves it with).
 func EncodeJoin(h Hello, name string) []byte {
 	if len(name) > maxNodeName {
 		name = name[:maxNodeName]
@@ -407,8 +411,8 @@ func DecodeJoin(payload []byte) (Hello, string, error) {
 	return h, string(payload[helloPayloadSize+4:]), nil
 }
 
-// EncodeReason serializes a bounded reason string: a graceful leave's, or a
-// serving-layer rejection's (bounded like error frames).
+// EncodeReason serializes a serving-layer rejection's reason string,
+// bounded like error frames.
 func EncodeReason(reason string) []byte {
 	if len(reason) > MaxErrorPayload {
 		reason = reason[:MaxErrorPayload]
@@ -422,14 +426,14 @@ func EncodeReason(reason string) []byte {
 // DecodeReason parses a bounded reason payload.
 func DecodeReason(payload []byte) (string, error) {
 	if len(payload) < 4 {
-		return "", fmt.Errorf("cluster: leave payload is %d bytes, want at least 4", len(payload))
+		return "", fmt.Errorf("cluster: reason payload is %d bytes, want at least 4", len(payload))
 	}
 	n := int(binary.LittleEndian.Uint32(payload))
 	if n > MaxErrorPayload {
-		return "", fmt.Errorf("cluster: leave reason length %d exceeds bound %d", n, MaxErrorPayload)
+		return "", fmt.Errorf("cluster: reason length %d exceeds bound %d", n, MaxErrorPayload)
 	}
 	if len(payload) != 4+n {
-		return "", fmt.Errorf("cluster: leave payload %d bytes, want %d", len(payload), 4+n)
+		return "", fmt.Errorf("cluster: reason payload %d bytes, want %d", len(payload), 4+n)
 	}
 	return string(payload[4:]), nil
 }

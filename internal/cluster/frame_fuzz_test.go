@@ -8,7 +8,7 @@ import (
 	"heap/internal/obs"
 )
 
-// Fuzz targets for the v3 membership/key-streaming payload decoders,
+// Fuzz targets for the join, reason and key-streaming payload decoders,
 // mirroring FuzzReadFrame/FuzzDecodeBatch: arbitrary bytes must never panic
 // a decoder, every accepted value must satisfy the decoder's documented
 // bounds, and accepted values must round-trip through their encoder.
@@ -38,6 +38,9 @@ func FuzzDecodeJoin(f *testing.F) {
 	})
 }
 
+// FuzzDecodeLeave fuzzes the reason payload, which a job rejection carries
+// and the graceful leave carried until protocol v8 retired it; the target
+// keeps the leave's name.
 func FuzzDecodeLeave(f *testing.F) {
 	f.Add(EncodeReason("leave requested"))
 	f.Add(EncodeReason(""))
@@ -51,10 +54,10 @@ func FuzzDecodeLeave(f *testing.F) {
 			return
 		}
 		if len(reason) > MaxErrorPayload {
-			t.Fatalf("accepted leave reason of %d bytes, bound is %d", len(reason), MaxErrorPayload)
+			t.Fatalf("accepted reason of %d bytes, bound is %d", len(reason), MaxErrorPayload)
 		}
 		if re, err := DecodeReason(EncodeReason(reason)); err != nil || re != reason {
-			t.Fatalf("leave round trip unstable: %v %q vs %q", err, re, reason)
+			t.Fatalf("reason round trip unstable: %v %q vs %q", err, re, reason)
 		}
 	})
 }
@@ -115,8 +118,8 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 	joinLie := EncodeJoin(h, "x")
 	binary.LittleEndian.PutUint32(joinLie[helloPayloadSize:], 0xFFFF_FFF0)
 	joinLie = joinLie[:helloPayloadSize+4]
-	leaveLie := make([]byte, 4)
-	binary.LittleEndian.PutUint32(leaveLie, 0xFFFF_FFF0)
+	reasonLie := make([]byte, 4)
+	binary.LittleEndian.PutUint32(reasonLie, 0xFFFF_FFF0)
 	giant := KeyOffer{TotalSize: 1 << 30, ChunkSize: 1 << 20, ChunkCount: 1 << 10, BlobCRC: 1}
 	kr := NewKeyReceiver(fx.bt.Params.Parameters, LWEDim(fx.bt), fx.bt.BinaryKey())
 
@@ -125,7 +128,7 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 		run  func() error
 	}{
 		{"join", func() error { _, _, err := DecodeJoin(joinLie); return err }},
-		{"leave", func() error { _, err := DecodeReason(leaveLie); return err }},
+		{"reason", func() error { _, err := DecodeReason(reasonLie); return err }},
 		{"offer-geometry", func() error {
 			bad := giant
 			bad.ChunkCount--
@@ -156,7 +159,9 @@ func TestDecodersBoundAllocationOnLies(t *testing.T) {
 }
 
 // TestJoinLeaveRoundTrip pins the happy-path codecs (the fuzzers only
-// check stability of whatever the fuzzer happens to accept).
+// check stability of whatever the fuzzer happens to accept): the join, the
+// reason payload a rejection carries (a graceful leave's until protocol v8)
+// and the key offer.
 func TestJoinLeaveRoundTrip(t *testing.T) {
 	h := Hello{Version: ProtocolVersion, LogN: 13, MaxLevel: 7, LWEDim: 500, MaxBatch: 8192, Digest: 0xABCD1234, Flags: HelloFlagKeyWarm}
 	got, name, err := DecodeJoin(EncodeJoin(h, "fpga-07"))
@@ -164,7 +169,7 @@ func TestJoinLeaveRoundTrip(t *testing.T) {
 		t.Fatalf("join: %v %+v %q", err, got, name)
 	}
 	if reason, err := DecodeReason(EncodeReason("draining")); err != nil || reason != "draining" {
-		t.Fatalf("leave: %v %q", err, reason)
+		t.Fatalf("reason: %v %q", err, reason)
 	}
 	o := KeyOffer{TotalSize: 2_629_656, ChunkSize: 64 << 10, ChunkCount: 41, BlobCRC: 7}
 	if re, err := decodeKeyOffer(o.encode()); err != nil || re != o {

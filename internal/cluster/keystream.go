@@ -16,15 +16,15 @@ import (
 // Chunked resumable blind-rotate key streaming. The BRK is by far the
 // largest object the cluster moves (≈ 2.9 GB for the binary key of the paper
 // set as run, n_t = 500; §III-C models 1.76 GB), and ARK/BTS both observe
-// that evaluation-key movement bounds bootstrapping systems — so a cold
-// joiner must not restart a multi-GB transfer because its link blipped at
-// 90%. The upload is cut into CRC-framed chunks with stop-and-wait acks. The
+// that evaluation-key movement bounds bootstrapping systems — so a key-cold
+// node must not restart a multi-GB transfer because its link blipped at 90%.
+// The upload is cut into CRC-framed chunks with stop-and-wait acks. The
 // receiver's state outlives the connection (a KeyReceiver lives in the
 // serving registry, one per tenant: a cluster node's is its primary's), a
 // reconnecting sender's offer is answered with the contiguous chunks already
-// held, and the upload resumes from exactly there. The key is parsed once, at key-done: a cold
-// joiner gets no work until its whole key is in, as in §V, where every
-// secondary rotates with the complete key.
+// held, and the upload resumes from exactly there. The key is parsed once, at
+// key-done: a key-cold node gets no work until its whole key is in, as in §V,
+// where every secondary rotates with the complete key.
 
 // KeyReceiver is the receiving end of the key stream (offer → resume, chunk
 // → ack, done → done), held per tenant by internal/serve's registry. It
@@ -154,7 +154,7 @@ func (kr *KeyReceiver) Done(blobCRC uint32) (*tfhe.BlindRotateKey, error) {
 }
 
 // keyBlobBytes lazily serializes the primary's blind-rotate key for
-// streaming. Built once per run and shared by every cold joiner.
+// streaming. Built once per run and shared by every key-cold node.
 func (rs *runState) keyBlobBytes(p *Primary) ([]byte, uint32, error) {
 	rs.keyOnce.Do(func() {
 		brk := p.Boot.BlindRotateKey()

@@ -40,7 +40,7 @@ func TestClusterTraceAccounting(t *testing.T) {
 	primary := &Primary{Boot: btPrimary}
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
 	start := time.Now()
-	out, stats, err := primary.Bootstrap(context.Background(), ct, nodes, nil, DefaultOptions())
+	out, stats, err := primary.Bootstrap(context.Background(), ct, nodes, DefaultOptions())
 	wallMs := float64(time.Since(start).Microseconds()) / 1e3
 	btPrimary.SetRecorder(nil)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestLocalShareFansOverWorkers(t *testing.T) {
 			tracer := obs.NewTracer()
 			bt.SetRecorder(tracer)
 			defer bt.SetRecorder(nil)
-			out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), tc.nodes, nil, DefaultOptions())
+			out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), tc.nodes, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestQueueTasksReachEveryStartingWorker(t *testing.T) {
 		t.Fatalf("%d starting workers do not outnumber the %d whole-tile tasks", workers, tiles)
 	}
 
-	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSecondaryBatchesFillWholeTiles(t *testing.T) {
 	secMet := node.Metrics()
 	go func() { _ = node.ServeConn(cs) }()
 	nodes := []*Node{{Conn: cp, Name: "sec-0"}}
-	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, nil, DefaultOptions())
+	out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), ct.CopyNew(), nodes, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,24 +18,16 @@ type Conn interface {
 	SetDeadline(time.Time) error
 }
 
-// Node describes one secondary the primary can dispatch to.
+// Node describes one secondary the primary dialed.
 type Node struct {
 	// Conn is the link to the node. A link that fails is given up: the
-	// node's unfinished work is reassigned, and a restarted node comes back by
-	// rejoining through a Membership.
+	// node's unfinished work is reassigned, and a restarted node comes back
+	// when the next run dials it.
 	Conn Conn
-	// Name labels the node in stats and errors; for membership joiners it is
-	// the registry identity a killed node rejoins under.
+	// Name labels the node in stats and errors. It is also the identity the
+	// primary's key-upload accounting keeps across runs, so a node keeps its
+	// name from one run's link to the next.
 	Name string
-
-	// joined marks a node that arrived through the elastic membership: it
-	// dialed the primary and its join was accepted, so the primary does not
-	// join it again.
-	joined bool
-	// needsKey marks a joiner that announced itself key-cold; the scheduler
-	// streams the blind-rotate key (chunked, resumable) before handing it
-	// any work.
-	needsKey bool
 }
 
 // Options tunes the fault-tolerant dispatch.
@@ -52,7 +44,7 @@ func DefaultOptions() Options {
 }
 
 // keyChunkBytes is the chunk size of the resumable blind-rotate key upload,
-// to a cold joiner and from a tenant alike.
+// to a key-cold node and from a tenant alike.
 const keyChunkBytes = 256 << 10
 
 // NodeStats records one node's share of a bootstrap.
@@ -61,20 +53,16 @@ type NodeStats struct {
 	Dispatched int   // LWE indices sent to the node
 	Completed  int   // accumulators received back
 	Failed     bool  // node permanently failed during this bootstrap
-	Left       bool  // node left gracefully (drained, not failed)
-	Joined     bool  // node joined mid-run through the membership
 	Err        error // the failure, wrapped with the node name
 }
 
 // Stats aggregates one distributed bootstrap: where every blind rotation
-// ran and how much work moved because of failures. Nodes holds pointers so
-// that entries appended for mid-run joiners never invalidate the NodeStats
-// a running worker already updates.
+// ran and how much work moved because of failures. Nodes is in the order
+// of the nodes passed to Bootstrap.
 type Stats struct {
-	Nodes      []*NodeStats
+	Nodes      []NodeStats
 	Local      int // indices blind-rotated on the primary
 	Reassigned int // indices requeued after a failure or timeout
-	Joined     int // nodes that joined mid-run
 	Total      int // total LWE indices
 }
 
@@ -92,21 +80,11 @@ func (s *Stats) NodeErrors() error {
 
 // String renders a per-shard summary table.
 func (s *Stats) String() string {
-	out := fmt.Sprintf("bootstrap: %d rotations, %d local, %d reassigned", s.Total, s.Local, s.Reassigned)
-	if s.Joined > 0 {
-		out += fmt.Sprintf(", %d joined", s.Joined)
-	}
-	out += "\n"
+	out := fmt.Sprintf("bootstrap: %d rotations, %d local, %d reassigned\n", s.Total, s.Local, s.Reassigned)
 	for _, ns := range s.Nodes {
 		state := "ok"
-		switch {
-		case ns.Failed:
+		if ns.Failed {
 			state = "failed"
-		case ns.Left:
-			state = "left"
-		}
-		if ns.Joined {
-			state += " (joined)"
 		}
 		out += fmt.Sprintf("  %-14s sent=%-5d done=%-5d %s\n",
 			ns.Name, ns.Dispatched, ns.Completed, state)

@@ -92,7 +92,7 @@ func BenchmarkStragglerMatrix(b *testing.B) {
 				}
 				in := ct.CopyNew()
 				b.StartTimer()
-				out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), in, nodes, nil, DefaultOptions())
+				out, stats, err := (&Primary{Boot: bt}).Bootstrap(context.Background(), in, nodes, DefaultOptions())
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)

@@ -34,12 +34,6 @@ type Config struct {
 	// over all N coefficients of the ternary RLWE secret — slower, but the
 	// wrap-around values are recovered without any rounding error.
 	NT int
-	// LWELogBase is the digit size of the LWE key switch.
-	LWELogBase int
-	// ScaleUpBits lifts the mod-2N LWE ciphertexts to modulus 2N·2^t before
-	// the dimension-reducing key switch, so the switch noise vanishes when
-	// rounding back down.
-	ScaleUpBits uint
 	// Workers is the number of parallel compute nodes the BlindRotate fan-out
 	// uses (the software analog of the paper's eight FPGAs).
 	Workers int
@@ -56,8 +50,17 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's parameter choices.
 func DefaultConfig() Config {
-	return Config{NT: 500, LWELogBase: 7, ScaleUpBits: 20, Workers: 8, Seed: 0xb007}
+	return Config{NT: 500, Workers: 8, Seed: 0xb007}
 }
+
+const (
+	// lweLogBase is the digit size of the LWE key switch.
+	lweLogBase = 7
+	// scaleUpBits lifts the mod-2N LWE ciphertexts to modulus 2N·2^t before
+	// the dimension-reducing key switch, so the switch noise vanishes when
+	// rounding back down.
+	scaleUpBits = 20
+)
 
 // Bootstrapper holds the key material and evaluators for scheme-switching
 // bootstrapping. The last limb of the parameter set's modulus chain is
@@ -149,8 +152,8 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 		kskDone := make(chan struct{})
 		go func() {
 			defer close(kskDone)
-			kskMod := twoN << cfg.ScaleUpBits
-			bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, cfg.LWELogBase, ring.NewSampler(cfg.Seed), params.Sigma)
+			kskMod := twoN << scaleUpBits
+			bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, lweLogBase, ring.NewSampler(cfg.Seed), params.Sigma)
 		}()
 		if !cfg.ColdStart {
 			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
@@ -283,7 +286,7 @@ func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedB
 		go func(idx []int, out []*rlwe.LWECiphertext) {
 			defer wg.Done()
 			if bt.Cfg.NT != 0 {
-				bt.lweKSK.ExtractSwitchBatch(ms.alphaC0, ms.alphaC1, idx, bt.Cfg.ScaleUpBits, out)
+				bt.lweKSK.ExtractSwitchBatch(ms.alphaC0, ms.alphaC1, idx, scaleUpBits, out)
 				return
 			}
 			for l, i := range idx {

@@ -59,7 +59,7 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 		for i := 0; i < n; i += n / maxCount {
 			lwe := rlwe.ExtractLWEFromPolys(ms.alphaC0, ms.alphaC1, twoN, i)
 			if nt != 0 {
-				lwe = rlwe.ModSwitchLWE(bt.lweKSK.Apply(rlwe.ScaleUpLWE(lwe, cfg.ScaleUpBits)), twoN)
+				lwe = rlwe.ModSwitchLWE(bt.lweKSK.Apply(rlwe.ScaleUpLWE(lwe, scaleUpBits)), twoN)
 			}
 			unfused[i] = lwe
 		}

@@ -92,7 +92,7 @@ func (p ParamSet) BRKKeyBytes() int64 {
 func (p ParamSet) BRKTotalBytes() int64 { return int64(p.NT) * p.BRKKeyBytes() }
 
 // BRKWireBlobBytes is the size of the serialized blind-rotate key blob the
-// cluster streams to a cold elastic joiner: a 24-byte blob header plus, per
+// cluster streams to a key-cold node: a 24-byte blob header plus, per
 // LWE key index, one record. A binary key's record is the RGSW(s_i)
 // ciphertext alone — BRKKeyBytes of coefficient data (the (h+1)d × (h+1)
 // matrix, shipped as two gadget ciphertexts) plus two 32-byte gadget

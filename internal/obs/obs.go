@@ -183,9 +183,6 @@ const (
 	// GaugeQueueDepth is the number of LWE indices sitting in the cluster
 	// work queue awaiting a worker.
 	GaugeQueueDepth
-	// GaugeClusterMembers is the number of nodes currently active in the
-	// elastic membership (joined and not yet drained/left/dead).
-	GaugeClusterMembers
 	// GaugeResidentTenants is the number of tenant blind-rotate keys
 	// currently resident in the serving registry.
 	GaugeResidentTenants
@@ -194,7 +191,7 @@ const (
 )
 
 var gaugeNames = [NumGauges]string{
-	"in_flight_shards", "queue_depth", "cluster_members", "resident_tenants",
+	"in_flight_shards", "queue_depth", "resident_tenants",
 }
 
 func (g Gauge) String() string {

@@ -46,7 +46,7 @@ type Client struct {
 // ways).
 func NewClient(conn cluster.Conn, boot *core.Bootstrapper, tenant string, rec obs.Recorder) (*Client, error) {
 	rec = obs.OrNop(rec)
-	if err := cluster.Join(conn, cluster.HelloFor(boot), tenant, rec); err != nil {
+	if _, err := cluster.Join(conn, cluster.HelloFor(boot), tenant, rec); err != nil {
 		return nil, err
 	}
 	return &Client{conn: conn, boot: boot, rec: rec}, nil

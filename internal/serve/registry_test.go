@@ -172,23 +172,26 @@ func TestServiceRefusesKeyDoneCRCMismatch(t *testing.T) {
 // TestServiceRefusesRetiredFrameKind: a frame of a retired kind gets an error
 // frame, and the server closes the connection. The inputs are the hello
 // (0x48454C4F, retired by protocol v7) sent before any join, and the health
-// probe (0xB0070010, retired by v6) sent after a valid one.
+// probe (0xB0070010, retired by v6) and the graceful leave (0xB0070014,
+// retired by v8) sent after a valid one.
 func TestServiceRefusesRetiredFrameKind(t *testing.T) {
 	_, _, bt := buildBoot(t, 92, false)
 	srv := NewServer(bt, Config{})
 	l, stop := startServer(t, srv)
 	defer stop()
-	for _, joined := range []bool{false, true} {
+	for _, retired := range []*cluster.Frame{
+		{Kind: 0x4845_4C4F, Payload: cluster.EncodeHello(cluster.HelloFor(bt))},
+		{Kind: 0xB007_0010, Payload: make([]byte, 8)},
+		{Kind: 0xB007_0014, Payload: cluster.EncodeReason("leave requested")},
+	} {
 		conn, err := l.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		retired := &cluster.Frame{Kind: 0x4845_4C4F, Payload: cluster.EncodeHello(cluster.HelloFor(bt))}
-		if joined {
+		if retired.Kind != 0x4845_4C4F {
 			if _, err := NewClient(conn, bt, "prober", nil); err != nil {
 				t.Fatal(err)
 			}
-			retired = &cluster.Frame{Kind: 0xB007_0010, Payload: make([]byte, 8)}
 		}
 		if err := cluster.WriteFrame(conn, retired); err != nil {
 			t.Fatal(err)
@@ -204,5 +207,41 @@ func TestServiceRefusesRetiredFrameKind(t *testing.T) {
 			t.Fatalf("connection still open after the error frame for kind %#x: %v", retired.Kind, err)
 		}
 		_ = conn.Close()
+	}
+}
+
+// TestServiceJoinAckSaysKeyWarm: the join ack carries HelloFlagKeyWarm
+// exactly when the registry holds the joining tenant's key, which is what a
+// primary reads to stream a node it dialed the key first.
+func TestServiceJoinAckSaysKeyWarm(t *testing.T) {
+	_, _, tenant := buildBoot(t, 93, false)
+	_, _, cold := buildBoot(t, 94, true)
+	srv := NewServer(cold, Config{})
+	l, stop := startServer(t, srv)
+	defer stop()
+	warm := func(name string) bool {
+		t.Helper()
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		peer, err := cluster.Join(conn, cluster.HelloFor(tenant), name, obs.Nop{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peer.Flags&cluster.HelloFlagKeyWarm != 0
+	}
+	if warm("t") {
+		t.Fatal("a join acked key-warm before any key was registered")
+	}
+	if err := srv.reg.Put("t", tenant.BlindRotateKey()); err != nil {
+		t.Fatal(err)
+	}
+	if !warm("t") {
+		t.Fatal("a tenant whose key is registered was acked key-cold")
+	}
+	if warm("other") {
+		t.Fatal("another tenant's key made a join key-warm")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/cmplx"
+	"net"
 	"net/http/httptest"
 	"runtime"
 	"sort"
@@ -46,11 +47,59 @@ func buildBoot(t *testing.T, seed uint64, cold bool) (*ckks.Parameters, *ckks.Cl
 	return params, cl, bt
 }
 
+// pipeListener is an in-memory net.Listener: every Dial produces a
+// net.Pipe whose far end comes out of Accept.
+type pipeListener struct {
+	ch     chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{ch: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+// Dial connects a new pipe through the listener, returning the client end.
+func (l *pipeListener) Dial() (net.Conn, error) {
+	client, server := net.Pipe()
+	select {
+	case l.ch <- server:
+		return client, nil
+	case <-l.closed:
+		_ = client.Close()
+		_ = server.Close()
+		return nil, errors.New("serve: listener closed")
+	}
+}
+
+// Accept returns the server end of the next dialed pipe.
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.ch:
+		return c, nil
+	case <-l.closed:
+		return nil, errors.New("serve: listener closed")
+	}
+}
+
+// Close unblocks Accept and fails future Dials.
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
 // startServer runs srv over an in-memory listener and returns a dialer plus
 // a full teardown (drain server, close listener).
-func startServer(t *testing.T, srv *Server) (*cluster.PipeListener, func()) {
+func startServer(t *testing.T, srv *Server) (*pipeListener, func()) {
 	t.Helper()
-	l := cluster.NewPipeListener()
+	l := newPipeListener()
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -63,7 +112,7 @@ func startServer(t *testing.T, srv *Server) (*cluster.PipeListener, func()) {
 	}
 }
 
-func dialClient(t *testing.T, l *cluster.PipeListener, bt *core.Bootstrapper, tenant string) *Client {
+func dialClient(t *testing.T, l *pipeListener, bt *core.Bootstrapper, tenant string) *Client {
 	t.Helper()
 	conn, err := l.Dial()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -133,7 +134,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.met }
 // Serve accepts tenant connections until the listener fails (e.g. it was
 // closed), serving each one with ServeConn. Safe to run from multiple
 // goroutines over multiple listeners.
-func (s *Server) Serve(l cluster.Listener) error {
+func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -141,27 +142,6 @@ func (s *Server) Serve(l cluster.Listener) error {
 		}
 		go func() { _ = s.ServeConn(conn) }()
 	}
-}
-
-// ServeConn serves one connection whose peer dialed it (a tenant, or a
-// node's primary): it accepts the join, whose name is the tenant, then serves
-// batches and key-stream frames. It returns nil on shutdown or EOF and the
-// error on a broken link or a protocol violation.
-func (s *Server) ServeConn(conn cluster.Conn) error {
-	return s.serve(conn, func() (string, error) { return cluster.AcceptJoin(conn, s.hello, s.met, nil) })
-}
-
-// JoinAndServe joins a cluster node's primary through conn under name (key-warm
-// when the registry holds the primary's key) and serves it as ServeConn does;
-// a cold node's key upload resumes across rejoins in the registry's receiver.
-func (s *Server) JoinAndServe(conn cluster.Conn, name string) error {
-	return s.serve(conn, func() (string, error) {
-		hello := s.hello
-		if s.reg.holds(cluster.PrimaryTenant) {
-			hello.Flags |= cluster.HelloFlagKeyWarm
-		}
-		return cluster.PrimaryTenant, cluster.Join(conn, hello, name, s.met)
-	})
 }
 
 // Close drains the server: open connections are closed, every admitted job
@@ -214,10 +194,14 @@ func (s *Server) stats(tenant string) *TenantStats {
 	return ts
 }
 
-// serve runs one connection: join names its tenant, then a read loop over
-// batch submissions and key-upload frames. It closes the connection and
-// returns once the connection's admitted jobs are done.
-func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err error) {
+// ServeConn serves one connection whose peer dialed it (a tenant, or a
+// node's primary): it accepts the join, whose name is the tenant, acking it
+// key-warm when the registry holds that tenant's key, then serves batches and
+// key-stream frames. A key upload cut with its connection resumes on the
+// tenant's next one. It returns nil on shutdown or EOF and the error on a
+// broken link or a protocol violation. It closes the connection and returns
+// once the connection's admitted jobs are done.
+func (s *Server) ServeConn(conn cluster.Conn) (err error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -249,7 +233,7 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 		}
 	}()
 
-	tenant, err := join()
+	tenant, err := cluster.AcceptJoin(conn, s.hello, s.met, s.reg.holds)
 	if err != nil {
 		return err
 	}
@@ -285,7 +269,7 @@ func (s *Server) serve(conn cluster.Conn, join func() (string, error)) (err erro
 				}
 				return err
 			}
-		case cluster.FrameShutdown, cluster.FrameLeave:
+		case cluster.FrameShutdown:
 			return nil
 		default:
 			return cluster.SendError(cw, fmt.Errorf("serve: unknown frame kind %#x", f.Kind))
