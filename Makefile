@@ -95,8 +95,8 @@ bench-smoke:
 	$(GO) test -run='TestNTTZeroAllocs' ./internal/ring/
 	$(GO) test -run='TestAutomorphismIntoZeroAllocs|TestMergeLevelZeroAllocs|TestTraceZeroAllocs' ./internal/rlwe/
 
-# Service-layer smoke: build the daemon, then run under the race detector the
-# in-process acceptance test — two tenants on two connections each queued
+# Service-layer smoke: build the daemon, check that its paper-scale engine
+# holds no key, then run under the race detector the in-process acceptance test — two tenants on two connections each queued
 # behind a busy executor, with same-key coalescing asserted via the
 # jobs_coalesced counter and bit-exact results against local rotations — and
 # the overload suite: open-loop arrivals past capacity (bounded queue,
@@ -104,6 +104,7 @@ bench-smoke:
 # determinism and a closed loop whose ledger balances at quiesce.
 serve-smoke:
 	$(GO) build ./cmd/heapd
+	$(GO) test -count=1 -run 'TestDaemonPaperScaleHoldsNoKey' ./cmd/heapd/
 	$(GO) test -race -count=1 -run 'TestServiceCoalescesAcrossConnections|TestServiceAdmissionIsolatesTenants|TestOverloadBoundedQueueWithinBudget|TestOverloadVirtualClockDeterministic|TestClosedLoopServesEverything' ./internal/serve/
 
 # Contention lane: the serving and cluster suites repeated at one and two Ps

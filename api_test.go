@@ -35,7 +35,6 @@ var apiAllowlist = map[string]string{
 	"tfhe.DecodeLWE":                       "surface: decodes a programmable bootstrap's output",
 	"tfhe.Evaluator.CMuxInto":              "surface: the CMux gate of Algorithm 2, one step of blind rotation",
 	"tfhe.Evaluator.InternalProductRows":   "surface: the §II-B internal product as a list of external products",
-	"core.Bootstrapper.MeasuredBRKBytes":   "surface: the measured key size that cross-checks hwsim's formula",
 	"serve.RejectedError.IsRateLimited":    "surface: lets a client tell a rate limit from a full queue",
 	"ckks.Evaluator.AddPlain":              "ckks-op: PtAdd of §II-A, one of the scheme's primitive operations",
 	"ckks.Evaluator.InnerSum":              "ckks-op: the rotate-and-add reduction of the LR gradient and ResNet pooling",

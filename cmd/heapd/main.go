@@ -30,7 +30,6 @@ import (
 	"heap/internal/core"
 	"heap/internal/obs"
 	"heap/internal/ring"
-	"heap/internal/rlwe"
 	"heap/internal/serve"
 )
 
@@ -88,8 +87,8 @@ func startDaemon(cfg daemonConfig, out io.Writer) (*daemon, error) {
 		fmt.Fprintf(out, "heapd: metrics on http://%s/metrics\n", d.metricsLn.Addr())
 	}
 
-	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (%d workers)\n",
-		cfg.scale, d.ln.Addr(), boot.Cfg.Workers)
+	fmt.Fprintf(out, "heapd: serving %s-scale bootstraps on %s (%d workers, %v)\n",
+		cfg.scale, d.ln.Addr(), boot.Cfg.Workers, boot.KeyBytes())
 	go func() {
 		defer close(d.served)
 		_ = d.srv.Serve(d.ln)
@@ -155,8 +154,10 @@ func main() {
 }
 
 // buildBootstrapper constructs the server-side engine: full parameter set,
-// params-only LUT and scratch pools, no blind-rotate key (ColdStart — tenant
-// keys live in the registry), and a batch width of every core.
+// params-only LUT and scratch pools, and a batch width of every core. It is
+// ColdStart, so it holds no key at all and draws no secret: tenant
+// blind-rotate keys live in the registry, and Prepare and Finish run on the
+// tenant.
 func buildBootstrapper(scale string) (*core.Bootstrapper, error) {
 	var cfg heap.ContextConfig
 	switch scale {
@@ -176,7 +177,5 @@ func buildBootstrapper(scale string) (*core.Bootstrapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	kg := rlwe.NewKeyGenerator(params.Parameters, cfg.Seed)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	return core.NewBootstrapper(params, kg, sk, cfg.Bootstrap)
+	return core.NewBootstrapper(params, nil, nil, cfg.Bootstrap)
 }

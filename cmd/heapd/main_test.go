@@ -206,6 +206,19 @@ func TestDaemonWidthIsEveryCore(t *testing.T) {
 	}
 }
 
+// TestDaemonPaperScaleHoldsNoKey: the daemon's engine at the paper ring is
+// key-free — no blind-rotate, LWE key-switching or packing key — since tenant
+// keys live in the registry and Prepare and Finish run on the tenant.
+func TestDaemonPaperScaleHoldsNoKey(t *testing.T) {
+	boot, err := buildBootstrapper("paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kb := boot.KeyBytes(); kb != (core.KeyBytes{}) {
+		t.Fatalf("heapd's paper-scale engine holds keys: %v", kb)
+	}
+}
+
 // TestDaemonRejectsUnknownScale: configuration errors surface before any
 // listener binds.
 func TestDaemonRejectsUnknownScale(t *testing.T) {

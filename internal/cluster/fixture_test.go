@@ -130,15 +130,21 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 
 // fixtureNode builds a bootstrapper from the same seeds and parameters as the
 // shared fixture — so under the same RLWE secret fx.ct is encrypted under —
-// at LWE dimension nt (0: exact mode). With cold set it has no blind-rotate
-// key material and must receive the (public) key over the cluster's
-// streaming channel. The params digest still matches — cold is a key state,
-// not a parameter set.
+// at LWE dimension nt (0: exact mode). With cold set it is built from the
+// parameters alone, holds no key, and must receive the (public) blind-rotate
+// key over the cluster's streaming channel. The params digest still matches —
+// cold is a key state, not a parameter set.
 func fixtureNode(t *testing.T, nt int, cold bool) *core.Bootstrapper {
 	t.Helper()
 	fixture(t)
-	kg := rlwe.NewKeyGenerator(fx.params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
+	var (
+		kg *rlwe.KeyGenerator
+		sk *rlwe.SecretKey
+	)
+	if !cold {
+		kg = rlwe.NewKeyGenerator(fx.params.Parameters, 90)
+		sk = kg.GenSecretKey(rlwe.SecretTernary)
+	}
 	cfg := core.DefaultConfig()
 	cfg.NT = nt
 	cfg.Workers = 1

@@ -39,18 +39,40 @@ type Config struct {
 	Workers int
 	// Seed drives deterministic key generation.
 	Seed uint64
-	// ColdStart skips blind-rotate key generation: the bootstrapper rotates
-	// only under keys it is handed (BlindRotateBatchWithKey), which a serving
-	// node receives over the cluster's chunked key-streaming channel into its
-	// registry. Everything else — secret keys, key-switching and packing
-	// keys, parameter digest — is generated as usual, so a cold node
-	// handshakes identically to a warm one.
+	// ColdStart builds a key-free engine, what a serving node is: no LWE
+	// secret, LWE key-switching key, packing keys or blind-rotate key are
+	// generated, and NewBootstrapper reads nothing from its key generator or
+	// secret (both may be nil). The engine rotates only under keys it is
+	// handed (BlindRotateBatchWithKey), which a serving node receives over
+	// the cluster's chunked key-streaming channel into its registry, and runs
+	// an exact-mode PrepareSparse, which uses no key; every entry point that
+	// needs a missing key fails with ErrKeyCold. The handshake carries only
+	// the parameter digest and the LWE dimension, both public, so a cold node
+	// and a warm one are protocol-compatible.
 	ColdStart bool
 }
 
 // DefaultConfig mirrors the paper's parameter choices.
 func DefaultConfig() Config {
 	return Config{NT: 500, Workers: 8, Seed: 0xb007}
+}
+
+// ErrKeyCold is the refusal of an entry point that needs key material a
+// ColdStart bootstrapper never generated: the LWE key-switching key (an
+// n_t-mode Prepare), the packing keys (Finish and the merge collector) or
+// the installed blind-rotate key (local blind rotation).
+var ErrKeyCold = errors.New("core: key-cold bootstrapper")
+
+// keyCold is ErrKeyCold naming the missing key.
+func keyCold(key string) error { return fmt.Errorf("%w: it holds no %s", ErrKeyCold, key) }
+
+// rotateKey returns the installed blind-rotate key, or panics with
+// ErrKeyCold on a cold bootstrapper.
+func (bt *Bootstrapper) rotateKey() *tfhe.BlindRotateKey {
+	if bt.brk == nil {
+		panic(keyCold("blind-rotate key"))
+	}
+	return bt.brk
 }
 
 const (
@@ -70,14 +92,15 @@ type Bootstrapper struct {
 	Params *ckks.Parameters
 	Cfg    Config
 
-	lweSK    *rlwe.LWESecretKey
+	// The key material; all nil on a ColdStart bootstrapper.
 	brk      *tfhe.BlindRotateKey
-	lweKSK   *rlwe.LWEKeySwitchKey
+	lweKSK   *rlwe.LWEKeySwitchKey // nil in exact mode too
 	packKeys *rlwe.PackingKeys
-	tfheEv   *tfhe.Evaluator
-	lut      *tfhe.LookupTable
-	ks       *rlwe.KeySwitcher
 	repacker *rlwe.Repacker
+
+	tfheEv *tfhe.Evaluator
+	lut    *tfhe.LookupTable
+	ks     *rlwe.KeySwitcher
 
 	pAux     uint64   // the reserved auxiliary prime (last limb)
 	pScalar  int64    // round(p / 2N)
@@ -113,7 +136,8 @@ func (bt *Bootstrapper) AppMaxLevel() int { return bt.Params.MaxLevel() - 1 }
 // NewBootstrapper generates all bootstrapping key material under sk:
 // the blind-rotate keys brk (n_t RGSW ciphertexts for the binary LWE secret,
 // N pairs in exact mode), the N→n_t LWE key-switching
-// key, and the log N packing automorphism keys.
+// key, and the log N packing automorphism keys. Under cfg.ColdStart it
+// generates none of them and kg and sk may be nil.
 func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.SecretKey, cfg Config) (*Bootstrapper, error) {
 	if params.MaxLevel() < 2 {
 		return nil, fmt.Errorf("core: need at least two limbs (one application limb plus the auxiliary prime)")
@@ -139,29 +163,9 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 	bt.ks.SetWorkers(cfg.Workers)
 	bt.tfheEv = tfhe.NewEvaluator(params.Parameters, bt.ks)
 
-	if cfg.NT == 0 {
-		// Exact mode: blind-rotate directly under the (ternary) RLWE secret.
-		bt.lweSK = &rlwe.LWESecretKey{Signed: sk.Signed, Dist: rlwe.SecretTernary}
-		if !cfg.ColdStart {
-			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
-		}
-	} else {
-		bt.lweSK = kg.GenLWESecretKey(cfg.NT, rlwe.SecretBinary)
-		// The LWE key-switching key draws only from its own sampler, so it
-		// is generated beside the blind-rotate key, byte for byte the same.
-		kskDone := make(chan struct{})
-		go func() {
-			defer close(kskDone)
-			kskMod := twoN << scaleUpBits
-			bt.lweKSK = rlwe.GenLWEKeySwitchKey(sk.Signed, bt.lweSK.Signed, kskMod, lweLogBase, ring.NewSampler(cfg.Seed), params.Sigma)
-		}()
-		if !cfg.ColdStart {
-			bt.brk = tfhe.GenBlindRotateKey(kg, bt.lweSK, sk)
-		}
-		<-kskDone
+	if !cfg.ColdStart {
+		bt.genKeys(kg, sk)
 	}
-	bt.packKeys = kg.GenPackingKeys(sk)
-	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys)
 
 	// Lookup table: g(u) = q0 · u · N^{-1} mod Q (the N^{-1} pre-cancels the
 	// factor-N scaling of the repack), valid for |u| < N/2.
@@ -187,6 +191,35 @@ func NewBootstrapper(params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.Se
 	bt.pAux = params.Q[level-1]
 	bt.pScalar = int64((bt.pAux + twoN/2) / twoN) // round(p / 2N)
 	return bt, nil
+}
+
+// genKeys generates the key material of a warm bootstrapper under sk.
+func (bt *Bootstrapper) genKeys(kg *rlwe.KeyGenerator, sk *rlwe.SecretKey) {
+	if bt.Cfg.NT == 0 {
+		// Exact mode: blind-rotate directly under the (ternary) RLWE secret.
+		bt.brk = tfhe.GenBlindRotateKey(kg, &rlwe.LWESecretKey{Signed: sk.Signed, Dist: rlwe.SecretTernary}, sk)
+	} else {
+		lweSK := kg.GenLWESecretKey(bt.Cfg.NT, rlwe.SecretBinary)
+		// The LWE key-switching key draws only from its own sampler, so it
+		// is generated beside the blind-rotate key, byte for byte the same.
+		kskDone := make(chan struct{})
+		go func() {
+			defer close(kskDone)
+			bt.lweKSK = bt.genLWEKeySwitchKey(sk, lweSK)
+		}()
+		bt.brk = tfhe.GenBlindRotateKey(kg, lweSK, sk)
+		<-kskDone
+	}
+	bt.packKeys = kg.GenPackingKeys(sk)
+	bt.repacker = rlwe.NewRepacker(bt.ks, bt.packKeys)
+}
+
+// genLWEKeySwitchKey generates the N→n_t key switch from sk to lweSK at the
+// scaled-up modulus 2N·2^scaleUpBits, from a sampler of its own seeded by
+// Cfg.Seed.
+func (bt *Bootstrapper) genLWEKeySwitchKey(sk *rlwe.SecretKey, lweSK *rlwe.LWESecretKey) *rlwe.LWEKeySwitchKey {
+	kskMod := uint64(2*bt.Params.N()) << scaleUpBits
+	return rlwe.GenLWEKeySwitchKey(sk.Signed, lweSK.Signed, kskMod, lweLogBase, ring.NewSampler(bt.Cfg.Seed), bt.Params.Sigma)
 }
 
 // msResult is the exact floor-division of Algorithm 2 steps 1–2:
@@ -242,8 +275,13 @@ func (bt *Bootstrapper) Prepare(ct *rlwe.Ciphertext) *PreparedBootstrap {
 // n_br parameter, §V): for a sparsely packed ciphertext the message
 // polynomial lives in the X^{N/count} subring, so only the count stride
 // coefficients need blind rotations — the junk the modulus raise leaves at
-// the other positions is annihilated by the repacking trace in Finish.
+// the other positions is annihilated by the repacking trace in Finish. In
+// n_t mode it needs the LWE key-switching key and panics with ErrKeyCold
+// without it; the exact mode uses no key.
 func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedBootstrap {
+	if bt.Cfg.NT != 0 && bt.lweKSK == nil {
+		panic(keyCold("LWE key-switching key"))
+	}
 	p := bt.Params
 	n := p.N()
 	if count < 1 || count > n || count&(count-1) != 0 {
@@ -306,7 +344,7 @@ func (bt *Bootstrapper) PrepareSparse(ct *rlwe.Ciphertext, count int) *PreparedB
 // RLWE ciphertext (coefficient representation, full level) — the unit of
 // work a secondary node performs, run as a key-major tile of one.
 func (bt *Bootstrapper) BlindRotateOne(lwe *rlwe.LWECiphertext) *rlwe.Ciphertext {
-	return bt.tfheEv.BlindRotate(lwe, bt.lut, bt.brk)
+	return bt.tfheEv.BlindRotate(lwe, bt.lut, bt.rotateKey())
 }
 
 // NewRotateScratch allocates a per-worker blind-rotation scratch arena for
@@ -382,7 +420,7 @@ func (bt *Bootstrapper) checkKey(k *tfhe.BlindRotateKey) error {
 // key is pulled through cache once for the whole tile. It is the building
 // block cluster workers drain the shared queue with.
 func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, sc *tfhe.Scratch) {
-	bt.tfheEv.BlindRotateTileInto(accs, lwes, bt.lut, bt.brk, sc)
+	bt.tfheEv.BlindRotateTileInto(accs, lwes, bt.lut, bt.rotateKey(), sc)
 }
 
 // BlindRotateBatch runs the key-major batched engine over prepared LWE
@@ -390,6 +428,9 @@ func (bt *Bootstrapper) BlindRotateTile(accs []*rlwe.Ciphertext, lwes []*rlwe.LW
 // accumulators from the bootstrapper's pool (RecycleAccumulator); see
 // tfhe.BatchOptions for the worker fan-out and the streaming per-tile hook.
 func (bt *Bootstrapper) BlindRotateBatch(accs []*rlwe.Ciphertext, lwes []*rlwe.LWECiphertext, opts tfhe.BatchOptions) error {
+	if bt.brk == nil {
+		return keyCold("blind-rotate key")
+	}
 	return bt.blindRotateBatch(accs, lwes, bt.brk, opts)
 }
 
@@ -455,7 +496,8 @@ func (bt *Bootstrapper) CompleteMissing(prep *PreparedBootstrap, accs []*rlwe.Ci
 	bt.rec.End(obs.StageBlindRotate, obs.LanePipeline, tok)
 	if err != nil {
 		// The prepared LWEs and the key material are the bootstrapper's own;
-		// a failure here means corrupted keys, not a recoverable input error.
+		// a failure here means a key-cold bootstrapper (ErrKeyCold) or
+		// corrupted keys, not a recoverable input error.
 		panic(err)
 	}
 	for k, idx := range missing {
@@ -517,6 +559,9 @@ func (bt *Bootstrapper) repack(accs []*rlwe.Ciphertext) (*rlwe.Ciphertext, error
 // the output of a MergeCollector whose Add calls ran concurrently with the
 // blind-rotate/network fan-out (the streaming path of cluster bootstraps).
 func (bt *Bootstrapper) FinishMerged(prep *PreparedBootstrap, merged *rlwe.Ciphertext) (*rlwe.Ciphertext, error) {
+	if bt.repacker == nil {
+		return nil, keyCold("packing keys")
+	}
 	count := prep.Count
 	if count == 0 {
 		return nil, fmt.Errorf("core: prepared bootstrap has no count")

@@ -38,8 +38,12 @@ type MergeCollector struct {
 }
 
 // NewMergeCollector prepares a collector for a bootstrap of `count`
-// accumulators (the prepared bootstrap's Count).
+// accumulators (the prepared bootstrap's Count). The merges need the
+// packing keys: a key-cold bootstrapper refuses with ErrKeyCold.
 func (bt *Bootstrapper) NewMergeCollector(count int) (*MergeCollector, error) {
+	if bt.repacker == nil {
+		return nil, keyCold("packing keys")
+	}
 	if count < 1 || count > bt.Params.N() || count&(count-1) != 0 {
 		return nil, fmt.Errorf("core: merge collector needs a power-of-two count in [1, %d], got %d",
 			bt.Params.N(), count)

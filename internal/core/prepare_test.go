@@ -25,6 +25,24 @@ func prepareFixture(t *testing.T) (*ckks.Parameters, *rlwe.KeyGenerator, *rlwe.S
 	return params, kg, sk, ct
 }
 
+// coldWithLWEKeySwitchKey builds a key-cold bootstrapper and gives it the one
+// key an n_t-mode Prepare reads: the LWE secret drawn from kg where a warm
+// NewBootstrapper draws it, and the N→n_t key-switching key from
+// NewBootstrapper's own sampler seed. The blind-rotate and packing keys a
+// warm engine would add are never read by Prepare.
+func coldWithLWEKeySwitchKey(t *testing.T, params *ckks.Parameters, kg *rlwe.KeyGenerator, sk *rlwe.SecretKey, cfg Config) *Bootstrapper {
+	t.Helper()
+	cfg.ColdStart = true
+	bt, err := NewBootstrapper(params, nil, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.NT != 0 {
+		bt.lweKSK = bt.genLWEKeySwitchKey(sk, kg.GenLWESecretKey(cfg.NT, rlwe.SecretBinary))
+	}
+	return bt
+}
+
 // TestPrepareSparseWorkerIndependence locks the fanned-out, key-major
 // Prepare: for the exact mode and the key-switched mode at n_t = 8, 16 and
 // the paper's 500 (a key and accumulators far wider than L1), for counts
@@ -43,11 +61,8 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 
 	for _, nt := range []int{0, 8, 16, 500} {
 		cfg := DefaultConfig()
-		cfg.NT, cfg.Workers, cfg.ColdStart = nt, 1, true // Prepare needs no blind-rotate key
-		bt, err := NewBootstrapper(params, kg, sk, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg.NT, cfg.Workers = nt, 1
+		bt := coldWithLWEKeySwitchKey(t, params, kg, sk, cfg)
 		c0, c1 := ct.C0.Limbs[0].Copy(), ct.C1.Limbs[0].Copy()
 		params.QBasis.Rings[0].INTT(c0)
 		params.QBasis.Rings[0].INTT(c1)
@@ -106,11 +121,8 @@ func TestPrepareSparseWorkerIndependence(t *testing.T) {
 func TestPrepareSparseAllocationBound(t *testing.T) {
 	params, kg, sk, ct := prepareFixture(t)
 	cfg := DefaultConfig()
-	cfg.NT, cfg.Workers, cfg.ColdStart = 8, 2, true
-	bt, err := NewBootstrapper(params, kg, sk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.NT, cfg.Workers = 8, 2
+	bt := coldWithLWEKeySwitchKey(t, params, kg, sk, cfg)
 	for _, count := range []int{8, 256} {
 		const budget = 12 + 6*2 // fixed + per-chunk objects at two workers
 		if avg := testing.AllocsPerRun(5, func() { bt.PrepareSparse(ct, count) }); avg > budget {

@@ -61,11 +61,33 @@ func PaperKeyMaterialReport() KeyMaterialReport {
 	return r
 }
 
-// MeasuredBRKBytes returns the in-memory blind-rotate key size of this
-// bootstrapper instance (functional parameters, for cross-checking the
-// formula against the implementation).
-func (bt *Bootstrapper) MeasuredBRKBytes() int64 {
-	return int64(bt.brk.SizeBytes())
+// KeyBytes is the in-memory size of a bootstrapper's key material by kind;
+// every field is zero on a ColdStart bootstrapper.
+type KeyBytes struct {
+	BlindRotate  int64 // the installed blind-rotate key
+	LWEKeySwitch int64 // the N→n_t LWE key-switching key (none in exact mode)
+	Packing      int64 // the log N packing automorphism keys
+}
+
+// String renders the sizes as heapd's startup line prints them.
+func (k KeyBytes) String() string {
+	return fmt.Sprintf("%d B of keys: blind-rotate %d, LWE key-switch %d, packing %d",
+		k.BlindRotate+k.LWEKeySwitch+k.Packing, k.BlindRotate, k.LWEKeySwitch, k.Packing)
+}
+
+// KeyBytes measures the key material this bootstrapper holds.
+func (bt *Bootstrapper) KeyBytes() KeyBytes {
+	var k KeyBytes
+	if bt.brk != nil {
+		k.BlindRotate = int64(bt.brk.SizeBytes())
+	}
+	if bt.lweKSK != nil {
+		k.LWEKeySwitch = int64(bt.lweKSK.SizeBytes())
+	}
+	if bt.packKeys != nil {
+		k.Packing = int64(bt.packKeys.SizeBytes())
+	}
+	return k
 }
 
 // String renders the report like the §III-C discussion.

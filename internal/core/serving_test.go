@@ -44,13 +44,11 @@ func TestBlindRotateBatchWithKeyMatchesLocal(t *testing.T) {
 	}
 
 	// A key-cold server sharing only the public parameter set.
-	kg := rlwe.NewKeyGenerator(params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cfg := DefaultConfig()
 	cfg.NT = tenant.Cfg.NT
 	cfg.Workers = 2 // eight rotations over two workers: two tiles of four
 	cfg.ColdStart = true
-	srv, err := NewBootstrapper(params, kg, sk, cfg)
+	srv, err := NewBootstrapper(params, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +101,9 @@ func TestBlindRotateBatchWithKeyChecksKind(t *testing.T) {
 	partial := &tfhe.BlindRotateKey{Plus: make([]*rlwe.RGSWCiphertext, n), Binary: true}
 	copy(partial.Plus[:n/2], brk.Plus)
 
-	kg := rlwe.NewKeyGenerator(params.Parameters, 90)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
 	cfg := tenant.Cfg
 	cfg.ColdStart = true
-	srv, err := NewBootstrapper(params, kg, sk, cfg)
+	srv, err := NewBootstrapper(params, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,9 @@ type LWEKeySwitchKey struct {
 	NTo     int
 }
 
+// SizeBytes returns the in-memory size of the key's rows.
+func (k *LWEKeySwitchKey) SizeBytes() int { return 8 * len(k.rows) }
+
 // GenLWEKeySwitchKey generates the N→n_t LWE key-switching key at modulus q
 // ("the key switching key is a vector of h·N·d LWE ciphertexts", §II-B).
 func GenLWEKeySwitchKey(sFrom, sTo []int64, q uint64, logBase int, sampler *ring.Sampler, sigma float64) *LWEKeySwitchKey {

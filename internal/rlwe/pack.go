@@ -31,6 +31,16 @@ func (kg *KeyGenerator) GenPackingKeys(sk *SecretKey) *PackingKeys {
 	return pk
 }
 
+// SizeBytes returns the in-memory size of the packing keys' coefficient
+// data.
+func (pk *PackingKeys) SizeBytes() int {
+	total := 0
+	for _, k := range pk.Keys {
+		total += k.SizeBytes()
+	}
+	return total
+}
+
 // Repacker executes the repacking merge tree and trace. The whole repack
 // lives in the coefficient domain, the representation blind rotation emits
 // and the gadget decomposition consumes: the X^{N/2^ℓ} rotation of the odd

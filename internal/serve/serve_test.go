@@ -27,15 +27,23 @@ import (
 // buildBoot constructs one party at the small ring the cluster tests use.
 // Every party derives the identical public parameter set; only the key
 // material differs by seed, so a cold server and full tenants interoperate.
+// A cold server holds no secret, so it comes with no client.
 func buildBoot(t *testing.T, seed uint64, cold bool) (*ckks.Parameters, *ckks.Client, *core.Bootstrapper) {
 	t.Helper()
 	logN := 6
 	q := ring.GenerateNTTPrimes(30, logN, 3)
 	p := ring.GenerateNTTPrimesUp(31, logN, 2)
 	params := ckks.MustParameters(logN, q, p, ring.DefaultSigma, 2, float64(uint64(1)<<28), 1<<(logN-1))
-	kg := rlwe.NewKeyGenerator(params.Parameters, seed)
-	sk := kg.GenSecretKey(rlwe.SecretTernary)
-	cl := ckks.NewClient(params, sk, seed+1)
+	var (
+		kg *rlwe.KeyGenerator
+		sk *rlwe.SecretKey
+		cl *ckks.Client
+	)
+	if !cold {
+		kg = rlwe.NewKeyGenerator(params.Parameters, seed)
+		sk = kg.GenSecretKey(rlwe.SecretTernary)
+		cl = ckks.NewClient(params, sk, seed+1)
+	}
 	cfg := core.DefaultConfig()
 	cfg.NT = 0
 	cfg.Workers = 1
