@@ -19,12 +19,13 @@ vet:
 # The second line pins the P count for the tests whose schedule is the
 # point — the batch engine's worker-filling tiles, the server's multi-worker
 # write-back and its bootstrapper's width, Prepare's LWE key-switch fan-out, the streaming merge
-# collector and the key switch's limb-level fan-out (the width tests: the
+# collector, the evaluation keys' first use from eight goroutines at once, and
+# the key switch's limb-level fan-out (the width tests: the
 # effective width is capped by the P count, so one P is the inline case) — so
 # they race at one, two and four Ps whatever the host has.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestServerWidthIsTheBootstrappers|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish|$(WIDTH_TESTS)' ./internal/tfhe/ ./internal/serve/ ./internal/core/ ./internal/rlwe/ ./internal/ckks/
+	$(GO) test -race -cpu 1,2,4 -run 'TestBlindRotateBatchMatchesPerCiphertext|TestServiceMultiWorkerTilesReassemble|TestServerWidthIsTheBootstrappers|TestPrepareSparseWorkerIndependence|TestStreamingCollectorMatchesFinish|TestEvaluationKeysFirstUseIsConcurrent|$(WIDTH_TESTS)' ./internal/tfhe/ ./internal/serve/ ./internal/core/ ./internal/rlwe/ ./internal/ckks/
 
 # Pure-Go lane: the build that ships to non-amd64 targets (and amd64 with
 # the vector kernels compiled out) must stay green on its own — the scalar

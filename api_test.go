@@ -54,7 +54,6 @@ var apiAllowlist = map[string]string{
 	"ckks.Evaluator.Neg":                   "ckks-op: negation, one of the scheme's primitive operations",
 	"ckks.Client.Encrypt":                  "test-helper: the ckks tests and the root benchmarks encrypt at the top level with it",
 	"obs.Trace.PipelineTotalMs":            "test-helper: the obs, core and cluster trace tests sum the pipeline spans with it",
-	"ring.Sampler.Uint64":                  "test-helper: the ring and rns tests draw raw words with it",
 	"rlwe.MustParameters":                  "test-helper: the rlwe tests and the root benchmarks build parameter sets with it",
 	"obs.ParseTrace":                       "test-helper: the cluster and core trace tests decode traces with it",
 	"obs.Metrics.GaugeValue":               "test-helper: the serve, cluster and core tests read gauges with it",

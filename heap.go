@@ -91,7 +91,8 @@ type Context struct {
 	SK     *rlwe.SecretKey
 }
 
-// NewContext generates keys and engines from a config.
+// NewContext generates the secret and the bootstrapper's keys from a config,
+// promises the evaluation keys, and builds the engines.
 func NewContext(cfg ContextConfig) (*Context, error) {
 	q := ring.GenerateNTTPrimes(cfg.LimbBits, cfg.LogN, cfg.Limbs)
 	p := ring.GenerateNTTPrimesUp(cfg.LimbBits+1, cfg.LogN, cfg.PLimbs)
@@ -111,7 +112,10 @@ func NewContext(cfg ContextConfig) (*Context, error) {
 	for r := 1; r < cfg.Slots; r <<= 1 {
 		rotations = append(rotations, r, -r)
 	}
-	keys := ckks.GenEvaluationKeySet(params, kg, sk, rotations, true)
+	// The evaluation keys are promised, not made: each is generated when an
+	// operation first needs it (ckks.EvaluationKeySet), so the context holds
+	// only the keys its computation uses.
+	keys := ckks.NewEvaluationKeySet(params, kg, sk, rotations, true)
 	ev := ckks.NewEvaluator(params, keys, nil)
 	// The context's one answer to "how many cores may I use" covers the
 	// operations between bootstraps too.

@@ -10,39 +10,6 @@ import (
 	"heap/internal/rns"
 )
 
-// EvaluationKeySet holds the public evaluation material: the relinearization
-// key and the Galois keys for every rotation/conjugation the application
-// performs.
-type EvaluationKeySet struct {
-	Rlk        *rlwe.GadgetCiphertext
-	GaloisKeys map[uint64]*rlwe.GadgetCiphertext
-}
-
-// GenEvaluationKeySet creates the relinearization key plus Galois keys for
-// the given slot rotations (and conjugation if conj is set).
-func GenEvaluationKeySet(params *Parameters, kg *rlwe.KeyGenerator, sk *rlwe.SecretKey, rotations []int, conj bool) *EvaluationKeySet {
-	ks := &EvaluationKeySet{
-		Rlk:        kg.GenRelinearizationKey(sk),
-		GaloisKeys: make(map[uint64]*rlwe.GadgetCiphertext),
-	}
-	r0 := params.QBasis.Rings[0]
-	var gs []uint64
-	seen := map[uint64]bool{}
-	for _, k := range rotations {
-		if g := r0.GaloisElementForRotation(k); !seen[g] {
-			seen[g] = true
-			gs = append(gs, g)
-		}
-	}
-	if conj {
-		gs = append(gs, r0.GaloisElementConjugate())
-	}
-	for k, key := range kg.GenGaloisKeys(gs, sk) {
-		ks.GaloisKeys[gs[k]] = key
-	}
-	return ks
-}
-
 // Evaluator performs homomorphic CKKS operations. Safe for concurrent use
 // after construction.
 type Evaluator struct {
@@ -79,10 +46,10 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet, ks *rlwe.KeySwitch
 		r.NTT(p)
 		ev.monoI[i] = p
 	}
-	// Precompute the automorphism permutations for all held Galois keys so
-	// concurrent evaluation never mutates shared state.
+	// Precompute the automorphism permutations for all promised Galois keys
+	// so concurrent evaluation never mutates shared state.
 	if keys != nil {
-		for g := range keys.GaloisKeys {
+		for g := range keys.galois {
 			ks.EnsurePerm(g)
 		}
 	}
@@ -191,7 +158,7 @@ func (ev *Evaluator) mulInto(out, a, b *rlwe.Ciphertext, d2 rns.Poly) {
 		r.MulCoeffsAndAdd(a.C1.Limbs[i], b.C0.Limbs[i], out.C1.Limbs[i])
 		r.MulCoeffs(a.C1.Limbs[i], b.C1.Limbs[i], d2.Limbs[i])
 	})
-	ev.KS.Relinearize(out.C0, out.C1, d2, ev.Keys.Rlk)
+	ev.KS.Relinearize(out.C0, out.C1, d2, ev.Keys.relin())
 	out.IsNTT = true
 	out.Scale = a.Scale * b.Scale
 }
@@ -213,7 +180,7 @@ func (ev *Evaluator) Rescale(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 // (rlwe.KeySwitcher.MulRelinRescale): the rescaled ciphertext is all it
 // allocates.
 func (ev *Evaluator) MulRelinRescale(a, b *rlwe.Ciphertext) *rlwe.Ciphertext {
-	out := ev.KS.MulRelinRescale(a, b, ev.Keys.Rlk)
+	out := ev.KS.MulRelinRescale(a, b, ev.Keys.relin())
 	out.Scale /= float64(ev.Params.Q[out.Level()])
 	return out
 }
@@ -234,7 +201,7 @@ func (ev *Evaluator) Rotate(ct *rlwe.Ciphertext, k int) *rlwe.Ciphertext {
 		return ct.CopyNew()
 	}
 	g := ev.Params.QBasis.Rings[0].GaloisElementForRotation(k)
-	gk, ok := ev.Keys.GaloisKeys[g]
+	gk, ok := ev.Keys.galoisKey(g)
 	if !ok {
 		panic(fmt.Sprintf("ckks: missing rotation key for k=%d (galois %d)", k, g))
 	}
@@ -244,7 +211,7 @@ func (ev *Evaluator) Rotate(ct *rlwe.Ciphertext, k int) *rlwe.Ciphertext {
 // Conjugate conjugates every slot (Conjugate of §II-A): X → X^{2N−1}.
 func (ev *Evaluator) Conjugate(ct *rlwe.Ciphertext) *rlwe.Ciphertext {
 	g := ev.Params.QBasis.Rings[0].GaloisElementConjugate()
-	gk, ok := ev.Keys.GaloisKeys[g]
+	gk, ok := ev.Keys.galoisKey(g)
 	if !ok {
 		panic("ckks: missing conjugation key")
 	}

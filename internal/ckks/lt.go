@@ -85,7 +85,7 @@ func (ev *Evaluator) EvalLinearTransform(ct *rlwe.Ciphertext, lt *LinearTransfor
 			return c
 		}
 		g := ev.Params.QBasis.Rings[0].GaloisElementForRotation(b)
-		gk, ok := ev.Keys.GaloisKeys[g]
+		gk, ok := ev.Keys.galoisKey(g)
 		if !ok {
 			panic(fmt.Sprintf("ckks: missing rotation key for k=%d (galois %d)", b, g))
 		}

@@ -229,7 +229,8 @@ func closeConn(conn Conn) { _ = conn.Close() }
 // least minTileTime (see there).
 type tileClock struct {
 	mu    sync.Mutex
-	slow  time.Duration // the slowest completed local tile; 0 until one completes
+	slow  time.Duration // the slowest completed local tile
+	timed bool          // a local tile has completed, so slow is T's floor
 	start []time.Time   // per local worker, the start of its tile in progress; zero: none
 	links map[*linkWait]bool
 }
@@ -270,6 +271,7 @@ func (c *tileClock) end(w int) {
 	defer c.mu.Unlock()
 	now := time.Now()
 	c.slow = max(c.slow, now.Sub(c.start[w]))
+	c.timed = true
 	c.start[w] = time.Time{}
 	for lw := range c.links {
 		c.judge(lw, now)
@@ -326,7 +328,7 @@ func (c *tileClock) t(now time.Time) time.Duration {
 // which fails its pending read — or else sets w's timer for last + 2 × T;
 // c.mu is held.
 func (c *tileClock) judge(w *linkWait, now time.Time) {
-	if w.late || c.slow == 0 {
+	if w.late || !c.timed {
 		return
 	}
 	wait := w.last.Add(2 * c.t(now)).Sub(now)

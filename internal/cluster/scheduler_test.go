@@ -49,6 +49,49 @@ func TestArmTimeoutZeroIsUnbounded(t *testing.T) {
 	}
 }
 
+// TestZeroLengthTileArmsTheDeadline: a local tile measured at 0 ns — what a
+// virtual clock reads for any compute — still gives the run a T, so a link
+// that delivers nothing is cut at 2 × minTileTime. The wall clock never reads
+// a tile as 0 ns; a start ahead of the end makes the measured length
+// negative, which the slowest-tile maximum turns into the same 0.
+func TestZeroLengthTileArmsTheDeadline(t *testing.T) {
+	c := newTileClock(1)
+	conn := &deadlineRecorder{}
+	w := c.arm(conn, 0)
+	defer c.disarm(w)
+	c.begin(0)
+	c.mu.Lock()
+	c.start[0] = time.Now().Add(time.Hour)
+	c.mu.Unlock()
+	c.end(0)
+
+	c.mu.Lock()
+	slow, armed, last := c.slow, w.timer != nil, w.last
+	c.mu.Unlock()
+	if slow != 0 {
+		t.Fatalf("slowest local tile %v, want 0", slow)
+	}
+	if !armed {
+		t.Fatal("a zero-length local tile left the progress deadline unarmed")
+	}
+	for give := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c.mu.Lock()
+		late := w.late
+		c.mu.Unlock()
+		if late {
+			break
+		}
+		if time.Now().After(give) {
+			t.Fatal("the idle link was never cut")
+		}
+	}
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if len(conn.calls) != 1 || conn.calls[0].Before(last.Add(2*minTileTime)) {
+		t.Fatalf("deadlines %v, want one cut at or after %v", conn.calls, last.Add(2*minTileTime))
+	}
+}
+
 // TestWorkQueueFillTakesAShare pins the dispatch-batch rule: push cuts
 // indices into tasks of the queue's size, and fill tops a drawn task up with
 // whole queued tasks to ⌈queued / parts⌉ indices, never past the limit.

@@ -58,6 +58,10 @@ func NewKeyGenerator(params *Parameters, seed uint64) *KeyGenerator {
 	return kg
 }
 
+// DrawSeed draws a 64-bit seed from the generator's stream, for key
+// material another generator makes later from it.
+func (kg *KeyGenerator) DrawSeed() uint64 { return kg.sampler.Uint64() }
+
 // GenSecretKey samples a fresh RLWE secret with the given distribution.
 func (kg *KeyGenerator) GenSecretKey(dist SecretDist) *SecretKey {
 	n := kg.params.N()
